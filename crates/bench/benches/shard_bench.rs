@@ -1,5 +1,6 @@
 //! Sharded multi-stream throughput: events per second sustained by the
-//! `ShardedReducer` at 1, 2 and 4 shards over a four-device endurance
+//! `FleetReducer` at 1, 2 and 4 shards (devices pushed under the id
+//! `device % shards`, one worker per shard) over a four-device endurance
 //! workload, against two single-threaded baselines:
 //!
 //! * `single_session` — one `ReductionSession` over the merged untagged
@@ -7,11 +8,11 @@
 //!   cannot produce per-device traces; context only.
 //! * `serial_4_sessions` — one session per device routed inline on one
 //!   thread: the single-threaded implementation of exactly the reduction
-//!   the sharded engine performs. This is the speedup baseline.
+//!   the fleet engine performs. This is the speedup baseline.
 //!
 //! On a multi-core host the 4-shard configuration is expected to sustain
 //! well over twice the `serial_4_sessions` rate (the CI `bench-smoke` job
-//! enforces that); on a single hardware thread the sharded engine pays
+//! enforces that); on a single hardware thread the fleet engine pays
 //! only its channel overhead (a few percent), which these numbers make
 //! visible rather than hide.
 
@@ -19,7 +20,7 @@ use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use endurance_core::{MonitorConfig, ReductionSession, ShardedReducer};
+use endurance_core::{FleetReducer, MonitorConfig, ReductionSession};
 use mm_sim::{Scenario, Simulation};
 use trace_model::{CountingSink, InterleavedStreams, MemorySource, StreamId, TraceEvent};
 
@@ -90,7 +91,7 @@ fn bench_sharded_push(c: &mut Criterion) {
     });
 
     // Speedup baseline: per-device sessions routed inline on this thread —
-    // identical output semantics to the sharded engine, zero parallelism.
+    // identical output semantics to the fleet engine, zero parallelism.
     group.bench_function("serial_4_sessions", |bench| {
         bench.iter(|| {
             let mut sessions: Vec<_> = (0..DEVICES as usize)
@@ -118,13 +119,13 @@ fn bench_sharded_push(c: &mut Criterion) {
             &shards,
             |bench, &shards| {
                 bench.iter(|| {
-                    let mut reducer = ShardedReducer::new(fixture.config.clone(), shards)
-                        .expect("reducer")
-                        .with_sinks(|_| CountingSink::new());
-                    reducer
-                        .push_batch(black_box(&fixture.tagged))
-                        .expect("push");
-                    reducer.finish().expect("finish").report
+                    let mut fleet =
+                        FleetReducer::new(fixture.config.clone(), shards).expect("fleet");
+                    for (source, event) in black_box(&fixture.tagged) {
+                        let shard = StreamId::new(source.as_u32() % shards as u32);
+                        fleet.push(shard, *event).expect("push");
+                    }
+                    fleet.finish().expect("finish").aggregate
                 });
             },
         );

@@ -88,7 +88,7 @@ use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
-use endurance_core::{MonitorConfig, ReductionSession, ReferenceModel, ShardedReducer};
+use endurance_core::{FleetReducer, MonitorConfig, ReductionSession, ReferenceModel};
 use endurance_obs::{MetricsSnapshot, Registry};
 use endurance_repro::{minimize, MinimizeConfig, ReproArtifact};
 use endurance_serve::{ServeHandle, SubscribeOptions, SubscriptionStep};
@@ -470,7 +470,7 @@ fn main() -> ExitCode {
     let mut configs = Vec::new();
 
     // Single push-based session over the merged stream: the baseline the
-    // sharded engine is compared against.
+    // fleet engine is compared against.
     let session_rate = measure(reps, events, || {
         let mut session = ReductionSession::new(config.clone())
             .expect("session")
@@ -524,7 +524,7 @@ fn main() -> ExitCode {
     eprintln!("  session_spooled:   {:>12.0} events/s", spooled_rate);
     configs.push(Measurement::rate("session_spooled", events, spooled_rate));
 
-    // The single-threaded counterpart of the sharded engine: one session
+    // The single-threaded counterpart of the fleet engine: one session
     // per device, routed inline on this thread. Identical output semantics
     // (per-device windows and traces), no parallelism.
     let serial_rate = measure(reps, events, || {
@@ -549,12 +549,15 @@ fn main() -> ExitCode {
 
     let mut sharded_4_rate = session_rate;
     for shards in SHARD_CONFIGS {
+        // `shards` sessions on `shards` workers: every device is pushed
+        // under the id `device % shards`.
         let rate = measure(reps, events, || {
-            let mut reducer = ShardedReducer::new(config.clone(), shards)
-                .expect("reducer")
-                .with_sinks(|_| CountingSink::new());
-            reducer.push_batch(&tagged).expect("push");
-            std::hint::black_box(reducer.finish().expect("finish").report);
+            let mut fleet = FleetReducer::new(config.clone(), shards).expect("fleet");
+            for (source, event) in &tagged {
+                let shard = StreamId::new(source.as_u32() % shards as u32);
+                fleet.push(shard, *event).expect("push");
+            }
+            std::hint::black_box(fleet.finish().expect("finish").aggregate);
         });
         eprintln!("  sharded_{shards}:         {:>12.0} events/s", rate);
         if shards == 4 {
@@ -577,20 +580,23 @@ fn main() -> ExitCode {
         let _ = std::fs::remove_dir_all(&store_dir);
         let dir = store_dir.clone();
         let registry = Arc::clone(&store_registry);
-        let mut reducer = ShardedReducer::new(config.clone(), 4)
-            .expect("reducer")
-            .with_sinks(|shard| {
+        let mut fleet = FleetReducer::new(config.clone(), 4)
+            .expect("fleet")
+            .with_sinks(move |shard: StreamId| {
                 SpooledSink::new(
-                    LaneWriter::create(&dir, shard as u32, StoreConfig::default())
+                    LaneWriter::create(&dir, shard.as_u32(), StoreConfig::default())
                         .expect("lane")
                         .with_metrics(&registry),
                 )
             });
-        reducer.push_batch(&tagged).expect("push");
-        let outcome = reducer.finish().expect("finish");
-        std::hint::black_box(&outcome.report);
-        for shard in outcome.shards {
-            shard.sink.finish().expect("spool").close().expect("close");
+        for (source, event) in &tagged {
+            fleet.push(*source, *event).expect("push");
+        }
+        let outcome = fleet.finish().expect("finish");
+        std::hint::black_box(&outcome.aggregate);
+        for shard in outcome.streams {
+            let sink = shard.sink.expect("every shard completes");
+            sink.finish().expect("spool").close().expect("close");
         }
         let reader = StoreReader::open(&store_dir).expect("open");
         let mut replayed = 0u64;
@@ -598,7 +604,7 @@ fn main() -> ExitCode {
             replayed += reader.lane_events(lane).expect("replay").len() as u64;
         }
         assert_eq!(
-            replayed, outcome.report.aggregate.recorder.events_recorded,
+            replayed, outcome.aggregate.recorder.events_recorded,
             "replay must return every recorded event"
         );
     });
@@ -1189,7 +1195,7 @@ fn main() -> ExitCode {
         );
     }
 
-    // Gate 2: the sharded engine must actually scale where cores exist.
+    // Gate 2: the fleet engine must actually scale where cores exist.
     if parallelism >= MIN_PARALLELISM_FOR_SPEEDUP_GATE {
         if speedup < REQUIRED_SPEEDUP {
             eprintln!(

@@ -17,13 +17,14 @@ pub enum CoreError {
     Anomaly(AnomalyError),
     /// A reference model could not be serialised or deserialised.
     ModelSerialization(String),
-    /// One worker of a sharded reduction failed; the other shards' recorded
-    /// traces are unaffected and remain recoverable from the outcome.
+    /// One worker thread of a [`FleetReducer`](crate::FleetReducer) is
+    /// gone (it panicked, or could not be spawned); the other workers'
+    /// streams are unaffected and remain recoverable from the outcome.
     Shard {
-        /// Index of the failed shard.
+        /// Index of the failed worker.
         shard: usize,
-        /// Rendering of the shard's underlying error (the error itself is
-        /// kept, with the shard's recovered sink, in the sharded outcome).
+        /// Rendering of the failure (the panic message, when there is
+        /// one).
         message: String,
     },
 }

@@ -1,21 +1,31 @@
-//! Per-stream reduction at fleet scale: the [`FleetReducer`].
+//! The routed-worker engine: the [`FleetReducer`].
 //!
-//! The [`ShardedReducer`](crate::ShardedReducer) treats a shard as the unit
-//! of work — events from many streams land in one session per shard, which
-//! is the right model for the *collector* plane (volume reduction under
-//! backpressure). Fleet health scoring needs the opposite: one
-//! [`ReductionSession`] **per stream**, so each device's windows are judged
-//! against the curated reference on their own, and a device can join late,
-//! leave early, or fail without disturbing its neighbours.
+//! One [`ReductionSession`] runs per [`StreamId`] the caller pushes, so
+//! each stream's windows are judged against the reference on their own,
+//! and a stream can join late, leave early, or fail without disturbing
+//! its neighbours. Events are hash-routed to a fixed worker thread by
+//! stream id and batched onto bounded channels (a full channel blocks the
+//! router: backpressure, not unbounded buffering); each worker
+//! demultiplexes its batches into lazily created per-stream sessions.
+//! Streams appear on their first event (late join), are finalised by
+//! [`close_stream`](FleetReducer::close_stream) (leave), and a session
+//! error aborts only that stream: its outcome records the error and
+//! hands back the partial sink and observer, subsequent events for it
+//! are counted and discarded, and every other stream keeps reducing. A
+//! worker *panic* (a bug in a user sink or observer) loses only that
+//! worker's sessions; every other worker's outcomes are still returned.
 //!
-//! The `FleetReducer` keeps the sharded engine's threading shape — events
-//! are hash-routed to a fixed worker by stream id, batched onto bounded
-//! channels — but each worker demultiplexes its batches into lazily created
-//! per-stream sessions. Streams appear on their first event (late join),
-//! are finalised by [`close_stream`](FleetReducer::close_stream) (leave),
-//! and a session error aborts only that stream: its outcome records the
-//! error, subsequent events for it are counted and discarded, and every
-//! other stream keeps reducing.
+//! **A shard is a shared stream id.** The engine has no routing policy of
+//! its own: a session is keyed by the id the caller pushes. To reduce
+//! many sources as one shard — the collector shape, where a few sessions
+//! absorb a whole fleet's volume — push them under one id
+//! (`StreamId::new(source.index() % n)`, or [`shard_of`] for a spread
+//! that does not depend on source numbering) and never close it: the
+//! shard's session learns from the merged sub-stream and is finalised
+//! once, at [`finish`](FleetReducer::finish). One id per source gives
+//! per-source sessions whose recorded traces are byte-for-byte what a
+//! standalone [`ReductionSession`] would record (property tested in
+//! `tests/shard_properties.rs`).
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -31,7 +41,11 @@ use crate::error::CoreError;
 use crate::reference::ReferenceModel;
 use crate::report::ReductionReport;
 use crate::session::{DecisionObserver, NullObserver, ReductionSession};
-use crate::shard::{DEFAULT_BATCH_SIZE, DEFAULT_QUEUE_DEPTH};
+
+/// Default events accumulated per worker before a channel send.
+pub const DEFAULT_BATCH_SIZE: usize = 4096;
+/// Default bounded-channel depth, in batches.
+pub const DEFAULT_QUEUE_DEPTH: usize = 4;
 
 /// How worker threads build a session for a newly appeared stream.
 #[derive(Debug, Clone)]
@@ -93,9 +107,10 @@ impl FleetMetrics {
 
 /// The result of one stream's reduction session.
 ///
-/// Exactly one outcome is produced per stream that ever pushed an event,
-/// whether the stream was closed explicitly or swept up when the reducer
-/// finished.
+/// Exactly one outcome is produced per session: one per stream that ever
+/// pushed an event, whether the stream was closed explicitly or swept up
+/// when the reducer finished, plus one more each time a closed stream was
+/// pushed to again.
 #[derive(Debug)]
 pub struct StreamOutcome<S = CountingSink, O = NullObserver> {
     /// The stream this outcome describes.
@@ -121,14 +136,15 @@ impl<S, O> StreamOutcome<S, O> {
     }
 }
 
-/// Consolidated result of a fleet run: one [`StreamOutcome`] per stream
+/// Consolidated result of a fleet run: one [`StreamOutcome`] per session
 /// (sorted by stream id) plus the merged aggregate report.
 #[derive(Debug)]
 pub struct FleetOutcome<S = CountingSink, O = NullObserver> {
     /// All per-stream counters folded into one report (`alpha` carried
     /// over from the configuration; failed streams contribute nothing).
     pub aggregate: ReductionReport,
-    /// Per-stream outcomes, sorted by stream id.
+    /// Per-stream outcomes, sorted by stream id; the sessions of a stream
+    /// that was closed and pushed to again stay in session order.
     pub streams: Vec<StreamOutcome<S, O>>,
     /// Number of worker threads that ran.
     pub workers: usize,
@@ -136,15 +152,22 @@ pub struct FleetOutcome<S = CountingSink, O = NullObserver> {
     pub events_routed: u64,
     /// Number of streams whose session ended in an error.
     pub failed_streams: usize,
+    /// One [`CoreError::Shard`] per worker thread that panicked (a bug in
+    /// a user sink or observer), carrying the worker index and the panic
+    /// message. Such a worker's sessions, sinks and observers are lost
+    /// and the events routed to it stay counted in `events_routed`; every
+    /// other worker's outcomes are complete.
+    pub worker_panics: Vec<CoreError>,
 }
 
 impl<S, O> FleetOutcome<S, O> {
-    /// Looks up one stream's outcome by id.
+    /// Looks up one stream's outcome by id. A stream that was closed and
+    /// pushed to again has one outcome per session; this returns the
+    /// earliest, and the later ones follow it in
+    /// [`streams`](Self::streams).
     pub fn stream(&self, id: StreamId) -> Option<&StreamOutcome<S, O>> {
-        self.streams
-            .binary_search_by_key(&id.as_u32(), |s| s.stream.as_u32())
-            .ok()
-            .map(|index| &self.streams[index])
+        let first = self.streams.partition_point(|s| s.stream < id);
+        self.streams.get(first).filter(|s| s.stream == id)
     }
 }
 
@@ -376,10 +399,11 @@ where
     /// The first push spawns the worker threads. Blocks when the target
     /// worker's channel is full (backpressure). A session error inside a
     /// worker does **not** surface here — it is confined to that stream
-    /// and reported in its [`StreamOutcome`]; `push` only fails when a
-    /// worker thread itself is gone.
+    /// and reported in its [`StreamOutcome`]; `push` only fails with
+    /// [`CoreError::Shard`] when a worker thread itself is gone (it
+    /// panicked) or could not be spawned.
     pub fn push(&mut self, stream: StreamId, event: TraceEvent) -> Result<(), CoreError> {
-        self.start();
+        self.start()?;
         let batch_size = self.batch_size;
         let FleetState::Running(workers) = &mut self.state else {
             unreachable!("start() always leaves the engine running");
@@ -407,9 +431,10 @@ where
     /// Events already pushed for the stream are delivered first. Closing
     /// a stream that never pushed an event (or one that already failed)
     /// is a no-op on the worker. Pushing to a closed stream starts a
-    /// *new* session for the same id; callers are expected not to.
+    /// *new* session for the same id, with its own [`StreamOutcome`].
+    /// Fails under the same conditions as [`push`](Self::push).
     pub fn close_stream(&mut self, stream: StreamId) -> Result<(), CoreError> {
-        self.start();
+        self.start()?;
         let FleetState::Running(workers) = &mut self.state else {
             unreachable!("start() always leaves the engine running");
         };
@@ -436,9 +461,11 @@ where
     /// Streams that were never explicitly closed are finalised in id
     /// order when the channels drain. Per-stream session errors do *not*
     /// fail the fleet — they are reported in the affected stream's
-    /// outcome. `Err` here means an infrastructure failure: a worker
-    /// thread panicked or session *construction* failed (a configuration
-    /// problem that would affect every stream identically).
+    /// outcome — and neither does a panicked worker: its sessions are
+    /// lost and it is listed in [`FleetOutcome::worker_panics`], while
+    /// every other worker's outcomes are returned intact. `Err` here
+    /// means session *construction* failed (a configuration problem that
+    /// would affect every stream identically).
     pub fn finish(mut self) -> Result<FleetOutcome<S, O>, CoreError> {
         let alpha = self.mode.alpha();
         let state = std::mem::replace(&mut self.state, FleetState::Idle);
@@ -450,6 +477,7 @@ where
                     workers: self.workers,
                     events_routed: 0,
                     failed_streams: 0,
+                    worker_panics: Vec::new(),
                 });
             }
             FleetState::Running(handles) => handles,
@@ -457,7 +485,7 @@ where
 
         // Close every channel first so all workers wind down in parallel,
         // then join. A failed flush here means the worker is already gone;
-        // its join result carries the real error.
+        // its join result carries the panic.
         for (index, worker) in handles.iter_mut().enumerate() {
             if flush(worker, index, &self.metrics).is_err() {
                 self.events_routed -= worker.lost;
@@ -467,15 +495,14 @@ where
         }
 
         let mut streams: Vec<StreamOutcome<S, O>> = Vec::new();
+        let mut worker_panics = Vec::new();
         let mut first_error = None;
         for (index, worker) in handles.into_iter().enumerate() {
             match worker.handle.join() {
-                Err(_) => {
-                    first_error.get_or_insert(CoreError::Shard {
-                        shard: index,
-                        message: "fleet worker thread panicked".into(),
-                    });
-                }
+                Err(payload) => worker_panics.push(CoreError::Shard {
+                    shard: index,
+                    message: panic_summary(payload.as_ref()),
+                }),
                 Ok(Err(err)) => {
                     first_error.get_or_insert(err);
                 }
@@ -500,12 +527,13 @@ where
             workers: self.workers,
             events_routed: self.events_routed,
             failed_streams,
+            worker_panics,
         })
     }
 
-    fn start(&mut self) {
+    fn start(&mut self) -> Result<(), CoreError> {
         if matches!(self.state, FleetState::Running(_)) {
-            return;
+            return Ok(());
         }
         let mut handles = Vec::with_capacity(self.workers);
         for index in 0..self.workers {
@@ -515,10 +543,25 @@ where
             let observers = Arc::clone(&self.observer_factory);
             let registry = Arc::clone(&self.registry);
             let metrics = self.metrics.clone();
-            let handle = thread::Builder::new()
+            let spawned = thread::Builder::new()
                 .name(format!("fleet-worker-{index}"))
-                .spawn(move || run_worker(mode, sinks, observers, receiver, registry, metrics))
-                .expect("failed to spawn fleet worker thread");
+                .spawn(move || run_worker(mode, sinks, observers, receiver, registry, metrics));
+            let handle = match spawned {
+                Ok(handle) => handle,
+                Err(err) => {
+                    // Closing the channels of the workers already running
+                    // ends them; the engine stays idle, so a later push
+                    // retries the spawn.
+                    for WorkerHandle { sender, handle, .. } in handles {
+                        drop(sender);
+                        let _ = handle.join();
+                    }
+                    return Err(CoreError::Shard {
+                        shard: index,
+                        message: format!("failed to spawn fleet worker thread: {err}"),
+                    });
+                }
+            };
             handles.push(WorkerHandle {
                 sender: Some(sender),
                 pending: Vec::with_capacity(self.batch_size),
@@ -527,12 +570,29 @@ where
             });
         }
         self.state = FleetState::Running(handles);
+        Ok(())
     }
 }
 
-/// Stable stream→worker routing: FNV-1a over the stream id, like
-/// [`HashShardKey`](crate::HashShardKey), so a stream's events always
-/// land on the same worker in order.
+/// The shard, as a session id, that `stream` falls into when a fleet is
+/// folded onto `shards` shared ids: the same FNV-1a hash of the stream id
+/// that routes ids to workers, so the spread does not depend on how
+/// sources are numbered and a source always lands in the same shard.
+/// Push under the returned id to reduce every source of a shard in one
+/// session (see the module docs).
+///
+/// # Panics
+///
+/// Panics if `shards` is zero.
+pub fn shard_of(stream: StreamId, shards: usize) -> StreamId {
+    assert!(shards > 0, "a fleet folds onto at least one shard");
+    // Ids are 32-bit, so more shards than that cannot be told apart.
+    let shards = shards.min(u32::MAX as usize);
+    StreamId::new(route(stream, shards) as u32)
+}
+
+/// Stable stream→worker routing: FNV-1a over the stream id, so a
+/// stream's events always land on the same worker in order.
 fn route(stream: StreamId, workers: usize) -> usize {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for byte in stream.as_u32().to_le_bytes() {
@@ -540,6 +600,19 @@ fn route(stream: StreamId, workers: usize) -> usize {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     (hash % workers as u64) as usize
+}
+
+/// Renders a worker's panic payload, preserving `panic!` string messages
+/// (the common case for bugs in user sinks/observers).
+fn panic_summary(payload: &(dyn std::any::Any + Send)) -> String {
+    let detail = payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned());
+    match detail {
+        Some(detail) => format!("fleet worker thread panicked: {detail}"),
+        None => "fleet worker thread panicked".into(),
+    }
 }
 
 fn worker_gone(index: usize) -> CoreError {
@@ -717,9 +790,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::WindowStrategy;
+    use crate::config::{DriftGateConfig, WindowStrategy};
     use std::time::Duration;
-    use trace_model::{EventTypeId, Timestamp};
+    use trace_model::{EventTypeId, MemorySink, Timestamp, TraceError};
 
     fn test_config() -> MonitorConfig {
         MonitorConfig::builder()
@@ -820,9 +893,222 @@ mod tests {
         // Closing twice (or closing an unknown stream) is harmless.
         fleet.close_stream(device).unwrap();
         fleet.close_stream(StreamId::new(99)).unwrap();
+        // Pushing after the close opens a second session under the same
+        // id (its clock restarts, so it learns its own reference).
+        for i in 0..30_000u64 {
+            fleet.push(device, steady_event(i)).unwrap();
+        }
         let outcome = fleet.finish().unwrap();
-        assert_eq!(outcome.streams.len(), 1);
-        assert!(outcome.streams[0].is_ok());
+        assert_eq!(outcome.events_routed, 50_000);
+        let sessions: Vec<u64> = outcome.streams.iter().map(|s| s.events).collect();
+        assert_eq!(sessions, vec![20_000, 30_000], "one outcome per session");
+        assert!(outcome
+            .streams
+            .iter()
+            .all(|s| s.stream == device && s.is_ok()));
+        // The lookup returns the earliest session of a reopened stream.
+        assert_eq!(outcome.stream(device).unwrap().events, 20_000);
+    }
+
+    #[test]
+    fn sources_under_one_shared_id_reduce_as_one_shard_finalised_at_finish() {
+        // Three sources folded onto one id, never closed: one session sees
+        // the merged sub-stream, exactly like a standalone session would.
+        let shard = StreamId::new(0);
+        let mut fleet = FleetReducer::new(test_config(), 2)
+            .unwrap()
+            .with_batch_size(100)
+            .with_sinks(|_| MemorySink::new())
+            .with_observers(|_| Vec::new());
+        let mut serial = ReductionSession::new(test_config())
+            .unwrap()
+            .with_observer(Vec::new());
+        for i in 0..30_000u64 {
+            for source in 0..3u32 {
+                let mut event = steady_event(i);
+                event.payload = source;
+                fleet.push(shard, event).unwrap();
+                serial.push(event).unwrap();
+            }
+        }
+        let outcome = fleet.finish().unwrap();
+        let serial = serial.finish().unwrap();
+        assert_eq!(outcome.streams.len(), 1, "finalised once, at finish");
+        let only = &outcome.streams[0];
+        assert_eq!((only.stream, only.events), (shard, 90_000));
+        assert_eq!(only.report.as_ref(), Some(&serial.report));
+        assert_eq!(only.observer.as_ref(), Some(&serial.observer));
+        assert_eq!(only.sink.as_ref().unwrap().events(), serial.sink.events());
+    }
+
+    #[test]
+    fn shard_of_pins_every_source_to_one_of_n_ids() {
+        for shards in 1..=5usize {
+            let mut hit = vec![false; shards];
+            for source in 0..64u32 {
+                let id = shard_of(StreamId::new(source), shards);
+                assert_eq!(id, shard_of(StreamId::new(source), shards), "stable");
+                hit[id.index()] = true;
+            }
+            assert!(hit.iter().all(|h| *h), "64 sources reach all {shards} ids");
+        }
+    }
+
+    /// Records almost every window (`alpha` 1.0, no gate), so a sink that
+    /// misbehaves after a few records does so early in the run.
+    fn recording_config() -> MonitorConfig {
+        MonitorConfig::builder()
+            .dimensions(3)
+            .k(10)
+            .alpha(1.0)
+            .drift_gate(DriftGateConfig::Disabled)
+            .reference_duration(Duration::from_secs(2))
+            .build()
+            .unwrap()
+    }
+
+    /// `sources` interleaved 5 kHz streams covering `total` of trace time
+    /// (200 events per 40 ms window).
+    fn tagged_stream(
+        sources: u32,
+        total: Duration,
+    ) -> impl Iterator<Item = (StreamId, TraceEvent)> {
+        let tick_nanos = 200_000u64;
+        let ticks = Timestamp::from(total).as_nanos() / tick_nanos;
+        (0..ticks).flat_map(move |i| {
+            (0..sources).map(move |s| {
+                let at = Timestamp::from_nanos(i * tick_nanos);
+                let event = TraceEvent::new(at, EventTypeId::new((i % 3) as u16), s);
+                (StreamId::new(s), event)
+            })
+        })
+    }
+
+    /// A sink that, when `armed`, fails (or panics: a bug in user code,
+    /// not an I/O failure) on the first record after `records_left`.
+    #[derive(Debug)]
+    struct FaultySink {
+        events: usize,
+        records_left: usize,
+        armed: bool,
+        panics: bool,
+    }
+
+    impl EventSink for FaultySink {
+        fn record(&mut self, events: &[TraceEvent]) -> Result<(), TraceError> {
+            if self.armed && self.records_left == 0 {
+                if self.panics {
+                    panic!("sink bug");
+                }
+                return Err(TraceError::InvalidWindowConfig(
+                    "sink storage failed".into(),
+                ));
+            }
+            self.records_left = self.records_left.saturating_sub(1);
+            self.events += events.len();
+            Ok(())
+        }
+
+        fn recorded_events(&self) -> usize {
+            self.events
+        }
+    }
+
+    #[test]
+    fn a_failing_sink_fails_its_session_and_hands_back_what_it_recorded() {
+        let mut fleet = FleetReducer::new(recording_config(), 3)
+            .unwrap()
+            .with_batch_size(64)
+            .with_sinks(|stream| FaultySink {
+                events: 0,
+                records_left: 2,
+                armed: stream.index() == 1,
+                panics: false,
+            })
+            .with_observers(|_| Vec::new());
+        // A session error never surfaces in `push`.
+        for (stream, event) in tagged_stream(3, Duration::from_secs(20)) {
+            fleet.push(stream, event).unwrap();
+        }
+        let outcome = fleet.finish().unwrap();
+        assert_eq!(outcome.failed_streams, 1);
+        assert!(outcome.worker_panics.is_empty());
+        for stream in &outcome.streams {
+            let sink = stream.sink.as_ref().expect("every sink is handed back");
+            let decisions = stream.observer.as_ref().expect("and every observer");
+            assert_eq!(stream.events + stream.discarded, 100_000, "conserved");
+            if stream.stream.index() == 1 {
+                assert!(stream.report.is_none());
+                let error = stream.error.as_deref().unwrap();
+                assert!(error.contains("sink storage failed"), "{error}");
+                assert!(stream.discarded > 0);
+                // Two windows of 200 events (5 kHz x 40 ms) were recorded
+                // before the sink fault.
+                assert_eq!(sink.recorded_events(), 2 * 200);
+                assert!(decisions.len() >= 2);
+            } else {
+                assert!(stream.is_ok());
+                assert_eq!(stream.discarded, 0);
+                assert!(stream.report.is_some());
+                assert!(sink.recorded_events() > 2 * 200);
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_worker_loses_only_its_own_streams() {
+        const WORKERS: usize = 3;
+        let doomed = route(StreamId::new(1), WORKERS);
+        let mut fleet = FleetReducer::new(recording_config(), WORKERS)
+            .unwrap()
+            .with_batch_size(64)
+            .with_sinks(|stream| FaultySink {
+                events: 0,
+                records_left: 1,
+                armed: stream.index() == 1,
+                panics: true,
+            });
+        // Once the worker is gone, pushes routed to it are refused; every
+        // other worker keeps receiving its full streams.
+        let mut refused = 0u64;
+        for (stream, event) in tagged_stream(3, Duration::from_secs(15)) {
+            match fleet.push(stream, event) {
+                Ok(()) => {}
+                Err(CoreError::Shard { shard, .. }) => {
+                    assert_eq!((shard, route(stream, WORKERS)), (doomed, doomed));
+                    refused += 1;
+                }
+                Err(other) => panic!("unexpected push error: {other}"),
+            }
+        }
+        assert!(refused > 0);
+        assert!(matches!(
+            fleet.close_stream(StreamId::new(1)),
+            Err(CoreError::Shard { shard, .. }) if shard == doomed
+        ));
+
+        let outcome = fleet.finish().expect("a panic does not fail the fleet");
+        // The panic payload is preserved for diagnosis.
+        assert_eq!(outcome.worker_panics.len(), 1);
+        let CoreError::Shard { shard, message } = &outcome.worker_panics[0] else {
+            panic!("worker panics are reported as CoreError::Shard");
+        };
+        assert_eq!(*shard, doomed);
+        assert!(message.contains("panicked"), "{message}");
+        assert!(message.contains("sink bug"), "{message}");
+        // Streams on the surviving workers are handed back complete.
+        let survivors: Vec<u32> = (0..3u32)
+            .filter(|s| route(StreamId::new(*s), WORKERS) != doomed)
+            .collect();
+        assert!(!survivors.is_empty());
+        let ids: Vec<u32> = outcome.streams.iter().map(|s| s.stream.as_u32()).collect();
+        assert_eq!(ids, survivors);
+        for stream in &outcome.streams {
+            assert!(stream.is_ok());
+            assert_eq!(stream.events, 75_000);
+            assert!(stream.sink.as_ref().unwrap().recorded_events() > 0);
+        }
+        assert!(outcome.aggregate.monitored_windows > 0);
     }
 
     #[test]
@@ -903,5 +1189,13 @@ mod tests {
     #[test]
     fn rejects_zero_workers() {
         assert!(FleetReducer::new(test_config(), 0).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "before any event is pushed")]
+    fn with_sinks_after_push_panics() {
+        let mut fleet = FleetReducer::new(test_config(), 2).unwrap();
+        fleet.push(StreamId::new(0), steady_event(0)).unwrap();
+        let _ = fleet.with_sinks(|_| MemorySink::new());
     }
 }

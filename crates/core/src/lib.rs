@@ -28,10 +28,11 @@
 //! while learning), it runs for days next to the tracing hardware.
 //!
 //! Multi-stream rigs (one trace stream per device, pipeline or tenant)
-//! scale past one core with the [`ShardedReducer`]: a pluggable
-//! [`ShardKey`] routes tagged events to N independent session workers on
-//! bounded channels, and `finish` merges the per-shard reports into one
-//! consolidated [`ShardedReport`].
+//! scale past one core with the [`FleetReducer`]: tagged events are
+//! routed by [`trace_model::StreamId`] to session workers on bounded
+//! channels, one session per id, and `finish` merges the per-stream
+//! reports into one consolidated [`FleetOutcome`]. Sources pushed under
+//! a shared id (see [`shard_of`]) are reduced together as one shard.
 //!
 //! ## Quick example
 //!
@@ -83,23 +84,6 @@
 //! # Ok(())
 //! # }
 //! ```
-//!
-//! ## Migrating from the batch API
-//!
-//! [`TraceReducer::run`] and [`TraceReducer::run_with_model`] remain as
-//! thin compatibility wrappers that drive a session and collect its
-//! streamed output into the historical [`ReductionOutcome`] (every
-//! decision and recorded event in `Vec`s). They are deprecated in spirit
-//! for endurance-scale runs — prefer a session with a storage-backed sink
-//! — and are kept for short traces, tests and one-shot evaluations. The
-//! mapping is mechanical:
-//!
-//! | batch | streaming |
-//! |---|---|
-//! | `TraceReducer::new(config)?.run(events)?` | `ReductionSession::new(config)?` + `push`/`finish` |
-//! | `run_with_model(model, events)?` | `ReductionSession::from_model(model)?` + `push`/`finish` |
-//! | `outcome.decisions` | a [`DecisionObserver`] (e.g. `Vec<WindowDecision>`) |
-//! | `outcome.recorded_events` | the [`trace_model::EventSink`] you installed |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -113,28 +97,23 @@ mod monitor;
 mod periodicity;
 mod pmf;
 mod recorder;
-mod reducer;
 mod reference;
 mod report;
 mod session;
-mod shard;
 
 pub use config::{DriftGateConfig, MonitorConfig, MonitorConfigBuilder, WindowStrategy};
 pub use drift::{DriftDecision, DriftGate};
 pub use error::CoreError;
-pub use fleet::{FleetOutcome, FleetReducer, StreamOutcome};
+pub use fleet::{
+    shard_of, FleetOutcome, FleetReducer, StreamOutcome, DEFAULT_BATCH_SIZE, DEFAULT_QUEUE_DEPTH,
+};
 pub use monitor::{OnlineMonitor, WindowDecision, WindowVerdict};
 pub use periodicity::{estimate_period, PeriodicSuppressor};
 pub use pmf::{PmfScratch, WindowPmf};
 pub use recorder::{RecorderStats, TraceRecorder};
-pub use reducer::{ReductionOutcome, TraceReducer};
 pub use reference::ReferenceModel;
 pub use report::ReductionReport;
 pub use session::{
     rerun_with_model, DecisionObserver, FnObserver, NullObserver, ReductionSession, RerunOutcome,
     SessionOutcome, SessionPhase,
-};
-pub use shard::{
-    HashShardKey, RoundRobinShardKey, ShardKey, ShardReportEntry, ShardResult, ShardedOutcome,
-    ShardedReducer, ShardedReport, SourceShardKey, DEFAULT_BATCH_SIZE, DEFAULT_QUEUE_DEPTH,
 };

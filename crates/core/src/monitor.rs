@@ -61,7 +61,7 @@ impl WindowDecision {
 ///
 /// Feed it windows in stream order with [`OnlineMonitor::observe`]; it
 /// returns a [`WindowDecision`] for each. Construction requires an already
-/// learned [`ReferenceModel`] — use [`crate::TraceReducer`] for the
+/// learned [`ReferenceModel`] — use [`crate::ReductionSession`] for the
 /// end-to-end flow that also performs the learning phase.
 #[derive(Debug)]
 pub struct OnlineMonitor {

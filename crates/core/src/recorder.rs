@@ -54,7 +54,7 @@ impl RecorderStats {
     }
 
     /// Folds another recorder's accounting into this one (used when the
-    /// sharded engine consolidates per-shard reports).
+    /// fleet engine consolidates per-stream reports).
     pub fn merge(&mut self, other: &RecorderStats) {
         self.windows_seen += other.windows_seen;
         self.windows_recorded += other.windows_recorded;

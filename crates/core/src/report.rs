@@ -53,8 +53,8 @@ impl ReductionReport {
         }
     }
 
-    /// A report with every counter at zero, the unit of [`merge`]; used by
-    /// the sharded engine for shards that never received an event.
+    /// A report with every counter at zero, the unit of [`merge`]: what a
+    /// fleet that reduced no stream aggregates to.
     ///
     /// [`merge`]: ReductionReport::merge
     pub fn empty(alpha: f64) -> Self {
@@ -69,8 +69,8 @@ impl ReductionReport {
     }
 
     /// Folds another report's counters into this one, consolidating
-    /// per-shard reports into the multi-shard aggregate. `alpha` is left
-    /// untouched: all shards of one run share a configuration.
+    /// per-stream reports into the fleet aggregate. `alpha` is left
+    /// untouched: all sessions of one run share a configuration.
     pub fn merge(&mut self, other: &ReductionReport) {
         self.monitored_windows += other.monitored_windows;
         self.reference_windows += other.reference_windows;

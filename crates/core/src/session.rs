@@ -20,10 +20,6 @@
 //!   accumulated;
 //! * recorded events go straight to the configured
 //!   [`trace_model::EventSink`].
-//!
-//! The legacy batch API ([`crate::TraceReducer`]) is a thin compatibility
-//! wrapper that collects a session's streamed output into the historical
-//! [`crate::ReductionOutcome`].
 
 use std::sync::Arc;
 
@@ -81,7 +77,7 @@ impl SessionMetrics {
 /// stays bounded on multi-day runs. Implementations range from ignoring
 /// everything ([`NullObserver`]) through counting, down-sampling or
 /// forwarding to a metrics pipeline. `Vec<WindowDecision>` implements the
-/// trait by collecting (the batch-compatibility path), and [`FnObserver`]
+/// trait by collecting (for short runs and tests), and [`FnObserver`]
 /// adapts any closure.
 pub trait DecisionObserver {
     /// Called once per monitored window, in stream order.
@@ -96,8 +92,8 @@ impl DecisionObserver for NullObserver {
     fn on_decision(&mut self, _decision: &WindowDecision) {}
 }
 
-/// Collects decisions in stream order (the batch-compatibility observer;
-/// memory grows with the stream, use deliberately).
+/// Collects decisions in stream order (memory grows with the stream, use
+/// deliberately).
 impl DecisionObserver for Vec<WindowDecision> {
     fn on_decision(&mut self, decision: &WindowDecision) {
         self.push(*decision);
@@ -545,7 +541,7 @@ impl<S: EventSink, O: DecisionObserver> ReductionSession<S, O> {
     /// the trailing partial window is routed through the state machine,
     /// and a stream that never left the reference horizon learns its
     /// model (surfacing the same [`CoreError::InvalidReference`] as the
-    /// batch path).
+    /// in-stream transition).
     ///
     /// [`ReductionSession::finish`] calls this internally; call it
     /// explicitly first when the sink must survive a failure — on error
@@ -584,8 +580,8 @@ impl<S: EventSink, O: DecisionObserver> ReductionSession<S, O> {
                 self.assembler.recycle(std::mem::take(&mut self.recycled));
             }
         }
-        // A stream that never left the reference horizon still learns, for
-        // parity with the batch reducer (and to surface reference errors).
+        // A stream that never left the reference horizon still learns, so
+        // a too-short reference surfaces its error here too.
         if let PhaseState::Learning { reference } = &self.state {
             self.state = Self::fit_monitor(reference, &self.config)?;
             self.metrics.transitions_total.inc();
@@ -986,6 +982,142 @@ mod tests {
         // 1-in-1024 sampling saw at least one push on a 25k-event run.
         let pushes = snapshot.histogram("core_session_push_ns").unwrap();
         assert!(pushes.count >= pushed / 1024);
+    }
+
+    /// A regular four-type mix at 100 ticks/s, plus an optional disturbed
+    /// segment where the mix flips and error events appear.
+    fn synthetic_stream(
+        total: Duration,
+        disturbed: Option<(Duration, Duration)>,
+        seed: u64,
+    ) -> Vec<TraceEvent> {
+        use rand::prelude::*;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let mut events = Vec::new();
+        let tick = Duration::from_millis(10);
+        let mut t = Timestamp::ZERO;
+        let end = Timestamp::from(total);
+        while t < end {
+            let in_disturbance = disturbed
+                .map(|(s, e)| t >= Timestamp::from(s) && t < Timestamp::from(e))
+                .unwrap_or(false);
+            let counts: [u64; 4] = if in_disturbance {
+                [1, 1, 2, 8 + rng.gen_range(0..3)]
+            } else {
+                [6 + rng.gen_range(0..2), 4 + rng.gen_range(0..2), 2, 1]
+            };
+            let mut offset = 0u64;
+            for (ty, count) in counts.iter().enumerate() {
+                for _ in 0..*count {
+                    let severity = if in_disturbance && ty == 3 && rng.gen_bool(0.3) {
+                        trace_model::Severity::Error
+                    } else {
+                        trace_model::Severity::Info
+                    };
+                    events.push(
+                        TraceEvent::new(
+                            Timestamp::from_nanos(t.as_nanos() + offset),
+                            EventTypeId::new(ty as u16),
+                            0,
+                        )
+                        .with_severity(severity),
+                    );
+                    offset += 50_000;
+                }
+            }
+            t = t.saturating_add(tick);
+        }
+        events
+    }
+
+    fn mix_config() -> crate::MonitorConfigBuilder {
+        MonitorConfig::builder()
+            .dimensions(4)
+            .k(10)
+            .alpha(1.2)
+            .reference_duration(Duration::from_secs(5))
+    }
+
+    /// One whole-stream pass collecting every decision.
+    fn reduce(
+        config: MonitorConfig,
+        events: &[TraceEvent],
+    ) -> SessionOutcome<MemorySink, Vec<WindowDecision>> {
+        let mut session = ReductionSession::new(config)
+            .unwrap()
+            .with_observer(Vec::new());
+        session.push_batch(events).unwrap();
+        session.finish().unwrap()
+    }
+
+    #[test]
+    fn clean_stream_is_reduced_massively() {
+        let events = synthetic_stream(Duration::from_secs(30), None, 1);
+        let outcome = reduce(mix_config().build().unwrap(), &events);
+        assert!(outcome.report.reference_windows > 0);
+        assert!(outcome.report.monitored_windows > 500);
+        // Essentially nothing should be recorded on a clean run; a small
+        // false-positive rate is tolerated because the reference set in this
+        // toy test is only a few seconds long.
+        assert!(outcome.report.recorded_window_fraction() < 0.05);
+        assert!(outcome.report.reduction_factor() > 15.0);
+        assert_eq!(
+            outcome.sink.events().len() as u64,
+            outcome.report.recorder.events_recorded
+        );
+    }
+
+    #[test]
+    fn disturbed_segment_is_recorded() {
+        let events = synthetic_stream(
+            Duration::from_secs(30),
+            Some((Duration::from_secs(15), Duration::from_secs(20))),
+            2,
+        );
+        let outcome = reduce(mix_config().build().unwrap(), &events);
+        assert!(outcome.report.anomalous_windows > 0);
+        // Recorded windows should overlap the disturbance interval.
+        let recorded: Vec<_> = outcome.observer.iter().filter(|d| d.recorded()).collect();
+        let in_disturbance = recorded
+            .iter()
+            .filter(|d| d.start >= Timestamp::from_secs(15) && d.start < Timestamp::from_secs(21))
+            .count();
+        assert!(in_disturbance > 0);
+        assert!(
+            in_disturbance as f64 >= 0.5 * recorded.len() as f64,
+            "most recorded windows should fall in the disturbed segment \
+             ({in_disturbance}/{})",
+            recorded.len()
+        );
+        // But the total volume is still far below recording everything.
+        assert!(outcome.report.reduction_factor() > 3.0);
+    }
+
+    #[test]
+    fn count_windows_are_supported() {
+        // Seed picked for the vendored ChaCha8 stream: the toy 5 s reference
+        // set is small, so the false-positive rate is seed-sensitive.
+        let events = synthetic_stream(Duration::from_secs(20), None, 10);
+        let config = mix_config()
+            .window(WindowStrategy::Count(140))
+            .build()
+            .unwrap();
+        let outcome = reduce(config, &events);
+        assert!(outcome.report.monitored_windows > 0);
+        assert!(outcome.report.recorded_window_fraction() < 0.05);
+    }
+
+    #[test]
+    fn gate_reduces_lof_evaluations() {
+        let events = synthetic_stream(Duration::from_secs(30), None, 7);
+        let gated = reduce(mix_config().build().unwrap(), &events).report;
+        let ungated_config = mix_config()
+            .drift_gate(crate::DriftGateConfig::Disabled)
+            .build()
+            .unwrap();
+        let ungated = reduce(ungated_config, &events).report;
+        assert!(gated.lof_evaluations < ungated.lof_evaluations);
+        assert_eq!(ungated.lof_evaluations, ungated.monitored_windows);
     }
 
     #[test]

@@ -1,17 +1,20 @@
-//! Shard/merge equivalence properties: a `ShardedReducer` over an
-//! interleaved multi-source stream must produce, per source, byte-for-byte
-//! the same recorded trace (and identical decisions and report) as one
-//! `ReductionSession` per source run serially, and the consolidated report
-//! must be exactly the sum of the per-source reports.
+//! Shard/merge equivalence properties: a `FleetReducer` over an
+//! interleaved multi-source stream must produce, per session id,
+//! byte-for-byte the same recorded trace (and identical decisions and
+//! report) as one `ReductionSession` fed the same sub-stream serially —
+//! whether an id is one source or a shard of several — for any worker
+//! count and batch size, and the consolidated report must be exactly the
+//! sum of the per-session reports.
 
 use proptest::prelude::*;
 use std::time::Duration;
 
 use endurance_core::{
-    MonitorConfig, ReductionReport, ReductionSession, ShardedReducer, WindowDecision,
+    FleetOutcome, FleetReducer, MonitorConfig, ReductionReport, ReductionSession, WindowDecision,
 };
 use trace_model::{
-    EventSink, EventTypeId, InterleavedStreams, MemorySource, Timestamp, TraceError, TraceEvent,
+    EventSink, EventTypeId, InterleavedStreams, MemorySource, StreamId, Timestamp, TraceError,
+    TraceEvent,
 };
 
 /// A sink that keeps both the recorded events and the exact encoded bytes
@@ -81,7 +84,7 @@ fn config() -> MonitorConfig {
         .expect("valid config")
 }
 
-/// Runs one standalone session per source, serially.
+/// Runs one standalone session per sub-stream, serially.
 fn serial_baseline(
     streams: &[Vec<TraceEvent>],
 ) -> Vec<(ReductionReport, Vec<WindowDecision>, EncodedSink)> {
@@ -99,17 +102,71 @@ fn serial_baseline(
         .collect()
 }
 
+/// The sources interleaved into one tagged, timestamp-ordered feed.
+fn interleaved(streams: &[Vec<TraceEvent>]) -> Vec<(StreamId, TraceEvent)> {
+    let sources: Vec<MemorySource> = streams
+        .iter()
+        .map(|events| MemorySource::new(events.clone()).expect("ordered"))
+        .collect();
+    InterleavedStreams::new(sources).collect()
+}
+
+/// Reduces a tagged feed through one engine, pushing every event under
+/// the session id `session_of` gives its source.
+fn fleet_run(
+    tagged: &[(StreamId, TraceEvent)],
+    workers: usize,
+    batch_size: usize,
+    session_of: impl Fn(StreamId) -> StreamId,
+) -> FleetOutcome<EncodedSink, Vec<WindowDecision>> {
+    let mut fleet = FleetReducer::new(config(), workers)
+        .expect("fleet")
+        .with_batch_size(batch_size)
+        .with_sinks(|_| EncodedSink::default())
+        .with_observers(|_| Vec::<WindowDecision>::new());
+    for (source, event) in tagged {
+        fleet.push(session_of(*source), *event).expect("push");
+    }
+    let outcome = fleet.finish().expect("finish");
+    assert_eq!(outcome.events_routed, tagged.len() as u64);
+    assert_eq!(outcome.failed_streams, 0);
+    assert!(outcome.worker_panics.is_empty());
+    outcome
+}
+
+/// Per session, in id order: identical report, decisions, recorded events
+/// and recorded *bytes*; and the aggregate is exactly the serial sum.
+fn assert_matches_serial(
+    outcome: &FleetOutcome<EncodedSink, Vec<WindowDecision>>,
+    serial: &[(ReductionReport, Vec<WindowDecision>, EncodedSink)],
+) {
+    assert_eq!(outcome.streams.len(), serial.len());
+    let mut expected_aggregate = ReductionReport::empty(config().alpha);
+    for (id, (stream, (report, decisions, sink))) in outcome.streams.iter().zip(serial).enumerate()
+    {
+        assert_eq!(stream.stream, StreamId::new(id as u32));
+        assert_eq!(stream.report.as_ref(), Some(report));
+        assert_eq!(stream.observer.as_ref(), Some(decisions));
+        assert_eq!(stream.sink.as_ref(), Some(sink));
+        expected_aggregate.merge(report);
+    }
+    assert_eq!(&outcome.aggregate, &expected_aggregate);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     #[test]
-    fn sharded_recorded_traces_match_serial_per_source_sessions(
+    fn fleet_recorded_traces_match_serial_per_source_sessions(
         ticks in prop::collection::vec(150u64..450, 2..5),
         burst_at in 3u64..5,
         burst_factor in 3u64..6,
+        workers in 1usize..5,
         batch_size in 1usize..2048,
     ) {
-        // Per-source streams with distinct rates and phases.
+        // Per-source streams with distinct rates and phases, one session
+        // id per source, on a worker count drawn independently of the
+        // source count.
         let streams: Vec<Vec<TraceEvent>> = ticks
             .iter()
             .enumerate()
@@ -117,82 +174,56 @@ proptest! {
                 source_events(*tick, 4, i as u64 * 37_000, 6, burst_at, burst_factor)
             })
             .collect();
-
         let serial = serial_baseline(&streams);
-
-        // The same streams, interleaved into one tagged feed and reduced
-        // by one sharded engine with one shard per source.
-        let sources: Vec<MemorySource> = streams
-            .iter()
-            .map(|events| MemorySource::new(events.clone()).expect("ordered"))
-            .collect();
-        let mut reducer = ShardedReducer::new(config(), streams.len())
-            .expect("reducer")
-            .with_channel(batch_size, 4)
-            .with_sinks(|_| EncodedSink::default())
-            .with_observers(|_| Vec::<WindowDecision>::new());
-        let routed = reducer
-            .push_tagged(InterleavedStreams::new(sources))
-            .expect("push");
-        let total: usize = streams.iter().map(Vec::len).sum();
-        prop_assert_eq!(routed, total as u64);
-
-        let outcome = reducer.finish().expect("finish");
-        prop_assert!(outcome.is_complete());
-
-        // Per source: identical report, decisions, recorded events and
-        // recorded *bytes*.
-        let mut expected_aggregate = ReductionReport::empty(config().alpha);
-        for (shard, (report, decisions, sink)) in outcome.shards.iter().zip(&serial) {
-            prop_assert_eq!(shard.report.as_ref().expect("complete"), report);
-            prop_assert_eq!(&shard.observer, decisions);
-            prop_assert_eq!(&shard.sink.events, &sink.events);
-            prop_assert_eq!(&shard.sink.bytes, &sink.bytes);
-            expected_aggregate.merge(report);
-        }
-
-        // The consolidated report is exactly the sum of the serial ones.
-        prop_assert_eq!(&outcome.report.aggregate, &expected_aggregate);
+        let outcome = fleet_run(&interleaved(&streams), workers, batch_size, |source| source);
+        assert_matches_serial(&outcome, &serial);
     }
 
     #[test]
-    fn extra_shards_stay_idle_without_perturbing_the_busy_ones(
+    fn extra_workers_stay_idle_without_perturbing_the_busy_ones(
         tick in 150u64..400,
         extra in 1usize..4,
     ) {
-        // Two sources over (2 + extra) shards: sources still map to shards
-        // 0 and 1, the rest must stay empty, and per-source equivalence
-        // must be unaffected by the idle shards.
+        // Two sources over (2 + extra) workers: only the two sessions
+        // exist, and their equivalence is unaffected by the idle workers.
         let streams = vec![
             source_events(tick, 4, 0, 5, 3, 4),
             source_events(tick + 60, 4, 21_000, 5, 3, 4),
         ];
         let serial = serial_baseline(&streams);
-        let sources: Vec<MemorySource> = streams
+        let outcome = fleet_run(&interleaved(&streams), 2 + extra, 4096, |source| source);
+        prop_assert_eq!(outcome.workers, 2 + extra);
+        assert_matches_serial(&outcome, &serial);
+    }
+
+    #[test]
+    fn sources_under_one_id_match_a_serial_session_over_the_merged_substream(
+        ticks in prop::collection::vec(150u64..450, 4usize),
+        workers in 1usize..5,
+        batch_size in 1usize..2048,
+    ) {
+        // The two-shard shape: four sources pushed under `source % 2`, so
+        // each session reduces the interleaving of two sources.
+        let streams: Vec<Vec<TraceEvent>> = ticks
             .iter()
-            .map(|events| MemorySource::new(events.clone()).expect("ordered"))
+            .enumerate()
+            .map(|(i, tick)| source_events(*tick, 4, i as u64 * 37_000, 6, 3, 4))
             .collect();
-        let mut reducer = ShardedReducer::new(config(), 2 + extra)
-            .expect("reducer")
-            .with_sinks(|_| EncodedSink::default())
-            .with_observers(|_| Vec::<WindowDecision>::new());
-        reducer
-            .push_tagged(InterleavedStreams::new(sources))
-            .expect("push");
-        let outcome = reducer.finish().expect("finish");
-        prop_assert!(outcome.is_complete());
-        for (shard, (report, _, sink)) in outcome.shards.iter().take(2).zip(&serial) {
-            prop_assert_eq!(shard.report.as_ref().expect("complete"), report);
-            prop_assert_eq!(&shard.sink.bytes, &sink.bytes);
-        }
-        for shard in outcome.shards.iter().skip(2) {
-            prop_assert_eq!(shard.events_routed, 0);
-            prop_assert_eq!(shard.sink.events.len(), 0);
-            prop_assert_eq!(
-                shard.report.as_ref().expect("idle shards report empty").monitored_windows,
-                0
-            );
-        }
+        let tagged = interleaved(&streams);
+        let merged: Vec<Vec<TraceEvent>> = (0..2)
+            .map(|shard| {
+                tagged
+                    .iter()
+                    .filter(|(source, _)| source.index() % 2 == shard)
+                    .map(|(_, event)| *event)
+                    .collect()
+            })
+            .collect();
+        let serial = serial_baseline(&merged);
+        let outcome = fleet_run(&tagged, workers, batch_size, |source| {
+            StreamId::new(source.as_u32() % 2)
+        });
+        assert_matches_serial(&outcome, &serial);
     }
 }
 

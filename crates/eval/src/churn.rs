@@ -6,24 +6,23 @@
 //! drives a [`FleetSim`]: devices join and leave mid-run, clocks skew and
 //! drift, streams stall, and events arrive reordered, duplicated or
 //! dropped, exactly as `docs/SCENARIOS.md` specifies. One pass over the
-//! simulated fleet trace feeds two engines at once:
+//! simulated fleet trace feeds two [`FleetReducer`]s at once:
 //!
-//! * the **collector plane** — a [`ShardedReducer`] with hash routing,
-//!   modelling the shared trace collector: a few shards absorb every
-//!   stream, exercising batching, backpressure and mid-run stream
-//!   appearance/disappearance at fleet volume;
-//! * the **health plane** — a [`FleetReducer`] holding one session per
-//!   stream against a shared curated reference model, producing the
-//!   per-stream window decisions that are scored against each stream's
-//!   [`StreamTruth`].
+//! * the **collector plane** — every stream pushed under its
+//!   [`shard_of`] id, modelling the shared trace collector: a few shard
+//!   sessions absorb every stream, exercising batching, backpressure and
+//!   mid-run stream appearance/disappearance at fleet volume;
+//! * the **health plane** — one session per stream against a shared
+//!   curated reference model, producing the per-stream window decisions
+//!   that are scored against each stream's [`StreamTruth`].
 //!
 //! The same pass folds every delivered event into a [`TraceHasher`], so
 //! two runs of the same scenario seed can be compared byte-for-byte (the
 //! CI determinism gate).
 
 use endurance_core::{
-    FleetReducer, HashShardKey, MonitorConfig, ReductionReport, ReductionSession, ReferenceModel,
-    ShardedReducer, ShardedReport, WindowDecision,
+    shard_of, FleetOutcome, FleetReducer, MonitorConfig, ReductionReport, ReductionSession,
+    ReferenceModel, WindowDecision,
 };
 use endurance_obs::Registry;
 use mm_sim::{
@@ -110,8 +109,8 @@ pub struct ChurnResult {
     /// reordered, regressed, stalled, delivered), summed over every
     /// stream's [`StreamTruth`](mm_sim::StreamTruth).
     pub delivery: DeliveryStats,
-    /// Collector-plane consolidated report (per shard + aggregate).
-    pub collector: ShardedReport,
+    /// Collector-plane outcome: one stream per shard plus the aggregate.
+    pub collector: FleetOutcome,
     /// Health-plane aggregate report (per-stream counters merged).
     pub fleet: ReductionReport,
     /// Per-stream scores, sorted by stream id.
@@ -169,10 +168,10 @@ impl ChurnExperiment {
         })
     }
 
-    /// Publishes the run's metrics into `registry`: collector-plane
-    /// channel and session counters (`core_shard_*`, `core_session_*`),
-    /// health-plane counters (`core_fleet_*`) and the fleet simulator's
-    /// queue gauge (`sim_fleet_*`). Attach a
+    /// Publishes the run's metrics into `registry`: the channel and
+    /// session counters of both planes (`core_fleet_*`, `core_session_*`;
+    /// the series are unlabelled, so the two planes add up) and the fleet
+    /// simulator's queue gauge (`sim_fleet_*`). Attach a
     /// [`MetricsHub`](endurance_obs::MetricsHub) reporter to the same
     /// registry to watch the run live.
     #[must_use]
@@ -248,15 +247,14 @@ impl ChurnExperiment {
     {
         let model_reference_windows = model.reference_windows();
 
-        // Collector plane: a few shards absorb the whole fleet, routed by
-        // stream hash. Each shard *learns* its reference from the mixed
-        // stream it sees — the collector reduces fleet volume, so its
-        // notion of "normal" is the steady fleet mix, and what shifts it
-        // (fleet-wide load spikes) is what gets recorded. Counting sinks —
-        // volume statistics without holding the reduced trace in memory.
-        let mut collector = ShardedReducer::new(self.monitor.clone(), self.shards)?
-            .with_shard_key(HashShardKey)
-            .with_sinks(|_| CountingSink::new())
+        // Collector plane: a few shards absorb the whole fleet, every
+        // stream pushed under its hash-assigned shard id. Each shard
+        // *learns* its reference from the mixed stream it sees — the
+        // collector reduces fleet volume, so its notion of "normal" is the
+        // steady fleet mix, and what shifts it (fleet-wide load spikes) is
+        // what gets recorded. Counting sinks — volume statistics without
+        // holding the reduced trace in memory.
+        let mut collector = FleetReducer::new(self.monitor.clone(), self.shards)?
             .with_metrics(Arc::clone(&self.registry));
 
         // Health plane: one session per stream against the shared model,
@@ -272,7 +270,7 @@ impl ChurnExperiment {
             match fleet_event {
                 FleetEvent::Delivery(stream, event) => {
                     hasher.update(stream, &event);
-                    collector.push(stream, event)?;
+                    collector.push(shard_of(stream, self.shards), event)?;
                     fleet.push(stream, event)?;
                 }
                 FleetEvent::StreamClosed(stream) => {
@@ -283,21 +281,22 @@ impl ChurnExperiment {
         let events = sim.deliveries();
         let truth = sim.truth().clone();
 
-        let collector_outcome = collector.finish()?;
-        if let Some(entry) = collector_outcome
-            .report
-            .per_shard
-            .iter()
-            .find(|e| e.error.is_some())
-        {
+        let mut collector_outcome = collector.finish()?;
+        if let Some(panic) = collector_outcome.worker_panics.pop() {
+            return Err(panic.into());
+        }
+        if let Some(shard) = collector_outcome.streams.iter().find(|s| !s.is_ok()) {
             return Err(EvalError::InvalidExperiment(format!(
                 "collector shard {} failed: {}",
-                entry.shard,
-                entry.error.as_deref().unwrap_or("unknown")
+                shard.stream.as_u32(),
+                shard.error.as_deref().unwrap_or("unknown")
             )));
         }
 
-        let fleet_outcome = fleet.finish()?;
+        let mut fleet_outcome = fleet.finish()?;
+        if let Some(panic) = fleet_outcome.worker_panics.pop() {
+            return Err(panic.into());
+        }
         let aggregate = fleet_outcome.aggregate;
         let mut streams = Vec::with_capacity(fleet_outcome.streams.len());
         let mut sinks = Vec::with_capacity(fleet_outcome.streams.len());
@@ -345,7 +344,7 @@ impl ChurnExperiment {
             events,
             truth,
             delivery,
-            collector: collector_outcome.report,
+            collector: collector_outcome,
             fleet: aggregate,
             streams,
             confusion,

@@ -3,7 +3,7 @@
 //!
 //! This is the end-to-end exercise the ROADMAP asked for: every device of
 //! the fleet records through its own `endurance-store` lane behind a
-//! spooled writer thread under the sharded engine, the store is closed
+//! spooled writer thread under the fleet engine, the store is closed
 //! (optionally compacted), reopened from scratch, and the per-stream
 //! confusion matrices are **recomputed from what is actually on disk** —
 //! a decision counts as a recorded positive only if its window survives
@@ -14,22 +14,22 @@
 use std::collections::HashSet;
 use std::path::Path;
 
-use endurance_core::{ShardedReducer, WindowDecision, WindowVerdict};
+use endurance_core::{ReductionReport, WindowDecision, WindowVerdict};
 use endurance_store::{
     CompactionReport, Compactor, LaneWriter, MaintenancePolicy, RecoveryReport, SpooledSink,
     StoreConfig, StoreReader,
 };
-use mm_sim::Simulation;
-use trace_model::{InterleavedStreams, StreamId};
+use trace_model::{StreamId, TraceError};
 
 use crate::experiment::evaluate_decisions;
+use crate::multistream::ReducedStream;
 use crate::{ConfusionMatrix, EvalError, MultiStreamExperiment, MultiStreamResult, StreamResult};
 
 /// A [`MultiStreamResult`] plus everything a cold reopen of the fleet
 /// store found.
 #[derive(Debug)]
 pub struct FleetDurableResult {
-    /// The live run's result (sharded report, per-stream confusion).
+    /// The live run's result (aggregate report, per-stream confusion).
     pub result: MultiStreamResult,
     /// What reopening the store found (clean sidecars vs rescans, torn
     /// tails).
@@ -55,7 +55,7 @@ pub struct FleetDurableResult {
 
 impl MultiStreamExperiment {
     /// Runs the fleet with every stream recording through its own store
-    /// lane (behind a spooled writer thread) under the sharded engine,
+    /// lane (behind a spooled writer thread) under the fleet engine,
     /// closes the store, reopens it cold and recomputes the per-stream
     /// metrics from disk.
     ///
@@ -92,8 +92,8 @@ impl MultiStreamExperiment {
     }
 
     /// Like [`MultiStreamExperiment::run_durable_with`], with a per-lane
-    /// store configuration: `store_for(shard)` configures the lane that
-    /// records stream `shard`, so a fleet can mix frame codecs (or
+    /// store configuration: `store_for(stream)` configures the lane that
+    /// records stream `stream`, so a fleet can mix frame codecs (or
     /// rotation policies) across devices in one store directory.
     ///
     /// # Errors
@@ -106,57 +106,9 @@ impl MultiStreamExperiment {
         maintenance: Option<MaintenancePolicy>,
     ) -> Result<FleetDurableResult, EvalError> {
         let dir = dir.as_ref();
-        let monitor = self.streams()[0].monitor.clone();
-        let simulations = self
-            .streams()
-            .iter()
-            .map(|stream| {
-                let registry = stream.scenario.registry()?;
-                Simulation::new(&stream.scenario, &registry)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-
-        // One shard per stream, each recording through a spooled store
-        // lane: monitoring overlaps disk I/O per device, exactly the
-        // production topology.
-        let mut reducer = ShardedReducer::new(monitor, self.stream_count())?
-            .with_observers(|_| Vec::<WindowDecision>::new())
-            .try_with_sinks(|shard| -> Result<_, EvalError> {
-                let writer = LaneWriter::create(dir, shard as u32, store_for(shard))?;
-                if writer.recovery().windows > 0 {
-                    return Err(EvalError::InvalidExperiment(format!(
-                        "{} already holds a recorded run (lane {shard} has {} windows); \
-                         durable runs need a fresh directory so the recomputed metrics \
-                         describe this run alone",
-                        dir.display(),
-                        writer.recovery().windows,
-                    )));
-                }
-                Ok(SpooledSink::new(writer))
-            })?;
-        reducer.push_tagged(InterleavedStreams::new(simulations))?;
-        let outcome = reducer.finish()?;
-        if let Some(entry) = outcome.report.per_shard.iter().find(|e| e.error.is_some()) {
-            return Err(EvalError::InvalidExperiment(format!(
-                "shard {} failed: {}",
-                entry.shard,
-                entry.error.as_deref().unwrap_or("unknown")
-            )));
-        }
-
-        // Wind the storage layer down cleanly: drain each spool, close
-        // each lane (writing its sidecar).
-        let report = outcome.report;
-        let mut shards: Vec<(
-            usize,
-            Option<endurance_core::ReductionReport>,
-            Vec<WindowDecision>,
-        )> = Vec::with_capacity(outcome.shards.len());
-        for shard in outcome.shards {
-            let writer = shard.sink.finish()?;
-            writer.close()?;
-            shards.push((shard.shard, shard.report, shard.observer));
-        }
+        let (report, closed) = self.record_into_lanes(dir, |lane| {
+            LaneWriter::create(dir, lane, store_for(lane as usize))
+        })?;
 
         let compaction = match &maintenance {
             Some(policy) => Some(Compactor::new(dir, *policy).compact()?),
@@ -168,35 +120,26 @@ impl MultiStreamExperiment {
         // retention-free run can demand exact disk/recorder agreement.
         let strict = maintenance.map_or(true, |policy| policy.retention_ns.is_none())
             && (0..self.stream_count())
-                .all(|shard| store_for(shard).maintenance.retention_ns.is_none());
+                .all(|stream| store_for(stream).maintenance.retention_ns.is_none());
 
         // Cold reopen: everything below this line trusts only the disk.
         let reader = StoreReader::open(dir)?;
         let recovery = reader.recovery().clone();
-        let mut streams = Vec::with_capacity(shards.len());
+        let mut streams = Vec::with_capacity(closed.len());
         let mut confusion = ConfusionMatrix::default();
-        let mut replay_confusion = Vec::with_capacity(shards.len());
+        let mut replay_confusion = Vec::with_capacity(closed.len());
         let mut fleet_replay_confusion = ConfusionMatrix::default();
         let mut replayed_windows = 0u64;
         let mut replayed_events = 0u64;
         let mut replayed_payload_bytes = 0u64;
 
-        // Pair each shard with its stream by the shard *index* it
-        // reports, not by position: `ShardedOutcome::shards` documents
-        // that positions can shift when a worker is absent.
-        shards.sort_by_key(|(shard, _, _)| *shard);
-        for (position, (shard, shard_report, decisions)) in shards.into_iter().enumerate() {
-            if shard != position {
-                return Err(EvalError::InvalidExperiment(format!(
-                    "shard {shard} is missing its result; its worker did not hand one back"
-                )));
-            }
-            let experiment = &self.streams()[shard];
-            let lane = shard as u32;
-            let shard_report = shard_report.expect("shard completeness checked above");
+        for (index, stream) in closed.into_iter().enumerate() {
+            let (stream_report, decisions) = (stream.report, stream.decisions);
+            let experiment = &self.streams()[index];
+            let lane = index as u32;
             // A lane whose index fails to load must surface as a storage
             // error, not as "zero windows on disk".
-            let entries = if shard_report.recorder.windows_recorded == 0 {
+            let entries = if stream_report.recorder.windows_recorded == 0 {
                 reader.lane_windows(lane).unwrap_or(&[])
             } else {
                 reader.lane_windows(lane)?
@@ -215,18 +158,18 @@ impl MultiStreamExperiment {
                 .map(|d| d.window_id.index())
                 .collect();
             if strict {
-                if lane_windows != shard_report.recorder.windows_recorded
-                    || lane_events != shard_report.recorder.events_recorded
-                    || lane_payload != shard_report.recorder.recorded_encoded_bytes
+                if lane_windows != stream_report.recorder.windows_recorded
+                    || lane_events != stream_report.recorder.events_recorded
+                    || lane_payload != stream_report.recorder.recorded_encoded_bytes
                     || disk_ids != recorded_ids
                 {
                     return Err(EvalError::InvalidExperiment(format!(
                         "reopened lane {lane} disagrees with its live recorder: \
                          {lane_windows}/{lane_events} windows/events and {lane_payload} \
                          encoded bytes on disk vs {}/{} and {} reported",
-                        shard_report.recorder.windows_recorded,
-                        shard_report.recorder.events_recorded,
-                        shard_report.recorder.recorded_encoded_bytes,
+                        stream_report.recorder.windows_recorded,
+                        stream_report.recorder.events_recorded,
+                        stream_report.recorder.recorded_encoded_bytes,
                     )));
                 }
             } else if !disk_ids.is_subset(&recorded_ids) {
@@ -266,7 +209,7 @@ impl MultiStreamExperiment {
             replay_confusion.push(stream_replay_confusion);
             streams.push(StreamResult {
                 stream: StreamId::new(lane),
-                report: shard_report,
+                report: stream_report,
                 confusion: evaluated.confusion,
                 decisions,
             });
@@ -275,7 +218,7 @@ impl MultiStreamExperiment {
         let replayed_stored_bytes = reader.total_stored_bytes();
         Ok(FleetDurableResult {
             result: MultiStreamResult {
-                report,
+                aggregate: report,
                 streams,
                 confusion,
             },
@@ -288,6 +231,46 @@ impl MultiStreamExperiment {
             replay_confusion,
             fleet_replay_confusion,
         })
+    }
+
+    /// The recording half shared by the durable and live runs: opens one
+    /// lane per stream with `create`, each behind a spooled writer thread
+    /// so monitoring overlaps disk I/O per device, reduces the fleet into
+    /// them, then drains each spool and closes each lane (writing its
+    /// sidecar and publishing its final watermark). The lanes are opened
+    /// before the first event, so a directory that already holds a run is
+    /// refused up front. Returns the aggregate report and every stream's
+    /// share (its sink closed and gone), in stream order.
+    pub(crate) fn record_into_lanes(
+        &self,
+        dir: &Path,
+        mut create: impl FnMut(u32) -> Result<LaneWriter, TraceError>,
+    ) -> Result<(ReductionReport, Vec<ReducedStream<()>>), EvalError> {
+        let mut lanes = Vec::with_capacity(self.stream_count());
+        for lane in 0..self.stream_count() as u32 {
+            let writer = create(lane)?;
+            if writer.recovery().windows > 0 {
+                return Err(EvalError::InvalidExperiment(format!(
+                    "{} already holds a recorded run (lane {lane} has {} windows); \
+                     recorded runs need a fresh directory so the recomputed metrics \
+                     describe this run alone",
+                    dir.display(),
+                    writer.recovery().windows,
+                )));
+            }
+            lanes.push(SpooledSink::new(writer));
+        }
+        let (aggregate, reduced) = self.reduce_into(lanes)?;
+        let mut closed = Vec::with_capacity(reduced.len());
+        for stream in reduced {
+            stream.sink.finish()?.close()?;
+            closed.push(ReducedStream {
+                report: stream.report,
+                decisions: stream.decisions,
+                sink: (),
+            });
+        }
+        Ok((aggregate, closed))
     }
 }
 
@@ -384,9 +367,9 @@ mod tests {
         let durable = fleet
             .run_durable_with_stores(
                 &dir,
-                |shard| {
+                |stream| {
                     StoreConfig::default()
-                        .with_codec(CodecId::from_u8(shard as u8).expect("three codecs"))
+                        .with_codec(CodecId::from_u8(stream as u8).expect("three codecs"))
                 },
                 None,
             )

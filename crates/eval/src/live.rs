@@ -17,13 +17,12 @@ use std::collections::HashSet;
 use std::path::Path;
 use std::time::Duration;
 
-use endurance_core::{ShardedReducer, WindowDecision, WindowVerdict};
+use endurance_core::{WindowDecision, WindowVerdict};
 use endurance_serve::{
     ServeHandle, SubscribeOptions, Subscription, SubscriptionStats, SubscriptionStep,
 };
-use endurance_store::{Snapshot, SpooledSink, StoreConfig};
-use mm_sim::Simulation;
-use trace_model::{InterleavedStreams, StreamId};
+use endurance_store::{Snapshot, StoreConfig};
+use trace_model::StreamId;
 
 use crate::experiment::evaluate_decisions;
 use crate::{ConfusionMatrix, EvalError, MultiStreamExperiment, MultiStreamResult, StreamResult};
@@ -36,7 +35,7 @@ const FOLLOW_QUANTUM: Duration = Duration::from_secs(1);
 /// and the cold snapshot they were verified against.
 #[derive(Debug)]
 pub struct FleetLiveResult {
-    /// The live run's result (sharded report, per-stream confusion).
+    /// The live run's result (aggregate report, per-stream confusion).
     pub result: MultiStreamResult,
     /// Final lag/drop accounting of each lane's follower, in lane order.
     pub follower_stats: Vec<SubscriptionStats>,
@@ -113,8 +112,8 @@ impl MultiStreamExperiment {
     }
 
     /// Like [`MultiStreamExperiment::run_live`], with a per-lane store
-    /// configuration: `store_for(shard)` configures the lane that
-    /// records stream `shard`.
+    /// configuration: `store_for(stream)` configures the lane that
+    /// records stream `stream`.
     ///
     /// In-writer maintenance is refused up front: a maintenance pass
     /// rewrites the lane layout mid-run, which (by design) lapses live
@@ -130,38 +129,28 @@ impl MultiStreamExperiment {
         store_for: impl Fn(usize) -> StoreConfig,
     ) -> Result<FleetLiveResult, EvalError> {
         let dir = dir.as_ref();
-        for shard in 0..self.stream_count() {
-            let policy = store_for(shard).maintenance;
+        for lane in 0..self.stream_count() {
+            let policy = store_for(lane).maintenance;
             if policy.small_segment_bytes > 0
                 || policy.retention_ns.is_some()
                 || policy.recompress.is_some()
             {
                 return Err(EvalError::InvalidExperiment(format!(
-                    "lane {shard} enables in-writer maintenance; maintenance rewrites the \
+                    "lane {lane} enables in-writer maintenance; maintenance rewrites the \
                      lane layout mid-run and lapses live followers, so a live-scored run \
                      must record with maintenance disabled"
                 )));
             }
         }
 
-        let monitor = self.streams()[0].monitor.clone();
-        let simulations = self
-            .streams()
-            .iter()
-            .map(|stream| {
-                let registry = stream.scenario.registry()?;
-                Simulation::new(&stream.scenario, &registry)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-
         // Subscribe every lane *before* its writer exists: followers must
         // receive the lane from its first committed window.
         let serve = ServeHandle::open(dir)?;
         let followers: Vec<std::thread::JoinHandle<Result<Followed, String>>> = (0..self
             .stream_count())
-            .map(|shard| {
+            .map(|lane| {
                 let subscription = serve.subscribe_with(
-                    shard as u32,
+                    lane as u32,
                     SubscribeOptions {
                         buffer: 256,
                         ..SubscribeOptions::default()
@@ -171,49 +160,13 @@ impl MultiStreamExperiment {
             })
             .collect();
 
-        // One shard per stream, each recording through a spooled lane
-        // created by the serving handle, so its commit log feeds the
-        // lane's follower: monitoring, disk I/O and live scoring all
-        // overlap per device.
-        let mut reducer = ShardedReducer::new(monitor, self.stream_count())?
-            .with_observers(|_| Vec::<WindowDecision>::new())
-            .try_with_sinks(|shard| -> Result<_, EvalError> {
-                let writer = serve.create_writer(shard as u32, store_for(shard))?;
-                if writer.recovery().windows > 0 {
-                    return Err(EvalError::InvalidExperiment(format!(
-                        "{} already holds a recorded run (lane {shard} has {} windows); \
-                         live runs need a fresh directory so the followed streams \
-                         describe this run alone",
-                        dir.display(),
-                        writer.recovery().windows,
-                    )));
-                }
-                Ok(SpooledSink::new(writer))
-            })?;
-        reducer.push_tagged(InterleavedStreams::new(simulations))?;
-        let outcome = reducer.finish()?;
-        if let Some(entry) = outcome.report.per_shard.iter().find(|e| e.error.is_some()) {
-            return Err(EvalError::InvalidExperiment(format!(
-                "shard {} failed: {}",
-                entry.shard,
-                entry.error.as_deref().unwrap_or("unknown")
-            )));
-        }
-
-        // Wind the storage layer down cleanly: drain each spool, close
-        // each lane. Closing publishes the final watermark and ends the
-        // lane's subscription once its follower drains the tail.
-        let report = outcome.report;
-        let mut shards: Vec<(
-            usize,
-            Option<endurance_core::ReductionReport>,
-            Vec<WindowDecision>,
-        )> = Vec::with_capacity(outcome.shards.len());
-        for shard in outcome.shards {
-            let writer = shard.sink.finish()?;
-            writer.close()?;
-            shards.push((shard.shard, shard.report, shard.observer));
-        }
+        // Every lane's writer is created by the serving handle, so its
+        // commit log feeds the lane's follower: monitoring, disk I/O and
+        // live scoring all overlap per device. Closing a lane ends its
+        // subscription once the follower drains the tail.
+        let (report, closed) = self.record_into_lanes(dir, |lane| {
+            serve.create_writer(lane, store_for(lane as usize))
+        })?;
 
         let followed = followers
             .into_iter()
@@ -235,29 +188,20 @@ impl MultiStreamExperiment {
         // Cold verification: a fresh snapshot trusts only the disk; every
         // follower's accumulated stream must reproduce it byte-for-byte.
         let snapshot = Snapshot::open(dir)?;
-        let mut streams = Vec::with_capacity(shards.len());
+        let mut streams = Vec::with_capacity(closed.len());
         let mut confusion = ConfusionMatrix::default();
-        let mut live_confusion = Vec::with_capacity(shards.len());
+        let mut live_confusion = Vec::with_capacity(closed.len());
         let mut fleet_live_confusion = ConfusionMatrix::default();
-        let mut follower_stats = Vec::with_capacity(shards.len());
+        let mut follower_stats = Vec::with_capacity(closed.len());
         let mut followed_windows = 0u64;
         let mut followed_events = 0u64;
         let mut followed_payload_bytes = 0u64;
 
-        // Pair each shard with its stream by the shard *index* it
-        // reports, not by position: `ShardedOutcome::shards` documents
-        // that positions can shift when a worker is absent.
-        shards.sort_by_key(|(shard, _, _)| *shard);
-        for (position, (shard, shard_report, decisions)) in shards.into_iter().enumerate() {
-            if shard != position {
-                return Err(EvalError::InvalidExperiment(format!(
-                    "shard {shard} is missing its result; its worker did not hand one back"
-                )));
-            }
-            let experiment = &self.streams()[shard];
-            let lane = shard as u32;
-            let shard_report = shard_report.expect("shard completeness checked above");
-            let lane_followed = &followed[shard];
+        for (index, stream) in closed.into_iter().enumerate() {
+            let (stream_report, decisions) = (stream.report, stream.decisions);
+            let experiment = &self.streams()[index];
+            let lane = index as u32;
+            let lane_followed = &followed[index];
             if lane_followed.stats.dropped > 0 {
                 return Err(EvalError::InvalidExperiment(format!(
                     "lane {lane}: follower dropped {} windows while draining; an \
@@ -287,10 +231,10 @@ impl MultiStreamExperiment {
                     snapshot.lane_payload_bytes(lane)?.len(),
                 )));
             }
-            if lane_followed.ids.len() as u64 != shard_report.recorder.windows_recorded
-                || lane_followed.events != shard_report.recorder.events_recorded
+            if lane_followed.ids.len() as u64 != stream_report.recorder.windows_recorded
+                || lane_followed.events != stream_report.recorder.events_recorded
                 || lane_followed.payload.len() as u64
-                    != shard_report.recorder.recorded_encoded_bytes
+                    != stream_report.recorder.recorded_encoded_bytes
             {
                 return Err(EvalError::InvalidExperiment(format!(
                     "lane {lane} disagrees with its live recorder: {}/{} windows/events \
@@ -298,9 +242,9 @@ impl MultiStreamExperiment {
                     lane_followed.ids.len(),
                     lane_followed.events,
                     lane_followed.payload.len(),
-                    shard_report.recorder.windows_recorded,
-                    shard_report.recorder.events_recorded,
-                    shard_report.recorder.recorded_encoded_bytes,
+                    stream_report.recorder.windows_recorded,
+                    stream_report.recorder.events_recorded,
+                    stream_report.recorder.recorded_encoded_bytes,
                 )));
             }
             followed_windows += lane_followed.ids.len() as u64;
@@ -340,7 +284,7 @@ impl MultiStreamExperiment {
             follower_stats.push(lane_followed.stats);
             streams.push(StreamResult {
                 stream: StreamId::new(lane),
-                report: shard_report,
+                report: stream_report,
                 confusion: evaluated.confusion,
                 decisions,
             });
@@ -348,7 +292,7 @@ impl MultiStreamExperiment {
 
         Ok(FleetLiveResult {
             result: MultiStreamResult {
-                report,
+                aggregate: report,
                 streams,
                 confusion,
             },

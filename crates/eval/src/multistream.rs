@@ -1,27 +1,27 @@
 //! Multi-stream experiment mode: several simulated devices reduced by one
-//! sharded engine.
+//! engine.
 //!
 //! Real endurance rigs monitor a fleet — one trace stream per device under
 //! test. This module simulates `N` independent workloads (same shape,
-//! different seeds), funnels them through a single
-//! [`ShardedReducer`] with one shard per stream, and evaluates every
-//! stream against its own ground truth, alongside the consolidated
-//! [`ShardedReport`].
+//! different seeds), funnels them through a single [`FleetReducer`] with
+//! one session per stream, and evaluates every stream against its own
+//! ground truth, alongside the merged aggregate report.
 
+use std::sync::Mutex;
 use std::time::Duration;
 
-use endurance_core::{ShardedReducer, ShardedReport, WindowDecision};
+use endurance_core::{FleetReducer, ReductionReport, WindowDecision};
 use mm_sim::Simulation;
-use trace_model::{InterleavedStreams, StreamId};
+use trace_model::{CountingSink, EventSink, InterleavedStreams, StreamId};
 
 use crate::experiment::evaluate_decisions;
 use crate::{ConfusionMatrix, EvalError, Experiment};
 
-/// A fleet of per-stream experiments reduced by one sharded engine.
+/// A fleet of per-stream experiments reduced by one engine.
 ///
 /// Every stream keeps its own [`Experiment`] (scenario + ground truth);
 /// the monitor configuration must be identical across streams because all
-/// shards of one engine share it.
+/// sessions of one engine share it.
 #[derive(Debug, Clone)]
 pub struct MultiStreamExperiment {
     streams: Vec<Experiment>,
@@ -30,10 +30,10 @@ pub struct MultiStreamExperiment {
 /// One stream's share of a multi-stream run.
 #[derive(Debug)]
 pub struct StreamResult {
-    /// Which stream (and shard) this is.
+    /// Which stream this is.
     pub stream: StreamId,
     /// The stream's own reduction report.
-    pub report: endurance_core::ReductionReport,
+    pub report: ReductionReport,
     /// Detection quality against the stream's own ground truth.
     pub confusion: ConfusionMatrix,
     /// The stream's monitor decisions, in stream order.
@@ -43,12 +43,20 @@ pub struct StreamResult {
 /// Everything measured by a multi-stream run.
 #[derive(Debug)]
 pub struct MultiStreamResult {
-    /// Consolidated per-shard and aggregate reporting.
-    pub report: ShardedReport,
+    /// The per-stream reports merged into one fleet-level report.
+    pub aggregate: ReductionReport,
     /// Per-stream reports and detection quality.
     pub streams: Vec<StreamResult>,
     /// Per-stream confusion matrices merged into one fleet-level matrix.
     pub confusion: ConfusionMatrix,
+}
+
+/// One stream's share of an engine pass: what its session reported and
+/// decided, and the sink it recorded into.
+pub(crate) struct ReducedStream<S> {
+    pub(crate) report: ReductionReport,
+    pub(crate) decisions: Vec<WindowDecision>,
+    pub(crate) sink: S,
 }
 
 impl MultiStreamExperiment {
@@ -67,7 +75,7 @@ impl MultiStreamExperiment {
         if let Some(index) = streams.iter().position(|s| s.monitor != first.monitor) {
             return Err(EvalError::InvalidExperiment(format!(
                 "stream {index} uses a different monitor configuration than stream 0; \
-                 all shards of one engine share a configuration"
+                 all sessions of one engine share a configuration"
             )));
         }
         Ok(MultiStreamExperiment { streams })
@@ -86,7 +94,7 @@ impl MultiStreamExperiment {
         Self::new(experiments)
     }
 
-    /// Number of streams (= shards).
+    /// Number of streams.
     pub fn stream_count(&self) -> usize {
         self.streams.len()
     }
@@ -97,14 +105,55 @@ impl MultiStreamExperiment {
     }
 
     /// Runs the fleet: simulate every stream, interleave by timestamp,
-    /// reduce through one sharded engine (one shard per stream, source-id
-    /// routing), then label every stream against its own ground truth.
+    /// reduce through one engine (one session per stream), then label
+    /// every stream against its own ground truth.
     ///
     /// # Errors
     ///
     /// Propagates simulation and reduction errors.
     pub fn run(&self) -> Result<MultiStreamResult, EvalError> {
-        let monitor = self.streams[0].monitor.clone();
+        let sinks = vec![CountingSink::new(); self.streams.len()];
+        let (aggregate, reduced) = self.reduce_into(sinks)?;
+        let mut streams = Vec::with_capacity(reduced.len());
+        let mut confusion = ConfusionMatrix::default();
+        for (index, (experiment, stream)) in self.streams.iter().zip(reduced).enumerate() {
+            let stream_confusion =
+                evaluate_decisions(&experiment.scenario.perturbations, &stream.decisions).confusion;
+            confusion.merge(&stream_confusion);
+            streams.push(StreamResult {
+                stream: StreamId::new(index as u32),
+                report: stream.report,
+                confusion: stream_confusion,
+                decisions: stream.decisions,
+            });
+        }
+        Ok(MultiStreamResult {
+            aggregate,
+            streams,
+            confusion,
+        })
+    }
+
+    /// The engine pass behind every run mode: simulates every stream,
+    /// interleaves them by timestamp and reduces them through one
+    /// [`FleetReducer`] with a session (and a worker) per stream, each
+    /// seeing exactly the stream a standalone session would. Stream `i`
+    /// records into `sinks[i]`: the caller builds the sinks on its own
+    /// thread, so a sink that cannot be opened is refused before the
+    /// first event. Returns the aggregate report and every stream's
+    /// share, in stream order.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulation and reduction errors; a stream whose session
+    /// failed (or a panicked worker) fails the whole pass.
+    pub(crate) fn reduce_into<S>(
+        &self,
+        sinks: Vec<S>,
+    ) -> Result<(ReductionReport, Vec<ReducedStream<S>>), EvalError>
+    where
+        S: EventSink + Send + 'static,
+    {
         let simulations = self
             .streams
             .iter()
@@ -114,40 +163,49 @@ impl MultiStreamExperiment {
             })
             .collect::<Result<Vec<_>, _>>()?;
 
-        // One shard per stream with source-id routing: each shard sees
-        // exactly the stream a standalone session would.
-        let mut reducer = ShardedReducer::new(monitor, self.streams.len())?
+        let bank = Mutex::new(sinks.into_iter().map(Some).collect::<Vec<_>>());
+        let mut fleet = FleetReducer::new(self.streams[0].monitor.clone(), self.streams.len())?
+            .with_sinks(move |stream: StreamId| {
+                bank.lock().expect("no holder of the sink bank panics")[stream.index()]
+                    .take()
+                    .expect("a stream that is never closed opens one session")
+            })
             .with_observers(|_| Vec::<WindowDecision>::new());
-        reducer.push_tagged(InterleavedStreams::new(simulations))?;
-        let outcome = reducer.finish()?;
-        if let Some(entry) = outcome.report.per_shard.iter().find(|e| e.error.is_some()) {
+        for (stream, event) in InterleavedStreams::new(simulations) {
+            fleet.push(stream, event)?;
+        }
+        let outcome = fleet.finish()?;
+        if let Some(panic) = outcome.worker_panics.into_iter().next() {
+            return Err(panic.into());
+        }
+
+        let mut reduced = Vec::with_capacity(self.streams.len());
+        for stream in outcome.streams {
+            if stream.stream.index() != reduced.len() {
+                break;
+            }
+            match (stream.report, stream.observer, stream.sink) {
+                (Some(report), Some(decisions), Some(sink)) => reduced.push(ReducedStream {
+                    report,
+                    decisions,
+                    sink,
+                }),
+                _ => {
+                    return Err(EvalError::InvalidExperiment(format!(
+                        "{} failed: {}",
+                        stream.stream,
+                        stream.error.as_deref().unwrap_or("unknown")
+                    )))
+                }
+            }
+        }
+        if reduced.len() != self.streams.len() {
             return Err(EvalError::InvalidExperiment(format!(
-                "shard {} failed: {}",
-                entry.shard,
-                entry.error.as_deref().unwrap_or("unknown")
+                "stream {} delivered no events, so it has no result",
+                reduced.len()
             )));
         }
-
-        let mut streams = Vec::with_capacity(self.streams.len());
-        let mut confusion = ConfusionMatrix::default();
-        for (experiment, shard) in self.streams.iter().zip(outcome.shards) {
-            let decisions = shard.observer;
-            let stream_confusion =
-                evaluate_decisions(&experiment.scenario.perturbations, &decisions).confusion;
-            confusion.merge(&stream_confusion);
-            streams.push(StreamResult {
-                stream: StreamId::new(shard.shard as u32),
-                report: shard.report.expect("shard completeness checked above"),
-                confusion: stream_confusion,
-                decisions,
-            });
-        }
-
-        Ok(MultiStreamResult {
-            report: outcome.report,
-            streams,
-            confusion,
-        })
+        Ok((outcome.aggregate, reduced))
     }
 }
 

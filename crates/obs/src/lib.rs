@@ -58,7 +58,7 @@ mod tests {
     fn counters_gauges_and_histograms_round_trip_through_a_snapshot() {
         let registry = Registry::new();
         let counter = registry.counter("core_session_events_total");
-        let gauge = registry.gauge_with("core_shard_queue_depth", &[("shard", "1")]);
+        let gauge = registry.gauge_with("serve_watermark_lag", &[("lane", "1")]);
         let histogram = registry.histogram("store_append_ns");
 
         counter.add(41);
@@ -73,7 +73,7 @@ mod tests {
         let snapshot = registry.snapshot();
         assert_eq!(snapshot.counter("core_session_events_total"), Some(42));
         assert_eq!(
-            snapshot.get("core_shard_queue_depth", &[("shard", "1")]),
+            snapshot.get("serve_watermark_lag", &[("lane", "1")]),
             Some(&MetricValue::Gauge(3))
         );
         let h = snapshot.histogram("store_append_ns").unwrap();

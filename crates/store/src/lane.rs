@@ -133,7 +133,7 @@ impl LaneMetrics {
 /// An append-only writer for one store lane (one shard/stream of a run).
 ///
 /// Implements [`EventSink`], so it plugs directly into a
-/// `ReductionSession` or (one per shard) a `ShardedReducer`. Every
+/// `ReductionSession` or (one per stream) a `FleetReducer`. Every
 /// recorded window becomes one CRC-framed record in the lane's current
 /// segment file; segments rotate by size and/or window count; a sidecar
 /// index maps window ids and timestamp ranges to exact byte offsets for

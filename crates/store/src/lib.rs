@@ -10,7 +10,7 @@
 //! * [`LaneWriter`] — an append-only, CRC-framed segment writer for one
 //!   lane (one shard/stream). It implements
 //!   [`trace_model::EventSink`], so a `ReductionSession` (or one lane per
-//!   shard of a `ShardedReducer`) records straight to disk. Segments
+//!   stream of a `FleetReducer`) records straight to disk. Segments
 //!   rotate by size and/or window count ([`StoreConfig`]); a sidecar
 //!   index maps window ids and timestamp ranges to exact byte offsets.
 //!   Every recorded payload passes through the configured [`FrameCodec`]

@@ -61,7 +61,7 @@ pub use registry::{EventTypeInfo, EventTypeRegistry};
 pub use stats::TraceStats;
 pub use stream::{
     CountingSink, EventSink, EventSource, InterleavedStreams, MemorySink, MemorySource, RecordMeta,
-    ShardedSink, StreamId,
+    StreamId,
 };
 pub use timestamp::Timestamp;
 pub use window::{Window, WindowAssembler, WindowId};

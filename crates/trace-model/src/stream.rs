@@ -6,9 +6,9 @@
 //! windows to any storage backend.
 //!
 //! Multi-stream rigs (one event stream per device, pipeline or tenant) are
-//! supported by tagging events with a [`StreamId`], merging per-stream
-//! sources with [`InterleavedStreams`], and demultiplexing recorded output
-//! into per-lane storage with [`ShardedSink`].
+//! supported by tagging events with a [`StreamId`] and merging per-stream
+//! sources with [`InterleavedStreams`]; the reduction engine opens one
+//! sink per stream id.
 
 use std::fmt;
 
@@ -158,112 +158,6 @@ impl<Src: EventSource> Iterator for InterleavedStreams<Src> {
 
     fn next(&mut self) -> Option<Self::Item> {
         self.next_tagged()
-    }
-}
-
-/// A bank of per-lane sinks behind one [`EventSink`] front.
-///
-/// The owner selects the active lane with [`ShardedSink::select`]; records
-/// then land in that lane's sink. Aggregate accounting
-/// ([`EventSink::recorded_events`] / [`EventSink::recorded_bytes`]) sums
-/// over every lane. The sharded reduction engine uses this shape to hand
-/// back per-shard recorded traces under a single sink-compatible
-/// interface.
-#[derive(Debug, Clone)]
-pub struct ShardedSink<S> {
-    lanes: Vec<S>,
-    active: usize,
-}
-
-impl<S: EventSink> ShardedSink<S> {
-    /// Creates a sink bank with `lanes` lanes built by `factory` (called
-    /// with each lane index); lane 0 starts active.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is zero.
-    pub fn new_with(lanes: usize, mut factory: impl FnMut(usize) -> S) -> Self {
-        assert!(lanes > 0, "a sharded sink needs at least one lane");
-        ShardedSink {
-            lanes: (0..lanes).map(&mut factory).collect(),
-            active: 0,
-        }
-    }
-
-    /// Wraps existing sinks as lanes; lane 0 starts active.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is empty.
-    pub fn from_lanes(lanes: Vec<S>) -> Self {
-        assert!(!lanes.is_empty(), "a sharded sink needs at least one lane");
-        ShardedSink { lanes, active: 0 }
-    }
-
-    /// Number of lanes.
-    pub fn lane_count(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Index of the currently active lane.
-    pub fn active_lane(&self) -> usize {
-        self.active
-    }
-
-    /// Makes `lane` the target of subsequent records.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range.
-    pub fn select(&mut self, lane: usize) {
-        assert!(
-            lane < self.lanes.len(),
-            "lane {lane} out of range (have {})",
-            self.lanes.len()
-        );
-        self.active = lane;
-    }
-
-    /// Read access to one lane's sink.
-    pub fn lane(&self, lane: usize) -> &S {
-        &self.lanes[lane]
-    }
-
-    /// All lanes, in order.
-    pub fn lanes(&self) -> &[S] {
-        &self.lanes
-    }
-
-    /// Consumes the bank and returns the lanes.
-    pub fn into_lanes(self) -> Vec<S> {
-        self.lanes
-    }
-}
-
-impl<S: EventSink> EventSink for ShardedSink<S> {
-    fn record(&mut self, events: &[TraceEvent]) -> Result<(), TraceError> {
-        self.lanes[self.active].record(events)
-    }
-
-    fn record_encoded(&mut self, events: &[TraceEvent], encoded: &[u8]) -> Result<(), TraceError> {
-        self.lanes[self.active].record_encoded(events, encoded)
-    }
-
-    fn record_window(
-        &mut self,
-        meta: &RecordMeta,
-        events: &[TraceEvent],
-        encoded: &[u8],
-    ) -> Result<(), TraceError> {
-        self.lanes[self.active].record_window(meta, events, encoded)
-    }
-
-    fn recorded_events(&self) -> usize {
-        self.lanes.iter().map(S::recorded_events).sum()
-    }
-
-    fn recorded_bytes(&self) -> usize {
-        self.lanes.iter().map(S::recorded_bytes).sum()
     }
 }
 
@@ -611,13 +505,6 @@ mod tests {
         sink.record_window(&meta, &[ev(125)], &[1, 2, 3]).unwrap();
         assert_eq!(sink.len(), 1);
         assert_eq!(sink.encoded_len(), 3);
-
-        let mut bank = ShardedSink::new_with(2, |_| MemorySink::new());
-        bank.select(1);
-        bank.record_window(&meta, &[ev(125)], &[1, 2, 3]).unwrap();
-        assert_eq!(bank.lane(0).len(), 0);
-        assert_eq!(bank.lane(1).len(), 1);
-        assert_eq!(bank.lane(1).encoded_len(), 3);
     }
 
     #[test]
@@ -661,30 +548,5 @@ mod tests {
             unmerged[stream.index()].push(event);
         }
         assert_eq!(unmerged, streams);
-    }
-
-    #[test]
-    fn sharded_sink_routes_to_the_active_lane_and_sums_accounting() {
-        let mut sink = ShardedSink::new_with(3, |_| MemorySink::new());
-        assert_eq!(sink.lane_count(), 3);
-        assert_eq!(sink.active_lane(), 0);
-        sink.record(&[ev(1)]).unwrap();
-        sink.select(2);
-        sink.record(&[ev(2), ev(3)]).unwrap();
-        assert_eq!(sink.lane(0).recorded_events(), 1);
-        assert_eq!(sink.lane(1).recorded_events(), 0);
-        assert_eq!(sink.lane(2).recorded_events(), 2);
-        assert_eq!(sink.recorded_events(), 3);
-        assert_eq!(sink.recorded_bytes(), 3 * TraceEvent::RAW_ENCODED_SIZE);
-        let lanes = sink.into_lanes();
-        assert_eq!(lanes.len(), 3);
-        assert_eq!(lanes[2].events().len(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn sharded_sink_select_rejects_out_of_range_lane() {
-        let mut sink = ShardedSink::from_lanes(vec![CountingSink::new()]);
-        sink.select(1);
     }
 }

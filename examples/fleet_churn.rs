@@ -13,11 +13,11 @@
 //!   0.8–2.4 s lifetimes), clocks skew and drift, streams stall and flush,
 //!   events arrive reordered, duplicated or dropped, and two fleet-wide
 //!   load spikes hit every live device at once;
-//! * the **collector plane** (a hash-routed `ShardedReducer`) absorbs the
-//!   whole fleet trace on a few shards;
-//! * the **health plane** (a `FleetReducer`) holds one session per stream
-//!   against a shared curated reference model and scores every stream's
-//!   windows against that stream's injected ground truth;
+//! * the **collector plane** (a `FleetReducer` fed `shard_of` ids)
+//!   absorbs the whole fleet trace on a few shards;
+//! * the **health plane** (a second `FleetReducer`) holds one session per
+//!   stream against a shared curated reference model and scores every
+//!   stream's windows against that stream's injected ground truth;
 //! * every delivered event is folded into the determinism hash that the
 //!   CI gate compares across same-seed runs (`docs/SCENARIOS.md` §4).
 

@@ -9,7 +9,7 @@
 //! Walks the whole store lifecycle (write → rotate → compact → replay):
 //!
 //! 1. **Record & crash** — a 4-device fleet records through one spooled
-//!    store lane per shard under the `ShardedReducer`, each lane under a
+//!    store lane per device under the `FleetReducer`, each lane under a
 //!    *different* frame codec (identity, delta-varint, lz-block, ...);
 //!    the writers are dropped without `close` (no sidecars) and a torn
 //!    half-frame is appended to one lane, the way a killed process
@@ -19,7 +19,7 @@
 //!    lane's v1 segments into delta-varint frames, and rewrites the
 //!    sidecars atomically, reporting the reclaimed bytes.
 //! 3. **Reopen & replay** — the compacted store reopens *clean*, every
-//!    lane replays exactly the events each shard recorded before the
+//!    lane replays exactly the events each device recorded before the
 //!    crash, and a windowed range query seeks via the rebuilt index.
 //! 4. **Fleet eval** — `MultiStreamExperiment::run_durable_with_stores`
 //!    runs the same mixed-codec fleet cleanly end to end: per-lane
@@ -29,22 +29,22 @@
 use std::error::Error;
 use std::time::Duration;
 
-use endurance_core::{ShardedReducer, WindowDecision};
+use endurance_core::FleetReducer;
 use endurance_eval::MultiStreamExperiment;
 use endurance_store::{
     CodecId, Compactor, LaneWriter, MaintenancePolicy, SpooledSink, StoreConfig, StoreReader,
 };
 use mm_sim::Simulation;
-use trace_model::{EventSource, InterleavedStreams, Timestamp};
+use trace_model::{EventSource, InterleavedStreams, StreamId, Timestamp};
 
 const DEVICES: usize = 4;
 
-/// Lane `shard`'s store config: small segments so rotation (and
+/// Lane `device`'s store config: small segments so rotation (and
 /// therefore compaction) has work, and one codec per device so the store
 /// mixes frame formats — lane 0 stays identity (v1 files) to give the
 /// compactor something to recompress.
-fn store_for(shard: usize) -> StoreConfig {
-    let codec = CodecId::from_u8((shard % CodecId::ALL.len()) as u8).expect("codec id in range");
+fn store_for(device: usize) -> StoreConfig {
+    let codec = CodecId::from_u8((device % CodecId::ALL.len()) as u8).expect("codec id in range");
     StoreConfig::default()
         .with_segment_max_bytes(64 * 1024)
         .with_codec(codec)
@@ -79,22 +79,33 @@ fn main() -> Result<(), Box<dyn Error>> {
         })
         .collect::<Result<Vec<_>, _>>()?;
     let crash_store = crash_dir.clone();
-    let mut reducer = ShardedReducer::new(fleet.streams()[0].monitor.clone(), DEVICES)?
-        .with_observers(|_| Vec::<WindowDecision>::new())
-        .try_with_sinks(|shard| {
-            LaneWriter::create(&crash_store, shard as u32, store_for(shard)).map(SpooledSink::new)
-        })?;
-    reducer.push_tagged(InterleavedStreams::new(simulations))?;
+    let mut reducer = FleetReducer::new(fleet.streams()[0].monitor.clone(), DEVICES)?.with_sinks(
+        move |device: StreamId| {
+            let lane = LaneWriter::create(&crash_store, device.as_u32(), store_for(device.index()));
+            SpooledSink::new(lane.expect("a fresh directory accepts every lane"))
+        },
+    );
+    for (device, event) in InterleavedStreams::new(simulations) {
+        reducer.push(device, event)?;
+    }
     let outcome = reducer.finish()?;
     let mut live_recorded = [0u64; DEVICES];
-    for shard in outcome.shards {
-        let report = shard.report.expect("all shards complete");
-        live_recorded[shard.shard] = report.recorder.events_recorded;
-        let (writer, spool_error) = shard.sink.finish_parts();
+    for device in outcome.streams {
+        let report = device.report.expect("all devices complete");
+        live_recorded[device.stream.index()] = report.recorder.events_recorded;
+        println!(
+            "  {}: {} events, {} recorded windows, {:.1}x reduction",
+            device.stream,
+            device.events,
+            report.anomalous_windows,
+            report.reduction_factor()
+        );
+        let sink = device.sink.expect("a completed device hands back its sink");
+        let (writer, spool_error) = sink.finish_parts();
         assert!(spool_error.is_none());
         drop(writer); // crash: no close(), no sidecar
     }
-    println!("{}", outcome.report);
+    println!("  aggregate: {}", outcome.aggregate);
 
     // A torn half-frame at the tail of lane 0, as an interrupted write
     // leaves one.
@@ -193,7 +204,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     }
     println!(
         "fleet reduction held across the store: {:.1}x aggregate",
-        durable.result.report.reduction_factor()
+        durable.result.aggregate.reduction_factor()
     );
 
     std::fs::remove_dir_all(&base).ok();

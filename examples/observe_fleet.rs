@@ -10,8 +10,9 @@
 //!
 //! * the **fleet simulator** exports its event-queue depth and delivery
 //!   count (`sim_fleet_*`);
-//! * the **collector plane** (a hash-routed `ShardedReducer`) exports its
-//!   channel and session counters (`core_shard_*`, `core_session_*`);
+//! * the **collector plane** (a `FleetReducer` fed `shard_of` ids)
+//!   exports its channel and session counters (`core_fleet_*`,
+//!   `core_session_*`);
 //! * the **store lanes** behind each shard's `SpooledSink` export frame
 //!   and byte counters (`store_*`);
 //! * the **serving layer** exports per-lane delivery counters and
@@ -28,15 +29,15 @@
 
 use std::collections::BTreeSet;
 use std::error::Error;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use endurance_core::{HashShardKey, MonitorConfig, ShardedReducer};
+use endurance_core::{shard_of, FleetReducer, MonitorConfig};
 use endurance_obs::{MetricsHub, Registry};
 use endurance_serve::{ServeHandle, SubscribeOptions, SubscriptionStats, SubscriptionStep};
 use endurance_store::{SpooledSink, StoreConfig};
 use mm_sim::{FleetEvent, FleetScenario, FleetSim};
-use trace_model::TraceError;
+use trace_model::StreamId;
 
 /// Collector shards = store lanes = tail followers.
 const SHARDS: usize = 4;
@@ -118,45 +119,59 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // Collector plane: a few shards absorb the whole fleet trace, each
     // recording its reduced windows through a spooled serve-lane writer.
+    // The lanes are opened up front (every follower needs its writer to
+    // exist) and handed to the shard sessions as they open.
     let monitor = MonitorConfig::builder()
         .dimensions(scenario.registry()?.len())
         .reference_duration(LEARN_REFERENCE)
         .build()?;
-    let mut collector = ShardedReducer::new(monitor, SHARDS)?
-        .with_shard_key(HashShardKey)
-        .try_with_sinks(|shard| -> Result<_, TraceError> {
-            let writer = serve.create_writer(shard as u32, StoreConfig::default())?;
-            Ok(SpooledSink::new(writer))
-        })?
+    let mut lanes = Vec::with_capacity(SHARDS);
+    for lane in 0..SHARDS as u32 {
+        let writer = serve.create_writer(lane, StoreConfig::default())?;
+        lanes.push(Some(SpooledSink::new(writer)));
+    }
+    let lanes = Mutex::new(lanes);
+    let mut collector = FleetReducer::new(monitor, SHARDS)?
+        .with_sinks(move |shard: StreamId| {
+            lanes.lock().expect("lane bank")[shard.index()]
+                .take()
+                .expect("a shard is never closed, so it opens one session")
+        })
         .with_metrics(Arc::clone(&registry));
 
     let started = Instant::now();
     let mut sim = FleetSim::new(&scenario)?.with_metrics(&registry);
     for fleet_event in sim.by_ref() {
         match fleet_event {
-            FleetEvent::Delivery(stream, event) => collector.push(stream, event)?,
-            FleetEvent::StreamClosed(_) => {} // hash routing has no per-stream state
+            FleetEvent::Delivery(stream, event) => {
+                collector.push(shard_of(stream, SHARDS), event)?;
+            }
+            FleetEvent::StreamClosed(_) => {} // a shard outlives its streams
         }
     }
     let deliveries = sim.deliveries();
 
     let outcome = collector.finish()?;
-    if let Some(entry) = outcome.report.per_shard.iter().find(|e| e.error.is_some()) {
+    if let Some(panic) = outcome.worker_panics.first() {
+        return Err(panic.to_string().into());
+    }
+    if outcome.streams.len() != SHARDS {
         return Err(format!(
-            "shard {} failed: {}",
-            entry.shard,
-            entry.error.as_deref().unwrap_or("unknown")
+            "only {} of {SHARDS} shards saw events",
+            outcome.streams.len()
         )
         .into());
     }
     // Drain each spool and close each lane; closing publishes the final
     // watermark, which ends the lane's subscription after the grace.
     let mut recorded_windows = 0u64;
-    for shard in outcome.shards {
-        let report = shard.report.expect("shard completeness checked above");
+    for shard in outcome.streams {
+        let (Some(report), Some(sink)) = (shard.report, shard.sink) else {
+            let error = shard.error.as_deref().unwrap_or("unknown");
+            return Err(format!("shard {} failed: {error}", shard.stream).into());
+        };
         recorded_windows += report.recorder.windows_recorded;
-        let writer = shard.sink.finish()?;
-        writer.close()?;
+        sink.finish()?.close()?;
     }
     let followed = followers
         .into_iter()
@@ -201,8 +216,8 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // The simulator, router and channel counters all saw every delivery.
     assert_eq!(snap.counter_total("sim_fleet_events_total"), deliveries);
-    assert_eq!(snap.counter_total("core_shard_events_total"), deliveries);
-    assert_eq!(snap.gauge_total("core_shard_queue_depth"), 0);
+    assert_eq!(snap.counter_total("core_fleet_events_total"), deliveries);
+    assert_eq!(snap.gauge_total("core_fleet_queue_depth"), 0);
 
     // Windows recorded by the shard reports == frames written to disk ==
     // windows every follower received == windows a cold snapshot holds.

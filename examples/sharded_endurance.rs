@@ -1,4 +1,4 @@
-//! A multi-stream endurance run through the sharded reduction engine.
+//! A multi-stream endurance run through the fleet reduction engine.
 //!
 //! ```text
 //! cargo run --release --example sharded_endurance              # 4 devices, ~10 simulated minutes
@@ -9,21 +9,20 @@
 //! devices under test, each emitting its own trace stream. The example
 //!
 //! * simulates `N` independent workloads (same shape, different seeds),
-//! * funnels them through one [`ShardedReducer`] — events are tagged with
-//!   their [`trace_model::StreamId`], routed by source id to one
-//!   `ReductionSession` worker per device, each on its own thread behind
-//!   a bounded channel,
-//! * and prints the consolidated multi-shard report plus each device's
+//! * funnels them through one [`FleetReducer`] — events are tagged with
+//!   their [`trace_model::StreamId`] and routed to one `ReductionSession`
+//!   per device, on worker threads behind bounded channels,
+//! * and prints the aggregate report plus each device's reduction and
 //!   detection quality against its own ground truth.
 //!
-//! With one shard per device the recorded trace of every device is
+//! With one session per device the recorded trace of every device is
 //! byte-for-byte what a standalone single-device session would have
-//! recorded — sharding changes the throughput, not the output.
+//! recorded — the engine changes the throughput, not the output.
 
 use std::error::Error;
 use std::time::Duration;
 
-use endurance_core::ShardedReducer;
+use endurance_core::FleetReducer;
 use endurance_eval::MultiStreamExperiment;
 use mm_sim::Simulation;
 use trace_model::{EventSink, InterleavedStreams};
@@ -38,12 +37,13 @@ fn main() -> Result<(), Box<dyn Error>> {
     let result = fleet.run()?;
 
     println!();
-    println!("{}", result.report);
+    println!("aggregate: {}", result.aggregate);
     println!();
     for stream in &result.streams {
         println!(
-            "{}: precision {:.3}, recall {:.3} over {} windows",
+            "{}: {:.1}x reduction, precision {:.3}, recall {:.3} over {} windows",
             stream.stream,
+            stream.report.reduction_factor(),
             stream.confusion.precision(),
             stream.confusion.recall(),
             stream.confusion.total(),
@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         "fleet: precision {:.3}, recall {:.3}, {:.1}x aggregate reduction",
         result.confusion.precision(),
         result.confusion.recall(),
-        result.report.reduction_factor()
+        result.aggregate.reduction_factor()
     );
 
     // The same fleet again, driven through the low-level engine API — the
@@ -68,16 +68,23 @@ fn main() -> Result<(), Box<dyn Error>> {
         })
         .collect::<Result<_, Box<dyn Error>>>()?;
     let monitor = fleet.streams()[0].monitor.clone();
-    let mut reducer = ShardedReducer::new(monitor, devices)?;
-    let routed = reducer.push_tagged(InterleavedStreams::new(simulations))?;
-    let outcome = reducer.finish()?;
-    let (report, sinks, _observers) = outcome.into_parts();
+    let mut fleet = FleetReducer::new(monitor, devices)?;
+    for (device, event) in InterleavedStreams::new(simulations) {
+        fleet.push(device, event)?;
+    }
+    let outcome = fleet.finish()?;
+    let recorded: usize = outcome
+        .streams
+        .iter()
+        .filter_map(|stream| stream.sink.as_ref())
+        .map(EventSink::recorded_events)
+        .sum();
     println!();
     println!(
-        "low-level pass: routed {routed} events, {} recorded across {} per-device sinks",
-        sinks.recorded_events(),
-        sinks.lane_count()
+        "low-level pass: routed {} events, {recorded} recorded across {} per-device sinks",
+        outcome.events_routed,
+        outcome.streams.len()
     );
-    assert_eq!(report.aggregate, result.report.aggregate);
+    assert_eq!(outcome.aggregate, result.aggregate);
     Ok(())
 }

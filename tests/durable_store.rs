@@ -6,10 +6,11 @@
 
 use std::time::Duration;
 
-use endurance_core::{MonitorConfig, ReductionSession, ShardedReducer, WindowDecision};
+use endurance_core::{FleetReducer, MonitorConfig, ReductionSession, WindowDecision};
 use endurance_store::{LaneWriter, SpooledSink, StoreConfig, StoreReader};
 use trace_model::{
-    EventSink, EventTypeId, InterleavedStreams, MemorySource, Timestamp, TraceError, TraceEvent,
+    EventSink, EventTypeId, InterleavedStreams, MemorySource, StreamId, Timestamp, TraceError,
+    TraceEvent,
 };
 
 /// A sink that keeps both the recorded events and the exact encoded bytes
@@ -178,29 +179,29 @@ fn multi_lane_sharded_store_matches_serial_memory_runs() {
         })
         .collect();
 
-    // The run under test: a sharded reducer recording each shard through
+    // The run under test: a fleet reducer recording each stream through
     // a spooled store lane (monitoring overlaps disk writes), crashed
     // before any close.
     let dir = temp_dir("sharded");
     let store_dir = dir.clone();
-    let mut reducer = ShardedReducer::new(config(), streams.len())
+    let mut reducer = FleetReducer::new(config(), streams.len())
         .expect("reducer")
-        .with_sinks(|shard| {
-            SpooledSink::new(
-                LaneWriter::create(&store_dir, shard as u32, StoreConfig::default()).expect("lane"),
-            )
+        .with_sinks(move |stream: StreamId| {
+            let lane = LaneWriter::create(&store_dir, stream.as_u32(), StoreConfig::default());
+            SpooledSink::new(lane.expect("lane"))
         });
     let sources: Vec<MemorySource> = streams
         .iter()
         .map(|events| MemorySource::new(events.clone()).expect("ordered"))
         .collect();
-    reducer
-        .push_tagged(InterleavedStreams::new(sources))
-        .expect("push");
+    for (stream, event) in InterleavedStreams::new(sources) {
+        reducer.push(stream, event).expect("push");
+    }
     let outcome = reducer.finish().expect("finish");
-    assert!(outcome.is_complete());
-    for shard in outcome.shards {
-        let (writer, error) = shard.sink.finish_parts();
+    assert_eq!(outcome.failed_streams, 0);
+    assert!(outcome.worker_panics.is_empty());
+    for stream in outcome.streams {
+        let (writer, error) = stream.sink.expect("sink").finish_parts();
         assert!(error.is_none());
         drop(writer); // crash: no close()
     }

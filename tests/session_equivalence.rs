@@ -1,16 +1,43 @@
-//! Equivalence of the push-based `ReductionSession` and the legacy batch
-//! `TraceReducer`: pushing a stream event-by-event, or in ragged batches,
-//! must yield byte-for-byte identical decisions, report and recorded
-//! events as the one-shot batch call on the same stream.
+//! Equivalence of the three ways to feed a `ReductionSession`: pushing a
+//! stream event-by-event, in ragged `push_batch` chunks, or draining it in
+//! one `push_source` pass must yield identical decisions and report and
+//! byte-for-byte identical sink contents. (The "batch reducer" of the
+//! test names is that one-shot whole-stream pass.)
 
 use std::time::Duration;
 
 use endurance_core::{
-    MonitorConfig, ReductionOutcome, ReductionSession, ReferenceModel, TraceReducer, WindowStrategy,
+    MonitorConfig, ReductionReport, ReductionSession, ReferenceModel, WindowDecision,
+    WindowStrategy,
 };
 use mm_sim::{PerturbationSchedule, Scenario, Simulation};
 use trace_model::window::{TimeWindower, Windower};
-use trace_model::{Timestamp, TraceEvent, Window};
+use trace_model::{EventSink, MemorySource, Timestamp, TraceError, TraceEvent, Window};
+
+/// A sink that keeps the recorded events and the exact encoded bytes the
+/// recorder handed down: what would land on storage.
+#[derive(Debug, Default, PartialEq)]
+struct EncodedSink {
+    events: Vec<TraceEvent>,
+    bytes: Vec<u8>,
+}
+
+impl EventSink for EncodedSink {
+    fn record(&mut self, events: &[TraceEvent]) -> Result<(), TraceError> {
+        self.events.extend_from_slice(events);
+        Ok(())
+    }
+
+    fn record_encoded(&mut self, events: &[TraceEvent], encoded: &[u8]) -> Result<(), TraceError> {
+        self.events.extend_from_slice(events);
+        self.bytes.extend_from_slice(encoded);
+        Ok(())
+    }
+
+    fn recorded_events(&self) -> usize {
+        self.events.len()
+    }
+}
 
 /// Simulated endurance workload: returns the event stream and the number
 /// of event types in the scenario's registry (the pmf dimensionality).
@@ -50,20 +77,34 @@ fn monitor_config(dimensions: usize, window: WindowStrategy) -> MonitorConfig {
         .expect("valid monitor config")
 }
 
-/// Runs the same events through a session, pushing in chunks given by
-/// `chunks` (cycled); `0` means push event-by-event.
-fn run_session(
-    config: &MonitorConfig,
-    events: &[TraceEvent],
-    chunks: &[usize],
-) -> (
-    endurance_core::ReductionReport,
-    Vec<endurance_core::WindowDecision>,
-    Vec<TraceEvent>,
-) {
-    let mut session = ReductionSession::new(config.clone())
+/// What one pass over a stream produced.
+type Run = (ReductionReport, Vec<WindowDecision>, EncodedSink);
+
+type Session = ReductionSession<EncodedSink, Vec<WindowDecision>>;
+
+fn learning_session(config: &MonitorConfig) -> Session {
+    ReductionSession::new(config.clone())
         .expect("session")
-        .with_observer(Vec::new());
+        .with_sink(EncodedSink::default())
+        .with_observer(Vec::new())
+}
+
+fn finish(session: Session) -> Run {
+    let outcome = session.finish().expect("finish");
+    (outcome.report, outcome.observer, outcome.sink)
+}
+
+/// Drains the whole stream in one `push_source` pass.
+fn run_source(mut session: Session, events: &[TraceEvent]) -> Run {
+    let mut source = MemorySource::new(events.to_vec()).expect("ordered");
+    let read = session.push_source(&mut source).expect("push_source");
+    assert_eq!(read, events.len() as u64);
+    finish(session)
+}
+
+/// Pushes the stream in chunks given by `chunks` (cycled); `0` means push
+/// one event with `push`, anything else a `push_batch` of that size.
+fn run_chunked(mut session: Session, events: &[TraceEvent], chunks: &[usize]) -> Run {
     let mut cursor = 0usize;
     let mut chunk_index = 0usize;
     while cursor < events.len() {
@@ -80,66 +121,43 @@ fn run_session(
             cursor = end;
         }
     }
-    let outcome = session.finish().expect("finish");
-    (outcome.report, outcome.observer, outcome.sink.into_events())
-}
-
-fn assert_equivalent(
-    batch: &ReductionOutcome,
-    session: &(
-        endurance_core::ReductionReport,
-        Vec<endurance_core::WindowDecision>,
-        Vec<TraceEvent>,
-    ),
-) {
-    assert_eq!(batch.report, session.0, "reports must match");
-    assert_eq!(batch.decisions, session.1, "decisions must match");
-    assert_eq!(
-        batch.recorded_events, session.2,
-        "recorded events must match"
-    );
+    finish(session)
 }
 
 #[test]
 fn event_by_event_session_matches_batch_reducer() {
     let (events, dims) = endurance_events(101);
     let config = monitor_config(dims, WindowStrategy::Time(Duration::from_millis(40)));
-    let batch = TraceReducer::new(config.clone())
-        .expect("reducer")
-        .run(events.iter().copied())
-        .expect("batch run");
-    assert!(batch.report.anomalous_windows > 0, "workload has anomalies");
+    let whole = run_source(learning_session(&config), &events);
+    assert!(whole.0.anomalous_windows > 0, "workload has anomalies");
+    assert!(!whole.2.bytes.is_empty(), "and records their encoded bytes");
 
-    let session = run_session(&config, &events, &[0]);
-    assert_equivalent(&batch, &session);
+    assert_eq!(run_chunked(learning_session(&config), &events, &[0]), whole);
 }
 
 #[test]
 fn ragged_batches_match_batch_reducer() {
     let (events, dims) = endurance_events(102);
     let config = monitor_config(dims, WindowStrategy::Time(Duration::from_millis(40)));
-    let batch = TraceReducer::new(config.clone())
-        .expect("reducer")
-        .run(events.iter().copied())
-        .expect("batch run");
+    let whole = run_source(learning_session(&config), &events);
 
     // Mix single pushes with ragged batch sizes, including ones far larger
     // than a window and prime-sized ones that straddle window boundaries.
-    let session = run_session(&config, &events, &[1, 7, 0, 97, 1024, 3, 0, 4096]);
-    assert_equivalent(&batch, &session);
+    let ragged = run_chunked(
+        learning_session(&config),
+        &events,
+        &[1, 7, 0, 97, 1024, 3, 0, 4096],
+    );
+    assert_eq!(ragged, whole);
 }
 
 #[test]
 fn count_window_session_matches_batch_reducer() {
     let (events, dims) = endurance_events(103);
     let config = monitor_config(dims, WindowStrategy::Count(256));
-    let batch = TraceReducer::new(config.clone())
-        .expect("reducer")
-        .run(events.iter().copied())
-        .expect("batch run");
-
-    let session = run_session(&config, &events, &[0, 13, 999]);
-    assert_equivalent(&batch, &session);
+    let whole = run_source(learning_session(&config), &events);
+    let ragged = run_chunked(learning_session(&config), &events, &[0, 13, 999]);
+    assert_eq!(ragged, whole);
 
     // Count windows bound the open buffer by the window size itself.
     let mut probe = ReductionSession::new(config).expect("session");
@@ -160,28 +178,23 @@ fn curated_model_session_matches_batch_reducer() {
         .collect();
     let model = ReferenceModel::learn_from_windows(&windows, &config).expect("learn");
     let model_json = model.to_json().expect("serialise");
+    let curated_session = || {
+        let model = ReferenceModel::from_json(&model_json).expect("reload");
+        ReductionSession::from_model_with_config(config.clone(), model)
+            .expect("session")
+            .with_sink(EncodedSink::default())
+            .with_observer(Vec::new())
+    };
 
     let (events, _) = endurance_events(105);
-    let batch = TraceReducer::new(config.clone())
-        .expect("reducer")
-        .run_with_model(
-            ReferenceModel::from_json(&model_json).expect("reload"),
-            events.iter().copied(),
-        )
-        .expect("batch run_with_model");
-
-    let mut session = ReductionSession::from_model_with_config(
-        config,
-        ReferenceModel::from_json(&model_json).expect("reload"),
-    )
-    .expect("session")
-    .with_observer(Vec::new());
-    session.push_batch(&events).expect("push");
-    let outcome = session.finish().expect("finish");
-
-    assert_eq!(batch.report, outcome.report);
-    assert_eq!(batch.decisions, outcome.observer);
-    assert_eq!(batch.recorded_events, outcome.sink.into_events());
+    let whole = run_source(curated_session(), &events);
+    // No learning phase: the stream is monitored from its first window.
+    assert_eq!(whole.1.first().map(|d| d.window_id.index()), Some(0));
+    assert_eq!(run_chunked(curated_session(), &events, &[0]), whole);
+    assert_eq!(
+        run_chunked(curated_session(), &events, &[64, 0, 5000]),
+        whole
+    );
 }
 
 #[test]

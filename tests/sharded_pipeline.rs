@@ -1,11 +1,11 @@
-//! End-to-end equivalence of the sharded multi-stream pipeline on the
-//! simulated endurance workload: a fleet reduced by one `ShardedReducer`
-//! must match, stream for stream, the standalone single-session runs of
-//! the same experiments — reports, decisions and detection quality.
+//! End-to-end equivalence of the multi-stream pipeline on the simulated
+//! endurance workload: a fleet reduced by one `FleetReducer` must match,
+//! stream for stream, the standalone single-session runs of the same
+//! experiments — reports, decisions and detection quality.
 
 use std::time::Duration;
 
-use endurance::endurance_core::ShardedReducer;
+use endurance::endurance_core::FleetReducer;
 use endurance::endurance_eval::{Experiment, MultiStreamExperiment};
 use endurance::mm_sim::{PerturbationSchedule, Scenario, Simulation};
 use endurance::trace_model::{InterleavedStreams, StreamId, Timestamp};
@@ -50,8 +50,6 @@ fn multi_stream_run_matches_standalone_experiments_per_stream() {
     let fleet = fleet_experiment(BASE_SEED);
     let result = fleet.run().expect("fleet run");
 
-    assert!(result.report.is_complete());
-    assert_eq!(result.report.shard_count(), FLEET);
     assert_eq!(result.streams.len(), FLEET);
 
     let mut summed_monitored = 0u64;
@@ -66,7 +64,7 @@ fn multi_stream_run_matches_standalone_experiments_per_stream() {
 
         assert_eq!(
             stream.report, standalone.report,
-            "stream {index}: sharded report must equal the standalone session's"
+            "stream {index}: fleet report must equal the standalone session's"
         );
         assert_eq!(
             stream.decisions, standalone.decisions,
@@ -82,10 +80,10 @@ fn multi_stream_run_matches_standalone_experiments_per_stream() {
 
     // Consolidation: the aggregate is the exact sum of the per-stream
     // reports and matrices.
-    assert_eq!(result.report.aggregate.monitored_windows, summed_monitored);
+    assert_eq!(result.aggregate.monitored_windows, summed_monitored);
     assert_eq!(result.confusion.total(), summed_confusion_total);
     assert!(
-        result.report.aggregate.reduction_factor() > 1.0,
+        result.aggregate.reduction_factor() > 1.0,
         "the fleet as a whole must still reduce trace volume"
     );
     // The workload plants perturbations, so the fleet must detect some.
@@ -108,18 +106,18 @@ fn sharded_reducer_consumes_interleaved_simulations_directly() {
         })
         .collect();
 
-    let mut reducer = ShardedReducer::new(monitor, FLEET).expect("reducer");
-    let routed = reducer
-        .push_tagged(InterleavedStreams::new(simulations))
-        .expect("push");
+    let mut reducer = FleetReducer::new(monitor, FLEET).expect("reducer");
+    let mut routed = 0u64;
+    for (stream, event) in InterleavedStreams::new(simulations) {
+        reducer.push(stream, event).expect("push");
+        routed += 1;
+    }
     let outcome = reducer.finish().expect("finish");
 
-    assert!(outcome.is_complete());
-    assert_eq!(outcome.report.events_routed(), routed);
-    assert!(outcome.report.aggregate.monitored_windows > 0);
-    assert!(outcome
-        .report
-        .per_shard
-        .iter()
-        .all(|entry| entry.events_routed > 0));
+    assert_eq!(outcome.failed_streams, 0);
+    assert!(outcome.worker_panics.is_empty());
+    assert_eq!(outcome.events_routed, routed);
+    assert!(outcome.aggregate.monitored_windows > 0);
+    assert_eq!(outcome.streams.len(), FLEET);
+    assert!(outcome.streams.iter().all(|stream| stream.events > 0));
 }
