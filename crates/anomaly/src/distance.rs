@@ -162,15 +162,6 @@ impl Distance {
             DistanceKind::JensenShannon => jensen_shannon(a, b).max(0.0).sqrt(),
         }
     }
-
-    /// Whether this distance is a Minkowski metric evaluated coordinate by
-    /// coordinate, which is required for exact KD-tree pruning.
-    pub fn supports_kdtree(&self) -> bool {
-        matches!(
-            self.kind,
-            DistanceKind::Euclidean | DistanceKind::Manhattan | DistanceKind::Chebyshev
-        )
-    }
 }
 
 impl From<DistanceKind> for Distance {
@@ -275,8 +266,6 @@ mod tests {
             assert!(value > 0.0, "{kind:?} should separate distinct points");
             assert!(d.eval(&a, &a) < 1e-6);
         }
-        assert!(Distance::new(DistanceKind::Euclidean).supports_kdtree());
-        assert!(!Distance::new(DistanceKind::Hellinger).supports_kdtree());
         assert_eq!(Distance::default().kind(), DistanceKind::Euclidean);
         assert_eq!(
             Distance::from(DistanceKind::Manhattan).kind(),

@@ -1,7 +1,7 @@
 //! # lof-anomaly
 //!
-//! Density-based anomaly detection primitives: distance metrics,
-//! nearest-neighbour indexes, the Local Outlier Factor (LOF) algorithm of
+//! Density-based anomaly detection primitives: distance metrics, an exact
+//! nearest-neighbour index, the Local Outlier Factor (LOF) algorithm of
 //! Breunig et al. (SIGMOD 2000), and two simple baseline detectors.
 //!
 //! This crate is deliberately independent of the trace model: it operates
@@ -46,7 +46,7 @@ pub use distance::{
     Distance, DistanceKind,
 };
 pub use error::AnomalyError;
-pub use knn::{BruteForceIndex, KdTreeIndex, Neighbor, NeighborIndex};
+pub use knn::{Neighbor, NeighborIndex};
 pub use lof::{LofConfig, LofModel, LofScore};
 pub use normalize::{l1_normalize, smooth_pmf, smooth_pmf_into};
 pub use rate::RateThresholdDetector;

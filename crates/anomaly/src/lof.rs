@@ -13,7 +13,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::knn::{BruteForceIndex, KdTreeIndex, Neighbor, NeighborIndex};
+use crate::knn::{Neighbor, NeighborIndex};
 use crate::{AnomalyError, Distance, DistanceKind};
 
 /// Configuration of a [`LofModel`].
@@ -24,13 +24,11 @@ pub struct LofConfig {
     pub k: usize,
     /// Distance used for neighbourhood queries.
     pub distance: DistanceKind,
-    /// Use a KD-tree index when the distance allows it (exact either way).
-    pub use_kdtree: bool,
 }
 
 impl LofConfig {
     /// Creates a configuration with the given neighbourhood size and
-    /// default (Euclidean, KD-tree) settings.
+    /// the default (Euclidean) distance.
     ///
     /// # Errors
     ///
@@ -44,19 +42,12 @@ impl LofConfig {
         Ok(LofConfig {
             k,
             distance: DistanceKind::Euclidean,
-            use_kdtree: true,
         })
     }
 
     /// Selects the distance used for neighbourhood queries.
     pub fn with_distance(mut self, distance: DistanceKind) -> Self {
         self.distance = distance;
-        self
-    }
-
-    /// Forces the brute-force index even for KD-tree-compatible distances.
-    pub fn with_brute_force(mut self) -> Self {
-        self.use_kdtree = false;
         self
     }
 }
@@ -85,44 +76,18 @@ impl LofScore {
 /// Fitting pre-computes, for every reference point, its `k`-distance and
 /// local reachability density (lrd); scoring a query then needs only one
 /// k-nearest-neighbour search plus `O(k)` arithmetic.
-#[derive(Debug, Clone)]
+///
+/// The reference points live once, inside the index, collapsed to their
+/// distinct rows; two models are equal when they were fitted from the
+/// same points under the same configuration.
+#[derive(Debug, Clone, PartialEq)]
 pub struct LofModel {
-    /// Reference points (also stored in the index; kept here so the model
-    /// can introspect itself regardless of the index backend).
-    points: Vec<Vec<f64>>,
-    index: IndexImpl,
+    index: NeighborIndex,
     config: LofConfig,
     /// k-distance of each reference point.
     k_distances: Vec<f64>,
     /// Local reachability density of each reference point.
     lrds: Vec<f64>,
-}
-
-/// Two fitted models are equal when they were fitted from the same
-/// points under the same configuration; the index is a pure function of
-/// `(points, config)` and is deliberately left out of the comparison.
-impl PartialEq for LofModel {
-    fn eq(&self, other: &Self) -> bool {
-        self.points == other.points
-            && self.config == other.config
-            && self.k_distances == other.k_distances
-            && self.lrds == other.lrds
-    }
-}
-
-#[derive(Debug, Clone)]
-enum IndexImpl {
-    Brute(BruteForceIndex),
-    KdTree(KdTreeIndex),
-}
-
-impl IndexImpl {
-    fn as_dyn(&self) -> &dyn NeighborIndex {
-        match self {
-            IndexImpl::Brute(index) => index,
-            IndexImpl::KdTree(index) => index,
-        }
-    }
 }
 
 impl LofModel {
@@ -146,33 +111,24 @@ impl LofModel {
                 points.len()
             )));
         }
-        let distance = Distance::new(config.distance);
-        let index = if config.use_kdtree && distance.supports_kdtree() {
-            IndexImpl::KdTree(KdTreeIndex::new(points.clone(), distance)?)
-        } else {
-            IndexImpl::Brute(BruteForceIndex::new(points.clone(), distance)?)
-        };
-
-        let n = points.len();
-        let k = config.k;
+        let index = NeighborIndex::new(&points, Distance::new(config.distance))?;
 
         // Pass 1: neighbourhoods and k-distances of every reference point.
-        let mut neighborhoods: Vec<Vec<Neighbor>> = Vec::with_capacity(n);
-        let mut k_distances = vec![0.0f64; n];
-        for (i, point) in points.iter().enumerate() {
-            let neighbors = index.as_dyn().k_nearest(point, k, Some(i))?;
-            k_distances[i] = neighbors.last().map(|nb| nb.distance).unwrap_or(0.0);
-            neighborhoods.push(neighbors);
-        }
+        let neighborhoods = (0..index.len())
+            .map(|i| index.k_nearest(index.point(i), config.k, Some(i)))
+            .collect::<Result<Vec<_>, _>>()?;
+        let k_distances: Vec<f64> = neighborhoods
+            .iter()
+            .map(|neighbors| neighbors.last().map_or(0.0, |nb| nb.distance))
+            .collect();
 
         // Pass 2: local reachability densities.
-        let mut lrds = vec![0.0f64; n];
-        for i in 0..n {
-            lrds[i] = Self::lrd_from(&neighborhoods[i], &k_distances);
-        }
+        let lrds = neighborhoods
+            .iter()
+            .map(|neighbors| Self::lrd_from(neighbors, &k_distances))
+            .collect();
 
         Ok(LofModel {
-            points,
             index,
             config,
             k_distances,
@@ -231,18 +187,27 @@ impl LofModel {
 
     /// Number of reference points in the model.
     pub fn len(&self) -> usize {
-        self.points.len()
+        self.index.len()
     }
 
     /// Whether the model holds no reference points (never true for a
     /// successfully fitted model).
     pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
+        self.index.is_empty()
+    }
+
+    /// Number of distinct reference points: how many different behaviours
+    /// the reference run showed. A periodic multimedia trace repeats the
+    /// same pmf bit-for-bit, so this is typically orders of magnitude
+    /// below [`len`](Self::len) — and the first thing to look at when a
+    /// model is suspiciously permissive.
+    pub fn distinct_points(&self) -> usize {
+        self.index.distinct_len()
     }
 
     /// Dimensionality of the reference points.
     pub fn dimensions(&self) -> usize {
-        self.index.as_dyn().dimensions()
+        self.index.dimensions()
     }
 
     /// The configuration the model was fitted with.
@@ -250,9 +215,10 @@ impl LofModel {
         self.config
     }
 
-    /// The reference points the model was fitted on.
-    pub fn reference_points(&self) -> &[Vec<f64>] {
-        &self.points
+    /// The reference points the model was fitted on, in the order (and
+    /// with the bits) they were supplied.
+    pub fn reference_points(&self) -> impl ExactSizeIterator<Item = &[f64]> + '_ {
+        self.index.points()
     }
 
     /// Scores a query point against the reference model.
@@ -271,7 +237,7 @@ impl LofModel {
     ///
     /// Same as [`LofModel::score`].
     pub fn score_detailed(&self, query: &[f64]) -> Result<LofScore, AnomalyError> {
-        let neighbors = self.index.as_dyn().k_nearest(query, self.config.k, None)?;
+        let neighbors = self.index.k_nearest(query, self.config.k, None)?;
         let k_distance = neighbors.last().map(|nb| nb.distance).unwrap_or(0.0);
         let lrd_query = Self::lrd_from(&neighbors, &self.k_distances);
         let lof = self.lof_from(&neighbors, lrd_query);
@@ -290,16 +256,14 @@ impl LofModel {
     /// Propagates index query errors (which cannot occur for points that
     /// were accepted at fit time).
     pub fn reference_scores(&self) -> Result<Vec<f64>, AnomalyError> {
-        let mut scores = Vec::with_capacity(self.points.len());
-        for (i, point) in self.points.iter().enumerate() {
-            let neighbors = self
-                .index
-                .as_dyn()
-                .k_nearest(point, self.config.k, Some(i))?;
-            let lof = self.lof_from(&neighbors, self.lrds[i]);
-            scores.push(lof);
-        }
-        Ok(scores)
+        (0..self.len())
+            .map(|i| {
+                let neighbors =
+                    self.index
+                        .k_nearest(self.index.point(i), self.config.k, Some(i))?;
+                Ok(self.lof_from(&neighbors, self.lrds[i]))
+            })
+            .collect()
     }
 }
 
@@ -383,25 +347,7 @@ mod tests {
     }
 
     #[test]
-    fn kdtree_and_brute_force_give_identical_scores() {
-        let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let points = cluster((0.0, 0.0), 120, 2.0, &mut rng);
-        let brute = LofModel::fit(
-            points.clone(),
-            LofConfig::new(10).unwrap().with_brute_force(),
-        )
-        .unwrap();
-        let tree = LofModel::fit(points, LofConfig::new(10).unwrap()).unwrap();
-        for _ in 0..25 {
-            let q = vec![rng.gen_range(-4.0..4.0), rng.gen_range(-4.0..4.0)];
-            let a = brute.score(&q).unwrap();
-            let b = tree.score(&q).unwrap();
-            assert!((a - b).abs() < 1e-9, "brute={a} kdtree={b}");
-        }
-    }
-
-    #[test]
-    fn hellinger_distance_backend_works_via_brute_force() {
+    fn hellinger_distance_backend_works() {
         let mut rng = ChaCha8Rng::seed_from_u64(8);
         // pmf-like points on the 2-simplex.
         let points: Vec<Vec<f64>> = (0..100)
@@ -436,6 +382,7 @@ mod tests {
         assert!(!model.is_empty());
         assert_eq!(model.config().k, 8);
         assert_eq!(model.reference_points().len(), 60);
+        assert_eq!(model.distinct_points(), 60);
     }
 
     #[test]

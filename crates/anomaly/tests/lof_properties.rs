@@ -4,8 +4,7 @@ use proptest::prelude::*;
 
 use lof_anomaly::{
     euclidean, hellinger, jensen_shannon, kl_divergence, l1_normalize, manhattan, smooth_pmf,
-    symmetric_kl, BruteForceIndex, Distance, DistanceKind, KdTreeIndex, LofConfig, LofModel,
-    NeighborIndex,
+    symmetric_kl, LofConfig, LofModel,
 };
 
 fn pmf_strategy(dims: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -44,27 +43,6 @@ proptest! {
         let smoothed = smooth_pmf(&counts, 1.0);
         prop_assert!((smoothed.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         prop_assert!(smoothed.iter().all(|p| *p > 0.0));
-    }
-
-    #[test]
-    fn kdtree_matches_brute_force(
-        points in prop::collection::vec(prop::collection::vec(-100.0f64..100.0, 3), 10..80),
-        query in prop::collection::vec(-120.0f64..120.0, 3),
-        k in 1usize..12,
-    ) {
-        let distance = Distance::new(DistanceKind::Euclidean);
-        let brute = BruteForceIndex::new(points.clone(), distance).unwrap();
-        let tree = KdTreeIndex::new(points, distance).unwrap();
-        let a = brute.k_nearest(&query, k, None).unwrap();
-        let b = tree.k_nearest(&query, k, None).unwrap();
-        prop_assert_eq!(a.len(), b.len());
-        for (na, nb) in a.iter().zip(&b) {
-            prop_assert!((na.distance - nb.distance).abs() < 1e-9);
-        }
-        // Neighbours are sorted by distance.
-        for pair in a.windows(2) {
-            prop_assert!(pair[0].distance <= pair[1].distance + 1e-12);
-        }
     }
 
     #[test]

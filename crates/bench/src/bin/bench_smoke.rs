@@ -74,7 +74,11 @@
 //! trace-minimization loop from `endurance-repro`, shrinking a
 //! synthetic five-window extraction to a 1-minimal repro with a fresh
 //! detector re-run per oracle call — so a slowdown in the
-//! extract-and-minimize path fails the PR that caused it.
+//! extract-and-minimize path fails the PR that caused it. Schema 8 adds
+//! `lof_score_duplicated` and `lof_fit_duplicated` — scoring against and
+//! fitting a 3 000 × 14 reference model that holds 12 distinct points,
+//! the shape periodic traces produce and the duplicate-collapsing k-NN
+//! index exists for (rates are scores and reference points per second).
 //!
 //! The artifact also records `session_push` — one session over the merged
 //! untagged feed. That configuration does per-*fleet* windows (4× fewer
@@ -88,6 +92,7 @@ use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
+use endurance_bench::{duplicated_queries, duplicated_reference_points};
 use endurance_core::{FleetReducer, MonitorConfig, ReductionSession, ReferenceModel};
 use endurance_obs::{MetricsSnapshot, Registry};
 use endurance_repro::{minimize, MinimizeConfig, ReproArtifact};
@@ -96,6 +101,7 @@ use endurance_store::{
     crc32, crc32_scalar, CodecId, Compactor, LaneWriter, MaintenancePolicy, SpooledSink,
     StoreConfig, StoreReader,
 };
+use lof_anomaly::{LofConfig, LofModel};
 use mm_sim::{Scenario, Simulation};
 use trace_model::codec::{BinaryEncoder, TraceEncoder};
 use trace_model::{
@@ -931,6 +937,46 @@ fn main() -> ExitCode {
         repro_rate,
     ));
 
+    // LOF configs: the model shape periodic traces produce (3 000 × 14
+    // points, 12 distinct, K = 20). Scoring is the per-window cost of
+    // every window the drift gate lets through; fitting is paid once per
+    // learned session and once per model reloaded from JSON.
+    let lof_points = duplicated_reference_points(3_000, 14, 12);
+    let lof_config = LofConfig::new(20).expect("valid k");
+    let lof_model = LofModel::fit(lof_points.clone(), lof_config).expect("fit");
+    let lof_queries = duplicated_queries(64, 14, 12);
+    let lof_scores = 100_000u64;
+    let lof_score_rate = measure(reps, lof_scores, || {
+        let sum: f64 = (0..lof_scores as usize)
+            .map(|i| {
+                lof_model
+                    .score(&lof_queries[i % lof_queries.len()])
+                    .expect("score")
+            })
+            .sum();
+        std::hint::black_box(sum);
+    });
+    eprintln!("  lof_score_duplicated: {:>9.0} scores/s", lof_score_rate);
+    configs.push(Measurement::rate(
+        "lof_score_duplicated",
+        lof_scores,
+        lof_score_rate,
+    ));
+    let lof_fits = 20u64;
+    let lof_fit_points = lof_fits * lof_points.len() as u64;
+    let lof_fit_rate = measure(reps, lof_fit_points, || {
+        for _ in 0..lof_fits {
+            let model = LofModel::fit(lof_points.clone(), lof_config).expect("fit");
+            std::hint::black_box(model.distinct_points());
+        }
+    });
+    eprintln!("  lof_fit_duplicated:   {:>9.0} points/s", lof_fit_rate);
+    configs.push(Measurement::rate(
+        "lof_fit_duplicated",
+        lof_fit_points,
+        lof_fit_rate,
+    ));
+
     // Load the baseline (when given) before writing the artifact so the
     // per-config deltas ride along in it.
     let baseline: Option<Baseline> = match &options.baseline {
@@ -974,7 +1020,7 @@ fn main() -> ExitCode {
     let delta_ratio = identity_bytes as f64 / codec_bytes[&CodecId::DeltaVarint].max(1) as f64;
     let live_follow_ratio = live_mixed_rate / live_solo_rate.max(1e-9);
     let artifact = Artifact {
-        schema: 7,
+        schema: 8,
         quick: options.quick,
         parallelism,
         compaction_workers,

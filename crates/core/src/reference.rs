@@ -1,5 +1,7 @@
 //! Learning the reference ("correct behaviour") model.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use lof_anomaly::{LofConfig, LofModel};
@@ -17,9 +19,13 @@ use crate::{CoreError, MonitorConfig, WindowPmf};
 /// Models can be serialised to JSON and reloaded, supporting the paper's
 /// "curated database of reference traces" that lets deployments skip the
 /// learning step.
+///
+/// Cloning is cheap: the fitted LOF model — the bulk of the data — is
+/// shared, so every stream of a fleet and every oracle re-run can own
+/// "its" model.
 #[derive(Debug, Clone)]
 pub struct ReferenceModel {
-    lof: LofModel,
+    lof: Arc<LofModel>,
     aggregate: WindowPmf,
     calibrated_gate_threshold: f64,
     reference_windows: usize,
@@ -96,11 +102,8 @@ impl ReferenceModel {
         let calibrated_gate_threshold = percentile(&divergences, 0.95);
 
         let points: Vec<Vec<f64>> = pmfs.iter().map(|p| p.probabilities().to_vec()).collect();
-        let lof_config = LofConfig::new(config.k)?.with_distance(config.distance);
-        let lof = LofModel::fit(points, lof_config)?;
-
         Ok(ReferenceModel {
-            lof,
+            lof: fit_lof(points, config)?,
             aggregate,
             calibrated_gate_threshold,
             reference_windows: pmfs.len(),
@@ -167,7 +170,7 @@ impl ReferenceModel {
     /// Returns [`CoreError::ModelSerialization`] if encoding fails.
     pub fn to_json(&self) -> Result<String, CoreError> {
         let data = ReferenceModelData {
-            points: self.lof.reference_points().to_vec(),
+            points: self.lof.reference_points().map(<[f64]>::to_vec).collect(),
             aggregate: self.aggregate.clone(),
             calibrated_gate_threshold: self.calibrated_gate_threshold,
             reference_windows: self.reference_windows,
@@ -185,16 +188,19 @@ impl ReferenceModel {
     pub fn from_json(json: &str) -> Result<Self, CoreError> {
         let data: ReferenceModelData =
             serde_json::from_str(json).map_err(|e| CoreError::ModelSerialization(e.to_string()))?;
-        let lof_config = LofConfig::new(data.config.k)?.with_distance(data.config.distance);
-        let lof = LofModel::fit(data.points, lof_config)?;
         Ok(ReferenceModel {
-            lof,
+            lof: fit_lof(data.points, &data.config)?,
             aggregate: data.aggregate,
             calibrated_gate_threshold: data.calibrated_gate_threshold,
             reference_windows: data.reference_windows,
             config: data.config,
         })
     }
+}
+
+fn fit_lof(points: Vec<Vec<f64>>, config: &MonitorConfig) -> Result<Arc<LofModel>, CoreError> {
+    let lof_config = LofConfig::new(config.k)?.with_distance(config.distance);
+    Ok(Arc::new(LofModel::fit(points, lof_config)?))
 }
 
 fn percentile(sorted: &[f64], q: f64) -> f64 {
@@ -294,6 +300,8 @@ mod tests {
         let model = ReferenceModel::learn_from_pmfs(regular_pmfs(80, 3, 3), &cfg).unwrap();
         let json = model.to_json().unwrap();
         let reloaded = ReferenceModel::from_json(&json).unwrap();
+        assert!(reloaded == model, "a reloaded model equals its source");
+        assert_eq!(reloaded.to_json().unwrap(), json);
         let query = WindowPmf::from_counts(&[40, 55, 62], 0.5);
         let a = model.score(&query).unwrap();
         let b = reloaded.score(&query).unwrap();

@@ -23,7 +23,7 @@
 
 use std::sync::Arc;
 
-use endurance_obs::{Counter, Histogram, Registry};
+use endurance_obs::{Counter, Gauge, Histogram, Registry};
 use trace_model::{
     EventSink, EventSource, MemorySink, Timestamp, TraceEvent, Window, WindowAssembler,
 };
@@ -47,6 +47,9 @@ struct SessionMetrics {
     events_total: Counter,
     /// `core_session_transitions_total` — learning→monitoring fits.
     transitions_total: Counter,
+    /// `core_session_model_distinct_points` — distinct reference points
+    /// of the model being monitored against, set on entering monitoring.
+    model_distinct_points: Gauge,
     /// `core_session_push_ns` — sampled 1-in-1024 push latencies.
     push_ns: Histogram,
     /// `core_session_window_close_ns` — full window-routing latency.
@@ -60,6 +63,7 @@ impl SessionMetrics {
         SessionMetrics {
             events_total: registry.counter("core_session_events_total"),
             transitions_total: registry.counter("core_session_transitions_total"),
+            model_distinct_points: registry.gauge("core_session_model_distinct_points"),
             push_ns: registry.histogram("core_session_push_ns"),
             window_close_ns: registry.histogram("core_session_window_close_ns"),
             decision_ns: registry.histogram("core_session_decision_ns"),
@@ -68,6 +72,12 @@ impl SessionMetrics {
 
     fn disabled() -> Self {
         Self::from_registry(&Registry::disabled())
+    }
+
+    /// Publishes the model a session has just started monitoring against.
+    fn entered_monitoring(&self, monitor: &OnlineMonitor) {
+        let distinct = monitor.model().lof().distinct_points();
+        self.model_distinct_points.set(distinct as i64);
     }
 }
 
@@ -368,6 +378,7 @@ impl<S: EventSink, O: DecisionObserver> ReductionSession<S, O> {
 
     /// Installs a metrics registry; the session reports
     /// `core_session_events_total`, `core_session_transitions_total`,
+    /// `core_session_model_distinct_points`,
     /// `core_session_window_close_ns`, `core_session_decision_ns` and
     /// sampled `core_session_push_ns` into it. Event counts are flushed
     /// per closed window and push timing is sampled 1-in-1024, so the
@@ -384,6 +395,9 @@ impl<S: EventSink, O: DecisionObserver> ReductionSession<S, O> {
             "metrics must be installed before any event is pushed"
         );
         self.metrics = SessionMetrics::from_registry(&registry);
+        if let PhaseState::Monitoring { monitor, .. } = &self.state {
+            self.metrics.entered_monitoring(monitor);
+        }
         self
     }
 
@@ -583,8 +597,7 @@ impl<S: EventSink, O: DecisionObserver> ReductionSession<S, O> {
         // A stream that never left the reference horizon still learns, so
         // a too-short reference surfaces its error here too.
         if let PhaseState::Learning { reference } = &self.state {
-            self.state = Self::fit_monitor(reference, &self.config)?;
-            self.metrics.transitions_total.inc();
+            self.state = Self::fit_monitor(reference, &self.config, &self.metrics)?;
         }
         Ok(())
     }
@@ -639,10 +652,16 @@ impl<S: EventSink, O: DecisionObserver> ReductionSession<S, O> {
 
     /// Fits the reference model and builds the monitoring state, shared
     /// by the in-stream transition and the end-of-stream flush.
-    fn fit_monitor(reference: &[Window], config: &MonitorConfig) -> Result<PhaseState, CoreError> {
+    fn fit_monitor(
+        reference: &[Window],
+        config: &MonitorConfig,
+        metrics: &SessionMetrics,
+    ) -> Result<PhaseState, CoreError> {
         let model = ReferenceModel::learn_from_windows(reference, config)?;
         let mut monitor = OnlineMonitor::new(model);
         monitor.set_alpha(config.alpha);
+        metrics.transitions_total.inc();
+        metrics.entered_monitoring(&monitor);
         Ok(PhaseState::Monitoring {
             monitor: Box::new(monitor),
             reference_count: reference.len(),
@@ -671,8 +690,7 @@ impl<S: EventSink, O: DecisionObserver> ReductionSession<S, O> {
             }
             // First window past the horizon: fit the model, drop the
             // reference windows, and monitor this window.
-            *state = Self::fit_monitor(reference, config)?;
-            metrics.transitions_total.inc();
+            *state = Self::fit_monitor(reference, config, metrics)?;
         }
         let PhaseState::Monitoring { monitor, .. } = state else {
             unreachable!("handled above");
@@ -982,6 +1000,34 @@ mod tests {
         // 1-in-1024 sampling saw at least one push on a 25k-event run.
         let pushes = snapshot.histogram("core_session_push_ns").unwrap();
         assert!(pushes.count >= pushed / 1024);
+    }
+
+    #[test]
+    fn model_distinct_points_gauge_is_set_on_entering_monitoring() {
+        const GAUGE: &str = "core_session_model_distinct_points";
+        // Learned: unset while learning, published by the fit. A window
+        // of the steady stream holds 200 events, so the 3-cycle of types
+        // repeats its phase every third window: three distinct pmfs.
+        let registry = endurance_obs::Registry::new();
+        let mut session = ReductionSession::new(config())
+            .unwrap()
+            .with_metrics(Arc::clone(&registry));
+        assert_eq!(registry.snapshot().gauge(GAUGE), Some(0));
+        for event in steady_stream(Duration::from_secs(5)) {
+            session.push(event).unwrap();
+        }
+        let model = session.model().unwrap().clone();
+        assert_eq!(model.reference_windows(), 50);
+        assert_eq!(model.lof().distinct_points(), 3);
+        assert_eq!(registry.snapshot().gauge(GAUGE), Some(3));
+
+        // Curated: the session is monitoring from construction, so
+        // installing the registry publishes it.
+        let registry = endurance_obs::Registry::new();
+        let _session = ReductionSession::from_model(model)
+            .unwrap()
+            .with_metrics(Arc::clone(&registry));
+        assert_eq!(registry.snapshot().gauge(GAUGE), Some(3));
     }
 
     /// A regular four-type mix at 100 ticks/s, plus an optional disturbed

@@ -184,16 +184,28 @@ pub(crate) fn windows_from_events(
     Ok(out)
 }
 
+/// A model as an artifact embeds it: its canonical JSON, plus the model
+/// parsed back from that very string. Sealing with the parsed model —
+/// never the caller's in-memory one — keeps the artifact a pure function
+/// of its own bytes without parsing the string a second time.
+pub(crate) fn embed_model(model: &ReferenceModel) -> Result<(String, ReferenceModel), ReproError> {
+    let json = model.to_json()?;
+    let parsed = ReferenceModel::from_json(&json)?;
+    Ok((json, parsed))
+}
+
 /// Builds a sealed artifact from already-extracted windows: decodes the
 /// payloads, re-runs the oracle, requires the target window to score
 /// [`WindowVerdict::Anomalous`], pins every verdict, and seals the
-/// content hash.
+/// content hash. `model` must be the model parsed from `model_json`
+/// ([`embed_model`], or an existing artifact's `model` string and its
+/// [`ReproArtifact::reference_model`]).
 pub(crate) fn build_sealed(
     name: String,
     lane: u32,
     target_start_ns: u64,
     monitor: MonitorConfig,
-    model: &ReferenceModel,
+    (model_json, model): (String, ReferenceModel),
     windows: Vec<ArtifactWindow>,
 ) -> Result<ReproArtifact, ReproError> {
     let mut artifact = ReproArtifact {
@@ -202,12 +214,12 @@ pub(crate) fn build_sealed(
         lane,
         target_start_ns,
         monitor,
-        model: model.to_json()?,
+        model: model_json,
         windows,
         expected: Vec::new(),
         content_hash: 0,
     };
-    let outcome = artifact.rerun()?;
+    let outcome = artifact.rerun_with(model)?;
     let Some(target) = outcome
         .decisions
         .iter()
@@ -266,6 +278,7 @@ impl ReproArtifact {
     ) -> Result<Self, ReproError> {
         let monitor = crate::extract::oracle_config(monitor);
         let windows = windows_from_events(&monitor.window, events)?;
+        let model = embed_model(model)?;
         build_sealed(name.into(), lane, target_start_ns, monitor, model, windows)
     }
 
@@ -401,8 +414,12 @@ impl ReproArtifact {
     ///
     /// Propagates decode and session-construction failures.
     pub fn rerun(&self) -> Result<RerunOutcome, ReproError> {
+        self.rerun_with(self.reference_model()?)
+    }
+
+    /// [`rerun`](Self::rerun) with the embedded model already parsed.
+    fn rerun_with(&self, model: ReferenceModel) -> Result<RerunOutcome, ReproError> {
         let events = self.events()?;
-        let model = self.reference_model()?;
         Ok(rerun_with_model(self.monitor.clone(), model, &events)?)
     }
 

@@ -262,7 +262,7 @@ pub fn minimize(
         artifact.lane,
         target,
         artifact.monitor.clone(),
-        &model,
+        (artifact.model.clone(), model),
         windows,
     )?;
     Ok(MinimizeOutcome {

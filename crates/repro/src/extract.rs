@@ -12,7 +12,7 @@ use endurance_core::{DriftGateConfig, MonitorConfig, ReferenceModel};
 use endurance_store::{StoreReader, WindowEntry};
 use trace_model::{Timestamp, WindowId};
 
-use crate::artifact::{build_sealed, ArtifactWindow, ReproArtifact};
+use crate::artifact::{build_sealed, embed_model, ArtifactWindow, ReproArtifact};
 use crate::error::ReproError;
 
 /// The oracle variant of a detection config: identical except the
@@ -78,7 +78,7 @@ pub fn extract_window(
         lane,
         target_start_ns,
         oracle_config(monitor),
-        model,
+        embed_model(model)?,
         artifact_windows(windows),
     )
 }
@@ -114,7 +114,7 @@ pub fn extract_range(
         lane,
         target_start.as_nanos(),
         oracle_config(monitor),
-        model,
+        embed_model(model)?,
         artifact_windows(windows),
     )
 }

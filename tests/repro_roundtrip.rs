@@ -82,6 +82,10 @@ fn fleet_run_becomes_self_verifying_regression_tests() {
     );
     assert_eq!(minimized.report.original_events, extracted.event_count());
     assert!(minimized.report.oracle_calls > 0);
+    assert_eq!(
+        minimized.artifact.model, extracted.model,
+        "the minimized artifact embeds its source's model string byte-for-byte"
+    );
     minimized
         .artifact
         .verify()
