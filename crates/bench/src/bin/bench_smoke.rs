@@ -50,7 +50,12 @@
 //!    attached — must stay within 3 % of the disabled-registry
 //!    `session_push` rate. This is the "cheap enough to leave on"
 //!    contract from `docs/OBSERVABILITY.md`, gated here so a regression
-//!    in the instrumentation layer fails the PR that introduced it.
+//!    in the instrumentation layer fails the PR that introduced it. The
+//!    two loops' reps are interleaved and the gate compares their
+//!    medians (`instrumented_ratio`): best-of-reps of two back-to-back
+//!    blocks differ by more than 3 % on a shared host whatever the code.
+//!    Armed on full runs only — a `--quick` rep lasts milliseconds and
+//!    cannot resolve 3 %; quick runs report the ratio.
 //! 7. **CRC kernel**: the slice-by-8 `crc32` (`crc32_frame`) must beat
 //!    the bit-at-a-time reference (`crc32_frame_scalar`) by ≥ 3× on
 //!    frame-sized payloads — every frame append and recovery scan pays
@@ -79,6 +84,11 @@
 //! fitting a 3 000 × 14 reference model that holds 12 distinct points,
 //! the shape periodic traces produce and the duplicate-collapsing k-NN
 //! index exists for (rates are scores and reference points per second).
+//! Schema 9 adds `store_compact_many_lanes` and
+//! `store_lane_create_crowded` — a maintenance pass over, and one more
+//! lane created next to, 512 one-segment lanes in one directory, the
+//! shape whose per-lane cost must not grow with the lane count — and
+//! `instrumented_ratio`.
 //!
 //! The artifact also records `session_push` — one session over the merged
 //! untagged feed. That configuration does per-*fleet* windows (4× fewer
@@ -92,7 +102,7 @@ use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
-use endurance_bench::{duplicated_queries, duplicated_reference_points};
+use endurance_bench::{duplicated_queries, duplicated_reference_points, write_replay_store};
 use endurance_core::{FleetReducer, MonitorConfig, ReductionSession, ReferenceModel};
 use endurance_obs::{MetricsSnapshot, Registry};
 use endurance_repro::{minimize, MinimizeConfig, ReproArtifact};
@@ -134,6 +144,9 @@ const LIVE_FOLLOWERS: usize = 4;
 /// this fraction of the disabled-registry rate (the observability
 /// acceptance bar: cheap enough to leave on).
 const INSTRUMENTED_TOLERANCE: f64 = 0.03;
+/// Alternating `session_push` / `session_push_instrumented` reps the
+/// overhead gate takes its medians over (odd, so the median is a rep).
+const INSTRUMENTED_PAIRS: usize = 15;
 /// The slice-by-8 CRC kernel must beat the bit-at-a-time reference by at
 /// least this factor on frame-sized payloads.
 const REQUIRED_CRC_SPEEDUP: f64 = 3.0;
@@ -142,6 +155,8 @@ const COMPACT_LANES: u32 = 4;
 /// The auto-sized parallel compaction pass must beat the single-worker
 /// pass by at least this factor on hosts with a core per lane.
 const REQUIRED_COMPACT_SPEEDUP: f64 = 1.5;
+/// One-segment lanes in the crowded-directory configurations.
+const CROWDED_LANES: u32 = 512;
 /// Frame-body size the CRC kernel is benchmarked over (a typical
 /// recorded-window payload).
 const CRC_FRAME_BYTES: usize = 4096;
@@ -214,6 +229,9 @@ struct Artifact {
     /// four live followers as a fraction of its solo rate (gated at
     /// >= 1 - `LIVE_FOLLOW_TOLERANCE`).
     live_follow_ratio: f64,
+    /// Median `session_push_instrumented` rate over median `session_push`
+    /// rate, reps interleaved (gated at >= 1 - `INSTRUMENTED_TOLERANCE`).
+    instrumented_ratio: f64,
     /// Per-config deltas vs the baseline reference, when one was given.
     deltas: Vec<Delta>,
 }
@@ -408,50 +426,36 @@ fn repro_workload() -> ReproArtifact {
 fn measure(reps: usize, events: u64, mut run: impl FnMut()) -> f64 {
     let mut best = f64::MIN;
     for _ in 0..reps {
-        let start = Instant::now();
-        run();
-        let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-        best = best.max(events as f64 / elapsed);
+        best = best.max(timed_rate(events, &mut run));
     }
     best
 }
 
-/// Writes a dense store — `windows` small windows per lane (the shape
-/// anomaly recording leaves: many short frames) across `lanes` lanes,
-/// rotating every `per_segment` — and returns the total event count.
-/// This is the shared data set for the replay and compaction configs.
-fn write_replay_store(dir: &std::path::Path, lanes: u32, windows: u64, per_segment: u64) -> u64 {
-    let _ = std::fs::remove_dir_all(dir);
-    let mut encoder = BinaryEncoder::new();
-    let mut events_total = 0u64;
-    for lane in 0..lanes {
-        let config = StoreConfig::default().with_segment_max_windows(per_segment);
-        let mut writer = LaneWriter::create(dir, lane, config).expect("lane");
-        for id in 0..windows {
-            let events: Vec<TraceEvent> = (0..8u64)
-                .map(|i| {
-                    TraceEvent::new(
-                        Timestamp::from_micros(id * 40_000 + i * 1_000),
-                        EventTypeId::new(((id + i + u64::from(lane)) % 6) as u16),
-                        i as u32,
-                    )
-                })
-                .collect();
-            let mut encoded = Vec::new();
-            encoder.encode(&events, &mut encoded).expect("encode");
-            let meta = RecordMeta {
-                window_id: WindowId::new(id),
-                start: Timestamp::from_micros(id * 40_000),
-                end: Timestamp::from_micros((id + 1) * 40_000),
-            };
-            writer
-                .record_window(&meta, &events, &encoded)
-                .expect("record");
-            events_total += events.len() as u64;
-        }
-        writer.close().expect("close");
+/// Events/second of one timed call of `run`.
+fn timed_rate(events: u64, run: &mut impl FnMut()) -> f64 {
+    let start = Instant::now();
+    run();
+    events as f64 / start.elapsed().as_secs_f64().max(1e-9)
+}
+
+/// Events/second of two closures over the same `events`, measured in
+/// alternation (`a`, `b`, `a`, `b`, …) so that a slow spell of the host
+/// lands on both sides alike; each side's per-rep rates, ascending.
+fn measure_interleaved(
+    pairs: usize,
+    events: u64,
+    mut a: impl FnMut(),
+    mut b: impl FnMut(),
+) -> [Vec<f64>; 2] {
+    let mut rates = [Vec::with_capacity(pairs), Vec::with_capacity(pairs)];
+    for _ in 0..pairs {
+        rates[0].push(timed_rate(events, &mut a));
+        rates[1].push(timed_rate(events, &mut b));
     }
-    events_total
+    for side in &mut rates {
+        side.sort_by(f64::total_cmp);
+    }
+    rates
 }
 
 fn main() -> ExitCode {
@@ -475,35 +479,41 @@ fn main() -> ExitCode {
     let events = tagged.len() as u64;
     let mut configs = Vec::new();
 
-    // Single push-based session over the merged stream: the baseline the
-    // fleet engine is compared against.
-    let session_rate = measure(reps, events, || {
+    // Single push-based session over the merged stream (the baseline the
+    // fleet engine is compared against), without and with a live
+    // registry attached: with one, every event crosses the instrumented
+    // push path (branch + sampled timer) and every closed window flushes
+    // its counters. The gap between the two is the whole cost of leaving
+    // observability on, gated at 3% below (full runs) — on medians of
+    // interleaved reps, because the host drifts by more than that between
+    // two blocks of back-to-back reps.
+    let obs_registry = Registry::new();
+    let push_all = |registry: Option<&Arc<Registry>>| {
         let mut session = ReductionSession::new(config.clone())
             .expect("session")
             .with_sink(CountingSink::new());
+        if let Some(registry) = registry {
+            session = session.with_metrics(Arc::clone(registry));
+        }
         for (_, event) in &tagged {
             session.push(*event).expect("push");
         }
         std::hint::black_box(session.finish().expect("finish").report);
-    });
+    };
+    let [plain_rates, instrumented_rates] = measure_interleaved(
+        INSTRUMENTED_PAIRS,
+        events,
+        || push_all(None),
+        || push_all(Some(&obs_registry)),
+    );
+    // The rates come back ascending: the configs report their best rep
+    // like every other config, the gate compares the medians.
+    let (best, median) = (INSTRUMENTED_PAIRS - 1, INSTRUMENTED_PAIRS / 2);
+    let session_rate = plain_rates[best];
+    let instrumented_rate = instrumented_rates[best];
+    let instrumented_ratio = instrumented_rates[median] / plain_rates[median];
     eprintln!("  session_push:      {:>12.0} events/s", session_rate);
     configs.push(Measurement::rate("session_push", events, session_rate));
-
-    // The same loop with a live registry attached: every event crosses
-    // the instrumented push path (branch + sampled timer), every closed
-    // window flushes its counters. The gap vs session_push is the whole
-    // cost of leaving observability on, gated at 3% below.
-    let obs_registry = Registry::new();
-    let instrumented_rate = measure(reps, events, || {
-        let mut session = ReductionSession::new(config.clone())
-            .expect("session")
-            .with_sink(CountingSink::new())
-            .with_metrics(Arc::clone(&obs_registry));
-        for (_, event) in &tagged {
-            session.push(*event).expect("push");
-        }
-        std::hint::black_box(session.finish().expect("finish").report);
-    });
     eprintln!(
         "  session_push_instrumented: {:>4.0} events/s",
         instrumented_rate
@@ -741,6 +751,63 @@ fn main() -> ExitCode {
         Measurement::rate("store_compact", compact_events, compact_rate)
             .with_snapshot(compact_registry.snapshot()),
     );
+
+    // Crowded-directory configs: the store a churning fleet leaves — one
+    // short-lived, one-segment lane per device, all in one flat
+    // directory. Per-lane cost must not grow with the neighbours' files:
+    // a maintenance pass (merge + `EDV` recompress, one worker; windows
+    // this short mostly stay identity frames, as a churning fleet's do)
+    // over all the lanes, and creating + closing one more lane next to
+    // them (rate = lanes per second).
+    // On tmpfs where the host has one: these two time the store's code
+    // per lane, and a disk's `fsync` and metadata latency (milliseconds
+    // per lane on a VM's virtual disk) would hide a 5x difference in it.
+    let crowded_dir = [std::path::Path::new("/dev/shm"), &std::env::temp_dir()]
+        .into_iter()
+        .map(|root| root.join(format!("bench-smoke-crowded-{}", std::process::id())))
+        .find(|dir| std::fs::create_dir_all(dir).is_ok())
+        .expect("a writable scratch directory");
+    let mut many_lanes_rate = f64::MIN;
+    let mut many_lanes_events = 0u64;
+    for _ in 0..reps {
+        many_lanes_events = write_replay_store(&crowded_dir, CROWDED_LANES, 4, u64::MAX);
+        let policy = MaintenancePolicy::merge_below(u64::MAX)
+            .with_recompress(CodecId::DeltaVarint)
+            .with_compact_workers(1);
+        let compactor = Compactor::new(&crowded_dir, policy);
+        many_lanes_rate = many_lanes_rate.max(timed_rate(many_lanes_events, &mut || {
+            let report = compactor.compact().expect("compact");
+            assert_eq!(report.lanes.len(), CROWDED_LANES as usize);
+        }));
+    }
+    eprintln!(
+        "  store_compact_many_lanes: {many_lanes_rate:>7.0} events/s  ({CROWDED_LANES} lanes)"
+    );
+    configs.push(Measurement::rate(
+        "store_compact_many_lanes",
+        many_lanes_events,
+        many_lanes_rate,
+    ));
+    write_replay_store(&crowded_dir, CROWDED_LANES - 1, 4, u64::MAX);
+    let crowded_creates = 200u64;
+    let lane_create_rate = measure(reps, crowded_creates, || {
+        for _ in 0..crowded_creates {
+            LaneWriter::create(&crowded_dir, CROWDED_LANES - 1, StoreConfig::default())
+                .expect("lane")
+                .close()
+                .expect("close");
+        }
+    });
+    let _ = std::fs::remove_dir_all(&crowded_dir);
+    eprintln!(
+        "  store_lane_create_crowded: {lane_create_rate:>6.0} lanes/s  (next to {} lanes)",
+        CROWDED_LANES - 1
+    );
+    configs.push(Measurement::rate(
+        "store_lane_create_crowded",
+        crowded_creates,
+        lane_create_rate,
+    ));
 
     // Per-codec store configs: the same mm-sim endurance trace, cut into
     // one-second recorded windows (the monitor's recording granularity),
@@ -1020,7 +1087,7 @@ fn main() -> ExitCode {
     let delta_ratio = identity_bytes as f64 / codec_bytes[&CodecId::DeltaVarint].max(1) as f64;
     let live_follow_ratio = live_mixed_rate / live_solo_rate.max(1e-9);
     let artifact = Artifact {
-        schema: 8,
+        schema: 9,
         quick: options.quick,
         parallelism,
         compaction_workers,
@@ -1032,6 +1099,7 @@ fn main() -> ExitCode {
         delta_codec_ratio: delta_ratio,
         recompress_ratio,
         live_follow_ratio,
+        instrumented_ratio,
         deltas,
     };
     let json = serde_json::to_string(&artifact).expect("serialise artifact");
@@ -1108,19 +1176,31 @@ fn main() -> ExitCode {
     // disabled-registry rate. This is the observability layer's "cheap
     // enough to leave on" contract — a new counter on the push path that
     // breaks this budget fails here, not in production.
-    let instrumented_floor = session_rate * (1.0 - INSTRUMENTED_TOLERANCE);
-    if instrumented_rate < instrumented_floor {
+    // A quick rep is a few milliseconds, of which the per-session
+    // registration of the metric series alone is a percent or two: the
+    // 3% bound cannot be resolved at that size, so quick runs report.
+    let instrumented_floor = 1.0 - INSTRUMENTED_TOLERANCE;
+    if options.quick {
         eprintln!(
-            "bench_smoke: FAIL session_push_instrumented: {instrumented_rate:.0} events/s is \
-             more than {:.0}% below session_push ({session_rate:.0})",
-            INSTRUMENTED_TOLERANCE * 100.0
+            "bench_smoke: skip instrumentation-overhead gate: quick run; measured median \
+             session_push_instrumented at {:.1}% of session_push over {INSTRUMENTED_PAIRS} \
+             interleaved reps",
+            instrumented_ratio * 100.0
+        );
+    } else if instrumented_ratio < instrumented_floor {
+        eprintln!(
+            "bench_smoke: FAIL session_push_instrumented: median rate is {:.1}% of \
+             session_push's over {INSTRUMENTED_PAIRS} interleaved reps, need >= {:.0}%",
+            instrumented_ratio * 100.0,
+            instrumented_floor * 100.0
         );
         failed = true;
     } else {
         eprintln!(
-            "bench_smoke: ok   session_push_instrumented: {instrumented_rate:.0} events/s vs \
-             session_push {session_rate:.0} (within {:.0}%)",
-            INSTRUMENTED_TOLERANCE * 100.0
+            "bench_smoke: ok   session_push_instrumented: median rate is {:.1}% of \
+             session_push's over {INSTRUMENTED_PAIRS} interleaved reps (>= {:.0}%)",
+            instrumented_ratio * 100.0,
+            instrumented_floor * 100.0
         );
     }
 

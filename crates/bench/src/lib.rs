@@ -3,7 +3,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::path::Path;
+
+use endurance_store::{LaneWriter, StoreConfig};
 use lof_anomaly::l1_normalize;
+use trace_model::codec::{BinaryEncoder, TraceEncoder};
+use trace_model::{EventSink, EventTypeId, RecordMeta, Timestamp, TraceEvent, WindowId};
 
 /// `n` pmf-like reference points over `dims` event types holding only
 /// `distinct` different rows — the shape a periodic multimedia pipeline
@@ -41,6 +46,50 @@ pub fn duplicated_queries(count: usize, dims: usize, distinct: usize) -> Vec<Vec
             l1_normalize(&counts)
         })
         .collect()
+}
+
+/// Writes a dense store — `windows` small windows per lane (the shape
+/// anomaly recording leaves: many short frames) across `lanes` lanes,
+/// rotating every `per_segment` — and returns the total event count.
+/// This is the shared data set for the replay and compaction configs;
+/// with `per_segment >= windows` it is the directory a churning fleet
+/// leaves, one one-segment lane per device.
+///
+/// # Panics
+///
+/// Panics when the store cannot be written.
+pub fn write_replay_store(dir: &Path, lanes: u32, windows: u64, per_segment: u64) -> u64 {
+    let _ = std::fs::remove_dir_all(dir);
+    let mut encoder = BinaryEncoder::new();
+    let mut events_total = 0u64;
+    for lane in 0..lanes {
+        let config = StoreConfig::default().with_segment_max_windows(per_segment);
+        let mut writer = LaneWriter::create(dir, lane, config).expect("lane");
+        for id in 0..windows {
+            let events: Vec<TraceEvent> = (0..8u64)
+                .map(|i| {
+                    TraceEvent::new(
+                        Timestamp::from_micros(id * 40_000 + i * 1_000),
+                        EventTypeId::new(((id + i + u64::from(lane)) % 6) as u16),
+                        i as u32,
+                    )
+                })
+                .collect();
+            let mut encoded = Vec::new();
+            encoder.encode(&events, &mut encoded).expect("encode");
+            let meta = RecordMeta {
+                window_id: WindowId::new(id),
+                start: Timestamp::from_micros(id * 40_000),
+                end: Timestamp::from_micros((id + 1) * 40_000),
+            };
+            writer
+                .record_window(&meta, &events, &encoded)
+                .expect("record");
+            events_total += events.len() as u64;
+        }
+        writer.close().expect("close");
+    }
+    events_total
 }
 
 #[cfg(test)]

@@ -42,8 +42,9 @@ use crate::crc32::crc32;
 use crate::index::{LaneIndex, SegmentMeta, WindowEntry};
 use crate::reader::load_lane;
 use crate::segment::{
-    build_frame_v2, frame_meta_len, parse_segment_file_name, segment_file_name, segment_header,
-    write_sidecar, FRAME_HEADER_LEN, SEGMENT_VERSION_V1, SEGMENT_VERSION_V2,
+    build_frame_v2, frame_meta_len, list_store_dir, manifest_file_name, segment_file_name,
+    segment_header, write_sidecar, LaneFiles, FRAME_HEADER_LEN, SEGMENT_VERSION_V1,
+    SEGMENT_VERSION_V2,
 };
 use trace_model::codec::CodecId;
 use trace_model::TraceError;
@@ -370,6 +371,10 @@ impl CompactorMetrics {
     }
 }
 
+/// What one lane job of a pass produced: the lane's report, or `None`
+/// for a lane with nothing to compact.
+type LaneOutcome = Result<Option<LaneCompaction>, TraceError>;
+
 impl Compactor {
     /// A compactor over the store directory `dir` with `policy`.
     pub fn new(dir: impl AsRef<Path>, policy: MaintenancePolicy) -> Self {
@@ -412,37 +417,52 @@ impl Compactor {
     /// the failing lane's first (lowest lane number), raised only after
     /// every lane has run to completion.
     pub fn compact(&self) -> Result<CompactionReport, TraceError> {
-        let pass_span = self.metrics.pass_ns.span();
-        let mut lanes: std::collections::BTreeMap<u32, Vec<u32>> =
-            std::collections::BTreeMap::new();
-        for entry in std::fs::read_dir(&self.dir)? {
-            let name = entry?.file_name();
-            if let Some((lane, seq)) = name.to_str().and_then(parse_segment_file_name) {
-                lanes.entry(lane).or_default().push(seq);
-            }
-        }
-        let work: Vec<(u32, Vec<u32>)> = lanes.into_iter().collect();
-        let workers = self.worker_count(work.len());
-        self.metrics.parallel_lanes.set(workers as i64);
+        self.pass(None)
+    }
 
-        let mut outcomes: Vec<Option<Result<LaneCompaction, TraceError>>> = if workers <= 1 {
+    /// Compacts one lane and rewrites its sidecar.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Compactor::compact`]; an unknown lane is an
+    /// empty no-op.
+    pub fn compact_lane(&self, lane: u32) -> Result<LaneCompaction, TraceError> {
+        let report = self.pass(Some(lane))?.lanes.pop();
+        Ok(report.unwrap_or(LaneCompaction {
+            lane,
+            ..LaneCompaction::default()
+        }))
+    }
+
+    /// One pass over every lane, or over the lane `only`.
+    fn pass(&self, only: Option<u32>) -> Result<CompactionReport, TraceError> {
+        let pass_span = self.metrics.pass_ns.span();
+        // The pass's one listing: every lane job works from the files it
+        // saw, so a lane's cost does not grow with its neighbours' files.
+        let work: Vec<(u32, LaneFiles)> = list_store_dir(&self.dir, only)?.into_iter().collect();
+        let workers = self.worker_count(work.len());
+        if only.is_none() {
+            self.metrics.parallel_lanes.set(workers as i64);
+        }
+
+        let mut outcomes: Vec<Option<LaneOutcome>> = if workers <= 1 {
             work.iter()
-                .map(|(lane, seqs)| Some(self.compact_lane_job(*lane, seqs)))
+                .map(|(lane, files)| Some(self.compact_lane_job(*lane, files)))
                 .collect()
         } else {
             // A shared cursor hands lanes to whichever worker is free, so
             // one slow (large) lane never serialises the rest behind it.
             let next = std::sync::atomic::AtomicUsize::new(0);
-            let slots: Vec<std::sync::Mutex<Option<Result<LaneCompaction, TraceError>>>> =
+            let slots: Vec<std::sync::Mutex<Option<LaneOutcome>>> =
                 work.iter().map(|_| std::sync::Mutex::new(None)).collect();
             std::thread::scope(|scope| {
                 for _ in 0..workers {
                     scope.spawn(|| loop {
                         let at = next.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                        let Some((lane, seqs)) = work.get(at) else {
+                        let Some((lane, files)) = work.get(at) else {
                             break;
                         };
-                        let outcome = self.compact_lane_job(*lane, seqs);
+                        let outcome = self.compact_lane_job(*lane, files);
                         *slots[at].lock().expect("no panics hold this lock") = Some(outcome);
                     });
                 }
@@ -459,7 +479,7 @@ impl Compactor {
         let mut first_error: Option<TraceError> = None;
         for outcome in outcomes.drain(..) {
             match outcome.expect("every lane was attempted") {
-                Ok(lane_report) => report.lanes.push(lane_report),
+                Ok(lane_report) => report.lanes.extend(lane_report),
                 Err(error) => {
                     if first_error.is_none() {
                         first_error = Some(error);
@@ -491,45 +511,22 @@ impl Compactor {
         cap.min(lanes).max(1)
     }
 
-    /// One lane's complete job — crash recovery, then the compaction
-    /// pass — timed as a `store_compaction_lane_pass_ns` sample. This is
-    /// the unit of work the parallel pass distributes.
-    fn compact_lane_job(&self, lane: u32, seqs: &[u32]) -> Result<LaneCompaction, TraceError> {
+    /// One lane's complete job — crash recovery over the files the
+    /// listing saw, then the compaction pass — timed as a
+    /// `store_compaction_lane_pass_ns` sample. This is the unit of work
+    /// the parallel pass distributes. A lane the listing saw no segment
+    /// of (only a journal or temp files outlived its segments) is
+    /// recovered and yields no report.
+    fn compact_lane_job(&self, lane: u32, files: &LaneFiles) -> LaneOutcome {
         let lane_span = self.metrics.lane_pass_ns.span();
-        recover_interrupted_merge(&self.dir, lane)?;
-        let mut seqs: Vec<u32> = seqs
-            .iter()
-            .copied()
-            .filter(|seq| self.dir.join(segment_file_name(lane, *seq)).exists())
-            .collect();
-        seqs.sort_unstable();
-        let outcome = self.compact_lane_seqs(lane, &seqs);
+        let seqs = recover_interrupted_merge(&self.dir, lane, files)?;
+        let outcome = if files.seqs.is_empty() {
+            Ok(None)
+        } else {
+            self.compact_lane_seqs(lane, &seqs).map(Some)
+        };
         lane_span.end();
         outcome
-    }
-
-    /// Compacts one lane and rewrites its sidecar.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Compactor::compact`]; an unknown lane is an
-    /// empty no-op.
-    pub fn compact_lane(&self, lane: u32) -> Result<LaneCompaction, TraceError> {
-        let pass_span = self.metrics.pass_ns.span();
-        let seqs: Vec<u32> = std::fs::read_dir(&self.dir)?
-            .filter_map(|entry| {
-                let name = entry.ok()?.file_name();
-                let (file_lane, seq) = parse_segment_file_name(name.to_str()?)?;
-                (file_lane == lane).then_some(seq)
-            })
-            .collect();
-        let report = self.compact_lane_job(lane, &seqs)?;
-        pass_span.end();
-        let changed = report.merged_runs > 0
-            || report.reclaimed_bytes() > 0
-            || report.recompressed_windows > 0;
-        self.metrics.record(changed, report.reclaimed_bytes());
-        Ok(report)
     }
 
     fn compact_lane_seqs(&self, lane: u32, seqs: &[u32]) -> Result<LaneCompaction, TraceError> {
@@ -589,11 +586,6 @@ struct CompactionManifest {
 /// Manifest schema version.
 const MANIFEST_SCHEMA: u32 = 1;
 
-/// File name of the lane's merge journal.
-fn manifest_file_name(lane: u32) -> String {
-    format!("lane{lane:04}.compact.json")
-}
-
 fn read_manifest(dir: &Path, lane: u32) -> Option<CompactionManifest> {
     let text = std::fs::read_to_string(dir.join(manifest_file_name(lane))).ok()?;
     let manifest: CompactionManifest = serde_json::from_str(&text).ok()?;
@@ -620,39 +612,37 @@ pub(crate) fn segments_replaced_by_pending_merge(dir: &Path, lane: u32) -> Vec<u
     }
 }
 
-/// Writer/compactor-side recovery: finishes (or rolls back) a merge that
-/// a crash interrupted, and sweeps stray temp files of the lane.
-pub(crate) fn recover_interrupted_merge(dir: &Path, lane: u32) -> Result<(), TraceError> {
-    if let Some(manifest) = read_manifest(dir, lane) {
-        if manifest_committed(dir, &manifest) {
-            // The consolidated segment landed: finish the deletions.
-            for &seq in &manifest.replaced_seqs {
-                let path = dir.join(segment_file_name(lane, seq));
-                if path.exists() {
-                    std::fs::remove_file(&path)?;
+/// Writer/compactor-side recovery over the files the caller's listing
+/// saw: finishes (or rolls back) a merge that a crash interrupted, sweeps
+/// the lane's stray temp files, and returns the lane's segments as
+/// recovery left them, ascending.
+pub(crate) fn recover_interrupted_merge(
+    dir: &Path,
+    lane: u32,
+    files: &LaneFiles,
+) -> Result<Vec<u32>, TraceError> {
+    let mut seqs = files.seqs.clone();
+    if files.journal {
+        if let Some(manifest) = read_manifest(dir, lane) {
+            if manifest_committed(dir, &manifest) {
+                // The consolidated segment landed: finish the deletions.
+                for &seq in &manifest.replaced_seqs {
+                    let path = dir.join(segment_file_name(lane, seq));
+                    if path.exists() {
+                        std::fs::remove_file(&path)?;
+                    }
                 }
             }
+            // Committed or not, the journal entry is now obsolete (a merge
+            // that never landed simply never happened).
+            std::fs::remove_file(dir.join(manifest_file_name(lane)))?;
         }
-        // Committed or not, the journal entry is now obsolete (a merge
-        // that never landed simply never happened).
-        std::fs::remove_file(dir.join(manifest_file_name(lane)))?;
+        seqs.retain(|seq| dir.join(segment_file_name(lane, *seq)).exists());
     }
-    // Boundary-delimited prefixes ("-" for segment temps, "." for the
-    // manifest temp) so lane 1234's sweep never matches lane 12345's
-    // in-flight files.
-    let segment_prefix = format!("lane{lane:04}-");
-    let manifest_prefix = format!("lane{lane:04}.");
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if (name.starts_with(&segment_prefix) || name.starts_with(&manifest_prefix))
-            && name.ends_with(".compact.tmp")
-        {
-            std::fs::remove_file(entry.path())?;
-        }
+    for temp in &files.temps {
+        std::fs::remove_file(dir.join(temp))?;
     }
-    Ok(())
+    Ok(seqs)
 }
 
 /// Loads a lane index for compaction (sidecar or scanner) and truncates
@@ -1326,6 +1316,87 @@ mod tests {
         assert!(reader.recovery().clean);
         assert_eq!(reader.lane_events(0).unwrap(), expected_events);
 
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn sidecar_temps_are_swept_by_writer_and_compactor_but_not_by_readers() {
+        // A crash inside `write_sidecar`, between the temp write and the
+        // rename.
+        let dir = temp_dir("sidecar-temp");
+        write_run(&dir, 4, 2, true);
+        let temp = dir.join("lane0000.idx.json.tmp");
+        let neighbour = dir.join("lane00001.idx.json.tmp"); // not a name the store writes
+        std::fs::write(&temp, b"{\"schema\":2,").unwrap();
+        std::fs::write(&neighbour, b"x").unwrap();
+
+        let reader = StoreReader::open(&dir).unwrap();
+        assert_eq!(reader.lane_windows(0).unwrap().len(), 4);
+        drop(reader);
+        assert!(temp.exists(), "the reader must not mutate the store");
+
+        drop(LaneWriter::create(&dir, 0, StoreConfig::default()).unwrap());
+        assert!(!temp.exists(), "a resuming writer sweeps its sidecar temp");
+
+        std::fs::write(&temp, b"{\"schema\":2,").unwrap();
+        Compactor::new(&dir, MaintenancePolicy::merge_below(u64::MAX))
+            .compact()
+            .unwrap();
+        assert!(!temp.exists(), "the compactor sweeps sidecar temps");
+        assert!(neighbour.exists());
+        assert_eq!(
+            StoreReader::open(&dir)
+                .unwrap()
+                .lane_windows(0)
+                .unwrap()
+                .len(),
+            4
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn leftovers_of_a_lane_without_segments_are_recovered() {
+        let dir = temp_dir("segmentless");
+        write_run(&dir, 4, 2, true);
+        // Lane 5's segments are gone (retention dropped them all), the
+        // journal and temp files of a crashed merge are not; lane 6 never
+        // got further than a torn temp.
+        let manifest = CompactionManifest {
+            schema: MANIFEST_SCHEMA,
+            lane: 5,
+            target_seq: 0,
+            target_bytes: 64,
+            target_crc: 1,
+            replaced_seqs: vec![1],
+        };
+        let leftovers = [
+            manifest_file_name(5),
+            "lane0005-000000.seg.compact.tmp".to_string(),
+            "lane0006.compact.json.compact.tmp".to_string(),
+        ];
+        std::fs::write(
+            dir.join(&leftovers[0]),
+            serde_json::to_string(&manifest).unwrap(),
+        )
+        .unwrap();
+        std::fs::write(dir.join(&leftovers[1]), b"torn").unwrap();
+        std::fs::write(dir.join(&leftovers[2]), b"{").unwrap();
+
+        assert_eq!(StoreReader::open(&dir).unwrap().lane_ids(), vec![0]);
+        let report = Compactor::new(&dir, MaintenancePolicy::merge_below(u64::MAX))
+            .compact()
+            .unwrap();
+        let lanes: Vec<u32> = report.lanes.iter().map(|lane| lane.lane).collect();
+        assert_eq!(lanes, vec![0], "a lane without segments gets no report");
+        for name in &leftovers {
+            assert!(!dir.join(name).exists(), "{name} must be swept");
+        }
+        assert!(
+            !dir.join("lane0005.idx.json").exists() && !dir.join("lane0006.idx.json").exists(),
+            "recovery alone writes no sidecar"
+        );
+        assert_eq!(StoreReader::open(&dir).unwrap().lane_ids(), vec![0]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

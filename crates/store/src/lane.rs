@@ -12,9 +12,9 @@ use crate::commit::CommitLog;
 use crate::compact::{compact_lane_index, LaneCompaction, MaintenancePolicy};
 use crate::index::{LaneIndex, RecoveryReport, SegmentMeta, WindowEntry, SIDECAR_SCHEMA};
 use crate::segment::{
-    build_frame, build_frame_v2, frame_meta_len, parse_segment_file_name, scan_segment,
-    segment_file_name, segment_header, write_sidecar, FRAME_HEADER_LEN, SEGMENT_HEADER_LEN,
-    SEGMENT_VERSION_V1, SEGMENT_VERSION_V2,
+    build_frame, build_frame_v2, frame_meta_len, list_store_dir, scan_segment, segment_file_name,
+    segment_header, write_sidecar, FRAME_HEADER_LEN, SEGMENT_HEADER_LEN, SEGMENT_VERSION_V1,
+    SEGMENT_VERSION_V2,
 };
 
 /// Rotation policy, frame codec, maintenance and durability knobs of a
@@ -244,7 +244,10 @@ impl LaneWriter {
         std::fs::create_dir_all(&dir)?;
         // Finish (or roll back) a merge a crashed maintenance pass left
         // half-done, so the scan below sees one consistent layout.
-        crate::compact::recover_interrupted_merge(&dir, lane)?;
+        let files = list_store_dir(&dir, Some(lane))?
+            .remove(&lane)
+            .unwrap_or_default();
+        let existing = crate::compact::recover_interrupted_merge(&dir, lane, &files)?;
         let mut index = LaneIndex::new(lane);
         let mut recovery = RecoveryReport {
             clean: true,
@@ -252,15 +255,6 @@ impl LaneWriter {
         };
         let mut next_seq = 0u32;
         let mut bytes_on_disk = 0u64;
-        let mut existing: Vec<u32> = std::fs::read_dir(&dir)?
-            .filter_map(|entry| {
-                let entry = entry.ok()?;
-                let name = entry.file_name();
-                let (file_lane, seq) = parse_segment_file_name(name.to_str()?)?;
-                (file_lane == lane).then_some(seq)
-            })
-            .collect();
-        existing.sort_unstable();
         if !existing.is_empty() {
             for seq in existing {
                 let path = dir.join(segment_file_name(lane, seq));

@@ -224,22 +224,9 @@ mod tests {
         }
         writer.close().unwrap();
         // 5 windows at 2 per segment -> 3 segments.
-        let mut seg_files: Vec<String> = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| {
-                let name = e.unwrap().file_name().into_string().unwrap();
-                name.ends_with(".seg").then_some(name)
-            })
-            .collect();
-        seg_files.sort();
-        assert_eq!(
-            seg_files,
-            vec![
-                "lane0001-000000.seg",
-                "lane0001-000001.seg",
-                "lane0001-000002.seg"
-            ]
-        );
+        let files = crate::segment::list_store_dir(&dir, None).unwrap();
+        assert_eq!(files[&1].seqs, [0, 1, 2]);
+        assert!(dir.join("lane0001-000002.seg").exists());
 
         // Resume: numbering continues at 3, prior windows are recovered.
         let mut writer = LaneWriter::create(&dir, 1, config).unwrap();

@@ -15,7 +15,7 @@ use crate::index::{
 };
 use crate::map::{SegmentCache, SegmentMap};
 use crate::segment::{
-    frame_meta_len, parse_segment_file_name, scan_segment, segment_file_name, sidecar_file_name,
+    frame_meta_len, list_store_dir, scan_segment, segment_file_name, sidecar_file_name,
     FRAME_HEADER_LEN,
 };
 use crate::snapshot::Snapshot;
@@ -130,22 +130,19 @@ impl StoreReader {
         cache: Arc<SegmentCache>,
     ) -> Result<Self, TraceError> {
         let dir = dir.as_ref().to_path_buf();
-        let mut segments: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-        for entry in std::fs::read_dir(&dir)? {
-            let name = entry?.file_name();
-            if let Some((lane, seq)) = name.to_str().and_then(parse_segment_file_name) {
-                segments.entry(lane).or_default().push(seq);
-            }
-        }
-        let lanes = segments
+        let lanes = list_store_dir(&dir, None)?
             .into_iter()
-            .map(|(lane, mut seqs)| {
-                // A crashed maintenance pass may have committed a merge
-                // without finishing its deletions; reading is read-only,
-                // so interpret the journal instead of completing it.
-                let replaced = crate::compact::segments_replaced_by_pending_merge(&dir, lane);
-                seqs.retain(|seq| !replaced.contains(seq));
-                seqs.sort_unstable();
+            .filter(|(_, files)| !files.seqs.is_empty())
+            .map(|(lane, files)| {
+                let mut seqs = files.seqs;
+                if files.journal {
+                    // A crashed maintenance pass may have committed a
+                    // merge without finishing its deletions; reading is
+                    // read-only, so interpret the journal instead of
+                    // completing it.
+                    let replaced = crate::compact::segments_replaced_by_pending_merge(&dir, lane);
+                    seqs.retain(|seq| !replaced.contains(seq));
+                }
                 (
                     lane,
                     LaneSlot {

@@ -42,6 +42,8 @@
 //! prefix ends so reopen can truncate the tail. The CRC covers the
 //! *stored* bytes, so scanning never needs to run a codec.
 
+use std::collections::BTreeMap;
+
 use trace_model::codec::CodecId;
 use trace_model::TraceError;
 
@@ -92,11 +94,97 @@ pub(crate) fn sidecar_file_name(lane: u32) -> String {
     format!("lane{lane:04}.idx.json")
 }
 
-/// Parses a segment file name back into `(lane, seq)`.
-pub(crate) fn parse_segment_file_name(name: &str) -> Option<(u32, u32)> {
-    let rest = name.strip_prefix("lane")?.strip_suffix(".seg")?;
-    let (lane, seq) = rest.split_once('-')?;
-    Some((lane.parse().ok()?, seq.parse().ok()?))
+/// File name of the merge journal of `lane`.
+pub(crate) fn manifest_file_name(lane: u32) -> String {
+    format!("lane{lane:04}.compact.json")
+}
+
+/// What a store directory entry is, per `docs/FORMAT.md` §1.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum StoreFile {
+    /// `laneLLLL-SSSSSS.seg`, carrying its sequence number.
+    Segment(u32),
+    /// `laneLLLL.idx.json`.
+    Sidecar,
+    /// `laneLLLL.compact.json`.
+    Journal,
+    /// An in-flight temp file: a segment's or the journal's
+    /// `….compact.tmp`, or the sidecar's `….tmp`.
+    Temp,
+}
+
+/// Inverts the name builders above (and the temp names their writers
+/// derive from them): the lane a directory entry belongs to and what it
+/// is, or `None` for a name the store does not write.
+pub(crate) fn classify_file_name(name: &str) -> Option<(u32, StoreFile)> {
+    let (lane, rest) = split_padded(name.strip_prefix("lane")?, 4)?;
+    let file = match rest {
+        ".idx.json" => StoreFile::Sidecar,
+        ".compact.json" => StoreFile::Journal,
+        ".idx.json.tmp" | ".compact.json.compact.tmp" => StoreFile::Temp,
+        _ => match split_padded(rest.strip_prefix('-')?, 6)? {
+            (seq, ".seg") => StoreFile::Segment(seq),
+            (_, ".seg.compact.tmp") => StoreFile::Temp,
+            _ => return None,
+        },
+    };
+    Some((lane, file))
+}
+
+/// Splits a leading number off `text`, accepting it only as
+/// `{:0width$}` prints it — zero-padded to `width`, wider only without a
+/// leading zero — so that every classified name is one the store writes
+/// and numbers are read whole (lane 1234 never matches lane 12345).
+fn split_padded(text: &str, width: usize) -> Option<(u32, &str)> {
+    let digits = text.bytes().take_while(u8::is_ascii_digit).count();
+    let (number, rest) = text.split_at(digits);
+    if digits < width || (digits > width && number.starts_with('0')) {
+        return None;
+    }
+    Some((number.parse().ok()?, rest))
+}
+
+/// The files of one lane that a directory listing saw.
+#[derive(Debug, Default)]
+pub(crate) struct LaneFiles {
+    /// Segment sequence numbers, ascending.
+    pub seqs: Vec<u32>,
+    /// Whether the merge journal is present.
+    pub journal: bool,
+    /// Names of the lane's in-flight temp files.
+    pub temps: Vec<String>,
+}
+
+/// Lists a store directory, once, by lane (only the lane `only` when
+/// given). Every store operation takes one listing when it starts and
+/// works from it.
+pub(crate) fn list_store_dir(
+    dir: &std::path::Path,
+    only: Option<u32>,
+) -> std::io::Result<BTreeMap<u32, LaneFiles>> {
+    let mut lanes: BTreeMap<u32, LaneFiles> = BTreeMap::new();
+    for entry in std::fs::read_dir(dir)? {
+        let name = entry?.file_name();
+        let Some(name) = name.to_str() else { continue };
+        let Some((lane, file)) = classify_file_name(name) else {
+            continue;
+        };
+        if only.is_some_and(|only| only != lane) {
+            continue;
+        }
+        let files = lanes.entry(lane).or_default();
+        match file {
+            StoreFile::Segment(seq) => files.seqs.push(seq),
+            StoreFile::Journal => files.journal = true,
+            StoreFile::Temp => files.temps.push(name.to_owned()),
+            // Opened by name when the lane's index is loaded.
+            StoreFile::Sidecar => {}
+        }
+    }
+    for files in lanes.values_mut() {
+        files.seqs.sort_unstable();
+    }
+    Ok(lanes)
 }
 
 /// The cross-file corruption error for a segment whose on-disk header
@@ -400,15 +488,125 @@ mod tests {
     use super::*;
 
     #[test]
-    fn file_names_round_trip() {
+    fn every_format_name_classifies_back_to_its_builder() {
+        // Lanes and sequence numbers narrower than, at and wider than
+        // their zero padding (FORMAT.md §1).
+        for lane in [0, 7, 1234, 12345, 123_456, u32::MAX] {
+            for seq in [0, 17, 999_999, 1_000_000, u32::MAX] {
+                let segment = segment_file_name(lane, seq);
+                assert_eq!(
+                    classify_file_name(&segment),
+                    Some((lane, StoreFile::Segment(seq))),
+                    "{segment}"
+                );
+                assert_eq!(
+                    classify_file_name(&format!("{segment}.compact.tmp")),
+                    Some((lane, StoreFile::Temp))
+                );
+            }
+            let (sidecar, journal) = (sidecar_file_name(lane), manifest_file_name(lane));
+            assert_eq!(
+                classify_file_name(&sidecar),
+                Some((lane, StoreFile::Sidecar))
+            );
+            assert_eq!(
+                classify_file_name(&journal),
+                Some((lane, StoreFile::Journal))
+            );
+            assert_eq!(
+                classify_file_name(&format!("{sidecar}.tmp")),
+                Some((lane, StoreFile::Temp))
+            );
+            assert_eq!(
+                classify_file_name(&format!("{journal}.compact.tmp")),
+                Some((lane, StoreFile::Temp))
+            );
+        }
         assert_eq!(segment_file_name(3, 17), "lane0003-000017.seg");
-        assert_eq!(
-            parse_segment_file_name("lane0003-000017.seg"),
-            Some((3, 17))
-        );
-        assert_eq!(parse_segment_file_name("lane0003.idx.json"), None);
-        assert_eq!(parse_segment_file_name("other.seg"), None);
         assert_eq!(sidecar_file_name(3), "lane0003.idx.json");
+        assert_eq!(manifest_file_name(3), "lane0003.compact.json");
+    }
+
+    #[test]
+    fn near_miss_names_are_not_ours() {
+        for name in [
+            "",
+            "lane",
+            "other.seg",
+            "lane0003.seg",
+            "lane0003-.seg",
+            "lane-000017.seg",
+            "lane003-000017.seg",   // lane padded to 3
+            "lane0003-00017.seg",   // sequence padded to 5
+            "lane00003-000017.seg", // wider than the padding, leading zero
+            "lane0003-0000017.seg", // likewise
+            "lane+003-000017.seg",  // `u32::from_str` would take the sign
+            "lane0003-+00017.seg",
+            "lane0003-000017.seg ",
+            "Lane0003-000017.seg",
+            "xlane0003-000017.seg",
+            "lane0003-000017.segment",
+            "lane0003-000017.seg.tmp",
+            "lane0003-000017.seg.compact",
+            "lane0003-000017.seg.compact.tmp.compact.tmp",
+            "lane4294967296-000000.seg", // lane past u32
+            "lane0003-4294967296.seg",
+            "lane0003.idx",
+            "lane0003.idx.json.bak",
+            "lane0003.idx.json.compact.tmp", // the sidecar's temp is `.tmp`
+            "lane0003.compact.json.tmp",     // the journal's is `.compact.tmp`
+            "lane0003.idx.json.tmp.tmp",
+            "lane03.idx.json",
+            "lane0003.compact",
+            "lane0003x.compact.json",
+            "lane0003.compact.tmp",
+            ".compact.tmp",
+        ] {
+            assert_eq!(classify_file_name(name), None, "{name:?}");
+        }
+    }
+
+    #[test]
+    fn one_listing_sorts_a_directory_by_lane() {
+        let dir =
+            std::env::temp_dir().join(format!("endurance-listing-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        for name in [
+            "lane1234-000002.seg",
+            "lane1234-000000.seg",
+            "lane1234-000010.seg",
+            "lane1234.idx.json",
+            "lane1234.idx.json.tmp",
+            "lane12345-000001.seg",
+            "lane12345.compact.json",
+            "lane12345-000001.seg.compact.tmp",
+            "lane0007.compact.json.compact.tmp",
+            "lane0009.idx.json",
+            "notes.txt",
+        ] {
+            std::fs::write(dir.join(name), b"").unwrap();
+        }
+        let lanes = list_store_dir(&dir, None).unwrap();
+        assert_eq!(
+            lanes.keys().copied().collect::<Vec<_>>(),
+            [7, 9, 1234, 12345]
+        );
+        assert_eq!(lanes[&1234].seqs, [0, 2, 10]);
+        assert!(!lanes[&1234].journal);
+        assert_eq!(lanes[&1234].temps, ["lane1234.idx.json.tmp"]);
+        assert_eq!(lanes[&12345].seqs, [1]);
+        assert!(lanes[&12345].journal);
+        assert_eq!(lanes[&12345].temps, ["lane12345-000001.seg.compact.tmp"]);
+        assert!(lanes[&7].seqs.is_empty());
+        assert_eq!(lanes[&7].temps, ["lane0007.compact.json.compact.tmp"]);
+
+        // One lane's listing holds that lane's files and no neighbour's.
+        let only = list_store_dir(&dir, Some(1234)).unwrap();
+        assert_eq!(only.keys().copied().collect::<Vec<_>>(), [1234]);
+        assert_eq!(only[&1234].seqs, lanes[&1234].seqs);
+        assert!(list_store_dir(&dir, Some(1)).unwrap().is_empty());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

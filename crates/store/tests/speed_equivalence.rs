@@ -8,13 +8,19 @@
 //! * `parallel_compaction_equivalence` — a multi-threaded maintenance
 //!   pass leaves byte-identical files on disk and returns an equal
 //!   report versus the single-worker pass, for any store geometry.
+//! * `parallel_compaction_equivalence_over_many_lanes_with_crash_leftovers`
+//!   — the same, plus a `compact_lane` loop, over a crowded directory
+//!   whose lane ids share name prefixes and which holds every kind of
+//!   crash leftover: all three work from one directory listing and must
+//!   agree on what each lane owns.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
 use endurance_store::{
-    crc32, crc32_scalar, CodecId, Compactor, LaneWriter, MaintenancePolicy, StoreConfig,
+    crc32, crc32_scalar, CodecId, Compactor, LaneCompaction, LaneWriter, MaintenancePolicy,
+    StoreConfig, StoreReader,
 };
 use trace_model::codec::{BinaryEncoder, TraceEncoder};
 use trace_model::{EventSink, EventTypeId, RecordMeta, Timestamp, TraceEvent, WindowId};
@@ -32,7 +38,17 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 /// windows each (sizes varying per window), rotating every `per_segment`
 /// windows. Identical inputs produce identical bytes on disk.
 fn write_store(dir: &std::path::Path, lanes: u32, windows: u64, per_segment: u64, close: bool) {
-    for lane in 0..lanes {
+    write_lanes(dir, 0..lanes, windows, per_segment, close);
+}
+
+fn write_lanes(
+    dir: &std::path::Path,
+    lanes: impl IntoIterator<Item = u32>,
+    windows: u64,
+    per_segment: u64,
+    close: bool,
+) {
+    for lane in lanes {
         let config = StoreConfig::default().with_segment_max_windows(per_segment);
         let mut writer = LaneWriter::create(dir, lane, config).unwrap();
         for id in 0..windows {
@@ -149,5 +165,170 @@ proptest! {
 
         std::fs::remove_dir_all(&serial_dir).ok();
         std::fs::remove_dir_all(&parallel_dir).ok();
+    }
+}
+
+/// The journal of a merge of `replaced` into segment 0 of `lane`, as the
+/// compactor writes it (FORMAT.md §5.3 step 1).
+fn journal_json(lane: u32, target: &[u8], replaced: &[u32]) -> String {
+    format!(
+        "{{\"schema\":1,\"lane\":{lane},\"target_seq\":0,\"target_bytes\":{},\
+         \"target_crc\":{},\"replaced_seqs\":{replaced:?}}}",
+        target.len(),
+        crc32(target)
+    )
+}
+
+/// Every lane's full replay, through a (non-mutating) cold reader.
+fn replay(dir: &std::path::Path) -> BTreeMap<u32, Vec<TraceEvent>> {
+    let reader = StoreReader::open(dir).unwrap();
+    reader
+        .lane_ids()
+        .into_iter()
+        .map(|lane| (lane, reader.lane_events(lane).unwrap()))
+        .collect()
+}
+
+#[test]
+fn parallel_compaction_equivalence_over_many_lanes_with_crash_leftovers() {
+    // 65 one-segment lanes whose ids are narrower than, at and wider than
+    // the 4-digit padding, so names of different lanes share prefixes
+    // (`lane0007…`, `lane1234…`, `lane12345…`, `lane123456…`), plus
+    // three-segment lane 12345 for the committed merge below.
+    let one_segment: Vec<u32> = (0..63).chain([1234, 123_456]).collect();
+    let template = temp_dir("crowded-template");
+    write_lanes(&template, one_segment.iter().copied(), 3, 8, true);
+    write_lanes(&template, [12345], 6, 2, true);
+
+    // What a merge of lane 12345 commits: taken from a donor copy.
+    let donor = temp_dir("crowded-donor");
+    write_lanes(&donor, [12345], 6, 2, true);
+    Compactor::new(&donor, MaintenancePolicy::merge_below(u64::MAX))
+        .compact_lane(12345)
+        .unwrap();
+    let merged = std::fs::read(donor.join("lane12345-000000.seg")).unwrap();
+    std::fs::remove_dir_all(&donor).ok();
+    let expected_replay = replay(&template);
+
+    // A committed merge whose replaced segments were never deleted; a
+    // journal whose merge never landed; stray segment, journal and sidecar
+    // temps; a lane of which only leftovers exist; names that are not the
+    // store's.
+    std::fs::write(template.join("lane12345-000000.seg"), &merged).unwrap();
+    let untouched: Vec<(std::ffi::OsString, Vec<u8>)> = vec![
+        ("README.txt".into(), b"not a store file".to_vec()),
+        ("lane0007-000000.seg.bak".into(), b"near miss".to_vec()),
+        ("lane007.compact.json".into(), b"near miss".to_vec()),
+        #[cfg(unix)]
+        (
+            std::os::unix::ffi::OsStringExt::from_vec(b"lane0007-\xFF.seg.compact.tmp".to_vec()),
+            b"not utf-8".to_vec(),
+        ),
+    ];
+    let swept = [
+        (
+            "lane12345.compact.json",
+            journal_json(12345, &merged, &[1, 2]),
+        ),
+        (
+            "lane1234.compact.json",
+            journal_json(1234, b"never landed", &[1, 2]),
+        ),
+        ("lane0007-000000.seg.compact.tmp", "torn".to_string()),
+        ("lane123456.compact.json.compact.tmp", "{".to_string()),
+        ("lane0003.idx.json.tmp", "{".to_string()),
+        (
+            "lane0500.compact.json",
+            journal_json(500, b"never landed", &[1]),
+        ),
+        ("lane0500-000000.seg.compact.tmp", "torn".to_string()),
+    ];
+    for (name, bytes) in &untouched {
+        std::fs::write(template.join(name), bytes).unwrap();
+    }
+    for (name, text) in &swept {
+        std::fs::write(template.join(name), text).unwrap();
+    }
+    assert_eq!(
+        replay(&template),
+        expected_replay,
+        "a reader sees through the leftovers"
+    );
+
+    let dirs = ["serial", "parallel", "lane-loop"].map(|tag| {
+        let dir = temp_dir(&format!("crowded-{tag}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        for entry in std::fs::read_dir(&template).unwrap() {
+            let entry = entry.unwrap();
+            std::fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
+        }
+        dir
+    });
+    let policy = MaintenancePolicy::merge_below(u64::MAX).with_recompress(CodecId::DeltaVarint);
+    let serial = Compactor::new(&dirs[0], policy.with_compact_workers(1))
+        .compact()
+        .unwrap();
+    let parallel = Compactor::new(&dirs[1], policy.with_compact_workers(2))
+        .compact()
+        .unwrap();
+    let by_lane = Compactor::new(&dirs[2], policy);
+    let mut lanes = one_segment.clone();
+    lanes.push(12345);
+    lanes.sort_unstable();
+    let looped: Vec<LaneCompaction> = lanes
+        .iter()
+        .map(|&lane| by_lane.compact_lane(lane).unwrap())
+        .collect();
+    let leftover_lane = by_lane.compact_lane(500).unwrap();
+    assert_eq!(
+        leftover_lane,
+        LaneCompaction {
+            lane: 500,
+            ..LaneCompaction::default()
+        }
+    );
+
+    assert_eq!(serial, parallel);
+    assert_eq!(serial.lanes, looped);
+    assert_eq!(
+        serial.lanes.iter().map(|l| l.lane).collect::<Vec<_>>(),
+        lanes,
+        "one report per lane that has segments, ascending"
+    );
+    assert!(serial.recompressed_windows() > 0);
+
+    let contents = dirs.each_ref().map(|dir| dir_contents(dir));
+    for (other, what) in [(1, "2 workers"), (2, "a compact_lane loop")] {
+        assert_eq!(
+            contents[0].keys().collect::<Vec<_>>(),
+            contents[other].keys().collect::<Vec<_>>(),
+            "files left by 1 worker vs {what}"
+        );
+        for (name, bytes) in &contents[0] {
+            assert!(
+                bytes == &contents[other][name],
+                "{name} differs between 1 worker and {what}"
+            );
+        }
+    }
+    for (name, bytes) in &untouched {
+        assert_eq!(
+            &std::fs::read(dirs[0].join(name)).unwrap(),
+            bytes,
+            "{name:?} is not the store's to touch"
+        );
+    }
+    for (name, _) in &swept {
+        assert!(!dirs[0].join(name).exists(), "{name} must be recovered");
+    }
+    for seq in [1, 2] {
+        let replaced = format!("lane12345-{seq:06}.seg");
+        assert!(!dirs[0].join(&replaced).exists(), "{replaced} was replaced");
+    }
+    assert_eq!(replay(&dirs[0]), expected_replay);
+
+    std::fs::remove_dir_all(&template).ok();
+    for dir in &dirs {
+        std::fs::remove_dir_all(dir).ok();
     }
 }
