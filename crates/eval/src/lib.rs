@@ -34,15 +34,13 @@
 
 mod baselines;
 mod churn;
-mod durable;
 mod error;
 mod experiment;
-mod fleet_durable;
 mod ground_truth;
 mod labeling;
-mod live;
 mod metrics;
 mod multistream;
+mod recorded;
 mod report;
 mod repro;
 mod size;
@@ -50,15 +48,13 @@ mod sweep;
 
 pub use baselines::{run_baselines, BaselineKind, BaselineResult};
 pub use churn::{ChurnExperiment, ChurnResult, ChurnStreamScore};
-pub use durable::DurableRunResult;
 pub use error::EvalError;
 pub use experiment::{Experiment, ExperimentResult};
-pub use fleet_durable::FleetDurableResult;
 pub use ground_truth::{DelayCalibration, GroundTruth};
 pub use labeling::{label_decisions, LabeledDecision, WindowLabel};
-pub use live::FleetLiveResult;
 pub use metrics::ConfusionMatrix;
 pub use multistream::{MultiStreamExperiment, MultiStreamResult, StreamResult};
+pub use recorded::{FleetDurableResult, FleetLiveResult, Observed};
 pub use report::{baseline_table, headline_table, sweep_table};
 pub use repro::ChurnDurableResult;
 pub use size::format_bytes;

@@ -16,6 +16,7 @@ use endurance_repro::{extract_window, ReproArtifact, ReproError};
 use endurance_store::{LaneWriter, RecoveryReport, StoreConfig, StoreReader};
 use trace_model::{EventSink, RecordMeta, StreamId, TraceError, TraceEvent, WindowId};
 
+use crate::recorded::{check_cold_totals, refuse_used_dir};
 use crate::{ChurnExperiment, ChurnResult, EvalError};
 
 impl From<ReproError> for EvalError {
@@ -100,49 +101,37 @@ pub struct ChurnDurableResult {
     /// window across the fleet, in `(stream, window)` order.
     pub artifacts: Vec<ReproArtifact>,
     /// True-positive windows whose extraction did not reproduce the
-    /// anomalous verdict under the stateless oracle (none in practice;
-    /// counted rather than silently dropped).
+    /// anomalous verdict under the stateless oracle, counted rather than
+    /// silently dropped. Rare but not zero: the benchmark's `churn`
+    /// workload measures about one in four thousand (seed 128, lane 670,
+    /// window 50 re-runs as `CheckedNormal`); the cause is open.
     pub skipped_targets: usize,
 }
 
 impl ChurnExperiment {
     /// Runs the experiment with every stream recording through its own
-    /// store lane, reopens the store cold, and extracts one sealed
-    /// [`ReproArtifact`] (two context windows each side) for every
-    /// distinct window behind a true-positive decision.
+    /// store lane (configured by `store`), reopens the store cold, and
+    /// extracts one sealed [`ReproArtifact`] — the flagged window plus up
+    /// to `context` recorded neighbours on each side — for every distinct
+    /// window behind a true-positive decision.
     ///
     /// # Errors
     ///
-    /// Returns [`EvalError::InvalidExperiment`] when `dir` already
-    /// holds data or a stream's lane writer could not be opened, and
-    /// propagates simulation, reduction, storage and extraction errors.
-    pub fn run_durable(&self, dir: impl AsRef<Path>) -> Result<ChurnDurableResult, EvalError> {
-        self.run_durable_with(dir, StoreConfig::default(), 2)
-    }
-
-    /// Like [`ChurnExperiment::run_durable`], with an explicit store
-    /// configuration and artifact context width (recorded neighbour
-    /// windows kept on each side of each extracted target).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ChurnExperiment::run_durable`].
-    pub fn run_durable_with(
+    /// Returns [`EvalError::InvalidExperiment`] when `dir` already holds
+    /// a recorded run, when a stream's lane writer could not be opened,
+    /// or when the reopened store does not hold exactly the windows,
+    /// events and payload bytes the recorders counted (checked when no
+    /// stream failed and `store` sets no retention horizon — both
+    /// legitimately leave less on disk); propagates simulation,
+    /// reduction, storage and extraction errors.
+    pub fn run_durable(
         &self,
         dir: impl AsRef<Path>,
         store: StoreConfig,
         context: usize,
     ) -> Result<ChurnDurableResult, EvalError> {
         let dir = dir.as_ref();
-        if let Ok(mut entries) = std::fs::read_dir(dir) {
-            if entries.next().is_some() {
-                return Err(EvalError::InvalidExperiment(format!(
-                    "{} already holds data; durable churn runs need a fresh directory \
-                     so the extracted artifacts describe this run alone",
-                    dir.display()
-                )));
-            }
-        }
+        refuse_used_dir(dir)?;
 
         let model = self.learn_reference()?;
         let lane_dir = dir.to_path_buf();
@@ -167,6 +156,9 @@ impl ChurnExperiment {
 
         // Cold reopen: extraction below trusts only the disk.
         let reader = StoreReader::open(dir)?;
+        if result.failed_streams == 0 && store.maintenance.retention_ns.is_none() {
+            check_cold_totals(&reader, &result.fleet.recorder)?;
+        }
         let recovery = reader.recovery().clone();
         let mut artifacts = Vec::new();
         let mut skipped_targets = 0;
@@ -198,5 +190,47 @@ impl ChurnExperiment {
             artifacts,
             skipped_targets,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn churn_run_is_checked_against_the_reopened_store() {
+        let dir = std::env::temp_dir().join(format!("endurance-eval-churn-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // A healthy run passes the recorder-vs-disk check and extracts
+        // its true positives.
+        let scenario = mm_sim::FleetScenario::churn_demo(60, 42).unwrap();
+        let experiment = ChurnExperiment::new(scenario, 1, 2).unwrap();
+        let durable = experiment
+            .run_durable(&dir, StoreConfig::default(), 2)
+            .unwrap();
+        assert_eq!(durable.result.failed_streams, 0);
+        assert!(!durable.artifacts.is_empty());
+        let recorder = durable.result.fleet.recorder;
+        check_cold_totals(&StoreReader::open(&dir).unwrap(), &recorder).unwrap();
+
+        // Lose one recorded lane behind the run's back: the same check
+        // now names the gap instead of letting extraction trust the disk.
+        let lane = durable.artifacts[0].lane;
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            if name.starts_with(&format!("lane{lane:04}-")) {
+                std::fs::remove_file(path).unwrap();
+            }
+        }
+        let gap = check_cold_totals(&StoreReader::open(&dir).unwrap(), &recorder);
+        assert!(
+            matches!(gap, Err(EvalError::InvalidExperiment(ref msg))
+                if msg.contains("the reopened store disagrees with the live recorder")),
+            "{gap:?}"
+        );
+
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

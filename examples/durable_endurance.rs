@@ -7,12 +7,12 @@
 //!
 //! Demonstrates the persistence subsystem end to end:
 //!
-//! 1. **Record** — the paper's experiment runs once per frame codec,
-//!    with the session recording through an `endurance-store` lane
+//! 1. **Record** — the paper's experiment runs once per frame codec as
+//!    a one-stream fleet, recording through an `endurance-store` lane
 //!    behind a [`SpooledSink`] writer thread, closing cleanly, and the
 //!    volume metrics recomputed from a cold reopen of each store
-//!    (`Experiment::run_durable_with`): identical replayed payloads,
-//!    different bytes on the device.
+//!    (`MultiStreamExperiment::run_durable`): identical replayed
+//!    payloads, different bytes on the device.
 //! 2. **Crash** — the same run is recorded again, but this time the
 //!    process "dies": the writer is dropped without `close`, and a torn
 //!    half-frame is appended to the tail segment the way an interrupted
@@ -25,7 +25,7 @@ use std::error::Error;
 use std::time::Duration;
 
 use endurance_core::{ReductionSession, WindowDecision};
-use endurance_eval::Experiment;
+use endurance_eval::{Experiment, MultiStreamExperiment};
 use endurance_store::{CodecId, LaneWriter, SpooledSink, StoreConfig, StoreReader};
 use mm_sim::Simulation;
 use trace_model::EventSource;
@@ -48,28 +48,30 @@ fn main() -> Result<(), Box<dyn Error>> {
         "recording {seconds} s of simulated endurance once per frame codec under {}...",
         base.display()
     );
+    let device = MultiStreamExperiment::new(vec![experiment.clone()])?;
     let mut durable = None;
     for codec in CodecId::ALL {
         let dir = base.join(format!("clean-{}", codec.name()));
-        let run = experiment.run_durable_with(&dir, StoreConfig::default().with_codec(codec))?;
+        let run = device.run_durable(&dir, |_| StoreConfig::default().with_codec(codec), None)?;
         assert!(run.recovery.clean);
         println!(
             "  {:>12}: {} windows / {} events; payload {} B stored as {} B ({:.2}x)",
             codec.name(),
-            run.replayed_windows,
-            run.replayed_events,
-            run.replayed_payload_bytes,
-            run.replayed_stored_bytes,
+            run.observed.windows,
+            run.observed.events,
+            run.observed.payload_bytes,
+            run.stored_bytes,
             run.compression_ratio().unwrap_or(1.0),
         );
         durable.get_or_insert(run);
     }
     let durable = durable.expect("at least one codec ran");
-    println!("{}", durable.result.report);
+    let report = durable.result.aggregate;
+    println!("{report}");
     println!(
         "every reopened store replays the same {} encoded payload bytes \
          (matches the live recorder exactly)",
-        durable.replayed_payload_bytes,
+        durable.observed.payload_bytes,
     );
 
     // ── 2. The same run, killed before close ──
@@ -145,9 +147,9 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!();
     println!(
         "reduction held across the crash: {:.1}x ({} of {} bytes recorded)",
-        durable.result.report.reduction_factor(),
-        durable.result.report.recorder.recorded_raw_bytes,
-        durable.result.report.recorder.total_raw_bytes,
+        report.reduction_factor(),
+        report.recorder.recorded_raw_bytes,
+        report.recorder.total_raw_bytes,
     );
     std::fs::remove_dir_all(&base).ok();
     Ok(())

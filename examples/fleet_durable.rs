@@ -21,7 +21,7 @@
 //! 3. **Reopen & replay** — the compacted store reopens *clean*, every
 //!    lane replays exactly the events each device recorded before the
 //!    crash, and a windowed range query seeks via the rebuilt index.
-//! 4. **Fleet eval** — `MultiStreamExperiment::run_durable_with_stores`
+//! 4. **Fleet eval** — `MultiStreamExperiment::run_durable`
 //!    runs the same mixed-codec fleet cleanly end to end: per-lane
 //!    recording, post-close compaction, cold reopen, and per-stream
 //!    confusion recomputed from what is actually on disk.
@@ -179,23 +179,23 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!(
         "running the durable fleet eval (record per-lane codecs, close, compact, cold reopen)..."
     );
-    let durable = fleet.run_durable_with_stores(&eval_dir, store_for, Some(policy))?;
+    let durable = fleet.run_durable(&eval_dir, store_for, Some(policy))?;
     let compaction = durable.compaction.as_ref().expect("compaction ran");
     println!(
         "cold reopen: clean={}, {} windows / {} events; {} payload bytes stored as {} \
          ({:.2}x); compaction reclaimed {} bytes over {} merged run(s), {} window(s) \
          re-encoded",
         durable.recovery.clean,
-        durable.replayed_windows,
-        durable.replayed_events,
-        durable.replayed_payload_bytes,
-        durable.replayed_stored_bytes,
-        durable.replayed_payload_bytes as f64 / durable.replayed_stored_bytes.max(1) as f64,
+        durable.observed.windows,
+        durable.observed.events,
+        durable.observed.payload_bytes,
+        durable.stored_bytes,
+        durable.compression_ratio().unwrap_or(1.0),
         compaction.reclaimed_bytes(),
         compaction.merged_runs(),
         compaction.recompressed_windows(),
     );
-    for (stream, confusion) in durable.replay_confusion.iter().enumerate() {
+    for (stream, confusion) in durable.observed.confusion.iter().enumerate() {
         println!(
             "  device {stream}: precision {:.3}, recall {:.3} (recomputed from disk)",
             confusion.precision(),

@@ -172,19 +172,19 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
     let fleet = MultiStreamExperiment::scaled(Duration::from_secs(fleet_seconds), 42, devices)?;
     let live = fleet.run()?;
-    let followed = fleet.run_live(base.join("fleet"))?;
-    assert_eq!(followed.fleet_live_confusion, live.confusion);
+    let followed = fleet.run_live(base.join("fleet"), |_| StoreConfig::default())?;
+    assert_eq!(followed.observed.fleet_confusion, live.confusion);
     println!(
         "  followed {} windows / {} events / {} payload B across {} lanes",
-        followed.followed_windows,
-        followed.followed_events,
-        followed.followed_payload_bytes,
+        followed.observed.windows,
+        followed.observed.events,
+        followed.observed.payload_bytes,
         followed.follower_stats.len(),
     );
     println!(
         "  fleet confusion from followers: precision {:.3} recall {:.3} (== in-memory run)",
-        followed.fleet_live_confusion.precision(),
-        followed.fleet_live_confusion.recall(),
+        followed.observed.fleet_confusion.precision(),
+        followed.observed.fleet_confusion.recall(),
     );
 
     std::fs::remove_dir_all(&base).ok();

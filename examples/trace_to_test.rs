@@ -17,6 +17,7 @@ use std::error::Error;
 
 use endurance_eval::ChurnExperiment;
 use endurance_repro::{minimize, verify_corpus, CorpusWriter, MinimizeConfig};
+use endurance_store::StoreConfig;
 
 fn main() -> Result<(), Box<dyn Error>> {
     let mut args = std::env::args().skip(1);
@@ -35,10 +36,11 @@ fn main() -> Result<(), Box<dyn Error>> {
     ));
 
     // 1. Churn run with every stream recording to its own store lane;
-    //    true positives are extracted from the cold-reopened store.
+    //    true positives are extracted from the cold-reopened store with
+    //    two recorded neighbour windows of context on each side.
     println!("== 1. durable fleet churn run ({devices} devices, seed {seed})");
     let experiment = ChurnExperiment::churn_demo(devices, seed)?;
-    let durable = experiment.run_durable(&store_dir)?;
+    let durable = experiment.run_durable(&store_dir, StoreConfig::default(), 2)?;
     println!(
         "   {} events, {} store lanes, reopen {} ({} windows recovered)",
         durable.result.events,

@@ -10,6 +10,7 @@ use endurance_eval::ChurnExperiment;
 use endurance_repro::{
     minimize, verify_corpus, CorpusWriter, MinimizeConfig, ReproArtifact, MANIFEST_FILE,
 };
+use endurance_store::StoreConfig;
 
 const DEVICES: u32 = 400;
 const SEED: u64 = 42;
@@ -32,7 +33,7 @@ fn fleet_run_becomes_self_verifying_regression_tests() {
     //    lane, scored against the injected ground truth.
     let experiment = ChurnExperiment::churn_demo(DEVICES, SEED).expect("valid experiment");
     let durable = experiment
-        .run_durable(&store_dir)
+        .run_durable(&store_dir, StoreConfig::default(), 2)
         .expect("durable churn run succeeds");
     assert!(durable.lanes > 0, "no stream recorded a store lane");
     assert!(

@@ -182,21 +182,21 @@ fn fleet_durable_reproduces_in_memory_confusion_and_per_stream_bytes() {
 
     let live = fleet.run().expect("live fleet");
     let durable = fleet
-        .run_durable_with(
+        .run_durable(
             &dir,
-            StoreConfig::default().with_segment_max_windows(2),
+            |_| StoreConfig::default().with_segment_max_windows(2),
             Some(MaintenancePolicy::merge_below(u64::MAX)),
         )
         .expect("durable fleet");
 
     // Confusion matrices recomputed from the reopened (and compacted)
     // store match the in-memory fleet exactly, stream by stream.
-    for (replayed, live_stream) in durable.replay_confusion.iter().zip(&live.streams) {
+    for (replayed, live_stream) in durable.observed.confusion.iter().zip(&live.streams) {
         assert_eq!(replayed, &live_stream.confusion);
     }
-    assert_eq!(durable.fleet_replay_confusion, live.confusion);
+    assert_eq!(durable.observed.fleet_confusion, live.confusion);
     assert!(durable.recovery.clean);
-    assert!(durable.replayed_windows > 0);
+    assert!(durable.observed.windows > 0);
 
     // Byte-for-byte: each lane equals a standalone per-stream session
     // recording into memory.
