@@ -523,13 +523,19 @@ impl Compactor {
         let outcome = if files.seqs.is_empty() {
             Ok(None)
         } else {
-            self.compact_lane_seqs(lane, &seqs).map(Some)
+            self.compact_lane_seqs(lane, &seqs, files.legacy_sidecar)
+                .map(Some)
         };
         lane_span.end();
         outcome
     }
 
-    fn compact_lane_seqs(&self, lane: u32, seqs: &[u32]) -> Result<LaneCompaction, TraceError> {
+    fn compact_lane_seqs(
+        &self,
+        lane: u32,
+        seqs: &[u32],
+        legacy_sidecar: bool,
+    ) -> Result<LaneCompaction, TraceError> {
         if !self.policy.is_enabled() {
             // A disabled policy is a true no-op: report the lane's state
             // without truncating tails or rewriting the sidecar, so the
@@ -553,7 +559,7 @@ impl Compactor {
         let (index, torn_truncated) = load_for_compaction(&self.dir, lane, seqs)?;
         let (index, lane_report) =
             compact_lane_index(&self.dir, index, &self.policy, torn_truncated)?;
-        write_sidecar(&self.dir, &index)?;
+        write_sidecar(&self.dir, &index, legacy_sidecar)?;
         Ok(lane_report)
     }
 }
@@ -1322,27 +1328,41 @@ mod tests {
     #[test]
     fn sidecar_temps_are_swept_by_writer_and_compactor_but_not_by_readers() {
         // A crash inside `write_sidecar`, between the temp write and the
-        // rename.
+        // rename — this build's, or an earlier build's JSON one.
         let dir = temp_dir("sidecar-temp");
         write_run(&dir, 4, 2, true);
-        let temp = dir.join("lane0000.idx.json.tmp");
-        let neighbour = dir.join("lane00001.idx.json.tmp"); // not a name the store writes
-        std::fs::write(&temp, b"{\"schema\":2,").unwrap();
+        let temps = [
+            dir.join("lane0000.idx.tmp"),
+            dir.join("lane0000.idx.json.tmp"),
+        ];
+        let neighbour = dir.join("lane00001.idx.tmp"); // not a name the store writes
+        let plant = || {
+            for temp in &temps {
+                std::fs::write(temp, b"EIDX\x03").unwrap();
+            }
+        };
+        plant();
         std::fs::write(&neighbour, b"x").unwrap();
 
         let reader = StoreReader::open(&dir).unwrap();
         assert_eq!(reader.lane_windows(0).unwrap().len(), 4);
         drop(reader);
-        assert!(temp.exists(), "the reader must not mutate the store");
+        for temp in &temps {
+            assert!(temp.exists(), "the reader must not mutate the store");
+        }
 
         drop(LaneWriter::create(&dir, 0, StoreConfig::default()).unwrap());
-        assert!(!temp.exists(), "a resuming writer sweeps its sidecar temp");
+        for temp in &temps {
+            assert!(!temp.exists(), "a resuming writer sweeps its sidecar temps");
+        }
 
-        std::fs::write(&temp, b"{\"schema\":2,").unwrap();
+        plant();
         Compactor::new(&dir, MaintenancePolicy::merge_below(u64::MAX))
             .compact()
             .unwrap();
-        assert!(!temp.exists(), "the compactor sweeps sidecar temps");
+        for temp in &temps {
+            assert!(!temp.exists(), "the compactor sweeps sidecar temps");
+        }
         assert!(neighbour.exists());
         assert_eq!(
             StoreReader::open(&dir)
@@ -1393,7 +1413,7 @@ mod tests {
             assert!(!dir.join(name).exists(), "{name} must be swept");
         }
         assert!(
-            !dir.join("lane0005.idx.json").exists() && !dir.join("lane0006.idx.json").exists(),
+            !dir.join("lane0005.idx").exists() && !dir.join("lane0006.idx").exists(),
             "recovery alone writes no sidecar"
         );
         assert_eq!(StoreReader::open(&dir).unwrap().lane_ids(), vec![0]);
@@ -1429,7 +1449,7 @@ mod tests {
         // The crash evidence is preserved: the torn tail bytes are still
         // there and no sidecar was written.
         assert_eq!(std::fs::read(&last).unwrap(), bytes);
-        assert!(!dir.join("lane0000.idx.json").exists());
+        assert!(!dir.join("lane0000.idx").exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

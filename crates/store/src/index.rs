@@ -1,31 +1,35 @@
 //! The sidecar window index and the recovery report.
 //!
-//! Each lane persists a JSON sidecar (`laneNNNN.idx.json`) next to its
-//! segment files mapping every recorded window — id, timestamp range,
-//! event count, codec — to its exact frame location `(segment, byte
-//! offset, length)`. Replay seeks straight to a window instead of
+//! Each lane persists a binary, CRC-sealed sidecar (`laneNNNN.idx`) next
+//! to its segment files mapping every recorded window — id, timestamp
+//! range, event count, codec — to its exact frame location `(segment,
+//! byte offset, length)`. Replay seeks straight to a window instead of
 //! scanning the run.
 //!
 //! The segment files are the source of truth; the sidecar is a cache
 //! written on [`crate::LaneWriter::sync`]/`close`. On open the reader
-//! trusts a sidecar only when every segment file's length equals the
-//! sidecar's committed byte count — any mismatch (a crash after frames
-//! were appended, a torn tail, a missing sidecar) falls back to the
-//! CRC-validating segment scanner and the sidecar is rebuilt.
+//! trusts a sidecar only when it is intact, names exactly the on-disk
+//! segments at exactly their file lengths and every row lies inside its
+//! segment — anything else (a crash after frames were appended, a torn
+//! tail, a missing or damaged sidecar) falls back to the CRC-validating
+//! segment scanner, and [`RecoveryReport::sidecar_fallbacks`] says why.
 //!
-//! Sidecar schema 2 (this build) adds the per-segment format version and
-//! the per-window codec id and raw (uncompressed) payload length; schema
-//! 1 sidecars, written before frame compression existed, are still
-//! accepted — their entries are normalised on load (identity codec, raw
+//! Sidecar schema 3 (this build) is the binary layout of
+//! `docs/FORMAT.md` §4. Schemas 1 and 2 were JSON files
+//! (`laneNNNN.idx.json`); they are never written again but still read
+//! when a lane has no `.idx` — schema-1 entries, written before frame
+//! compression existed, are normalised on load (identity codec, raw
 //! length derived from the frame length).
 
 use serde::{Deserialize, Serialize};
 
 use crate::segment::{frame_meta_len, FRAME_META_LEN, SEGMENT_VERSION_V1};
 
-/// Sidecar schema version written by this build.
-pub(crate) const SIDECAR_SCHEMA: u32 = 2;
-/// The pre-compression sidecar schema, still accepted on read.
+/// Sidecar schema version written by this build (binary `.idx`).
+pub(crate) const SIDECAR_SCHEMA: u32 = 3;
+/// The last JSON sidecar schema, accepted on read from `.idx.json`.
+pub(crate) const SIDECAR_SCHEMA_V2: u32 = 2;
+/// The pre-compression JSON sidecar schema, accepted likewise.
 pub(crate) const SIDECAR_SCHEMA_V1: u32 = 1;
 
 fn default_segment_version() -> u8 {
@@ -33,7 +37,7 @@ fn default_segment_version() -> u8 {
 }
 
 /// Where one recorded window lives on disk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Deserialize)]
 pub struct WindowEntry {
     /// The recorded window's id within its run.
     pub window_id: u64,
@@ -84,7 +88,7 @@ impl WindowEntry {
 }
 
 /// Summary of one segment file in a lane's sidecar.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Deserialize)]
 pub struct SegmentMeta {
     /// Sequence number of the segment within its lane.
     pub seq: u32,
@@ -99,7 +103,7 @@ pub struct SegmentMeta {
 
 /// The per-lane index: every segment and every recorded window of one
 /// lane, in recording order.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Deserialize)]
 pub struct LaneIndex {
     /// Sidecar schema version.
     pub schema: u32,
@@ -172,6 +176,52 @@ pub struct TornTail {
     pub dropped_bytes: u64,
 }
 
+/// Why a reader declined a lane's sidecar and rebuilt the index with the
+/// CRC scanner instead (`docs/FORMAT.md` §4, in the order checked).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum FallbackReason {
+    /// The lane has neither `.idx` nor `.idx.json`: it was never synced,
+    /// or the cache was deleted.
+    Missing,
+    /// The file could not be read, does not open with the `EIDX` magic,
+    /// is not exactly as long as its own counts say — or, for a legacy
+    /// sidecar, is not the JSON document of §4.
+    Unreadable,
+    /// The trailing CRC-32 does not match the bytes before it.
+    BadChecksum,
+    /// An intact sidecar of a schema this build does not know.
+    UnknownSchema,
+    /// The sidecar describes another lane.
+    LaneMismatch,
+    /// The segment list is not exactly the on-disk sequence numbers.
+    SegmentListMismatch,
+    /// A segment file's length differs from its `committed_bytes`: frames
+    /// were appended (or torn) after the sidecar was written.
+    LengthMismatch,
+    /// A window row names an unlisted segment, starts inside the segment
+    /// header, overlaps the row before it, is shorter than a frame's meta
+    /// block or ends past `committed_bytes`.
+    RowOutOfBounds,
+}
+
+/// One lane whose sidecar a reader declined.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct SidecarFallback {
+    /// The lane rebuilt by the scanner.
+    pub lane: u32,
+    /// Why its sidecar was not used.
+    pub reason: FallbackReason,
+}
+
+/// Which sidecar file a reader trusted for a lane.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SidecarKind {
+    /// `laneLLLL.idx`.
+    Binary,
+    /// `laneLLLL.idx.json`, read only because no `.idx` was present.
+    LegacyJson,
+}
+
 /// What opening a store (or resuming a lane writer) found on disk.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RecoveryReport {
@@ -186,16 +236,40 @@ pub struct RecoveryReport {
     pub events: u64,
     /// Torn tails found, one per damaged segment.
     pub torn_tails: Vec<TornTail>,
+    /// Lanes a reader rebuilt with the scanner, each with the reason its
+    /// sidecar was declined. (A resuming writer always scans and never
+    /// consults the sidecar, so its report leaves this empty.)
+    #[serde(default)]
+    pub sidecar_fallbacks: Vec<SidecarFallback>,
+    /// Lanes whose trusted sidecar was a legacy JSON one (`.idx.json`):
+    /// the lane's next `sync`, `close` or compaction replaces it.
+    #[serde(default)]
+    pub legacy_sidecars: Vec<u32>,
 }
 
 impl RecoveryReport {
     /// Folds one lane's recovery into the store-wide report.
-    pub(crate) fn absorb_lane(&mut self, index: &LaneIndex, torn: &[TornTail], used_sidecar: bool) {
+    pub(crate) fn absorb_lane(
+        &mut self,
+        index: &LaneIndex,
+        torn: &[TornTail],
+        sidecar: Result<SidecarKind, FallbackReason>,
+    ) {
         self.lanes += 1;
-        self.clean &= used_sidecar;
         self.windows += index.windows.len() as u64;
         self.events += index.total_events();
         self.torn_tails.extend_from_slice(torn);
+        match sidecar {
+            Ok(SidecarKind::Binary) => {}
+            Ok(SidecarKind::LegacyJson) => self.legacy_sidecars.push(index.lane),
+            Err(reason) => {
+                self.clean = false;
+                self.sidecar_fallbacks.push(SidecarFallback {
+                    lane: index.lane,
+                    reason,
+                });
+            }
+        }
     }
 }
 

@@ -220,6 +220,9 @@ pub struct LaneWriter {
     /// Metric handles (detached no-ops until
     /// [`LaneWriter::with_metrics`] installs an enabled registry).
     metrics: LaneMetrics,
+    /// Whether the listing taken at `create` saw the lane's legacy JSON
+    /// sidecar; the first sidecar write removes it.
+    legacy_sidecar: bool,
 }
 
 impl LaneWriter {
@@ -344,6 +347,7 @@ impl LaneWriter {
             compaction_passes: 0,
             commit,
             metrics: LaneMetrics::disabled(lane),
+            legacy_sidecar: files.legacy_sidecar,
         })
     }
 
@@ -660,7 +664,9 @@ impl LaneWriter {
             file.sync_all()?;
         }
         debug_assert_eq!(self.index.schema, SIDECAR_SCHEMA);
-        write_sidecar(&self.dir, &self.index)
+        write_sidecar(&self.dir, &self.index, self.legacy_sidecar)?;
+        self.legacy_sidecar = false;
+        Ok(())
     }
 
     /// Flushes everything and writes the sidecar index; after a clean

@@ -21,9 +21,10 @@
 //! * [`StoreReader`] — reopens a store directory, recovering after a
 //!   crash: every frame is length- and CRC-validated, torn tail writes
 //!   are detected (and truncated by a resuming writer), and the
-//!   [`RecoveryReport`] says exactly what survived. Lane sidecars load
-//!   lazily — replaying one lane of a fleet store parses one index, not
-//!   all of them. Replay is lazy ([`LaneReplay`] implements
+//!   [`RecoveryReport`] says exactly what survived — and why any lane's
+//!   sidecar was declined ([`FallbackReason`]). Lane sidecars (binary,
+//!   CRC-sealed `laneNNNN.idx` files) load lazily — replaying one lane of
+//!   a fleet store decodes one index, not all of them. Replay is lazy ([`LaneReplay`] implements
 //!   [`trace_model::EventSource`]) or seekable per window via the index,
 //!   and every read path goes through a [`SegmentMap`]: segments loaded
 //!   once into contiguous buffers, frames handed out as zero-copy slices
@@ -92,7 +93,9 @@ mod tail;
 pub use commit::{CommitLog, CommitView};
 pub use compact::{CompactionReport, Compactor, LaneCompaction, MaintenancePolicy};
 pub use crc32::{crc32, crc32_scalar};
-pub use index::{LaneIndex, RecoveryReport, SegmentMeta, TornTail, WindowEntry};
+pub use index::{
+    FallbackReason, LaneIndex, RecoveryReport, SegmentMeta, SidecarFallback, TornTail, WindowEntry,
+};
 pub use lane::{LaneWriter, StoreConfig};
 pub use map::{SegmentCache, SegmentMap, DEFAULT_RESIDENT_SEGMENTS};
 pub use reader::{LaneReplay, StoreReader};
@@ -452,6 +455,145 @@ mod tests {
         assert_eq!(reader.recovery().windows, 2, "the corrupt frame is dropped");
         assert_eq!(reader.recovery().torn_tails.len(), 1);
         assert!(reader.recovery().torn_tails[0].dropped_bytes > 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Lane 0 as two closed segments of three windows each; returns the
+    /// recorded events.
+    fn write_two_segment_lane(dir: &std::path::Path, lane: u32) -> Vec<TraceEvent> {
+        let config = StoreConfig::default().with_segment_max_windows(3);
+        let mut writer = LaneWriter::create(dir, lane, config).unwrap();
+        let mut all_events = Vec::new();
+        for id in 0..6u64 {
+            let (meta, events, encoded) = window_batch(id, id * 2_000, 10 + id as usize);
+            writer.record_window(&meta, &events, &encoded).unwrap();
+            all_events.extend(events);
+        }
+        writer.close().unwrap();
+        all_events
+    }
+
+    #[test]
+    fn no_damage_to_a_sidecar_survives_reopen() {
+        let dir = temp_dir("idx-damage");
+        write_two_segment_lane(&dir, 0);
+        let intact = reader::load_lane(&dir, 0, &[0, 1]).unwrap();
+        assert_eq!(intact.sidecar, Ok(index::SidecarKind::Binary));
+        let path = dir.join("lane0000.idx");
+        let bytes = std::fs::read(&path).unwrap();
+
+        // Every truncation and every single-byte flip: the scanner runs
+        // and rebuilds exactly the index the intact sidecar held.
+        let truncations = (0..bytes.len()).map(|len| bytes[..len].to_vec());
+        let flips = (0..bytes.len()).map(|at| {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= 1 << (at % 8);
+            flipped
+        });
+        for damaged in truncations.chain(flips) {
+            std::fs::write(&path, &damaged).unwrap();
+            let loaded = reader::load_lane(&dir, 0, &[0, 1]).unwrap();
+            assert!(loaded.sidecar.is_err(), "{} bytes trusted", damaged.len());
+            assert_eq!(loaded.index, intact.index);
+            assert!(loaded.torn.is_empty());
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn every_sidecar_fallback_reason_is_reported_and_none_loses_a_window() {
+        let dir = temp_dir("fallback-reasons");
+        let all_events = write_two_segment_lane(&dir, 0);
+        write_two_segment_lane(&dir, 1);
+        let idx = dir.join("lane0000.idx");
+        let intact = std::fs::read(&idx).unwrap();
+        let last_segment = dir.join("lane0000-000001.seg");
+        let last_segment_bytes = std::fs::read(&last_segment).unwrap();
+        let extra_segment = dir.join("lane0000-000002.seg");
+
+        let mut shifted = reader::load_lane(&dir, 0, &[0, 1]).unwrap().index;
+        shifted.windows[4].offset += 1;
+        let mut flipped = intact.clone();
+        flipped[30] ^= 0x10;
+
+        type Damage<'a> = Box<dyn Fn() + 'a>;
+        let cases: Vec<(FallbackReason, Damage)> = vec![
+            (
+                FallbackReason::Missing,
+                Box::new(|| std::fs::remove_file(&idx).unwrap()),
+            ),
+            (
+                FallbackReason::Unreadable,
+                Box::new(|| std::fs::write(&idx, b"EIDX, but no index at all").unwrap()),
+            ),
+            (
+                FallbackReason::BadChecksum,
+                Box::new(|| std::fs::write(&idx, &flipped).unwrap()),
+            ),
+            (
+                FallbackReason::UnknownSchema,
+                Box::new(|| {
+                    std::fs::remove_file(&idx).unwrap();
+                    let json = r#"{"schema":9,"lane":0,"segments":[],"windows":[]}"#;
+                    std::fs::write(dir.join("lane0000.idx.json"), json).unwrap();
+                }),
+            ),
+            (
+                FallbackReason::LaneMismatch,
+                Box::new(|| {
+                    std::fs::copy(dir.join("lane0001.idx"), &idx).unwrap();
+                }),
+            ),
+            (
+                // A rotation after the last sync: one more segment on
+                // disk than the sidecar lists.
+                FallbackReason::SegmentListMismatch,
+                Box::new(|| {
+                    let header = segment::segment_header(0, 2, segment::SEGMENT_VERSION_V1);
+                    std::fs::write(&extra_segment, header).unwrap();
+                }),
+            ),
+            (
+                FallbackReason::LengthMismatch,
+                Box::new(|| {
+                    let mut torn = last_segment_bytes.clone();
+                    torn.extend_from_slice(&[0xEE; 11]);
+                    std::fs::write(&last_segment, torn).unwrap();
+                }),
+            ),
+            (
+                // Sealed with a good CRC, so only the row check can see it.
+                FallbackReason::RowOutOfBounds,
+                Box::new(|| std::fs::write(&idx, segment::encode_sidecar(&shifted)).unwrap()),
+            ),
+        ];
+        for (reason, damage) in &cases {
+            damage();
+            let reader = StoreReader::open(&dir).unwrap();
+            let report = reader.recovery();
+            assert_eq!(
+                report.sidecar_fallbacks,
+                [SidecarFallback {
+                    lane: 0,
+                    reason: *reason
+                }],
+                "lane 1 stays trusted, lane 0 says why it was not"
+            );
+            assert!(!report.clean && report.legacy_sidecars.is_empty());
+            assert_eq!(report.windows, 12, "{reason:?}");
+            assert_eq!(reader.lane_events(0).unwrap(), all_events, "{reason:?}");
+            drop(reader);
+            // Undo the damage for the next case.
+            std::fs::write(&idx, &intact).unwrap();
+            std::fs::write(&last_segment, &last_segment_bytes).unwrap();
+            let _ = std::fs::remove_file(&extra_segment);
+            let _ = std::fs::remove_file(dir.join("lane0000.idx.json"));
+        }
+
+        // An older serialized report (no fallback fields) still loads.
+        let old = r#"{"lanes":2,"clean":false,"windows":12,"events":9,"torn_tails":[]}"#;
+        let report: RecoveryReport = serde_json::from_str(old).unwrap();
+        assert!(report.sidecar_fallbacks.is_empty() && report.legacy_sidecars.is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 

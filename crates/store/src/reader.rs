@@ -11,30 +11,32 @@ use trace_model::{EventSource, Timestamp, TraceError, TraceEvent, WindowId};
 
 use crate::crc32::crc32;
 use crate::index::{
-    LaneIndex, RecoveryReport, TornTail, WindowEntry, SIDECAR_SCHEMA, SIDECAR_SCHEMA_V1,
+    FallbackReason, LaneIndex, RecoveryReport, SidecarKind, TornTail, WindowEntry, SIDECAR_SCHEMA,
+    SIDECAR_SCHEMA_V1, SIDECAR_SCHEMA_V2,
 };
 use crate::map::{SegmentCache, SegmentMap};
 use crate::segment::{
-    frame_meta_len, list_store_dir, scan_segment, segment_file_name, sidecar_file_name,
-    FRAME_HEADER_LEN,
+    decode_sidecar, frame_meta_len, legacy_sidecar_file_name, list_store_dir, scan_segment,
+    segment_file_name, sidecar_file_name, FRAME_HEADER_LEN, SEGMENT_HEADER_LEN,
 };
 use crate::snapshot::Snapshot;
 
 /// A reopened trace store: every lane's window index, ready for replay.
 ///
 /// Opening only enumerates the directory; **everything else is lazy,
-/// per lane** — the first touch of a lane parses its sidecar (or falls
+/// per lane** — the first touch of a lane decodes its sidecar (or falls
 /// back to the CRC-validating segment scanner when the sidecar cannot be
-/// trusted: crash before it was written, torn tail, missing file) and
-/// segment headers are validated when their segments are first read.
-/// Replaying one lane of a 64-lane fleet store therefore parses one
-/// sidecar, not 64, and one damaged lane never blocks the others.
+/// trusted: crash before it was written, torn tail, missing or damaged
+/// file) and segment headers are validated when their segments are first
+/// read. Replaying one lane of a 64-lane fleet store therefore decodes
+/// one sidecar, not 64, and one damaged lane never blocks the others.
 ///
-/// A sidecar is trusted only when every segment file's length matches its
-/// committed byte count (the clean-close case); any mismatch falls back
-/// to the scanner, which recovers every complete frame and reports the
-/// torn tails. [`StoreReader::recovery`] says what happened — calling it
-/// forces every lane.
+/// A sidecar is trusted only when it is intact, every segment file's
+/// length matches its committed byte count (the clean-close case) and
+/// every window row lies inside its segment; anything else falls back to
+/// the scanner, which recovers every complete frame and reports the torn
+/// tails. [`StoreReader::recovery`] says what happened, and why each
+/// declined sidecar was declined — calling it forces every lane.
 ///
 /// All read paths go through a per-lane [`SegmentMap`]: each segment is
 /// loaded once into a contiguous buffer and frames are handed out as
@@ -96,7 +98,8 @@ struct LaneSlot {
 pub(crate) struct LoadedLane {
     pub index: LaneIndex,
     pub torn: Vec<TornTail>,
-    pub used_sidecar: bool,
+    /// The sidecar the index came from, or why the scanner built it.
+    pub sidecar: Result<SidecarKind, FallbackReason>,
 }
 
 impl StoreReader {
@@ -172,7 +175,7 @@ impl StoreReader {
             for &lane in self.lanes.keys() {
                 match self.loaded(lane) {
                     Ok(loaded) => {
-                        report.absorb_lane(&loaded.index, &loaded.torn, loaded.used_sidecar);
+                        report.absorb_lane(&loaded.index, &loaded.torn, loaded.sidecar);
                     }
                     Err(_) => {
                         // The load error resurfaces when the lane's data
@@ -703,13 +706,16 @@ impl EventSource for LaneReplay<'_> {
 /// Loads one lane's index, preferring the sidecar, falling back to the
 /// scanner.
 pub(crate) fn load_lane(dir: &Path, lane: u32, seqs: &[u32]) -> Result<LoadedLane, TraceError> {
-    if let Some(index) = try_sidecar(dir, lane, seqs) {
-        return Ok(LoadedLane {
-            index,
-            torn: Vec::new(),
-            used_sidecar: true,
-        });
-    }
+    let declined = match try_sidecar(dir, lane, seqs) {
+        Ok((index, kind)) => {
+            return Ok(LoadedLane {
+                index,
+                torn: Vec::new(),
+                sidecar: Ok(kind),
+            })
+        }
+        Err(reason) => reason,
+    };
     let mut index = LaneIndex::new(lane);
     let mut torn = Vec::new();
     for &seq in seqs {
@@ -726,38 +732,110 @@ pub(crate) fn load_lane(dir: &Path, lane: u32, seqs: &[u32]) -> Result<LoadedLan
     Ok(LoadedLane {
         index,
         torn,
-        used_sidecar: false,
+        sidecar: Err(declined),
     })
 }
 
-/// Loads and validates a lane sidecar: readable, right schema/lane, and
-/// naming exactly the on-disk segments with exactly their file lengths.
-/// Schema-1 sidecars (written before frame compression existed) are
-/// accepted and normalised: every entry is an identity frame whose raw
-/// length is its v1 body minus the fixed meta block.
-fn try_sidecar(dir: &Path, lane: u32, seqs: &[u32]) -> Option<LaneIndex> {
-    let text = std::fs::read_to_string(dir.join(sidecar_file_name(lane))).ok()?;
-    let mut index: LaneIndex = serde_json::from_str(&text).ok()?;
-    if !(index.schema == SIDECAR_SCHEMA || index.schema == SIDECAR_SCHEMA_V1) || index.lane != lane
-    {
-        return None;
-    }
-    if index.schema == SIDECAR_SCHEMA_V1 {
-        for entry in &mut index.windows {
-            entry.normalise_from_schema_v1();
+/// Loads and validates a lane sidecar per `docs/FORMAT.md` §4: intact,
+/// right schema and lane, naming exactly the on-disk segments with
+/// exactly their file lengths, every row inside its segment. The legacy
+/// JSON sidecar is consulted only when the lane has no `.idx` at all —
+/// a damaged `.idx` goes to the scanner, not to an older cache.
+fn try_sidecar(
+    dir: &Path,
+    lane: u32,
+    seqs: &[u32],
+) -> Result<(LaneIndex, SidecarKind), FallbackReason> {
+    let (index, kind) = match std::fs::read(dir.join(sidecar_file_name(lane))) {
+        Ok(bytes) => (decode_sidecar(&bytes)?, SidecarKind::Binary),
+        Err(error) if error.kind() == std::io::ErrorKind::NotFound => {
+            (read_legacy_sidecar(dir, lane)?, SidecarKind::LegacyJson)
         }
-        index.schema = SIDECAR_SCHEMA;
+        Err(_) => return Err(FallbackReason::Unreadable),
+    };
+    if index.lane != lane {
+        return Err(FallbackReason::LaneMismatch);
     }
-    let sidecar_seqs: Vec<u32> = index.segments.iter().map(|s| s.seq).collect();
-    if sidecar_seqs != seqs {
-        return None;
+    if !index
+        .segments
+        .iter()
+        .map(|meta| meta.seq)
+        .eq(seqs.iter().copied())
+    {
+        return Err(FallbackReason::SegmentListMismatch);
     }
     for meta in &index.segments {
         let path = dir.join(segment_file_name(lane, meta.seq));
-        let len = std::fs::metadata(&path).ok()?.len();
-        if len != meta.committed_bytes {
-            return None;
+        if std::fs::metadata(&path).map(|file| file.len()).ok() != Some(meta.committed_bytes) {
+            return Err(FallbackReason::LengthMismatch);
         }
     }
-    Some(index)
+    if !rows_lie_inside_their_segments(&index) {
+        return Err(FallbackReason::RowOutOfBounds);
+    }
+    Ok((index, kind))
+}
+
+/// Reads the JSON sidecar of a schema-1/2 store. Schema-1 sidecars
+/// (written before frame compression existed) are normalised: every
+/// entry is an identity frame whose raw length is its v1 body minus the
+/// fixed meta block.
+fn read_legacy_sidecar(dir: &Path, lane: u32) -> Result<LaneIndex, FallbackReason> {
+    let text = match std::fs::read_to_string(dir.join(legacy_sidecar_file_name(lane))) {
+        Ok(text) => text,
+        Err(error) if error.kind() == std::io::ErrorKind::NotFound => {
+            return Err(FallbackReason::Missing)
+        }
+        Err(_) => return Err(FallbackReason::Unreadable),
+    };
+    let mut index: LaneIndex =
+        serde_json::from_str(&text).map_err(|_| FallbackReason::Unreadable)?;
+    match index.schema {
+        SIDECAR_SCHEMA_V2 => {}
+        SIDECAR_SCHEMA_V1 => {
+            for entry in &mut index.windows {
+                entry.normalise_from_schema_v1();
+            }
+        }
+        _ => return Err(FallbackReason::UnknownSchema),
+    }
+    index.schema = SIDECAR_SCHEMA;
+    Ok(index)
+}
+
+/// Whether every window row addresses a frame that can exist: in a
+/// listed segment, past the segment header, at or after the end of the
+/// row before it in that segment, long enough for the segment's meta
+/// block and ending within `committed_bytes`. The segment list was
+/// already matched against the (ascending) on-disk sequence numbers.
+/// Without this a sidecar with one wrong `offset` passes every
+/// file-level check and turns a healthy window into a read error.
+fn rows_lie_inside_their_segments(index: &LaneIndex) -> bool {
+    // Per segment, the lowest offset its next row may start at.
+    let mut free_from = vec![SEGMENT_HEADER_LEN; index.segments.len()];
+    let mut at = 0;
+    index.windows.iter().all(|entry| {
+        // Rows come in recording order, so the segment rarely changes.
+        if index.segments.get(at).map(|meta| meta.seq) != Some(entry.segment) {
+            match index
+                .segments
+                .binary_search_by_key(&entry.segment, |meta| meta.seq)
+            {
+                Ok(found) => at = found,
+                Err(_) => return false,
+            }
+        }
+        let meta = &index.segments[at];
+        let Some(end) = entry
+            .offset
+            .checked_add(FRAME_HEADER_LEN + u64::from(entry.len))
+        else {
+            return false;
+        };
+        let inside = entry.offset >= free_from[at]
+            && entry.len as usize >= frame_meta_len(meta.version)
+            && end <= meta.committed_bytes;
+        free_from[at] = end;
+        inside
+    })
 }

@@ -48,7 +48,7 @@ use trace_model::codec::CodecId;
 use trace_model::TraceError;
 
 use crate::crc32::crc32;
-use crate::index::{SegmentMeta, TornTail, WindowEntry};
+use crate::index::{FallbackReason, LaneIndex, SegmentMeta, TornTail, WindowEntry, SIDECAR_SCHEMA};
 
 /// Magic bytes opening every segment file.
 pub(crate) const SEGMENT_MAGIC: &[u8; 4] = b"ESEG";
@@ -91,6 +91,12 @@ pub(crate) fn segment_file_name(lane: u32, seq: u32) -> String {
 
 /// File name of the sidecar index of `lane`.
 pub(crate) fn sidecar_file_name(lane: u32) -> String {
+    format!("lane{lane:04}.idx")
+}
+
+/// File name of the JSON sidecar earlier builds wrote for `lane`: read
+/// when no `.idx` is present, removed by the lane's next sidecar write.
+pub(crate) fn legacy_sidecar_file_name(lane: u32) -> String {
     format!("lane{lane:04}.idx.json")
 }
 
@@ -104,12 +110,14 @@ pub(crate) fn manifest_file_name(lane: u32) -> String {
 pub(crate) enum StoreFile {
     /// `laneLLLL-SSSSSS.seg`, carrying its sequence number.
     Segment(u32),
-    /// `laneLLLL.idx.json`.
+    /// `laneLLLL.idx`.
     Sidecar,
+    /// `laneLLLL.idx.json`, the sidecar of builds before schema 3.
+    LegacySidecar,
     /// `laneLLLL.compact.json`.
     Journal,
     /// An in-flight temp file: a segment's or the journal's
-    /// `….compact.tmp`, or the sidecar's `….tmp`.
+    /// `….compact.tmp`, or either sidecar's `….tmp`.
     Temp,
 }
 
@@ -119,9 +127,10 @@ pub(crate) enum StoreFile {
 pub(crate) fn classify_file_name(name: &str) -> Option<(u32, StoreFile)> {
     let (lane, rest) = split_padded(name.strip_prefix("lane")?, 4)?;
     let file = match rest {
-        ".idx.json" => StoreFile::Sidecar,
+        ".idx" => StoreFile::Sidecar,
+        ".idx.json" => StoreFile::LegacySidecar,
         ".compact.json" => StoreFile::Journal,
-        ".idx.json.tmp" | ".compact.json.compact.tmp" => StoreFile::Temp,
+        ".idx.tmp" | ".idx.json.tmp" | ".compact.json.compact.tmp" => StoreFile::Temp,
         _ => match split_padded(rest.strip_prefix('-')?, 6)? {
             (seq, ".seg") => StoreFile::Segment(seq),
             (_, ".seg.compact.tmp") => StoreFile::Temp,
@@ -151,6 +160,9 @@ pub(crate) struct LaneFiles {
     pub seqs: Vec<u32>,
     /// Whether the merge journal is present.
     pub journal: bool,
+    /// Whether a legacy JSON sidecar is present (for the lane's next
+    /// sidecar write to remove).
+    pub legacy_sidecar: bool,
     /// Names of the lane's in-flight temp files.
     pub temps: Vec<String>,
 }
@@ -176,6 +188,7 @@ pub(crate) fn list_store_dir(
         match file {
             StoreFile::Segment(seq) => files.seqs.push(seq),
             StoreFile::Journal => files.journal = true,
+            StoreFile::LegacySidecar => files.legacy_sidecar = true,
             StoreFile::Temp => files.temps.push(name.to_owned()),
             // Opened by name when the lane's index is loaded.
             StoreFile::Sidecar => {}
@@ -314,18 +327,133 @@ fn read_u64(bytes: &[u8], offset: usize) -> u64 {
     u64::from_le_bytes(bytes[offset..offset + 8].try_into().expect("8 bytes"))
 }
 
+/// Magic bytes opening every binary sidecar.
+const SIDECAR_MAGIC: &[u8; 4] = b"EIDX";
+/// Sidecar header: magic, schema, lane, segment count (`u32` each), then
+/// the window count (`u64`).
+const SIDECAR_HEADER_LEN: usize = 24;
+/// One [`SegmentMeta`] record: seq, committed bytes, version.
+const SEGMENT_RECORD_LEN: usize = 13;
+/// One [`WindowEntry`] record, fields in struct order.
+const WINDOW_RECORD_LEN: usize = 49;
+
+/// Serialises a lane index as the binary sidecar of `docs/FORMAT.md` §4:
+/// header, fixed-width little-endian records, and a trailing CRC-32 over
+/// everything before it.
+pub(crate) fn encode_sidecar(index: &LaneIndex) -> Vec<u8> {
+    let mut out = Vec::with_capacity(
+        SIDECAR_HEADER_LEN
+            + SEGMENT_RECORD_LEN * index.segments.len()
+            + WINDOW_RECORD_LEN * index.windows.len()
+            + 4,
+    );
+    out.extend_from_slice(SIDECAR_MAGIC);
+    out.extend_from_slice(&SIDECAR_SCHEMA.to_le_bytes());
+    out.extend_from_slice(&index.lane.to_le_bytes());
+    let segments = u32::try_from(index.segments.len()).expect("sequence numbers are u32");
+    out.extend_from_slice(&segments.to_le_bytes());
+    out.extend_from_slice(&(index.windows.len() as u64).to_le_bytes());
+    for meta in &index.segments {
+        let mut record = [0u8; SEGMENT_RECORD_LEN];
+        record[..4].copy_from_slice(&meta.seq.to_le_bytes());
+        record[4..12].copy_from_slice(&meta.committed_bytes.to_le_bytes());
+        record[12] = meta.version;
+        out.extend_from_slice(&record);
+    }
+    for entry in &index.windows {
+        let mut record = [0u8; WINDOW_RECORD_LEN];
+        record[..8].copy_from_slice(&entry.window_id.to_le_bytes());
+        record[8..16].copy_from_slice(&entry.start_ns.to_le_bytes());
+        record[16..24].copy_from_slice(&entry.end_ns.to_le_bytes());
+        record[24..28].copy_from_slice(&entry.events.to_le_bytes());
+        record[28..32].copy_from_slice(&entry.segment.to_le_bytes());
+        record[32..40].copy_from_slice(&entry.offset.to_le_bytes());
+        record[40..44].copy_from_slice(&entry.len.to_le_bytes());
+        record[44] = entry.codec;
+        record[45..49].copy_from_slice(&entry.raw_len.to_le_bytes());
+        out.extend_from_slice(&record);
+    }
+    let crc = crc32(&out);
+    out.extend_from_slice(&crc.to_le_bytes());
+    out
+}
+
+/// Parses a binary sidecar, accepting only a file that is intact (magic,
+/// CRC), of this build's schema, and exactly as long as its own counts
+/// say. The counts are checked against the file length before anything
+/// is allocated, so no header can make the decoder reserve more than the
+/// file it was handed.
+pub(crate) fn decode_sidecar(bytes: &[u8]) -> Result<LaneIndex, FallbackReason> {
+    if bytes.len() < SIDECAR_HEADER_LEN + 4 || &bytes[..4] != SIDECAR_MAGIC {
+        return Err(FallbackReason::Unreadable);
+    }
+    let (sealed, stored_crc) = bytes.split_at(bytes.len() - 4);
+    if crc32(sealed) != read_u32(stored_crc, 0) {
+        return Err(FallbackReason::BadChecksum);
+    }
+    if read_u32(sealed, 4) != SIDECAR_SCHEMA {
+        return Err(FallbackReason::UnknownSchema);
+    }
+    let lane = read_u32(sealed, 8);
+    let segments = u64::from(read_u32(sealed, 12));
+    let segments_end = SIDECAR_HEADER_LEN as u64 + SEGMENT_RECORD_LEN as u64 * segments;
+    let expected_len = read_u64(sealed, 16)
+        .checked_mul(WINDOW_RECORD_LEN as u64)
+        .and_then(|window_bytes| window_bytes.checked_add(segments_end));
+    if expected_len != Some(sealed.len() as u64) {
+        return Err(FallbackReason::Unreadable);
+    }
+    // `segments_end` is within the file now, so it fits a `usize`.
+    let (segment_records, window_records) =
+        sealed[SIDECAR_HEADER_LEN..].split_at(segments_end as usize - SIDECAR_HEADER_LEN);
+    Ok(LaneIndex {
+        schema: SIDECAR_SCHEMA,
+        lane,
+        segments: segment_records
+            .chunks_exact(SEGMENT_RECORD_LEN)
+            .map(|record| SegmentMeta {
+                seq: read_u32(record, 0),
+                committed_bytes: read_u64(record, 4),
+                version: record[12],
+            })
+            .collect(),
+        windows: window_records
+            .chunks_exact(WINDOW_RECORD_LEN)
+            .map(|record| WindowEntry {
+                window_id: read_u64(record, 0),
+                start_ns: read_u64(record, 8),
+                end_ns: read_u64(record, 16),
+                events: read_u32(record, 24),
+                segment: read_u32(record, 28),
+                offset: read_u64(record, 32),
+                len: read_u32(record, 40),
+                codec: record[44],
+                raw_len: read_u32(record, 45),
+            })
+            .collect(),
+    })
+}
+
 /// Atomically persists a lane sidecar (temp file + rename), shared by the
-/// writer's `sync`/`close` and the compactor.
+/// writer's `sync`/`close` and the compactor. With `remove_legacy` — the
+/// caller's listing saw the lane's `.idx.json` — that file is removed
+/// once the `.idx` is in place, so a lane converges to one sidecar.
 pub(crate) fn write_sidecar(
     dir: &std::path::Path,
-    index: &crate::index::LaneIndex,
+    index: &LaneIndex,
+    remove_legacy: bool,
 ) -> Result<(), TraceError> {
-    let json =
-        serde_json::to_string(index).map_err(|error| std::io::Error::other(error.to_string()))?;
-    let path = dir.join(sidecar_file_name(index.lane));
-    let tmp = dir.join(format!("{}.tmp", sidecar_file_name(index.lane)));
-    std::fs::write(&tmp, json)?;
-    std::fs::rename(&tmp, &path)?;
+    let name = sidecar_file_name(index.lane);
+    let tmp = dir.join(format!("{name}.tmp"));
+    std::fs::write(&tmp, encode_sidecar(index))?;
+    std::fs::rename(&tmp, dir.join(name))?;
+    if remove_legacy {
+        match std::fs::remove_file(dir.join(legacy_sidecar_file_name(index.lane))) {
+            // Already gone (a cache is always safe to delete by hand).
+            Err(error) if error.kind() != std::io::ErrorKind::NotFound => return Err(error.into()),
+            _ => {}
+        }
+    }
     Ok(())
 }
 
@@ -486,6 +614,7 @@ pub(crate) fn scan_segment(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn every_format_name_classifies_back_to_its_builder() {
@@ -505,25 +634,36 @@ mod tests {
                 );
             }
             let (sidecar, journal) = (sidecar_file_name(lane), manifest_file_name(lane));
+            let legacy = legacy_sidecar_file_name(lane);
             assert_eq!(
                 classify_file_name(&sidecar),
                 Some((lane, StoreFile::Sidecar))
             );
             assert_eq!(
+                classify_file_name(&legacy),
+                Some((lane, StoreFile::LegacySidecar))
+            );
+            assert_eq!(
                 classify_file_name(&journal),
                 Some((lane, StoreFile::Journal))
             );
-            assert_eq!(
-                classify_file_name(&format!("{sidecar}.tmp")),
-                Some((lane, StoreFile::Temp))
-            );
+            // A crash inside either build's sidecar write leaves a temp
+            // this build must still sweep.
+            for temp in [format!("{sidecar}.tmp"), format!("{legacy}.tmp")] {
+                assert_eq!(
+                    classify_file_name(&temp),
+                    Some((lane, StoreFile::Temp)),
+                    "{temp}"
+                );
+            }
             assert_eq!(
                 classify_file_name(&format!("{journal}.compact.tmp")),
                 Some((lane, StoreFile::Temp))
             );
         }
         assert_eq!(segment_file_name(3, 17), "lane0003-000017.seg");
-        assert_eq!(sidecar_file_name(3), "lane0003.idx.json");
+        assert_eq!(sidecar_file_name(3), "lane0003.idx");
+        assert_eq!(legacy_sidecar_file_name(3), "lane0003.idx.json");
         assert_eq!(manifest_file_name(3), "lane0003.compact.json");
     }
 
@@ -551,10 +691,13 @@ mod tests {
             "lane0003-000017.seg.compact.tmp.compact.tmp",
             "lane4294967296-000000.seg", // lane past u32
             "lane0003-4294967296.seg",
-            "lane0003.idx",
+            "lane0003.idx.bin",
             "lane0003.idx.json.bak",
-            "lane0003.idx.json.compact.tmp", // the sidecar's temp is `.tmp`
-            "lane0003.compact.json.tmp",     // the journal's is `.compact.tmp`
+            "lane0003.idx.compact.tmp", // the sidecar's temp is `.tmp`
+            "lane0003.idx.json.compact.tmp",
+            "lane0003.idx.tmp.tmp",
+            "lane03.idx",
+            "lane0003.compact.json.tmp", // the journal's is `.compact.tmp`
             "lane0003.idx.json.tmp.tmp",
             "lane03.idx.json",
             "lane0003.compact",
@@ -576,13 +719,15 @@ mod tests {
             "lane1234-000002.seg",
             "lane1234-000000.seg",
             "lane1234-000010.seg",
+            "lane1234.idx",
+            "lane1234.idx.tmp",
             "lane1234.idx.json",
             "lane1234.idx.json.tmp",
             "lane12345-000001.seg",
             "lane12345.compact.json",
             "lane12345-000001.seg.compact.tmp",
             "lane0007.compact.json.compact.tmp",
-            "lane0009.idx.json",
+            "lane0009.idx",
             "notes.txt",
         ] {
             std::fs::write(dir.join(name), b"").unwrap();
@@ -594,7 +739,10 @@ mod tests {
         );
         assert_eq!(lanes[&1234].seqs, [0, 2, 10]);
         assert!(!lanes[&1234].journal);
-        assert_eq!(lanes[&1234].temps, ["lane1234.idx.json.tmp"]);
+        assert!(lanes[&1234].legacy_sidecar && !lanes[&9].legacy_sidecar);
+        let mut temps = lanes[&1234].temps.clone();
+        temps.sort_unstable();
+        assert_eq!(temps, ["lane1234.idx.json.tmp", "lane1234.idx.tmp"]);
         assert_eq!(lanes[&12345].seqs, [1]);
         assert!(lanes[&12345].journal);
         assert_eq!(lanes[&12345].temps, ["lane12345-000001.seg.compact.tmp"]);
@@ -607,6 +755,187 @@ mod tests {
         assert_eq!(only[&1234].seqs, lanes[&1234].seqs);
         assert!(list_store_dir(&dir, Some(1)).unwrap().is_empty());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn sample_index() -> LaneIndex {
+        let mut index = LaneIndex::new(3);
+        for (seq, version) in [(0, SEGMENT_VERSION_V1), (4, SEGMENT_VERSION_V2)] {
+            index.segments.push(SegmentMeta {
+                seq,
+                committed_bytes: 1000 + u64::from(seq),
+                version,
+            });
+        }
+        for id in 0..5u64 {
+            index.windows.push(WindowEntry {
+                window_id: id,
+                start_ns: id * 10,
+                end_ns: id * 10 + 9,
+                events: id as u32 + 1,
+                segment: if id < 2 { 0 } else { 4 },
+                offset: 13 + id * 100,
+                len: 60,
+                codec: (id % 3) as u8,
+                raw_len: 90,
+            });
+        }
+        index
+    }
+
+    #[test]
+    fn sidecar_bytes_follow_the_documented_layout() {
+        let index = sample_index();
+        let bytes = encode_sidecar(&index);
+        assert_eq!(bytes.len(), 24 + 13 * 2 + 49 * 5 + 4);
+        assert_eq!(&bytes[..4], b"EIDX");
+        assert_eq!(read_u32(&bytes, 4), 3, "schema");
+        assert_eq!(read_u32(&bytes, 8), 3, "lane");
+        assert_eq!(read_u32(&bytes, 12), 2, "segments");
+        assert_eq!(read_u64(&bytes, 16), 5, "windows");
+        // Second segment record, then the third window record.
+        assert_eq!(read_u32(&bytes, 24 + 13), 4);
+        assert_eq!(read_u64(&bytes, 24 + 13 + 4), 1004);
+        assert_eq!(bytes[24 + 13 + 12], SEGMENT_VERSION_V2);
+        let row = 24 + 26 + 49 * 2;
+        assert_eq!(read_u64(&bytes, row), 2, "window id");
+        assert_eq!(read_u32(&bytes, row + 28), 4, "segment");
+        assert_eq!(read_u64(&bytes, row + 32), 213, "offset");
+        assert_eq!(bytes[row + 44], 2, "codec");
+        assert_eq!(read_u32(&bytes, row + 45), 90, "raw length");
+        let sealed = bytes.len() - 4;
+        assert_eq!(read_u32(&bytes, sealed), crc32(&bytes[..sealed]));
+        assert_eq!(decode_sidecar(&bytes), Ok(index));
+    }
+
+    #[test]
+    fn damaged_sidecars_are_declined_with_a_reason() {
+        let bytes = encode_sidecar(&sample_index());
+        // A flipped byte is the magic's or the checksum's to catch
+        // (truncations: `no_damage_to_a_sidecar_survives_reopen`).
+        for at in 0..bytes.len() {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= 0x40;
+            let reason = decode_sidecar(&flipped).unwrap_err();
+            let expected = if at < 4 {
+                FallbackReason::Unreadable
+            } else {
+                FallbackReason::BadChecksum
+            };
+            assert_eq!(reason, expected, "flip at {at}");
+        }
+        let reseal = |mut bytes: Vec<u8>| {
+            let sealed = bytes.len() - 4;
+            let crc = crc32(&bytes[..sealed]);
+            bytes[sealed..].copy_from_slice(&crc.to_le_bytes());
+            bytes
+        };
+        // Intact files this build must still not take at their word.
+        let mut future = bytes.clone();
+        future[4] = 4;
+        assert_eq!(
+            decode_sidecar(&reseal(future)),
+            Err(FallbackReason::UnknownSchema)
+        );
+        let mut padded = bytes.clone();
+        padded.extend_from_slice(&[0; 49]);
+        assert_eq!(
+            decode_sidecar(&reseal(padded)),
+            Err(FallbackReason::Unreadable)
+        );
+    }
+
+    #[test]
+    fn hostile_counts_are_rejected_before_anything_is_allocated() {
+        // A 40-byte file claiming 2^60 windows, `u64::MAX` windows, and a
+        // count whose size in bytes only overflows once the segment
+        // records are added: each must be declined on arithmetic alone —
+        // reserving room for any of them would abort the process.
+        for windows in [1u64 << 60, u64::MAX, (u64::MAX - 36) / 49] {
+            let mut bytes = Vec::new();
+            bytes.extend_from_slice(b"EIDX");
+            bytes.extend_from_slice(&SIDECAR_SCHEMA.to_le_bytes());
+            bytes.extend_from_slice(&0u32.to_le_bytes());
+            bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+            bytes.extend_from_slice(&windows.to_le_bytes());
+            bytes.extend_from_slice(&[0; 12]);
+            let crc = crc32(&bytes);
+            bytes.extend_from_slice(&crc.to_le_bytes());
+            assert_eq!(bytes.len(), 40);
+            assert_eq!(decode_sidecar(&bytes), Err(FallbackReason::Unreadable));
+        }
+    }
+
+    fn arbitrary_segment() -> impl Strategy<Value = SegmentMeta> {
+        (any::<u32>(), extreme_u64(), any::<u8>()).prop_map(|(seq, committed_bytes, version)| {
+            SegmentMeta {
+                seq,
+                committed_bytes,
+                version,
+            }
+        })
+    }
+
+    /// Mostly arbitrary, with the extremes drawn often.
+    fn extreme_u64() -> impl Strategy<Value = u64> {
+        (any::<u64>(), 0u8..4).prop_map(|(value, pick)| match pick {
+            0 => 0,
+            1 => u64::MAX,
+            _ => value,
+        })
+    }
+
+    fn arbitrary_window() -> impl Strategy<Value = WindowEntry> {
+        (
+            (extreme_u64(), extreme_u64(), extreme_u64(), extreme_u64()),
+            (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()),
+            any::<u8>(),
+        )
+            .prop_map(
+                |(
+                    (window_id, start_ns, end_ns, offset),
+                    (events, segment, len, raw_len),
+                    codec,
+                )| {
+                    WindowEntry {
+                        window_id,
+                        start_ns,
+                        end_ns,
+                        events,
+                        segment,
+                        offset,
+                        len,
+                        codec,
+                        raw_len,
+                    }
+                },
+            )
+    }
+
+    proptest! {
+        /// The encoding is a bijection on `LaneIndex` values — it carries
+        /// every field at full width and judges none of them (trust is
+        /// `try_sidecar`'s business).
+        #[test]
+        fn sidecar_round_trips_any_lane_index(
+            lane in any::<u32>(),
+            segments in prop::collection::vec(arbitrary_segment(), 0..6),
+            windows in prop::collection::vec(arbitrary_window(), 0..40),
+            template in arbitrary_window(),
+        ) {
+            let mut index = LaneIndex::new(lane);
+            index.segments = segments;
+            index.windows = windows;
+            // Every codec byte, known to this build or not.
+            index
+                .windows
+                .extend((0..=u8::MAX).map(|codec| WindowEntry { codec, ..template }));
+            let bytes = encode_sidecar(&index);
+            prop_assert_eq!(
+                bytes.len(),
+                28 + 13 * index.segments.len() + 49 * index.windows.len()
+            );
+            prop_assert_eq!(decode_sidecar(&bytes), Ok(index));
+        }
     }
 
     #[test]

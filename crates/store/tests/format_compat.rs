@@ -3,11 +3,15 @@
 //! current writer) must open, replay byte-for-byte, resume under a
 //! v2-configured writer, and compact — including recompression into a
 //! configured codec — without changing a single replayed payload byte.
+//! The sidecar's own encodings are pinned here too: the JSON ones of
+//! schemas 1 and 2 stay readable and migrate to the binary `.idx`, whose
+//! layout a checked-in golden file fixes byte for byte.
 
 use proptest::prelude::*;
 
 use endurance_store::{
-    crc32, CodecId, Compactor, LaneWriter, MaintenancePolicy, StoreConfig, StoreReader,
+    crc32, CodecId, Compactor, FallbackReason, LaneWriter, MaintenancePolicy, SidecarFallback,
+    StoreConfig, StoreReader,
 };
 use trace_model::codec::{BinaryEncoder, TraceEncoder};
 use trace_model::{EventSink, EventTypeId, RecordMeta, Timestamp, TraceEvent, WindowId};
@@ -141,15 +145,108 @@ fn assert_store_matches(reader: &StoreReader, recorded: &[(u64, Vec<TraceEvent>,
     assert_eq!(reader.lane_events_seek_per_frame(0).unwrap(), all_events);
 }
 
+/// Writes `windows` windows of 30 events to lane 0 under `codec`, three
+/// per segment, and closes the lane.
+fn write_closed_lane(
+    dir: &std::path::Path,
+    codec: CodecId,
+    windows: u64,
+) -> Vec<(u64, Vec<TraceEvent>, Vec<u8>)> {
+    let config = StoreConfig::default()
+        .with_codec(codec)
+        .with_segment_max_windows(3);
+    let mut writer = LaneWriter::create(dir, 0, config).unwrap();
+    let mut recorded = Vec::new();
+    for id in 0..windows {
+        let events = window_events(id, 30);
+        let payload = encode(&events);
+        let meta = RecordMeta {
+            window_id: WindowId::new(id),
+            start: events[0].timestamp,
+            end: Timestamp::from_nanos(events.last().unwrap().timestamp.as_nanos() + 1),
+        };
+        writer.record_window(&meta, &events, &payload).unwrap();
+        recorded.push((id, events, payload));
+    }
+    writer.close().unwrap();
+    recorded
+}
+
+/// Turns lane 0 of a cleanly closed store into what the release before
+/// the binary sidecar left behind: a schema-2 `lane0000.idx.json` (the
+/// exact text that release's `serde_json::to_string` produced) and no
+/// `lane0000.idx`.
+fn downgrade_sidecar_to_schema_2_json(dir: &std::path::Path) {
+    let reader = StoreReader::open(dir).unwrap();
+    assert!(reader.recovery().clean);
+    let windows = reader.lane_windows(0).unwrap();
+    let mut seqs: Vec<u32> = windows.iter().map(|w| w.segment).collect();
+    seqs.dedup();
+    let segments: Vec<String> = seqs
+        .iter()
+        .map(|seq| {
+            let bytes = std::fs::read(dir.join(format!("lane0000-{seq:06}.seg"))).unwrap();
+            format!(
+                "{{\"seq\":{seq},\"committed_bytes\":{},\"version\":{}}}",
+                bytes.len(),
+                bytes[4]
+            )
+        })
+        .collect();
+    let windows: Vec<String> = windows
+        .iter()
+        .map(|w| {
+            format!(
+                "{{\"window_id\":{},\"start_ns\":{},\"end_ns\":{},\"events\":{},\
+                 \"segment\":{},\"offset\":{},\"len\":{},\"codec\":{},\"raw_len\":{}}}",
+                w.window_id,
+                w.start_ns,
+                w.end_ns,
+                w.events,
+                w.segment,
+                w.offset,
+                w.len,
+                w.codec,
+                w.raw_len
+            )
+        })
+        .collect();
+    let json = format!(
+        "{{\"schema\":2,\"lane\":0,\"segments\":[{}],\"windows\":[{}]}}",
+        segments.join(","),
+        windows.join(",")
+    );
+    std::fs::write(dir.join("lane0000.idx.json"), json).unwrap();
+    std::fs::remove_file(dir.join("lane0000.idx")).unwrap();
+}
+
+/// Every file of a store directory, by name.
+fn dir_contents(dir: &std::path::Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let entry = entry.unwrap();
+            (
+                entry.file_name().into_string().unwrap(),
+                std::fs::read(entry.path()).unwrap(),
+            )
+        })
+        .collect()
+}
+
 #[test]
 fn v1_fixture_opens_cleanly_and_replays_byte_for_byte() {
     let dir = temp_dir("v1-open");
     let recorded = build_v1_store(&dir, 3, 4);
+    let before = dir_contents(&dir);
     let reader = StoreReader::open(&dir).unwrap();
     assert!(
         reader.recovery().clean,
         "the schema-1 sidecar must be trusted"
     );
+    assert_eq!(reader.recovery().legacy_sidecars, [0]);
+    assert!(reader.recovery().sidecar_fallbacks.is_empty());
+    assert_eq!(dir_contents(&dir), before, "readers migrate nothing");
     assert_eq!(
         reader.total_events() as usize,
         recorded.iter().map(|(_, e, _)| e.len()).sum::<usize>()
@@ -199,9 +296,14 @@ fn v2_writer_resumes_a_v1_store_into_a_mixed_version_lane() {
         recorded.push((id, events, payload));
     }
     writer.close().unwrap();
+    assert!(
+        dir.join("lane0000.idx").exists() && !dir.join("lane0000.idx.json").exists(),
+        "the lane's first close migrates its sidecar"
+    );
 
     let reader = StoreReader::open(&dir).unwrap();
     assert!(reader.recovery().clean);
+    assert!(reader.recovery().legacy_sidecars.is_empty());
     assert_store_matches(&reader, &recorded);
     assert!(
         reader.total_stored_bytes() < reader.total_payload_bytes(),
@@ -223,9 +325,14 @@ fn recompression_rewrites_v1_segments_without_changing_replay() {
     assert!(report.recompressed_windows() > 0, "{report}");
     assert!(report.compression_ratio().unwrap() > 1.0, "{report}");
     assert_eq!(report.windows_dropped(), 0);
+    assert!(
+        dir.join("lane0000.idx").exists() && !dir.join("lane0000.idx.json").exists(),
+        "compaction migrates the sidecar"
+    );
 
     let after = StoreReader::open(&dir).unwrap();
     assert!(after.recovery().clean);
+    assert!(after.recovery().legacy_sidecars.is_empty());
     assert_eq!(after.total_payload_bytes(), payload_bytes);
     assert!(after.total_stored_bytes() < payload_bytes);
     assert_store_matches(&after, &recorded);
@@ -241,23 +348,7 @@ fn recompression_rewrites_v1_segments_without_changing_replay() {
 fn every_codec_round_trips_through_a_full_store_lifecycle() {
     for codec in CodecId::ALL {
         let dir = temp_dir(&format!("lifecycle-{}", codec.as_u8()));
-        let config = StoreConfig::default()
-            .with_codec(codec)
-            .with_segment_max_windows(3);
-        let mut writer = LaneWriter::create(&dir, 0, config).unwrap();
-        let mut recorded = Vec::new();
-        for id in 0..10u64 {
-            let events = window_events(id, 30);
-            let payload = encode(&events);
-            let meta = RecordMeta {
-                window_id: WindowId::new(id),
-                start: events[0].timestamp,
-                end: Timestamp::from_nanos(events.last().unwrap().timestamp.as_nanos() + 1),
-            };
-            writer.record_window(&meta, &events, &payload).unwrap();
-            recorded.push((id, events, payload));
-        }
-        writer.close().unwrap();
+        let recorded = write_closed_lane(&dir, codec, 10);
 
         let reader = StoreReader::open(&dir).unwrap();
         assert!(reader.recovery().clean, "{codec}");
@@ -317,6 +408,183 @@ fn crash_recovery_truncates_torn_v2_frames() {
     assert_eq!(reader.recovery().windows, 2, "the torn frame is dropped");
     assert_eq!(reader.recovery().torn_tails.len(), 1);
     assert_store_matches(&reader, &recorded[..2]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn schema_2_json_sidecar_still_opens_cleanly_and_migrates() {
+    for codec in CodecId::ALL {
+        let dir = temp_dir(&format!("schema2-{}", codec.as_u8()));
+        let recorded = write_closed_lane(&dir, codec, 8);
+        downgrade_sidecar_to_schema_2_json(&dir);
+        let before = dir_contents(&dir);
+
+        let reader = StoreReader::open(&dir).unwrap();
+        assert!(reader.recovery().clean, "{codec}");
+        assert_eq!(reader.recovery().legacy_sidecars, [0], "{codec}");
+        assert_store_matches(&reader, &recorded);
+        drop(reader);
+        assert_eq!(dir_contents(&dir), before, "readers migrate nothing");
+
+        Compactor::new(&dir, MaintenancePolicy::merge_below(u64::MAX))
+            .compact()
+            .unwrap();
+        assert!(dir.join("lane0000.idx").exists() && !dir.join("lane0000.idx.json").exists());
+        let after = StoreReader::open(&dir).unwrap();
+        assert!(after.recovery().clean, "{codec}");
+        assert!(after.recovery().legacy_sidecars.is_empty(), "{codec}");
+        assert_store_matches(&after, &recorded);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[test]
+fn a_wrong_offset_in_a_sidecar_falls_back_to_the_scanner() {
+    // A JSON sidecar has no checksum: one changed digit still parses, and
+    // the lane, segment list and file lengths all still match.
+    let dir = temp_dir("row-bounds");
+    let recorded = write_closed_lane(&dir, CodecId::Identity, 6); // two segments
+    downgrade_sidecar_to_schema_2_json(&dir);
+    let path = dir.join("lane0000.idx.json");
+    let json = std::fs::read_to_string(&path).unwrap();
+    let (at, _) = json.match_indices("\"offset\":").nth(4).unwrap();
+    let digit = at + "\"offset\":".len();
+    let changed = if json.as_bytes()[digit] == b'9' {
+        "8"
+    } else {
+        "9"
+    };
+    let mut damaged = json.clone();
+    damaged.replace_range(digit..=digit, changed);
+    assert_ne!(damaged, json);
+    std::fs::write(&path, damaged).unwrap();
+
+    let reader = StoreReader::open(&dir).unwrap();
+    assert_store_matches(&reader, &recorded);
+    assert!(!reader.recovery().clean);
+    assert_eq!(
+        reader.recovery().sidecar_fallbacks,
+        [SidecarFallback {
+            lane: 0,
+            reason: FallbackReason::RowOutOfBounds
+        }]
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn the_binary_sidecar_is_the_one_judged_when_both_are_present() {
+    let dir = temp_dir("both-sidecars");
+    let recorded = write_closed_lane(&dir, CodecId::DeltaVarint, 5);
+    let idx = std::fs::read(dir.join("lane0000.idx")).unwrap();
+    downgrade_sidecar_to_schema_2_json(&dir);
+
+    // A stale or foreign `.idx.json` beside an intact `.idx` is ignored.
+    let good_json = std::fs::read(dir.join("lane0000.idx.json")).unwrap();
+    std::fs::write(dir.join("lane0000.idx"), &idx).unwrap();
+    std::fs::write(dir.join("lane0000.idx.json"), b"{\"schema\":2,\"lane\":7").unwrap();
+    let reader = StoreReader::open(&dir).unwrap();
+    assert!(reader.recovery().clean);
+    assert!(reader.recovery().legacy_sidecars.is_empty());
+    assert_store_matches(&reader, &recorded);
+    drop(reader);
+
+    // A damaged `.idx` goes to the scanner, not to the intact JSON.
+    let mut damaged = idx.clone();
+    damaged[idx.len() / 2] ^= 1;
+    std::fs::write(dir.join("lane0000.idx"), &damaged).unwrap();
+    std::fs::write(dir.join("lane0000.idx.json"), &good_json).unwrap();
+    let before = dir_contents(&dir);
+    let reader = StoreReader::open(&dir).unwrap();
+    assert_eq!(
+        reader.recovery().sidecar_fallbacks,
+        [SidecarFallback {
+            lane: 0,
+            reason: FallbackReason::BadChecksum
+        }]
+    );
+    assert!(reader.recovery().legacy_sidecars.is_empty());
+    assert_store_matches(&reader, &recorded);
+    drop(reader);
+    assert_eq!(dir_contents(&dir), before, "readers repair nothing");
+
+    // The next writer leaves exactly one sidecar, the binary one.
+    LaneWriter::create(&dir, 0, StoreConfig::default())
+        .unwrap()
+        .close()
+        .unwrap();
+    assert!(!dir.join("lane0000.idx.json").exists());
+    let reader = StoreReader::open(&dir).unwrap();
+    assert!(reader.recovery().clean);
+    assert_store_matches(&reader, &recorded);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `lane0000.idx` of `build_v1_store(dir, 2, 2)`, as FORMAT.md §4 lays it
+/// out: header, two 13-byte segment records, four 49-byte window records,
+/// CRC-32. An encoder that emits anything else, or a decoder that reads
+/// this as anything else, has changed the format.
+const GOLDEN_IDX: &str = "\
+    45494458 03000000 00000000 02000000 0400000000000000 \
+    00000000 a200000000000000 01 \
+    01000000 0401000000000000 01 \
+    0000000000000000 0000000000000000 b1710b0000000000 04000000 00000000 \
+      0d00000000000000 38000000 00 1c000000 \
+    0100000000000000 8096980000000000 e179af0000000000 07000000 00000000 \
+      4d00000000000000 4d000000 00 31000000 \
+    0200000000000000 002d310100000000 1182530100000000 0a000000 01000000 \
+      0d00000000000000 69000000 00 4d000000 \
+    0300000000000000 80c3c90100000000 418af70100000000 0d000000 01000000 \
+      7e00000000000000 7e000000 00 62000000 \
+    14fa7ead";
+
+fn unhex(hex: &str) -> Vec<u8> {
+    let digits: Vec<u8> = hex
+        .bytes()
+        .filter(|byte| !byte.is_ascii_whitespace())
+        .map(|byte| (byte as char).to_digit(16).unwrap() as u8)
+        .collect();
+    digits
+        .chunks(2)
+        .map(|pair| pair[0] << 4 | pair[1])
+        .collect()
+}
+
+#[test]
+fn golden_binary_sidecar_pins_the_layout() {
+    let golden = unhex(GOLDEN_IDX);
+    let dir = temp_dir("golden-idx");
+    let recorded = build_v1_store(&dir, 2, 2);
+    std::fs::remove_file(dir.join("lane0000.idx.json")).unwrap();
+
+    // Decoder: the golden bytes are a trusted sidecar of this store.
+    std::fs::write(dir.join("lane0000.idx"), &golden).unwrap();
+    let reader = StoreReader::open(&dir).unwrap();
+    assert!(reader.recovery().clean, "{:?}", reader.recovery());
+    let scanned = {
+        std::fs::remove_file(dir.join("lane0000.idx")).unwrap();
+        let cold = StoreReader::open(&dir).unwrap();
+        assert!(!cold.recovery().clean);
+        cold.lane_windows(0).unwrap().to_vec()
+    };
+    assert_eq!(reader.lane_windows(0).unwrap(), scanned);
+    assert_store_matches(&reader, &recorded);
+    drop(reader);
+
+    // Encoder: a writer that recovers the lane and closes it emits them.
+    LaneWriter::create(&dir, 0, StoreConfig::default())
+        .unwrap()
+        .close()
+        .unwrap();
+    let written = std::fs::read(dir.join("lane0000.idx")).unwrap();
+    assert!(
+        written == golden,
+        "lane0000.idx drifted from the golden bytes:\n{}",
+        written
+            .iter()
+            .map(|byte| format!("{byte:02x}"))
+            .collect::<String>()
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

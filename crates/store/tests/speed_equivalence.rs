@@ -212,13 +212,14 @@ fn parallel_compaction_equivalence_over_many_lanes_with_crash_leftovers() {
 
     // A committed merge whose replaced segments were never deleted; a
     // journal whose merge never landed; stray segment, journal and sidecar
-    // temps; a lane of which only leftovers exist; names that are not the
-    // store's.
+    // temps (both sidecar encodings'); a superseded legacy sidecar; a lane
+    // of which only leftovers exist; names that are not the store's.
     std::fs::write(template.join("lane12345-000000.seg"), &merged).unwrap();
     let untouched: Vec<(std::ffi::OsString, Vec<u8>)> = vec![
         ("README.txt".into(), b"not a store file".to_vec()),
         ("lane0007-000000.seg.bak".into(), b"near miss".to_vec()),
         ("lane007.compact.json".into(), b"near miss".to_vec()),
+        ("lane0007.idx.bak".into(), b"near miss".to_vec()),
         #[cfg(unix)]
         (
             std::os::unix::ffi::OsStringExt::from_vec(b"lane0007-\xFF.seg.compact.tmp".to_vec()),
@@ -237,6 +238,10 @@ fn parallel_compaction_equivalence_over_many_lanes_with_crash_leftovers() {
         ("lane0007-000000.seg.compact.tmp", "torn".to_string()),
         ("lane123456.compact.json.compact.tmp", "{".to_string()),
         ("lane0003.idx.json.tmp", "{".to_string()),
+        ("lane0003.idx.tmp", "EIDX".to_string()),
+        // A legacy sidecar beside the lane's `.idx`: ignored by readers,
+        // removed by the lane's next sidecar write.
+        ("lane0004.idx.json", "{\"schema\":2,".to_string()),
         (
             "lane0500.compact.json",
             journal_json(500, b"never landed", &[1]),
