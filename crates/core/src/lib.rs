@@ -111,7 +111,7 @@ pub use monitor::{OnlineMonitor, WindowDecision, WindowVerdict};
 pub use periodicity::{estimate_period, PeriodicSuppressor};
 pub use pmf::{PmfScratch, WindowPmf};
 pub use recorder::{RecorderStats, TraceRecorder};
-pub use reference::ReferenceModel;
+pub use reference::{EmbeddedModel, ReferenceModel};
 pub use report::ReductionReport;
 pub use session::{
     rerun_with_model, DecisionObserver, FnObserver, NullObserver, ReductionSession, RerunOutcome,

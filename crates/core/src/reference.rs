@@ -1,8 +1,9 @@
 //! Learning the reference ("correct behaviour") model.
 
-use std::sync::Arc;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use lof_anomaly::{LofConfig, LofModel};
 use trace_model::Window;
@@ -22,14 +23,33 @@ use crate::{CoreError, MonitorConfig, WindowPmf};
 ///
 /// Cloning is cheap: the fitted LOF model — the bulk of the data — is
 /// shared, so every stream of a fleet and every oracle re-run can own
-/// "its" model.
-#[derive(Debug, Clone)]
+/// "its" model. Clones also share one once-cell holding the model's
+/// [`EmbeddedModel`]: empty until the first [`EmbeddedModel::embed`] of
+/// the model or any clone, then the rendered text plus the model parsed
+/// back from it, kept until the last clone is dropped.
+#[derive(Clone)]
 pub struct ReferenceModel {
     lof: Arc<LofModel>,
     aggregate: WindowPmf,
     calibrated_gate_threshold: f64,
     reference_windows: usize,
     config: MonitorConfig,
+    /// Memo of [`EmbeddedModel::embed`]. A pure function of the fields
+    /// above, so it takes no part in equality or `Debug` output, and
+    /// whichever thread fills it first stores what any other would have.
+    embedding: Arc<OnceLock<EmbeddedModel>>,
+}
+
+impl fmt::Debug for ReferenceModel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ReferenceModel")
+            .field("lof", &self.lof)
+            .field("aggregate", &self.aggregate)
+            .field("calibrated_gate_threshold", &self.calibrated_gate_threshold)
+            .field("reference_windows", &self.reference_windows)
+            .field("config", &self.config)
+            .finish()
+    }
 }
 
 /// Two models are equal when every learned parameter matches: the
@@ -70,6 +90,9 @@ impl ReferenceModel {
     #[must_use]
     pub fn with_config_override(mut self, config: MonitorConfig) -> Self {
         self.config = config;
+        // The configuration is part of the embedded text: the result
+        // starts with an empty memo and the source's is left alone.
+        self.embedding = Arc::default();
         self
     }
 
@@ -108,6 +131,7 @@ impl ReferenceModel {
             calibrated_gate_threshold,
             reference_windows: pmfs.len(),
             config: config.clone(),
+            embedding: Arc::default(),
         })
     }
 
@@ -194,7 +218,90 @@ impl ReferenceModel {
             calibrated_gate_threshold: data.calibrated_gate_threshold,
             reference_windows: data.reference_windows,
             config: data.config,
+            embedding: Arc::default(),
         })
+    }
+}
+
+/// A model as a reproduction artifact carries it: the canonical JSON
+/// text ([`ReferenceModel::to_json`]) **and** the model parsed from that
+/// very text.
+///
+/// The only constructors are [`embed`](Self::embed) (render, then parse
+/// the rendering back) and [`parse`](Self::parse), so the pairing is a
+/// type invariant: whatever holds an `EmbeddedModel` scores with exactly
+/// the model its text describes, never with a caller's in-memory model
+/// that merely claims to equal it. The text is the identity — equality
+/// and serialisation (a JSON string) look at nothing else — and the
+/// parsed model is derived from it once, never stored. Cloning bumps two
+/// reference counts.
+#[derive(Clone)]
+pub struct EmbeddedModel {
+    json: Arc<str>,
+    model: Arc<ReferenceModel>,
+}
+
+impl EmbeddedModel {
+    /// The embedding of `model`: its canonical JSON and the model parsed
+    /// back from it. Rendered and parsed once per model — the result is
+    /// memoised in a cell `model` shares with its clones, so every later
+    /// call returns the same text allocation and the same parsed model.
+    ///
+    /// # Errors
+    ///
+    /// As [`ReferenceModel::to_json`] and [`ReferenceModel::from_json`].
+    pub fn embed(model: &ReferenceModel) -> Result<Self, CoreError> {
+        if let Some(embedded) = model.embedding.get() {
+            return Ok(embedded.clone());
+        }
+        let embedded = Self::parse(&model.to_json()?)?;
+        Ok(model.embedding.get_or_init(|| embedded).clone())
+    }
+
+    /// Parses a model's canonical JSON, keeping the text beside the
+    /// model it describes.
+    ///
+    /// # Errors
+    ///
+    /// As [`ReferenceModel::from_json`].
+    pub fn parse(json: &str) -> Result<Self, CoreError> {
+        Ok(EmbeddedModel {
+            model: Arc::new(ReferenceModel::from_json(json)?),
+            json: json.into(),
+        })
+    }
+
+    /// The canonical JSON text: what an artifact stores and hashes.
+    pub fn json(&self) -> &str {
+        &self.json
+    }
+
+    /// The model parsed from [`json`](Self::json).
+    pub fn model(&self) -> &ReferenceModel {
+        &self.model
+    }
+}
+
+/// Equality of the text; the parsed model is a function of it.
+impl PartialEq for EmbeddedModel {
+    fn eq(&self, other: &Self) -> bool {
+        self.json == other.json
+    }
+}
+
+impl fmt::Debug for EmbeddedModel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("EmbeddedModel")
+            .field("json", &self.json)
+            .finish_non_exhaustive()
+    }
+}
+
+/// Serialises as the JSON string of the text, exactly as the `String`
+/// it replaces in `ReproArtifact::model` did.
+impl Serialize for EmbeddedModel {
+    fn to_value(&self) -> Value {
+        self.json.to_value()
     }
 }
 
@@ -319,6 +426,96 @@ mod tests {
             ReferenceModel::from_json("{not json"),
             Err(CoreError::ModelSerialization(_))
         ));
+        // Nesting without end is an error like any other, not a stack
+        // overflow: bare, and where a model's points would be.
+        for hostile in [
+            "[".repeat(60_000),
+            "{\"points\":".to_owned() + &"[".repeat(60_000),
+        ] {
+            assert!(matches!(
+                ReferenceModel::from_json(&hostile),
+                Err(CoreError::ModelSerialization(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn embedding_is_rendered_once_and_shared_by_clones() {
+        let cfg = config(3, 10);
+        let model = ReferenceModel::learn_from_pmfs(regular_pmfs(80, 3, 4), &cfg).unwrap();
+        let never_embedded = ReferenceModel::learn_from_pmfs(regular_pmfs(80, 3, 4), &cfg).unwrap();
+        let cloned_before = model.clone();
+        let debug_before = format!("{model:?}");
+
+        let first = EmbeddedModel::embed(&model).unwrap();
+        assert_eq!(first.json(), model.to_json().unwrap());
+        assert!(
+            first.model() == &model,
+            "the parsed-back model equals its source"
+        );
+        assert_eq!(first, EmbeddedModel::parse(first.json()).unwrap());
+
+        // The model, a clone taken before and a clone taken after all
+        // hand out the one text and the one parsed model.
+        for same in [&model, &cloned_before, &model.clone()] {
+            let again = EmbeddedModel::embed(same).unwrap();
+            assert!(Arc::ptr_eq(&again.json, &first.json));
+            assert!(Arc::ptr_eq(&again.model, &first.model));
+        }
+
+        // The memo is invisible: equality and `Debug` ignore it.
+        assert!(model == never_embedded);
+        assert_eq!(format!("{model:?}"), debug_before);
+        assert_eq!(format!("{model:?}"), format!("{never_embedded:?}"));
+    }
+
+    #[test]
+    fn config_override_embeds_the_new_config_and_leaves_the_source_memo_alone() {
+        let cfg = config(3, 10);
+        let model = ReferenceModel::learn_from_pmfs(regular_pmfs(80, 3, 5), &cfg).unwrap();
+        let original = EmbeddedModel::embed(&model).unwrap();
+
+        let mut stricter = cfg.clone();
+        stricter.alpha = 2.5;
+        stricter.drift_gate = crate::DriftGateConfig::Disabled;
+        let overridden = model.clone().with_config_override(stricter.clone());
+        let embedded = EmbeddedModel::embed(&overridden).unwrap();
+        assert_eq!(embedded.model().config(), &stricter);
+        assert_eq!(embedded.json(), overridden.to_json().unwrap());
+        assert_ne!(embedded, original);
+
+        let again = EmbeddedModel::embed(&model).unwrap();
+        assert!(Arc::ptr_eq(&again.json, &original.json));
+        assert_eq!(again.model().config(), &cfg);
+    }
+
+    #[test]
+    fn concurrent_embeds_of_one_model_agree() {
+        let cfg = config(3, 10);
+        let model = ReferenceModel::learn_from_pmfs(regular_pmfs(80, 3, 6), &cfg).unwrap();
+        let start = std::sync::Barrier::new(8);
+        let embedded: Vec<EmbeddedModel> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let own = model.clone();
+                        start.wait();
+                        EmbeddedModel::embed(&own).unwrap()
+                    })
+                })
+                .collect();
+            racers
+                .into_iter()
+                .map(|racer| racer.join().expect("embedding does not panic"))
+                .collect()
+        });
+        let expected = model.to_json().unwrap();
+        for one in &embedded {
+            assert_eq!(one.json(), expected);
+            assert!(one.model() == &model);
+            // Whoever lost the race dropped its own rendering.
+            assert!(Arc::ptr_eq(&one.json, &embedded[0].json));
+        }
     }
 
     #[test]

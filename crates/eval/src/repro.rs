@@ -212,7 +212,42 @@ mod tests {
         assert_eq!(durable.result.failed_streams, 0);
         assert!(!durable.artifacts.is_empty());
         let recorder = durable.result.fleet.recorder;
-        check_cold_totals(&StoreReader::open(&dir).unwrap(), &recorder).unwrap();
+        let reader = StoreReader::open(&dir).unwrap();
+        check_cold_totals(&reader, &recorder).unwrap();
+
+        // The run's model was rendered and parsed back once: every
+        // artifact holds that one text and scores with that one fit. And
+        // the memo changed no byte: a freshly learned, never-embedded
+        // equal model extracts the same artifact.
+        let first = &durable.artifacts[0];
+        assert!(durable.artifacts.len() > 1);
+        for artifact in &durable.artifacts {
+            assert!(std::ptr::eq(artifact.model.json(), first.model.json()));
+            assert!(std::ptr::eq(
+                artifact.reference_model().lof(),
+                first.reference_model().lof()
+            ));
+        }
+        for artifact in durable.artifacts.iter().take(3) {
+            let target = artifact
+                .windows
+                .iter()
+                .find(|window| window.start_ns == artifact.target_start_ns)
+                .unwrap();
+            let cold = extract_window(
+                &reader,
+                artifact.lane,
+                WindowId::new(target.window_id),
+                2,
+                &experiment.monitor,
+                &experiment.learn_reference().unwrap(),
+                artifact.name.clone(),
+            )
+            .unwrap();
+            assert_eq!(cold.to_bytes().unwrap(), artifact.to_bytes().unwrap());
+            assert!(!std::ptr::eq(cold.model.json(), first.model.json()));
+        }
+        drop(reader);
 
         // Lose one recorded lane behind the run's back: the same check
         // now names the gap instead of letting extraction trust the disk.

@@ -9,13 +9,13 @@
 //! asserted on every load, so a corrupted or hand-edited artifact is
 //! rejected with a typed error before it can silently pass (or fail) a
 //! regression test. `docs/REPRO.md` is the normative description of
-//! the schema and the hash rules.
+//! the schema, the hash rules and the order of the load checks.
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 use endurance_core::{
-    rerun_with_model, MonitorConfig, ReferenceModel, RerunOutcome, WindowDecision, WindowStrategy,
-    WindowVerdict,
+    rerun_with_model, EmbeddedModel, MonitorConfig, ReferenceModel, RerunOutcome, WindowDecision,
+    WindowStrategy, WindowVerdict,
 };
 use trace_model::codec::{BinaryDecoder, BinaryEncoder, TraceDecoder, TraceEncoder};
 use trace_model::{TraceEvent, Window, WindowAssembler};
@@ -56,8 +56,10 @@ pub struct PinnedVerdict {
 }
 
 /// A self-contained, versioned, content-hashed reproduction of one
-/// store-backed detection.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// store-backed detection. Written with [`to_bytes`](Self::to_bytes) and
+/// read back only through [`from_bytes`](Self::from_bytes), which is
+/// where the schema and the content hash are checked.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ReproArtifact {
     /// Schema version ([`ARTIFACT_SCHEMA`]); loads of unknown versions
     /// are rejected with [`ReproError::UnsupportedSchema`].
@@ -72,9 +74,11 @@ pub struct ReproArtifact {
     /// The oracle monitor configuration (drift gate disabled, so every
     /// window is LOF-scored statelessly; see `docs/REPRO.md`).
     pub monitor: MonitorConfig,
-    /// The curated reference model, in its canonical JSON form
-    /// ([`ReferenceModel::to_json`]).
-    pub model: String,
+    /// The curated reference model: its canonical JSON text
+    /// ([`EmbeddedModel::json`], what is stored and hashed) together with
+    /// the model parsed from that text, which is what every re-run
+    /// scores with.
+    pub model: EmbeddedModel,
     /// The extracted windows, in trace order.
     pub windows: Vec<ArtifactWindow>,
     /// Verdict of every window the seal-time oracle re-run produced,
@@ -184,28 +188,16 @@ pub(crate) fn windows_from_events(
     Ok(out)
 }
 
-/// A model as an artifact embeds it: its canonical JSON, plus the model
-/// parsed back from that very string. Sealing with the parsed model —
-/// never the caller's in-memory one — keeps the artifact a pure function
-/// of its own bytes without parsing the string a second time.
-pub(crate) fn embed_model(model: &ReferenceModel) -> Result<(String, ReferenceModel), ReproError> {
-    let json = model.to_json()?;
-    let parsed = ReferenceModel::from_json(&json)?;
-    Ok((json, parsed))
-}
-
 /// Builds a sealed artifact from already-extracted windows: decodes the
 /// payloads, re-runs the oracle, requires the target window to score
 /// [`WindowVerdict::Anomalous`], pins every verdict, and seals the
-/// content hash. `model` must be the model parsed from `model_json`
-/// ([`embed_model`], or an existing artifact's `model` string and its
-/// [`ReproArtifact::reference_model`]).
+/// content hash.
 pub(crate) fn build_sealed(
     name: String,
     lane: u32,
     target_start_ns: u64,
     monitor: MonitorConfig,
-    (model_json, model): (String, ReferenceModel),
+    model: EmbeddedModel,
     windows: Vec<ArtifactWindow>,
 ) -> Result<ReproArtifact, ReproError> {
     let mut artifact = ReproArtifact {
@@ -214,12 +206,12 @@ pub(crate) fn build_sealed(
         lane,
         target_start_ns,
         monitor,
-        model: model_json,
+        model,
         windows,
         expected: Vec::new(),
         content_hash: 0,
     };
-    let outcome = artifact.rerun_with(model)?;
+    let outcome = artifact.rerun()?;
     let Some(target) = outcome
         .decisions
         .iter()
@@ -247,6 +239,82 @@ pub(crate) fn build_sealed(
         .collect();
     artifact.seal();
     Ok(artifact)
+}
+
+/// Every field the content hash covers, borrowed: an artifact's own
+/// ([`ReproArtifact::compute_hash`]), or a decoded document's whose
+/// model text has not been parsed yet ([`ReproArtifact::from_bytes`]
+/// checks the hash first).
+struct HashedFields<'a> {
+    schema: u32,
+    name: &'a str,
+    lane: u32,
+    target_start_ns: u64,
+    monitor: &'a MonitorConfig,
+    model_json: &'a str,
+    windows: &'a [ArtifactWindow],
+    expected: &'a [PinnedVerdict],
+}
+
+impl HashedFields<'_> {
+    /// The fold of `docs/REPRO.md` §2.
+    fn fold(&self) -> Result<u64, ReproError> {
+        let monitor_json = serde_json::to_string(self.monitor)
+            .map_err(|e| ReproError::Malformed(e.to_string()))?;
+        let mut fnv = Fnv64::new();
+        fnv.write_u32(self.schema);
+        fnv.write_u64(self.name.len() as u64);
+        fnv.write_bytes(self.name.as_bytes());
+        fnv.write_u32(self.lane);
+        fnv.write_u64(self.target_start_ns);
+        fnv.write_u64(monitor_json.len() as u64);
+        fnv.write_bytes(monitor_json.as_bytes());
+        fnv.write_u64(self.model_json.len() as u64);
+        fnv.write_bytes(self.model_json.as_bytes());
+        fnv.write_u64(self.windows.len() as u64);
+        for window in self.windows {
+            fnv.write_u64(window.window_id);
+            fnv.write_u64(window.start_ns);
+            fnv.write_u64(window.end_ns);
+            fnv.write_u32(window.events);
+            fnv.write_u64(window.payload.len() as u64);
+            fnv.write_bytes(&window.payload);
+        }
+        fnv.write_u64(self.expected.len() as u64);
+        for pinned in self.expected {
+            fnv.write_u64(pinned.start_ns);
+            fnv.write_u64(pinned.end_ns);
+            fnv.write_u64(pinned.events as u64);
+            fnv.write_u8(verdict_tag(pinned.verdict));
+        }
+        Ok(fnv.finish())
+    }
+}
+
+/// Schema-1 document as decoded from the value tree, its model still
+/// text: [`ReproArtifact`] before the hash check has earned the parse.
+#[derive(Deserialize)]
+struct Document {
+    schema: u32,
+    name: String,
+    lane: u32,
+    target_start_ns: u64,
+    monitor: MonitorConfig,
+    model: String,
+    windows: Vec<ArtifactWindow>,
+    expected: Vec<PinnedVerdict>,
+    content_hash: u64,
+}
+
+/// What [`ReproArtifact::from_bytes`] asks `serde_json` for. The
+/// vendored parser hands its value tree only to a `Deserialize` impl, so
+/// the load checks run inside this one, on the tree of the one parse.
+struct Loaded(Result<ReproArtifact, ReproError>);
+
+impl Deserialize for Loaded {
+    fn from_value(tree: &Value) -> Result<Self, DeError> {
+        Ok(Loaded(ReproArtifact::from_tree(tree)))
+    }
 }
 
 impl ReproArtifact {
@@ -278,7 +346,7 @@ impl ReproArtifact {
     ) -> Result<Self, ReproError> {
         let monitor = crate::extract::oracle_config(monitor);
         let windows = windows_from_events(&monitor.window, events)?;
-        let model = embed_model(model)?;
+        let model = EmbeddedModel::embed(model)?;
         build_sealed(name.into(), lane, target_start_ns, monitor, model, windows)
     }
 
@@ -295,35 +363,17 @@ impl ReproArtifact {
     /// Returns [`ReproError::Malformed`] if the monitor configuration
     /// cannot be rendered to JSON.
     pub fn compute_hash(&self) -> Result<u64, ReproError> {
-        let monitor_json = serde_json::to_string(&self.monitor)
-            .map_err(|e| ReproError::Malformed(e.to_string()))?;
-        let mut fnv = Fnv64::new();
-        fnv.write_u32(self.schema);
-        fnv.write_u64(self.name.len() as u64);
-        fnv.write_bytes(self.name.as_bytes());
-        fnv.write_u32(self.lane);
-        fnv.write_u64(self.target_start_ns);
-        fnv.write_u64(monitor_json.len() as u64);
-        fnv.write_bytes(monitor_json.as_bytes());
-        fnv.write_u64(self.model.len() as u64);
-        fnv.write_bytes(self.model.as_bytes());
-        fnv.write_u64(self.windows.len() as u64);
-        for window in &self.windows {
-            fnv.write_u64(window.window_id);
-            fnv.write_u64(window.start_ns);
-            fnv.write_u64(window.end_ns);
-            fnv.write_u32(window.events);
-            fnv.write_u64(window.payload.len() as u64);
-            fnv.write_bytes(&window.payload);
+        HashedFields {
+            schema: self.schema,
+            name: &self.name,
+            lane: self.lane,
+            target_start_ns: self.target_start_ns,
+            monitor: &self.monitor,
+            model_json: self.model.json(),
+            windows: &self.windows,
+            expected: &self.expected,
         }
-        fnv.write_u64(self.expected.len() as u64);
-        for pinned in &self.expected {
-            fnv.write_u64(pinned.start_ns);
-            fnv.write_u64(pinned.end_ns);
-            fnv.write_u64(pinned.events as u64);
-            fnv.write_u8(verdict_tag(pinned.verdict));
-        }
-        Ok(fnv.finish())
+        .fold()
     }
 
     /// Recomputes and stores the content hash. Called by every builder;
@@ -345,40 +395,71 @@ impl ReproArtifact {
             .map_err(|e| ReproError::Malformed(e.to_string()))
     }
 
-    /// Loads an artifact from its on-disk byte form, verifying the
-    /// schema version and the content hash.
+    /// Loads an artifact from its on-disk byte form. The document is
+    /// parsed once and judged in a fixed order (`docs/REPRO.md` §1,
+    /// *Loading*): UTF-8, JSON, schema version, structure, content hash,
+    /// and only then the model text — so an artifact that loads always
+    /// holds a usable model.
     ///
     /// # Errors
     ///
-    /// Returns [`ReproError::Malformed`] for unparseable bytes,
+    /// Returns [`ReproError::Malformed`] for bytes that are not UTF-8,
+    /// not JSON or not shaped like the schema,
     /// [`ReproError::UnsupportedSchema`] for a version this build does
-    /// not understand, and [`ReproError::HashMismatch`] when the bytes
-    /// were altered after sealing.
+    /// not understand, [`ReproError::HashMismatch`] when the bytes were
+    /// altered after sealing, and [`ReproError::Core`] when a sealed
+    /// model text does not describe a model.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ReproError> {
+        let text =
+            std::str::from_utf8(bytes).map_err(|_| ReproError::Malformed("not UTF-8".into()))?;
+        let Loaded(artifact) =
+            serde_json::from_str(text).map_err(|e| ReproError::Malformed(e.to_string()))?;
+        artifact
+    }
+
+    /// [`from_bytes`](Self::from_bytes) from the schema probe on.
+    fn from_tree(tree: &Value) -> Result<Self, ReproError> {
         #[derive(Deserialize)]
         struct SchemaProbe {
             schema: u32,
         }
-        let text =
-            std::str::from_utf8(bytes).map_err(|_| ReproError::Malformed("not UTF-8".into()))?;
-        let probe: SchemaProbe =
-            serde_json::from_str(text).map_err(|e| ReproError::Malformed(e.to_string()))?;
+        let malformed = |e: DeError| ReproError::Malformed(e.to_string());
+        let probe = SchemaProbe::from_value(tree).map_err(malformed)?;
         if probe.schema != ARTIFACT_SCHEMA {
             return Err(ReproError::UnsupportedSchema {
                 found: probe.schema,
                 supported: ARTIFACT_SCHEMA,
             });
         }
-        let artifact: ReproArtifact =
-            serde_json::from_str(text).map_err(|e| ReproError::Malformed(e.to_string()))?;
-        let actual = artifact.compute_hash()?;
-        if actual != artifact.content_hash {
+        let document = Document::from_value(tree).map_err(malformed)?;
+        let actual = HashedFields {
+            schema: document.schema,
+            name: &document.name,
+            lane: document.lane,
+            target_start_ns: document.target_start_ns,
+            monitor: &document.monitor,
+            model_json: &document.model,
+            windows: &document.windows,
+            expected: &document.expected,
+        }
+        .fold()?;
+        if actual != document.content_hash {
             return Err(ReproError::HashMismatch {
-                expected: artifact.content_hash,
+                expected: document.content_hash,
                 actual,
             });
         }
-        Ok(artifact)
+        Ok(ReproArtifact {
+            model: EmbeddedModel::parse(&document.model)?,
+            schema: document.schema,
+            name: document.name,
+            lane: document.lane,
+            target_start_ns: document.target_start_ns,
+            monitor: document.monitor,
+            windows: document.windows,
+            expected: document.expected,
+            content_hash: document.content_hash,
+        })
     }
 
     /// Decodes every window payload into the artifact's full event
@@ -396,14 +477,10 @@ impl ReproArtifact {
         Ok(events)
     }
 
-    /// Rebuilds the curated reference model from its canonical JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReproError::Core`] when the model JSON does not parse
-    /// or the LOF fit cannot be reproduced.
-    pub fn reference_model(&self) -> Result<ReferenceModel, ReproError> {
-        Ok(ReferenceModel::from_json(&self.model)?)
+    /// The curated reference model, as parsed from the artifact's own
+    /// model text: the model every re-run of this artifact scores with.
+    pub fn reference_model(&self) -> &ReferenceModel {
+        self.model.model()
     }
 
     /// Runs the oracle once over the artifact's events: a fresh
@@ -414,12 +491,8 @@ impl ReproArtifact {
     ///
     /// Propagates decode and session-construction failures.
     pub fn rerun(&self) -> Result<RerunOutcome, ReproError> {
-        self.rerun_with(self.reference_model()?)
-    }
-
-    /// [`rerun`](Self::rerun) with the embedded model already parsed.
-    fn rerun_with(&self, model: ReferenceModel) -> Result<RerunOutcome, ReproError> {
         let events = self.events()?;
+        let model = self.reference_model().clone();
         Ok(rerun_with_model(self.monitor.clone(), model, &events)?)
     }
 
@@ -496,6 +569,17 @@ mod tests {
         assert_eq!(a.finish(), 0xaf63_dc4c_8601_ec8c);
     }
 
+    /// A small learned model over four event types; `tilt` moves every
+    /// reference point, so different tilts give different model texts.
+    fn small_model(tilt: u64) -> ReferenceModel {
+        use endurance_core::WindowPmf;
+        let config = MonitorConfig::builder().dimensions(4).k(3).build().unwrap();
+        let pmfs = (0..8u64)
+            .map(|i| WindowPmf::from_counts(&[40 + i % 3, 30 + tilt, 20, 10 + i % 2], 0.5))
+            .collect();
+        ReferenceModel::learn_from_pmfs(pmfs, &config).unwrap()
+    }
+
     #[test]
     fn hash_is_sensitive_to_every_field() {
         let base = ReproArtifact {
@@ -504,7 +588,7 @@ mod tests {
             lane: 3,
             target_start_ns: 40_000_000,
             monitor: MonitorConfig::paper_defaults(4).unwrap(),
-            model: "{}".into(),
+            model: EmbeddedModel::embed(&small_model(0)).unwrap(),
             windows: vec![ArtifactWindow {
                 window_id: 7,
                 start_ns: 40_000_000,
@@ -524,6 +608,10 @@ mod tests {
 
         let mut touched = base.clone();
         touched.name = "other".into();
+        assert_ne!(touched.compute_hash().unwrap(), reference);
+
+        let mut touched = base.clone();
+        touched.model = EmbeddedModel::embed(&small_model(1)).unwrap();
         assert_ne!(touched.compute_hash().unwrap(), reference);
 
         let mut touched = base.clone();

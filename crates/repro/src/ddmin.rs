@@ -232,7 +232,7 @@ pub fn minimize(
     config: &MinimizeConfig,
 ) -> Result<MinimizeOutcome, ReproError> {
     let events = artifact.events()?;
-    let model = artifact.reference_model()?;
+    let model = artifact.reference_model();
     let monitor = artifact.monitor.clone();
     let target = artifact.target_start_ns;
 
@@ -262,7 +262,7 @@ pub fn minimize(
         artifact.lane,
         target,
         artifact.monitor.clone(),
-        (artifact.model.clone(), model),
+        artifact.model.clone(),
         windows,
     )?;
     Ok(MinimizeOutcome {

@@ -8,11 +8,11 @@
 //! scores each window statelessly. See `docs/REPRO.md` for why an
 //! originally-anomalous window keeps its verdict under that oracle.
 
-use endurance_core::{DriftGateConfig, MonitorConfig, ReferenceModel};
+use endurance_core::{DriftGateConfig, EmbeddedModel, MonitorConfig, ReferenceModel};
 use endurance_store::{StoreReader, WindowEntry};
 use trace_model::{Timestamp, WindowId};
 
-use crate::artifact::{build_sealed, embed_model, ArtifactWindow, ReproArtifact};
+use crate::artifact::{build_sealed, ArtifactWindow, ReproArtifact};
 use crate::error::ReproError;
 
 /// The oracle variant of a detection config: identical except the
@@ -44,8 +44,9 @@ fn artifact_windows(windows: Vec<(WindowEntry, Vec<u8>)>) -> Vec<ArtifactWindow>
 /// `monitor` is the detection configuration the store was produced
 /// under and `model` the curated reference model; the artifact embeds
 /// the gate-disabled oracle variant of `monitor` plus the model's
-/// canonical JSON, re-runs once to pin every verdict, and seals its
-/// content hash.
+/// canonical JSON ([`EmbeddedModel::embed`]: rendered and parsed back
+/// once per model, however many windows are extracted with it), re-runs
+/// once to pin every verdict, and seals its content hash.
 ///
 /// # Errors
 ///
@@ -78,7 +79,7 @@ pub fn extract_window(
         lane,
         target_start_ns,
         oracle_config(monitor),
-        embed_model(model)?,
+        EmbeddedModel::embed(model)?,
         artifact_windows(windows),
     )
 }
@@ -114,7 +115,7 @@ pub fn extract_range(
         lane,
         target_start.as_nanos(),
         oracle_config(monitor),
-        embed_model(model)?,
+        EmbeddedModel::embed(model)?,
         artifact_windows(windows),
     )
 }

@@ -55,5 +55,6 @@ mod extract;
 pub use artifact::{ArtifactWindow, PinnedVerdict, ReproArtifact, ARTIFACT_SCHEMA};
 pub use corpus::{verify_corpus, CorpusReport, CorpusWriter, FIXTURE_SUFFIX, MANIFEST_FILE};
 pub use ddmin::{ddmin, minimize, DdminOutcome, MinimizeConfig, MinimizeOutcome, MinimizeReport};
+pub use endurance_core::EmbeddedModel;
 pub use error::ReproError;
 pub use extract::{extract_range, extract_window, oracle_config};

@@ -473,6 +473,40 @@ fn a_wrong_offset_in_a_sidecar_falls_back_to_the_scanner() {
 }
 
 #[test]
+fn endlessly_nested_json_is_an_unreadable_sidecar_and_an_ignored_journal() {
+    // A megabyte of `[` where the store parses JSON: the parser refuses
+    // the nesting instead of recursing until the stack overflows.
+    let dir = temp_dir("nested-json");
+    let recorded = write_closed_lane(&dir, CodecId::Identity, 6);
+    downgrade_sidecar_to_schema_2_json(&dir);
+    let hostile = vec![b'['; 1 << 20];
+    std::fs::write(dir.join("lane0000.idx.json"), &hostile).unwrap();
+    std::fs::write(dir.join("lane0000.compact.json"), &hostile).unwrap();
+
+    // The sidecar falls back to the scanner; the journal is a merge that
+    // never landed.
+    let reader = StoreReader::open(&dir).unwrap();
+    assert_store_matches(&reader, &recorded);
+    assert_eq!(
+        reader.recovery().sidecar_fallbacks,
+        [SidecarFallback {
+            lane: 0,
+            reason: FallbackReason::Unreadable
+        }]
+    );
+    drop(reader);
+
+    // A maintenance pass recovers through the same two files.
+    Compactor::new(&dir, MaintenancePolicy::merge_below(u64::MAX))
+        .compact()
+        .unwrap();
+    let after = StoreReader::open(&dir).unwrap();
+    assert!(after.recovery().clean);
+    assert_store_matches(&after, &recorded);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn the_binary_sidecar_is_the_one_judged_when_both_are_present() {
     let dir = temp_dir("both-sidecars");
     let recorded = write_closed_lane(&dir, CodecId::DeltaVarint, 5);
