@@ -33,7 +33,7 @@ use endurance_serve::{
 };
 use endurance_store::{
     CompactionReport, Compactor, LaneWriter, MaintenancePolicy, RecoveryReport, Snapshot,
-    SpooledSink, StoreConfig, StoreReader, WindowEntry,
+    SpooledSink, StoreConfig, StoreReader, StoreWriter, WindowEntry,
 };
 use trace_model::{StreamId, TraceError};
 
@@ -327,8 +327,9 @@ impl MultiStreamExperiment {
     ) -> Result<FleetDurableResult, EvalError> {
         let dir = dir.as_ref();
         refuse_used_dir(dir)?;
+        let writers = StoreWriter::open(dir)?;
         let (aggregate, recorded) =
-            self.record_into_lanes(|lane| LaneWriter::create(dir, lane, store_for(lane as usize)))?;
+            self.record_into_lanes(|lane| writers.lane(lane, store_for(lane as usize)))?;
         let compaction = maintenance
             .map(|policy| Compactor::new(dir, policy).compact())
             .transpose()?;

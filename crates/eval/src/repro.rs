@@ -11,9 +11,10 @@
 
 use std::collections::BTreeSet;
 use std::path::Path;
+use std::sync::Arc;
 
 use endurance_repro::{extract_window, ReproArtifact, ReproError};
-use endurance_store::{LaneWriter, RecoveryReport, StoreConfig, StoreReader};
+use endurance_store::{LaneWriter, RecoveryReport, StoreConfig, StoreReader, StoreWriter};
 use trace_model::{EventSink, RecordMeta, StreamId, TraceError, TraceEvent, WindowId};
 
 use crate::recorded::{check_cold_totals, refuse_used_dir};
@@ -37,8 +38,8 @@ enum LaneSink {
 }
 
 impl LaneSink {
-    fn create(dir: &Path, lane: u32, config: StoreConfig) -> Self {
-        match LaneWriter::create(dir, lane, config) {
+    fn create(writers: &StoreWriter, lane: u32, config: StoreConfig) -> Self {
+        match writers.lane(lane, config) {
             Ok(writer) => LaneSink::Ready(Box::new(writer)),
             Err(err) => LaneSink::Failed(err.to_string()),
         }
@@ -134,9 +135,11 @@ impl ChurnExperiment {
         refuse_used_dir(dir)?;
 
         let model = self.learn_reference()?;
-        let lane_dir = dir.to_path_buf();
+        // One handle for the fleet's lanes, created lazily on the worker
+        // threads: a new device never pays for listing its neighbours.
+        let writers = Arc::new(StoreWriter::open(dir)?);
         let (result, sinks) = self.run_inner(model.clone(), move |stream: StreamId| {
-            LaneSink::create(&lane_dir, stream.as_u32(), store)
+            LaneSink::create(&writers, stream.as_u32(), store)
         })?;
 
         // Wind the storage layer down cleanly: close every lane

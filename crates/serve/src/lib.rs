@@ -60,7 +60,9 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use endurance_obs::Registry;
-use endurance_store::{CommitLog, LaneWriter, SegmentCache, Snapshot, StoreConfig, StoreReader};
+use endurance_store::{
+    CommitLog, LaneWriter, SegmentCache, Snapshot, StoreConfig, StoreReader, StoreWriter,
+};
 use trace_model::{Timestamp, TraceError, TraceEvent, WindowId};
 
 use hub::Hub;
@@ -74,8 +76,8 @@ pub use trace_model::SubscriptionStats;
 /// The serving facade over one store directory.
 ///
 /// Cheap to clone; clones share the snapshot cache, the segment-buffer
-/// pool and the writer registry. See the [crate docs](crate) for the
-/// full picture.
+/// pool, the writer registry and the directory's write handle. See the
+/// [crate docs](crate) for the full picture.
 ///
 /// Snapshot queries answer from the handle's **current** snapshot,
 /// captured lazily on first use and replaced only by
@@ -94,6 +96,9 @@ struct Inner {
     dir: PathBuf,
     cache: Arc<SegmentCache>,
     hub: Arc<Hub>,
+    /// The directory opened for writing, by the first `create_writer`:
+    /// a handle that only serves reads never lists for it.
+    store: Arc<Mutex<Option<Arc<StoreWriter>>>>,
     snapshot: Mutex<Option<Snapshot>>,
     registry: Arc<Registry>,
 }
@@ -113,6 +118,7 @@ impl ServeHandle {
                 dir,
                 cache,
                 hub: Arc::new(Hub::default()),
+                store: Arc::default(),
                 snapshot: Mutex::new(None),
                 registry: Registry::disabled(),
             }),
@@ -124,8 +130,9 @@ impl ServeHandle {
     /// `registry`: segment-cache hits/misses and CRC validations
     /// (`store_segcache_*`, `store_crc_validations_total`), lane write
     /// counters on writers from [`ServeHandle::create_writer`]
-    /// (`store_frames_written_total`, …), and per-lane delivery counters
-    /// plus watermark-lag gauges on subscriptions (`serve_*`).
+    /// (`store_frames_written_total`, …) and the directory listings those
+    /// creations cost (`store_dir_listings_total`), and per-lane delivery
+    /// counters plus watermark-lag gauges on subscriptions (`serve_*`).
     ///
     /// Call immediately after [`ServeHandle::open`], before creating
     /// writers, subscriptions or clones: existing clones keep serving
@@ -139,6 +146,7 @@ impl ServeHandle {
                 dir,
                 cache,
                 hub: Arc::clone(&self.inner.hub),
+                store: Arc::clone(&self.inner.store),
                 snapshot: Mutex::new(None),
                 registry,
             }),
@@ -160,20 +168,47 @@ impl ServeHandle {
     /// `SpooledSink`, hand it to a reducer shard, anything; the commit
     /// plumbing rides along inside it.
     ///
+    /// Writers come from one [`StoreWriter`] over the directory, opened
+    /// by the first call and shared by every clone: the directory is
+    /// listed once then, and again only for a lane that can have files —
+    /// one that was there at that listing, that this handle created
+    /// before, or that [`ServeHandle::register_commit_log`] announced —
+    /// so a fleet's thousandth new lane costs what its first did. While
+    /// this handle writes, lanes of the directory are created only
+    /// through it (`docs/FORMAT.md` §1).
+    ///
     /// # Errors
     ///
     /// Same conditions as [`LaneWriter::create`].
     pub fn create_writer(&self, lane: u32, config: StoreConfig) -> Result<LaneWriter, TraceError> {
-        let writer =
-            LaneWriter::create(&self.inner.dir, lane, config)?.with_metrics(&self.inner.registry);
+        let store = self.store_writer()?;
+        if self.inner.hub.current(lane).is_some() {
+            // A writer exists or existed, possibly one made outside.
+            store.mark_seen(lane);
+        }
+        let writer = store.lane(lane, config)?.with_metrics(&self.inner.registry);
         self.inner.hub.register(writer.commit_log());
         Ok(writer)
+    }
+
+    /// The directory's write handle, opened on first use.
+    fn store_writer(&self) -> Result<Arc<StoreWriter>, TraceError> {
+        let mut store = self.inner.store.lock().expect("no panic holds this lock");
+        if let Some(store) = store.as_ref() {
+            return Ok(Arc::clone(store));
+        }
+        let opened =
+            Arc::new(StoreWriter::open(&self.inner.dir)?.with_metrics(&self.inner.registry));
+        *store = Some(Arc::clone(&opened));
+        Ok(opened)
     }
 
     /// Registers the commit log of a writer created *outside* this
     /// handle (e.g. by code that owns its own `LaneWriter::create`
     /// call), so subscriptions can follow its lane. The latest
-    /// registration per lane wins.
+    /// registration per lane wins. A later
+    /// [`ServeHandle::create_writer`] for the lane resumes it, whatever
+    /// that writer left.
     pub fn register_commit_log(&self, log: CommitLog) {
         self.inner.hub.register(log);
     }
@@ -531,6 +566,69 @@ mod tests {
             hits + misses
         );
         assert_eq!(after_second.counter_total("store_crc_validations_total"), 9);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn creating_lanes_lists_the_directory_once_and_again_only_to_resume() {
+        let dir = temp_dir("listings");
+        let registry = Registry::new();
+        let serve = ServeHandle::open(&dir)
+            .unwrap()
+            .with_metrics(Arc::clone(&registry));
+        let listings = || {
+            registry
+                .snapshot()
+                .counter_total("store_dir_listings_total")
+        };
+
+        // Serving reads never opens the directory for writing.
+        serve.snapshot().unwrap();
+        assert_eq!(listings(), 0);
+
+        // Two workers, 200 new lanes each, racing for the first create:
+        // the directory is opened (and listed) once between them.
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for worker in 0..2u32 {
+                let (serve, start) = (serve.clone(), &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for lane in worker * 200..(worker + 1) * 200 {
+                        let mut writer = serve.create_writer(lane, StoreConfig::default()).unwrap();
+                        record(&mut writer, 0, 3);
+                        writer.close().unwrap();
+                    }
+                });
+            }
+        });
+        assert_eq!(listings(), 1);
+        assert_eq!(serve.refresh().unwrap().lane_ids().len(), 400);
+
+        // Resuming a lane the handle created lists, from any clone.
+        let resumed = serve
+            .clone()
+            .create_writer(7, StoreConfig::default())
+            .unwrap();
+        assert_eq!(resumed.recovery().windows, 1);
+        assert_eq!(listings(), 2);
+        drop(resumed);
+
+        // So does a lane whose writer was made outside and announced:
+        // whatever that writer left is recovered, not overwritten.
+        let mut outside = LaneWriter::create(&dir, 1000, StoreConfig::default()).unwrap();
+        serve.register_commit_log(outside.commit_log());
+        record(&mut outside, 0, 3);
+        drop(outside); // crash
+        let mut resumed = serve.create_writer(1000, StoreConfig::default()).unwrap();
+        assert_eq!(resumed.recovery().windows, 1);
+        assert_eq!(listings(), 3);
+        record(&mut resumed, 1, 3);
+        resumed.close().unwrap();
+        assert_eq!(
+            serve.refresh().unwrap().lane_windows(1000).unwrap().len(),
+            2
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -592,10 +592,37 @@ struct CompactionManifest {
 /// Manifest schema version.
 const MANIFEST_SCHEMA: u32 = 1;
 
-fn read_manifest(dir: &Path, lane: u32) -> Option<CompactionManifest> {
-    let text = std::fs::read_to_string(dir.join(manifest_file_name(lane))).ok()?;
-    let manifest: CompactionManifest = serde_json::from_str(&text).ok()?;
-    (manifest.schema == MANIFEST_SCHEMA && manifest.lane == lane).then_some(manifest)
+/// What a lane's journal file holds.
+enum Journal {
+    /// The document of `docs/FORMAT.md` §5.3, for this lane.
+    Merge(CompactionManifest),
+    /// JSON whose `schema` is past this build's: a newer build's journal,
+    /// not this build's to interpret or to delete.
+    Newer,
+    /// Anything else — torn, foreign, or naming another lane. Nothing can
+    /// be finished from it: the merge never landed.
+    Unreadable,
+}
+
+/// Reads and classifies the journal of `lane`.
+fn read_journal(dir: &Path, lane: u32) -> std::io::Result<Journal> {
+    #[derive(Deserialize)]
+    struct Versioned {
+        schema: u32,
+    }
+    let bytes = std::fs::read(dir.join(manifest_file_name(lane)))?;
+    let Ok(text) = std::str::from_utf8(&bytes) else {
+        return Ok(Journal::Unreadable);
+    };
+    Ok(match serde_json::from_str::<CompactionManifest>(text) {
+        Ok(manifest) if manifest.schema == MANIFEST_SCHEMA && manifest.lane == lane => {
+            Journal::Merge(manifest)
+        }
+        _ => match serde_json::from_str::<Versioned>(text) {
+            Ok(versioned) if versioned.schema > MANIFEST_SCHEMA => Journal::Newer,
+            _ => Journal::Unreadable,
+        },
+    })
 }
 
 /// Whether the manifest's consolidated segment was renamed into place.
@@ -612,8 +639,10 @@ fn manifest_committed(dir: &Path, manifest: &CompactionManifest) -> bool {
 /// Reader-side, non-mutating recovery: the segments a reopen must ignore
 /// because a committed-but-unfinished merge already replaced them.
 pub(crate) fn segments_replaced_by_pending_merge(dir: &Path, lane: u32) -> Vec<u32> {
-    match read_manifest(dir, lane) {
-        Some(manifest) if manifest_committed(dir, &manifest) => manifest.replaced_seqs,
+    match read_journal(dir, lane) {
+        Ok(Journal::Merge(manifest)) if manifest_committed(dir, &manifest) => {
+            manifest.replaced_seqs
+        }
         _ => Vec::new(),
     }
 }
@@ -629,8 +658,9 @@ pub(crate) fn recover_interrupted_merge(
 ) -> Result<Vec<u32>, TraceError> {
     let mut seqs = files.seqs.clone();
     if files.journal {
-        if let Some(manifest) = read_manifest(dir, lane) {
-            if manifest_committed(dir, &manifest) {
+        let journal = read_journal(dir, lane)?;
+        if let Journal::Merge(manifest) = &journal {
+            if manifest_committed(dir, manifest) {
                 // The consolidated segment landed: finish the deletions.
                 for &seq in &manifest.replaced_seqs {
                     let path = dir.join(segment_file_name(lane, seq));
@@ -639,8 +669,11 @@ pub(crate) fn recover_interrupted_merge(
                     }
                 }
             }
-            // Committed or not, the journal entry is now obsolete (a merge
-            // that never landed simply never happened).
+        }
+        // Committed or not, readable or not, the journal entry is now
+        // obsolete (a merge that never landed simply never happened) —
+        // unless a newer build wrote it.
+        if !matches!(journal, Journal::Newer) {
             std::fs::remove_file(dir.join(manifest_file_name(lane)))?;
         }
         seqs.retain(|seq| dir.join(segment_file_name(lane, *seq)).exists());
@@ -1001,8 +1034,13 @@ fn rewrite_run(
         };
         let json = serde_json::to_string(&manifest)
             .map_err(|error| std::io::Error::other(error.to_string()))?;
+        // Synced before the rename, like the segment it describes: after
+        // power loss the journal must not be the one torn file.
         let manifest_tmp = dir.join(format!("{}.compact.tmp", manifest_file_name(lane)));
-        std::fs::write(&manifest_tmp, json)?;
+        let mut journal = std::fs::File::create(&manifest_tmp)?;
+        journal.write_all(json.as_bytes())?;
+        journal.sync_all()?;
+        drop(journal);
         std::fs::rename(&manifest_tmp, dir.join(manifest_file_name(lane)))?;
     }
 

@@ -12,9 +12,9 @@ use crate::commit::CommitLog;
 use crate::compact::{compact_lane_index, LaneCompaction, MaintenancePolicy};
 use crate::index::{LaneIndex, RecoveryReport, SegmentMeta, WindowEntry, SIDECAR_SCHEMA};
 use crate::segment::{
-    build_frame, build_frame_v2, frame_meta_len, list_store_dir, scan_segment, segment_file_name,
-    segment_header, write_sidecar, FRAME_HEADER_LEN, SEGMENT_HEADER_LEN, SEGMENT_VERSION_V1,
-    SEGMENT_VERSION_V2,
+    build_frame, build_frame_v2, frame_meta_len, list_lane, scan_segment, segment_file_name,
+    segment_header, write_sidecar, LaneFiles, FRAME_HEADER_LEN, SEGMENT_HEADER_LEN,
+    SEGMENT_VERSION_V1, SEGMENT_VERSION_V2,
 };
 
 /// Rotation policy, frame codec, maintenance and durability knobs of a
@@ -233,6 +233,14 @@ impl LaneWriter {
     /// CRC-validated, torn tails are truncated, and writing resumes in a
     /// fresh segment numbered after the highest recovered one.
     ///
+    /// Finding this lane's files takes one listing of the whole flat
+    /// directory, so creating `L` lanes this way reads O(`L`²) entries.
+    /// That is the right call for a lane or a handful; a process that
+    /// creates lanes by the thousand opens the directory once with
+    /// [`crate::StoreWriter`] and takes its writers from
+    /// [`crate::StoreWriter::lane`], which lists only for lanes that can
+    /// have files and builds the same writer either way.
+    ///
     /// # Errors
     ///
     /// Returns [`TraceError::Io`] on filesystem failures and
@@ -245,11 +253,21 @@ impl LaneWriter {
     ) -> Result<Self, TraceError> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
+        let files = list_lane(&dir, lane)?;
+        Self::create_from(dir, lane, config, files)
+    }
+
+    /// The one constructor: recovers and resumes the lane over `files`,
+    /// what a listing of the (existing) directory `dir` saw of it — or
+    /// nothing at all, for a lane [`crate::StoreWriter`] knows to be new.
+    pub(crate) fn create_from(
+        dir: PathBuf,
+        lane: u32,
+        config: StoreConfig,
+        files: LaneFiles,
+    ) -> Result<Self, TraceError> {
         // Finish (or roll back) a merge a crashed maintenance pass left
         // half-done, so the scan below sees one consistent layout.
-        let files = list_store_dir(&dir, Some(lane))?
-            .remove(&lane)
-            .unwrap_or_default();
         let existing = crate::compact::recover_interrupted_merge(&dir, lane, &files)?;
         let mut index = LaneIndex::new(lane);
         let mut recovery = RecoveryReport {

@@ -13,6 +13,9 @@
 //!   stream of a `FleetReducer`) records straight to disk. Segments
 //!   rotate by size and/or window count ([`StoreConfig`]); a sidecar
 //!   index maps window ids and timestamp ranges to exact byte offsets.
+//!   [`StoreWriter`] is the directory opened for writing: it lists it
+//!   once and hands out the writers of a fleet's thousands of lanes
+//!   without listing it again for a lane that cannot have files.
 //!   Every recorded payload passes through the configured [`FrameCodec`]
 //!   ([`StoreConfig::with_codec`]): the default identity codec writes
 //!   format-v1 files bit-compatible with pre-compression releases, while
@@ -89,6 +92,7 @@ mod segment;
 mod snapshot;
 mod spool;
 mod tail;
+mod writer;
 
 pub use commit::{CommitLog, CommitView};
 pub use compact::{CompactionReport, Compactor, LaneCompaction, MaintenancePolicy};
@@ -102,6 +106,7 @@ pub use reader::{LaneReplay, StoreReader};
 pub use snapshot::Snapshot;
 pub use spool::{SpooledSink, DEFAULT_SPOOL_DEPTH};
 pub use tail::{TailStep, TailWindow, Tailer};
+pub use writer::StoreWriter;
 // Re-exported so store configuration does not force a trace-model import.
 pub use trace_model::codec::{CodecId, FrameCodec};
 

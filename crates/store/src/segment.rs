@@ -200,6 +200,14 @@ pub(crate) fn list_store_dir(
     Ok(lanes)
 }
 
+/// One lane's files out of a listing of the whole directory (empty when
+/// the lane has none).
+pub(crate) fn list_lane(dir: &std::path::Path, lane: u32) -> std::io::Result<LaneFiles> {
+    Ok(list_store_dir(dir, Some(lane))?
+        .remove(&lane)
+        .unwrap_or_default())
+}
+
 /// The cross-file corruption error for a segment whose on-disk header
 /// does not match the lane/sequence its file name claims — one message,
 /// shared by open-time and read-time validation.

@@ -496,13 +496,47 @@ fn endlessly_nested_json_is_an_unreadable_sidecar_and_an_ignored_journal() {
     );
     drop(reader);
 
-    // A maintenance pass recovers through the same two files.
+    assert!(
+        dir.join("lane0000.compact.json").exists(),
+        "readers repair nothing"
+    );
+
+    // A maintenance pass recovers through the same two files, and takes
+    // the journal with it: nothing can be finished from it, and left in
+    // place it would be listed, read and parsed by every later operation.
     Compactor::new(&dir, MaintenancePolicy::merge_below(u64::MAX))
         .compact()
         .unwrap();
+    assert!(!dir.join("lane0000.compact.json").exists());
     let after = StoreReader::open(&dir).unwrap();
     assert!(after.recovery().clean);
     assert_store_matches(&after, &recorded);
+    drop(after);
+
+    // So does a resuming writer.
+    std::fs::write(dir.join("lane0000.compact.json"), &hostile).unwrap();
+    LaneWriter::create(&dir, 0, StoreConfig::default())
+        .unwrap()
+        .close()
+        .unwrap();
+    assert!(!dir.join("lane0000.compact.json").exists());
+
+    // A journal of a schema past this build's is a newer build's: not
+    // understood, so neither acted on nor deleted, by either.
+    let newer = br#"{"schema":2,"lane":0,"plan":"whatever schema 2 holds"}"#;
+    std::fs::write(dir.join("lane0000.compact.json"), newer).unwrap();
+    Compactor::new(&dir, MaintenancePolicy::merge_below(u64::MAX))
+        .compact()
+        .unwrap();
+    LaneWriter::create(&dir, 0, StoreConfig::default())
+        .unwrap()
+        .close()
+        .unwrap();
+    assert_eq!(
+        std::fs::read(dir.join("lane0000.compact.json")).unwrap(),
+        newer
+    );
+    assert_store_matches(&StoreReader::open(&dir).unwrap(), &recorded);
     std::fs::remove_dir_all(&dir).ok();
 }
 

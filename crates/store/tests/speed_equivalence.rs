@@ -1,5 +1,5 @@
-//! The perf-path rewrites must be invisible except for speed. Two
-//! property tests pin that:
+//! The perf-path rewrites must be invisible except for speed. These
+//! tests pin that:
 //!
 //! * `crc32_equivalence` — the slice-by-8 [`crc32`] equals the
 //!   bit-at-a-time reference [`crc32_scalar`] for every input length and
@@ -13,17 +13,27 @@
 //!   whose lane ids share name prefixes and which holds every kind of
 //!   crash leftover: all three work from one directory listing and must
 //!   agree on what each lane owns.
+//! * `store_writer_equivalence` — any sequence of creates, records,
+//!   closes, crashes and crash leftovers run through one long-lived
+//!   [`StoreWriter`] leaves the directory, every `RecoveryReport` and
+//!   every replay that one-shot [`LaneWriter::create`] calls leave; the
+//!   two `store_writer_*` tests beside it count the listings the handle
+//!   saves and show that the rule it rests on (FORMAT.md §1) is enforced,
+//!   not assumed.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
+use endurance_obs::Registry;
 use endurance_store::{
-    crc32, crc32_scalar, CodecId, Compactor, LaneCompaction, LaneWriter, MaintenancePolicy,
-    StoreConfig, StoreReader,
+    crc32, crc32_scalar, CodecId, Compactor, FallbackReason, LaneCompaction, LaneWriter,
+    MaintenancePolicy, RecoveryReport, SidecarFallback, StoreConfig, StoreReader, StoreWriter,
 };
 use trace_model::codec::{BinaryEncoder, TraceEncoder};
-use trace_model::{EventSink, EventTypeId, RecordMeta, Timestamp, TraceEvent, WindowId};
+use trace_model::{
+    EventSink, EventTypeId, RecordMeta, Timestamp, TraceError, TraceEvent, WindowId,
+};
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -52,29 +62,36 @@ fn write_lanes(
         let config = StoreConfig::default().with_segment_max_windows(per_segment);
         let mut writer = LaneWriter::create(dir, lane, config).unwrap();
         for id in 0..windows {
-            let count = 3 + ((id + u64::from(lane)) % 5) as usize * 4;
-            let events: Vec<TraceEvent> = (0..count as u64)
-                .map(|i| {
-                    TraceEvent::new(
-                        Timestamp::from_micros(id * 40_000 + i * 100),
-                        EventTypeId::new(((id + i + u64::from(lane)) % 5) as u16),
-                        (i + u64::from(lane)) as u32,
-                    )
-                })
-                .collect();
-            let mut encoded = Vec::new();
-            BinaryEncoder::new().encode(&events, &mut encoded).unwrap();
-            let meta = RecordMeta {
-                window_id: WindowId::new(id),
-                start: Timestamp::from_micros(id * 40_000),
-                end: Timestamp::from_micros((id + 1) * 40_000),
-            };
-            writer.record_window(&meta, &events, &encoded).unwrap();
+            record_window(&mut writer, id).unwrap();
         }
         if close {
             writer.close().unwrap();
         }
     }
+}
+
+/// Records window `id` of the writer's lane: contents are a function of
+/// `(lane, id)` alone.
+fn record_window(writer: &mut LaneWriter, id: u64) -> Result<(), TraceError> {
+    let lane = u64::from(writer.lane());
+    let count = 3 + ((id + lane) % 5) as usize * 4;
+    let events: Vec<TraceEvent> = (0..count as u64)
+        .map(|i| {
+            TraceEvent::new(
+                Timestamp::from_micros(id * 40_000 + i * 100),
+                EventTypeId::new(((id + i + lane) % 5) as u16),
+                (i + lane) as u32,
+            )
+        })
+        .collect();
+    let mut encoded = Vec::new();
+    BinaryEncoder::new().encode(&events, &mut encoded).unwrap();
+    let meta = RecordMeta {
+        window_id: WindowId::new(id),
+        start: Timestamp::from_micros(id * 40_000),
+        end: Timestamp::from_micros((id + 1) * 40_000),
+    };
+    writer.record_window(&meta, &events, &encoded)
 }
 
 /// Every regular file in `dir` by name, fully read.
@@ -336,4 +353,319 @@ fn parallel_compaction_equivalence_over_many_lanes_with_crash_leftovers() {
     for dir in &dirs {
         std::fs::remove_dir_all(dir).ok();
     }
+}
+
+/// Lane ids narrower than, at and wider than the 4-digit padding, so
+/// that file names of different lanes share prefixes.
+const HANDLE_LANES: [u32; 5] = [3, 7, 1234, 12345, 123_456];
+
+/// One step of a writing process's life, aimed at one lane.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// Create the lane's writer (an open one is dropped first: a crash).
+    Create,
+    /// Record this many windows through the lane's open writer.
+    Record(u64),
+    Close,
+    /// Drop the lane's writer without closing it.
+    Crash,
+    /// Append garbage to the tail of the lane's newest segment.
+    Garbage,
+    /// Leave one crash leftover of this kind behind.
+    Leftover(u8),
+    /// The whole process dies and starts again: every writer is dropped,
+    /// and the directory is opened for writing anew.
+    Restart,
+}
+
+fn op(kind: u8, arg: u8) -> Op {
+    match kind {
+        0 | 1 => Op::Create,
+        2 | 3 => Op::Record(u64::from(arg)),
+        4 => Op::Close,
+        5 => Op::Crash,
+        6 => Op::Garbage,
+        7 => Op::Leftover(arg),
+        _ => Op::Restart,
+    }
+}
+
+/// The names of the lane's files: `laneLLLL` followed by `-` or `.`.
+fn lane_file_names(dir: &std::path::Path, lane: u32) -> Vec<String> {
+    let prefix = format!("lane{lane:04}");
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| {
+            name.strip_prefix(&prefix)
+                .is_some_and(|rest| rest.starts_with(['-', '.']))
+        })
+        .collect()
+}
+
+/// Runs `ops` in `dir`, creating every writer through one long-lived
+/// [`StoreWriter`] (`through_handle`) or through one-shot
+/// [`LaneWriter::create`] calls, and returns what every create recovered.
+///
+/// Damage and leftovers only ever land on a lane that has no open writer
+/// and that this process created or found files of when it started: what
+/// its own crashes can leave. (A file of any other lane is another
+/// process writing into the directory, which the rule of FORMAT.md §1
+/// excludes and `store_writer_rule_is_enforced_not_assumed` covers.)
+fn run_ops(
+    dir: &std::path::Path,
+    ops: &[(usize, Op)],
+    through_handle: bool,
+) -> Vec<RecoveryReport> {
+    let config = StoreConfig::default().with_segment_max_windows(2);
+    std::fs::create_dir_all(dir).unwrap();
+    let mut handle = through_handle.then(|| StoreWriter::open(dir).unwrap());
+    let mut writers: BTreeMap<u32, LaneWriter> = BTreeMap::new();
+    let mut next_id: BTreeMap<u32, u64> = BTreeMap::new();
+    let mut known: BTreeSet<u32> = BTreeSet::new();
+    let mut recoveries = Vec::new();
+    for &(pick, op) in ops {
+        let lane = HANDLE_LANES[pick];
+        let idle = known.contains(&lane) && !writers.contains_key(&lane);
+        match op {
+            Op::Create => {
+                writers.remove(&lane);
+                let writer = match &handle {
+                    Some(handle) => handle.lane(lane, config),
+                    None => LaneWriter::create(dir, lane, config),
+                }
+                .unwrap();
+                recoveries.push(writer.recovery().clone());
+                writers.insert(lane, writer);
+                known.insert(lane);
+            }
+            Op::Record(windows) => {
+                if let Some(writer) = writers.get_mut(&lane) {
+                    let id = next_id.entry(lane).or_default();
+                    for _ in 0..windows {
+                        record_window(writer, *id).unwrap();
+                        *id += 1;
+                    }
+                }
+            }
+            Op::Close => {
+                if let Some(writer) = writers.remove(&lane) {
+                    writer.close().unwrap();
+                }
+            }
+            Op::Crash => {
+                writers.remove(&lane);
+            }
+            Op::Garbage if idle => {
+                let segments = lane_file_names(dir, lane)
+                    .into_iter()
+                    .filter(|name| name.ends_with(".seg"));
+                if let Some(name) = segments.max() {
+                    let mut bytes = std::fs::read(dir.join(&name)).unwrap();
+                    bytes.extend_from_slice(&[0xEE; 11]);
+                    std::fs::write(dir.join(name), bytes).unwrap();
+                }
+            }
+            Op::Leftover(kind) if idle => {
+                let (name, bytes) = match kind {
+                    0 => (
+                        format!("lane{lane:04}-000000.seg.compact.tmp"),
+                        "torn".into(),
+                    ),
+                    1 => (format!("lane{lane:04}.idx.tmp"), "EIDX".into()),
+                    2 => (
+                        format!("lane{lane:04}.compact.json"),
+                        journal_json(lane, b"never landed", &[1, 2]),
+                    ),
+                    _ => (format!("lane{lane:04}.compact.json"), "{".into()),
+                };
+                std::fs::write(dir.join(name), bytes).unwrap();
+            }
+            Op::Garbage | Op::Leftover(_) => {}
+            Op::Restart => {
+                writers.clear();
+                known.retain(|&lane| !lane_file_names(dir, lane).is_empty());
+                if through_handle {
+                    handle = Some(StoreWriter::open(dir).unwrap());
+                }
+            }
+        }
+    }
+    recoveries
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn store_writer_equivalence(
+        steps in prop::collection::vec((0usize..HANDLE_LANES.len(), 0u8..9, 0u8..4), 1..40),
+    ) {
+        let ops: Vec<(usize, Op)> = steps
+            .iter()
+            .map(|&(pick, kind, arg)| (pick, op(kind, arg)))
+            .collect();
+        let handle_dir = temp_dir("handle-equiv");
+        let one_shot_dir = temp_dir("one-shot-equiv");
+        let through_handle = run_ops(&handle_dir, &ops, true);
+        let one_shot = run_ops(&one_shot_dir, &ops, false);
+
+        prop_assert_eq!(&through_handle, &one_shot, "recovery reports of {:?}", &ops);
+        let handle_files = dir_contents(&handle_dir);
+        let one_shot_files = dir_contents(&one_shot_dir);
+        prop_assert_eq!(
+            handle_files.keys().collect::<Vec<_>>(),
+            one_shot_files.keys().collect::<Vec<_>>(),
+            "files left by {:?}",
+            &ops
+        );
+        for (name, bytes) in &handle_files {
+            prop_assert!(bytes == &one_shot_files[name], "{} differs after {:?}", name, &ops);
+        }
+        prop_assert_eq!(replay(&handle_dir), replay(&one_shot_dir));
+
+        std::fs::remove_dir_all(&handle_dir).ok();
+        std::fs::remove_dir_all(&one_shot_dir).ok();
+    }
+}
+
+/// What creating a lane that has no files reports.
+fn nothing_to_recover() -> RecoveryReport {
+    RecoveryReport {
+        clean: true,
+        ..RecoveryReport::default()
+    }
+}
+
+fn listings(registry: &Registry) -> u64 {
+    registry
+        .snapshot()
+        .counter_total("store_dir_listings_total")
+}
+
+#[test]
+fn store_writer_lists_once_and_once_more_per_lane_it_has_seen() {
+    let config = StoreConfig::default().with_segment_max_windows(2);
+    let nothing_to_recover = nothing_to_recover();
+
+    // 300 new lanes through one handle: the opening listing and no other.
+    let dir = temp_dir("handle-count");
+    let registry = Registry::new();
+    let store = StoreWriter::open(&dir).unwrap().with_metrics(&registry);
+    for lane in 0..300 {
+        let mut writer = store.lane(lane, config).unwrap();
+        assert_eq!(writer.recovery(), &nothing_to_recover);
+        record_window(&mut writer, 0).unwrap();
+        writer.close().unwrap();
+    }
+    assert_eq!(listings(&registry), 1);
+    // A lane it handed out before can have files: resuming it lists.
+    let resumed = store.lane(7, config).unwrap();
+    assert_eq!(resumed.recovery().windows, 1);
+    assert_eq!(listings(&registry), 2);
+    drop(resumed);
+    assert_eq!(StoreReader::open(&dir).unwrap().lane_ids().len(), 300);
+    std::fs::remove_dir_all(&dir).ok();
+
+    // A handle opened over lanes 3 and 12345, both crashed, lane 3 with a
+    // torn tail: each is recovered whole on its first `lane()`, at one
+    // listing each; their prefix-sharing neighbour 1234 is still new.
+    let dir = temp_dir("handle-preexisting");
+    write_lanes(&dir, [3, 12345], 4, 2, false);
+    let torn = dir.join("lane0003-000001.seg");
+    let mut bytes = std::fs::read(&torn).unwrap();
+    let intact_len = bytes.len() as u64;
+    bytes.extend_from_slice(&[0xEE; 11]);
+    std::fs::write(&torn, bytes).unwrap();
+
+    let registry = Registry::new();
+    let store = StoreWriter::open(&dir).unwrap().with_metrics(&registry);
+    assert_eq!(listings(&registry), 1);
+    let mut lane3 = store.lane(3, config).unwrap();
+    assert_eq!(lane3.recovery().windows, 4);
+    assert_eq!(lane3.recovery().torn_tails.len(), 1);
+    assert_eq!(std::fs::metadata(&torn).unwrap().len(), intact_len);
+    record_window(&mut lane3, 4).unwrap();
+    assert!(
+        dir.join("lane0003-000002.seg").exists(),
+        "numbering continues"
+    );
+    assert_eq!(listings(&registry), 2);
+    let lane12345 = store.lane(12345, config).unwrap();
+    assert_eq!(lane12345.recovery().windows, 4);
+    assert!(lane12345.recovery().torn_tails.is_empty());
+    assert_eq!(listings(&registry), 3);
+    let lane1234 = store.lane(1234, config).unwrap();
+    assert_eq!(lane1234.recovery(), &nothing_to_recover);
+    assert_eq!(listings(&registry), 3);
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn store_writer_rule_is_enforced_not_assumed() {
+    let config = StoreConfig::default();
+    let already_exists = |result: Result<(), TraceError>| {
+        matches!(result, Err(TraceError::Io(ref error))
+            if error.kind() == std::io::ErrorKind::AlreadyExists)
+    };
+
+    // Lane 9 is created behind an open handle's back. The handle has
+    // never seen it, so its writer starts at segment 0 without looking —
+    // and the first append refuses to overwrite what is there.
+    let dir = temp_dir("handle-rule-append");
+    let store = StoreWriter::open(&dir).unwrap();
+    write_lanes(&dir, [9], 2, 8, true);
+    let outsider = replay(&dir);
+    let before = dir_contents(&dir);
+    let mut writer = store.lane(9, config).unwrap();
+    assert_eq!(writer.recovery(), &nothing_to_recover());
+    assert!(already_exists(record_window(&mut writer, 2)));
+    // Poisoned: nothing more is appended, and no sidecar is written over
+    // the outsider's.
+    assert!(record_window(&mut writer, 3).is_err());
+    assert!(writer.sync().is_err());
+    drop(writer);
+    assert_eq!(dir_contents(&dir), before, "nothing was overwritten");
+    assert_eq!(replay(&dir), outsider);
+    std::fs::remove_dir_all(&dir).ok();
+
+    // The same, with the handle's writer closed before any append: an
+    // empty sidecar over a lane that has a segment. Readers decline it
+    // and the scanner finds both windows.
+    let dir = temp_dir("handle-rule-close");
+    let store = StoreWriter::open(&dir).unwrap();
+    write_lanes(&dir, [9], 2, 8, true);
+    let outsider = replay(&dir);
+    store.lane(9, config).unwrap().close().unwrap();
+    let reader = StoreReader::open(&dir).unwrap();
+    assert_eq!(
+        reader.recovery().sidecar_fallbacks,
+        [SidecarFallback {
+            lane: 9,
+            reason: FallbackReason::SegmentListMismatch
+        }]
+    );
+    assert_eq!(reader.recovery().windows, 2);
+    drop(reader);
+    assert_eq!(replay(&dir), outsider);
+    // A one-shot writer recovers the lane whole and resumes after it.
+    let mut one_shot = LaneWriter::create(&dir, 9, config).unwrap();
+    assert_eq!(one_shot.recovery().windows, 2);
+    record_window(&mut one_shot, 2).unwrap();
+    one_shot.close().unwrap();
+    assert!(dir.join("lane0009-000001.seg").exists());
+    let reader = StoreReader::open(&dir).unwrap();
+    assert!(reader.recovery().clean);
+    assert_eq!(reader.lane_windows(9).unwrap().len(), 3);
+    drop(reader);
+
+    // The directory removed and recreated under the live handle: a lane
+    // it has never seen still records.
+    std::fs::remove_dir_all(&dir).unwrap();
+    let mut writer = store.lane(10, config).unwrap();
+    record_window(&mut writer, 0).unwrap();
+    writer.close().unwrap();
+    assert_eq!(replay(&dir).keys().copied().collect::<Vec<_>>(), [10]);
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -32,7 +32,7 @@ use std::time::Duration;
 use endurance_core::FleetReducer;
 use endurance_eval::MultiStreamExperiment;
 use endurance_store::{
-    CodecId, Compactor, LaneWriter, MaintenancePolicy, SpooledSink, StoreConfig, StoreReader,
+    CodecId, Compactor, MaintenancePolicy, SpooledSink, StoreConfig, StoreReader, StoreWriter,
 };
 use mm_sim::Simulation;
 use trace_model::{EventSource, InterleavedStreams, StreamId, Timestamp};
@@ -78,10 +78,13 @@ fn main() -> Result<(), Box<dyn Error>> {
             Simulation::new(&stream.scenario, &registry)
         })
         .collect::<Result<Vec<_>, _>>()?;
-    let crash_store = crash_dir.clone();
+    // The directory is opened for writing once; every device's lane comes
+    // from that handle, so a new lane costs no listing of its neighbours
+    // (`LaneWriter::create` would list the whole directory per device).
+    let crash_store = StoreWriter::open(&crash_dir)?;
     let mut reducer = FleetReducer::new(fleet.streams()[0].monitor.clone(), DEVICES)?.with_sinks(
         move |device: StreamId| {
-            let lane = LaneWriter::create(&crash_store, device.as_u32(), store_for(device.index()));
+            let lane = crash_store.lane(device.as_u32(), store_for(device.index()));
             SpooledSink::new(lane.expect("a fresh directory accepts every lane"))
         },
     );

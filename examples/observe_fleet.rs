@@ -120,7 +120,9 @@ fn main() -> Result<(), Box<dyn Error>> {
     // Collector plane: a few shards absorb the whole fleet trace, each
     // recording its reduced windows through a spooled serve-lane writer.
     // The lanes are opened up front (every follower needs its writer to
-    // exist) and handed to the shard sessions as they open.
+    // exist) and handed to the shard sessions as they open. They come
+    // from the directory's one write handle inside `serve`, opened by the
+    // first `create_writer`: new lanes cost one directory listing in all.
     let monitor = MonitorConfig::builder()
         .dimensions(scenario.registry()?.len())
         .reference_duration(LEARN_REFERENCE)
@@ -233,6 +235,10 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
     assert_eq!(snap.counter_total("serve_windows_dropped_total"), 0);
     assert_eq!(snap.gauge_total("serve_watermark_lag"), 0);
+
+    // Every lane was new: the directory was listed once, when the serving
+    // handle opened it for writing, and never again per lane.
+    assert_eq!(snap.counter_total("store_dir_listings_total"), 1);
 
     // The cold read's cache behaviour: one miss per distinct segment (the
     // pool was cold), no hits, one CRC validation per frame on disk.
