@@ -412,7 +412,9 @@ impl MultiStreamExperiment {
                 let subscription = serve.subscribe_with(
                     lane as u32,
                     SubscribeOptions {
-                        buffer: 256,
+                        // Scoring needs every window; nothing is held
+                        // in memory for it.
+                        buffer: usize::MAX,
                         ..SubscribeOptions::default()
                     },
                 );

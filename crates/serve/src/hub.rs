@@ -69,19 +69,13 @@ impl Hub {
                     return Some(reg.clone());
                 }
             }
+            // Past the deadline the check above has just run once more.
             let remaining = deadline.checked_duration_since(Instant::now())?;
-            let (next, wait) = self
+            state = self
                 .changed
                 .wait_timeout(state, remaining)
-                .expect("hub poisoned");
-            state = next;
-            if wait.timed_out() {
-                // Re-check once after the timeout before giving up.
-                return state.lanes.get(&lane).and_then(|reg| {
-                    seen.map_or(true, |g| reg.generation > g)
-                        .then(|| reg.clone())
-                });
-            }
+                .expect("hub poisoned")
+                .0;
         }
     }
 }

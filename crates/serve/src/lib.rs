@@ -16,13 +16,16 @@
 //!   answer from it. Snapshots share one segment-buffer pool with every
 //!   other consumer of the handle, so N concurrent readers hold one
 //!   copy of each resident segment.
-//! * **Tail subscriptions** — [`ServeHandle::subscribe`] spawns a
-//!   follower that receives every committed window of a lane exactly
+//! * **Tail subscriptions** — [`ServeHandle::subscribe`] hands out a
+//!   cursor that receives every committed window of a lane exactly
 //!   once, in commit order, from the start of the lane through live
 //!   appends — waking on the writer's commit watermarks, never
-//!   poll-scanning, never observing a torn tail. Buffers are bounded:
-//!   a slow subscriber drops its *oldest* buffered windows (with
-//!   [`SubscriptionStats`] accounting) rather than stalling anything.
+//!   poll-scanning, never observing a torn tail. The serving layer owns
+//!   no thread: [`Subscription::recv`] does the reading on its caller's
+//!   thread and nothing is queued in memory. The lag is bounded instead:
+//!   a subscriber that falls too far behind skips its *oldest* pending
+//!   windows (with [`SubscriptionStats`] accounting) rather than
+//!   stalling anything.
 //!
 //! ## Record live, follow live
 //!
@@ -290,10 +293,11 @@ impl ServeHandle {
         self.subscribe_with(lane, SubscribeOptions::default())
     }
 
-    /// Subscribes to `lane` with explicit buffering and resume-grace
-    /// tuning.
+    /// Subscribes to `lane` with an explicit lag bound and resume grace.
+    /// Creating a subscription reads nothing and starts nothing; the
+    /// work happens in [`Subscription::recv`].
     pub fn subscribe_with(&self, lane: u32, opts: SubscribeOptions) -> Subscription {
-        Subscription::spawn(
+        Subscription::new(
             self.inner.dir.clone(),
             Arc::clone(&self.inner.hub),
             lane,
@@ -422,7 +426,7 @@ mod tests {
             record(&mut writer, id, 3);
         }
         writer.close().unwrap();
-        // Give the pump time to overrun the 2-slot buffer, then drain.
+        // The first `recv` finds 20 windows ahead of a lag bound of 2.
         let mut got = Vec::new();
         loop {
             match follower.recv(Duration::from_secs(10)).unwrap() {
@@ -476,8 +480,8 @@ mod tests {
             record(&mut writer, id, 4);
         }
         writer.close().unwrap();
-        // The pump holds the subscription open for the resume grace
-        // after the close, so wait comfortably past it for the end.
+        // The subscription stays open for the resume grace after the
+        // close, so wait comfortably past it for the end.
         loop {
             match follower.recv(Duration::from_secs(30)).unwrap() {
                 SubscriptionStep::Window(window) => ids.push(window.entry.window_id),

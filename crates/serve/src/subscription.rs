@@ -1,35 +1,33 @@
-//! Tail-follow subscriptions: a pump thread drains a
-//! [`Tailer`](endurance_store::Tailer) into a bounded buffer the
-//! subscriber consumes at its own pace.
+//! Tail-follow subscriptions: a cursor over a lane's committed prefix
+//! that the subscriber advances on its own thread. Nothing runs, and
+//! nothing is held in memory, between two [`Subscription::recv`] calls —
+//! the committed prefix on disk is the buffer.
 
-use std::collections::VecDeque;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use endurance_obs::{Counter, Gauge, Histogram, Registry};
-use endurance_store::{TailStep, TailWindow, Tailer};
+use endurance_store::{CommitView, TailStep, TailWindow, Tailer};
 use trace_model::{SubscriptionStats, TraceError};
 
-use crate::hub::Hub;
-
-/// How long pump-side blocking calls wait before re-checking the stop
-/// flag; bounds how long dropping a [`Subscription`] can take.
-const PUMP_QUANTUM: Duration = Duration::from_millis(25);
+use crate::hub::{Hub, Registration};
 
 /// Tuning for one subscription.
 #[derive(Debug, Clone, Copy)]
 pub struct SubscribeOptions {
-    /// Windows buffered between the pump and the subscriber. When the
-    /// subscriber falls further behind, the **oldest** buffered window
-    /// is dropped (counted in [`SubscriptionStats::dropped`]) so the
-    /// subscription stays live instead of stalling the pump.
+    /// The lag bound, in windows. A [`Subscription::recv`] that finds
+    /// more than this many committed windows ahead of its cursor skips
+    /// the **oldest** of them (counted in [`SubscriptionStats::dropped`])
+    /// and delivers from the newest `buffer` on, so a slow subscriber
+    /// samples the tail instead of falling ever further behind. A
+    /// subscriber that must see every window asks for `usize::MAX`:
+    /// nothing is held in memory either way.
     pub buffer: usize,
-    /// After the writer closes, how long the pump waits for a *new*
-    /// writer to take over the lane (the crash/resume path) before the
-    /// subscription ends.
+    /// After the writer closes, how long the subscription waits for a
+    /// *new* writer to take over the lane (the crash/resume path) before
+    /// it ends — timed from the first `recv` that observes the close.
     pub resume_grace: Duration,
 }
 
@@ -45,38 +43,44 @@ impl Default for SubscribeOptions {
 /// What one [`Subscription::recv`] call produced.
 #[derive(Debug)]
 pub enum SubscriptionStep {
-    /// The next committed window (oldest still buffered).
+    /// The next committed window (the oldest within the lag bound).
     Window(TailWindow),
     /// Nothing arrived within the timeout; call again.
     TimedOut,
-    /// The writer closed, no successor appeared within the resume grace,
-    /// and every buffered window has been consumed. Terminal.
+    /// The writer closed, every committed window has been consumed, and
+    /// no successor appeared within the resume grace. Terminal.
     Ended,
 }
 
-/// A live, bounded-buffer subscription to one lane's committed windows.
+/// A live subscription to one lane's committed windows.
 ///
-/// Created by [`crate::ServeHandle::subscribe`]. A background pump
-/// thread follows the lane's commit log and fills the buffer; the
-/// subscriber drains it with [`Subscription::recv`]. The pump never
-/// blocks the writer — a slow subscriber loses its *oldest* buffered
-/// windows (visible in [`SubscriptionStats::dropped`]), never the
-/// writer's throughput.
+/// Created by [`crate::ServeHandle::subscribe`]. The subscription owns
+/// no thread and no queue: each [`Subscription::recv`] reads the next
+/// frame of the committed prefix — CRC-verified, never past a published
+/// bound — on the caller's thread, blocking on the writer's commit log
+/// when it is caught up. A lane nobody is reading costs its writer
+/// nothing; a slow subscriber loses its *oldest* pending windows
+/// (visible in [`SubscriptionStats::dropped`]), never the writer's
+/// throughput.
 ///
-/// Dropping the subscription stops the pump promptly.
+/// `recv` calls on one subscription are serialised: several threads may
+/// share it and each window goes to exactly one of them, but a call
+/// waits for the one before it to return. [`Subscription::stats`] never
+/// waits.
 #[derive(Debug)]
 pub struct Subscription {
-    shared: Arc<Shared>,
-    pump: Option<JoinHandle<()>>,
-}
-
-#[derive(Debug)]
-struct Shared {
     lane: u32,
-    stop: AtomicBool,
-    state: Mutex<State>,
-    available: Condvar,
+    dir: PathBuf,
+    hub: Arc<Hub>,
+    /// `SubscribeOptions::buffer`, at least one so `recv` can deliver.
+    lag_bound: u64,
+    resume_grace: Duration,
     metrics: SubscriptionMetrics,
+    cursor: Mutex<Cursor>,
+    // Kept outside the cursor so `stats` never waits behind a `recv`.
+    delivered: AtomicU64,
+    dropped: AtomicU64,
+    ended: AtomicBool,
 }
 
 /// Registry handles for one subscription, labelled by lane. Several
@@ -85,6 +89,7 @@ struct Shared {
 /// per-follower.
 #[derive(Debug)]
 struct SubscriptionMetrics {
+    registry: Arc<Registry>,
     windows_delivered: Counter,
     windows_dropped: Counter,
     watermark_lag: Gauge,
@@ -92,210 +97,221 @@ struct SubscriptionMetrics {
 }
 
 impl SubscriptionMetrics {
-    fn for_lane(registry: &Registry, lane: u32) -> Self {
+    fn for_lane(registry: &Arc<Registry>, lane: u32) -> Self {
         let index = lane.to_string();
         let labels: &[(&str, &str)] = &[("lane", &index)];
         SubscriptionMetrics {
+            registry: Arc::clone(registry),
             windows_delivered: registry.counter_with("serve_windows_delivered_total", labels),
             windows_dropped: registry.counter_with("serve_windows_dropped_total", labels),
             watermark_lag: registry.gauge_with("serve_watermark_lag", labels),
             pump_ns: registry.histogram_with("serve_pump_ns", labels),
         }
     }
+
+    /// Counts the end of one subscription to `lane`, by cause.
+    fn ended(&self, lane: u32, cause: &str) {
+        let labels: &[(&str, &str)] = &[("lane", &lane.to_string()), ("cause", cause)];
+        self.registry
+            .counter_with("serve_subscription_ended_total", labels)
+            .inc();
+    }
 }
 
+/// What `recv` advances; locked for the length of one call.
 #[derive(Debug, Default)]
-struct State {
-    queue: VecDeque<TailWindow>,
-    delivered: u64,
-    dropped: u64,
-    behind: u64,
-    ended: bool,
+struct Cursor {
+    /// `None` until the lane's first writer registers.
+    follow: Option<Follow>,
+    /// The rendering of the failure that ended the subscription.
     error: Option<String>,
 }
 
+#[derive(Debug)]
+struct Follow {
+    tailer: Tailer,
+    /// The registration `tailer` is bound to.
+    registration: Registration,
+    /// When a `recv` first saw that registration's writer gone.
+    closed_at: Option<Instant>,
+}
+
+impl Follow {
+    /// Moves the cursor, as it stands, onto a successor writer's log and
+    /// takes a first look at it.
+    fn rebind(&mut self, successor: Registration) -> Result<CommitView, TraceError> {
+        self.tailer.rebind(successor.log.clone())?;
+        self.registration = successor;
+        self.closed_at = None;
+        Ok(self.registration.log.view())
+    }
+}
+
 impl Subscription {
-    pub(crate) fn spawn(
+    pub(crate) fn new(
         dir: PathBuf,
         hub: Arc<Hub>,
         lane: u32,
         opts: SubscribeOptions,
-        registry: &Registry,
+        registry: &Arc<Registry>,
     ) -> Self {
-        let shared = Arc::new(Shared {
-            lane,
-            stop: AtomicBool::new(false),
-            state: Mutex::new(State::default()),
-            available: Condvar::new(),
-            metrics: SubscriptionMetrics::for_lane(registry, lane),
-        });
-        let pump_shared = Arc::clone(&shared);
-        let pump = std::thread::spawn(move || pump(dir, hub, pump_shared, opts));
         Subscription {
-            shared,
-            pump: Some(pump),
+            lane,
+            dir,
+            hub,
+            lag_bound: opts.buffer.max(1) as u64,
+            resume_grace: opts.resume_grace,
+            metrics: SubscriptionMetrics::for_lane(registry, lane),
+            cursor: Mutex::default(),
+            delivered: AtomicU64::new(0),
+            dropped: AtomicU64::new(0),
+            ended: AtomicBool::new(false),
         }
     }
 
     /// The lane this subscription follows.
     pub fn lane(&self) -> u32 {
-        self.shared.lane
+        self.lane
     }
 
     /// Receives the next committed window, waiting up to `timeout`.
     ///
     /// # Errors
     ///
-    /// Returns (stickily) the pump's failure: an I/O or decode error
-    /// from the underlying tailer, including the lapse error after a
-    /// maintenance pass rewrote the lane layout mid-subscription.
+    /// The call that meets a failure returns the tailer's own error — an
+    /// I/O or decode error with its offset, or the lapse error after a
+    /// maintenance pass rewrote the lane layout mid-subscription. The
+    /// failure is sticky: every later call returns its rendering as a
+    /// [`TraceError::Decode`].
     pub fn recv(&self, timeout: Duration) -> Result<SubscriptionStep, TraceError> {
         let deadline = Instant::now() + timeout;
-        let mut state = self.shared.state.lock().expect("subscription poisoned");
-        loop {
-            if let Some(window) = state.queue.pop_front() {
-                state.delivered += 1;
-                self.shared.metrics.windows_delivered.inc();
-                return Ok(SubscriptionStep::Window(window));
+        let mut cursor = self.cursor.lock().expect("a recv panicked");
+        if let Some(message) = &cursor.error {
+            return Err(TraceError::Decode {
+                offset: 0,
+                reason: message.clone(),
+            });
+        }
+        if self.ended.load(Ordering::SeqCst) {
+            return Ok(SubscriptionStep::Ended);
+        }
+        let step = self.advance(&mut cursor, deadline);
+        let cause = match &step {
+            Ok(SubscriptionStep::Ended) => "closed",
+            Err(error) => {
+                cursor.error = Some(error.to_string());
+                match &cursor.follow {
+                    Some(follow) if follow.tailer.lapsed() => "lapsed",
+                    _ => "error",
+                }
             }
-            if let Some(message) = &state.error {
-                return Err(TraceError::Decode {
-                    offset: 0,
-                    reason: message.clone(),
-                });
-            }
-            if state.ended {
-                return Ok(SubscriptionStep::Ended);
-            }
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
+            Ok(_) => return step,
+        };
+        self.ended.store(true, Ordering::SeqCst);
+        self.metrics.ended(self.lane, cause);
+        step
+    }
+
+    /// One `recv` on a live subscription: what the pump thread used to
+    /// run, on the caller's thread, from one look at the commit log per
+    /// step (the view a wait returns is the next step's).
+    fn advance(
+        &self,
+        cursor: &mut Cursor,
+        deadline: Instant,
+    ) -> Result<SubscriptionStep, TraceError> {
+        if cursor.follow.is_none() {
+            let wait = deadline.saturating_duration_since(Instant::now());
+            let Some(registration) = self.hub.wait_newer(self.lane, None, wait) else {
                 return Ok(SubscriptionStep::TimedOut);
             };
-            let (next, wait) = self
-                .shared
-                .available
-                .wait_timeout(state, remaining)
-                .expect("subscription poisoned");
-            state = next;
-            if wait.timed_out() && state.queue.is_empty() && !state.ended && state.error.is_none() {
-                return Ok(SubscriptionStep::TimedOut);
-            }
+            cursor.follow = Some(Follow {
+                tailer: Tailer::follow(&self.dir, registration.log.clone()),
+                registration,
+                closed_at: None,
+            });
         }
-    }
-
-    /// Lag and drop accounting for this subscription, at this instant.
-    pub fn stats(&self) -> SubscriptionStats {
-        let state = self.shared.state.lock().expect("subscription poisoned");
-        SubscriptionStats {
-            delivered: state.delivered,
-            dropped: state.dropped,
-            buffered: state.queue.len() as u64,
-            behind: state.behind,
-            ended: state.ended,
-        }
-    }
-}
-
-impl Drop for Subscription {
-    fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(pump) = self.pump.take() {
-            let _ = pump.join();
-        }
-    }
-}
-
-/// The pump thread: follow the lane's current commit log, rebind across
-/// writer resumes, and keep the bounded buffer full.
-fn pump(dir: PathBuf, hub: Arc<Hub>, shared: Arc<Shared>, opts: SubscribeOptions) {
-    let lane = shared.lane;
-    let stopped = || shared.stop.load(Ordering::SeqCst);
-    // Wait for the first writer to register the lane.
-    let mut registration = loop {
-        if stopped() {
-            finish(&shared, None);
-            return;
-        }
-        if let Some(reg) = hub.wait_newer(lane, None, PUMP_QUANTUM) {
-            break reg;
-        }
-    };
-    let mut tailer = Tailer::follow(&dir, registration.log.clone());
-    while !stopped() {
-        match tailer.next(PUMP_QUANTUM) {
-            Err(error) => {
-                finish(&shared, Some(error.to_string()));
-                return;
-            }
-            Ok(TailStep::Window(window)) => {
-                let pump_span = shared.metrics.pump_ns.span();
-                let mut state = shared.state.lock().expect("subscription poisoned");
-                if state.queue.len() >= opts.buffer.max(1) {
-                    state.queue.pop_front();
-                    state.dropped += 1;
-                    shared.metrics.windows_dropped.inc();
+        let follow = cursor.follow.as_mut().expect("bound above");
+        let mut view = follow.registration.log.view();
+        loop {
+            let bound_to = Some(follow.registration.generation);
+            if view.closed {
+                // A successor's log covers everything this one did, so
+                // move over before measuring the lag: the bound holds
+                // against the lane's newest commit, not the dead writer's.
+                if let Some(successor) = self.hub.wait_newer(self.lane, bound_to, Duration::ZERO) {
+                    view = follow.rebind(successor)?;
+                    continue;
                 }
-                state.queue.push_back(window);
-                update_behind(&mut state, &registration.log, &tailer);
-                shared.metrics.watermark_lag.set(state.behind as i64);
-                drop(state);
-                pump_span.end();
-                shared.available.notify_all();
             }
-            Ok(TailStep::TimedOut) => {
-                let mut state = shared.state.lock().expect("subscription poisoned");
-                update_behind(&mut state, &registration.log, &tailer);
-                shared.metrics.watermark_lag.set(state.behind as i64);
-            }
-            Ok(TailStep::Closed) => {
-                // The writer is gone; give a successor (crash/resume)
-                // one grace window to take over before ending.
-                let deadline = Instant::now() + opts.resume_grace;
-                let successor = loop {
-                    if stopped() {
-                        break None;
-                    }
-                    let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                        break None;
-                    };
-                    let slice = remaining.min(PUMP_QUANTUM);
-                    if let Some(reg) = hub.wait_newer(lane, Some(registration.generation), slice) {
-                        break Some(reg);
-                    }
+            let behind =
+                |tailer: &Tailer| view.watermark.windows.saturating_sub(tailer.delivered());
+            let started = self.metrics.pump_ns.timed().then(Instant::now);
+            // The lag bound: read and discard the oldest windows beyond it.
+            for _ in self.lag_bound..behind(&follow.tailer) {
+                let TailStep::Window(_) = follow.tailer.poll(&view)? else {
+                    break;
                 };
-                match successor {
-                    Some(reg) => {
-                        if let Err(error) = tailer.rebind(reg.log.clone()) {
-                            finish(&shared, Some(error.to_string()));
-                            return;
-                        }
-                        registration = reg;
+                self.dropped.fetch_add(1, Ordering::SeqCst);
+                self.metrics.windows_dropped.inc();
+            }
+            let step = follow.tailer.poll(&view)?;
+            self.metrics
+                .watermark_lag
+                .set(behind(&follow.tailer) as i64);
+            match step {
+                TailStep::Window(window) => {
+                    self.delivered.fetch_add(1, Ordering::SeqCst);
+                    self.metrics.windows_delivered.inc();
+                    if let Some(started) = started {
+                        self.metrics.pump_ns.record_duration(started.elapsed());
                     }
-                    None => {
-                        finish(&shared, None);
-                        return;
+                    return Ok(SubscriptionStep::Window(window));
+                }
+                TailStep::TimedOut => {
+                    let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
+                        return Ok(SubscriptionStep::TimedOut);
+                    };
+                    view = follow.registration.log.wait_newer(view.version, remaining);
+                }
+                TailStep::Closed => {
+                    // The writer is gone; a successor (crash/resume) has
+                    // one grace period to take the lane over.
+                    let closed_at = *follow.closed_at.get_or_insert_with(Instant::now);
+                    let grace_end = closed_at + self.resume_grace;
+                    let wait = grace_end
+                        .min(deadline)
+                        .saturating_duration_since(Instant::now());
+                    match self.hub.wait_newer(self.lane, bound_to, wait) {
+                        Some(successor) => view = follow.rebind(successor)?,
+                        None if Instant::now() >= grace_end => {
+                            return Ok(SubscriptionStep::Ended);
+                        }
+                        None => return Ok(SubscriptionStep::TimedOut),
                     }
                 }
             }
         }
     }
-    finish(&shared, None);
-}
 
-/// How many committed windows the pump has not yet buffered.
-fn update_behind(state: &mut State, log: &endurance_store::CommitLog, tailer: &Tailer) {
-    state.behind = log
-        .view()
-        .watermark
-        .windows
-        .saturating_sub(tailer.delivered());
-}
-
-/// Marks the subscription finished (with an error, if the pump failed)
-/// and wakes any blocked `recv`.
-fn finish(shared: &Shared, error: Option<String>) {
-    let mut state = shared.state.lock().expect("subscription poisoned");
-    state.ended = true;
-    state.error = error;
-    drop(state);
-    shared.available.notify_all();
+    /// Lag and drop accounting for this subscription, at this instant:
+    /// `behind` is read off the lane's commit log now, not remembered
+    /// from the last `recv`. Never waits behind a blocked `recv`.
+    pub fn stats(&self) -> SubscriptionStats {
+        let delivered = self.delivered.load(Ordering::SeqCst);
+        let dropped = self.dropped.load(Ordering::SeqCst);
+        let committed = self
+            .hub
+            .current(self.lane)
+            .map_or(0, |registration| registration.log.view().watermark.windows);
+        let behind = committed.saturating_sub(delivered + dropped);
+        self.metrics.watermark_lag.set(behind as i64);
+        SubscriptionStats {
+            delivered,
+            dropped,
+            buffered: behind.min(self.lag_bound),
+            behind,
+            ended: self.ended.load(Ordering::SeqCst),
+        }
+    }
 }

@@ -1,0 +1,506 @@
+//! The pull path delivers what the pump thread did: a `Subscription`
+//! advanced by its consumer, at arbitrary points of a writer's life
+//! (appends, rotations, a crash with a torn tail, a resume, the close),
+//! hands over exactly the windows a cold `Snapshot` replays — once each,
+//! in order, byte for byte — and ends only after the resume grace. With
+//! a small lag bound it samples the tail instead, and says what it lost.
+
+use std::collections::HashMap;
+use std::io::Write as _;
+use std::path::Path;
+use std::time::{Duration, Instant};
+
+use proptest::prelude::*;
+
+use endurance_serve::{ServeHandle, SubscribeOptions, Subscription, SubscriptionStep};
+use endurance_store::{LaneWriter, Snapshot, StoreConfig};
+use trace_model::codec::{BinaryEncoder, CodecId, TraceEncoder};
+use trace_model::{EventSink, EventTypeId, RecordMeta, Timestamp, TraceEvent, WindowId};
+
+const GRACE: Duration = Duration::from_millis(120);
+
+fn temp_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("eserve-pull-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+fn record(writer: &mut LaneWriter, id: u64) -> Vec<u8> {
+    let events: Vec<TraceEvent> = (0..1 + id % 5)
+        .map(|i| {
+            TraceEvent::new(
+                Timestamp::from_micros(id * 10_000 + i * 250),
+                EventTypeId::new(((id + i) % 4) as u16),
+                (id * 100 + i) as u32,
+            )
+        })
+        .collect();
+    let mut payload = Vec::new();
+    BinaryEncoder::new().encode(&events, &mut payload).unwrap();
+    let meta = RecordMeta {
+        window_id: WindowId::new(id),
+        start: Timestamp::from_micros(id * 10_000),
+        end: Timestamp::from_micros((id + 1) * 10_000),
+    };
+    writer.record_window(&meta, &events, &payload).unwrap();
+    payload
+}
+
+/// What a crash leaves after the committed end of the newest segment.
+fn smear_torn_tail(dir: &Path) {
+    let newest = std::fs::read_dir(dir)
+        .unwrap()
+        .filter_map(|entry| {
+            let path = entry.unwrap().path();
+            (path.extension().is_some_and(|e| e == "seg")).then_some(path)
+        })
+        .max();
+    if let Some(newest) = newest {
+        let mut file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(newest)
+            .unwrap();
+        file.write_all(&[0x99, 0, 0, 0, 0xAB, 0xCD, 0xEF, 0x01, 0x44])
+            .unwrap();
+    }
+}
+
+fn drain(follower: &Subscription) -> Vec<endurance_serve::TailWindow> {
+    let mut out = Vec::new();
+    loop {
+        match follower.recv(Duration::from_secs(10)).unwrap() {
+            SubscriptionStep::Window(window) => out.push(window),
+            SubscriptionStep::Ended => return out,
+            SubscriptionStep::TimedOut => panic!("no writer left; must end, not time out"),
+        }
+    }
+}
+
+/// The benchmark shares `&[Subscription]` with a scoped thread.
+#[test]
+fn subscription_is_send_and_sync() {
+    fn shared_across_threads<T: Send + Sync>() {}
+    shared_across_threads::<Subscription>();
+}
+
+#[test]
+fn stats_never_waits_behind_a_blocked_recv() {
+    let dir = temp_dir("blocked");
+    let serve = ServeHandle::open(&dir).unwrap();
+    let follower = serve.subscribe(7);
+    let entering = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        let blocked = scope.spawn(|| {
+            entering.wait();
+            follower.recv(Duration::from_secs(10))
+        });
+        // Lane 7 has no writer: that `recv` sleeps on the hub, cursor
+        // locked, from some point of the next 100 ms until released
+        // below. A `stats` that queued behind it would stall for seconds.
+        entering.wait();
+        let asked = Instant::now();
+        while asked.elapsed() < Duration::from_millis(100) {
+            let call = Instant::now();
+            let stats = follower.stats();
+            assert!(call.elapsed() < Duration::from_millis(50));
+            assert_eq!((stats.delivered, stats.behind, stats.ended), (0, 0, false));
+            std::thread::yield_now();
+        }
+        // The first writer's first window releases the blocked call.
+        let mut writer = serve.create_writer(7, StoreConfig::default()).unwrap();
+        record(&mut writer, 0);
+        let step = blocked.join().unwrap().unwrap();
+        assert!(matches!(step, SubscriptionStep::Window(_)), "{step:?}");
+        assert!(asked.elapsed() < Duration::from_secs(5));
+        writer.close().unwrap();
+    });
+    assert_eq!(follower.stats().delivered, 1);
+    drop(follower); // nothing to join: must not hang
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn two_threads_split_one_subscription_disjointly_and_completely() {
+    let dir = temp_dir("split");
+    let serve = ServeHandle::open(&dir).unwrap();
+    let follower = serve.subscribe_with(
+        0,
+        SubscribeOptions {
+            buffer: usize::MAX,
+            resume_grace: Duration::ZERO,
+        },
+    );
+    let mut writer = serve.create_writer(0, StoreConfig::default()).unwrap();
+    let start = std::sync::Barrier::new(3);
+    let halves: Vec<Vec<u64>> = std::thread::scope(|scope| {
+        let consumers: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    drain(&follower)
+                        .iter()
+                        .map(|w| w.entry.window_id)
+                        .collect::<Vec<u64>>()
+                })
+            })
+            .collect();
+        start.wait();
+        for id in 0..300u64 {
+            record(&mut writer, id);
+        }
+        writer.close().unwrap();
+        consumers.into_iter().map(|c| c.join().unwrap()).collect()
+    });
+    for half in &halves {
+        assert!(half.windows(2).all(|pair| pair[0] < pair[1]), "{half:?}");
+    }
+    let mut all: Vec<u64> = halves.concat();
+    all.sort_unstable();
+    assert_eq!(all, (0..300).collect::<Vec<u64>>());
+    assert_eq!(follower.stats().delivered, 300);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn resume_grace_runs_from_the_first_recv_that_sees_the_close() {
+    let dir = temp_dir("late-grace");
+    let serve = ServeHandle::open(&dir).unwrap();
+    let grace = Duration::from_millis(60);
+    let follower = serve.subscribe_with(
+        0,
+        SubscribeOptions {
+            resume_grace: grace,
+            ..SubscribeOptions::default()
+        },
+    );
+    let mut writer = serve.create_writer(0, StoreConfig::default()).unwrap();
+    record(&mut writer, 0);
+    record(&mut writer, 1);
+    drop(writer); // crash
+    std::thread::sleep(3 * grace);
+
+    // Long past the close, the backlog is still there...
+    for id in 0..2u64 {
+        match follower.recv(Duration::ZERO).unwrap() {
+            SubscriptionStep::Window(window) => assert_eq!(window.entry.window_id, id),
+            other => panic!("expected window {id}, got {other:?}"),
+        }
+    }
+    // ...and the grace has only just begun: a successor still counts.
+    assert!(matches!(
+        follower.recv(Duration::ZERO).unwrap(),
+        SubscriptionStep::TimedOut
+    ));
+    assert!(!follower.stats().ended);
+    let mut writer = serve.create_writer(0, StoreConfig::default()).unwrap();
+    record(&mut writer, 2);
+    match follower.recv(Duration::from_secs(10)).unwrap() {
+        SubscriptionStep::Window(window) => assert_eq!(window.entry.window_id, 2),
+        other => panic!("expected window 2, got {other:?}"),
+    }
+    writer.close().unwrap();
+    let closed = std::time::Instant::now();
+    assert!(matches!(
+        follower.recv(Duration::from_secs(10)).unwrap(),
+        SubscriptionStep::Ended
+    ));
+    assert!(closed.elapsed() >= grace, "ended before the grace ran out");
+    assert!(follower.stats().ended);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn the_first_error_is_typed_and_ends_are_counted_once_by_cause() {
+    let dir = temp_dir("causes");
+    let registry = endurance_obs::Registry::new();
+    let serve = ServeHandle::open(&dir)
+        .unwrap()
+        .with_metrics(std::sync::Arc::clone(&registry));
+    let ended = |lane: &str, cause: &str| {
+        let labels = [("lane", lane), ("cause", cause)];
+        match registry
+            .snapshot()
+            .get("serve_subscription_ended_total", &labels)
+        {
+            Some(endurance_obs::MetricValue::Counter(count)) => *count,
+            _ => 0,
+        }
+    };
+    let options = SubscribeOptions {
+        resume_grace: Duration::ZERO,
+        ..SubscribeOptions::default()
+    };
+
+    // closed: drained to `Ended`, asked again.
+    let follower = serve.subscribe_with(0, options);
+    let mut writer = serve.create_writer(0, StoreConfig::default()).unwrap();
+    record(&mut writer, 0);
+    writer.close().unwrap();
+    assert_eq!(drain(&follower).len(), 1);
+    assert!(matches!(
+        follower.recv(Duration::ZERO).unwrap(),
+        SubscriptionStep::Ended
+    ));
+    assert_eq!(ended("0", "closed"), 1);
+
+    // error (decode): a committed frame that fails its CRC keeps its
+    // offset on the call that finds it, and is sticky afterwards.
+    let follower = serve.subscribe_with(1, options);
+    let mut writer = serve.create_writer(1, StoreConfig::default()).unwrap();
+    record(&mut writer, 0);
+    let segment = dir.join("lane0001-000000.seg");
+    let mut bytes = std::fs::read(&segment).unwrap();
+    *bytes.last_mut().unwrap() ^= 0xFF;
+    std::fs::write(&segment, bytes).unwrap();
+    match follower.recv(Duration::from_secs(5)) {
+        Err(trace_model::TraceError::Decode { offset, reason }) => {
+            assert!(offset > 0, "{reason}");
+            assert!(reason.contains("crc mismatch"), "{reason}");
+        }
+        other => panic!("expected the tailer's decode error, got {other:?}"),
+    }
+    match follower.recv(Duration::from_secs(5)) {
+        Err(trace_model::TraceError::Decode { offset: 0, reason }) => {
+            assert!(reason.contains("crc mismatch"), "{reason}");
+        }
+        other => panic!("expected the sticky rendering, got {other:?}"),
+    }
+    assert!(follower.stats().ended);
+    assert_eq!(ended("1", "error"), 1);
+    drop(writer);
+
+    // error (i/o): the segment vanished; the error arrives as `Io`.
+    let follower = serve.subscribe_with(2, options);
+    let mut writer = serve.create_writer(2, StoreConfig::default()).unwrap();
+    record(&mut writer, 0);
+    std::fs::remove_file(dir.join("lane0002-000000.seg")).unwrap();
+    let first = follower.recv(Duration::from_secs(5));
+    assert!(
+        matches!(first, Err(trace_model::TraceError::Io(_))),
+        "{first:?}"
+    );
+    let later = follower.recv(Duration::from_secs(5));
+    assert!(
+        matches!(later, Err(trace_model::TraceError::Decode { .. })),
+        "{later:?}"
+    );
+    assert_eq!(ended("2", "error"), 1);
+    drop(writer);
+
+    // lapsed: inline maintenance rewrote the lane under the follower.
+    let follower = serve.subscribe_with(3, options);
+    let config = StoreConfig::default()
+        .with_segment_max_windows(1)
+        .with_maintenance(endurance_store::MaintenancePolicy::merge_below(1 << 20));
+    let mut writer = serve.create_writer(3, config).unwrap();
+    record(&mut writer, 0);
+    assert!(matches!(
+        follower.recv(Duration::from_secs(5)).unwrap(),
+        SubscriptionStep::Window(_)
+    ));
+    for id in 1..6u64 {
+        record(&mut writer, id);
+    }
+    assert!(follower.recv(Duration::from_secs(5)).is_err());
+    assert!(follower.recv(Duration::from_secs(5)).is_err());
+    assert_eq!(ended("3", "lapsed"), 1);
+    assert_eq!(ended("3", "error"), 0);
+    writer.close().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// Append this many windows (resuming first when the writer is gone).
+    Append(u64),
+    /// Drop the writer without `close`, leaving a torn tail.
+    Crash,
+    /// Take the lane over through `create_writer`.
+    Resume,
+    /// One `recv` with this timeout.
+    Recv(Duration),
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    (0u8..8, 1u64..6).prop_map(|(kind, windows)| match kind {
+        0..=2 => Op::Append(windows),
+        3 => Op::Crash,
+        4 => Op::Resume,
+        5 | 6 => Op::Recv(Duration::ZERO),
+        _ => Op::Recv(Duration::from_millis(5)),
+    })
+}
+
+/// One lane's life as the schedule drives it, with the follower's log.
+struct Run {
+    serve: ServeHandle,
+    config: StoreConfig,
+    follower: Subscription,
+    writer: Option<LaneWriter>,
+    /// Since when the lane has had no writer.
+    gone_since: Option<Instant>,
+    next_id: u64,
+    /// The lag bound, and how many windows a follower honouring it has
+    /// consumed (delivered or skipped): writer and follower share this
+    /// thread, so every `recv` has exactly one right answer.
+    bound: u64,
+    consumed: u64,
+    payloads: HashMap<u64, Vec<u8>>,
+    got: Vec<(u64, Vec<u8>)>,
+    ended: bool,
+}
+
+impl Run {
+    fn resume(&mut self) {
+        if self.writer.is_none() {
+            self.writer = Some(self.serve.create_writer(0, self.config).unwrap());
+            self.gone_since = None;
+        }
+    }
+
+    fn lose_writer(&mut self, close: bool) {
+        let Some(writer) = self.writer.take() else {
+            return;
+        };
+        if close {
+            writer.close().unwrap();
+        } else {
+            drop(writer);
+            smear_torn_tail(self.serve.dir());
+        }
+        self.gone_since = Some(Instant::now());
+    }
+
+    fn recv(&mut self, timeout: Duration) {
+        let ahead = self.next_id - self.consumed;
+        let due = (ahead > 0).then(|| {
+            self.consumed += ahead.saturating_sub(self.bound) + 1;
+            self.consumed - 1
+        });
+        let step = self.follower.recv(timeout).unwrap();
+        match step {
+            SubscriptionStep::Window(window) => {
+                assert_eq!(Some(window.entry.window_id), due, "bound {}", self.bound);
+                self.got.push((window.entry.window_id, window.payload))
+            }
+            _ if due.is_some() => panic!("window {due:?} was committed, got {step:?}"),
+            SubscriptionStep::TimedOut => {}
+            SubscriptionStep::Ended => {
+                let gone = self.gone_since.expect("ended under a live writer");
+                assert!(gone.elapsed() >= GRACE, "ended before the resume grace");
+                self.ended = true;
+            }
+        }
+    }
+
+    fn apply(&mut self, op: Op) {
+        match op {
+            Op::Append(windows) => {
+                self.resume();
+                for _ in 0..windows {
+                    let writer = self.writer.as_mut().expect("resumed above");
+                    self.payloads
+                        .insert(self.next_id, record(writer, self.next_id));
+                    self.next_id += 1;
+                }
+            }
+            Op::Crash => self.lose_writer(false),
+            Op::Resume => self.resume(),
+            Op::Recv(timeout) => self.recv(timeout),
+        }
+    }
+}
+
+/// Runs `schedule`, closes the lane, drains the follower to `Ended` and
+/// checks it against the cold snapshot. `buffer` is the lag bound.
+fn check(codec: CodecId, segment_max_windows: u64, buffer: usize, schedule: &[Op]) {
+    let dir = temp_dir(&format!("{}-{buffer}", codec.as_u8()));
+    let serve = ServeHandle::open(&dir).unwrap();
+    let follower = serve.subscribe_with(
+        0,
+        SubscribeOptions {
+            buffer,
+            resume_grace: GRACE,
+        },
+    );
+    let mut run = Run {
+        serve,
+        config: StoreConfig::default()
+            .with_codec(codec)
+            .with_segment_max_windows(segment_max_windows),
+        follower,
+        writer: None,
+        gone_since: None,
+        next_id: 0,
+        bound: buffer.max(1) as u64,
+        consumed: 0,
+        payloads: HashMap::new(),
+        got: Vec::new(),
+        ended: false,
+    };
+    // The lane has a writer from the start, so `Ended` always means
+    // "closed and the grace ran out", never "nobody ever wrote".
+    run.resume();
+    for &op in schedule {
+        // A schedule slow enough to outlast the grace ends early; what
+        // is on disk then is what the follower must have seen.
+        if run.ended {
+            break;
+        }
+        run.apply(op);
+    }
+    if !run.ended {
+        run.lose_writer(true);
+    }
+    while !run.ended {
+        run.recv(Duration::from_millis(5));
+    }
+
+    let snapshot = Snapshot::open(&dir).unwrap();
+    let committed: Vec<u64> = match snapshot.lane_windows(0) {
+        Ok(windows) => windows.iter().map(|w| w.window_id).collect(),
+        Err(_) => Vec::new(), // nothing was ever appended
+    };
+    let ids: Vec<u64> = run.got.iter().map(|(id, _)| *id).collect();
+    let stats = run.follower.stats();
+    assert_eq!(stats.delivered, ids.len() as u64);
+    assert_eq!(stats.delivered + stats.dropped, committed.len() as u64);
+    assert!(stats.ended);
+    assert_eq!((stats.behind, stats.buffered), (0, 0));
+    for (id, payload) in &run.got {
+        assert_eq!(payload, &run.payloads[id], "{codec} window {id}");
+    }
+    if buffer == usize::MAX {
+        assert_eq!(ids, committed, "{codec}: exactly once, in commit order");
+        let followed: Vec<u8> = run.got.iter().flat_map(|(_, p)| p.clone()).collect();
+        let cold = snapshot.lane_payload_bytes(0).unwrap_or_default();
+        assert_eq!(followed, cold, "{codec}: byte for byte");
+    } else {
+        assert!(ids.windows(2).all(|pair| pair[0] < pair[1]), "{ids:?}");
+        assert!(ids.iter().all(|id| committed.contains(id)), "{ids:?}");
+        // The newest `buffer` windows are never the ones skipped.
+        let kept = committed.len().saturating_sub(buffer.max(1));
+        assert!(
+            committed[kept..].iter().all(|id| ids.contains(id)),
+            "{codec}: delivered {ids:?} of {committed:?} under a bound of {buffer}"
+        );
+    }
+    drop(run);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn the_pull_path_delivers_what_a_cold_snapshot_replays(
+        schedule in prop::collection::vec(op(), 1..40),
+        segment_max_windows in 2u64..5,
+        lag_bound in 0usize..4,
+    ) {
+        for codec in [CodecId::Identity, CodecId::DeltaVarint, CodecId::LzBlock] {
+            check(codec, segment_max_windows, usize::MAX, &schedule);
+            check(codec, segment_max_windows, lag_bound, &schedule);
+        }
+    }
+}

@@ -10,6 +10,10 @@
 //! when the writer goes away. Everything a follower needs to read the
 //! committed prefix — and nothing past it — without ever racing the
 //! writer on the filesystem.
+//!
+//! The writer pays for a follower only while one is blocked in
+//! [`CommitLog::wait_newer`]: an update with nobody waiting is a lock, a
+//! store and an unlock, with no wake-up call.
 
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -33,13 +37,31 @@ struct Shared {
     advanced: Condvar,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct State {
     watermark: CommitWatermark,
-    sealed: Vec<(u32, u64)>,
+    /// Replaced (never mutated) by `seal`, so every view taken between
+    /// two seals shares one allocation.
+    sealed: Arc<[(u32, u64)]>,
     epoch: u64,
     version: u64,
     closed: bool,
+    /// Threads inside `wait_newer`'s condvar wait; an update notifies
+    /// only when this is nonzero (std's `Condvar` keeps no such count, so
+    /// an unconditional `notify_all` is a `futex` call per append).
+    waiters: usize,
+}
+
+impl State {
+    fn view(&self) -> CommitView {
+        CommitView {
+            watermark: self.watermark,
+            sealed: Arc::clone(&self.sealed),
+            epoch: self.epoch,
+            version: self.version,
+            closed: self.closed,
+        }
+    }
 }
 
 /// One consistent observation of a [`CommitLog`].
@@ -50,8 +72,10 @@ pub struct CommitView {
     /// Final committed byte lengths of every sealed (closed) segment,
     /// ascending by sequence number. A sealed segment never grows again;
     /// its file may only disappear or shrink through a maintenance pass,
-    /// which bumps `epoch` first.
-    pub sealed: Vec<(u32, u64)>,
+    /// which bumps `epoch` first. The list is shared, not copied: views
+    /// taken between two seals point at the same slice, and a later seal
+    /// leaves a held view's list as it was.
+    pub sealed: Arc<[(u32, u64)]>,
     /// Bumped whenever a maintenance pass rewrites the lane layout
     /// (merge, retention, recompression); followers must restart from a
     /// fresh snapshot when they observe a bump.
@@ -101,10 +125,11 @@ impl CommitLog {
                 lane,
                 state: Mutex::new(State {
                     watermark: CommitWatermark::empty(lane),
-                    sealed: Vec::new(),
+                    sealed: Arc::new([]),
                     epoch: 0,
                     version: 0,
                     closed: false,
+                    waiters: 0,
                 }),
                 advanced: Condvar::new(),
             }),
@@ -120,8 +145,14 @@ impl CommitLog {
         let mut state = self.shared.state.lock().expect("commit log poisoned");
         apply(&mut state);
         state.version += 1;
+        // A waiter registers under this mutex before it waits, so one
+        // that is not counted here has yet to check `version` and will
+        // see this update without being woken.
+        let wake = state.waiters > 0;
         drop(state);
-        self.shared.advanced.notify_all();
+        if wake {
+            self.shared.advanced.notify_all();
+        }
     }
 
     /// Publishes a new watermark (writer side, after a durable append).
@@ -133,10 +164,12 @@ impl CommitLog {
     /// Records the final committed length of a rotated segment.
     pub(crate) fn seal(&self, seq: u32, committed_bytes: u64) {
         self.update(|state| {
-            match state.sealed.binary_search_by_key(&seq, |&(s, _)| s) {
-                Ok(at) => state.sealed[at].1 = committed_bytes,
-                Err(at) => state.sealed.insert(at, (seq, committed_bytes)),
+            let mut sealed = state.sealed.to_vec();
+            match sealed.binary_search_by_key(&seq, |&(s, _)| s) {
+                Ok(at) => sealed[at].1 = committed_bytes,
+                Err(at) => sealed.insert(at, (seq, committed_bytes)),
             };
+            state.sealed = sealed.into();
         });
     }
 
@@ -154,19 +187,19 @@ impl CommitLog {
 
     /// A consistent snapshot of the log's current state.
     pub fn view(&self) -> CommitView {
-        let state = self.shared.state.lock().expect("commit log poisoned");
-        CommitView {
-            watermark: state.watermark,
-            sealed: state.sealed.clone(),
-            epoch: state.epoch,
-            version: state.version,
-            closed: state.closed,
-        }
+        self.shared
+            .state
+            .lock()
+            .expect("commit log poisoned")
+            .view()
     }
 
     /// Blocks until the log's version exceeds `seen` (returning the new
     /// view) or `timeout` elapses (returning the unchanged view). Never
     /// blocks when something newer than `seen` is already published.
+    ///
+    /// Only a caller blocked here makes the writer's next update pay for
+    /// a wake-up.
     pub fn wait_newer(&self, seen: u64, timeout: Duration) -> CommitView {
         let deadline = Instant::now() + timeout;
         let mut state = self.shared.state.lock().expect("commit log poisoned");
@@ -174,23 +207,19 @@ impl CommitLog {
             let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
                 break;
             };
+            state.waiters += 1;
             let (next, wait) = self
                 .shared
                 .advanced
                 .wait_timeout(state, remaining)
                 .expect("commit log poisoned");
             state = next;
+            state.waiters -= 1;
             if wait.timed_out() {
                 break;
             }
         }
-        CommitView {
-            watermark: state.watermark,
-            sealed: state.sealed.clone(),
-            epoch: state.epoch,
-            version: state.version,
-            closed: state.closed,
-        }
+        state.view()
     }
 }
 
@@ -213,7 +242,7 @@ mod tests {
         log.seal(0, 99);
         let view = log.view();
         assert_eq!(view.watermark.committed_bytes, 99);
-        assert_eq!(view.sealed, vec![(0, 99)]);
+        assert_eq!(*view.sealed, [(0, 99)]);
         assert_eq!(view.bound(0), Some(99));
         assert_eq!(view.bound(1), None);
         assert!(!view.closed);
@@ -247,6 +276,99 @@ mod tests {
         let view = log.wait_newer(view.version, Duration::from_millis(30));
         assert_eq!(view.version, 1);
         assert!(start.elapsed() >= Duration::from_millis(25));
+    }
+
+    #[test]
+    fn views_share_the_sealed_list() {
+        let log = CommitLog::new(0);
+        log.seal(0, 40);
+        let (first, second) = (log.view(), log.view());
+        assert!(Arc::ptr_eq(&first.sealed, &second.sealed));
+        assert!(Arc::ptr_eq(
+            &first.sealed,
+            &log.wait_newer(0, Duration::ZERO).sealed
+        ));
+        log.seal(1, 70);
+        assert_eq!(*first.sealed, [(0, 40)], "a held view never changes");
+        assert_eq!(*log.view().sealed, [(0, 40), (1, 70)]);
+    }
+
+    /// `update` notifies only when a waiter has registered. Two waiters
+    /// chase one writer through 50 000 updates at random 0–3 µs gaps;
+    /// every 64th update the writer stands still until both have seen
+    /// it, so a wake-up lost there has no later update to hide behind —
+    /// it shows as a 5 s timeout, which the waiters refuse.
+    fn no_update_is_slept_through(wake: impl Fn(&CommitLog, u64) + Sync) {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        const UPDATES: u64 = 50_000;
+        let log = CommitLog::new(0);
+        let seen = [AtomicU64::new(0), AtomicU64::new(0)];
+        std::thread::scope(|scope| {
+            let waiters = [&seen[0], &seen[1]].map(|seen| {
+                let log = log.clone();
+                scope.spawn(move || loop {
+                    let before = seen.load(Ordering::SeqCst);
+                    let asked = Instant::now();
+                    let view = log.wait_newer(before, Duration::from_secs(5));
+                    assert!(view.version > before);
+                    assert!(
+                        asked.elapsed() < Duration::from_secs(4),
+                        "slept through version {}",
+                        before + 1
+                    );
+                    seen.store(view.version, Ordering::SeqCst);
+                    if view.closed {
+                        return;
+                    }
+                })
+            });
+            let mut random = 0x9E37_79B9_7F4A_7C15u64;
+            for update in 1..=UPDATES {
+                wake(&log, update);
+                if update % 64 == 0 {
+                    while seen.iter().any(|s| s.load(Ordering::SeqCst) < update) {
+                        // A waiter that failed its assertion never catches up.
+                        if waiters.iter().any(|waiter| waiter.is_finished()) {
+                            return;
+                        }
+                        std::thread::yield_now();
+                    }
+                }
+                random ^= random << 13;
+                random ^= random >> 7;
+                random ^= random << 17;
+                let gap = Duration::from_nanos(random % 3_000);
+                let start = Instant::now();
+                while start.elapsed() < gap {
+                    std::hint::spin_loop();
+                }
+            }
+            log.close();
+        });
+        assert_eq!(log.view().version, UPDATES + 1);
+    }
+
+    #[test]
+    fn no_publish_is_slept_through() {
+        no_update_is_slept_through(|log, update| {
+            log.publish(CommitWatermark {
+                lane: 0,
+                segment: 0,
+                committed_bytes: update,
+                windows: update,
+                last_window_id: Some(update),
+            });
+        });
+    }
+
+    #[test]
+    fn no_seal_is_slept_through() {
+        no_update_is_slept_through(|log, update| log.seal((update % 8) as u32, update));
+    }
+
+    #[test]
+    fn no_epoch_bump_is_slept_through() {
+        no_update_is_slept_through(|log, _| log.bump_epoch());
     }
 
     #[test]

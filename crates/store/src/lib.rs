@@ -47,8 +47,9 @@
 //!   buffers pooled in a [`SegmentCache`]. A [`Tailer`] follows a lane
 //!   *while a writer appends*, waking on the writer's [`CommitLog`]
 //!   watermarks and reading only sidecar-committed, CRC-verified frames
-//!   — never a torn tail, never a poll-scan. The `endurance-serve`
-//!   crate builds its subscription fan-out on these primitives.
+//!   — never a torn tail, never a poll-scan, never a byte past a
+//!   published bound. The `endurance-serve` crate's subscriptions are
+//!   these primitives plus a registry of who writes which lane.
 //!
 //! ## Record, crash, reopen, replay
 //!

@@ -55,27 +55,33 @@ impl CommitWatermark {
 
 /// Lag and drop accounting of one live tail subscription.
 ///
-/// A subscription decouples a slow consumer from the lane writer with a
-/// bounded buffer: the writer is never stalled, and when the consumer
-/// falls behind by more than the buffer, the oldest buffered windows are
-/// dropped (and counted here) so the subscription degrades to sampling
-/// the tail instead of blocking the store.
+/// A subscription is a cursor over the lane's committed prefix that the
+/// consumer advances; nothing is held in memory for it, so the writer is
+/// never stalled and "buffered" windows are simply committed windows the
+/// consumer has not asked for yet. Its `buffer` option bounds that lag:
+/// a consumer further behind skips the oldest windows (counted here), so
+/// the subscription degrades to sampling the tail instead of falling
+/// ever further behind.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SubscriptionStats {
     /// Windows handed to the consumer.
     pub delivered: u64,
-    /// Windows dropped because the bounded buffer was full — a nonzero
-    /// value means the consumer is slower than the writer and saw a
-    /// sampled tail, not the full stream.
+    /// Windows skipped because the consumer was more than `buffer`
+    /// windows behind when it asked — a nonzero value means the consumer
+    /// is slower than the writer and saw a sampled tail, not the full
+    /// stream.
     pub dropped: u64,
-    /// Windows currently waiting in the buffer.
+    /// Committed windows waiting for the consumer that it will still be
+    /// handed: `min(behind, buffer)`.
     pub buffered: u64,
-    /// Committed windows the pump has not yet read off disk — how far
-    /// the follower is behind the writer's watermark.
+    /// Committed windows the consumer has neither been handed nor
+    /// skipped — how far the follower is behind the writer's watermark,
+    /// read off the commit log at the moment of the call.
     pub behind: u64,
-    /// Whether the followed writer has closed (or crashed) and every
-    /// committed window has been pumped; more windows can still arrive
-    /// if a resumed writer re-registers on the same lane.
+    /// Whether the subscription is over: the followed writer closed (or
+    /// crashed), every committed window was consumed and no resumed
+    /// writer re-registered the lane within the grace — or the follower
+    /// failed (lapsed, or an I/O or decode error).
     pub ended: bool,
 }
 

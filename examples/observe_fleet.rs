@@ -86,7 +86,8 @@ fn main() -> Result<(), Box<dyn Error>> {
             let subscription = serve.subscribe_with(
                 lane as u32,
                 SubscribeOptions {
-                    buffer: 1024,
+                    // Every window must arrive (`dropped == 0` below).
+                    buffer: usize::MAX,
                     ..SubscribeOptions::default()
                 },
             );
