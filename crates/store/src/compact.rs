@@ -7,10 +7,10 @@
 //!
 //! * **Merging** — runs of adjacent small segments (below
 //!   [`MaintenancePolicy::small_segment_bytes`]) are rewritten into one
-//!   consolidated segment. Frames are copied verbatim (header, meta and
-//!   payload bytes unchanged, CRC re-verified during the copy), so replay
-//!   of a compacted store is byte-for-byte identical to replay of the
-//!   uncompacted store.
+//!   consolidated segment. Stored blocks are copied verbatim (CRC
+//!   re-verified during the copy; whole frames verbatim between v1
+//!   segments), so replay of a compacted store is byte-for-byte identical
+//!   to replay of the uncompacted store.
 //! * **Retention** — windows whose end falls a configurable horizon
 //!   behind the lane's newest window are dropped, the discipline that
 //!   keeps week-long log volumes flat.
@@ -42,9 +42,9 @@ use crate::crc32::crc32;
 use crate::index::{LaneIndex, SegmentMeta, WindowEntry};
 use crate::reader::load_lane;
 use crate::segment::{
-    build_frame_v2, frame_meta_len, list_store_dir, manifest_file_name, segment_file_name,
-    segment_header, write_sidecar, LaneFiles, FRAME_HEADER_LEN, SEGMENT_VERSION_V1,
-    SEGMENT_VERSION_V2,
+    encode_frame, envelope_and_stored_bytes, list_store_dir, manifest_file_name,
+    read_indexed_frame, segment_file_name, segment_header, write_sidecar, FramePrev, LaneFiles,
+    SEGMENT_VERSION_V1, SEGMENT_VERSION_V3,
 };
 use trace_model::codec::CodecId;
 use trace_model::TraceError;
@@ -74,9 +74,9 @@ pub struct MaintenancePolicy {
     /// Re-encode format-v1 segments into this frame codec while
     /// compacting. `None` copies frames verbatim (the default). A pass
     /// with a target codec rewrites every v1 segment it visits into a
-    /// format-v2 segment under that codec (frames the codec refuses stay
+    /// format-v3 segment under that codec (frames the codec refuses stay
     /// identity-stored), so a store written before compression existed
-    /// shrinks in place; already-v2 segments are left alone, which keeps
+    /// shrinks in place; v2 and v3 segments are left alone, which keeps
     /// repeated passes convergent.
     #[serde(default)]
     pub recompress: Option<CodecId>,
@@ -204,14 +204,34 @@ pub struct LaneCompaction {
     /// those payloads occupy on disk under their frame codecs.
     #[serde(default)]
     pub stored_bytes: u64,
+    /// Frame header and meta bytes — everything on disk that is neither
+    /// segment header nor stored block — before the pass.
+    #[serde(default)]
+    pub envelope_bytes_before: u64,
+    /// Frame header and meta bytes after the pass.
+    #[serde(default)]
+    pub envelope_bytes_after: u64,
+    /// Segment files the pass wrote (each replacing one or more).
+    #[serde(default)]
+    pub segments_rewritten: usize,
 }
 
 impl LaneCompaction {
     /// Bytes the pass gave back to the filesystem (segment headers of
     /// merged runts, dropped windows, truncated tails, recompressed
-    /// payloads).
+    /// payloads, leaner frame envelopes); 0 for a pass that grew the
+    /// lane, which [`LaneCompaction::grown_bytes`] reports.
     pub fn reclaimed_bytes(&self) -> u64 {
         (self.bytes_before + self.torn_bytes_truncated).saturating_sub(self.bytes_after)
+    }
+
+    /// Bytes the pass *added* to the lane. Re-framing as v3 shrinks
+    /// every frame that resembles its predecessor, so on recorded windows
+    /// this reads 0 and anything else says a pass is doing harm (v1 → v2
+    /// re-framing once grew every lane of tiny windows, silently).
+    pub fn grown_bytes(&self) -> u64 {
+        self.bytes_after
+            .saturating_sub(self.bytes_before + self.torn_bytes_truncated)
     }
 
     /// Raw payload bytes over stored payload bytes after the pass: 1.0
@@ -221,12 +241,10 @@ impl LaneCompaction {
         (self.stored_bytes > 0).then(|| self.payload_bytes as f64 / self.stored_bytes as f64)
     }
 
-    /// Whether the pass changed anything.
+    /// Whether the pass changed anything: no segment file written or
+    /// deleted, no torn tail truncated.
     pub fn is_noop(&self) -> bool {
-        self.merged_runs == 0
-            && self.windows_dropped == 0
-            && self.torn_bytes_truncated == 0
-            && self.recompressed_windows == 0
+        self.segments_rewritten == 0 && self.windows_dropped == 0 && self.torn_bytes_truncated == 0
     }
 }
 
@@ -241,6 +259,22 @@ impl CompactionReport {
     /// Total bytes reclaimed across every lane.
     pub fn reclaimed_bytes(&self) -> u64 {
         self.lanes.iter().map(LaneCompaction::reclaimed_bytes).sum()
+    }
+
+    /// Total bytes added across every lane that a pass grew (see
+    /// [`LaneCompaction::grown_bytes`]).
+    pub fn grown_bytes(&self) -> u64 {
+        self.lanes.iter().map(LaneCompaction::grown_bytes).sum()
+    }
+
+    /// Total frame header and meta bytes across every lane, before and
+    /// after the pass.
+    pub fn envelope_bytes(&self) -> (u64, u64) {
+        let total = |of: fn(&LaneCompaction) -> u64| self.lanes.iter().map(of).sum();
+        (
+            total(|lane| lane.envelope_bytes_before),
+            total(|lane| lane.envelope_bytes_after),
+        )
     }
 
     /// Total windows dropped by retention across every lane.
@@ -274,26 +308,34 @@ impl CompactionReport {
 
 impl std::fmt::Display for CompactionReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (envelope_before, envelope_after) = self.envelope_bytes();
         writeln!(
             f,
             "compaction report: {} lane(s), {} run(s) merged, {} window(s) dropped, \
-             {} window(s) recompressed, {} byte(s) reclaimed, compression {:.2}x",
+             {} window(s) recompressed, {} byte(s) reclaimed, {} byte(s) grown, \
+             envelope {} -> {} byte(s), compression {:.2}x",
             self.lanes.len(),
             self.merged_runs(),
             self.windows_dropped(),
             self.recompressed_windows(),
             self.reclaimed_bytes(),
+            self.grown_bytes(),
+            envelope_before,
+            envelope_after,
             self.compression_ratio().unwrap_or(1.0)
         )?;
         for lane in &self.lanes {
             writeln!(
                 f,
-                "  lane {}: {} -> {} segment(s), {} -> {} byte(s), {} window(s) dropped",
+                "  lane {}: {} -> {} segment(s), {} -> {} byte(s) (envelope {} -> {}), \
+                 {} window(s) dropped",
                 lane.lane,
                 lane.segments_before,
                 lane.segments_after,
                 lane.bytes_before,
                 lane.bytes_after,
+                lane.envelope_bytes_before,
+                lane.envelope_bytes_after,
                 lane.windows_dropped
             )?;
         }
@@ -332,8 +374,8 @@ pub struct Compactor {
 struct CompactorMetrics {
     /// `store_compaction_passes_total` — passes that changed the store.
     passes: Counter,
-    /// `store_compaction_reclaimed_bytes_total` — on-disk bytes removed.
-    reclaimed_bytes: Counter,
+    /// The `store_compaction_*_bytes_total` family.
+    bytes: CompactionByteMetrics,
     /// `store_compaction_pass_ns` — wall time of each pass.
     pass_ns: Histogram,
     /// `store_compaction_lane_pass_ns` — wall time of each per-lane job
@@ -348,7 +390,7 @@ impl CompactorMetrics {
     fn from_registry(registry: &Registry) -> Self {
         CompactorMetrics {
             passes: registry.counter("store_compaction_passes_total"),
-            reclaimed_bytes: registry.counter("store_compaction_reclaimed_bytes_total"),
+            bytes: CompactionByteMetrics::from_registry(registry),
             pass_ns: registry.histogram("store_compaction_pass_ns"),
             lane_pass_ns: registry.histogram("store_compaction_lane_pass_ns"),
             parallel_lanes: registry.gauge("store_compaction_parallel_lanes"),
@@ -363,11 +405,47 @@ impl CompactorMetrics {
     /// nothing (already-compact store, disabled policy) is not counted:
     /// the counter tracks passes that changed the store, mirroring the
     /// writer's inline-maintenance accounting.
-    fn record(&self, changed: bool, reclaimed: u64) {
-        if changed {
+    fn record(&self, report: &CompactionReport) {
+        if !report.is_noop() {
             self.passes.inc();
-            self.reclaimed_bytes.add(reclaimed);
         }
+        for lane in report.lanes.iter().filter(|lane| !lane.is_noop()) {
+            self.bytes.record(lane);
+        }
+    }
+}
+
+/// Where a pass's bytes went, for the standalone pass and the writer's
+/// inline one alike: each lane a pass changed adds its figures once.
+#[derive(Debug)]
+pub(crate) struct CompactionByteMetrics {
+    /// `store_compaction_reclaimed_bytes_total` — on-disk bytes removed.
+    reclaimed: Counter,
+    /// `store_compaction_grown_bytes_total` — on-disk bytes *added* by
+    /// passes that left a lane larger than they found it.
+    grown: Counter,
+    /// `store_compaction_envelope_before_bytes_total` — frame header and
+    /// meta bytes the changed lanes held going in.
+    envelope_before: Counter,
+    /// `store_compaction_envelope_after_bytes_total` — and coming out.
+    envelope_after: Counter,
+}
+
+impl CompactionByteMetrics {
+    pub(crate) fn from_registry(registry: &Registry) -> Self {
+        CompactionByteMetrics {
+            reclaimed: registry.counter("store_compaction_reclaimed_bytes_total"),
+            grown: registry.counter("store_compaction_grown_bytes_total"),
+            envelope_before: registry.counter("store_compaction_envelope_before_bytes_total"),
+            envelope_after: registry.counter("store_compaction_envelope_after_bytes_total"),
+        }
+    }
+
+    pub(crate) fn record(&self, lane: &LaneCompaction) {
+        self.reclaimed.add(lane.reclaimed_bytes());
+        self.grown.add(lane.grown_bytes());
+        self.envelope_before.add(lane.envelope_bytes_before);
+        self.envelope_after.add(lane.envelope_bytes_after);
     }
 }
 
@@ -491,10 +569,7 @@ impl Compactor {
         if let Some(error) = first_error {
             return Err(error);
         }
-        let changed = report.merged_runs() > 0
-            || report.reclaimed_bytes() > 0
-            || report.recompressed_windows() > 0;
-        self.metrics.record(changed, report.reclaimed_bytes());
+        self.metrics.record(&report);
         Ok(report)
     }
 
@@ -748,7 +823,8 @@ pub(crate) fn compact_lane_index(
         ..LaneCompaction::default()
     };
     report.payload_bytes = index.total_payload_bytes();
-    report.stored_bytes = index.total_stored_bytes();
+    (report.envelope_bytes_before, report.stored_bytes) = envelope_and_stored_bytes(&index);
+    report.envelope_bytes_after = report.envelope_bytes_before;
     if !policy.is_enabled() || index.segments.is_empty() {
         return Ok((index, report));
     }
@@ -804,11 +880,11 @@ pub(crate) fn compact_lane_index(
     let small_threshold = policy.small_segment_bytes.min(policy.max_merged_bytes);
     for plan in &mut plans {
         plan.rewrite = plan.dropped > 0;
-        // Only v1 segments are recompression candidates: a v2 segment was
-        // already written under some codec configuration (frames its
-        // codec refused are identity by *choice*), so skipping it keeps
-        // repeated passes convergent instead of rewriting the lane
-        // forever.
+        // Only v1 segments are recompression candidates: a v2 or v3
+        // segment was already written under some codec configuration
+        // (frames its codec refused are identity by *choice*), so
+        // skipping it keeps repeated passes convergent instead of
+        // rewriting the lane forever.
         plan.recompress = policy.recompress.is_some() && plan.meta.version == SEGMENT_VERSION_V1;
         plan.candidate = plan.rewrite
             || plan.recompress
@@ -864,6 +940,7 @@ pub(crate) fn compact_lane_index(
             &mut report.recompressed_windows,
         )?;
         report.merged_runs += usize::from(run.len() > 1);
+        report.segments_rewritten += usize::from(consolidated.is_some());
         if let Some((meta, entries)) = consolidated {
             new_segments.push(meta);
             new_windows.extend(entries);
@@ -877,7 +954,7 @@ pub(crate) fn compact_lane_index(
     report.segments_after = rebuilt.segments.len();
     report.bytes_after = rebuilt.segments.iter().map(|s| s.committed_bytes).sum();
     report.payload_bytes = rebuilt.total_payload_bytes();
-    report.stored_bytes = rebuilt.total_stored_bytes();
+    (report.envelope_bytes_after, report.stored_bytes) = envelope_and_stored_bytes(&rebuilt);
     Ok((rebuilt, report))
 }
 
@@ -886,13 +963,16 @@ pub(crate) fn compact_lane_index(
 /// every surviving frame's CRC during the copy. Returns `None` when no
 /// window survived (the run's files are simply deleted).
 ///
-/// Frames are copied verbatim whenever the consolidated segment keeps
-/// their format version. A run that mixes versions is written as format
-/// v2, with v1 frames converted to v2 identity frames (same payload
-/// bytes, 5 extra meta bytes); when `recompress` names a target codec,
-/// v1 frames are additionally re-encoded through it (falling back to
-/// identity per frame when the codec refuses the payload). Replay is
-/// byte-for-byte identical in every case.
+/// A run of v1 segments with nothing to re-encode is written as v1,
+/// its frames copied verbatim — bit-compatible with the previous
+/// release's output. Every other run is written as format v3: each
+/// frame's stored block carries over untouched while its meta is coded
+/// anew against the frame written before it (a run joint or a retention
+/// drop changes the predecessor) and the CRC recomputed; when
+/// `recompress` names a target codec, v1 frames are additionally
+/// re-encoded through it (falling back to identity per frame when the
+/// codec refuses the payload). Replay is byte-for-byte identical in
+/// every case.
 ///
 /// Multi-file merges are journalled through a [`CompactionManifest`]
 /// written before the consolidated file is renamed into place, so a
@@ -921,14 +1001,13 @@ fn rewrite_run(
     // The consolidated segment's format: v1 only when every source is v1
     // and nothing is being re-encoded — that path copies frames verbatim
     // and stays bit-compatible with the previous release's output.
-    let converting = recompress.is_some() && run.iter().any(|plan| plan.recompress);
-    let mixed = run
+    let all_v1 = run
         .iter()
-        .any(|plan| plan.meta.version != run[0].meta.version);
-    let out_version = if converting || mixed || run[0].meta.version >= SEGMENT_VERSION_V2 {
-        SEGMENT_VERSION_V2
-    } else {
+        .all(|plan| plan.meta.version == SEGMENT_VERSION_V1 && !plan.recompress);
+    let out_version = if all_v1 {
         SEGMENT_VERSION_V1
+    } else {
+        SEGMENT_VERSION_V3
     };
     let mut codec = recompress.map(CodecId::new_codec);
 
@@ -939,6 +1018,7 @@ fn rewrite_run(
     let mut merged = Vec::with_capacity(total as usize);
     merged.extend_from_slice(&segment_header(lane, target_seq, out_version));
     let mut entries = Vec::with_capacity(survivors);
+    let mut prev = FramePrev::default();
     let mut scratch_frame = Vec::new();
     let mut scratch_block = Vec::new();
     for plan in run {
@@ -948,75 +1028,39 @@ fn rewrite_run(
         let source = std::fs::read(dir.join(segment_file_name(lane, plan.meta.seq)))?;
         for &position in &plan.windows {
             let entry = windows[position];
-            let frame_start = entry.offset as usize;
-            let frame_end = frame_start + FRAME_HEADER_LEN as usize + entry.len as usize;
-            if frame_end > source.len() {
-                return Err(TraceError::Decode {
-                    offset: frame_start,
-                    reason: format!(
-                        "lane {lane} segment {} ends before indexed frame at {frame_start}",
-                        entry.segment
-                    ),
-                });
-            }
-            let frame = &source[frame_start..frame_end];
-            let stored_crc = crate::segment::read_u32(frame, 4);
-            if crc32(&frame[FRAME_HEADER_LEN as usize..]) != stored_crc {
-                return Err(TraceError::Decode {
-                    offset: frame_start,
-                    reason: format!(
-                        "crc mismatch copying lane {lane} segment {} offset {frame_start}",
-                        entry.segment
-                    ),
-                });
-            }
-            if plan.meta.version == out_version {
-                // Same format: the frame bytes carry over verbatim.
-                entries.push(WindowEntry {
-                    segment: target_seq,
-                    offset: merged.len() as u64,
-                    ..entry
-                });
-                merged.extend_from_slice(frame);
+            let frame =
+                read_indexed_frame(plan.meta.version, &source, lane, &entry, entry.offset, true)?;
+            let mut copied = WindowEntry {
+                segment: target_seq,
+                offset: merged.len() as u64,
+                ..entry
+            };
+            if out_version == SEGMENT_VERSION_V1 {
+                // v1 into v1: the frame bytes carry over verbatim.
+                merged.extend_from_slice(&source[entry.offset as usize..frame.body.end]);
+                entries.push(copied);
                 continue;
             }
-            // v1 frame into a v2 segment: re-frame (and, for a
-            // recompression pass, re-encode) the raw payload.
-            debug_assert_eq!(plan.meta.version, SEGMENT_VERSION_V1);
-            let payload = &frame[FRAME_HEADER_LEN as usize + frame_meta_len(SEGMENT_VERSION_V1)..];
-            scratch_block.clear();
-            let mut codec_used = CodecId::Identity;
+            // Re-frame the stored block (for a recompression pass over a
+            // v1 frame: the payload, re-encoded) behind its new
+            // predecessor. Codec and raw length are the file's.
+            let mut block = &source[frame.block];
+            copied.codec = frame.codec.as_u8();
+            copied.raw_len = frame.raw_len;
             if plan.recompress {
                 if let Some(codec) = codec.as_mut() {
-                    if codec.compress(payload, &mut scratch_block)? {
-                        codec_used = codec.id();
+                    scratch_block.clear();
+                    if codec.compress(block, &mut scratch_block)? {
+                        copied.codec = codec.id().as_u8();
+                        block = &scratch_block;
                         *recompressed_windows += 1;
                     }
                 }
             }
-            if codec_used == CodecId::Identity {
-                scratch_block.clear();
-                scratch_block.extend_from_slice(payload);
-            }
-            let body_len = build_frame_v2(
-                &mut scratch_frame,
-                entry.window_id,
-                entry.start_ns,
-                entry.end_ns,
-                entry.events,
-                codec_used,
-                payload.len() as u32,
-                &scratch_block,
-            );
-            entries.push(WindowEntry {
-                segment: target_seq,
-                offset: merged.len() as u64,
-                len: body_len,
-                codec: codec_used.as_u8(),
-                raw_len: payload.len() as u32,
-                ..entry
-            });
+            copied.len = encode_frame(out_version, &mut scratch_frame, prev, &copied, block);
+            prev = FramePrev::after(&copied);
             merged.extend_from_slice(&scratch_frame);
+            entries.push(copied);
         }
     }
 

@@ -23,7 +23,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::segment::{frame_meta_len, FRAME_META_LEN, SEGMENT_VERSION_V1};
+use crate::segment::{envelope_and_stored_bytes, FRAME_META_LEN, SEGMENT_VERSION_V1};
 
 /// Sidecar schema version written by this build (binary `.idx`).
 pub(crate) const SIDECAR_SCHEMA: u32 = 3;
@@ -51,7 +51,7 @@ pub struct WindowEntry {
     pub segment: u32,
     /// Byte offset of the frame (its header) within the segment file.
     pub offset: u64,
-    /// Frame body length in bytes (fixed meta block + stored block).
+    /// Frame body length in bytes (meta block + stored block).
     pub len: u32,
     /// Wire value of the frame's codec
     /// ([`trace_model::codec::CodecId`]); 0 (identity) for every v1
@@ -73,12 +73,6 @@ impl WindowEntry {
         self.raw_len
     }
 
-    /// Length in bytes of the window's *stored block* on disk, given the
-    /// format version of the segment holding it.
-    pub fn stored_len(&self, segment_version: u8) -> u32 {
-        self.len - frame_meta_len(segment_version) as u32
-    }
-
     /// Fills the schema-2 fields of an entry parsed from a schema-1
     /// sidecar (identity codec, raw length = v1 body minus meta).
     pub(crate) fn normalise_from_schema_v1(&mut self) {
@@ -95,7 +89,7 @@ pub struct SegmentMeta {
     /// Bytes of intact header + frames; equals the file length after a
     /// clean close.
     pub committed_bytes: u64,
-    /// Segment format version (1 or 2); schema-1 sidecars omit it and
+    /// Segment format version (1, 2 or 3); schema-1 sidecars omit it and
     /// default to 1.
     #[serde(default = "default_segment_version")]
     pub version: u8,
@@ -144,17 +138,14 @@ impl LaneIndex {
     /// payloads actually occupy on disk under their frame codecs
     /// (excluding segment and frame headers).
     pub fn total_stored_bytes(&self) -> u64 {
-        self.windows
-            .iter()
-            .map(|w| u64::from(w.stored_len(self.segment_version(w.segment))))
-            .sum()
+        envelope_and_stored_bytes(self).1
     }
 
     /// Format version of segment `seq` (1 when the segment is unknown,
     /// which only happens on indexes under construction). Segments are
     /// kept in ascending sequence order everywhere an index is built, so
     /// this is a binary search — `total_stored_bytes` calls it once per
-    /// window.
+    /// segment.
     pub(crate) fn segment_version(&self, seq: u32) -> u8 {
         self.segments
             .binary_search_by_key(&seq, |meta| meta.seq)
@@ -276,7 +267,7 @@ impl RecoveryReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segment::{FRAME_META_LEN_V2, SEGMENT_VERSION_V2};
+    use crate::segment::SEGMENT_VERSION_V2;
 
     #[test]
     fn lane_index_totals() {
@@ -310,7 +301,7 @@ mod tests {
             events: 6,
             segment: 1,
             offset: 60,
-            len: FRAME_META_LEN_V2 as u32 + 5,
+            len: 33 + 5,
             codec: 1,
             raw_len: 11,
         });
@@ -318,7 +309,6 @@ mod tests {
         assert_eq!(index.total_payload_bytes(), 20);
         assert_eq!(index.total_stored_bytes(), 14);
         assert_eq!(index.windows[0].payload_len(), 9);
-        assert_eq!(index.windows[1].stored_len(SEGMENT_VERSION_V2), 5);
     }
 
     #[test]

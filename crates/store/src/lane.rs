@@ -9,12 +9,13 @@ use trace_model::codec::{BinaryEncoder, CodecId, FrameCodec, TraceEncoder};
 use trace_model::{EventSink, RecordMeta, TraceError, TraceEvent};
 
 use crate::commit::CommitLog;
-use crate::compact::{compact_lane_index, LaneCompaction, MaintenancePolicy};
+use crate::compact::{
+    compact_lane_index, CompactionByteMetrics, LaneCompaction, MaintenancePolicy,
+};
 use crate::index::{LaneIndex, RecoveryReport, SegmentMeta, WindowEntry, SIDECAR_SCHEMA};
 use crate::segment::{
-    build_frame, build_frame_v2, frame_meta_len, list_lane, scan_segment, segment_file_name,
-    segment_header, write_sidecar, LaneFiles, FRAME_HEADER_LEN, SEGMENT_HEADER_LEN,
-    SEGMENT_VERSION_V1, SEGMENT_VERSION_V2,
+    encode_frame, list_lane, scan_segment, segment_file_name, segment_header, write_sidecar,
+    FramePrev, LaneFiles, SEGMENT_HEADER_LEN, SEGMENT_VERSION_V1, SEGMENT_VERSION_V3,
 };
 
 /// Rotation policy, frame codec, maintenance and durability knobs of a
@@ -31,7 +32,7 @@ pub struct StoreConfig {
     ///
     /// [`CodecId::Identity`] (the default) writes format-v1 segments,
     /// bit-compatible with stores written before frame compression
-    /// existed. Any other codec writes format-v2 segments; frames the
+    /// existed. Any other codec writes format-v3 segments; frames the
     /// codec refuses (non-`ETRC` or incompressible payloads) fall back to
     /// identity storage per frame, so replay is byte-for-byte lossless
     /// either way.
@@ -92,8 +93,10 @@ impl StoreConfig {
 /// attribution matters; detached no-ops unless a registry is installed.
 #[derive(Debug)]
 pub(crate) struct LaneMetrics {
-    /// `store_frames_written_total{lane}` — frames appended this session
-    /// (recovered windows are not frames *written* and are excluded).
+    /// `store_frames_written_total{lane, format}` — frames appended this
+    /// session (recovered windows are not frames *written* and are
+    /// excluded); `format` is the segment version they went into, `v1`
+    /// or `v3`.
     pub(crate) frames_written: Counter,
     /// `store_bytes_written_total{lane}` — frame bytes appended (headers
     /// and codec framing included; segment headers excluded).
@@ -103,30 +106,38 @@ pub(crate) struct LaneMetrics {
     /// `store_compaction_passes_total` — maintenance passes that changed
     /// any lane.
     compaction_passes: Counter,
-    /// `store_compaction_reclaimed_bytes_total` — on-disk bytes removed
-    /// by maintenance (merge overhead + dropped windows + re-encoding).
-    compaction_reclaimed_bytes: Counter,
+    /// The `store_compaction_*_bytes_total` family the inline pass shares
+    /// with the standalone one.
+    compaction_bytes: CompactionByteMetrics,
     /// `store_compaction_pass_ns` — wall time of each maintenance pass,
     /// including no-op passes.
     compaction_pass_ns: Histogram,
 }
 
 impl LaneMetrics {
-    pub(crate) fn from_registry(registry: &Registry, lane: u32) -> Self {
+    pub(crate) fn from_registry(registry: &Registry, lane: u32, segment_version: u8) -> Self {
         let index = lane.to_string();
         let labels: &[(&str, &str)] = &[("lane", &index)];
+        let format = if segment_version == SEGMENT_VERSION_V1 {
+            "v1"
+        } else {
+            "v3"
+        };
         LaneMetrics {
-            frames_written: registry.counter_with("store_frames_written_total", labels),
+            frames_written: registry.counter_with(
+                "store_frames_written_total",
+                &[("lane", &index), ("format", format)],
+            ),
             bytes_written: registry.counter_with("store_bytes_written_total", labels),
             rotations: registry.counter_with("store_rotations_total", labels),
             compaction_passes: registry.counter("store_compaction_passes_total"),
-            compaction_reclaimed_bytes: registry.counter("store_compaction_reclaimed_bytes_total"),
+            compaction_bytes: CompactionByteMetrics::from_registry(registry),
             compaction_pass_ns: registry.histogram("store_compaction_pass_ns"),
         }
     }
 
     pub(crate) fn disabled(lane: u32) -> Self {
-        Self::from_registry(&Registry::disabled(), lane)
+        Self::from_registry(&Registry::disabled(), lane, SEGMENT_VERSION_V1)
     }
 }
 
@@ -197,8 +208,12 @@ pub struct LaneWriter {
     /// The configured frame codec; `None` for identity, which writes
     /// format-v1 segments bit-compatible with the previous release.
     codec: Option<Box<dyn FrameCodec>>,
-    /// Format version of segments this writer opens.
+    /// Format version of segments this writer opens: 1 under the
+    /// identity codec, 3 under any other.
     segment_version: u8,
+    /// The last frame written to the open segment — what the next v3
+    /// frame is coded against; zero when the next frame opens a segment.
+    prev: FramePrev,
     scratch_frame: Vec<u8>,
     scratch_payload: Vec<u8>,
     scratch_block: Vec<u8>,
@@ -322,7 +337,7 @@ impl LaneWriter {
             .unwrap_or(0);
         let codec = (config.codec != CodecId::Identity).then(|| config.codec.new_codec());
         let segment_version = if codec.is_some() {
-            SEGMENT_VERSION_V2
+            SEGMENT_VERSION_V3
         } else {
             SEGMENT_VERSION_V1
         };
@@ -355,6 +370,7 @@ impl LaneWriter {
             encoder: BinaryEncoder::new(),
             codec,
             segment_version,
+            prev: FramePrev::default(),
             scratch_frame: Vec::new(),
             scratch_payload: Vec::new(),
             scratch_block: Vec::new(),
@@ -370,12 +386,13 @@ impl LaneWriter {
     }
 
     /// Installs a metrics registry; the writer reports
-    /// `store_frames_written_total`, `store_bytes_written_total` and
-    /// `store_rotations_total` (all labelled `{lane="i"}`) plus the
+    /// `store_frames_written_total` (labelled `{lane="i", format="v1"}`
+    /// or `"v3"`), `store_bytes_written_total` and
+    /// `store_rotations_total` (labelled `{lane="i"}`) plus the
     /// `store_compaction_*` family into it. Install right after
     /// [`LaneWriter::create`], before recording, for exact totals.
     pub fn with_metrics(mut self, registry: &Registry) -> Self {
-        self.metrics = LaneMetrics::from_registry(registry, self.lane);
+        self.metrics = LaneMetrics::from_registry(registry, self.lane, self.segment_version);
         self
     }
 
@@ -464,6 +481,7 @@ impl LaneWriter {
             // still know exactly where its committed frames end.
             self.commit.seal(self.seq, self.segment_bytes);
             self.seq += 1;
+            self.prev = FramePrev::default();
             self.metrics.rotations.inc();
         }
         Ok(())
@@ -515,43 +533,41 @@ impl LaneWriter {
         } else {
             block.as_slice()
         };
-        let frame_len =
-            FRAME_HEADER_LEN + frame_meta_len(self.segment_version) as u64 + stored.len() as u64;
-        if self.needs_rotation(frame_len) {
+        let mut entry = WindowEntry {
+            window_id,
+            start_ns,
+            end_ns,
+            events: events.len() as u32,
+            segment: self.seq,
+            offset: 0,
+            len: 0,
+            codec: codec_used.as_u8(),
+            raw_len: payload.len() as u32,
+        };
+        // Size the frame where it stands, behind the open segment's last
+        // frame; rotation decides on that size.
+        let mut frame = std::mem::take(&mut self.scratch_frame);
+        entry.len = encode_frame(self.segment_version, &mut frame, self.prev, &entry, stored);
+        if self.needs_rotation(frame.len() as u64) {
             if let Err(error) = self.rotate().and_then(|()| self.maybe_compact()) {
                 self.scratch_block = block;
+                self.scratch_frame = frame;
                 return Err(error);
             }
+            entry.segment = self.seq;
+            if self.segment_version != SEGMENT_VERSION_V1 {
+                // The frame now opens a segment: coded against nothing,
+                // it is not the frame that was sized against `prev`.
+                entry.len =
+                    encode_frame(self.segment_version, &mut frame, self.prev, &entry, stored);
+            }
         }
-        let offset = if self.file.is_some() {
+        entry.offset = if self.file.is_some() {
             self.segment_bytes
         } else {
             SEGMENT_HEADER_LEN
         };
-        let mut frame = std::mem::take(&mut self.scratch_frame);
-        let body_len = if self.segment_version >= SEGMENT_VERSION_V2 {
-            build_frame_v2(
-                &mut frame,
-                window_id,
-                start_ns,
-                end_ns,
-                events.len() as u32,
-                codec_used,
-                payload.len() as u32,
-                stored,
-            )
-        } else {
-            build_frame(
-                &mut frame,
-                window_id,
-                start_ns,
-                end_ns,
-                events.len() as u32,
-                stored,
-            )
-        };
-        let seq = self.seq;
-        let raw_len = payload.len() as u32;
+        let frame_len = frame.len() as u64;
         self.scratch_block = block;
         let result = self.open_segment().and_then(|file| {
             file.write_all(&frame)?;
@@ -577,23 +593,14 @@ impl LaneWriter {
             .last_mut()
             .expect("open_segment pushed a segment meta")
             .committed_bytes = self.segment_bytes;
-        self.index.windows.push(WindowEntry {
-            window_id,
-            start_ns,
-            end_ns,
-            events: events.len() as u32,
-            segment: seq,
-            offset,
-            len: body_len,
-            codec: codec_used.as_u8(),
-            raw_len,
-        });
+        self.prev = FramePrev::after(&entry);
+        self.index.windows.push(entry);
         // The frame is fully on disk (one write_all): commit it to live
         // followers. A failed append publishes nothing, so followers
         // never read past the last good frame.
         self.commit.publish(trace_model::CommitWatermark {
             lane: self.lane,
-            segment: seq,
+            segment: entry.segment,
             committed_bytes: self.segment_bytes,
             windows: self.index.windows.len() as u64,
             last_window_id: Some(window_id),
@@ -611,7 +618,6 @@ impl LaneWriter {
             return Ok(());
         }
         let backup = self.index.clone();
-        let bytes_before = self.bytes_on_disk;
         let pass_span = self.metrics.compaction_pass_ns.span();
         let index = std::mem::replace(&mut self.index, LaneIndex::new(self.lane));
         match compact_lane_index(&self.dir, index, &self.config.maintenance, 0) {
@@ -627,9 +633,7 @@ impl LaneWriter {
                 if !report.is_noop() {
                     self.compaction_passes += 1;
                     self.metrics.compaction_passes.inc();
-                    self.metrics
-                        .compaction_reclaimed_bytes
-                        .add(bytes_before.saturating_sub(self.bytes_on_disk));
+                    self.metrics.compaction_bytes.record(&report);
                     self.last_compaction = Some(report);
                     // Segments were merged, dropped or re-encoded: byte
                     // offsets a follower holds are stale. Invalidate them.

@@ -19,8 +19,10 @@
 //!   Every recorded payload passes through the configured [`FrameCodec`]
 //!   ([`StoreConfig::with_codec`]): the default identity codec writes
 //!   format-v1 files bit-compatible with pre-compression releases, while
-//!   `DeltaVarint`/`LzBlock` shrink what each window costs on disk —
-//!   losslessly, with per-frame fallback to identity.
+//!   `DeltaVarint`/`LzBlock` write format-v3 files that shrink what each
+//!   window costs on disk — the block losslessly, with per-frame
+//!   fallback to identity, and the frame around it by coding its meta
+//!   against the frame before.
 //! * [`StoreReader`] — reopens a store directory, recovering after a
 //!   crash: every frame is length- and CRC-validated, torn tail writes
 //!   are detected (and truncated by a resuming writer), and the
@@ -34,7 +36,7 @@
 //!   CRC-validated on first touch.
 //! * [`Compactor`] / [`MaintenancePolicy`] — the store's maintenance
 //!   pass: runs of small adjacent segments are merged into consolidated
-//!   ones (frames copied verbatim, sidecar rewritten atomically) and
+//!   ones (stored blocks copied verbatim, sidecar rewritten atomically) and
 //!   windows past a retention horizon are dropped, keeping reopen and
 //!   replay costs flat on week-long runs. Runs standalone on a closed
 //!   store or inline in the writer after each rotation.
@@ -73,7 +75,7 @@
 //! # }
 //! ```
 //!
-//! The on-disk layout — segment and frame formats (v1 and v2), codec
+//! The on-disk layout — segment and frame formats (v1, v2 and v3), codec
 //! block formats, the sidecar index, the compaction journal and the
 //! crash-recovery state machine — is specified normatively in
 //! `docs/FORMAT.md` at the repository root.

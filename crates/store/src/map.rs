@@ -10,7 +10,7 @@
 //! windowed seek pays for the windows it reads and a full-lane pass pays
 //! each frame exactly once.
 //!
-//! Compressed frames (format-v2 segments with a non-identity codec) add
+//! Compressed frames (format-v2/v3 segments with a non-identity codec) add
 //! one step: the stored block is decoded through the frame's
 //! [`FrameCodec`] into a scratch buffer owned by the map, so
 //! [`SegmentMap::payload`] returns either a zero-copy slice into the
@@ -40,11 +40,9 @@ use endurance_obs::{Counter, Registry};
 use trace_model::codec::{BinaryDecoder, CodecId, FrameCodec, TraceDecoder};
 use trace_model::{TraceError, TraceEvent};
 
-use crate::crc32::crc32;
 use crate::index::WindowEntry;
 use crate::segment::{
-    frame_meta_len, parse_segment_header, read_u32, segment_file_name, FRAME_HEADER_LEN,
-    SEGMENT_VERSION_V2,
+    frame_end, parse_segment_header, read_indexed_frame, segment_file_name, Frame,
 };
 
 /// Default number of segment buffers a [`SegmentMap`] keeps resident.
@@ -91,97 +89,36 @@ impl SegmentData {
         self.bytes.len()
     }
 
-    /// Validates (once) and returns the body byte range of `entry` within
-    /// this segment buffer.
-    fn body_range(
-        &self,
-        lane: u32,
-        entry: &WindowEntry,
-    ) -> Result<std::ops::Range<usize>, TraceError> {
-        // Checked arithmetic: offsets/lengths come from the (possibly
-        // corrupt) index, so an overflow is corruption, not a panic.
-        let bytes_len = self.bytes.len();
-        let out_of_bounds = move || TraceError::Decode {
-            offset: entry.offset as usize,
-            reason: format!(
-                "index points past the end of lane {lane} segment {} ({bytes_len} bytes)",
-                entry.segment,
-            ),
-        };
-        let body_start = entry
-            .offset
-            .checked_add(FRAME_HEADER_LEN)
-            .ok_or_else(out_of_bounds)?;
-        let body_end = body_start
-            .checked_add(u64::from(entry.len))
-            .ok_or_else(out_of_bounds)?;
-        if body_end > self.bytes.len() as u64 {
-            return Err(out_of_bounds());
-        }
-        if u64::from(entry.len) < frame_meta_len(self.version) as u64 {
-            return Err(TraceError::Decode {
-                offset: entry.offset as usize,
-                reason: format!(
-                    "frame body of {} bytes is shorter than the v{} meta block",
-                    entry.len, self.version
-                ),
-            });
-        }
+    /// Whether the buffer holds the whole frame `entry` describes (a row
+    /// no frame can match is not worth a reload: reading it reports it).
+    fn covers(&self, entry: &WindowEntry) -> bool {
+        frame_end(self.version, entry).map_or(true, |end| end <= self.bytes.len() as u64)
+    }
+
+    /// Locates the frame of `entry` within this segment buffer: length
+    /// field checked against the row, CRC validated once, codec and raw
+    /// length read from the file.
+    fn frame(&self, lane: u32, entry: &WindowEntry) -> Result<Frame, TraceError> {
         let already = {
             let validated = self.validated.lock().expect("validation memo poisoned");
             validated.contains(&entry.offset)
         };
+        let frame = read_indexed_frame(
+            self.version,
+            &self.bytes,
+            lane,
+            entry,
+            entry.offset,
+            !already,
+        )?;
         if !already {
-            let stored_len = read_u32(&self.bytes, entry.offset as usize);
-            let stored_crc = read_u32(&self.bytes, entry.offset as usize + 4);
-            let body = &self.bytes[body_start as usize..body_end as usize];
-            if stored_len != entry.len {
-                return Err(TraceError::Decode {
-                    offset: entry.offset as usize,
-                    reason: format!(
-                        "index says frame body is {} bytes, file says {stored_len}",
-                        entry.len
-                    ),
-                });
-            }
-            if crc32(body) != stored_crc {
-                return Err(TraceError::Decode {
-                    offset: entry.offset as usize,
-                    reason: format!(
-                        "crc mismatch reading lane {} segment {} offset {}",
-                        lane, entry.segment, entry.offset
-                    ),
-                });
-            }
             self.crc_validations.inc();
             self.validated
                 .lock()
                 .expect("validation memo poisoned")
                 .insert(entry.offset);
         }
-        Ok(body_start as usize..body_end as usize)
-    }
-
-    /// The frame's codec and raw payload length as recorded *in the
-    /// file* (v1 frames are identity by construction).
-    fn frame_codec_and_raw_len(
-        &self,
-        lane: u32,
-        entry: &WindowEntry,
-        body: &std::ops::Range<usize>,
-    ) -> Result<(CodecId, usize), TraceError> {
-        if self.version < SEGMENT_VERSION_V2 {
-            return Ok((CodecId::Identity, entry.len as usize - frame_meta_len(1)));
-        }
-        let meta = &self.bytes[body.start..body.start + frame_meta_len(2)];
-        let codec = CodecId::from_u8(meta[28]).ok_or_else(|| TraceError::Decode {
-            offset: body.start + 28,
-            reason: format!(
-                "lane {lane} segment {} frame at {} uses unknown codec id {}",
-                entry.segment, entry.offset, meta[28]
-            ),
-        })?;
-        Ok((codec, read_u32(meta, 29) as usize))
+        Ok(frame)
     }
 }
 
@@ -266,22 +203,19 @@ impl SegmentCache {
         &self.shards[(mixed >> 32) as usize % self.shards.len()]
     }
 
-    /// Returns the loaded buffer for `(lane, seq)`, reading the file on a
-    /// miss — and *re*-reading it when the cached copy is shorter than
-    /// `min_len` bytes (an actively-appended segment legitimately grows
-    /// after it was first cached; a fresh read observes the newer frames).
-    fn get_at_least(
-        &self,
-        lane: u32,
-        seq: u32,
-        min_len: u64,
-    ) -> Result<Arc<SegmentData>, TraceError> {
+    /// Returns the loaded buffer for the segment of `entry`, reading the
+    /// file on a miss — and *re*-reading it when the cached copy ends
+    /// before the frame does (an actively-appended segment legitimately
+    /// grows after it was first cached; a fresh read observes the newer
+    /// frames).
+    fn get_covering(&self, lane: u32, entry: &WindowEntry) -> Result<Arc<SegmentData>, TraceError> {
+        let seq = entry.segment;
         let key = Self::key(lane, seq);
         let shard = self.shard(key);
         {
             let resident = shard.lock().expect("segment cache poisoned");
             if let Some((_, data)) = resident.iter().find(|(k, _)| *k == key) {
-                if data.len() as u64 >= min_len {
+                if data.covers(entry) {
                     self.metrics.hits.inc();
                     return Ok(Arc::clone(data));
                 }
@@ -405,16 +339,16 @@ impl SegmentMap {
         self.segments.clear();
     }
 
-    /// Pins `seq`'s buffer (loading or fetching from the shared cache if
-    /// absent, or if the pinned copy is shorter than `min_len` — an
-    /// actively-appended segment grows between touches), evicting per the
-    /// resident limit.
-    fn load_at_least(&mut self, seq: u32, min_len: u64) -> Result<(), TraceError> {
-        if let Some(data) = self.segments.get(&seq) {
-            if data.len() as u64 >= min_len {
-                return Ok(());
-            }
-            self.segments.remove(&seq);
+    /// Pins the buffer of `entry`'s segment (loading or fetching from the
+    /// shared cache if absent, or if the pinned copy ends before the
+    /// frame does — an actively-appended segment grows between touches),
+    /// evicting per the resident limit.
+    fn load_for(&mut self, entry: &WindowEntry) -> Result<(), TraceError> {
+        let seq = entry.segment;
+        match self.segments.get(&seq) {
+            Some(data) if data.covers(entry) => return Ok(()),
+            Some(_) => drop(self.segments.remove(&seq)),
+            None => {}
         }
         if self.limit > 0 {
             while self.segments.len() >= self.limit {
@@ -428,7 +362,7 @@ impl SegmentMap {
             }
         }
         let data = match &self.cache {
-            Some(cache) => cache.get_at_least(self.lane, seq, min_len)?,
+            Some(cache) => cache.get_covering(self.lane, entry)?,
             None => Arc::new(SegmentData::load(
                 &self.dir,
                 self.lane,
@@ -440,14 +374,6 @@ impl SegmentMap {
         Ok(())
     }
 
-    /// The byte length a buffer must have to serve `entry` in full.
-    fn needed_len(entry: &WindowEntry) -> u64 {
-        entry
-            .offset
-            .saturating_add(FRAME_HEADER_LEN)
-            .saturating_add(u64::from(entry.len))
-    }
-
     /// The codec instance for `id`, created on first use.
     fn codec_mut(codecs: &mut Vec<Box<dyn FrameCodec>>, id: CodecId) -> &mut dyn FrameCodec {
         if let Some(at) = codecs.iter().position(|codec| codec.id() == id) {
@@ -457,7 +383,7 @@ impl SegmentMap {
         codecs.last_mut().expect("just pushed").as_mut()
     }
 
-    /// The frame body (fixed meta block + stored block) of one indexed
+    /// The frame body (meta block + stored block) of one indexed
     /// window, as a slice into the loaded segment buffer. Length and CRC
     /// are validated on the first touch of the frame.
     ///
@@ -467,13 +393,9 @@ impl SegmentMap {
     /// and [`TraceError::Decode`] on index/file disagreement (truncated
     /// file, length mismatch, CRC mismatch).
     pub fn body(&mut self, entry: &WindowEntry) -> Result<&[u8], TraceError> {
-        self.load_at_least(entry.segment, Self::needed_len(entry))?;
-        let segment = self
-            .segments
-            .get(&entry.segment)
-            .expect("loaded just above");
-        let range = segment.body_range(self.lane, entry)?;
-        Ok(&segment.bytes[range])
+        self.load_for(entry)?;
+        let segment = &self.segments[&entry.segment];
+        Ok(&segment.bytes[segment.frame(self.lane, entry)?.body])
     }
 
     /// The original payload of one indexed window (the exact bytes the
@@ -485,33 +407,20 @@ impl SegmentMap {
     /// Same conditions as [`SegmentMap::body`], plus block decode errors
     /// for compressed frames.
     pub fn payload(&mut self, entry: &WindowEntry) -> Result<&[u8], TraceError> {
-        self.load_at_least(entry.segment, Self::needed_len(entry))?;
-        let SegmentMap {
-            lane,
-            segments,
-            codecs,
-            payload_scratch,
-            ..
-        } = self;
-        let segment = segments.get(&entry.segment).expect("loaded just above");
-        let range = segment.body_range(*lane, entry)?;
-        let (codec_id, raw_len) = segment.frame_codec_and_raw_len(*lane, entry, &range)?;
-        let block = &segment.bytes[range.start + frame_meta_len(segment.version)..range.end];
-        if codec_id == CodecId::Identity {
-            if block.len() != raw_len {
-                return Err(TraceError::Decode {
-                    offset: range.start,
-                    reason: format!(
-                        "identity frame stores {} bytes but claims a raw length of {raw_len}",
-                        block.len()
-                    ),
-                });
-            }
+        self.load_for(entry)?;
+        let segment = &self.segments[&entry.segment];
+        let frame = segment.frame(self.lane, entry)?;
+        let block = &segment.bytes[frame.block];
+        if frame.codec == CodecId::Identity {
             return Ok(block);
         }
-        payload_scratch.clear();
-        Self::codec_mut(codecs, codec_id).decompress(block, raw_len, payload_scratch)?;
-        Ok(payload_scratch)
+        self.payload_scratch.clear();
+        Self::codec_mut(&mut self.codecs, frame.codec).decompress(
+            block,
+            frame.raw_len as usize,
+            &mut self.payload_scratch,
+        )?;
+        Ok(&self.payload_scratch)
     }
 
     /// Decodes the events of one indexed window straight into `out`,
@@ -529,38 +438,26 @@ impl SegmentMap {
         entry: &WindowEntry,
         out: &mut Vec<TraceEvent>,
     ) -> Result<usize, TraceError> {
-        self.load_at_least(entry.segment, Self::needed_len(entry))?;
-        let SegmentMap {
-            lane,
-            segments,
-            codecs,
-            payload_scratch,
-            ..
-        } = self;
-        let segment = segments.get(&entry.segment).expect("loaded just above");
-        let range = segment.body_range(*lane, entry)?;
-        let (codec_id, raw_len) = segment.frame_codec_and_raw_len(*lane, entry, &range)?;
-        let block = &segment.bytes[range.start + frame_meta_len(segment.version)..range.end];
-        if codec_id == CodecId::Identity {
-            if block.len() != raw_len {
-                return Err(TraceError::Decode {
-                    offset: range.start,
-                    reason: format!(
-                        "identity frame stores {} bytes but claims a raw length of {raw_len}",
-                        block.len()
-                    ),
-                });
-            }
+        self.load_for(entry)?;
+        let segment = &self.segments[&entry.segment];
+        let frame = segment.frame(self.lane, entry)?;
+        let block = &segment.bytes[frame.block];
+        if frame.codec == CodecId::Identity {
             return BinaryDecoder::new().decode_into(block, out);
         }
-        Self::codec_mut(codecs, codec_id).decode_events(block, raw_len, payload_scratch, out)
+        Self::codec_mut(&mut self.codecs, frame.codec).decode_events(
+            block,
+            frame.raw_len as usize,
+            &mut self.payload_scratch,
+            out,
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segment::{FRAME_HEADER_LEN, FRAME_META_LEN, SEGMENT_HEADER_LEN};
+    use crate::segment::{FRAME_META_LEN, SEGMENT_HEADER_LEN};
     use crate::{LaneWriter, StoreConfig, StoreReader};
     use trace_model::codec::{BinaryEncoder, TraceEncoder};
     use trace_model::{EventSink, EventTypeId, RecordMeta, Timestamp, TraceEvent, WindowId};
@@ -659,7 +556,7 @@ mod tests {
         // Flip a payload byte of the second frame.
         let path = dir.join("lane0000-000000.seg");
         let mut bytes = std::fs::read(&path).unwrap();
-        let hit = entries[1].offset as usize + FRAME_HEADER_LEN as usize + FRAME_META_LEN + 1;
+        let hit = entries[1].offset as usize + 8 + FRAME_META_LEN + 1;
         bytes[hit] ^= 0xFF;
         std::fs::write(&path, bytes).unwrap();
 

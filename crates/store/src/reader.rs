@@ -9,15 +9,14 @@ use std::sync::{Arc, Mutex, OnceLock};
 use trace_model::codec::CodecId;
 use trace_model::{EventSource, Timestamp, TraceError, TraceEvent, WindowId};
 
-use crate::crc32::crc32;
 use crate::index::{
     FallbackReason, LaneIndex, RecoveryReport, SidecarKind, TornTail, WindowEntry, SIDECAR_SCHEMA,
     SIDECAR_SCHEMA_V1, SIDECAR_SCHEMA_V2,
 };
 use crate::map::{SegmentCache, SegmentMap};
 use crate::segment::{
-    decode_sidecar, frame_meta_len, legacy_sidecar_file_name, list_store_dir, scan_segment,
-    segment_file_name, sidecar_file_name, FRAME_HEADER_LEN, SEGMENT_HEADER_LEN,
+    decode_sidecar, frame_end, legacy_sidecar_file_name, list_store_dir, parse_segment_header,
+    read_indexed_frame, scan_segment, segment_file_name, sidecar_file_name, SEGMENT_HEADER_LEN,
 };
 use crate::snapshot::Snapshot;
 
@@ -562,78 +561,36 @@ impl StoreReader {
     }
 
     /// Reads one frame's payload with the per-frame seek path,
-    /// decompressing v2 frames through a throwaway codec instance. Like
-    /// the buffered path, the codec id and raw length come from the
+    /// decompressing through a throwaway codec instance. Like the
+    /// buffered path, the codec id and raw length come from the
     /// CRC-protected bytes in the *file* (segment header, frame meta),
     /// never from the sidecar.
     fn read_entry_seek(&self, lane: u32, entry: &WindowEntry) -> Result<Vec<u8>, TraceError> {
         let path = self.dir.join(segment_file_name(lane, entry.segment));
         let mut file = File::open(&path)?;
-        let mut segment_header = [0u8; crate::segment::SEGMENT_HEADER_LEN as usize];
+        let mut segment_header = [0u8; SEGMENT_HEADER_LEN as usize];
         file.read_exact(&mut segment_header)?;
-        let version =
-            crate::segment::parse_segment_header(&segment_header, &path, lane, entry.segment)?;
+        let version = parse_segment_header(&segment_header, &path, lane, entry.segment)?;
+        // Sized by the row, so held to the file before anything is
+        // reserved; a row that fits no frame reads nothing and is refused
+        // by the parser below.
+        let frame_len = frame_end(version, entry)
+            .filter(|end| file.metadata().is_ok_and(|file| *end <= file.len()))
+            .map_or(0, |end| end - entry.offset);
+        let mut bytes = vec![0u8; frame_len as usize];
         file.seek(SeekFrom::Start(entry.offset))?;
-        let mut header = [0u8; FRAME_HEADER_LEN as usize];
-        file.read_exact(&mut header)?;
-        let body_len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
-        let stored_crc = u32::from_le_bytes(header[4..].try_into().expect("4 bytes"));
-        if body_len != entry.len {
-            return Err(TraceError::Decode {
-                offset: entry.offset as usize,
-                reason: format!(
-                    "index says frame body is {} bytes, file says {body_len}",
-                    entry.len
-                ),
-            });
+        file.read_exact(&mut bytes)?;
+        let frame = read_indexed_frame(version, &bytes, lane, entry, 0, true)?;
+        if frame.codec == CodecId::Identity {
+            bytes.drain(..frame.block.start);
+            return Ok(bytes);
         }
-        let meta_len = frame_meta_len(version);
-        if (body_len as usize) < meta_len {
-            return Err(TraceError::Decode {
-                offset: entry.offset as usize,
-                reason: format!(
-                    "frame body of {body_len} bytes is shorter than the v{version} meta block"
-                ),
-            });
-        }
-        let mut body = vec![0u8; body_len as usize];
-        file.read_exact(&mut body)?;
-        if crc32(&body) != stored_crc {
-            return Err(TraceError::Decode {
-                offset: entry.offset as usize,
-                reason: format!(
-                    "crc mismatch reading lane {lane} segment {} offset {}",
-                    entry.segment, entry.offset
-                ),
-            });
-        }
-        let (codec, raw_len) = if version >= crate::segment::SEGMENT_VERSION_V2 {
-            let codec = CodecId::from_u8(body[28]).ok_or_else(|| TraceError::Decode {
-                offset: entry.offset as usize + 28,
-                reason: format!("frame uses unknown codec id {}", body[28]),
-            })?;
-            let raw_len = u32::from_le_bytes(body[29..33].try_into().expect("4 bytes")) as usize;
-            (codec, raw_len)
-        } else {
-            (CodecId::Identity, body_len as usize - meta_len)
-        };
-        if codec == CodecId::Identity {
-            body.drain(..meta_len);
-            if body.len() != raw_len {
-                return Err(TraceError::Decode {
-                    offset: entry.offset as usize,
-                    reason: format!(
-                        "identity frame stores {} bytes but claims a raw length of {raw_len}",
-                        body.len()
-                    ),
-                });
-            }
-            return Ok(body);
-        }
+        let raw_len = frame.raw_len as usize;
         let mut payload = Vec::with_capacity(raw_len);
-        codec
+        frame
+            .codec
             .new_codec()
-            .decompress(&body[meta_len..], raw_len, &mut payload)?;
+            .decompress(&bytes[frame.block], raw_len, &mut payload)?;
         Ok(payload)
     }
 
@@ -826,15 +783,10 @@ fn rows_lie_inside_their_segments(index: &LaneIndex) -> bool {
             }
         }
         let meta = &index.segments[at];
-        let Some(end) = entry
-            .offset
-            .checked_add(FRAME_HEADER_LEN + u64::from(entry.len))
-        else {
+        let Some(end) = frame_end(meta.version, entry) else {
             return false;
         };
-        let inside = entry.offset >= free_from[at]
-            && entry.len as usize >= frame_meta_len(meta.version)
-            && end <= meta.committed_bytes;
+        let inside = entry.offset >= free_from[at] && end <= meta.committed_bytes;
         free_from[at] = end;
         inside
     })

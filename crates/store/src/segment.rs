@@ -4,38 +4,41 @@
 //!
 //! ```text
 //! magic    "ESEG"        4 bytes
-//! version                1 byte  (1 or 2)
+//! version                1 byte  (1, 2 or 3)
 //! lane                   4 bytes u32 LE
 //! segment sequence       4 bytes u32 LE
 //! frames...
 //! ```
 //!
-//! and every frame is:
+//! and every frame is a length, a CRC-32 (IEEE, see `crc32`) of the body,
+//! and the body — meta, then the stored block:
 //!
 //! ```text
-//! body length            4 bytes u32 LE   (meta + stored block)
-//! crc32 of the body      4 bytes u32 LE   (IEEE, see `crc32`)
-//! body:
-//!   window id            8 bytes u64 LE
-//!   window start (ns)    8 bytes u64 LE
-//!   window end (ns)      8 bytes u64 LE
-//!   event count          4 bytes u32 LE
-//!   -- format v2 only --
-//!   codec id             1 byte           (see `trace_model::codec::CodecId`)
-//!   raw length           4 bytes u32 LE   (uncompressed payload bytes)
-//!   -- end v2 --
-//!   stored block         the payload under the frame's codec
+//! v1 / v2                                  v3
+//! body length     u32 LE                   varint (minimal, <= 2^30)
+//! crc32 of body   u32 LE                   u32 LE
+//! window id       u64 LE                   varint zigzag(id - prev id)
+//! window start    u64 LE (ns)              varint zigzag(start - prev end)
+//! window end      u64 LE (ns)              varint zigzag(span - prev span)
+//! event count     u32 LE                   varint
+//! codec id        1 byte      (v2 only)    1 byte
+//! raw length      u32 LE      (v2 only)    varint
+//! stored block    the payload under the frame's codec
 //! ```
 //!
 //! In a version-1 segment the stored block *is* the payload (the exact
-//! bytes the recorder handed to the sink). In a version-2 segment the
-//! block is the payload transformed by the frame's codec; codec id 0
-//! (identity) keeps it verbatim, so a v2 identity frame differs from a
-//! v1 frame only by the 5 extra meta bytes. Either way a replayed trace
-//! is byte-for-byte what an in-memory sink would have kept. A segment
-//! holds frames of its own version only — the version byte in the file
-//! header governs every frame in the file. `docs/FORMAT.md` is the
-//! normative spec.
+//! bytes the recorder handed to the sink). Versions 2 and 3 carry a
+//! codec id (see `trace_model::codec::CodecId`) and the uncompressed
+//! length per frame; codec id 0 (identity) keeps the payload verbatim.
+//! Version 3 codes id, start and span (`end - start`) against the frame
+//! before it in the segment — `(0, 0, 0)` at a segment's first frame,
+//! wrapping arithmetic — so a window that follows its predecessor costs
+//! three bytes where v2 spends twenty-four. Either way a replayed trace
+//! is byte-for-byte what an in-memory sink would have kept. The version
+//! byte in the file header governs every frame in the file; version 2 is
+//! read, never written. `docs/FORMAT.md` is the normative spec;
+//! [`encode_frame`] and [`read_frame`] are the one place in the crate
+//! that knows the layouts above.
 //!
 //! A process killed mid-write leaves a torn final frame; the scanner
 //! validates length and CRC frame by frame and reports where the intact
@@ -43,6 +46,7 @@
 //! *stored* bytes, so scanning never needs to run a codec.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use trace_model::codec::CodecId;
 use trace_model::TraceError;
@@ -54,33 +58,59 @@ use crate::index::{FallbackReason, LaneIndex, SegmentMeta, TornTail, WindowEntry
 pub(crate) const SEGMENT_MAGIC: &[u8; 4] = b"ESEG";
 /// Segment format version writing one raw payload per frame.
 pub(crate) const SEGMENT_VERSION_V1: u8 = 1;
-/// Segment format version carrying a codec id + raw length per frame.
+/// Segment format version carrying a codec id + raw length per frame
+/// behind fixed-width meta. Read only.
 pub(crate) const SEGMENT_VERSION_V2: u8 = 2;
+/// Segment format version carrying the v2 fields as varints coded
+/// against the previous frame of the segment.
+pub(crate) const SEGMENT_VERSION_V3: u8 = 3;
 /// Size of the segment header in bytes.
 pub(crate) const SEGMENT_HEADER_LEN: u64 = 13;
-/// Size of a frame header (body length + crc) in bytes.
-pub(crate) const FRAME_HEADER_LEN: u64 = 8;
+/// Size of a v1/v2 frame header (body length + crc) in bytes.
+const FRAME_HEADER_LEN: u64 = 8;
 /// Size of the fixed frame meta block inside a v1 body.
 pub(crate) const FRAME_META_LEN: usize = 28;
-/// Size of the fixed frame meta block inside a v2 body (v1 meta plus
-/// codec id byte and 4-byte raw length).
-pub(crate) const FRAME_META_LEN_V2: usize = FRAME_META_LEN + 5;
 /// Upper bound on a frame body, guarding recovery against absurd lengths
 /// read from corrupt headers.
-pub(crate) const MAX_FRAME_BODY: u32 = 1 << 30;
+const MAX_FRAME_BODY: u32 = 1 << 30;
 
 /// Whether `version` is a segment format this build can read.
 pub(crate) fn known_segment_version(version: u8) -> bool {
-    version == SEGMENT_VERSION_V1 || version == SEGMENT_VERSION_V2
+    (SEGMENT_VERSION_V1..=SEGMENT_VERSION_V3).contains(&version)
 }
 
-/// Fixed frame meta length of a segment format version.
-pub(crate) fn frame_meta_len(version: u8) -> usize {
-    if version >= SEGMENT_VERSION_V2 {
-        FRAME_META_LEN_V2
-    } else {
-        FRAME_META_LEN
+/// The fewest meta bytes a body of a `version` segment can open with
+/// (all of them, for the fixed-width versions).
+fn frame_meta_len(version: u8) -> usize {
+    match version {
+        SEGMENT_VERSION_V1 => FRAME_META_LEN,
+        // v1's plus a codec byte and a 4-byte raw length.
+        SEGMENT_VERSION_V2 => FRAME_META_LEN + 5,
+        // Five one-byte varints and the codec byte.
+        _ => 6,
     }
+}
+
+/// Bytes of frame header (length field + CRC) in front of a body of
+/// `body_len` bytes.
+fn frame_header_len(version: u8, body_len: u32) -> u64 {
+    if version >= SEGMENT_VERSION_V3 {
+        varint_len(u64::from(body_len)) + 4
+    } else {
+        FRAME_HEADER_LEN
+    }
+}
+
+/// Where the frame an index row describes ends within its segment file
+/// — `None` for a row no frame of a `version` segment can match: a body
+/// shorter than the version's meta, or an end that wraps around.
+pub(crate) fn frame_end(version: u8, entry: &WindowEntry) -> Option<u64> {
+    if (entry.len as usize) < frame_meta_len(version) {
+        return None;
+    }
+    entry
+        .offset
+        .checked_add(frame_header_len(version, entry.len) + u64::from(entry.len))
 }
 
 /// File name of segment `seq` of `lane`: zero-padded so lexicographic
@@ -256,75 +286,375 @@ pub(crate) fn parse_segment_header(
     Ok(bytes[4])
 }
 
-/// Builds one v1 frame (header + body) into `out` (cleared first) and
-/// returns the body length.
-pub(crate) fn build_frame(
-    out: &mut Vec<u8>,
-    window_id: u64,
-    start_ns: u64,
+/// What a v3 frame is coded against: the window id, end and span
+/// (`end - start`) of the frame before it in the segment, all zero in
+/// front of the first.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct FramePrev {
+    id: u64,
     end_ns: u64,
-    event_count: u32,
-    payload: &[u8],
-) -> u32 {
-    build_frame_headerless(out, window_id, start_ns, end_ns, event_count, None, payload)
+    span_ns: u64,
 }
 
-/// Builds one v2 frame (header + body) into `out` (cleared first) and
-/// returns the body length. `raw_len` is the uncompressed payload size;
-/// `block` is the payload under `codec`.
-#[allow(clippy::too_many_arguments)] // mirrors the frame layout, field by field
-pub(crate) fn build_frame_v2(
-    out: &mut Vec<u8>,
-    window_id: u64,
-    start_ns: u64,
-    end_ns: u64,
-    event_count: u32,
-    codec: CodecId,
-    raw_len: u32,
-    block: &[u8],
-) -> u32 {
-    build_frame_headerless(
-        out,
-        window_id,
-        start_ns,
-        end_ns,
-        event_count,
-        Some((codec, raw_len)),
-        block,
-    )
-}
-
-fn build_frame_headerless(
-    out: &mut Vec<u8>,
-    window_id: u64,
-    start_ns: u64,
-    end_ns: u64,
-    event_count: u32,
-    v2: Option<(CodecId, u32)>,
-    block: &[u8],
-) -> u32 {
-    let meta_len = if v2.is_some() {
-        FRAME_META_LEN_V2
-    } else {
-        FRAME_META_LEN
-    };
-    let body_len = (meta_len + block.len()) as u32;
-    out.clear();
-    out.reserve(FRAME_HEADER_LEN as usize + body_len as usize);
-    out.extend_from_slice(&body_len.to_le_bytes());
-    out.extend_from_slice(&[0u8; 4]); // crc placeholder
-    out.extend_from_slice(&window_id.to_le_bytes());
-    out.extend_from_slice(&start_ns.to_le_bytes());
-    out.extend_from_slice(&end_ns.to_le_bytes());
-    out.extend_from_slice(&event_count.to_le_bytes());
-    if let Some((codec, raw_len)) = v2 {
-        out.push(codec.as_u8());
-        out.extend_from_slice(&raw_len.to_le_bytes());
+impl FramePrev {
+    /// The predecessor that the frame of `entry` is to the next one.
+    pub(crate) fn after(entry: &WindowEntry) -> Self {
+        FramePrev {
+            id: entry.window_id,
+            end_ns: entry.end_ns,
+            span_ns: entry.end_ns.wrapping_sub(entry.start_ns),
+        }
     }
+
+    /// The v3 meta varints of `entry`'s frame after this one: id, start
+    /// and span as wrapping zigzag deltas, event count, raw length.
+    fn deltas(self, entry: &WindowEntry) -> [u64; 5] {
+        let span = entry.end_ns.wrapping_sub(entry.start_ns);
+        [
+            zigzag(entry.window_id.wrapping_sub(self.id)),
+            zigzag(entry.start_ns.wrapping_sub(self.end_ns)),
+            zigzag(span.wrapping_sub(self.span_ns)),
+            u64::from(entry.events),
+            u64::from(entry.raw_len),
+        ]
+    }
+
+    /// The inverse of [`FramePrev::deltas`]: the id, start and end that
+    /// the deltas `[id, gap, span]` of the frame after this one stand for.
+    fn resolve(self, [id, gap, span]: [u64; 3]) -> [u64; 3] {
+        let start_ns = self.end_ns.wrapping_add(unzigzag(gap));
+        let span_ns = self.span_ns.wrapping_add(unzigzag(span));
+        [
+            self.id.wrapping_add(unzigzag(id)),
+            start_ns,
+            start_ns.wrapping_add(span_ns),
+        ]
+    }
+}
+
+/// Bytes of the v3 meta block holding `fields` and the codec byte.
+fn meta_len_v3(fields: [u64; 5]) -> u64 {
+    fields.into_iter().map(varint_len).sum::<u64>() + 1
+}
+
+fn zigzag(delta: u64) -> u64 {
+    (delta << 1) ^ (((delta as i64) >> 63) as u64)
+}
+
+fn unzigzag(value: u64) -> u64 {
+    (value >> 1) ^ (value & 1).wrapping_neg()
+}
+
+/// Bytes [`put_varint`] emits for `value`.
+fn varint_len(value: u64) -> u64 {
+    u64::from(64 - (value | 1).leading_zeros()).div_ceil(7)
+}
+
+/// Appends `value` as a minimal LEB128 varint.
+fn put_varint(out: &mut Vec<u8>, mut value: u64) {
+    while value >= 0x80 {
+        out.push(value as u8 | 0x80);
+        value >>= 7;
+    }
+    out.push(value as u8);
+}
+
+/// Reads a varint of at most `max_bytes` bytes at `*at`, advancing it.
+/// `None` when the bytes run out, the varint runs on, overflows a `u64`
+/// or is not the shortest encoding of its value.
+#[inline]
+fn take_varint(bytes: &[u8], at: &mut usize, max_bytes: usize) -> Option<u64> {
+    let rest = bytes.get(*at..)?;
+    let first = *rest.first()?;
+    if first < 0x80 {
+        // Most fields of most frames: one byte.
+        *at += 1;
+        return Some(u64::from(first));
+    }
+    let mut value = u64::from(first & 0x7f);
+    for (index, &byte) in rest.iter().enumerate().take(max_bytes).skip(1) {
+        let bits = u64::from(byte & 0x7f);
+        if index == 9 && bits > 1 {
+            return None;
+        }
+        value |= bits << (7 * index);
+        if byte & 0x80 == 0 {
+            *at += index + 1;
+            return (byte != 0).then_some(value);
+        }
+    }
+    None
+}
+
+/// Parses the v3 meta block that opens `meta` — window deltas, event
+/// count, codec byte, raw length — and its length: `None` unless it is
+/// five minimal varints around the codec byte, count and length in `u32`.
+#[inline]
+fn take_meta_v3(meta: &[u8]) -> Option<([u64; 3], u32, u8, u32, usize)> {
+    let mut at = 0;
+    let mut next = || take_varint(meta, &mut at, 10);
+    let (window, events) = ([next()?, next()?, next()?], next()?);
+    let codec_id = *meta.get(at)?;
+    at += 1;
+    let raw_len = take_varint(meta, &mut at, 10)?;
+    let (events, raw_len) = (u32::try_from(events).ok()?, u32::try_from(raw_len).ok()?);
+    Some((window, events, codec_id, raw_len, at))
+}
+
+/// Builds the frame (header + body) of `entry` around `block` into `out`
+/// (cleared first) and returns the body length. `version` is 1 or 3 —
+/// nothing writes v2 — and `prev` the frame this one follows. Of `entry`
+/// the window fields, `codec` and `raw_len` are coded.
+pub(crate) fn encode_frame(
+    version: u8,
+    out: &mut Vec<u8>,
+    prev: FramePrev,
+    entry: &WindowEntry,
+    block: &[u8],
+) -> u32 {
+    out.clear();
+    let body_len = if version == SEGMENT_VERSION_V1 {
+        debug_assert_eq!((entry.codec, entry.raw_len as usize), (0, block.len()));
+        let body_len = (FRAME_META_LEN + block.len()) as u32;
+        out.reserve(FRAME_HEADER_LEN as usize + body_len as usize);
+        out.extend_from_slice(&body_len.to_le_bytes());
+        out.extend_from_slice(&[0u8; 4]); // crc placeholder
+        out.extend_from_slice(&entry.window_id.to_le_bytes());
+        out.extend_from_slice(&entry.start_ns.to_le_bytes());
+        out.extend_from_slice(&entry.end_ns.to_le_bytes());
+        out.extend_from_slice(&entry.events.to_le_bytes());
+        body_len
+    } else {
+        debug_assert_eq!(version, SEGMENT_VERSION_V3);
+        let fields = prev.deltas(entry);
+        let body_len = (meta_len_v3(fields) + block.len() as u64) as u32;
+        out.reserve(9 + body_len as usize);
+        put_varint(out, u64::from(body_len));
+        out.extend_from_slice(&[0u8; 4]); // crc placeholder
+        for field in &fields[..4] {
+            put_varint(out, *field);
+        }
+        out.push(entry.codec);
+        put_varint(out, fields[4]);
+        body_len
+    };
     out.extend_from_slice(block);
-    let crc = crc32(&out[FRAME_HEADER_LEN as usize..]);
-    out[4..8].copy_from_slice(&crc.to_le_bytes());
+    let body_start = out.len() - body_len as usize;
+    let crc = crc32(&out[body_start..]);
+    out[body_start - 4..body_start].copy_from_slice(&crc.to_le_bytes());
     body_len
+}
+
+/// One frame as [`read_frame`] found it in a segment buffer.
+#[derive(Debug)]
+pub(crate) struct Frame {
+    /// The frame's codec, known to this build.
+    pub codec: CodecId,
+    /// Events in the window.
+    pub events: u32,
+    /// Uncompressed payload length.
+    pub raw_len: u32,
+    /// Where the body (meta + stored block) lies in the buffer; the next
+    /// frame starts at its end.
+    pub body: Range<usize>,
+    /// Where the stored block lies in the buffer.
+    pub block: Range<usize>,
+    /// Window id, start and end as the frame codes them: the values
+    /// themselves (v1, v2), or the zigzag deltas of id, start and span
+    /// against the frame before (`relative`, v3).
+    window: [u64; 3],
+    relative: bool,
+}
+
+impl Frame {
+    /// The index row of this frame, found at `offset` of segment `seq`
+    /// behind the frame `prev` (an index-driven reader has it already).
+    pub(crate) fn entry(&self, seq: u32, offset: u64, prev: FramePrev) -> WindowEntry {
+        let [window_id, start_ns, end_ns] = if self.relative {
+            prev.resolve(self.window)
+        } else {
+            self.window
+        };
+        WindowEntry {
+            window_id,
+            start_ns,
+            end_ns,
+            events: self.events,
+            segment: seq,
+            offset,
+            len: self.body.len() as u32,
+            codec: self.codec.as_u8(),
+            raw_len: self.raw_len,
+        }
+    }
+}
+
+/// What [`read_frame`] found at an offset.
+#[derive(Debug)]
+pub(crate) enum FrameRead {
+    /// A complete frame.
+    Frame(Frame),
+    /// No intact frame starts here (bytes run out, a length no writer
+    /// emits, CRC mismatch, unparseable meta), and why. To a scanner the
+    /// torn tail; to a reader promised a frame here, corruption.
+    Torn(&'static str),
+}
+
+/// The one frame parser: reads the frame of a `version` segment that
+/// starts `at` bytes into `bytes`, the segment file's contents up to
+/// whatever bound the caller trusts. `verify_crc` is off only for a
+/// frame this very buffer has already passed. Nothing is allocated and
+/// nothing read past `bytes`; a length is bounds-checked before use.
+///
+/// # Errors
+///
+/// [`TraceError::Decode`] for a CRC-valid frame naming a codec id this
+/// build does not know (a future build's; replaying around it would
+/// silently lose data), or an identity frame whose stored block is not
+/// as long as its raw length: neither is a torn write.
+#[inline]
+pub(crate) fn read_frame(
+    version: u8,
+    bytes: &[u8],
+    at: u64,
+    verify_crc: bool,
+) -> Result<FrameRead, TraceError> {
+    let Some(mut pos) = usize::try_from(at).ok().filter(|at| *at <= bytes.len()) else {
+        return Ok(FrameRead::Torn("frame starts past the end of the segment"));
+    };
+    let relative = version >= SEGMENT_VERSION_V3;
+    let body_len = if relative {
+        take_varint(bytes, &mut pos, 5)
+    } else {
+        pos += 4;
+        bytes
+            .get(pos - 4..pos)
+            .map(|field| u64::from(read_u32(field, 0)))
+    };
+    let Some(body_len) = body_len else {
+        return Ok(FrameRead::Torn("no frame length field"));
+    };
+    if body_len > u64::from(MAX_FRAME_BODY) || (body_len as usize) < frame_meta_len(version) {
+        return Ok(FrameRead::Torn("frame length out of range"));
+    }
+    let body = pos + 4..pos + 4 + body_len as usize;
+    if body.end > bytes.len() {
+        return Ok(FrameRead::Torn("frame runs past the end of the segment"));
+    }
+    let meta = &bytes[body.clone()];
+    if verify_crc && crc32(meta) != read_u32(bytes, pos) {
+        return Ok(FrameRead::Torn("crc mismatch"));
+    }
+    let (window, events, codec_id, raw_len, meta_len) = if relative {
+        let Some(fields) = take_meta_v3(meta) else {
+            return Ok(FrameRead::Torn("malformed frame meta"));
+        };
+        fields
+    } else {
+        let window = [read_u64(meta, 0), read_u64(meta, 8), read_u64(meta, 16)];
+        let (codec_id, raw_len) = if version == SEGMENT_VERSION_V2 {
+            (meta[28], read_u32(meta, 29))
+        } else {
+            (
+                CodecId::Identity.as_u8(),
+                (meta.len() - FRAME_META_LEN) as u32,
+            )
+        };
+        (
+            window,
+            read_u32(meta, 24),
+            codec_id,
+            raw_len,
+            frame_meta_len(version),
+        )
+    };
+    let Some(codec) = CodecId::from_u8(codec_id) else {
+        return Err(TraceError::Decode {
+            offset: body.start,
+            reason: format!("frame at offset {at} uses unknown codec id {codec_id}"),
+        });
+    };
+    let block = body.start + meta_len..body.end;
+    if codec == CodecId::Identity && block.len() != raw_len as usize {
+        return Err(TraceError::Decode {
+            offset: body.start,
+            reason: format!(
+                "identity frame at offset {at} stores {} bytes but claims a raw length of {raw_len}",
+                block.len()
+            ),
+        });
+    }
+    Ok(FrameRead::Frame(Frame {
+        codec,
+        events,
+        raw_len,
+        body,
+        block,
+        window,
+        relative,
+    }))
+}
+
+/// [`read_frame`] for a reader that holds the frame's index row: the
+/// frame must be there, intact and as long as the row says. `at` is
+/// where it starts in `bytes` — `entry.offset`, unless `bytes` is a
+/// private read of the frame alone. The window fields are the row's;
+/// codec, raw length and block come from the CRC-protected bytes of the
+/// file, never from the sidecar.
+///
+/// # Errors
+///
+/// [`TraceError::Decode`] on any disagreement, and as [`read_frame`].
+#[inline]
+pub(crate) fn read_indexed_frame(
+    version: u8,
+    bytes: &[u8],
+    lane: u32,
+    entry: &WindowEntry,
+    at: u64,
+    verify_crc: bool,
+) -> Result<Frame, TraceError> {
+    let reason = match read_frame(version, bytes, at, verify_crc)? {
+        FrameRead::Frame(frame) if frame.body.len() == entry.len as usize => return Ok(frame),
+        FrameRead::Frame(frame) => format!(
+            "index says frame body is {} bytes, file says {}",
+            entry.len,
+            frame.body.len()
+        ),
+        FrameRead::Torn(reason) => reason.to_owned(),
+    };
+    Err(TraceError::Decode {
+        offset: entry.offset as usize,
+        reason: format!(
+            "lane {lane} segment {} offset {}: {reason}",
+            entry.segment, entry.offset
+        ),
+    })
+}
+
+/// Bytes of frame header + meta, and of stored blocks, across `index`.
+/// A v3 frame's meta is as long as its deltas against the row before it
+/// in its segment, so this walks the rows in order.
+pub(crate) fn envelope_and_stored_bytes(index: &LaneIndex) -> (u64, u64) {
+    let (mut envelope, mut stored) = (0u64, 0u64);
+    let mut segment = None;
+    let (mut version, mut prev) = (SEGMENT_VERSION_V1, FramePrev::default());
+    for entry in &index.windows {
+        if segment != Some(entry.segment) {
+            segment = Some(entry.segment);
+            version = index.segment_version(entry.segment);
+            prev = FramePrev::default();
+        }
+        let meta_len = if version >= SEGMENT_VERSION_V3 {
+            meta_len_v3(prev.deltas(entry))
+        } else {
+            frame_meta_len(version) as u64
+        };
+        prev = FramePrev::after(entry);
+        envelope += frame_header_len(version, entry.len) + meta_len;
+        stored += u64::from(entry.len).saturating_sub(meta_len);
+    }
+    (envelope, stored)
 }
 
 pub(crate) fn read_u32(bytes: &[u8], offset: usize) -> u32 {
@@ -465,31 +795,6 @@ pub(crate) fn write_sidecar(
     Ok(())
 }
 
-/// Parses a validated frame body into a [`WindowEntry`] anchored at
-/// `(seq, offset)`. For v2 bodies the codec id must already have been
-/// checked by the caller.
-pub(crate) fn entry_from_body(version: u8, seq: u32, offset: u64, body: &[u8]) -> WindowEntry {
-    let (codec, raw_len) = if version >= SEGMENT_VERSION_V2 {
-        (body[28], read_u32(body, 29))
-    } else {
-        (
-            CodecId::Identity.as_u8(),
-            (body.len() - FRAME_META_LEN) as u32,
-        )
-    };
-    WindowEntry {
-        window_id: read_u64(body, 0),
-        start_ns: read_u64(body, 8),
-        end_ns: read_u64(body, 16),
-        events: read_u32(body, 24),
-        segment: seq,
-        offset,
-        len: body.len() as u32,
-        codec,
-        raw_len,
-    }
-}
-
 /// What the recovery scanner found in one segment file.
 #[derive(Debug)]
 pub(crate) struct ScannedSegment {
@@ -516,7 +821,7 @@ pub(crate) struct ScannedSegment {
 /// Returns [`TraceError::Io`] when the file cannot be read and
 /// [`TraceError::Decode`] when the header is present but wrong (bad
 /// magic, unknown version, or lane/sequence mismatch), or when a
-/// CRC-valid v2 frame names a codec this build does not know — all of
+/// CRC-valid v2 or v3 frame names a codec this build does not know — all of
 /// that is cross-file or cross-version corruption, not a torn write, and
 /// recovery must not silently discard it.
 pub(crate) fn scan_segment(
@@ -569,42 +874,23 @@ pub(crate) fn scan_segment(
         });
     }
 
-    let meta_len = frame_meta_len(version);
     let mut entries = Vec::new();
     let mut offset = SEGMENT_HEADER_LEN;
+    let mut prev = FramePrev::default();
     let mut torn = None;
     while offset < file_len {
-        if offset + FRAME_HEADER_LEN > file_len {
-            torn = Some(torn_at(offset));
-            break;
+        match read_frame(version, &bytes, offset, true)? {
+            FrameRead::Frame(frame) => {
+                let entry = frame.entry(seq, offset, prev);
+                prev = FramePrev::after(&entry);
+                offset = frame.body.end as u64;
+                entries.push(entry);
+            }
+            FrameRead::Torn(_) => {
+                torn = Some(torn_at(offset));
+                break;
+            }
         }
-        let body_len = read_u32(&bytes, offset as usize);
-        let stored_crc = read_u32(&bytes, offset as usize + 4);
-        let body_start = offset + FRAME_HEADER_LEN;
-        let body_end = body_start + u64::from(body_len);
-        if body_len > MAX_FRAME_BODY || (body_len as usize) < meta_len || body_end > file_len {
-            torn = Some(torn_at(offset));
-            break;
-        }
-        let body = &bytes[body_start as usize..body_end as usize];
-        if crc32(body) != stored_crc {
-            torn = Some(torn_at(offset));
-            break;
-        }
-        if version >= SEGMENT_VERSION_V2 && CodecId::from_u8(body[28]).is_none() {
-            // A CRC-valid frame naming an unknown codec was written by a
-            // future build; replaying around it would silently lose data.
-            return Err(TraceError::Decode {
-                offset: body_start as usize + 28,
-                reason: format!(
-                    "{}: frame at offset {offset} uses unknown codec id {}",
-                    path.display(),
-                    body[28]
-                ),
-            });
-        }
-        entries.push(entry_from_body(version, seq, offset, body));
-        offset = body_end;
     }
     let committed_bytes = torn.as_ref().map_or(file_len, |tail| tail.offset);
     Ok(ScannedSegment {
@@ -946,56 +1232,355 @@ mod tests {
         }
     }
 
-    #[test]
-    fn v1_frame_build_is_self_consistent() {
-        let mut frame = Vec::new();
-        let body_len = build_frame(&mut frame, 7, 100, 200, 3, b"payload");
-        assert_eq!(body_len as usize, FRAME_META_LEN + 7);
-        assert_eq!(frame.len(), FRAME_HEADER_LEN as usize + body_len as usize);
-        let crc = read_u32(&frame, 4);
-        assert_eq!(crc, crc32(&frame[8..]));
-        let entry = entry_from_body(SEGMENT_VERSION_V1, 2, 13, &frame[8..]);
-        assert_eq!(entry.window_id, 7);
-        assert_eq!(entry.start_ns, 100);
-        assert_eq!(entry.end_ns, 200);
-        assert_eq!(entry.events, 3);
-        assert_eq!(entry.segment, 2);
-        assert_eq!(entry.offset, 13);
-        assert_eq!(entry.codec, CodecId::Identity.as_u8());
-        assert_eq!(entry.raw_len, 7);
+    fn window(id: u64, start_ns: u64, end_ns: u64, events: u32, codec: CodecId) -> WindowEntry {
+        WindowEntry {
+            window_id: id,
+            start_ns,
+            end_ns,
+            events,
+            segment: 2,
+            offset: 0,
+            len: 0,
+            codec: codec.as_u8(),
+            raw_len: 0,
+        }
     }
 
-    #[test]
-    fn v2_frame_build_carries_codec_and_raw_length() {
+    /// Appends the frame of `entry` around `block` to `file`, filling in
+    /// where it landed.
+    fn append(
+        file: &mut Vec<u8>,
+        version: u8,
+        prev: FramePrev,
+        entry: &mut WindowEntry,
+        block: &[u8],
+    ) {
+        if entry.codec == 0 {
+            entry.raw_len = block.len() as u32;
+        }
         let mut frame = Vec::new();
-        let body_len = build_frame_v2(
-            &mut frame,
-            9,
-            50,
-            60,
-            4,
-            CodecId::DeltaVarint,
-            120,
-            b"block",
+        entry.offset = file.len() as u64;
+        entry.len = encode_frame(version, &mut frame, prev, entry, block);
+        assert_eq!(
+            frame_end(version, entry),
+            Some(entry.offset + frame.len() as u64)
         );
-        assert_eq!(body_len as usize, FRAME_META_LEN_V2 + 5);
-        let entry = entry_from_body(SEGMENT_VERSION_V2, 1, 13, &frame[8..]);
-        assert_eq!(entry.codec, CodecId::DeltaVarint.as_u8());
-        assert_eq!(entry.raw_len, 120);
-        assert_eq!(entry.events, 4);
-        assert_eq!(entry.payload_len(), 120);
+        file.extend_from_slice(&frame);
+    }
+
+    /// The frame at `at` of segment 2 and its index row behind `prev`.
+    fn frame_at(version: u8, bytes: &[u8], at: u64, prev: FramePrev) -> (Frame, WindowEntry) {
+        match read_frame(version, bytes, at, true).unwrap() {
+            FrameRead::Frame(frame) => {
+                let entry = frame.entry(2, at, prev);
+                (frame, entry)
+            }
+            FrameRead::Torn(reason) => panic!("torn at {at}: {reason}"),
+        }
     }
 
     #[test]
-    fn headers_parse_for_both_versions_and_reject_unknown() {
+    fn v1_frames_keep_the_fixed_layout() {
+        let mut file = vec![0xAA; 13];
+        let mut entry = window(7, 100, 200, 3, CodecId::Identity);
+        append(
+            &mut file,
+            SEGMENT_VERSION_V1,
+            FramePrev::default(),
+            &mut entry,
+            b"payload",
+        );
+        assert_eq!(entry.len as usize, FRAME_META_LEN + 7);
+        assert_eq!(file.len(), 13 + 8 + entry.len as usize);
+        assert_eq!(read_u32(&file, 13), entry.len);
+        assert_eq!(read_u32(&file, 17), crc32(&file[21..]));
+        assert_eq!(read_u64(&file, 21), 7);
+        assert_eq!(read_u64(&file, 37), 200);
+        // `prev` is not part of a v1 frame.
+        let (frame, row) = frame_at(SEGMENT_VERSION_V1, &file, 13, FramePrev::after(&entry));
+        assert_eq!(row, entry);
+        assert_eq!(&file[frame.block], b"payload");
+        assert_eq!(frame.body, 21..file.len());
+    }
+
+    #[test]
+    fn v2_frames_are_still_read() {
+        // Nothing writes v2 any more: the fixed 33-byte meta, by hand.
+        let mut body = Vec::new();
+        for field in [9u64, 50, 60] {
+            body.extend_from_slice(&field.to_le_bytes());
+        }
+        body.extend_from_slice(&4u32.to_le_bytes());
+        body.push(CodecId::DeltaVarint.as_u8());
+        body.extend_from_slice(&120u32.to_le_bytes());
+        body.extend_from_slice(b"block");
+        let mut file = vec![0xAA; 13];
+        file.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        file.extend_from_slice(&crc32(&body).to_le_bytes());
+        file.extend_from_slice(&body);
+        let (frame, row) = frame_at(SEGMENT_VERSION_V2, &file, 13, FramePrev::default());
+        let expected = WindowEntry {
+            offset: 13,
+            len: 33 + 5,
+            raw_len: 120,
+            ..window(9, 50, 60, 4, CodecId::DeltaVarint)
+        };
+        assert_eq!(row, expected);
+        assert_eq!(frame.codec, CodecId::DeltaVarint);
+        assert_eq!(&file[frame.block], b"block");
+        assert_eq!(
+            frame_end(SEGMENT_VERSION_V2, &expected),
+            Some(file.len() as u64)
+        );
+    }
+
+    #[test]
+    fn a_v3_window_that_follows_its_predecessor_costs_eleven_bytes_of_envelope() {
+        let mut file = vec![0xAA; 13];
+        let mut first = window(40, 1_000_000_000, 1_040_000_000, 5, CodecId::Identity);
+        append(
+            &mut file,
+            SEGMENT_VERSION_V3,
+            FramePrev::default(),
+            &mut first,
+            &[7; 40],
+        );
+        // Against (0, 0, 0): a one-byte id, a five-byte start and a
+        // four-byte span.
+        assert_eq!(file.len() - 13, 1 + 4 + (1 + 5 + 4 + 1 + 1 + 1) + 40);
+        let mut second = window(41, 1_040_000_000, 1_080_000_000, 5, CodecId::Identity);
+        append(
+            &mut file,
+            SEGMENT_VERSION_V3,
+            FramePrev::after(&first),
+            &mut second,
+            &[8; 40],
+        );
+        assert_eq!(file.len() as u64 - second.offset, 1 + 4 + 6 + 40);
+        assert_eq!(
+            &file[second.offset as usize + 5..][..6],
+            [2, 0, 0, 5, 0, 40]
+        );
+
+        let (_, row) = frame_at(SEGMENT_VERSION_V3, &file, 13, FramePrev::default());
+        assert_eq!(row, first);
+        let (frame, row) = frame_at(
+            SEGMENT_VERSION_V3,
+            &file,
+            second.offset,
+            FramePrev::after(&first),
+        );
+        assert_eq!(row, second);
+        assert_eq!(&file[frame.block], [8; 40]);
+        assert_eq!(frame.body.end, file.len());
+
+        let mut index = LaneIndex::new(0);
+        index.segments.push(SegmentMeta {
+            seq: 2,
+            committed_bytes: file.len() as u64,
+            version: SEGMENT_VERSION_V3,
+        });
+        index.windows = vec![first, second];
+        assert_eq!(envelope_and_stored_bytes(&index), (18 + 11, 80));
+    }
+
+    #[test]
+    fn varints_are_read_only_in_their_shortest_form() {
+        let take = |bytes: &[u8], max| {
+            let mut at = 0;
+            take_varint(bytes, &mut at, max).map(|value| (value, at))
+        };
+        for value in [
+            0,
+            1,
+            127,
+            128,
+            16_383,
+            16_384,
+            1 << 30,
+            u64::MAX >> 1,
+            u64::MAX,
+        ] {
+            let mut bytes = Vec::new();
+            put_varint(&mut bytes, value);
+            assert_eq!(bytes.len() as u64, varint_len(value), "{value}");
+            assert_eq!(take(&bytes, 10), Some((value, bytes.len())), "{value}");
+            // Cut short, or padded with a continuation of zero.
+            assert_eq!(take(&bytes[..bytes.len() - 1], 10), None, "{value}");
+            let last = bytes.len() - 1;
+            bytes[last] |= 0x80;
+            bytes.push(0);
+            assert_eq!(take(&bytes, 10), None, "{value} padded");
+        }
+        assert_eq!(take(&[0x80, 0x80, 0x80, 0x80, 0x04], 5), Some((1 << 30, 5)));
+        assert_eq!(
+            take(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x01], 5),
+            None,
+            "six bytes"
+        );
+        let mut overflow = vec![0xFF; 9];
+        overflow.push(0x02);
+        assert_eq!(take(&overflow, 10), None, "65 bits");
+        assert_eq!(take(&[0xFF; 16], 10), None, "endless");
+        assert_eq!(take(&[], 10), None);
+    }
+
+    #[test]
+    fn a_frame_length_no_writer_emits_is_a_torn_tail() {
+        let torn = |version, bytes: &[u8], at| match read_frame(version, bytes, at, true).unwrap() {
+            FrameRead::Torn(reason) => reason,
+            FrameRead::Frame(frame) => panic!("parsed {frame:?}"),
+        };
+        let mut file = Vec::new();
+        let mut entry = window(1, 2, 3, 4, CodecId::Identity);
+        append(
+            &mut file,
+            SEGMENT_VERSION_V3,
+            FramePrev::default(),
+            &mut entry,
+            b"abc",
+        );
+        assert_eq!(file[0], 9, "a six-byte meta and the block");
+        // The same frame behind a two-byte spelling of its length.
+        let mut padded = vec![0x89, 0x00];
+        padded.extend_from_slice(&file[1..]);
+        assert_eq!(
+            torn(SEGMENT_VERSION_V3, &padded, 0),
+            "no frame length field"
+        );
+        // Past 2^30, shorter than any meta, past the end, past the file.
+        for (version, length) in [
+            (SEGMENT_VERSION_V3, &[0x81, 0x80, 0x80, 0x80, 0x04][..]),
+            (SEGMENT_VERSION_V3, &[5][..]),
+            (SEGMENT_VERSION_V1, &[27, 0, 0, 0][..]),
+            (SEGMENT_VERSION_V2, &[0xFF; 4][..]),
+        ] {
+            let mut bytes = length.to_vec();
+            bytes.extend_from_slice(&[0; 64]);
+            assert_eq!(torn(version, &bytes, 0), "frame length out of range");
+        }
+        assert_eq!(
+            torn(SEGMENT_VERSION_V3, &file[..file.len() - 1], 0),
+            "frame runs past the end of the segment"
+        );
+        assert_eq!(
+            torn(SEGMENT_VERSION_V3, &file, file.len() as u64 + 1),
+            "frame starts past the end of the segment"
+        );
+        assert_eq!(
+            torn(SEGMENT_VERSION_V3, &file, u64::MAX),
+            "frame starts past the end of the segment"
+        );
+        *file.last_mut().unwrap() ^= 1;
+        assert_eq!(torn(SEGMENT_VERSION_V3, &file, 0), "crc mismatch");
+    }
+
+    #[test]
+    fn a_crc_valid_frame_that_contradicts_itself_is_an_error_not_a_tail() {
+        // A codec id from the future, and an identity frame whose block
+        // is not its raw length.
+        for (codec, raw_len) in [(9u8, 3u32), (0, 4)] {
+            let entry = WindowEntry {
+                codec,
+                raw_len,
+                ..window(1, 2, 3, 4, CodecId::LzBlock)
+            };
+            let mut frame = Vec::new();
+            encode_frame(
+                SEGMENT_VERSION_V3,
+                &mut frame,
+                FramePrev::default(),
+                &entry,
+                b"abc",
+            );
+            let error = read_frame(SEGMENT_VERSION_V3, &frame, 0, true).unwrap_err();
+            assert!(matches!(error, TraceError::Decode { .. }), "{error}");
+        }
+    }
+
+    fn arbitrary_frames() -> impl Strategy<Value = Vec<(WindowEntry, Vec<u8>)>> {
+        // Counts and raw lengths at zero, the varint edges and `u32::MAX`.
+        let edgy_u32 = || {
+            (any::<u32>(), 0usize..8).prop_map(|(value, pick)| {
+                [0, 127, 128, 16_383, 16_384, u32::MAX]
+                    .get(pick)
+                    .copied()
+                    .unwrap_or(value)
+            })
+        };
+        let frame = (
+            (extreme_u64(), extreme_u64(), extreme_u64()),
+            edgy_u32(),
+            0u8..3,
+            edgy_u32(),
+            prop::collection::vec(any::<u8>(), 0..200),
+        )
+            .prop_map(|((id, start_ns, end_ns), events, codec, raw_len, block)| {
+                let codec = CodecId::from_u8(codec).unwrap();
+                let mut entry = window(id, start_ns, end_ns, events, codec);
+                entry.raw_len = raw_len;
+                (entry, block)
+            });
+        prop::collection::vec(frame, 1..12)
+    }
+
+    proptest! {
+        /// Any `u64` sequence of ids and timestamps survives the v3 delta
+        /// coding, frame after frame, and the index arithmetic
+        /// (`frame_end`, `envelope_and_stored_bytes`) agrees with the
+        /// bytes written.
+        #[test]
+        fn v3_frames_round_trip_any_window_sequence(frames in arbitrary_frames()) {
+            let mut frames = frames;
+            let mut file = segment_header(0, 2, SEGMENT_VERSION_V3).to_vec();
+            let mut prev = FramePrev::default();
+            for (entry, block) in &mut frames {
+                append(&mut file, SEGMENT_VERSION_V3, prev, entry, block);
+                prev = FramePrev::after(entry);
+            }
+            let (mut at, mut prev) = (SEGMENT_HEADER_LEN, FramePrev::default());
+            for (entry, block) in &frames {
+                let (frame, row) = frame_at(SEGMENT_VERSION_V3, &file, at, prev);
+                prop_assert_eq!(&row, entry);
+                prop_assert_eq!(&file[frame.block.clone()], &block[..]);
+                // An index-driven reader finds the same block with no
+                // predecessor in hand.
+                let indexed =
+                    read_indexed_frame(SEGMENT_VERSION_V3, &file, 0, entry, entry.offset, true)
+                        .unwrap();
+                prop_assert_eq!(indexed.block, frame.block);
+                prop_assert_eq!((indexed.raw_len, indexed.events), (entry.raw_len, entry.events));
+                at = frame.body.end as u64;
+                prev = FramePrev::after(entry);
+            }
+            prop_assert_eq!(at, file.len() as u64);
+
+            let mut index = LaneIndex::new(0);
+            index.segments.push(SegmentMeta {
+                seq: 2,
+                committed_bytes: at,
+                version: SEGMENT_VERSION_V3,
+            });
+            index.windows = frames.iter().map(|(entry, _)| *entry).collect();
+            let (envelope, stored) = envelope_and_stored_bytes(&index);
+            let blocks: u64 = frames.iter().map(|(_, block)| block.len() as u64).sum();
+            prop_assert_eq!(stored, blocks);
+            prop_assert_eq!(SEGMENT_HEADER_LEN + envelope + stored, at);
+        }
+    }
+
+    #[test]
+    fn headers_parse_for_every_version_and_reject_unknown() {
         let path = std::path::Path::new("lane0001-000002.seg");
-        for version in [SEGMENT_VERSION_V1, SEGMENT_VERSION_V2] {
+        for version in [SEGMENT_VERSION_V1, SEGMENT_VERSION_V2, SEGMENT_VERSION_V3] {
             let header = segment_header(1, 2, version);
             assert_eq!(parse_segment_header(&header, path, 1, 2).unwrap(), version);
         }
-        let mut bad = segment_header(1, 2, 3);
-        assert!(parse_segment_header(&bad, path, 1, 2).is_err());
-        bad = segment_header(1, 2, SEGMENT_VERSION_V1);
+        for version in [0, 4] {
+            let bad = segment_header(1, 2, version);
+            assert!(parse_segment_header(&bad, path, 1, 2).is_err());
+        }
+        let bad = segment_header(1, 2, SEGMENT_VERSION_V1);
         assert!(parse_segment_header(&bad, path, 1, 3).is_err());
     }
 }

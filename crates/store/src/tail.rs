@@ -19,11 +19,9 @@ use trace_model::codec::{BinaryDecoder, CodecId, FrameCodec, TraceDecoder};
 use trace_model::{TraceError, TraceEvent};
 
 use crate::commit::{CommitLog, CommitView};
-use crate::crc32::crc32;
 use crate::index::WindowEntry;
 use crate::segment::{
-    frame_meta_len, parse_segment_header, read_u32, segment_file_name, FRAME_HEADER_LEN,
-    SEGMENT_HEADER_LEN,
+    parse_segment_header, read_frame, segment_file_name, FramePrev, FrameRead, SEGMENT_HEADER_LEN,
 };
 
 /// One committed window delivered by a [`Tailer`].
@@ -105,6 +103,10 @@ pub struct Tailer {
     buf: Vec<u8>,
     version: u8,
     header_parsed: bool,
+    /// The frame delivered before the cursor in this segment (what a v3
+    /// frame is coded against): zero on entering a segment, kept across
+    /// [`Tailer::rebind`] — the cursor does not move.
+    prev: FramePrev,
     /// The maintenance epoch the tailer is bound to (fixed on first
     /// observation; any change lapses the tailer).
     epoch: Option<u64>,
@@ -128,6 +130,7 @@ impl Tailer {
             buf: Vec::new(),
             version: 0,
             header_parsed: false,
+            prev: FramePrev::default(),
             epoch: None,
             delivered: 0,
             lapsed: false,
@@ -291,6 +294,7 @@ impl Tailer {
         self.file = None;
         self.buf.clear();
         self.header_parsed = false;
+        self.prev = FramePrev::default();
     }
 
     /// Grows the local buffer to cover exactly `bound` bytes of segment
@@ -347,52 +351,19 @@ impl Tailer {
             offset: offset as usize,
             reason,
         };
-        if offset + FRAME_HEADER_LEN > bound {
-            return Err(corrupt(format!(
-                "committed bound {bound} splits a frame header in lane {} segment {seq}",
-                self.lane
-            )));
-        }
-        let body_len = read_u32(&self.buf, offset as usize);
-        let stored_crc = read_u32(&self.buf, offset as usize + 4);
-        let body_start = offset + FRAME_HEADER_LEN;
-        let body_end = body_start + u64::from(body_len);
-        if body_end > bound {
-            return Err(corrupt(format!(
-                "committed bound {bound} splits a frame body in lane {} segment {seq}",
-                self.lane
-            )));
-        }
-        let meta_len = frame_meta_len(self.version);
-        if (body_len as usize) < meta_len {
-            return Err(corrupt(format!(
-                "frame body of {body_len} bytes is shorter than the v{} meta block",
-                self.version
-            )));
-        }
-        let body = &self.buf[body_start as usize..body_end as usize];
-        if crc32(body) != stored_crc {
-            return Err(corrupt(format!(
-                "crc mismatch tailing lane {} segment {seq} offset {offset}",
-                self.lane
-            )));
-        }
-        let entry = crate::segment::entry_from_body(self.version, seq, offset, body);
-        let codec = CodecId::from_u8(entry.codec).ok_or_else(|| {
-            corrupt(format!(
-                "frame in lane {} segment {seq} uses unknown codec id {}",
-                self.lane, entry.codec
-            ))
-        })?;
-        let block = &body[meta_len..];
-        let payload = if codec == CodecId::Identity {
-            if block.len() != entry.raw_len as usize {
+        let frame = match read_frame(self.version, &self.buf, offset, true)? {
+            FrameRead::Frame(frame) => frame,
+            FrameRead::Torn(reason) => {
                 return Err(corrupt(format!(
-                    "identity frame stores {} bytes but claims a raw length of {}",
-                    block.len(),
-                    entry.raw_len
-                )));
+                    "{reason} tailing lane {} segment {seq} offset {offset} under the \
+                     committed bound {bound}",
+                    self.lane
+                )))
             }
+        };
+        let (entry, codec) = (frame.entry(seq, offset, self.prev), frame.codec);
+        let block = &self.buf[frame.block];
+        let payload = if codec == CodecId::Identity {
             block.to_vec()
         } else {
             let mut payload = Vec::with_capacity(entry.raw_len as usize);
@@ -403,7 +374,8 @@ impl Tailer {
             )?;
             payload
         };
-        self.offset = body_end;
+        self.offset = frame.body.end as u64;
+        self.prev = FramePrev::after(&entry);
         Ok(TailWindow { entry, payload })
     }
 

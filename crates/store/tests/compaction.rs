@@ -5,8 +5,11 @@
 //! the retained set, and leave a store that reopens clean and compacts to
 //! a fixed point.
 
+mod common;
+
 use proptest::prelude::*;
 
+use common::dir_contents;
 use endurance_store::{Compactor, LaneWriter, MaintenancePolicy, StoreConfig, StoreReader};
 use trace_model::codec::{BinaryEncoder, TraceEncoder};
 use trace_model::{EventSink, EventTypeId, RecordMeta, Timestamp, TraceEvent, WindowId};
@@ -254,4 +257,202 @@ proptest! {
         }
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// The benchmark's `churn` in miniature: hundreds of short-lived lanes of
+/// one segment each, 1–8 events per window, jittered nanosecond
+/// timestamps — written under each codec, maintained towards each. A
+/// frame's envelope used to outweigh its block here, and re-framing v1
+/// as v2 made every lane five bytes a window *larger* while the report
+/// said nothing had happened.
+#[test]
+fn no_lane_grows_under_maintenance() {
+    use endurance_store::CodecId;
+    for target in [CodecId::DeltaVarint, CodecId::LzBlock] {
+        let dir = temp_dir(9_000_000 + u64::from(target.as_u8()));
+        // xorshift: a stream of window sizes and timestamp jitter that
+        // is the same on every run.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let mut recorded = std::collections::BTreeMap::new();
+        for lane in 0..300u32 {
+            let codec = CodecId::ALL[lane as usize % 3];
+            let mut writer =
+                LaneWriter::create(&dir, lane, StoreConfig::default().with_codec(codec)).unwrap();
+            let mut payloads = Vec::new();
+            // Streams join late: the first window of a lane is far from 0.
+            let mut clock = u64::from(lane) * 37_000_000_000 + next(1_000_000_000);
+            let first_id = next(400);
+            for id in first_id..first_id + 1 + next(30) {
+                let start = clock;
+                let events: Vec<TraceEvent> = (0..1 + next(8))
+                    .map(|i| {
+                        clock += 1_000_000 + next(3_000_000);
+                        TraceEvent::new(
+                            Timestamp::from_nanos(clock),
+                            EventTypeId::new(next(6) as u16),
+                            (id * 10 + i) as u32,
+                        )
+                    })
+                    .collect();
+                clock = start + 40_000_000;
+                let mut encoded = Vec::new();
+                BinaryEncoder::new().encode(&events, &mut encoded).unwrap();
+                let meta = RecordMeta {
+                    window_id: WindowId::new(id),
+                    start: Timestamp::from_nanos(start),
+                    end: Timestamp::from_nanos(clock),
+                };
+                writer.record_window(&meta, &events, &encoded).unwrap();
+                payloads.extend(encoded);
+                // Most windows follow their predecessor; some do not.
+                if next(5) == 0 {
+                    clock += 40_000_000 * (1 + next(50));
+                }
+            }
+            writer.close().unwrap();
+            recorded.insert(lane, payloads);
+        }
+
+        let policy = MaintenancePolicy::merge_below(u64::MAX / 4).with_recompress(target);
+        let report = Compactor::new(&dir, policy).compact().unwrap();
+        assert_eq!(report.lanes.len(), 300);
+        for lane in &report.lanes {
+            assert!(
+                lane.bytes_after <= lane.bytes_before,
+                "{target}: lane {} grew, {} -> {} bytes",
+                lane.lane,
+                lane.bytes_before,
+                lane.bytes_after
+            );
+            // Identity-written lanes (v1) are rewritten whether or not the
+            // codec took a single frame, and say so; the others are left.
+            let v1 = lane.lane % 3 == 0;
+            assert_eq!(
+                lane.segments_rewritten,
+                usize::from(v1),
+                "lane {}",
+                lane.lane
+            );
+            assert_eq!(lane.is_noop(), !v1, "lane {}", lane.lane);
+            // Segment headers, envelopes and blocks are all there is.
+            assert_eq!(
+                lane.bytes_after,
+                13 * lane.segments_after as u64 + lane.envelope_bytes_after + lane.stored_bytes,
+                "lane {}",
+                lane.lane
+            );
+            assert_eq!(lane.payload_bytes, recorded[&lane.lane].len() as u64);
+        }
+        assert_eq!(report.grown_bytes(), 0, "{report}");
+        assert!(report.reclaimed_bytes() > 0, "{report}");
+        let (envelope_before, envelope_after) = report.envelope_bytes();
+        assert!(envelope_after < envelope_before, "{report}");
+
+        let reader = StoreReader::open(&dir).unwrap();
+        assert!(reader.recovery().clean);
+        for (lane, payloads) in &recorded {
+            assert_eq!(&reader.lane_payload_bytes(*lane).unwrap(), payloads);
+        }
+        drop(reader);
+
+        // Converged: a second pass writes nothing, byte for byte.
+        let settled = dir_contents(&dir);
+        let again = Compactor::new(&dir, policy).compact().unwrap();
+        assert!(again.is_noop(), "{again}");
+        assert_eq!(again.reclaimed_bytes() + again.grown_bytes(), 0);
+        assert!(
+            dir_contents(&dir) == settled,
+            "{target}: the second pass moved bytes"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// "Where did the bytes go" is answerable from the registry alone: what
+/// format each lane's frames went into, and per pass the envelope going
+/// in and coming out beside the bytes reclaimed — or grown.
+#[test]
+fn the_registry_says_where_the_bytes_went() {
+    use endurance_obs::{MetricValue, Registry};
+    use endurance_store::CodecId;
+    let dir = temp_dir(9_100_000);
+    let registry = Registry::new();
+    for (lane, codec) in [(0u32, CodecId::Identity), (1, CodecId::DeltaVarint)] {
+        let config = StoreConfig::default().with_codec(codec);
+        let mut writer = LaneWriter::create(&dir, lane, config)
+            .unwrap()
+            .with_metrics(&registry);
+        for id in 0..(5 + u64::from(lane)) {
+            let events = vec![TraceEvent::new(
+                Timestamp::from_millis(id * 40 + 1),
+                EventTypeId::new(1),
+                id as u32,
+            )];
+            let mut encoded = Vec::new();
+            BinaryEncoder::new().encode(&events, &mut encoded).unwrap();
+            let meta = RecordMeta {
+                window_id: WindowId::new(id),
+                start: Timestamp::from_millis(id * 40),
+                end: Timestamp::from_millis((id + 1) * 40),
+            };
+            writer.record_window(&meta, &events, &encoded).unwrap();
+        }
+        writer.close().unwrap();
+    }
+    let written = registry.snapshot();
+    let frames = |lane: &str, format: &str| {
+        let labels = [("lane", lane), ("format", format)];
+        match written.get("store_frames_written_total", &labels) {
+            Some(MetricValue::Counter(count)) => Some(*count),
+            _ => None,
+        }
+    };
+    assert_eq!(frames("0", "v1"), Some(5));
+    assert_eq!(frames("1", "v3"), Some(6));
+    assert_eq!((frames("0", "v3"), frames("1", "v1")), (None, None));
+    assert_eq!(written.counter_total("store_frames_written_total"), 11);
+
+    let policy = MaintenancePolicy::disabled().with_recompress(CodecId::DeltaVarint);
+    let compactor = Compactor::new(&dir, policy).with_metrics(&registry);
+    let report = compactor.compact().unwrap();
+    // Lane 0 was rewritten; lane 1, already v3, was left alone and adds
+    // nothing.
+    assert!(!report.lanes[0].is_noop() && report.lanes[1].is_noop());
+    let lane = &report.lanes[0];
+    assert_eq!(lane.envelope_bytes_before, 5 * 36);
+    // 5 bytes of header a frame; 9 of meta against (0, 0, 0) — the 40 ms
+    // span takes four — and 6 against a predecessor.
+    assert_eq!(lane.envelope_bytes_after, (5 + 9) + 4 * (5 + 6));
+    let passed = registry.snapshot();
+    let counter = |name: &str| passed.counter(name).unwrap();
+    assert_eq!(counter("store_compaction_passes_total"), 1);
+    assert_eq!(counter("store_compaction_envelope_before_bytes_total"), 180);
+    assert_eq!(counter("store_compaction_envelope_after_bytes_total"), 58);
+    // What was reclaimed is what the envelope and the codec gave back.
+    let reclaimed = (180 - 58) + (lane.payload_bytes - lane.stored_bytes);
+    assert_eq!(lane.reclaimed_bytes(), reclaimed);
+    assert_eq!(counter("store_compaction_reclaimed_bytes_total"), reclaimed);
+    assert_eq!(counter("store_compaction_grown_bytes_total"), 0);
+    let rendered = format!("{report}");
+    assert!(
+        rendered.contains(&format!("{reclaimed} byte(s) reclaimed, 0 byte(s) grown"))
+            && rendered.contains("(envelope 180 -> 58)"),
+        "{rendered}"
+    );
+
+    // A pass that changes nothing counts nothing.
+    compactor.compact().unwrap();
+    let again = registry.snapshot();
+    assert_eq!(again.counter("store_compaction_passes_total"), Some(1));
+    assert_eq!(
+        again.counter("store_compaction_envelope_before_bytes_total"),
+        Some(180)
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,0 +1,372 @@
+//! Hostile `.seg` bytes: every truncation, every single-bit flip and
+//! `0xFF` runs at every offset of small format-v1, -v2 and -v3 segments,
+//! read back through the scanner (no sidecar) and through the index path
+//! (the sidecar of the undamaged lane still in place).
+//!
+//! Whatever the bytes, a reader answers with a torn tail at a frame
+//! boundary or a typed [`TraceError`]: never a panic, never a window
+//! whose fields or payload differ from what was written, never a
+//! reservation sized by a length nobody checked (a run of `0xFF` over a
+//! v3 length varint claims 2^35 bytes and more; were any path to believe
+//! it, this test would not finish). One function parses frames
+//! (`segment::read_frame`); this is the sweep over it, from outside.
+
+mod common;
+
+use common::{events_encoding_to, write_v2_segment, Window};
+use endurance_store::{
+    CodecId, Compactor, LaneWriter, MaintenancePolicy, Snapshot, StoreConfig, StoreReader,
+    WindowEntry,
+};
+use trace_model::{EventTypeId, Timestamp, TraceError, TraceEvent, WindowId};
+
+const SEGMENT: &str = "lane0000-000000.seg";
+const SIDECAR: &str = "lane0000.idx";
+
+fn temp_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "endurance-hostile-seg-{}-{tag}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Four windows: one too small for any codec, two a codec takes, one
+/// with no events; the third does not follow the second.
+fn windows() -> Vec<Window> {
+    [(7u64, 2usize), (8, 9), (11, 12), (12, 0)]
+        .into_iter()
+        .map(|(id, count)| {
+            let start_ns = id * 40_000_000;
+            let events = (0..count as u64)
+                .map(|i| {
+                    TraceEvent::new(
+                        Timestamp::from_nanos(start_ns + i * 3_000_000 + (id + i) % 700),
+                        EventTypeId::new((i % 3) as u16),
+                        (id * 10 + i) as u32,
+                    )
+                })
+                .collect();
+            Window::new(id, start_ns, start_ns + 40_000_000, events)
+        })
+        .collect()
+}
+
+/// One undamaged single-segment lane and what a reader makes of it.
+struct Pristine {
+    version: u8,
+    windows: Vec<Window>,
+    segment: Vec<u8>,
+    sidecar: Vec<u8>,
+    rows: Vec<WindowEntry>,
+    /// Scratch directory the damaged copies are read from.
+    dir: std::path::PathBuf,
+}
+
+impl Pristine {
+    fn build(version: u8, codec: CodecId) -> Self {
+        let dir = temp_dir(&format!("v{version}-{}", codec.as_u8()));
+        let windows = windows();
+        let config = match version {
+            1 => StoreConfig::default(),
+            _ => StoreConfig::default().with_codec(codec),
+        };
+        if version == 2 {
+            write_v2_segment(&dir, 0, 0, &windows, codec);
+            // A resume recovers the lane and its close writes the sidecar.
+            LaneWriter::create(&dir, 0, config)
+                .unwrap()
+                .close()
+                .unwrap();
+        } else {
+            let mut writer = LaneWriter::create(&dir, 0, config).unwrap();
+            for window in &windows {
+                window.record(&mut writer);
+            }
+            writer.close().unwrap();
+        }
+        let segment = std::fs::read(dir.join(SEGMENT)).unwrap();
+        assert_eq!(segment[4], version);
+        let reader = StoreReader::open(&dir).unwrap();
+        assert!(reader.recovery().clean);
+        let rows = reader.lane_windows(0).unwrap().to_vec();
+        assert_eq!(rows.len(), windows.len());
+        if version > 1 {
+            assert!(rows.iter().any(|row| row.codec == codec.as_u8()), "{codec}");
+            assert!(rows.iter().any(|row| row.codec == 0), "{codec}");
+        }
+        Pristine {
+            version,
+            windows,
+            segment,
+            sidecar: std::fs::read(dir.join(SIDECAR)).unwrap(),
+            rows,
+            dir,
+        }
+    }
+
+    /// Where frame `at` starts — the length of the file for one past the
+    /// last.
+    fn frame_boundary(&self, at: usize) -> u64 {
+        self.rows
+            .get(at)
+            .map_or(self.segment.len() as u64, |row| row.offset)
+    }
+
+    /// Frames that lie wholly within the first `len` bytes of the file.
+    fn frames_ending_by(&self, len: usize) -> usize {
+        (1..=self.rows.len())
+            .filter(|&next| self.frame_boundary(next) <= len as u64)
+            .count()
+    }
+
+    /// Reads `damaged` in place of the segment, with the undamaged
+    /// lane's sidecar beside it or without one, and holds every answer
+    /// to the contract. Returns how many windows survived.
+    fn read(&self, damaged: &[u8], with_sidecar: bool, what: &str) -> usize {
+        let what = format!("v{} {what} sidecar={with_sidecar}", self.version);
+        std::fs::write(self.dir.join(SEGMENT), damaged).unwrap();
+        if with_sidecar {
+            std::fs::write(self.dir.join(SIDECAR), &self.sidecar).unwrap();
+        } else {
+            let _ = std::fs::remove_file(self.dir.join(SIDECAR));
+        }
+        let reader = StoreReader::open(&self.dir).unwrap();
+        let rows = match reader.lane_windows(0) {
+            Ok(rows) => rows.to_vec(),
+            // The segment header, or a frame that contradicts itself.
+            Err(TraceError::Decode { .. } | TraceError::Io(_)) => return 0,
+            Err(other) => panic!("{what}: untyped {other:?}"),
+        };
+        // What is listed is a prefix of what was written, field for
+        // field, wherever the rows came from.
+        assert!(rows.len() <= self.rows.len(), "{what}: {rows:?}");
+        assert_eq!(rows, self.rows[..rows.len()], "{what}");
+        let report = reader.recovery();
+        if !report.clean {
+            // The scanner ran: every listed frame passed its CRC, and
+            // whatever it cut off starts at a frame boundary.
+            let committed = self.frame_boundary(rows.len()).min(damaged.len() as u64);
+            match report.torn_tails.as_slice() {
+                [] => assert_eq!(
+                    damaged.len() as u64,
+                    self.frame_boundary(rows.len()),
+                    "{what}"
+                ),
+                [tail] if rows.is_empty() => assert!(tail.offset <= 13, "{what}: {tail:?}"),
+                [tail] => {
+                    assert_eq!(tail.offset, committed, "{what}");
+                    assert_eq!(
+                        tail.dropped_bytes,
+                        damaged.len() as u64 - committed,
+                        "{what}"
+                    );
+                }
+                tails => panic!("{what}: {tails:?}"),
+            }
+        }
+        // Every read of a listed window is the window or a typed error —
+        // after a scan, which checked each frame, the window.
+        let snapshot = Snapshot::open(&self.dir).unwrap();
+        for (row, window) in rows.iter().zip(&self.windows) {
+            let id = WindowId::new(row.window_id);
+            let reads = [reader.window_payload(0, id), snapshot.window_payload(0, id)];
+            for read in reads {
+                match read {
+                    Ok(Some(payload)) => assert_eq!(payload, window.payload, "{what}"),
+                    Ok(None) => panic!("{what}: window {} vanished", row.window_id),
+                    Err(TraceError::Decode { .. }) if report.clean => {}
+                    Err(other) => panic!("{what}: {other:?}"),
+                }
+            }
+            match snapshot.window_events(0, id) {
+                Ok(events) => assert_eq!(events.as_ref(), Some(&window.events), "{what}"),
+                Err(TraceError::Decode { .. }) if report.clean => {}
+                Err(other) => panic!("{what}: {other:?}"),
+            }
+        }
+        let events: Vec<TraceEvent> = self.windows[..rows.len()]
+            .iter()
+            .flat_map(|window| window.events.clone())
+            .collect();
+        for replay in [reader.lane_events(0), reader.lane_events_seek_per_frame(0)] {
+            match replay {
+                Ok(replayed) => assert_eq!(replayed, events, "{what}"),
+                Err(TraceError::Decode { .. } | TraceError::Io(_)) if report.clean => {}
+                Err(other) => panic!("{what}: {other:?}"),
+            }
+        }
+        rows.len()
+    }
+
+    /// A maintenance pass over `damaged` (sidecar in place): it fails
+    /// with a typed error and moves nothing, or what it leaves replays
+    /// as a prefix of what was written.
+    fn compact(&self, damaged: &[u8], what: &str) {
+        let what = format!("v{} {what} compacted", self.version);
+        std::fs::write(self.dir.join(SEGMENT), damaged).unwrap();
+        std::fs::write(self.dir.join(SIDECAR), &self.sidecar).unwrap();
+        // Dropping the head of the segment (the first two windows end
+        // more than 100 ms before the last) has the pass re-frame the
+        // rest, whatever the version; a v1 lane is re-encoded besides.
+        let policy = MaintenancePolicy::disabled()
+            .with_recompress(CodecId::DeltaVarint)
+            .with_retention_ns(100_000_000);
+        match Compactor::new(&self.dir, policy).compact() {
+            Err(TraceError::Decode { .. } | TraceError::Io(_)) => {}
+            Err(other) => panic!("{what}: {other:?}"),
+            Ok(_) => {
+                let reader = StoreReader::open(&self.dir).unwrap();
+                let kept: Vec<&Window> = self
+                    .windows
+                    .iter()
+                    .filter(|window| window.end_ns > self.windows[3].end_ns - 100_000_000)
+                    .collect();
+                match reader.lane_payload_bytes(0) {
+                    Ok(bytes) => {
+                        let all: Vec<u8> = kept.iter().flat_map(|w| w.payload.clone()).collect();
+                        assert!(all.starts_with(&bytes), "{what}");
+                    }
+                    Err(TraceError::Decode { .. }) => {}
+                    Err(other) => panic!("{what}: {other:?}"),
+                }
+            }
+        }
+        for entry in std::fs::read_dir(&self.dir).unwrap() {
+            std::fs::remove_file(entry.unwrap().path()).unwrap();
+        }
+    }
+}
+
+fn sweep(pristine: &Pristine) {
+    let bytes = &pristine.segment;
+    // The undamaged segment reads whole, both ways.
+    for with_sidecar in [false, true] {
+        assert_eq!(
+            pristine.read(bytes, with_sidecar, "intact"),
+            pristine.rows.len()
+        );
+    }
+    for cut in 0..bytes.len() {
+        // A truncated file holds the frames that end before the cut.
+        for with_sidecar in [false, true] {
+            let survived = pristine.read(&bytes[..cut], with_sidecar, &format!("cut at {cut}"));
+            assert_eq!(
+                survived,
+                pristine.frames_ending_by(cut),
+                "v{} cut at {cut}",
+                pristine.version
+            );
+        }
+    }
+    for at in 0..bytes.len() {
+        for bit in 0..8 {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= 1 << bit;
+            let what = format!("bit {bit} of byte {at} flipped");
+            // A flipped bit costs a scanner the frame it is in and every
+            // frame behind it — never one before it.
+            let survived = pristine.read(&flipped, false, &what);
+            assert_eq!(
+                survived,
+                pristine.frames_ending_by(at),
+                "v{} {what}",
+                pristine.version
+            );
+            pristine.read(&flipped, true, &what);
+            if bit == at % 8 {
+                pristine.compact(&flipped, &what);
+            }
+        }
+        for run in [1, 2, 5, 10] {
+            let mut smeared = bytes.clone();
+            let end = (at + run).min(bytes.len());
+            smeared[at..end].fill(0xFF);
+            let what = format!("{run} x 0xFF at {at}");
+            pristine.read(&smeared, false, &what);
+            pristine.read(&smeared, true, &what);
+        }
+    }
+    std::fs::remove_dir_all(&pristine.dir).ok();
+}
+
+#[test]
+fn no_byte_of_a_v1_segment_can_make_a_reader_lie() {
+    sweep(&Pristine::build(1, CodecId::Identity));
+}
+
+#[test]
+fn no_byte_of_a_v2_segment_can_make_a_reader_lie() {
+    sweep(&Pristine::build(2, CodecId::DeltaVarint));
+    sweep(&Pristine::build(2, CodecId::LzBlock));
+}
+
+#[test]
+fn no_byte_of_a_v3_segment_can_make_a_reader_lie() {
+    sweep(&Pristine::build(3, CodecId::DeltaVarint));
+    sweep(&Pristine::build(3, CodecId::LzBlock));
+}
+
+/// Length fields no writer emits, spliced in front of an intact v3
+/// frame: each is refused where it stands — the frames before it
+/// survive, nothing is read or reserved on its word.
+#[test]
+fn v3_length_varints_are_held_to_the_letter() {
+    let pristine = Pristine::build(3, CodecId::DeltaVarint);
+    let second = pristine.rows[1].offset as usize;
+    let honest = pristine.segment[second];
+    assert!(honest < 0x80, "a one-byte length");
+    for (what, length) in [
+        ("non-minimal", vec![honest | 0x80, 0x00]),
+        (
+            "non-minimal, five bytes",
+            vec![honest | 0x80, 0x80, 0x80, 0x80, 0x00],
+        ),
+        (
+            "six bytes",
+            vec![honest | 0x80, 0x80, 0x80, 0x80, 0x80, 0x00],
+        ),
+        ("2^30 + 1", vec![0x81, 0x80, 0x80, 0x80, 0x04]),
+        ("2^35 - 1", vec![0xFF, 0xFF, 0xFF, 0xFF, 0x7F]),
+        ("past the end of the file", vec![0xFF, 0x7F]),
+        ("shorter than a frame's meta", vec![0x05]),
+        ("endless", vec![0xFF; 24]),
+    ] {
+        let mut spliced = pristine.segment[..second].to_vec();
+        spliced.extend_from_slice(&length);
+        spliced.extend_from_slice(&pristine.segment[second + 1..]);
+        for with_sidecar in [false, true] {
+            // A sidecar that still matches the file's length is trusted
+            // to list the lane; reading the frame is what fails, typed
+            // (`read` checks). Everyone else stops in front of it.
+            let listed = if with_sidecar && spliced.len() == pristine.segment.len() {
+                4
+            } else {
+                1
+            };
+            assert_eq!(
+                pristine.read(&spliced, with_sidecar, what),
+                listed,
+                "{what}"
+            );
+        }
+    }
+    // And a raw length on either side of the two-byte varint edge is
+    // just a raw length.
+    for len in [16_383, 16_384] {
+        let dir = temp_dir(&format!("raw-{len}"));
+        let events = events_encoding_to(len, 1_000);
+        let window = Window::new(1, 1_000, 2_000, events);
+        let config = StoreConfig::default().with_codec(CodecId::LzBlock);
+        let mut writer = LaneWriter::create(&dir, 0, config).unwrap();
+        window.record(&mut writer);
+        writer.close().unwrap();
+        let reader = StoreReader::open(&dir).unwrap();
+        assert_eq!(reader.lane_windows(0).unwrap()[0].raw_len as usize, len);
+        assert_eq!(reader.lane_payload_bytes(0).unwrap(), window.payload);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+    std::fs::remove_dir_all(&pristine.dir).ok();
+}

@@ -20,15 +20,27 @@
 //!   two `store_writer_*` tests beside it count the listings the handle
 //!   saves and show that the rule it rests on (FORMAT.md §1) is enforced,
 //!   not assumed.
+//! * `one_replay_from_three_formats` — any window sequence, written as
+//!   format v1, v2 and v3, hands every reader the same fields and
+//!   payload bytes, before and after every kind of rewrite; the frame
+//!   envelope is the only thing a format version may change.
+
+mod common;
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::time::Duration;
 
 use proptest::prelude::*;
+
+use common::{
+    dir_contents, entry_fields, events_encoding_to, segment_files, write_v2_segment, Window,
+};
 
 use endurance_obs::Registry;
 use endurance_store::{
     crc32, crc32_scalar, CodecId, Compactor, FallbackReason, LaneCompaction, LaneWriter,
-    MaintenancePolicy, RecoveryReport, SidecarFallback, StoreConfig, StoreReader, StoreWriter,
+    MaintenancePolicy, RecoveryReport, SidecarFallback, Snapshot, StoreConfig, StoreReader,
+    StoreWriter, TailStep, TailWindow, Tailer,
 };
 use trace_model::codec::{BinaryEncoder, TraceEncoder};
 use trace_model::{
@@ -92,20 +104,6 @@ fn record_window(writer: &mut LaneWriter, id: u64) -> Result<(), TraceError> {
         end: Timestamp::from_micros((id + 1) * 40_000),
     };
     writer.record_window(&meta, &events, &encoded)
-}
-
-/// Every regular file in `dir` by name, fully read.
-fn dir_contents(dir: &std::path::Path) -> BTreeMap<String, Vec<u8>> {
-    std::fs::read_dir(dir)
-        .unwrap()
-        .map(|entry| {
-            let entry = entry.unwrap();
-            (
-                entry.file_name().to_string_lossy().into_owned(),
-                std::fs::read(entry.path()).unwrap(),
-            )
-        })
-        .collect()
 }
 
 proptest! {
@@ -668,4 +666,282 @@ fn store_writer_rule_is_enforced_not_assumed() {
     writer.close().unwrap();
     assert_eq!(replay(&dir).keys().copied().collect::<Vec<_>>(), [10]);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Windows as no well-behaved session records them: ids with gaps and
+/// out of order, windows that overlap, leave holes, have no length or
+/// end before they start, timestamps at either end of `u64`, no events
+/// at all, and payloads on either side of the one- and two-byte varint
+/// edges of the raw length.
+fn arbitrary_windows() -> impl Strategy<Value = Vec<Window>> {
+    let window = (
+        (any::<u64>(), 0u8..6),
+        (any::<u64>(), 0u8..6),
+        (any::<u64>(), 0u8..6),
+        (1usize..40, 0u8..10),
+    );
+    prop::collection::vec(window, 1..14).prop_map(|specs| {
+        let mut windows: Vec<Window> = Vec::new();
+        let (mut next_id, mut clock, mut span) = (0u64, 0u64, 40_000_000u64);
+        for ((id, id_kind), (start, start_kind), (end, end_kind), (count, shape)) in specs {
+            let id = match id_kind {
+                0 => id,
+                1 => next_id + id % 1_000,
+                _ => next_id,
+            };
+            if windows.iter().any(|window| window.id == id) {
+                continue; // point reads go by id
+            }
+            next_id = id.wrapping_add(1);
+            let start_ns = match start_kind {
+                0 => start,
+                1 => u64::MAX - start % 1_000,
+                2 => clock.wrapping_sub(start % span.max(1)),
+                3 => clock.wrapping_add(start % 1_000_000_000),
+                _ => clock,
+            };
+            span = match end_kind {
+                0 => end,
+                1 => 0,
+                2 => (end % 1_000).wrapping_neg(),
+                3 => end % 1_000_000_000,
+                _ => span,
+            };
+            let end_ns = start_ns.wrapping_add(span);
+            clock = end_ns;
+            // Event timestamps are the payload's own business.
+            let first_ns = start_ns.min(u64::MAX - 10_000_000);
+            let events = match shape {
+                0 => Vec::new(),
+                1 => events_encoding_to(127, first_ns),
+                2 => events_encoding_to(128, first_ns),
+                3 => events_encoding_to(16_383, first_ns),
+                4 => events_encoding_to(16_384, first_ns),
+                _ => (0..count as u64)
+                    .map(|i| {
+                        TraceEvent::new(
+                            Timestamp::from_nanos(first_ns + i * 1_000 + (id ^ i) % 900),
+                            EventTypeId::new(((id ^ i) % 5) as u16),
+                            (id.wrapping_mul(31) ^ i) as u32,
+                        )
+                    })
+                    .collect(),
+            };
+            windows.push(Window::new(id, start_ns, end_ns, events));
+        }
+        windows
+    })
+}
+
+fn drain(tailer: &mut Tailer, into: &mut Vec<TailWindow>) {
+    loop {
+        match tailer.next(Duration::from_secs(10)).unwrap() {
+            TailStep::Window(window) => into.push(window),
+            TailStep::Closed => return,
+            TailStep::TimedOut => panic!("the writer is gone; the tail must close"),
+        }
+    }
+}
+
+/// Records `windows` into lane 0 of `dir` with a live [`Tailer`]
+/// attached: the writer is dropped without a close after `crash_after`
+/// windows, a second one resumes the lane and the follower moves over.
+/// Returns what the follower was handed.
+fn record_followed(
+    dir: &std::path::Path,
+    config: StoreConfig,
+    windows: &[Window],
+    crash_after: usize,
+) -> Vec<TailWindow> {
+    let mut tailed = Vec::new();
+    let mut writer = LaneWriter::create(dir, 0, config).unwrap();
+    let mut tailer = Tailer::follow(dir, writer.commit_log());
+    for window in &windows[..crash_after] {
+        window.record(&mut writer);
+    }
+    drop(writer);
+    drain(&mut tailer, &mut tailed);
+    let mut writer = LaneWriter::create(dir, 0, config).unwrap();
+    tailer.rebind(writer.commit_log()).unwrap();
+    for window in &windows[crash_after..] {
+        window.record(&mut writer);
+    }
+    writer.close().unwrap();
+    drain(&mut tailer, &mut tailed);
+    tailed
+}
+
+/// What every reader of lane 0 of `dir` hands back, which must be
+/// `windows`: the cold reader through the sidecar, the seek-per-frame
+/// path, point reads off a snapshot in the order `shuffle` gives, and the
+/// scanner once the sidecar is gone. Returns the codec column.
+fn assert_every_reader_replays(dir: &std::path::Path, windows: &[Window], shuffle: u64) -> Vec<u8> {
+    let fields: Vec<_> = windows.iter().map(Window::fields).collect();
+    let events: Vec<TraceEvent> = windows.iter().flat_map(|w| w.events.clone()).collect();
+    let payloads: Vec<u8> = windows.iter().flat_map(|w| w.payload.clone()).collect();
+
+    let reader = StoreReader::open(dir).unwrap();
+    assert!(reader.recovery().clean, "{:?}", reader.recovery());
+    let rows = reader.lane_windows(0).unwrap().to_vec();
+    assert_eq!(rows.iter().map(entry_fields).collect::<Vec<_>>(), fields);
+    assert_eq!(reader.lane_events(0).unwrap(), events);
+    assert_eq!(reader.lane_payload_bytes(0).unwrap(), payloads);
+    assert_eq!(reader.lane_events_seek_per_frame(0).unwrap(), events);
+    assert_eq!(reader.total_payload_bytes(), payloads.len() as u64);
+    drop(reader);
+
+    let snapshot = Snapshot::open(dir).unwrap();
+    let mut order: Vec<usize> = (0..windows.len()).collect();
+    order.sort_by_key(|&at| (at as u64 ^ shuffle).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    for at in order {
+        let window = &windows[at];
+        let id = WindowId::new(window.id);
+        assert_eq!(
+            snapshot.window_events(0, id).unwrap().as_ref(),
+            Some(&window.events)
+        );
+        assert_eq!(
+            snapshot.window_payload(0, id).unwrap().as_ref(),
+            Some(&window.payload)
+        );
+    }
+    drop(snapshot);
+
+    std::fs::remove_file(dir.join("lane0000.idx")).unwrap();
+    let scanned = StoreReader::open(dir).unwrap();
+    assert!(!scanned.recovery().clean);
+    assert!(scanned.recovery().torn_tails.is_empty());
+    assert_eq!(scanned.lane_windows(0).unwrap(), rows, "scanner == sidecar");
+    assert_eq!(scanned.lane_payload_bytes(0).unwrap(), payloads);
+    rows.iter().map(|row| row.codec).collect()
+}
+
+fn assert_tailed(tailed: &[TailWindow], windows: &[Window]) {
+    assert_eq!(
+        tailed
+            .iter()
+            .map(|w| entry_fields(&w.entry))
+            .collect::<Vec<_>>(),
+        windows.iter().map(Window::fields).collect::<Vec<_>>()
+    );
+    for (got, window) in tailed.iter().zip(windows) {
+        assert_eq!(got.payload, window.payload, "window {}", window.id);
+    }
+}
+
+fn versions(dir: &std::path::Path) -> Vec<u8> {
+    segment_files(dir, 0).iter().map(|file| file.1).collect()
+}
+
+fn compact(dir: &std::path::Path, policy: MaintenancePolicy) {
+    Compactor::new(dir, policy).compact().unwrap();
+    let settled = dir_contents(dir);
+    let again = Compactor::new(dir, policy).compact().unwrap();
+    assert!(again.is_noop(), "{again}");
+    assert!(dir_contents(dir) == settled, "a second pass moved bytes");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// One window sequence, three formats, every reader, every rewrite.
+    #[test]
+    fn one_replay_from_three_formats(
+        windows in arbitrary_windows(),
+        codec in 1u8..3,
+        per_segment in 1usize..5,
+        crash_at in 0.0f64..1.0,
+        shuffle in any::<u64>(),
+    ) {
+        let codec = CodecId::from_u8(codec).unwrap();
+        let crash_after = (windows.len() as f64 * crash_at) as usize;
+        let rotate = StoreConfig::default().with_segment_max_windows(per_segment as u64);
+        let tag = format!("formats-{shuffle:016x}");
+        let (v1, v2, v3, mixed) = (
+            temp_dir(&format!("{tag}-v1")),
+            temp_dir(&format!("{tag}-v2")),
+            temp_dir(&format!("{tag}-v3")),
+            temp_dir(&format!("{tag}-mixed")),
+        );
+
+        // v1 and v3 from the writer, followed live across the rotations,
+        // the crash and the resume; v2 from the fixture builder, cut where
+        // the writer cuts (every `per_segment` windows, and at the crash),
+        // then recovered by a writer that a follower is attached to.
+        assert_tailed(&record_followed(&v1, rotate, &windows, crash_after), &windows);
+        let tailed = record_followed(&v3, rotate.with_codec(codec), &windows, crash_after);
+        assert_tailed(&tailed, &windows);
+        let (before, after) = windows.split_at(crash_after);
+        let runs = before.chunks(per_segment).chain(after.chunks(per_segment));
+        for (seq, run) in (0..).zip(runs) {
+            write_v2_segment(&v2, 0, seq, run, codec);
+        }
+        assert_tailed(&record_followed(&v2, rotate, &[], 0), &windows);
+        prop_assert!(versions(&v1).iter().all(|version| *version == 1));
+        prop_assert!(versions(&v2).iter().all(|version| *version == 2));
+        prop_assert!(versions(&v3).iter().all(|version| *version == 3));
+        prop_assert_eq!(versions(&v2).len(), versions(&v3).len());
+
+        let codecs_v1 = assert_every_reader_replays(&v1, &windows, shuffle);
+        let codecs_v2 = assert_every_reader_replays(&v2, &windows, shuffle);
+        let codecs_v3 = assert_every_reader_replays(&v3, &windows, shuffle);
+        prop_assert!(codecs_v1.iter().all(|codec| *codec == 0));
+        prop_assert_eq!(&codecs_v2, &codecs_v3);
+
+        // One lane in all three formats: thirds of the sequence from the
+        // identity writer, the fixture builder and the codec writer.
+        let (first, rest) = windows.split_at(windows.len() / 3);
+        let (second, third) = rest.split_at(rest.len() / 2);
+        record_followed(&mixed, rotate, first, first.len());
+        let next_seq = segment_files(&mixed, 0).last().map_or(0, |file| file.0 + 1);
+        for (seq, run) in (next_seq..).zip(second.chunks(per_segment)) {
+            write_v2_segment(&mixed, 0, seq, run, codec);
+        }
+        let tailed = record_followed(&mixed, rotate.with_codec(codec), third, third.len());
+        assert_tailed(&tailed, &windows);
+        assert_every_reader_replays(&mixed, &windows, shuffle);
+        let merge = MaintenancePolicy::merge_below(u64::MAX / 4);
+        compact(&mixed, merge);
+        prop_assert_eq!(versions(&mixed), [3]);
+        assert_every_reader_replays(&mixed, &windows, shuffle);
+
+        // v3 + v3 merged, v2 + v2 merged, and v1 recompressed (which
+        // merges the run it re-encodes): one v3 segment each, the same
+        // one byte for byte, index included.
+        let lone_segment = versions(&v3).len() == 1;
+        compact(&v3, merge);
+        compact(&v2, merge);
+        compact(&v1, MaintenancePolicy::disabled().with_recompress(codec));
+        for dir in [&v1, &v2, &v3] {
+            // (A lone v2 segment is no run to merge: it migrates when a
+            // pass has a reason to rewrite it, and not before.)
+            let migrated = !(lone_segment && dir == &v2);
+            prop_assert_eq!(versions(dir), [if migrated { 3 } else { 2 }]);
+            prop_assert_eq!(&assert_every_reader_replays(dir, &windows, shuffle), &codecs_v3);
+            // (The scanner check took the sidecar; a resume puts it back.)
+            LaneWriter::create(dir, 0, rotate).unwrap().close().unwrap();
+        }
+        prop_assert!(dir_contents(&v1) == dir_contents(&v3), "recompressed v1 != merged v3");
+        prop_assert!(
+            lone_segment || dir_contents(&v2) == dir_contents(&v3),
+            "merged v2 != merged v3"
+        );
+
+        // Retention takes windows out of the middle of that segment — the
+        // head included, whenever the first window is not among the
+        // newest — so the survivors' predecessors change.
+        let mut ends: Vec<u64> = windows.iter().map(|window| window.end_ns).collect();
+        ends.sort_unstable();
+        let (newest, cutoff) = (ends[ends.len() - 1], ends[ends.len() / 2]);
+        if newest > cutoff {
+            compact(&v3, merge.with_retention_ns(newest - cutoff));
+            let kept: Vec<Window> = windows.iter().filter(|w| w.end_ns > cutoff).cloned().collect();
+            prop_assert!(kept.len() < windows.len());
+            prop_assert_eq!(versions(&v3), [3]);
+            assert_every_reader_replays(&v3, &kept, shuffle);
+        }
+        for dir in [v1, v2, v3, mixed] {
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
 }

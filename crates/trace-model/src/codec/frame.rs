@@ -61,7 +61,7 @@ use super::{
 };
 use crate::{EventTypeId, Severity, Timestamp, TraceError, TraceEvent};
 
-/// Identifier of a frame codec, stored in every format-v2 frame header.
+/// Identifier of a frame codec, stored in every format-v2 and -v3 frame.
 ///
 /// The numeric values are part of the on-disk format (see
 /// `docs/FORMAT.md`) and must never be reused for a different algorithm.
@@ -202,7 +202,7 @@ pub trait FrameCodec: fmt::Debug + Send {
 
 /// The identity codec: the stored block is the payload, byte for byte.
 ///
-/// Frames stored under this codec in a format-v2 segment are exactly as
+/// Frames stored under this codec in a format-v2 or -v3 segment are exactly as
 /// replayable as format-v1 frames; it also serves as the per-frame
 /// fallback when a configured codec refuses a payload.
 #[derive(Debug, Clone, Copy, Default)]
