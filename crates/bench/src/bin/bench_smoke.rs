@@ -27,17 +27,13 @@
 //!    with the same per-device windows and recorded traces). On smaller
 //!    hosts the check is reported but skipped — a bounded channel cannot
 //!    conjure cores.
-//! 3. **Buffered replay**: full-lane replay through the buffered
-//!    `SegmentMap` path (`store_replay_buffered`) must sustain ≥ 2× the
-//!    legacy seek-per-frame path (`store_replay_seek`) on the same
-//!    store — the zero-copy read refactor must actually pay.
-//! 4. **Compression ratio**: writing the mm-sim endurance workload
+//! 3. **Compression ratio**: writing the mm-sim endurance workload
 //!    through the `DeltaVarint` frame codec must put at least 1.5x fewer
 //!    bytes on disk than the identity codec, both on the write path
 //!    (`store_codec_delta` vs `store_codec_identity`) and when a
 //!    maintenance pass re-encodes a v1 store in place
 //!    (`store_compact_recompress`).
-//! 5. **Live followers**: the same spooled recording loop through a
+//! 4. **Live followers**: the same recording loop through a
 //!    serving handle with four tail subscriptions draining the commit
 //!    stream (`store_live_mixed`) may cost the writer at most 10 % vs
 //!    running solo (`store_live_solo`) — live reads must ride the
@@ -45,7 +41,7 @@
 //!    spare cores for the followers to run on: on hosts with fewer
 //!    hardware threads than followers-plus-writer the ratio is reported
 //!    but the gate is skipped.
-//! 6. **Instrumentation overhead**: `session_push_instrumented` — the
+//! 5. **Instrumentation overhead**: `session_push_instrumented` — the
 //!    same single-session loop with a live `endurance_obs::Registry`
 //!    attached — must stay within 3 % of the disabled-registry
 //!    `session_push` rate. This is the "cheap enough to leave on"
@@ -56,11 +52,11 @@
 //!    blocks differ by more than 3 % on a shared host whatever the code.
 //!    Armed on full runs only — a `--quick` rep lasts milliseconds and
 //!    cannot resolve 3 %; quick runs report the ratio.
-//! 7. **CRC kernel**: the slice-by-8 `crc32` (`crc32_frame`) must beat
+//! 6. **CRC kernel**: the slice-by-8 `crc32` (`crc32_frame`) must beat
 //!    the bit-at-a-time reference (`crc32_frame_scalar`) by ≥ 3× on
 //!    frame-sized payloads — every frame append and recovery scan pays
 //!    this kernel.
-//! 8. **Parallel compaction**: the auto-sized multi-lane maintenance
+//! 7. **Parallel compaction**: the auto-sized multi-lane maintenance
 //!    pass (`store_compact`) must beat the single-worker pass
 //!    (`store_compact_serial`) by ≥ 1.5× on hosts with a core per lane;
 //!    smaller hosts report the ratio but skip the gate.
@@ -88,7 +84,10 @@
 //! `store_lane_create_crowded` — a maintenance pass over, and one more
 //! lane created next to, 512 one-segment lanes in one directory, the
 //! shape whose per-lane cost must not grow with the lane count — and
-//! `instrumented_ratio`.
+//! `instrumented_ratio`. Schema 10 drops `session_spooled` and
+//! `store_replay_seek` (and `replay_speedup_buffered`) with the spooled
+//! sink and the seek-per-frame reader they measured;
+//! `store_replay_buffered` keeps its baseline floor.
 //!
 //! The artifact also records `session_push` — one session over the merged
 //! untagged feed. That configuration does per-*fleet* windows (4× fewer
@@ -108,8 +107,8 @@ use endurance_obs::{MetricsSnapshot, Registry};
 use endurance_repro::{minimize, MinimizeConfig, ReproArtifact};
 use endurance_serve::{ServeHandle, SubscribeOptions, SubscriptionStep};
 use endurance_store::{
-    crc32, crc32_scalar, CodecId, Compactor, LaneWriter, MaintenancePolicy, SpooledSink,
-    StoreConfig, StoreReader,
+    crc32, crc32_scalar, CodecId, Compactor, LaneWriter, MaintenancePolicy, StoreConfig,
+    StoreReader,
 };
 use lof_anomaly::{LofConfig, LofModel};
 use mm_sim::{Scenario, Simulation};
@@ -124,19 +123,12 @@ const SHARD_CONFIGS: [usize; 3] = [1, 2, 4];
 const REGRESSION_TOLERANCE: f64 = 0.30;
 const REQUIRED_SPEEDUP: f64 = 2.0;
 const MIN_PARALLELISM_FOR_SPEEDUP_GATE: usize = 4;
-/// The spooled sink may cost at most this fraction of the in-memory
-/// session rate (the async-sinks acceptance bar).
-const SPOOL_TOLERANCE: f64 = 0.10;
-/// Buffered full-lane replay must beat the seek-per-frame path by at
-/// least this factor on the same store.
-const REQUIRED_REPLAY_SPEEDUP: f64 = 2.0;
 /// The `DeltaVarint` frame codec must shrink the mm-sim endurance
 /// workload's on-disk bytes by at least this factor vs identity storage
 /// (the paper's actual metric: bytes on the device).
 const REQUIRED_DELTA_RATIO: f64 = 1.5;
 /// Live tail followers may cost the writer at most this fraction of its
-/// solo rate (the serving-layer acceptance bar, mirroring
-/// [`SPOOL_TOLERANCE`]).
+/// solo rate (the serving-layer acceptance bar).
 const LIVE_FOLLOW_TOLERANCE: f64 = 0.10;
 /// Followers racing the writer in the `store_live_mixed` configuration.
 const LIVE_FOLLOWERS: usize = 4;
@@ -212,7 +204,6 @@ struct Artifact {
     compaction_workers: usize,
     configs: Vec<Measurement>,
     speedup_4_shards: f64,
-    replay_speedup_buffered: f64,
     /// `crc32_frame` over `crc32_frame_scalar`: the slice-by-8 kernel's
     /// speedup vs the bit-at-a-time reference (gated at >= 3x).
     crc32_speedup: f64,
@@ -523,23 +514,6 @@ fn main() -> ExitCode {
             .with_snapshot(obs_registry.snapshot()),
     );
 
-    // The same single session, recording through the spooled writer-thread
-    // adapter instead of directly into the in-memory sink. The gap between
-    // this and session_push is the full cost of the async-sink layer.
-    let spooled_rate = measure(reps, events, || {
-        let mut session = ReductionSession::new(config.clone())
-            .expect("session")
-            .with_sink(SpooledSink::new(CountingSink::new()));
-        for (_, event) in &tagged {
-            session.push(*event).expect("push");
-        }
-        let outcome = session.finish().expect("finish");
-        std::hint::black_box(outcome.report);
-        outcome.sink.finish().expect("spool");
-    });
-    eprintln!("  session_spooled:   {:>12.0} events/s", spooled_rate);
-    configs.push(Measurement::rate("session_spooled", events, spooled_rate));
-
     // The single-threaded counterpart of the fleet engine: one session
     // per device, routed inline on this thread. Identical output semantics
     // (per-device windows and traces), no parallelism.
@@ -586,8 +560,9 @@ fn main() -> ExitCode {
         ));
     }
 
-    // Durable configuration: 4 shards recording through spooled store
-    // lanes on disk, then a cold reopen replaying every recorded event.
+    // Durable configuration: 4 shards recording through store lanes on
+    // disk, each on its shard's worker, then a cold reopen replaying
+    // every recorded event.
     // Throughput is normalised to the *pushed* events, so this number is
     // directly comparable with the in-memory sharded_4 line.
     let store_dir = std::env::temp_dir().join(format!("bench-smoke-store-{}", std::process::id()));
@@ -599,11 +574,9 @@ fn main() -> ExitCode {
         let mut fleet = FleetReducer::new(config.clone(), 4)
             .expect("fleet")
             .with_sinks(move |shard: StreamId| {
-                SpooledSink::new(
-                    LaneWriter::create(&dir, shard.as_u32(), StoreConfig::default())
-                        .expect("lane")
-                        .with_metrics(&registry),
-                )
+                LaneWriter::create(&dir, shard.as_u32(), StoreConfig::default())
+                    .expect("lane")
+                    .with_metrics(&registry)
             });
         for (source, event) in &tagged {
             fleet.push(*source, *event).expect("push");
@@ -611,8 +584,8 @@ fn main() -> ExitCode {
         let outcome = fleet.finish().expect("finish");
         std::hint::black_box(&outcome.aggregate);
         for shard in outcome.streams {
-            let sink = shard.sink.expect("every shard completes");
-            sink.finish().expect("spool").close().expect("close");
+            let writer = shard.sink.expect("every shard completes");
+            writer.close().expect("close");
         }
         let reader = StoreReader::open(&store_dir).expect("open");
         let mut replayed = 0u64;
@@ -631,23 +604,12 @@ fn main() -> ExitCode {
             .with_snapshot(store_registry.snapshot()),
     );
 
-    // Replay configs: the same dense many-segment lane read through the
-    // legacy seek-per-frame path and the buffered SegmentMap path. Both
-    // reopen the store per rep, so index parsing is costed equally.
+    // Replay config: a dense many-segment lane read through the buffered
+    // SegmentMap path, the store reopened per rep.
     let replay_dir =
         std::env::temp_dir().join(format!("bench-smoke-replay-{}", std::process::id()));
     let replay_windows = if options.quick { 4_000 } else { 12_000 };
     let replay_events = write_replay_store(&replay_dir, 1, replay_windows, 128);
-    let seek_rate = measure(reps, replay_events, || {
-        let reader = StoreReader::open(&replay_dir).expect("open");
-        std::hint::black_box(reader.lane_events_seek_per_frame(0).expect("seek replay"));
-    });
-    eprintln!("  store_replay_seek: {:>12.0} events/s", seek_rate);
-    configs.push(Measurement::rate(
-        "store_replay_seek",
-        replay_events,
-        seek_rate,
-    ));
     let buffered_rate = measure(reps, replay_events, || {
         let reader = StoreReader::open(&replay_dir).expect("open");
         std::hint::black_box(reader.lane_events(0).expect("buffered replay"));
@@ -899,11 +861,10 @@ fn main() -> ExitCode {
     });
 
     // Live serving configs: the same pre-encoded windows recorded through
-    // a serving-handle lane behind a spooled writer thread, solo and with
-    // four tail subscriptions draining the commit stream while the writer
-    // appends. Only the writer's work (record + spool drain + close) is
-    // timed; the followers run on their own threads and are joined (and
-    // verified) outside the timed region.
+    // a serving-handle lane, solo and with four tail subscriptions
+    // draining the commit stream while the writer appends. Only the
+    // writer's work (record + close) is timed; the followers run on their
+    // own threads and are joined (and verified) outside the timed region.
     let live_dir = std::env::temp_dir().join(format!("bench-smoke-live-{}", std::process::id()));
     let mut live_rates = [f64::MIN; 2];
     let live_registries = [Registry::new(), Registry::new()];
@@ -942,16 +903,14 @@ fn main() -> ExitCode {
                     })
                 })
                 .collect();
-            let mut sink = SpooledSink::new(
-                serve
-                    .create_writer(0, StoreConfig::default())
-                    .expect("lane"),
-            );
+            let mut sink = serve
+                .create_writer(0, StoreConfig::default())
+                .expect("lane");
             let start = Instant::now();
             for (meta, events, encoded) in &codec_windows {
                 sink.record_window(meta, events, encoded).expect("record");
             }
-            sink.finish().expect("spool").close().expect("close");
+            sink.close().expect("close");
             let elapsed = start.elapsed().as_secs_f64().max(1e-9);
             live_rates[slot] = live_rates[slot].max(codec_events as f64 / elapsed);
             for drain in drains {
@@ -1080,20 +1039,18 @@ fn main() -> ExitCode {
         .unwrap_or_default();
 
     let speedup = sharded_4_rate / serial_rate.max(1e-9);
-    let replay_speedup = buffered_rate / seek_rate.max(1e-9);
     let crc32_speedup = crc_rate / crc_scalar_rate.max(1e-9);
     let compact_parallel_speedup = compact_rate / compact_serial_rate.max(1e-9);
     let identity_bytes = codec_bytes[&CodecId::Identity].max(1);
     let delta_ratio = identity_bytes as f64 / codec_bytes[&CodecId::DeltaVarint].max(1) as f64;
     let live_follow_ratio = live_mixed_rate / live_solo_rate.max(1e-9);
     let artifact = Artifact {
-        schema: 9,
+        schema: 10,
         quick: options.quick,
         parallelism,
         compaction_workers,
         configs,
         speedup_4_shards: speedup,
-        replay_speedup_buffered: replay_speedup,
         crc32_speedup,
         compact_parallel_speedup,
         delta_codec_ratio: delta_ratio,
@@ -1108,8 +1065,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     eprintln!(
-        "bench_smoke: wrote {} ({} configs, 4-shard speedup {speedup:.2}x, buffered replay \
-         {replay_speedup:.2}x)",
+        "bench_smoke: wrote {} ({} configs, 4-shard speedup {speedup:.2}x)",
         options.out,
         artifact.configs.len()
     );
@@ -1151,26 +1107,6 @@ fn main() -> ExitCode {
         eprintln!("bench_smoke: no --baseline given, regression gate skipped");
     }
 
-    // Gate 3 (checked before the speedup gate so both always print): the
-    // spooled writer-thread sink must stay within SPOOL_TOLERANCE of the
-    // in-memory session rate — recording must overlap monitoring, not tax
-    // it.
-    let spool_floor = session_rate * (1.0 - SPOOL_TOLERANCE);
-    if spooled_rate < spool_floor {
-        eprintln!(
-            "bench_smoke: FAIL session_spooled: {spooled_rate:.0} events/s is more than \
-             {:.0}% below session_push ({session_rate:.0})",
-            SPOOL_TOLERANCE * 100.0
-        );
-        failed = true;
-    } else {
-        eprintln!(
-            "bench_smoke: ok   session_spooled: {spooled_rate:.0} events/s vs session_push \
-             {session_rate:.0} (within {:.0}%)",
-            SPOOL_TOLERANCE * 100.0
-        );
-    }
-
     // Gate on instrumentation overhead: the same session loop with a
     // live registry must stay within INSTRUMENTED_TOLERANCE of the
     // disabled-registry rate. This is the observability layer's "cheap
@@ -1201,22 +1137,6 @@ fn main() -> ExitCode {
              session_push's over {INSTRUMENTED_PAIRS} interleaved reps (>= {:.0}%)",
             instrumented_ratio * 100.0,
             instrumented_floor * 100.0
-        );
-    }
-
-    // Gate 4: buffered full-lane replay must beat the seek-per-frame
-    // path on the same data — the SegmentMap refactor has to pay for
-    // itself in syscalls saved.
-    if replay_speedup < REQUIRED_REPLAY_SPEEDUP {
-        eprintln!(
-            "bench_smoke: FAIL buffered replay: {replay_speedup:.2}x over the seek-per-frame \
-             path, need >= {REQUIRED_REPLAY_SPEEDUP:.1}x"
-        );
-        failed = true;
-    } else {
-        eprintln!(
-            "bench_smoke: ok   buffered replay: {replay_speedup:.2}x over the seek-per-frame \
-             path (>= {REQUIRED_REPLAY_SPEEDUP:.1}x)"
         );
     }
 
@@ -1262,7 +1182,7 @@ fn main() -> ExitCode {
         );
     }
 
-    // Gate 5: the DeltaVarint frame codec must actually shrink the
+    // Gate 3: the DeltaVarint frame codec must actually shrink the
     // mm-sim endurance workload on disk — this is the paper's metric,
     // and a codec that stops paying for itself must fail the PR. The
     // same floor applies to the in-place recompression pass.
@@ -1291,7 +1211,7 @@ fn main() -> ExitCode {
         );
     }
 
-    // Gate 6: live followers must ride the commit watermarks nearly
+    // Gate 4: live followers must ride the commit watermarks nearly
     // free — four subscriptions draining the lane may cost the writer at
     // most LIVE_FOLLOW_TOLERANCE of its solo rate. On hosts without a
     // spare core per follower the followers necessarily steal writer

@@ -33,7 +33,7 @@ use endurance_serve::{
 };
 use endurance_store::{
     CompactionReport, Compactor, LaneWriter, MaintenancePolicy, RecoveryReport, Snapshot,
-    SpooledSink, StoreConfig, StoreReader, StoreWriter, WindowEntry,
+    StoreConfig, StoreReader, StoreWriter, WindowEntry,
 };
 use trace_model::{StreamId, TraceError};
 
@@ -300,9 +300,9 @@ fn follow(subscription: Subscription) -> Result<Followed, String> {
 
 impl MultiStreamExperiment {
     /// Runs the fleet with every stream recording through its own store
-    /// lane (behind a spooled writer thread) under the fleet engine,
-    /// closes the store, optionally compacts it, reopens it cold and
-    /// recomputes the per-stream metrics from disk.
+    /// lane, on the fleet engine's worker for that stream, closes the
+    /// store, optionally compacts it, reopens it cold and recomputes the
+    /// per-stream metrics from disk.
     ///
     /// `store_for(stream)` configures the lane that records stream
     /// `stream`, so a fleet can mix frame codecs (or rotation policies)
@@ -363,7 +363,7 @@ impl MultiStreamExperiment {
     }
 
     /// Runs the fleet with every stream recording through a serving
-    /// handle's store lane (behind a spooled writer thread) while one
+    /// handle's store lane (on the stream's fleet worker) while one
     /// tail subscription per lane follows the commit stream live, then
     /// verifies the followed streams byte-for-byte against a cold
     /// [`Snapshot`] and recomputes the per-stream metrics from what the
@@ -483,23 +483,22 @@ impl MultiStreamExperiment {
     }
 
     /// The recording half shared by the durable and live runs: opens one
-    /// lane per stream with `create`, each behind a spooled writer thread
-    /// so monitoring overlaps disk I/O per device, reduces the fleet into
-    /// them, then drains each spool and closes each lane (writing its
-    /// sidecar and publishing its final watermark). Returns the aggregate
-    /// report and every stream's share (its sink closed and gone), in
-    /// stream order.
+    /// lane per stream with `create`, reduces the fleet into them — each
+    /// writer appends on the worker that runs its stream's session —
+    /// then closes each lane (writing its sidecar and publishing its
+    /// final watermark). Returns the aggregate report and every stream's
+    /// share (its sink closed and gone), in stream order.
     fn record_into_lanes(
         &self,
-        mut create: impl FnMut(u32) -> Result<LaneWriter, TraceError>,
+        create: impl FnMut(u32) -> Result<LaneWriter, TraceError>,
     ) -> Result<(ReductionReport, Vec<ReducedStream<()>>), EvalError> {
         let lanes = (0..self.stream_count() as u32)
-            .map(|lane| create(lane).map(SpooledSink::new))
+            .map(create)
             .collect::<Result<Vec<_>, _>>()?;
         let (aggregate, reduced) = self.reduce_into(lanes)?;
         let mut closed = Vec::with_capacity(reduced.len());
         for stream in reduced {
-            stream.sink.finish()?.close()?;
+            stream.sink.close()?;
             closed.push(ReducedStream {
                 report: stream.report,
                 decisions: stream.decisions,

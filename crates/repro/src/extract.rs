@@ -64,9 +64,11 @@ pub fn extract_window(
     name: impl Into<String>,
 ) -> Result<ReproArtifact, ReproError> {
     let windows = reader.windows_around(lane, window_id, context)?;
+    // The last match: the store answers a twice-recorded id with its
+    // latest occurrence, and an earlier one may sit in the context.
     let Some(target) = windows
         .iter()
-        .find(|(entry, _)| entry.window_id == window_id.index())
+        .rfind(|(entry, _)| entry.window_id == window_id.index())
     else {
         return Err(ReproError::NoSuchWindow {
             lane,

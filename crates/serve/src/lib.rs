@@ -167,29 +167,28 @@ impl ServeHandle {
     /// writer owned is the resume path: live subscriptions carry over to
     /// the new writer without re-delivering anything.
     ///
-    /// The writer is handed back by value — wrap it in a
-    /// `SpooledSink`, hand it to a reducer shard, anything; the commit
-    /// plumbing rides along inside it.
+    /// The writer is handed back by value, for the session that records
+    /// into it — `with_sink` on the thread that runs that session, a
+    /// `FleetReducer` worker in every fleet path; the commit plumbing
+    /// rides along inside it.
     ///
     /// Writers come from one [`StoreWriter`] over the directory, opened
     /// by the first call and shared by every clone: the directory is
     /// listed once then, and again only for a lane that can have files —
-    /// one that was there at that listing, that this handle created
-    /// before, or that [`ServeHandle::register_commit_log`] announced —
-    /// so a fleet's thousandth new lane costs what its first did. While
-    /// this handle writes, lanes of the directory are created only
-    /// through it (`docs/FORMAT.md` §1).
+    /// one that was there at that listing or that this handle created
+    /// before — so a fleet's thousandth new lane costs what its first
+    /// did. While this handle writes, lanes of the directory are created
+    /// only through it (`docs/FORMAT.md` §1); one made behind its back is
+    /// refused at the first append (`AlreadyExists`), never overwritten.
     ///
     /// # Errors
     ///
     /// Same conditions as [`LaneWriter::create`].
     pub fn create_writer(&self, lane: u32, config: StoreConfig) -> Result<LaneWriter, TraceError> {
-        let store = self.store_writer()?;
-        if self.inner.hub.current(lane).is_some() {
-            // A writer exists or existed, possibly one made outside.
-            store.mark_seen(lane);
-        }
-        let writer = store.lane(lane, config)?.with_metrics(&self.inner.registry);
+        let writer = self
+            .store_writer()?
+            .lane(lane, config)?
+            .with_metrics(&self.inner.registry);
         self.inner.hub.register(writer.commit_log());
         Ok(writer)
     }
@@ -204,16 +203,6 @@ impl ServeHandle {
             Arc::new(StoreWriter::open(&self.inner.dir)?.with_metrics(&self.inner.registry));
         *store = Some(Arc::clone(&opened));
         Ok(opened)
-    }
-
-    /// Registers the commit log of a writer created *outside* this
-    /// handle (e.g. by code that owns its own `LaneWriter::create`
-    /// call), so subscriptions can follow its lane. The latest
-    /// registration per lane wins. A later
-    /// [`ServeHandle::create_writer`] for the lane resumes it, whatever
-    /// that writer left.
-    pub fn register_commit_log(&self, log: CommitLog) {
-        self.inner.hub.register(log);
     }
 
     /// The currently registered commit log for `lane`, if any writer
@@ -617,22 +606,6 @@ mod tests {
         assert_eq!(resumed.recovery().windows, 1);
         assert_eq!(listings(), 2);
         drop(resumed);
-
-        // So does a lane whose writer was made outside and announced:
-        // whatever that writer left is recovered, not overwritten.
-        let mut outside = LaneWriter::create(&dir, 1000, StoreConfig::default()).unwrap();
-        serve.register_commit_log(outside.commit_log());
-        record(&mut outside, 0, 3);
-        drop(outside); // crash
-        let mut resumed = serve.create_writer(1000, StoreConfig::default()).unwrap();
-        assert_eq!(resumed.recovery().windows, 1);
-        assert_eq!(listings(), 3);
-        record(&mut resumed, 1, 3);
-        resumed.close().unwrap();
-        assert_eq!(
-            serve.refresh().unwrap().lane_windows(1000).unwrap().len(),
-            2
-        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

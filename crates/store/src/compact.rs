@@ -26,9 +26,10 @@
 //! The pass runs wherever the caller wants it: standalone via
 //! [`Compactor`] on a closed store, or inline in [`crate::LaneWriter`]
 //! after each rotation when the writer's [`crate::StoreConfig`] carries
-//! an enabled policy — and since storage lanes usually live behind a
-//! [`crate::SpooledSink`] writer thread, that makes compaction a
-//! background pass that never blocks monitoring.
+//! an enabled policy. Inline maintenance runs on the appending thread —
+//! the one that runs the session — and no non-test caller sets
+//! [`crate::StoreConfig::with_maintenance`] today; maintenance that must
+//! not share that thread is the standalone [`Compactor`].
 
 use std::fs::OpenOptions;
 use std::io::Write;
@@ -53,12 +54,9 @@ use trace_model::TraceError;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MaintenancePolicy {
     /// Closed segments smaller than this are merge candidates; a run of
-    /// at least [`MaintenancePolicy::min_merge_run`] adjacent candidates
-    /// is consolidated into one segment. Zero disables merging.
+    /// at least two adjacent candidates is consolidated into one
+    /// segment. Zero disables merging.
     pub small_segment_bytes: u64,
-    /// Minimum run length of adjacent small segments before a merge is
-    /// worth the rewrite (clamped to at least 2 by the pass).
-    pub min_merge_run: usize,
     /// Retention horizon in nanoseconds of trace time: windows whose end
     /// is at least this far behind the lane's newest window end are
     /// dropped. `None` keeps every window.
@@ -108,7 +106,6 @@ impl MaintenancePolicy {
     pub fn disabled() -> Self {
         MaintenancePolicy {
             small_segment_bytes: 0,
-            min_merge_run: 2,
             retention_ns: None,
             max_merged_bytes: Self::DEFAULT_MAX_MERGED_BYTES,
             recompress: None,
@@ -121,11 +118,7 @@ impl MaintenancePolicy {
     pub fn merge_below(bytes: u64) -> Self {
         MaintenancePolicy {
             small_segment_bytes: bytes,
-            min_merge_run: 2,
-            retention_ns: None,
-            max_merged_bytes: Self::DEFAULT_MAX_MERGED_BYTES,
-            recompress: None,
-            compact_workers: 0,
+            ..Self::disabled()
         }
     }
 
@@ -141,12 +134,6 @@ impl MaintenancePolicy {
     /// dropped by the next pass.
     pub fn with_retention_ns(mut self, nanos: u64) -> Self {
         self.retention_ns = Some(nanos);
-        self
-    }
-
-    /// Returns the policy with a different minimum merge-run length.
-    pub fn with_min_merge_run(mut self, run: usize) -> Self {
-        self.min_merge_run = run;
         self
     }
 
@@ -667,6 +654,10 @@ struct CompactionManifest {
 /// Manifest schema version.
 const MANIFEST_SCHEMA: u32 = 1;
 
+/// Fewest adjacent small segments worth a merge rewrite: one file has
+/// nothing to merge with.
+const MIN_MERGE_RUN: usize = 2;
+
 /// What a lane's journal file holds.
 enum Journal {
     /// The document of `docs/FORMAT.md` §5.3, for this lane.
@@ -895,8 +886,7 @@ pub(crate) fn compact_lane_index(
     // summed committed bytes stay within `max_merged_bytes` (bounding
     // both the consolidated file and the pass's memory); a chunk is
     // rewritten when it must be (drops) or when merging at least
-    // `min_merge_run` files.
-    let min_run = policy.min_merge_run.max(2);
+    // `MIN_MERGE_RUN` files.
     let mut new_segments: Vec<SegmentMeta> = Vec::new();
     let mut new_windows: Vec<WindowEntry> = Vec::new();
     let mut start = 0usize;
@@ -922,7 +912,7 @@ pub(crate) fn compact_lane_index(
         }
         let run = &plans[start..end];
         let must_rewrite =
-            run.iter().any(|plan| plan.rewrite || plan.recompress) || run.len() >= min_run;
+            run.iter().any(|plan| plan.rewrite || plan.recompress) || run.len() >= MIN_MERGE_RUN;
         if !must_rewrite {
             for plan in run {
                 new_segments.push(plan.meta);
@@ -1028,8 +1018,7 @@ fn rewrite_run(
         let source = std::fs::read(dir.join(segment_file_name(lane, plan.meta.seq)))?;
         for &position in &plan.windows {
             let entry = windows[position];
-            let frame =
-                read_indexed_frame(plan.meta.version, &source, lane, &entry, entry.offset, true)?;
+            let frame = read_indexed_frame(plan.meta.version, &source, lane, &entry, true)?;
             let mut copied = WindowEntry {
                 segment: target_seq,
                 offset: merged.len() as u64,

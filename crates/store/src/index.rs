@@ -22,6 +22,7 @@
 //! length derived from the frame length).
 
 use serde::{Deserialize, Serialize};
+use trace_model::WindowId;
 
 use crate::segment::{envelope_and_stored_bytes, FRAME_META_LEN, SEGMENT_VERSION_V1};
 
@@ -139,6 +140,17 @@ impl LaneIndex {
     /// (excluding segment and frame headers).
     pub fn total_stored_bytes(&self) -> u64 {
         envelope_and_stored_bytes(self).1
+    }
+
+    /// Position in `windows` of the entry a lookup of `window_id`
+    /// answers with: the most recently committed one. A lane resumed by
+    /// a second session can hold an id twice (`docs/FORMAT.md` §4); every
+    /// by-id read surface, [`crate::Snapshot`]'s included, returns the
+    /// occurrence a follower was delivered last.
+    pub(crate) fn latest(&self, window_id: WindowId) -> Option<usize> {
+        self.windows
+            .iter()
+            .rposition(|entry| entry.window_id == window_id.index())
     }
 
     /// Format version of segment `seq` (1 when the segment is unknown,

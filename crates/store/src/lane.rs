@@ -79,10 +79,10 @@ impl StoreConfig {
     }
 
     /// Returns the config with a maintenance policy: after each segment
-    /// rotation the writer compacts its closed segments per the policy.
-    /// When the lane sits behind a [`crate::SpooledSink`], the pass runs
-    /// on the writer thread — background maintenance that never blocks
-    /// monitoring.
+    /// rotation the writer compacts its closed segments per the policy,
+    /// on the appending thread — the one that runs the session. No
+    /// non-test caller sets this today; maintenance that must not share
+    /// that thread is the standalone [`crate::Compactor`].
     pub fn with_maintenance(mut self, policy: MaintenancePolicy) -> Self {
         self.maintenance = policy;
         self
@@ -327,8 +327,9 @@ impl LaneWriter {
         // Synthetic ids continue past every recovered id, so meta-less
         // records appended after a resume never collide with (and shadow)
         // pre-crash entries in the index. Sessions supplying real window
-        // ids restart numbering per run — give each run its own lane when
-        // id lookup across runs matters.
+        // ids restart numbering per run, and a lookup by id answers with
+        // the latest run's (`docs/FORMAT.md` §4) — give each run its own
+        // lane when id lookup across runs matters.
         let synthetic_next = index
             .windows
             .iter()
@@ -453,10 +454,15 @@ impl LaneWriter {
     fn open_segment(&mut self) -> Result<&mut File, TraceError> {
         if self.file.is_none() {
             let path = self.current_segment_path();
+            // `create_new` is what refuses a lane made behind the write
+            // handle (`docs/FORMAT.md` §1); name the file that was there.
             let mut file = OpenOptions::new()
                 .create_new(true)
                 .write(true)
-                .open(&path)?;
+                .open(&path)
+                .map_err(|error| {
+                    std::io::Error::new(error.kind(), format!("{}: {error}", path.display()))
+                })?;
             file.write_all(&segment_header(self.lane, self.seq, self.segment_version))?;
             self.segment_bytes = SEGMENT_HEADER_LEN;
             self.segment_windows = 0;

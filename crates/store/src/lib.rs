@@ -10,7 +10,8 @@
 //! * [`LaneWriter`] — an append-only, CRC-framed segment writer for one
 //!   lane (one shard/stream). It implements
 //!   [`trace_model::EventSink`], so a `ReductionSession` (or one lane per
-//!   stream of a `FleetReducer`) records straight to disk. Segments
+//!   stream of a `FleetReducer`) records straight to disk, on the
+//!   thread that runs the session — the store spawns no thread. Segments
 //!   rotate by size and/or window count ([`StoreConfig`]); a sidecar
 //!   index maps window ids and timestamp ranges to exact byte offsets.
 //!   [`StoreWriter`] is the directory opened for writing: it lists it
@@ -40,9 +41,6 @@
 //!   windows past a retention horizon are dropped, keeping reopen and
 //!   replay costs flat on week-long runs. Runs standalone on a closed
 //!   store or inline in the writer after each rotation.
-//! * [`SpooledSink`] — a double-buffered writer thread behind the
-//!   synchronous `EventSink` trait, so shard workers overlap monitoring
-//!   with disk I/O without the trait (or in-memory sinks) changing.
 //! * [`Snapshot`] / [`Tailer`] / [`CommitLog`] — the live read side. A
 //!   [`Snapshot`] is an immutable, cheaply cloneable view of everything
 //!   committed at a point in time, backed by `Arc`-shared segment
@@ -93,7 +91,6 @@ mod map;
 mod reader;
 mod segment;
 mod snapshot;
-mod spool;
 mod tail;
 mod writer;
 
@@ -107,7 +104,6 @@ pub use lane::{LaneWriter, StoreConfig};
 pub use map::{SegmentCache, SegmentMap, DEFAULT_RESIDENT_SEGMENTS};
 pub use reader::{LaneReplay, StoreReader};
 pub use snapshot::Snapshot;
-pub use spool::{SpooledSink, DEFAULT_SPOOL_DEPTH};
 pub use tail::{TailStep, TailWindow, Tailer};
 pub use writer::StoreWriter;
 // Re-exported so store configuration does not force a trace-model import.
@@ -358,89 +354,6 @@ mod tests {
             );
         }
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn spooled_sink_applies_in_order_and_hands_the_inner_sink_back() {
-        let mut spooled = SpooledSink::new(trace_model::MemorySink::new());
-        let mut all = Vec::new();
-        for id in 0..50u64 {
-            let (meta, events, encoded) = window_batch(id, id * 2_000, 4);
-            spooled.record_window(&meta, &events, &encoded).unwrap();
-            all.extend(events);
-        }
-        assert_eq!(spooled.recorded_events(), all.len());
-        let enqueued_bytes = spooled.encoded_len();
-        let inner = spooled.finish().unwrap();
-        assert_eq!(inner.events(), all.as_slice());
-        assert!(inner.encoded_len() > 0);
-        assert_eq!(inner.encoded_len(), enqueued_bytes);
-    }
-
-    #[test]
-    fn spooled_store_lane_round_trips() {
-        let dir = temp_dir("spooled");
-        let writer = LaneWriter::create(&dir, 0, StoreConfig::default()).unwrap();
-        let mut spooled = SpooledSink::new(writer);
-        let mut all = Vec::new();
-        for id in 0..10u64 {
-            let (meta, events, encoded) = window_batch(id, id * 2_000, 7);
-            spooled.record_window(&meta, &events, &encoded).unwrap();
-            all.extend(events);
-        }
-        spooled.finish().unwrap().close().unwrap();
-        let reader = StoreReader::open(&dir).unwrap();
-        assert!(reader.recovery().clean);
-        assert_eq!(reader.lane_events(0).unwrap(), all);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// A sink that fails after N records, for spool error propagation.
-    #[derive(Debug, Default)]
-    struct FlakySink {
-        records_left: usize,
-        events: usize,
-    }
-
-    impl EventSink for FlakySink {
-        fn record(&mut self, events: &[TraceEvent]) -> Result<(), trace_model::TraceError> {
-            if self.records_left == 0 {
-                return Err(trace_model::TraceError::Io(std::io::Error::other(
-                    "disk full",
-                )));
-            }
-            self.records_left -= 1;
-            self.events += events.len();
-            Ok(())
-        }
-
-        fn recorded_events(&self) -> usize {
-            self.events
-        }
-    }
-
-    #[test]
-    fn spool_surfaces_the_writers_error_and_recovers_the_sink() {
-        let mut spooled = SpooledSink::with_depth(
-            FlakySink {
-                records_left: 2,
-                events: 0,
-            },
-            2,
-        );
-        let mut first_error = None;
-        for id in 0..100u64 {
-            let (_, events, _) = window_batch(id, id * 2_000, 3);
-            if let Err(error) = spooled.record(&events) {
-                first_error = Some(error);
-                break;
-            }
-        }
-        let error = first_error.expect("the flaky sink must surface through the spool");
-        assert!(error.to_string().contains("disk full"), "{error}");
-        let (sink, error) = spooled.finish_parts();
-        assert!(error.is_some());
-        assert_eq!(sink.events, 6, "two records of three events landed");
     }
 
     #[test]

@@ -103,14 +103,7 @@ impl SegmentData {
             let validated = self.validated.lock().expect("validation memo poisoned");
             validated.contains(&entry.offset)
         };
-        let frame = read_indexed_frame(
-            self.version,
-            &self.bytes,
-            lane,
-            entry,
-            entry.offset,
-            !already,
-        )?;
+        let frame = read_indexed_frame(self.version, &self.bytes, lane, entry, !already)?;
         if !already {
             self.crc_validations.inc();
             self.validated

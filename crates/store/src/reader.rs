@@ -1,12 +1,9 @@
 //! Opening a store directory and replaying what it holds.
 
 use std::collections::BTreeMap;
-use std::fs::File;
-use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use trace_model::codec::CodecId;
 use trace_model::{EventSource, Timestamp, TraceError, TraceEvent, WindowId};
 
 use crate::index::{
@@ -15,8 +12,8 @@ use crate::index::{
 };
 use crate::map::{SegmentCache, SegmentMap};
 use crate::segment::{
-    decode_sidecar, frame_end, legacy_sidecar_file_name, list_store_dir, parse_segment_header,
-    read_indexed_frame, scan_segment, segment_file_name, sidecar_file_name, SEGMENT_HEADER_LEN,
+    decode_sidecar, frame_end, legacy_sidecar_file_name, list_store_dir, scan_segment,
+    segment_file_name, sidecar_file_name, SEGMENT_HEADER_LEN,
 };
 use crate::snapshot::Snapshot;
 
@@ -42,7 +39,10 @@ use crate::snapshot::Snapshot;
 /// zero-copy slices (or decoded from their stored blocks, for
 /// compressed frames), CRC-validated on first touch — one buffered
 /// sequential pass for full-lane replay instead of a seek and two reads
-/// per frame.
+/// per frame. A by-id query for a window id the lane holds twice (a
+/// resumed lane recording a second session) answers with the most
+/// recently committed occurrence, as [`Snapshot`]'s does
+/// (`docs/FORMAT.md` §4).
 ///
 /// ```rust
 /// use endurance_store::{LaneWriter, StoreConfig, StoreReader};
@@ -364,14 +364,11 @@ impl StoreReader {
         window_id: WindowId,
     ) -> Result<Option<Vec<u8>>, TraceError> {
         self.with_lane_map(lane, |index, map| {
-            let Some(entry) = index
-                .windows
-                .iter()
-                .find(|entry| entry.window_id == window_id.index())
-            else {
+            let Some(at) = index.latest(window_id) else {
                 return Ok(None);
             };
-            map.payload(entry).map(|payload| Some(payload.to_vec()))
+            map.payload(&index.windows[at])
+                .map(|payload| Some(payload.to_vec()))
         })
     }
 
@@ -385,11 +382,8 @@ impl StoreReader {
         lane: u32,
         window_id: WindowId,
     ) -> Result<Option<WindowEntry>, TraceError> {
-        Ok(self
-            .lane_windows(lane)?
-            .iter()
-            .find(|entry| entry.window_id == window_id.index())
-            .copied())
+        let index = self.lane_index(lane)?;
+        Ok(index.latest(window_id).map(|at| index.windows[at]))
     }
 
     /// The recorded windows surrounding `window_id` in recording order:
@@ -410,11 +404,7 @@ impl StoreReader {
         context: usize,
     ) -> Result<Vec<(WindowEntry, Vec<u8>)>, TraceError> {
         self.with_lane_map(lane, |index, map| {
-            let Some(target) = index
-                .windows
-                .iter()
-                .position(|entry| entry.window_id == window_id.index())
-            else {
+            let Some(target) = index.latest(window_id) else {
                 return Ok(Vec::new());
             };
             let from = target.saturating_sub(context);
@@ -464,13 +454,10 @@ impl StoreReader {
         window_id: WindowId,
     ) -> Result<Option<Vec<TraceEvent>>, TraceError> {
         self.with_lane_map(lane, |index, map| {
-            let Some(entry) = index
-                .windows
-                .iter()
-                .find(|entry| entry.window_id == window_id.index())
-            else {
+            let Some(at) = index.latest(window_id) else {
                 return Ok(None);
             };
+            let entry = &index.windows[at];
             let mut events = Vec::with_capacity(entry.events as usize);
             map.decode_events_into(entry, &mut events)?;
             Ok(Some(events))
@@ -534,64 +521,6 @@ impl StoreReader {
             }
             Ok(bytes)
         })
-    }
-
-    /// All events of one lane via the legacy per-frame read path: one
-    /// `open` + `seek` + two `read`s per frame, no buffering.
-    ///
-    /// Hidden from the documented API: it exists solely as the
-    /// comparison baseline for the buffered replay path (the
-    /// `store_replay_buffered` gate in `bench_smoke` holds the buffered
-    /// pass to ≥ 2× this one). Use [`StoreReader::lane_events`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`StoreReader::window_events`].
-    #[doc(hidden)]
-    pub fn lane_events_seek_per_frame(&self, lane: u32) -> Result<Vec<TraceEvent>, TraceError> {
-        use trace_model::codec::{BinaryDecoder, TraceDecoder};
-        let index = self.lane_index(lane)?;
-        let mut events = Vec::with_capacity(index.total_events() as usize);
-        let mut decoder = BinaryDecoder::new();
-        for entry in &index.windows {
-            let payload = self.read_entry_seek(lane, entry)?;
-            decoder.decode_into(&payload, &mut events)?;
-        }
-        Ok(events)
-    }
-
-    /// Reads one frame's payload with the per-frame seek path,
-    /// decompressing through a throwaway codec instance. Like the
-    /// buffered path, the codec id and raw length come from the
-    /// CRC-protected bytes in the *file* (segment header, frame meta),
-    /// never from the sidecar.
-    fn read_entry_seek(&self, lane: u32, entry: &WindowEntry) -> Result<Vec<u8>, TraceError> {
-        let path = self.dir.join(segment_file_name(lane, entry.segment));
-        let mut file = File::open(&path)?;
-        let mut segment_header = [0u8; SEGMENT_HEADER_LEN as usize];
-        file.read_exact(&mut segment_header)?;
-        let version = parse_segment_header(&segment_header, &path, lane, entry.segment)?;
-        // Sized by the row, so held to the file before anything is
-        // reserved; a row that fits no frame reads nothing and is refused
-        // by the parser below.
-        let frame_len = frame_end(version, entry)
-            .filter(|end| file.metadata().is_ok_and(|file| *end <= file.len()))
-            .map_or(0, |end| end - entry.offset);
-        let mut bytes = vec![0u8; frame_len as usize];
-        file.seek(SeekFrom::Start(entry.offset))?;
-        file.read_exact(&mut bytes)?;
-        let frame = read_indexed_frame(version, &bytes, lane, entry, 0, true)?;
-        if frame.codec == CodecId::Identity {
-            bytes.drain(..frame.block.start);
-            return Ok(bytes);
-        }
-        let raw_len = frame.raw_len as usize;
-        let mut payload = Vec::with_capacity(raw_len);
-        frame
-            .codec
-            .new_codec()
-            .decompress(&bytes[frame.block], raw_len, &mut payload)?;
-        Ok(payload)
     }
 
     /// A lazy [`EventSource`] over one lane's recorded events, window by

@@ -596,9 +596,8 @@ pub(crate) fn read_frame(
 }
 
 /// [`read_frame`] for a reader that holds the frame's index row: the
-/// frame must be there, intact and as long as the row says. `at` is
-/// where it starts in `bytes` — `entry.offset`, unless `bytes` is a
-/// private read of the frame alone. The window fields are the row's;
+/// frame must be there — at `entry.offset` of `bytes`, the segment —
+/// intact and as long as the row says. The window fields are the row's;
 /// codec, raw length and block come from the CRC-protected bytes of the
 /// file, never from the sidecar.
 ///
@@ -611,10 +610,9 @@ pub(crate) fn read_indexed_frame(
     bytes: &[u8],
     lane: u32,
     entry: &WindowEntry,
-    at: u64,
     verify_crc: bool,
 ) -> Result<Frame, TraceError> {
-    let reason = match read_frame(version, bytes, at, verify_crc)? {
+    let reason = match read_frame(version, bytes, entry.offset, verify_crc)? {
         FrameRead::Frame(frame) if frame.body.len() == entry.len as usize => return Ok(frame),
         FrameRead::Frame(frame) => format!(
             "index says frame body is {} bytes, file says {}",
@@ -1546,7 +1544,7 @@ mod tests {
                 // An index-driven reader finds the same block with no
                 // predecessor in hand.
                 let indexed =
-                    read_indexed_frame(SEGMENT_VERSION_V3, &file, 0, entry, entry.offset, true)
+                    read_indexed_frame(SEGMENT_VERSION_V3, &file, 0, entry, true)
                         .unwrap();
                 prop_assert_eq!(indexed.block, frame.block);
                 prop_assert_eq!((indexed.raw_len, indexed.events), (entry.raw_len, entry.events));

@@ -26,7 +26,9 @@ use crate::reader::{LoadedLane, StoreReader};
 /// windowed read paths and answer from the captured index — a window
 /// committed after the capture does not exist here, and a maintenance
 /// pass rewriting the lane layout underneath surfaces as a decode error
-/// on the affected reads, exactly like the reader.
+/// on the affected reads, exactly like the reader. A by-id query for a
+/// window id the lane holds twice answers with the most recently
+/// committed occurrence, as the reader's does (`docs/FORMAT.md` §4).
 ///
 /// ```rust
 /// use endurance_store::{LaneWriter, Snapshot, StoreConfig};
@@ -66,8 +68,8 @@ struct Inner {
 #[derive(Debug)]
 struct LaneView {
     windows: Vec<WindowEntry>,
-    /// Window id → position in `windows` (last occurrence wins, matching
-    /// recording order semantics of the reader's linear scans).
+    /// Window id → position in `windows`; the last occurrence wins, the
+    /// rule of `LaneIndex::latest`.
     by_id: HashMap<u64, usize>,
     /// Decode front (scratch buffers + codec state) over the shared
     /// cache; short lock per read, buffers themselves are shared.

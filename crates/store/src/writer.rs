@@ -115,28 +115,17 @@ impl StoreWriter {
     /// Same conditions as [`LaneWriter::create`].
     pub fn lane(&self, lane: u32, config: StoreConfig) -> Result<LaneWriter, TraceError> {
         std::fs::create_dir_all(&self.dir)?;
-        let files = if self.first_sight(lane) {
+        let first_sight = self
+            .seen
+            .lock()
+            .expect("no panic holds the seen-lanes lock")
+            .insert(lane);
+        let files = if first_sight {
             LaneFiles::default()
         } else {
             self.listings.inc();
             list_lane(&self.dir, lane)?
         };
         LaneWriter::create_from(self.dir.clone(), lane, config, files)
-    }
-
-    /// Records that `lane` can have files — a writer made outside this
-    /// handle announced it — so that the next [`StoreWriter::lane`] for
-    /// it lists and recovers. There is no inverse: the set only grows,
-    /// and nothing but [`StoreWriter::lane`] reads it.
-    pub fn mark_seen(&self, lane: u32) {
-        self.first_sight(lane);
-    }
-
-    /// Adds `lane` to the seen set; whether it was absent.
-    fn first_sight(&self, lane: u32) -> bool {
-        self.seen
-            .lock()
-            .expect("no panic holds the seen-lanes lock")
-            .insert(lane)
     }
 }

@@ -148,8 +148,6 @@ fn assert_store_matches(reader: &StoreReader, recorded: &[(u64, Vec<TraceEvent>,
             "window {id}"
         );
     }
-    // The legacy seek-per-frame path agrees too.
-    assert_eq!(reader.lane_events_seek_per_frame(0).unwrap(), all_events);
 }
 
 /// Writes `windows` windows of 30 events to lane 0 under `codec`, three

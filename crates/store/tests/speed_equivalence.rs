@@ -772,9 +772,9 @@ fn record_followed(
 }
 
 /// What every reader of lane 0 of `dir` hands back, which must be
-/// `windows`: the cold reader through the sidecar, the seek-per-frame
-/// path, point reads off a snapshot in the order `shuffle` gives, and the
-/// scanner once the sidecar is gone. Returns the codec column.
+/// `windows`: the cold reader through the sidecar, point reads off a
+/// snapshot in the order `shuffle` gives, and the scanner once the
+/// sidecar is gone. Returns the codec column.
 fn assert_every_reader_replays(dir: &std::path::Path, windows: &[Window], shuffle: u64) -> Vec<u8> {
     let fields: Vec<_> = windows.iter().map(Window::fields).collect();
     let events: Vec<TraceEvent> = windows.iter().flat_map(|w| w.events.clone()).collect();
@@ -786,7 +786,6 @@ fn assert_every_reader_replays(dir: &std::path::Path, windows: &[Window], shuffl
     assert_eq!(rows.iter().map(entry_fields).collect::<Vec<_>>(), fields);
     assert_eq!(reader.lane_events(0).unwrap(), events);
     assert_eq!(reader.lane_payload_bytes(0).unwrap(), payloads);
-    assert_eq!(reader.lane_events_seek_per_frame(0).unwrap(), events);
     assert_eq!(reader.total_payload_bytes(), payloads.len() as u64);
     drop(reader);
 

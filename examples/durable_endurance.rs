@@ -9,7 +9,7 @@
 //!
 //! 1. **Record** — the paper's experiment runs once per frame codec as
 //!    a one-stream fleet, recording through an `endurance-store` lane
-//!    behind a [`SpooledSink`] writer thread, closing cleanly, and the
+//!    on the thread that runs its session, closing cleanly, and the
 //!    volume metrics recomputed from a cold reopen of each store
 //!    (`MultiStreamExperiment::run_durable`): identical replayed
 //!    payloads, different bytes on the device.
@@ -26,7 +26,7 @@ use std::time::Duration;
 
 use endurance_core::{ReductionSession, WindowDecision};
 use endurance_eval::{Experiment, MultiStreamExperiment};
-use endurance_store::{CodecId, LaneWriter, SpooledSink, StoreConfig, StoreReader};
+use endurance_store::{CodecId, LaneWriter, StoreConfig, StoreReader};
 use mm_sim::Simulation;
 use trace_model::EventSource;
 
@@ -82,14 +82,12 @@ fn main() -> Result<(), Box<dyn Error>> {
     let mut simulation = Simulation::new(&experiment.scenario, &registry)?;
     let writer = LaneWriter::create(&crash_dir, 0, StoreConfig::default())?;
     let mut session = ReductionSession::new(experiment.monitor.clone())?
-        .with_sink(SpooledSink::new(writer))
+        .with_sink(writer)
         .with_observer(Vec::<WindowDecision>::new());
     session.push_source(&mut simulation)?;
     let outcome = session.finish()?;
     let live_recorded = outcome.report.recorder.events_recorded;
-    let (writer, spool_error) = outcome.sink.finish_parts();
-    assert!(spool_error.is_none());
-    drop(writer); // no close(): the sidecar index is never written
+    drop(outcome.sink); // no close(): the sidecar index is never written
 
     // A torn half-frame at the tail, as an interrupted write leaves one.
     let torn_path = last_segment(&crash_dir)?;

@@ -8,8 +8,8 @@
 //!
 //! Walks the whole store lifecycle (write → rotate → compact → replay):
 //!
-//! 1. **Record & crash** — a 4-device fleet records through one spooled
-//!    store lane per device under the `FleetReducer`, each lane under a
+//! 1. **Record & crash** — a 4-device fleet records through one store
+//!    lane per device on the `FleetReducer`'s workers, each lane under a
 //!    *different* frame codec (identity, delta-varint, lz-block, ...);
 //!    the writers are dropped without `close` (no sidecars) and a torn
 //!    half-frame is appended to one lane, the way a killed process
@@ -32,7 +32,7 @@ use std::time::Duration;
 use endurance_core::FleetReducer;
 use endurance_eval::MultiStreamExperiment;
 use endurance_store::{
-    CodecId, Compactor, MaintenancePolicy, SpooledSink, StoreConfig, StoreReader, StoreWriter,
+    CodecId, Compactor, MaintenancePolicy, StoreConfig, StoreReader, StoreWriter,
 };
 use mm_sim::Simulation;
 use trace_model::{EventSource, InterleavedStreams, StreamId, Timestamp};
@@ -84,8 +84,9 @@ fn main() -> Result<(), Box<dyn Error>> {
     let crash_store = StoreWriter::open(&crash_dir)?;
     let mut reducer = FleetReducer::new(fleet.streams()[0].monitor.clone(), DEVICES)?.with_sinks(
         move |device: StreamId| {
-            let lane = crash_store.lane(device.as_u32(), store_for(device.index()));
-            SpooledSink::new(lane.expect("a fresh directory accepts every lane"))
+            crash_store
+                .lane(device.as_u32(), store_for(device.index()))
+                .expect("a fresh directory accepts every lane")
         },
     );
     for (device, event) in InterleavedStreams::new(simulations) {
@@ -103,10 +104,7 @@ fn main() -> Result<(), Box<dyn Error>> {
             report.anomalous_windows,
             report.reduction_factor()
         );
-        let sink = device.sink.expect("a completed device hands back its sink");
-        let (writer, spool_error) = sink.finish_parts();
-        assert!(spool_error.is_none());
-        drop(writer); // crash: no close(), no sidecar
+        drop(device.sink); // crash: no close(), no sidecar
     }
     println!("  aggregate: {}", outcome.aggregate);
 

@@ -13,8 +13,8 @@
 //! * the **collector plane** (a `FleetReducer` fed `shard_of` ids)
 //!   exports its channel and session counters (`core_fleet_*`,
 //!   `core_session_*`);
-//! * the **store lanes** behind each shard's `SpooledSink` export frame
-//!   and byte counters (`store_*`);
+//! * the **store lanes** each shard's worker appends to export frame and
+//!   byte counters (`store_*`);
 //! * the **serving layer** exports per-lane delivery counters and
 //!   watermark-lag gauges for the tail followers (`serve_*`);
 //!
@@ -35,7 +35,7 @@ use std::time::{Duration, Instant};
 use endurance_core::{shard_of, FleetReducer, MonitorConfig};
 use endurance_obs::{MetricsHub, Registry};
 use endurance_serve::{ServeHandle, SubscribeOptions, SubscriptionStats, SubscriptionStep};
-use endurance_store::{SpooledSink, StoreConfig};
+use endurance_store::StoreConfig;
 use mm_sim::{FleetEvent, FleetScenario, FleetSim};
 use trace_model::StreamId;
 
@@ -119,7 +119,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         .collect();
 
     // Collector plane: a few shards absorb the whole fleet trace, each
-    // recording its reduced windows through a spooled serve-lane writer.
+    // recording its reduced windows through a serve-lane writer.
     // The lanes are opened up front (every follower needs its writer to
     // exist) and handed to the shard sessions as they open. They come
     // from the directory's one write handle inside `serve`, opened by the
@@ -130,8 +130,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         .build()?;
     let mut lanes = Vec::with_capacity(SHARDS);
     for lane in 0..SHARDS as u32 {
-        let writer = serve.create_writer(lane, StoreConfig::default())?;
-        lanes.push(Some(SpooledSink::new(writer)));
+        lanes.push(Some(serve.create_writer(lane, StoreConfig::default())?));
     }
     let lanes = Mutex::new(lanes);
     let mut collector = FleetReducer::new(monitor, SHARDS)?
@@ -165,8 +164,8 @@ fn main() -> Result<(), Box<dyn Error>> {
         )
         .into());
     }
-    // Drain each spool and close each lane; closing publishes the final
-    // watermark, which ends the lane's subscription after the grace.
+    // Close each lane; closing publishes the final watermark, which ends
+    // the lane's subscription after the grace.
     let mut recorded_windows = 0u64;
     for shard in outcome.streams {
         let (Some(report), Some(sink)) = (shard.report, shard.sink) else {
@@ -174,7 +173,7 @@ fn main() -> Result<(), Box<dyn Error>> {
             return Err(format!("shard {} failed: {error}", shard.stream).into());
         };
         recorded_windows += report.recorder.windows_recorded;
-        sink.finish()?.close()?;
+        sink.close()?;
     }
     let followed = followers
         .into_iter()

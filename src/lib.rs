@@ -12,7 +12,7 @@
 //! * [`mm_sim`] — the multimedia-pipeline workload simulator;
 //! * [`endurance_eval`] — ground truth, metrics, sweeps and baselines;
 //! * [`endurance_store`] — durable segment storage for recorded traces,
-//!   with crash recovery, windowed replay and the spooled sink adapter;
+//!   with crash recovery and windowed replay;
 //! * [`endurance_repro`] — reproduction artifacts extracted from
 //!   recorded stores, the ddmin minimizer and the regression-corpus
 //!   writer.

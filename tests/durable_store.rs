@@ -6,11 +6,15 @@
 
 use std::time::Duration;
 
-use endurance_core::{FleetReducer, MonitorConfig, ReductionSession, WindowDecision};
-use endurance_store::{LaneWriter, SpooledSink, StoreConfig, StoreReader};
+use endurance_core::{
+    CoreError, FleetOutcome, FleetReducer, MonitorConfig, ReductionSession, WindowDecision,
+};
+use endurance_repro::extract_window;
+use endurance_store::{LaneWriter, Snapshot, StoreConfig, StoreReader, StoreWriter};
+use trace_model::codec::{BinaryEncoder, TraceEncoder};
 use trace_model::{
-    EventSink, EventTypeId, InterleavedStreams, MemorySource, StreamId, Timestamp, TraceError,
-    TraceEvent,
+    EventSink, EventTypeId, InterleavedStreams, MemorySource, RecordMeta, StreamId, Timestamp,
+    TraceError, TraceEvent, WindowId,
 };
 
 /// A sink that keeps both the recorded events and the exact encoded bytes
@@ -160,15 +164,14 @@ fn single_lane_store_replays_byte_for_byte_after_crash() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn multi_lane_sharded_store_matches_serial_memory_runs() {
+/// Three devices' streams and, as ground truth, what one standalone
+/// session per stream records into memory.
+fn fleet_streams() -> (Vec<Vec<TraceEvent>>, Vec<EncodedSink>) {
     let streams: Vec<Vec<TraceEvent>> = [(230u64, 21_000u64), (300, 11_000), (330, 37_000)]
         .iter()
         .map(|&(tick, phase)| source_events(tick, phase, 6))
         .collect();
-
-    // Ground truth: one standalone session per source, memory sinks.
-    let serial: Vec<EncodedSink> = streams
+    let serial = streams
         .iter()
         .map(|events| {
             let mut session = ReductionSession::new(config())
@@ -178,18 +181,18 @@ fn multi_lane_sharded_store_matches_serial_memory_runs() {
             session.finish().expect("finish").sink
         })
         .collect();
+    (streams, serial)
+}
 
-    // The run under test: a fleet reducer recording each stream through
-    // a spooled store lane (monitoring overlaps disk writes), crashed
-    // before any close.
-    let dir = temp_dir("sharded");
-    let store_dir = dir.clone();
+/// `streams` interleaved through a fleet reducer, stream `i` recording
+/// into `lane(i)` on its worker.
+fn reduce_fleet(
+    streams: &[Vec<TraceEvent>],
+    lane: impl Fn(u32) -> LaneWriter + Send + Sync + 'static,
+) -> FleetOutcome<LaneWriter> {
     let mut reducer = FleetReducer::new(config(), streams.len())
         .expect("reducer")
-        .with_sinks(move |stream: StreamId| {
-            let lane = LaneWriter::create(&store_dir, stream.as_u32(), StoreConfig::default());
-            SpooledSink::new(lane.expect("lane"))
-        });
+        .with_sinks(move |stream: StreamId| lane(stream.as_u32()));
     let sources: Vec<MemorySource> = streams
         .iter()
         .map(|events| MemorySource::new(events.clone()).expect("ordered"))
@@ -198,31 +201,104 @@ fn multi_lane_sharded_store_matches_serial_memory_runs() {
         reducer.push(stream, event).expect("push");
     }
     let outcome = reducer.finish().expect("finish");
-    assert_eq!(outcome.failed_streams, 0);
     assert!(outcome.worker_panics.is_empty());
-    for stream in outcome.streams {
-        let (writer, error) = stream.sink.expect("sink").finish_parts();
-        assert!(error.is_none());
-        drop(writer); // crash: no close()
-    }
+    outcome
+}
+
+/// Lane `lane` of `reader` holds exactly what `expected` recorded.
+fn assert_lane_matches(reader: &StoreReader, lane: usize, expected: &EncodedSink) {
+    assert!(!expected.events.is_empty(), "lane {lane} must record");
+    assert_eq!(
+        reader.lane_events(lane as u32).expect("events"),
+        expected.events,
+        "lane {lane} events"
+    );
+    assert_eq!(
+        reader.lane_payload_bytes(lane as u32).expect("bytes"),
+        expected.bytes,
+        "lane {lane} bytes"
+    );
+}
+
+#[test]
+fn multi_lane_sharded_store_matches_serial_memory_runs() {
+    let (streams, serial) = fleet_streams();
+
+    // The run under test: a fleet reducer recording each stream through
+    // a store lane on the stream's worker, crashed before any close.
+    let dir = temp_dir("sharded");
+    let store_dir = dir.clone();
+    let outcome = reduce_fleet(&streams, move |lane| {
+        LaneWriter::create(&store_dir, lane, StoreConfig::default()).expect("lane")
+    });
+    assert_eq!(outcome.failed_streams, 0);
+    drop(outcome.streams); // crash: no close()
 
     let reader = StoreReader::open(&dir).expect("open");
     assert!(!reader.recovery().clean);
     assert_eq!(reader.lane_ids(), vec![0, 1, 2]);
     for (lane, expected) in serial.iter().enumerate() {
-        assert!(!expected.events.is_empty(), "lane {lane} must record");
-        assert_eq!(
-            reader.lane_events(lane as u32).expect("events"),
-            expected.events,
-            "lane {lane} events"
-        );
-        assert_eq!(
-            reader.lane_payload_bytes(lane as u32).expect("bytes"),
-            expected.bytes,
-            "lane {lane} bytes"
-        );
+        assert_lane_matches(&reader, lane, expected);
     }
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_refused_append_is_the_writers_own_error_and_stays_in_its_lane() {
+    // Lane 1's segment 0 is made behind an open `StoreWriter`, which
+    // docs/FORMAT.md §1 forbids: the handle's writer for lane 1 starts
+    // at segment 0 without looking and its first append is refused.
+    let open_with_outsider = |tag: &str| {
+        let dir = temp_dir(tag);
+        let store = StoreWriter::open(&dir).expect("open");
+        let mut outsider = LaneWriter::create(&dir, 1, StoreConfig::default()).expect("outsider");
+        let event = TraceEvent::new(Timestamp::from_micros(1), EventTypeId::new(0), 0);
+        outsider.record(&[event]).expect("record");
+        (dir, store, vec![event])
+    };
+    let (streams, serial) = fleet_streams();
+
+    // One session: the writer's typed error reaches the caller, and the
+    // writer is poisoned — no sidecar goes over what it never wrote.
+    let (dir, store, _) = open_with_outsider("refused-session");
+    let mut session = ReductionSession::new(config())
+        .expect("session")
+        .with_sink(store.lane(1, StoreConfig::default()).expect("lane"));
+    let error = session.push_batch(&streams[1]).expect_err("refused");
+    assert!(
+        matches!(&error, CoreError::Trace(TraceError::Io(io))
+            if io.kind() == std::io::ErrorKind::AlreadyExists),
+        "{error:?}"
+    );
+    let (mut writer, _) = session.abort();
+    assert!(writer.sync().is_err() && writer.close().is_err());
+    std::fs::remove_dir_all(&dir).ok();
+
+    // Under the fleet engine the refusal fails stream 1 alone, by name;
+    // its neighbours' lanes close, reopen clean and replay byte for byte.
+    let (dir, store, outsider_events) = open_with_outsider("refused-fleet");
+    let outcome = reduce_fleet(&streams, move |lane| {
+        store.lane(lane, StoreConfig::default()).expect("lane")
+    });
+    assert_eq!(outcome.failed_streams, 1);
+    for stream in outcome.streams {
+        let closed = stream
+            .sink
+            .expect("a failed stream hands back its sink")
+            .close();
+        let error = stream.error.unwrap_or_default();
+        if stream.stream.index() == 1 {
+            assert!(error.contains("lane0001-000000.seg"), "{error}");
+            assert!(closed.is_err());
+        } else {
+            assert!(error.is_empty() && closed.is_ok(), "{error} {closed:?}");
+        }
+    }
+    let reader = StoreReader::open(&dir).expect("open");
+    assert_lane_matches(&reader, 0, &serial[0]);
+    assert_lane_matches(&reader, 2, &serial[2]);
+    assert_eq!(reader.lane_events(1).expect("outsider's"), outsider_events);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -250,6 +326,71 @@ fn store_replay_feeds_a_fresh_session_as_an_event_source() {
     assert!(replay.error().is_none());
     assert_eq!(read as u64, recorded);
     assert_eq!(drained, reader.lane_events(0).expect("events"));
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_window_id_recorded_twice_reads_back_as_the_latest_everywhere() {
+    // Six windows one session recorded, and the model it scored them
+    // against.
+    let events = source_events(300, 11_000, 6);
+    let mut session = ReductionSession::new(config())
+        .expect("session")
+        .with_observer(Vec::<WindowDecision>::new());
+    session.push_batch(&events).expect("push");
+    let model = session.model().expect("monitoring").clone();
+    let decisions = session.finish().expect("finish").observer;
+    let recorded: Vec<&WindowDecision> = decisions.iter().filter(|d| d.recorded()).collect();
+    assert!(recorded.len() >= 6, "{} recorded", recorded.len());
+
+    // A resumed lane recording a second session restarts its ids
+    // (docs/FORMAT.md §4): 0, 1, 2, crash, then 1, 2, 3.
+    let dir = temp_dir("twice");
+    let mut written = Vec::new();
+    for (run, ids) in [[0u64, 1, 2], [1, 2, 3]].iter().enumerate() {
+        let mut writer = LaneWriter::create(&dir, 0, StoreConfig::default()).expect("lane");
+        for (decision, &id) in recorded[run * 3..].iter().zip(ids) {
+            let window: Vec<TraceEvent> = events
+                .iter()
+                .filter(|ev| ev.timestamp >= decision.start && ev.timestamp < decision.end)
+                .copied()
+                .collect();
+            let mut payload = Vec::new();
+            BinaryEncoder::new()
+                .encode(&window, &mut payload)
+                .expect("encode");
+            let meta = RecordMeta {
+                window_id: WindowId::new(id),
+                start: decision.start,
+                end: decision.end,
+            };
+            writer
+                .record_window(&meta, &window, &payload)
+                .expect("record");
+            written.push((window, payload));
+        }
+        drop(writer); // crash: the next run resumes the lane
+    }
+
+    // Every by-id surface answers `1` with the second run's window, the
+    // fourth written — `extract_window` with the first `1` in its context.
+    let id = WindowId::new(1);
+    let latest = recorded[3].start.as_nanos();
+    let reader = StoreReader::open(&dir).expect("open");
+    let snapshot = Snapshot::open(&dir).expect("snapshot");
+    let entry = reader.window_entry(0, id).expect("entry");
+    assert_eq!(entry.map(|entry| entry.start_ns), Some(latest));
+    assert_eq!(snapshot.window_entry(0, id).expect("entry"), entry);
+    let payload = reader.window_payload(0, id).expect("payload");
+    assert_eq!(payload.as_ref(), Some(&written[3].1));
+    assert_eq!(snapshot.window_payload(0, id).expect("payload"), payload);
+    let decoded = reader.window_events(0, id).expect("events");
+    assert_eq!(decoded.as_ref(), Some(&written[3].0));
+    assert_eq!(snapshot.window_events(0, id).expect("events"), decoded);
+    let artifact = extract_window(&reader, 0, id, 2, &config(), &model, "twice").expect("extract");
+    assert_eq!(artifact.target_start_ns, latest);
+    assert_eq!(artifact.windows.len(), 5);
 
     std::fs::remove_dir_all(&dir).ok();
 }

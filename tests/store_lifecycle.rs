@@ -2,8 +2,7 @@
 //! exercised end to end through the public crates:
 //!
 //! * replay of a compacted store is byte-for-byte identical to replay of
-//!   the uncompacted store for all retained windows, via both the
-//!   buffered and the legacy seek-per-frame paths;
+//!   the uncompacted store for all retained windows;
 //! * `MultiStreamExperiment::run_durable` reproduces the in-memory fleet
 //!   confusion matrices exactly after a cold reopen, and each lane's
 //!   payload bytes equal a standalone per-stream session's.
@@ -122,11 +121,6 @@ fn compacted_replay_is_byte_for_byte_identical_to_uncompacted_replay() {
     let after = StoreReader::open(&dir).expect("reopen");
     assert!(after.recovery().clean);
     assert_eq!(after.lane_events(0).expect("events"), events_before);
-    assert_eq!(
-        after.lane_events_seek_per_frame(0).expect("seek path"),
-        events_before,
-        "the legacy seek-per-frame path agrees with the buffered one"
-    );
     assert_eq!(after.lane_payload_bytes(0).expect("bytes"), bytes_before);
     assert_eq!(
         after.windows_in_range(0, span.0, span.1).expect("range"),
