@@ -307,10 +307,10 @@ impl MultiStreamExperiment {
     /// `store_for(stream)` configures the lane that records stream
     /// `stream`, so a fleet can mix frame codecs (or rotation policies)
     /// across devices in one directory. A merge-only `maintenance` policy
-    /// keeps the agreement checks exact; a retention horizon (there, or in
-    /// a lane's in-writer maintenance) drops old windows by design, so
-    /// the on-disk set is verified as a subset of the recorded set and
-    /// the recomputed confusion is reported rather than compared.
+    /// keeps the agreement checks exact; a retention horizon drops old
+    /// windows by design, so the on-disk set is verified as a subset of
+    /// the recorded set and the recomputed confusion is reported rather
+    /// than compared.
     ///
     /// # Errors
     ///
@@ -333,9 +333,7 @@ impl MultiStreamExperiment {
         let compaction = maintenance
             .map(|policy| Compactor::new(dir, policy).compact())
             .transpose()?;
-        let retention = maintenance.is_some_and(|policy| policy.retention_ns.is_some())
-            || (0..self.stream_count())
-                .any(|stream| store_for(stream).maintenance.retention_ns.is_some());
+        let retention = maintenance.is_some_and(|policy| policy.retention_ns.is_some());
 
         // Cold reopen: everything below this line trusts only the disk.
         let reader = StoreReader::open(dir)?;
@@ -370,11 +368,6 @@ impl MultiStreamExperiment {
     /// followers received. `store_for(stream)` configures the lane that
     /// records stream `stream`.
     ///
-    /// In-writer maintenance is refused up front: a maintenance pass
-    /// rewrites the lane layout mid-run, which (by design) lapses live
-    /// followers, so a maintained lane cannot be scored from its
-    /// followed stream.
-    ///
     /// # Errors
     ///
     /// Propagates simulation, reduction and storage errors, and returns
@@ -389,19 +382,6 @@ impl MultiStreamExperiment {
         store_for: impl Fn(usize) -> StoreConfig,
     ) -> Result<FleetLiveResult, EvalError> {
         let dir = dir.as_ref();
-        for lane in 0..self.stream_count() {
-            let policy = store_for(lane).maintenance;
-            if policy.small_segment_bytes > 0
-                || policy.retention_ns.is_some()
-                || policy.recompress.is_some()
-            {
-                return Err(EvalError::InvalidExperiment(format!(
-                    "lane {lane} enables in-writer maintenance; maintenance rewrites the \
-                     lane layout mid-run and lapses live followers, so a live-scored run \
-                     must record with maintenance disabled"
-                )));
-            }
-        }
         refuse_used_dir(dir)?;
 
         // Subscribe every lane *before* its writer exists: followers must
@@ -735,21 +715,6 @@ mod tests {
         assert_eq!(followed.observed, durable.observed);
         assert!(durable.recovery.clean);
 
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn live_run_refuses_in_writer_maintenance() {
-        let dir = temp_dir("live-maint");
-        let fleet = small_fleet(1);
-        let refused = fleet.run_live(&dir, |_| {
-            StoreConfig::default().with_maintenance(MaintenancePolicy::merge_below(1 << 20))
-        });
-        assert!(
-            matches!(refused, Err(EvalError::InvalidExperiment(ref msg))
-                if msg.contains("maintenance")),
-            "{refused:?}"
-        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

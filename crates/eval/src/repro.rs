@@ -122,9 +122,9 @@ impl ChurnExperiment {
     /// a recorded run, when a stream's lane writer could not be opened,
     /// or when the reopened store does not hold exactly the windows,
     /// events and payload bytes the recorders counted (checked when no
-    /// stream failed and `store` sets no retention horizon — both
-    /// legitimately leave less on disk); propagates simulation,
-    /// reduction, storage and extraction errors.
+    /// stream failed — a failed stream legitimately leaves less on
+    /// disk); propagates simulation, reduction, storage and extraction
+    /// errors.
     pub fn run_durable(
         &self,
         dir: impl AsRef<Path>,
@@ -159,7 +159,7 @@ impl ChurnExperiment {
 
         // Cold reopen: extraction below trusts only the disk.
         let reader = StoreReader::open(dir)?;
-        if result.failed_streams == 0 && store.maintenance.retention_ns.is_none() {
+        if result.failed_streams == 0 {
             check_cold_totals(&reader, &result.fleet.recorder)?;
         }
         let recovery = reader.recovery().clone();

@@ -179,10 +179,10 @@ impl Subscription {
     /// # Errors
     ///
     /// The call that meets a failure returns the tailer's own error — an
-    /// I/O or decode error with its offset, or the lapse error after a
-    /// maintenance pass rewrote the lane layout mid-subscription. The
-    /// failure is sticky: every later call returns its rendering as a
-    /// [`TraceError::Decode`].
+    /// I/O or decode error with its offset, or the refusal to follow a
+    /// successor writer into a lane that was rewritten between the two
+    /// ([`Tailer::rebind`]). The failure is sticky: every later call
+    /// returns its rendering as a [`TraceError::Decode`].
     pub fn recv(&self, timeout: Duration) -> Result<SubscriptionStep, TraceError> {
         let deadline = Instant::now() + timeout;
         let mut cursor = self.cursor.lock().expect("a recv panicked");
@@ -200,10 +200,7 @@ impl Subscription {
             Ok(SubscriptionStep::Ended) => "closed",
             Err(error) => {
                 cursor.error = Some(error.to_string());
-                match &cursor.follow {
-                    Some(follow) if follow.tailer.lapsed() => "lapsed",
-                    _ => "error",
-                }
+                "error"
             }
             Ok(_) => return step,
         };

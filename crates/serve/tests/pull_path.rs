@@ -4,6 +4,9 @@
 //! hands over exactly the windows a cold `Snapshot` replays — once each,
 //! in order, byte for byte — and ends only after the resume grace. With
 //! a small lag bound it samples the tail instead, and says what it lost.
+//! Along the way the lane is append-only (`docs/FORMAT.md` §6): sealed
+//! bytes never change, the window count never falls, a snapshot stays
+//! true.
 
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -13,7 +16,7 @@ use std::time::{Duration, Instant};
 use proptest::prelude::*;
 
 use endurance_serve::{ServeHandle, SubscribeOptions, Subscription, SubscriptionStep};
-use endurance_store::{LaneWriter, Snapshot, StoreConfig};
+use endurance_store::{Compactor, LaneWriter, MaintenancePolicy, Snapshot, StoreConfig};
 use trace_model::codec::{BinaryEncoder, CodecId, TraceEncoder};
 use trace_model::{EventSink, EventTypeId, RecordMeta, Timestamp, TraceEvent, WindowId};
 
@@ -287,26 +290,71 @@ fn the_first_error_is_typed_and_ends_are_counted_once_by_cause() {
     assert_eq!(ended("2", "error"), 1);
     drop(writer);
 
-    // lapsed: inline maintenance rewrote the lane under the follower.
-    let follower = serve.subscribe_with(3, options);
-    let config = StoreConfig::default()
-        .with_segment_max_windows(1)
-        .with_maintenance(endurance_store::MaintenancePolicy::merge_below(1 << 20));
-    let mut writer = serve.create_writer(3, config).unwrap();
-    record(&mut writer, 0);
-    assert!(matches!(
-        follower.recv(Duration::from_secs(5)).unwrap(),
-        SubscriptionStep::Window(_)
-    ));
-    for id in 1..6u64 {
-        record(&mut writer, id);
-    }
-    assert!(follower.recv(Duration::from_secs(5)).is_err());
-    assert!(follower.recv(Duration::from_secs(5)).is_err());
-    assert_eq!(ended("3", "lapsed"), 1);
-    assert_eq!(ended("3", "error"), 0);
-    writer.close().unwrap();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// close → `Compactor` → resume inside a follower's resume grace: the
+/// merge folds the lane into its first segment and the new writer opens
+/// the number after it, so the successor's segment numbers are not the
+/// ones the follower's cursor was counted in. Whatever the cursor's
+/// depth, the follower is handed the whole lane or a typed refusal —
+/// never a wait for windows its cursor can no longer reach.
+#[test]
+fn a_lane_compacted_between_writers_is_followed_whole_or_refused() {
+    for read_before in 0..=4usize {
+        let dir = temp_dir(&format!("compacted-{read_before}"));
+        let serve = ServeHandle::open(&dir).unwrap();
+        let follower = serve.subscribe_with(
+            0,
+            SubscribeOptions {
+                buffer: usize::MAX,
+                resume_grace: Duration::from_secs(30),
+            },
+        );
+        let config = StoreConfig::default().with_segment_max_windows(1);
+        let mut writer = serve.create_writer(0, config).unwrap();
+        for id in 0..4u64 {
+            record(&mut writer, id);
+        }
+        let mut got = Vec::new();
+        for _ in 0..read_before {
+            match follower.recv(Duration::from_secs(5)).unwrap() {
+                SubscriptionStep::Window(window) => got.push(window.entry.window_id),
+                other => panic!("read {read_before}: four windows are committed, got {other:?}"),
+            }
+        }
+        writer.close().unwrap();
+        let merged = Compactor::new(&dir, MaintenancePolicy::merge_below(u64::MAX))
+            .compact()
+            .unwrap();
+        assert_eq!(merged.merged_runs(), 1, "{merged}");
+        let mut writer = serve.create_writer(0, config).unwrap();
+        record(&mut writer, 4);
+
+        let refused = loop {
+            match follower.recv(Duration::from_millis(20)) {
+                Ok(SubscriptionStep::Window(window)) => got.push(window.entry.window_id),
+                Ok(SubscriptionStep::TimedOut) => {
+                    let stats = follower.stats();
+                    assert_eq!(stats.behind, 0, "read {read_before}: stalled at {stats:?}");
+                    break None;
+                }
+                Ok(SubscriptionStep::Ended) => panic!("read {read_before}: the writer lives"),
+                Err(error) => break Some(error),
+            }
+        };
+        match refused {
+            None => assert_eq!(got, [0, 1, 2, 3, 4], "read {read_before}"),
+            Some(trace_model::TraceError::Decode { reason, .. }) => {
+                assert!(read_before > 0, "nothing read, nothing to lose: {reason}");
+                assert!(reason.contains("rewritten between writers"), "{reason}");
+                assert!(follower.stats().ended);
+            }
+            Some(other) => panic!("read {read_before}: expected a decode error, got {other:?}"),
+        }
+        writer.close().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -348,6 +396,10 @@ struct Run {
     payloads: HashMap<u64, Vec<u8>>,
     got: Vec<(u64, Vec<u8>)>,
     ended: bool,
+    /// Each sealed segment's file, as first seen sealed.
+    sealed: HashMap<u32, Vec<u8>>,
+    /// The highest `watermark.windows` seen so far.
+    windows: u64,
 }
 
 impl Run {
@@ -393,6 +445,26 @@ impl Run {
         }
     }
 
+    /// `docs/FORMAT.md` §6, "Immutability under a writer", after a step:
+    /// every sealed segment's file is what it was when first seen sealed,
+    /// and the committed window count has not fallen (nor, here, across
+    /// a resume: recovery keeps every committed window). Between writers
+    /// a crash smears its torn tail onto whichever file is newest.
+    fn check_append_only(&mut self) {
+        if self.writer.is_none() {
+            return;
+        }
+        let view = self.serve.commit_log(0).expect("registered").view();
+        assert!(view.watermark.windows >= self.windows, "{view:?}");
+        self.windows = view.watermark.windows;
+        for &(seq, _) in view.sealed.iter() {
+            let path = self.serve.dir().join(format!("lane0000-{seq:06}.seg"));
+            let bytes = std::fs::read(path).unwrap();
+            let first = self.sealed.entry(seq).or_insert_with(|| bytes.clone());
+            assert!(*first == bytes, "sealed segment {seq} changed");
+        }
+    }
+
     fn apply(&mut self, op: Op) {
         match op {
             Op::Append(windows) => {
@@ -412,8 +484,15 @@ impl Run {
 }
 
 /// Runs `schedule`, closes the lane, drains the follower to `Ended` and
-/// checks it against the cold snapshot. `buffer` is the lag bound.
-fn check(codec: CodecId, segment_max_windows: u64, buffer: usize, schedule: &[Op]) {
+/// checks it against the cold snapshot. `buffer` is the lag bound; a
+/// snapshot taken before step `snapshot_at` must still be true at the end.
+fn check(
+    codec: CodecId,
+    segment_max_windows: u64,
+    buffer: usize,
+    schedule: &[Op],
+    snapshot_at: usize,
+) {
     let dir = temp_dir(&format!("{}-{buffer}", codec.as_u8()));
     let serve = ServeHandle::open(&dir).unwrap();
     let follower = serve.subscribe_with(
@@ -437,23 +516,43 @@ fn check(codec: CodecId, segment_max_windows: u64, buffer: usize, schedule: &[Op
         payloads: HashMap::new(),
         got: Vec::new(),
         ended: false,
+        sealed: HashMap::new(),
+        windows: 0,
     };
     // The lane has a writer from the start, so `Ended` always means
     // "closed and the grace ran out", never "nobody ever wrote".
     run.resume();
-    for &op in schedule {
+    let mut early = None;
+    for (step, &op) in schedule.iter().enumerate() {
         // A schedule slow enough to outlast the grace ends early; what
         // is on disk then is what the follower must have seen.
         if run.ended {
             break;
         }
+        if step == snapshot_at % schedule.len() {
+            let snapshot = run.serve.refresh().unwrap();
+            let windows = snapshot.lane_windows(0).ok().map(<[_]>::to_vec);
+            early = Some((snapshot, windows));
+        }
         run.apply(op);
+        run.check_append_only();
     }
     if !run.ended {
         run.lose_writer(true);
     }
     while !run.ended {
         run.recv(Duration::from_millis(5));
+    }
+    // The early snapshot answers as it did, and its payloads — first
+    // asked for now, so read from the files as they are now — are the
+    // ones recorded under the ids it captured.
+    if let Some((snapshot, windows)) = early {
+        assert_eq!(snapshot.lane_windows(0).ok(), windows.as_deref(), "{codec}");
+        let recorded = windows.map(|windows| {
+            let ids = windows.iter().map(|w| w.window_id);
+            ids.flat_map(|id| run.payloads[&id].clone()).collect()
+        });
+        assert_eq!(snapshot.lane_payload_bytes(0).ok(), recorded, "{codec}");
     }
 
     let snapshot = Snapshot::open(&dir).unwrap();
@@ -497,10 +596,11 @@ proptest! {
         schedule in prop::collection::vec(op(), 1..40),
         segment_max_windows in 2u64..5,
         lag_bound in 0usize..4,
+        snapshot_at in 0usize..40,
     ) {
         for codec in [CodecId::Identity, CodecId::DeltaVarint, CodecId::LzBlock] {
-            check(codec, segment_max_windows, usize::MAX, &schedule);
-            check(codec, segment_max_windows, lag_bound, &schedule);
+            check(codec, segment_max_windows, usize::MAX, &schedule, snapshot_at);
+            check(codec, segment_max_windows, lag_bound, &schedule, snapshot_at);
         }
     }
 }

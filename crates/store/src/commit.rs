@@ -5,11 +5,12 @@
 //! followers hold clones of the log and block on it instead of
 //! poll-scanning segment files. The log carries *state*, not a message
 //! queue: a follower always sees the latest watermark, the cumulative
-//! list of sealed (rotated, final-length) segments, an epoch that bumps
-//! whenever maintenance rewrites the lane layout, and a closed flag set
+//! list of sealed (rotated, final-length) segments, and a closed flag set
 //! when the writer goes away. Everything a follower needs to read the
 //! committed prefix — and nothing past it — without ever racing the
-//! writer on the filesystem.
+//! writer on the filesystem. Nothing published is ever taken back: the
+//! writer only appends, and whatever rewrites a lane (the
+//! [`crate::Compactor`]) runs when no writer, and so no log, holds it.
 //!
 //! The writer pays for a follower only while one is blocked in
 //! [`CommitLog::wait_newer`]: an update with nobody waiting is a lock, a
@@ -43,7 +44,6 @@ struct State {
     /// Replaced (never mutated) by `seal`, so every view taken between
     /// two seals shares one allocation.
     sealed: Arc<[(u32, u64)]>,
-    epoch: u64,
     version: u64,
     closed: bool,
     /// Threads inside `wait_newer`'s condvar wait; an update notifies
@@ -57,7 +57,6 @@ impl State {
         CommitView {
             watermark: self.watermark,
             sealed: Arc::clone(&self.sealed),
-            epoch: self.epoch,
             version: self.version,
             closed: self.closed,
         }
@@ -70,16 +69,12 @@ pub struct CommitView {
     /// The latest published watermark.
     pub watermark: CommitWatermark,
     /// Final committed byte lengths of every sealed (closed) segment,
-    /// ascending by sequence number. A sealed segment never grows again;
-    /// its file may only disappear or shrink through a maintenance pass,
-    /// which bumps `epoch` first. The list is shared, not copied: views
-    /// taken between two seals point at the same slice, and a later seal
-    /// leaves a held view's list as it was.
+    /// ascending by sequence number. A sealed segment's bytes never change
+    /// again while this log's writer lives (`docs/FORMAT.md` §6). The
+    /// list is shared, not copied: views taken between two seals point at
+    /// the same slice, and a later seal leaves a held view's list as it
+    /// was.
     pub sealed: Arc<[(u32, u64)]>,
-    /// Bumped whenever a maintenance pass rewrites the lane layout
-    /// (merge, retention, recompression); followers must restart from a
-    /// fresh snapshot when they observe a bump.
-    pub epoch: u64,
     /// Monotonic change counter, for [`CommitLog::wait_newer`].
     pub version: u64,
     /// Whether the writer has closed (cleanly or by being dropped). The
@@ -126,7 +121,6 @@ impl CommitLog {
                 state: Mutex::new(State {
                     watermark: CommitWatermark::empty(lane),
                     sealed: Arc::new([]),
-                    epoch: 0,
                     version: 0,
                     closed: false,
                     waiters: 0,
@@ -171,12 +165,6 @@ impl CommitLog {
             };
             state.sealed = sealed.into();
         });
-    }
-
-    /// Announces a lane layout rewrite (maintenance pass); live followers
-    /// observe the bump and restart from a fresh snapshot.
-    pub(crate) fn bump_epoch(&self) {
-        self.update(|state| state.epoch += 1);
     }
 
     /// Marks the writer gone. Idempotent; called from the writer's `Drop`,
@@ -237,7 +225,6 @@ mod tests {
             segment: 0,
             committed_bytes: 99,
             windows: 2,
-            last_window_id: Some(1),
         });
         log.seal(0, 99);
         let view = log.view();
@@ -258,7 +245,6 @@ mod tests {
             segment: 2,
             committed_bytes: 30,
             windows: 3,
-            last_window_id: Some(2),
         });
         let view = log.view();
         assert_eq!(view.next_segment(None), Some(1));
@@ -269,7 +255,7 @@ mod tests {
     #[test]
     fn wait_newer_returns_immediately_on_newer_version_and_blocks_otherwise() {
         let log = CommitLog::new(0);
-        log.bump_epoch();
+        log.seal(0, 40);
         let view = log.wait_newer(0, Duration::from_secs(5));
         assert_eq!(view.version, 1);
         let start = std::time::Instant::now();
@@ -356,7 +342,6 @@ mod tests {
                 segment: 0,
                 committed_bytes: update,
                 windows: update,
-                last_window_id: Some(update),
             });
         });
     }
@@ -364,11 +349,6 @@ mod tests {
     #[test]
     fn no_seal_is_slept_through() {
         no_update_is_slept_through(|log, update| log.seal((update % 8) as u32, update));
-    }
-
-    #[test]
-    fn no_epoch_bump_is_slept_through() {
-        no_update_is_slept_through(|log, _| log.bump_epoch());
     }
 
     #[test]

@@ -23,13 +23,11 @@
 //! * **Torn tails** — committed-but-torn bytes left by a crash are
 //!   truncated, so a compacted store reopens clean.
 //!
-//! The pass runs wherever the caller wants it: standalone via
-//! [`Compactor`] on a closed store, or inline in [`crate::LaneWriter`]
-//! after each rotation when the writer's [`crate::StoreConfig`] carries
-//! an enabled policy. Inline maintenance runs on the appending thread —
-//! the one that runs the session — and no non-test caller sets
-//! [`crate::StoreConfig::with_maintenance`] today; maintenance that must
-//! not share that thread is the standalone [`Compactor`].
+//! The [`Compactor`] is the one thing that rewrites a lane, and it runs
+//! on lanes no writer holds: a live lane is append-only, so whatever a
+//! [`crate::LaneWriter`] has committed stays byte for byte where its
+//! followers saw it for as long as that writer lives (`docs/FORMAT.md`
+//! §6). Close (or lose) the writer, run the pass, resume.
 
 use std::fs::OpenOptions;
 use std::io::Write;
@@ -83,8 +81,7 @@ pub struct MaintenancePolicy {
     /// to this many threads (each lane is still one sequential job, so
     /// the per-lane journal/rename crash protocol is untouched). `0` —
     /// the default — auto-sizes to `min(lanes, available_parallelism)`.
-    /// Single-lane passes and the writer's inline maintenance are
-    /// inherently one-lane and ignore this knob.
+    /// Single-lane passes ([`Compactor::compact_lane`]) ignore this knob.
     #[serde(default)]
     pub compact_workers: usize,
 }
@@ -344,9 +341,9 @@ impl std::fmt::Display for CompactionReport {
 /// ```
 ///
 /// Run it against a lane that a live [`crate::LaneWriter`] is appending
-/// to and the two will race on the same files; use the writer's built-in
-/// maintenance (see [`crate::StoreConfig::with_maintenance`]) for live
-/// lanes and the standalone pass for closed stores.
+/// to and the two will race on the same files: a lane has one mutator at
+/// a time. Close the writer first; a follower's cursor does not survive
+/// the pass (see [`crate::Tailer::rebind`]).
 #[derive(Debug)]
 pub struct Compactor {
     dir: std::path::PathBuf,
@@ -354,15 +351,21 @@ pub struct Compactor {
     metrics: CompactorMetrics,
 }
 
-/// The standalone pass's metric handles. The names are shared with the
-/// writer's inline maintenance (`LaneWriter`), so both drive the same
-/// series: one pass that changed the store counts once, however it ran.
+/// The pass's metric handles (`docs/OBSERVABILITY.md` §7).
 #[derive(Debug)]
 struct CompactorMetrics {
     /// `store_compaction_passes_total` — passes that changed the store.
     passes: Counter,
-    /// The `store_compaction_*_bytes_total` family.
-    bytes: CompactionByteMetrics,
+    /// `store_compaction_reclaimed_bytes_total` — on-disk bytes removed.
+    reclaimed: Counter,
+    /// `store_compaction_grown_bytes_total` — on-disk bytes *added* by
+    /// passes that left a lane larger than they found it.
+    grown: Counter,
+    /// `store_compaction_envelope_before_bytes_total` — frame header and
+    /// meta bytes the changed lanes held going in.
+    envelope_before: Counter,
+    /// `store_compaction_envelope_after_bytes_total` — and coming out.
+    envelope_after: Counter,
     /// `store_compaction_pass_ns` — wall time of each pass.
     pass_ns: Histogram,
     /// `store_compaction_lane_pass_ns` — wall time of each per-lane job
@@ -377,7 +380,10 @@ impl CompactorMetrics {
     fn from_registry(registry: &Registry) -> Self {
         CompactorMetrics {
             passes: registry.counter("store_compaction_passes_total"),
-            bytes: CompactionByteMetrics::from_registry(registry),
+            reclaimed: registry.counter("store_compaction_reclaimed_bytes_total"),
+            grown: registry.counter("store_compaction_grown_bytes_total"),
+            envelope_before: registry.counter("store_compaction_envelope_before_bytes_total"),
+            envelope_after: registry.counter("store_compaction_envelope_after_bytes_total"),
             pass_ns: registry.histogram("store_compaction_pass_ns"),
             lane_pass_ns: registry.histogram("store_compaction_lane_pass_ns"),
             parallel_lanes: registry.gauge("store_compaction_parallel_lanes"),
@@ -390,49 +396,18 @@ impl CompactorMetrics {
 
     /// Folds one finished pass into the series. A pass that touched
     /// nothing (already-compact store, disabled policy) is not counted:
-    /// the counter tracks passes that changed the store, mirroring the
-    /// writer's inline-maintenance accounting.
+    /// the counter tracks passes that changed the store, and each lane a
+    /// pass changed adds its byte figures once.
     fn record(&self, report: &CompactionReport) {
         if !report.is_noop() {
             self.passes.inc();
         }
         for lane in report.lanes.iter().filter(|lane| !lane.is_noop()) {
-            self.bytes.record(lane);
+            self.reclaimed.add(lane.reclaimed_bytes());
+            self.grown.add(lane.grown_bytes());
+            self.envelope_before.add(lane.envelope_bytes_before);
+            self.envelope_after.add(lane.envelope_bytes_after);
         }
-    }
-}
-
-/// Where a pass's bytes went, for the standalone pass and the writer's
-/// inline one alike: each lane a pass changed adds its figures once.
-#[derive(Debug)]
-pub(crate) struct CompactionByteMetrics {
-    /// `store_compaction_reclaimed_bytes_total` — on-disk bytes removed.
-    reclaimed: Counter,
-    /// `store_compaction_grown_bytes_total` — on-disk bytes *added* by
-    /// passes that left a lane larger than they found it.
-    grown: Counter,
-    /// `store_compaction_envelope_before_bytes_total` — frame header and
-    /// meta bytes the changed lanes held going in.
-    envelope_before: Counter,
-    /// `store_compaction_envelope_after_bytes_total` — and coming out.
-    envelope_after: Counter,
-}
-
-impl CompactionByteMetrics {
-    pub(crate) fn from_registry(registry: &Registry) -> Self {
-        CompactionByteMetrics {
-            reclaimed: registry.counter("store_compaction_reclaimed_bytes_total"),
-            grown: registry.counter("store_compaction_grown_bytes_total"),
-            envelope_before: registry.counter("store_compaction_envelope_before_bytes_total"),
-            envelope_after: registry.counter("store_compaction_envelope_after_bytes_total"),
-        }
-    }
-
-    pub(crate) fn record(&self, lane: &LaneCompaction) {
-        self.reclaimed.add(lane.reclaimed_bytes());
-        self.grown.add(lane.grown_bytes());
-        self.envelope_before.add(lane.envelope_bytes_before);
-        self.envelope_after.add(lane.envelope_bytes_after);
     }
 }
 
@@ -450,9 +425,8 @@ impl Compactor {
         }
     }
 
-    /// Exports this pass's counters into `registry` under the same
-    /// `store_compaction_*` names the writer's inline maintenance uses
-    /// (see `docs/OBSERVABILITY.md`).
+    /// Exports this pass's counters into `registry` as the
+    /// `store_compaction_*` family (see `docs/OBSERVABILITY.md`).
     #[must_use]
     pub fn with_metrics(mut self, registry: &Registry) -> Self {
         self.metrics = CompactorMetrics::from_registry(registry);
@@ -790,13 +764,13 @@ struct SegmentPlan {
     candidate: bool,
 }
 
-/// Core of the pass, shared by the standalone [`Compactor`] and the
-/// writer-integrated maintenance: applies `policy` to `index`'s segments
-/// on disk and returns the rewritten index plus the report entry.
+/// Core of the pass: applies `policy` (enabled — [`Compactor`] answers a
+/// disabled one itself) to `index`'s segments on disk and returns the
+/// rewritten index plus the report entry.
 ///
 /// `torn_bytes_truncated` is whatever the caller already reclaimed from
 /// torn tails, folded into the report.
-pub(crate) fn compact_lane_index(
+fn compact_lane_index(
     dir: &Path,
     index: LaneIndex,
     policy: &MaintenancePolicy,
@@ -816,7 +790,7 @@ pub(crate) fn compact_lane_index(
     report.payload_bytes = index.total_payload_bytes();
     (report.envelope_bytes_before, report.stored_bytes) = envelope_and_stored_bytes(&index);
     report.envelope_bytes_after = report.envelope_bytes_before;
-    if !policy.is_enabled() || index.segments.is_empty() {
+    if index.segments.is_empty() {
         return Ok((index, report));
     }
 

@@ -4,22 +4,18 @@ use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use endurance_obs::{Counter, Histogram, Registry};
+use endurance_obs::{Counter, Registry};
 use trace_model::codec::{BinaryEncoder, CodecId, FrameCodec, TraceEncoder};
 use trace_model::{EventSink, RecordMeta, TraceError, TraceEvent};
 
 use crate::commit::CommitLog;
-use crate::compact::{
-    compact_lane_index, CompactionByteMetrics, LaneCompaction, MaintenancePolicy,
-};
 use crate::index::{LaneIndex, RecoveryReport, SegmentMeta, WindowEntry, SIDECAR_SCHEMA};
 use crate::segment::{
     encode_frame, list_lane, scan_segment, segment_file_name, segment_header, write_sidecar,
     FramePrev, LaneFiles, SEGMENT_HEADER_LEN, SEGMENT_VERSION_V1, SEGMENT_VERSION_V3,
 };
 
-/// Rotation policy, frame codec, maintenance and durability knobs of a
-/// store lane.
+/// Rotation policy and frame codec of a store lane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreConfig {
     /// A segment is rotated before a frame would push it past this size
@@ -37,23 +33,17 @@ pub struct StoreConfig {
     /// identity storage per frame, so replay is byte-for-byte lossless
     /// either way.
     pub codec: CodecId,
-    /// Background maintenance applied by the writer after each rotation:
-    /// merging runs of small closed segments, dropping windows past the
-    /// retention horizon, and re-encoding v1 segments into the
-    /// maintenance policy's target codec. Disabled by default.
-    pub maintenance: MaintenancePolicy,
 }
 
 impl Default for StoreConfig {
     /// 8 MiB segments with no window-count limit — sized so an endurance
-    /// run rotates regularly without producing thousands of files — the
-    /// identity codec (v1-compatible files), and maintenance off.
+    /// run rotates regularly without producing thousands of files — and
+    /// the identity codec (v1-compatible files).
     fn default() -> Self {
         StoreConfig {
             segment_max_bytes: 8 * 1024 * 1024,
             segment_max_windows: u64::MAX,
             codec: CodecId::Identity,
-            maintenance: MaintenancePolicy::disabled(),
         }
     }
 }
@@ -77,16 +67,6 @@ impl StoreConfig {
         self.codec = codec;
         self
     }
-
-    /// Returns the config with a maintenance policy: after each segment
-    /// rotation the writer compacts its closed segments per the policy,
-    /// on the appending thread — the one that runs the session. No
-    /// non-test caller sets this today; maintenance that must not share
-    /// that thread is the standalone [`crate::Compactor`].
-    pub fn with_maintenance(mut self, policy: MaintenancePolicy) -> Self {
-        self.maintenance = policy;
-        self
-    }
 }
 
 /// The writer's metric handles, labelled `{lane="i"}` where per-lane
@@ -103,15 +83,6 @@ pub(crate) struct LaneMetrics {
     pub(crate) bytes_written: Counter,
     /// `store_rotations_total{lane}` — segments closed by rotation.
     pub(crate) rotations: Counter,
-    /// `store_compaction_passes_total` — maintenance passes that changed
-    /// any lane.
-    compaction_passes: Counter,
-    /// The `store_compaction_*_bytes_total` family the inline pass shares
-    /// with the standalone one.
-    compaction_bytes: CompactionByteMetrics,
-    /// `store_compaction_pass_ns` — wall time of each maintenance pass,
-    /// including no-op passes.
-    compaction_pass_ns: Histogram,
 }
 
 impl LaneMetrics {
@@ -130,9 +101,6 @@ impl LaneMetrics {
             ),
             bytes_written: registry.counter_with("store_bytes_written_total", labels),
             rotations: registry.counter_with("store_rotations_total", labels),
-            compaction_passes: registry.counter("store_compaction_passes_total"),
-            compaction_bytes: CompactionByteMetrics::from_registry(registry),
-            compaction_pass_ns: registry.histogram("store_compaction_pass_ns"),
         }
     }
 
@@ -225,10 +193,6 @@ pub struct LaneWriter {
     /// offsets and are refused instead. Reopening recovers cleanly — the
     /// scanner treats the partial frame as a torn tail.
     poisoned: Option<String>,
-    /// What the most recent post-rotation maintenance pass changed.
-    last_compaction: Option<LaneCompaction>,
-    /// Maintenance passes that actually changed the lane.
-    compaction_passes: u64,
     /// Commit watermarks published to live followers (see
     /// [`LaneWriter::commit_log`]).
     commit: CommitLog,
@@ -355,7 +319,6 @@ impl LaneWriter {
             segment: next_seq,
             committed_bytes: 0,
             windows: index.windows.len() as u64,
-            last_window_id: index.windows.iter().map(|entry| entry.window_id).max(),
         });
         Ok(LaneWriter {
             dir,
@@ -378,8 +341,6 @@ impl LaneWriter {
             events_recorded: 0,
             bytes_on_disk,
             poisoned: None,
-            last_compaction: None,
-            compaction_passes: 0,
             commit,
             metrics: LaneMetrics::disabled(lane),
             legacy_sidecar: files.legacy_sidecar,
@@ -389,9 +350,9 @@ impl LaneWriter {
     /// Installs a metrics registry; the writer reports
     /// `store_frames_written_total` (labelled `{lane="i", format="v1"}`
     /// or `"v3"`), `store_bytes_written_total` and
-    /// `store_rotations_total` (labelled `{lane="i"}`) plus the
-    /// `store_compaction_*` family into it. Install right after
-    /// [`LaneWriter::create`], before recording, for exact totals.
+    /// `store_rotations_total` (labelled `{lane="i"}`) into it. Install
+    /// right after [`LaneWriter::create`], before recording, for exact
+    /// totals.
     pub fn with_metrics(mut self, registry: &Registry) -> Self {
         self.metrics = LaneMetrics::from_registry(registry, self.lane, self.segment_version);
         self
@@ -401,8 +362,9 @@ impl LaneWriter {
     /// or a subscription in `endurance-serve`) clone this and block on it
     /// instead of poll-scanning segment files. The writer publishes a new
     /// watermark after every durable append, seals each segment's final
-    /// length at rotation, bumps the epoch when a maintenance pass
-    /// rewrites the layout, and closes the log when it is dropped.
+    /// length at rotation, and closes the log when it is dropped. Nothing
+    /// it has published is ever taken back: while this writer lives, the
+    /// lane is append-only (`docs/FORMAT.md` §6).
     pub fn commit_log(&self) -> CommitLog {
         self.commit.clone()
     }
@@ -425,7 +387,7 @@ impl LaneWriter {
     }
 
     /// Windows currently indexed on disk (including any recovered on
-    /// resume, minus any dropped by a retention pass).
+    /// resume).
     pub fn windows_written(&self) -> u64 {
         self.index.windows.len() as u64
     }
@@ -433,17 +395,6 @@ impl LaneWriter {
     /// Total committed segment bytes on disk (headers + frames).
     pub fn bytes_on_disk(&self) -> u64 {
         self.bytes_on_disk
-    }
-
-    /// What the most recent maintenance pass changed, if any pass has
-    /// changed anything yet (see [`StoreConfig::with_maintenance`]).
-    pub fn last_compaction(&self) -> Option<&LaneCompaction> {
-        self.last_compaction.as_ref()
-    }
-
-    /// Maintenance passes that changed the lane since this writer opened.
-    pub fn compaction_passes(&self) -> u64 {
-        self.compaction_passes
     }
 
     fn current_segment_path(&self) -> PathBuf {
@@ -555,7 +506,7 @@ impl LaneWriter {
         let mut frame = std::mem::take(&mut self.scratch_frame);
         entry.len = encode_frame(self.segment_version, &mut frame, self.prev, &entry, stored);
         if self.needs_rotation(frame.len() as u64) {
-            if let Err(error) = self.rotate().and_then(|()| self.maybe_compact()) {
+            if let Err(error) = self.rotate() {
                 self.scratch_block = block;
                 self.scratch_frame = frame;
                 return Err(error);
@@ -609,57 +560,8 @@ impl LaneWriter {
             segment: entry.segment,
             committed_bytes: self.segment_bytes,
             windows: self.index.windows.len() as u64,
-            last_window_id: Some(window_id),
         });
         Ok(())
-    }
-
-    /// Runs the configured maintenance pass over the (all closed)
-    /// segments. Called right after a rotation, so no segment file is
-    /// open: the pass merges runs of small segments and applies the
-    /// retention horizon, then the writer's in-memory index adopts the
-    /// rewritten layout (the sidecar follows on the next `sync`/`close`).
-    fn maybe_compact(&mut self) -> Result<(), TraceError> {
-        if !self.config.maintenance.is_enabled() || self.file.is_some() {
-            return Ok(());
-        }
-        let backup = self.index.clone();
-        let pass_span = self.metrics.compaction_pass_ns.span();
-        let index = std::mem::replace(&mut self.index, LaneIndex::new(self.lane));
-        match compact_lane_index(&self.dir, index, &self.config.maintenance, 0) {
-            Ok((index, report)) => {
-                drop(pass_span);
-                self.index = index;
-                self.bytes_on_disk = self
-                    .index
-                    .segments
-                    .iter()
-                    .map(|segment| segment.committed_bytes)
-                    .sum();
-                if !report.is_noop() {
-                    self.compaction_passes += 1;
-                    self.metrics.compaction_passes.inc();
-                    self.metrics.compaction_bytes.record(&report);
-                    self.last_compaction = Some(report);
-                    // Segments were merged, dropped or re-encoded: byte
-                    // offsets a follower holds are stale. Invalidate them.
-                    self.commit.bump_epoch();
-                }
-                Ok(())
-            }
-            Err(error) => {
-                // The on-disk layout may no longer match the in-memory
-                // index; restore the pre-pass view for the accessors and
-                // refuse further appends *and* sidecar writes (reopen
-                // rescans cleanly and finishes any journalled merge).
-                self.index = backup;
-                self.poisoned = Some(format!("maintenance pass failed: {error}"));
-                // The layout on disk is uncertain; kick live followers
-                // out rather than let them trust stale bounds.
-                self.commit.bump_epoch();
-                Err(error)
-            }
-        }
     }
 
     /// Synthesises record metadata for the meta-less sink paths from the
@@ -680,10 +582,10 @@ impl LaneWriter {
     /// # Errors
     ///
     /// Returns [`TraceError::Io`] on filesystem failures, or the original
-    /// failure when the writer is poisoned (a failed append or
-    /// maintenance pass): the in-memory index may no longer describe the
-    /// disk, and overwriting the last good sidecar with it would only
-    /// destroy information — reopen recovers by rescanning instead.
+    /// failure when the writer is poisoned (a failed append): the
+    /// in-memory index may no longer describe the disk, and overwriting
+    /// the last good sidecar with it would only destroy information —
+    /// reopen recovers by rescanning instead.
     pub fn sync(&mut self) -> Result<(), TraceError> {
         if let Some(message) = &self.poisoned {
             return Err(TraceError::Io(std::io::Error::other(message.clone())));

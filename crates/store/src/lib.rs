@@ -39,8 +39,9 @@
 //!   pass: runs of small adjacent segments are merged into consolidated
 //!   ones (stored blocks copied verbatim, sidecar rewritten atomically) and
 //!   windows past a retention horizon are dropped, keeping reopen and
-//!   replay costs flat on week-long runs. Runs standalone on a closed
-//!   store or inline in the writer after each rotation.
+//!   replay costs flat on week-long runs. It is the one thing that
+//!   rewrites a lane and runs on lanes no writer holds: a live lane is
+//!   append-only.
 //! * [`Snapshot`] / [`Tailer`] / [`CommitLog`] — the live read side. A
 //!   [`Snapshot`] is an immutable, cheaply cloneable view of everything
 //!   committed at a point in time, backed by `Arc`-shared segment

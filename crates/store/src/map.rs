@@ -26,11 +26,11 @@
 //!
 //! Since the serving layer landed, the loaded buffers themselves live in
 //! `Arc`-shared [`SegmentData`] blocks that many consumers can hold at
-//! once. A [`SegmentCache`] pools them behind sharded locks, so the maps
-//! handed out by [`crate::StoreReader::segment_map`], every
-//! [`crate::Snapshot`] clone and the reader's own windowed read paths all
-//! hit the *same* resident bytes (and share each frame's one-time CRC
-//! validation) instead of re-reading segment files per consumer.
+//! once. A [`SegmentCache`] pools them behind sharded locks, so every
+//! [`SegmentMap::shared`] front over it, every [`crate::Snapshot`] clone
+//! and the reader's own windowed read paths all hit the *same* resident
+//! bytes (and share each frame's one-time CRC validation) instead of
+//! re-reading segment files per consumer.
 
 use std::collections::{BTreeMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -85,10 +85,6 @@ impl SegmentData {
         })
     }
 
-    pub(crate) fn len(&self) -> usize {
-        self.bytes.len()
-    }
-
     /// Whether the buffer holds the whole frame `entry` describes (a row
     /// no frame can match is not worth a reload: reading it reports it).
     fn covers(&self, entry: &WindowEntry) -> bool {
@@ -119,8 +115,8 @@ impl SegmentData {
 /// `(lane, segment)` behind sharded locks.
 ///
 /// Every consumer wired to the same cache — the owning
-/// [`crate::StoreReader`]'s read paths, the standalone maps it hands out
-/// via [`crate::StoreReader::segment_map`], and each [`crate::Snapshot`]
+/// [`crate::StoreReader`]'s read paths, a caller's own
+/// [`SegmentMap::shared`] fronts, and each [`crate::Snapshot`]
 /// clone — shares the same `Arc`ed `SegmentData` buffers: one disk read
 /// and one CRC validation per frame across all of them. Lookups of
 /// different segments contend on different shards; holding an `Arc` out
@@ -131,7 +127,7 @@ impl SegmentData {
 /// their `Arc`.
 #[derive(Debug)]
 pub struct SegmentCache {
-    dir: PathBuf,
+    pub(crate) dir: PathBuf,
     shards: Vec<Mutex<CacheShard>>,
     per_shard: usize,
     metrics: CacheMetrics,
@@ -253,8 +249,7 @@ impl SegmentCache {
 /// Buffered zero-copy reader over one lane's segment files.
 ///
 /// Created standalone with [`SegmentMap::new`], wired to a shared
-/// [`SegmentCache`] with [`SegmentMap::shared`] (what
-/// [`crate::StoreReader::segment_map`] hands out), or borrowed implicitly
+/// [`SegmentCache`] with [`SegmentMap::shared`], or borrowed implicitly
 /// by every [`crate::StoreReader`] read path. Frames are addressed by the
 /// [`WindowEntry`] rows of the lane index (see
 /// [`crate::StoreReader::lane_windows`]); [`SegmentMap::payload`] returns
@@ -322,11 +317,6 @@ impl SegmentMap {
         self.segments.len()
     }
 
-    /// Bytes currently held across resident segment buffers.
-    pub fn resident_bytes(&self) -> usize {
-        self.segments.values().map(|s| s.len()).sum()
-    }
-
     /// Drops every resident buffer (subsequent touches reload).
     pub fn clear(&mut self) {
         self.segments.clear();
@@ -376,29 +366,17 @@ impl SegmentMap {
         codecs.last_mut().expect("just pushed").as_mut()
     }
 
-    /// The frame body (meta block + stored block) of one indexed
-    /// window, as a slice into the loaded segment buffer. Length and CRC
-    /// are validated on the first touch of the frame.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Io`] when the segment file cannot be read
-    /// and [`TraceError::Decode`] on index/file disagreement (truncated
-    /// file, length mismatch, CRC mismatch).
-    pub fn body(&mut self, entry: &WindowEntry) -> Result<&[u8], TraceError> {
-        self.load_for(entry)?;
-        let segment = &self.segments[&entry.segment];
-        Ok(&segment.bytes[segment.frame(self.lane, entry)?.body])
-    }
-
     /// The original payload of one indexed window (the exact bytes the
     /// recorder handed to the sink): zero-copy for uncompressed frames,
-    /// decoded into the map's scratch buffer for compressed ones.
+    /// decoded into the map's scratch buffer for compressed ones. Length
+    /// and CRC are validated on the first touch of the frame.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`SegmentMap::body`], plus block decode errors
-    /// for compressed frames.
+    /// Returns [`TraceError::Io`] when the segment file cannot be read,
+    /// [`TraceError::Decode`] on index/file disagreement (truncated
+    /// file, length mismatch, CRC mismatch), and block decode errors for
+    /// compressed frames.
     pub fn payload(&mut self, entry: &WindowEntry) -> Result<&[u8], TraceError> {
         self.load_for(entry)?;
         let segment = &self.segments[&entry.segment];

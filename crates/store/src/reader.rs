@@ -74,9 +74,8 @@ pub struct StoreReader {
     dir: PathBuf,
     lanes: BTreeMap<u32, LaneSlot>,
     recovery: OnceLock<RecoveryReport>,
-    /// Pooled `Arc`-shared segment buffers: the windowed read paths, the
-    /// maps handed out by [`StoreReader::segment_map`] and every
-    /// [`Snapshot`] taken from this reader all hit the same bytes.
+    /// Pooled `Arc`-shared segment buffers: the windowed read paths and
+    /// every [`Snapshot`] taken from this reader hit the same bytes.
     cache: Arc<SegmentCache>,
     /// Per-lane [`SegmentMap`] fronts (scratch + codec state) for the
     /// windowed read paths; their buffers come from `cache`.
@@ -118,20 +117,33 @@ impl StoreReader {
     }
 
     /// Opens the store directory read-only, pooling segment buffers in
-    /// `cache` — which **must** have been created over the same
-    /// directory. A long-lived serving process reopening the store to
-    /// observe new lanes or windows passes the same cache each time, so
-    /// already-resident segment buffers (and their one-time CRC
-    /// validations) carry over instead of being re-read.
+    /// `cache`, which was created over the same directory (the same path
+    /// value: the cache reads segment files from its own). A long-lived
+    /// serving process reopening the store to observe new lanes or
+    /// windows passes the same cache each time, so already-resident
+    /// segment buffers (and their one-time CRC validations) carry over
+    /// instead of being re-read.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`StoreReader::open`].
+    /// Same conditions as [`StoreReader::open`], plus [`TraceError::Io`]
+    /// (`InvalidInput`) for a cache created over another directory: it
+    /// would serve that store's frames under this one's index.
     pub fn open_with_cache(
         dir: impl AsRef<Path>,
         cache: Arc<SegmentCache>,
     ) -> Result<Self, TraceError> {
         let dir = dir.as_ref().to_path_buf();
+        if dir != cache.dir {
+            return Err(TraceError::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!(
+                    "store {} opened with a segment cache over {}",
+                    dir.display(),
+                    cache.dir.display()
+                ),
+            )));
+        }
         let lanes = list_store_dir(&dir, None)?
             .into_iter()
             .filter(|(_, files)| !files.seqs.is_empty())
@@ -275,24 +287,6 @@ impl StoreReader {
         self.loaded(lane).map(|loaded| &loaded.index)
     }
 
-    /// A standalone [`SegmentMap`] over one lane — the zero-copy frame
-    /// reader every replay path uses, handed out for callers that want to
-    /// manage buffer residency themselves (address frames with the
-    /// entries from [`StoreReader::lane_windows`]). The map's buffers
-    /// come from the reader's shared [`SegmentCache`]: maps handed out
-    /// here, the reader's own windowed read paths, and every
-    /// [`Snapshot`] taken from this reader hit the same resident bytes
-    /// (and each frame's one-time CRC validation) instead of re-reading
-    /// segment files per consumer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Decode`] for an unknown lane.
-    pub fn segment_map(&self, lane: u32) -> Result<SegmentMap, TraceError> {
-        self.lane_index(lane)?;
-        Ok(SegmentMap::shared(Arc::clone(&self.cache), lane))
-    }
-
     /// An immutable, cheaply cloneable [`Snapshot`] of everything this
     /// reader's lanes hold right now, sharing the reader's
     /// [`SegmentCache`] (snapshot reads and reader reads hit the same
@@ -306,26 +300,14 @@ impl StoreReader {
         )
     }
 
-    /// Drops every cached segment buffer — the per-lane map fronts *and*
-    /// the shared [`SegmentCache`] pool behind them. Long-lived readers
-    /// over many-lane stores can call this between phases to release the
-    /// memory; subsequent reads reload on demand. (Snapshots holding
-    /// `Arc`s onto evicted buffers keep exactly those alive.)
-    pub fn evict_buffers(&self) {
-        self.maps
-            .lock()
-            .expect("segment map cache poisoned")
-            .clear();
-        self.cache.clear();
-    }
-
     /// Runs `read` against the shared per-lane segment map (creating it
     /// on first use) with the lane index alongside. The cache is one
     /// mutex-guarded map: point reads buffer whole segments (that is the
     /// refactor's bargain — one read per segment instead of a seek and
     /// two reads per frame), and concurrent readers of one `StoreReader`
-    /// serialize here; give each thread its own [`SegmentMap`] via
-    /// [`StoreReader::segment_map`] when that matters.
+    /// serialize here; give each thread its own [`SegmentMap::shared`]
+    /// over the cache passed to [`StoreReader::open_with_cache`] when
+    /// that matters.
     fn with_lane_map<T>(
         &self,
         lane: u32,

@@ -24,9 +24,12 @@ use crate::reader::{LoadedLane, StoreReader};
 /// segment buffers) or opened standalone with [`Snapshot::open`]. Clone
 /// freely: clones share everything. Queries mirror the [`StoreReader`]
 /// windowed read paths and answer from the captured index — a window
-/// committed after the capture does not exist here, and a maintenance
-/// pass rewriting the lane layout underneath surfaces as a decode error
-/// on the affected reads, exactly like the reader. A by-id query for a
+/// committed after the capture does not exist here. A snapshot taken
+/// from a live lane stays valid for the life of that lane's writer (a
+/// live lane is append-only, `docs/FORMAT.md` §6); a [`crate::Compactor`]
+/// pass run after the writer is gone rewrites the layout underneath and
+/// surfaces as a decode error on the affected reads, exactly like the
+/// reader. A by-id query for a
 /// window id the lane holds twice answers with the most recently
 /// committed occurrence, as the reader's does (`docs/FORMAT.md` §4).
 ///
@@ -214,8 +217,9 @@ impl Snapshot {
     /// # Errors
     ///
     /// Same conditions as [`Snapshot::lane_windows`], plus
-    /// [`TraceError::Decode`] on index/file disagreement (a maintenance
-    /// pass rewrote the lane under the snapshot, or corruption).
+    /// [`TraceError::Decode`] on index/file disagreement (a
+    /// [`crate::Compactor`] pass rewrote the closed lane under the
+    /// snapshot, or corruption).
     pub fn window_payload(
         &self,
         lane: u32,
@@ -413,6 +417,31 @@ mod tests {
         // Snapshot reads populated the shared pool the reader also uses.
         assert!(reader.snapshot().recovery().clean);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Two runs of one fleet shape: the other run's frames are CRC-valid
+    /// at this run's offsets, so only the paths can tell them apart.
+    #[test]
+    fn a_cache_over_another_directory_is_refused() {
+        let (dir, other) = (temp_dir("cache-own"), temp_dir("cache-other"));
+        for (run, dir) in [&dir, &other].into_iter().enumerate() {
+            let mut writer = LaneWriter::create(dir, 0, StoreConfig::default()).unwrap();
+            record(&mut writer, run as u64, 5);
+            writer.close().unwrap();
+        }
+        let cache = Arc::new(SegmentCache::new(&other));
+        match StoreReader::open_with_cache(&dir, Arc::clone(&cache)) {
+            Err(TraceError::Io(error)) => {
+                assert_eq!(error.kind(), std::io::ErrorKind::InvalidInput);
+                let message = error.to_string();
+                assert!(message.contains(dir.to_str().unwrap()), "{message}");
+                assert!(message.contains(other.to_str().unwrap()), "{message}");
+            }
+            other => panic!("expected InvalidInput, got {other:?}"),
+        }
+        assert!(StoreReader::open_with_cache(&other, cache).is_ok());
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&other).ok();
     }
 
     #[test]

@@ -81,10 +81,10 @@ pub enum TailStep {
 /// against 2.1 µs on `churn` where almost nobody follows — and 4.9–6.7 µs
 /// when every follower was a thread of its own; docs/PERFORMANCE.md §1).
 ///
-/// A maintenance pass that rewrites the lane layout (merge, retention,
-/// recompression) invalidates live followers: `next` then returns a
-/// *sticky* [`TraceError::Decode`] and the follower must restart from a
-/// fresh [`Snapshot`](crate::Snapshot).
+/// While a writer holds the lane nothing rewrites it, so the cursor
+/// stays valid for the life of that writer. A [`crate::Compactor`] pass
+/// runs between writers and a cursor does not survive it: see
+/// [`Tailer::rebind`].
 #[derive(Debug)]
 pub struct Tailer {
     dir: PathBuf,
@@ -107,11 +107,7 @@ pub struct Tailer {
     /// frame is coded against): zero on entering a segment, kept across
     /// [`Tailer::rebind`] — the cursor does not move.
     prev: FramePrev,
-    /// The maintenance epoch the tailer is bound to (fixed on first
-    /// observation; any change lapses the tailer).
-    epoch: Option<u64>,
     delivered: u64,
-    lapsed: bool,
     codecs: Vec<Box<dyn FrameCodec>>,
 }
 
@@ -131,9 +127,7 @@ impl Tailer {
             version: 0,
             header_parsed: false,
             prev: FramePrev::default(),
-            epoch: None,
             delivered: 0,
-            lapsed: false,
             codecs: Vec::new(),
         }
     }
@@ -148,12 +142,6 @@ impl Tailer {
         self.delivered
     }
 
-    /// Whether a maintenance pass rewrote the lane layout under this
-    /// tailer: every [`Tailer::next`] from then on returns the lapse error.
-    pub fn lapsed(&self) -> bool {
-        self.lapsed
-    }
-
     /// Rebinds the follower to a *new* commit log for the same lane —
     /// the resume path: when a writer crashes and a new
     /// [`crate::LaneWriter`] reopens the lane, the old log reports
@@ -165,7 +153,13 @@ impl Tailer {
     /// # Errors
     ///
     /// Returns [`TraceError::Decode`] when `log` describes a different
-    /// lane.
+    /// lane, or a lane that was rewritten between the two writers: a
+    /// resumed writer opens a fresh segment, so it reports the cursor's
+    /// segment sealed, at least as long as the cursor is deep. A
+    /// successor that does not has taken committed bytes back (a
+    /// [`crate::Compactor`] pass merged or dropped the segment and its
+    /// number may have been reused); the cursor means nothing in it and
+    /// the follower must restart from a fresh [`Snapshot`](crate::Snapshot).
     pub fn rebind(&mut self, log: CommitLog) -> Result<(), TraceError> {
         if log.lane() != self.lane {
             return Err(TraceError::Decode {
@@ -177,24 +171,27 @@ impl Tailer {
                 ),
             });
         }
+        if let Some(seq) = self.seq {
+            // Reported, and not the segment the successor appends to.
+            let view = log.view();
+            let kept = view.watermark.segment != seq
+                && view.bound(seq).is_some_and(|bound| bound >= self.offset);
+            if !kept {
+                return Err(TraceError::Decode {
+                    offset: self.offset as usize,
+                    reason: format!(
+                        "lane {} rewritten between writers: the new writer does not report \
+                         segment {seq} sealed at or past the follower's offset {}",
+                        self.lane, self.offset
+                    ),
+                });
+            }
+        }
         self.log = log;
-        self.epoch = None;
         // Resume recovery may have truncated (or removed) the segment
         // under the cursor; reopen by name at the next fill.
         self.file = None;
         Ok(())
-    }
-
-    fn lapse(&mut self) -> TraceError {
-        self.lapsed = true;
-        TraceError::Decode {
-            offset: 0,
-            reason: format!(
-                "lane {} layout was rewritten by a maintenance pass under a live tailer; \
-                 restart from a fresh snapshot",
-                self.lane
-            ),
-        }
     }
 
     /// Delivers the next committed window, waiting up to `timeout` for
@@ -204,8 +201,7 @@ impl Tailer {
     ///
     /// Returns [`TraceError::Io`] when a segment file cannot be read and
     /// [`TraceError::Decode`] on a commit-bound/file disagreement (CRC
-    /// mismatch, misaligned bound) — or, stickily, after a maintenance
-    /// pass rewrote the lane layout underneath the tailer.
+    /// mismatch, misaligned bound).
     pub fn next(&mut self, timeout: Duration) -> Result<TailStep, TraceError> {
         let deadline = Instant::now() + timeout;
         let mut view = self.log.view();
@@ -237,14 +233,6 @@ impl Tailer {
     /// Same conditions as [`Tailer::next`].
     pub fn poll(&mut self, view: &CommitView) -> Result<TailStep, TraceError> {
         debug_assert_eq!(view.watermark.lane, self.lane);
-        if self.lapsed {
-            return Err(self.lapse());
-        }
-        match self.epoch {
-            None => self.epoch = Some(view.epoch),
-            Some(epoch) if epoch != view.epoch => return Err(self.lapse()),
-            Some(_) => {}
-        }
         if let Some(window) = self.advance(view)? {
             self.delivered += 1;
             return Ok(TailStep::Window(window));
@@ -588,32 +576,6 @@ mod tests {
             }
             std::fs::remove_dir_all(&dir).ok();
         }
-    }
-
-    #[test]
-    fn maintenance_epoch_bumps_lapse_the_tailer_stickily() {
-        let dir = temp_dir("lapse");
-        let config = StoreConfig::default()
-            .with_segment_max_windows(1)
-            .with_maintenance(crate::MaintenancePolicy::merge_below(1 << 20));
-        let mut writer = LaneWriter::create(&dir, 0, config).unwrap();
-        let mut tailer = Tailer::follow(&dir, writer.commit_log());
-        record(&mut writer, 0, 3);
-        // Latch the pre-maintenance epoch by delivering a window...
-        assert!(matches!(
-            tailer.next(Duration::from_secs(1)).unwrap(),
-            TailStep::Window(_)
-        ));
-        // ...then let inline maintenance merge segments at a rotation:
-        // the tailer observes the epoch bump and lapses, stickily.
-        for id in 1..6u64 {
-            record(&mut writer, id, 3);
-        }
-        let lapsed = tailer.next(Duration::from_secs(1));
-        assert!(lapsed.is_err(), "{lapsed:?}");
-        assert!(tailer.next(Duration::from_secs(1)).is_err());
-        writer.close().unwrap();
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

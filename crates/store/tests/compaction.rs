@@ -188,75 +188,6 @@ proptest! {
 
         std::fs::remove_dir_all(&dir).ok();
     }
-
-    #[test]
-    fn writer_integrated_maintenance_keeps_the_lane_replayable(
-        windows in 4u64..32,
-        per_segment in 1u64..4,
-        retain_all in any::<bool>(),
-    ) {
-        let tag = 77_000_000 + windows * 10_000 + per_segment * 100 + u64::from(retain_all);
-        let dir = temp_dir(tag);
-        let policy = if retain_all {
-            MaintenancePolicy::merge_below(u64::MAX)
-        } else {
-            // Keep roughly the trailing third of the run.
-            MaintenancePolicy::merge_below(u64::MAX)
-                .with_retention_ns(windows * 40_000_000 / 3)
-        };
-        let config = StoreConfig::default()
-            .with_segment_max_windows(per_segment)
-            .with_maintenance(policy);
-        let mut writer = LaneWriter::create(&dir, 0, config).unwrap();
-        let mut payloads = Vec::new();
-        for id in 0..windows {
-            let events: Vec<TraceEvent> = (0..6)
-                .map(|i| {
-                    TraceEvent::new(
-                        Timestamp::from_micros(id * 40_000 + i * 100),
-                        EventTypeId::new((i % 3) as u16),
-                        id as u32,
-                    )
-                })
-                .collect();
-            let mut encoded = Vec::new();
-            BinaryEncoder::new().encode(&events, &mut encoded).unwrap();
-            let meta = RecordMeta {
-                window_id: WindowId::new(id),
-                start: Timestamp::from_micros(id * 40_000),
-                end: Timestamp::from_micros((id + 1) * 40_000),
-            };
-            writer.record_window(&meta, &events, &encoded).unwrap();
-            payloads.push((id, encoded));
-        }
-        writer.close().unwrap();
-
-        let reader = StoreReader::open(&dir).unwrap();
-        prop_assert!(reader.recovery().clean);
-        let kept: Vec<u64> = reader
-            .lane_windows(0)
-            .unwrap()
-            .iter()
-            .map(|w| w.window_id)
-            .collect();
-        if retain_all {
-            let all: Vec<u64> = (0..windows).collect();
-            prop_assert_eq!(&kept, &all, "no retention: every window survives");
-        } else {
-            // Retention ran mid-write: the kept set is a suffix-closed
-            // subset ending at the newest window.
-            prop_assert!(!kept.is_empty());
-            prop_assert!(kept.windows(2).all(|pair| pair[0] < pair[1]));
-            prop_assert_eq!(*kept.last().unwrap(), windows - 1);
-        }
-        // Whatever survived replays byte-for-byte.
-        for id in &kept {
-            let expected = &payloads[*id as usize].1;
-            let got = reader.window_payload(0, WindowId::new(*id)).unwrap().unwrap();
-            prop_assert_eq!(&got, expected, "window {}", id);
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
 }
 
 /// The benchmark's `churn` in miniature: hundreds of short-lived lanes of

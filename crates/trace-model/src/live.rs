@@ -17,10 +17,11 @@
 ///
 /// Watermarks are monotonic within one writer session: `segment` never
 /// decreases, `committed_bytes` never decreases for a given `segment`,
-/// and every boundary lands exactly between two frames. A follower that
-/// only ever reads bytes covered by a watermark (or by a sealed-segment
-/// length) can never observe a torn frame — see the "Committed prefix &
-/// live readers" section of `docs/FORMAT.md` for the normative contract.
+/// `windows` never decreases, and every boundary lands exactly between
+/// two frames. A follower that only ever reads bytes covered by a
+/// watermark (or by a sealed-segment length) can never observe a torn
+/// frame — see the "Committed prefix & live readers" section of
+/// `docs/FORMAT.md` for the normative contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommitWatermark {
     /// The lane this watermark describes.
@@ -35,9 +36,6 @@ pub struct CommitWatermark {
     /// Windows committed across the whole lane, including any recovered
     /// on resume.
     pub windows: u64,
-    /// Id of the most recently committed window, if any window has been
-    /// committed (or recovered) yet.
-    pub last_window_id: Option<u64>,
 }
 
 impl CommitWatermark {
@@ -48,7 +46,6 @@ impl CommitWatermark {
             segment: 0,
             committed_bytes: 0,
             windows: 0,
-            last_window_id: None,
         }
     }
 }
@@ -81,7 +78,8 @@ pub struct SubscriptionStats {
     /// Whether the subscription is over: the followed writer closed (or
     /// crashed), every committed window was consumed and no resumed
     /// writer re-registered the lane within the grace — or the follower
-    /// failed (lapsed, or an I/O or decode error).
+    /// failed (an I/O or decode error, a lane rewritten between two
+    /// writers among them).
     pub ended: bool,
 }
 
@@ -96,7 +94,6 @@ mod tests {
         assert_eq!(wm.segment, 0);
         assert_eq!(wm.committed_bytes, 0);
         assert_eq!(wm.windows, 0);
-        assert_eq!(wm.last_window_id, None);
     }
 
     #[test]
