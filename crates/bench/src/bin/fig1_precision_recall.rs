@@ -10,6 +10,7 @@
 use std::error::Error;
 use std::time::Duration;
 
+use endurance_core::WindowVerdict;
 use endurance_eval::{alpha_sweep_from_decisions, default_alpha_grid, sweep_table, Experiment};
 
 fn main() -> Result<(), Box<dyn Error>> {
@@ -37,5 +38,17 @@ fn main() -> Result<(), Box<dyn Error>> {
             100.0 * point.recall
         );
     }
+    // What a flat line comes from: how many windows LOF scored, how many
+    // it flagged, and how many it judged normal, at the run's alpha.
+    let checked_normal = result
+        .decisions
+        .iter()
+        .filter(|decision| decision.verdict == WindowVerdict::CheckedNormal)
+        .count();
+    println!();
+    println!(
+        "at alpha = {:.1}: {} LOF evaluations, {} anomalous windows, {checked_normal} CheckedNormal verdicts",
+        result.report.alpha, result.report.lof_evaluations, result.report.anomalous_windows
+    );
     Ok(())
 }

@@ -304,13 +304,12 @@ impl MultiStreamExperiment {
     /// store, optionally compacts it, reopens it cold and recomputes the
     /// per-stream metrics from disk.
     ///
-    /// `store_for(stream)` configures the lane that records stream
-    /// `stream`, so a fleet can mix frame codecs (or rotation policies)
-    /// across devices in one directory. A merge-only `maintenance` policy
-    /// keeps the agreement checks exact; a retention horizon drops old
-    /// windows by design, so the on-disk set is verified as a subset of
-    /// the recorded set and the recomputed confusion is reported rather
-    /// than compared.
+    /// `store` configures every lane; `maintenance` is where a run is
+    /// compressed ([`MaintenancePolicy::with_recompress`]). A merge or
+    /// recompression pass keeps the agreement checks exact; a retention
+    /// horizon drops old windows by design, so the on-disk set is
+    /// verified as a subset of the recorded set and the recomputed
+    /// confusion is reported rather than compared.
     ///
     /// # Errors
     ///
@@ -322,14 +321,13 @@ impl MultiStreamExperiment {
     pub fn run_durable(
         &self,
         dir: impl AsRef<Path>,
-        store_for: impl Fn(usize) -> StoreConfig,
+        store: StoreConfig,
         maintenance: Option<MaintenancePolicy>,
     ) -> Result<FleetDurableResult, EvalError> {
         let dir = dir.as_ref();
         refuse_used_dir(dir)?;
         let writers = StoreWriter::open(dir)?;
-        let (aggregate, recorded) =
-            self.record_into_lanes(|lane| writers.lane(lane, store_for(lane as usize)))?;
+        let (aggregate, recorded) = self.record_into_lanes(|lane| writers.lane(lane, store))?;
         let compaction = maintenance
             .map(|policy| Compactor::new(dir, policy).compact())
             .transpose()?;
@@ -365,8 +363,7 @@ impl MultiStreamExperiment {
     /// tail subscription per lane follows the commit stream live, then
     /// verifies the followed streams byte-for-byte against a cold
     /// [`Snapshot`] and recomputes the per-stream metrics from what the
-    /// followers received. `store_for(stream)` configures the lane that
-    /// records stream `stream`.
+    /// followers received. `store` configures every lane.
     ///
     /// # Errors
     ///
@@ -379,7 +376,7 @@ impl MultiStreamExperiment {
     pub fn run_live(
         &self,
         dir: impl AsRef<Path>,
-        store_for: impl Fn(usize) -> StoreConfig,
+        store: StoreConfig,
     ) -> Result<FleetLiveResult, EvalError> {
         let dir = dir.as_ref();
         refuse_used_dir(dir)?;
@@ -407,7 +404,7 @@ impl MultiStreamExperiment {
         // live scoring all overlap per device. Closing a lane ends its
         // subscription once the follower drains the tail.
         let (aggregate, recorded) =
-            self.record_into_lanes(|lane| serve.create_writer(lane, store_for(lane as usize)))?;
+            self.record_into_lanes(|lane| serve.create_writer(lane, store))?;
 
         // Cold verification: a fresh snapshot trusts only the disk; every
         // follower must have received exactly the committed lane, once,
@@ -679,9 +676,9 @@ mod tests {
         let dir = temp_dir("live");
         let fleet = small_fleet(3);
         let live = fleet.run().unwrap();
-        let followed = fleet.run_live(&dir, |_| StoreConfig::default()).unwrap();
+        let followed = fleet.run_live(&dir, StoreConfig::default()).unwrap();
         let durable = fleet
-            .run_durable(dir.join("durable"), |_| StoreConfig::default(), None)
+            .run_durable(dir.join("durable"), StoreConfig::default(), None)
             .unwrap();
 
         // Same deterministic simulations: identical per-stream results.
@@ -749,9 +746,9 @@ mod tests {
         let churn = ChurnExperiment::churn_demo(10, 7).unwrap();
         let refusals = [
             fleet
-                .run_durable(&dir, |_| StoreConfig::default(), None)
+                .run_durable(&dir, StoreConfig::default(), None)
                 .map(|_| ()),
-            fleet.run_live(&dir, |_| StoreConfig::default()).map(|_| ()),
+            fleet.run_live(&dir, StoreConfig::default()).map(|_| ()),
             churn
                 .run_durable(&dir, StoreConfig::default(), 2)
                 .map(|_| ()),
@@ -778,12 +775,11 @@ mod tests {
 
         let mut stored = Vec::new();
         for codec in CodecId::ALL {
+            // Compressed after the close, by the run's maintenance pass.
+            let maintenance = (codec != CodecId::Identity)
+                .then(|| MaintenancePolicy::disabled().with_recompress(codec));
             let durable = fleet
-                .run_durable(
-                    base.join(codec.name()),
-                    |_| StoreConfig::default().with_codec(codec),
-                    None,
-                )
+                .run_durable(base.join(codec.name()), StoreConfig::default(), maintenance)
                 .unwrap();
             // A single device is a one-stream fleet: same report, same
             // decisions, and a cleanly closed store recounting exactly
@@ -809,69 +805,39 @@ mod tests {
                     *bytes < identity && ratio.unwrap() > 1.0,
                     "{codec}: {bytes} vs identity {identity}"
                 ),
-                // The general-purpose LZ codec falls back to identity per
-                // frame when a window has too little byte-level
-                // redundancy, so it may only tie on small workloads — but
-                // it must never grow the store.
-                CodecId::LzBlock => assert!(
-                    *bytes <= identity,
-                    "{codec}: {bytes} vs identity {identity}"
-                ),
+                // The LZ codec is decode-only: a pass towards it re-frames
+                // and stores every block as it was.
+                CodecId::LzBlock => assert_eq!(*bytes, identity, "{codec}"),
             }
         }
         std::fs::remove_dir_all(&base).ok();
     }
 
     #[test]
-    fn mixed_codec_fleet_agrees_per_lane_and_compresses_where_configured() {
-        let dir = temp_dir("mixed-codec");
-        // One lane per codec: identity, delta-varint, lz-block.
-        let fleet = small_fleet(3);
+    fn fleet_durable_with_compaction_still_agrees_byte_for_byte() {
+        let dir = temp_dir("compact");
+        let fleet = small_fleet(2);
+        // Tiny segments force rotation; the pass consolidates them,
+        // compresses every lane, and must not change a single replayed
+        // byte.
+        let policy = MaintenancePolicy::merge_below(u64::MAX).with_recompress(CodecId::DeltaVarint);
         let durable = fleet
             .run_durable(
                 &dir,
-                |stream| {
-                    StoreConfig::default()
-                        .with_codec(CodecId::from_u8(stream as u8).expect("three codecs"))
-                },
-                None,
+                StoreConfig::default().with_segment_max_windows(2),
+                Some(policy),
             )
             .unwrap();
-
-        // Exact agreement held for every lane (the call succeeded), the
-        // recomputed confusion matches the in-memory fleet, and the two
-        // compressed lanes actually shrank the store.
-        let live = fleet.run().unwrap();
-        assert_eq!(durable.observed.fleet_confusion, live.confusion);
-        assert_eq!(
-            durable.observed.payload_bytes,
-            live.aggregate.recorder.recorded_encoded_bytes
-        );
+        let compaction = durable.compaction.as_ref().unwrap();
+        assert!(compaction.merged_runs() > 0, "{compaction}");
+        assert!(compaction.recompressed_windows() > 0, "{compaction}");
+        assert_eq!(compaction.windows_dropped(), 0);
         assert!(
             durable.stored_bytes < durable.observed.payload_bytes,
             "{} stored vs {} payload",
             durable.stored_bytes,
             durable.observed.payload_bytes
         );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn fleet_durable_with_compaction_still_agrees_byte_for_byte() {
-        let dir = temp_dir("compact");
-        let fleet = small_fleet(2);
-        // Tiny segments force rotation; the merge-only pass consolidates
-        // them and must not change a single replayed byte.
-        let durable = fleet
-            .run_durable(
-                &dir,
-                |_| StoreConfig::default().with_segment_max_windows(2),
-                Some(MaintenancePolicy::merge_below(u64::MAX)),
-            )
-            .unwrap();
-        let compaction = durable.compaction.as_ref().unwrap();
-        assert!(compaction.merged_runs() > 0, "{compaction}");
-        assert_eq!(compaction.windows_dropped(), 0);
 
         let live = fleet.run().unwrap();
         assert_eq!(durable.observed.fleet_confusion, live.confusion);

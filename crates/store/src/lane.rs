@@ -5,17 +5,21 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use endurance_obs::{Counter, Registry};
-use trace_model::codec::{BinaryEncoder, CodecId, FrameCodec, TraceEncoder};
+use trace_model::codec::{BinaryEncoder, CodecId, TraceEncoder};
 use trace_model::{EventSink, RecordMeta, TraceError, TraceEvent};
 
 use crate::commit::CommitLog;
 use crate::index::{LaneIndex, RecoveryReport, SegmentMeta, WindowEntry, SIDECAR_SCHEMA};
 use crate::segment::{
     encode_frame, list_lane, scan_segment, segment_file_name, segment_header, write_sidecar,
-    FramePrev, LaneFiles, SEGMENT_HEADER_LEN, SEGMENT_VERSION_V1, SEGMENT_VERSION_V3,
+    FramePrev, LaneFiles, SEGMENT_HEADER_LEN, SEGMENT_VERSION_V1,
 };
 
-/// Rotation policy and frame codec of a store lane.
+/// Rotation policy of a store lane.
+///
+/// A lane stores every payload as the recorder encoded it, in format-v1
+/// segments; compressing a lane is the [`crate::Compactor`]'s job, once
+/// no writer holds it ([`crate::MaintenancePolicy::with_recompress`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreConfig {
     /// A segment is rotated before a frame would push it past this size
@@ -23,27 +27,15 @@ pub struct StoreConfig {
     pub segment_max_bytes: u64,
     /// A segment is rotated after holding this many recorded windows.
     pub segment_max_windows: u64,
-    /// Frame codec applied to every recorded payload
-    /// (see [`trace_model::codec::FrameCodec`]).
-    ///
-    /// [`CodecId::Identity`] (the default) writes format-v1 segments,
-    /// bit-compatible with stores written before frame compression
-    /// existed. Any other codec writes format-v3 segments; frames the
-    /// codec refuses (non-`ETRC` or incompressible payloads) fall back to
-    /// identity storage per frame, so replay is byte-for-byte lossless
-    /// either way.
-    pub codec: CodecId,
 }
 
 impl Default for StoreConfig {
     /// 8 MiB segments with no window-count limit — sized so an endurance
-    /// run rotates regularly without producing thousands of files — and
-    /// the identity codec (v1-compatible files).
+    /// run rotates regularly without producing thousands of files.
     fn default() -> Self {
         StoreConfig {
             segment_max_bytes: 8 * 1024 * 1024,
             segment_max_windows: u64::MAX,
-            codec: CodecId::Identity,
         }
     }
 }
@@ -60,52 +52,35 @@ impl StoreConfig {
         self.segment_max_windows = windows.max(1);
         self
     }
-
-    /// Returns the config with a different frame codec (see
-    /// [`StoreConfig::codec`]).
-    pub fn with_codec(mut self, codec: CodecId) -> Self {
-        self.codec = codec;
-        self
-    }
 }
 
-/// The writer's metric handles, labelled `{lane="i"}` where per-lane
-/// attribution matters; detached no-ops unless a registry is installed.
+/// The writer's metric handles, labelled `{lane="i"}`; detached no-ops
+/// unless a registry is installed.
 #[derive(Debug)]
 pub(crate) struct LaneMetrics {
-    /// `store_frames_written_total{lane, format}` — frames appended this
-    /// session (recovered windows are not frames *written* and are
-    /// excluded); `format` is the segment version they went into, `v1`
-    /// or `v3`.
+    /// `store_frames_written_total{lane}` — frames appended this session
+    /// (recovered windows are not frames *written* and are excluded).
     pub(crate) frames_written: Counter,
     /// `store_bytes_written_total{lane}` — frame bytes appended (headers
-    /// and codec framing included; segment headers excluded).
+    /// included; segment headers excluded).
     pub(crate) bytes_written: Counter,
     /// `store_rotations_total{lane}` — segments closed by rotation.
     pub(crate) rotations: Counter,
 }
 
 impl LaneMetrics {
-    pub(crate) fn from_registry(registry: &Registry, lane: u32, segment_version: u8) -> Self {
+    pub(crate) fn from_registry(registry: &Registry, lane: u32) -> Self {
         let index = lane.to_string();
         let labels: &[(&str, &str)] = &[("lane", &index)];
-        let format = if segment_version == SEGMENT_VERSION_V1 {
-            "v1"
-        } else {
-            "v3"
-        };
         LaneMetrics {
-            frames_written: registry.counter_with(
-                "store_frames_written_total",
-                &[("lane", &index), ("format", format)],
-            ),
+            frames_written: registry.counter_with("store_frames_written_total", labels),
             bytes_written: registry.counter_with("store_bytes_written_total", labels),
             rotations: registry.counter_with("store_rotations_total", labels),
         }
     }
 
     pub(crate) fn disabled(lane: u32) -> Self {
-        Self::from_registry(&Registry::disabled(), lane, SEGMENT_VERSION_V1)
+        Self::from_registry(&Registry::disabled(), lane)
     }
 }
 
@@ -131,17 +106,17 @@ impl LaneMetrics {
 /// and the sidecar picks up the recovered windows. See
 /// [`LaneWriter::recovery`].
 ///
+/// A writer stores each payload verbatim (format v1); a lane is
+/// compressed after it is closed, by a [`crate::Compactor`] pass.
+///
 /// ```rust
-/// use endurance_store::{CodecId, LaneWriter, StoreConfig, StoreReader};
+/// use endurance_store::{CodecId, Compactor, LaneWriter, MaintenancePolicy, StoreConfig, StoreReader};
 /// use trace_model::{EventSink, EventTypeId, Timestamp, TraceEvent};
 ///
 /// # fn main() -> Result<(), trace_model::TraceError> {
 /// let dir = std::env::temp_dir().join(format!("lane-doc-{}", std::process::id()));
 /// # let _ = std::fs::remove_dir_all(&dir);
-/// // A compressing lane: payloads are stored under the DeltaVarint
-/// // frame codec (replay is still byte-for-byte lossless).
-/// let config = StoreConfig::default().with_codec(CodecId::DeltaVarint);
-/// let mut writer = LaneWriter::create(&dir, 0, config)?;
+/// let mut writer = LaneWriter::create(&dir, 0, StoreConfig::default())?;
 /// let events: Vec<TraceEvent> = (0..200)
 ///     .map(|i| TraceEvent::new(Timestamp::from_micros(i * 500), EventTypeId::new(0), i as u32))
 ///     .collect();
@@ -149,6 +124,9 @@ impl LaneMetrics {
 /// assert_eq!(writer.recorded_events(), 200);
 /// writer.close()?; // flush + sidecar: the store reopens clean
 ///
+/// // Compress the closed lane; replay stays byte-for-byte lossless.
+/// let policy = MaintenancePolicy::disabled().with_recompress(CodecId::DeltaVarint);
+/// Compactor::new(&dir, policy).compact()?;
 /// let reader = StoreReader::open(&dir)?;
 /// assert!(reader.recovery().clean);
 /// assert_eq!(reader.lane_events(0)?, events);
@@ -173,18 +151,8 @@ pub struct LaneWriter {
     /// (the plain `record`/`record_encoded` paths).
     synthetic_next: u64,
     encoder: BinaryEncoder,
-    /// The configured frame codec; `None` for identity, which writes
-    /// format-v1 segments bit-compatible with the previous release.
-    codec: Option<Box<dyn FrameCodec>>,
-    /// Format version of segments this writer opens: 1 under the
-    /// identity codec, 3 under any other.
-    segment_version: u8,
-    /// The last frame written to the open segment — what the next v3
-    /// frame is coded against; zero when the next frame opens a segment.
-    prev: FramePrev,
     scratch_frame: Vec<u8>,
     scratch_payload: Vec<u8>,
-    scratch_block: Vec<u8>,
     events_recorded: usize,
     bytes_on_disk: u64,
     /// Rendering of the first write failure. A failed `write_all` may
@@ -300,12 +268,6 @@ impl LaneWriter {
             .map(|entry| entry.window_id + 1)
             .max()
             .unwrap_or(0);
-        let codec = (config.codec != CodecId::Identity).then(|| config.codec.new_codec());
-        let segment_version = if codec.is_some() {
-            SEGMENT_VERSION_V3
-        } else {
-            SEGMENT_VERSION_V1
-        };
         // Publish the recovered state to live followers before the first
         // append: every recovered segment is final (writing resumes in a
         // fresh one), so followers may read each to exactly its scanned
@@ -332,12 +294,8 @@ impl LaneWriter {
             recovery,
             synthetic_next,
             encoder: BinaryEncoder::new(),
-            codec,
-            segment_version,
-            prev: FramePrev::default(),
             scratch_frame: Vec::new(),
             scratch_payload: Vec::new(),
-            scratch_block: Vec::new(),
             events_recorded: 0,
             bytes_on_disk,
             poisoned: None,
@@ -348,13 +306,12 @@ impl LaneWriter {
     }
 
     /// Installs a metrics registry; the writer reports
-    /// `store_frames_written_total` (labelled `{lane="i", format="v1"}`
-    /// or `"v3"`), `store_bytes_written_total` and
+    /// `store_frames_written_total`, `store_bytes_written_total` and
     /// `store_rotations_total` (labelled `{lane="i"}`) into it. Install
     /// right after [`LaneWriter::create`], before recording, for exact
     /// totals.
     pub fn with_metrics(mut self, registry: &Registry) -> Self {
-        self.metrics = LaneMetrics::from_registry(registry, self.lane, self.segment_version);
+        self.metrics = LaneMetrics::from_registry(registry, self.lane);
         self
     }
 
@@ -414,14 +371,14 @@ impl LaneWriter {
                 .map_err(|error| {
                     std::io::Error::new(error.kind(), format!("{}: {error}", path.display()))
                 })?;
-            file.write_all(&segment_header(self.lane, self.seq, self.segment_version))?;
+            file.write_all(&segment_header(self.lane, self.seq, SEGMENT_VERSION_V1))?;
             self.segment_bytes = SEGMENT_HEADER_LEN;
             self.segment_windows = 0;
             self.bytes_on_disk += SEGMENT_HEADER_LEN;
             self.index.segments.push(SegmentMeta {
                 seq: self.seq,
                 committed_bytes: SEGMENT_HEADER_LEN,
-                version: self.segment_version,
+                version: SEGMENT_VERSION_V1,
             });
             self.file = Some(file);
         }
@@ -438,7 +395,6 @@ impl LaneWriter {
             // still know exactly where its committed frames end.
             self.commit.seal(self.seq, self.segment_bytes);
             self.seq += 1;
-            self.prev = FramePrev::default();
             self.metrics.rotations.inc();
         }
         Ok(())
@@ -464,32 +420,6 @@ impl LaneWriter {
         if let Some(message) = &self.poisoned {
             return Err(TraceError::Io(std::io::Error::other(message.clone())));
         }
-        // Run the configured codec first (nothing is on disk yet, so a
-        // refusal cleanly falls back to identity storage for this frame).
-        let mut block = std::mem::take(&mut self.scratch_block);
-        block.clear();
-        let codec_used = match self.codec.as_mut() {
-            Some(codec) => {
-                let compressed = match codec.compress(payload, &mut block) {
-                    Ok(compressed) => compressed,
-                    Err(error) => {
-                        self.scratch_block = block;
-                        return Err(error);
-                    }
-                };
-                if compressed {
-                    codec.id()
-                } else {
-                    CodecId::Identity
-                }
-            }
-            None => CodecId::Identity,
-        };
-        let stored = if codec_used == CodecId::Identity {
-            payload
-        } else {
-            block.as_slice()
-        };
         let mut entry = WindowEntry {
             window_id,
             start_ns,
@@ -498,34 +428,24 @@ impl LaneWriter {
             segment: self.seq,
             offset: 0,
             len: 0,
-            codec: codec_used.as_u8(),
+            codec: CodecId::Identity.as_u8(),
             raw_len: payload.len() as u32,
         };
-        // Size the frame where it stands, behind the open segment's last
-        // frame; rotation decides on that size.
-        let mut frame = std::mem::take(&mut self.scratch_frame);
-        entry.len = encode_frame(self.segment_version, &mut frame, self.prev, &entry, stored);
-        if self.needs_rotation(frame.len() as u64) {
-            if let Err(error) = self.rotate() {
-                self.scratch_block = block;
-                self.scratch_frame = frame;
-                return Err(error);
-            }
+        // A v1 frame is coded against nothing, so its bytes do not depend
+        // on the segment it lands in; rotation decides on their length.
+        let (v1, prev) = (SEGMENT_VERSION_V1, FramePrev::default());
+        entry.len = encode_frame(v1, &mut self.scratch_frame, prev, &entry, payload);
+        let frame_len = self.scratch_frame.len() as u64;
+        if self.needs_rotation(frame_len) {
+            self.rotate()?;
             entry.segment = self.seq;
-            if self.segment_version != SEGMENT_VERSION_V1 {
-                // The frame now opens a segment: coded against nothing,
-                // it is not the frame that was sized against `prev`.
-                entry.len =
-                    encode_frame(self.segment_version, &mut frame, self.prev, &entry, stored);
-            }
         }
         entry.offset = if self.file.is_some() {
             self.segment_bytes
         } else {
             SEGMENT_HEADER_LEN
         };
-        let frame_len = frame.len() as u64;
-        self.scratch_block = block;
+        let frame = std::mem::take(&mut self.scratch_frame);
         let result = self.open_segment().and_then(|file| {
             file.write_all(&frame)?;
             Ok(())
@@ -550,7 +470,6 @@ impl LaneWriter {
             .last_mut()
             .expect("open_segment pushed a segment meta")
             .committed_bytes = self.segment_bytes;
-        self.prev = FramePrev::after(&entry);
         self.index.windows.push(entry);
         // The frame is fully on disk (one write_all): commit it to live
         // followers. A failed append publishes nothing, so followers

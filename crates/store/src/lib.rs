@@ -17,13 +17,8 @@
 //!   [`StoreWriter`] is the directory opened for writing: it lists it
 //!   once and hands out the writers of a fleet's thousands of lanes
 //!   without listing it again for a lane that cannot have files.
-//!   Every recorded payload passes through the configured [`FrameCodec`]
-//!   ([`StoreConfig::with_codec`]): the default identity codec writes
-//!   format-v1 files bit-compatible with pre-compression releases, while
-//!   `DeltaVarint`/`LzBlock` write format-v3 files that shrink what each
-//!   window costs on disk — the block losslessly, with per-frame
-//!   fallback to identity, and the frame around it by coding its meta
-//!   against the frame before.
+//!   A writer appends each payload as the recorder encoded it, in
+//!   format-v1 files; it compresses nothing.
 //! * [`StoreReader`] — reopens a store directory, recovering after a
 //!   crash: every frame is length- and CRC-validated, torn tail writes
 //!   are detected (and truncated by a resuming writer), and the
@@ -39,9 +34,14 @@
 //!   pass: runs of small adjacent segments are merged into consolidated
 //!   ones (stored blocks copied verbatim, sidecar rewritten atomically) and
 //!   windows past a retention horizon are dropped, keeping reopen and
-//!   replay costs flat on week-long runs. It is the one thing that
-//!   rewrites a lane and runs on lanes no writer holds: a live lane is
-//!   append-only.
+//!   replay costs flat on week-long runs. It is also the one place a
+//!   frame is compressed: a pass with a target [`FrameCodec`]
+//!   ([`MaintenancePolicy::with_recompress`]) re-encodes v1 segments into
+//!   format-v3 files that shrink what each window costs on disk — the
+//!   block losslessly, with per-frame fallback to identity, and the frame
+//!   around it by coding its meta against the frame before. It is the one
+//!   thing that rewrites a lane and runs on lanes no writer holds: a live
+//!   lane is append-only.
 //! * [`Snapshot`] / [`Tailer`] / [`CommitLog`] — the live read side. A
 //!   [`Snapshot`] is an immutable, cheaply cloneable view of everything
 //!   committed at a point in time, backed by `Arc`-shared segment
@@ -107,7 +107,7 @@ pub use reader::{LaneReplay, StoreReader};
 pub use snapshot::Snapshot;
 pub use tail::{TailStep, TailWindow, Tailer};
 pub use writer::StoreWriter;
-// Re-exported so store configuration does not force a trace-model import.
+// Re-exported so a recompression target does not force a trace-model import.
 pub use trace_model::codec::{CodecId, FrameCodec};
 
 #[cfg(test)]

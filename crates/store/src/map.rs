@@ -357,15 +357,6 @@ impl SegmentMap {
         Ok(())
     }
 
-    /// The codec instance for `id`, created on first use.
-    fn codec_mut(codecs: &mut Vec<Box<dyn FrameCodec>>, id: CodecId) -> &mut dyn FrameCodec {
-        if let Some(at) = codecs.iter().position(|codec| codec.id() == id) {
-            return codecs[at].as_mut();
-        }
-        codecs.push(id.new_codec());
-        codecs.last_mut().expect("just pushed").as_mut()
-    }
-
     /// The original payload of one indexed window (the exact bytes the
     /// recorder handed to the sink): zero-copy for uncompressed frames,
     /// decoded into the map's scratch buffer for compressed ones. Length
@@ -386,7 +377,7 @@ impl SegmentMap {
             return Ok(block);
         }
         self.payload_scratch.clear();
-        Self::codec_mut(&mut self.codecs, frame.codec).decompress(
+        codec_mut(&mut self.codecs, frame.codec).decompress(
             block,
             frame.raw_len as usize,
             &mut self.payload_scratch,
@@ -416,13 +407,22 @@ impl SegmentMap {
         if frame.codec == CodecId::Identity {
             return BinaryDecoder::new().decode_into(block, out);
         }
-        Self::codec_mut(&mut self.codecs, frame.codec).decode_events(
+        codec_mut(&mut self.codecs, frame.codec).decode_events(
             block,
             frame.raw_len as usize,
             &mut self.payload_scratch,
             out,
         )
     }
+}
+
+/// The instance for `id` among a reader's codecs, created on first use.
+pub(crate) fn codec_mut(codecs: &mut Vec<Box<dyn FrameCodec>>, id: CodecId) -> &mut dyn FrameCodec {
+    if let Some(at) = codecs.iter().position(|codec| codec.id() == id) {
+        return codecs[at].as_mut();
+    }
+    codecs.push(id.new_codec());
+    codecs.last_mut().expect("just pushed").as_mut()
 }
 
 #[cfg(test)]
@@ -440,15 +440,8 @@ mod tests {
         dir
     }
 
-    fn write_windows_with(
-        dir: &std::path::Path,
-        windows: u64,
-        per_segment: u64,
-        codec: CodecId,
-    ) -> Vec<Vec<u8>> {
-        let config = StoreConfig::default()
-            .with_segment_max_windows(per_segment)
-            .with_codec(codec);
+    fn write_windows(dir: &std::path::Path, windows: u64, per_segment: u64) -> Vec<Vec<u8>> {
+        let config = StoreConfig::default().with_segment_max_windows(per_segment);
         let mut writer = LaneWriter::create(dir, 0, config).unwrap();
         let mut payloads = Vec::new();
         for id in 0..windows {
@@ -475,10 +468,6 @@ mod tests {
         payloads
     }
 
-    fn write_windows(dir: &std::path::Path, windows: u64, per_segment: u64) -> Vec<Vec<u8>> {
-        write_windows_with(dir, windows, per_segment, CodecId::Identity)
-    }
-
     #[test]
     fn payloads_match_and_segments_stay_resident_within_the_limit() {
         let dir = temp_dir("resident");
@@ -502,20 +491,23 @@ mod tests {
 
     #[test]
     fn compressed_frames_restore_the_same_payload_bytes() {
-        for codec in [CodecId::DeltaVarint, CodecId::LzBlock] {
-            let dir = temp_dir(&format!("codec-{}", codec.as_u8()));
-            let payloads = write_windows_with(&dir, 10, 3, codec);
-            let reader = StoreReader::open(&dir).unwrap();
-            let entries: Vec<WindowEntry> = reader.lane_windows(0).unwrap().to_vec();
-            let mut map = SegmentMap::new(&dir, 0);
-            for (entry, expected) in entries.iter().zip(&payloads) {
-                assert_eq!(map.payload(entry).unwrap(), expected.as_slice(), "{codec}");
-                let mut events = Vec::new();
-                map.decode_events_into(entry, &mut events).unwrap();
-                assert_eq!(events.len(), entry.events as usize);
-            }
-            std::fs::remove_dir_all(&dir).ok();
+        let dir = temp_dir("codec");
+        let payloads = write_windows(&dir, 10, 3);
+        let policy = crate::MaintenancePolicy::disabled().with_recompress(CodecId::DeltaVarint);
+        crate::Compactor::new(&dir, policy).compact().unwrap();
+        let reader = StoreReader::open(&dir).unwrap();
+        let entries: Vec<WindowEntry> = reader.lane_windows(0).unwrap().to_vec();
+        assert!(entries
+            .iter()
+            .all(|entry| entry.codec == CodecId::DeltaVarint.as_u8()));
+        let mut map = SegmentMap::new(&dir, 0);
+        for (entry, expected) in entries.iter().zip(&payloads) {
+            assert_eq!(map.payload(entry).unwrap(), expected.as_slice());
+            let mut events = Vec::new();
+            map.decode_events_into(entry, &mut events).unwrap();
+            assert_eq!(events.len(), entry.events as usize);
         }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -497,7 +497,8 @@ impl StoreReader {
     /// Same conditions as [`StoreReader::window_payload`].
     pub fn lane_payload_bytes(&self, lane: u32) -> Result<Vec<u8>, TraceError> {
         self.with_lane_map(lane, |index, map| {
-            let mut bytes = Vec::with_capacity(index.total_payload_bytes() as usize);
+            // Raw lengths are claims until decoded: reserve as a decoder would.
+            let mut bytes = Vec::with_capacity(index.total_payload_bytes().min(1 << 20) as usize);
             for entry in &index.windows {
                 bytes.extend_from_slice(map.payload(entry)?);
             }

@@ -20,6 +20,7 @@ use trace_model::{TraceError, TraceEvent};
 
 use crate::commit::{CommitLog, CommitView};
 use crate::index::WindowEntry;
+use crate::map::codec_mut;
 use crate::segment::{
     parse_segment_header, read_frame, segment_file_name, FramePrev, FrameRead, SEGMENT_HEADER_LEN,
 };
@@ -354,8 +355,9 @@ impl Tailer {
         let payload = if codec == CodecId::Identity {
             block.to_vec()
         } else {
-            let mut payload = Vec::with_capacity(entry.raw_len as usize);
-            Self::codec_mut(&mut self.codecs, codec).decompress(
+            // A claim, not yet the block's word: reserve as a decoder would.
+            let mut payload = Vec::with_capacity((entry.raw_len as usize).min(1 << 20));
+            codec_mut(&mut self.codecs, codec).decompress(
                 block,
                 entry.raw_len as usize,
                 &mut payload,
@@ -366,20 +368,12 @@ impl Tailer {
         self.prev = FramePrev::after(&entry);
         Ok(TailWindow { entry, payload })
     }
-
-    fn codec_mut(codecs: &mut Vec<Box<dyn FrameCodec>>, id: CodecId) -> &mut dyn FrameCodec {
-        if let Some(at) = codecs.iter().position(|codec| codec.id() == id) {
-            return codecs[at].as_mut();
-        }
-        codecs.push(id.new_codec());
-        codecs.last_mut().expect("just pushed").as_mut()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{LaneWriter, Snapshot, StoreConfig};
+    use crate::{Compactor, LaneWriter, MaintenancePolicy, Snapshot, StoreConfig};
     use trace_model::codec::{BinaryEncoder, TraceEncoder};
     use trace_model::{EventSink, EventTypeId, RecordMeta, Timestamp, TraceEvent, WindowId};
 
@@ -447,16 +441,38 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Windows `0..ids` of 20 events recorded into lane 0 and the lane
+    /// closed, then — when `compress` — recompressed by a `Compactor`
+    /// pass: the way a lane comes to hold compressed (v3) frames. Returns
+    /// their payloads.
+    fn closed_lane(
+        dir: &std::path::Path,
+        config: StoreConfig,
+        ids: u64,
+        compress: bool,
+    ) -> Vec<Vec<u8>> {
+        let mut writer = LaneWriter::create(dir, 0, config).unwrap();
+        let payloads = (0..ids).map(|id| record(&mut writer, id, 20)).collect();
+        writer.close().unwrap();
+        if compress {
+            let policy = MaintenancePolicy::disabled().with_recompress(CodecId::DeltaVarint);
+            let report = Compactor::new(dir, policy).compact().unwrap();
+            assert!(report.recompressed_windows() > 0, "{report}");
+        }
+        payloads
+    }
+
     #[test]
     fn tail_output_matches_a_cold_snapshot_byte_for_byte() {
-        for codec in [CodecId::Identity, CodecId::DeltaVarint, CodecId::LzBlock] {
-            let dir = temp_dir(&format!("vs-snap-{}", codec.as_u8()));
-            let config = StoreConfig::default()
-                .with_segment_max_windows(2)
-                .with_codec(codec);
+        for compress in [false, true] {
+            let dir = temp_dir(&format!("vs-snap-{compress}"));
+            let config = StoreConfig::default().with_segment_max_windows(2);
+            closed_lane(&dir, config, 4, compress);
+            // A follower of the resumed lane reads the closed prefix (v1,
+            // or v3 under EDV) and then what the new writer appends.
             let mut writer = LaneWriter::create(&dir, 0, config).unwrap();
             let mut tailer = Tailer::follow(&dir, writer.commit_log());
-            for id in 0..7u64 {
+            for id in 4..7u64 {
                 record(&mut writer, id, 5 + id as usize);
             }
             writer.close().unwrap();
@@ -465,7 +481,11 @@ mod tests {
                 .flat_map(|w| w.payload.clone())
                 .collect();
             let snapshot = Snapshot::open(&dir).unwrap();
-            assert_eq!(tailed, snapshot.lane_payload_bytes(0).unwrap(), "{codec}");
+            assert_eq!(
+                tailed,
+                snapshot.lane_payload_bytes(0).unwrap(),
+                "{compress}"
+            );
             std::fs::remove_dir_all(&dir).ok();
         }
     }
@@ -537,42 +557,50 @@ mod tests {
     /// FORMAT.md §6 "Bounded reads", literally: bytes lying past the
     /// bound of a fill (here 400 bytes standing in for an in-flight
     /// frame) must not reach the follower's buffer, or a later bound
-    /// that covers the same offsets is served from the stale copy.
+    /// that covers the same offsets is served from the stale copy —
+    /// behind a closed prefix of the lane, plain or compressed.
     #[test]
     fn bytes_past_the_bound_are_never_buffered() {
         use std::io::Write;
-        for codec in [CodecId::Identity, CodecId::DeltaVarint, CodecId::LzBlock] {
-            let dir = temp_dir(&format!("past-bound-{}", codec.as_u8()));
-            let config = StoreConfig::default().with_codec(codec);
+        for (prefix, compress) in [(0, false), (1, false), (1, true)] {
+            let what = format!("prefix {prefix} compress {compress}");
+            let dir = temp_dir(&format!("past-bound-{prefix}-{compress}"));
+            let config = StoreConfig::default();
+            let mut payloads = closed_lane(&dir, config, prefix, compress);
             let mut writer = LaneWriter::create(&dir, 0, config).unwrap();
             let mut tailer = Tailer::follow(&dir, writer.commit_log());
-            let mut payloads = vec![record(&mut writer, 0, 6)];
+            payloads.push(record(&mut writer, prefix, 6));
 
-            let committed = writer.commit_log().view().watermark.committed_bytes;
+            let watermark = writer.commit_log().view().watermark;
+            let live = format!("lane0000-{:06}.seg", watermark.segment);
             let mut second = std::fs::OpenOptions::new()
                 .write(true)
-                .open(dir.join("lane0000-000000.seg"))
+                .open(dir.join(live))
                 .unwrap();
-            second.seek(SeekFrom::Start(committed)).unwrap();
+            second
+                .seek(SeekFrom::Start(watermark.committed_bytes))
+                .unwrap();
             second.write_all(&[0xEE; 400]).unwrap();
             drop(second);
 
             let mut got = Vec::new();
-            match tailer.next(Duration::from_secs(1)).unwrap() {
-                TailStep::Window(window) => got.push(window),
-                other => panic!("{codec}: expected window 0, got {other:?}"),
+            for id in 0..=prefix {
+                match tailer.next(Duration::from_secs(1)).unwrap() {
+                    TailStep::Window(window) => got.push(window),
+                    other => panic!("{what}: expected window {id}, got {other:?}"),
+                }
             }
-            assert_eq!(tailer.buf.len() as u64, committed, "{codec}");
+            assert_eq!(tailer.buf.len() as u64, watermark.committed_bytes, "{what}");
 
             // The writer's own offset overwrites the smear.
-            payloads.push(record(&mut writer, 1, 6));
-            payloads.push(record(&mut writer, 2, 6));
+            payloads.push(record(&mut writer, prefix + 1, 6));
+            payloads.push(record(&mut writer, prefix + 2, 6));
             writer.close().unwrap();
             got.extend(drain(&mut tailer));
             let ids: Vec<u64> = got.iter().map(|w| w.entry.window_id).collect();
-            assert_eq!(ids, vec![0, 1, 2], "{codec}");
+            assert_eq!(ids, (0..prefix + 3).collect::<Vec<u64>>(), "{what}");
             for (window, payload) in got.iter().zip(&payloads) {
-                assert_eq!(&window.payload, payload, "{codec}");
+                assert_eq!(&window.payload, payload, "{what}");
             }
             std::fs::remove_dir_all(&dir).ok();
         }

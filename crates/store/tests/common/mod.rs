@@ -1,12 +1,16 @@
 //! Shared by `format_compat`, `speed_equivalence` and `hostile_segments`:
 //! windows with arbitrary frame meta, payloads of an exact encoded
-//! length, and the only v2 *writer* left anywhere — a fixture builder
-//! that lays the frames of FORMAT.md §2.2 out by hand, as the builds
-//! that wrote v2 did.
+//! length, the only v2 *writer* left anywhere — a fixture builder that
+//! lays the frames of FORMAT.md §2.2 out by hand, as the builds that
+//! wrote v2 did — lanes compressed the one way a lane is, and the
+//! checked-in bytes of a v2 store and a v3 segment that earlier builds
+//! wrote, `LZB` frames included, which nothing writes any more.
 
 #![allow(dead_code)] // each test file uses its own part
 
-use endurance_store::{crc32, CodecId, LaneWriter, WindowEntry};
+use endurance_store::{
+    crc32, CodecId, Compactor, LaneWriter, MaintenancePolicy, StoreConfig, WindowEntry,
+};
 use trace_model::codec::{BinaryEncoder, TraceEncoder};
 use trace_model::{EventSink, EventTypeId, RecordMeta, Timestamp, TraceEvent, WindowId};
 
@@ -165,6 +169,33 @@ pub fn write_v2_segment(
     std::fs::write(dir.join(format!("lane{lane:04}-{seq:06}.seg")), file).unwrap();
 }
 
+/// Records `windows` into `lane` of `dir` in runs of `per_segment`, one
+/// writer session (and one v1 segment) a run, and — unless `codec` is
+/// identity — has a `Compactor` pass recompress each run into a v3
+/// segment before the next is appended: what a writer configured with
+/// `codec` left, segment for segment, when writers still compressed.
+pub fn write_compressed_lane(
+    dir: &std::path::Path,
+    lane: u32,
+    windows: &[Window],
+    per_segment: usize,
+    codec: CodecId,
+) {
+    std::fs::create_dir_all(dir).unwrap();
+    let config = StoreConfig::default().with_segment_max_windows(per_segment as u64);
+    for run in windows.chunks(per_segment) {
+        let mut writer = LaneWriter::create(dir, lane, config).unwrap();
+        for window in run {
+            window.record(&mut writer);
+        }
+        writer.close().unwrap();
+        if codec != CodecId::Identity {
+            let policy = MaintenancePolicy::disabled().with_recompress(codec);
+            Compactor::new(dir, policy).compact_lane(lane).unwrap();
+        }
+    }
+}
+
 /// Every file of a store directory, by name.
 pub fn dir_contents(dir: &std::path::Path) -> std::collections::BTreeMap<String, Vec<u8>> {
     std::fs::read_dir(dir)
@@ -191,4 +222,188 @@ pub fn segment_files(dir: &std::path::Path, lane: u32) -> Vec<(u32, u8, std::pat
         .collect();
     files.sort();
     files
+}
+
+pub fn window_events(id: u64, count: usize) -> Vec<TraceEvent> {
+    (0..count as u64)
+        .map(|i| {
+            TraceEvent::new(
+                Timestamp::from_micros(id * 10_000 + i * 250),
+                EventTypeId::new(((id + i) % 4) as u16),
+                (id * 100 + i) as u32,
+            )
+        })
+        .collect()
+}
+
+pub fn unhex(hex: &str) -> Vec<u8> {
+    let digits: Vec<u8> = hex
+        .bytes()
+        .filter(|byte| !byte.is_ascii_whitespace())
+        .map(|byte| (byte as char).to_digit(16).unwrap() as u8)
+        .collect();
+    digits
+        .chunks(2)
+        .map(|pair| pair[0] << 4 | pair[1])
+        .collect()
+}
+
+/// What `write_v2_fixture` — this file's `window_events`, two to twelve
+/// events a window, five windows, three to a segment, lane 0 under
+/// `DeltaVarint` and lane 1 under `LzBlock` — left on disk when run
+/// against the last build whose writer emitted format v2 (commit
+/// `259fd36`): a real v2 directory, sidecars included, not a
+/// reconstruction. Both codecs refused the two-event windows, so each
+/// lane holds identity frames too.
+pub const PARENT_V2_STORE: [(&str, &str); 6] = [
+    (
+        "lane0000-000000.seg",
+        "45534547020000000000000000310000004efafcb00000000000000000000000\
+         000000000091d003000000000002000000001000000045545243010200000001\
+         90a10f010101520000009329a89501000000000000008096980000000000e179\
+         af000000000007000000003100000045545243010780ade20401640190a10f02\
+         650190a10f03660190a10f00670190a10f01680190a10f02690190a10f036a01\
+         6e0000006165f0c50200000000000000002d31010000000031235b0100000000\
+         0c000000015b0000000c80dac40990a10f90a10f90a10f90a10f90a10f90a10f\
+         90a10f90a10f90a10f90a10f90a10f0402010301000101011032103210320001\
+         90030808000192030808000194030808000196030808",
+    ),
+    (
+        "lane0000-000001.seg",
+        "45534547020000000001000000360000002dff6cf7030000000000000080c3c9\
+         01000000001194cd01000000000200000000150000004554524301028087a70e\
+         03ac020190a10f00ad02015800000022180e9f0400000000000000005a620200\
+         000000613d7902000000000700000001380000000780b4891390a10f90a10f90\
+         a10f90a10f90a10f90a10f040001010102010301103210020001a006080001a2\
+         06080001a406080001a606",
+    ),
+    (
+        "lane0000.idx",
+        "4549445803000000000000000200000005000000000000000000000016010000\
+         000000000201000000ab00000000000000020000000000000000000000000000\
+         000091d003000000000002000000000000000d00000000000000310000000010\
+         00000001000000000000008096980000000000e179af00000000000700000000\
+         00000046000000000000005200000000310000000200000000000000002d3101\
+         0000000031235b01000000000c00000000000000a0000000000000006e000000\
+         015b000000030000000000000080c3c901000000001194cd0100000000020000\
+         00010000000d000000000000003600000000150000000400000000000000005a\
+         620200000000613d79020000000007000000010000004b000000000000005800\
+         00000138000000b7402264",
+    ),
+    (
+        "lane0001-000000.seg",
+        "45534547020100000000000000310000004efafcb00000000000000000000000\
+         000000000091d003000000000002000000001000000045545243010200000001\
+         90a10f0101014f000000ef9a80f201000000000000008096980000000000e179\
+         af0000000000070000000231000000f00345545243010780ade20401640190a1\
+         0f02650600200366060020006706002001680600200269060030036a016a0000\
+         009c1049c40200000000000000002d31010000000031235b01000000000c0000\
+         00025b000000f10445545243010c80dac40902c8010190a10f03c907002100ca\
+         07002101cb07002102cc07002103cd07002100ce07002101cf07002102d00700\
+         2103d107002100d207004001d30101",
+    ),
+    (
+        "lane0001-000001.seg",
+        "45534547020100000001000000360000002dff6cf7030000000000000080c3c9\
+         01000000001194cd01000000000200000000150000004554524301028087a70e\
+         03ac020190a10f00ad02015100000076aaa8180400000000000000005a620200\
+         000000613d790200000000070000000238000000f10445545243010780b48913\
+         0090030190a10f01910700210292070021039307002100940700210195070040\
+         02960301",
+    ),
+    (
+        "lane0001.idx",
+        "454944580300000001000000020000000500000000000000000000000f010000\
+         000000000201000000a400000000000000020000000000000000000000000000\
+         000091d003000000000002000000000000000d00000000000000310000000010\
+         00000001000000000000008096980000000000e179af00000000000700000000\
+         00000046000000000000004f00000002310000000200000000000000002d3101\
+         0000000031235b01000000000c000000000000009d000000000000006a000000\
+         025b000000030000000000000080c3c901000000001194cd0100000000020000\
+         00010000000d000000000000003600000000150000000400000000000000005a\
+         620200000000613d79020000000007000000010000004b000000000000005100\
+         00000238000000de2800c1",
+    ),
+];
+
+/// The windows `write_v2_fixture` recorded into each lane.
+pub fn parent_v2_windows() -> Vec<Window> {
+    (0..5u64)
+        .map(|id| {
+            let events = window_events(id, 2 + (id % 3) as usize * 5);
+            let (start, end) = (events[0].timestamp, events.last().unwrap().timestamp);
+            Window::new(id, start.as_nanos(), end.as_nanos() + 1, events)
+        })
+        .collect()
+}
+
+/// `lane0000-000000.seg` of `golden_v3_windows`, as FORMAT.md §2.2 lays
+/// format v3 out: the 13-byte header, then per frame a varint body
+/// length, the CRC-32, six meta fields coded against the frame before,
+/// and the stored block. Read the second frame, `38 467a6b8b 02 00 00
+/// 06 00 32 …`: a 56-byte body; id one past its predecessor's
+/// (`zigzag(1) = 2`), starting where that one ended, lasting as long;
+/// six events; identity; 50 raw bytes. Six bytes of meta where v2
+/// spent 33, five of header where it spent eight.
+pub const GOLDEN_V3_SEG: &str = "\
+     455345470300000000000000002313acf3355080c0f0f50b80e8922602001645\
+     545243010298a2f8fa0500a01f01dda54c01a11f0138467a6b8b020000060032\
+     4554524301069fd6818e0601842001dda54c02852001dda54c03862001dda54c\
+     00872001dda54c01882001dda54c028920015d24ba0b720200000e016a0ea68a\
+     8ba106dda54cdda54cdda54cdda54cdda54cdda54cdda54cdda54cdda54cdda5\
+     4cdda54cdda54cdda54c040201030100010101103210321032100001d0410808\
+     080001d2410808080001d44108080001d64108089801d1535b4a0200001e01da\
+     011eadbe94b406dda54cdda54cdda54cdda54cdda54cdda54cdda54cdda54cdd\
+     a54cdda54cdda54cdda54cdda54cdda54cdda54cdda54cdda54cdda54cdda54c\
+     dda54cdda54cdda54cdda54cdda54cdda54cdda54cdda54cdda54cdda54c0403\
+     010001010102011032103210321032103210321032100101984301080701019a\
+     4301080701019c4301080601019e430108061c20d92d01020000020016455452\
+     430102b4f29dc70600b02201dda54c01b122013858f8e7770200000600324554\
+     52430106bba6a7da0601942301dda54c02952301dda54c03962301dda54c0097\
+     2301dda54c01982301dda54c029923015bc120952b0200000e026af105455452\
+     43010ec2dab0ed0602f82301dda54c03f907002100fa07002101fb07002102fc\
+     07002103fd07002100fe07002101ff0700300280240700210381070021008207\
+     00210183070021028407004003852401ae01987b77ac0680d0a54c001e02da01\
+     f10545545243011ed7f6cca60701a42601dda54c02a507002103a607002100a7\
+     07002101a807002102a907002103aa07002100ab07002101ac07002102ad0700\
+     2103ae07002100af07002101b007002102b107002103b207002100b307002101\
+     b407002102b507002103b607002100b707002101b807002102b907002103ba07\
+     002100bb07002101bc07002102bd07002103be07002100bf07002101c0070040\
+     02c126011cdd8020cc020000020016455452430102deaad6b90702882701dda5\
+     4c038927010faaed9b460200ffe7922600000645545243010026601d0bdf0280\
+     e892260103001d455452430103ec92e9df0700d02801dda54c01d12801dda54c\
+     02d22801b10199bbc10d0282e8922682e892261e02da01f10545545243011ef3\
+     c6f2f20701b42901dda54c02b507002103b607002100b707002101b807002102\
+     b907002103ba07002100bb07002101bc07002102bd07002103be07002100bf07\
+     002101c007002102c107002103c207002100c307002101c407002102c5070021\
+     03c607002100c707002101c807002102c907002103ca07002100cb07002101cc\
+     07002102cd07002103ce07002100cf07002101d007004002d12901";
+
+/// Twelve windows, six recorded under `DeltaVarint` and six under
+/// `LzBlock` (each refuses its smallest), 40 ms each, back to back but
+/// for a hole of two windows in the ids and the clock before the
+/// eighth, a window of no length and no events, and one that ends
+/// before it starts.
+pub fn golden_v3_windows() -> Vec<Window> {
+    (0..12u64)
+        .map(|at| {
+            let id = if at < 7 { at + 40 } else { at + 42 };
+            let start_ns = id * 40_000_000;
+            let (span, count) = match at {
+                9 => (0, 0),
+                10 => (u64::MAX, 3),
+                _ => (40_000_000, [2, 6, 14, 30][at as usize % 4]),
+            };
+            let events = (0..count)
+                .map(|i| {
+                    TraceEvent::new(
+                        Timestamp::from_nanos(start_ns + i * 1_250_000 + (id * 7 + i * 13) % 1_000),
+                        EventTypeId::new(((id + i) % 4) as u16),
+                        (id * 100 + i) as u32,
+                    )
+                })
+                .collect();
+            Window::new(id, start_ns, start_ns.wrapping_add(span), events)
+        })
+        .collect()
 }

@@ -1,27 +1,30 @@
 //! On-disk format compatibility: a format-v1 store written by the
 //! previous release (reconstructed here byte by byte, independent of the
-//! current writer) must open, replay byte-for-byte, resume under a
-//! codec-configured (v3) writer, and compact — including recompression into a
-//! configured codec — without changing a single replayed payload byte.
-//! The sidecar's own encodings are pinned here too: the JSON ones of
-//! schemas 1 and 2 stay readable and migrate to the binary `.idx`, whose
-//! layout a checked-in golden file fixes byte for byte. So are format
-//! v2, which nothing writes any more — a directory the last v2-writing
-//! build left is carried here as bytes — and format v3, by a golden
-//! segment.
+//! current writer) must open, replay byte-for-byte, resume, and compact —
+//! including recompression into a target codec — without changing a
+//! single replayed payload byte. The sidecar's own encodings are pinned
+//! here too: the JSON ones of schemas 1 and 2 stay readable and migrate
+//! to the binary `.idx`, whose layout a checked-in golden file fixes byte
+//! for byte. So are format v2, which nothing writes any more — a
+//! directory the last v2-writing build left is carried as bytes — and
+//! format v3, by a golden segment whose `LZB` frames nothing writes any
+//! more either.
 
 mod common;
 
 use proptest::prelude::*;
 
-use common::{dir_contents, segment_files, write_v2_segment, Window};
+use common::{
+    dir_contents, golden_v3_windows, parent_v2_windows, segment_files, unhex, window_events,
+    write_compressed_lane, write_v2_segment, Window, GOLDEN_V3_SEG, PARENT_V2_STORE,
+};
 
 use endurance_store::{
     crc32, CodecId, Compactor, FallbackReason, LaneWriter, MaintenancePolicy, SidecarFallback,
-    StoreConfig, StoreReader,
+    StoreConfig, StoreReader, TailStep, Tailer,
 };
 use trace_model::codec::{BinaryEncoder, TraceEncoder};
-use trace_model::{EventSink, EventTypeId, RecordMeta, Timestamp, TraceEvent, WindowId};
+use trace_model::{EventSink, RecordMeta, Timestamp, TraceEvent, WindowId};
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -31,18 +34,6 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
-}
-
-fn window_events(id: u64, count: usize) -> Vec<TraceEvent> {
-    (0..count as u64)
-        .map(|i| {
-            TraceEvent::new(
-                Timestamp::from_micros(id * 10_000 + i * 250),
-                EventTypeId::new(((id + i) % 4) as u16),
-                (id * 100 + i) as u32,
-            )
-        })
-        .collect()
 }
 
 fn encode(events: &[TraceEvent]) -> Vec<u8> {
@@ -150,31 +141,23 @@ fn assert_store_matches(reader: &StoreReader, recorded: &[(u64, Vec<TraceEvent>,
     }
 }
 
-/// Writes `windows` windows of 30 events to lane 0 under `codec`, three
-/// per segment, and closes the lane.
+/// Writes `windows` windows of 30 events to lane 0, three per segment,
+/// each segment compressed under `codec` (see `write_compressed_lane`),
+/// and closes the lane.
 fn write_closed_lane(
     dir: &std::path::Path,
     codec: CodecId,
     windows: u64,
 ) -> Vec<(u64, Vec<TraceEvent>, Vec<u8>)> {
-    let config = StoreConfig::default()
-        .with_codec(codec)
-        .with_segment_max_windows(3);
-    let mut writer = LaneWriter::create(dir, 0, config).unwrap();
-    let mut recorded = Vec::new();
-    for id in 0..windows {
-        let events = window_events(id, 30);
-        let payload = encode(&events);
-        let meta = RecordMeta {
-            window_id: WindowId::new(id),
-            start: events[0].timestamp,
-            end: Timestamp::from_nanos(events.last().unwrap().timestamp.as_nanos() + 1),
-        };
-        writer.record_window(&meta, &events, &payload).unwrap();
-        recorded.push((id, events, payload));
-    }
-    writer.close().unwrap();
-    recorded
+    let windows: Vec<Window> = (0..windows)
+        .map(|id| {
+            let events = window_events(id, 30);
+            let (start, end) = (events[0].timestamp, events.last().unwrap().timestamp);
+            Window::new(id, start.as_nanos(), end.as_nanos() + 1, events)
+        })
+        .collect();
+    write_compressed_lane(dir, 0, &windows, 3, codec);
+    recorded_as(&windows)
 }
 
 /// Turns lane 0 of a cleanly closed store into what the release before
@@ -264,15 +247,12 @@ fn v1_fixture_without_sidecar_is_rescanned() {
 }
 
 #[test]
-fn v2_writer_resumes_a_v1_store_into_a_mixed_version_lane() {
+fn a_v1_store_resumes_and_migrates_its_sidecar_on_close() {
     let dir = temp_dir("v1-resume");
     let mut recorded = build_v1_store(&dir, 2, 3);
 
-    // Resume under a DeltaVarint-configured writer: old segments stay v1,
-    // new ones are v3.
-    let config = StoreConfig::default()
-        .with_codec(CodecId::DeltaVarint)
-        .with_segment_max_windows(2);
+    // The old segments stay as they are; the appended ones are v1 too.
+    let config = StoreConfig::default().with_segment_max_windows(2);
     let mut writer = LaneWriter::create(&dir, 0, config).unwrap();
     assert_eq!(writer.recovery().windows, 6);
     for id in 6..11u64 {
@@ -291,15 +271,13 @@ fn v2_writer_resumes_a_v1_store_into_a_mixed_version_lane() {
         dir.join("lane0000.idx").exists() && !dir.join("lane0000.idx.json").exists(),
         "the lane's first close migrates its sidecar"
     );
+    let versions: Vec<u8> = segment_files(&dir, 0).iter().map(|file| file.1).collect();
+    assert_eq!(versions, [1, 1, 1, 1, 1]);
 
     let reader = StoreReader::open(&dir).unwrap();
     assert!(reader.recovery().clean);
     assert!(reader.recovery().legacy_sidecars.is_empty());
     assert_store_matches(&reader, &recorded);
-    assert!(
-        reader.total_stored_bytes() < reader.total_payload_bytes(),
-        "the appended v3 windows must actually be compressed"
-    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -368,38 +346,6 @@ fn every_codec_round_trips_through_a_full_store_lifecycle() {
         assert_store_matches(&after, &recorded);
         std::fs::remove_dir_all(&dir).ok();
     }
-}
-
-#[test]
-fn crash_recovery_truncates_torn_v2_frames() {
-    let dir = temp_dir("v2-torn");
-    let config = StoreConfig::default().with_codec(CodecId::DeltaVarint);
-    let mut writer = LaneWriter::create(&dir, 0, config).unwrap();
-    let mut recorded = Vec::new();
-    for id in 0..3u64 {
-        let events = window_events(id, 25);
-        let payload = encode(&events);
-        let meta = RecordMeta {
-            window_id: WindowId::new(id),
-            start: events[0].timestamp,
-            end: Timestamp::from_nanos(events.last().unwrap().timestamp.as_nanos() + 1),
-        };
-        writer.record_window(&meta, &events, &payload).unwrap();
-        recorded.push((id, events, payload));
-    }
-    drop(writer); // crash: no sidecar
-                  // Tear the last frame mid-block.
-    let path = dir.join("lane0000-000000.seg");
-    let bytes = std::fs::read(&path).unwrap();
-    let torn_len = bytes.len() - 7;
-    std::fs::write(&path, &bytes[..torn_len]).unwrap();
-
-    let reader = StoreReader::open(&dir).unwrap();
-    assert!(!reader.recovery().clean);
-    assert_eq!(reader.recovery().windows, 2, "the torn frame is dropped");
-    assert_eq!(reader.recovery().torn_tails.len(), 1);
-    assert_store_matches(&reader, &recorded[..2]);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -597,18 +543,6 @@ const GOLDEN_IDX: &str = "\
       7e00000000000000 7e000000 00 62000000 \
     14fa7ead";
 
-fn unhex(hex: &str) -> Vec<u8> {
-    let digits: Vec<u8> = hex
-        .bytes()
-        .filter(|byte| !byte.is_ascii_whitespace())
-        .map(|byte| (byte as char).to_digit(16).unwrap() as u8)
-        .collect();
-    digits
-        .chunks(2)
-        .map(|pair| pair[0] << 4 | pair[1])
-        .collect()
-}
-
 #[test]
 fn golden_binary_sidecar_pins_the_layout() {
     let golden = unhex(GOLDEN_IDX);
@@ -645,95 +579,6 @@ fn golden_binary_sidecar_pins_the_layout() {
             .collect::<String>()
     );
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// What `write_v2_fixture` — this file's `window_events`, two to twelve
-/// events a window, five windows, three to a segment, lane 0 under
-/// `DeltaVarint` and lane 1 under `LzBlock` — left on disk when run
-/// against the last build whose writer emitted format v2 (PR 19,
-/// `259fd36`): a real v2 directory, sidecars included, not a
-/// reconstruction. Both codecs refused the two-event windows, so each
-/// lane holds identity frames too.
-const PARENT_V2_STORE: [(&str, &str); 6] = [
-    (
-        "lane0000-000000.seg",
-        "45534547020000000000000000310000004efafcb00000000000000000000000\
-         000000000091d003000000000002000000001000000045545243010200000001\
-         90a10f010101520000009329a89501000000000000008096980000000000e179\
-         af000000000007000000003100000045545243010780ade20401640190a10f02\
-         650190a10f03660190a10f00670190a10f01680190a10f02690190a10f036a01\
-         6e0000006165f0c50200000000000000002d31010000000031235b0100000000\
-         0c000000015b0000000c80dac40990a10f90a10f90a10f90a10f90a10f90a10f\
-         90a10f90a10f90a10f90a10f90a10f0402010301000101011032103210320001\
-         90030808000192030808000194030808000196030808",
-    ),
-    (
-        "lane0000-000001.seg",
-        "45534547020000000001000000360000002dff6cf7030000000000000080c3c9\
-         01000000001194cd01000000000200000000150000004554524301028087a70e\
-         03ac020190a10f00ad02015800000022180e9f0400000000000000005a620200\
-         000000613d7902000000000700000001380000000780b4891390a10f90a10f90\
-         a10f90a10f90a10f90a10f040001010102010301103210020001a006080001a2\
-         06080001a406080001a606",
-    ),
-    (
-        "lane0000.idx",
-        "4549445803000000000000000200000005000000000000000000000016010000\
-         000000000201000000ab00000000000000020000000000000000000000000000\
-         000091d003000000000002000000000000000d00000000000000310000000010\
-         00000001000000000000008096980000000000e179af00000000000700000000\
-         00000046000000000000005200000000310000000200000000000000002d3101\
-         0000000031235b01000000000c00000000000000a0000000000000006e000000\
-         015b000000030000000000000080c3c901000000001194cd0100000000020000\
-         00010000000d000000000000003600000000150000000400000000000000005a\
-         620200000000613d79020000000007000000010000004b000000000000005800\
-         00000138000000b7402264",
-    ),
-    (
-        "lane0001-000000.seg",
-        "45534547020100000000000000310000004efafcb00000000000000000000000\
-         000000000091d003000000000002000000001000000045545243010200000001\
-         90a10f0101014f000000ef9a80f201000000000000008096980000000000e179\
-         af0000000000070000000231000000f00345545243010780ade20401640190a1\
-         0f02650600200366060020006706002001680600200269060030036a016a0000\
-         009c1049c40200000000000000002d31010000000031235b01000000000c0000\
-         00025b000000f10445545243010c80dac40902c8010190a10f03c907002100ca\
-         07002101cb07002102cc07002103cd07002100ce07002101cf07002102d00700\
-         2103d107002100d207004001d30101",
-    ),
-    (
-        "lane0001-000001.seg",
-        "45534547020100000001000000360000002dff6cf7030000000000000080c3c9\
-         01000000001194cd01000000000200000000150000004554524301028087a70e\
-         03ac020190a10f00ad02015100000076aaa8180400000000000000005a620200\
-         000000613d790200000000070000000238000000f10445545243010780b48913\
-         0090030190a10f01910700210292070021039307002100940700210195070040\
-         02960301",
-    ),
-    (
-        "lane0001.idx",
-        "454944580300000001000000020000000500000000000000000000000f010000\
-         000000000201000000a400000000000000020000000000000000000000000000\
-         000091d003000000000002000000000000000d00000000000000310000000010\
-         00000001000000000000008096980000000000e179af00000000000700000000\
-         00000046000000000000004f00000002310000000200000000000000002d3101\
-         0000000031235b01000000000c000000000000009d000000000000006a000000\
-         025b000000030000000000000080c3c901000000001194cd0100000000020000\
-         00010000000d000000000000003600000000150000000400000000000000005a\
-         620200000000613d79020000000007000000010000004b000000000000005100\
-         00000238000000de2800c1",
-    ),
-];
-
-/// The windows `write_v2_fixture` recorded into each lane.
-fn parent_v2_windows() -> Vec<Window> {
-    (0..5u64)
-        .map(|id| {
-            let events = window_events(id, 2 + (id % 3) as usize * 5);
-            let (start, end) = (events[0].timestamp, events.last().unwrap().timestamp);
-            Window::new(id, start.as_nanos(), end.as_nanos() + 1, events)
-        })
-        .collect()
 }
 
 fn recorded_as(windows: &[Window]) -> Vec<(u64, Vec<TraceEvent>, Vec<u8>)> {
@@ -777,12 +622,11 @@ fn a_v2_store_the_parent_build_wrote_opens_replays_resumes_and_compacts() {
     assert_eq!(dir_contents(&dir), before, "readers migrate nothing");
 
     // The fixture builder the other tests write v2 with lays out the
-    // very bytes that build did.
+    // very bytes that build did (for lane 0: nothing compresses `LZB`
+    // blocks any more, so lane 1 is bytes only).
     let rebuilt = temp_dir("parent-v2-rebuilt");
-    for (lane, codec) in [(0, CodecId::DeltaVarint), (1, CodecId::LzBlock)] {
-        write_v2_segment(&rebuilt, lane, 0, &windows[..3], codec);
-        write_v2_segment(&rebuilt, lane, 1, &windows[3..], codec);
-    }
+    write_v2_segment(&rebuilt, 0, 0, &windows[..3], CodecId::DeltaVarint);
+    write_v2_segment(&rebuilt, 0, 1, &windows[3..], CodecId::DeltaVarint);
     for (name, bytes) in dir_contents(&rebuilt) {
         assert!(
             bytes == before[&name],
@@ -790,9 +634,8 @@ fn a_v2_store_the_parent_build_wrote_opens_replays_resumes_and_compacts() {
         );
     }
 
-    // Resumes: the v2 segments stay as they are, the new one is v3.
-    let config = StoreConfig::default().with_codec(CodecId::DeltaVarint);
-    let mut writer = LaneWriter::create(&dir, 0, config).unwrap();
+    // Resumes: the v2 segments stay as they are, the new one is v1.
+    let mut writer = LaneWriter::create(&dir, 0, StoreConfig::default()).unwrap();
     assert_eq!(writer.recovery().windows, 5);
     let events = window_events(5, 20);
     let (start, end) = (events[0].timestamp, events.last().unwrap().timestamp);
@@ -803,32 +646,33 @@ fn a_v2_store_the_parent_build_wrote_opens_replays_resumes_and_compacts() {
         let files = segment_files(dir, 0);
         files.iter().map(|file| file.1).collect()
     };
-    assert_eq!(versions(&dir), [2, 2, 3]);
-    for name in ["lane0000-000000.seg", "lane0000-000001.seg"] {
-        assert_eq!(std::fs::read(dir.join(name)).unwrap(), before[name]);
-    }
+    assert_eq!(versions(&dir), [2, 2, 1]);
+    let unchanged = |names: &[&str]| {
+        for name in names {
+            assert_eq!(std::fs::read(dir.join(name)).unwrap(), before[*name]);
+        }
+    };
+    unchanged(&["lane0000-000000.seg", "lane0000-000001.seg"]);
     let reader = StoreReader::open(&dir).unwrap();
     assert!(reader.recovery().clean);
     assert_store_matches(&reader, &recorded_as(&windows));
     drop(reader);
 
-    // Compacts: the run is rewritten, so it migrates; lane 1, which a
-    // recompression pass has no business with, stays v2 to the byte.
+    // Compacts: a recompression pass takes the v1 segment and nothing
+    // else; a merge then rewrites the run, so it migrates. Lane 1, which
+    // neither pass has any business with, stays v2 to the byte.
     let policy = MaintenancePolicy::disabled().with_recompress(CodecId::DeltaVarint);
     let report = Compactor::new(&dir, policy).compact().unwrap();
-    assert!(
-        report.is_noop(),
-        "v2 and v3 segments are not recompressed: {report}"
-    );
+    assert_eq!(report.recompressed_windows(), 1, "{report}");
+    assert_eq!(versions(&dir), [2, 2, 3]);
+    unchanged(&["lane0000-000000.seg", "lane0000-000001.seg"]);
     let report = Compactor::new(&dir, MaintenancePolicy::merge_below(u64::MAX / 4))
         .compact_lane(0)
         .unwrap();
     assert_eq!((report.segments_before, report.segments_after), (3, 1));
     assert!(report.envelope_bytes_after < report.envelope_bytes_before);
     assert_eq!(versions(&dir), [3]);
-    for name in ["lane0001-000000.seg", "lane0001-000001.seg", "lane0001.idx"] {
-        assert_eq!(std::fs::read(dir.join(name)).unwrap(), before[name]);
-    }
+    unchanged(&["lane0001-000000.seg", "lane0001-000001.seg", "lane0001.idx"]);
     let reader = StoreReader::open(&dir).unwrap();
     assert!(reader.recovery().clean);
     assert_store_matches(&reader, &recorded_as(&windows));
@@ -836,111 +680,14 @@ fn a_v2_store_the_parent_build_wrote_opens_replays_resumes_and_compacts() {
     std::fs::remove_dir_all(&rebuilt).ok();
 }
 
-/// `lane0000-000000.seg` of `golden_v3_windows`, as FORMAT.md §2.2 lays
-/// format v3 out: the 13-byte header, then per frame a varint body
-/// length, the CRC-32, six meta fields coded against the frame before,
-/// and the stored block. Read the second frame, `38 467a6b8b 02 00 00
-/// 06 00 32 …`: a 56-byte body; id one past its predecessor's
-/// (`zigzag(1) = 2`), starting where that one ended, lasting as long;
-/// six events; identity; 50 raw bytes. Six bytes of meta where v2
-/// spent 33, five of header where it spent eight.
-const GOLDEN_V3_SEG: &str = "\
-     455345470300000000000000002313acf3355080c0f0f50b80e8922602001645\
-     545243010298a2f8fa0500a01f01dda54c01a11f0138467a6b8b020000060032\
-     4554524301069fd6818e0601842001dda54c02852001dda54c03862001dda54c\
-     00872001dda54c01882001dda54c028920015d24ba0b720200000e016a0ea68a\
-     8ba106dda54cdda54cdda54cdda54cdda54cdda54cdda54cdda54cdda54cdda5\
-     4cdda54cdda54cdda54c040201030100010101103210321032100001d0410808\
-     080001d2410808080001d44108080001d64108089801d1535b4a0200001e01da\
-     011eadbe94b406dda54cdda54cdda54cdda54cdda54cdda54cdda54cdda54cdd\
-     a54cdda54cdda54cdda54cdda54cdda54cdda54cdda54cdda54cdda54cdda54c\
-     dda54cdda54cdda54cdda54cdda54cdda54cdda54cdda54cdda54cdda54c0403\
-     010001010102011032103210321032103210321032100101984301080701019a\
-     4301080701019c4301080601019e430108061c20d92d01020000020016455452\
-     430102b4f29dc70600b02201dda54c01b122013858f8e7770200000600324554\
-     52430106bba6a7da0601942301dda54c02952301dda54c03962301dda54c0097\
-     2301dda54c01982301dda54c029923015bc120952b0200000e026af105455452\
-     43010ec2dab0ed0602f82301dda54c03f907002100fa07002101fb07002102fc\
-     07002103fd07002100fe07002101ff0700300280240700210381070021008207\
-     00210183070021028407004003852401ae01987b77ac0680d0a54c001e02da01\
-     f10545545243011ed7f6cca60701a42601dda54c02a507002103a607002100a7\
-     07002101a807002102a907002103aa07002100ab07002101ac07002102ad0700\
-     2103ae07002100af07002101b007002102b107002103b207002100b307002101\
-     b407002102b507002103b607002100b707002101b807002102b907002103ba07\
-     002100bb07002101bc07002102bd07002103be07002100bf07002101c0070040\
-     02c126011cdd8020cc020000020016455452430102deaad6b90702882701dda5\
-     4c038927010faaed9b460200ffe7922600000645545243010026601d0bdf0280\
-     e892260103001d455452430103ec92e9df0700d02801dda54c01d12801dda54c\
-     02d22801b10199bbc10d0282e8922682e892261e02da01f10545545243011ef3\
-     c6f2f20701b42901dda54c02b507002103b607002100b707002101b807002102\
-     b907002103ba07002100bb07002101bc07002102bd07002103be07002100bf07\
-     002101c007002102c107002103c207002100c307002101c407002102c5070021\
-     03c607002100c707002101c807002102c907002103ca07002100cb07002101cc\
-     07002102cd07002103ce07002100cf07002101d007004002d12901";
-
-/// Twelve windows, six recorded under `DeltaVarint` and six under
-/// `LzBlock` (each refuses its smallest), 40 ms each, back to back but
-/// for a hole of two windows in the ids and the clock before the
-/// eighth, a window of no length and no events, and one that ends
-/// before it starts.
-fn golden_v3_windows() -> Vec<Window> {
-    (0..12u64)
-        .map(|at| {
-            let id = if at < 7 { at + 40 } else { at + 42 };
-            let start_ns = id * 40_000_000;
-            let (span, count) = match at {
-                9 => (0, 0),
-                10 => (u64::MAX, 3),
-                _ => (40_000_000, [2, 6, 14, 30][at as usize % 4]),
-            };
-            let events = (0..count)
-                .map(|i| {
-                    TraceEvent::new(
-                        Timestamp::from_nanos(start_ns + i * 1_250_000 + (id * 7 + i * 13) % 1_000),
-                        EventTypeId::new(((id + i) % 4) as u16),
-                        (id * 100 + i) as u32,
-                    )
-                })
-                .collect();
-            Window::new(id, start_ns, start_ns.wrapping_add(span), events)
-        })
-        .collect()
-}
-
 #[test]
 fn golden_v3_segment_pins_the_layout() {
     let golden = unhex(GOLDEN_V3_SEG);
     let windows = golden_v3_windows();
 
-    // Encoder: two writers and a merge emit them.
-    let dir = temp_dir("golden-v3-write");
-    for (codec, half) in [CodecId::DeltaVarint, CodecId::LzBlock]
-        .into_iter()
-        .zip(windows.chunks(6))
-    {
-        let mut writer =
-            LaneWriter::create(&dir, 0, StoreConfig::default().with_codec(codec)).unwrap();
-        for window in half {
-            window.record(&mut writer);
-        }
-        writer.close().unwrap();
-    }
-    Compactor::new(&dir, MaintenancePolicy::merge_below(u64::MAX / 4))
-        .compact()
-        .unwrap();
-    let written = std::fs::read(dir.join("lane0000-000000.seg")).unwrap();
-    assert!(
-        written == golden,
-        "lane0000-000000.seg drifted from the golden bytes:\n{}",
-        written
-            .iter()
-            .map(|byte| format!("{byte:02x}"))
-            .collect::<String>()
-    );
-    std::fs::remove_dir_all(&dir).ok();
-
     // Decoder: the golden bytes are a segment of this lane, to the
-    // scanner and — once a writer has recovered it — through a sidecar.
+    // scanner and — once a writer has recovered it — through a sidecar
+    // and to a follower of that writer.
     let dir = temp_dir("golden-v3-read");
     std::fs::write(dir.join("lane0000-000000.seg"), &golden).unwrap();
     let reader = StoreReader::open(&dir).unwrap();
@@ -959,22 +706,55 @@ fn golden_v3_segment_pins_the_layout() {
     assert_eq!(codecs, [0, 0, 1, 1, 0, 0, 2, 2, 0, 0, 0, 2]);
     assert_eq!(rows[1].offset + 1 + 4 + 56, rows[2].offset);
     drop(reader);
-    LaneWriter::create(&dir, 0, StoreConfig::default())
-        .unwrap()
-        .close()
-        .unwrap();
+    let writer = LaneWriter::create(&dir, 0, StoreConfig::default()).unwrap();
+    let mut tailer = Tailer::follow(&dir, writer.commit_log());
+    writer.close().unwrap();
+    let mut followed = Vec::new();
+    loop {
+        match tailer.next(std::time::Duration::from_secs(10)).unwrap() {
+            TailStep::Window(window) => followed.push(window),
+            TailStep::Closed => break,
+            TailStep::TimedOut => panic!("the writer is gone; the tail must close"),
+        }
+    }
+    assert_eq!(followed.iter().map(|w| w.entry).collect::<Vec<_>>(), rows);
+    for (got, window) in followed.iter().zip(&windows) {
+        assert_eq!(got.payload, window.payload, "window {}", window.id);
+    }
     let reader = StoreReader::open(&dir).unwrap();
     assert!(reader.recovery().clean);
     assert_eq!(reader.lane_windows(0).unwrap(), rows);
     assert_store_matches(&reader, &recorded_as(&windows));
+    std::fs::remove_dir_all(&dir).ok();
+
+    // Encoder: a writer and a recompressing merge emit the first six
+    // frames, the `DeltaVarint` half (nothing writes `LZB` any more).
+    let dir = temp_dir("golden-v3-write");
+    let mut writer = LaneWriter::create(&dir, 0, StoreConfig::default()).unwrap();
+    for window in &windows[..6] {
+        window.record(&mut writer);
+    }
+    writer.close().unwrap();
+    let policy = MaintenancePolicy::merge_below(u64::MAX / 4).with_recompress(CodecId::DeltaVarint);
+    Compactor::new(&dir, policy).compact().unwrap();
+    let written = std::fs::read(dir.join("lane0000-000000.seg")).unwrap();
+    assert!(
+        written == golden[..rows[6].offset as usize],
+        "lane0000-000000.seg drifted from the golden bytes:\n{}",
+        written
+            .iter()
+            .map(|byte| format!("{byte:02x}"))
+            .collect::<String>()
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Any geometry, any codec, recompression on or off: every surviving
-    /// payload byte is exact and the pass is idempotent.
+    /// Any geometry, any codec the segments were compressed under, any
+    /// recompression target, merging on or off: every surviving payload
+    /// byte is exact and the pass is idempotent.
     #[test]
     fn recompressing_compaction_preserves_payloads(
         windows in 1u64..20,
@@ -990,23 +770,15 @@ proptest! {
             write_codec.as_u8(),
             recompress_codec.as_u8()
         ));
-        let config = StoreConfig::default()
-            .with_codec(write_codec)
-            .with_segment_max_windows(per_segment);
-        let mut writer = LaneWriter::create(&dir, 0, config).unwrap();
-        let mut expected_bytes = Vec::new();
-        for id in 0..windows {
-            let events = window_events(id, 3 + (id % 7) as usize * 5);
-            let payload = encode(&events);
-            let meta = RecordMeta {
-                window_id: WindowId::new(id),
-                start: events[0].timestamp,
-                end: Timestamp::from_nanos(events.last().unwrap().timestamp.as_nanos() + 1),
-            };
-            writer.record_window(&meta, &events, &payload).unwrap();
-            expected_bytes.extend(payload);
-        }
-        writer.close().unwrap();
+        let recorded: Vec<Window> = (0..windows)
+            .map(|id| {
+                let events = window_events(id, 3 + (id % 7) as usize * 5);
+                let (start, end) = (events[0].timestamp, events.last().unwrap().timestamp);
+                Window::new(id, start.as_nanos(), end.as_nanos() + 1, events)
+            })
+            .collect();
+        write_compressed_lane(&dir, 0, &recorded, per_segment as usize, write_codec);
+        let expected_bytes: Vec<u8> = recorded.iter().flat_map(|w| w.payload.clone()).collect();
 
         let mut policy = MaintenancePolicy::disabled().with_recompress(recompress_codec);
         if merge {

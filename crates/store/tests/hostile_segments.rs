@@ -9,14 +9,19 @@
 //! reservation sized by a length nobody checked (a run of `0xFF` over a
 //! v3 length varint claims 2^35 bytes and more; were any path to believe
 //! it, this test would not finish). One function parses frames
-//! (`segment::read_frame`); this is the sweep over it, from outside.
+//! (`segment::read_frame`); this is the sweep over it, from outside. The
+//! `LZB` sweeps read the checked-in bytes of earlier builds, since
+//! nothing writes `LZB` any more.
 
 mod common;
 
-use common::{events_encoding_to, write_v2_segment, Window};
+use common::{
+    events_encoding_to, golden_v3_windows, parent_v2_windows, segment_header, unhex,
+    write_v2_segment, Window, GOLDEN_V3_SEG, PARENT_V2_STORE,
+};
 use endurance_store::{
-    CodecId, Compactor, LaneWriter, MaintenancePolicy, Snapshot, StoreConfig, StoreReader,
-    WindowEntry,
+    crc32, CodecId, Compactor, LaneWriter, MaintenancePolicy, Snapshot, StoreConfig, StoreReader,
+    TailStep, Tailer, WindowEntry,
 };
 use trace_model::{EventTypeId, Timestamp, TraceError, TraceEvent, WindowId};
 
@@ -66,26 +71,57 @@ struct Pristine {
 }
 
 impl Pristine {
+    /// `windows()` as a v1 lane, a v2 one from the fixture builder, or —
+    /// recorded and recompressed — a v3 one, under `DeltaVarint`; or,
+    /// under `LzBlock`, what earlier builds left: the frames of lane 1 of
+    /// `PARENT_V2_STORE` as one v2 segment, and the first eight frames of
+    /// `GOLDEN_V3_SEG` (the first two `LZB` ones among them).
     fn build(version: u8, codec: CodecId) -> Self {
         let dir = temp_dir(&format!("v{version}-{}", codec.as_u8()));
-        let windows = windows();
-        let config = match version {
-            1 => StoreConfig::default(),
-            _ => StoreConfig::default().with_codec(codec),
-        };
-        if version == 2 {
-            write_v2_segment(&dir, 0, 0, &windows, codec);
+        let mut windows = windows();
+        match (version, codec) {
+            (1 | 3, CodecId::Identity | CodecId::DeltaVarint) => {
+                let mut writer = LaneWriter::create(&dir, 0, StoreConfig::default()).unwrap();
+                for window in &windows {
+                    window.record(&mut writer);
+                }
+                writer.close().unwrap();
+                if version == 3 {
+                    let policy = MaintenancePolicy::disabled().with_recompress(codec);
+                    Compactor::new(&dir, policy).compact().unwrap();
+                }
+            }
+            (2, CodecId::DeltaVarint) => write_v2_segment(&dir, 0, 0, &windows, codec),
+            (2, CodecId::LzBlock) => {
+                windows = parent_v2_windows();
+                let mut segment = segment_header(2, 0, 0);
+                for name in ["lane0001-000000.seg", "lane0001-000001.seg"] {
+                    let (_, hex) = PARENT_V2_STORE.iter().find(|(n, _)| *n == name).unwrap();
+                    segment.extend_from_slice(&unhex(hex)[13..]);
+                }
+                std::fs::write(dir.join(SEGMENT), segment).unwrap();
+            }
+            (3, CodecId::LzBlock) => {
+                windows = golden_v3_windows();
+                windows.truncate(8);
+                // The golden segment, cut where its ninth frame starts.
+                let golden = unhex(GOLDEN_V3_SEG);
+                std::fs::write(dir.join(SEGMENT), &golden).unwrap();
+                let rows = StoreReader::open(&dir)
+                    .unwrap()
+                    .lane_windows(0)
+                    .unwrap()
+                    .to_vec();
+                std::fs::write(dir.join(SEGMENT), &golden[..rows[8].offset as usize]).unwrap();
+            }
+            other => unreachable!("no {other:?} lane"),
+        }
+        if !dir.join(SIDECAR).exists() {
             // A resume recovers the lane and its close writes the sidecar.
-            LaneWriter::create(&dir, 0, config)
+            LaneWriter::create(&dir, 0, StoreConfig::default())
                 .unwrap()
                 .close()
                 .unwrap();
-        } else {
-            let mut writer = LaneWriter::create(&dir, 0, config).unwrap();
-            for window in &windows {
-                window.record(&mut writer);
-            }
-            writer.close().unwrap();
         }
         let segment = std::fs::read(dir.join(SEGMENT)).unwrap();
         assert_eq!(segment[4], version);
@@ -206,12 +242,14 @@ impl Pristine {
         let what = format!("v{} {what} compacted", self.version);
         std::fs::write(self.dir.join(SEGMENT), damaged).unwrap();
         std::fs::write(self.dir.join(SIDECAR), &self.sidecar).unwrap();
-        // Dropping the head of the segment (the first two windows end
-        // more than 100 ms before the last) has the pass re-frame the
-        // rest, whatever the version; a v1 lane is re-encoded besides.
+        // Dropping the head of the segment (every window that ends no
+        // later than the second) has the pass re-frame the rest, whatever
+        // the version; a v1 lane is re-encoded besides.
+        let newest = self.windows.iter().map(|w| w.end_ns).max().unwrap();
+        let cutoff = self.windows[1].end_ns;
         let policy = MaintenancePolicy::disabled()
             .with_recompress(CodecId::DeltaVarint)
-            .with_retention_ns(100_000_000);
+            .with_retention_ns(newest - cutoff);
         match Compactor::new(&self.dir, policy).compact() {
             Err(TraceError::Decode { .. } | TraceError::Io(_)) => {}
             Err(other) => panic!("{what}: {other:?}"),
@@ -220,7 +258,7 @@ impl Pristine {
                 let kept: Vec<&Window> = self
                     .windows
                     .iter()
-                    .filter(|window| window.end_ns > self.windows[3].end_ns - 100_000_000)
+                    .filter(|window| window.end_ns > cutoff)
                     .collect();
                 match reader.lane_payload_bytes(0) {
                     Ok(bytes) => {
@@ -357,14 +395,90 @@ fn v3_length_varints_are_held_to_the_letter() {
         let dir = temp_dir(&format!("raw-{len}"));
         let events = events_encoding_to(len, 1_000);
         let window = Window::new(1, 1_000, 2_000, events);
-        let config = StoreConfig::default().with_codec(CodecId::LzBlock);
-        let mut writer = LaneWriter::create(&dir, 0, config).unwrap();
+        let mut writer = LaneWriter::create(&dir, 0, StoreConfig::default()).unwrap();
         window.record(&mut writer);
         writer.close().unwrap();
+        let policy = MaintenancePolicy::disabled().with_recompress(CodecId::DeltaVarint);
+        Compactor::new(&dir, policy).compact().unwrap();
+        assert_eq!(std::fs::read(dir.join(SEGMENT)).unwrap()[4], 3);
         let reader = StoreReader::open(&dir).unwrap();
         assert_eq!(reader.lane_windows(0).unwrap()[0].raw_len as usize, len);
         assert_eq!(reader.lane_payload_bytes(0).unwrap(), window.payload);
         std::fs::remove_dir_all(&dir).ok();
     }
     std::fs::remove_dir_all(&pristine.dir).ok();
+}
+
+/// One frame of a `version` segment (2 or 3) at the head of its segment,
+/// laid out by hand around `block`: window 0 over `[0, 0)`, one event,
+/// `codec`, and a raw length of `raw_len`, CRC and all.
+fn crafted_frame(version: u8, codec: CodecId, raw_len: u32, block: &[u8]) -> Vec<u8> {
+    let mut body = Vec::new();
+    if version == 2 {
+        body.extend_from_slice(&[0; 24]);
+        body.extend_from_slice(&1u32.to_le_bytes());
+        body.push(codec.as_u8());
+        body.extend_from_slice(&raw_len.to_le_bytes());
+    } else {
+        // id, start and span deltas of zero, one event, the codec byte.
+        body.extend_from_slice(&[0, 0, 0, 1, codec.as_u8()]);
+        let mut left = raw_len;
+        while left >= 0x80 {
+            body.push(left as u8 | 0x80);
+            left >>= 7;
+        }
+        body.push(left as u8);
+    }
+    body.extend_from_slice(block);
+    let mut frame = if version == 2 {
+        (body.len() as u32).to_le_bytes().to_vec()
+    } else {
+        assert!(body.len() < 0x80, "a one-byte length varint");
+        vec![body.len() as u8]
+    };
+    frame.extend_from_slice(&crc32(&body).to_le_bytes());
+    frame.extend_from_slice(&body);
+    frame
+}
+
+/// A CRC-valid frame is still only a claim: one whose raw length says
+/// `u32::MAX` over a block of a few bytes — an `EDV` event count of
+/// `u32::MAX`, an `LZB` block that runs out at once — reads back as a
+/// typed error on every path, with nothing reserved on its word.
+#[test]
+fn a_crc_valid_frame_claiming_4_gib_is_a_typed_error() {
+    let blocks: [(CodecId, &[u8]); 2] = [
+        (CodecId::DeltaVarint, &[0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0x00]),
+        (CodecId::LzBlock, &[0x00]),
+    ];
+    for version in [2u8, 3] {
+        for (codec, block) in blocks {
+            let what = format!("v{version} {codec}");
+            let dir = temp_dir(&format!("claim-v{version}-{}", codec.as_u8()));
+            let mut segment = segment_header(version, 0, 0);
+            segment.extend(crafted_frame(version, codec, u32::MAX, block));
+            std::fs::write(dir.join(SEGMENT), segment).unwrap();
+
+            let reader = StoreReader::open(&dir).unwrap();
+            let rows = reader.lane_windows(0).unwrap();
+            assert_eq!((rows.len(), rows[0].raw_len), (1, u32::MAX), "{what}");
+            let decode_error = |result: Result<_, TraceError>| {
+                assert!(
+                    matches!(result, Err(TraceError::Decode { .. })),
+                    "{what}: {:?}",
+                    result.err()
+                );
+            };
+            decode_error(reader.lane_events(0).map(drop));
+            decode_error(reader.lane_payload_bytes(0).map(drop));
+
+            let writer = LaneWriter::create(&dir, 0, StoreConfig::default()).unwrap();
+            let mut tailer = Tailer::follow(&dir, writer.commit_log());
+            writer.close().unwrap();
+            decode_error(tailer.next(std::time::Duration::from_secs(10)).map(|step| {
+                assert!(!matches!(step, TailStep::Window(_)), "{what}");
+            }));
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
 }

@@ -33,7 +33,8 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use common::{
-    dir_contents, entry_fields, events_encoding_to, segment_files, write_v2_segment, Window,
+    dir_contents, entry_fields, events_encoding_to, segment_files, write_compressed_lane,
+    write_v2_segment, Window,
 };
 
 use endurance_obs::Registry;
@@ -847,12 +848,11 @@ proptest! {
     #[test]
     fn one_replay_from_three_formats(
         windows in arbitrary_windows(),
-        codec in 1u8..3,
         per_segment in 1usize..5,
         crash_at in 0.0f64..1.0,
         shuffle in any::<u64>(),
     ) {
-        let codec = CodecId::from_u8(codec).unwrap();
+        let codec = CodecId::DeltaVarint;
         let crash_after = (windows.len() as f64 * crash_at) as usize;
         let rotate = StoreConfig::default().with_segment_max_windows(per_segment as u64);
         let tag = format!("formats-{shuffle:016x}");
@@ -863,19 +863,20 @@ proptest! {
             temp_dir(&format!("{tag}-mixed")),
         );
 
-        // v1 and v3 from the writer, followed live across the rotations,
-        // the crash and the resume; v2 from the fixture builder, cut where
+        // v1 from the writer, followed live across the rotations, the
+        // crash and the resume; v2 from the fixture builder, and v3 from
+        // the writer and a recompressing pass a segment, both cut where
         // the writer cuts (every `per_segment` windows, and at the crash),
         // then recovered by a writer that a follower is attached to.
         assert_tailed(&record_followed(&v1, rotate, &windows, crash_after), &windows);
-        let tailed = record_followed(&v3, rotate.with_codec(codec), &windows, crash_after);
-        assert_tailed(&tailed, &windows);
         let (before, after) = windows.split_at(crash_after);
         let runs = before.chunks(per_segment).chain(after.chunks(per_segment));
         for (seq, run) in (0..).zip(runs) {
             write_v2_segment(&v2, 0, seq, run, codec);
+            write_compressed_lane(&v3, 0, run, per_segment, codec);
         }
         assert_tailed(&record_followed(&v2, rotate, &[], 0), &windows);
+        assert_tailed(&record_followed(&v3, rotate, &[], 0), &windows);
         prop_assert!(versions(&v1).iter().all(|version| *version == 1));
         prop_assert!(versions(&v2).iter().all(|version| *version == 2));
         prop_assert!(versions(&v3).iter().all(|version| *version == 3));
@@ -887,20 +888,21 @@ proptest! {
         prop_assert!(codecs_v1.iter().all(|codec| *codec == 0));
         prop_assert_eq!(&codecs_v2, &codecs_v3);
 
-        // One lane in all three formats: thirds of the sequence from the
-        // identity writer, the fixture builder and the codec writer.
+        // One lane in all three formats: thirds of the sequence written
+        // and recompressed, from the fixture builder, and from the writer
+        // — followed from the lane's first window.
         let (first, rest) = windows.split_at(windows.len() / 3);
         let (second, third) = rest.split_at(rest.len() / 2);
-        record_followed(&mixed, rotate, first, first.len());
+        write_compressed_lane(&mixed, 0, first, per_segment, codec);
         let next_seq = segment_files(&mixed, 0).last().map_or(0, |file| file.0 + 1);
         for (seq, run) in (next_seq..).zip(second.chunks(per_segment)) {
             write_v2_segment(&mixed, 0, seq, run, codec);
         }
-        let tailed = record_followed(&mixed, rotate.with_codec(codec), third, third.len());
+        let tailed = record_followed(&mixed, rotate, third, third.len());
         assert_tailed(&tailed, &windows);
         assert_every_reader_replays(&mixed, &windows, shuffle);
         let merge = MaintenancePolicy::merge_below(u64::MAX / 4);
-        compact(&mixed, merge);
+        compact(&mixed, merge.with_recompress(codec));
         prop_assert_eq!(versions(&mixed), [3]);
         assert_every_reader_replays(&mixed, &windows, shuffle);
 

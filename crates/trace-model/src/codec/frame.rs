@@ -3,7 +3,9 @@
 //! The durable store frames every recorded window as `[meta | payload]`,
 //! where the payload is the recorder's encoded bytes (the compact `ETRC`
 //! block of [`super::BinaryEncoder`]). A [`FrameCodec`] transforms that
-//! payload into a smaller stored *block* and back:
+//! payload into a smaller stored *block* and back. A lane's writer stores
+//! payloads verbatim; the store's compaction pass is what compresses
+//! them, through one of these:
 //!
 //! * [`IdentityCodec`] (id 0) — stores the payload verbatim; the stored
 //!   block *is* the payload.
@@ -15,9 +17,10 @@
 //!   run-length encoding. Non-`ETRC` (or non-canonical) payloads are
 //!   refused, not mangled — the caller falls back to identity for that
 //!   frame.
-//! * [`LzBlockCodec`] (id 2) — a general-purpose LZ77 block compressor
-//!   (the vendored [`lzb`] crate) for payloads with byte-level redundancy
-//!   but no event structure.
+//! * [`LzBlockCodec`] (id 2) — read-only: it decodes the LZ77 blocks
+//!   (the vendored [`lzb`] crate's format) of stores written by earlier
+//!   builds and refuses every payload it is asked to compress, so nothing
+//!   writes one any more. The id is never reused.
 //!
 //! Every codec is *lossless at the byte level*: decompressing a stored
 //! block reproduces the original payload byte for byte, so replay of a
@@ -85,7 +88,7 @@ pub enum CodecId {
     Identity = 0,
     /// Columnar delta + varint re-encoding of canonical `ETRC` payloads.
     DeltaVarint = 1,
-    /// LZ77-style general-purpose block compression.
+    /// LZ77-style block compression: decoded, no longer written.
     LzBlock = 2,
 }
 
@@ -489,11 +492,15 @@ impl DeltaVarintCodec {
         let (count, next) = decode_u64(block, offset)?;
         offset = next;
         let count = usize::try_from(count).map_err(|_| edv_error(offset, "event count"))?;
-        // A canonical ETRC event costs at least 4 payload bytes, so the
-        // count can never exceed the raw length it claims to restore —
-        // reject absurd counts before reserving memory for them.
-        if count > raw_len {
-            return Err(edv_error(offset, "event count exceeds the raw length"));
+        // A canonical ETRC event costs at least 4 payload bytes, and every
+        // event at least one timestamp byte of this block, so the count
+        // can exceed neither the raw length (which may claim 4 GiB) nor
+        // the bytes left — reject absurd counts before reserving for them.
+        if count > raw_len || count > block.len() - offset {
+            return Err(edv_error(
+                offset,
+                "event count exceeds the raw length or the block",
+            ));
         }
         if count == 0 {
             if offset != block.len() {
@@ -814,11 +821,11 @@ impl FrameCodec for DeltaVarintCodec {
     }
 }
 
-/// The LZ77 block codec (id 2), backed by the vendored [`lzb`] crate.
+/// The LZ77 block codec (id 2), backed by the vendored [`lzb`] decoder.
 ///
-/// Operates on raw bytes with no knowledge of the event structure —
-/// useful for payloads a structured codec refuses, or for stores whose
-/// recorders use a different trace encoding altogether.
+/// Decode-only: it replays the `LZB` frames of stores written by earlier
+/// builds, and [`FrameCodec::compress`] refuses every payload, so a
+/// recompression pass targeting it re-frames without compressing.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LzBlockCodec {
     _private: (),
@@ -836,14 +843,8 @@ impl FrameCodec for LzBlockCodec {
         CodecId::LzBlock
     }
 
-    fn compress(&mut self, payload: &[u8], out: &mut Vec<u8>) -> Result<bool, TraceError> {
-        let start = out.len();
-        lzb::compress(payload, out);
-        if out.len() - start >= payload.len() {
-            out.truncate(start);
-            return Ok(false);
-        }
-        Ok(true)
+    fn compress(&mut self, _payload: &[u8], _out: &mut Vec<u8>) -> Result<bool, TraceError> {
+        Ok(false)
     }
 
     fn decompress(
@@ -1018,31 +1019,23 @@ mod tests {
     }
 
     #[test]
-    fn lz_block_round_trips_etrc_payloads() {
-        let events = periodic_events(500);
+    fn lz_block_decodes_blocks_and_compresses_nothing() {
         let mut codec = LzBlockCodec::new();
-        assert_round_trip(&mut codec, &events);
-        // And arbitrary (non-ETRC) bytes.
-        let data = b"the quick brown fox jumps over the lazy dog. ".repeat(20);
+        let payload = payload_of(&periodic_events(500));
         let mut block = Vec::new();
-        assert!(codec.compress(&data, &mut block).unwrap());
+        assert!(!codec.compress(&payload, &mut block).unwrap());
+        assert!(block.is_empty(), "a refusal must leave `out` unchanged");
+        // A hand-built block: eight literals, a match of twelve bytes
+        // four back, then three literals.
+        let block = [
+            0x88, b'E', b'T', b'R', b'C', 1, 2, 3, 4, 4, 0, 0x30, 9, 8, 7,
+        ];
         let mut restored = Vec::new();
-        codec.decompress(&block, data.len(), &mut restored).unwrap();
-        assert_eq!(restored, data);
-    }
-
-    #[test]
-    fn lz_block_refuses_incompressible_bytes() {
-        let mut state = 0xDEADBEEFu32;
-        let data: Vec<u8> = (0..512)
-            .map(|_| {
-                state = state.wrapping_mul(1664525).wrapping_add(1013904223);
-                (state >> 24) as u8
-            })
-            .collect();
-        let mut codec = LzBlockCodec::new();
-        let mut block = Vec::new();
-        assert!(!codec.compress(&data, &mut block).unwrap());
-        assert!(block.is_empty());
+        codec.decompress(&block, 23, &mut restored).unwrap();
+        let mut expected = b"ETRC".to_vec();
+        expected.extend([1, 2, 3, 4].repeat(4));
+        expected.extend([9, 8, 7]);
+        assert_eq!(restored, expected);
+        assert!(codec.decompress(&block, 24, &mut Vec::new()).is_err());
     }
 }

@@ -2,7 +2,9 @@
 //! any canonical `ETRC` payload byte for byte (encode → stored block →
 //! decompress), decode the same events straight from the stored block
 //! (`decode_events`), and refuse — rather than corrupt — payloads it
-//! cannot represent.
+//! cannot represent. And every decoder takes any block with any claimed
+//! raw length to a value or an error: never a panic, never an allocation
+//! sized by the claim alone.
 
 use proptest::prelude::*;
 
@@ -128,8 +130,7 @@ proptest! {
     #[test]
     fn codecs_refuse_or_round_trip_arbitrary_bytes(bytes in prop::collection::vec(any::<u8>(), 0..600)) {
         // Non-ETRC payloads: DeltaVarint must refuse anything that is not
-        // a canonical encoding; LzBlock may compress but must restore the
-        // input exactly.
+        // a canonical encoding; LzBlock refuses everything.
         let mut delta = CodecId::DeltaVarint.new_codec();
         let mut block = Vec::new();
         if delta.compress(&bytes, &mut block).unwrap() {
@@ -147,10 +148,37 @@ proptest! {
 
         let mut lz = CodecId::LzBlock.new_codec();
         let mut block = Vec::new();
-        if lz.compress(&bytes, &mut block).unwrap() {
+        prop_assert!(!lz.compress(&bytes, &mut block).unwrap());
+        prop_assert!(block.is_empty());
+    }
+
+    /// Whatever a CRC-valid frame claims: arbitrary block bytes — half of
+    /// them opening with the varint of `u32::MAX`, an event count no block
+    /// this short holds — under an arbitrary raw length, most often 0 or
+    /// `u32::MAX`, decode to a value or a typed error under every codec. A
+    /// decoder that reserved memory on such a claim alone aborts here.
+    #[test]
+    fn every_decoder_survives_any_block_and_raw_length(
+        tail in prop::collection::vec(any::<u8>(), 0..64),
+        huge_count in any::<bool>(),
+        kind in 0u8..4,
+        claimed in any::<u32>(),
+    ) {
+        let mut block = if huge_count { vec![0xFF, 0xFF, 0xFF, 0xFF, 0x0F] } else { Vec::new() };
+        block.extend(tail);
+        let raw_len = match kind {
+            0 => 0,
+            1 => u32::MAX,
+            _ => claimed,
+        } as usize;
+        for id in CodecId::ALL {
+            let mut codec = id.new_codec();
             let mut restored = Vec::new();
-            lz.decompress(&block, bytes.len(), &mut restored).unwrap();
-            prop_assert_eq!(&restored, &bytes);
+            if codec.decompress(&block, raw_len, &mut restored).is_ok() {
+                prop_assert_eq!(restored.len(), raw_len);
+            }
+            let (mut scratch, mut events) = (Vec::new(), Vec::new());
+            let _ = codec.decode_events(&block, raw_len, &mut scratch, &mut events);
         }
     }
 
@@ -161,12 +189,9 @@ proptest! {
     ) {
         let mut payload = Vec::new();
         BinaryEncoder::new().encode(&events, &mut payload).unwrap();
-        for id in [CodecId::DeltaVarint, CodecId::LzBlock] {
-            let mut codec = id.new_codec();
-            let mut block = Vec::new();
-            if !codec.compress(&payload, &mut block).unwrap() {
-                continue;
-            }
+        let mut codec = CodecId::DeltaVarint.new_codec();
+        let mut block = Vec::new();
+        if codec.compress(&payload, &mut block).unwrap() {
             let mut corrupt = block.clone();
             let at = flip as usize % corrupt.len();
             corrupt[at] ^= 0x55;

@@ -9,21 +9,21 @@
 //! Walks the whole store lifecycle (write → rotate → compact → replay):
 //!
 //! 1. **Record & crash** — a 4-device fleet records through one store
-//!    lane per device on the `FleetReducer`'s workers, each lane under a
-//!    *different* frame codec (identity, delta-varint, lz-block, ...);
-//!    the writers are dropped without `close` (no sidecars) and a torn
-//!    half-frame is appended to one lane, the way a killed process
-//!    leaves one.
+//!    lane per device on the `FleetReducer`'s workers, each payload
+//!    stored as recorded (v1 segments); the writers are dropped without
+//!    `close` (no sidecars) and a torn half-frame is appended to one
+//!    lane, the way a killed process leaves one.
 //! 2. **Compact** — the standalone [`Compactor`] truncates the torn
-//!    tail, merges runs of small segments, re-encodes the identity
-//!    lane's v1 segments into delta-varint frames, and rewrites the
-//!    sidecars atomically, reporting the reclaimed bytes.
+//!    tail, merges runs of small segments, re-encodes the lanes' v1
+//!    segments into delta-varint frames — the one place a lane is
+//!    compressed — and rewrites the sidecars atomically, reporting the
+//!    reclaimed bytes.
 //! 3. **Reopen & replay** — the compacted store reopens *clean*, every
 //!    lane replays exactly the events each device recorded before the
 //!    crash, and a windowed range query seeks via the rebuilt index.
 //! 4. **Fleet eval** — `MultiStreamExperiment::run_durable`
-//!    runs the same mixed-codec fleet cleanly end to end: per-lane
-//!    recording, post-close compaction, cold reopen, and per-stream
+//!    runs the same fleet cleanly end to end: per-lane recording,
+//!    post-close compaction and compression, cold reopen, and per-stream
 //!    confusion recomputed from what is actually on disk.
 
 use std::error::Error;
@@ -39,15 +39,10 @@ use trace_model::{EventSource, InterleavedStreams, StreamId, Timestamp};
 
 const DEVICES: usize = 4;
 
-/// Lane `device`'s store config: small segments so rotation (and
-/// therefore compaction) has work, and one codec per device so the store
-/// mixes frame formats — lane 0 stays identity (v1 files) to give the
-/// compactor something to recompress.
-fn store_for(device: usize) -> StoreConfig {
-    let codec = CodecId::from_u8((device % CodecId::ALL.len()) as u8).expect("codec id in range");
-    StoreConfig::default()
-        .with_segment_max_bytes(64 * 1024)
-        .with_codec(codec)
+/// Every lane's store config: small segments so rotation (and therefore
+/// compaction) has work.
+fn store() -> StoreConfig {
+    StoreConfig::default().with_segment_max_bytes(64 * 1024)
 }
 
 fn main() -> Result<(), Box<dyn Error>> {
@@ -66,8 +61,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     // ── 1. Record the fleet, then "die" before any close ──
     let crash_dir = base.join("crash");
     println!(
-        "recording {DEVICES} devices x {seconds} s of simulated endurance to {} \
-         (one frame codec per lane)...",
+        "recording {DEVICES} devices x {seconds} s of simulated endurance to {}...",
         crash_dir.display()
     );
     let simulations = fleet
@@ -85,7 +79,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let mut reducer = FleetReducer::new(fleet.streams()[0].monitor.clone(), DEVICES)?.with_sinks(
         move |device: StreamId| {
             crash_store
-                .lane(device.as_u32(), store_for(device.index()))
+                .lane(device.as_u32(), store())
                 .expect("a fresh directory accepts every lane")
         },
     );
@@ -119,14 +113,14 @@ fn main() -> Result<(), Box<dyn Error>> {
         torn_path.display()
     );
 
-    // ── 2. Compact the crashed store (merge + recompress v1 lanes) ──
+    // ── 2. Compact the crashed store (merge + compress every lane) ──
     let policy = MaintenancePolicy::merge_below(u64::MAX).with_recompress(CodecId::DeltaVarint);
     let report = Compactor::new(&crash_dir, policy).compact()?;
     println!();
     println!("{report}");
     assert!(
         report.recompressed_windows() > 0,
-        "lane 0 wrote v1 segments; the pass must re-encode them"
+        "the writers wrote v1 segments; the pass must re-encode them"
     );
 
     // ── 3. Reopen and replay ──
@@ -174,13 +168,13 @@ fn main() -> Result<(), Box<dyn Error>> {
         );
     }
 
-    // ── 4. The clean fleet eval path, mixed codecs per lane ──
+    // ── 4. The clean fleet eval path ──
     let eval_dir = base.join("eval");
     println!();
     println!(
-        "running the durable fleet eval (record per-lane codecs, close, compact, cold reopen)..."
+        "running the durable fleet eval (record, close, compact and compress, cold reopen)..."
     );
-    let durable = fleet.run_durable(&eval_dir, store_for, Some(policy))?;
+    let durable = fleet.run_durable(&eval_dir, store(), Some(policy))?;
     let compaction = durable.compaction.as_ref().expect("compaction ran");
     println!(
         "cold reopen: clean={}, {} windows / {} events; {} payload bytes stored as {} \

@@ -172,7 +172,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
     let fleet = MultiStreamExperiment::scaled(Duration::from_secs(fleet_seconds), 42, devices)?;
     let live = fleet.run()?;
-    let followed = fleet.run_live(base.join("fleet"), |_| StoreConfig::default())?;
+    let followed = fleet.run_live(base.join("fleet"), StoreConfig::default())?;
     assert_eq!(followed.observed.fleet_confusion, live.confusion);
     println!(
         "  followed {} windows / {} events / {} payload B across {} lanes",

@@ -178,7 +178,7 @@ fn fleet_durable_reproduces_in_memory_confusion_and_per_stream_bytes() {
     let durable = fleet
         .run_durable(
             &dir,
-            |_| StoreConfig::default().with_segment_max_windows(2),
+            StoreConfig::default().with_segment_max_windows(2),
             Some(MaintenancePolicy::merge_below(u64::MAX)),
         )
         .expect("durable fleet");
