@@ -205,6 +205,14 @@ impl LofModel {
         self.index.distinct_len()
     }
 
+    /// Number of reference points whose local reachability density is
+    /// infinite: at least `k` other reference points coincide with them.
+    /// A query beside such a point scores [`Self::MAX_SCORE`], so a
+    /// reference set made mostly of them flags almost everything off it.
+    pub fn infinite_lrd_points(&self) -> usize {
+        self.lrds.iter().filter(|lrd| lrd.is_infinite()).count()
+    }
+
     /// Dimensionality of the reference points.
     pub fn dimensions(&self) -> usize {
         self.index.dimensions()

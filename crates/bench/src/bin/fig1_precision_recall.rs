@@ -39,7 +39,9 @@ fn main() -> Result<(), Box<dyn Error>> {
         );
     }
     // What a flat line comes from: how many windows LOF scored, how many
-    // it flagged, and how many it judged normal, at the run's alpha.
+    // it flagged, and how many it judged normal, at the run's alpha; and
+    // how few behaviours the reference held, most of them so crowded
+    // that their density is infinite.
     let checked_normal = result
         .decisions
         .iter()
@@ -50,5 +52,15 @@ fn main() -> Result<(), Box<dyn Error>> {
         "at alpha = {:.1}: {} LOF evaluations, {} anomalous windows, {checked_normal} CheckedNormal verdicts",
         result.report.alpha, result.report.lof_evaluations, result.report.anomalous_windows
     );
+    if let Some(model) = &result.model {
+        let lof = model.lof();
+        println!(
+            "reference model: {} distinct of {} pmfs, {} with an infinite lrd ({:.1}%)",
+            lof.distinct_points(),
+            lof.len(),
+            lof.infinite_lrd_points(),
+            100.0 * lof.infinite_lrd_points() as f64 / lof.len() as f64
+        );
+    }
     Ok(())
 }

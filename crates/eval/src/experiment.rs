@@ -3,7 +3,9 @@
 
 use std::time::Duration;
 
-use endurance_core::{MonitorConfig, ReductionReport, ReductionSession, WindowDecision};
+use endurance_core::{
+    MonitorConfig, ReductionReport, ReductionSession, ReferenceModel, WindowDecision,
+};
 use mm_sim::{PerturbationSchedule, Scenario, Simulation};
 
 use crate::{
@@ -62,6 +64,9 @@ pub struct ExperimentResult {
     pub decisions: Vec<WindowDecision>,
     /// Decisions with their TP/FP/FN/TN labels.
     pub labeled: Vec<LabeledDecision>,
+    /// The reference model the monitor learned and scored against;
+    /// `None` when the trace ended before its learning phase did.
+    pub model: Option<ReferenceModel>,
 }
 
 impl Experiment {
@@ -150,6 +155,7 @@ impl Experiment {
         // it; production deployments would install a bounded observer.
         let mut session = ReductionSession::new(self.monitor.clone())?.with_observer(Vec::new());
         session.push_source(&mut simulation)?;
+        let model = session.model().cloned();
         let outcome = session.finish()?;
         let (report, decisions) = (outcome.report, outcome.observer);
 
@@ -162,6 +168,7 @@ impl Experiment {
             truth: evaluated.truth,
             decisions,
             labeled: evaluated.labeled,
+            model,
         })
     }
 }

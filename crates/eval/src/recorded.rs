@@ -796,18 +796,20 @@ mod tests {
             );
             stored.push((codec, durable.stored_bytes, durable.compression_ratio()));
         }
-        let identity = stored[0].1;
+        let (identity, packed) = (stored[0].1, stored[3].1);
+        assert!(packed < identity, "packed {packed} vs identity {identity}");
         for (codec, bytes, ratio) in &stored {
             match codec {
                 CodecId::Identity => assert_eq!(*ratio, Some(1.0)),
-                // The structured codec must actually win on trace data.
+                // Per window, the smaller of its `EDV` block and its rows.
                 CodecId::DeltaVarint => assert!(
-                    *bytes < identity && ratio.unwrap() > 1.0,
-                    "{codec}: {bytes} vs identity {identity}"
+                    *bytes <= packed && ratio.unwrap() > 1.0,
+                    "{codec}: {bytes} vs packed {packed}"
                 ),
-                // The LZ codec is decode-only: a pass towards it re-frames
-                // and stores every block as it was.
-                CodecId::LzBlock => assert_eq!(*bytes, identity, "{codec}"),
+                // Nothing writes `LZB` any more: a pass towards it chooses
+                // between the rows and the payload, as one towards packed
+                // rows does.
+                CodecId::LzBlock | CodecId::Packed => assert_eq!(*bytes, packed, "{codec}"),
             }
         }
         std::fs::remove_dir_all(&base).ok();

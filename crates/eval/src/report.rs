@@ -181,6 +181,7 @@ mod tests {
             truth: GroundTruth::from_intervals(vec![]),
             decisions: vec![],
             labeled: vec![],
+            model: None,
         };
         let table = headline_table(&result);
         assert!(table.contains("alpha                      1.20"));

@@ -45,7 +45,7 @@ use crate::segment::{
     read_indexed_frame, segment_file_name, segment_header, write_sidecar, FramePrev, LaneFiles,
     SEGMENT_VERSION_V1, SEGMENT_VERSION_V3,
 };
-use trace_model::codec::CodecId;
+use trace_model::codec::{BlockChooser, CodecId};
 use trace_model::TraceError;
 
 /// When (and how aggressively) a store lane is compacted.
@@ -67,11 +67,13 @@ pub struct MaintenancePolicy {
     /// candidates, so repeated passes converge instead of rewriting the
     /// whole lane each time.
     pub max_merged_bytes: u64,
-    /// Re-encode format-v1 segments into this frame codec while
+    /// Re-encode format-v1 segments toward this frame codec while
     /// compacting. `None` copies frames verbatim (the default). A pass
     /// with a target codec rewrites every v1 segment it visits into a
-    /// format-v3 segment under that codec (frames the codec refuses stay
-    /// identity-stored), so a store written before compression existed
+    /// format-v3 segment, storing each frame as the smallest of the
+    /// target's block, packed rows and the payload
+    /// ([`trace_model::codec::BlockChooser`]; `Identity` keeps every
+    /// payload verbatim), so a store written before compression existed
     /// shrinks in place; v2 and v3 segments are left alone, which keeps
     /// repeated passes convergent.
     #[serde(default)]
@@ -177,9 +179,11 @@ pub struct LaneCompaction {
     pub bytes_before: u64,
     /// Committed bytes on disk after the pass.
     pub bytes_after: u64,
-    /// Windows re-encoded into the policy's target codec.
+    /// Frames the pass re-encoded under the policy's recompression
+    /// target, by the codec each was stored under, indexed by codec id
+    /// ([`CodecId::as_u8`]); under identity when no block beat the payload.
     #[serde(default)]
-    pub recompressed_windows: u64,
+    pub frames_by_codec: [u64; CodecId::ALL.len()],
     /// Raw (uncompressed) payload bytes of every window surviving the
     /// pass.
     #[serde(default)]
@@ -216,6 +220,11 @@ impl LaneCompaction {
     pub fn grown_bytes(&self) -> u64 {
         self.bytes_after
             .saturating_sub(self.bytes_before + self.torn_bytes_truncated)
+    }
+
+    /// Frames the pass re-encoded into a block other than the payload.
+    pub fn recompressed_windows(&self) -> u64 {
+        self.frames_by_codec[1..].iter().sum()
     }
 
     /// Raw payload bytes over stored payload bytes after the pass: 1.0
@@ -271,9 +280,26 @@ impl CompactionReport {
         self.lanes.iter().map(|l| l.merged_runs).sum()
     }
 
-    /// Total windows re-encoded into the policy's target codec.
+    /// Total frames re-encoded into a block other than the payload
+    /// (see [`LaneCompaction::recompressed_windows`]).
     pub fn recompressed_windows(&self) -> u64 {
-        self.lanes.iter().map(|l| l.recompressed_windows).sum()
+        self.lanes
+            .iter()
+            .map(LaneCompaction::recompressed_windows)
+            .sum()
+    }
+
+    /// Total frames re-encoded under the recompression target, by the
+    /// codec each was stored under (see
+    /// [`LaneCompaction::frames_by_codec`]).
+    pub fn frames_by_codec(&self) -> [u64; CodecId::ALL.len()] {
+        let mut total = [0; CodecId::ALL.len()];
+        for lane in &self.lanes {
+            for (sum, frames) in total.iter_mut().zip(lane.frames_by_codec) {
+                *sum += frames;
+            }
+        }
+        total
     }
 
     /// Store-wide raw payload bytes over stored payload bytes after the
@@ -293,10 +319,21 @@ impl CompactionReport {
 impl std::fmt::Display for CompactionReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let (envelope_before, envelope_after) = self.envelope_bytes();
+        let by_codec: Vec<String> = CodecId::ALL
+            .iter()
+            .zip(self.frames_by_codec())
+            .filter(|(codec, frames)| **codec != CodecId::Identity && *frames > 0)
+            .map(|(codec, frames)| format!("{codec} {frames}"))
+            .collect();
+        let by_codec = if by_codec.is_empty() {
+            String::new()
+        } else {
+            format!(" ({})", by_codec.join(", "))
+        };
         writeln!(
             f,
             "compaction report: {} lane(s), {} run(s) merged, {} window(s) dropped, \
-             {} window(s) recompressed, {} byte(s) reclaimed, {} byte(s) grown, \
+             {} window(s) recompressed{by_codec}, {} byte(s) reclaimed, {} byte(s) grown, \
              envelope {} -> {} byte(s), compression {:.2}x",
             self.lanes.len(),
             self.merged_runs(),
@@ -366,6 +403,10 @@ struct CompactorMetrics {
     envelope_before: Counter,
     /// `store_compaction_envelope_after_bytes_total` — and coming out.
     envelope_after: Counter,
+    /// `store_compaction_frames_total{codec}` — frames re-encoded under a
+    /// recompression target, by the codec they were stored under, indexed
+    /// by codec id.
+    frames: Vec<Counter>,
     /// `store_compaction_pass_ns` — wall time of each pass.
     pass_ns: Histogram,
     /// `store_compaction_lane_pass_ns` — wall time of each per-lane job
@@ -384,6 +425,13 @@ impl CompactorMetrics {
             grown: registry.counter("store_compaction_grown_bytes_total"),
             envelope_before: registry.counter("store_compaction_envelope_before_bytes_total"),
             envelope_after: registry.counter("store_compaction_envelope_after_bytes_total"),
+            frames: CodecId::ALL
+                .iter()
+                .map(|codec| {
+                    registry
+                        .counter_with("store_compaction_frames_total", &[("codec", codec.name())])
+                })
+                .collect(),
             pass_ns: registry.histogram("store_compaction_pass_ns"),
             lane_pass_ns: registry.histogram("store_compaction_lane_pass_ns"),
             parallel_lanes: registry.gauge("store_compaction_parallel_lanes"),
@@ -397,7 +445,7 @@ impl CompactorMetrics {
     /// Folds one finished pass into the series. A pass that touched
     /// nothing (already-compact store, disabled policy) is not counted:
     /// the counter tracks passes that changed the store, and each lane a
-    /// pass changed adds its byte figures once.
+    /// pass changed adds its byte and frame figures once.
     fn record(&self, report: &CompactionReport) {
         if !report.is_noop() {
             self.passes.inc();
@@ -407,6 +455,9 @@ impl CompactorMetrics {
             self.grown.add(lane.grown_bytes());
             self.envelope_before.add(lane.envelope_bytes_before);
             self.envelope_after.add(lane.envelope_bytes_after);
+            for (counter, &frames) in self.frames.iter().zip(&lane.frames_by_codec) {
+                counter.add(frames);
+            }
         }
     }
 }
@@ -901,7 +952,7 @@ fn compact_lane_index(
             run,
             &index.windows,
             policy.recompress,
-            &mut report.recompressed_windows,
+            &mut report.frames_by_codec,
         )?;
         report.merged_runs += usize::from(run.len() > 1);
         report.segments_rewritten += usize::from(consolidated.is_some());
@@ -933,10 +984,9 @@ fn compact_lane_index(
 /// frame's stored block carries over untouched while its meta is coded
 /// anew against the frame written before it (a run joint or a retention
 /// drop changes the predecessor) and the CRC recomputed; when
-/// `recompress` names a target codec, v1 frames are additionally
-/// re-encoded through it (falling back to identity per frame when the
-/// codec refuses the payload). Replay is byte-for-byte identical in
-/// every case.
+/// `recompress` names a target codec, each v1 frame is additionally
+/// stored as the block a [`BlockChooser`] picks for it, counted into
+/// `frames_by_codec`. Replay is byte-for-byte identical in every case.
 ///
 /// Multi-file merges are journalled through a [`CompactionManifest`]
 /// written before the consolidated file is renamed into place, so a
@@ -949,7 +999,7 @@ fn rewrite_run(
     run: &[SegmentPlan],
     windows: &[WindowEntry],
     recompress: Option<CodecId>,
-    recompressed_windows: &mut u64,
+    frames_by_codec: &mut [u64; CodecId::ALL.len()],
 ) -> Result<Option<(SegmentMeta, Vec<WindowEntry>)>, TraceError> {
     let target_seq = run[0].meta.seq;
     let survivors: usize = run.iter().map(|plan| plan.windows.len()).sum();
@@ -973,7 +1023,7 @@ fn rewrite_run(
     } else {
         SEGMENT_VERSION_V3
     };
-    let mut codec = recompress.map(CodecId::new_codec);
+    let mut chooser = BlockChooser::new();
 
     // Build the consolidated segment in memory (runs are made of small
     // segments, bounded by their summed committed size) so the journal
@@ -1007,18 +1057,18 @@ fn rewrite_run(
             // Re-frame the stored block (for a recompression pass over a
             // v1 frame: the payload, re-encoded) behind its new
             // predecessor. Codec and raw length are the file's.
+            let context = frame.context(entry.start_ns);
             let mut block = &source[frame.block];
             copied.codec = frame.codec.as_u8();
             copied.raw_len = frame.raw_len;
-            if plan.recompress {
-                if let Some(codec) = codec.as_mut() {
-                    scratch_block.clear();
-                    if codec.compress(block, &mut scratch_block)? {
-                        copied.codec = codec.id().as_u8();
-                        block = &scratch_block;
-                        *recompressed_windows += 1;
-                    }
+            if let Some(target) = recompress.filter(|_| plan.recompress) {
+                scratch_block.clear();
+                let stored = chooser.choose(target, context, block, &mut scratch_block);
+                if stored != CodecId::Identity {
+                    copied.codec = stored.as_u8();
+                    block = &scratch_block;
                 }
+                frames_by_codec[usize::from(stored.as_u8())] += 1;
             }
             copied.len = encode_frame(out_version, &mut scratch_frame, prev, &copied, block);
             prev = FramePrev::after(&copied);

@@ -35,13 +35,15 @@
 //!   ones (stored blocks copied verbatim, sidecar rewritten atomically) and
 //!   windows past a retention horizon are dropped, keeping reopen and
 //!   replay costs flat on week-long runs. It is also the one place a
-//!   frame is compressed: a pass with a target [`FrameCodec`]
+//!   frame is compressed: a pass with a target [`CodecId`]
 //!   ([`MaintenancePolicy::with_recompress`]) re-encodes v1 segments into
 //!   format-v3 files that shrink what each window costs on disk — the
-//!   block losslessly, with per-frame fallback to identity, and the frame
-//!   around it by coding its meta against the frame before. It is the one
-//!   thing that rewrites a lane and runs on lanes no writer holds: a live
-//!   lane is append-only.
+//!   block losslessly, stored as the smallest of the target's block,
+//!   packed rows coded against the frame's own meta and the payload
+//!   itself (as [`trace_model::codec::BlockChooser`] picks it), and the
+//!   frame around it by coding its meta against the frame before. It is
+//!   the one thing that rewrites a lane and runs on lanes no writer
+//!   holds: a live lane is append-only.
 //! * [`Snapshot`] / [`Tailer`] / [`CommitLog`] — the live read side. A
 //!   [`Snapshot`] is an immutable, cheaply cloneable view of everything
 //!   committed at a point in time, backed by `Arc`-shared segment

@@ -12,12 +12,14 @@
 //!
 //! Compressed frames (format-v2/v3 segments with a non-identity codec) add
 //! one step: the stored block is decoded through the frame's
-//! [`FrameCodec`] into a scratch buffer owned by the map, so
+//! [`FrameCodec`], told the window's start and event count (a packed
+//! block stores neither), into a scratch buffer owned by the map, so
 //! [`SegmentMap::payload`] returns either a zero-copy slice into the
 //! segment buffer (v1 and identity frames) or a slice into that scratch
 //! (everything else) — callers cannot tell the difference. The replay
 //! fast path, [`SegmentMap::decode_events_into`], skips the intermediate
-//! payload entirely for codecs that decode events directly.
+//! payload entirely for codecs that decode events directly, and holds
+//! every frame to the event count its meta claims.
 //!
 //! A resident limit keeps full-lane replay bounded: a sequential pass
 //! over an N-segment lane holds at most `limit` segment buffers at a
@@ -372,12 +374,14 @@ impl SegmentMap {
         self.load_for(entry)?;
         let segment = &self.segments[&entry.segment];
         let frame = segment.frame(self.lane, entry)?;
+        let context = frame.context(entry.start_ns);
         let block = &segment.bytes[frame.block];
         if frame.codec == CodecId::Identity {
             return Ok(block);
         }
         self.payload_scratch.clear();
-        codec_mut(&mut self.codecs, frame.codec).decompress(
+        codec_mut(&mut self.codecs, frame.codec).decompress_framed(
+            context,
             block,
             frame.raw_len as usize,
             &mut self.payload_scratch,
@@ -394,7 +398,8 @@ impl SegmentMap {
     /// # Errors
     ///
     /// Same conditions as [`SegmentMap::payload`], plus payload decode
-    /// errors.
+    /// errors, and [`TraceError::Decode`] for a frame whose block holds
+    /// another number of events than its meta claims.
     pub fn decode_events_into(
         &mut self,
         entry: &WindowEntry,
@@ -403,16 +408,21 @@ impl SegmentMap {
         self.load_for(entry)?;
         let segment = &self.segments[&entry.segment];
         let frame = segment.frame(self.lane, entry)?;
+        let context = frame.context(entry.start_ns);
         let block = &segment.bytes[frame.block];
-        if frame.codec == CodecId::Identity {
-            return BinaryDecoder::new().decode_into(block, out);
-        }
-        codec_mut(&mut self.codecs, frame.codec).decode_events(
-            block,
-            frame.raw_len as usize,
-            &mut self.payload_scratch,
-            out,
-        )
+        let decoded = if frame.codec == CodecId::Identity {
+            BinaryDecoder::new().decode_into(block, out)?
+        } else {
+            codec_mut(&mut self.codecs, frame.codec).decode_events_framed(
+                context,
+                block,
+                frame.raw_len as usize,
+                &mut self.payload_scratch,
+                out,
+            )?
+        };
+        context.check_events(decoded)?;
+        Ok(decoded)
     }
 }
 
@@ -497,9 +507,10 @@ mod tests {
         crate::Compactor::new(&dir, policy).compact().unwrap();
         let reader = StoreReader::open(&dir).unwrap();
         let entries: Vec<WindowEntry> = reader.lane_windows(0).unwrap().to_vec();
+        // Six events a window: packed rows beat both `EDV` and the payload.
         assert!(entries
             .iter()
-            .all(|entry| entry.codec == CodecId::DeltaVarint.as_u8()));
+            .all(|entry| entry.codec == CodecId::Packed.as_u8()));
         let mut map = SegmentMap::new(&dir, 0);
         for (entry, expected) in entries.iter().zip(&payloads) {
             assert_eq!(map.payload(entry).unwrap(), expected.as_slice());

@@ -440,7 +440,7 @@ impl StoreReader {
                 return Ok(None);
             };
             let entry = &index.windows[at];
-            let mut events = Vec::with_capacity(entry.events as usize);
+            let mut events = Vec::with_capacity(claimed_events(entry.events.into()));
             map.decode_events_into(entry, &mut events)?;
             Ok(Some(events))
         })
@@ -463,7 +463,7 @@ impl StoreReader {
             let mut out = Vec::new();
             for entry in &index.windows {
                 if entry.start_ns < to.as_nanos() && entry.end_ns > from.as_nanos() {
-                    let mut events = Vec::with_capacity(entry.events as usize);
+                    let mut events = Vec::with_capacity(claimed_events(entry.events.into()));
                     map.decode_events_into(entry, &mut events)?;
                     out.push((WindowId::new(entry.window_id), events));
                 }
@@ -480,7 +480,7 @@ impl StoreReader {
     /// Same conditions as [`StoreReader::window_events`].
     pub fn lane_events(&self, lane: u32) -> Result<Vec<TraceEvent>, TraceError> {
         self.with_lane_map(lane, |index, map| {
-            let mut events = Vec::with_capacity(index.total_events() as usize);
+            let mut events = Vec::with_capacity(claimed_events(index.total_events()));
             for entry in &index.windows {
                 map.decode_events_into(entry, &mut events)?;
             }
@@ -570,6 +570,13 @@ impl EventSource for LaneReplay<'_> {
             }
         }
     }
+}
+
+/// The room to reserve for `events` events that frame meta claims: the
+/// claim, up to 2^20 — a CRC-valid frame may claim 2^32 − 1, and nothing
+/// is reserved on a claim that only decoding can confirm.
+pub(crate) fn claimed_events(events: u64) -> usize {
+    events.min(1 << 20) as usize
 }
 
 /// Loads one lane's index, preferring the sidecar, falling back to the

@@ -48,7 +48,7 @@
 use std::collections::BTreeMap;
 use std::ops::Range;
 
-use trace_model::codec::CodecId;
+use trace_model::codec::{CodecId, FrameContext};
 use trace_model::TraceError;
 
 use crate::crc32::crc32;
@@ -467,6 +467,14 @@ pub(crate) struct Frame {
 }
 
 impl Frame {
+    /// What the frame's codec is told about the window its block holds:
+    /// the window's start — the row's, `start_ns`, since a v3 frame codes
+    /// it against the frame before — and the event count the frame's own
+    /// CRC-protected meta claims.
+    pub(crate) fn context(&self, start_ns: u64) -> FrameContext {
+        FrameContext::framed(start_ns, self.events)
+    }
+
     /// The index row of this frame, found at `offset` of segment `seq`
     /// behind the frame `prev` (an index-driven reader has it already).
     pub(crate) fn entry(&self, seq: u32, offset: u64, prev: FramePrev) -> WindowEntry {

@@ -16,7 +16,7 @@ use trace_model::{Timestamp, TraceError, TraceEvent, WindowId};
 
 use crate::index::{RecoveryReport, WindowEntry};
 use crate::map::{SegmentCache, SegmentMap};
-use crate::reader::{LoadedLane, StoreReader};
+use crate::reader::{claimed_events, LoadedLane, StoreReader};
 
 /// An immutable point-in-time view of a store's committed windows.
 ///
@@ -249,7 +249,7 @@ impl Snapshot {
             return Ok(None);
         };
         let entry = &view.windows[at];
-        let mut events = Vec::with_capacity(entry.events as usize);
+        let mut events = Vec::with_capacity(claimed_events(entry.events.into()));
         let mut map = view.map.lock().expect("snapshot map poisoned");
         map.decode_events_into(entry, &mut events)?;
         Ok(Some(events))
@@ -272,7 +272,7 @@ impl Snapshot {
         let mut out = Vec::new();
         for entry in &view.windows {
             if entry.start_ns < to.as_nanos() && entry.end_ns > from.as_nanos() {
-                let mut events = Vec::with_capacity(entry.events as usize);
+                let mut events = Vec::with_capacity(claimed_events(entry.events.into()));
                 map.decode_events_into(entry, &mut events)?;
                 out.push((WindowId::new(entry.window_id), events));
             }
@@ -289,7 +289,7 @@ impl Snapshot {
         let view = self.view(lane)?;
         let mut map = view.map.lock().expect("snapshot map poisoned");
         let capacity: u64 = view.windows.iter().map(|e| u64::from(e.events)).sum();
-        let mut events = Vec::with_capacity(capacity as usize);
+        let mut events = Vec::with_capacity(claimed_events(capacity));
         for entry in &view.windows {
             map.decode_events_into(entry, &mut events)?;
         }

@@ -15,12 +15,13 @@ use std::io::{Read, Seek, SeekFrom};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use trace_model::codec::{BinaryDecoder, CodecId, FrameCodec, TraceDecoder};
+use trace_model::codec::{BinaryDecoder, CodecId, FrameCodec, FrameContext, TraceDecoder};
 use trace_model::{TraceError, TraceEvent};
 
 use crate::commit::{CommitLog, CommitView};
 use crate::index::WindowEntry;
 use crate::map::codec_mut;
+use crate::reader::claimed_events;
 use crate::segment::{
     parse_segment_header, read_frame, segment_file_name, FramePrev, FrameRead, SEGMENT_HEADER_LEN,
 };
@@ -42,10 +43,12 @@ impl TailWindow {
     /// # Errors
     ///
     /// Returns [`TraceError::Decode`] when the payload is not a valid
-    /// event encoding.
+    /// event encoding, or holds another number of events than the
+    /// frame claims.
     pub fn events(&self) -> Result<Vec<TraceEvent>, TraceError> {
-        let mut events = Vec::with_capacity(self.entry.events as usize);
-        BinaryDecoder::new().decode_into(&self.payload, &mut events)?;
+        let mut events = Vec::with_capacity(claimed_events(self.entry.events.into()));
+        let decoded = BinaryDecoder::new().decode_into(&self.payload, &mut events)?;
+        FrameContext::framed(self.entry.start_ns, self.entry.events).check_events(decoded)?;
         Ok(events)
     }
 }
@@ -351,13 +354,15 @@ impl Tailer {
             }
         };
         let (entry, codec) = (frame.entry(seq, offset, self.prev), frame.codec);
+        let context = frame.context(entry.start_ns);
         let block = &self.buf[frame.block];
         let payload = if codec == CodecId::Identity {
             block.to_vec()
         } else {
             // A claim, not yet the block's word: reserve as a decoder would.
             let mut payload = Vec::with_capacity((entry.raw_len as usize).min(1 << 20));
-            codec_mut(&mut self.codecs, codec).decompress(
+            codec_mut(&mut self.codecs, codec).decompress_framed(
+                context,
                 block,
                 entry.raw_len as usize,
                 &mut payload,

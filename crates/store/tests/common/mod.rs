@@ -12,7 +12,7 @@ use endurance_store::{
     crc32, CodecId, Compactor, LaneWriter, MaintenancePolicy, StoreConfig, WindowEntry,
 };
 use trace_model::codec::{BinaryEncoder, TraceEncoder};
-use trace_model::{EventSink, EventTypeId, RecordMeta, Timestamp, TraceEvent, WindowId};
+use trace_model::{EventSink, EventTypeId, RecordMeta, Severity, Timestamp, TraceEvent, WindowId};
 
 /// One recorded window: what the recorder hands the sink.
 #[derive(Debug, Clone)]
@@ -378,6 +378,72 @@ pub const GOLDEN_V3_SEG: &str = "\
      002101c007002102c107002103c207002100c307002101c407002102c5070021\
      03c607002100c707002101c807002102c907002103ca07002100cb07002101cc\
      07002102cd07002103ce07002100cf07002101d007004002d12901";
+
+/// `lane0000-000000.seg` of `golden_packed_windows`, as a pass targeting
+/// `DeltaVarint` writes it (FORMAT.md §3.3): packed rows, but for the
+/// fourth frame, whose one event type and steady payloads `EDV` stores
+/// smaller. Read the first frame, `26 81c1e3da 9003 80c0b2cd3b 80e89226
+/// 05 03 26 b717 01 05 …`: a 38-byte body; window 200, 8 s in, 40 ms
+/// long; five events; packed; 38 raw bytes; then the rows, the first
+/// opening with `zigzag(−1500)` — its event falls 1.5 µs before the
+/// window does — and `(type 0 << 2) | Info`, payload 5. The third frame,
+/// `06 5ef6443e 02 00 00 00 03 06`, is an empty window: meta, no block.
+pub const GOLDEN_PACKED_V3_SEG: &str = "\
+     455345470300000000000000002681c1e3da900380c0b2cd3b80e89226050326\
+     b717010580897a050680897a090780897a010880897a0509712eaa08a5020000\
+     12038501f80a0103e5a386010503e5a386010903e5a386010d03e5a386011103\
+     e5a386011503e5a386010104e5a386010504e5a386010904e5a386010d04e5a3\
+     86011104e5a386011504e5a386010105e5a386010505f19f86010905e5a38601\
+     0d05e5a386011105e5a386011505065ef6443e0200000003068c01cddac58402\
+     00002801a0022880bcf59f1ec1843dc1843dbe843dc1843dc1843dbe843dc184\
+     3dc1843dbe843dc1843dc1843dbe843dc1843dc1843dbe843dc1843dc1843dbe\
+     843dc1843dc1843dbe843dc1843dc1843dbe843dc1843dc1843dbe843dc1843d\
+     c1843dbe843dc1843dc1843dbe843dc1843dc1843dbe843dc1843dc1843dbe84\
+     3d0104010101d00f010227170e45493702000003031d14ffff0fffffffff0f00\
+     0000009601ac02";
+
+/// Five windows, 40 ms each, back to back: the first event of the first
+/// before its window opens, eighteen events of six types (the paper's
+/// 40 ms window), none, forty of one type, and three with the extremes —
+/// `u16::MAX` and `u32::MAX`, every severity but `Info`, one timestamp.
+pub fn golden_packed_windows() -> Vec<Window> {
+    (0..5u64)
+        .map(|at| {
+            let id = 200 + at;
+            let start_ns = id * 40_000_000;
+            let event = |ns: u64, ty: u16, payload: u32| {
+                TraceEvent::new(Timestamp::from_nanos(ns), EventTypeId::new(ty), payload)
+            };
+            let events: Vec<TraceEvent> = match at {
+                0 => (0..5)
+                    .map(|i| {
+                        event(
+                            start_ns - 1_500 + i * 2_000_000,
+                            (i % 3) as u16,
+                            5 + i as u32,
+                        )
+                    })
+                    .collect(),
+                1 => (0..18)
+                    .map(|i| {
+                        let ns = start_ns + 700 + i * 2_200_000 + (i * 37) % 500;
+                        event(ns, (i % 6) as u16, (i / 6) as u32 + 3)
+                    })
+                    .collect(),
+                2 => Vec::new(),
+                3 => (0..40)
+                    .map(|i| event(start_ns + i * 1_000_000 + i % 3, 4, 1_000 + i as u32))
+                    .collect(),
+                _ => vec![
+                    event(start_ns + 10, u16::MAX, u32::MAX).with_severity(Severity::Error),
+                    event(start_ns + 10, 0, 0).with_severity(Severity::Debug),
+                    event(start_ns + 10, 37, 300).with_severity(Severity::Warning),
+                ],
+            };
+            Window::new(id, start_ns, start_ns + 40_000_000, events)
+        })
+        .collect()
+}
 
 /// Twelve windows, six recorded under `DeltaVarint` and six under
 /// `LzBlock` (each refuses its smallest), 40 ms each, back to back but

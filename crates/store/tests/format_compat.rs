@@ -15,8 +15,9 @@ mod common;
 use proptest::prelude::*;
 
 use common::{
-    dir_contents, golden_v3_windows, parent_v2_windows, segment_files, unhex, window_events,
-    write_compressed_lane, write_v2_segment, Window, GOLDEN_V3_SEG, PARENT_V2_STORE,
+    dir_contents, golden_packed_windows, golden_v3_windows, parent_v2_windows, segment_files,
+    unhex, window_events, write_compressed_lane, write_v2_segment, Window, GOLDEN_PACKED_V3_SEG,
+    GOLDEN_V3_SEG, PARENT_V2_STORE,
 };
 
 use endurance_store::{
@@ -680,31 +681,32 @@ fn a_v2_store_the_parent_build_wrote_opens_replays_resumes_and_compacts() {
     std::fs::remove_dir_all(&rebuilt).ok();
 }
 
-#[test]
-fn golden_v3_segment_pins_the_layout() {
-    let golden = unhex(GOLDEN_V3_SEG);
-    let windows = golden_v3_windows();
-
-    // Decoder: the golden bytes are a segment of this lane, to the
-    // scanner and — once a writer has recovered it — through a sidecar
-    // and to a follower of that writer.
-    let dir = temp_dir("golden-v3-read");
-    std::fs::write(dir.join("lane0000-000000.seg"), &golden).unwrap();
+/// Decoder half of a golden segment: `golden`, as segment 0 of lane 0, is
+/// `windows` stored under `codecs` — to the scanner and, once a writer
+/// has recovered it, through a sidecar and to a follower of that writer.
+/// Returns the rows.
+fn assert_golden_segment_replays(
+    tag: &str,
+    golden: &[u8],
+    windows: &[Window],
+    codecs: &[u8],
+) -> Vec<endurance_store::WindowEntry> {
+    let dir = temp_dir(tag);
+    std::fs::write(dir.join("lane0000-000000.seg"), golden).unwrap();
     let reader = StoreReader::open(&dir).unwrap();
     assert!(
         reader.recovery().torn_tails.is_empty(),
         "{:?}",
         reader.recovery()
     );
-    assert_store_matches(&reader, &recorded_as(&windows));
+    assert_store_matches(&reader, &recorded_as(windows));
     let rows = reader.lane_windows(0).unwrap().to_vec();
     assert_eq!(
         rows.iter().map(common::entry_fields).collect::<Vec<_>>(),
         windows.iter().map(Window::fields).collect::<Vec<_>>()
     );
-    let codecs: Vec<u8> = rows.iter().map(|row| row.codec).collect();
-    assert_eq!(codecs, [0, 0, 1, 1, 0, 0, 2, 2, 0, 0, 0, 2]);
-    assert_eq!(rows[1].offset + 1 + 4 + 56, rows[2].offset);
+    let stored: Vec<u8> = rows.iter().map(|row| row.codec).collect();
+    assert_eq!(stored, codecs);
     drop(reader);
     let writer = LaneWriter::create(&dir, 0, StoreConfig::default()).unwrap();
     let mut tailer = Tailer::follow(&dir, writer.commit_log());
@@ -718,28 +720,47 @@ fn golden_v3_segment_pins_the_layout() {
         }
     }
     assert_eq!(followed.iter().map(|w| w.entry).collect::<Vec<_>>(), rows);
-    for (got, window) in followed.iter().zip(&windows) {
+    for (got, window) in followed.iter().zip(windows) {
         assert_eq!(got.payload, window.payload, "window {}", window.id);
+        assert_eq!(got.events().unwrap(), window.events, "window {}", window.id);
     }
     let reader = StoreReader::open(&dir).unwrap();
     assert!(reader.recovery().clean);
     assert_eq!(reader.lane_windows(0).unwrap(), rows);
-    assert_store_matches(&reader, &recorded_as(&windows));
+    assert_store_matches(&reader, &recorded_as(windows));
     std::fs::remove_dir_all(&dir).ok();
+    rows
+}
 
-    // Encoder: a writer and a recompressing merge emit the first six
-    // frames, the `DeltaVarint` half (nothing writes `LZB` any more).
-    let dir = temp_dir("golden-v3-write");
+#[test]
+fn golden_v3_segment_pins_the_layout() {
+    let golden = unhex(GOLDEN_V3_SEG);
+    let codecs = [0, 0, 1, 1, 0, 0, 2, 2, 0, 0, 0, 2];
+    let rows = assert_golden_segment_replays("golden-v3", &golden, &golden_v3_windows(), &codecs);
+    assert_eq!(rows[1].offset + 1 + 4 + 56, rows[2].offset);
+    // Read only, as far as this build goes: nothing writes `LZB`, and a
+    // pass now stores its identity and small `EDV` frames as packed rows
+    // (the encoder half is `golden_packed_v3_segment_pins_the_layout`).
+}
+
+#[test]
+fn golden_packed_v3_segment_pins_the_layout() {
+    let golden = unhex(GOLDEN_PACKED_V3_SEG);
+    let windows = golden_packed_windows();
+
+    // Encoder: a writer and a recompressing merge emit the golden bytes.
+    let dir = temp_dir("golden-packed-write");
     let mut writer = LaneWriter::create(&dir, 0, StoreConfig::default()).unwrap();
-    for window in &windows[..6] {
+    for window in &windows {
         window.record(&mut writer);
     }
     writer.close().unwrap();
     let policy = MaintenancePolicy::merge_below(u64::MAX / 4).with_recompress(CodecId::DeltaVarint);
-    Compactor::new(&dir, policy).compact().unwrap();
+    let report = Compactor::new(&dir, policy).compact().unwrap();
+    assert_eq!(report.frames_by_codec(), [0, 1, 0, 4], "{report}");
     let written = std::fs::read(dir.join("lane0000-000000.seg")).unwrap();
     assert!(
-        written == golden[..rows[6].offset as usize],
+        written == golden,
         "lane0000-000000.seg drifted from the golden bytes:\n{}",
         written
             .iter()
@@ -747,6 +768,15 @@ fn golden_v3_segment_pins_the_layout() {
             .collect::<String>()
     );
     std::fs::remove_dir_all(&dir).ok();
+
+    // Decoder: the rows decode against their frames' starts and counts.
+    let rows = assert_golden_segment_replays("golden-packed", &golden, &windows, &[3, 3, 3, 1, 3]);
+    // The first row of the first frame: zigzag(−1500) = 2999.
+    let first_block = rows[0].offset as usize + 1 + 4 + 14;
+    assert_eq!(golden[first_block..first_block + 2], [0xb7, 0x17]);
+    // The empty window: a body of meta alone.
+    assert_eq!(rows[2].len, 6);
+    assert_eq!(rows[2].offset + 1 + 4 + 6, rows[3].offset);
 }
 
 proptest! {
@@ -759,8 +789,8 @@ proptest! {
     fn recompressing_compaction_preserves_payloads(
         windows in 1u64..20,
         per_segment in 1u64..5,
-        write_codec in 0u8..3,
-        recompress_codec in 1u8..3,
+        write_codec in 0u8..4,
+        recompress_codec in 1u8..4,
         merge in any::<bool>(),
     ) {
         let write_codec = CodecId::from_u8(write_codec).unwrap();

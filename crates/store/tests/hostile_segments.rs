@@ -38,23 +38,32 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// Four windows: one too small for any codec, two a codec takes, one
-/// with no events; the third does not follow the second.
+/// Four windows: one whose payload no codec takes (its event count is
+/// spelled in two bytes: not the canonical `ETRC` a codec re-encodes, but
+/// a payload that decodes), two a codec takes — the second of one event
+/// type, which `EDV` stores smaller than packed rows — and one with no
+/// events; the third does not follow the second.
 fn windows() -> Vec<Window> {
     [(7u64, 2usize), (8, 9), (11, 12), (12, 0)]
         .into_iter()
         .map(|(id, count)| {
             let start_ns = id * 40_000_000;
+            let types = if id == 11 { 1 } else { 3 };
             let events = (0..count as u64)
                 .map(|i| {
                     TraceEvent::new(
                         Timestamp::from_nanos(start_ns + i * 3_000_000 + (id + i) % 700),
-                        EventTypeId::new((i % 3) as u16),
+                        EventTypeId::new((i % types) as u16),
                         (id * 10 + i) as u32,
                     )
                 })
                 .collect();
-            Window::new(id, start_ns, start_ns + 40_000_000, events)
+            let mut window = Window::new(id, start_ns, start_ns + 40_000_000, events);
+            if id == 7 {
+                window.payload[5] |= 0x80;
+                window.payload.insert(6, 0);
+            }
+            window
         })
         .collect()
 }
@@ -72,7 +81,8 @@ struct Pristine {
 
 impl Pristine {
     /// `windows()` as a v1 lane, a v2 one from the fixture builder, or —
-    /// recorded and recompressed — a v3 one, under `DeltaVarint`; or,
+    /// recorded, then recompressed by a pass targeting `DeltaVarint` — a
+    /// v3 one holding identity, packed and `EDV` frames; or,
     /// under `LzBlock`, what earlier builds left: the frames of lane 1 of
     /// `PARENT_V2_STORE` as one v2 segment, and the first eight frames of
     /// `GOLDEN_V3_SEG` (the first two `LZB` ones among them).
@@ -132,6 +142,12 @@ impl Pristine {
         if version > 1 {
             assert!(rows.iter().any(|row| row.codec == codec.as_u8()), "{codec}");
             assert!(rows.iter().any(|row| row.codec == 0), "{codec}");
+        }
+        if (version, codec) == (3, CodecId::DeltaVarint) {
+            // The pass stores each frame as its smallest block: the payload
+            // nothing takes, packed rows, `EDV`, and an empty row block.
+            let codecs: Vec<u8> = rows.iter().map(|row| row.codec).collect();
+            assert_eq!(codecs, [0, 3, 1, 3]);
         }
         Pristine {
             version,
@@ -409,25 +425,33 @@ fn v3_length_varints_are_held_to_the_letter() {
     std::fs::remove_dir_all(&pristine.dir).ok();
 }
 
+/// Appends `value` as a minimal varint.
+fn put_varint(out: &mut Vec<u8>, mut value: u32) {
+    while value >= 0x80 {
+        out.push(value as u8 | 0x80);
+        value >>= 7;
+    }
+    out.push(value as u8);
+}
+
 /// One frame of a `version` segment (2 or 3) at the head of its segment,
-/// laid out by hand around `block`: window 0 over `[0, 0)`, one event,
-/// `codec`, and a raw length of `raw_len`, CRC and all.
-fn crafted_frame(version: u8, codec: CodecId, raw_len: u32, block: &[u8]) -> Vec<u8> {
+/// laid out by hand around `block`: window 0 over `[0, 1)`, `events`
+/// events, `codec`, and a raw length of `raw_len`, CRC and all.
+fn crafted_frame(version: u8, codec: CodecId, events: u32, raw_len: u32, block: &[u8]) -> Vec<u8> {
     let mut body = Vec::new();
     if version == 2 {
-        body.extend_from_slice(&[0; 24]);
-        body.extend_from_slice(&1u32.to_le_bytes());
+        body.extend_from_slice(&[0; 16]);
+        body.extend_from_slice(&1u64.to_le_bytes());
+        body.extend_from_slice(&events.to_le_bytes());
         body.push(codec.as_u8());
         body.extend_from_slice(&raw_len.to_le_bytes());
     } else {
-        // id, start and span deltas of zero, one event, the codec byte.
-        body.extend_from_slice(&[0, 0, 0, 1, codec.as_u8()]);
-        let mut left = raw_len;
-        while left >= 0x80 {
-            body.push(left as u8 | 0x80);
-            left >>= 7;
-        }
-        body.push(left as u8);
+        // id and start deltas of zero, a span of zigzag(1), the count,
+        // the codec byte, the raw length.
+        body.extend_from_slice(&[0, 0, 2]);
+        put_varint(&mut body, events);
+        body.push(codec.as_u8());
+        put_varint(&mut body, raw_len);
     }
     body.extend_from_slice(block);
     let mut frame = if version == 2 {
@@ -456,7 +480,7 @@ fn a_crc_valid_frame_claiming_4_gib_is_a_typed_error() {
             let what = format!("v{version} {codec}");
             let dir = temp_dir(&format!("claim-v{version}-{}", codec.as_u8()));
             let mut segment = segment_header(version, 0, 0);
-            segment.extend(crafted_frame(version, codec, u32::MAX, block));
+            segment.extend(crafted_frame(version, codec, 1, u32::MAX, block));
             std::fs::write(dir.join(SEGMENT), segment).unwrap();
 
             let reader = StoreReader::open(&dir).unwrap();
@@ -480,5 +504,70 @@ fn a_crc_valid_frame_claiming_4_gib_is_a_typed_error() {
             }));
             std::fs::remove_dir_all(&dir).ok();
         }
+    }
+}
+
+/// A CRC-valid frame is a claim about its event count too: an identity
+/// frame whose meta says `u32::MAX` events — 64 GiB of `TraceEvent`s —
+/// over a payload of one. Every path that decodes it answers with a typed
+/// error: nothing is reserved on the claim, and the payload is held to it.
+#[test]
+fn a_crc_valid_frame_claiming_4g_events_is_a_typed_error() {
+    let event = TraceEvent::new(Timestamp::from_nanos(0), EventTypeId::new(3), 9);
+    let payload = Window::new(0, 0, 1, vec![event]).payload;
+    for version in [2u8, 3] {
+        let what = format!("v{version}");
+        let dir = temp_dir(&format!("claim-events-v{version}"));
+        let mut segment = segment_header(version, 0, 0);
+        let raw_len = payload.len() as u32;
+        segment.extend(crafted_frame(
+            version,
+            CodecId::Identity,
+            u32::MAX,
+            raw_len,
+            &payload,
+        ));
+        std::fs::write(dir.join(SEGMENT), segment).unwrap();
+
+        let decode_error = |result: Result<(), TraceError>, path: &str| {
+            assert!(
+                matches!(result, Err(TraceError::Decode { .. })),
+                "{what} {path}: {result:?}"
+            );
+        };
+        let reader = StoreReader::open(&dir).unwrap();
+        assert_eq!(
+            reader.lane_windows(0).unwrap()[0].events,
+            u32::MAX,
+            "{what}"
+        );
+        let (from, to) = (Timestamp::from_nanos(0), Timestamp::from_nanos(1));
+        decode_error(reader.lane_events(0).map(drop), "lane_events");
+        decode_error(
+            reader.window_events(0, WindowId::new(0)).map(drop),
+            "window_events",
+        );
+        decode_error(
+            reader.windows_in_range(0, from, to).map(drop),
+            "windows_in_range",
+        );
+        let snapshot = reader.snapshot();
+        decode_error(
+            snapshot.window_events(0, WindowId::new(0)).map(drop),
+            "snapshot window",
+        );
+        decode_error(snapshot.lane_events(0).map(drop), "snapshot lane");
+        // The payload itself is what was written.
+        assert_eq!(reader.lane_payload_bytes(0).unwrap(), payload, "{what}");
+        drop((reader, snapshot));
+
+        let writer = LaneWriter::create(&dir, 0, StoreConfig::default()).unwrap();
+        let mut tailer = Tailer::follow(&dir, writer.commit_log());
+        writer.close().unwrap();
+        match tailer.next(std::time::Duration::from_secs(10)).unwrap() {
+            TailStep::Window(window) => decode_error(window.events().map(drop), "tail"),
+            other => panic!("{what}: {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

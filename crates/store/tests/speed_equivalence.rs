@@ -886,7 +886,11 @@ proptest! {
         let codecs_v2 = assert_every_reader_replays(&v2, &windows, shuffle);
         let codecs_v3 = assert_every_reader_replays(&v3, &windows, shuffle);
         prop_assert!(codecs_v1.iter().all(|codec| *codec == 0));
-        prop_assert_eq!(&codecs_v2, &codecs_v3);
+        // v2 holds what v2 builds stored, `EDV` or the payload; a pass of
+        // this build stores the smaller of `EDV` and packed rows, both
+        // smaller than any canonical payload.
+        prop_assert!(codecs_v2.iter().all(|codec| [0, 1].contains(codec)));
+        prop_assert!(codecs_v3.iter().all(|codec| [1, 3].contains(codec)));
 
         // One lane in all three formats: thirds of the sequence written
         // and recompressed, from the fixture builder, and from the writer
@@ -906,9 +910,10 @@ proptest! {
         prop_assert_eq!(versions(&mixed), [3]);
         assert_every_reader_replays(&mixed, &windows, shuffle);
 
-        // v3 + v3 merged, v2 + v2 merged, and v1 recompressed (which
-        // merges the run it re-encodes): one v3 segment each, the same
-        // one byte for byte, index included.
+        // v3 + v3 merged, v2 + v2 merged — blocks carried over as they
+        // were — and v1 recompressed (which merges the run it re-encodes):
+        // one v3 segment each, v1's and v3's the same byte for byte, index
+        // included.
         let lone_segment = versions(&v3).len() == 1;
         compact(&v3, merge);
         compact(&v2, merge);
@@ -918,15 +923,12 @@ proptest! {
             // pass has a reason to rewrite it, and not before.)
             let migrated = !(lone_segment && dir == &v2);
             prop_assert_eq!(versions(dir), [if migrated { 3 } else { 2 }]);
-            prop_assert_eq!(&assert_every_reader_replays(dir, &windows, shuffle), &codecs_v3);
+            let codecs = if dir == &v2 { &codecs_v2 } else { &codecs_v3 };
+            prop_assert_eq!(&assert_every_reader_replays(dir, &windows, shuffle), codecs);
             // (The scanner check took the sidecar; a resume puts it back.)
             LaneWriter::create(dir, 0, rotate).unwrap().close().unwrap();
         }
         prop_assert!(dir_contents(&v1) == dir_contents(&v3), "recompressed v1 != merged v3");
-        prop_assert!(
-            lone_segment || dir_contents(&v2) == dir_contents(&v3),
-            "merged v2 != merged v3"
-        );
 
         // Retention takes windows out of the middle of that segment — the
         // head included, whenever the first window is not among the

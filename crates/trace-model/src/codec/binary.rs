@@ -16,7 +16,7 @@
 //! Timestamps are delta-encoded because consecutive multimedia events are
 //! microseconds apart, so deltas almost always fit in one or two bytes.
 
-use super::{decode_u64, encode_u64, TraceDecoder, TraceEncoder};
+use super::{decode_u64, encode_u64, take_minimal_u64, TraceDecoder, TraceEncoder};
 use crate::{EventTypeId, Severity, Timestamp, TraceError, TraceEvent};
 
 const MAGIC: &[u8; 4] = b"ETRC";
@@ -178,9 +178,62 @@ impl TraceDecoder for BinaryDecoder {
     }
 }
 
+/// Decodes `bytes` into `out` (cleared first) when they are a *canonical*
+/// `ETRC` block — exactly what [`BinaryEncoder`] emits for some batch —
+/// and returns whether they were. Canonical is "decodes, and every varint
+/// is minimal": the encoder emits nothing else, so this is the same test
+/// as decoding, re-encoding and comparing bytes, without the re-encode.
+/// What `false` leaves in `out` is unspecified.
+pub(crate) fn decode_canonical(bytes: &[u8], out: &mut Vec<TraceEvent>) -> bool {
+    out.clear();
+    if bytes.len() < MAGIC.len() + 1 || &bytes[..4] != MAGIC || bytes[4] != VERSION {
+        return false;
+    }
+    let mut at = 5;
+    let Some(count) = take_minimal_u64(bytes, &mut at) else {
+        return false;
+    };
+    // Every event costs at least four bytes: refuse a count the bytes
+    // cannot hold before reserving for it.
+    if count > ((bytes.len() - at) / 4) as u64 {
+        return false;
+    }
+    out.reserve(count as usize);
+    let mut previous = 0u64;
+    for _ in 0..count {
+        let (Some(delta), Some(ty), Some(payload)) = (
+            take_minimal_u64(bytes, &mut at),
+            take_minimal_u64(bytes, &mut at),
+            take_minimal_u64(bytes, &mut at),
+        ) else {
+            return false;
+        };
+        let (Some(timestamp), Ok(ty), Ok(payload), Some(severity)) = (
+            previous.checked_add(delta),
+            u16::try_from(ty),
+            u32::try_from(payload),
+            bytes.get(at).copied().and_then(Severity::from_u8),
+        ) else {
+            return false;
+        };
+        at += 1;
+        previous = timestamp;
+        out.push(
+            TraceEvent::new(
+                Timestamp::from_nanos(timestamp),
+                EventTypeId::new(ty),
+                payload,
+            )
+            .with_severity(severity),
+        );
+    }
+    at == bytes.len()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn ev(us: u64, ty: u16, payload: u32, sev: Severity) -> TraceEvent {
         TraceEvent::new(Timestamp::from_micros(us), EventTypeId::new(ty), payload)
@@ -272,5 +325,57 @@ mod tests {
     fn short_input_is_rejected() {
         assert!(BinaryDecoder::new().decode(b"ET").is_err());
         assert!(BinaryDecoder::new().decode(b"").is_err());
+    }
+
+    /// The re-encoding definition of canonical that `decode_canonical`
+    /// stands in for.
+    fn reencodes_to_itself(bytes: &[u8]) -> Option<Vec<TraceEvent>> {
+        let events = BinaryDecoder::new().decode(bytes).ok()?;
+        let mut again = Vec::new();
+        BinaryEncoder::new().encode(&events, &mut again).ok()?;
+        (again == bytes).then_some(events)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+        /// Encoded batches, then one edit: none, a flipped byte, an
+        /// inserted byte, or a one-byte varint spelled in two bytes.
+        #[test]
+        fn canonical_is_what_the_encoder_writes(
+            raw in prop::collection::vec((0u64..300, 0u16..200, 0u32..300, 0u8..4), 0..12),
+            edit in 0u8..4,
+            at in any::<usize>(),
+            byte in any::<u8>(),
+        ) {
+            let mut ts = 0;
+            let events: Vec<TraceEvent> = raw
+                .into_iter()
+                .map(|(delta, ty, payload, sev)| {
+                    ts += delta;
+                    TraceEvent::new(Timestamp::from_nanos(ts), EventTypeId::new(ty), payload)
+                        .with_severity(Severity::from_u8(sev).unwrap())
+                })
+                .collect();
+            let mut bytes = Vec::new();
+            BinaryEncoder::new().encode(&events, &mut bytes).unwrap();
+            let at = at % bytes.len();
+            match edit {
+                1 => bytes[at] ^= byte | 1,
+                2 => bytes.insert(at, byte),
+                3 if bytes[at] < 0x80 => {
+                    bytes[at] |= 0x80;
+                    bytes.insert(at + 1, 0);
+                }
+                _ => {}
+            }
+            let mut decoded = Vec::new();
+            let canonical = decode_canonical(&bytes, &mut decoded);
+            let expected = reencodes_to_itself(&bytes);
+            prop_assert_eq!(canonical, expected.is_some());
+            if let Some(expected) = expected {
+                prop_assert_eq!(decoded, expected);
+            }
+        }
     }
 }

@@ -21,12 +21,24 @@
 //!   (the vendored [`lzb`] crate's format) of stores written by earlier
 //!   builds and refuses every payload it is asked to compress, so nothing
 //!   writes one any more. The id is never reused.
+//! * [`PackedCodec`] (id 3) — one varint row per event of a canonical
+//!   `ETRC` payload, `(timestamp delta, type << 2 | severity, payload)`,
+//!   and nothing else: the window start the first timestamp is coded
+//!   against and the event count come from the frame's meta, handed over
+//!   as a [`FrameContext`]. The block for short windows, where `EDV`'s
+//!   dictionary and column headers cost what they save.
+//!
+//! Which block a frame is stored as is chosen in one place,
+//! [`BlockChooser`], the only code that knows both the `EDV` and the
+//! packed layout: the smallest of the target codec's block, the packed
+//! rows and the payload itself, with `EDV`'s column search skipped
+//! whenever an exact lower bound on its size already loses to the rows.
 //!
 //! Every codec is *lossless at the byte level*: decompressing a stored
 //! block reproduces the original payload byte for byte, so replay of a
 //! compressed store is indistinguishable from replay of an uncompressed
 //! one. `docs/FORMAT.md` in the repository root is the normative
-//! specification of the `EDV` and `LZB` block layouts.
+//! specification of the `EDV`, `LZB` and packed block layouts.
 //!
 //! ```rust
 //! use trace_model::codec::{BinaryEncoder, TraceEncoder, DeltaVarintCodec, FrameCodec};
@@ -59,8 +71,10 @@
 
 use std::fmt;
 
+use super::binary::decode_canonical;
 use super::{
-    decode_u64, encode_u64, varint_len, BinaryDecoder, BinaryEncoder, TraceDecoder, TraceEncoder,
+    decode_u64, encode_u64, take_minimal_u64, varint_len, BinaryDecoder, BinaryEncoder,
+    TraceDecoder, TraceEncoder,
 };
 use crate::{EventTypeId, Severity, Timestamp, TraceError, TraceEvent};
 
@@ -90,11 +104,19 @@ pub enum CodecId {
     DeltaVarint = 1,
     /// LZ77-style block compression: decoded, no longer written.
     LzBlock = 2,
+    /// Varint rows of canonical `ETRC` events, coded against the frame's
+    /// meta.
+    Packed = 3,
 }
 
 impl CodecId {
     /// Every defined codec id, in wire-value order.
-    pub const ALL: [CodecId; 3] = [CodecId::Identity, CodecId::DeltaVarint, CodecId::LzBlock];
+    pub const ALL: [CodecId; 4] = [
+        CodecId::Identity,
+        CodecId::DeltaVarint,
+        CodecId::LzBlock,
+        CodecId::Packed,
+    ];
 
     /// Decodes a codec id from its wire value.
     pub const fn from_u8(raw: u8) -> Option<CodecId> {
@@ -102,6 +124,7 @@ impl CodecId {
             0 => Some(CodecId::Identity),
             1 => Some(CodecId::DeltaVarint),
             2 => Some(CodecId::LzBlock),
+            3 => Some(CodecId::Packed),
             _ => None,
         }
     }
@@ -117,6 +140,7 @@ impl CodecId {
             CodecId::Identity => "identity",
             CodecId::DeltaVarint => "delta-varint",
             CodecId::LzBlock => "lz-block",
+            CodecId::Packed => "packed",
         }
     }
 
@@ -126,6 +150,57 @@ impl CodecId {
             CodecId::Identity => Box::new(IdentityCodec::new()),
             CodecId::DeltaVarint => Box::new(DeltaVarintCodec::new()),
             CodecId::LzBlock => Box::new(LzBlockCodec::new()),
+            CodecId::Packed => Box::new(PackedCodec::new()),
+        }
+    }
+}
+
+/// What a frame's meta tells its codec about the window a block holds.
+///
+/// Only [`PackedCodec`] reads it: its first row is coded against
+/// `start_ns`, and its rows are held to `events`, so neither is stored a
+/// second time inside the block. Identity, `EDV` and `LZB` blocks are
+/// self-contained and ignore it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameContext {
+    /// The window's start, in nanoseconds of trace time.
+    pub start_ns: u64,
+    /// The window's event count as the frame's meta claims it — what a
+    /// framed decode holds the block to — or `None` outside a frame.
+    pub events: Option<u32>,
+}
+
+impl FrameContext {
+    /// The context of no frame: base 0 and no count to check. The
+    /// context-free [`FrameCodec`] methods run under it.
+    pub const DETACHED: FrameContext = FrameContext {
+        start_ns: 0,
+        events: None,
+    };
+
+    /// The context of a frame whose meta says the window starts at
+    /// `start_ns` and holds `events` events.
+    pub const fn framed(start_ns: u64, events: u32) -> Self {
+        FrameContext {
+            start_ns,
+            events: Some(events),
+        }
+    }
+
+    /// Holds a block that decoded to `decoded` events to the count the
+    /// frame claims.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceError::Decode`] when the frame claims another count;
+    /// a detached context checks nothing.
+    pub fn check_events(self, decoded: usize) -> Result<(), TraceError> {
+        match self.events {
+            Some(claimed) if claimed as usize != decoded => Err(TraceError::Decode {
+                offset: 0,
+                reason: format!("the frame claims {claimed} events but its block holds {decoded}"),
+            }),
+            _ => Ok(()),
         }
     }
 }
@@ -142,36 +217,50 @@ impl fmt::Display for CodecId {
 /// Implementations may keep internal scratch state across calls (they are
 /// `&mut self` precisely so hot write/replay loops reuse buffers), but a
 /// call's outcome must depend only on its arguments.
+///
+/// Every operation takes the [`FrameContext`] of the frame the block
+/// belongs to (`*_framed`); the context-free `compress`, `decompress` and
+/// `decode_events` run the same operation under
+/// [`FrameContext::DETACHED`], for blocks that live outside a frame.
 pub trait FrameCodec: fmt::Debug + Send {
     /// The id stamped into frames this codec produces.
     fn id(&self) -> CodecId;
 
-    /// Compresses `payload`, appending the stored block to `out`.
+    /// Compresses `payload`, the payload of the frame `context` describes,
+    /// appending the stored block to `out`.
     ///
     /// Returns `Ok(false)` — with `out` unchanged — when the codec cannot
     /// usefully represent this payload (it is not in the structure the
     /// codec exploits, or the compressed form would not be smaller). The
     /// caller then stores the frame under [`CodecId::Identity`] instead.
-    /// A `true` return guarantees [`FrameCodec::decompress`] reproduces
-    /// `payload` exactly, and — for every codec except
-    /// [`IdentityCodec`], whose block *is* the payload — that `out` grew
-    /// by *fewer* bytes than `payload.len()`.
+    /// A `true` return guarantees [`FrameCodec::decompress_framed`] under
+    /// the same context reproduces `payload` exactly, and — for every
+    /// codec except [`IdentityCodec`], whose block *is* the payload — that
+    /// `out` grew by *fewer* bytes than `payload.len()`.
     ///
     /// # Errors
     ///
     /// Returns [`TraceError`] only for internal failures; an unsuitable
     /// payload is the `Ok(false)` case, not an error.
-    fn compress(&mut self, payload: &[u8], out: &mut Vec<u8>) -> Result<bool, TraceError>;
+    fn compress_framed(
+        &mut self,
+        context: FrameContext,
+        payload: &[u8],
+        out: &mut Vec<u8>,
+    ) -> Result<bool, TraceError>;
 
-    /// Decompresses a stored `block` back into the original payload,
-    /// appending exactly `raw_len` bytes to `out`.
+    /// Decompresses a stored `block` of the frame `context` describes back
+    /// into the original payload, appending exactly `raw_len` bytes to
+    /// `out`.
     ///
     /// # Errors
     ///
-    /// Returns [`TraceError::Decode`] when the block is malformed or does
-    /// not decompress to exactly `raw_len` bytes.
-    fn decompress(
+    /// Returns [`TraceError::Decode`] when the block is malformed, does
+    /// not decompress to exactly `raw_len` bytes, or (packed) does not
+    /// hold the events the context claims.
+    fn decompress_framed(
         &mut self,
+        context: FrameContext,
         block: &[u8],
         raw_len: usize,
         out: &mut Vec<u8>,
@@ -188,8 +277,49 @@ pub trait FrameCodec: fmt::Debug + Send {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`FrameCodec::decompress`], plus payload decode
-    /// errors when the restored payload is not an `ETRC` block.
+    /// Same conditions as [`FrameCodec::decompress_framed`], plus payload
+    /// decode errors when the restored payload is not an `ETRC` block.
+    fn decode_events_framed(
+        &mut self,
+        context: FrameContext,
+        block: &[u8],
+        raw_len: usize,
+        scratch: &mut Vec<u8>,
+        out: &mut Vec<TraceEvent>,
+    ) -> Result<usize, TraceError> {
+        scratch.clear();
+        self.decompress_framed(context, block, raw_len, scratch)?;
+        BinaryDecoder::new().decode_into(scratch, out)
+    }
+
+    /// [`FrameCodec::compress_framed`] outside any frame.
+    ///
+    /// # Errors
+    ///
+    /// As [`FrameCodec::compress_framed`].
+    fn compress(&mut self, payload: &[u8], out: &mut Vec<u8>) -> Result<bool, TraceError> {
+        self.compress_framed(FrameContext::DETACHED, payload, out)
+    }
+
+    /// [`FrameCodec::decompress_framed`] outside any frame.
+    ///
+    /// # Errors
+    ///
+    /// As [`FrameCodec::decompress_framed`].
+    fn decompress(
+        &mut self,
+        block: &[u8],
+        raw_len: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), TraceError> {
+        self.decompress_framed(FrameContext::DETACHED, block, raw_len, out)
+    }
+
+    /// [`FrameCodec::decode_events_framed`] outside any frame.
+    ///
+    /// # Errors
+    ///
+    /// As [`FrameCodec::decode_events_framed`].
     fn decode_events(
         &mut self,
         block: &[u8],
@@ -197,9 +327,7 @@ pub trait FrameCodec: fmt::Debug + Send {
         scratch: &mut Vec<u8>,
         out: &mut Vec<TraceEvent>,
     ) -> Result<usize, TraceError> {
-        scratch.clear();
-        self.decompress(block, raw_len, scratch)?;
-        BinaryDecoder::new().decode_into(scratch, out)
+        self.decode_events_framed(FrameContext::DETACHED, block, raw_len, scratch, out)
     }
 }
 
@@ -225,48 +353,53 @@ impl FrameCodec for IdentityCodec {
         CodecId::Identity
     }
 
-    fn compress(&mut self, payload: &[u8], out: &mut Vec<u8>) -> Result<bool, TraceError> {
+    fn compress_framed(
+        &mut self,
+        _context: FrameContext,
+        payload: &[u8],
+        out: &mut Vec<u8>,
+    ) -> Result<bool, TraceError> {
         out.extend_from_slice(payload);
         Ok(true)
     }
 
-    fn decompress(
+    fn decompress_framed(
         &mut self,
+        _context: FrameContext,
         block: &[u8],
         raw_len: usize,
         out: &mut Vec<u8>,
     ) -> Result<(), TraceError> {
-        if block.len() != raw_len {
-            return Err(TraceError::Decode {
-                offset: 0,
-                reason: format!(
-                    "identity block is {} bytes but the frame says {raw_len}",
-                    block.len()
-                ),
-            });
-        }
+        identity_length(block, raw_len)?;
         out.extend_from_slice(block);
         Ok(())
     }
 
-    fn decode_events(
+    fn decode_events_framed(
         &mut self,
+        _context: FrameContext,
         block: &[u8],
         raw_len: usize,
         _scratch: &mut Vec<u8>,
         out: &mut Vec<TraceEvent>,
     ) -> Result<usize, TraceError> {
-        if block.len() != raw_len {
-            return Err(TraceError::Decode {
-                offset: 0,
-                reason: format!(
-                    "identity block is {} bytes but the frame says {raw_len}",
-                    block.len()
-                ),
-            });
-        }
+        identity_length(block, raw_len)?;
         BinaryDecoder::new().decode_into(block, out)
     }
+}
+
+/// An identity block is its payload: exactly `raw_len` bytes.
+fn identity_length(block: &[u8], raw_len: usize) -> Result<(), TraceError> {
+    if block.len() == raw_len {
+        return Ok(());
+    }
+    Err(TraceError::Decode {
+        offset: 0,
+        reason: format!(
+            "identity block is {} bytes but the frame says {raw_len}",
+            block.len()
+        ),
+    })
 }
 
 /// Maximum lag the per-type payload predictor may use (audio chunk
@@ -337,7 +470,6 @@ fn edv_error(offset: usize, reason: impl Into<String>) -> TraceError {
 #[derive(Debug, Default)]
 pub struct DeltaVarintCodec {
     events: Vec<TraceEvent>,
-    canonical: Vec<u8>,
     /// Distinct `(type, severity)` pairs of the window, in first-seen order.
     dict: Vec<(u16, u8)>,
     /// Reverse lookup into `dict`, so the encoder's per-event token
@@ -697,41 +829,85 @@ impl FrameCodec for DeltaVarintCodec {
         CodecId::DeltaVarint
     }
 
-    fn compress(&mut self, payload: &[u8], out: &mut Vec<u8>) -> Result<bool, TraceError> {
-        // Only canonical ETRC payloads are re-encoded: parse, then check
-        // the canonical encoder reproduces the payload byte for byte (a
-        // payload with, say, overlong varints decodes fine but would not
-        // survive the round trip — refuse it instead of corrupting it).
-        self.events.clear();
-        if BinaryDecoder::new()
-            .decode_into(payload, &mut self.events)
-            .is_err()
-        {
-            return Ok(false);
-        }
-        self.canonical.clear();
-        let events = std::mem::take(&mut self.events);
-        let encode_result = BinaryEncoder::new().encode(&events, &mut self.canonical);
+    fn compress_framed(
+        &mut self,
+        _context: FrameContext,
+        payload: &[u8],
+        out: &mut Vec<u8>,
+    ) -> Result<bool, TraceError> {
+        // Only canonical ETRC payloads are re-encoded: a payload with,
+        // say, overlong varints decodes fine but would not survive the
+        // round trip — refuse it instead of corrupting it.
+        let mut events = std::mem::take(&mut self.events);
+        let compressed = decode_canonical(payload, &mut events)
+            && self.encode_events(&events, payload.len(), out);
         self.events = events;
-        if encode_result.is_err() || self.canonical != payload {
-            return Ok(false);
-        }
+        Ok(compressed)
+    }
 
-        let start = out.len();
-        encode_u64(self.events.len() as u64, out);
-        if self.events.is_empty() {
-            if out.len() - start >= payload.len() {
-                out.truncate(start);
-                return Ok(false);
-            }
-            return Ok(true);
-        }
+    fn decompress_framed(
+        &mut self,
+        _context: FrameContext,
+        block: &[u8],
+        raw_len: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), TraceError> {
+        self.parse(block, raw_len)?;
         let events = std::mem::take(&mut self.events);
-        let ok = self.build_columns(&events);
-        if !ok {
-            self.events = events;
+        let start = out.len();
+        let result = BinaryEncoder::new().encode(&events, out);
+        self.events = events;
+        result?;
+        if out.len() - start != raw_len {
+            return Err(edv_error(
+                0,
+                format!(
+                    "block restores {} bytes but the frame says {raw_len}",
+                    out.len() - start
+                ),
+            ));
+        }
+        Ok(())
+    }
+
+    fn decode_events_framed(
+        &mut self,
+        _context: FrameContext,
+        block: &[u8],
+        raw_len: usize,
+        _scratch: &mut Vec<u8>,
+        out: &mut Vec<TraceEvent>,
+    ) -> Result<usize, TraceError> {
+        let events = self.parse(block, raw_len)?;
+        let appended = events.len();
+        out.extend_from_slice(events);
+        Ok(appended)
+    }
+}
+
+impl DeltaVarintCodec {
+    /// Appends the `EDV` block of `events` — the canonical decode of a
+    /// payload of `payload_len` bytes — to `out`, or returns `false` with
+    /// `out` unchanged when the block would not be smaller than the
+    /// payload or the window has more than 255 `(type, severity)` pairs.
+    fn encode_events(
+        &mut self,
+        events: &[TraceEvent],
+        payload_len: usize,
+        out: &mut Vec<u8>,
+    ) -> bool {
+        let start = out.len();
+        encode_u64(events.len() as u64, out);
+        if events.is_empty() {
+            if out.len() - start >= payload_len {
+                out.truncate(start);
+                return false;
+            }
+            return true;
+        }
+        if !self.build_columns(events) {
             out.truncate(start);
-            return Ok(false);
+            return false;
         }
 
         // Timestamps: one pass over the event slice (steady streams cost
@@ -745,7 +921,6 @@ impl FrameCodec for DeltaVarintCodec {
                 out,
             );
         }
-        self.events = events;
 
         // Dictionary.
         encode_u64(self.dict.len() as u64, out);
@@ -776,56 +951,19 @@ impl FrameCodec for DeltaVarintCodec {
             }
         }
 
-        if out.len() - start >= payload.len() {
+        if out.len() - start >= payload_len {
             out.truncate(start);
-            return Ok(false);
+            return false;
         }
-        Ok(true)
-    }
-
-    fn decompress(
-        &mut self,
-        block: &[u8],
-        raw_len: usize,
-        out: &mut Vec<u8>,
-    ) -> Result<(), TraceError> {
-        self.parse(block, raw_len)?;
-        let events = std::mem::take(&mut self.events);
-        let start = out.len();
-        let result = BinaryEncoder::new().encode(&events, out);
-        self.events = events;
-        result?;
-        if out.len() - start != raw_len {
-            return Err(edv_error(
-                0,
-                format!(
-                    "block restores {} bytes but the frame says {raw_len}",
-                    out.len() - start
-                ),
-            ));
-        }
-        Ok(())
-    }
-
-    fn decode_events(
-        &mut self,
-        block: &[u8],
-        raw_len: usize,
-        _scratch: &mut Vec<u8>,
-        out: &mut Vec<TraceEvent>,
-    ) -> Result<usize, TraceError> {
-        let events = self.parse(block, raw_len)?;
-        let appended = events.len();
-        out.extend_from_slice(events);
-        Ok(appended)
+        true
     }
 }
 
 /// The LZ77 block codec (id 2), backed by the vendored [`lzb`] decoder.
 ///
 /// Decode-only: it replays the `LZB` frames of stores written by earlier
-/// builds, and [`FrameCodec::compress`] refuses every payload, so a
-/// recompression pass targeting it re-frames without compressing.
+/// builds, and [`FrameCodec::compress_framed`] refuses every payload, so
+/// nothing writes an `LZB` block.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LzBlockCodec {
     _private: (),
@@ -843,12 +981,18 @@ impl FrameCodec for LzBlockCodec {
         CodecId::LzBlock
     }
 
-    fn compress(&mut self, _payload: &[u8], _out: &mut Vec<u8>) -> Result<bool, TraceError> {
+    fn compress_framed(
+        &mut self,
+        _context: FrameContext,
+        _payload: &[u8],
+        _out: &mut Vec<u8>,
+    ) -> Result<bool, TraceError> {
         Ok(false)
     }
 
-    fn decompress(
+    fn decompress_framed(
         &mut self,
+        _context: FrameContext,
         block: &[u8],
         raw_len: usize,
         out: &mut Vec<u8>,
@@ -856,6 +1000,387 @@ impl FrameCodec for LzBlockCodec {
         lzb::decompress(block, raw_len, out).map_err(|error| TraceError::Decode {
             offset: 0,
             reason: format!("LZB block: {error}"),
+        })
+    }
+}
+
+/// The packed row codec (id 3): the events of a canonical `ETRC` payload
+/// as varint rows, and nothing else.
+///
+/// The block layout (normative spec in `docs/FORMAT.md` §3.3):
+///
+/// ```text
+/// per event, in order, until the block ends:
+///   varint  time: zigzag(timestamp − window start) on the first row,
+///           timestamp − the previous row's on every other (≥ 0)
+///   varint  (event type << 2) | severity
+///   varint  payload
+/// ```
+///
+/// Of the `ETRC` block it replaces, the magic, the version, the event
+/// count and an absolute first timestamp are what the frame's meta
+/// already says — the window start and the count arrive as the
+/// [`FrameContext`], and a framed decode holds the rows to that count —
+/// and the severity byte folds into the type varint. Like
+/// [`DeltaVarintCodec`] it takes only canonical `ETRC` payloads (and,
+/// framed, only one whose event count is the frame's), so decompression
+/// re-encodes the rows' events into the payload bit for bit.
+#[derive(Debug, Default)]
+pub struct PackedCodec {
+    events: Vec<TraceEvent>,
+}
+
+impl PackedCodec {
+    /// Creates a packed row codec.
+    pub fn new() -> Self {
+        PackedCodec::default()
+    }
+}
+
+impl FrameCodec for PackedCodec {
+    fn id(&self) -> CodecId {
+        CodecId::Packed
+    }
+
+    fn compress_framed(
+        &mut self,
+        context: FrameContext,
+        payload: &[u8],
+        out: &mut Vec<u8>,
+    ) -> Result<bool, TraceError> {
+        if !decode_canonical(payload, &mut self.events)
+            || context.check_events(self.events.len()).is_err()
+        {
+            return Ok(false);
+        }
+        let start = out.len();
+        let mut previous = context.start_ns;
+        for (at, event) in self.events.iter().enumerate() {
+            let ns = event.timestamp.as_nanos();
+            let time = if at == 0 {
+                first_row_time(ns, previous)
+            } else {
+                ns - previous
+            };
+            put_row(time, event, out);
+            previous = ns;
+        }
+        if out.len() - start >= payload.len() {
+            out.truncate(start);
+            return Ok(false);
+        }
+        Ok(true)
+    }
+
+    fn decompress_framed(
+        &mut self,
+        context: FrameContext,
+        block: &[u8],
+        raw_len: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), TraceError> {
+        self.events.clear();
+        parse_packed(context, block, &mut self.events)?;
+        let start = out.len();
+        BinaryEncoder::new().encode(&self.events, out)?;
+        if out.len() - start != raw_len {
+            return Err(packed_error(
+                0,
+                format!(
+                    "block restores {} bytes but the frame says {raw_len}",
+                    out.len() - start
+                ),
+            ));
+        }
+        Ok(())
+    }
+
+    fn decode_events_framed(
+        &mut self,
+        context: FrameContext,
+        block: &[u8],
+        _raw_len: usize,
+        _scratch: &mut Vec<u8>,
+        out: &mut Vec<TraceEvent>,
+    ) -> Result<usize, TraceError> {
+        parse_packed(context, block, out)
+    }
+}
+
+fn packed_error(offset: usize, reason: impl Into<String>) -> TraceError {
+    TraceError::Decode {
+        offset,
+        reason: format!("packed block: {}", reason.into()),
+    }
+}
+
+/// `(type << 2) | severity` of `event`: its packed row's second varint,
+/// and the key of its `EDV` dictionary entry.
+#[inline]
+fn packed_tag(event: &TraceEvent) -> u32 {
+    (u32::from(event.event_type.as_u16()) << 2) | u32::from(event.severity.as_u8())
+}
+
+/// The severity in the low two bits of a packed tag.
+fn tag_severity(tag: u64) -> Severity {
+    match tag & 3 {
+        0 => Severity::Debug,
+        1 => Severity::Info,
+        2 => Severity::Warning,
+        _ => Severity::Error,
+    }
+}
+
+/// What a first row codes the timestamp `ns` of a window starting at
+/// `start_ns` as: the wrapping difference, zigzagged (an event may be
+/// stamped before its window opens).
+#[inline]
+fn first_row_time(ns: u64, start_ns: u64) -> u64 {
+    zigzag(ns.wrapping_sub(start_ns) as i64)
+}
+
+/// Appends the packed row of `event`, whose timestamp codes as `time`.
+#[inline]
+fn put_row(time: u64, event: &TraceEvent, out: &mut Vec<u8>) {
+    encode_u64(time, out);
+    encode_u64(u64::from(packed_tag(event)), out);
+    encode_u64(u64::from(event.payload), out);
+}
+
+/// Appends the events of the packed `block` to `out` and returns how many:
+/// all of them, or — on any error, the frame's claimed count included —
+/// none. A row is at least three bytes, so this reserves for no more rows
+/// than the block can hold, and framed, for no more than the frame
+/// claims: a row past the claim is an error before it is pushed.
+fn parse_packed(
+    context: FrameContext,
+    block: &[u8],
+    out: &mut Vec<TraceEvent>,
+) -> Result<usize, TraceError> {
+    let most = block.len() / 3;
+    let rows = match context.events {
+        Some(claimed) if claimed as usize > most => {
+            return Err(packed_error(
+                0,
+                format!("the frame claims {claimed} events, more than {most} rows fit"),
+            ))
+        }
+        Some(claimed) => claimed as usize,
+        None => most,
+    };
+    let first = out.len();
+    out.reserve(rows.min(1 << 20));
+    let parsed = push_rows(context.start_ns, block, rows, out)
+        .and_then(|()| context.check_events(out.len() - first));
+    if parsed.is_err() {
+        out.truncate(first);
+    }
+    parsed.map(|()| out.len() - first)
+}
+
+/// Pushes the rows of `block`, at most `limit` of them, onto `out`.
+fn push_rows(
+    start_ns: u64,
+    block: &[u8],
+    limit: usize,
+    out: &mut Vec<TraceEvent>,
+) -> Result<(), TraceError> {
+    let (mut at, mut previous): (usize, Option<u64>) = (0, None);
+    for _ in 0..limit {
+        if at == block.len() {
+            return Ok(());
+        }
+        let row = at;
+        let (Some(time), Some(tag), Some(payload)) = (
+            take_minimal_u64(block, &mut at),
+            take_minimal_u64(block, &mut at),
+            take_minimal_u64(block, &mut at),
+        ) else {
+            return Err(packed_error(row, "truncated or non-minimal varint"));
+        };
+        let ns = match previous {
+            None => start_ns.wrapping_add(unzigzag(time) as u64),
+            Some(previous) => previous
+                .checked_add(time)
+                .ok_or_else(|| packed_error(row, "timestamp overflow"))?,
+        };
+        let (Ok(event_type), Ok(payload)) = (u16::try_from(tag >> 2), u32::try_from(payload))
+        else {
+            return Err(packed_error(row, "event type or payload out of range"));
+        };
+        out.push(
+            TraceEvent::new(
+                Timestamp::from_nanos(ns),
+                EventTypeId::new(event_type),
+                payload,
+            )
+            .with_severity(tag_severity(tag)),
+        );
+        previous = Some(ns);
+    }
+    if at < block.len() {
+        return Err(packed_error(
+            at,
+            format!("more than the {limit} rows claimed"),
+        ));
+    }
+    Ok(())
+}
+
+/// Chooses, and writes, the stored block of every frame a recompression
+/// pass re-encodes — the one place that knows both the `EDV` and the
+/// packed layout, so the one place that can compare them.
+///
+/// ```rust
+/// use trace_model::codec::{BinaryEncoder, BlockChooser, CodecId, FrameContext, TraceEncoder};
+/// use trace_model::{EventTypeId, Timestamp, TraceEvent};
+///
+/// # fn main() -> Result<(), trace_model::TraceError> {
+/// // A 40 ms window of 18 events: the rows beat EDV's columns.
+/// let events: Vec<TraceEvent> = (0..18)
+///     .map(|i| TraceEvent::new(Timestamp::from_micros(1_000 + i * 2_200), EventTypeId::new((i % 5) as u16), i as u32))
+///     .collect();
+/// let mut payload = Vec::new();
+/// BinaryEncoder::new().encode(&events, &mut payload)?;
+/// let context = FrameContext::framed(1_000_000, 18);
+/// let mut block = Vec::new();
+/// let stored = BlockChooser::new().choose(CodecId::DeltaVarint, context, &payload, &mut block);
+/// assert_eq!(stored, CodecId::Packed);
+/// assert!(block.len() < payload.len());
+///
+/// let (mut scratch, mut replayed) = (Vec::new(), Vec::new());
+/// stored.new_codec().decode_events_framed(context, &block, payload.len(), &mut scratch, &mut replayed)?;
+/// assert_eq!(replayed, events);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Default)]
+pub struct BlockChooser {
+    /// The canonical decode of the payload at hand.
+    events: Vec<TraceEvent>,
+    /// The window's distinct packed tags in first-seen order: the `EDV`
+    /// dictionary its block would carry.
+    dict: Vec<u32>,
+    edv: DeltaVarintCodec,
+    edv_block: Vec<u8>,
+}
+
+impl BlockChooser {
+    /// Creates a chooser (scratch buffers grow on use and are reused
+    /// across frames).
+    pub fn new() -> Self {
+        BlockChooser::default()
+    }
+
+    /// Stores `payload`, the payload of the frame `context` describes, as
+    /// the smallest block there is under a pass targeting `target`: the
+    /// target's own block, the packed rows, or the payload itself. Returns
+    /// the codec of the block chosen and appends the block to `out` —
+    /// except under [`CodecId::Identity`], whose block is `payload` and
+    /// leaves `out` as it was.
+    ///
+    /// A target of `Identity` keeps every payload verbatim. Nothing writes
+    /// `LzBlock` any more, so under it, as under `Packed`, the choice is
+    /// between the rows and the payload; under `DeltaVarint` it is among
+    /// all three, a tie going to the simpler block (payload, then rows).
+    /// A payload that is not canonical `ETRC`, or whose event count is not
+    /// the frame's, is stored as it is.
+    ///
+    /// `EDV`'s column search is the dear part of its encoder, so it runs
+    /// only when an exact lower bound on `EDV`'s size — taken in the same
+    /// pass that writes the rows — is below the rows' size. On short
+    /// windows the dictionary, tokens and column headers alone lose.
+    pub fn choose(
+        &mut self,
+        target: CodecId,
+        context: FrameContext,
+        payload: &[u8],
+        out: &mut Vec<u8>,
+    ) -> CodecId {
+        if target == CodecId::Identity
+            || !decode_canonical(payload, &mut self.events)
+            || context.check_events(self.events.len()).is_err()
+        {
+            return CodecId::Identity;
+        }
+        let start = out.len();
+        let edv_bound = self.pack_rows(context.start_ns, out);
+        let packed = out.len() - start;
+        if target == CodecId::DeltaVarint && edv_bound.is_some_and(|bound| bound < packed) {
+            self.edv_block.clear();
+            if self
+                .edv
+                .encode_events(&self.events, payload.len(), &mut self.edv_block)
+                && self.edv_block.len() < packed
+            {
+                out.truncate(start);
+                out.extend_from_slice(&self.edv_block);
+                return CodecId::DeltaVarint;
+            }
+        }
+        if packed < payload.len() {
+            return CodecId::Packed;
+        }
+        out.truncate(start);
+        CodecId::Identity
+    }
+
+    /// Appends the packed rows of the decoded events, coded against the
+    /// window start `start_ns`, to `out`, and returns from the same pass a
+    /// lower bound on their `EDV` block: exact for its count, timestamps,
+    /// dictionary and tokens, and three bytes — scheme, lag, one value —
+    /// for each payload column. `None` when `EDV` refuses the window (more
+    /// than 255 `(type, severity)` pairs).
+    fn pack_rows(&mut self, start_ns: u64, out: &mut Vec<u8>) -> Option<usize> {
+        self.dict.clear();
+        let events = &self.events;
+        let Some(first) = events.first() else {
+            // An empty window's `EDV` block is its count, 0.
+            return Some(1);
+        };
+        let first_ns = first.timestamp.as_nanos();
+        let mut bound = varint_len(events.len() as u64) + varint_len(first_ns);
+        let (mut dict_bytes, mut token_varints, mut columns) = (0, 0, 0);
+        let mut fits = true;
+        let mut previous = first_ns;
+        for (at, event) in events.iter().enumerate() {
+            let ns = event.timestamp.as_nanos();
+            let time = if at == 0 {
+                first_row_time(ns, start_ns)
+            } else {
+                let delta = ns - previous;
+                bound += varint_len(delta);
+                delta
+            };
+            put_row(time, event, out);
+            previous = ns;
+            if !fits {
+                continue;
+            }
+            let tag = packed_tag(event);
+            let token = match self.dict.iter().position(|&seen| seen == tag) {
+                Some(token) => token,
+                None if self.dict.len() == EDV_MAX_DICT => {
+                    fits = false;
+                    continue;
+                }
+                None => {
+                    // A type's first entry opens its payload column.
+                    columns += usize::from(!self.dict.iter().any(|&seen| seen >> 2 == tag >> 2));
+                    dict_bytes += varint_len(u64::from(tag >> 2)) + 1;
+                    self.dict.push(tag);
+                    self.dict.len() - 1
+                }
+            };
+            token_varints += varint_len(token as u64);
+        }
+        fits.then(|| {
+            let tokens = match self.dict.len() {
+                1 => 0,
+                2..=16 => events.len().div_ceil(2),
+                _ => token_varints,
+            };
+            bound + varint_len(self.dict.len() as u64) + dict_bytes + tokens + 3 * columns
         })
     }
 }
@@ -920,8 +1445,71 @@ mod tests {
             assert_eq!(CodecId::from_u8(id.as_u8()), Some(id));
             assert_eq!(id.new_codec().id(), id);
         }
-        assert_eq!(CodecId::from_u8(3), None);
+        assert_eq!(CodecId::from_u8(4), None);
         assert_eq!(CodecId::DeltaVarint.to_string(), "delta-varint");
+        assert_eq!(CodecId::Packed.to_string(), "packed");
+    }
+
+    #[test]
+    fn packed_rows_are_coded_against_the_frame() {
+        // Window at 1 ms; the first event 2 µs before it opens, the
+        // second 300 ns after the first.
+        let events = [
+            TraceEvent::new(Timestamp::from_nanos(998_000), EventTypeId::new(5), 7)
+                .with_severity(Severity::Warning),
+            TraceEvent::new(Timestamp::from_nanos(998_300), EventTypeId::new(40), 300),
+        ];
+        let payload = payload_of(&events);
+        let context = FrameContext::framed(1_000_000, 2);
+        let mut codec = PackedCodec::new();
+        let mut block = Vec::new();
+        assert!(codec
+            .compress_framed(context, &payload, &mut block)
+            .unwrap());
+        // zigzag(-2000) = 3999; 5 << 2 | 2 = 22; 300; 40 << 2 | 1 = 161.
+        assert_eq!(
+            block,
+            [0x9f, 0x1f, 22, 7, 0xac, 0x02, 0xa1, 0x01, 0xac, 0x02]
+        );
+        let mut restored = Vec::new();
+        codec
+            .decompress_framed(context, &block, payload.len(), &mut restored)
+            .unwrap();
+        assert_eq!(restored, payload);
+
+        // The count is the frame's: any other claim is a decode error,
+        // and appends nothing.
+        let (mut scratch, mut out) = (Vec::new(), Vec::new());
+        for claimed in [0, 1, 3, u32::MAX] {
+            let wrong = FrameContext::framed(1_000_000, claimed);
+            assert!(codec
+                .decode_events_framed(wrong, &block, payload.len(), &mut scratch, &mut out)
+                .is_err());
+            assert!(out.is_empty());
+        }
+        // A framed compress refuses a payload of another count.
+        let mut refused = Vec::new();
+        let three = FrameContext::framed(1_000_000, 3);
+        assert!(!codec
+            .compress_framed(three, &payload, &mut refused)
+            .unwrap());
+        assert!(refused.is_empty());
+    }
+
+    #[test]
+    fn packed_handles_edge_batches() {
+        let mut codec = PackedCodec::new();
+        assert_round_trip(&mut codec, &[]);
+        assert_round_trip(&mut codec, &[ev(5, 9, 1234, Severity::Error)]);
+        assert_round_trip(
+            &mut codec,
+            &[
+                ev(7, 0, 0, Severity::Debug),
+                ev(7, 0, u32::MAX, Severity::Info),
+                ev(7, u16::MAX, u32::MAX, Severity::Error),
+            ],
+        );
+        assert_round_trip(&mut codec, &periodic_events(64));
     }
 
     #[test]
@@ -1037,5 +1625,134 @@ mod tests {
         expected.extend([9, 8, 7]);
         assert_eq!(restored, expected);
         assert!(codec.decompress(&block, 24, &mut Vec::new()).is_err());
+    }
+
+    mod chooser {
+        use super::*;
+        use proptest::prelude::*;
+
+        #[test]
+        fn long_regular_windows_keep_edv_and_short_ones_pack() {
+            let long = periodic_events(500);
+            let mut chooser = BlockChooser::new();
+            for (events, expected) in [
+                (&long[..], CodecId::DeltaVarint),
+                (&long[..8], CodecId::Packed),
+                (&long[..0], CodecId::Packed),
+            ] {
+                let payload = payload_of(events);
+                let context = FrameContext::framed(0, events.len() as u32);
+                let mut block = Vec::new();
+                let stored = chooser.choose(CodecId::DeltaVarint, context, &payload, &mut block);
+                assert_eq!(stored, expected, "{} events", events.len());
+                // Not canonical `ETRC`, or not the frame's count: verbatim.
+                let other = FrameContext::framed(0, events.len() as u32 + 1);
+                for (context, payload) in [(other, &payload[..]), (context, b"ETRC?")] {
+                    let stored = chooser.choose(CodecId::DeltaVarint, context, payload, &mut block);
+                    assert_eq!(stored, CodecId::Identity);
+                }
+            }
+        }
+
+        /// A window and its start: `count` events on a `step` cadence with
+        /// up to `jitter` ns of noise, cycling through `types` types (a few,
+        /// or — past 255 `(type, severity)` pairs — more than `EDV` takes),
+        /// with linear, constant or arbitrary payloads and the odd
+        /// non-`Info` severity; the window opening up to 2.5 µs either side
+        /// of the first event.
+        fn window() -> impl Strategy<Value = (Vec<TraceEvent>, u64)> {
+            (
+                (0usize..300, 1u16..300, any::<bool>()),
+                (1u64..4_000_000, 0u64..2_000, 0u64..5_000),
+                (0u8..3, 0u8..4, any::<u64>()),
+            )
+                .prop_map(
+                    |((count, types, few), (step, jitter, lead), (payloads, severity, seed))| {
+                        let types = if few { types % 9 + 1 } else { types };
+                        let base = seed >> 24;
+                        let noise =
+                            |i: u64| seed.wrapping_mul(i + 1).rotate_left(17) % (jitter + 1);
+                        let events = (0..count as u64)
+                            .map(|i| {
+                                let payload = match payloads {
+                                    0 => (i / u64::from(types)) as u32,
+                                    1 => 7,
+                                    _ => (seed.wrapping_mul(i + 3) >> 32) as u32,
+                                };
+                                let severity = if i % 7 == 3 { severity } else { 1 };
+                                TraceEvent::new(
+                                    Timestamp::from_nanos(base + i * step + noise(i)),
+                                    EventTypeId::new((i % u64::from(types)) as u16 * 3),
+                                    payload,
+                                )
+                                .with_severity(Severity::from_u8(severity).unwrap())
+                            })
+                            .collect();
+                        (events, (base + lead).wrapping_sub(2_500))
+                    },
+                )
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(400))]
+
+            /// The chooser stores the smallest of the candidates, exactly
+            /// — pruning `EDV` on its bound never loses a smaller block —
+            /// and what it stores replays as the payload and its events.
+            #[test]
+            fn the_stored_block_is_the_smallest_candidate(window in window()) {
+                let (events, start_ns) = window;
+                let payload = payload_of(&events);
+                let context = FrameContext::framed(start_ns, events.len() as u32);
+                let mut edv = Vec::new();
+                let edv_taken = DeltaVarintCodec::new().compress(&payload, &mut edv).unwrap();
+                let mut packed = Vec::new();
+                let packed_taken = PackedCodec::new()
+                    .compress_framed(context, &payload, &mut packed)
+                    .unwrap();
+                prop_assert!(packed_taken, "canonical payloads always pack smaller");
+
+                let mut chooser = BlockChooser::new();
+                for target in CodecId::ALL {
+                    let mut block = vec![0xEE];
+                    let stored = chooser.choose(target, context, &payload, &mut block);
+                    let block = &block[1..];
+                    let size = if stored == CodecId::Identity {
+                        prop_assert!(block.is_empty());
+                        payload.len()
+                    } else {
+                        block.len()
+                    };
+                    let expected = match target {
+                        CodecId::Identity => payload.len(),
+                        CodecId::DeltaVarint if edv_taken => edv.len().min(packed.len()),
+                        _ => packed.len(),
+                    };
+                    prop_assert_eq!(size, expected, "{} over {} events", target, events.len());
+                    if stored != CodecId::Identity {
+                        let mut codec = stored.new_codec();
+                        let mut restored = Vec::new();
+                        codec.decompress_framed(context, block, payload.len(), &mut restored).unwrap();
+                        prop_assert_eq!(&restored, &payload);
+                        let (mut scratch, mut replayed) = (Vec::new(), Vec::new());
+                        codec
+                            .decode_events_framed(context, block, payload.len(), &mut scratch, &mut replayed)
+                            .unwrap();
+                        prop_assert_eq!(&replayed, &events);
+                    }
+                }
+
+                // The bound, from the pass that writes the rows: never past
+                // the block `EDV` writes, and there whenever `EDV` is.
+                let mut rows = Vec::new();
+                prop_assert!(decode_canonical(&payload, &mut chooser.events));
+                let bound = chooser.pack_rows(start_ns, &mut rows);
+                prop_assert_eq!(&rows, &packed);
+                if edv_taken {
+                    let bound = bound.expect("EDV took the window");
+                    prop_assert!(bound <= edv.len(), "bound {} over EDV's {}", bound, edv.len());
+                }
+            }
+        }
     }
 }

@@ -15,9 +15,10 @@
 //! On top of them, the [`frame`] module defines *frame* codecs
 //! ([`FrameCodec`]): pluggable transformations between an encoded
 //! payload and the (smaller) block a durable store actually writes —
-//! identity, a columnar delta+varint re-encoding, and an LZ77 block
-//! compressor. See `docs/FORMAT.md` at the repository root for the
-//! normative block formats.
+//! identity, a columnar delta+varint re-encoding, an LZ77 block decoder,
+//! and packed varint rows coded against the frame's meta — and
+//! [`BlockChooser`], which picks the smallest. See `docs/FORMAT.md` at the
+//! repository root for the normative block formats.
 
 pub mod binary;
 pub mod frame;
@@ -25,9 +26,12 @@ pub mod text;
 mod varint;
 
 pub use binary::{BinaryDecoder, BinaryEncoder};
-pub use frame::{CodecId, DeltaVarintCodec, FrameCodec, IdentityCodec, LzBlockCodec};
+pub use frame::{
+    BlockChooser, CodecId, DeltaVarintCodec, FrameCodec, FrameContext, IdentityCodec, LzBlockCodec,
+    PackedCodec,
+};
 pub use text::{TextDecoder, TextEncoder};
-pub(crate) use varint::{decode_u64, encode_u64, varint_len};
+pub(crate) use varint::{decode_u64, encode_u64, take_minimal_u64, varint_len};
 
 use crate::{TraceError, TraceEvent};
 

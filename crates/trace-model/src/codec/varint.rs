@@ -60,6 +60,21 @@ pub(crate) fn decode_u64(bytes: &[u8], offset: usize) -> Result<(u64, usize), Tr
     }
 }
 
+/// Reads the varint at `*at`, advancing past it, when it is the shortest
+/// encoding of its value (its last byte is not a zero continuation); the
+/// one-byte case, most fields of most events, without a call.
+#[inline]
+pub(crate) fn take_minimal_u64(bytes: &[u8], at: &mut usize) -> Option<u64> {
+    let first = *bytes.get(*at)?;
+    if first < 0x80 {
+        *at += 1;
+        return Some(u64::from(first));
+    }
+    let (value, next) = decode_u64(bytes, *at).ok()?;
+    *at = next;
+    (bytes[next - 1] != 0).then_some(value)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,7 +9,8 @@
 use proptest::prelude::*;
 
 use trace_model::codec::{
-    BinaryDecoder, BinaryEncoder, CodecId, FrameCodec, TraceDecoder, TraceEncoder,
+    BinaryDecoder, BinaryEncoder, CodecId, FrameCodec, FrameContext, PackedCodec, TraceDecoder,
+    TraceEncoder,
 };
 use trace_model::{EventTypeId, Severity, Timestamp, TraceEvent};
 
@@ -48,6 +49,45 @@ fn periodic_events(max_len: usize) -> impl Strategy<Value = Vec<TraceEvent>> {
             })
             .collect()
     })
+}
+
+/// Batches at the edges of what an `ETRC` payload holds, each with the
+/// start of the window it was recorded in: types 0, 37 or `u16::MAX`,
+/// payloads 0, 300 or `u32::MAX`, every severity, timestamps equal to,
+/// just past or 2^40 ns past the one before; the window opening a little
+/// before the first event, a little after it, or anywhere at all.
+fn edge_batches() -> impl Strategy<Value = (Vec<TraceEvent>, u64)> {
+    (
+        prop::collection::vec((0u8..3, 0u8..3, 0u8..3, 0u8..4), 0..40),
+        any::<u64>(),
+        0u8..3,
+        any::<u64>(),
+    )
+        .prop_map(|(raw, first_ns, base, offset)| {
+            let first_ns = first_ns >> 2;
+            let mut ns = first_ns;
+            let events = raw
+                .into_iter()
+                .enumerate()
+                .map(|(at, (step, ty, payload, severity))| {
+                    if at > 0 {
+                        ns += [0, 1 + offset % 997, 1 << 40][usize::from(step)];
+                    }
+                    TraceEvent::new(
+                        Timestamp::from_nanos(ns),
+                        EventTypeId::new([0, 37, u16::MAX][usize::from(ty)]),
+                        [0, 300, u32::MAX][usize::from(payload)],
+                    )
+                    .with_severity(Severity::from_u8(severity).expect("severity in range"))
+                })
+                .collect();
+            let start_ns = match base {
+                0 => first_ns.wrapping_sub(offset % 10_000),
+                1 => first_ns.wrapping_add(offset % 10_000),
+                _ => offset,
+            };
+            (events, start_ns)
+        })
 }
 
 fn check_round_trip(codec: &mut dyn FrameCodec, events: &[TraceEvent]) {
@@ -129,21 +169,23 @@ proptest! {
 
     #[test]
     fn codecs_refuse_or_round_trip_arbitrary_bytes(bytes in prop::collection::vec(any::<u8>(), 0..600)) {
-        // Non-ETRC payloads: DeltaVarint must refuse anything that is not
-        // a canonical encoding; LzBlock refuses everything.
-        let mut delta = CodecId::DeltaVarint.new_codec();
-        let mut block = Vec::new();
-        if delta.compress(&bytes, &mut block).unwrap() {
-            // Only possible when `bytes` happens to be canonical ETRC.
-            let decoded = BinaryDecoder::new().decode(&bytes).unwrap();
-            let mut reencoded = Vec::new();
-            BinaryEncoder::new().encode(&decoded, &mut reencoded).unwrap();
-            prop_assert_eq!(&reencoded, &bytes);
-            let mut restored = Vec::new();
-            delta.decompress(&block, bytes.len(), &mut restored).unwrap();
-            prop_assert_eq!(&restored, &bytes);
-        } else {
-            prop_assert!(block.is_empty());
+        // Non-ETRC payloads: DeltaVarint and Packed must refuse anything
+        // that is not a canonical encoding; LzBlock refuses everything.
+        for id in [CodecId::DeltaVarint, CodecId::Packed] {
+            let mut codec = id.new_codec();
+            let mut block = Vec::new();
+            if codec.compress(&bytes, &mut block).unwrap() {
+                // Only possible when `bytes` happens to be canonical ETRC.
+                let decoded = BinaryDecoder::new().decode(&bytes).unwrap();
+                let mut reencoded = Vec::new();
+                BinaryEncoder::new().encode(&decoded, &mut reencoded).unwrap();
+                prop_assert_eq!(&reencoded, &bytes);
+                let mut restored = Vec::new();
+                codec.decompress(&block, bytes.len(), &mut restored).unwrap();
+                prop_assert_eq!(&restored, &bytes);
+            } else {
+                prop_assert!(block.is_empty());
+            }
         }
 
         let mut lz = CodecId::LzBlock.new_codec();
@@ -155,14 +197,19 @@ proptest! {
     /// Whatever a CRC-valid frame claims: arbitrary block bytes — half of
     /// them opening with the varint of `u32::MAX`, an event count no block
     /// this short holds — under an arbitrary raw length, most often 0 or
-    /// `u32::MAX`, decode to a value or a typed error under every codec. A
-    /// decoder that reserved memory on such a claim alone aborts here.
+    /// `u32::MAX`, and an arbitrary frame context, most often claiming 0
+    /// or `u32::MAX` events, decode to a value or a typed error under every
+    /// codec, framed and detached. A decoder that reserved memory on such a
+    /// claim alone aborts here; the packed one reserves for no more rows
+    /// than the block holds (three bytes a row at the least).
     #[test]
     fn every_decoder_survives_any_block_and_raw_length(
         tail in prop::collection::vec(any::<u8>(), 0..64),
         huge_count in any::<bool>(),
         kind in 0u8..4,
         claimed in any::<u32>(),
+        start_ns in any::<u64>(),
+        events_kind in 0u8..4,
     ) {
         let mut block = if huge_count { vec![0xFF, 0xFF, 0xFF, 0xFF, 0x0F] } else { Vec::new() };
         block.extend(tail);
@@ -171,15 +218,73 @@ proptest! {
             1 => u32::MAX,
             _ => claimed,
         } as usize;
+        let framed = FrameContext::framed(start_ns, match events_kind {
+            0 => 0,
+            1 => u32::MAX,
+            _ => claimed,
+        });
         for id in CodecId::ALL {
             let mut codec = id.new_codec();
-            let mut restored = Vec::new();
-            if codec.decompress(&block, raw_len, &mut restored).is_ok() {
-                prop_assert_eq!(restored.len(), raw_len);
+            for context in [FrameContext::DETACHED, framed] {
+                let mut restored = Vec::new();
+                if codec.decompress_framed(context, &block, raw_len, &mut restored).is_ok() {
+                    prop_assert_eq!(restored.len(), raw_len);
+                }
+                let (mut scratch, mut events) = (Vec::new(), Vec::new());
+                let decoded =
+                    codec.decode_events_framed(context, &block, raw_len, &mut scratch, &mut events);
+                if id == CodecId::Packed {
+                    prop_assert!(events.capacity() <= (block.len() / 3).max(4));
+                    match (decoded, context.events) {
+                        (Ok(rows), Some(claimed)) => prop_assert_eq!(rows, claimed as usize),
+                        (Err(_), _) => prop_assert!(events.is_empty()),
+                        _ => {}
+                    }
+                }
             }
-            let (mut scratch, mut events) = (Vec::new(), Vec::new());
-            let _ = codec.decode_events(&block, raw_len, &mut scratch, &mut events);
         }
+    }
+
+    /// Packed rows carry every batch — `u16::MAX` types, `u32::MAX`
+    /// payloads, every severity, equal timestamps, a first event before,
+    /// at or after the window start, the empty batch — framed and
+    /// detached: the block is smaller than the payload, restores it byte
+    /// for byte and decodes to the events, and a frame claiming another
+    /// count is refused.
+    #[test]
+    fn packed_rows_round_trip_framed_and_detached(batch in edge_batches()) {
+        let (events, start_ns) = batch;
+        let mut payload = Vec::new();
+        BinaryEncoder::new().encode(&events, &mut payload).unwrap();
+        let framed = FrameContext::framed(start_ns, events.len() as u32);
+        let mut codec = PackedCodec::new();
+        for context in [FrameContext::DETACHED, framed] {
+            let mut block = Vec::new();
+            prop_assert!(codec.compress_framed(context, &payload, &mut block).unwrap());
+            prop_assert!(block.len() < payload.len());
+            let mut restored = Vec::new();
+            codec.decompress_framed(context, &block, payload.len(), &mut restored).unwrap();
+            prop_assert_eq!(&restored, &payload);
+            let (mut scratch, mut decoded) = (Vec::new(), Vec::new());
+            let rows = codec
+                .decode_events_framed(context, &block, payload.len(), &mut scratch, &mut decoded)
+                .unwrap();
+            prop_assert_eq!(rows, events.len());
+            prop_assert_eq!(&decoded, &events);
+            let other = FrameContext::framed(start_ns, events.len() as u32 ^ 1);
+            prop_assert!(codec
+                .decode_events_framed(other, &block, payload.len(), &mut scratch, &mut decoded)
+                .is_err());
+            prop_assert!(codec.decompress_framed(other, &block, payload.len(), &mut restored).is_err());
+            let mut refused = Vec::new();
+            prop_assert!(!codec.compress_framed(other, &payload, &mut refused).unwrap());
+            prop_assert!(refused.is_empty());
+        }
+        // The context-free methods are the detached context's.
+        let (mut detached, mut block) = (Vec::new(), Vec::new());
+        codec.compress_framed(FrameContext::DETACHED, &payload, &mut detached).unwrap();
+        codec.compress(&payload, &mut block).unwrap();
+        prop_assert_eq!(block, detached);
     }
 
     #[test]
