@@ -67,15 +67,14 @@ pub struct MaintenancePolicy {
     /// candidates, so repeated passes converge instead of rewriting the
     /// whole lane each time.
     pub max_merged_bytes: u64,
-    /// Re-encode format-v1 segments toward this frame codec while
-    /// compacting. `None` copies frames verbatim (the default). A pass
-    /// with a target codec rewrites every v1 segment it visits into a
-    /// format-v3 segment, storing each frame as the smallest of the
-    /// target's block, packed rows and the payload
-    /// ([`trace_model::codec::BlockChooser`]; `Identity` keeps every
-    /// payload verbatim), so a store written before compression existed
-    /// shrinks in place; v2 and v3 segments are left alone, which keeps
-    /// repeated passes convergent.
+    /// Re-encode format-v1 segments while compacting. `None` copies
+    /// frames verbatim (the default). A pass with a target codec rewrites
+    /// every v1 segment it visits into a format-v3 segment; under any
+    /// target but `Identity`, which keeps every payload verbatim, it
+    /// stores each frame as the smallest of its `EDV` block, packed rows
+    /// and the payload ([`trace_model::codec::BlockChooser`]), so a store
+    /// written before compression existed shrinks in place; v2 and v3
+    /// segments are left alone, which keeps repeated passes convergent.
     #[serde(default)]
     pub recompress: Option<CodecId>,
     /// Worker threads for the standalone multi-lane pass
@@ -137,7 +136,8 @@ impl MaintenancePolicy {
     }
 
     /// Returns the policy with a recompression target: the next pass
-    /// re-encodes every format-v1 segment into `codec` (see
+    /// re-encodes every format-v1 segment, storing each frame as its
+    /// smallest block, or verbatim when `codec` is `Identity` (see
     /// [`MaintenancePolicy::recompress`]).
     pub fn with_recompress(mut self, codec: CodecId) -> Self {
         self.recompress = Some(codec);
@@ -1062,8 +1062,13 @@ fn rewrite_run(
             copied.codec = frame.codec.as_u8();
             copied.raw_len = frame.raw_len;
             if let Some(target) = recompress.filter(|_| plan.recompress) {
-                scratch_block.clear();
-                let stored = chooser.choose(target, context, block, &mut scratch_block);
+                // Any other target stores the smallest block there is.
+                let stored = if target == CodecId::Identity {
+                    CodecId::Identity
+                } else {
+                    scratch_block.clear();
+                    chooser.choose(context, block, &mut scratch_block)
+                };
                 if stored != CodecId::Identity {
                     copied.codec = stored.as_u8();
                     block = &scratch_block;

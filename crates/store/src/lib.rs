@@ -35,10 +35,11 @@
 //!   ones (stored blocks copied verbatim, sidecar rewritten atomically) and
 //!   windows past a retention horizon are dropped, keeping reopen and
 //!   replay costs flat on week-long runs. It is also the one place a
-//!   frame is compressed: a pass with a target [`CodecId`]
-//!   ([`MaintenancePolicy::with_recompress`]) re-encodes v1 segments into
+//!   frame is compressed: a pass with a recompression target — any
+//!   [`CodecId`] but `Identity`
+//!   ([`MaintenancePolicy::with_recompress`]) — re-encodes v1 segments into
 //!   format-v3 files that shrink what each window costs on disk — the
-//!   block losslessly, stored as the smallest of the target's block,
+//!   block losslessly, stored as the smallest of its `EDV` block,
 //!   packed rows coded against the frame's own meta and the payload
 //!   itself (as [`trace_model::codec::BlockChooser`] picks it), and the
 //!   frame around it by coding its meta against the frame before. It is

@@ -11,7 +11,7 @@
 use endurance_store::{
     crc32, CodecId, Compactor, LaneWriter, MaintenancePolicy, StoreConfig, WindowEntry,
 };
-use trace_model::codec::{BinaryEncoder, TraceEncoder};
+use trace_model::codec::{BinaryEncoder, FrameContext, TraceEncoder};
 use trace_model::{EventSink, EventTypeId, RecordMeta, Severity, Timestamp, TraceEvent, WindowId};
 
 /// One recorded window: what the recorder hands the sink.
@@ -113,21 +113,28 @@ pub fn events_encoding_to(len: usize, first_ns: u64) -> Vec<TraceEvent> {
     }
 }
 
-/// The stored block of `payload` under `codec`, and the codec it ended
-/// up under — identity when the codec refuses, as every writer does it.
-pub fn stored_block(payload: &[u8], codec: CodecId) -> (CodecId, Vec<u8>) {
+/// The stored block of `window`'s payload under `codec`, made for the
+/// window's frame, and the codec it ended up under — identity when the
+/// codec refuses, as every writer does it.
+pub fn stored_block(window: &Window, codec: CodecId) -> (CodecId, Vec<u8>) {
+    let context = FrameContext::framed(window.start_ns, window.events.len() as u32);
     let mut block = Vec::new();
-    if codec != CodecId::Identity && codec.new_codec().compress(payload, &mut block).unwrap() {
+    if codec != CodecId::Identity
+        && codec
+            .new_codec()
+            .compress_framed(context, &window.payload, &mut block)
+            .unwrap()
+    {
         (codec, block)
     } else {
-        (CodecId::Identity, payload.to_vec())
+        (CodecId::Identity, window.payload.clone())
     }
 }
 
 /// One v2 frame, by hand: `u32` length, `u32` CRC, 33 bytes of
 /// fixed-width meta, the stored block.
 pub fn v2_frame(window: &Window, codec: CodecId) -> Vec<u8> {
-    let (codec, block) = stored_block(&window.payload, codec);
+    let (codec, block) = stored_block(window, codec);
     let mut body = Vec::new();
     body.extend_from_slice(&window.id.to_le_bytes());
     body.extend_from_slice(&window.start_ns.to_le_bytes());

@@ -24,7 +24,7 @@ use endurance_store::{
     crc32, CodecId, Compactor, FallbackReason, LaneWriter, MaintenancePolicy, SidecarFallback,
     StoreConfig, StoreReader, TailStep, Tailer,
 };
-use trace_model::codec::{BinaryEncoder, TraceEncoder};
+use trace_model::codec::{BinaryEncoder, DeltaVarintCodec, FrameCodec, TraceEncoder};
 use trace_model::{EventSink, RecordMeta, Timestamp, TraceEvent, WindowId};
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -735,12 +735,29 @@ fn assert_golden_segment_replays(
 #[test]
 fn golden_v3_segment_pins_the_layout() {
     let golden = unhex(GOLDEN_V3_SEG);
+    let windows = golden_v3_windows();
     let codecs = [0, 0, 1, 1, 0, 0, 2, 2, 0, 0, 0, 2];
-    let rows = assert_golden_segment_replays("golden-v3", &golden, &golden_v3_windows(), &codecs);
+    let rows = assert_golden_segment_replays("golden-v3", &golden, &windows, &codecs);
     assert_eq!(rows[1].offset + 1 + 4 + 56, rows[2].offset);
-    // Read only, as far as this build goes: nothing writes `LZB`, and a
-    // pass now stores its identity and small `EDV` frames as packed rows
-    // (the encoder half is `golden_packed_v3_segment_pins_the_layout`).
+
+    // Encoder, block by block: the `EDV` blocks of the third and fourth
+    // frames (14 and 30 events, four types: nibble tokens and four
+    // columns) are what `EDV` writes for their payloads today. A pass no
+    // longer writes this segment whole — it stores small windows as
+    // packed rows, and nothing writes `LZB` — so its frame layout is
+    // pinned by `golden_packed_v3_segment_pins_the_layout`.
+    for (at, meta) in [(2, 6), (3, 7)] {
+        let mut edv = Vec::new();
+        assert!(DeltaVarintCodec::new()
+            .compress(&windows[at].payload, &mut edv)
+            .unwrap());
+        assert_eq!(rows[at].len as usize, meta + edv.len(), "frame {at}");
+        let end = rows[at + 1].offset as usize;
+        assert!(
+            golden[end - edv.len()..end] == edv[..],
+            "the EDV block of frame {at} drifted from the golden bytes"
+        );
+    }
 }
 
 #[test]

@@ -16,7 +16,7 @@
 //! Timestamps are delta-encoded because consecutive multimedia events are
 //! microseconds apart, so deltas almost always fit in one or two bytes.
 
-use super::{decode_u64, encode_u64, take_minimal_u64, TraceDecoder, TraceEncoder};
+use super::{decode_u64, encode_u64, take_minimal_u64, varint_len, TraceDecoder, TraceEncoder};
 use crate::{EventTypeId, Severity, Timestamp, TraceError, TraceEvent};
 
 const MAGIC: &[u8; 4] = b"ETRC";
@@ -72,6 +72,12 @@ impl TraceEncoder for BinaryEncoder {
         }
         Ok(())
     }
+}
+
+/// The bytes [`BinaryEncoder`] writes ahead of a batch of `count` events:
+/// magic, version and count.
+pub(crate) fn header_len(count: usize) -> usize {
+    MAGIC.len() + 1 + varint_len(count as u64)
 }
 
 /// Decoder for the compact binary trace format.

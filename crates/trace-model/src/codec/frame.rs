@@ -30,9 +30,9 @@
 //!
 //! Which block a frame is stored as is chosen in one place,
 //! [`BlockChooser`], the only code that knows both the `EDV` and the
-//! packed layout: the smallest of the target codec's block, the packed
-//! rows and the payload itself, with `EDV`'s column search skipped
-//! whenever an exact lower bound on its size already loses to the rows.
+//! packed layout: the smallest of the `EDV` block, the packed rows and
+//! the payload itself, with `EDV`'s column search skipped whenever the
+//! bytes ahead of its columns already lose to the rows.
 //!
 //! Every codec is *lossless at the byte level*: decompressing a stored
 //! block reproduces the original payload byte for byte, so replay of a
@@ -71,7 +71,7 @@
 
 use std::fmt;
 
-use super::binary::decode_canonical;
+use super::binary::{decode_canonical, header_len};
 use super::{
     decode_u64, encode_u64, take_minimal_u64, varint_len, BinaryDecoder, BinaryEncoder,
     TraceDecoder, TraceEncoder,
@@ -237,6 +237,14 @@ pub trait FrameCodec: fmt::Debug + Send {
     /// the same context reproduces `payload` exactly, and — for every
     /// codec except [`IdentityCodec`], whose block *is* the payload — that
     /// `out` grew by *fewer* bytes than `payload.len()`.
+    ///
+    /// A block is valid only under the context it was made with: a packed
+    /// block made detached (or for another frame) codes its first
+    /// timestamp against another start, and stored in a frame it decodes
+    /// to shifted events. Nothing in the block records its context; the
+    /// packed decoders refuse rows that do not restore the frame's count
+    /// and raw length, which catches such a block unless the shift leaves
+    /// the first timestamp's varint the same length.
     ///
     /// # Errors
     ///
@@ -472,9 +480,6 @@ pub struct DeltaVarintCodec {
     events: Vec<TraceEvent>,
     /// Distinct `(type, severity)` pairs of the window, in first-seen order.
     dict: Vec<(u16, u8)>,
-    /// Reverse lookup into `dict`, so the encoder's per-event token
-    /// resolution is O(1) instead of a dictionary scan.
-    dict_lookup: std::collections::HashMap<(u16, u8), u8>,
     /// Distinct types, in first-seen (dictionary) order.
     types: Vec<u16>,
     /// Per dictionary entry, the index of its type within `types` — the
@@ -502,7 +507,6 @@ impl DeltaVarintCodec {
     /// Returns `false` when the dictionary would overflow.
     fn build_columns(&mut self, events: &[TraceEvent]) -> bool {
         self.dict.clear();
-        self.dict_lookup.clear();
         self.types.clear();
         self.type_of_token.clear();
         self.tokens.clear();
@@ -511,15 +515,16 @@ impl DeltaVarintCodec {
         }
         for ev in events {
             let key = (ev.event_type.as_u16(), ev.severity.as_u8());
-            let token = match self.dict_lookup.get(&key) {
-                Some(&at) => usize::from(at),
+            // Windows hold a few pairs: scanning them beats hashing every
+            // event's (docs/PERFORMANCE.md).
+            let token = match self.dict.iter().position(|&entry| entry == key) {
+                Some(at) => at,
                 None => {
                     if self.dict.len() >= EDV_MAX_DICT {
                         return false;
                     }
                     let at = self.dict.len();
                     self.dict.push(key);
-                    self.dict_lookup.insert(key, at as u8);
                     // New dictionary entry: resolve its type index once.
                     let type_at = match self.types.iter().position(|&ty| ty == key.0) {
                         Some(at) => at,
@@ -887,19 +892,20 @@ impl FrameCodec for DeltaVarintCodec {
 
 impl DeltaVarintCodec {
     /// Appends the `EDV` block of `events` — the canonical decode of a
-    /// payload of `payload_len` bytes — to `out`, or returns `false` with
-    /// `out` unchanged when the block would not be smaller than the
-    /// payload or the window has more than 255 `(type, severity)` pairs.
-    fn encode_events(
-        &mut self,
-        events: &[TraceEvent],
-        payload_len: usize,
-        out: &mut Vec<u8>,
-    ) -> bool {
+    /// payload — to `out`, or returns `false` with `out` unchanged when
+    /// the block would not be smaller than `limit` bytes or the window has
+    /// more than 255 `(type, severity)` pairs.
+    ///
+    /// The column search is the dear part of the encoder, so it runs only
+    /// when the block can still come in under `limit` once everything
+    /// before the columns is written: every column costs at least three
+    /// bytes (scheme, lag, one value). On short windows the dictionary,
+    /// tokens and column headers alone lose.
+    fn encode_events(&mut self, events: &[TraceEvent], limit: usize, out: &mut Vec<u8>) -> bool {
         let start = out.len();
         encode_u64(events.len() as u64, out);
         if events.is_empty() {
-            if out.len() - start >= payload_len {
+            if out.len() - start >= limit {
                 out.truncate(start);
                 return false;
             }
@@ -944,14 +950,18 @@ impl DeltaVarintCodec {
             }
         }
 
-        // Payload columns.
+        // Payload columns: one per type, each holding at least one value.
+        if out.len() - start + 3 * self.types.len() >= limit {
+            out.truncate(start);
+            return false;
+        }
         for at in 0..self.types.len() {
             if !self.columns[at].is_empty() {
                 Self::encode_column(&self.columns[at], out);
             }
         }
 
-        if out.len() - start >= payload_len {
+        if out.len() - start >= limit {
             out.truncate(start);
             return false;
         }
@@ -1054,17 +1064,7 @@ impl FrameCodec for PackedCodec {
             return Ok(false);
         }
         let start = out.len();
-        let mut previous = context.start_ns;
-        for (at, event) in self.events.iter().enumerate() {
-            let ns = event.timestamp.as_nanos();
-            let time = if at == 0 {
-                first_row_time(ns, previous)
-            } else {
-                ns - previous
-            };
-            put_row(time, event, out);
-            previous = ns;
-        }
+        put_rows(&self.events, context.start_ns, out);
         if out.len() - start >= payload.len() {
             out.truncate(start);
             return Ok(false);
@@ -1080,30 +1080,19 @@ impl FrameCodec for PackedCodec {
         out: &mut Vec<u8>,
     ) -> Result<(), TraceError> {
         self.events.clear();
-        parse_packed(context, block, &mut self.events)?;
-        let start = out.len();
-        BinaryEncoder::new().encode(&self.events, out)?;
-        if out.len() - start != raw_len {
-            return Err(packed_error(
-                0,
-                format!(
-                    "block restores {} bytes but the frame says {raw_len}",
-                    out.len() - start
-                ),
-            ));
-        }
-        Ok(())
+        parse_packed(context, block, raw_len, &mut self.events)?;
+        BinaryEncoder::new().encode(&self.events, out)
     }
 
     fn decode_events_framed(
         &mut self,
         context: FrameContext,
         block: &[u8],
-        _raw_len: usize,
+        raw_len: usize,
         _scratch: &mut Vec<u8>,
         out: &mut Vec<TraceEvent>,
     ) -> Result<usize, TraceError> {
-        parse_packed(context, block, out)
+        parse_packed(context, block, raw_len, out)
     }
 }
 
@@ -1112,13 +1101,6 @@ fn packed_error(offset: usize, reason: impl Into<String>) -> TraceError {
         offset,
         reason: format!("packed block: {}", reason.into()),
     }
-}
-
-/// `(type << 2) | severity` of `event`: its packed row's second varint,
-/// and the key of its `EDV` dictionary entry.
-#[inline]
-fn packed_tag(event: &TraceEvent) -> u32 {
-    (u32::from(event.event_type.as_u16()) << 2) | u32::from(event.severity.as_u8())
 }
 
 /// The severity in the low two bits of a packed tag.
@@ -1131,20 +1113,27 @@ fn tag_severity(tag: u64) -> Severity {
     }
 }
 
-/// What a first row codes the timestamp `ns` of a window starting at
-/// `start_ns` as: the wrapping difference, zigzagged (an event may be
-/// stamped before its window opens).
-#[inline]
-fn first_row_time(ns: u64, start_ns: u64) -> u64 {
-    zigzag(ns.wrapping_sub(start_ns) as i64)
-}
-
-/// Appends the packed row of `event`, whose timestamp codes as `time`.
-#[inline]
-fn put_row(time: u64, event: &TraceEvent, out: &mut Vec<u8>) {
-    encode_u64(time, out);
-    encode_u64(u64::from(packed_tag(event)), out);
-    encode_u64(u64::from(event.payload), out);
+/// Appends the packed rows of `events` to `out`: the first timestamp as
+/// its wrapping difference from the window start `start_ns`, zigzagged
+/// (an event may be stamped before its window opens), every other as its
+/// delta from the one before.
+fn put_rows(events: &[TraceEvent], start_ns: u64, out: &mut Vec<u8>) {
+    let mut previous = start_ns;
+    for (at, event) in events.iter().enumerate() {
+        let ns = event.timestamp.as_nanos();
+        let time = if at == 0 {
+            zigzag(ns.wrapping_sub(start_ns) as i64)
+        } else {
+            ns - previous
+        };
+        encode_u64(time, out);
+        encode_u64(
+            (u64::from(event.event_type.as_u16()) << 2) | u64::from(event.severity.as_u8()),
+            out,
+        );
+        encode_u64(u64::from(event.payload), out);
+        previous = ns;
+    }
 }
 
 /// Appends the events of the packed `block` to `out` and returns how many:
@@ -1152,9 +1141,15 @@ fn put_row(time: u64, event: &TraceEvent, out: &mut Vec<u8>) {
 /// none. A row is at least three bytes, so this reserves for no more rows
 /// than the block can hold, and framed, for no more than the frame
 /// claims: a row past the claim is an error before it is pushed.
+///
+/// The events must also encode to a payload of `raw_len` bytes, what the
+/// frame claims: rows coded against another window start than the
+/// frame's decode to shifted events, and this catches them whenever the
+/// shift changes the first timestamp's varint length.
 fn parse_packed(
     context: FrameContext,
     block: &[u8],
+    raw_len: usize,
     out: &mut Vec<TraceEvent>,
 ) -> Result<usize, TraceError> {
     let most = block.len() / 3;
@@ -1170,25 +1165,38 @@ fn parse_packed(
     };
     let first = out.len();
     out.reserve(rows.min(1 << 20));
-    let parsed = push_rows(context.start_ns, block, rows, out)
-        .and_then(|()| context.check_events(out.len() - first));
+    let parsed = push_rows(context.start_ns, block, rows, out).and_then(|events_len| {
+        let decoded = out.len() - first;
+        context.check_events(decoded)?;
+        let restores = header_len(decoded) + events_len;
+        if restores != raw_len {
+            return Err(packed_error(
+                0,
+                format!("block restores {restores} bytes but the frame says {raw_len}"),
+            ));
+        }
+        Ok(decoded)
+    });
     if parsed.is_err() {
         out.truncate(first);
     }
-    parsed.map(|()| out.len() - first)
+    parsed
 }
 
-/// Pushes the rows of `block`, at most `limit` of them, onto `out`.
+/// Pushes the rows of `block`, at most `limit` of them, onto `out`, and
+/// returns how many bytes their events take in an `ETRC` payload after
+/// its header.
 fn push_rows(
     start_ns: u64,
     block: &[u8],
     limit: usize,
     out: &mut Vec<TraceEvent>,
-) -> Result<(), TraceError> {
+) -> Result<usize, TraceError> {
     let (mut at, mut previous): (usize, Option<u64>) = (0, None);
+    let mut events_len = 0;
     for _ in 0..limit {
         if at == block.len() {
-            return Ok(());
+            return Ok(events_len);
         }
         let row = at;
         let (Some(time), Some(tag), Some(payload)) = (
@@ -1216,6 +1224,17 @@ fn push_rows(
             )
             .with_severity(tag_severity(tag)),
         );
+        // `ETRC` spells the event as its row, plus a severity byte, with
+        // the type's varint in place of the tag's (a byte shorter where
+        // the two severity bits open a byte) and, first, the absolute
+        // timestamp in place of its zigzagged difference from the start.
+        events_len += at - row + 1;
+        if tag >= 0x80 {
+            events_len -= varint_len(tag) - varint_len(tag >> 2);
+        }
+        if previous.is_none() {
+            events_len = events_len + varint_len(ns) - varint_len(time);
+        }
         previous = Some(ns);
     }
     if at < block.len() {
@@ -1224,7 +1243,7 @@ fn push_rows(
             format!("more than the {limit} rows claimed"),
         ));
     }
-    Ok(())
+    Ok(events_len)
 }
 
 /// Chooses, and writes, the stored block of every frame a recompression
@@ -1244,7 +1263,7 @@ fn push_rows(
 /// BinaryEncoder::new().encode(&events, &mut payload)?;
 /// let context = FrameContext::framed(1_000_000, 18);
 /// let mut block = Vec::new();
-/// let stored = BlockChooser::new().choose(CodecId::DeltaVarint, context, &payload, &mut block);
+/// let stored = BlockChooser::new().choose(context, &payload, &mut block);
 /// assert_eq!(stored, CodecId::Packed);
 /// assert!(block.len() < payload.len());
 ///
@@ -1258,9 +1277,6 @@ fn push_rows(
 pub struct BlockChooser {
     /// The canonical decode of the payload at hand.
     events: Vec<TraceEvent>,
-    /// The window's distinct packed tags in first-seen order: the `EDV`
-    /// dictionary its block would carry.
-    dict: Vec<u32>,
     edv: DeltaVarintCodec,
     edv_block: Vec<u8>,
 }
@@ -1273,115 +1289,41 @@ impl BlockChooser {
     }
 
     /// Stores `payload`, the payload of the frame `context` describes, as
-    /// the smallest block there is under a pass targeting `target`: the
-    /// target's own block, the packed rows, or the payload itself. Returns
-    /// the codec of the block chosen and appends the block to `out` —
-    /// except under [`CodecId::Identity`], whose block is `payload` and
-    /// leaves `out` as it was.
+    /// the smallest of its `EDV` block, its packed rows and the payload
+    /// itself, a tie going to the simpler block (payload, then rows).
+    /// Returns the codec of the block chosen and appends the block to
+    /// `out` — except under [`CodecId::Identity`], whose block is
+    /// `payload` and leaves `out` as it was. A payload that is not
+    /// canonical `ETRC`, or whose event count is not the frame's, is
+    /// stored as it is.
     ///
-    /// A target of `Identity` keeps every payload verbatim. Nothing writes
-    /// `LzBlock` any more, so under it, as under `Packed`, the choice is
-    /// between the rows and the payload; under `DeltaVarint` it is among
-    /// all three, a tie going to the simpler block (payload, then rows).
-    /// A payload that is not canonical `ETRC`, or whose event count is not
-    /// the frame's, is stored as it is.
-    ///
-    /// `EDV`'s column search is the dear part of its encoder, so it runs
-    /// only when an exact lower bound on `EDV`'s size — taken in the same
-    /// pass that writes the rows — is below the rows' size. On short
-    /// windows the dictionary, tokens and column headers alone lose.
-    pub fn choose(
-        &mut self,
-        target: CodecId,
-        context: FrameContext,
-        payload: &[u8],
-        out: &mut Vec<u8>,
-    ) -> CodecId {
-        if target == CodecId::Identity
-            || !decode_canonical(payload, &mut self.events)
+    /// The rows are written first; their size is the limit `EDV`'s
+    /// encoder must beat, so its column search runs only on the windows
+    /// it may win.
+    pub fn choose(&mut self, context: FrameContext, payload: &[u8], out: &mut Vec<u8>) -> CodecId {
+        if !decode_canonical(payload, &mut self.events)
             || context.check_events(self.events.len()).is_err()
         {
             return CodecId::Identity;
         }
         let start = out.len();
-        let edv_bound = self.pack_rows(context.start_ns, out);
+        put_rows(&self.events, context.start_ns, out);
         let packed = out.len() - start;
-        if target == CodecId::DeltaVarint && edv_bound.is_some_and(|bound| bound < packed) {
-            self.edv_block.clear();
-            if self
-                .edv
-                .encode_events(&self.events, payload.len(), &mut self.edv_block)
-                && self.edv_block.len() < packed
-            {
-                out.truncate(start);
-                out.extend_from_slice(&self.edv_block);
-                return CodecId::DeltaVarint;
-            }
+        self.edv_block.clear();
+        let limit = packed.min(payload.len());
+        if self
+            .edv
+            .encode_events(&self.events, limit, &mut self.edv_block)
+        {
+            out.truncate(start);
+            out.extend_from_slice(&self.edv_block);
+            return CodecId::DeltaVarint;
         }
         if packed < payload.len() {
             return CodecId::Packed;
         }
         out.truncate(start);
         CodecId::Identity
-    }
-
-    /// Appends the packed rows of the decoded events, coded against the
-    /// window start `start_ns`, to `out`, and returns from the same pass a
-    /// lower bound on their `EDV` block: exact for its count, timestamps,
-    /// dictionary and tokens, and three bytes — scheme, lag, one value —
-    /// for each payload column. `None` when `EDV` refuses the window (more
-    /// than 255 `(type, severity)` pairs).
-    fn pack_rows(&mut self, start_ns: u64, out: &mut Vec<u8>) -> Option<usize> {
-        self.dict.clear();
-        let events = &self.events;
-        let Some(first) = events.first() else {
-            // An empty window's `EDV` block is its count, 0.
-            return Some(1);
-        };
-        let first_ns = first.timestamp.as_nanos();
-        let mut bound = varint_len(events.len() as u64) + varint_len(first_ns);
-        let (mut dict_bytes, mut token_varints, mut columns) = (0, 0, 0);
-        let mut fits = true;
-        let mut previous = first_ns;
-        for (at, event) in events.iter().enumerate() {
-            let ns = event.timestamp.as_nanos();
-            let time = if at == 0 {
-                first_row_time(ns, start_ns)
-            } else {
-                let delta = ns - previous;
-                bound += varint_len(delta);
-                delta
-            };
-            put_row(time, event, out);
-            previous = ns;
-            if !fits {
-                continue;
-            }
-            let tag = packed_tag(event);
-            let token = match self.dict.iter().position(|&seen| seen == tag) {
-                Some(token) => token,
-                None if self.dict.len() == EDV_MAX_DICT => {
-                    fits = false;
-                    continue;
-                }
-                None => {
-                    // A type's first entry opens its payload column.
-                    columns += usize::from(!self.dict.iter().any(|&seen| seen >> 2 == tag >> 2));
-                    dict_bytes += varint_len(u64::from(tag >> 2)) + 1;
-                    self.dict.push(tag);
-                    self.dict.len() - 1
-                }
-            };
-            token_varints += varint_len(token as u64);
-        }
-        fits.then(|| {
-            let tokens = match self.dict.len() {
-                1 => 0,
-                2..=16 => events.len().div_ceil(2),
-                _ => token_varints,
-            };
-            bound + varint_len(self.dict.len() as u64) + dict_bytes + tokens + 3 * columns
-        })
     }
 }
 
@@ -1487,6 +1429,13 @@ mod tests {
                 .is_err());
             assert!(out.is_empty());
         }
+        // Decoded outside its frame, against a start of 0, the first row
+        // lands 2 µs before 0 and wraps: the rows no longer restore the
+        // payload's length, and the replay fast path says so.
+        assert!(codec
+            .decode_events(&block, payload.len(), &mut scratch, &mut out)
+            .is_err());
+        assert!(out.is_empty());
         // A framed compress refuses a payload of another count.
         let mut refused = Vec::new();
         let three = FrameContext::framed(1_000_000, 3);
@@ -1643,12 +1592,12 @@ mod tests {
                 let payload = payload_of(events);
                 let context = FrameContext::framed(0, events.len() as u32);
                 let mut block = Vec::new();
-                let stored = chooser.choose(CodecId::DeltaVarint, context, &payload, &mut block);
+                let stored = chooser.choose(context, &payload, &mut block);
                 assert_eq!(stored, expected, "{} events", events.len());
                 // Not canonical `ETRC`, or not the frame's count: verbatim.
                 let other = FrameContext::framed(0, events.len() as u32 + 1);
                 for (context, payload) in [(other, &payload[..]), (context, b"ETRC?")] {
-                    let stored = chooser.choose(CodecId::DeltaVarint, context, payload, &mut block);
+                    let stored = chooser.choose(context, payload, &mut block);
                     assert_eq!(stored, CodecId::Identity);
                 }
             }
@@ -1697,15 +1646,20 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(400))]
 
             /// The chooser stores the smallest of the candidates, exactly
-            /// — pruning `EDV` on its bound never loses a smaller block —
-            /// and what it stores replays as the payload and its events.
+            /// — the limit `EDV`'s encoder stops at never loses a smaller
+            /// block — and what it stores replays as the payload and its
+            /// events.
             #[test]
             fn the_stored_block_is_the_smallest_candidate(window in window()) {
                 let (events, start_ns) = window;
                 let payload = payload_of(&events);
                 let context = FrameContext::framed(start_ns, events.len() as u32);
+                // `EDV`'s block with no limit to stop at: `None` past 255
+                // `(type, severity)` pairs.
                 let mut edv = Vec::new();
-                let edv_taken = DeltaVarintCodec::new().compress(&payload, &mut edv).unwrap();
+                let edv = DeltaVarintCodec::new()
+                    .encode_events(&events, usize::MAX, &mut edv)
+                    .then_some(edv);
                 let mut packed = Vec::new();
                 let packed_taken = PackedCodec::new()
                     .compress_framed(context, &payload, &mut packed)
@@ -1713,44 +1667,41 @@ mod tests {
                 prop_assert!(packed_taken, "canonical payloads always pack smaller");
 
                 let mut chooser = BlockChooser::new();
-                for target in CodecId::ALL {
-                    let mut block = vec![0xEE];
-                    let stored = chooser.choose(target, context, &payload, &mut block);
-                    let block = &block[1..];
-                    let size = if stored == CodecId::Identity {
-                        prop_assert!(block.is_empty());
-                        payload.len()
-                    } else {
-                        block.len()
-                    };
-                    let expected = match target {
-                        CodecId::Identity => payload.len(),
-                        CodecId::DeltaVarint if edv_taken => edv.len().min(packed.len()),
-                        _ => packed.len(),
-                    };
-                    prop_assert_eq!(size, expected, "{} over {} events", target, events.len());
-                    if stored != CodecId::Identity {
-                        let mut codec = stored.new_codec();
-                        let mut restored = Vec::new();
-                        codec.decompress_framed(context, block, payload.len(), &mut restored).unwrap();
-                        prop_assert_eq!(&restored, &payload);
-                        let (mut scratch, mut replayed) = (Vec::new(), Vec::new());
-                        codec
-                            .decode_events_framed(context, block, payload.len(), &mut scratch, &mut replayed)
-                            .unwrap();
-                        prop_assert_eq!(&replayed, &events);
-                    }
+                let mut block = vec![0xEE];
+                let stored = chooser.choose(context, &payload, &mut block);
+                let block = &block[1..];
+                let size = if stored == CodecId::Identity {
+                    prop_assert!(block.is_empty());
+                    payload.len()
+                } else {
+                    block.len()
+                };
+                let smallest = edv.as_ref().map_or(usize::MAX, Vec::len).min(packed.len());
+                prop_assert_eq!(size, smallest, "over {} events", events.len());
+                prop_assert_eq!(stored == CodecId::DeltaVarint, edv.as_ref().is_some_and(|edv| edv.len() < packed.len()));
+                if stored != CodecId::Identity {
+                    let mut codec = stored.new_codec();
+                    let mut restored = Vec::new();
+                    codec.decompress_framed(context, block, payload.len(), &mut restored).unwrap();
+                    prop_assert_eq!(&restored, &payload);
+                    let (mut scratch, mut replayed) = (Vec::new(), Vec::new());
+                    codec
+                        .decode_events_framed(context, block, payload.len(), &mut scratch, &mut replayed)
+                        .unwrap();
+                    prop_assert_eq!(&replayed, &events);
                 }
 
-                // The bound, from the pass that writes the rows: never past
-                // the block `EDV` writes, and there whenever `EDV` is.
-                let mut rows = Vec::new();
-                prop_assert!(decode_canonical(&payload, &mut chooser.events));
-                let bound = chooser.pack_rows(start_ns, &mut rows);
-                prop_assert_eq!(&rows, &packed);
-                if edv_taken {
-                    let bound = bound.expect("EDV took the window");
-                    prop_assert!(bound <= edv.len(), "bound {} over EDV's {}", bound, edv.len());
+                // The encoder's early stop is a lower bound: a limit one
+                // past the block keeps it, byte for byte; the block's own
+                // size is refused, leaving `out` as it was.
+                if let Some(edv) = edv {
+                    let mut codec = DeltaVarintCodec::new();
+                    let mut out = vec![0xEE];
+                    prop_assert!(codec.encode_events(&events, edv.len() + 1, &mut out));
+                    prop_assert_eq!(&out[1..], &edv[..]);
+                    out.truncate(1);
+                    prop_assert!(!codec.encode_events(&events, edv.len(), &mut out));
+                    prop_assert_eq!(out, [0xEE]);
                 }
             }
         }

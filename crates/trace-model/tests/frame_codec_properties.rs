@@ -250,7 +250,7 @@ proptest! {
     /// at or after the window start, the empty batch — framed and
     /// detached: the block is smaller than the payload, restores it byte
     /// for byte and decodes to the events, and a frame claiming another
-    /// count is refused.
+    /// count or raw length is refused.
     #[test]
     fn packed_rows_round_trip_framed_and_detached(batch in edge_batches()) {
         let (events, start_ns) = batch;
@@ -271,6 +271,13 @@ proptest! {
                 .unwrap();
             prop_assert_eq!(rows, events.len());
             prop_assert_eq!(&decoded, &events);
+            // Rows that restore another raw length are refused, by the
+            // replay fast path as by a decompress.
+            decoded.clear();
+            prop_assert!(codec
+                .decode_events_framed(context, &block, payload.len() + 1, &mut scratch, &mut decoded)
+                .is_err());
+            prop_assert!(decoded.is_empty());
             let other = FrameContext::framed(start_ns, events.len() as u32 ^ 1);
             prop_assert!(codec
                 .decode_events_framed(other, &block, payload.len(), &mut scratch, &mut decoded)
