@@ -25,8 +25,8 @@ use crate::{CoreError, MonitorConfig, WindowPmf};
 /// shared, so every stream of a fleet and every oracle re-run can own
 /// "its" model. Clones also share one once-cell holding the model's
 /// [`EmbeddedModel`]: empty until the first [`EmbeddedModel::embed`] of
-/// the model or any clone, then the rendered text plus the model parsed
-/// back from it, kept until the last clone is dropped.
+/// the model or any clone, then the rendered text, its digest and the
+/// model parsed back from it, kept until the last clone is dropped.
 #[derive(Clone)]
 pub struct ReferenceModel {
     lof: Arc<LofModel>,
@@ -225,27 +225,31 @@ impl ReferenceModel {
 
 /// A model as a reproduction artifact carries it: the canonical JSON
 /// text ([`ReferenceModel::to_json`]) **and** the model parsed from that
-/// very text.
+/// very text, with the text's [`digest`](Self::digest).
 ///
 /// The only constructors are [`embed`](Self::embed) (render, then parse
-/// the rendering back) and [`parse`](Self::parse), so the pairing is a
-/// type invariant: whatever holds an `EmbeddedModel` scores with exactly
-/// the model its text describes, never with a caller's in-memory model
-/// that merely claims to equal it. The text is the identity — equality
-/// and serialisation (a JSON string) look at nothing else — and the
-/// parsed model is derived from it once, never stored. Cloning bumps two
-/// reference counts.
+/// the rendering back), [`parse`](Self::parse) and
+/// [`parse_checked`](Self::parse_checked), so the pairing is a type
+/// invariant: whatever holds an `EmbeddedModel` scores with exactly the
+/// model its text describes, never with a caller's in-memory model that
+/// merely claims to equal it, and its digest is the one of its text.
+/// The text is the identity — equality and serialisation (a JSON string)
+/// look at nothing else — and the parsed model and the digest are
+/// derived from it once, never stored. Cloning bumps two reference
+/// counts.
 #[derive(Clone)]
 pub struct EmbeddedModel {
     json: Arc<str>,
+    digest: u64,
     model: Arc<ReferenceModel>,
 }
 
 impl EmbeddedModel {
-    /// The embedding of `model`: its canonical JSON and the model parsed
-    /// back from it. Rendered and parsed once per model — the result is
-    /// memoised in a cell `model` shares with its clones, so every later
-    /// call returns the same text allocation and the same parsed model.
+    /// The embedding of `model`: its canonical JSON, its digest and the
+    /// model parsed back from it. Rendered, digested and parsed once per
+    /// model — the result is memoised in a cell `model` shares with its
+    /// clones, so every later call returns the same text allocation and
+    /// the same parsed model.
     ///
     /// # Errors
     ///
@@ -258,22 +262,47 @@ impl EmbeddedModel {
         Ok(model.embedding.get_or_init(|| embedded).clone())
     }
 
-    /// Parses a model's canonical JSON, keeping the text beside the
-    /// model it describes.
+    /// Parses a model's canonical JSON, keeping the text and its digest
+    /// beside the model it describes.
     ///
     /// # Errors
     ///
     /// As [`ReferenceModel::from_json`].
     pub fn parse(json: &str) -> Result<Self, CoreError> {
+        Self::parse_checked(json, |_| Ok(()))
+    }
+
+    /// [`parse`](Self::parse), with a check between the digest and the
+    /// parse: digests `json`, hands the digest to `check`, and parses
+    /// only if `check` passes. A loader judges a document by its text's
+    /// digest this way without reading the text a second time, and pays
+    /// for no parse when it refuses the document.
+    ///
+    /// # Errors
+    ///
+    /// What `check` returns, else as [`ReferenceModel::from_json`].
+    pub fn parse_checked<E: From<CoreError>>(
+        json: &str,
+        check: impl FnOnce(u64) -> Result<(), E>,
+    ) -> Result<Self, E> {
+        let digest = fnv1a(json.as_bytes());
+        check(digest)?;
         Ok(EmbeddedModel {
             model: Arc::new(ReferenceModel::from_json(json)?),
             json: json.into(),
+            digest,
         })
     }
 
-    /// The canonical JSON text: what an artifact stores and hashes.
+    /// The canonical JSON text: what an artifact stores.
     pub fn json(&self) -> &str {
         &self.json
+    }
+
+    /// The 64-bit FNV-1a digest of [`json`](Self::json)'s bytes: what an
+    /// artifact's content hash folds in place of the text.
+    pub fn digest(&self) -> u64 {
+        self.digest
     }
 
     /// The model parsed from [`json`](Self::json).
@@ -282,7 +311,8 @@ impl EmbeddedModel {
     }
 }
 
-/// Equality of the text; the parsed model is a function of it.
+/// Equality of the text; the parsed model and the digest are functions
+/// of it.
 impl PartialEq for EmbeddedModel {
     fn eq(&self, other: &Self) -> bool {
         self.json == other.json
@@ -303,6 +333,13 @@ impl Serialize for EmbeddedModel {
     fn to_value(&self) -> Value {
         self.json.to_value()
     }
+}
+
+/// 64-bit FNV-1a, the workspace's standard non-cryptographic hash.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |state, &byte| {
+        (state ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 fn fit_lof(points: Vec<Vec<f64>>, config: &MonitorConfig) -> Result<Arc<LofModel>, CoreError> {
@@ -449,18 +486,22 @@ mod tests {
 
         let first = EmbeddedModel::embed(&model).unwrap();
         assert_eq!(first.json(), model.to_json().unwrap());
+        assert_eq!(first.digest(), fnv1a(first.json().as_bytes()));
         assert!(
             first.model() == &model,
             "the parsed-back model equals its source"
         );
-        assert_eq!(first, EmbeddedModel::parse(first.json()).unwrap());
+        let parsed = EmbeddedModel::parse(first.json()).unwrap();
+        assert_eq!(first, parsed);
+        assert_eq!(first.digest(), parsed.digest());
 
         // The model, a clone taken before and a clone taken after all
-        // hand out the one text and the one parsed model.
+        // hand out the one text, its digest and the one parsed model.
         for same in [&model, &cloned_before, &model.clone()] {
             let again = EmbeddedModel::embed(same).unwrap();
             assert!(Arc::ptr_eq(&again.json, &first.json));
             assert!(Arc::ptr_eq(&again.model, &first.model));
+            assert_eq!(again.digest(), first.digest());
         }
 
         // The memo is invisible: equality and `Debug` ignore it.
@@ -487,6 +528,37 @@ mod tests {
         let again = EmbeddedModel::embed(&model).unwrap();
         assert!(Arc::ptr_eq(&again.json, &original.json));
         assert_eq!(again.model().config(), &cfg);
+    }
+
+    #[test]
+    fn the_digest_is_fnv1a_of_the_text_and_is_judged_before_the_parse() {
+        // FNV-1a("") is the offset basis; FNV-1a("a") is a published
+        // test vector.
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+
+        let cfg = config(3, 10);
+        let model = ReferenceModel::learn_from_pmfs(regular_pmfs(80, 3, 7), &cfg).unwrap();
+        let json = model.to_json().unwrap();
+        let mut seen = None;
+        let embedded = EmbeddedModel::parse_checked(&json, |digest| {
+            seen = Some(digest);
+            Ok::<(), CoreError>(())
+        })
+        .unwrap();
+        assert_eq!(seen, Some(embedded.digest()));
+        assert_eq!(embedded.digest(), fnv1a(json.as_bytes()));
+
+        // A refused text is never parsed: the check's error, not a
+        // model error, even for a text that is no model.
+        let refused = EmbeddedModel::parse_checked("{not json", |_| {
+            Err(CoreError::InvalidReference("refused".into()))
+        });
+        assert!(matches!(refused, Err(CoreError::InvalidReference(_))));
+        assert!(matches!(
+            EmbeddedModel::parse("{not json"),
+            Err(CoreError::ModelSerialization(_))
+        ));
     }
 
     #[test]

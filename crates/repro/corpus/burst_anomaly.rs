@@ -1,6 +1,6 @@
 // Generated by endurance-repro's corpus writer; do not edit.
 // Fixture: fixtures/burst_anomaly.repro.json (artifact `burst-anomaly`, lane 3,
-// target window at 8080000000 ns, content hash 0x6fe14e1769eb583b).
+// target window at 8080000000 ns, content hash 0xa3d7195d13fb4faa).
 #[test]
 fn repro_burst_anomaly() {
     const ARTIFACT: &[u8] = include_bytes!("fixtures/burst_anomaly.repro.json");

@@ -1,6 +1,6 @@
 // Generated by endurance-repro's corpus writer; do not edit.
 // Fixture: fixtures/burst_anomaly_min.repro.json (artifact `burst-anomaly-min`, lane 3,
-// target window at 8080000000 ns, content hash 0xcb8868013d5d4b94).
+// target window at 8080000000 ns, content hash 0x7b43518324adf0ab).
 #[test]
 fn repro_burst_anomaly_min() {
     const ARTIFACT: &[u8] = include_bytes!("fixtures/burst_anomaly_min.repro.json");

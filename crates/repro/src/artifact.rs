@@ -23,7 +23,12 @@ use trace_model::{TraceEvent, Window, WindowAssembler};
 use crate::error::ReproError;
 
 /// Schema version written by this build ([`ReproArtifact::schema`]).
-pub const ARTIFACT_SCHEMA: u32 = 1;
+/// Loading also accepts schema 1, whose content hash folds the model
+/// text itself instead of its digest (`docs/REPRO.md` §1).
+pub const ARTIFACT_SCHEMA: u32 = 2;
+
+/// The one older schema this build still loads and re-seals.
+const SCHEMA_TEXT_FOLD: u32 = 1;
 
 /// One extracted window: its identity in the source store plus the
 /// encoded (`ETRC`) payload exactly as the recorder wrote it.
@@ -61,8 +66,10 @@ pub struct PinnedVerdict {
 /// where the schema and the content hash are checked.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ReproArtifact {
-    /// Schema version ([`ARTIFACT_SCHEMA`]); loads of unknown versions
-    /// are rejected with [`ReproError::UnsupportedSchema`].
+    /// Schema version: [`ARTIFACT_SCHEMA`] for every artifact this build
+    /// seals, 1 or 2 for one it loaded. It selects the content-hash
+    /// fold; loads of other versions are rejected with
+    /// [`ReproError::UnsupportedSchema`].
     pub schema: u32,
     /// Human-readable artifact name (also the corpus file stem).
     pub name: String,
@@ -75,9 +82,9 @@ pub struct ReproArtifact {
     /// window is LOF-scored statelessly; see `docs/REPRO.md`).
     pub monitor: MonitorConfig,
     /// The curated reference model: its canonical JSON text
-    /// ([`EmbeddedModel::json`], what is stored and hashed) together with
-    /// the model parsed from that text, which is what every re-run
-    /// scores with.
+    /// ([`EmbeddedModel::json`], what is stored), the text's digest
+    /// ([`EmbeddedModel::digest`], what schema 2 hashes) and the model
+    /// parsed from that text, which is what every re-run scores with.
     pub model: EmbeddedModel,
     /// The extracted windows, in trace order.
     pub windows: Vec<ArtifactWindow>,
@@ -92,16 +99,25 @@ pub struct ReproArtifact {
 /// constants as the trace hasher and the fleet/shard routers).
 pub(crate) struct Fnv64 {
     state: u64,
+    /// Bytes folded so far: the cost the sealing tests count.
+    #[cfg(test)]
+    folded: usize,
 }
 
 impl Fnv64 {
     pub(crate) fn new() -> Self {
         Fnv64 {
             state: 0xcbf2_9ce4_8422_2325,
+            #[cfg(test)]
+            folded: 0,
         }
     }
 
     pub(crate) fn write_bytes(&mut self, bytes: &[u8]) {
+        #[cfg(test)]
+        {
+            self.folded += bytes.len();
+        }
         for &byte in bytes {
             self.state ^= u64::from(byte);
             self.state = self.state.wrapping_mul(0x0000_0100_0000_01b3);
@@ -243,8 +259,8 @@ pub(crate) fn build_sealed(
 
 /// Every field the content hash covers, borrowed: an artifact's own
 /// ([`ReproArtifact::compute_hash`]), or a decoded document's whose
-/// model text has not been parsed yet ([`ReproArtifact::from_bytes`]
-/// checks the hash first).
+/// model text has been digested but not parsed yet
+/// ([`ReproArtifact::from_bytes`] checks the hash first).
 struct HashedFields<'a> {
     schema: u32,
     name: &'a str,
@@ -252,6 +268,7 @@ struct HashedFields<'a> {
     target_start_ns: u64,
     monitor: &'a MonitorConfig,
     model_json: &'a str,
+    model_digest: u64,
     windows: &'a [ArtifactWindow],
     expected: &'a [PinnedVerdict],
 }
@@ -259,9 +276,17 @@ struct HashedFields<'a> {
 impl HashedFields<'_> {
     /// The fold of `docs/REPRO.md` §2.
     fn fold(&self) -> Result<u64, ReproError> {
+        let mut fnv = Fnv64::new();
+        self.fold_into(&mut fnv)?;
+        Ok(fnv.finish())
+    }
+
+    /// The fold, into `fnv`. Schema 1 folds the model text; every other
+    /// schema folds the text's length and digest, so sealing costs the
+    /// size of the artifact, not of its model.
+    fn fold_into(&self, fnv: &mut Fnv64) -> Result<(), ReproError> {
         let monitor_json = serde_json::to_string(self.monitor)
             .map_err(|e| ReproError::Malformed(e.to_string()))?;
-        let mut fnv = Fnv64::new();
         fnv.write_u32(self.schema);
         fnv.write_u64(self.name.len() as u64);
         fnv.write_bytes(self.name.as_bytes());
@@ -270,7 +295,11 @@ impl HashedFields<'_> {
         fnv.write_u64(monitor_json.len() as u64);
         fnv.write_bytes(monitor_json.as_bytes());
         fnv.write_u64(self.model_json.len() as u64);
-        fnv.write_bytes(self.model_json.as_bytes());
+        if self.schema == SCHEMA_TEXT_FOLD {
+            fnv.write_bytes(self.model_json.as_bytes());
+        } else {
+            fnv.write_u64(self.model_digest);
+        }
         fnv.write_u64(self.windows.len() as u64);
         for window in self.windows {
             fnv.write_u64(window.window_id);
@@ -287,12 +316,13 @@ impl HashedFields<'_> {
             fnv.write_u64(pinned.events as u64);
             fnv.write_u8(verdict_tag(pinned.verdict));
         }
-        Ok(fnv.finish())
+        Ok(())
     }
 }
 
-/// Schema-1 document as decoded from the value tree, its model still
-/// text: [`ReproArtifact`] before the hash check has earned the parse.
+/// A schema-1 or schema-2 document as decoded from the value tree, its
+/// model still text: [`ReproArtifact`] before the hash check has earned
+/// the parse.
 #[derive(Deserialize)]
 struct Document {
     schema: u32,
@@ -353,16 +383,20 @@ impl ReproArtifact {
     /// The content hash over every field of the artifact except the
     /// hash itself: an FNV-1a fold, in declaration order, of the schema
     /// version, name, lane, target timestamp, the canonical JSON
-    /// renderings of the monitor configuration and the model, every
-    /// window (id, range, count, payload bytes), and every pinned
-    /// verdict (range, count, verdict tag). `docs/REPRO.md` lists the
-    /// exact fold.
+    /// rendering of the monitor configuration, the model text's length
+    /// and digest (schema 1: the text itself), every window (id, range,
+    /// count, payload bytes), and every pinned verdict (range, count,
+    /// verdict tag). `docs/REPRO.md` lists the exact fold.
     ///
     /// # Errors
     ///
     /// Returns [`ReproError::Malformed`] if the monitor configuration
     /// cannot be rendered to JSON.
     pub fn compute_hash(&self) -> Result<u64, ReproError> {
+        self.hashed_fields().fold()
+    }
+
+    fn hashed_fields(&self) -> HashedFields<'_> {
         HashedFields {
             schema: self.schema,
             name: &self.name,
@@ -370,10 +404,10 @@ impl ReproArtifact {
             target_start_ns: self.target_start_ns,
             monitor: &self.monitor,
             model_json: self.model.json(),
+            model_digest: self.model.digest(),
             windows: &self.windows,
             expected: &self.expected,
         }
-        .fold()
     }
 
     /// Recomputes and stores the content hash. Called by every builder;
@@ -425,32 +459,38 @@ impl ReproArtifact {
         }
         let malformed = |e: DeError| ReproError::Malformed(e.to_string());
         let probe = SchemaProbe::from_value(tree).map_err(malformed)?;
-        if probe.schema != ARTIFACT_SCHEMA {
+        if !matches!(probe.schema, SCHEMA_TEXT_FOLD | ARTIFACT_SCHEMA) {
             return Err(ReproError::UnsupportedSchema {
                 found: probe.schema,
                 supported: ARTIFACT_SCHEMA,
             });
         }
         let document = Document::from_value(tree).map_err(malformed)?;
-        let actual = HashedFields {
-            schema: document.schema,
-            name: &document.name,
-            lane: document.lane,
-            target_start_ns: document.target_start_ns,
-            monitor: &document.monitor,
-            model_json: &document.model,
-            windows: &document.windows,
-            expected: &document.expected,
-        }
-        .fold()?;
-        if actual != document.content_hash {
-            return Err(ReproError::HashMismatch {
-                expected: document.content_hash,
-                actual,
-            });
-        }
+        // The digest comes from the document's own text, which is then
+        // parsed only if the fold over it matches the seal.
+        let model = EmbeddedModel::parse_checked(&document.model, |model_digest| {
+            let actual = HashedFields {
+                schema: document.schema,
+                name: &document.name,
+                lane: document.lane,
+                target_start_ns: document.target_start_ns,
+                monitor: &document.monitor,
+                model_json: &document.model,
+                model_digest,
+                windows: &document.windows,
+                expected: &document.expected,
+            }
+            .fold()?;
+            if actual != document.content_hash {
+                return Err(ReproError::HashMismatch {
+                    expected: document.content_hash,
+                    actual,
+                });
+            }
+            Ok(())
+        })?;
         Ok(ReproArtifact {
-            model: EmbeddedModel::parse(&document.model)?,
+            model,
             schema: document.schema,
             name: document.name,
             lane: document.lane,
@@ -625,6 +665,78 @@ mod tests {
         let mut touched = base.clone();
         touched.target_start_ns += 1;
         assert_ne!(touched.compute_hash().unwrap(), reference);
+
+        let mut touched = base.clone();
+        touched.schema = SCHEMA_TEXT_FOLD;
+        assert_ne!(touched.compute_hash().unwrap(), reference);
+    }
+
+    /// Bytes [`ReproArtifact::compute_hash`] folds for `artifact`.
+    fn folded_bytes(artifact: &ReproArtifact) -> usize {
+        let mut fnv = Fnv64::new();
+        artifact.hashed_fields().fold_into(&mut fnv).unwrap();
+        fnv.folded
+    }
+
+    /// A model of `points` reference pmfs over 16 event types, twelve of
+    /// them distinct (as on the paper's workload).
+    fn model_of(points: u64) -> ReferenceModel {
+        use endurance_core::WindowPmf;
+        let config = MonitorConfig::builder()
+            .dimensions(16)
+            .k(3)
+            .build()
+            .unwrap();
+        let pmfs = (0..points)
+            .map(|i| {
+                let counts: Vec<u64> = (0..16).map(|d| 40 + 7 * d + (i % 12) * (d % 5)).collect();
+                WindowPmf::from_counts(&counts, 0.5)
+            })
+            .collect();
+        ReferenceModel::learn_from_pmfs(pmfs, &config).unwrap()
+    }
+
+    #[test]
+    fn sealing_folds_the_artifact_not_the_model() {
+        let windows: Vec<ArtifactWindow> = (100..105u64)
+            .map(|w| ArtifactWindow {
+                window_id: w,
+                start_ns: w * 40_000_000,
+                end_ns: (w + 1) * 40_000_000,
+                events: 3,
+                payload: vec![w as u8; 24],
+            })
+            .collect();
+        let around = |model: &ReferenceModel| ReproArtifact {
+            schema: ARTIFACT_SCHEMA,
+            name: "sized".into(),
+            lane: 0,
+            target_start_ns: 102 * 40_000_000,
+            monitor: MonitorConfig::paper_defaults(16).unwrap(),
+            model: EmbeddedModel::embed(model).unwrap(),
+            windows: windows.clone(),
+            expected: Vec::new(),
+            content_hash: 0,
+        };
+        let small = around(&model_of(12));
+        let large = around(&model_of(3_000));
+        let grown = large.model.json().len() - small.model.json().len();
+        assert!(
+            large.model.json().len() >= 800_000,
+            "{} bytes of model text",
+            large.model.json().len()
+        );
+        assert_eq!(folded_bytes(&small), folded_bytes(&large));
+
+        // Schema 1 folds the text itself: every byte of it, per seal.
+        let text_fold = |artifact: &ReproArtifact| ReproArtifact {
+            schema: SCHEMA_TEXT_FOLD,
+            ..artifact.clone()
+        };
+        assert_eq!(
+            folded_bytes(&text_fold(&large)) - folded_bytes(&text_fold(&small)),
+            grown
+        );
     }
 
     #[test]

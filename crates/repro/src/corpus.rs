@@ -48,6 +48,30 @@ fn sanitize(name: &str) -> String {
     stem
 }
 
+/// The generated `#[test]` spec of `artifact`, stored as `fixture`. The
+/// artifact's name is free text, so it is rendered escaped: a newline in
+/// it cannot end the comment and leak the rest into the test target.
+fn spec(stem: &str, fixture: &str, artifact: &ReproArtifact) -> String {
+    format!(
+        "// Generated by endurance-repro's corpus writer; do not edit.\n\
+         // Fixture: {fixture} (artifact `{name}`, lane {lane},\n\
+         // target window at {target} ns, content hash {hash:#018x}).\n\
+         #[test]\n\
+         fn repro_{stem}() {{\n\
+         \x20   const ARTIFACT: &[u8] = include_bytes!(\"{fixture}\");\n\
+         \x20   let artifact = ::endurance_repro::ReproArtifact::from_bytes(ARTIFACT)\n\
+         \x20       .expect(\"artifact bytes load and the content hash matches\");\n\
+         \x20   artifact\n\
+         \x20       .verify()\n\
+         \x20       .expect(\"artifact reproduces its pinned detector verdicts\");\n\
+         }}\n",
+        name = artifact.name.escape_debug(),
+        lane = artifact.lane,
+        target = artifact.target_start_ns,
+        hash = artifact.content_hash,
+    )
+}
+
 /// Writes sealed artifacts into a corpus directory as fixture + spec
 /// pairs, then a manifest aggregating every spec.
 #[derive(Debug)]
@@ -100,27 +124,7 @@ impl CorpusWriter {
         let fixture = format!("fixtures/{stem}{FIXTURE_SUFFIX}");
         fs::write(self.dir.join(&fixture), artifact.to_bytes()?)?;
         let spec_path = self.dir.join(format!("{stem}.rs"));
-        let spec = format!(
-            "// Generated by endurance-repro's corpus writer; do not edit.\n\
-             // Fixture: {fixture} (artifact `{name}`, lane {lane},\n\
-             // target window at {target} ns, content hash {hash:#018x}).\n\
-             #[test]\n\
-             fn repro_{stem}() {{\n\
-             \x20   const ARTIFACT: &[u8] = include_bytes!(\"{fixture}\");\n\
-             \x20   let artifact = ::endurance_repro::ReproArtifact::from_bytes(ARTIFACT)\n\
-             \x20       .expect(\"artifact bytes load and the content hash matches\");\n\
-             \x20   artifact\n\
-             \x20       .verify()\n\
-             \x20       .expect(\"artifact reproduces its pinned detector verdicts\");\n\
-             }}\n",
-            fixture = fixture,
-            name = artifact.name,
-            lane = artifact.lane,
-            target = artifact.target_start_ns,
-            hash = artifact.content_hash,
-            stem = stem,
-        );
-        fs::write(&spec_path, spec)?;
+        fs::write(&spec_path, spec(&stem, &fixture, artifact))?;
         self.stems.push(stem);
         Ok(spec_path)
     }
@@ -203,5 +207,35 @@ mod tests {
         assert_eq!(sanitize("7seconds"), "case_7seconds");
         assert_eq!(sanitize(""), "case_");
         assert_eq!(sanitize("UPPER"), "upper");
+    }
+
+    #[test]
+    fn an_artifact_name_cannot_leave_its_comment() {
+        let mut artifact =
+            ReproArtifact::from_bytes(include_bytes!("../tests/fixtures/golden.repro.json"))
+                .unwrap();
+        let render = |artifact: &ReproArtifact| {
+            let stem = sanitize(&artifact.name);
+            spec(&stem, &format!("fixtures/{stem}{FIXTURE_SUFFIX}"), artifact)
+        };
+        assert!(render(&artifact).contains("(artifact `golden`, lane 0,\n"));
+
+        artifact.name = "x\n#[test] fn injected() {}".into();
+        let spec = render(&artifact);
+        let lines: Vec<&str> = spec.lines().collect();
+        let attribute = lines
+            .iter()
+            .position(|line| line.starts_with("#[test]"))
+            .unwrap();
+        assert!(
+            lines[..attribute].iter().all(|line| line.starts_with("//")),
+            "{spec}"
+        );
+        let defined = lines
+            .iter()
+            .filter(|line| !line.starts_with("//") && line.contains("fn "))
+            .count();
+        assert_eq!(defined, 1, "{spec}");
+        assert!(spec.contains("(artifact `x\\n#[test] fn injected() {}`, lane 0,\n"));
     }
 }

@@ -2,7 +2,9 @@
 //! checked in as bytes (`tests/fixtures/golden.repro.json`). Loading it
 //! must verify the content hash and reproduce the pinned verdicts
 //! forever; corrupted and schema-bumped variants must be rejected with
-//! the matching typed error, never accepted or misclassified.
+//! the matching typed error, never accepted or misclassified. The same
+//! artifact as schema 1 sealed it (`tests/fixtures/golden_v1.repro.json`,
+//! never regenerated) must load, verify and re-seal to its own bytes.
 //!
 //! The fixture is regenerated by the `#[ignore]`d `regen_golden_fixture`
 //! test (`cargo test -p endurance-repro -- --ignored regen_golden`),
@@ -18,6 +20,7 @@ use endurance_repro::{ReproArtifact, ReproError, ARTIFACT_SCHEMA};
 use trace_model::{EventTypeId, Timestamp, TraceEvent, Window, WindowId};
 
 const GOLDEN: &[u8] = include_bytes!("fixtures/golden.repro.json");
+const GOLDEN_V1: &[u8] = include_bytes!("fixtures/golden_v1.repro.json");
 
 /// 40 ms in nanoseconds: the oracle's window span.
 const WINDOW_NS: u64 = 40_000_000;
@@ -130,6 +133,14 @@ fn golden_fixture_loads_and_reproduces() {
 }
 
 #[test]
+fn golden_fixture_pins_the_reference_vector() {
+    // docs/REPRO.md §2 quotes these two numbers.
+    let artifact = ReproArtifact::from_bytes(GOLDEN).unwrap();
+    assert_eq!(artifact.model.digest(), 0xf3e6_2cda_56c4_2cb5);
+    assert_eq!(artifact.content_hash, 0x74bf_7e23_2c99_4492);
+}
+
+#[test]
 fn golden_fixture_matches_regeneration() {
     // The deterministic scenario must rebuild the checked-in bytes
     // exactly; a drift here means extraction or detection changed
@@ -168,19 +179,47 @@ fn corrupted_pinned_verdict_is_rejected() {
 
 #[test]
 fn unsupported_schema_is_rejected_before_hashing() {
-    let mut artifact = ReproArtifact::from_bytes(GOLDEN).unwrap();
-    artifact.schema = ARTIFACT_SCHEMA + 1;
-    // Reseal so only the schema check can reject: the gate must fire
-    // before any hash comparison.
-    artifact.seal();
-    let bytes = artifact.to_bytes().unwrap();
-    match ReproArtifact::from_bytes(&bytes) {
-        Err(ReproError::UnsupportedSchema { found, supported }) => {
-            assert_eq!(found, ARTIFACT_SCHEMA + 1);
-            assert_eq!(supported, ARTIFACT_SCHEMA);
+    for schema in [0, ARTIFACT_SCHEMA + 1] {
+        let mut artifact = ReproArtifact::from_bytes(GOLDEN).unwrap();
+        artifact.schema = schema;
+        // Reseal so only the schema check can reject: the gate must fire
+        // before any hash comparison.
+        artifact.seal();
+        let bytes = artifact.to_bytes().unwrap();
+        match ReproArtifact::from_bytes(&bytes) {
+            Err(ReproError::UnsupportedSchema { found, supported }) => {
+                assert_eq!(found, schema);
+                assert_eq!(supported, ARTIFACT_SCHEMA);
+            }
+            other => panic!("schema {schema} accepted or misclassified: {other:?}"),
         }
-        other => panic!("schema bump accepted or misclassified: {other:?}"),
     }
+}
+
+#[test]
+fn schema_1_golden_loads_verifies_and_reseals_to_its_own_bytes() {
+    let artifact = ReproArtifact::from_bytes(GOLDEN_V1).expect("schema-1 fixture loads");
+    assert_eq!(artifact.schema, 1);
+    assert_eq!(artifact.compute_hash().unwrap(), artifact.content_hash);
+    artifact.verify().expect("pinned verdicts reproduce");
+    assert_eq!(artifact.to_bytes().unwrap(), GOLDEN_V1);
+    let mut resealed = artifact.clone();
+    resealed.seal();
+    assert_eq!(resealed.content_hash, artifact.content_hash);
+
+    // The same artifact, sealed by this build: only the schema and the
+    // seal differ.
+    let current = ReproArtifact::from_bytes(GOLDEN).unwrap();
+    assert_eq!(current.schema, ARTIFACT_SCHEMA);
+    assert_ne!(current.content_hash, artifact.content_hash);
+    assert_eq!(
+        ReproArtifact {
+            schema: ARTIFACT_SCHEMA,
+            content_hash: current.content_hash,
+            ..artifact
+        },
+        current
+    );
 }
 
 #[test]

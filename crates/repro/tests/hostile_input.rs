@@ -8,6 +8,8 @@ use endurance_core::WindowVerdict;
 use endurance_repro::{ReproArtifact, ReproError};
 
 const GOLDEN: &[u8] = include_bytes!("fixtures/golden.repro.json");
+/// The same artifact as schema 1 sealed it: its hash folds the model text.
+const GOLDEN_V1: &[u8] = include_bytes!("fixtures/golden_v1.repro.json");
 const CORPUS_MIN: &[u8] = include_bytes!("../corpus/fixtures/burst_anomaly_min.repro.json");
 
 /// Loads `bytes` and checks the one thing every outcome must satisfy:
@@ -32,7 +34,7 @@ fn load_is_sound(bytes: &[u8]) -> bool {
 
 #[test]
 fn every_truncation_and_byte_flip_is_refused_with_a_typed_error() {
-    for fixture in [GOLDEN, CORPUS_MIN] {
+    for fixture in [GOLDEN, GOLDEN_V1, CORPUS_MIN] {
         assert!(load_is_sound(fixture), "the fixture itself loads");
         for len in 0..fixture.len() {
             assert!(!load_is_sound(&fixture[..len]), "truncation to {len} bytes");
@@ -82,34 +84,37 @@ fn golden_model_span(text: &str) -> std::ops::Range<usize> {
 
 #[test]
 fn a_changed_digit_inside_the_model_text_is_a_hash_mismatch() {
-    let text = std::str::from_utf8(GOLDEN).unwrap();
-    let span = golden_model_span(text);
-    let digits: Vec<usize> = span
-        .filter(|&at| text.as_bytes()[at].is_ascii_digit())
-        .collect();
-    assert!(digits.len() > 500);
-    // Still well-formed JSON, still a model: only the seal can tell.
-    for at in digits {
-        let mut bytes = GOLDEN.to_vec();
-        bytes[at] = if bytes[at] == b'9' {
-            b'8'
-        } else {
-            bytes[at] + 1
-        };
-        assert!(
-            matches!(
-                ReproArtifact::from_bytes(&bytes),
-                Err(ReproError::HashMismatch { .. })
-            ),
-            "digit at byte {at}"
-        );
+    for golden in [GOLDEN, GOLDEN_V1] {
+        let text = std::str::from_utf8(golden).unwrap();
+        let span = golden_model_span(text);
+        let digits: Vec<usize> = span
+            .filter(|&at| text.as_bytes()[at].is_ascii_digit())
+            .collect();
+        assert!(digits.len() > 500);
+        // Still well-formed JSON, still a model: only the seal can tell.
+        for at in digits {
+            let mut bytes = golden.to_vec();
+            bytes[at] = if bytes[at] == b'9' {
+                b'8'
+            } else {
+                bytes[at] + 1
+            };
+            assert!(
+                matches!(
+                    ReproArtifact::from_bytes(&bytes),
+                    Err(ReproError::HashMismatch { .. })
+                ),
+                "digit at byte {at}"
+            );
+        }
     }
 }
 
 /// The content hash as `docs/REPRO.md` §2 writes it down, folded by hand
 /// over a loaded artifact's fields and a model text of the caller's
-/// choosing.
+/// choosing, by the artifact's own schema.
 fn spec_hash(artifact: &ReproArtifact, model: &str) -> u64 {
+    const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
     fn fold(state: &mut u64, bytes: &[u8]) {
         for &byte in bytes {
             *state = (*state ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
@@ -119,7 +124,7 @@ fn spec_hash(artifact: &ReproArtifact, model: &str) -> u64 {
         fold(state, &(text.len() as u64).to_le_bytes());
         fold(state, text.as_bytes());
     }
-    let mut state = 0xcbf2_9ce4_8422_2325u64;
+    let mut state = BASIS;
     fold(&mut state, &artifact.schema.to_le_bytes());
     fold_str(&mut state, &artifact.name);
     fold(&mut state, &artifact.lane.to_le_bytes());
@@ -128,7 +133,14 @@ fn spec_hash(artifact: &ReproArtifact, model: &str) -> u64 {
         &mut state,
         &serde_json::to_string(&artifact.monitor).unwrap(),
     );
-    fold_str(&mut state, model);
+    if artifact.schema == 1 {
+        fold_str(&mut state, model);
+    } else {
+        let mut digest = BASIS;
+        fold(&mut digest, model.as_bytes());
+        fold(&mut state, &(model.len() as u64).to_le_bytes());
+        fold(&mut state, &digest.to_le_bytes());
+    }
     fold(&mut state, &(artifact.windows.len() as u64).to_le_bytes());
     for window in &artifact.windows {
         fold(&mut state, &window.window_id.to_le_bytes());
@@ -155,14 +167,20 @@ fn spec_hash(artifact: &ReproArtifact, model: &str) -> u64 {
 
 #[test]
 fn an_artifact_resealed_around_a_text_that_is_no_model_is_refused_at_load() {
-    let golden = ReproArtifact::from_bytes(GOLDEN).unwrap();
+    for fixture in [GOLDEN, GOLDEN_V1] {
+        resealed_around_no_model_is_refused(fixture);
+    }
+}
+
+fn resealed_around_no_model_is_refused(fixture: &[u8]) {
+    let golden = ReproArtifact::from_bytes(fixture).unwrap();
     assert_eq!(
         spec_hash(&golden, golden.model.json()),
         golden.content_hash,
         "the by-hand fold of REPRO.md §2 is the fold the crate seals with"
     );
 
-    let text = std::str::from_utf8(GOLDEN).unwrap();
+    let text = std::str::from_utf8(fixture).unwrap();
     let span = golden_model_span(text);
     let sealed = format!("\"content_hash\":{}", golden.content_hash);
     assert!(text.ends_with(&format!("{sealed}}}")));

@@ -112,11 +112,13 @@ fn cases() -> impl Strategy<Value = Case> {
     })
 }
 
-/// Whether two artifacts hold the same model text allocation and score
-/// with the same fitted LOF — not equal ones, the same.
+/// Whether two artifacts hold the same model text allocation, score with
+/// the same fitted LOF — not equal ones, the same — and seal with one
+/// digest.
 fn share_one_embedding(a: &ReproArtifact, b: &ReproArtifact) -> bool {
     std::ptr::eq(a.model.json(), b.model.json())
         && std::ptr::eq(a.reference_model().lof(), b.reference_model().lof())
+        && a.model.digest() == b.model.digest()
 }
 
 proptest! {
@@ -137,6 +139,9 @@ proptest! {
             prop_assert!(share_one_embedding(built, &first));
         }
         prop_assert!(!share_one_embedding(&cold, &first), "equal models, separate memos");
+        // A freshly learned, equal model digests its own rendering to the
+        // same digest.
+        prop_assert_eq!(cold.model.digest(), first.model.digest());
 
         let config = MinimizeConfig::default();
         let cold_min = minimize(&cold, &config).unwrap();
@@ -153,6 +158,7 @@ proptest! {
         // text, and re-seals to the bytes it was loaded from.
         let loaded = ReproArtifact::from_bytes(&cold_bytes).unwrap();
         prop_assert_eq!(&loaded, &cold);
+        prop_assert_eq!(loaded.model.digest(), cold.model.digest());
         prop_assert!(loaded.reference_model() == cold.reference_model());
         prop_assert_eq!(loaded.to_bytes().unwrap(), cold_bytes);
         let loaded_min = minimize(&loaded, &config).unwrap();
