@@ -357,6 +357,76 @@ fn a_lane_compacted_between_writers_is_followed_whole_or_refused() {
     }
 }
 
+/// A lane whose sealed prefix a `Compactor` stored as format v4 — a
+/// template table ahead of templated frames — then resumed: a follower
+/// subscribed before the resume is handed the templated prefix and the
+/// new appends, exactly what a cold `Snapshot` replays.
+#[test]
+fn a_lane_with_a_templated_prefix_is_followed_byte_for_byte() {
+    // Twelve events of three types, the same payloads every window.
+    let record_shape = |writer: &mut LaneWriter, id: u64| {
+        let events: Vec<TraceEvent> = (0..12u64)
+            .map(|i| {
+                TraceEvent::new(
+                    Timestamp::from_micros(id * 10_000 + i * 700 + id % 3),
+                    EventTypeId::new((i % 3) as u16),
+                    (i * 50) as u32,
+                )
+            })
+            .collect();
+        let mut payload = Vec::new();
+        BinaryEncoder::new().encode(&events, &mut payload).unwrap();
+        let meta = RecordMeta {
+            window_id: WindowId::new(id),
+            start: Timestamp::from_micros(id * 10_000),
+            end: Timestamp::from_micros((id + 1) * 10_000),
+        };
+        writer.record_window(&meta, &events, &payload).unwrap();
+        payload
+    };
+    let dir = temp_dir("templated-prefix");
+    let serve = ServeHandle::open(&dir).unwrap();
+    let config = StoreConfig::default().with_segment_max_windows(3);
+    let mut writer = serve.create_writer(0, config).unwrap();
+    let mut recorded: Vec<u8> = (0..6)
+        .flat_map(|id| record_shape(&mut writer, id))
+        .collect();
+    writer.close().unwrap();
+    let policy = MaintenancePolicy::merge_below(u64::MAX / 4).with_recompress(CodecId::DeltaVarint);
+    let report = Compactor::new(&dir, policy).compact().unwrap();
+    assert_eq!(
+        report.frames_by_codec()[usize::from(CodecId::Templated.as_u8())],
+        6,
+        "{report}"
+    );
+    assert_eq!(
+        std::fs::read(dir.join("lane0000-000000.seg")).unwrap()[4],
+        4
+    );
+
+    let follower = serve.subscribe_with(
+        0,
+        SubscribeOptions {
+            buffer: usize::MAX,
+            resume_grace: GRACE,
+        },
+    );
+    let mut writer = serve.create_writer(0, config).unwrap();
+    for id in 6..10 {
+        recorded.extend(record_shape(&mut writer, id));
+    }
+    writer.close().unwrap();
+    let followed: Vec<u8> = drain(&follower)
+        .into_iter()
+        .flat_map(|window| window.payload)
+        .collect();
+    assert_eq!(followed, recorded);
+    let cold = Snapshot::open(&dir).unwrap().lane_payload_bytes(0).unwrap();
+    assert_eq!(followed, cold, "byte for byte");
+    drop(serve);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[derive(Debug, Clone, Copy)]
 enum Op {
     /// Append this many windows (resuming first when the writer is gone).

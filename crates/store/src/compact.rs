@@ -9,7 +9,9 @@
 //!   [`MaintenancePolicy::small_segment_bytes`]) are rewritten into one
 //!   consolidated segment. Stored blocks are copied verbatim (CRC
 //!   re-verified during the copy; whole frames verbatim between v1
-//!   segments), so replay of a compacted store is byte-for-byte identical
+//!   segments) — but for templated blocks, which name their own
+//!   segment's template table and are decoded against it and coded
+//!   again — so replay of a compacted store is byte-for-byte identical
 //!   to replay of the uncompacted store.
 //! * **Retention** — windows whose end falls a configurable horizon
 //!   behind the lane's newest window are dropped, the discipline that
@@ -39,13 +41,15 @@ use endurance_obs::{Counter, Gauge, Histogram, Registry};
 
 use crate::crc32::crc32;
 use crate::index::{LaneIndex, SegmentMeta, WindowEntry};
+use crate::map::codec_mut;
 use crate::reader::load_lane;
 use crate::segment::{
-    encode_frame, envelope_and_stored_bytes, list_store_dir, manifest_file_name,
-    read_indexed_frame, segment_file_name, segment_header, write_sidecar, FramePrev, LaneFiles,
-    SEGMENT_VERSION_V1, SEGMENT_VERSION_V3,
+    encode_frame, envelope_and_stored_bytes, frame_len, list_store_dir, manifest_file_name,
+    put_table_section, read_indexed_frame, segment_file_name, segment_header, table_section_len,
+    write_sidecar, FramePrev, LaneFiles, SegmentHead, SEGMENT_VERSION_V1, SEGMENT_VERSION_V3,
+    SEGMENT_VERSION_V4,
 };
-use trace_model::codec::{BlockChooser, CodecId};
+use trace_model::codec::{CodecId, FrameCodec, FrameContext, SegmentCoder};
 use trace_model::TraceError;
 
 /// When (and how aggressively) a store lane is compacted.
@@ -72,8 +76,10 @@ pub struct MaintenancePolicy {
     /// every v1 segment it visits into a format-v3 segment; under any
     /// target but `Identity`, which keeps every payload verbatim, it
     /// stores each frame as the smallest of its `EDV` block, packed rows
-    /// and the payload ([`trace_model::codec::BlockChooser`]), so a store
-    /// written before compression existed shrinks in place; v2 and v3
+    /// and the payload ([`trace_model::codec::BlockChooser`]) — or, in a
+    /// format-v4 segment whose template table pays for itself, templated
+    /// rows ([`trace_model::codec::SegmentCoder`]) — so a store written
+    /// before compression existed shrinks in place; v2, v3 and v4
     /// segments are left alone, which keeps repeated passes convergent.
     #[serde(default)]
     pub recompress: Option<CodecId>,
@@ -536,9 +542,11 @@ impl Compactor {
         }
 
         let mut outcomes: Vec<Option<LaneOutcome>> = if workers <= 1 {
-            work.iter()
-                .map(|(lane, files)| Some(self.compact_lane_job(*lane, files)))
-                .collect()
+            with_run_coder(|coder| {
+                work.iter()
+                    .map(|(lane, files)| Some(self.compact_lane_job(*lane, files, coder)))
+                    .collect()
+            })
         } else {
             // A shared cursor hands lanes to whichever worker is free, so
             // one slow (large) lane never serialises the rest behind it.
@@ -547,13 +555,15 @@ impl Compactor {
                 work.iter().map(|_| std::sync::Mutex::new(None)).collect();
             std::thread::scope(|scope| {
                 for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let at = next.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                        let Some((lane, files)) = work.get(at) else {
-                            break;
-                        };
-                        let outcome = self.compact_lane_job(*lane, files);
-                        *slots[at].lock().expect("no panics hold this lock") = Some(outcome);
+                    scope.spawn(|| {
+                        with_run_coder(|coder| loop {
+                            let at = next.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                            let Some((lane, files)) = work.get(at) else {
+                                break;
+                            };
+                            let outcome = self.compact_lane_job(*lane, files, coder);
+                            *slots[at].lock().expect("no panics hold this lock") = Some(outcome);
+                        })
                     });
                 }
             });
@@ -601,16 +611,16 @@ impl Compactor {
     /// One lane's complete job — crash recovery over the files the
     /// listing saw, then the compaction pass — timed as a
     /// `store_compaction_lane_pass_ns` sample. This is the unit of work
-    /// the parallel pass distributes. A lane the listing saw no segment
-    /// of (only a journal or temp files outlived its segments) is
-    /// recovered and yields no report.
-    fn compact_lane_job(&self, lane: u32, files: &LaneFiles) -> LaneOutcome {
+    /// the parallel pass distributes, on the worker's `coder`. A lane the
+    /// listing saw no segment of (only a journal or temp files outlived
+    /// its segments) is recovered and yields no report.
+    fn compact_lane_job(&self, lane: u32, files: &LaneFiles, coder: &mut RunCoder) -> LaneOutcome {
         let lane_span = self.metrics.lane_pass_ns.span();
         let seqs = recover_interrupted_merge(&self.dir, lane, files)?;
         let outcome = if files.seqs.is_empty() {
             Ok(None)
         } else {
-            self.compact_lane_seqs(lane, &seqs, files.legacy_sidecar)
+            self.compact_lane_seqs(lane, &seqs, files.legacy_sidecar, coder)
                 .map(Some)
         };
         lane_span.end();
@@ -622,6 +632,7 @@ impl Compactor {
         lane: u32,
         seqs: &[u32],
         legacy_sidecar: bool,
+        coder: &mut RunCoder,
     ) -> Result<LaneCompaction, TraceError> {
         if !self.policy.is_enabled() {
             // A disabled policy is a true no-op: report the lane's state
@@ -645,7 +656,7 @@ impl Compactor {
         }
         let (index, torn_truncated) = load_for_compaction(&self.dir, lane, seqs)?;
         let (index, lane_report) =
-            compact_lane_index(&self.dir, index, &self.policy, torn_truncated)?;
+            compact_lane_index(&self.dir, index, &self.policy, torn_truncated, coder)?;
         write_sidecar(&self.dir, &index, legacy_sidecar)?;
         Ok(lane_report)
     }
@@ -820,12 +831,13 @@ struct SegmentPlan {
 /// rewritten index plus the report entry.
 ///
 /// `torn_bytes_truncated` is whatever the caller already reclaimed from
-/// torn tails, folded into the report.
+/// torn tails, folded into the report; `coder` codes the runs.
 fn compact_lane_index(
     dir: &Path,
     index: LaneIndex,
     policy: &MaintenancePolicy,
     torn_bytes_truncated: u64,
+    coder: &mut RunCoder,
 ) -> Result<(LaneIndex, LaneCompaction), TraceError> {
     let lane = index.lane;
     let bytes_before: u64 = index.segments.iter().map(|s| s.committed_bytes).sum();
@@ -953,6 +965,7 @@ fn compact_lane_index(
             &index.windows,
             policy.recompress,
             &mut report.frames_by_codec,
+            coder,
         )?;
         report.merged_runs += usize::from(run.len() > 1);
         report.segments_rewritten += usize::from(consolidated.is_some());
@@ -980,13 +993,9 @@ fn compact_lane_index(
 ///
 /// A run of v1 segments with nothing to re-encode is written as v1,
 /// its frames copied verbatim — bit-compatible with the previous
-/// release's output. Every other run is written as format v3: each
-/// frame's stored block carries over untouched while its meta is coded
-/// anew against the frame written before it (a run joint or a retention
-/// drop changes the predecessor) and the CRC recomputed; when
-/// `recompress` names a target codec, each v1 frame is additionally
-/// stored as the block a [`BlockChooser`] picks for it, counted into
-/// `frames_by_codec`. Replay is byte-for-byte identical in every case.
+/// release's output. Every other run is coded by [`RunCoder::code`] as
+/// format v3, or v4 when a template table pays for itself. Replay is
+/// byte-for-byte identical in every case.
 ///
 /// Multi-file merges are journalled through a [`CompactionManifest`]
 /// written before the consolidated file is renamed into place, so a
@@ -1000,6 +1009,7 @@ fn rewrite_run(
     windows: &[WindowEntry],
     recompress: Option<CodecId>,
     frames_by_codec: &mut [u64; CodecId::ALL.len()],
+    coder: &mut RunCoder,
 ) -> Result<Option<(SegmentMeta, Vec<WindowEntry>)>, TraceError> {
     let target_seq = run[0].meta.seq;
     let survivors: usize = run.iter().map(|plan| plan.windows.len()).sum();
@@ -1018,69 +1028,22 @@ fn rewrite_run(
     let all_v1 = run
         .iter()
         .all(|plan| plan.meta.version == SEGMENT_VERSION_V1 && !plan.recompress);
-    let out_version = if all_v1 {
-        SEGMENT_VERSION_V1
-    } else {
-        SEGMENT_VERSION_V3
-    };
-    let mut chooser = BlockChooser::new();
-
-    // Build the consolidated segment in memory (runs are made of small
+    // The consolidated segment is built in memory (runs are made of small
     // segments, bounded by their summed committed size) so the journal
     // can record its exact length and CRC before anything moves.
-    let total: u64 = run.iter().map(|plan| plan.meta.committed_bytes).sum();
-    let mut merged = Vec::with_capacity(total as usize);
-    merged.extend_from_slice(&segment_header(lane, target_seq, out_version));
-    let mut entries = Vec::with_capacity(survivors);
-    let mut prev = FramePrev::default();
-    let mut scratch_frame = Vec::new();
-    let mut scratch_block = Vec::new();
-    for plan in run {
-        if plan.windows.is_empty() {
-            continue;
-        }
-        let source = std::fs::read(dir.join(segment_file_name(lane, plan.meta.seq)))?;
-        for &position in &plan.windows {
-            let entry = windows[position];
-            let frame = read_indexed_frame(plan.meta.version, &source, lane, &entry, true)?;
-            let mut copied = WindowEntry {
-                segment: target_seq,
-                offset: merged.len() as u64,
-                ..entry
-            };
-            if out_version == SEGMENT_VERSION_V1 {
-                // v1 into v1: the frame bytes carry over verbatim.
-                merged.extend_from_slice(&source[entry.offset as usize..frame.body.end]);
-                entries.push(copied);
-                continue;
-            }
-            // Re-frame the stored block (for a recompression pass over a
-            // v1 frame: the payload, re-encoded) behind its new
-            // predecessor. Codec and raw length are the file's.
-            let context = frame.context(entry.start_ns);
-            let mut block = &source[frame.block];
-            copied.codec = frame.codec.as_u8();
-            copied.raw_len = frame.raw_len;
-            if let Some(target) = recompress.filter(|_| plan.recompress) {
-                // Any other target stores the smallest block there is.
-                let stored = if target == CodecId::Identity {
-                    CodecId::Identity
-                } else {
-                    scratch_block.clear();
-                    chooser.choose(context, block, &mut scratch_block)
-                };
-                if stored != CodecId::Identity {
-                    copied.codec = stored.as_u8();
-                    block = &scratch_block;
-                }
-                frames_by_codec[usize::from(stored.as_u8())] += 1;
-            }
-            copied.len = encode_frame(out_version, &mut scratch_frame, prev, &copied, block);
-            prev = FramePrev::after(&copied);
-            merged.extend_from_slice(&scratch_frame);
-            entries.push(copied);
-        }
-    }
+    let (out_version, merged, entries) = if all_v1 {
+        copy_v1_run(dir, lane, target_seq, run, windows)?
+    } else {
+        coder.code(
+            dir,
+            lane,
+            target_seq,
+            run,
+            windows,
+            recompress,
+            frames_by_codec,
+        )?
+    };
 
     // Journal multi-file merges; a single-file rewrite is already atomic
     // via the rename below.
@@ -1138,6 +1101,223 @@ fn rewrite_run(
         },
         entries,
     )))
+}
+
+/// A rewritten run's v1 segment: every surviving frame copied verbatim.
+fn copy_v1_run(
+    dir: &Path,
+    lane: u32,
+    target_seq: u32,
+    run: &[SegmentPlan],
+    windows: &[WindowEntry],
+) -> Result<(u8, Vec<u8>, Vec<WindowEntry>), TraceError> {
+    let total: u64 = run.iter().map(|plan| plan.meta.committed_bytes).sum();
+    let mut merged = Vec::with_capacity(total as usize);
+    merged.extend_from_slice(&segment_header(lane, target_seq, SEGMENT_VERSION_V1));
+    let mut entries = Vec::new();
+    for plan in run.iter().filter(|plan| !plan.windows.is_empty()) {
+        let source = std::fs::read(dir.join(segment_file_name(lane, plan.meta.seq)))?;
+        for &position in &plan.windows {
+            let entry = windows[position];
+            let frame = read_indexed_frame(SEGMENT_VERSION_V1, &source, lane, &entry, true)?;
+            entries.push(WindowEntry {
+                segment: target_seq,
+                offset: merged.len() as u64,
+                ..entry
+            });
+            merged.extend_from_slice(&source[entry.offset as usize..frame.body.end]);
+        }
+    }
+    Ok((SEGMENT_VERSION_V1, merged, entries))
+}
+
+/// Runs above this many committed bytes leave their thread's [`RunCoder`]
+/// behind when a pass ends, instead of its buffers sized for them.
+const KEEP_CODER_BELOW: u64 = 16 * 1024 * 1024;
+
+thread_local! {
+    /// The [`RunCoder`] a thread's passes share (see [`with_run_coder`]).
+    static RUN_CODER: std::cell::RefCell<RunCoder> = std::cell::RefCell::new(RunCoder::default());
+}
+
+/// Runs `code` on this thread's [`RunCoder`], kept for the thread's next
+/// pass unless a run it coded held [`KEEP_CODER_BELOW`] committed bytes
+/// or more.
+fn with_run_coder<T>(code: impl FnOnce(&mut RunCoder) -> T) -> T {
+    RUN_CODER.with(|kept| {
+        let mut coder = kept.take();
+        let out = code(&mut coder);
+        if coder.largest_run < KEEP_CODER_BELOW {
+            kept.replace(coder);
+        }
+        out
+    })
+}
+
+/// Where the block of a frame [`RunCoder::code`] writes comes from.
+#[derive(Debug)]
+enum RunBlock {
+    /// A stored block carried over as it was, at this range of the run's
+    /// carried bytes.
+    Carried(std::ops::Range<usize>),
+    /// Frame `n` of the run's [`SegmentCoder`].
+    Coded(usize),
+}
+
+/// What a compaction worker reuses from one run it codes to the next,
+/// across the lanes it is handed — and a thread across the passes it
+/// runs ([`with_run_coder`]): the [`SegmentCoder`] and the buffers around
+/// it, so a pass over a thousand one-segment lanes does not set up a
+/// thousand of each, and a pass does not fault in fresh pages for
+/// buffers the last one already had.
+#[derive(Debug, Default)]
+struct RunCoder {
+    /// Committed bytes of the largest run coded so far.
+    largest_run: u64,
+    coder: SegmentCoder,
+    /// Blocks carried over as they were, back to back.
+    carried: Vec<u8>,
+    /// The run's frames: rows, and where each one's block comes from.
+    frames: Vec<(WindowEntry, RunBlock)>,
+    /// A templated block's payload, decoded against its own table.
+    payload: Vec<u8>,
+    codecs: Vec<Box<dyn FrameCodec>>,
+    table: Vec<u8>,
+    frame: Vec<u8>,
+}
+
+impl RunCoder {
+    /// A rewritten run's v3 or v4 segment. Each frame's meta is coded anew
+    /// against the frame written before it (a run joint or a retention
+    /// drop changes the predecessor) and its CRC recomputed. Its block is
+    /// carried over untouched, unless it is coded anew by the run's
+    /// [`SegmentCoder`]: a v1 frame under a `recompress` target other than
+    /// `Identity`, and every templated block — which names its own
+    /// segment's table, decodes against it, and is never copied to another
+    /// segment. The coded frames are counted into `frames_by_codec` by the
+    /// block they are stored as. The segment is v4, its table ahead of the
+    /// frames, when it comes out smaller so; otherwise v3, without
+    /// templates.
+    #[allow(clippy::too_many_arguments)]
+    fn code(
+        &mut self,
+        dir: &Path,
+        lane: u32,
+        target_seq: u32,
+        run: &[SegmentPlan],
+        windows: &[WindowEntry],
+        recompress: Option<CodecId>,
+        frames_by_codec: &mut [u64; CodecId::ALL.len()],
+    ) -> Result<(u8, Vec<u8>, Vec<WindowEntry>), TraceError> {
+        let RunCoder {
+            largest_run,
+            coder,
+            carried,
+            frames,
+            payload,
+            codecs,
+            table,
+            frame: scratch,
+        } = self;
+        coder.clear();
+        carried.clear();
+        frames.clear();
+        let total: u64 = run.iter().map(|plan| plan.meta.committed_bytes).sum();
+        *largest_run = (*largest_run).max(total);
+        for plan in run.iter().filter(|plan| !plan.windows.is_empty()) {
+            let path = dir.join(segment_file_name(lane, plan.meta.seq));
+            let source = std::fs::read(&path)?;
+            let head = SegmentHead::parse(&source, &path, lane, plan.meta.seq)?;
+            // Any target but `Identity` stores the smallest block there is.
+            let target = recompress.filter(|_| plan.recompress);
+            for &position in &plan.windows {
+                let mut entry = windows[position];
+                let frame = head.frame(&source, lane, &entry, true)?;
+                // Codec and raw length are the file's.
+                entry.codec = frame.codec.as_u8();
+                entry.raw_len = frame.raw_len;
+                let block = &source[frame.block.clone()];
+                let recode = if frame.codec == CodecId::Templated {
+                    payload.clear();
+                    codec_mut(codecs, frame.codec).decompress_framed(
+                        head.context(&frame, entry.start_ns),
+                        block,
+                        frame.raw_len as usize,
+                        payload,
+                    )?;
+                    Some(payload.as_slice())
+                } else {
+                    target
+                        .filter(|target| *target != CodecId::Identity)
+                        .map(|_| block)
+                };
+                let block = match recode {
+                    Some(payload) => {
+                        let context = FrameContext::framed(entry.start_ns, frame.events);
+                        RunBlock::Coded(coder.push(context, payload))
+                    }
+                    None => {
+                        if target.is_some() {
+                            frames_by_codec[usize::from(CodecId::Identity.as_u8())] += 1;
+                        }
+                        carried.extend_from_slice(block);
+                        RunBlock::Carried(carried.len() - block.len()..carried.len())
+                    }
+                };
+                frames.push((entry, block));
+            }
+        }
+        coder.finish();
+        let block_of = |block: &RunBlock, templated: bool| match block {
+            RunBlock::Carried(range) => (None, &carried[range.clone()]),
+            RunBlock::Coded(frame) => {
+                let (codec, block) = coder.block(*frame, templated);
+                (Some(codec), block)
+            }
+        };
+        table.clear();
+        let mut templated = false;
+        if !coder.table().is_empty() {
+            coder.table().encode(table);
+            // The frames' bytes with the table, and without it.
+            let (mut with, mut without) = (table_section_len(table), 0);
+            let mut prev = FramePrev::default();
+            for (entry, block) in frames.iter() {
+                with += frame_len(prev, entry, block_of(block, true).1.len());
+                without += frame_len(prev, entry, block_of(block, false).1.len());
+                prev = FramePrev::after(entry);
+            }
+            templated = with < without;
+        }
+
+        let version = if templated {
+            SEGMENT_VERSION_V4
+        } else {
+            SEGMENT_VERSION_V3
+        };
+        let mut merged = Vec::with_capacity(total as usize);
+        merged.extend_from_slice(&segment_header(lane, target_seq, version));
+        if templated {
+            put_table_section(&mut merged, table);
+        }
+        let mut entries = Vec::with_capacity(frames.len());
+        let mut prev = FramePrev::default();
+        for (entry, block) in frames.iter() {
+            let mut entry = *entry;
+            let (codec, block) = block_of(block, templated);
+            if let Some(codec) = codec {
+                entry.codec = codec.as_u8();
+                frames_by_codec[usize::from(codec.as_u8())] += 1;
+            }
+            entry.segment = target_seq;
+            entry.offset = merged.len() as u64;
+            entry.len = encode_frame(version, scratch, prev, &entry, block);
+            prev = FramePrev::after(&entry);
+            merged.extend_from_slice(scratch);
+            entries.push(entry);
+        }
+        Ok((version, merged, entries))
+    }
 }
 
 #[cfg(test)]

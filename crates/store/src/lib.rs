@@ -42,7 +42,10 @@
 //!   block losslessly, stored as the smallest of its `EDV` block,
 //!   packed rows coded against the frame's own meta and the payload
 //!   itself (as [`trace_model::codec::BlockChooser`] picks it), and the
-//!   frame around it by coding its meta against the frame before. It is
+//!   frame around it by coding its meta against the frame before — or
+//!   into format-v4 files, when the window shapes a segment repeats pay
+//!   for a template table stored once ahead of its frames
+//!   ([`trace_model::codec::SegmentCoder`]). It is
 //!   the one thing that rewrites a lane and runs on lanes no writer
 //!   holds: a live lane is append-only.
 //! * [`Snapshot`] / [`Tailer`] / [`CommitLog`] — the live read side. A
@@ -77,7 +80,7 @@
 //! # }
 //! ```
 //!
-//! The on-disk layout — segment and frame formats (v1, v2 and v3), codec
+//! The on-disk layout — segment and frame formats (v1, v2, v3 and v4), codec
 //! block formats, the sidecar index, the compaction journal and the
 //! crash-recovery state machine — is specified normatively in
 //! `docs/FORMAT.md` at the repository root.

@@ -32,10 +32,13 @@
 //! [`SegmentMap::shared`] front over it, every [`crate::Snapshot`] clone
 //! and the reader's own windowed read paths all hit the *same* resident
 //! bytes (and share each frame's one-time CRC validation) instead of
-//! re-reading segment files per consumer.
+//! re-reading segment files per consumer. A format-v4 segment's template
+//! table is parsed once, when its buffer loads, and handed to the codec
+//! of every templated frame in it.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use endurance_obs::{Counter, Registry};
@@ -43,9 +46,7 @@ use trace_model::codec::{BinaryDecoder, CodecId, FrameCodec, TraceDecoder};
 use trace_model::{TraceError, TraceEvent};
 
 use crate::index::WindowEntry;
-use crate::segment::{
-    frame_end, parse_segment_header, read_indexed_frame, segment_file_name, Frame,
-};
+use crate::segment::{frame_end, segment_file_name, Frame, SegmentHead};
 
 /// Default number of segment buffers a [`SegmentMap`] keeps resident.
 ///
@@ -58,31 +59,37 @@ pub const DEFAULT_RESIDENT_SEGMENTS: usize = 4;
 /// segments contend on different mutexes.
 const CACHE_SHARDS: usize = 8;
 
-/// One loaded segment: its full file contents, format version, and which
-/// frame offsets have already been CRC-validated. Shared immutably via
-/// `Arc`; the validation memo sits behind its own mutex so concurrent
-/// readers pay one short lock per *first* touch of a frame, nothing on
-/// revisits beyond the memo lookup.
+/// One loaded segment: its full file contents, its head (format version
+/// and, in v4, template table), and which frame offsets have already
+/// been CRC-validated. Shared immutably via `Arc`; the validation memo is
+/// a bitset of one bit per byte offset of the segment, so concurrent
+/// readers mark and test a frame with one atomic operation each, never a
+/// lock.
 #[derive(Debug)]
 pub(crate) struct SegmentData {
     bytes: Vec<u8>,
-    version: u8,
-    validated: Mutex<HashSet<u64>>,
+    head: SegmentHead,
+    /// Bit `offset` is set once the frame at `offset` passed its CRC.
+    validated: Box<[AtomicU64]>,
     /// Counts each first-touch CRC check; detached for buffers loaded
     /// outside a metrics-wired [`SegmentCache`].
     crc_validations: Counter,
 }
 
 impl SegmentData {
-    /// Reads the whole segment file and validates its header.
+    /// Reads the whole segment file and validates its header and, in v4,
+    /// its template table.
     fn load(dir: &Path, lane: u32, seq: u32, crc_validations: Counter) -> Result<Self, TraceError> {
         let path = dir.join(segment_file_name(lane, seq));
         let bytes = std::fs::read(&path)?;
-        let version = parse_segment_header(&bytes, &path, lane, seq)?;
+        let head = SegmentHead::parse(&bytes, &path, lane, seq)?;
+        let validated = (0..bytes.len().div_ceil(64))
+            .map(|_| AtomicU64::new(0))
+            .collect();
         Ok(SegmentData {
             bytes,
-            version,
-            validated: Mutex::new(HashSet::new()),
+            head,
+            validated,
             crc_validations,
         })
     }
@@ -90,24 +97,27 @@ impl SegmentData {
     /// Whether the buffer holds the whole frame `entry` describes (a row
     /// no frame can match is not worth a reload: reading it reports it).
     fn covers(&self, entry: &WindowEntry) -> bool {
-        frame_end(self.version, entry).map_or(true, |end| end <= self.bytes.len() as u64)
+        frame_end(self.head.version, entry).map_or(true, |end| end <= self.bytes.len() as u64)
     }
 
     /// Locates the frame of `entry` within this segment buffer: length
     /// field checked against the row, CRC validated once, codec and raw
     /// length read from the file.
     fn frame(&self, lane: u32, entry: &WindowEntry) -> Result<Frame, TraceError> {
-        let already = {
-            let validated = self.validated.lock().expect("validation memo poisoned");
-            validated.contains(&entry.offset)
-        };
-        let frame = read_indexed_frame(self.version, &self.bytes, lane, entry, !already)?;
+        // An offset past the buffer has no bit; reading it reports it. A
+        // bit is set (`Release`) only after its frame passed the check, so
+        // a reader that sees it set (`Acquire`) skips a check that
+        // happened; the bytes themselves never change.
+        let memo = usize::try_from(entry.offset)
+            .ok()
+            .and_then(|offset| Some((self.validated.get(offset / 64)?, 1u64 << (offset % 64))));
+        let already = memo.is_some_and(|(word, bit)| word.load(Ordering::Acquire) & bit != 0);
+        let frame = self.head.frame(&self.bytes, lane, entry, !already)?;
         if !already {
             self.crc_validations.inc();
-            self.validated
-                .lock()
-                .expect("validation memo poisoned")
-                .insert(entry.offset);
+            if let Some((word, bit)) = memo {
+                word.fetch_or(bit, Ordering::Release);
+            }
         }
         Ok(frame)
     }
@@ -374,7 +384,7 @@ impl SegmentMap {
         self.load_for(entry)?;
         let segment = &self.segments[&entry.segment];
         let frame = segment.frame(self.lane, entry)?;
-        let context = frame.context(entry.start_ns);
+        let context = segment.head.context(&frame, entry.start_ns);
         let block = &segment.bytes[frame.block];
         if frame.codec == CodecId::Identity {
             return Ok(block);
@@ -408,7 +418,7 @@ impl SegmentMap {
         self.load_for(entry)?;
         let segment = &self.segments[&entry.segment];
         let frame = segment.frame(self.lane, entry)?;
-        let context = frame.context(entry.start_ns);
+        let context = segment.head.context(&frame, entry.start_ns);
         let block = &segment.bytes[frame.block];
         let decoded = if frame.codec == CodecId::Identity {
             BinaryDecoder::new().decode_into(block, out)?
@@ -440,6 +450,7 @@ mod tests {
     use super::*;
     use crate::segment::{FRAME_META_LEN, SEGMENT_HEADER_LEN};
     use crate::{LaneWriter, StoreConfig, StoreReader};
+    use endurance_obs::Registry;
     use trace_model::codec::{BinaryEncoder, TraceEncoder};
     use trace_model::{EventSink, EventTypeId, RecordMeta, Timestamp, TraceEvent, WindowId};
 
@@ -540,6 +551,61 @@ mod tests {
         assert!(map.payload(&entries[0]).is_ok());
         let error = map.payload(&entries[1]).unwrap_err();
         assert!(error.to_string().contains("crc mismatch"), "{error}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Readers sharing one cache share each frame's first-touch CRC
+    /// check through the atomic memo: every frame is checked at least
+    /// once whoever touches it first, and a corrupt one fails every
+    /// reader that touches it — a failed check marks nothing.
+    #[test]
+    fn concurrent_readers_check_every_frame_they_touch() {
+        let dir = temp_dir("concurrent-memo");
+        let payloads = write_windows(&dir, 24, 8); // 3 segments
+        let reader = StoreReader::open(&dir).unwrap();
+        let entries: Vec<WindowEntry> = reader.lane_windows(0).unwrap().to_vec();
+        // Flip a payload byte of the sixth frame.
+        let path = dir.join("lane0000-000000.seg");
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[entries[5].offset as usize + 8 + FRAME_META_LEN + 1] ^= 0x40;
+        std::fs::write(&path, bytes).unwrap();
+
+        let registry = Registry::new();
+        let cache = Arc::new(SegmentCache::new(&dir).with_metrics(&registry));
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for reader in 0..4 {
+                let (cache, entries, payloads) = (Arc::clone(&cache), &entries, &payloads);
+                let start = &start;
+                scope.spawn(move || {
+                    let mut map = SegmentMap::shared(cache, 0);
+                    start.wait();
+                    // Each reader walks the lane from another frame on.
+                    for at in (0..entries.len()).map(|at| (at + reader * 5) % entries.len()) {
+                        match map.payload(&entries[at]) {
+                            Ok(payload) => assert_eq!(payload, payloads[at].as_slice()),
+                            Err(error) => {
+                                assert_eq!(at, 5);
+                                assert!(error.to_string().contains("crc mismatch"), "{error}");
+                            }
+                        }
+                    }
+                });
+            }
+        });
+        let validations = registry.snapshot().counter("store_crc_validations_total");
+        let checked = validations.unwrap();
+        // The 23 good frames at least once; a check that fails is not
+        // counted (it is the read's error).
+        assert!((23..=23 * 4).contains(&checked), "{checked}");
+        // Touched again, a good frame is not checked again; the bad one
+        // is, and fails again.
+        let mut map = SegmentMap::shared(Arc::clone(&cache), 0);
+        for (at, entry) in entries.iter().enumerate() {
+            assert_eq!(map.payload(entry).is_err(), at == 5);
+        }
+        let again = registry.snapshot().counter("store_crc_validations_total");
+        assert_eq!(again, Some(checked));
         std::fs::remove_dir_all(&dir).ok();
     }
 

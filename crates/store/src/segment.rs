@@ -4,9 +4,11 @@
 //!
 //! ```text
 //! magic    "ESEG"        4 bytes
-//! version                1 byte  (1, 2 or 3)
+//! version                1 byte  (1, 2, 3 or 4)
 //! lane                   4 bytes u32 LE
 //! segment sequence       4 bytes u32 LE
+//! template table         (v4 only) varint length L, u32 LE CRC-32 of
+//!                        the L bytes, the L bytes
 //! frames...
 //! ```
 //!
@@ -14,7 +16,7 @@
 //! and the body — meta, then the stored block:
 //!
 //! ```text
-//! v1 / v2                                  v3
+//! v1 / v2                                  v3 / v4
 //! body length     u32 LE                   varint (minimal, <= 2^30)
 //! crc32 of body   u32 LE                   u32 LE
 //! window id       u64 LE                   varint zigzag(id - prev id)
@@ -33,7 +35,9 @@
 //! Version 3 codes id, start and span (`end - start`) against the frame
 //! before it in the segment — `(0, 0, 0)` at a segment's first frame,
 //! wrapping arithmetic — so a window that follows its predecessor costs
-//! three bytes where v2 spends twenty-four. Either way a replayed trace
+//! three bytes where v2 spends twenty-four. Version 4 frames are v3's; its
+//! template table is what the templated blocks of the segment name their
+//! window shapes in. Either way a replayed trace
 //! is byte-for-byte what an in-memory sink would have kept. The version
 //! byte in the file header governs every frame in the file; version 2 is
 //! read, never written. `docs/FORMAT.md` is the normative spec;
@@ -47,8 +51,9 @@
 
 use std::collections::BTreeMap;
 use std::ops::Range;
+use std::path::Path;
 
-use trace_model::codec::{CodecId, FrameContext};
+use trace_model::codec::{CodecId, FrameContext, TemplateTable};
 use trace_model::TraceError;
 
 use crate::crc32::crc32;
@@ -64,6 +69,9 @@ pub(crate) const SEGMENT_VERSION_V2: u8 = 2;
 /// Segment format version carrying the v2 fields as varints coded
 /// against the previous frame of the segment.
 pub(crate) const SEGMENT_VERSION_V3: u8 = 3;
+/// Segment format version whose header is followed by a template table;
+/// its frames are v3's.
+pub(crate) const SEGMENT_VERSION_V4: u8 = 4;
 /// Size of the segment header in bytes.
 pub(crate) const SEGMENT_HEADER_LEN: u64 = 13;
 /// Size of a v1/v2 frame header (body length + crc) in bytes.
@@ -73,10 +81,12 @@ pub(crate) const FRAME_META_LEN: usize = 28;
 /// Upper bound on a frame body, guarding recovery against absurd lengths
 /// read from corrupt headers.
 const MAX_FRAME_BODY: u32 = 1 << 30;
+/// Upper bound on a v4 segment's template table, as on a frame body.
+pub(crate) const MAX_TABLE_BYTES: usize = MAX_FRAME_BODY as usize;
 
 /// Whether `version` is a segment format this build can read.
 pub(crate) fn known_segment_version(version: u8) -> bool {
-    (SEGMENT_VERSION_V1..=SEGMENT_VERSION_V3).contains(&version)
+    (SEGMENT_VERSION_V1..=SEGMENT_VERSION_V4).contains(&version)
 }
 
 /// The fewest meta bytes a body of a `version` segment can open with
@@ -286,6 +296,121 @@ pub(crate) fn parse_segment_header(
     Ok(bytes[4])
 }
 
+/// What a reader needs of a segment before its first frame: the format
+/// version and, in v4, the template table between the header and the
+/// frames.
+#[derive(Debug)]
+pub(crate) struct SegmentHead {
+    pub version: u8,
+    pub table: TemplateTable,
+    /// Where the first frame starts: past the header and the table.
+    pub frames_start: u64,
+}
+
+impl SegmentHead {
+    /// Validates the head of the segment file `bytes` as segment `seq` of
+    /// `lane`: the 13-byte header and, in v4, the table section after it.
+    ///
+    /// # Errors
+    ///
+    /// As [`parse_segment_header`], and [`TraceError::Decode`] for a v4
+    /// table section that is cut short, fails its CRC or does not parse:
+    /// a compactor writes a v4 segment whole (temp file, fsync, rename),
+    /// so none of that is a torn write.
+    pub(crate) fn parse(
+        bytes: &[u8],
+        path: &Path,
+        lane: u32,
+        seq: u32,
+    ) -> Result<Self, TraceError> {
+        let version = parse_segment_header(bytes, path, lane, seq)?;
+        Self::after_header(bytes, version, path)
+    }
+
+    /// The head of the segment `bytes`, whose header says `version`.
+    fn after_header(bytes: &[u8], version: u8, path: &Path) -> Result<Self, TraceError> {
+        if version != SEGMENT_VERSION_V4 {
+            return Ok(SegmentHead {
+                version,
+                table: TemplateTable::default(),
+                frames_start: SEGMENT_HEADER_LEN,
+            });
+        }
+        let corrupt = |reason: String| TraceError::Decode {
+            offset: SEGMENT_HEADER_LEN as usize,
+            reason: format!("{}: template table: {reason}", path.display()),
+        };
+        let mut at = SEGMENT_HEADER_LEN as usize;
+        let len = take_varint(bytes, &mut at, 5)
+            .filter(|&len| len <= MAX_TABLE_BYTES as u64)
+            .ok_or_else(|| corrupt("no length field".into()))? as usize;
+        let end = at + 4 + len;
+        let (Some(crc), Some(table)) = (bytes.get(at..at + 4), bytes.get(at + 4..end)) else {
+            return Err(corrupt(format!(
+                "{len} bytes run past the end of the segment"
+            )));
+        };
+        if crc32(table) != read_u32(crc, 0) {
+            return Err(corrupt("crc mismatch".into()));
+        }
+        let table = TemplateTable::parse(table).map_err(|error| corrupt(error.to_string()))?;
+        Ok(SegmentHead {
+            version,
+            table,
+            frames_start: end as u64,
+        })
+    }
+
+    /// [`read_indexed_frame`] for a row of this segment, which must start
+    /// past the table.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceError::Decode`] for a row inside the table, and as
+    /// [`read_indexed_frame`].
+    pub(crate) fn frame(
+        &self,
+        bytes: &[u8],
+        lane: u32,
+        entry: &WindowEntry,
+        verify_crc: bool,
+    ) -> Result<Frame, TraceError> {
+        if entry.offset < self.frames_start {
+            return Err(TraceError::Decode {
+                offset: entry.offset as usize,
+                reason: format!(
+                    "lane {lane} segment {} offset {}: inside the segment's template table, \
+                     which ends at {}",
+                    entry.segment, entry.offset, self.frames_start
+                ),
+            });
+        }
+        read_indexed_frame(self.version, bytes, lane, entry, verify_crc)
+    }
+
+    /// What the codec of `frame` is told about the window its block
+    /// holds: the window's start — the row's, `start_ns`, since a v3 or v4
+    /// frame codes it against the frame before — the event count the
+    /// frame's own CRC-protected meta claims, and this segment's table.
+    pub(crate) fn context(&self, frame: &Frame, start_ns: u64) -> FrameContext<'_> {
+        FrameContext::framed(start_ns, frame.events).with_templates(&self.table)
+    }
+}
+
+/// Appends a v4 segment's table section to `out`: the length of `table`
+/// (the bytes of [`TemplateTable::encode`]) as a varint, their CRC-32 and
+/// the bytes.
+pub(crate) fn put_table_section(out: &mut Vec<u8>, table: &[u8]) {
+    put_varint(out, table.len() as u64);
+    out.extend_from_slice(&crc32(table).to_le_bytes());
+    out.extend_from_slice(table);
+}
+
+/// Bytes [`put_table_section`] appends for `table`.
+pub(crate) fn table_section_len(table: &[u8]) -> u64 {
+    varint_len(table.len() as u64) + 4 + table.len() as u64
+}
+
 /// What a v3 frame is coded against: the window id, end and span
 /// (`end - start`) of the frame before it in the segment, all zero in
 /// front of the first.
@@ -335,6 +460,13 @@ impl FramePrev {
 /// Bytes of the v3 meta block holding `fields` and the codec byte.
 fn meta_len_v3(fields: [u64; 5]) -> u64 {
     fields.into_iter().map(varint_len).sum::<u64>() + 1
+}
+
+/// Bytes the v3 or v4 frame of `entry` behind `prev` takes around a block
+/// of `block_len` bytes: length varint, CRC, meta and block.
+pub(crate) fn frame_len(prev: FramePrev, entry: &WindowEntry, block_len: usize) -> u64 {
+    let body = meta_len_v3(prev.deltas(entry)) + block_len as u64;
+    varint_len(body) + 4 + body
 }
 
 fn zigzag(delta: u64) -> u64 {
@@ -402,7 +534,7 @@ fn take_meta_v3(meta: &[u8]) -> Option<([u64; 3], u32, u8, u32, usize)> {
 }
 
 /// Builds the frame (header + body) of `entry` around `block` into `out`
-/// (cleared first) and returns the body length. `version` is 1 or 3 —
+/// (cleared first) and returns the body length. `version` is 1, 3 or 4 —
 /// nothing writes v2 — and `prev` the frame this one follows. Of `entry`
 /// the window fields, `codec` and `raw_len` are coded.
 pub(crate) fn encode_frame(
@@ -425,7 +557,7 @@ pub(crate) fn encode_frame(
         out.extend_from_slice(&entry.events.to_le_bytes());
         body_len
     } else {
-        debug_assert_eq!(version, SEGMENT_VERSION_V3);
+        debug_assert!(version == SEGMENT_VERSION_V3 || version == SEGMENT_VERSION_V4);
         let fields = prev.deltas(entry);
         let body_len = (meta_len_v3(fields) + block.len() as u64) as u32;
         out.reserve(9 + body_len as usize);
@@ -467,14 +599,6 @@ pub(crate) struct Frame {
 }
 
 impl Frame {
-    /// What the frame's codec is told about the window its block holds:
-    /// the window's start — the row's, `start_ns`, since a v3 frame codes
-    /// it against the frame before — and the event count the frame's own
-    /// CRC-protected meta claims.
-    pub(crate) fn context(&self, start_ns: u64) -> FrameContext {
-        FrameContext::framed(start_ns, self.events)
-    }
-
     /// The index row of this frame, found at `offset` of segment `seq`
     /// behind the frame `prev` (an index-driven reader has it already).
     pub(crate) fn entry(&self, seq: u32, offset: u64, prev: FramePrev) -> WindowEntry {
@@ -638,9 +762,11 @@ pub(crate) fn read_indexed_frame(
     })
 }
 
-/// Bytes of frame header + meta, and of stored blocks, across `index`.
-/// A v3 frame's meta is as long as its deltas against the row before it
-/// in its segment, so this walks the rows in order.
+/// Bytes of frame header + meta, and of stored blocks, across `index`; a
+/// v4 segment's table section — between its header and its first frame
+/// — counts with the blocks whose rows it holds. A v3 frame's meta is as
+/// long as its deltas against the row before it in its segment, so this
+/// walks the rows in order.
 pub(crate) fn envelope_and_stored_bytes(index: &LaneIndex) -> (u64, u64) {
     let (mut envelope, mut stored) = (0u64, 0u64);
     let mut segment = None;
@@ -650,6 +776,9 @@ pub(crate) fn envelope_and_stored_bytes(index: &LaneIndex) -> (u64, u64) {
             segment = Some(entry.segment);
             version = index.segment_version(entry.segment);
             prev = FramePrev::default();
+            if version == SEGMENT_VERSION_V4 {
+                stored += entry.offset.saturating_sub(SEGMENT_HEADER_LEN);
+            }
         }
         let meta_len = if version >= SEGMENT_VERSION_V3 {
             meta_len_v3(prev.deltas(entry))
@@ -880,8 +1009,9 @@ pub(crate) fn scan_segment(
         });
     }
 
+    let head = SegmentHead::after_header(&bytes, version, path)?;
     let mut entries = Vec::new();
-    let mut offset = SEGMENT_HEADER_LEN;
+    let mut offset = head.frames_start;
     let mut prev = FramePrev::default();
     let mut torn = None;
     while offset < file_len {
@@ -1578,15 +1708,61 @@ mod tests {
     #[test]
     fn headers_parse_for_every_version_and_reject_unknown() {
         let path = std::path::Path::new("lane0001-000002.seg");
-        for version in [SEGMENT_VERSION_V1, SEGMENT_VERSION_V2, SEGMENT_VERSION_V3] {
+        for version in [
+            SEGMENT_VERSION_V1,
+            SEGMENT_VERSION_V2,
+            SEGMENT_VERSION_V3,
+            SEGMENT_VERSION_V4,
+        ] {
             let header = segment_header(1, 2, version);
             assert_eq!(parse_segment_header(&header, path, 1, 2).unwrap(), version);
         }
-        for version in [0, 4] {
+        for version in [0, 5] {
             let bad = segment_header(1, 2, version);
             assert!(parse_segment_header(&bad, path, 1, 2).is_err());
         }
         let bad = segment_header(1, 2, SEGMENT_VERSION_V1);
         assert!(parse_segment_header(&bad, path, 1, 3).is_err());
+    }
+
+    #[test]
+    fn a_v4_table_section_is_read_whole_or_refused() {
+        use trace_model::{EventTypeId, Timestamp, TraceEvent};
+        let path = std::path::Path::new("lane0001-000002.seg");
+        let mut table = TemplateTable::default();
+        table.push(&[TraceEvent::new(
+            Timestamp::from_nanos(0),
+            EventTypeId::new(3),
+            900,
+        )]);
+        let mut encoded = Vec::new();
+        table.encode(&mut encoded);
+        let mut file = segment_header(1, 2, SEGMENT_VERSION_V4).to_vec();
+        put_table_section(&mut file, &encoded);
+        assert_eq!(file.len() as u64, 13 + table_section_len(&encoded));
+        let head = SegmentHead::parse(&file, path, 1, 2).unwrap();
+        assert_eq!((head.table, head.frames_start), (table, file.len() as u64));
+        // Cut short anywhere past the header, or any bit flipped in the
+        // section: an error, never a table.
+        for cut in 13..file.len() {
+            assert!(
+                SegmentHead::parse(&file[..cut], path, 1, 2).is_err(),
+                "cut {cut}"
+            );
+        }
+        for at in 13..file.len() {
+            for bit in 0..8 {
+                let mut flipped = file.clone();
+                flipped[at] ^= 1 << bit;
+                assert!(
+                    SegmentHead::parse(&flipped, path, 1, 2).is_err(),
+                    "{at}.{bit}"
+                );
+            }
+        }
+        // A v3 segment has no table; its frames start at the header's end.
+        let v3 = segment_header(1, 2, SEGMENT_VERSION_V3);
+        let head = SegmentHead::parse(&v3, path, 1, 2).unwrap();
+        assert!(head.table.is_empty() && head.frames_start == SEGMENT_HEADER_LEN);
     }
 }

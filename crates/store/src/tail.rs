@@ -23,7 +23,7 @@ use crate::index::WindowEntry;
 use crate::map::codec_mut;
 use crate::reader::claimed_events;
 use crate::segment::{
-    parse_segment_header, read_frame, segment_file_name, FramePrev, FrameRead, SEGMENT_HEADER_LEN,
+    read_frame, segment_file_name, FramePrev, FrameRead, SegmentHead, SEGMENT_HEADER_LEN,
 };
 
 /// One committed window delivered by a [`Tailer`].
@@ -105,8 +105,9 @@ pub struct Tailer {
     /// Locally buffered prefix of the current segment file: exactly the
     /// bytes up to the bound of the last fill, never one past it.
     buf: Vec<u8>,
-    version: u8,
-    header_parsed: bool,
+    /// The current segment's head — format version and, in v4, template
+    /// table — once the first fill has parsed it.
+    head: Option<SegmentHead>,
     /// The frame delivered before the cursor in this segment (what a v3
     /// frame is coded against): zero on entering a segment, kept across
     /// [`Tailer::rebind`] — the cursor does not move.
@@ -128,8 +129,7 @@ impl Tailer {
             offset: 0,
             file: None,
             buf: Vec::new(),
-            version: 0,
-            header_parsed: false,
+            head: None,
             prev: FramePrev::default(),
             delivered: 0,
             codecs: Vec::new(),
@@ -285,14 +285,15 @@ impl Tailer {
         self.offset = SEGMENT_HEADER_LEN;
         self.file = None;
         self.buf.clear();
-        self.header_parsed = false;
+        self.head = None;
         self.prev = FramePrev::default();
     }
 
     /// Grows the local buffer to cover exactly `bound` bytes of segment
     /// `seq` — one `read` per advance of the bound, none when the buffer
-    /// already covers it — and validates the segment header once. Bytes
-    /// past `bound` (an in-flight frame, crash garbage) are never
+    /// already covers it — and parses the segment's head once, moving a
+    /// cursor at the header's end past a v4 segment's template table.
+    /// Bytes past `bound` (an in-flight frame, crash garbage) are never
     /// buffered: a later bound that covers them reads them then.
     fn fill_to(&mut self, seq: u32, bound: u64) -> Result<(), TraceError> {
         let have = self.buf.len();
@@ -322,10 +323,10 @@ impl Tailer {
             }
         }
         debug_assert!(self.buf.len() as u64 <= bound);
-        if !self.header_parsed {
-            self.version =
-                parse_segment_header(&self.buf, &self.segment_path(seq), self.lane, seq)?;
-            self.header_parsed = true;
+        if self.head.is_none() {
+            let head = SegmentHead::parse(&self.buf, &self.segment_path(seq), self.lane, seq)?;
+            self.offset = self.offset.max(head.frames_start);
+            self.head = Some(head);
         }
         Ok(())
     }
@@ -343,7 +344,10 @@ impl Tailer {
             offset: offset as usize,
             reason,
         };
-        let frame = match read_frame(self.version, &self.buf, offset, true)? {
+        let Some(head) = &self.head else {
+            return Err(corrupt(format!("segment {seq}: head not parsed")));
+        };
+        let frame = match read_frame(head.version, &self.buf, offset, true)? {
             FrameRead::Frame(frame) => frame,
             FrameRead::Torn(reason) => {
                 return Err(corrupt(format!(
@@ -354,7 +358,7 @@ impl Tailer {
             }
         };
         let (entry, codec) = (frame.entry(seq, offset, self.prev), frame.codec);
-        let context = frame.context(entry.start_ns);
+        let context = head.context(&frame, entry.start_ns);
         let block = &self.buf[frame.block];
         let payload = if codec == CodecId::Identity {
             block.to_vec()
@@ -390,12 +394,17 @@ mod tests {
     }
 
     fn record(writer: &mut LaneWriter, id: u64, count: usize) -> Vec<u8> {
+        record_with(writer, id, count, id as u32)
+    }
+
+    /// [`record`], every event carrying `payload`.
+    fn record_with(writer: &mut LaneWriter, id: u64, count: usize, payload: u32) -> Vec<u8> {
         let events: Vec<TraceEvent> = (0..count)
             .map(|i| {
                 TraceEvent::new(
                     Timestamp::from_micros(id * 1_000 + i as u64 * 10),
                     EventTypeId::new((i % 3) as u16),
-                    id as u32,
+                    payload,
                 )
             })
             .collect();
@@ -447,34 +456,46 @@ mod tests {
     }
 
     /// Windows `0..ids` of 20 events recorded into lane 0 and the lane
-    /// closed, then — when `compress` — recompressed by a `Compactor`
-    /// pass: the way a lane comes to hold compressed (v3) frames. Returns
-    /// their payloads.
+    /// closed, then — unless `version` is 1 — recompressed by a
+    /// `Compactor` pass: the way a lane comes to hold compressed frames,
+    /// in a v3 segment, or in a v4 one when every window has the same
+    /// shape, payloads included. Returns their payloads.
     fn closed_lane(
         dir: &std::path::Path,
         config: StoreConfig,
         ids: u64,
-        compress: bool,
+        version: u8,
     ) -> Vec<Vec<u8>> {
         let mut writer = LaneWriter::create(dir, 0, config).unwrap();
-        let payloads = (0..ids).map(|id| record(&mut writer, id, 20)).collect();
+        let payloads = (0..ids)
+            .map(|id| match version {
+                4 => record_with(&mut writer, id, 20, 7),
+                _ => record(&mut writer, id, 20),
+            })
+            .collect();
         writer.close().unwrap();
-        if compress {
+        if version > 1 {
             let policy = MaintenancePolicy::disabled().with_recompress(CodecId::DeltaVarint);
             let report = Compactor::new(dir, policy).compact().unwrap();
             assert!(report.recompressed_windows() > 0, "{report}");
+        }
+        // (A pass folds the lane into its first segment.)
+        if ids > 0 {
+            let first = std::fs::read(dir.join("lane0000-000000.seg")).unwrap();
+            assert_eq!(first[4], version);
         }
         payloads
     }
 
     #[test]
     fn tail_output_matches_a_cold_snapshot_byte_for_byte() {
-        for compress in [false, true] {
-            let dir = temp_dir(&format!("vs-snap-{compress}"));
+        for version in [1, 3, 4] {
+            let dir = temp_dir(&format!("vs-snap-{version}"));
             let config = StoreConfig::default().with_segment_max_windows(2);
-            closed_lane(&dir, config, 4, compress);
+            closed_lane(&dir, config, 4, version);
             // A follower of the resumed lane reads the closed prefix (v1,
-            // or v3 under EDV) and then what the new writer appends.
+            // v3 or v4 — its table ahead of its frames) and then what the
+            // new writer appends.
             let mut writer = LaneWriter::create(&dir, 0, config).unwrap();
             let mut tailer = Tailer::follow(&dir, writer.commit_log());
             for id in 4..7u64 {
@@ -489,7 +510,7 @@ mod tests {
             assert_eq!(
                 tailed,
                 snapshot.lane_payload_bytes(0).unwrap(),
-                "{compress}"
+                "v{version}"
             );
             std::fs::remove_dir_all(&dir).ok();
         }
@@ -563,15 +584,15 @@ mod tests {
     /// bound of a fill (here 400 bytes standing in for an in-flight
     /// frame) must not reach the follower's buffer, or a later bound
     /// that covers the same offsets is served from the stale copy —
-    /// behind a closed prefix of the lane, plain or compressed.
+    /// behind a closed prefix of the lane, plain, compressed or templated.
     #[test]
     fn bytes_past_the_bound_are_never_buffered() {
         use std::io::Write;
-        for (prefix, compress) in [(0, false), (1, false), (1, true)] {
-            let what = format!("prefix {prefix} compress {compress}");
-            let dir = temp_dir(&format!("past-bound-{prefix}-{compress}"));
+        for (prefix, version) in [(0, 1), (1, 1), (1, 3), (3, 4)] {
+            let what = format!("prefix {prefix} v{version}");
+            let dir = temp_dir(&format!("past-bound-{prefix}-{version}"));
             let config = StoreConfig::default();
-            let mut payloads = closed_lane(&dir, config, prefix, compress);
+            let mut payloads = closed_lane(&dir, config, prefix, version);
             let mut writer = LaneWriter::create(&dir, 0, config).unwrap();
             let mut tailer = Tailer::follow(&dir, writer.commit_log());
             payloads.push(record(&mut writer, prefix, 6));

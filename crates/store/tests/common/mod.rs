@@ -480,3 +480,63 @@ pub fn golden_v3_windows() -> Vec<Window> {
         })
         .collect()
 }
+
+/// `lane0000-000000.seg` of `golden_v4_windows`, as a pass targeting
+/// `DeltaVarint` writes it (FORMAT.md §2.1, §3.4): the 13-byte header
+/// with version 4, then the template table section — `23 a7e3a544`, 35
+/// bytes and their CRC-32 — holding `02` templates: `06` rows of shape
+/// A, `(01, e807)` first (type 0, `Info`, payload 1 000), and `05` of
+/// shape B, each the rows of the first window of its shape. Then v3
+/// frames. Six are templated; read the fifth, `22 0062e5dc 02 00 00 06
+/// 04 38 00 01 04 f0a204 …`: a 34-byte body; id, start and span one
+/// window on; six events; templated; 56 raw bytes; template 0 with one
+/// exception, at row 4, payload 70 000; then the time column. The last
+/// window has a shape of its own and stays packed rows (codec `03`).
+pub const GOLDEN_V4_SEG: &str = "\
+     4553454704000000000000000023a7e3a544020601e80705e90709ea0701eb07\
+     05ec0709ed07050d000dc80111900311d80415a00626032ec425d80480e08bb4\
+     5980e892260604370000a0068b9bee028b9bee028b9bee028b9bee028b9bee02\
+     1a260f446a02000005042e0100ea068b9bee028b9bee028b9bee028b9bee021e\
+     4a4929a70200000604370000b4078b9bee028b9bee028b9bee028b9bee028b9b\
+     ee021a7b4fe9c802000005042e0100fe078b9bee028b9bee028b9bee028b9bee\
+     02220062e5dc020000060438000104f0a204c8088b9bee028b9bee028b9bee02\
+     8b9bee028b9bee021ab706ff7202000005042e010092098b9bee028b9bee028b\
+     9bee028b9bee021cfe81f71e020000040323dc091d288b9bee0221298b9bee02\
+     252a8b9bee021d2b";
+
+/// Seven windows, 40 ms each, back to back: shapes A (six events of
+/// three types) and B (five events of three other types) alternating
+/// three times each — the fifth window, of shape A, with one payload of
+/// its own — and a last window whose four events have a shape no other
+/// window has.
+pub fn golden_v4_windows() -> Vec<Window> {
+    (0..7u64)
+        .map(|at| {
+            let id = 300 + at;
+            let start_ns = id * 40_000_000;
+            let event = |row: u64, ty: u16, payload: u32| {
+                let ns = start_ns + 400 + row * 6_000_000 + (at * 37 + row * 11) % 900;
+                TraceEvent::new(Timestamp::from_nanos(ns), EventTypeId::new(ty), payload)
+            };
+            let events: Vec<TraceEvent> = match at {
+                6 => (0..4)
+                    .map(|row| event(row, [7, 8, 9, 7][row as usize], 40 + row as u32))
+                    .collect(),
+                _ if at % 2 == 0 => (0..6)
+                    .map(|row| {
+                        let payload = if at == 4 && row == 4 {
+                            70_000
+                        } else {
+                            1_000 + row as u32
+                        };
+                        event(row, (row % 3) as u16, payload)
+                    })
+                    .collect(),
+                _ => (0..5)
+                    .map(|row| event(row, [3, 3, 4, 4, 5][row as usize], 200 * row as u32))
+                    .collect(),
+            };
+            Window::new(id, start_ns, start_ns + 40_000_000, events)
+        })
+        .collect()
+}

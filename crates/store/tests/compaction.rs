@@ -3,7 +3,8 @@
 //! horizon, clean close or crash — must preserve the exact payload bytes
 //! of every surviving window, answer `windows_in_range` identically for
 //! the retained set, and leave a store that reopens clean and compacts to
-//! a fixed point.
+//! a fixed point — template tables and templated frames of format-v4
+//! segments included.
 
 mod common;
 
@@ -384,5 +385,97 @@ fn the_registry_says_where_the_bytes_went() {
         again.counter("store_compaction_envelope_before_bytes_total"),
         Some(180)
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Runs that hold v4 segments: a merge and a retention rewrite replay
+/// what was recorded, byte for byte, and code every templated block anew
+/// against the consolidated segment's own table — none is copied from the
+/// segment whose table it named.
+#[test]
+fn merges_and_retention_over_v4_segments_code_templated_blocks_anew() {
+    use common::{segment_files, write_compressed_lane, Window};
+    use endurance_store::CodecId;
+    let dir = temp_dir(9_200_000);
+    // 48 windows of four shapes, every eleventh with a payload of its own;
+    // eight to a run, each run recompressed into a segment of its own.
+    let windows: Vec<Window> = (0..48u64)
+        .map(|id| {
+            let (start, shape) = (id * 40_000_000, id % 4);
+            let events = (0..6 + shape)
+                .map(|row| {
+                    TraceEvent::new(
+                        Timestamp::from_nanos(start + row * 5_000_000 + (id * 13) % 700),
+                        EventTypeId::new(((shape + row) % 5) as u16),
+                        (shape * 100 + row) as u32 + u32::from(id % 11 == row),
+                    )
+                })
+                .collect();
+            Window::new(id, start, start + 40_000_000, events)
+        })
+        .collect();
+    write_compressed_lane(&dir, 0, &windows, 8, CodecId::DeltaVarint);
+    let versions = |dir: &std::path::Path| -> Vec<u8> {
+        segment_files(dir, 0).iter().map(|file| file.1).collect()
+    };
+    assert_eq!(versions(&dir), [4; 6]);
+    let codecs = |dir: &std::path::Path| -> Vec<u8> {
+        let reader = StoreReader::open(dir).unwrap();
+        let rows = reader.lane_windows(0).unwrap();
+        rows.iter().map(|row| row.codec).collect()
+    };
+    let templated = |codecs: &[u8]| codecs.iter().filter(|codec| **codec == 4).count() as u64;
+    let payloads = |windows: &[Window]| -> Vec<u8> {
+        windows.iter().flat_map(|w| w.payload.clone()).collect()
+    };
+
+    // Merge: one segment, whose table holds each shape once, and every
+    // frame that was templated coded anew — the rest carried over.
+    let before = templated(&codecs(&dir));
+    assert!(before > 40, "{before}");
+    let merge = MaintenancePolicy::merge_below(u64::MAX / 4);
+    let report = Compactor::new(&dir, merge).compact().unwrap();
+    assert_eq!(
+        report.frames_by_codec().iter().sum::<u64>(),
+        before,
+        "{report}"
+    );
+    assert_eq!(report.grown_bytes(), 0, "{report}");
+    assert_eq!(versions(&dir), [4]);
+    let segment = std::fs::read(dir.join("lane0000-000000.seg")).unwrap();
+    let (mut len, mut at) = (0usize, 13);
+    while segment[at] & 0x80 != 0 {
+        len |= usize::from(segment[at] & 0x7f) << (7 * (at - 13));
+        at += 1;
+    }
+    len |= usize::from(segment[at]) << (7 * (at - 13));
+    let table = &segment[at + 5..at + 5 + len];
+    let table = trace_model::codec::TemplateTable::parse(table).unwrap();
+    assert_eq!(table.len(), 4);
+    let reader = StoreReader::open(&dir).unwrap();
+    assert!(reader.recovery().clean);
+    assert_eq!(reader.lane_payload_bytes(0).unwrap(), payloads(&windows));
+    drop(reader);
+    assert!(Compactor::new(&dir, merge).compact().unwrap().is_noop());
+
+    // Retention takes the head: the rest is rewritten behind new
+    // predecessors, its templates chosen again from the windows left.
+    let cutoff = windows[29].end_ns;
+    let retain = merge.with_retention_ns(windows[47].end_ns - cutoff);
+    let surviving = templated(&codecs(&dir)[30..]);
+    let report = Compactor::new(&dir, retain).compact().unwrap();
+    assert_eq!(report.windows_dropped(), 30);
+    assert_eq!(
+        report.frames_by_codec().iter().sum::<u64>(),
+        surviving,
+        "{report}"
+    );
+    assert_eq!(versions(&dir), [4]);
+    let reader = StoreReader::open(&dir).unwrap();
+    assert_eq!(
+        reader.lane_payload_bytes(0).unwrap(),
+        payloads(&windows[30..])
+    );
+    assert!(codecs(&dir).contains(&4));
     std::fs::remove_dir_all(&dir).ok();
 }

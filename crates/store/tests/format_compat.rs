@@ -8,16 +8,17 @@
 //! for byte. So are format v2, which nothing writes any more — a
 //! directory the last v2-writing build left is carried as bytes — and
 //! format v3, by a golden segment whose `LZB` frames nothing writes any
-//! more either.
+//! more either, and by one of packed rows; format v4, its template table
+//! and templated frames, by another.
 
 mod common;
 
 use proptest::prelude::*;
 
 use common::{
-    dir_contents, golden_packed_windows, golden_v3_windows, parent_v2_windows, segment_files,
-    unhex, window_events, write_compressed_lane, write_v2_segment, Window, GOLDEN_PACKED_V3_SEG,
-    GOLDEN_V3_SEG, PARENT_V2_STORE,
+    dir_contents, golden_packed_windows, golden_v3_windows, golden_v4_windows, parent_v2_windows,
+    segment_files, unhex, window_events, write_compressed_lane, write_v2_segment, Window,
+    GOLDEN_PACKED_V3_SEG, GOLDEN_V3_SEG, GOLDEN_V4_SEG, PARENT_V2_STORE,
 };
 
 use endurance_store::{
@@ -774,7 +775,7 @@ fn golden_packed_v3_segment_pins_the_layout() {
     writer.close().unwrap();
     let policy = MaintenancePolicy::merge_below(u64::MAX / 4).with_recompress(CodecId::DeltaVarint);
     let report = Compactor::new(&dir, policy).compact().unwrap();
-    assert_eq!(report.frames_by_codec(), [0, 1, 0, 4], "{report}");
+    assert_eq!(report.frames_by_codec(), [0, 1, 0, 4, 0], "{report}");
     let written = std::fs::read(dir.join("lane0000-000000.seg")).unwrap();
     assert!(
         written == golden,
@@ -794,6 +795,105 @@ fn golden_packed_v3_segment_pins_the_layout() {
     // The empty window: a body of meta alone.
     assert_eq!(rows[2].len, 6);
     assert_eq!(rows[2].offset + 1 + 4 + 6, rows[3].offset);
+}
+
+/// The bytes of `dir`'s `name`, as the hex a golden constant holds.
+fn hex_of(dir: &std::path::Path, name: &str) -> String {
+    std::fs::read(dir.join(name))
+        .unwrap()
+        .iter()
+        .map(|byte| format!("{byte:02x}"))
+        .collect()
+}
+
+#[test]
+fn golden_v4_segment_pins_the_layout() {
+    let golden = unhex(GOLDEN_V4_SEG);
+    let windows = golden_v4_windows();
+
+    // Encoder: a recompressing merge of what a writer recorded emits the
+    // golden bytes — six windows of two shapes templated, the last packed.
+    let dir = temp_dir("golden-v4-write");
+    let mut writer = LaneWriter::create(&dir, 0, StoreConfig::default()).unwrap();
+    for window in &windows {
+        window.record(&mut writer);
+    }
+    writer.close().unwrap();
+    let policy = MaintenancePolicy::merge_below(u64::MAX / 4).with_recompress(CodecId::DeltaVarint);
+    let report = Compactor::new(&dir, policy).compact().unwrap();
+    assert_eq!(report.frames_by_codec(), [0, 0, 0, 1, 6], "{report}");
+    let written = std::fs::read(dir.join("lane0000-000000.seg")).unwrap();
+    assert!(
+        written == golden,
+        "lane0000-000000.seg drifted from the golden bytes:\n{}",
+        hex_of(&dir, "lane0000-000000.seg")
+    );
+    // A second pass finds nothing to do: v4 is no recompression candidate.
+    assert!(Compactor::new(&dir, policy).compact().unwrap().is_noop());
+    std::fs::remove_dir_all(&dir).ok();
+
+    // Decoder: scanner, sidecar and follower read the templated frames
+    // against the table.
+    let rows =
+        assert_golden_segment_replays("golden-v4", &golden, &windows, &[4, 4, 4, 4, 4, 4, 3]);
+    assert_eq!(golden[4], 4, "version byte");
+    // The table section: `varint L`, CRC, L bytes, then the first frame.
+    let table_len = usize::from(golden[13]);
+    assert!(table_len < 0x80);
+    let table = &golden[18..18 + table_len];
+    assert_eq!(crc32(table).to_le_bytes(), golden[14..18]);
+    assert_eq!(rows[0].offset as usize, 18 + table_len);
+    // Two templates: six rows of shape A, five of shape B.
+    assert_eq!(&table[..2], &[2, 6]);
+    // The fifth frame, past its length, CRC and six meta bytes: template
+    // 0, one exception, at row 4, payload 70 000.
+    let block = rows[4].offset as usize + 1 + 4 + 6;
+    assert_eq!(golden[block..block + 6], [0, 1, 4, 0xf0, 0xa2, 0x04]);
+}
+
+#[test]
+fn a_sidecar_row_inside_a_v4_table_fails_its_first_read() {
+    let dir = temp_dir("v4-row-in-table");
+    std::fs::write(dir.join("lane0000-000000.seg"), unhex(GOLDEN_V4_SEG)).unwrap();
+    // A writer recovers the lane and leaves a sidecar of its rows.
+    LaneWriter::create(&dir, 0, StoreConfig::default())
+        .unwrap()
+        .close()
+        .unwrap();
+    // Point the first row at the header's end — inside the table — and
+    // reseal: the row check (FORMAT.md §4) bounds rows at the header, not
+    // at the table, so the sidecar is trusted.
+    let path = dir.join("lane0000.idx");
+    let mut idx = std::fs::read(&path).unwrap();
+    let row = 24 + 13;
+    idx[row + 32..row + 40].copy_from_slice(&13u64.to_le_bytes());
+    let sealed = idx.len() - 4;
+    let crc = crc32(&idx[..sealed]);
+    idx[sealed..].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(&path, &idx).unwrap();
+    let reader = StoreReader::open(&dir).unwrap();
+    assert!(reader.recovery().clean, "{:?}", reader.recovery());
+    for error in [
+        reader.lane_events(0).unwrap_err(),
+        reader.lane_payload_bytes(0).unwrap_err(),
+        reader.window_events(0, WindowId::new(300)).unwrap_err(),
+    ] {
+        assert!(
+            matches!(error, trace_model::TraceError::Decode { .. })
+                && error.to_string().contains("template table"),
+            "{error}"
+        );
+    }
+    // The other rows read as ever.
+    let windows = golden_v4_windows();
+    assert_eq!(
+        reader
+            .window_events(0, WindowId::new(301))
+            .unwrap()
+            .unwrap(),
+        windows[1].events
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 proptest! {

@@ -1,5 +1,6 @@
 //! Hostile `.seg` bytes: every truncation, every single-bit flip and
-//! `0xFF` runs at every offset of small format-v1, -v2 and -v3 segments,
+//! `0xFF` runs at every offset of small format-v1, -v2, -v3 and -v4
+//! segments (a v4 one's template table included),
 //! read back through the scanner (no sidecar) and through the index path
 //! (the sidecar of the undamaged lane still in place).
 //!
@@ -11,13 +12,13 @@
 //! it, this test would not finish). One function parses frames
 //! (`segment::read_frame`); this is the sweep over it, from outside. The
 //! `LZB` sweeps read the checked-in bytes of earlier builds, since
-//! nothing writes `LZB` any more.
+//! nothing writes `LZB` any more, and the v4 sweep the golden v4 segment.
 
 mod common;
 
 use common::{
-    events_encoding_to, golden_v3_windows, parent_v2_windows, segment_header, unhex,
-    write_v2_segment, Window, GOLDEN_V3_SEG, PARENT_V2_STORE,
+    events_encoding_to, golden_v3_windows, golden_v4_windows, parent_v2_windows, segment_header,
+    unhex, write_v2_segment, Window, GOLDEN_V3_SEG, GOLDEN_V4_SEG, PARENT_V2_STORE,
 };
 use endurance_store::{
     crc32, CodecId, Compactor, LaneWriter, MaintenancePolicy, Snapshot, StoreConfig, StoreReader,
@@ -85,7 +86,9 @@ impl Pristine {
     /// v3 one holding identity, packed and `EDV` frames; or,
     /// under `LzBlock`, what earlier builds left: the frames of lane 1 of
     /// `PARENT_V2_STORE` as one v2 segment, and the first eight frames of
-    /// `GOLDEN_V3_SEG` (the first two `LZB` ones among them).
+    /// `GOLDEN_V3_SEG` (the first two `LZB` ones among them); under
+    /// `Templated`, `GOLDEN_V4_SEG`: a template table, templated frames
+    /// and one packed.
     fn build(version: u8, codec: CodecId) -> Self {
         let dir = temp_dir(&format!("v{version}-{}", codec.as_u8()));
         let mut windows = windows();
@@ -124,6 +127,10 @@ impl Pristine {
                     .to_vec();
                 std::fs::write(dir.join(SEGMENT), &golden[..rows[8].offset as usize]).unwrap();
             }
+            (4, CodecId::Templated) => {
+                windows = golden_v4_windows();
+                std::fs::write(dir.join(SEGMENT), unhex(GOLDEN_V4_SEG)).unwrap();
+            }
             other => unreachable!("no {other:?} lane"),
         }
         if !dir.join(SIDECAR).exists() {
@@ -141,7 +148,11 @@ impl Pristine {
         assert_eq!(rows.len(), windows.len());
         if version > 1 {
             assert!(rows.iter().any(|row| row.codec == codec.as_u8()), "{codec}");
-            assert!(rows.iter().any(|row| row.codec == 0), "{codec}");
+            // (Every window of the v4 golden is canonical `ETRC`.)
+            assert!(
+                rows.iter().any(|row| row.codec == 0) || version == 4,
+                "{codec}"
+            );
         }
         if (version, codec) == (3, CodecId::DeltaVarint) {
             // The pass stores each frame as its smallest block: the payload
@@ -207,7 +218,10 @@ impl Pristine {
                     self.frame_boundary(rows.len()),
                     "{what}"
                 ),
-                [tail] if rows.is_empty() => assert!(tail.offset <= 13, "{what}: {tail:?}"),
+                // (At the header's end, or the v4 table's.)
+                [tail] if rows.is_empty() => {
+                    assert!(tail.offset <= self.frame_boundary(0), "{what}: {tail:?}")
+                }
                 [tail] => {
                     assert_eq!(tail.offset, committed, "{what}");
                     assert_eq!(
@@ -359,6 +373,14 @@ fn no_byte_of_a_v2_segment_can_make_a_reader_lie() {
 fn no_byte_of_a_v3_segment_can_make_a_reader_lie() {
     sweep(&Pristine::build(3, CodecId::DeltaVarint));
     sweep(&Pristine::build(3, CodecId::LzBlock));
+}
+
+/// A cut or a flipped bit inside the template table is corruption, not a
+/// torn tail — a pass writes a v4 segment whole — so the scanner refuses
+/// the segment typed, and a trusted sidecar's reads fail typed too.
+#[test]
+fn no_byte_of_a_v4_segment_can_make_a_reader_lie() {
+    sweep(&Pristine::build(4, CodecId::Templated));
 }
 
 /// Length fields no writer emits, spliced in front of an intact v3

@@ -137,17 +137,31 @@ proptest! {
         close in any::<bool>(),
         recompress in any::<bool>(),
         retention_fraction in 0.0f64..1.3,
+        compressed_before in any::<bool>(),
     ) {
         let tag = format!(
-            "{lanes}-{windows}-{per_segment}-{}-{}-{}",
+            "{lanes}-{windows}-{per_segment}-{}-{}-{}-{}",
             u8::from(close),
             u8::from(recompress),
-            (retention_fraction * 73.0) as u64
+            (retention_fraction * 73.0) as u64,
+            u8::from(compressed_before)
         );
         let serial_dir = temp_dir(&format!("serial-{tag}"));
         let parallel_dir = temp_dir(&format!("parallel-{tag}"));
-        write_store(&serial_dir, lanes, windows, per_segment, close);
-        write_store(&parallel_dir, lanes, windows, per_segment, close);
+        for dir in [&serial_dir, &parallel_dir] {
+            write_store(dir, lanes, windows, per_segment, close);
+            if compressed_before {
+                // An earlier pass left v3 and v4 segments of at most
+                // 4 KiB (a window's shape recurs every fifth window), for
+                // the pass below to merge and cut.
+                let earlier = MaintenancePolicy::disabled()
+                    .with_recompress(CodecId::DeltaVarint)
+                    .with_max_merged_bytes(4 * 1024)
+                    .with_compact_workers(1);
+                Compactor::new(dir, earlier).compact().unwrap();
+            }
+        }
+        let recorded = replay(&serial_dir);
 
         let mut policy = MaintenancePolicy::merge_below(u64::MAX)
             .with_retention_ns(((windows * 40_000_000) as f64 * retention_fraction) as u64 + 1);
@@ -177,6 +191,10 @@ proptest! {
                 "file {} differs between serial and parallel passes",
                 name
             );
+        }
+        // And the pass kept what it did not drop, event for event.
+        for (lane, events) in replay(&serial_dir) {
+            prop_assert!(recorded[&lane].ends_with(&events));
         }
 
         std::fs::remove_dir_all(&serial_dir).ok();
@@ -879,7 +897,8 @@ proptest! {
         assert_tailed(&record_followed(&v3, rotate, &[], 0), &windows);
         prop_assert!(versions(&v1).iter().all(|version| *version == 1));
         prop_assert!(versions(&v2).iter().all(|version| *version == 2));
-        prop_assert!(versions(&v3).iter().all(|version| *version == 3));
+        // A run whose windows repeat a shape may earn a template table.
+        prop_assert!(versions(&v3).iter().all(|version| [3, 4].contains(version)));
         prop_assert_eq!(versions(&v2).len(), versions(&v3).len());
 
         let codecs_v1 = assert_every_reader_replays(&v1, &windows, shuffle);
@@ -887,10 +906,13 @@ proptest! {
         let codecs_v3 = assert_every_reader_replays(&v3, &windows, shuffle);
         prop_assert!(codecs_v1.iter().all(|codec| *codec == 0));
         // v2 holds what v2 builds stored, `EDV` or the payload; a pass of
-        // this build stores the smaller of `EDV` and packed rows, both
-        // smaller than any canonical payload.
+        // this build stores the smallest of `EDV`, packed rows and — in a
+        // v4 segment — templated rows, all smaller than any canonical
+        // payload.
         prop_assert!(codecs_v2.iter().all(|codec| [0, 1].contains(codec)));
-        prop_assert!(codecs_v3.iter().all(|codec| [1, 3].contains(codec)));
+        prop_assert!(codecs_v3.iter().all(|codec| [1, 3, 4].contains(codec)));
+        let templated = |codecs: &[u8]| codecs.contains(&CodecId::Templated.as_u8());
+        prop_assert_eq!(templated(&codecs_v3), versions(&v3).contains(&4));
 
         // One lane in all three formats: thirds of the sequence written
         // and recompressed, from the fixture builder, and from the writer
@@ -907,14 +929,16 @@ proptest! {
         assert_every_reader_replays(&mixed, &windows, shuffle);
         let merge = MaintenancePolicy::merge_below(u64::MAX / 4);
         compact(&mixed, merge.with_recompress(codec));
-        prop_assert_eq!(versions(&mixed), [3]);
+        prop_assert_eq!(versions(&mixed).len(), 1);
         assert_every_reader_replays(&mixed, &windows, shuffle);
 
         // v3 + v3 merged, v2 + v2 merged — blocks carried over as they
-        // were — and v1 recompressed (which merges the run it re-encodes):
-        // one v3 segment each, v1's and v3's the same byte for byte, index
-        // included.
+        // were, but for templated ones, which are chosen again — and v1
+        // recompressed (which merges the run it re-encodes): one segment
+        // each. Without a template anywhere, v1's and v3's are the same
+        // v3 segment byte for byte, index included.
         let lone_segment = versions(&v3).len() == 1;
+        let v3_templated = templated(&codecs_v3);
         compact(&v3, merge);
         compact(&v2, merge);
         compact(&v1, MaintenancePolicy::disabled().with_recompress(codec));
@@ -922,13 +946,23 @@ proptest! {
             // (A lone v2 segment is no run to merge: it migrates when a
             // pass has a reason to rewrite it, and not before.)
             let migrated = !(lone_segment && dir == &v2);
-            prop_assert_eq!(versions(dir), [if migrated { 3 } else { 2 }]);
-            let codecs = if dir == &v2 { &codecs_v2 } else { &codecs_v3 };
-            prop_assert_eq!(&assert_every_reader_replays(dir, &windows, shuffle), codecs);
+            let version = versions(dir);
+            let codecs = assert_every_reader_replays(dir, &windows, shuffle);
+            if dir == &v2 {
+                prop_assert_eq!(version, [if migrated { 3 } else { 2 }]);
+                prop_assert_eq!(&codecs, &codecs_v2);
+            } else {
+                prop_assert_eq!(version, [if templated(&codecs) { 4 } else { 3 }]);
+                if !v3_templated && !templated(&codecs) {
+                    prop_assert_eq!(&codecs, &codecs_v3);
+                }
+            }
             // (The scanner check took the sidecar; a resume puts it back.)
             LaneWriter::create(dir, 0, rotate).unwrap().close().unwrap();
         }
-        prop_assert!(dir_contents(&v1) == dir_contents(&v3), "recompressed v1 != merged v3");
+        if versions(&v1) == [3] && !v3_templated {
+            prop_assert!(dir_contents(&v1) == dir_contents(&v3), "recompressed v1 != merged v3");
+        }
 
         // Retention takes windows out of the middle of that segment — the
         // head included, whenever the first window is not among the
@@ -940,7 +974,7 @@ proptest! {
             compact(&v3, merge.with_retention_ns(newest - cutoff));
             let kept: Vec<Window> = windows.iter().filter(|w| w.end_ns > cutoff).cloned().collect();
             prop_assert!(kept.len() < windows.len());
-            prop_assert_eq!(versions(&v3), [3]);
+            prop_assert_eq!(versions(&v3).len(), 1);
             assert_every_reader_replays(&v3, &kept, shuffle);
         }
         for dir in [v1, v2, v3, mixed] {

@@ -27,12 +27,18 @@
 //!   against and the event count come from the frame's meta, handed over
 //!   as a [`FrameContext`]. The block for short windows, where `EDV`'s
 //!   dictionary and column headers cost what they save.
+//! * [`TemplatedCodec`] (id 4) — a window as the template of its shape in
+//!   its segment's [`TemplateTable`], which the context carries, plus the
+//!   rows whose payload differs and the packed rows' time column
+//!   ([`super::template`]).
 //!
 //! Which block a frame is stored as is chosen in one place,
 //! [`BlockChooser`], the only code that knows both the `EDV` and the
 //! packed layout: the smallest of the `EDV` block, the packed rows and
 //! the payload itself, with `EDV`'s column search skipped whenever the
-//! bytes ahead of its columns already lose to the rows.
+//! bytes ahead of its columns already lose to the rows. A segment's
+//! [`super::SegmentCoder`] runs it on every frame and weighs the templated
+//! block beside its choice.
 //!
 //! Every codec is *lossless at the byte level*: decompressing a stored
 //! block reproduces the original payload byte for byte, so replay of a
@@ -72,6 +78,7 @@
 use std::fmt;
 
 use super::binary::{decode_canonical, header_len};
+use super::template::{TemplateTable, TemplatedCodec};
 use super::{
     decode_u64, encode_u64, take_minimal_u64, varint_len, BinaryDecoder, BinaryEncoder,
     TraceDecoder, TraceEncoder,
@@ -107,15 +114,19 @@ pub enum CodecId {
     /// Varint rows of canonical `ETRC` events, coded against the frame's
     /// meta.
     Packed = 3,
+    /// A window shape of the segment's template table, the rows whose
+    /// payload differs from it, and the time column.
+    Templated = 4,
 }
 
 impl CodecId {
     /// Every defined codec id, in wire-value order.
-    pub const ALL: [CodecId; 4] = [
+    pub const ALL: [CodecId; 5] = [
         CodecId::Identity,
         CodecId::DeltaVarint,
         CodecId::LzBlock,
         CodecId::Packed,
+        CodecId::Templated,
     ];
 
     /// Decodes a codec id from its wire value.
@@ -125,6 +136,7 @@ impl CodecId {
             1 => Some(CodecId::DeltaVarint),
             2 => Some(CodecId::LzBlock),
             3 => Some(CodecId::Packed),
+            4 => Some(CodecId::Templated),
             _ => None,
         }
     }
@@ -141,6 +153,7 @@ impl CodecId {
             CodecId::DeltaVarint => "delta-varint",
             CodecId::LzBlock => "lz-block",
             CodecId::Packed => "packed",
+            CodecId::Templated => "templated",
         }
     }
 
@@ -151,39 +164,62 @@ impl CodecId {
             CodecId::DeltaVarint => Box::new(DeltaVarintCodec::new()),
             CodecId::LzBlock => Box::new(LzBlockCodec::new()),
             CodecId::Packed => Box::new(PackedCodec::new()),
+            CodecId::Templated => Box::new(TemplatedCodec::new()),
         }
     }
 }
 
-/// What a frame's meta tells its codec about the window a block holds.
+/// The table of every frame outside a format-v4 segment.
+const NO_TEMPLATES: &TemplateTable = &TemplateTable::EMPTY;
+
+/// What a frame's meta, and its segment, tell its codec about the window
+/// a block holds.
 ///
-/// Only [`PackedCodec`] reads it: its first row is coded against
-/// `start_ns`, and its rows are held to `events`, so neither is stored a
-/// second time inside the block. Identity, `EDV` and `LZB` blocks are
-/// self-contained and ignore it.
+/// [`PackedCodec`] and [`TemplatedCodec`] read it: their first row is
+/// coded against `start_ns`, and their rows are held to `events`, so
+/// neither is stored a second time inside the block; a templated block
+/// names its window's shape in `templates`. Identity, `EDV` and `LZB`
+/// blocks are self-contained and ignore it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrameContext {
+pub struct FrameContext<'a> {
     /// The window's start, in nanoseconds of trace time.
     pub start_ns: u64,
     /// The window's event count as the frame's meta claims it — what a
     /// framed decode holds the block to — or `None` outside a frame.
     pub events: Option<u32>,
+    /// The template table of the frame's segment: empty outside a
+    /// format-v4 segment.
+    pub templates: &'a TemplateTable,
 }
 
-impl FrameContext {
-    /// The context of no frame: base 0 and no count to check. The
-    /// context-free [`FrameCodec`] methods run under it.
-    pub const DETACHED: FrameContext = FrameContext {
+impl FrameContext<'static> {
+    /// The context of no frame: base 0, no count to check and no
+    /// templates. The context-free [`FrameCodec`] methods run under it.
+    pub const DETACHED: FrameContext<'static> = FrameContext {
         start_ns: 0,
         events: None,
+        templates: NO_TEMPLATES,
     };
 
     /// The context of a frame whose meta says the window starts at
-    /// `start_ns` and holds `events` events.
+    /// `start_ns` and holds `events` events, in a segment without
+    /// templates.
     pub const fn framed(start_ns: u64, events: u32) -> Self {
         FrameContext {
             start_ns,
             events: Some(events),
+            templates: NO_TEMPLATES,
+        }
+    }
+}
+
+impl<'a> FrameContext<'a> {
+    /// The same frame in a segment whose template table is `templates`.
+    pub const fn with_templates<'t>(self, templates: &'t TemplateTable) -> FrameContext<'t> {
+        FrameContext {
+            start_ns: self.start_ns,
+            events: self.events,
+            templates,
         }
     }
 
@@ -427,7 +463,7 @@ fn zigzag(v: i64) -> u64 {
 }
 
 #[inline]
-fn unzigzag(v: u64) -> i64 {
+pub(super) fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
@@ -1104,7 +1140,7 @@ fn packed_error(offset: usize, reason: impl Into<String>) -> TraceError {
 }
 
 /// The severity in the low two bits of a packed tag.
-fn tag_severity(tag: u64) -> Severity {
+pub(super) fn tag_severity(tag: u64) -> Severity {
     match tag & 3 {
         0 => Severity::Debug,
         1 => Severity::Info,
@@ -1113,25 +1149,44 @@ fn tag_severity(tag: u64) -> Severity {
     }
 }
 
-/// Appends the packed rows of `events` to `out`: the first timestamp as
-/// its wrapping difference from the window start `start_ns`, zigzagged
-/// (an event may be stamped before its window opens), every other as its
-/// delta from the one before.
+/// The packed tag of `event`: `(event type << 2) | severity`.
+pub(super) fn tag_of(event: &TraceEvent) -> u32 {
+    (u32::from(event.event_type.as_u16()) << 2) | u32::from(event.severity.as_u8())
+}
+
+/// The time column of row `at` of `events`, whose previous row's
+/// timestamp is `previous`: the first timestamp as its wrapping
+/// difference from the window start `start_ns`, zigzagged (an event may
+/// be stamped before its window opens), every other as its delta from the
+/// one before.
+#[inline]
+fn row_time(at: usize, ns: u64, previous: u64, start_ns: u64) -> u64 {
+    if at == 0 {
+        zigzag(ns.wrapping_sub(start_ns) as i64)
+    } else {
+        ns - previous
+    }
+}
+
+/// Appends the packed rows of `events`, coded against the window start
+/// `start_ns`, to `out`.
 fn put_rows(events: &[TraceEvent], start_ns: u64, out: &mut Vec<u8>) {
     let mut previous = start_ns;
     for (at, event) in events.iter().enumerate() {
         let ns = event.timestamp.as_nanos();
-        let time = if at == 0 {
-            zigzag(ns.wrapping_sub(start_ns) as i64)
-        } else {
-            ns - previous
-        };
-        encode_u64(time, out);
-        encode_u64(
-            (u64::from(event.event_type.as_u16()) << 2) | u64::from(event.severity.as_u8()),
-            out,
-        );
+        encode_u64(row_time(at, ns, previous, start_ns), out);
+        encode_u64(u64::from(tag_of(event)), out);
         encode_u64(u64::from(event.payload), out);
+        previous = ns;
+    }
+}
+
+/// Appends the time column of the packed rows of `events` alone.
+pub(super) fn put_times(events: &[TraceEvent], start_ns: u64, out: &mut Vec<u8>) {
+    let mut previous = start_ns;
+    for (at, event) in events.iter().enumerate() {
+        let ns = event.timestamp.as_nanos();
+        encode_u64(row_time(at, ns, previous, start_ns), out);
         previous = ns;
     }
 }
@@ -1288,6 +1343,12 @@ impl BlockChooser {
         BlockChooser::default()
     }
 
+    /// The canonical decode of the payload [`BlockChooser::choose`] last
+    /// stored under another codec than identity.
+    pub(super) fn events(&self) -> &[TraceEvent] {
+        &self.events
+    }
+
     /// Stores `payload`, the payload of the frame `context` describes, as
     /// the smallest of its `EDV` block, its packed rows and the payload
     /// itself, a tie going to the simpler block (payload, then rows).
@@ -1387,9 +1448,10 @@ mod tests {
             assert_eq!(CodecId::from_u8(id.as_u8()), Some(id));
             assert_eq!(id.new_codec().id(), id);
         }
-        assert_eq!(CodecId::from_u8(4), None);
+        assert_eq!(CodecId::from_u8(5), None);
         assert_eq!(CodecId::DeltaVarint.to_string(), "delta-varint");
         assert_eq!(CodecId::Packed.to_string(), "packed");
+        assert_eq!(CodecId::Templated.to_string(), "templated");
     }
 
     #[test]

@@ -16,12 +16,15 @@
 //! ([`FrameCodec`]): pluggable transformations between an encoded
 //! payload and the (smaller) block a durable store actually writes —
 //! identity, a columnar delta+varint re-encoding, an LZ77 block decoder,
-//! and packed varint rows coded against the frame's meta — and
-//! [`BlockChooser`], which picks the smallest. See `docs/FORMAT.md` at the
-//! repository root for the normative block formats.
+//! packed varint rows coded against the frame's meta, and rows coded
+//! against a template of their segment — [`BlockChooser`], which picks the
+//! smallest, and [`SegmentCoder`], which builds a segment's template
+//! table around it. See `docs/FORMAT.md` at the repository root for the
+//! normative block formats.
 
 pub mod binary;
 pub mod frame;
+pub mod template;
 pub mod text;
 mod varint;
 
@@ -30,6 +33,7 @@ pub use frame::{
     BlockChooser, CodecId, DeltaVarintCodec, FrameCodec, FrameContext, IdentityCodec, LzBlockCodec,
     PackedCodec,
 };
+pub use template::{SegmentCoder, TemplateTable, TemplatedCodec};
 pub use text::{TextDecoder, TextEncoder};
 pub(crate) use varint::{decode_u64, encode_u64, take_minimal_u64, varint_len};
 

@@ -3,18 +3,13 @@
 use crate::TraceError;
 
 /// Appends `value` to `out` as an LEB128 varint (1–10 bytes).
+#[inline]
 pub(crate) fn encode_u64(mut value: u64, out: &mut Vec<u8>) {
-    loop {
-        let mut byte = (value & 0x7f) as u8;
+    while value >= 0x80 {
+        out.push(value as u8 | 0x80);
         value >>= 7;
-        if value != 0 {
-            byte |= 0x80;
-        }
-        out.push(byte);
-        if value == 0 {
-            break;
-        }
     }
+    out.push(value as u8);
 }
 
 /// Number of bytes [`encode_u64`] emits for `value`, without emitting
@@ -65,14 +60,27 @@ pub(crate) fn decode_u64(bytes: &[u8], offset: usize) -> Result<(u64, usize), Tr
 /// one-byte case, most fields of most events, without a call.
 #[inline]
 pub(crate) fn take_minimal_u64(bytes: &[u8], at: &mut usize) -> Option<u64> {
-    let first = *bytes.get(*at)?;
+    let rest = bytes.get(*at..)?;
+    let first = *rest.first()?;
     if first < 0x80 {
         *at += 1;
         return Some(u64::from(first));
     }
-    let (value, next) = decode_u64(bytes, *at).ok()?;
-    *at = next;
-    (bytes[next - 1] != 0).then_some(value)
+    // The longer ones — a timestamp delta, most often — in place, without
+    // the error values of `decode_u64`: a tenth byte holds one bit.
+    let mut value = u64::from(first & 0x7f);
+    for (index, &byte) in rest.iter().enumerate().take(10).skip(1) {
+        let bits = u64::from(byte & 0x7f);
+        if index == 9 && bits > 1 {
+            return None;
+        }
+        value |= bits << (7 * index);
+        if byte < 0x80 {
+            *at += index + 1;
+            return (byte != 0).then_some(value);
+        }
+    }
+    None
 }
 
 #[cfg(test)]

@@ -4,13 +4,14 @@
 //! (`decode_events`), and refuse — rather than corrupt — payloads it
 //! cannot represent. And every decoder takes any block with any claimed
 //! raw length to a value or an error: never a panic, never an allocation
-//! sized by the claim alone.
+//! sized by the claim alone. Templated blocks, coded against a segment's
+//! template table, replay exactly what packed rows and the payload do.
 
 use proptest::prelude::*;
 
 use trace_model::codec::{
-    BinaryDecoder, BinaryEncoder, CodecId, FrameCodec, FrameContext, PackedCodec, TraceDecoder,
-    TraceEncoder,
+    BinaryDecoder, BinaryEncoder, CodecId, FrameCodec, FrameContext, PackedCodec, SegmentCoder,
+    TemplateTable, TraceDecoder, TraceEncoder,
 };
 use trace_model::{EventTypeId, Severity, Timestamp, TraceEvent};
 
@@ -87,6 +88,72 @@ fn edge_batches() -> impl Strategy<Value = (Vec<TraceEvent>, u64)> {
                 _ => offset,
             };
             (events, start_ns)
+        })
+}
+
+/// Strategy producing a template table: up to four templates of up to
+/// twelve rows, each of any type, severity and payload.
+fn arbitrary_table() -> impl Strategy<Value = TemplateTable> {
+    prop::collection::vec(
+        prop::collection::vec((any::<u16>(), 0u8..4, any::<u32>()), 0..12),
+        0..4,
+    )
+    .prop_map(|templates| {
+        let mut table = TemplateTable::default();
+        for rows in templates {
+            let events: Vec<TraceEvent> = rows
+                .into_iter()
+                .map(|(ty, severity, payload)| {
+                    TraceEvent::new(Timestamp::from_nanos(0), EventTypeId::new(ty), payload)
+                        .with_severity(Severity::from_u8(severity).expect("severity in range"))
+                })
+                .collect();
+            table.push(&events);
+        }
+        table
+    })
+}
+
+/// Strategy producing the windows of one segment: a mix of up to four
+/// window shapes — tag sequences with their payloads — each window of a
+/// shape with some payloads of its own, its own timestamps and its own
+/// start; and now and then a window of no shape at all.
+fn shape_mixes() -> impl Strategy<Value = Vec<(Vec<TraceEvent>, u64)>> {
+    let shape = prop::collection::vec((0u16..40, 0u8..4, 0u32..5_000), 1..24);
+    let window = (0usize..5, any::<u64>(), 0u64..4_000_000_000, any::<u32>());
+    (
+        prop::collection::vec(shape, 1..5),
+        prop::collection::vec(window, 1..24),
+    )
+        .prop_map(|(shapes, windows)| {
+            windows
+                .into_iter()
+                .map(|(pick, seed, start_ns, exceptions)| {
+                    let fallback = vec![(pick as u16, 1, seed as u32)];
+                    let shape = shapes.get(pick).unwrap_or(&fallback);
+                    let mut ns = start_ns + seed % 3_000;
+                    let events = shape
+                        .iter()
+                        .enumerate()
+                        .map(|(at, &(ty, severity, payload))| {
+                            ns += (seed >> (at % 32)) % 2_500_000;
+                            // A few rows of a window carry payloads of their own.
+                            let payload = if exceptions >> (at % 32) & 7 == 0 {
+                                payload ^ (seed as u32)
+                            } else {
+                                payload
+                            };
+                            TraceEvent::new(
+                                Timestamp::from_nanos(ns),
+                                EventTypeId::new(ty),
+                                payload,
+                            )
+                            .with_severity(Severity::from_u8(severity).expect("severity in range"))
+                        })
+                        .collect();
+                    (events, start_ns)
+                })
+                .collect()
         })
 }
 
@@ -210,6 +277,7 @@ proptest! {
         claimed in any::<u32>(),
         start_ns in any::<u64>(),
         events_kind in 0u8..4,
+        table in arbitrary_table(),
     ) {
         let mut block = if huge_count { vec![0xFF, 0xFF, 0xFF, 0xFF, 0x0F] } else { Vec::new() };
         block.extend(tail);
@@ -223,9 +291,11 @@ proptest! {
             1 => u32::MAX,
             _ => claimed,
         });
+        // A templated block names a template of the segment's table.
+        let templated = framed.with_templates(&table);
         for id in CodecId::ALL {
             let mut codec = id.new_codec();
-            for context in [FrameContext::DETACHED, framed] {
+            for context in [FrameContext::DETACHED, framed, templated] {
                 let mut restored = Vec::new();
                 if codec.decompress_framed(context, &block, raw_len, &mut restored).is_ok() {
                     prop_assert_eq!(restored.len(), raw_len);
@@ -233,8 +303,11 @@ proptest! {
                 let (mut scratch, mut events) = (Vec::new(), Vec::new());
                 let decoded =
                     codec.decode_events_framed(context, &block, raw_len, &mut scratch, &mut events);
-                if id == CodecId::Packed {
-                    prop_assert!(events.capacity() <= (block.len() / 3).max(4));
+                if id == CodecId::Packed || id == CodecId::Templated {
+                    // Three bytes a packed row at the least, and a time
+                    // byte a templated one.
+                    let rows = if id == CodecId::Packed { block.len() / 3 } else { block.len() };
+                    prop_assert!(events.capacity() <= rows.max(4));
                     match (decoded, context.events) {
                         (Ok(rows), Some(claimed)) => prop_assert_eq!(rows, claimed as usize),
                         (Err(_), _) => prop_assert!(events.is_empty()),
@@ -292,6 +365,63 @@ proptest! {
         codec.compress_framed(FrameContext::DETACHED, &payload, &mut detached).unwrap();
         codec.compress(&payload, &mut block).unwrap();
         prop_assert_eq!(block, detached);
+    }
+
+    /// Any mix of window shapes in one segment: each frame's templated
+    /// block, under the table the coder admitted, and its packed rows
+    /// restore the payload byte for byte and decode to its events, and a
+    /// frame is templated only where that block is the smaller. The table
+    /// reads back from its bytes, and holds only templates that pay.
+    #[test]
+    fn templated_rows_replay_what_packed_rows_and_the_payload_do(windows in shape_mixes()) {
+        let mut coder = SegmentCoder::new();
+        let mut frames = Vec::new();
+        for (events, start_ns) in &windows {
+            let mut payload = Vec::new();
+            BinaryEncoder::new().encode(events, &mut payload).unwrap();
+            let context = FrameContext::framed(*start_ns, events.len() as u32);
+            frames.push((coder.push(context, &payload), context, payload, events));
+        }
+        coder.finish();
+        let table = coder.table();
+        let mut encoded = Vec::new();
+        table.encode(&mut encoded);
+        prop_assert_eq!(&TemplateTable::parse(&encoded).unwrap(), table);
+        let mut templated_frames = 0;
+        for (frame, context, payload, events) in &frames {
+            let (plain_codec, plain) = coder.block(*frame, false);
+            prop_assert_ne!(plain_codec, CodecId::Templated);
+            let mut packed = Vec::new();
+            prop_assert!(PackedCodec::new().compress_framed(*context, payload, &mut packed).unwrap());
+            prop_assert!(plain.len() <= packed.len());
+            let (codec, block) = coder.block(*frame, true);
+            let in_segment = context.with_templates(table);
+            for (codec, block) in [(codec, block), (CodecId::Packed, &packed[..])] {
+                let mut decoder = codec.new_codec();
+                let mut restored = Vec::new();
+                decoder.decompress_framed(in_segment, block, payload.len(), &mut restored).unwrap();
+                prop_assert_eq!(&restored, payload);
+                let (mut scratch, mut decoded) = (Vec::new(), Vec::new());
+                decoder
+                    .decode_events_framed(in_segment, block, payload.len(), &mut scratch, &mut decoded)
+                    .unwrap();
+                prop_assert_eq!(&decoded, *events);
+            }
+            if codec == CodecId::Templated {
+                templated_frames += 1;
+                prop_assert!(block.len() < plain.len());
+                // Outside the segment the block names nothing.
+                let mut restored = Vec::new();
+                prop_assert!(codec
+                    .new_codec()
+                    .decompress_framed(*context, block, payload.len(), &mut restored)
+                    .is_err());
+            } else {
+                prop_assert_eq!((codec, block), (plain_codec, plain));
+            }
+        }
+        // Every admitted template is some templated frame's.
+        prop_assert!(table.len() <= templated_frames);
     }
 
     #[test]
