@@ -188,6 +188,8 @@ pub struct LaneCompaction {
     /// Frames the pass re-encoded under the policy's recompression
     /// target, by the codec each was stored under, indexed by codec id
     /// ([`CodecId::as_u8`]); under identity when no block beat the payload.
+    /// The templated blocks a merge or retention rewrite codes anew are
+    /// not counted: a pass without a target counts nothing here.
     #[serde(default)]
     pub frames_by_codec: [u64; CodecId::ALL.len()],
     /// Raw (uncompressed) payload bytes of every window surviving the
@@ -228,7 +230,9 @@ impl LaneCompaction {
             .saturating_sub(self.bytes_before + self.torn_bytes_truncated)
     }
 
-    /// Frames the pass re-encoded into a block other than the payload.
+    /// Frames the pass re-encoded under the policy's recompression target
+    /// into a block other than the payload (see
+    /// [`LaneCompaction::frames_by_codec`]).
     pub fn recompressed_windows(&self) -> u64 {
         self.frames_by_codec[1..].iter().sum()
     }
@@ -542,11 +546,10 @@ impl Compactor {
         }
 
         let mut outcomes: Vec<Option<LaneOutcome>> = if workers <= 1 {
-            with_run_coder(|coder| {
-                work.iter()
-                    .map(|(lane, files)| Some(self.compact_lane_job(*lane, files, coder)))
-                    .collect()
-            })
+            let mut coder = RunCoder::default();
+            work.iter()
+                .map(|(lane, files)| Some(self.compact_lane_job(*lane, files, &mut coder)))
+                .collect()
         } else {
             // A shared cursor hands lanes to whichever worker is free, so
             // one slow (large) lane never serialises the rest behind it.
@@ -556,14 +559,15 @@ impl Compactor {
             std::thread::scope(|scope| {
                 for _ in 0..workers {
                     scope.spawn(|| {
-                        with_run_coder(|coder| loop {
+                        let mut coder = RunCoder::default();
+                        loop {
                             let at = next.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
                             let Some((lane, files)) = work.get(at) else {
                                 break;
                             };
-                            let outcome = self.compact_lane_job(*lane, files, coder);
+                            let outcome = self.compact_lane_job(*lane, files, &mut coder);
                             *slots[at].lock().expect("no panics hold this lock") = Some(outcome);
-                        })
+                        }
                     });
                 }
             });
@@ -1131,49 +1135,24 @@ fn copy_v1_run(
     Ok((SEGMENT_VERSION_V1, merged, entries))
 }
 
-/// Runs above this many committed bytes leave their thread's [`RunCoder`]
-/// behind when a pass ends, instead of its buffers sized for them.
-const KEEP_CODER_BELOW: u64 = 16 * 1024 * 1024;
-
-thread_local! {
-    /// The [`RunCoder`] a thread's passes share (see [`with_run_coder`]).
-    static RUN_CODER: std::cell::RefCell<RunCoder> = std::cell::RefCell::new(RunCoder::default());
-}
-
-/// Runs `code` on this thread's [`RunCoder`], kept for the thread's next
-/// pass unless a run it coded held [`KEEP_CODER_BELOW`] committed bytes
-/// or more.
-fn with_run_coder<T>(code: impl FnOnce(&mut RunCoder) -> T) -> T {
-    RUN_CODER.with(|kept| {
-        let mut coder = kept.take();
-        let out = code(&mut coder);
-        if coder.largest_run < KEEP_CODER_BELOW {
-            kept.replace(coder);
-        }
-        out
-    })
-}
-
 /// Where the block of a frame [`RunCoder::code`] writes comes from.
 #[derive(Debug)]
 enum RunBlock {
     /// A stored block carried over as it was, at this range of the run's
     /// carried bytes.
     Carried(std::ops::Range<usize>),
-    /// Frame `n` of the run's [`SegmentCoder`].
-    Coded(usize),
+    /// Frame `frame` of the run's [`SegmentCoder`], counted into
+    /// `frames_by_codec` when it is `recompressed`: re-encoded under the
+    /// policy's target, not a templated block a rewrite moves.
+    Coded { frame: usize, recompressed: bool },
 }
 
 /// What a compaction worker reuses from one run it codes to the next,
-/// across the lanes it is handed — and a thread across the passes it
-/// runs ([`with_run_coder`]): the [`SegmentCoder`] and the buffers around
-/// it, so a pass over a thousand one-segment lanes does not set up a
-/// thousand of each, and a pass does not fault in fresh pages for
-/// buffers the last one already had.
+/// across the lanes it is handed in one pass: the [`SegmentCoder`] and the
+/// buffers around it, so a pass over a thousand one-segment lanes does not
+/// set up a thousand of each.
 #[derive(Debug, Default)]
 struct RunCoder {
-    /// Committed bytes of the largest run coded so far.
-    largest_run: u64,
     coder: SegmentCoder,
     /// Blocks carried over as they were, back to back.
     carried: Vec<u8>,
@@ -1194,9 +1173,11 @@ impl RunCoder {
     /// [`SegmentCoder`]: a v1 frame under a `recompress` target other than
     /// `Identity`, and every templated block — which names its own
     /// segment's table, decodes against it, and is never copied to another
-    /// segment. The coded frames are counted into `frames_by_codec` by the
-    /// block they are stored as. The segment is v4, its table ahead of the
-    /// frames, when it comes out smaller so; otherwise v3, without
+    /// segment. The frames re-encoded under the target are counted into
+    /// `frames_by_codec` by the block they are stored as; the templated
+    /// blocks a merge or retention rewrite codes anew are not, so a pass
+    /// without a target counts none. The segment is v4, its table ahead
+    /// of the frames, when it comes out smaller so; otherwise v3, without
     /// templates.
     #[allow(clippy::too_many_arguments)]
     fn code(
@@ -1210,7 +1191,6 @@ impl RunCoder {
         frames_by_codec: &mut [u64; CodecId::ALL.len()],
     ) -> Result<(u8, Vec<u8>, Vec<WindowEntry>), TraceError> {
         let RunCoder {
-            largest_run,
             coder,
             carried,
             frames,
@@ -1223,7 +1203,6 @@ impl RunCoder {
         carried.clear();
         frames.clear();
         let total: u64 = run.iter().map(|plan| plan.meta.committed_bytes).sum();
-        *largest_run = (*largest_run).max(total);
         for plan in run.iter().filter(|plan| !plan.windows.is_empty()) {
             let path = dir.join(segment_file_name(lane, plan.meta.seq));
             let source = std::fs::read(&path)?;
@@ -1254,7 +1233,10 @@ impl RunCoder {
                 let block = match recode {
                     Some(payload) => {
                         let context = FrameContext::framed(entry.start_ns, frame.events);
-                        RunBlock::Coded(coder.push(context, payload))
+                        RunBlock::Coded {
+                            frame: coder.push(context, payload),
+                            recompressed: target.is_some(),
+                        }
                     }
                     None => {
                         if target.is_some() {
@@ -1268,26 +1250,38 @@ impl RunCoder {
             }
         }
         coder.finish();
-        let block_of = |block: &RunBlock, templated: bool| match block {
-            RunBlock::Carried(range) => (None, &carried[range.clone()]),
-            RunBlock::Coded(frame) => {
-                let (codec, block) = coder.block(*frame, templated);
-                (Some(codec), block)
+        let block_of = |block: &RunBlock, templated: bool| match *block {
+            RunBlock::Carried(ref range) => (None, &carried[range.clone()]),
+            RunBlock::Coded {
+                frame,
+                recompressed,
+            } => {
+                let (codec, block) = coder.block(frame, templated);
+                (Some((codec, recompressed)), block)
             }
         };
         table.clear();
         let mut templated = false;
         if !coder.table().is_empty() {
             coder.table().encode(table);
-            // The frames' bytes with the table, and without it.
-            let (mut with, mut without) = (table_section_len(table), 0);
-            let mut prev = FramePrev::default();
-            for (entry, block) in frames.iter() {
-                with += frame_len(prev, entry, block_of(block, true).1.len());
-                without += frame_len(prev, entry, block_of(block, false).1.len());
-                prev = FramePrev::after(entry);
-            }
-            templated = with < without;
+            // A templated block only ever replaces a larger one, and a
+            // smaller block never lengthens its frame's envelope: blocks
+            // that save more than the table section costs settle it. A
+            // closer call weighs every frame, with the table and without.
+            let saved: usize = frames
+                .iter()
+                .map(|(_, block)| block_of(block, false).1.len() - block_of(block, true).1.len())
+                .sum();
+            templated = saved as u64 > table_section_len(table) || {
+                let (mut with, mut without) = (table_section_len(table), 0);
+                let mut prev = FramePrev::default();
+                for (entry, block) in frames.iter() {
+                    with += frame_len(prev, entry, block_of(block, true).1.len());
+                    without += frame_len(prev, entry, block_of(block, false).1.len());
+                    prev = FramePrev::after(entry);
+                }
+                with < without
+            };
         }
 
         let version = if templated {
@@ -1305,9 +1299,11 @@ impl RunCoder {
         for (entry, block) in frames.iter() {
             let mut entry = *entry;
             let (codec, block) = block_of(block, templated);
-            if let Some(codec) = codec {
+            if let Some((codec, recompressed)) = codec {
                 entry.codec = codec.as_u8();
-                frames_by_codec[usize::from(codec.as_u8())] += 1;
+                if recompressed {
+                    frames_by_codec[usize::from(codec.as_u8())] += 1;
+                }
             }
             entry.segment = target_seq;
             entry.offset = merged.len() as u64;

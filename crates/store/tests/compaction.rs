@@ -391,7 +391,8 @@ fn the_registry_says_where_the_bytes_went() {
 /// Runs that hold v4 segments: a merge and a retention rewrite replay
 /// what was recorded, byte for byte, and code every templated block anew
 /// against the consolidated segment's own table — none is copied from the
-/// segment whose table it named.
+/// segment whose table it named. Neither pass has a recompression target,
+/// so neither counts a frame as recompressed.
 #[test]
 fn merges_and_retention_over_v4_segments_code_templated_blocks_anew() {
     use common::{segment_files, write_compressed_lane, Window};
@@ -399,9 +400,12 @@ fn merges_and_retention_over_v4_segments_code_templated_blocks_anew() {
     let dir = temp_dir(9_200_000);
     // 48 windows of four shapes, every eleventh with a payload of its own;
     // eight to a run, each run recompressed into a segment of its own.
+    // Each run opens on another shape, so each segment numbers the shapes
+    // in another order: a templated block copied to the merged segment
+    // would name another shape's template, and replay would say so.
     let windows: Vec<Window> = (0..48u64)
         .map(|id| {
-            let (start, shape) = (id * 40_000_000, id % 4);
+            let (start, shape) = (id * 40_000_000, (id + id / 8) % 4);
             let events = (0..6 + shape)
                 .map(|row| {
                     TraceEvent::new(
@@ -419,6 +423,22 @@ fn merges_and_retention_over_v4_segments_code_templated_blocks_anew() {
         segment_files(dir, 0).iter().map(|file| file.1).collect()
     };
     assert_eq!(versions(&dir), [4; 6]);
+    // The table at byte 13 of a v4 segment: `varint L`, CRC-32, `L` bytes.
+    let table = |segment: &str| {
+        let segment = std::fs::read(dir.join(segment)).unwrap();
+        let (mut len, mut at) = (0usize, 13);
+        while segment[at] & 0x80 != 0 {
+            len |= usize::from(segment[at] & 0x7f) << (7 * (at - 13));
+            at += 1;
+        }
+        len |= usize::from(segment[at]) << (7 * (at - 13));
+        trace_model::codec::TemplateTable::parse(&segment[at + 5..at + 5 + len]).unwrap()
+    };
+    let first_rows = |table: &trace_model::codec::TemplateTable| table.rows(0).unwrap().len();
+    assert_ne!(
+        first_rows(&table("lane0000-000000.seg")),
+        first_rows(&table("lane0000-000001.seg"))
+    );
     let codecs = |dir: &std::path::Path| -> Vec<u8> {
         let reader = StoreReader::open(dir).unwrap();
         let rows = reader.lane_windows(0).unwrap();
@@ -435,23 +455,11 @@ fn merges_and_retention_over_v4_segments_code_templated_blocks_anew() {
     assert!(before > 40, "{before}");
     let merge = MaintenancePolicy::merge_below(u64::MAX / 4);
     let report = Compactor::new(&dir, merge).compact().unwrap();
-    assert_eq!(
-        report.frames_by_codec().iter().sum::<u64>(),
-        before,
-        "{report}"
-    );
+    assert_eq!(report.frames_by_codec(), [0; 5], "{report}");
     assert_eq!(report.grown_bytes(), 0, "{report}");
     assert_eq!(versions(&dir), [4]);
-    let segment = std::fs::read(dir.join("lane0000-000000.seg")).unwrap();
-    let (mut len, mut at) = (0usize, 13);
-    while segment[at] & 0x80 != 0 {
-        len |= usize::from(segment[at] & 0x7f) << (7 * (at - 13));
-        at += 1;
-    }
-    len |= usize::from(segment[at]) << (7 * (at - 13));
-    let table = &segment[at + 5..at + 5 + len];
-    let table = trace_model::codec::TemplateTable::parse(table).unwrap();
-    assert_eq!(table.len(), 4);
+    assert_eq!(table("lane0000-000000.seg").len(), 4);
+    assert!(templated(&codecs(&dir)) >= before);
     let reader = StoreReader::open(&dir).unwrap();
     assert!(reader.recovery().clean);
     assert_eq!(reader.lane_payload_bytes(0).unwrap(), payloads(&windows));
@@ -465,11 +473,8 @@ fn merges_and_retention_over_v4_segments_code_templated_blocks_anew() {
     let surviving = templated(&codecs(&dir)[30..]);
     let report = Compactor::new(&dir, retain).compact().unwrap();
     assert_eq!(report.windows_dropped(), 30);
-    assert_eq!(
-        report.frames_by_codec().iter().sum::<u64>(),
-        surviving,
-        "{report}"
-    );
+    assert_eq!(report.recompressed_windows(), 0, "{report}");
+    assert!(surviving > 0);
     assert_eq!(versions(&dir), [4]);
     let reader = StoreReader::open(&dir).unwrap();
     assert_eq!(
@@ -477,5 +482,55 @@ fn merges_and_retention_over_v4_segments_code_templated_blocks_anew() {
         payloads(&windows[30..])
     );
     assert!(codecs(&dir).contains(&4));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A template can save more than its rows cost in the table and still not
+/// pay for the table section around them (`varint L`, the CRC, `varint
+/// T`): such a segment is written v3, packed rows and all.
+#[test]
+fn a_table_that_does_not_pay_for_its_section_leaves_the_segment_v3() {
+    use common::{segment_files, write_compressed_lane, Window};
+    use endurance_store::CodecId;
+    use trace_model::codec::{FrameContext, SegmentCoder};
+    // Two windows of one three-event shape: each templated block is 8
+    // bytes against 12 of packed rows, 8 saved for a template of 7 bytes —
+    // admitted — but the section costs 13.
+    let windows: Vec<Window> = (0..2u64)
+        .map(|id| {
+            let start = id * 40_000_000;
+            let events = (1..=3u64)
+                .map(|row| {
+                    TraceEvent::new(
+                        Timestamp::from_nanos(start + row * 1_000),
+                        EventTypeId::new(row as u16),
+                        row as u32,
+                    )
+                })
+                .collect();
+            Window::new(id, start, start + 40_000_000, events)
+        })
+        .collect();
+    let mut coder = SegmentCoder::new();
+    for window in &windows {
+        coder.push(FrameContext::framed(window.start_ns, 3), &window.payload);
+    }
+    coder.finish();
+    assert_eq!(coder.table().len(), 1, "the template is admitted");
+
+    let dir = temp_dir(9_300_000);
+    write_compressed_lane(&dir, 0, &windows, 2, CodecId::DeltaVarint);
+    let versions: Vec<u8> = segment_files(&dir, 0).iter().map(|file| file.1).collect();
+    assert_eq!(versions, [3]);
+    let reader = StoreReader::open(&dir).unwrap();
+    let codecs: Vec<u8> = reader
+        .lane_windows(0)
+        .unwrap()
+        .iter()
+        .map(|row| row.codec)
+        .collect();
+    assert_eq!(codecs, [CodecId::Packed.as_u8(); 2]);
+    let payloads: Vec<u8> = windows.iter().flat_map(|w| w.payload.clone()).collect();
+    assert_eq!(reader.lane_payload_bytes(0).unwrap(), payloads);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -859,6 +859,27 @@ fn compact(dir: &std::path::Path, policy: MaintenancePolicy) {
     assert!(dir_contents(dir) == settled, "a second pass moved bytes");
 }
 
+/// [`arbitrary_windows`] less every window whose tag sequence — event
+/// types and severities, in order — an earlier one already had: no two
+/// windows share a shape, so no segment's template pays for itself.
+fn distinct_shape_windows() -> impl Strategy<Value = Vec<Window>> {
+    arbitrary_windows().prop_map(|windows| {
+        let mut shapes = std::collections::HashSet::new();
+        windows
+            .into_iter()
+            .filter(|window| {
+                shapes.insert(
+                    window
+                        .events
+                        .iter()
+                        .map(|event| (event.event_type, event.severity))
+                        .collect::<Vec<_>>(),
+                )
+            })
+            .collect()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -870,115 +891,159 @@ proptest! {
         crash_at in 0.0f64..1.0,
         shuffle in any::<u64>(),
     ) {
-        let codec = CodecId::DeltaVarint;
-        let crash_after = (windows.len() as f64 * crash_at) as usize;
-        let rotate = StoreConfig::default().with_segment_max_windows(per_segment as u64);
-        let tag = format!("formats-{shuffle:016x}");
-        let (v1, v2, v3, mixed) = (
-            temp_dir(&format!("{tag}-v1")),
-            temp_dir(&format!("{tag}-v2")),
-            temp_dir(&format!("{tag}-v3")),
-            temp_dir(&format!("{tag}-mixed")),
-        );
+        three_formats(&windows, per_segment, crash_at, shuffle, false);
+    }
+}
 
-        // v1 from the writer, followed live across the rotations, the
-        // crash and the resume; v2 from the fixture builder, and v3 from
-        // the writer and a recompressing pass a segment, both cut where
-        // the writer cuts (every `per_segment` windows, and at the crash),
-        // then recovered by a writer that a follower is attached to.
-        assert_tailed(&record_followed(&v1, rotate, &windows, crash_after), &windows);
-        let (before, after) = windows.split_at(crash_after);
-        let runs = before.chunks(per_segment).chain(after.chunks(per_segment));
-        for (seq, run) in (0..).zip(runs) {
-            write_v2_segment(&v2, 0, seq, run, codec);
-            write_compressed_lane(&v3, 0, run, per_segment, codec);
-        }
-        assert_tailed(&record_followed(&v2, rotate, &[], 0), &windows);
-        assert_tailed(&record_followed(&v3, rotate, &[], 0), &windows);
-        prop_assert!(versions(&v1).iter().all(|version| *version == 1));
-        prop_assert!(versions(&v2).iter().all(|version| *version == 2));
-        // A run whose windows repeat a shape may earn a template table.
-        prop_assert!(versions(&v3).iter().all(|version| [3, 4].contains(version)));
-        prop_assert_eq!(versions(&v2).len(), versions(&v3).len());
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
 
-        let codecs_v1 = assert_every_reader_replays(&v1, &windows, shuffle);
-        let codecs_v2 = assert_every_reader_replays(&v2, &windows, shuffle);
-        let codecs_v3 = assert_every_reader_replays(&v3, &windows, shuffle);
-        prop_assert!(codecs_v1.iter().all(|codec| *codec == 0));
-        // v2 holds what v2 builds stored, `EDV` or the payload; a pass of
-        // this build stores the smallest of `EDV`, packed rows and — in a
-        // v4 segment — templated rows, all smaller than any canonical
-        // payload.
-        prop_assert!(codecs_v2.iter().all(|codec| [0, 1].contains(codec)));
-        prop_assert!(codecs_v3.iter().all(|codec| [1, 3, 4].contains(codec)));
-        let templated = |codecs: &[u8]| codecs.contains(&CodecId::Templated.as_u8());
-        prop_assert_eq!(templated(&codecs_v3), versions(&v3).contains(&4));
+    /// The same over windows that never repeat a shape: no rewrite writes
+    /// a template, and recompressed v1 and merged v3 are one v3 segment,
+    /// byte for byte, every time.
+    #[test]
+    fn one_replay_from_three_formats_of_distinct_shapes(
+        windows in distinct_shape_windows(),
+        per_segment in 1usize..5,
+        crash_at in 0.0f64..1.0,
+        shuffle in any::<u64>(),
+    ) {
+        three_formats(&windows, per_segment, crash_at, shuffle, true);
+    }
+}
 
-        // One lane in all three formats: thirds of the sequence written
-        // and recompressed, from the fixture builder, and from the writer
-        // — followed from the lane's first window.
-        let (first, rest) = windows.split_at(windows.len() / 3);
-        let (second, third) = rest.split_at(rest.len() / 2);
-        write_compressed_lane(&mixed, 0, first, per_segment, codec);
-        let next_seq = segment_files(&mixed, 0).last().map_or(0, |file| file.0 + 1);
-        for (seq, run) in (next_seq..).zip(second.chunks(per_segment)) {
-            write_v2_segment(&mixed, 0, seq, run, codec);
-        }
-        let tailed = record_followed(&mixed, rotate, third, third.len());
-        assert_tailed(&tailed, &windows);
-        assert_every_reader_replays(&mixed, &windows, shuffle);
-        let merge = MaintenancePolicy::merge_below(u64::MAX / 4);
-        compact(&mixed, merge.with_recompress(codec));
-        prop_assert_eq!(versions(&mixed).len(), 1);
-        assert_every_reader_replays(&mixed, &windows, shuffle);
+/// The body of [`one_replay_from_three_formats`]; `distinct` says no two
+/// of `windows` share a shape.
+fn three_formats(
+    windows: &[Window],
+    per_segment: usize,
+    crash_at: f64,
+    shuffle: u64,
+    distinct: bool,
+) {
+    let codec = CodecId::DeltaVarint;
+    let crash_after = (windows.len() as f64 * crash_at) as usize;
+    let rotate = StoreConfig::default().with_segment_max_windows(per_segment as u64);
+    let tag = format!("formats-{}-{shuffle:016x}", u8::from(distinct));
+    let (v1, v2, v3, mixed) = (
+        temp_dir(&format!("{tag}-v1")),
+        temp_dir(&format!("{tag}-v2")),
+        temp_dir(&format!("{tag}-v3")),
+        temp_dir(&format!("{tag}-mixed")),
+    );
 
-        // v3 + v3 merged, v2 + v2 merged — blocks carried over as they
-        // were, but for templated ones, which are chosen again — and v1
-        // recompressed (which merges the run it re-encodes): one segment
-        // each. Without a template anywhere, v1's and v3's are the same
-        // v3 segment byte for byte, index included.
-        let lone_segment = versions(&v3).len() == 1;
-        let v3_templated = templated(&codecs_v3);
-        compact(&v3, merge);
-        compact(&v2, merge);
-        compact(&v1, MaintenancePolicy::disabled().with_recompress(codec));
-        for dir in [&v1, &v2, &v3] {
-            // (A lone v2 segment is no run to merge: it migrates when a
-            // pass has a reason to rewrite it, and not before.)
-            let migrated = !(lone_segment && dir == &v2);
-            let version = versions(dir);
-            let codecs = assert_every_reader_replays(dir, &windows, shuffle);
-            if dir == &v2 {
-                prop_assert_eq!(version, [if migrated { 3 } else { 2 }]);
-                prop_assert_eq!(&codecs, &codecs_v2);
-            } else {
-                prop_assert_eq!(version, [if templated(&codecs) { 4 } else { 3 }]);
-                if !v3_templated && !templated(&codecs) {
-                    prop_assert_eq!(&codecs, &codecs_v3);
-                }
+    // v1 from the writer, followed live across the rotations, the
+    // crash and the resume; v2 from the fixture builder, and v3 from
+    // the writer and a recompressing pass a segment, both cut where
+    // the writer cuts (every `per_segment` windows, and at the crash),
+    // then recovered by a writer that a follower is attached to.
+    assert_tailed(&record_followed(&v1, rotate, windows, crash_after), windows);
+    let (before, after) = windows.split_at(crash_after);
+    let runs = before.chunks(per_segment).chain(after.chunks(per_segment));
+    for (seq, run) in (0..).zip(runs) {
+        write_v2_segment(&v2, 0, seq, run, codec);
+        write_compressed_lane(&v3, 0, run, per_segment, codec);
+    }
+    assert_tailed(&record_followed(&v2, rotate, &[], 0), windows);
+    assert_tailed(&record_followed(&v3, rotate, &[], 0), windows);
+    prop_assert!(versions(&v1).iter().all(|version| *version == 1));
+    prop_assert!(versions(&v2).iter().all(|version| *version == 2));
+    // A run whose windows repeat a shape may earn a template table.
+    prop_assert!(versions(&v3).iter().all(|version| [3, 4].contains(version)));
+    prop_assert_eq!(versions(&v2).len(), versions(&v3).len());
+
+    let codecs_v1 = assert_every_reader_replays(&v1, windows, shuffle);
+    let codecs_v2 = assert_every_reader_replays(&v2, windows, shuffle);
+    let codecs_v3 = assert_every_reader_replays(&v3, windows, shuffle);
+    prop_assert!(codecs_v1.iter().all(|codec| *codec == 0));
+    // v2 holds what v2 builds stored, `EDV` or the payload; a pass of
+    // this build stores the smallest of `EDV`, packed rows and — in a
+    // v4 segment — templated rows, all smaller than any canonical
+    // payload.
+    prop_assert!(codecs_v2.iter().all(|codec| [0, 1].contains(codec)));
+    prop_assert!(codecs_v3.iter().all(|codec| [1, 3, 4].contains(codec)));
+    let templated = |codecs: &[u8]| codecs.contains(&CodecId::Templated.as_u8());
+    prop_assert_eq!(templated(&codecs_v3), versions(&v3).contains(&4));
+
+    // One lane in all three formats: thirds of the sequence written
+    // and recompressed, from the fixture builder, and from the writer
+    // — followed from the lane's first window.
+    let (first, rest) = windows.split_at(windows.len() / 3);
+    let (second, third) = rest.split_at(rest.len() / 2);
+    write_compressed_lane(&mixed, 0, first, per_segment, codec);
+    let next_seq = segment_files(&mixed, 0).last().map_or(0, |file| file.0 + 1);
+    for (seq, run) in (next_seq..).zip(second.chunks(per_segment)) {
+        write_v2_segment(&mixed, 0, seq, run, codec);
+    }
+    let tailed = record_followed(&mixed, rotate, third, third.len());
+    assert_tailed(&tailed, windows);
+    assert_every_reader_replays(&mixed, windows, shuffle);
+    let merge = MaintenancePolicy::merge_below(u64::MAX / 4);
+    compact(&mixed, merge.with_recompress(codec));
+    let codecs_mixed = assert_every_reader_replays(&mixed, windows, shuffle);
+    prop_assert_eq!(
+        versions(&mixed),
+        [if templated(&codecs_mixed) { 4 } else { 3 }]
+    );
+
+    // v3 + v3 merged, v2 + v2 merged — blocks carried over as they
+    // were, but for templated ones, which are chosen again — and v1
+    // recompressed (which merges the run it re-encodes): one segment
+    // each. Without a template anywhere — always, where no two windows
+    // share a shape — v1's and v3's are the same v3 segment byte for
+    // byte, index included.
+    let lone_segment = versions(&v3).len() == 1;
+    let v3_templated = templated(&codecs_v3);
+    prop_assert!(!(distinct && v3_templated));
+    compact(&v3, merge);
+    compact(&v2, merge);
+    compact(&v1, MaintenancePolicy::disabled().with_recompress(codec));
+    for dir in [&v1, &v2, &v3] {
+        // (A lone v2 segment is no run to merge: it migrates when a
+        // pass has a reason to rewrite it, and not before.)
+        let migrated = !(lone_segment && dir == &v2);
+        let version = versions(dir);
+        let codecs = assert_every_reader_replays(dir, windows, shuffle);
+        if dir == &v2 {
+            prop_assert_eq!(version, [if migrated { 3 } else { 2 }]);
+            prop_assert_eq!(&codecs, &codecs_v2);
+        } else {
+            prop_assert_eq!(version, [if templated(&codecs) { 4 } else { 3 }]);
+            if !v3_templated && !templated(&codecs) {
+                prop_assert_eq!(&codecs, &codecs_v3);
             }
-            // (The scanner check took the sidecar; a resume puts it back.)
-            LaneWriter::create(dir, 0, rotate).unwrap().close().unwrap();
         }
-        if versions(&v1) == [3] && !v3_templated {
-            prop_assert!(dir_contents(&v1) == dir_contents(&v3), "recompressed v1 != merged v3");
-        }
+        // (The scanner check took the sidecar; a resume puts it back.)
+        LaneWriter::create(dir, 0, rotate).unwrap().close().unwrap();
+    }
+    if distinct {
+        prop_assert_eq!(versions(&v1), [3]);
+    }
+    if versions(&v1) == [3] && !v3_templated {
+        prop_assert!(
+            dir_contents(&v1) == dir_contents(&v3),
+            "recompressed v1 != merged v3"
+        );
+    }
 
-        // Retention takes windows out of the middle of that segment — the
-        // head included, whenever the first window is not among the
-        // newest — so the survivors' predecessors change.
-        let mut ends: Vec<u64> = windows.iter().map(|window| window.end_ns).collect();
-        ends.sort_unstable();
-        let (newest, cutoff) = (ends[ends.len() - 1], ends[ends.len() / 2]);
-        if newest > cutoff {
-            compact(&v3, merge.with_retention_ns(newest - cutoff));
-            let kept: Vec<Window> = windows.iter().filter(|w| w.end_ns > cutoff).cloned().collect();
-            prop_assert!(kept.len() < windows.len());
-            prop_assert_eq!(versions(&v3).len(), 1);
-            assert_every_reader_replays(&v3, &kept, shuffle);
-        }
-        for dir in [v1, v2, v3, mixed] {
-            std::fs::remove_dir_all(&dir).ok();
-        }
+    // Retention takes windows out of the middle of that segment — the
+    // head included, whenever the first window is not among the
+    // newest — so the survivors' predecessors change.
+    let mut ends: Vec<u64> = windows.iter().map(|window| window.end_ns).collect();
+    ends.sort_unstable();
+    let (newest, cutoff) = (ends[ends.len() - 1], ends[ends.len() / 2]);
+    if newest > cutoff {
+        compact(&v3, merge.with_retention_ns(newest - cutoff));
+        let kept: Vec<Window> = windows
+            .iter()
+            .filter(|w| w.end_ns > cutoff)
+            .cloned()
+            .collect();
+        prop_assert!(kept.len() < windows.len());
+        let codecs = assert_every_reader_replays(&v3, &kept, shuffle);
+        prop_assert_eq!(versions(&v3), [if templated(&codecs) { 4 } else { 3 }]);
+    }
+    for dir in [v1, v2, v3, mixed] {
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -519,6 +519,9 @@ pub struct SegmentCoder {
     chooser: BlockChooser,
     /// The group of every tag sequence seen, by [`shape_hash`].
     groups: HashMap<u64, u32>,
+    /// The group of the window pushed last: the one a periodic pipeline's
+    /// next window most often falls in, tried before any lookup.
+    last: u32,
     /// Each group's template: the rows of its first window.
     shapes: TemplateTable,
     /// Bytes each group's templated blocks save over the chooser's.
@@ -537,16 +540,20 @@ pub struct SegmentCoder {
 /// The group of a frame that has no templated block.
 const NO_GROUP: u32 = u32::MAX;
 
-/// One frame of a [`SegmentCoder`]: its blocks lie at `start..plain_end`
-/// (the chooser's, under `codec`) and `plain_end..end` (the id slot of
-/// `group`, `varint_len(group)` bytes, and the templated body) of `bytes`.
-#[derive(Debug, Clone, Copy)]
+/// One frame of a [`SegmentCoder`]: the chooser's block, under `codec`, at
+/// `start..plain_end` of the coder's bytes, and the templated block of a
+/// frame of `group` at `templated` — the id slot, `varint_len(group)`
+/// bytes, and the body. `templated` is empty where no body is written: a
+/// frame without a templated block, and a group's first window stored as
+/// packed rows until [`SegmentCoder::finish`] admits its template and
+/// copies the body out of its rows.
+#[derive(Debug, Clone)]
 struct Coded {
     codec: CodecId,
     group: u32,
     start: usize,
     plain_end: usize,
-    end: usize,
+    templated: std::ops::Range<usize>,
 }
 
 impl SegmentCoder {
@@ -559,6 +566,7 @@ impl SegmentCoder {
     /// of the next segment.
     pub fn clear(&mut self) {
         self.groups.clear();
+        self.last = 0;
         self.shapes.clear();
         self.saved.clear();
         self.ids.clear();
@@ -582,35 +590,44 @@ impl SegmentCoder {
         let group = if codec == CodecId::Identity {
             NO_GROUP
         } else {
-            self.shape(context.start_ns, plain_end - start)
+            self.shape(context.start_ns, codec, plain_end - start)
         };
         self.frames.push(Coded {
             codec,
             group,
             start,
             plain_end,
-            end: self.bytes.len(),
+            templated: plain_end..self.bytes.len(),
         });
         self.frames.len() - 1
     }
 
     /// Groups the window the chooser just decoded, whose block is the
-    /// last `plain` bytes, by its tags and appends the id slot and body
-    /// of its templated block. Returns the group, or [`NO_GROUP`] — and
-    /// appends nothing — unless that block is the smaller.
-    fn shape(&mut self, start_ns: u64, plain: usize) -> u32 {
+    /// last `plain` bytes, stored under `codec`, by its tags, and appends
+    /// the id slot and body of its templated block. Returns the group, or
+    /// [`NO_GROUP`] — and appends nothing — unless that block is the
+    /// smaller.
+    ///
+    /// A window that opens a group is sized, not written, when it is
+    /// stored as packed rows: it is its own template, so it has no
+    /// exception, and its rows less their tag and payload columns are its
+    /// time column. That is every window of a shape seen once, whose
+    /// template never pays for itself.
+    fn shape(&mut self, start_ns: u64, codec: CodecId, plain: usize) -> u32 {
         let events = self.chooser.events();
-        let hash = shape_hash(events);
-        let found = self.groups.get(&hash).copied();
-        let group = match found {
-            Some(group)
-                if self
-                    .shapes
-                    .rows(group as usize)
-                    .is_some_and(|rows| has_shape(rows, events)) =>
-            {
-                group
-            }
+        let is_group = |group: u32| {
+            self.shapes
+                .rows(group as usize)
+                .is_some_and(|rows| has_shape(rows, events))
+        };
+        let (hash, found) = if is_group(self.last) {
+            (0, Some(self.last))
+        } else {
+            let hash = shape_hash(events);
+            (hash, self.groups.get(&hash).copied())
+        };
+        let (group, opens) = match found {
+            Some(group) if is_group(group) => (group, false),
             _ => {
                 // (A colliding shape gets a group of its own, unindexed.)
                 let group = self.shapes.len() as u32;
@@ -619,19 +636,29 @@ impl SegmentCoder {
                 }
                 self.shapes.push(events);
                 self.saved.push(0);
-                group
+                (group, true)
             }
         };
+        self.last = group;
         let Some(template) = self.shapes.rows(group as usize) else {
             return NO_GROUP;
         };
         // A group's number bounds the id it gets — ids count the admitted
         // groups only — so its varint is room enough for the id.
-        let start = self.bytes.len();
-        self.bytes.resize(start + varint_len(u64::from(group)), 0);
-        put_exceptions(template, events, &mut self.bytes);
-        put_times(events, start_ns, &mut self.bytes);
-        let templated = self.bytes.len() - start;
+        let (slot, start) = (varint_len(u64::from(group)), self.bytes.len());
+        let templated = if opens && codec == CodecId::Packed {
+            let columns: usize = template
+                .iter()
+                .map(|&(tag, payload)| varint_len(u64::from(tag)) + varint_len(u64::from(payload)))
+                .sum();
+            // The slot, `E = 0` and the time column.
+            slot + 1 + plain - columns
+        } else {
+            self.bytes.resize(start + slot, 0);
+            put_exceptions(template, events, &mut self.bytes);
+            put_times(events, start_ns, &mut self.bytes);
+            self.bytes.len() - start
+        };
         if templated >= plain {
             self.bytes.truncate(start);
             return NO_GROUP;
@@ -642,7 +669,8 @@ impl SegmentCoder {
 
     /// Pass 2: admits the template of every group whose windows save more
     /// bytes than it costs in the table, numbered in the order the groups
-    /// were first seen, and writes each templated block's id.
+    /// were first seen, and writes each templated block's id — and the
+    /// body of each that pass 1 only sized.
     pub fn finish(&mut self) {
         self.table.clear();
         self.ids.clear();
@@ -663,12 +691,34 @@ impl SegmentCoder {
             }
         }
         let mut id_bytes = Vec::with_capacity(5);
-        for frame in &self.frames {
-            if let Some(from) = self.templated_start(frame) {
-                id_bytes.clear();
-                encode_u64(u64::from(self.ids[frame.group as usize]), &mut id_bytes);
-                self.bytes[from..from + id_bytes.len()].copy_from_slice(&id_bytes);
+        for frame in &mut self.frames {
+            let Some(&id) = self.ids.get(frame.group as usize) else {
+                continue;
+            };
+            if id == NO_GROUP {
+                continue;
             }
+            let slot = varint_len(u64::from(frame.group));
+            if frame.templated.is_empty() {
+                // The slot, `E = 0`, and the time varint of every row.
+                let from = self.bytes.len();
+                self.bytes.resize(from + slot + 1, 0);
+                let rows = self.shapes.rows(frame.group as usize).map_or(0, <[_]>::len);
+                let mut at = frame.start;
+                for _ in 0..rows {
+                    let time = at;
+                    take_minimal_u64(&self.bytes[..frame.plain_end], &mut at);
+                    self.bytes.extend_from_within(time..at);
+                    // The tag and the payload.
+                    take_minimal_u64(&self.bytes[..frame.plain_end], &mut at);
+                    take_minimal_u64(&self.bytes[..frame.plain_end], &mut at);
+                }
+                frame.templated = from..self.bytes.len();
+            }
+            id_bytes.clear();
+            encode_u64(u64::from(id), &mut id_bytes);
+            let from = frame.templated.start + slot - id_bytes.len();
+            self.bytes[from..from + id_bytes.len()].copy_from_slice(&id_bytes);
         }
     }
 
@@ -676,9 +726,9 @@ impl SegmentCoder {
     /// the end of the slot — when its group's template was admitted.
     fn templated_start(&self, frame: &Coded) -> Option<usize> {
         let id = *self.ids.get(frame.group as usize)?;
-        (id != NO_GROUP).then(|| {
+        (id != NO_GROUP && !frame.templated.is_empty()).then(|| {
             let slot = varint_len(u64::from(frame.group));
-            frame.plain_end + slot - varint_len(u64::from(id))
+            frame.templated.start + slot - varint_len(u64::from(id))
         })
     }
 
@@ -700,7 +750,7 @@ impl SegmentCoder {
     pub fn block(&self, frame: usize, templated: bool) -> (CodecId, &[u8]) {
         let coded = &self.frames[frame];
         match self.templated_start(coded) {
-            Some(from) if templated => (CodecId::Templated, &self.bytes[from..coded.end]),
+            Some(from) if templated => (CodecId::Templated, &self.bytes[from..coded.templated.end]),
             _ => (coded.codec, &self.bytes[coded.start..coded.plain_end]),
         }
     }
@@ -849,6 +899,52 @@ mod tests {
             assert!(decoder
                 .decompress_framed(context, block, payload.len() + 1, &mut restored)
                 .is_err());
+        }
+    }
+
+    #[test]
+    fn a_window_stored_as_edv_gets_its_templated_body_from_its_events() {
+        // Forty rows of one type whose payloads climb by one, at irregular
+        // times: `EDV` codes the payload column as deltas and beats the
+        // packed rows, and the templated block keeps only the times: ten
+        // bytes or so a window, which twenty windows make worth the
+        // template's 161.
+        let payloads: Vec<Vec<u8>> = (0..20u64)
+            .map(|window| {
+                let events: Vec<TraceEvent> = (0..40u64)
+                    .map(|row| {
+                        let jitter = (window * 40 + row).wrapping_mul(0x9E37_79B9) % 5_000;
+                        let ns = window * 40_000_000 + row * 900_000 + jitter;
+                        event(
+                            ns,
+                            7,
+                            1_000_000 + row as u32 + u32::from(window == 3 && row == 9),
+                        )
+                    })
+                    .collect();
+                let mut payload = Vec::new();
+                BinaryEncoder::new().encode(&events, &mut payload).unwrap();
+                payload
+            })
+            .collect();
+        let (coder, frames) = coded(&payloads, 40);
+        assert_eq!(coder.table().len(), 1);
+        for (window, (&frame, payload)) in frames.iter().zip(&payloads).enumerate() {
+            let (plain_codec, plain) = coder.block(frame, false);
+            assert_eq!(plain_codec, CodecId::DeltaVarint);
+            let (codec, block) = coder.block(frame, true);
+            assert_eq!(codec, CodecId::Templated);
+            assert!(block.len() < plain.len());
+            // Template 0; window 3's own payload in row 9 is its exception.
+            let exceptions = u8::from(window == 3);
+            assert_eq!(&block[..2], &[0, exceptions]);
+            let context =
+                FrameContext::framed(window as u64 * 40_000_000, 40).with_templates(coder.table());
+            let mut restored = Vec::new();
+            TemplatedCodec::new()
+                .decompress_framed(context, block, payload.len(), &mut restored)
+                .unwrap();
+            assert_eq!(&restored, payload);
         }
     }
 
