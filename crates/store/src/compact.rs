@@ -40,7 +40,7 @@ use serde::{Deserialize, Serialize};
 use endurance_obs::{Counter, Gauge, Histogram, Registry};
 
 use crate::crc32::crc32;
-use crate::index::{LaneIndex, SegmentMeta, WindowEntry};
+use crate::index::{FallbackReason, LaneIndex, SegmentMeta, SidecarKind, WindowEntry};
 use crate::map::codec_mut;
 use crate::reader::load_lane;
 use crate::segment::{
@@ -247,7 +247,10 @@ impl LaneCompaction {
     /// Whether the pass changed anything: no segment file written or
     /// deleted, no torn tail truncated.
     pub fn is_noop(&self) -> bool {
-        self.segments_rewritten == 0 && self.windows_dropped == 0 && self.torn_bytes_truncated == 0
+        self.segments_rewritten == 0
+            && self.segments_after == self.segments_before
+            && self.windows_dropped == 0
+            && self.torn_bytes_truncated == 0
     }
 }
 
@@ -499,8 +502,10 @@ impl Compactor {
         &self.policy
     }
 
-    /// Compacts every lane in the directory and rewrites each lane's
-    /// sidecar, so the store reopens clean.
+    /// Compacts every lane in the directory and rewrites the sidecar of
+    /// each lane it changed or could not trust the sidecar of, so the
+    /// store reopens clean; a lane's trusted `.idx` that still describes
+    /// it is left as it is.
     ///
     /// Lanes are independent jobs: with more than one lane they run
     /// concurrently on up to [`MaintenancePolicy::compact_workers`]
@@ -520,7 +525,8 @@ impl Compactor {
         self.pass(None)
     }
 
-    /// Compacts one lane and rewrites its sidecar.
+    /// Compacts one lane and rewrites its sidecar, under the rule of
+    /// [`Compactor::compact`].
     ///
     /// # Errors
     ///
@@ -624,8 +630,7 @@ impl Compactor {
         let outcome = if files.seqs.is_empty() {
             Ok(None)
         } else {
-            self.compact_lane_seqs(lane, &seqs, files.legacy_sidecar, coder)
-                .map(Some)
+            self.compact_lane_seqs(lane, &seqs, files, coder).map(Some)
         };
         lane_span.end();
         outcome
@@ -635,7 +640,7 @@ impl Compactor {
         &self,
         lane: u32,
         seqs: &[u32],
-        legacy_sidecar: bool,
+        files: &LaneFiles,
         coder: &mut RunCoder,
     ) -> Result<LaneCompaction, TraceError> {
         if !self.policy.is_enabled() {
@@ -658,10 +663,19 @@ impl Compactor {
                 ..LaneCompaction::default()
             });
         }
-        let (index, torn_truncated) = load_for_compaction(&self.dir, lane, seqs)?;
+        let (index, torn_truncated, sidecar) = load_for_compaction(&self.dir, lane, seqs)?;
         let (index, lane_report) =
             compact_lane_index(&self.dir, index, &self.policy, torn_truncated, coder)?;
-        write_sidecar(&self.dir, &index, legacy_sidecar)?;
+        // A trusted `.idx` of a lane the pass left as it found it (no
+        // segment written or deleted, no tail truncated, no journal
+        // finished) still describes the lane: leave its bytes alone.
+        let untouched = sidecar == Ok(SidecarKind::Binary)
+            && !files.journal
+            && !files.legacy_sidecar
+            && lane_report.is_noop();
+        if !untouched {
+            write_sidecar(&self.dir, &index, files.legacy_sidecar)?;
+        }
         Ok(lane_report)
     }
 }
@@ -792,11 +806,13 @@ pub(crate) fn recover_interrupted_merge(
 
 /// Loads a lane index for compaction (sidecar or scanner) and truncates
 /// torn tails so every file ends on a frame boundary before any merge.
+/// Returns the index, the bytes truncated and the sidecar the index came
+/// from (or why the scanner built it).
 fn load_for_compaction(
     dir: &Path,
     lane: u32,
     seqs: &[u32],
-) -> Result<(LaneIndex, u64), TraceError> {
+) -> Result<(LaneIndex, u64, Result<SidecarKind, FallbackReason>), TraceError> {
     let loaded = load_lane(dir, lane, seqs)?;
     let mut truncated = 0u64;
     for tail in &loaded.torn {
@@ -811,7 +827,7 @@ fn load_for_compaction(
         }
         truncated += tail.dropped_bytes;
     }
-    Ok((loaded.index, truncated))
+    Ok((loaded.index, truncated, loaded.sidecar))
 }
 
 /// The work plan for one segment within a compaction pass.
@@ -1693,6 +1709,28 @@ mod tests {
             "recovery alone writes no sidecar"
         );
         assert_eq!(StoreReader::open(&dir).unwrap().lane_ids(), vec![0]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_pass_that_changes_nothing_writes_the_sidecars_it_could_not_trust() {
+        let dir = temp_dir("noop-untrusted");
+        write_run(&dir, 4, 4, false); // crash: no sidecar
+        let pass = || {
+            let report = Compactor::new(&dir, MaintenancePolicy::merge_below(1))
+                .compact()
+                .unwrap();
+            assert!(report.is_noop(), "{report}");
+            assert!(StoreReader::open(&dir).unwrap().recovery().clean);
+        };
+        pass();
+        let idx = dir.join("lane0000.idx");
+        let written = std::fs::read(&idx).unwrap();
+        let mut damaged = written.clone();
+        damaged[20] ^= 1;
+        std::fs::write(&idx, damaged).unwrap();
+        pass();
+        assert_eq!(std::fs::read(&idx).unwrap(), written);
         std::fs::remove_dir_all(&dir).ok();
     }
 

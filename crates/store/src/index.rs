@@ -14,11 +14,14 @@
 //! tail, a missing or damaged sidecar) falls back to the CRC-validating
 //! segment scanner, and [`RecoveryReport::sidecar_fallbacks`] says why.
 //!
-//! Sidecar schema 3 (this build) is the binary layout of
-//! `docs/FORMAT.md` §4. Schemas 1 and 2 were JSON files
-//! (`laneNNNN.idx.json`); they are never written again but still read
-//! when a lane has no `.idx` — schema-1 entries, written before frame
-//! compression existed, are normalised on load (identity codec, raw
+//! Sidecar schema 4 (this build) is the binary layout of
+//! `docs/FORMAT.md` §4: each window row is a v3 frame's meta block, coded
+//! against the row before it, and the frame's location as varints.
+//! Schema 3, the same file with fixed-width 49-byte rows, is never
+//! written again but still read. Schemas 1 and 2 were JSON files
+//! (`laneNNNN.idx.json`); they are never written again either but still
+//! read when a lane has no `.idx` — schema-1 entries, written before
+//! frame compression existed, are normalised on load (identity codec, raw
 //! length derived from the frame length).
 
 use serde::{Deserialize, Serialize};
@@ -27,7 +30,9 @@ use trace_model::WindowId;
 use crate::segment::{envelope_and_stored_bytes, FRAME_META_LEN, SEGMENT_VERSION_V1};
 
 /// Sidecar schema version written by this build (binary `.idx`).
-pub(crate) const SIDECAR_SCHEMA: u32 = 3;
+pub(crate) const SIDECAR_SCHEMA: u32 = 4;
+/// The fixed-width binary schema before it, accepted on read from `.idx`.
+pub(crate) const SIDECAR_SCHEMA_V3: u32 = 3;
 /// The last JSON sidecar schema, accepted on read from `.idx.json`.
 pub(crate) const SIDECAR_SCHEMA_V2: u32 = 2;
 /// The pre-compression JSON sidecar schema, accepted likewise.
@@ -90,8 +95,8 @@ pub struct SegmentMeta {
     /// Bytes of intact header + frames; equals the file length after a
     /// clean close.
     pub committed_bytes: u64,
-    /// Segment format version (1, 2 or 3); schema-1 sidecars omit it and
-    /// default to 1.
+    /// Segment format version (1, 2, 3 or 4); schema-1 sidecars omit it
+    /// and default to 1.
     #[serde(default = "default_segment_version")]
     pub version: u8,
 }
@@ -187,8 +192,9 @@ pub enum FallbackReason {
     /// or the cache was deleted.
     Missing,
     /// The file could not be read, does not open with the `EIDX` magic,
-    /// is not exactly as long as its own counts say — or, for a legacy
-    /// sidecar, is not the JSON document of §4.
+    /// does not parse as its schema or is not exactly as long as its own
+    /// counts and rows say — or, for a legacy sidecar, is not the JSON
+    /// document of §4.
     Unreadable,
     /// The trailing CRC-32 does not match the bytes before it.
     BadChecksum,

@@ -410,15 +410,25 @@ mod tests {
         let path = dir.join("lane0000.idx");
         let bytes = std::fs::read(&path).unwrap();
 
-        // Every truncation and every single-byte flip: the scanner runs
-        // and rebuilds exactly the index the intact sidecar held.
+        // Every truncation, every single-byte flip and every run of 0xFF
+        // (1 to 11 bytes, the longest varint and then some) that changes
+        // a byte: the scanner runs and rebuilds exactly the index the
+        // intact sidecar held.
         let truncations = (0..bytes.len()).map(|len| bytes[..len].to_vec());
         let flips = (0..bytes.len()).map(|at| {
             let mut flipped = bytes.clone();
             flipped[at] ^= 1 << (at % 8);
             flipped
         });
-        for damaged in truncations.chain(flips) {
+        let runs = (0..bytes.len())
+            .flat_map(|at| (1..=11).map(move |run| (at, at + run)))
+            .map(|(from, to)| {
+                let mut overwritten = bytes.clone();
+                overwritten[from..to.min(bytes.len())].fill(0xFF);
+                overwritten
+            })
+            .filter(|overwritten| *overwritten != bytes);
+        for damaged in truncations.chain(flips).chain(runs) {
             std::fs::write(&path, &damaged).unwrap();
             let loaded = reader::load_lane(&dir, 0, &[0, 1]).unwrap();
             assert!(loaded.sidecar.is_err(), "{} bytes trusted", damaged.len());
@@ -443,6 +453,9 @@ mod tests {
         shifted.windows[4].offset += 1;
         let mut flipped = intact.clone();
         flipped[30] ^= 0x10;
+        let mut padded = intact[..intact.len() - 4].to_vec();
+        padded.push(0);
+        padded.extend_from_slice(&crc32(&padded).to_le_bytes());
 
         type Damage<'a> = Box<dyn Fn() + 'a>;
         let cases: Vec<(FallbackReason, Damage)> = vec![
@@ -452,7 +465,12 @@ mod tests {
             ),
             (
                 FallbackReason::Unreadable,
-                Box::new(|| std::fs::write(&idx, b"EIDX, but no index at all").unwrap()),
+                Box::new(|| std::fs::write(&idx, b"EIDX, no CRC").unwrap()),
+            ),
+            (
+                // Sealed with a good CRC, but a byte past the last row.
+                FallbackReason::Unreadable,
+                Box::new(|| std::fs::write(&idx, &padded).unwrap()),
             ),
             (
                 FallbackReason::BadChecksum,

@@ -613,10 +613,11 @@ pub(crate) fn load_lane(dir: &Path, lane: u32, seqs: &[u32]) -> Result<LoadedLan
 }
 
 /// Loads and validates a lane sidecar per `docs/FORMAT.md` §4: intact,
-/// right schema and lane, naming exactly the on-disk segments with
-/// exactly their file lengths, every row inside its segment. The legacy
-/// JSON sidecar is consulted only when the lane has no `.idx` at all —
-/// a damaged `.idx` goes to the scanner, not to an older cache.
+/// of schema 4 or (read only) 3, of the right lane, naming exactly the
+/// on-disk segments with exactly their file lengths, every row inside its
+/// segment. The legacy JSON sidecar is consulted only when the lane has
+/// no `.idx` at all — a damaged `.idx` goes to the scanner, not to an
+/// older cache.
 fn try_sidecar(
     dir: &Path,
     lane: u32,

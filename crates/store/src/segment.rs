@@ -57,7 +57,10 @@ use trace_model::codec::{CodecId, FrameContext, TemplateTable};
 use trace_model::TraceError;
 
 use crate::crc32::crc32;
-use crate::index::{FallbackReason, LaneIndex, SegmentMeta, TornTail, WindowEntry, SIDECAR_SCHEMA};
+use crate::index::{
+    FallbackReason, LaneIndex, SegmentMeta, TornTail, WindowEntry, SIDECAR_SCHEMA,
+    SIDECAR_SCHEMA_V3,
+};
 
 /// Magic bytes opening every segment file.
 pub(crate) const SEGMENT_MAGIC: &[u8; 4] = b"ESEG";
@@ -518,6 +521,16 @@ fn take_varint(bytes: &[u8], at: &mut usize, max_bytes: usize) -> Option<u64> {
     None
 }
 
+/// Appends the v3 meta block of `fields` ([`FramePrev::deltas`]) and
+/// `codec`: four varints, the codec byte, the raw length varint.
+fn put_meta_v3(out: &mut Vec<u8>, fields: [u64; 5], codec: u8) {
+    for field in &fields[..4] {
+        put_varint(out, *field);
+    }
+    out.push(codec);
+    put_varint(out, fields[4]);
+}
+
 /// Parses the v3 meta block that opens `meta` — window deltas, event
 /// count, codec byte, raw length — and its length: `None` unless it is
 /// five minimal varints around the codec byte, count and length in `u32`.
@@ -563,11 +576,7 @@ pub(crate) fn encode_frame(
         out.reserve(9 + body_len as usize);
         put_varint(out, u64::from(body_len));
         out.extend_from_slice(&[0u8; 4]); // crc placeholder
-        for field in &fields[..4] {
-            put_varint(out, *field);
-        }
-        out.push(entry.codec);
-        put_varint(out, fields[4]);
+        put_meta_v3(out, fields, entry.codec);
         body_len
     };
     out.extend_from_slice(block);
@@ -802,49 +811,158 @@ fn read_u64(bytes: &[u8], offset: usize) -> u64 {
 
 /// Magic bytes opening every binary sidecar.
 const SIDECAR_MAGIC: &[u8; 4] = b"EIDX";
-/// Sidecar header: magic, schema, lane, segment count (`u32` each), then
+/// What every sidecar schema opens with: magic, schema, lane (`u32`
+/// each).
+const SIDECAR_FIXED_LEN: usize = 12;
+/// Schema 3's header: the fixed part, then the segment count (`u32`) and
 /// the window count (`u64`).
-const SIDECAR_HEADER_LEN: usize = 24;
+const SIDECAR_V3_HEADER_LEN: usize = 24;
 /// One [`SegmentMeta`] record: seq, committed bytes, version.
 const SEGMENT_RECORD_LEN: usize = 13;
-/// One [`WindowEntry`] record, fields in struct order.
-const WINDOW_RECORD_LEN: usize = 49;
+/// One schema-3 window record, fields in struct order.
+const WINDOW_RECORD_V3_LEN: usize = 49;
+/// The shortest schema-4 window row: eight one-byte varints and the
+/// codec byte.
+const WINDOW_ROW_MIN_LEN: usize = 9;
 
-/// Serialises a lane index as the binary sidecar of `docs/FORMAT.md` §4:
-/// header, fixed-width little-endian records, and a trailing CRC-32 over
-/// everything before it.
+/// What a schema-4 window row is coded against: the row before it, all
+/// zero in front of the first.
+#[derive(Debug, Clone, Copy, Default)]
+struct RowPrev {
+    /// The window fields, by the `prev` rule of a v3 frame.
+    frame: FramePrev,
+    segment: u32,
+    /// `offset + len` of the row before: where its frame body ends, one
+    /// frame header short of where a frame right behind it starts.
+    body_end: u64,
+}
+
+impl RowPrev {
+    /// The predecessor that `entry`'s row is to the next one.
+    fn after(entry: &WindowEntry) -> Self {
+        RowPrev {
+            frame: FramePrev::after(entry),
+            segment: entry.segment,
+            body_end: entry.offset.wrapping_add(u64::from(entry.len)),
+        }
+    }
+
+    /// What the offset of a row in `segment` is coded against: the end of
+    /// the row before's body in the same segment, 0 in another.
+    fn offset_base(self, segment: u32) -> u64 {
+        if segment == self.segment {
+            self.body_end
+        } else {
+            0
+        }
+    }
+
+    /// The window entry that `row`, the row after this one, stands for.
+    fn resolve(self, row: Row) -> WindowEntry {
+        let [window_id, start_ns, end_ns] = self.frame.resolve(row.window);
+        let segment = self.segment.wrapping_add(row.segment);
+        WindowEntry {
+            window_id,
+            start_ns,
+            end_ns,
+            events: row.events,
+            segment,
+            offset: row.offset.wrapping_add(self.offset_base(segment)),
+            len: row.len,
+            codec: row.codec,
+            raw_len: row.raw_len,
+        }
+    }
+}
+
+/// One schema-4 window row as stored: the fields of a v3 frame meta, then
+/// the segment and offset deltas and the body length.
+struct Row {
+    window: [u64; 3],
+    events: u32,
+    codec: u8,
+    raw_len: u32,
+    segment: u32,
+    offset: u64,
+    len: u32,
+}
+
+/// Reads the schema-4 row at `*at`, advancing it: `None` unless it is
+/// minimal varints around the codec byte with `events`, raw length,
+/// segment delta and `len` in `u32`.
+#[inline]
+fn take_row(rows: &[u8], at: &mut usize) -> Option<Row> {
+    // Most rows of a recorded lane: nine one-byte fields.
+    if let Some(&[id, gap, span, events, codec, raw_len, segment, offset, len]) =
+        rows.get(*at..*at + WINDOW_ROW_MIN_LEN)
+    {
+        if (id | gap | span | events | raw_len | segment | offset | len) < 0x80 {
+            *at += WINDOW_ROW_MIN_LEN;
+            return Some(Row {
+                window: [id, gap, span].map(u64::from),
+                events: events.into(),
+                codec,
+                raw_len: raw_len.into(),
+                segment: segment.into(),
+                offset: offset.into(),
+                len: len.into(),
+            });
+        }
+    }
+    take_long_row(rows, at)
+}
+
+/// [`take_row`] for a row with a field of more than one byte. Out of the
+/// decode loop: kept inline, its varint loops cost the common row about
+/// half its speed.
+#[cold]
+fn take_long_row(rows: &[u8], at: &mut usize) -> Option<Row> {
+    let (window, events, codec, raw_len, meta_len) = take_meta_v3(rows.get(*at..)?)?;
+    *at += meta_len;
+    Some(Row {
+        window,
+        events,
+        codec,
+        raw_len,
+        segment: u32::try_from(take_varint(rows, at, 5)?).ok()?,
+        offset: take_varint(rows, at, 10)?,
+        len: u32::try_from(take_varint(rows, at, 5)?).ok()?,
+    })
+}
+
+/// Serialises a lane index as the schema-4 binary sidecar of
+/// `docs/FORMAT.md` §4: header, fixed-width segment records, one varint
+/// row per window coded against the row before it, and a trailing CRC-32
+/// over everything before it.
 pub(crate) fn encode_sidecar(index: &LaneIndex) -> Vec<u8> {
+    // Two count varints of at most 10 bytes; a recorded lane's rows take
+    // 9 to 10 bytes, and a few more.
     let mut out = Vec::with_capacity(
-        SIDECAR_HEADER_LEN
+        SIDECAR_FIXED_LEN
+            + 20
             + SEGMENT_RECORD_LEN * index.segments.len()
-            + WINDOW_RECORD_LEN * index.windows.len()
+            + 12 * index.windows.len()
             + 4,
     );
     out.extend_from_slice(SIDECAR_MAGIC);
     out.extend_from_slice(&SIDECAR_SCHEMA.to_le_bytes());
     out.extend_from_slice(&index.lane.to_le_bytes());
-    let segments = u32::try_from(index.segments.len()).expect("sequence numbers are u32");
-    out.extend_from_slice(&segments.to_le_bytes());
-    out.extend_from_slice(&(index.windows.len() as u64).to_le_bytes());
+    put_varint(&mut out, index.segments.len() as u64);
+    put_varint(&mut out, index.windows.len() as u64);
     for meta in &index.segments {
-        let mut record = [0u8; SEGMENT_RECORD_LEN];
-        record[..4].copy_from_slice(&meta.seq.to_le_bytes());
-        record[4..12].copy_from_slice(&meta.committed_bytes.to_le_bytes());
-        record[12] = meta.version;
-        out.extend_from_slice(&record);
+        out.extend_from_slice(&meta.seq.to_le_bytes());
+        out.extend_from_slice(&meta.committed_bytes.to_le_bytes());
+        out.push(meta.version);
     }
+    let mut prev = RowPrev::default();
     for entry in &index.windows {
-        let mut record = [0u8; WINDOW_RECORD_LEN];
-        record[..8].copy_from_slice(&entry.window_id.to_le_bytes());
-        record[8..16].copy_from_slice(&entry.start_ns.to_le_bytes());
-        record[16..24].copy_from_slice(&entry.end_ns.to_le_bytes());
-        record[24..28].copy_from_slice(&entry.events.to_le_bytes());
-        record[28..32].copy_from_slice(&entry.segment.to_le_bytes());
-        record[32..40].copy_from_slice(&entry.offset.to_le_bytes());
-        record[40..44].copy_from_slice(&entry.len.to_le_bytes());
-        record[44] = entry.codec;
-        record[45..49].copy_from_slice(&entry.raw_len.to_le_bytes());
-        out.extend_from_slice(&record);
+        put_meta_v3(&mut out, prev.frame.deltas(entry), entry.codec);
+        let segment = entry.segment.wrapping_sub(prev.segment);
+        let offset = entry.offset.wrapping_sub(prev.offset_base(entry.segment));
+        for field in [u64::from(segment), offset, u64::from(entry.len)] {
+            put_varint(&mut out, field);
+        }
+        prev = RowPrev::after(entry);
     }
     let crc = crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
@@ -852,46 +970,81 @@ pub(crate) fn encode_sidecar(index: &LaneIndex) -> Vec<u8> {
 }
 
 /// Parses a binary sidecar, accepting only a file that is intact (magic,
-/// CRC), of this build's schema, and exactly as long as its own counts
-/// say. The counts are checked against the file length before anything
-/// is allocated, so no header can make the decoder reserve more than the
+/// CRC), of schema 4 or 3, and exactly as long as its own counts and rows
+/// say. Every count is checked against the bytes left before anything is
+/// allocated, so no header can make the decoder reserve more than the
 /// file it was handed.
 pub(crate) fn decode_sidecar(bytes: &[u8]) -> Result<LaneIndex, FallbackReason> {
-    if bytes.len() < SIDECAR_HEADER_LEN + 4 || &bytes[..4] != SIDECAR_MAGIC {
+    if bytes.len() < SIDECAR_FIXED_LEN + 4 || &bytes[..4] != SIDECAR_MAGIC {
         return Err(FallbackReason::Unreadable);
     }
     let (sealed, stored_crc) = bytes.split_at(bytes.len() - 4);
     if crc32(sealed) != read_u32(stored_crc, 0) {
         return Err(FallbackReason::BadChecksum);
     }
-    if read_u32(sealed, 4) != SIDECAR_SCHEMA {
-        return Err(FallbackReason::UnknownSchema);
-    }
     let lane = read_u32(sealed, 8);
-    let segments = u64::from(read_u32(sealed, 12));
-    let segments_end = SIDECAR_HEADER_LEN as u64 + SEGMENT_RECORD_LEN as u64 * segments;
-    let expected_len = read_u64(sealed, 16)
-        .checked_mul(WINDOW_RECORD_LEN as u64)
-        .and_then(|window_bytes| window_bytes.checked_add(segments_end));
-    if expected_len != Some(sealed.len() as u64) {
-        return Err(FallbackReason::Unreadable);
+    let index = match read_u32(sealed, 4) {
+        SIDECAR_SCHEMA => decode_rows(sealed, lane),
+        SIDECAR_SCHEMA_V3 => decode_fixed_width(sealed, lane),
+        _ => return Err(FallbackReason::UnknownSchema),
+    };
+    index.ok_or(FallbackReason::Unreadable)
+}
+
+/// The segment and window tables of a schema-4 sidecar, sealed bytes
+/// only; `None` unless `W` rows of minimal varints fill exactly the bytes
+/// after the segment records. `W` is held to one row per
+/// [`WINDOW_ROW_MIN_LEN`] bytes before anything is reserved.
+fn decode_rows(sealed: &[u8], lane: u32) -> Option<LaneIndex> {
+    let mut at = SIDECAR_FIXED_LEN;
+    let segment_count = take_varint(sealed, &mut at, 10)?;
+    let window_count = take_varint(sealed, &mut at, 10)?;
+    let records = usize::try_from(segment_count)
+        .ok()?
+        .checked_mul(SEGMENT_RECORD_LEN)?;
+    let rest = &sealed[at..];
+    let (records, rows) = (rest.get(..records)?, rest.get(records..)?);
+    if window_count > (rows.len() / WINDOW_ROW_MIN_LEN) as u64 {
+        return None;
     }
-    // `segments_end` is within the file now, so it fits a `usize`.
-    let (segment_records, window_records) =
-        sealed[SIDECAR_HEADER_LEN..].split_at(segments_end as usize - SIDECAR_HEADER_LEN);
-    Ok(LaneIndex {
+    let mut windows = Vec::with_capacity(window_count as usize);
+    let (mut at, mut prev) = (0, RowPrev::default());
+    for _ in 0..window_count {
+        let entry = prev.resolve(take_row(rows, &mut at)?);
+        prev = RowPrev::after(&entry);
+        windows.push(entry);
+    }
+    (at == rows.len()).then(|| LaneIndex {
         schema: SIDECAR_SCHEMA,
         lane,
-        segments: segment_records
-            .chunks_exact(SEGMENT_RECORD_LEN)
-            .map(|record| SegmentMeta {
-                seq: read_u32(record, 0),
-                committed_bytes: read_u64(record, 4),
-                version: record[12],
-            })
-            .collect(),
+        segments: segment_records(records),
+        windows,
+    })
+}
+
+/// The tables of a schema-3 sidecar (read only): `None` unless the file is
+/// exactly `28 + 13·S + 49·W` bytes, computed with overflow checks.
+fn decode_fixed_width(sealed: &[u8], lane: u32) -> Option<LaneIndex> {
+    if sealed.len() < SIDECAR_V3_HEADER_LEN {
+        return None;
+    }
+    let segments = u64::from(read_u32(sealed, 12));
+    let segments_end = SIDECAR_V3_HEADER_LEN as u64 + SEGMENT_RECORD_LEN as u64 * segments;
+    let expected_len = read_u64(sealed, 16)
+        .checked_mul(WINDOW_RECORD_V3_LEN as u64)
+        .and_then(|window_bytes| window_bytes.checked_add(segments_end));
+    if expected_len != Some(sealed.len() as u64) {
+        return None;
+    }
+    // `segments_end` is within the file now, so it fits a `usize`.
+    let (records, window_records) =
+        sealed[SIDECAR_V3_HEADER_LEN..].split_at(segments_end as usize - SIDECAR_V3_HEADER_LEN);
+    Some(LaneIndex {
+        schema: SIDECAR_SCHEMA,
+        lane,
+        segments: segment_records(records),
         windows: window_records
-            .chunks_exact(WINDOW_RECORD_LEN)
+            .chunks_exact(WINDOW_RECORD_V3_LEN)
             .map(|record| WindowEntry {
                 window_id: read_u64(record, 0),
                 start_ns: read_u64(record, 8),
@@ -905,6 +1058,18 @@ pub(crate) fn decode_sidecar(bytes: &[u8]) -> Result<LaneIndex, FallbackReason> 
             })
             .collect(),
     })
+}
+
+/// The 13-byte segment records both schemas share.
+fn segment_records(records: &[u8]) -> Vec<SegmentMeta> {
+    records
+        .chunks_exact(SEGMENT_RECORD_LEN)
+        .map(|record| SegmentMeta {
+            seq: read_u32(record, 0),
+            committed_bytes: read_u64(record, 4),
+            version: record[12],
+        })
+        .collect()
 }
 
 /// Atomically persists a lane sidecar (temp file + rename), shared by the
@@ -1212,28 +1377,116 @@ mod tests {
         index
     }
 
+    fn hex(text: &str) -> Vec<u8> {
+        let digits: Vec<u8> = text.bytes().filter(u8::is_ascii_hexdigit).collect();
+        digits
+            .chunks(2)
+            .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+            .collect()
+    }
+
+    /// `body` behind the magic, schema 4 and lane 0, sealed with its CRC.
+    fn sealed_v4(body: &[u8]) -> Vec<u8> {
+        let mut bytes = b"EIDX".to_vec();
+        bytes.extend_from_slice(&SIDECAR_SCHEMA.to_le_bytes());
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        bytes.extend_from_slice(body);
+        let crc = crc32(&bytes);
+        bytes.extend_from_slice(&crc.to_le_bytes());
+        bytes
+    }
+
+    /// The schema-3 encoder the builds before schema 4 ran: header,
+    /// fixed-width little-endian records, CRC-32.
+    fn encode_sidecar_v3(index: &LaneIndex) -> Vec<u8> {
+        let mut out = b"EIDX".to_vec();
+        out.extend_from_slice(&SIDECAR_SCHEMA_V3.to_le_bytes());
+        out.extend_from_slice(&index.lane.to_le_bytes());
+        out.extend_from_slice(&(index.segments.len() as u32).to_le_bytes());
+        out.extend_from_slice(&(index.windows.len() as u64).to_le_bytes());
+        for meta in &index.segments {
+            out.extend_from_slice(&meta.seq.to_le_bytes());
+            out.extend_from_slice(&meta.committed_bytes.to_le_bytes());
+            out.push(meta.version);
+        }
+        for entry in &index.windows {
+            out.extend_from_slice(&entry.window_id.to_le_bytes());
+            out.extend_from_slice(&entry.start_ns.to_le_bytes());
+            out.extend_from_slice(&entry.end_ns.to_le_bytes());
+            out.extend_from_slice(&entry.events.to_le_bytes());
+            out.extend_from_slice(&entry.segment.to_le_bytes());
+            out.extend_from_slice(&entry.offset.to_le_bytes());
+            out.extend_from_slice(&entry.len.to_le_bytes());
+            out.push(entry.codec);
+            out.extend_from_slice(&entry.raw_len.to_le_bytes());
+        }
+        let crc = crc32(&out);
+        out.extend_from_slice(&crc.to_le_bytes());
+        out
+    }
+
     #[test]
     fn sidecar_bytes_follow_the_documented_layout() {
         let index = sample_index();
         let bytes = encode_sidecar(&index);
-        assert_eq!(bytes.len(), 24 + 13 * 2 + 49 * 5 + 4);
-        assert_eq!(&bytes[..4], b"EIDX");
-        assert_eq!(read_u32(&bytes, 4), 3, "schema");
-        assert_eq!(read_u32(&bytes, 8), 3, "lane");
-        assert_eq!(read_u32(&bytes, 12), 2, "segments");
-        assert_eq!(read_u64(&bytes, 16), 5, "windows");
-        // Second segment record, then the third window record.
-        assert_eq!(read_u32(&bytes, 24 + 13), 4);
-        assert_eq!(read_u64(&bytes, 24 + 13 + 4), 1004);
-        assert_eq!(bytes[24 + 13 + 12], SEGMENT_VERSION_V2);
-        let row = 24 + 26 + 49 * 2;
-        assert_eq!(read_u64(&bytes, row), 2, "window id");
-        assert_eq!(read_u32(&bytes, row + 28), 4, "segment");
-        assert_eq!(read_u64(&bytes, row + 32), 213, "offset");
-        assert_eq!(bytes[row + 44], 2, "codec");
-        assert_eq!(read_u32(&bytes, row + 45), 90, "raw length");
+        // FORMAT.md §4, schema 4: each row is the v3 frame meta of its
+        // window against the row before (zeros in front of the first),
+        // then the segment delta, the offset against the row before's
+        // body end in the same segment (0 in another) and the length.
+        let expected = hex("
+            45494458 04000000 03000000 02 05
+            00000000 e803000000000000 01
+            04000000 ec03000000000000 02
+            00 00 12 01 00 5a   00 0d   3c
+            02 02 00 02 01 5a   00 28   3c
+            02 02 00 03 02 5a   04 d501 3c
+            02 02 00 04 00 5a   00 28   3c
+            02 02 00 05 01 5a   00 28   3c");
+        assert_eq!(bytes[..bytes.len() - 4], expected);
         let sealed = bytes.len() - 4;
         assert_eq!(read_u32(&bytes, sealed), crc32(&bytes[..sealed]));
+        assert_eq!(decode_sidecar(&bytes), Ok(index));
+    }
+
+    #[test]
+    fn a_recorded_lane_costs_nine_bytes_a_row_and_three_a_gap() {
+        // 40 ms windows back to back, as v3 frames of bodies under 128
+        // bytes, one in seven not recorded, across two segments: nine
+        // one-byte fields a row, and three more behind each gap (a 40 ms
+        // gap is a four-byte varint).
+        let mut index = LaneIndex::new(0);
+        let (mut offset, mut prev) = (SEGMENT_HEADER_LEN, FramePrev::default());
+        for id in (0..1_000u64).filter(|id| id % 7 != 3) {
+            let segment = u32::from(id >= 500);
+            if id == 501 {
+                (offset, prev) = (SEGMENT_HEADER_LEN, FramePrev::default());
+            }
+            let mut entry = window(
+                id,
+                id * 40_000_000,
+                (id + 1) * 40_000_000,
+                48,
+                CodecId::Packed,
+            );
+            (entry.segment, entry.offset, entry.raw_len) = (segment, offset, 100 + id as u32 % 9);
+            let block_len = 40 + id as usize % 20;
+            let body = meta_len_v3(prev.deltas(&entry)) + block_len as u64;
+            entry.len = body as u32;
+            offset += frame_len(prev, &entry, block_len);
+            prev = FramePrev::after(&entry);
+            index.windows.push(entry);
+        }
+        let bytes = encode_sidecar(&index);
+        // 12 fixed bytes, S in one byte, W = 857 in two; the CRC.
+        let rows = bytes.len() - 15 - 4;
+        let gaps = index
+            .windows
+            .iter()
+            .filter(|w| w.window_id % 7 == 4)
+            .count();
+        // The first row's span is coded against 0: three more bytes.
+        assert_eq!(rows, 9 * index.windows.len() + 3 * (gaps + 1));
+        assert_eq!((index.windows.len(), rows), (857, 8145), "9.50 B per row");
         assert_eq!(decode_sidecar(&bytes), Ok(index));
     }
 
@@ -1260,14 +1513,16 @@ mod tests {
             bytes
         };
         // Intact files this build must still not take at their word.
-        let mut future = bytes.clone();
-        future[4] = 4;
-        assert_eq!(
-            decode_sidecar(&reseal(future)),
-            Err(FallbackReason::UnknownSchema)
-        );
+        for schema in [0, 1, 2, 5, u32::MAX] {
+            let mut future = bytes.clone();
+            future[4..8].copy_from_slice(&schema.to_le_bytes());
+            assert_eq!(
+                decode_sidecar(&reseal(future)),
+                Err(FallbackReason::UnknownSchema)
+            );
+        }
         let mut padded = bytes.clone();
-        padded.extend_from_slice(&[0; 49]);
+        padded.extend_from_slice(&[0; 9]);
         assert_eq!(
             decode_sidecar(&reseal(padded)),
             Err(FallbackReason::Unreadable)
@@ -1275,15 +1530,31 @@ mod tests {
     }
 
     #[test]
+    fn schema_3_sidecars_are_still_read() {
+        let index = sample_index();
+        let bytes = encode_sidecar_v3(&index);
+        assert_eq!(bytes.len(), 28 + 13 * 2 + 49 * 5);
+        assert_eq!(decode_sidecar(&bytes), Ok(index));
+        // Exactly `28 + 13·S + 49·W` bytes, or nothing.
+        for len in [bytes.len() - 1, bytes.len() + 1] {
+            let mut resized = bytes[..bytes.len() - 4].to_vec();
+            resized.resize(len - 4, 0);
+            let crc = crc32(&resized);
+            resized.extend_from_slice(&crc.to_le_bytes());
+            assert_eq!(decode_sidecar(&resized), Err(FallbackReason::Unreadable));
+        }
+    }
+
+    #[test]
     fn hostile_counts_are_rejected_before_anything_is_allocated() {
-        // A 40-byte file claiming 2^60 windows, `u64::MAX` windows, and a
-        // count whose size in bytes only overflows once the segment
-        // records are added: each must be declined on arithmetic alone —
-        // reserving room for any of them would abort the process.
+        // A 40-byte schema-3 file claiming 2^60 windows, `u64::MAX`
+        // windows, and a count whose size in bytes only overflows once the
+        // segment records are added: each must be declined on arithmetic
+        // alone — reserving room for any of them would abort the process.
         for windows in [1u64 << 60, u64::MAX, (u64::MAX - 36) / 49] {
             let mut bytes = Vec::new();
             bytes.extend_from_slice(b"EIDX");
-            bytes.extend_from_slice(&SIDECAR_SCHEMA.to_le_bytes());
+            bytes.extend_from_slice(&SIDECAR_SCHEMA_V3.to_le_bytes());
             bytes.extend_from_slice(&0u32.to_le_bytes());
             bytes.extend_from_slice(&u32::MAX.to_le_bytes());
             bytes.extend_from_slice(&windows.to_le_bytes());
@@ -1292,6 +1563,100 @@ mod tests {
             bytes.extend_from_slice(&crc.to_le_bytes());
             assert_eq!(bytes.len(), 40);
             assert_eq!(decode_sidecar(&bytes), Err(FallbackReason::Unreadable));
+        }
+        // Schema 4: `S` records must fit the bytes after the counts, and
+        // `W` rows of at least 9 bytes the bytes after the records.
+        let varint = |value: u64| {
+            let mut out = Vec::new();
+            put_varint(&mut out, value);
+            out
+        };
+        let zero_rows = |rows: usize| vec![0u8; 9 * rows];
+        for (segments, windows, rows) in [
+            (0, 3, 2),
+            (0, 1 << 60, 2),
+            (0, u64::MAX, 2),
+            (u64::MAX, 0, 0),
+            (1 << 40, 1, 1),
+            (u64::MAX / 13 + 1, 0, 4),
+            (2, 0, 1),
+        ] {
+            let mut body = varint(segments);
+            body.extend(varint(windows));
+            body.extend(zero_rows(rows));
+            assert_eq!(
+                decode_sidecar(&sealed_v4(&body)),
+                Err(FallbackReason::Unreadable),
+                "S {segments}, W {windows}, {rows} row(s) of bytes"
+            );
+        }
+    }
+
+    #[test]
+    fn crafted_schema_4_rows_are_held_to_the_layout() {
+        // The all-zero row is the shortest there is; each case below
+        // breaks one rule of FORMAT.md §4 under a valid CRC.
+        let valid = sealed_v4(&[0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(
+            decode_sidecar(&valid).map(|index| index.windows.len()),
+            Ok(1)
+        );
+        let u32_max = [0xff, 0xff, 0xff, 0xff, 0x0f];
+        let past_u32 = [0x80, 0x80, 0x80, 0x80, 0x10];
+        // A row of zeros with `field` (0 = id delta ... 8 = len; 4, the
+        // codec byte, is not a varint) replaced by `value`.
+        let row_with = |field: usize, value: &[u8]| {
+            let mut body = vec![0, 1];
+            for at in 0..9 {
+                if at == field {
+                    body.extend_from_slice(value);
+                } else {
+                    body.push(0);
+                }
+            }
+            sealed_v4(&body)
+        };
+        for field in [3, 5, 6, 8] {
+            // events, raw length, segment delta, len: 32 bits each.
+            assert!(
+                decode_sidecar(&row_with(field, &u32_max)).is_ok(),
+                "{field}"
+            );
+            assert_eq!(
+                decode_sidecar(&row_with(field, &past_u32)),
+                Err(FallbackReason::Unreadable),
+                "field {field} past 2^32 - 1"
+            );
+        }
+        for field in [0, 1, 2, 3, 5, 6, 7, 8] {
+            // Zero as two bytes, and 1 as three: not minimal.
+            for padded in [&[0x80, 0x00][..], &[0x81, 0x80, 0x00]] {
+                assert_eq!(
+                    decode_sidecar(&row_with(field, padded)),
+                    Err(FallbackReason::Unreadable),
+                    "field {field}: {padded:02x?}"
+                );
+            }
+        }
+        for body in [
+            // Counts that are not minimal.
+            &[0x80, 0x00, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0][..],
+            &[0, 0x81, 0x00, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            // The rows end before the CRC.
+            &[0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            &[0, 0, 0],
+            // The last row runs into it.
+            &[0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0x80],
+            &[0, 1, 0, 0, 0, 0, 0, 0, 0, 0x80, 0x80],
+            // No counts at all.
+            &[],
+            &[0],
+        ] {
+            assert_eq!(
+                decode_sidecar(&sealed_v4(body)),
+                Err(FallbackReason::Unreadable),
+                "{body:02x?}"
+            );
         }
     }
 
@@ -1314,10 +1679,18 @@ mod tests {
         })
     }
 
+    fn extreme_u32() -> impl Strategy<Value = u32> {
+        (any::<u32>(), 0u8..4).prop_map(|(value, pick)| match pick {
+            0 => 0,
+            1 => u32::MAX,
+            _ => value,
+        })
+    }
+
     fn arbitrary_window() -> impl Strategy<Value = WindowEntry> {
         (
             (extreme_u64(), extreme_u64(), extreme_u64(), extreme_u64()),
-            (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()),
+            (extreme_u32(), extreme_u32(), extreme_u32(), extreme_u32()),
             any::<u8>(),
         )
             .prop_map(
@@ -1341,6 +1714,51 @@ mod tests {
             )
     }
 
+    /// A step of a recorded-looking lane: the next window and frame, or a
+    /// jump of any field — ids out of order, segments going backwards,
+    /// frames that are not back to back.
+    fn arbitrary_step() -> impl Strategy<Value = (u8, WindowEntry)> {
+        (0u8..8, arbitrary_window())
+    }
+
+    fn lane_of_steps(steps: &[(u8, WindowEntry)]) -> Vec<WindowEntry> {
+        let mut windows: Vec<WindowEntry> = Vec::new();
+        for &(pick, jump) in steps {
+            let Some(&last) = windows.last() else {
+                windows.push(jump);
+                continue;
+            };
+            let span = last.end_ns.wrapping_sub(last.start_ns);
+            let next = WindowEntry {
+                window_id: last.window_id.wrapping_add(1),
+                start_ns: last.end_ns,
+                end_ns: last.end_ns.wrapping_add(span),
+                offset: last.offset.wrapping_add(u64::from(last.len) + 5),
+                ..jump
+            };
+            windows.push(match pick {
+                0 => jump,
+                1 => WindowEntry {
+                    window_id: jump.window_id,
+                    ..next
+                },
+                2 => WindowEntry {
+                    segment: jump.segment,
+                    ..next
+                },
+                3 => WindowEntry {
+                    offset: jump.offset,
+                    ..next
+                },
+                _ => WindowEntry {
+                    segment: last.segment,
+                    ..next
+                },
+            });
+        }
+        windows
+    }
+
     proptest! {
         /// The encoding is a bijection on `LaneIndex` values — it carries
         /// every field at full width and judges none of them (trust is
@@ -1350,21 +1768,45 @@ mod tests {
             lane in any::<u32>(),
             segments in prop::collection::vec(arbitrary_segment(), 0..6),
             windows in prop::collection::vec(arbitrary_window(), 0..40),
+            steps in prop::collection::vec(arbitrary_step(), 0..60),
             template in arbitrary_window(),
         ) {
             let mut index = LaneIndex::new(lane);
             index.segments = segments;
             index.windows = windows;
+            index.windows.extend(lane_of_steps(&steps));
             // Every codec byte, known to this build or not.
             index
                 .windows
                 .extend((0..=u8::MAX).map(|codec| WindowEntry { codec, ..template }));
             let bytes = encode_sidecar(&index);
-            prop_assert_eq!(
-                bytes.len(),
-                28 + 13 * index.segments.len() + 49 * index.windows.len()
-            );
-            prop_assert_eq!(decode_sidecar(&bytes), Ok(index));
+            let (records, rows) = (13 * index.segments.len(), index.windows.len());
+            prop_assert!(bytes.len() >= 18 + records + 9 * rows);
+            // Five 10-byte varints, four 5-byte ones and the codec byte.
+            prop_assert!(bytes.len() <= 36 + records + 71 * rows);
+            prop_assert_eq!(decode_sidecar(&bytes), Ok(index.clone()));
+            prop_assert_eq!(decode_sidecar(&encode_sidecar_v3(&index)), Ok(index));
+        }
+
+        /// Whatever a CRC-valid schema-4 file holds, the decoder declines
+        /// it or reads the one index that encodes to exactly those bytes.
+        #[test]
+        fn a_schema_4_sidecar_decodes_only_from_its_own_encoding(
+            body in prop::collection::vec(
+                (0u8..5, any::<u8>()).prop_map(|(pick, byte)| match pick {
+                    0 => 0,
+                    1 => 1,
+                    2 => 0x80,
+                    3 => 0xff,
+                    _ => byte,
+                }),
+                0..80,
+            ),
+        ) {
+            let bytes = sealed_v4(&body);
+            if let Ok(index) = decode_sidecar(&bytes) {
+                prop_assert_eq!(encode_sidecar(&index), bytes);
+            }
         }
     }
 

@@ -528,10 +528,27 @@ fn the_binary_sidecar_is_the_one_judged_when_both_are_present() {
 }
 
 /// `lane0000.idx` of `build_v1_store(dir, 2, 2)`, as FORMAT.md §4 lays it
-/// out: header, two 13-byte segment records, four 49-byte window records,
-/// CRC-32. An encoder that emits anything else, or a decoder that reads
-/// this as anything else, has changed the format.
+/// out in schema 4: the fixed header, `S` = 2 and `W` = 4 as varints, two
+/// 13-byte segment records, four varint rows — each a v3 frame meta
+/// against the row before (id, start, span, events, codec, raw length),
+/// then segment delta, offset against the row before's body end (0 in a
+/// new segment) and body length — and the CRC-32. An encoder that emits
+/// anything else, or a decoder that reads this as anything else, has
+/// changed the format.
 const GOLDEN_IDX: &str = "\
+    45494458 04000000 00000000 02 04 \
+    00000000 a200000000000000 01 \
+    01000000 0401000000000000 01 \
+    00 00       e2c65b 04 00 1c  00 0d 38 \
+    02 9e93e908 e0c65b 07 00 31  00 08 4d \
+    02 becc8d08 e0c65b 0a 00 4d  01 0d 69 \
+    02 de85b207 e0c65b 0d 00 62  00 08 7e \
+    1ab9814a";
+
+/// The same sidecar in schema 3, which builds before schema 4 wrote:
+/// header, two 13-byte segment records, four 49-byte window records,
+/// CRC-32. Never written again; still trusted.
+const GOLDEN_IDX_V3: &str = "\
     45494458 03000000 00000000 02000000 0400000000000000 \
     00000000 a200000000000000 01 \
     01000000 0401000000000000 01 \
@@ -545,42 +562,93 @@ const GOLDEN_IDX: &str = "\
       7e00000000000000 7e000000 00 62000000 \
     14fa7ead";
 
-#[test]
-fn golden_binary_sidecar_pins_the_layout() {
-    let golden = unhex(GOLDEN_IDX);
-    let dir = temp_dir("golden-idx");
+/// Decoder half of a golden sidecar: `golden` is a trusted sidecar of
+/// `build_v1_store(dir, 2, 2)` whose rows are the scanner's. Returns the
+/// store's directory, its `.idx` still the golden bytes.
+fn assert_golden_sidecar_is_trusted(tag: &str, golden: &[u8]) -> std::path::PathBuf {
+    let dir = temp_dir(tag);
     let recorded = build_v1_store(&dir, 2, 2);
     std::fs::remove_file(dir.join("lane0000.idx.json")).unwrap();
-
-    // Decoder: the golden bytes are a trusted sidecar of this store.
-    std::fs::write(dir.join("lane0000.idx"), &golden).unwrap();
-    let reader = StoreReader::open(&dir).unwrap();
-    assert!(reader.recovery().clean, "{:?}", reader.recovery());
     let scanned = {
-        std::fs::remove_file(dir.join("lane0000.idx")).unwrap();
         let cold = StoreReader::open(&dir).unwrap();
         assert!(!cold.recovery().clean);
         cold.lane_windows(0).unwrap().to_vec()
     };
+    std::fs::write(dir.join("lane0000.idx"), golden).unwrap();
+    let reader = StoreReader::open(&dir).unwrap();
+    assert!(reader.recovery().clean, "{:?}", reader.recovery());
     assert_eq!(reader.lane_windows(0).unwrap(), scanned);
     assert_store_matches(&reader, &recorded);
-    drop(reader);
+    dir
+}
 
-    // Encoder: a writer that recovers the lane and closes it emits them.
-    LaneWriter::create(&dir, 0, StoreConfig::default())
+/// Encoder half: a writer that recovers the lane and closes it emits the
+/// schema-4 golden bytes.
+fn assert_close_writes_the_golden_sidecar(dir: &std::path::Path) {
+    LaneWriter::create(dir, 0, StoreConfig::default())
         .unwrap()
         .close()
         .unwrap();
     let written = std::fs::read(dir.join("lane0000.idx")).unwrap();
     assert!(
-        written == golden,
+        written == unhex(GOLDEN_IDX),
         "lane0000.idx drifted from the golden bytes:\n{}",
         written
             .iter()
             .map(|byte| format!("{byte:02x}"))
             .collect::<String>()
     );
+}
+
+#[test]
+fn golden_binary_sidecar_pins_the_layout() {
+    let dir = assert_golden_sidecar_is_trusted("golden-idx", &unhex(GOLDEN_IDX));
+    assert_close_writes_the_golden_sidecar(&dir);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn golden_schema_3_sidecar_is_trusted_and_the_next_close_writes_schema_4() {
+    let golden = unhex(GOLDEN_IDX_V3);
+    let dir = assert_golden_sidecar_is_trusted("golden-idx-v3", &golden);
+    // A pass that changes nothing (it merges segments under one byte)
+    // leaves the trusted sidecar as it is.
+    let report = Compactor::new(&dir, MaintenancePolicy::merge_below(1))
+        .compact()
+        .unwrap();
+    assert!(report.is_noop(), "{report}");
+    assert_eq!(std::fs::read(dir.join("lane0000.idx")).unwrap(), golden);
+    assert_close_writes_the_golden_sidecar(&dir);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A schema-3 `lane0000.idx` (FORMAT.md §4) of `segments` — `(seq,
+/// committed bytes, version)` — and `rows`.
+fn schema_3_sidecar(segments: &[(u32, u64, u8)], rows: &[endurance_store::WindowEntry]) -> Vec<u8> {
+    let mut out = b"EIDX".to_vec();
+    for field in [3, 0, segments.len() as u32] {
+        out.extend_from_slice(&field.to_le_bytes());
+    }
+    out.extend_from_slice(&(rows.len() as u64).to_le_bytes());
+    for &(seq, committed_bytes, version) in segments {
+        out.extend_from_slice(&seq.to_le_bytes());
+        out.extend_from_slice(&committed_bytes.to_le_bytes());
+        out.push(version);
+    }
+    for row in rows {
+        for field in [row.window_id, row.start_ns, row.end_ns] {
+            out.extend_from_slice(&field.to_le_bytes());
+        }
+        for field in [row.events, row.segment] {
+            out.extend_from_slice(&field.to_le_bytes());
+        }
+        out.extend_from_slice(&row.offset.to_le_bytes());
+        out.extend_from_slice(&row.len.to_le_bytes());
+        out.push(row.codec);
+        out.extend_from_slice(&row.raw_len.to_le_bytes());
+    }
+    out.extend_from_slice(&crc32(&out).to_le_bytes());
+    out
 }
 
 fn recorded_as(windows: &[Window]) -> Vec<(u64, Vec<TraceEvent>, Vec<u8>)> {
@@ -860,17 +928,20 @@ fn a_sidecar_row_inside_a_v4_table_fails_its_first_read() {
         .unwrap()
         .close()
         .unwrap();
-    // Point the first row at the header's end — inside the table — and
-    // reseal: the row check (FORMAT.md §4) bounds rows at the header, not
-    // at the table, so the sidecar is trusted.
-    let path = dir.join("lane0000.idx");
-    let mut idx = std::fs::read(&path).unwrap();
-    let row = 24 + 13;
-    idx[row + 32..row + 40].copy_from_slice(&13u64.to_le_bytes());
-    let sealed = idx.len() - 4;
-    let crc = crc32(&idx[..sealed]);
-    idx[sealed..].copy_from_slice(&crc.to_le_bytes());
-    std::fs::write(&path, &idx).unwrap();
+    // Point the first row at the header's end — inside the table: the
+    // row check (FORMAT.md §4) bounds rows at the header, not at the
+    // table, so the sidecar is trusted. Schema 3's fixed-width rows, which
+    // the same row check holds, let one row move without the rows after
+    // it, each coded against the one before in schema 4.
+    let mut rows = StoreReader::open(&dir)
+        .unwrap()
+        .lane_windows(0)
+        .unwrap()
+        .to_vec();
+    rows[0].offset = 13;
+    let segment = std::fs::read(dir.join("lane0000-000000.seg")).unwrap();
+    let idx = schema_3_sidecar(&[(0, segment.len() as u64, segment[4])], &rows);
+    std::fs::write(dir.join("lane0000.idx"), idx).unwrap();
     let reader = StoreReader::open(&dir).unwrap();
     assert!(reader.recovery().clean, "{:?}", reader.recovery());
     for error in [
