@@ -604,8 +604,8 @@ fn main() -> ExitCode {
             .with_snapshot(store_registry.snapshot()),
     );
 
-    // Replay config: a dense many-segment lane read through the buffered
-    // SegmentMap path, the store reopened per rep.
+    // Replay config: a dense many-segment lane read through the reader's
+    // buffered read path, the store reopened per rep.
     let replay_dir =
         std::env::temp_dir().join(format!("bench-smoke-replay-{}", std::process::id()));
     let replay_windows = if options.quick { 4_000 } else { 12_000 };

@@ -10,12 +10,12 @@
 //!
 //! * [`ServeHandle`] — one handle per store directory. It creates (or
 //!   adopts) lane writers, tracks their commit logs, and serves reads.
-//! * **Snapshot queries** — [`ServeHandle::snapshot`] captures an
-//!   immutable, cheaply cloneable [`Snapshot`] of everything committed;
-//!   [`ServeHandle::window_events`] / [`ServeHandle::windows_in_range`]
-//!   answer from it. Snapshots share one segment-buffer pool with every
-//!   other consumer of the handle, so N concurrent readers hold one
-//!   copy of each resident segment.
+//! * **Snapshot queries** — [`ServeHandle::snapshot`] hands out the
+//!   handle's immutable, cheaply cloneable [`Snapshot`] of everything
+//!   committed, which answers every `StoreReader` query.
+//!   Snapshots share one segment-buffer pool with every other consumer
+//!   of the handle, so N concurrent readers hold one copy of each
+//!   resident segment.
 //! * **Tail subscriptions** — [`ServeHandle::subscribe`] hands out a
 //!   cursor that receives every committed window of a lane exactly
 //!   once, in commit order, from the start of the lane through live
@@ -66,7 +66,7 @@ use endurance_obs::Registry;
 use endurance_store::{
     CommitLog, LaneWriter, SegmentCache, Snapshot, StoreConfig, StoreReader, StoreWriter,
 };
-use trace_model::{Timestamp, TraceError, TraceEvent, WindowId};
+use trace_model::TraceError;
 
 use hub::Hub;
 
@@ -245,35 +245,6 @@ impl ServeHandle {
         Ok(reader.snapshot())
     }
 
-    /// The decoded events of one committed window, answered from the
-    /// handle's current snapshot (see [`ServeHandle::snapshot`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Snapshot::window_events`].
-    pub fn window_events(
-        &self,
-        lane: u32,
-        window_id: WindowId,
-    ) -> Result<Option<Vec<TraceEvent>>, TraceError> {
-        self.snapshot()?.window_events(lane, window_id)
-    }
-
-    /// The committed windows intersecting `[from, to)`, decoded, in
-    /// recording order, answered from the handle's current snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Snapshot::windows_in_range`].
-    pub fn windows_in_range(
-        &self,
-        lane: u32,
-        from: Timestamp,
-        to: Timestamp,
-    ) -> Result<Vec<(WindowId, Vec<TraceEvent>)>, TraceError> {
-        self.snapshot()?.windows_in_range(lane, from, to)
-    }
-
     /// Subscribes to `lane` with default [`SubscribeOptions`]: the
     /// follower receives every committed window exactly once, starting
     /// from the beginning of the lane, then follows live appends. The
@@ -301,7 +272,7 @@ mod tests {
     use super::*;
     use std::time::Duration;
     use trace_model::codec::{BinaryEncoder, TraceEncoder};
-    use trace_model::{EventSink, EventTypeId, RecordMeta};
+    use trace_model::{EventSink, EventTypeId, RecordMeta, Timestamp, TraceEvent, WindowId};
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -374,28 +345,18 @@ mod tests {
         let mut writer = serve.create_writer(0, StoreConfig::default()).unwrap();
         record(&mut writer, 0, 3);
         writer.sync().unwrap();
-        assert_eq!(
-            serve
-                .window_events(0, WindowId::new(0))
-                .unwrap()
-                .unwrap()
-                .len(),
-            3
-        );
+        let events = |id| serve.snapshot()?.window_events(0, WindowId::new(id));
+        assert_eq!(events(0).unwrap().unwrap().len(), 3);
         record(&mut writer, 1, 3);
         writer.close().unwrap();
         // The cached snapshot predates window 1...
-        assert!(serve.window_events(0, WindowId::new(1)).unwrap().is_none());
+        assert!(events(1).unwrap().is_none());
         // ...until a refresh observes it.
         serve.refresh().unwrap();
-        assert!(serve.window_events(0, WindowId::new(1)).unwrap().is_some());
-        assert_eq!(
-            serve
-                .windows_in_range(0, Timestamp::from_micros(0), Timestamp::from_micros(5_000))
-                .unwrap()
-                .len(),
-            2
-        );
+        assert!(events(1).unwrap().is_some());
+        let (from, to) = (Timestamp::from_micros(0), Timestamp::from_micros(5_000));
+        let snapshot = serve.snapshot().unwrap();
+        assert_eq!(snapshot.windows_in_range(0, from, to).unwrap().len(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -150,8 +150,8 @@ impl LaneIndex {
     /// Position in `windows` of the entry a lookup of `window_id`
     /// answers with: the most recently committed one. A lane resumed by
     /// a second session can hold an id twice (`docs/FORMAT.md` §4); every
-    /// by-id read surface, [`crate::Snapshot`]'s included, returns the
-    /// occurrence a follower was delivered last.
+    /// by-id read returns the occurrence a follower was delivered last,
+    /// by this scan or by the id map a snapshot builds.
     pub(crate) fn latest(&self, window_id: WindowId) -> Option<usize> {
         self.windows
             .iter()

@@ -26,10 +26,11 @@
 //!   sidecar was declined ([`FallbackReason`]). Lane sidecars (binary,
 //!   CRC-sealed `laneNNNN.idx` files) load lazily — replaying one lane of
 //!   a fleet store decodes one index, not all of them. Replay is lazy ([`LaneReplay`] implements
-//!   [`trace_model::EventSource`]) or seekable per window via the index,
-//!   and every read path goes through a [`SegmentMap`]: segments loaded
-//!   once into contiguous buffers, frames handed out as zero-copy slices
-//!   CRC-validated on first touch.
+//!   [`trace_model::EventSource`]) or seekable per window via the index.
+//!   Every cold query has one body, in the reader, and every read goes
+//!   through the [`SegmentCache`]: segments loaded once into contiguous
+//!   buffers, frames handed out as zero-copy slices CRC-validated on
+//!   first touch.
 //! * [`Compactor`] / [`MaintenancePolicy`] — the store's maintenance
 //!   pass: runs of small adjacent segments are merged into consolidated
 //!   ones (stored blocks copied verbatim, sidecar rewritten atomically) and
@@ -50,8 +51,9 @@
 //!   holds: a live lane is append-only.
 //! * [`Snapshot`] / [`Tailer`] / [`CommitLog`] — the live read side. A
 //!   [`Snapshot`] is an immutable, cheaply cloneable view of everything
-//!   committed at a point in time, backed by `Arc`-shared segment
-//!   buffers pooled in a [`SegmentCache`]. A [`Tailer`] follows a lane
+//!   committed at a point in time: a shared [`StoreReader`] whose every
+//!   lane is loaded, answering the reader's own queries from the same
+//!   segment buffers. A [`Tailer`] follows a lane
 //!   *while a writer appends*, waking on the writer's [`CommitLog`]
 //!   watermarks and reading only sidecar-committed, CRC-verified frames
 //!   — never a torn tail, never a poll-scan, never a byte past a
@@ -108,7 +110,7 @@ pub use index::{
     FallbackReason, LaneIndex, RecoveryReport, SegmentMeta, SidecarFallback, TornTail, WindowEntry,
 };
 pub use lane::{LaneWriter, StoreConfig};
-pub use map::{SegmentCache, SegmentMap, DEFAULT_RESIDENT_SEGMENTS};
+pub use map::SegmentCache;
 pub use reader::{LaneReplay, StoreReader};
 pub use snapshot::Snapshot;
 pub use tail::{TailStep, TailWindow, Tailer};

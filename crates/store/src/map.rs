@@ -2,41 +2,35 @@
 //!
 //! The original read path paid one `open` + `seek` + two `read`s per
 //! frame — exactly the per-record syscall pattern that dominates
-//! large-scale trace reconstruction. [`SegmentMap`] replaces it: each
-//! segment file is loaded **once** into a contiguous buffer with a single
-//! read, and every frame is handed out as a `&[u8]` slice straight into
-//! that buffer — no per-frame allocation, no per-frame syscall. Frame
-//! CRCs are validated lazily, on the first touch of each frame, so a
-//! windowed seek pays for the windows it reads and a full-lane pass pays
-//! each frame exactly once.
+//! large-scale trace reconstruction. Here each segment file is loaded
+//! **once** into a contiguous buffer with a single read, and every frame
+//! is handed out as a `&[u8]` slice straight into that buffer — no
+//! per-frame allocation, no per-frame syscall. Frame CRCs are validated
+//! lazily, on the first touch of each frame, so a windowed seek pays for
+//! the windows it reads and a full-lane pass pays each frame exactly
+//! once.
 //!
-//! Compressed frames (format-v2/v3 segments with a non-identity codec) add
-//! one step: the stored block is decoded through the frame's
-//! [`FrameCodec`], told the window's start and event count (a packed
-//! block stores neither), into a scratch buffer owned by the map, so
-//! [`SegmentMap::payload`] returns either a zero-copy slice into the
-//! segment buffer (v1 and identity frames) or a slice into that scratch
-//! (everything else) — callers cannot tell the difference. The replay
-//! fast path, [`SegmentMap::decode_events_into`], skips the intermediate
+//! The loaded buffers live in `Arc`-shared `SegmentData` blocks. A
+//! [`SegmentCache`] pools them behind sharded locks and bounds how many
+//! stay resident, so every reader, every [`crate::Snapshot`] clone and
+//! every lane replay over it hit the *same* bytes (and share each
+//! frame's one-time CRC validation) instead of re-reading segment files
+//! per consumer. A format-v4 segment's template table is parsed once,
+//! when its buffer loads, and handed to the codec of every templated
+//! frame in it.
+//!
+//! A `SegmentMap` is one lane's decode front over the cache: the frame
+//! codecs, a scratch buffer and a pin on the buffer it read last.
+//! Compressed frames (format-v2/v3/v4 segments with a non-identity
+//! codec) are decoded through the frame's [`FrameCodec`], told the
+//! window's start and event count (a packed block stores neither), into
+//! that scratch, so `SegmentMap::payload` returns either a zero-copy
+//! slice into the segment buffer (v1 and identity frames) or a slice
+//! into the scratch — callers cannot tell the difference. The replay
+//! fast path, `SegmentMap::decode_events_into`, skips the intermediate
 //! payload entirely for codecs that decode events directly, and holds
 //! every frame to the event count its meta claims.
-//!
-//! A resident limit keeps full-lane replay bounded: a sequential pass
-//! over an N-segment lane holds at most `limit` segment buffers at a
-//! time, evicting the oldest as it advances — one buffered sequential
-//! sweep over the store, not an unbounded mirror of it.
-//!
-//! Since the serving layer landed, the loaded buffers themselves live in
-//! `Arc`-shared [`SegmentData`] blocks that many consumers can hold at
-//! once. A [`SegmentCache`] pools them behind sharded locks, so every
-//! [`SegmentMap::shared`] front over it, every [`crate::Snapshot`] clone
-//! and the reader's own windowed read paths all hit the *same* resident
-//! bytes (and share each frame's one-time CRC validation) instead of
-//! re-reading segment files per consumer. A format-v4 segment's template
-//! table is parsed once, when its buffer loads, and handed to the codec
-//! of every templated frame in it.
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -48,12 +42,11 @@ use trace_model::{TraceError, TraceEvent};
 use crate::index::WindowEntry;
 use crate::segment::{frame_end, segment_file_name, Frame, SegmentHead};
 
-/// Default number of segment buffers a [`SegmentMap`] keeps resident.
+/// Segment buffers each shard of a [`SegmentCache`] keeps resident.
 ///
-/// Sized so a sequential replay streams through the store while windowed
-/// seeks that revisit a couple of segments stay in memory. With the
-/// default 8 MiB segments this bounds the map at ~32 MiB.
-pub const DEFAULT_RESIDENT_SEGMENTS: usize = 4;
+/// With the default 8 MiB segments this bounds a cache at
+/// `CACHE_SHARDS ×` ~32 MiB, however many lanes its readers touch.
+const RESIDENT_SEGMENTS: usize = 4;
 
 /// Lock shards of a [`SegmentCache`]: concurrent readers of different
 /// segments contend on different mutexes.
@@ -66,13 +59,13 @@ const CACHE_SHARDS: usize = 8;
 /// readers mark and test a frame with one atomic operation each, never a
 /// lock.
 #[derive(Debug)]
-pub(crate) struct SegmentData {
+struct SegmentData {
     bytes: Vec<u8>,
     head: SegmentHead,
     /// Bit `offset` is set once the frame at `offset` passed its CRC.
     validated: Box<[AtomicU64]>,
-    /// Counts each first-touch CRC check; detached for buffers loaded
-    /// outside a metrics-wired [`SegmentCache`].
+    /// Counts each first-touch CRC check: the loading cache's counter,
+    /// a no-op unless that cache is metrics-wired.
     crc_validations: Counter,
 }
 
@@ -126,10 +119,9 @@ impl SegmentData {
 /// A process-wide pool of loaded segment buffers, keyed by
 /// `(lane, segment)` behind sharded locks.
 ///
-/// Every consumer wired to the same cache — the owning
-/// [`crate::StoreReader`]'s read paths, a caller's own
-/// [`SegmentMap::shared`] fronts, and each [`crate::Snapshot`]
-/// clone — shares the same `Arc`ed `SegmentData` buffers: one disk read
+/// Every consumer wired to the same cache — the
+/// [`crate::StoreReader`]s opened over it, each [`crate::Snapshot`]
+/// clone taken from them and each [`crate::LaneReplay`] — shares the same `Arc`ed `SegmentData` buffers: one disk read
 /// and one CRC validation per frame across all of them. Lookups of
 /// different segments contend on different shards; holding an `Arc` out
 /// of the cache is lock-free reading thereafter.
@@ -141,7 +133,6 @@ impl SegmentData {
 pub struct SegmentCache {
     pub(crate) dir: PathBuf,
     shards: Vec<Mutex<CacheShard>>,
-    per_shard: usize,
     metrics: CacheMetrics,
 }
 
@@ -173,13 +164,11 @@ type CacheShard = Vec<(u64, Arc<SegmentData>)>;
 
 impl SegmentCache {
     /// An empty cache over the store directory `dir` with the default
-    /// residency bound (`CACHE_SHARDS ×` [`DEFAULT_RESIDENT_SEGMENTS`]
-    /// buffers).
+    /// residency bound (`CACHE_SHARDS × RESIDENT_SEGMENTS` buffers).
     pub fn new(dir: impl AsRef<Path>) -> Self {
         SegmentCache {
             dir: dir.as_ref().to_path_buf(),
             shards: (0..CACHE_SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
-            per_shard: DEFAULT_RESIDENT_SEGMENTS,
             metrics: CacheMetrics::disabled(),
         }
     }
@@ -234,53 +223,34 @@ impl SegmentCache {
         )?);
         let mut resident = shard.lock().expect("segment cache poisoned");
         resident.retain(|(k, _)| *k != key);
-        while resident.len() >= self.per_shard {
+        while resident.len() >= RESIDENT_SEGMENTS {
             resident.remove(0);
         }
         resident.push((key, Arc::clone(&data)));
         Ok(data)
     }
-
-    /// Buffers currently resident across all shards.
-    pub fn resident_segments(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| shard.lock().expect("segment cache poisoned").len())
-            .sum()
-    }
-
-    /// Drops every resident buffer (consumers holding `Arc`s keep
-    /// theirs; subsequent lookups reload from disk).
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().expect("segment cache poisoned").clear();
-        }
-    }
 }
 
-/// Buffered zero-copy reader over one lane's segment files.
+/// The decode front of one lane: frame codecs, a scratch buffer and a
+/// pin on the segment buffer it read last, over a shared
+/// [`SegmentCache`].
 ///
-/// Created standalone with [`SegmentMap::new`], wired to a shared
-/// [`SegmentCache`] with [`SegmentMap::shared`], or borrowed implicitly
-/// by every [`crate::StoreReader`] read path. Frames are addressed by the
-/// [`WindowEntry`] rows of the lane index (see
-/// [`crate::StoreReader::lane_windows`]); [`SegmentMap::payload`] returns
-/// the window's original payload bytes — zero-copy for uncompressed
-/// frames, decoded into an internal scratch buffer for compressed ones.
+/// Frames are addressed by the [`WindowEntry`] rows of the lane index
+/// (see [`crate::StoreReader::lane_windows`]); [`SegmentMap::payload`]
+/// returns the window's original payload bytes — zero-copy for
+/// uncompressed frames, decoded into the scratch buffer for compressed
+/// ones. Consecutive frames of one segment reuse the pinned buffer;
+/// any other segment comes from the cache, which bounds residency.
 ///
 /// The map validates lazily but *completely*: a frame's length and CRC
 /// are checked the first time it is touched, and a mismatch surfaces as
-/// [`TraceError::Decode`] exactly as the old per-frame read path did.
+/// [`TraceError::Decode`].
 #[derive(Debug)]
-pub struct SegmentMap {
-    dir: PathBuf,
+pub(crate) struct SegmentMap {
+    cache: Arc<SegmentCache>,
     lane: u32,
-    /// Maximum segments pinned by this map (0 = unlimited).
-    limit: usize,
-    segments: BTreeMap<u32, Arc<SegmentData>>,
-    /// When present, buffers come from (and are shared through) this
-    /// cache instead of private per-map reads.
-    cache: Option<Arc<SegmentCache>>,
+    /// The buffer read last and its segment number.
+    pinned: Option<(u32, Arc<SegmentData>)>,
     /// Frame codecs, created lazily per id as compressed frames appear.
     codecs: Vec<Box<dyn FrameCodec>>,
     /// Decompressed-payload scratch, reused across frames.
@@ -288,85 +258,32 @@ pub struct SegmentMap {
 }
 
 impl SegmentMap {
-    /// Creates an empty map over `lane`'s segments inside `dir` with the
-    /// default resident limit. Nothing is read until a frame is touched.
-    pub fn new(dir: impl AsRef<Path>, lane: u32) -> Self {
+    /// A front over `lane` whose segment buffers come from the shared
+    /// `cache`. Nothing is read until a frame is touched.
+    pub(crate) fn shared(cache: Arc<SegmentCache>, lane: u32) -> Self {
         SegmentMap {
-            dir: dir.as_ref().to_path_buf(),
+            cache,
             lane,
-            limit: DEFAULT_RESIDENT_SEGMENTS,
-            segments: BTreeMap::new(),
-            cache: None,
+            pinned: None,
             codecs: Vec::new(),
             payload_scratch: Vec::new(),
         }
     }
 
-    /// Creates a map over `lane` whose segment buffers come from the
-    /// shared `cache`: repeated maps over the same lane (or a map and a
-    /// [`crate::Snapshot`] side by side) hit the same resident buffers
-    /// instead of each re-reading the segment files.
-    pub fn shared(cache: Arc<SegmentCache>, lane: u32) -> Self {
-        let mut map = SegmentMap::new(&cache.dir, lane);
-        map.cache = Some(cache);
-        map
-    }
-
-    /// Returns the map with a different resident-segment limit
-    /// (0 = unlimited; everything stays loaded).
-    pub fn with_resident_limit(mut self, segments: usize) -> Self {
-        self.limit = segments;
-        self
-    }
-
-    /// The lane this map reads.
-    pub fn lane(&self) -> u32 {
-        self.lane
-    }
-
-    /// Segments currently held in memory.
-    pub fn resident_segments(&self) -> usize {
-        self.segments.len()
-    }
-
-    /// Drops every resident buffer (subsequent touches reload).
-    pub fn clear(&mut self) {
-        self.segments.clear();
-    }
-
-    /// Pins the buffer of `entry`'s segment (loading or fetching from the
-    /// shared cache if absent, or if the pinned copy ends before the
-    /// frame does — an actively-appended segment grows between touches),
-    /// evicting per the resident limit.
-    fn load_for(&mut self, entry: &WindowEntry) -> Result<(), TraceError> {
-        let seq = entry.segment;
-        match self.segments.get(&seq) {
-            Some(data) if data.covers(entry) => return Ok(()),
-            Some(_) => drop(self.segments.remove(&seq)),
-            None => {}
-        }
-        if self.limit > 0 {
-            while self.segments.len() >= self.limit {
-                // Evict the lowest-numbered resident segment: a replay
-                // walks seqs forward, so the lowest is the one it has
-                // moved past.
-                let Some((&oldest, _)) = self.segments.iter().next() else {
-                    break;
-                };
-                self.segments.remove(&oldest);
-            }
-        }
-        let data = match &self.cache {
-            Some(cache) => cache.get_covering(self.lane, entry)?,
-            None => Arc::new(SegmentData::load(
-                &self.dir,
-                self.lane,
-                seq,
-                Counter::detached(),
-            )?),
+    /// Pins the buffer of `entry`'s segment: the pinned one when it is
+    /// that segment and holds the whole frame (an actively-appended
+    /// segment grows between touches), else the cache's.
+    fn pin<'m>(
+        pinned: &'m mut Option<(u32, Arc<SegmentData>)>,
+        cache: &SegmentCache,
+        lane: u32,
+        entry: &WindowEntry,
+    ) -> Result<&'m SegmentData, TraceError> {
+        let data = match pinned.take() {
+            Some((seq, data)) if seq == entry.segment && data.covers(entry) => data,
+            _ => cache.get_covering(lane, entry)?,
         };
-        self.segments.insert(seq, data);
-        Ok(())
+        Ok(&pinned.insert((entry.segment, data)).1)
     }
 
     /// The original payload of one indexed window (the exact bytes the
@@ -380,9 +297,8 @@ impl SegmentMap {
     /// [`TraceError::Decode`] on index/file disagreement (truncated
     /// file, length mismatch, CRC mismatch), and block decode errors for
     /// compressed frames.
-    pub fn payload(&mut self, entry: &WindowEntry) -> Result<&[u8], TraceError> {
-        self.load_for(entry)?;
-        let segment = &self.segments[&entry.segment];
+    pub(crate) fn payload(&mut self, entry: &WindowEntry) -> Result<&[u8], TraceError> {
+        let segment = Self::pin(&mut self.pinned, &self.cache, self.lane, entry)?;
         let frame = segment.frame(self.lane, entry)?;
         let context = segment.head.context(&frame, entry.start_ns);
         let block = &segment.bytes[frame.block];
@@ -410,13 +326,12 @@ impl SegmentMap {
     /// Same conditions as [`SegmentMap::payload`], plus payload decode
     /// errors, and [`TraceError::Decode`] for a frame whose block holds
     /// another number of events than its meta claims.
-    pub fn decode_events_into(
+    pub(crate) fn decode_events_into(
         &mut self,
         entry: &WindowEntry,
         out: &mut Vec<TraceEvent>,
     ) -> Result<usize, TraceError> {
-        self.load_for(entry)?;
-        let segment = &self.segments[&entry.segment];
+        let segment = Self::pin(&mut self.pinned, &self.cache, self.lane, entry)?;
         let frame = segment.frame(self.lane, entry)?;
         let context = segment.head.context(&frame, entry.start_ns);
         let block = &segment.bytes[frame.block];
@@ -489,25 +404,9 @@ mod tests {
         payloads
     }
 
-    #[test]
-    fn payloads_match_and_segments_stay_resident_within_the_limit() {
-        let dir = temp_dir("resident");
-        let payloads = write_windows(&dir, 12, 2); // 6 segments
-        let reader = StoreReader::open(&dir).unwrap();
-        let entries: Vec<WindowEntry> = reader.lane_windows(0).unwrap().to_vec();
-        let mut map = SegmentMap::new(&dir, 0).with_resident_limit(2);
-        for (entry, expected) in entries.iter().zip(&payloads) {
-            assert_eq!(map.payload(entry).unwrap(), expected.as_slice());
-            assert!(map.resident_segments() <= 2);
-        }
-        // Revisiting a resident frame is pure memory and stays validated.
-        assert_eq!(
-            map.payload(entries.last().unwrap()).unwrap(),
-            payloads.last().unwrap().as_slice()
-        );
-        map.clear();
-        assert_eq!(map.resident_segments(), 0);
-        std::fs::remove_dir_all(&dir).ok();
+    /// A front over lane 0 of `dir` through a cache of its own.
+    fn front(dir: &std::path::Path) -> SegmentMap {
+        SegmentMap::shared(Arc::new(SegmentCache::new(dir)), 0)
     }
 
     #[test]
@@ -522,7 +421,7 @@ mod tests {
         assert!(entries
             .iter()
             .all(|entry| entry.codec == CodecId::Packed.as_u8()));
-        let mut map = SegmentMap::new(&dir, 0);
+        let mut map = front(&dir);
         for (entry, expected) in entries.iter().zip(&payloads) {
             assert_eq!(map.payload(entry).unwrap(), expected.as_slice());
             let mut events = Vec::new();
@@ -545,7 +444,7 @@ mod tests {
         bytes[hit] ^= 0xFF;
         std::fs::write(&path, bytes).unwrap();
 
-        let mut map = SegmentMap::new(&dir, 0);
+        let mut map = front(&dir);
         // The intact frame is fine; the corrupt one errors with a CRC
         // mismatch on first touch.
         assert!(map.payload(&entries[0]).is_ok());
@@ -628,7 +527,7 @@ mod tests {
             codec: 0,
             raw_len: 1,
         };
-        let mut map = SegmentMap::new(&dir, 0);
+        let mut map = front(&dir);
         assert!(map.payload(&entry).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -639,22 +538,27 @@ mod tests {
         let payloads = write_windows(&dir, 8, 2); // 4 segments
         let reader = StoreReader::open(&dir).unwrap();
         let entries: Vec<WindowEntry> = reader.lane_windows(0).unwrap().to_vec();
-        let cache = Arc::new(SegmentCache::new(&dir));
+        let registry = Registry::new();
+        let cache = Arc::new(SegmentCache::new(&dir).with_metrics(&registry));
+        let counter = |name| registry.snapshot().counter(name).unwrap_or(0);
         let mut first = SegmentMap::shared(Arc::clone(&cache), 0);
         for (entry, expected) in entries.iter().zip(&payloads) {
             assert_eq!(first.payload(entry).unwrap(), expected.as_slice());
         }
-        let loaded = cache.resident_segments();
-        assert!(loaded > 0);
-        // A second map over the same cache re-reads nothing: the buffers
-        // (and their validation memos) are the same Arcs.
+        // One read per segment; a segment's second frame reads the pin.
+        assert_eq!(counter("store_segcache_misses_total"), 4);
+        assert_eq!(counter("store_crc_validations_total"), 8);
+        // A second map over the same cache re-reads nothing and checks
+        // nothing again: the buffers (and their validation memos) are
+        // the same Arcs.
+        let hits = counter("store_segcache_hits_total");
         let mut second = SegmentMap::shared(Arc::clone(&cache), 0);
         for (entry, expected) in entries.iter().zip(&payloads) {
             assert_eq!(second.payload(entry).unwrap(), expected.as_slice());
         }
-        assert_eq!(cache.resident_segments(), loaded);
-        cache.clear();
-        assert_eq!(cache.resident_segments(), 0);
+        assert_eq!(counter("store_segcache_hits_total"), hits + 4);
+        assert_eq!(counter("store_segcache_misses_total"), 4);
+        assert_eq!(counter("store_crc_validations_total"), 8);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,8 +1,12 @@
-//! Opening a store directory and replaying what it holds.
+//! Opening a store directory and answering every cold query on it.
+//!
+//! [`StoreReader`] holds the one body of each query — by id, by range,
+//! whole lane — and a [`Snapshot`] is a frozen, shared reader whose
+//! lanes are all loaded, so the two cannot answer differently.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use trace_model::{EventSource, Timestamp, TraceError, TraceEvent, WindowId};
 
@@ -34,14 +38,15 @@ use crate::snapshot::Snapshot;
 /// tails. [`StoreReader::recovery`] says what happened, and why each
 /// declined sidecar was declined — calling it forces every lane.
 ///
-/// All read paths go through a per-lane [`SegmentMap`]: each segment is
-/// loaded once into a contiguous buffer and frames are handed out as
-/// zero-copy slices (or decoded from their stored blocks, for
-/// compressed frames), CRC-validated on first touch — one buffered
-/// sequential pass for full-lane replay instead of a seek and two reads
-/// per frame. A by-id query for a window id the lane holds twice (a
-/// resumed lane recording a second session) answers with the most
-/// recently committed occurrence, as [`Snapshot`]'s does
+/// Every read path goes through the lane's one decode front over the
+/// reader's [`SegmentCache`]: each segment is loaded once into a
+/// contiguous buffer and frames are handed out as zero-copy slices (or
+/// decoded from their stored blocks, for compressed frames),
+/// CRC-validated on first touch — one buffered sequential pass for
+/// full-lane replay instead of a seek and two reads per frame. Reads of
+/// different lanes never wait on each other. A by-id query for a window
+/// id the lane holds twice (a resumed lane recording a second session)
+/// answers with the most recently committed occurrence
 /// (`docs/FORMAT.md` §4).
 ///
 /// ```rust
@@ -72,23 +77,23 @@ use crate::snapshot::Snapshot;
 #[derive(Debug)]
 pub struct StoreReader {
     dir: PathBuf,
-    lanes: BTreeMap<u32, LaneSlot>,
+    /// Shared with every [`Snapshot`] taken from this reader: a lane
+    /// loads once, and its index never changes after.
+    lanes: Arc<BTreeMap<u32, LaneSlot>>,
     recovery: OnceLock<RecoveryReport>,
-    /// Pooled `Arc`-shared segment buffers: the windowed read paths and
-    /// every [`Snapshot`] taken from this reader hit the same bytes.
+    /// Pooled `Arc`-shared segment buffers: every lane's front, every
+    /// [`LaneReplay`] and every [`Snapshot`] taken from this reader hit
+    /// the same bytes.
     cache: Arc<SegmentCache>,
-    /// Per-lane [`SegmentMap`] fronts (scratch + codec state) for the
-    /// windowed read paths; their buffers come from `cache`.
-    maps: Mutex<BTreeMap<u32, SegmentMap>>,
 }
 
-/// One lane's deferred state: its segment files, and the index once
+/// One lane's deferred state: its segment files, and the lane once
 /// loaded (errors are kept as rendered strings so later touches resurface
 /// them).
 #[derive(Debug)]
 struct LaneSlot {
     seqs: Vec<u32>,
-    state: OnceLock<Result<LoadedLane, String>>,
+    state: OnceLock<Result<ReadLane, String>>,
 }
 
 /// A lane index plus what loading it found.
@@ -98,6 +103,63 @@ pub(crate) struct LoadedLane {
     pub torn: Vec<TornTail>,
     /// The sidecar the index came from, or why the scanner built it.
     pub sidecar: Result<SidecarKind, FallbackReason>,
+}
+
+/// A loaded lane as the read paths use it.
+#[derive(Debug)]
+struct ReadLane {
+    loaded: LoadedLane,
+    /// Window id → position in the index, the last occurrence winning;
+    /// built by [`StoreReader::snapshot`], which serves point queries.
+    by_id: OnceLock<HashMap<u64, usize>>,
+    /// The lane's decode front; a short lock per query.
+    front: Mutex<SegmentMap>,
+}
+
+impl ReadLane {
+    fn windows(&self) -> &[WindowEntry] {
+        &self.loaded.index.windows
+    }
+
+    /// The position of the entry a lookup of `window_id` answers with:
+    /// the most recently committed occurrence (`docs/FORMAT.md` §4).
+    /// Through the id map once a snapshot built it; until then by a scan
+    /// back from the end, so a reader asked for a few windows never
+    /// builds a map per lane.
+    fn latest(&self, window_id: WindowId) -> Option<usize> {
+        match self.by_id.get() {
+            Some(by_id) => by_id.get(&window_id.index()).copied(),
+            None => self.loaded.index.latest(window_id),
+        }
+    }
+
+    fn entry(&self, window_id: WindowId) -> Option<&WindowEntry> {
+        self.latest(window_id).map(|at| &self.windows()[at])
+    }
+
+    /// The windows whose `[start, end)` range intersects `[from, to)`.
+    fn in_range(&self, from: Timestamp, to: Timestamp) -> impl Iterator<Item = &WindowEntry> {
+        let (from, to) = (from.as_nanos(), to.as_nanos());
+        self.windows()
+            .iter()
+            .filter(move |entry| entry.start_ns < to && entry.end_ns > from)
+    }
+
+    /// Each of `entries` with its payload bytes.
+    fn with_payloads<'e>(
+        &self,
+        entries: impl IntoIterator<Item = &'e WindowEntry>,
+    ) -> Result<Vec<(WindowEntry, Vec<u8>)>, TraceError> {
+        let mut front = self.front();
+        entries
+            .into_iter()
+            .map(|entry| Ok((*entry, front.payload(entry)?.to_vec())))
+            .collect()
+    }
+
+    fn front(&self) -> MutexGuard<'_, SegmentMap> {
+        self.front.lock().expect("lane decode front poisoned")
+    }
 }
 
 impl StoreReader {
@@ -168,10 +230,9 @@ impl StoreReader {
             .collect();
         Ok(StoreReader {
             dir,
-            lanes,
+            lanes: Arc::new(lanes),
             recovery: OnceLock::new(),
             cache,
-            maps: Mutex::new(BTreeMap::new()),
         })
     }
 
@@ -184,8 +245,9 @@ impl StoreReader {
                 ..RecoveryReport::default()
             };
             for &lane in self.lanes.keys() {
-                match self.loaded(lane) {
-                    Ok(loaded) => {
+                match self.lane(lane) {
+                    Ok(read) => {
+                        let loaded = &read.loaded;
                         report.absorb_lane(&loaded.index, &loaded.torn, loaded.sidecar);
                     }
                     Err(_) => {
@@ -225,7 +287,17 @@ impl StoreReader {
     /// Returns [`TraceError::Io`]/[`TraceError::Decode`] when the lane is
     /// unknown or its index cannot be loaded.
     pub fn lane_windows(&self, lane: u32) -> Result<&[WindowEntry], TraceError> {
-        self.lane_index(lane).map(|index| index.windows.as_slice())
+        self.lane(lane).map(ReadLane::windows)
+    }
+
+    /// The sum of `count` over every lane's index (forces every lane;
+    /// failed lanes contribute nothing).
+    fn total(&self, count: impl Fn(&LaneIndex) -> u64) -> u64 {
+        self.lanes
+            .keys()
+            .filter_map(|&lane| self.lane(lane).ok())
+            .map(|read| count(&read.loaded.index))
+            .sum()
     }
 
     /// Total events across every lane (forces every lane). A lane whose
@@ -233,22 +305,14 @@ impl StoreReader {
     /// matters, walk [`StoreReader::lane_windows`] per lane (it surfaces
     /// the load error) or check [`StoreReader::recovery`] first.
     pub fn total_events(&self) -> u64 {
-        self.lanes
-            .keys()
-            .filter_map(|&lane| self.loaded(lane).ok())
-            .map(|l| l.index.total_events())
-            .sum()
+        self.total(LaneIndex::total_events)
     }
 
     /// Total encoded payload bytes across every lane — the exact bytes
     /// the recorder handed to the sinks (forces every lane; failed lanes
     /// contribute nothing, see [`StoreReader::total_events`]).
     pub fn total_payload_bytes(&self) -> u64 {
-        self.lanes
-            .keys()
-            .filter_map(|&lane| self.loaded(lane).ok())
-            .map(|l| l.index.total_payload_bytes())
-            .sum()
+        self.total(LaneIndex::total_payload_bytes)
     }
 
     /// Total *stored* payload bytes across every lane — what the
@@ -258,99 +322,49 @@ impl StoreReader {
     /// saved (forces every lane; failed lanes contribute nothing, see
     /// [`StoreReader::total_events`]).
     pub fn total_stored_bytes(&self) -> u64 {
-        self.lanes
-            .keys()
-            .filter_map(|&lane| self.loaded(lane).ok())
-            .map(|l| l.index.total_stored_bytes())
-            .sum()
+        self.total(LaneIndex::total_stored_bytes)
     }
 
-    /// Loads (or returns the cached) lane state.
-    fn loaded(&self, lane: u32) -> Result<&LoadedLane, TraceError> {
+    /// Loads (or returns the already loaded) lane.
+    fn lane(&self, lane: u32) -> Result<&ReadLane, TraceError> {
         let slot = self.lanes.get(&lane).ok_or_else(|| TraceError::Decode {
             offset: 0,
             reason: format!("store has no lane {lane}"),
         })?;
-        let state = slot
-            .state
-            .get_or_init(|| load_lane(&self.dir, lane, &slot.seqs).map_err(|e| e.to_string()));
-        match state {
-            Ok(loaded) => Ok(loaded),
-            Err(message) => Err(TraceError::Decode {
-                offset: 0,
-                reason: message.clone(),
-            }),
-        }
-    }
-
-    fn lane_index(&self, lane: u32) -> Result<&LaneIndex, TraceError> {
-        self.loaded(lane).map(|loaded| &loaded.index)
+        let state = slot.state.get_or_init(|| {
+            let loaded = load_lane(&self.dir, lane, &slot.seqs).map_err(|e| e.to_string())?;
+            Ok(ReadLane {
+                loaded,
+                by_id: OnceLock::new(),
+                front: Mutex::new(SegmentMap::shared(Arc::clone(&self.cache), lane)),
+            })
+        });
+        state.as_ref().map_err(|message| TraceError::Decode {
+            offset: 0,
+            reason: message.clone(),
+        })
     }
 
     /// An immutable, cheaply cloneable [`Snapshot`] of everything this
-    /// reader's lanes hold right now, sharing the reader's
-    /// [`SegmentCache`] (snapshot reads and reader reads hit the same
-    /// buffers). Forces every lane.
+    /// reader's lanes hold right now. Forces every lane and gives each
+    /// an id → position map for point queries; the snapshot shares the
+    /// loaded lanes, their decode fronts and the [`SegmentCache`] with
+    /// this reader, which answers through the same maps from then on.
     pub fn snapshot(&self) -> Snapshot {
-        Snapshot::capture(
-            &self.dir,
-            Arc::clone(&self.cache),
-            self.recovery().clone(),
-            self.lanes.keys().map(|&lane| (lane, self.loaded(lane))),
-        )
-    }
-
-    /// Runs `read` against the shared per-lane segment map (creating it
-    /// on first use) with the lane index alongside. The cache is one
-    /// mutex-guarded map: point reads buffer whole segments (that is the
-    /// refactor's bargain — one read per segment instead of a seek and
-    /// two reads per frame), and concurrent readers of one `StoreReader`
-    /// serialize here; give each thread its own [`SegmentMap::shared`]
-    /// over the cache passed to [`StoreReader::open_with_cache`] when
-    /// that matters.
-    fn with_lane_map<T>(
-        &self,
-        lane: u32,
-        read: impl FnOnce(&LaneIndex, &mut SegmentMap) -> Result<T, TraceError>,
-    ) -> Result<T, TraceError> {
-        /// Lanes whose segment buffers stay cached at once, bounding the
-        /// reader at roughly `MAX_CACHED_LANES × DEFAULT_RESIDENT_SEGMENTS`
-        /// segment buffers however many lanes a sweep touches.
-        const MAX_CACHED_LANES: usize = 8;
-        let index = self.lane_index(lane)?;
-        let mut maps = self.maps.lock().expect("segment map cache poisoned");
-        if !maps.contains_key(&lane) {
-            while maps.len() >= MAX_CACHED_LANES {
-                let Some(&evict) = maps.keys().find(|&&cached| cached != lane) else {
-                    break;
-                };
-                maps.remove(&evict);
+        let recovery = self.recovery().clone();
+        for slot in self.lanes.values() {
+            if let Some(Ok(read)) = slot.state.get() {
+                read.by_id.get_or_init(|| {
+                    let windows = read.windows().iter().enumerate();
+                    windows.map(|(at, entry)| (entry.window_id, at)).collect()
+                });
             }
         }
-        let map = maps
-            .entry(lane)
-            .or_insert_with(|| SegmentMap::shared(Arc::clone(&self.cache), lane));
-        read(index, map)
-    }
-
-    /// The encoded payload of one indexed window (the bytes the recorder
-    /// wrote), served from the lane's buffered segment map.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Decode`] for an unknown lane or on
-    /// index/file disagreement (corruption after recovery).
-    pub fn window_payload(
-        &self,
-        lane: u32,
-        window_id: WindowId,
-    ) -> Result<Option<Vec<u8>>, TraceError> {
-        self.with_lane_map(lane, |index, map| {
-            let Some(at) = index.latest(window_id) else {
-                return Ok(None);
-            };
-            map.payload(&index.windows[at])
-                .map(|payload| Some(payload.to_vec()))
+        Snapshot::new(StoreReader {
+            dir: self.dir.clone(),
+            lanes: Arc::clone(&self.lanes),
+            recovery: OnceLock::from(recovery),
+            cache: Arc::clone(&self.cache),
         })
     }
 
@@ -358,21 +372,42 @@ impl StoreReader {
     ///
     /// # Errors
     ///
-    /// Returns [`TraceError::Decode`] for an unknown lane.
+    /// Same conditions as [`StoreReader::lane_windows`].
     pub fn window_entry(
         &self,
         lane: u32,
         window_id: WindowId,
     ) -> Result<Option<WindowEntry>, TraceError> {
-        let index = self.lane_index(lane)?;
-        Ok(index.latest(window_id).map(|at| index.windows[at]))
+        Ok(self.lane(lane)?.entry(window_id).copied())
+    }
+
+    /// The encoded payload of one indexed window (the bytes the recorder
+    /// wrote).
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`StoreReader::lane_windows`], plus
+    /// [`TraceError::Decode`] on index/file disagreement (a
+    /// [`crate::Compactor`] pass rewrote the closed lane under a
+    /// [`Snapshot`], or corruption after recovery).
+    pub fn window_payload(
+        &self,
+        lane: u32,
+        window_id: WindowId,
+    ) -> Result<Option<Vec<u8>>, TraceError> {
+        let read = self.lane(lane)?;
+        let Some(entry) = read.entry(window_id) else {
+            return Ok(None);
+        };
+        let payload = read.front().payload(entry)?.to_vec();
+        Ok(Some(payload))
     }
 
     /// The recorded windows surrounding `window_id` in recording order:
     /// up to `context` neighbours on each side plus the target itself,
     /// each paired with its payload bytes verbatim — exactly the encoded
     /// bytes the recorder wrote, with any frame-codec transformation
-    /// already undone by the segment map.
+    /// already undone.
     ///
     /// Returns an empty vector when the lane does not hold `window_id`.
     ///
@@ -385,18 +420,14 @@ impl StoreReader {
         window_id: WindowId,
         context: usize,
     ) -> Result<Vec<(WindowEntry, Vec<u8>)>, TraceError> {
-        self.with_lane_map(lane, |index, map| {
-            let Some(target) = index.latest(window_id) else {
-                return Ok(Vec::new());
-            };
-            let from = target.saturating_sub(context);
-            let to = (target + context + 1).min(index.windows.len());
-            let mut out = Vec::with_capacity(to - from);
-            for entry in &index.windows[from..to] {
-                out.push((*entry, map.payload(entry)?.to_vec()));
-            }
-            Ok(out)
-        })
+        let read = self.lane(lane)?;
+        let Some(target) = read.latest(window_id) else {
+            return Ok(Vec::new());
+        };
+        let windows = read.windows();
+        let from = target.saturating_sub(context);
+        let to = (target + 1).saturating_add(context).min(windows.len());
+        read.with_payloads(&windows[from..to])
     }
 
     /// The recorded windows whose `[start, end)` range intersects
@@ -412,19 +443,11 @@ impl StoreReader {
         from: Timestamp,
         to: Timestamp,
     ) -> Result<Vec<(WindowEntry, Vec<u8>)>, TraceError> {
-        self.with_lane_map(lane, |index, map| {
-            let mut out = Vec::new();
-            for entry in &index.windows {
-                if entry.start_ns < to.as_nanos() && entry.end_ns > from.as_nanos() {
-                    out.push((*entry, map.payload(entry)?.to_vec()));
-                }
-            }
-            Ok(out)
-        })
+        let read = self.lane(lane)?;
+        read.with_payloads(read.in_range(from, to))
     }
 
-    /// The decoded events of one indexed window, served from the lane's
-    /// buffered segment map.
+    /// The decoded events of one indexed window.
     ///
     /// # Errors
     ///
@@ -435,20 +458,18 @@ impl StoreReader {
         lane: u32,
         window_id: WindowId,
     ) -> Result<Option<Vec<TraceEvent>>, TraceError> {
-        self.with_lane_map(lane, |index, map| {
-            let Some(at) = index.latest(window_id) else {
-                return Ok(None);
-            };
-            let entry = &index.windows[at];
-            let mut events = Vec::with_capacity(claimed_events(entry.events.into()));
-            map.decode_events_into(entry, &mut events)?;
-            Ok(Some(events))
-        })
+        let read = self.lane(lane)?;
+        let Some(entry) = read.entry(window_id) else {
+            return Ok(None);
+        };
+        let mut events = Vec::with_capacity(claimed_events(entry.events.into()));
+        read.front().decode_events_into(entry, &mut events)?;
+        Ok(Some(events))
     }
 
     /// Replays exactly the recorded windows whose `[start, end)` range
     /// intersects `[from, to)`, in recording order, decoding each frame
-    /// zero-copy from the buffered segment map.
+    /// zero-copy from its segment buffer.
     ///
     /// # Errors
     ///
@@ -459,17 +480,15 @@ impl StoreReader {
         from: Timestamp,
         to: Timestamp,
     ) -> Result<Vec<(WindowId, Vec<TraceEvent>)>, TraceError> {
-        self.with_lane_map(lane, |index, map| {
-            let mut out = Vec::new();
-            for entry in &index.windows {
-                if entry.start_ns < to.as_nanos() && entry.end_ns > from.as_nanos() {
-                    let mut events = Vec::with_capacity(claimed_events(entry.events.into()));
-                    map.decode_events_into(entry, &mut events)?;
-                    out.push((WindowId::new(entry.window_id), events));
-                }
-            }
-            Ok(out)
-        })
+        let read = self.lane(lane)?;
+        let mut front = read.front();
+        let mut out = Vec::new();
+        for entry in read.in_range(from, to) {
+            let mut events = Vec::with_capacity(claimed_events(entry.events.into()));
+            front.decode_events_into(entry, &mut events)?;
+            out.push((WindowId::new(entry.window_id), events));
+        }
+        Ok(out)
     }
 
     /// All events of one lane, decoded in recording order in one buffered
@@ -479,38 +498,39 @@ impl StoreReader {
     ///
     /// Same conditions as [`StoreReader::window_events`].
     pub fn lane_events(&self, lane: u32) -> Result<Vec<TraceEvent>, TraceError> {
-        self.with_lane_map(lane, |index, map| {
-            let mut events = Vec::with_capacity(claimed_events(index.total_events()));
-            for entry in &index.windows {
-                map.decode_events_into(entry, &mut events)?;
-            }
-            Ok(events)
-        })
+        let read = self.lane(lane)?;
+        let mut events = Vec::with_capacity(claimed_events(read.loaded.index.total_events()));
+        let mut front = read.front();
+        for entry in read.windows() {
+            front.decode_events_into(entry, &mut events)?;
+        }
+        Ok(events)
     }
 
     /// The concatenated encoded payloads of one lane, in recording order
-    /// — byte-for-byte what a memory sink accumulating
-    /// `record_encoded` bytes would hold.
+    /// — byte-for-byte what a memory sink accumulating `record_encoded`
+    /// bytes, or a follower that tailed the lane from the start, holds.
     ///
     /// # Errors
     ///
     /// Same conditions as [`StoreReader::window_payload`].
     pub fn lane_payload_bytes(&self, lane: u32) -> Result<Vec<u8>, TraceError> {
-        self.with_lane_map(lane, |index, map| {
-            // Raw lengths are claims until decoded: reserve as a decoder would.
-            let mut bytes = Vec::with_capacity(index.total_payload_bytes().min(1 << 20) as usize);
-            for entry in &index.windows {
-                bytes.extend_from_slice(map.payload(entry)?);
-            }
-            Ok(bytes)
-        })
+        let read = self.lane(lane)?;
+        // Raw lengths are claims until decoded: reserve as a decoder would.
+        let claimed = read.loaded.index.total_payload_bytes().min(1 << 20);
+        let mut bytes = Vec::with_capacity(claimed as usize);
+        let mut front = read.front();
+        for entry in read.windows() {
+            bytes.extend_from_slice(front.payload(entry)?);
+        }
+        Ok(bytes)
     }
 
     /// A lazy [`EventSource`] over one lane's recorded events, window by
     /// window in recording order — the replay side of the sink the run
-    /// was recorded through. The replay owns its own [`SegmentMap`]
-    /// (bounded to two resident segments), so a full-lane pass is one
-    /// buffered sequential sweep.
+    /// was recorded through. The replay has a decode front of its own
+    /// over the reader's [`SegmentCache`], so a full-lane pass is one
+    /// buffered sequential sweep that holds no lock between events.
     ///
     /// # Errors
     ///
@@ -518,10 +538,10 @@ impl StoreReader {
     /// failures *during* replay end the stream early; check
     /// [`LaneReplay::error`] after draining.
     pub fn replay_lane(&self, lane: u32) -> Result<LaneReplay<'_>, TraceError> {
-        let index = self.lane_index(lane)?;
+        let read = self.lane(lane)?;
         Ok(LaneReplay {
-            map: SegmentMap::new(&self.dir, lane).with_resident_limit(2),
-            entries: index.windows.iter(),
+            map: SegmentMap::shared(Arc::clone(&self.cache), lane),
+            entries: read.windows().iter(),
             buffered: std::collections::VecDeque::new(),
             scratch: Vec::new(),
             error: None,
@@ -710,4 +730,102 @@ fn rows_lie_inside_their_segments(index: &LaneIndex) -> bool {
         free_from[at] = end;
         inside
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{LaneWriter, StoreConfig};
+    use endurance_obs::Registry;
+    use trace_model::codec::{BinaryEncoder, TraceEncoder};
+    use trace_model::{EventSink, EventTypeId, RecordMeta};
+
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "endurance-reader-test-{}-{tag}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Six windows of five events, two a segment; the ids run 0, 1, 2,
+    /// then 1, 2, 3 (a resumed lane restarts them, `docs/FORMAT.md` §4).
+    fn write_lane(dir: &Path) {
+        let config = StoreConfig::default().with_segment_max_windows(2);
+        let mut writer = LaneWriter::create(dir, 0, config).unwrap();
+        for (at, id) in [0u64, 1, 2, 1, 2, 3].into_iter().enumerate() {
+            let start = at as u64 * 1_000;
+            let events: Vec<TraceEvent> = (0..5)
+                .map(|i| {
+                    let ts = Timestamp::from_micros(start + i * 10);
+                    TraceEvent::new(ts, EventTypeId::new(i as u16 % 3), at as u32)
+                })
+                .collect();
+            let mut encoded = Vec::new();
+            BinaryEncoder::new().encode(&events, &mut encoded).unwrap();
+            let meta = RecordMeta {
+                window_id: WindowId::new(id),
+                start: Timestamp::from_micros(start),
+                end: Timestamp::from_micros(start + 1_000),
+            };
+            writer.record_window(&meta, &events, &encoded).unwrap();
+        }
+        writer.close().unwrap();
+    }
+
+    /// A reader looks an id up by scanning back until its own snapshot
+    /// builds the id maps, and answers the same either way.
+    #[test]
+    fn a_snapshot_gives_its_reader_the_id_maps_and_the_same_answers() {
+        let dir = temp_dir("by-id");
+        write_lane(&dir);
+        let reader = StoreReader::open(&dir).unwrap();
+        let answers = |reader: &StoreReader| {
+            (0..5)
+                .map(|id| reader.window_entry(0, WindowId::new(id)).unwrap())
+                .collect::<Vec<_>>()
+        };
+        let scanned = answers(&reader);
+        let lane = reader.lane(0).unwrap();
+        assert!(lane.by_id.get().is_none());
+        let snapshot = reader.snapshot();
+        assert!(lane.by_id.get().is_some());
+        assert_eq!(answers(&reader), scanned);
+        assert_eq!(answers(&snapshot), scanned);
+        // Ids 1 and 2 answer with their second occurrence; 4 is absent.
+        let starts: Vec<_> = scanned.iter().map(|e| e.map(|e| e.start_ns)).collect();
+        let ms = |at: u64| Some(at * 1_000_000);
+        assert_eq!(starts, [ms(0), ms(3), ms(4), ms(5), None]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A lane replay reads the buffers the reader's queries loaded:
+    /// draining it after `lane_events` hits the cache on every segment,
+    /// reads no file and checks no CRC again.
+    #[test]
+    fn a_lane_replay_reads_through_the_readers_cache() {
+        let dir = temp_dir("replay-cache");
+        write_lane(&dir);
+        let registry = Registry::new();
+        let cache = Arc::new(SegmentCache::new(&dir).with_metrics(&registry));
+        let counter = |name| registry.snapshot().counter(name).unwrap_or(0);
+        let reader = StoreReader::open_with_cache(&dir, cache).unwrap();
+        let events = reader.lane_events(0).unwrap();
+        let (hits, misses, checks) = (
+            counter("store_segcache_hits_total"),
+            counter("store_segcache_misses_total"),
+            counter("store_crc_validations_total"),
+        );
+        assert_eq!((misses, checks), (3, 6));
+        let mut replay = reader.replay_lane(0).unwrap();
+        let mut drained = Vec::new();
+        replay.fill(&mut drained, usize::MAX);
+        assert!(replay.error().is_none());
+        assert_eq!(drained, events);
+        assert_eq!(counter("store_segcache_hits_total"), hits + 3);
+        assert_eq!(counter("store_segcache_misses_total"), misses);
+        assert_eq!(counter("store_crc_validations_total"), checks);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

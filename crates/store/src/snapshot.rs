@@ -1,37 +1,35 @@
 //! Immutable, shareable point-in-time views of a store.
 //!
-//! A [`Snapshot`] captures every lane's window index at one instant and
-//! answers queries against exactly that set of windows, forever — a
-//! writer appending to the store after the capture is invisible to it.
-//! Snapshots are cheap to clone (`Arc`-shared) and safe to query from
-//! many threads at once; their segment buffers come from a shared
-//! [`SegmentCache`](crate::SegmentCache), so N clones across N threads
-//! hold one copy of each resident segment, not N.
+//! A [`Snapshot`] is a frozen [`StoreReader`]: every lane loaded when it
+//! was taken, shared behind an `Arc`. It answers every reader query —
+//! the reader's own, through `Deref` — against exactly the windows
+//! committed at that instant, forever: a writer appending to the store
+//! after the capture is invisible to it. Snapshots are cheap to clone
+//! and safe to query from many threads at once; their segment buffers
+//! come from a shared [`SegmentCache`](crate::SegmentCache), so N clones
+//! across N threads hold one copy of each resident segment, not N.
 
-use std::collections::{BTreeMap, HashMap};
-use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::ops::Deref;
+use std::path::Path;
+use std::sync::Arc;
 
-use trace_model::{Timestamp, TraceError, TraceEvent, WindowId};
+use trace_model::TraceError;
 
-use crate::index::{RecoveryReport, WindowEntry};
-use crate::map::{SegmentCache, SegmentMap};
-use crate::reader::{claimed_events, LoadedLane, StoreReader};
+use crate::reader::StoreReader;
 
 /// An immutable point-in-time view of a store's committed windows.
 ///
 /// Taken from a live reader with [`StoreReader::snapshot`] (sharing its
-/// segment buffers) or opened standalone with [`Snapshot::open`]. Clone
-/// freely: clones share everything. Queries mirror the [`StoreReader`]
-/// windowed read paths and answer from the captured index — a window
-/// committed after the capture does not exist here. A snapshot taken
-/// from a live lane stays valid for the life of that lane's writer (a
-/// live lane is append-only, `docs/FORMAT.md` §6); a [`crate::Compactor`]
-/// pass run after the writer is gone rewrites the layout underneath and
-/// surfaces as a decode error on the affected reads, exactly like the
-/// reader. A by-id query for a
-/// window id the lane holds twice answers with the most recently
-/// committed occurrence, as the reader's does (`docs/FORMAT.md` §4).
+/// lanes and segment buffers) or opened standalone with
+/// [`Snapshot::open`]. Clone freely: clones share everything. It
+/// dereferences to the [`StoreReader`] whose every lane was loaded at
+/// capture, so its queries are the reader's: a window committed after
+/// the capture does not exist here, and a by-id lookup goes through the
+/// id map the capture built. A snapshot taken from a live lane stays
+/// valid for the life of that lane's writer (a live lane is append-only,
+/// `docs/FORMAT.md` §6); a [`crate::Compactor`] pass run after the
+/// writer is gone rewrites the layout underneath and surfaces as a
+/// decode error on the affected reads.
 ///
 /// ```rust
 /// use endurance_store::{LaneWriter, Snapshot, StoreConfig};
@@ -53,46 +51,7 @@ use crate::reader::{claimed_events, LoadedLane, StoreReader};
 /// # }
 /// ```
 #[derive(Debug, Clone)]
-pub struct Snapshot {
-    inner: Arc<Inner>,
-}
-
-#[derive(Debug)]
-struct Inner {
-    dir: PathBuf,
-    recovery: RecoveryReport,
-    /// Per lane: the captured view, or the rendered load error. Each
-    /// view's map holds the shared [`SegmentCache`], keeping the pool
-    /// alive for as long as any clone of the snapshot exists.
-    lanes: BTreeMap<u32, Result<LaneView, String>>,
-}
-
-/// One lane's captured index plus lookup structures.
-#[derive(Debug)]
-struct LaneView {
-    windows: Vec<WindowEntry>,
-    /// Window id → position in `windows`; the last occurrence wins, the
-    /// rule of `LaneIndex::latest`.
-    by_id: HashMap<u64, usize>,
-    /// Decode front (scratch buffers + codec state) over the shared
-    /// cache; short lock per read, buffers themselves are shared.
-    map: Mutex<SegmentMap>,
-}
-
-impl LaneView {
-    fn new(cache: &Arc<SegmentCache>, lane: u32, windows: Vec<WindowEntry>) -> Self {
-        let by_id = windows
-            .iter()
-            .enumerate()
-            .map(|(at, entry)| (entry.window_id, at))
-            .collect();
-        LaneView {
-            windows,
-            by_id,
-            map: Mutex::new(SegmentMap::shared(Arc::clone(cache), lane)),
-        }
-    }
-}
+pub struct Snapshot(Arc<StoreReader>);
 
 impl Snapshot {
     /// Opens `dir` and captures a snapshot of every lane in one step —
@@ -106,218 +65,27 @@ impl Snapshot {
     /// Per-lane load failures are captured, not fatal: the affected
     /// lane's queries return the load error, other lanes serve normally.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, TraceError> {
-        let reader = StoreReader::open(dir)?;
-        Ok(reader.snapshot())
+        Ok(StoreReader::open(dir)?.snapshot())
     }
 
-    /// Captures a snapshot from already-loaded lane state (reader side).
-    pub(crate) fn capture<'a>(
-        dir: &Path,
-        cache: Arc<SegmentCache>,
-        recovery: RecoveryReport,
-        lanes: impl Iterator<Item = (u32, Result<&'a LoadedLane, TraceError>)>,
-    ) -> Self {
-        let lanes = lanes
-            .map(|(lane, loaded)| {
-                let view = match loaded {
-                    Ok(loaded) => Ok(LaneView::new(&cache, lane, loaded.index.windows.clone())),
-                    Err(error) => Err(error.to_string()),
-                };
-                (lane, view)
-            })
-            .collect();
-        Snapshot {
-            inner: Arc::new(Inner {
-                dir: dir.to_path_buf(),
-                recovery,
-                lanes,
-            }),
-        }
+    /// Wraps a reader whose every lane is loaded ([`StoreReader::snapshot`]).
+    pub(crate) fn new(reader: StoreReader) -> Self {
+        Snapshot(Arc::new(reader))
     }
+}
 
-    /// The store directory this snapshot was captured from.
-    pub fn dir(&self) -> &Path {
-        &self.inner.dir
-    }
+impl Deref for Snapshot {
+    type Target = StoreReader;
 
-    /// What opening/recovery found at capture time.
-    pub fn recovery(&self) -> &RecoveryReport {
-        &self.inner.recovery
-    }
-
-    /// Lanes captured, ascending.
-    pub fn lane_ids(&self) -> Vec<u32> {
-        self.inner.lanes.keys().copied().collect()
-    }
-
-    /// Number of captured lanes.
-    pub fn lane_count(&self) -> usize {
-        self.inner.lanes.len()
-    }
-
-    /// Total events across every captured lane (failed lanes contribute
-    /// nothing; check [`Snapshot::lane_windows`] per lane when exactness
-    /// matters).
-    pub fn total_events(&self) -> u64 {
-        self.inner
-            .lanes
-            .values()
-            .filter_map(|lane| lane.as_ref().ok())
-            .flat_map(|view| view.windows.iter())
-            .map(|entry| u64::from(entry.events))
-            .sum()
-    }
-
-    fn view(&self, lane: u32) -> Result<&LaneView, TraceError> {
-        let slot = self
-            .inner
-            .lanes
-            .get(&lane)
-            .ok_or_else(|| TraceError::Decode {
-                offset: 0,
-                reason: format!("snapshot has no lane {lane}"),
-            })?;
-        slot.as_ref().map_err(|message| TraceError::Decode {
-            offset: 0,
-            reason: message.clone(),
-        })
-    }
-
-    /// The captured window index of one lane, in recording order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Decode`] for an unknown lane or one whose
-    /// index failed to load at capture time.
-    pub fn lane_windows(&self, lane: u32) -> Result<&[WindowEntry], TraceError> {
-        self.view(lane).map(|view| view.windows.as_slice())
-    }
-
-    /// The captured index entry of one window, or `None` if the window
-    /// was not committed at capture time.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Snapshot::lane_windows`].
-    pub fn window_entry(
-        &self,
-        lane: u32,
-        window_id: WindowId,
-    ) -> Result<Option<WindowEntry>, TraceError> {
-        let view = self.view(lane)?;
-        Ok(view
-            .by_id
-            .get(&window_id.index())
-            .map(|&at| view.windows[at]))
-    }
-
-    /// The encoded payload of one captured window (the exact bytes the
-    /// recorder handed to the sink).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Snapshot::lane_windows`], plus
-    /// [`TraceError::Decode`] on index/file disagreement (a
-    /// [`crate::Compactor`] pass rewrote the closed lane under the
-    /// snapshot, or corruption).
-    pub fn window_payload(
-        &self,
-        lane: u32,
-        window_id: WindowId,
-    ) -> Result<Option<Vec<u8>>, TraceError> {
-        let view = self.view(lane)?;
-        let Some(&at) = view.by_id.get(&window_id.index()) else {
-            return Ok(None);
-        };
-        let mut map = view.map.lock().expect("snapshot map poisoned");
-        map.payload(&view.windows[at]).map(|p| Some(p.to_vec()))
-    }
-
-    /// The decoded events of one captured window.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Snapshot::window_payload`], plus payload
-    /// decode errors.
-    pub fn window_events(
-        &self,
-        lane: u32,
-        window_id: WindowId,
-    ) -> Result<Option<Vec<TraceEvent>>, TraceError> {
-        let view = self.view(lane)?;
-        let Some(&at) = view.by_id.get(&window_id.index()) else {
-            return Ok(None);
-        };
-        let entry = &view.windows[at];
-        let mut events = Vec::with_capacity(claimed_events(entry.events.into()));
-        let mut map = view.map.lock().expect("snapshot map poisoned");
-        map.decode_events_into(entry, &mut events)?;
-        Ok(Some(events))
-    }
-
-    /// The captured windows whose `[start, end)` range intersects
-    /// `[from, to)`, decoded, in recording order.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Snapshot::window_events`].
-    pub fn windows_in_range(
-        &self,
-        lane: u32,
-        from: Timestamp,
-        to: Timestamp,
-    ) -> Result<Vec<(WindowId, Vec<TraceEvent>)>, TraceError> {
-        let view = self.view(lane)?;
-        let mut map = view.map.lock().expect("snapshot map poisoned");
-        let mut out = Vec::new();
-        for entry in &view.windows {
-            if entry.start_ns < to.as_nanos() && entry.end_ns > from.as_nanos() {
-                let mut events = Vec::with_capacity(claimed_events(entry.events.into()));
-                map.decode_events_into(entry, &mut events)?;
-                out.push((WindowId::new(entry.window_id), events));
-            }
-        }
-        Ok(out)
-    }
-
-    /// All events of one captured lane, decoded in recording order.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Snapshot::window_events`].
-    pub fn lane_events(&self, lane: u32) -> Result<Vec<TraceEvent>, TraceError> {
-        let view = self.view(lane)?;
-        let mut map = view.map.lock().expect("snapshot map poisoned");
-        let capacity: u64 = view.windows.iter().map(|e| u64::from(e.events)).sum();
-        let mut events = Vec::with_capacity(claimed_events(capacity));
-        for entry in &view.windows {
-            map.decode_events_into(entry, &mut events)?;
-        }
-        Ok(events)
-    }
-
-    /// The concatenated encoded payloads of one captured lane, in
-    /// recording order — byte-for-byte what a follower that tailed the
-    /// lane from the start would have accumulated.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Snapshot::window_payload`].
-    pub fn lane_payload_bytes(&self, lane: u32) -> Result<Vec<u8>, TraceError> {
-        let view = self.view(lane)?;
-        let mut map = view.map.lock().expect("snapshot map poisoned");
-        let mut bytes = Vec::new();
-        for entry in &view.windows {
-            bytes.extend_from_slice(map.payload(entry)?);
-        }
-        Ok(bytes)
+    fn deref(&self) -> &StoreReader {
+        &self.0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{LaneWriter, StoreConfig, StoreReader};
+    use crate::{LaneWriter, SegmentCache, StoreConfig};
     use trace_model::codec::{BinaryEncoder, TraceEncoder};
     use trace_model::{EventSink, EventTypeId, RecordMeta, Timestamp, TraceEvent, WindowId};
 

@@ -374,23 +374,66 @@ fn a_window_id_recorded_twice_reads_back_as_the_latest_everywhere() {
     }
 
     // Every by-id surface answers `1` with the second run's window, the
-    // fourth written — `extract_window` with the first `1` in its context.
+    // fourth written — `extract_window` with the first `1` in its context
+    // — through both lookups: a reader scanning back from the end, the
+    // same reader once its own `snapshot()` built the id maps, that
+    // snapshot, and one opened on its own.
     let id = WindowId::new(1);
     let latest = recorded[3].start.as_nanos();
+    let check = |reader: &StoreReader| {
+        let entry = reader.window_entry(0, id).expect("entry");
+        assert_eq!(entry.map(|entry| entry.start_ns), Some(latest));
+        let payload = reader.window_payload(0, id).expect("payload");
+        assert_eq!(payload.as_ref(), Some(&written[3].1));
+        let decoded = reader.window_events(0, id).expect("events");
+        assert_eq!(decoded.as_ref(), Some(&written[3].0));
+        let artifact =
+            extract_window(reader, 0, id, 2, &config(), &model, "twice").expect("extract");
+        assert_eq!(artifact.target_start_ns, latest);
+        assert_eq!(artifact.windows.len(), 5);
+    };
     let reader = StoreReader::open(&dir).expect("open");
-    let snapshot = Snapshot::open(&dir).expect("snapshot");
-    let entry = reader.window_entry(0, id).expect("entry");
-    assert_eq!(entry.map(|entry| entry.start_ns), Some(latest));
-    assert_eq!(snapshot.window_entry(0, id).expect("entry"), entry);
-    let payload = reader.window_payload(0, id).expect("payload");
-    assert_eq!(payload.as_ref(), Some(&written[3].1));
-    assert_eq!(snapshot.window_payload(0, id).expect("payload"), payload);
-    let decoded = reader.window_events(0, id).expect("events");
-    assert_eq!(decoded.as_ref(), Some(&written[3].0));
-    assert_eq!(snapshot.window_events(0, id).expect("events"), decoded);
-    let artifact = extract_window(&reader, 0, id, 2, &config(), &model, "twice").expect("extract");
-    assert_eq!(artifact.target_start_ns, latest);
-    assert_eq!(artifact.windows.len(), 5);
+    check(&reader);
+    let snapshot = reader.snapshot();
+    check(&reader);
+    check(&snapshot);
+    check(&Snapshot::open(&dir).expect("snapshot"));
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A context wider than the lane takes the whole lane: the upper end of
+/// the window range saturates instead of overflowing (a debug build
+/// panicked; a release build wrapped, dropped the target and answered
+/// `NoSuchWindow`).
+#[test]
+fn a_context_wider_than_the_lane_extracts_the_whole_lane() {
+    let events = source_events(300, 11_000, 6);
+    let dir = temp_dir("wide");
+    let writer = LaneWriter::create(&dir, 0, StoreConfig::default()).expect("lane");
+    let mut session = ReductionSession::new(config())
+        .expect("session")
+        .with_sink(writer);
+    session.push_batch(&events).expect("push");
+    let model = session.model().expect("monitoring").clone();
+    session
+        .finish()
+        .expect("finish")
+        .sink
+        .close()
+        .expect("close");
+
+    let reader = StoreReader::open(&dir).expect("open");
+    let windows = reader.lane_windows(0).expect("windows");
+    assert!(windows.len() >= 3, "{} recorded", windows.len());
+    let target = WindowId::new(windows[windows.len() / 2].window_id);
+    let around = reader
+        .windows_around(0, target, usize::MAX)
+        .expect("around");
+    let entries: Vec<_> = around.iter().map(|(entry, _)| *entry).collect();
+    assert_eq!(entries, windows);
+    let artifact =
+        extract_window(&reader, 0, target, usize::MAX, &config(), &model, "wide").expect("extract");
+    assert_eq!(artifact.windows.len(), windows.len());
     std::fs::remove_dir_all(&dir).ok();
 }
