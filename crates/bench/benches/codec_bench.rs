@@ -6,7 +6,7 @@ use std::time::Duration;
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 use mm_sim::{Scenario, Simulation};
-use trace_model::codec::{BinaryDecoder, BinaryEncoder, TextEncoder, TraceDecoder, TraceEncoder};
+use trace_model::codec::{BinaryDecoder, BinaryEncoder, TraceDecoder, TraceEncoder};
 use trace_model::TraceEvent;
 
 fn simulated_events() -> Vec<TraceEvent> {
@@ -39,15 +39,6 @@ fn bench_codecs(c: &mut Criterion) {
                 .decode(black_box(&encoded))
                 .unwrap()
                 .len()
-        })
-    });
-    group.bench_function("text_encode", |bench| {
-        bench.iter(|| {
-            let mut out = Vec::new();
-            TextEncoder::new()
-                .encode(black_box(&events), &mut out)
-                .unwrap();
-            out.len()
         })
     });
     group.finish();

@@ -10,7 +10,7 @@
 
 use endurance_core::{DriftGateConfig, EmbeddedModel, MonitorConfig, ReferenceModel};
 use endurance_store::{StoreReader, WindowEntry};
-use trace_model::{Timestamp, WindowId};
+use trace_model::WindowId;
 
 use crate::artifact::{build_sealed, ArtifactWindow, ReproArtifact};
 use crate::error::ReproError;
@@ -80,42 +80,6 @@ pub fn extract_window(
         name.into(),
         lane,
         target_start_ns,
-        oracle_config(monitor),
-        EmbeddedModel::embed(model)?,
-        artifact_windows(windows),
-    )
-}
-
-/// Extracts a sealed artifact from every recorded window of `lane`
-/// whose `[start, end)` span intersects the half-open timestamp
-/// `range`, targeting the window that starts at `target_start`.
-///
-/// # Errors
-///
-/// Returns [`ReproError::NotReproduced`] when the range holds no
-/// recorded windows or the target does not re-score anomalous;
-/// otherwise as [`extract_window`].
-pub fn extract_range(
-    reader: &StoreReader,
-    lane: u32,
-    range: std::ops::Range<Timestamp>,
-    target_start: Timestamp,
-    monitor: &MonitorConfig,
-    model: &ReferenceModel,
-    name: impl Into<String>,
-) -> Result<ReproArtifact, ReproError> {
-    let windows = reader.windows_with_payloads_in_range(lane, range.start, range.end)?;
-    if windows.is_empty() {
-        return Err(ReproError::NotReproduced(format!(
-            "lane {lane} holds no recorded windows in [{} ns, {} ns)",
-            range.start.as_nanos(),
-            range.end.as_nanos()
-        )));
-    }
-    build_sealed(
-        name.into(),
-        lane,
-        target_start.as_nanos(),
         oracle_config(monitor),
         EmbeddedModel::embed(model)?,
         artifact_windows(windows),

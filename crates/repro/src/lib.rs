@@ -5,7 +5,7 @@
 //! it. This crate closes the loop endurance-test → incident →
 //! permanent regression test, in three steps:
 //!
-//! 1. **Extraction** ([`extract_window`], [`extract_range`]) — pull
+//! 1. **Extraction** ([`extract_window`]) — pull
 //!    the flagged window and its recorded neighbours byte-for-byte out
 //!    of a [`StoreReader`](endurance_store::StoreReader) into a
 //!    self-contained, versioned, content-hashed [`ReproArtifact`]:
@@ -57,4 +57,4 @@ pub use corpus::{verify_corpus, CorpusReport, CorpusWriter, FIXTURE_SUFFIX, MANI
 pub use ddmin::{ddmin, minimize, DdminOutcome, MinimizeConfig, MinimizeOutcome, MinimizeReport};
 pub use endurance_core::EmbeddedModel;
 pub use error::ReproError;
-pub use extract::{extract_range, extract_window, oracle_config};
+pub use extract::{extract_window, oracle_config};

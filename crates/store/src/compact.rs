@@ -40,14 +40,13 @@ use serde::{Deserialize, Serialize};
 use endurance_obs::{Counter, Gauge, Histogram, Registry};
 
 use crate::crc32::crc32;
-use crate::index::{FallbackReason, LaneIndex, SegmentMeta, SidecarKind, WindowEntry};
+use crate::index::{LaneIndex, SegmentMeta, SidecarKind, WindowEntry};
 use crate::map::codec_mut;
-use crate::reader::load_lane;
+use crate::reader::{load_lane, truncate_torn};
 use crate::segment::{
     encode_frame, envelope_and_stored_bytes, frame_len, list_store_dir, manifest_file_name,
-    put_table_section, read_indexed_frame, segment_file_name, segment_header, table_section_len,
-    write_sidecar, FramePrev, LaneFiles, SegmentHead, SEGMENT_VERSION_V1, SEGMENT_VERSION_V3,
-    SEGMENT_VERSION_V4,
+    put_table_section, segment_file_name, segment_header, table_section_len, write_sidecar,
+    FramePrev, LaneFiles, SegmentHead, SEGMENT_VERSION_V1, SEGMENT_VERSION_V3, SEGMENT_VERSION_V4,
 };
 use trace_model::codec::{CodecId, FrameCodec, FrameContext, SegmentCoder};
 use trace_model::TraceError;
@@ -83,9 +82,10 @@ pub struct MaintenancePolicy {
     /// segments are left alone, which keeps repeated passes convergent.
     #[serde(default)]
     pub recompress: Option<CodecId>,
-    /// Worker threads for the standalone multi-lane pass
+    /// Workers for the standalone multi-lane pass
     /// ([`Compactor::compact`]): lanes are compacted concurrently on up
-    /// to this many threads (each lane is still one sequential job, so
+    /// to this many threads, the caller's among them, so `1` spawns none
+    /// (each lane is still one sequential job, so
     /// the per-lane journal/rename crash protocol is untouched). `0` —
     /// the default — auto-sizes to `min(lanes, available_parallelism)`.
     /// Single-lane passes ([`Compactor::compact_lane`]) ignore this knob.
@@ -512,7 +512,7 @@ impl Compactor {
     /// threads (auto-sized by default), and every lane is attempted even
     /// when a sibling fails — one corrupt lane must not keep the others
     /// from being maintained. Each lane's own journal/rename protocol is
-    /// unchanged, so crash safety is exactly the serial pass's.
+    /// unchanged, so crash safety is exactly a one-worker pass's.
     ///
     /// # Errors
     ///
@@ -551,49 +551,44 @@ impl Compactor {
             self.metrics.parallel_lanes.set(workers as i64);
         }
 
-        let mut outcomes: Vec<Option<LaneOutcome>> = if workers <= 1 {
+        // One worker loop: a shared cursor hands lanes to whichever worker
+        // is free, so one slow (large) lane never serialises the rest
+        // behind it. The caller's thread is worker 0, so a pass of one
+        // worker spawns nothing.
+        let next = std::sync::atomic::AtomicUsize::new(0);
+        let worker = || {
             let mut coder = RunCoder::default();
-            work.iter()
-                .map(|(lane, files)| Some(self.compact_lane_job(*lane, files, &mut coder)))
-                .collect()
-        } else {
-            // A shared cursor hands lanes to whichever worker is free, so
-            // one slow (large) lane never serialises the rest behind it.
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            let slots: Vec<std::sync::Mutex<Option<LaneOutcome>>> =
-                work.iter().map(|_| std::sync::Mutex::new(None)).collect();
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| {
-                        let mut coder = RunCoder::default();
-                        loop {
-                            let at = next.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                            let Some((lane, files)) = work.get(at) else {
-                                break;
-                            };
-                            let outcome = self.compact_lane_job(*lane, files, &mut coder);
-                            *slots[at].lock().expect("no panics hold this lock") = Some(outcome);
-                        }
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|slot| slot.into_inner().expect("workers joined"))
-                .collect()
+            let mut outcomes = Vec::new();
+            while let Some((lane, files)) =
+                work.get(next.fetch_add(1, std::sync::atomic::Ordering::SeqCst))
+            {
+                outcomes.push((*lane, self.compact_lane_job(*lane, files, &mut coder)));
+            }
+            outcomes
         };
+        let mut outcomes = std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(worker)).collect();
+            let mut outcomes = worker();
+            for helper in helpers {
+                outcomes.extend(
+                    helper
+                        .join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+                );
+            }
+            outcomes
+        });
 
-        // Successes in ascending lane order (`work` is BTreeMap-sorted);
-        // the lowest failing lane's error surfaces after every lane ran.
+        // Successes in ascending lane order; the lowest failing lane's
+        // error surfaces after every lane ran.
+        outcomes.sort_unstable_by_key(|(lane, _)| *lane);
         let mut report = CompactionReport::default();
         let mut first_error: Option<TraceError> = None;
-        for outcome in outcomes.drain(..) {
-            match outcome.expect("every lane was attempted") {
+        for (_, outcome) in outcomes {
+            match outcome {
                 Ok(lane_report) => report.lanes.extend(lane_report),
                 Err(error) => {
-                    if first_error.is_none() {
-                        first_error = Some(error);
-                    }
+                    first_error.get_or_insert(error);
                 }
             }
         }
@@ -605,8 +600,9 @@ impl Compactor {
         Ok(report)
     }
 
-    /// Worker threads for a pass over `lanes` lanes: the policy knob, or
-    /// `min(lanes, available_parallelism)` when it is zero (auto).
+    /// Workers for a pass over `lanes` lanes, the caller's thread counted:
+    /// the policy knob, or `min(lanes, available_parallelism)` when it is
+    /// zero (auto).
     fn worker_count(&self, lanes: usize) -> usize {
         let cap = if self.policy.compact_workers > 0 {
             self.policy.compact_workers
@@ -663,13 +659,15 @@ impl Compactor {
                 ..LaneCompaction::default()
             });
         }
-        let (index, torn_truncated, sidecar) = load_for_compaction(&self.dir, lane, seqs)?;
+        // Every file ends on a frame boundary before any merge.
+        let loaded = load_lane(&self.dir, lane, seqs)?;
+        let torn_truncated = truncate_torn(&self.dir, &loaded.torn)?;
         let (index, lane_report) =
-            compact_lane_index(&self.dir, index, &self.policy, torn_truncated, coder)?;
+            compact_lane_index(&self.dir, loaded.index, &self.policy, torn_truncated, coder)?;
         // A trusted `.idx` of a lane the pass left as it found it (no
         // segment written or deleted, no tail truncated, no journal
         // finished) still describes the lane: leave its bytes alone.
-        let untouched = sidecar == Ok(SidecarKind::Binary)
+        let untouched = loaded.sidecar == Ok(SidecarKind::Binary)
             && !files.journal
             && !files.legacy_sidecar
             && lane_report.is_noop();
@@ -802,32 +800,6 @@ pub(crate) fn recover_interrupted_merge(
         std::fs::remove_file(dir.join(temp))?;
     }
     Ok(seqs)
-}
-
-/// Loads a lane index for compaction (sidecar or scanner) and truncates
-/// torn tails so every file ends on a frame boundary before any merge.
-/// Returns the index, the bytes truncated and the sidecar the index came
-/// from (or why the scanner built it).
-fn load_for_compaction(
-    dir: &Path,
-    lane: u32,
-    seqs: &[u32],
-) -> Result<(LaneIndex, u64, Result<SidecarKind, FallbackReason>), TraceError> {
-    let loaded = load_lane(dir, lane, seqs)?;
-    let mut truncated = 0u64;
-    for tail in &loaded.torn {
-        let path = dir.join(segment_file_name(lane, tail.segment));
-        if tail.offset == 0 {
-            std::fs::remove_file(&path)?;
-        } else {
-            OpenOptions::new()
-                .write(true)
-                .open(&path)?
-                .set_len(tail.offset)?;
-        }
-        truncated += tail.dropped_bytes;
-    }
-    Ok((loaded.index, truncated, loaded.sidecar))
 }
 
 /// The work plan for one segment within a compaction pass.
@@ -1011,11 +983,9 @@ fn compact_lane_index(
 /// every surviving frame's CRC during the copy. Returns `None` when no
 /// window survived (the run's files are simply deleted).
 ///
-/// A run of v1 segments with nothing to re-encode is written as v1,
-/// its frames copied verbatim — bit-compatible with the previous
-/// release's output. Every other run is coded by [`RunCoder::code`] as
-/// format v3, or v4 when a template table pays for itself. Replay is
-/// byte-for-byte identical in every case.
+/// The run is coded by [`RunCoder::code`]: as format v1 when every source
+/// is v1 and nothing is re-encoded, otherwise as v3, or v4 when a template
+/// table pays for itself. Replay is byte-for-byte identical in every case.
 ///
 /// Multi-file merges are journalled through a [`CompactionManifest`]
 /// written before the consolidated file is renamed into place, so a
@@ -1042,28 +1012,18 @@ fn rewrite_run(
         return Ok(None);
     }
 
-    // The consolidated segment's format: v1 only when every source is v1
-    // and nothing is being re-encoded — that path copies frames verbatim
-    // and stays bit-compatible with the previous release's output.
-    let all_v1 = run
-        .iter()
-        .all(|plan| plan.meta.version == SEGMENT_VERSION_V1 && !plan.recompress);
     // The consolidated segment is built in memory (runs are made of small
     // segments, bounded by their summed committed size) so the journal
     // can record its exact length and CRC before anything moves.
-    let (out_version, merged, entries) = if all_v1 {
-        copy_v1_run(dir, lane, target_seq, run, windows)?
-    } else {
-        coder.code(
-            dir,
-            lane,
-            target_seq,
-            run,
-            windows,
-            recompress,
-            frames_by_codec,
-        )?
-    };
+    let (out_version, merged, entries) = coder.code(
+        dir,
+        lane,
+        target_seq,
+        run,
+        windows,
+        recompress,
+        frames_by_codec,
+    )?;
 
     // Journal multi-file merges; a single-file rewrite is already atomic
     // via the rename below.
@@ -1123,34 +1083,6 @@ fn rewrite_run(
     )))
 }
 
-/// A rewritten run's v1 segment: every surviving frame copied verbatim.
-fn copy_v1_run(
-    dir: &Path,
-    lane: u32,
-    target_seq: u32,
-    run: &[SegmentPlan],
-    windows: &[WindowEntry],
-) -> Result<(u8, Vec<u8>, Vec<WindowEntry>), TraceError> {
-    let total: u64 = run.iter().map(|plan| plan.meta.committed_bytes).sum();
-    let mut merged = Vec::with_capacity(total as usize);
-    merged.extend_from_slice(&segment_header(lane, target_seq, SEGMENT_VERSION_V1));
-    let mut entries = Vec::new();
-    for plan in run.iter().filter(|plan| !plan.windows.is_empty()) {
-        let source = std::fs::read(dir.join(segment_file_name(lane, plan.meta.seq)))?;
-        for &position in &plan.windows {
-            let entry = windows[position];
-            let frame = read_indexed_frame(SEGMENT_VERSION_V1, &source, lane, &entry, true)?;
-            entries.push(WindowEntry {
-                segment: target_seq,
-                offset: merged.len() as u64,
-                ..entry
-            });
-            merged.extend_from_slice(&source[entry.offset as usize..frame.body.end]);
-        }
-    }
-    Ok((SEGMENT_VERSION_V1, merged, entries))
-}
-
 /// Where the block of a frame [`RunCoder::code`] writes comes from.
 #[derive(Debug)]
 enum RunBlock {
@@ -1182,7 +1114,10 @@ struct RunCoder {
 }
 
 impl RunCoder {
-    /// A rewritten run's v3 or v4 segment. Each frame's meta is coded anew
+    /// A rewritten run's segment. When every source is v1 and nothing is
+    /// re-encoded it is v1 again, of the carried blocks: a v1 frame depends
+    /// only on its row and its block, so each is its source frame byte for
+    /// byte. Otherwise it is v3 or v4, and each frame's meta is coded anew
     /// against the frame written before it (a run joint or a retention
     /// drop changes the predecessor) and its CRC recomputed. Its block is
     /// carried over untouched, unless it is coded anew by the run's
@@ -1300,7 +1235,12 @@ impl RunCoder {
             };
         }
 
-        let version = if templated {
+        let all_v1 = run
+            .iter()
+            .all(|plan| plan.meta.version == SEGMENT_VERSION_V1 && !plan.recompress);
+        let version = if all_v1 {
+            SEGMENT_VERSION_V1
+        } else if templated {
             SEGMENT_VERSION_V4
         } else {
             SEGMENT_VERSION_V3
@@ -1335,6 +1275,7 @@ impl RunCoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::frame_end;
     use crate::{LaneWriter, StoreConfig, StoreReader};
     use trace_model::codec::{BinaryEncoder, TraceEncoder};
     use trace_model::{EventSink, EventTypeId, RecordMeta, Timestamp, TraceEvent, WindowId};
@@ -1382,6 +1323,40 @@ mod tests {
         }
         if close {
             writer.close().unwrap();
+        }
+    }
+
+    #[test]
+    fn a_v1_merge_without_a_target_copies_every_surviving_frame_byte_for_byte() {
+        // No retention, and a horizon that empties half of the first
+        // segment: each time the one merged segment is a v1 header and the
+        // surviving source frames, back to back, exactly as they were.
+        for (tag, retention_ns) in [("v1-copy", None), ("v1-copy-retention", Some(290_000_000))] {
+            let dir = temp_dir(tag);
+            write_run(&dir, 9, 2, true);
+            let before = StoreReader::open(&dir).unwrap();
+            let cutoff = retention_ns.map_or(0, |retention| 360_000_000 - retention);
+            let mut expected = segment_header(0, 0, SEGMENT_VERSION_V1).to_vec();
+            for entry in before.lane_windows(0).unwrap() {
+                if entry.end_ns > cutoff {
+                    let source = std::fs::read(dir.join(segment_file_name(0, entry.segment)));
+                    let end = frame_end(SEGMENT_VERSION_V1, entry).unwrap() as usize;
+                    expected.extend_from_slice(&source.unwrap()[entry.offset as usize..end]);
+                }
+            }
+            drop(before);
+
+            let mut policy = MaintenancePolicy::merge_below(u64::MAX);
+            if let Some(retention) = retention_ns {
+                policy = policy.with_retention_ns(retention);
+            }
+            let report = Compactor::new(&dir, policy).compact().unwrap();
+            assert_eq!(report.lanes[0].segments_after, 1, "{tag}");
+            let merged = std::fs::read(dir.join(segment_file_name(0, 0))).unwrap();
+            assert_eq!(merged, expected, "{tag}");
+            let after = StoreReader::open(&dir).unwrap();
+            assert!(after.recovery().clean, "{tag}");
+            std::fs::remove_dir_all(&dir).ok();
         }
     }
 

@@ -10,9 +10,10 @@ use trace_model::{EventSink, RecordMeta, TraceError, TraceEvent};
 
 use crate::commit::CommitLog;
 use crate::index::{LaneIndex, RecoveryReport, SegmentMeta, WindowEntry, SIDECAR_SCHEMA};
+use crate::reader::{scan_lane, truncate_torn};
 use crate::segment::{
-    encode_frame, list_lane, scan_segment, segment_file_name, segment_header, write_sidecar,
-    FramePrev, LaneFiles, SEGMENT_HEADER_LEN, SEGMENT_VERSION_V1,
+    encode_frame, list_lane, segment_file_name, segment_header, write_sidecar, FramePrev,
+    LaneFiles, MAX_FRAME_BLOCK, SEGMENT_HEADER_LEN, SEGMENT_VERSION_V1,
 };
 
 /// Rotation policy of a store lane.
@@ -216,46 +217,21 @@ impl LaneWriter {
         // Finish (or roll back) a merge a crashed maintenance pass left
         // half-done, so the scan below sees one consistent layout.
         let existing = crate::compact::recover_interrupted_merge(&dir, lane, &files)?;
-        let mut index = LaneIndex::new(lane);
-        let mut recovery = RecoveryReport {
-            clean: true,
+        let (index, torn_tails) = scan_lane(&dir, lane, &existing)?;
+        truncate_torn(&dir, &torn_tails)?;
+        // A resume is a recovery even without torn tails: the sidecar may
+        // predate the crash, so it is rebuilt from the scan.
+        let resumed = !existing.is_empty();
+        let recovery = RecoveryReport {
+            lanes: usize::from(resumed),
+            clean: !resumed,
+            windows: index.windows.len() as u64,
+            events: index.total_events(),
+            torn_tails,
             ..RecoveryReport::default()
         };
-        let mut next_seq = 0u32;
-        let mut bytes_on_disk = 0u64;
-        if !existing.is_empty() {
-            for seq in existing {
-                let path = dir.join(segment_file_name(lane, seq));
-                let scanned = scan_segment(&path, lane, seq)?;
-                if let Some(tail) = scanned.torn {
-                    // Truncate the torn write so the segment ends on a
-                    // frame boundary (or disappears entirely when even the
-                    // header was torn).
-                    if scanned.committed_bytes == 0 {
-                        std::fs::remove_file(&path)?;
-                    } else {
-                        OpenOptions::new()
-                            .write(true)
-                            .open(&path)?
-                            .set_len(scanned.committed_bytes)?;
-                    }
-                    recovery.torn_tails.push(tail);
-                    recovery.clean = false;
-                }
-                if scanned.committed_bytes > 0 {
-                    index.segments.push(scanned.meta);
-                    index.windows.extend(scanned.entries);
-                    bytes_on_disk += scanned.committed_bytes;
-                }
-                next_seq = seq + 1;
-            }
-            recovery.lanes = 1;
-            recovery.windows = index.windows.len() as u64;
-            recovery.events = index.total_events();
-            // A resume is a recovery even without torn tails: the sidecar
-            // may predate the crash, so it is rebuilt from the scan.
-            recovery.clean = false;
-        }
+        let next_seq = existing.last().map_or(0, |seq| seq + 1);
+        let bytes_on_disk = index.segments.iter().map(|meta| meta.committed_bytes).sum();
         // Synthetic ids continue past every recovered id, so meta-less
         // records appended after a resume never collide with (and shadow)
         // pre-crash entries in the index. Sessions supplying real window
@@ -419,6 +395,17 @@ impl LaneWriter {
     ) -> Result<(), TraceError> {
         if let Some(message) = &self.poisoned {
             return Err(TraceError::Io(std::io::Error::other(message.clone())));
+        }
+        if payload.len() > MAX_FRAME_BLOCK {
+            // Refused before a byte is written, so the writer goes on.
+            return Err(TraceError::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!(
+                    "lane {}: a {}-byte window is past the frame limit",
+                    self.lane,
+                    payload.len()
+                ),
+            )));
         }
         let mut entry = WindowEntry {
             window_id,

@@ -18,10 +18,12 @@
 //!   once and hands out the writers of a fleet's thousands of lanes
 //!   without listing it again for a lane that cannot have files.
 //!   A writer appends each payload as the recorder encoded it, in
-//!   format-v1 files; it compresses nothing.
+//!   format-v1 files; it compresses nothing, and it refuses a payload
+//!   too long for a frame before writing a byte of it.
 //! * [`StoreReader`] — reopens a store directory, recovering after a
 //!   crash: every frame is length- and CRC-validated, torn tail writes
-//!   are detected (and truncated by a resuming writer), and the
+//!   are detected (and truncated by a resuming writer or the compactor,
+//!   through one scan and one truncation), and the
 //!   [`RecoveryReport`] says exactly what survived — and why any lane's
 //!   sidecar was declined ([`FallbackReason`]). Lane sidecars (binary,
 //!   CRC-sealed `laneNNNN.idx` files) load lazily — replaying one lane of
@@ -33,7 +35,8 @@
 //!   first touch.
 //! * [`Compactor`] / [`MaintenancePolicy`] — the store's maintenance
 //!   pass: runs of small adjacent segments are merged into consolidated
-//!   ones (stored blocks copied verbatim, sidecar rewritten atomically) and
+//!   ones (stored blocks carried over verbatim and re-framed by one run
+//!   writer, sidecar rewritten atomically) and
 //!   windows past a retention horizon are dropped, keeping reopen and
 //!   replay costs flat on week-long runs. It is also the one place a
 //!   frame is compressed: a pass with a recompression target — any
@@ -48,7 +51,8 @@
 //!   for a template table stored once ahead of its frames
 //!   ([`trace_model::codec::SegmentCoder`]). It is
 //!   the one thing that rewrites a lane and runs on lanes no writer
-//!   holds: a live lane is append-only.
+//!   holds: a live lane is append-only. Its workers are the caller's
+//!   thread and, past one, scoped threads joined before it returns.
 //! * [`Snapshot`] / [`Tailer`] / [`CommitLog`] — the live read side. A
 //!   [`Snapshot`] is an immutable, cheaply cloneable view of everything
 //!   committed at a point in time: a shared [`StoreReader`] whose every

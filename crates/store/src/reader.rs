@@ -137,26 +137,6 @@ impl ReadLane {
         self.latest(window_id).map(|at| &self.windows()[at])
     }
 
-    /// The windows whose `[start, end)` range intersects `[from, to)`.
-    fn in_range(&self, from: Timestamp, to: Timestamp) -> impl Iterator<Item = &WindowEntry> {
-        let (from, to) = (from.as_nanos(), to.as_nanos());
-        self.windows()
-            .iter()
-            .filter(move |entry| entry.start_ns < to && entry.end_ns > from)
-    }
-
-    /// Each of `entries` with its payload bytes.
-    fn with_payloads<'e>(
-        &self,
-        entries: impl IntoIterator<Item = &'e WindowEntry>,
-    ) -> Result<Vec<(WindowEntry, Vec<u8>)>, TraceError> {
-        let mut front = self.front();
-        entries
-            .into_iter()
-            .map(|entry| Ok((*entry, front.payload(entry)?.to_vec())))
-            .collect()
-    }
-
     fn front(&self) -> MutexGuard<'_, SegmentMap> {
         self.front.lock().expect("lane decode front poisoned")
     }
@@ -427,24 +407,11 @@ impl StoreReader {
         let windows = read.windows();
         let from = target.saturating_sub(context);
         let to = (target + 1).saturating_add(context).min(windows.len());
-        read.with_payloads(&windows[from..to])
-    }
-
-    /// The recorded windows whose `[start, end)` range intersects
-    /// `[from, to)`, in recording order, each paired with its stored
-    /// payload bytes verbatim (see [`StoreReader::windows_around`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`StoreReader::window_payload`].
-    pub fn windows_with_payloads_in_range(
-        &self,
-        lane: u32,
-        from: Timestamp,
-        to: Timestamp,
-    ) -> Result<Vec<(WindowEntry, Vec<u8>)>, TraceError> {
-        let read = self.lane(lane)?;
-        read.with_payloads(read.in_range(from, to))
+        let mut front = read.front();
+        windows[from..to]
+            .iter()
+            .map(|entry| Ok((*entry, front.payload(entry)?.to_vec())))
+            .collect()
     }
 
     /// The decoded events of one indexed window.
@@ -481,9 +448,14 @@ impl StoreReader {
         to: Timestamp,
     ) -> Result<Vec<(WindowId, Vec<TraceEvent>)>, TraceError> {
         let read = self.lane(lane)?;
+        let (from, to) = (from.as_nanos(), to.as_nanos());
         let mut front = read.front();
         let mut out = Vec::new();
-        for entry in read.in_range(from, to) {
+        for entry in read
+            .windows()
+            .iter()
+            .filter(|entry| entry.start_ns < to && entry.end_ns > from)
+        {
             let mut events = Vec::with_capacity(claimed_events(entry.events.into()));
             front.decode_events_into(entry, &mut events)?;
             out.push((WindowId::new(entry.window_id), events));
@@ -612,24 +584,54 @@ pub(crate) fn load_lane(dir: &Path, lane: u32, seqs: &[u32]) -> Result<LoadedLan
         }
         Err(reason) => reason,
     };
-    let mut index = LaneIndex::new(lane);
-    let mut torn = Vec::new();
-    for &seq in seqs {
-        let path = dir.join(segment_file_name(lane, seq));
-        let scanned = scan_segment(&path, lane, seq)?;
-        if let Some(tail) = scanned.torn {
-            torn.push(tail);
-        }
-        if scanned.committed_bytes > 0 {
-            index.segments.push(scanned.meta);
-            index.windows.extend(scanned.entries);
-        }
-    }
+    let (index, torn) = scan_lane(dir, lane, seqs)?;
     Ok(LoadedLane {
         index,
         torn,
         sidecar: Err(declined),
     })
+}
+
+/// The scanner half of [`load_lane`], and all of a resuming writer's
+/// load: the intact frames of segments `seqs` of `lane` and the torn
+/// tails behind them (a segment torn inside its header is left out).
+pub(crate) fn scan_lane(
+    dir: &Path,
+    lane: u32,
+    seqs: &[u32],
+) -> Result<(LaneIndex, Vec<TornTail>), TraceError> {
+    let mut index = LaneIndex::new(lane);
+    let mut torn = Vec::new();
+    for &seq in seqs {
+        let path = dir.join(segment_file_name(lane, seq));
+        let scanned = scan_segment(&path, lane, seq)?;
+        torn.extend(scanned.torn);
+        if scanned.committed_bytes > 0 {
+            index.segments.push(scanned.meta);
+            index.windows.extend(scanned.entries);
+        }
+    }
+    Ok((index, torn))
+}
+
+/// Cuts each of `torn` off its segment, removing a segment torn inside
+/// its header, and returns the bytes dropped: the one place recovery —
+/// a resuming writer's or the compactor's — writes.
+pub(crate) fn truncate_torn(dir: &Path, torn: &[TornTail]) -> Result<u64, TraceError> {
+    let mut dropped = 0;
+    for tail in torn {
+        let path = dir.join(segment_file_name(tail.lane, tail.segment));
+        if tail.offset == 0 {
+            std::fs::remove_file(&path)?;
+        } else {
+            std::fs::OpenOptions::new()
+                .write(true)
+                .open(&path)?
+                .set_len(tail.offset)?;
+        }
+        dropped += tail.dropped_bytes;
+    }
+    Ok(dropped)
 }
 
 /// Loads and validates a lane sidecar per `docs/FORMAT.md` §4: intact,

@@ -42,7 +42,8 @@
 //! byte in the file header governs every frame in the file; version 2 is
 //! read, never written. `docs/FORMAT.md` is the normative spec;
 //! [`encode_frame`] and [`read_frame`] are the one place in the crate
-//! that knows the layouts above.
+//! that knows the layouts above; every varint and zigzag in them, and in
+//! the sidecar rows, is `trace_model::codec::varint`'s.
 //!
 //! A process killed mid-write leaves a torn final frame; the scanner
 //! validates length and CRC frame by frame and reports where the intact
@@ -53,6 +54,7 @@ use std::collections::BTreeMap;
 use std::ops::Range;
 use std::path::Path;
 
+use trace_model::codec::varint::{encode_u64, take_minimal_u64, unzigzag, varint_len, zigzag};
 use trace_model::codec::{CodecId, FrameContext, TemplateTable};
 use trace_model::TraceError;
 
@@ -84,6 +86,15 @@ pub(crate) const FRAME_META_LEN: usize = 28;
 /// Upper bound on a frame body, guarding recovery against absurd lengths
 /// read from corrupt headers.
 const MAX_FRAME_BODY: u32 = 1 << 30;
+/// The longest frame meta of any version, v3's: three ten-byte varints
+/// (id, start and span deltas), two five-byte ones (event count, raw
+/// length) and the codec byte.
+const MAX_META_LEN: usize = 3 * 10 + 2 * 5 + 1;
+/// The largest block a writer frames: behind the longest meta of any
+/// version its body stays within [`MAX_FRAME_BODY`], so the frame and
+/// every rewrite of it stay readable — a longer body reads as a torn
+/// length, and the next resume would truncate a committed window.
+pub(crate) const MAX_FRAME_BLOCK: usize = MAX_FRAME_BODY as usize - MAX_META_LEN;
 /// Upper bound on a v4 segment's template table, as on a frame body.
 pub(crate) const MAX_TABLE_BYTES: usize = MAX_FRAME_BODY as usize;
 
@@ -108,7 +119,7 @@ fn frame_meta_len(version: u8) -> usize {
 /// `body_len` bytes.
 fn frame_header_len(version: u8, body_len: u32) -> u64 {
     if version >= SEGMENT_VERSION_V3 {
-        varint_len(u64::from(body_len)) + 4
+        varint_len(u64::from(body_len)) as u64 + 4
     } else {
         FRAME_HEADER_LEN
     }
@@ -251,19 +262,6 @@ pub(crate) fn list_lane(dir: &std::path::Path, lane: u32) -> std::io::Result<Lan
         .unwrap_or_default())
 }
 
-/// The cross-file corruption error for a segment whose on-disk header
-/// does not match the lane/sequence its file name claims — one message,
-/// shared by open-time and read-time validation.
-pub(crate) fn segment_header_mismatch(path: &std::path::Path, lane: u32, seq: u32) -> TraceError {
-    TraceError::Decode {
-        offset: 0,
-        reason: format!(
-            "{}: segment header does not name lane {lane} segment {seq}",
-            path.display()
-        ),
-    }
-}
-
 /// Serialises the 13-byte segment header.
 pub(crate) fn segment_header(
     lane: u32,
@@ -278,27 +276,6 @@ pub(crate) fn segment_header(
     header
 }
 
-/// Validates the 13 header bytes of a loaded segment, returning its
-/// format version.
-pub(crate) fn parse_segment_header(
-    bytes: &[u8],
-    path: &std::path::Path,
-    lane: u32,
-    seq: u32,
-) -> Result<u8, TraceError> {
-    if bytes.len() < SEGMENT_HEADER_LEN as usize
-        || &bytes[..4] != SEGMENT_MAGIC
-        || !known_segment_version(bytes[4])
-    {
-        return Err(segment_header_mismatch(path, lane, seq));
-    }
-    let (file_lane, file_seq) = (read_u32(bytes, 5), read_u32(bytes, 9));
-    if (file_lane, file_seq) != (lane, seq) {
-        return Err(segment_header_mismatch(path, lane, seq));
-    }
-    Ok(bytes[4])
-}
-
 /// What a reader needs of a segment before its first frame: the format
 /// version and, in v4, the template table between the header and the
 /// frames.
@@ -311,27 +288,52 @@ pub(crate) struct SegmentHead {
 }
 
 impl SegmentHead {
-    /// Validates the head of the segment file `bytes` as segment `seq` of
-    /// `lane`: the 13-byte header and, in v4, the table section after it.
+    /// Validates the head of the segment file `bytes` (at `path`) as
+    /// segment `seq` of `lane`: the 13-byte header and, in v4, the table
+    /// section after it. The one header check, of the scanner and of
+    /// every reader.
     ///
     /// # Errors
     ///
-    /// As [`parse_segment_header`], and [`TraceError::Decode`] for a v4
-    /// table section that is cut short, fails its CRC or does not parse:
-    /// a compactor writes a v4 segment whole (temp file, fsync, rename),
-    /// so none of that is a torn write.
+    /// [`TraceError::Decode`] for a file shorter than the header, a bad
+    /// magic, an unknown version or a header naming another lane or
+    /// segment — cross-file or cross-version corruption, not a torn write
+    /// — and for a v4 table section that is cut short, fails its CRC or
+    /// does not parse: a compactor writes a v4 segment whole (temp file,
+    /// fsync, rename), so none of that is a torn write either.
     pub(crate) fn parse(
         bytes: &[u8],
         path: &Path,
         lane: u32,
         seq: u32,
     ) -> Result<Self, TraceError> {
-        let version = parse_segment_header(bytes, path, lane, seq)?;
-        Self::after_header(bytes, version, path)
-    }
-
-    /// The head of the segment `bytes`, whose header says `version`.
-    fn after_header(bytes: &[u8], version: u8, path: &Path) -> Result<Self, TraceError> {
+        let corrupt = |offset: usize, reason: String| TraceError::Decode {
+            offset,
+            reason: format!("{}: {reason}", path.display()),
+        };
+        if bytes.len() < SEGMENT_HEADER_LEN as usize {
+            return Err(corrupt(
+                0,
+                format!("{} bytes cannot hold a segment header", bytes.len()),
+            ));
+        }
+        if &bytes[..4] != SEGMENT_MAGIC {
+            return Err(corrupt(0, "bad magic, not an ESEG segment".into()));
+        }
+        let version = bytes[4];
+        if !known_segment_version(version) {
+            return Err(corrupt(4, format!("unsupported segment version {version}")));
+        }
+        let (file_lane, file_seq) = (read_u32(bytes, 5), read_u32(bytes, 9));
+        if (file_lane, file_seq) != (lane, seq) {
+            return Err(corrupt(
+                5,
+                format!(
+                    "header says lane {file_lane} segment {file_seq}, file name says \
+                     lane {lane} segment {seq}"
+                ),
+            ));
+        }
         if version != SEGMENT_VERSION_V4 {
             return Ok(SegmentHead {
                 version,
@@ -339,24 +341,27 @@ impl SegmentHead {
                 frames_start: SEGMENT_HEADER_LEN,
             });
         }
-        let corrupt = |reason: String| TraceError::Decode {
-            offset: SEGMENT_HEADER_LEN as usize,
-            reason: format!("{}: template table: {reason}", path.display()),
+        let table_corrupt = |reason: String| {
+            corrupt(
+                SEGMENT_HEADER_LEN as usize,
+                format!("template table: {reason}"),
+            )
         };
         let mut at = SEGMENT_HEADER_LEN as usize;
-        let len = take_varint(bytes, &mut at, 5)
+        let len = take_minimal_u64(bytes, &mut at)
             .filter(|&len| len <= MAX_TABLE_BYTES as u64)
-            .ok_or_else(|| corrupt("no length field".into()))? as usize;
+            .ok_or_else(|| table_corrupt("no length field".into()))? as usize;
         let end = at + 4 + len;
         let (Some(crc), Some(table)) = (bytes.get(at..at + 4), bytes.get(at + 4..end)) else {
-            return Err(corrupt(format!(
+            return Err(table_corrupt(format!(
                 "{len} bytes run past the end of the segment"
             )));
         };
         if crc32(table) != read_u32(crc, 0) {
-            return Err(corrupt("crc mismatch".into()));
+            return Err(table_corrupt("crc mismatch".into()));
         }
-        let table = TemplateTable::parse(table).map_err(|error| corrupt(error.to_string()))?;
+        let table =
+            TemplateTable::parse(table).map_err(|error| table_corrupt(error.to_string()))?;
         Ok(SegmentHead {
             version,
             table,
@@ -404,14 +409,14 @@ impl SegmentHead {
 /// (the bytes of [`TemplateTable::encode`]) as a varint, their CRC-32 and
 /// the bytes.
 pub(crate) fn put_table_section(out: &mut Vec<u8>, table: &[u8]) {
-    put_varint(out, table.len() as u64);
+    encode_u64(table.len() as u64, out);
     out.extend_from_slice(&crc32(table).to_le_bytes());
     out.extend_from_slice(table);
 }
 
 /// Bytes [`put_table_section`] appends for `table`.
 pub(crate) fn table_section_len(table: &[u8]) -> u64 {
-    varint_len(table.len() as u64) + 4 + table.len() as u64
+    (varint_len(table.len() as u64) + 4 + table.len()) as u64
 }
 
 /// What a v3 frame is coded against: the window id, end and span
@@ -439,9 +444,9 @@ impl FramePrev {
     fn deltas(self, entry: &WindowEntry) -> [u64; 5] {
         let span = entry.end_ns.wrapping_sub(entry.start_ns);
         [
-            zigzag(entry.window_id.wrapping_sub(self.id)),
-            zigzag(entry.start_ns.wrapping_sub(self.end_ns)),
-            zigzag(span.wrapping_sub(self.span_ns)),
+            zigzag(entry.window_id.wrapping_sub(self.id) as i64),
+            zigzag(entry.start_ns.wrapping_sub(self.end_ns) as i64),
+            zigzag(span.wrapping_sub(self.span_ns) as i64),
             u64::from(entry.events),
             u64::from(entry.raw_len),
         ]
@@ -450,10 +455,10 @@ impl FramePrev {
     /// The inverse of [`FramePrev::deltas`]: the id, start and end that
     /// the deltas `[id, gap, span]` of the frame after this one stand for.
     fn resolve(self, [id, gap, span]: [u64; 3]) -> [u64; 3] {
-        let start_ns = self.end_ns.wrapping_add(unzigzag(gap));
-        let span_ns = self.span_ns.wrapping_add(unzigzag(span));
+        let start_ns = self.end_ns.wrapping_add(unzigzag(gap) as u64);
+        let span_ns = self.span_ns.wrapping_add(unzigzag(span) as u64);
         [
-            self.id.wrapping_add(unzigzag(id)),
+            self.id.wrapping_add(unzigzag(id) as u64),
             start_ns,
             start_ns.wrapping_add(span_ns),
         ]
@@ -462,73 +467,24 @@ impl FramePrev {
 
 /// Bytes of the v3 meta block holding `fields` and the codec byte.
 fn meta_len_v3(fields: [u64; 5]) -> u64 {
-    fields.into_iter().map(varint_len).sum::<u64>() + 1
+    (fields.into_iter().map(varint_len).sum::<usize>() + 1) as u64
 }
 
 /// Bytes the v3 or v4 frame of `entry` behind `prev` takes around a block
 /// of `block_len` bytes: length varint, CRC, meta and block.
 pub(crate) fn frame_len(prev: FramePrev, entry: &WindowEntry, block_len: usize) -> u64 {
     let body = meta_len_v3(prev.deltas(entry)) + block_len as u64;
-    varint_len(body) + 4 + body
-}
-
-fn zigzag(delta: u64) -> u64 {
-    (delta << 1) ^ (((delta as i64) >> 63) as u64)
-}
-
-fn unzigzag(value: u64) -> u64 {
-    (value >> 1) ^ (value & 1).wrapping_neg()
-}
-
-/// Bytes [`put_varint`] emits for `value`.
-fn varint_len(value: u64) -> u64 {
-    u64::from(64 - (value | 1).leading_zeros()).div_ceil(7)
-}
-
-/// Appends `value` as a minimal LEB128 varint.
-fn put_varint(out: &mut Vec<u8>, mut value: u64) {
-    while value >= 0x80 {
-        out.push(value as u8 | 0x80);
-        value >>= 7;
-    }
-    out.push(value as u8);
-}
-
-/// Reads a varint of at most `max_bytes` bytes at `*at`, advancing it.
-/// `None` when the bytes run out, the varint runs on, overflows a `u64`
-/// or is not the shortest encoding of its value.
-#[inline]
-fn take_varint(bytes: &[u8], at: &mut usize, max_bytes: usize) -> Option<u64> {
-    let rest = bytes.get(*at..)?;
-    let first = *rest.first()?;
-    if first < 0x80 {
-        // Most fields of most frames: one byte.
-        *at += 1;
-        return Some(u64::from(first));
-    }
-    let mut value = u64::from(first & 0x7f);
-    for (index, &byte) in rest.iter().enumerate().take(max_bytes).skip(1) {
-        let bits = u64::from(byte & 0x7f);
-        if index == 9 && bits > 1 {
-            return None;
-        }
-        value |= bits << (7 * index);
-        if byte & 0x80 == 0 {
-            *at += index + 1;
-            return (byte != 0).then_some(value);
-        }
-    }
-    None
+    varint_len(body) as u64 + 4 + body
 }
 
 /// Appends the v3 meta block of `fields` ([`FramePrev::deltas`]) and
 /// `codec`: four varints, the codec byte, the raw length varint.
 fn put_meta_v3(out: &mut Vec<u8>, fields: [u64; 5], codec: u8) {
     for field in &fields[..4] {
-        put_varint(out, *field);
+        encode_u64(*field, out);
     }
     out.push(codec);
-    put_varint(out, fields[4]);
+    encode_u64(fields[4], out);
 }
 
 /// Parses the v3 meta block that opens `meta` — window deltas, event
@@ -537,11 +493,11 @@ fn put_meta_v3(out: &mut Vec<u8>, fields: [u64; 5], codec: u8) {
 #[inline]
 fn take_meta_v3(meta: &[u8]) -> Option<([u64; 3], u32, u8, u32, usize)> {
     let mut at = 0;
-    let mut next = || take_varint(meta, &mut at, 10);
+    let mut next = || take_minimal_u64(meta, &mut at);
     let (window, events) = ([next()?, next()?, next()?], next()?);
     let codec_id = *meta.get(at)?;
     at += 1;
-    let raw_len = take_varint(meta, &mut at, 10)?;
+    let raw_len = take_minimal_u64(meta, &mut at)?;
     let (events, raw_len) = (u32::try_from(events).ok()?, u32::try_from(raw_len).ok()?);
     Some((window, events, codec_id, raw_len, at))
 }
@@ -574,7 +530,7 @@ pub(crate) fn encode_frame(
         let fields = prev.deltas(entry);
         let body_len = (meta_len_v3(fields) + block.len() as u64) as u32;
         out.reserve(9 + body_len as usize);
-        put_varint(out, u64::from(body_len));
+        encode_u64(u64::from(body_len), out);
         out.extend_from_slice(&[0u8; 4]); // crc placeholder
         put_meta_v3(out, fields, entry.codec);
         body_len
@@ -665,7 +621,10 @@ pub(crate) fn read_frame(
     };
     let relative = version >= SEGMENT_VERSION_V3;
     let body_len = if relative {
-        take_varint(bytes, &mut pos, 5)
+        // A writer's length takes at most five bytes (2^30 needs five); a
+        // longer field is no length at all, not one out of range.
+        let start = pos;
+        take_minimal_u64(bytes, &mut pos).filter(|_| pos - start <= 5)
     } else {
         pos += 4;
         bytes
@@ -924,9 +883,9 @@ fn take_long_row(rows: &[u8], at: &mut usize) -> Option<Row> {
         events,
         codec,
         raw_len,
-        segment: u32::try_from(take_varint(rows, at, 5)?).ok()?,
-        offset: take_varint(rows, at, 10)?,
-        len: u32::try_from(take_varint(rows, at, 5)?).ok()?,
+        segment: u32::try_from(take_minimal_u64(rows, at)?).ok()?,
+        offset: take_minimal_u64(rows, at)?,
+        len: u32::try_from(take_minimal_u64(rows, at)?).ok()?,
     })
 }
 
@@ -947,8 +906,8 @@ pub(crate) fn encode_sidecar(index: &LaneIndex) -> Vec<u8> {
     out.extend_from_slice(SIDECAR_MAGIC);
     out.extend_from_slice(&SIDECAR_SCHEMA.to_le_bytes());
     out.extend_from_slice(&index.lane.to_le_bytes());
-    put_varint(&mut out, index.segments.len() as u64);
-    put_varint(&mut out, index.windows.len() as u64);
+    encode_u64(index.segments.len() as u64, &mut out);
+    encode_u64(index.windows.len() as u64, &mut out);
     for meta in &index.segments {
         out.extend_from_slice(&meta.seq.to_le_bytes());
         out.extend_from_slice(&meta.committed_bytes.to_le_bytes());
@@ -960,7 +919,7 @@ pub(crate) fn encode_sidecar(index: &LaneIndex) -> Vec<u8> {
         let segment = entry.segment.wrapping_sub(prev.segment);
         let offset = entry.offset.wrapping_sub(prev.offset_base(entry.segment));
         for field in [u64::from(segment), offset, u64::from(entry.len)] {
-            put_varint(&mut out, field);
+            encode_u64(field, &mut out);
         }
         prev = RowPrev::after(entry);
     }
@@ -997,8 +956,8 @@ pub(crate) fn decode_sidecar(bytes: &[u8]) -> Result<LaneIndex, FallbackReason> 
 /// [`WINDOW_ROW_MIN_LEN`] bytes before anything is reserved.
 fn decode_rows(sealed: &[u8], lane: u32) -> Option<LaneIndex> {
     let mut at = SIDECAR_FIXED_LEN;
-    let segment_count = take_varint(sealed, &mut at, 10)?;
-    let window_count = take_varint(sealed, &mut at, 10)?;
+    let segment_count = take_minimal_u64(sealed, &mut at)?;
+    let window_count = take_minimal_u64(sealed, &mut at)?;
     let records = usize::try_from(segment_count)
         .ok()?
         .checked_mul(SEGMENT_RECORD_LEN)?;
@@ -1149,32 +1108,8 @@ pub(crate) fn scan_segment(
             },
         });
     }
-    if &bytes[..4] != SEGMENT_MAGIC {
-        return Err(TraceError::Decode {
-            offset: 0,
-            reason: format!("{}: bad magic, not an ESEG segment", path.display()),
-        });
-    }
-    let version = bytes[4];
-    if !known_segment_version(version) {
-        return Err(TraceError::Decode {
-            offset: 4,
-            reason: format!("{}: unsupported segment version {version}", path.display()),
-        });
-    }
-    let (file_lane, file_seq) = (read_u32(&bytes, 5), read_u32(&bytes, 9));
-    if (file_lane, file_seq) != (lane, seq) {
-        return Err(TraceError::Decode {
-            offset: 5,
-            reason: format!(
-                "{}: header says lane {file_lane} segment {file_seq}, file name says \
-                 lane {lane} segment {seq}",
-                path.display()
-            ),
-        });
-    }
-
-    let head = SegmentHead::after_header(&bytes, version, path)?;
+    let head = SegmentHead::parse(&bytes, path, lane, seq)?;
+    let version = head.version;
     let mut entries = Vec::new();
     let mut offset = head.frames_start;
     let mut prev = FramePrev::default();
@@ -1568,7 +1503,7 @@ mod tests {
         // `W` rows of at least 9 bytes the bytes after the records.
         let varint = |value: u64| {
             let mut out = Vec::new();
-            put_varint(&mut out, value);
+            encode_u64(value, &mut out);
             out
         };
         let zero_rows = |rows: usize| vec![0u8; 9 * rows];
@@ -1963,47 +1898,6 @@ mod tests {
     }
 
     #[test]
-    fn varints_are_read_only_in_their_shortest_form() {
-        let take = |bytes: &[u8], max| {
-            let mut at = 0;
-            take_varint(bytes, &mut at, max).map(|value| (value, at))
-        };
-        for value in [
-            0,
-            1,
-            127,
-            128,
-            16_383,
-            16_384,
-            1 << 30,
-            u64::MAX >> 1,
-            u64::MAX,
-        ] {
-            let mut bytes = Vec::new();
-            put_varint(&mut bytes, value);
-            assert_eq!(bytes.len() as u64, varint_len(value), "{value}");
-            assert_eq!(take(&bytes, 10), Some((value, bytes.len())), "{value}");
-            // Cut short, or padded with a continuation of zero.
-            assert_eq!(take(&bytes[..bytes.len() - 1], 10), None, "{value}");
-            let last = bytes.len() - 1;
-            bytes[last] |= 0x80;
-            bytes.push(0);
-            assert_eq!(take(&bytes, 10), None, "{value} padded");
-        }
-        assert_eq!(take(&[0x80, 0x80, 0x80, 0x80, 0x04], 5), Some((1 << 30, 5)));
-        assert_eq!(
-            take(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x01], 5),
-            None,
-            "six bytes"
-        );
-        let mut overflow = vec![0xFF; 9];
-        overflow.push(0x02);
-        assert_eq!(take(&overflow, 10), None, "65 bits");
-        assert_eq!(take(&[0xFF; 16], 10), None, "endless");
-        assert_eq!(take(&[], 10), None);
-    }
-
-    #[test]
     fn a_frame_length_no_writer_emits_is_a_torn_tail() {
         let torn = |version, bytes: &[u8], at| match read_frame(version, bytes, at, true).unwrap() {
             FrameRead::Torn(reason) => reason,
@@ -2150,21 +2044,22 @@ mod tests {
     #[test]
     fn headers_parse_for_every_version_and_reject_unknown() {
         let path = std::path::Path::new("lane0001-000002.seg");
-        for version in [
-            SEGMENT_VERSION_V1,
-            SEGMENT_VERSION_V2,
-            SEGMENT_VERSION_V3,
-            SEGMENT_VERSION_V4,
-        ] {
+        let parse = |bytes: &[u8], seq| SegmentHead::parse(bytes, path, 1, seq);
+        // A v4 header is followed by its table section (tested below).
+        for version in [SEGMENT_VERSION_V1, SEGMENT_VERSION_V2, SEGMENT_VERSION_V3] {
             let header = segment_header(1, 2, version);
-            assert_eq!(parse_segment_header(&header, path, 1, 2).unwrap(), version);
+            assert_eq!(parse(&header, 2).unwrap().version, version);
+            assert_eq!(parse(&header, 2).unwrap().frames_start, SEGMENT_HEADER_LEN);
+            assert!(parse(&header[..12], 2).is_err(), "cut short");
         }
         for version in [0, 5] {
             let bad = segment_header(1, 2, version);
-            assert!(parse_segment_header(&bad, path, 1, 2).is_err());
+            assert!(parse(&bad, 2).is_err());
         }
-        let bad = segment_header(1, 2, SEGMENT_VERSION_V1);
-        assert!(parse_segment_header(&bad, path, 1, 3).is_err());
+        let mut bad = segment_header(1, 2, SEGMENT_VERSION_V1);
+        assert!(parse(&bad, 3).is_err());
+        bad[0] = b'e';
+        assert!(parse(&bad, 2).is_err(), "magic");
     }
 
     #[test]

@@ -7,7 +7,9 @@ use proptest::prelude::*;
 
 use endurance_store::{LaneWriter, StoreConfig, StoreReader};
 use trace_model::codec::{BinaryEncoder, TraceEncoder};
-use trace_model::{EventSink, EventTypeId, RecordMeta, Timestamp, TraceEvent, WindowId};
+use trace_model::{
+    EventSink, EventTypeId, RecordMeta, Timestamp, TraceError, TraceEvent, WindowId,
+};
 
 fn temp_dir(tag: u64) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -159,4 +161,56 @@ proptest! {
 
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// A window whose frame body would pass the 2^30-byte limit — which every
+/// reader takes for a torn length, so the next resume would truncate it —
+/// is refused before a byte is written: the writer keeps appending, and
+/// the lane reopens clean with every other window.
+#[test]
+fn a_window_past_the_frame_limit_is_refused_and_the_writer_goes_on() {
+    let dir = temp_dir(u64::MAX);
+    let mut writer = LaneWriter::create(&dir, 0, StoreConfig::default()).unwrap();
+    let meta = |id: u64| RecordMeta {
+        window_id: WindowId::new(id),
+        start: Timestamp::from_millis(id * 40),
+        end: Timestamp::from_millis((id + 1) * 40),
+    };
+    let events = [TraceEvent::new(
+        Timestamp::from_millis(0),
+        EventTypeId::new(0),
+        7,
+    )];
+    let mut encoded = Vec::new();
+    BinaryEncoder::new().encode(&events, &mut encoded).unwrap();
+    writer.record_window(&meta(0), &events, &encoded).unwrap();
+
+    // Zeroed pages nothing touches: the refusal reads only the length.
+    let huge = vec![0u8; 1 << 30];
+    match writer.record_window(&meta(1), &events, &huge) {
+        Err(TraceError::Io(error)) => {
+            assert_eq!(error.kind(), std::io::ErrorKind::InvalidInput, "{error}")
+        }
+        other => panic!("a 1 GiB window was not refused: {other:?}"),
+    }
+    drop(huge);
+    writer.record_window(&meta(2), &events, &encoded).unwrap();
+    writer.close().unwrap();
+
+    let reader = StoreReader::open(&dir).unwrap();
+    assert!(reader.recovery().clean);
+    let ids: Vec<u64> = reader
+        .lane_windows(0)
+        .unwrap()
+        .iter()
+        .map(|entry| entry.window_id)
+        .collect();
+    assert_eq!(ids, [0, 2]);
+    assert_eq!(reader.lane_events(0).unwrap(), [events[0], events[0]]);
+    drop(reader);
+    let resumed = LaneWriter::create(&dir, 0, StoreConfig::default()).unwrap();
+    assert!(resumed.recovery().torn_tails.is_empty());
+    assert_eq!(resumed.windows_written(), 2);
+    drop(resumed);
+    std::fs::remove_dir_all(&dir).ok();
 }

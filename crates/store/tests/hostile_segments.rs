@@ -24,6 +24,7 @@ use endurance_store::{
     crc32, CodecId, Compactor, LaneWriter, MaintenancePolicy, Snapshot, StoreConfig, StoreReader,
     TailStep, Tailer, WindowEntry,
 };
+use trace_model::codec::varint::encode_u64;
 use trace_model::{EventTypeId, Timestamp, TraceError, TraceEvent, WindowId};
 
 const SEGMENT: &str = "lane0000-000000.seg";
@@ -447,15 +448,6 @@ fn v3_length_varints_are_held_to_the_letter() {
     std::fs::remove_dir_all(&pristine.dir).ok();
 }
 
-/// Appends `value` as a minimal varint.
-fn put_varint(out: &mut Vec<u8>, mut value: u32) {
-    while value >= 0x80 {
-        out.push(value as u8 | 0x80);
-        value >>= 7;
-    }
-    out.push(value as u8);
-}
-
 /// One frame of a `version` segment (2 or 3) at the head of its segment,
 /// laid out by hand around `block`: window 0 over `[0, 1)`, `events`
 /// events, `codec`, and a raw length of `raw_len`, CRC and all.
@@ -471,9 +463,9 @@ fn crafted_frame(version: u8, codec: CodecId, events: u32, raw_len: u32, block: 
         // id and start deltas of zero, a span of zigzag(1), the count,
         // the codec byte, the raw length.
         body.extend_from_slice(&[0, 0, 2]);
-        put_varint(&mut body, events);
+        encode_u64(events.into(), &mut body);
         body.push(codec.as_u8());
-        put_varint(&mut body, raw_len);
+        encode_u64(raw_len.into(), &mut body);
     }
     body.extend_from_slice(block);
     let mut frame = if version == 2 {

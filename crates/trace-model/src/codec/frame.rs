@@ -79,6 +79,7 @@ use std::fmt;
 
 use super::binary::{decode_canonical, header_len};
 use super::template::{TemplateTable, TemplatedCodec};
+use super::varint::{unzigzag, zigzag};
 use super::{
     decode_u64, encode_u64, take_minimal_u64, varint_len, BinaryDecoder, BinaryEncoder,
     TraceDecoder, TraceEncoder,
@@ -456,16 +457,6 @@ const EDV_MAX_DICT: usize = 255;
 const EDV_SCHEME_PLAIN: u8 = 0;
 /// Payload column scheme: run-length encoded (delta, run) pairs.
 const EDV_SCHEME_RLE: u8 = 1;
-
-#[inline]
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-#[inline]
-pub(super) fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
 
 /// Lag-`k` predecessor of `vals[i]` (a virtual zero before the start).
 #[inline]

@@ -1,32 +1,26 @@
 //! Trace serialisation codecs.
 //!
-//! Two *trace* codecs turn event batches into bytes:
+//! The *trace* codec, [`binary`], turns event batches into bytes: a
+//! compact delta/varint encoding (`ETRC`), the format used by the
+//! recording sink for the trace-volume figures (this is what the recorded
+//! trace would actually occupy on the storage device). It is lossless for
+//! the [`TraceEvent`] fields it carries and round-trips exactly.
 //!
-//! * [`binary`] — a compact delta/varint encoding (`ETRC`), the format
-//!   used by the recording sink for the trace-volume figures (this is
-//!   what the recorded trace would actually occupy on the storage
-//!   device),
-//! * [`text`] — a line-oriented CSV-like format for debugging and for
-//!   interoperability with spreadsheet tools.
-//!
-//! Both are lossless for the [`TraceEvent`] fields
-//! they carry and round-trip exactly.
-//!
-//! On top of them, the [`frame`] module defines *frame* codecs
+//! On top of it, the [`frame`] module defines *frame* codecs
 //! ([`FrameCodec`]): pluggable transformations between an encoded
 //! payload and the (smaller) block a durable store actually writes —
 //! identity, a columnar delta+varint re-encoding, an LZ77 block decoder,
 //! packed varint rows coded against the frame's meta, and rows coded
 //! against a template of their segment — [`BlockChooser`], which picks the
 //! smallest, and [`SegmentCoder`], which builds a segment's template
-//! table around it. See `docs/FORMAT.md` at the repository root for the
+//! table around it. Every varint of every layout is read and written by
+//! [`varint`]. See `docs/FORMAT.md` at the repository root for the
 //! normative block formats.
 
 pub mod binary;
 pub mod frame;
 pub mod template;
-pub mod text;
-mod varint;
+pub mod varint;
 
 pub use binary::{BinaryDecoder, BinaryEncoder};
 pub use frame::{
@@ -34,7 +28,6 @@ pub use frame::{
     PackedCodec,
 };
 pub use template::{SegmentCoder, TemplateTable, TemplatedCodec};
-pub use text::{TextDecoder, TextEncoder};
 pub(crate) use varint::{decode_u64, encode_u64, take_minimal_u64, varint_len};
 
 use crate::{TraceError, TraceEvent};
@@ -56,8 +49,8 @@ pub trait TraceDecoder {
     ///
     /// # Errors
     ///
-    /// Returns [`TraceError::Decode`] (or [`TraceError::ParseLine`] for the
-    /// text codec) if the input is malformed or truncated.
+    /// Returns [`TraceError::Decode`] if the input is malformed or
+    /// truncated.
     fn decode(&mut self, bytes: &[u8]) -> Result<Vec<TraceEvent>, TraceError>;
 
     /// Decodes every event contained in `bytes`, appending to `out`, and
@@ -104,28 +97,11 @@ mod tests {
     }
 
     #[test]
-    fn binary_and_text_round_trip_the_same_events() {
-        let events = sample_events();
-
-        let mut bin_out = Vec::new();
-        BinaryEncoder::new().encode(&events, &mut bin_out).unwrap();
-        let bin_back = BinaryDecoder::new().decode(&bin_out).unwrap();
-        assert_eq!(bin_back, events);
-
-        let mut text_out = Vec::new();
-        TextEncoder::new().encode(&events, &mut text_out).unwrap();
-        let text_back = TextDecoder::new().decode(&text_out).unwrap();
-        assert_eq!(text_back, events);
-    }
-
-    #[test]
-    fn binary_is_more_compact_than_text_and_raw() {
+    fn binary_round_trips_and_beats_the_raw_encoding() {
         let events = sample_events();
         let mut bin_out = Vec::new();
         BinaryEncoder::new().encode(&events, &mut bin_out).unwrap();
-        let mut text_out = Vec::new();
-        TextEncoder::new().encode(&events, &mut text_out).unwrap();
-        assert!(bin_out.len() < text_out.len());
+        assert_eq!(BinaryDecoder::new().decode(&bin_out).unwrap(), events);
         assert!(bin_out.len() < events.len() * TraceEvent::RAW_ENCODED_SIZE);
     }
 }

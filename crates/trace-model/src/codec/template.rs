@@ -13,7 +13,8 @@
 use std::collections::HashMap;
 
 use super::binary::header_len;
-use super::frame::{put_times, tag_of, tag_severity, unzigzag};
+use super::frame::{put_times, tag_of, tag_severity};
+use super::varint::unzigzag;
 use super::{
     encode_u64, take_minimal_u64, varint_len, BinaryEncoder, BlockChooser, CodecId, FrameCodec,
     FrameContext, TraceEncoder,

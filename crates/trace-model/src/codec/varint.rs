@@ -1,10 +1,13 @@
-//! LEB128 variable-length integer encoding shared by the binary codec.
+//! LEB128 variable-length integers and the zigzag map onto them: the one
+//! implementation behind every varint layout — `ETRC`, the frame codecs'
+//! columns and rows, template tables, and the store's v3 frame meta,
+//! sidecar rows and v4 table section (`docs/FORMAT.md`).
 
 use crate::TraceError;
 
 /// Appends `value` to `out` as an LEB128 varint (1–10 bytes).
 #[inline]
-pub(crate) fn encode_u64(mut value: u64, out: &mut Vec<u8>) {
+pub fn encode_u64(mut value: u64, out: &mut Vec<u8>) {
     while value >= 0x80 {
         out.push(value as u8 | 0x80);
         value >>= 7;
@@ -16,7 +19,7 @@ pub(crate) fn encode_u64(mut value: u64, out: &mut Vec<u8>) {
 /// them — the sizing primitive behind the frame codec's measure-then-
 /// encode column passes.
 #[inline]
-pub(crate) fn varint_len(value: u64) -> usize {
+pub fn varint_len(value: u64) -> usize {
     // Bits in the value (at least one, so zero still costs a byte),
     // seven payload bits per varint byte.
     let bits = 64 - (value | 1).leading_zeros() as usize;
@@ -57,9 +60,11 @@ pub(crate) fn decode_u64(bytes: &[u8], offset: usize) -> Result<(u64, usize), Tr
 
 /// Reads the varint at `*at`, advancing past it, when it is the shortest
 /// encoding of its value (its last byte is not a zero continuation); the
-/// one-byte case, most fields of most events, without a call.
+/// one-byte case, most fields of most events, without a call. `None` when
+/// the bytes run out, the varint runs past 10 bytes or overflows a `u64`,
+/// or it is not minimal.
 #[inline]
-pub(crate) fn take_minimal_u64(bytes: &[u8], at: &mut usize) -> Option<u64> {
+pub fn take_minimal_u64(bytes: &[u8], at: &mut usize) -> Option<u64> {
     let rest = bytes.get(*at..)?;
     let first = *rest.first()?;
     if first < 0x80 {
@@ -81,6 +86,20 @@ pub(crate) fn take_minimal_u64(bytes: &[u8], at: &mut usize) -> Option<u64> {
         }
     }
     None
+}
+
+/// Maps a signed value onto an unsigned one that is small when the value
+/// is near zero (0, −1, 1, −2 … → 0, 1, 2, 3 …), for a varint. A wrapping
+/// `u64` difference is zigzagged as `delta as i64`.
+#[inline]
+pub fn zigzag(value: i64) -> u64 {
+    ((value << 1) ^ (value >> 63)) as u64
+}
+
+/// The inverse of [`zigzag`].
+#[inline]
+pub fn unzigzag(value: u64) -> i64 {
+    ((value >> 1) as i64) ^ -((value & 1) as i64)
 }
 
 #[cfg(test)]
@@ -157,6 +176,55 @@ mod tests {
             decode_u64(&buf, 0),
             Err(TraceError::Decode { .. })
         ));
+    }
+
+    #[test]
+    fn varints_are_read_only_in_their_shortest_form() {
+        let take = |bytes: &[u8]| {
+            let mut at = 0;
+            take_minimal_u64(bytes, &mut at).map(|value| (value, at))
+        };
+        for value in [
+            0,
+            1,
+            127,
+            128,
+            16_383,
+            16_384,
+            1 << 30,
+            u64::MAX >> 1,
+            u64::MAX,
+        ] {
+            let mut bytes = Vec::new();
+            encode_u64(value, &mut bytes);
+            assert_eq!(bytes.len(), varint_len(value), "{value}");
+            assert_eq!(take(&bytes), Some((value, bytes.len())), "{value}");
+            // Cut short, or padded with a continuation of zero.
+            assert_eq!(take(&bytes[..bytes.len() - 1]), None, "{value}");
+            let last = bytes.len() - 1;
+            bytes[last] |= 0x80;
+            bytes.push(0);
+            assert_eq!(take(&bytes), None, "{value} padded");
+        }
+        assert_eq!(take(&[0x80, 0x80, 0x80, 0x80, 0x04]), Some((1 << 30, 5)));
+        let mut overflow = vec![0xFF; 9];
+        overflow.push(0x02);
+        assert_eq!(take(&overflow), None, "65 bits");
+        assert_eq!(take(&[0xFF; 16]), None, "endless");
+        assert_eq!(take(&[]), None);
+    }
+
+    #[test]
+    fn zigzag_keeps_small_magnitudes_small_and_round_trips() {
+        for (value, zigzagged) in [(0, 0), (-1, 1), (1, 2), (-2, 3), (i64::MAX, u64::MAX - 1)] {
+            assert_eq!(zigzag(value), zigzagged, "{value}");
+        }
+        assert_eq!(zigzag(i64::MIN), u64::MAX);
+        for value in [0, 1, -1, 63, -64, i64::MAX, i64::MIN, 0x1234_5678_9abc] {
+            assert_eq!(unzigzag(zigzag(value)), value);
+        }
+        // A wrapping `u64` difference: 3 - 5 zigzags like -2.
+        assert_eq!(zigzag(3u64.wrapping_sub(5) as i64), 3);
     }
 
     #[test]

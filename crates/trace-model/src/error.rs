@@ -13,13 +13,6 @@ pub enum TraceError {
         /// Human-readable reason.
         reason: String,
     },
-    /// A textual trace line could not be parsed.
-    ParseLine {
-        /// 1-based line number.
-        line: usize,
-        /// Human-readable reason.
-        reason: String,
-    },
     /// An event type name was registered twice or an id was unknown.
     Registry(String),
     /// A windower was configured with an invalid parameter (e.g. zero size).
@@ -39,9 +32,6 @@ impl fmt::Display for TraceError {
             TraceError::Io(err) => write!(f, "i/o error: {err}"),
             TraceError::Decode { offset, reason } => {
                 write!(f, "decode error at byte {offset}: {reason}")
-            }
-            TraceError::ParseLine { line, reason } => {
-                write!(f, "parse error at line {line}: {reason}")
             }
             TraceError::Registry(msg) => write!(f, "event registry error: {msg}"),
             TraceError::InvalidWindowConfig(msg) => {
@@ -82,10 +72,6 @@ mod tests {
             TraceError::Decode {
                 offset: 12,
                 reason: "bad magic".into(),
-            },
-            TraceError::ParseLine {
-                line: 3,
-                reason: "missing field".into(),
             },
             TraceError::Registry("duplicate".into()),
             TraceError::InvalidWindowConfig("zero".into()),

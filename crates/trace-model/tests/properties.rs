@@ -4,9 +4,7 @@
 use proptest::prelude::*;
 use std::time::Duration;
 
-use trace_model::codec::{
-    BinaryDecoder, BinaryEncoder, TextDecoder, TextEncoder, TraceDecoder, TraceEncoder,
-};
+use trace_model::codec::{BinaryDecoder, BinaryEncoder, TraceDecoder, TraceEncoder};
 use trace_model::window::{CountWindower, TimeWindower, Windower};
 use trace_model::{EventTypeId, Severity, Timestamp, TraceEvent, TraceStats};
 
@@ -36,14 +34,6 @@ proptest! {
         let mut bytes = Vec::new();
         BinaryEncoder::new().encode(&events, &mut bytes).unwrap();
         let decoded = BinaryDecoder::new().decode(&bytes).unwrap();
-        prop_assert_eq!(decoded, events);
-    }
-
-    #[test]
-    fn text_codec_round_trips(events in ordered_events(200)) {
-        let mut bytes = Vec::new();
-        TextEncoder::new().encode(&events, &mut bytes).unwrap();
-        let decoded = TextDecoder::new().decode(&bytes).unwrap();
         prop_assert_eq!(decoded, events);
     }
 
