@@ -4,13 +4,18 @@
 //! report) as one `ReductionSession` fed the same sub-stream serially —
 //! whether an id is one source or a shard of several — for any worker
 //! count and batch size, and the consolidated report must be exactly the
-//! sum of the per-session reports.
+//! sum of the per-session reports. Stream closes ride in the same
+//! batches as events, so a random schedule of pushes, closes, double
+//! closes, closes of unknown ids and reopen-after-close must hand back
+//! exactly the sessions a serial model of that schedule builds.
 
 use proptest::prelude::*;
+use std::sync::OnceLock;
 use std::time::Duration;
 
 use endurance_core::{
-    FleetOutcome, FleetReducer, MonitorConfig, ReductionReport, ReductionSession, WindowDecision,
+    FleetOutcome, FleetReducer, MonitorConfig, ReductionReport, ReductionSession, ReferenceModel,
+    StreamOutcome, WindowDecision,
 };
 use trace_model::{
     EventSink, EventTypeId, InterleavedStreams, MemorySource, StreamId, Timestamp, TraceError,
@@ -19,20 +24,44 @@ use trace_model::{
 
 /// A sink that keeps both the recorded events and the exact encoded bytes
 /// handed down by the recorder, so equivalence can be asserted
-/// byte-for-byte on what would land on storage.
+/// byte-for-byte on what would land on storage. With `records_left` set
+/// it refuses every record after that many, failing its session.
 #[derive(Debug, Default, Clone, PartialEq)]
 struct EncodedSink {
     events: Vec<TraceEvent>,
     bytes: Vec<u8>,
+    records_left: Option<usize>,
+}
+
+impl EncodedSink {
+    fn failing_after(records: usize) -> Self {
+        EncodedSink {
+            records_left: Some(records),
+            ..EncodedSink::default()
+        }
+    }
+
+    fn take_record(&mut self) -> Result<(), TraceError> {
+        match &mut self.records_left {
+            Some(0) => Err(TraceError::InvalidWindowConfig("sink full".into())),
+            Some(left) => {
+                *left -= 1;
+                Ok(())
+            }
+            None => Ok(()),
+        }
+    }
 }
 
 impl EventSink for EncodedSink {
     fn record(&mut self, events: &[TraceEvent]) -> Result<(), TraceError> {
+        self.take_record()?;
         self.events.extend_from_slice(events);
         Ok(())
     }
 
     fn record_encoded(&mut self, events: &[TraceEvent], encoded: &[u8]) -> Result<(), TraceError> {
+        self.take_record()?;
         self.events.extend_from_slice(events);
         self.bytes.extend_from_slice(encoded);
         Ok(())
@@ -224,6 +253,205 @@ proptest! {
             StreamId::new(source.as_u32() % 2)
         });
         assert_matches_serial(&outcome, &serial);
+    }
+}
+
+/// One step of a fleet schedule. Ids `0..SCHEDULE_STREAMS` carry events;
+/// a close may name any id below `SCHEDULE_IDS`, so the ids above the
+/// pushed ones are always unknown to the fleet.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Push { stream: u32, events: usize },
+    Close { stream: u32 },
+}
+
+const SCHEDULE_STREAMS: u32 = 6;
+const SCHEDULE_IDS: u32 = 8;
+/// The id whose sink refuses its second record, so its session fails
+/// mid-stream (or at its close) and later closes of it are no-ops.
+const FAILING_STREAM: u32 = 5;
+
+/// Three pushes to one close.
+fn step() -> impl Strategy<Value = Step> {
+    (0u8..4, 0..SCHEDULE_IDS, 1usize..600).prop_map(|(kind, stream, events)| match kind {
+        0 => Step::Close { stream },
+        _ => Step::Push {
+            stream: stream % SCHEDULE_STREAMS,
+            events,
+        },
+    })
+}
+
+fn schedule_sink(stream: StreamId) -> EncodedSink {
+    if stream.as_u32() == FAILING_STREAM {
+        EncodedSink::failing_after(1)
+    } else {
+        EncodedSink::default()
+    }
+}
+
+/// The shared model every scheduled session is scored against, learned
+/// once from a clean source, so a session of any length is well formed.
+fn schedule_model() -> &'static ReferenceModel {
+    static MODEL: OnceLock<ReferenceModel> = OnceLock::new();
+    MODEL.get_or_init(|| {
+        let mut learner = ReductionSession::new(config()).expect("session");
+        learner
+            .push_batch(&source_events(250, 4, 0, 3, 60, 1))
+            .expect("push");
+        learner.model().expect("learned").clone()
+    })
+}
+
+type ScheduleSession = ReductionSession<EncodedSink, Vec<WindowDecision>>;
+type ScheduleOutcome = StreamOutcome<EncodedSink, Vec<WindowDecision>>;
+
+fn schedule_session(stream: StreamId) -> ScheduleSession {
+    ReductionSession::from_model(schedule_model().clone())
+        .expect("session")
+        .with_sink(schedule_sink(stream))
+        .with_observer(Vec::new())
+}
+
+/// The serial model of a schedule: every stream's sessions run one after
+/// another on standalone `ReductionSession`s, with the fleet's rules — a
+/// session starts at a stream's first push after a close, a close ends
+/// it, a failed stream discards everything later (closes included), and
+/// the sessions still open are finalised at the end. Outcomes come back
+/// sorted by stream id, each stream's sessions in order.
+fn serial_schedule(sources: &[Vec<TraceEvent>], steps: &[Step]) -> (Vec<ScheduleOutcome>, u64) {
+    let finalise = |stream: StreamId, events: u64, session: ReductionSession<_, _>| {
+        let (report, error, sink, observer) = match session.finish() {
+            Ok(done) => (
+                Some(done.report),
+                None,
+                Some(done.sink),
+                Some(done.observer),
+            ),
+            Err(err) => (None, Some(err.to_string()), None, None),
+        };
+        StreamOutcome {
+            stream,
+            events,
+            discarded: 0,
+            report,
+            error,
+            sink,
+            observer,
+        }
+    };
+    let mut cursors = vec![0usize; sources.len()];
+    let mut live: Vec<Option<(ScheduleSession, u64)>> = (0..sources.len()).map(|_| None).collect();
+    let mut failed: Vec<Option<ScheduleOutcome>> = (0..sources.len()).map(|_| None).collect();
+    let mut done: Vec<ScheduleOutcome> = Vec::new();
+    let mut pushed = 0u64;
+    for step in steps {
+        match *step {
+            Step::Push { stream, events } => {
+                let index = stream as usize;
+                let id = StreamId::new(stream);
+                let from = cursors[index];
+                let to = (from + events).min(sources[index].len());
+                cursors[index] = to;
+                for event in &sources[index][from..to] {
+                    pushed += 1;
+                    if let Some(outcome) = &mut failed[index] {
+                        outcome.discarded += 1;
+                        continue;
+                    }
+                    let (session, count) =
+                        live[index].get_or_insert_with(|| (schedule_session(id), 0));
+                    *count += 1;
+                    if let Err(err) = session.push(*event) {
+                        let (session, count) = live[index].take().expect("live");
+                        let (sink, observer) = session.abort();
+                        failed[index] = Some(StreamOutcome {
+                            stream: id,
+                            events: count,
+                            discarded: 0,
+                            report: None,
+                            error: Some(err.to_string()),
+                            sink: Some(sink),
+                            observer: Some(observer),
+                        });
+                    }
+                }
+            }
+            Step::Close { stream } => {
+                let index = stream as usize;
+                if let Some((session, count)) = live.get_mut(index).and_then(Option::take) {
+                    done.push(finalise(StreamId::new(stream), count, session));
+                }
+            }
+        }
+    }
+    for (index, session) in live.into_iter().enumerate() {
+        if let Some((session, count)) = session {
+            done.push(finalise(StreamId::new(index as u32), count, session));
+        }
+    }
+    done.extend(failed.into_iter().flatten());
+    // The worker appends a failed stream's outcome when it fails, before
+    // any later session of another stream; per stream the order is the
+    // order sessions ended, which a stable sort keeps.
+    done.sort_by_key(|outcome| outcome.stream.as_u32());
+    (done, pushed)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn closes_in_any_schedule_end_the_sessions_a_serial_model_ends(
+        steps in prop::collection::vec(step(), 1..48),
+        ticks in prop::collection::vec(150u64..450, SCHEDULE_STREAMS as usize),
+        workers in 1usize..4,
+        batch_size in 1usize..65,
+    ) {
+        let sources: Vec<Vec<TraceEvent>> = ticks
+            .iter()
+            .enumerate()
+            .map(|(i, tick)| source_events(*tick, 4, i as u64 * 37_000, 8, 1 + i as u64 % 3, 4))
+            .collect();
+        let (expected, pushed) = serial_schedule(&sources, &steps);
+
+        let mut fleet = FleetReducer::from_model(schedule_model().clone(), workers)
+            .expect("fleet")
+            .with_batch_size(batch_size)
+            .with_sinks(schedule_sink)
+            .with_observers(|_| Vec::<WindowDecision>::new());
+        let mut cursors = vec![0usize; sources.len()];
+        for step in &steps {
+            match *step {
+                Step::Push { stream, events } => {
+                    let index = stream as usize;
+                    let from = cursors[index];
+                    let to = (from + events).min(sources[index].len());
+                    cursors[index] = to;
+                    for event in &sources[index][from..to] {
+                        fleet.push(StreamId::new(stream), *event).expect("push");
+                    }
+                }
+                Step::Close { stream } => fleet.close_stream(StreamId::new(stream)).expect("close"),
+            }
+        }
+        let outcome = fleet.finish().expect("finish");
+
+        prop_assert!(outcome.worker_panics.is_empty());
+        prop_assert_eq!(outcome.events_routed, pushed);
+        prop_assert_eq!(outcome.streams.len(), expected.len());
+        for (got, want) in outcome.streams.iter().zip(&expected) {
+            prop_assert_eq!(got.stream, want.stream);
+            prop_assert_eq!((got.events, got.discarded), (want.events, want.discarded));
+            prop_assert_eq!(got.report.as_ref(), want.report.as_ref());
+            prop_assert_eq!(got.error.as_ref(), want.error.as_ref());
+            prop_assert_eq!(got.sink.as_ref(), want.sink.as_ref());
+            prop_assert_eq!(got.observer.as_ref(), want.observer.as_ref());
+        }
+        prop_assert_eq!(
+            outcome.failed_streams,
+            expected.iter().filter(|s| s.error.is_some()).count()
+        );
     }
 }
 
