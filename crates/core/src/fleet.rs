@@ -15,6 +15,15 @@
 //! worker *panic* (a bug in a user sink or observer) loses only that
 //! worker's sessions; every other worker's outcomes are still returned.
 //!
+//! **A close is an item of the batch.** `close_stream` appends a close
+//! marker to its worker's pending batch, in push order, and the worker
+//! finalises the session at that position: after the stream's earlier
+//! events, before any later push to the same id. So the router sends on a
+//! channel in one place, when a batch is full or at `finish`, and a fleet
+//! of short-lived streams costs one message per full batch however many
+//! of them close. The price is that a closed session lives until its
+//! batch ships: at most a batch of items later, or at `finish`.
+//!
 //! **A shard is a shared stream id.** The engine has no routing policy of
 //! its own: a session is keyed by the id the caller pushes. To reduce
 //! many sources as one shard — the collector shape, where a few sessions
@@ -42,7 +51,8 @@ use crate::reference::ReferenceModel;
 use crate::report::ReductionReport;
 use crate::session::{DecisionObserver, NullObserver, ReductionSession};
 
-/// Default events accumulated per worker before a channel send.
+/// Default items (pushed events and stream closes) accumulated per worker
+/// before a channel send.
 pub const DEFAULT_BATCH_SIZE: usize = 4096;
 /// Default bounded-channel depth, in batches.
 pub const DEFAULT_QUEUE_DEPTH: usize = 4;
@@ -65,11 +75,21 @@ impl SessionMode {
     }
 }
 
-/// Messages on the per-worker channel. Batches preserve push order;
-/// `Close` finalises one stream's session.
-enum FleetMsg {
-    Batch(Vec<(StreamId, TraceEvent)>),
+/// One item of a worker's batch. A batch is the one message on a worker's
+/// channel and keeps push order; `Close` finalises its stream's session
+/// at its position in the batch. `Severity`'s niche keeps an item as
+/// small as a bare `(StreamId, TraceEvent)`.
+enum Item {
+    Event(StreamId, TraceEvent),
     Close(StreamId),
+}
+
+impl Item {
+    fn stream(&self) -> StreamId {
+        match self {
+            Item::Event(stream, _) | Item::Close(stream) => *stream,
+        }
+    }
 }
 
 /// Fleet-level metric handles (`core_fleet_*`), shared by the router and
@@ -77,16 +97,16 @@ enum FleetMsg {
 #[derive(Debug, Clone)]
 struct FleetMetrics {
     /// `core_fleet_events_total` — events handed to workers, counted per
-    /// flushed batch.
+    /// flushed batch (close items are not events).
     events_total: Counter,
     /// `core_fleet_backpressure_stalls_total` — flushes that found the
     /// target worker's channel full and had to block.
     backpressure_stalls_total: Counter,
     /// `core_fleet_batch_ns` — latency of handing one batch to a worker,
-    /// including any backpressure wait.
+    /// including any backpressure wait: one sample per batch sent.
     batch_ns: Histogram,
-    /// `core_fleet_queue_depth` — event batches in flight across all
-    /// worker channels.
+    /// `core_fleet_queue_depth` — batches in flight across all worker
+    /// channels. Counted before the send, so it never reads negative.
     queue_depth: Gauge,
     /// `core_fleet_streams_open` — live per-stream sessions across all
     /// workers.
@@ -172,9 +192,9 @@ impl<S, O> FleetOutcome<S, O> {
 }
 
 struct WorkerHandle<S: EventSink, O: DecisionObserver> {
-    sender: Option<SyncSender<FleetMsg>>,
-    pending: Vec<(StreamId, TraceEvent)>,
-    /// Size of the last batch we failed to deliver, for retraction from
+    sender: Option<SyncSender<Vec<Item>>>,
+    pending: Vec<Item>,
+    /// Events in the last batch we failed to deliver, for retraction from
     /// the routed-event count.
     lost: u64,
     handle: JoinHandle<Result<Vec<StreamOutcome<S, O>>, CoreError>>,
@@ -374,7 +394,8 @@ where
         self
     }
 
-    /// Overrides the channel batch size (events per message).
+    /// Overrides the channel batch size: items per message, where an item
+    /// is one pushed event or one [`close_stream`](Self::close_stream).
     ///
     /// # Panics
     ///
@@ -403,54 +424,56 @@ where
     /// [`CoreError::Shard`] when a worker thread itself is gone (it
     /// panicked) or could not be spawned.
     pub fn push(&mut self, stream: StreamId, event: TraceEvent) -> Result<(), CoreError> {
+        self.enqueue(Item::Event(stream, event))
+    }
+
+    /// Declares a stream finished: its session is finalised and its
+    /// outcome becomes available once the reducer finishes.
+    ///
+    /// The close is queued behind the stream's pushed events in its
+    /// worker's batch; like a push, it sends only a batch it fills, never
+    /// a partial one. The session is finalised when that batch reaches
+    /// the worker — at most [`with_batch_size`](Self::with_batch_size)
+    /// items later, or at [`finish`](Self::finish) — after the stream's
+    /// earlier events and before any later push to the same id. Closing
+    /// a stream that never pushed an event, closing it twice, or closing
+    /// one that already failed is a no-op on the worker. Pushing to a
+    /// closed stream starts a *new* session for the same id, with its own
+    /// [`StreamOutcome`].
+    ///
+    /// Fails under the same conditions as [`push`](Self::push). A worker
+    /// that dies while the close waits in its batch is reported when that
+    /// batch is sent — by the `push` or `close_stream` that fills it, or
+    /// in [`FleetOutcome::worker_panics`] — not by this call.
+    pub fn close_stream(&mut self, stream: StreamId) -> Result<(), CoreError> {
+        self.enqueue(Item::Close(stream))
+    }
+
+    /// Appends one item to its stream's worker batch, sending the batch
+    /// once it is full. Always inlined: `push` is the per-event hot path,
+    /// and out of line every push would be a call.
+    #[inline(always)]
+    fn enqueue(&mut self, item: Item) -> Result<(), CoreError> {
         self.start()?;
         let batch_size = self.batch_size;
         let FleetState::Running(workers) = &mut self.state else {
             unreachable!("start() always leaves the engine running");
         };
-        let index = route(stream, workers.len());
+        let index = route(item.stream(), workers.len());
         let worker = &mut workers[index];
         if worker.sender.is_none() {
             return Err(worker_gone(index));
         }
-        worker.pending.push((stream, event));
-        self.events_routed += 1;
+        if matches!(item, Item::Event(..)) {
+            self.events_routed += 1;
+        }
+        worker.pending.push(item);
         if worker.pending.len() >= batch_size {
             if let Err(err) = flush(worker, index, &self.metrics) {
                 self.events_routed -= worker.lost;
                 worker.lost = 0;
                 return Err(err);
             }
-        }
-        Ok(())
-    }
-
-    /// Declares a stream finished: its session is finalised and its
-    /// outcome becomes available once the reducer finishes.
-    ///
-    /// Events already pushed for the stream are delivered first. Closing
-    /// a stream that never pushed an event (or one that already failed)
-    /// is a no-op on the worker. Pushing to a closed stream starts a
-    /// *new* session for the same id, with its own [`StreamOutcome`].
-    /// Fails under the same conditions as [`push`](Self::push).
-    pub fn close_stream(&mut self, stream: StreamId) -> Result<(), CoreError> {
-        self.start()?;
-        let FleetState::Running(workers) = &mut self.state else {
-            unreachable!("start() always leaves the engine running");
-        };
-        let index = route(stream, workers.len());
-        let worker = &mut workers[index];
-        if let Err(err) = flush(worker, index, &self.metrics) {
-            self.events_routed -= worker.lost;
-            worker.lost = 0;
-            return Err(err);
-        }
-        let Some(sender) = worker.sender.as_ref() else {
-            return Err(worker_gone(index));
-        };
-        if sender.send(FleetMsg::Close(stream)).is_err() {
-            worker.sender = None;
-            return Err(worker_gone(index));
         }
         Ok(())
     }
@@ -622,9 +645,9 @@ fn worker_gone(index: usize) -> CoreError {
     }
 }
 
-/// Sends the worker's pending batch. On failure the sender is dropped and
-/// `worker.lost` records how many routed events the batch carried so the
-/// caller can retract them.
+/// Sends the worker's pending batch: the one place the router sends on a
+/// channel. On failure the sender is dropped and `worker.lost` records how
+/// many routed events the batch carried so the caller can retract them.
 fn flush<S: EventSink, O: DecisionObserver>(
     worker: &mut WorkerHandle<S, O>,
     index: usize,
@@ -633,41 +656,37 @@ fn flush<S: EventSink, O: DecisionObserver>(
     if worker.pending.is_empty() {
         return Ok(());
     }
+    let batch = std::mem::take(&mut worker.pending);
+    let events = batch
+        .iter()
+        .filter(|item| matches!(item, Item::Event(..)))
+        .count() as u64;
     let Some(sender) = worker.sender.as_ref() else {
-        worker.lost = worker.pending.len() as u64;
-        worker.pending.clear();
+        worker.lost = events;
         return Err(worker_gone(index));
     };
-    let batch = std::mem::take(&mut worker.pending);
-    let size = batch.len() as u64;
     let batch_span = metrics.batch_ns.span();
+    // In flight from before the send: the worker may receive the batch
+    // and count it out before this thread runs again.
+    metrics.queue_depth.add(1);
     // Non-blocking first: a full channel is the worker falling behind,
     // worth counting as a stall before blocking on it (backpressure).
-    let message = match sender.try_send(FleetMsg::Batch(batch)) {
-        Ok(()) => {
-            batch_span.end();
-            metrics.events_total.add(size);
-            metrics.queue_depth.add(1);
-            return Ok(());
-        }
-        Err(TrySendError::Full(message)) => {
+    let sent = match sender.try_send(batch) {
+        Ok(()) => true,
+        Err(TrySendError::Full(batch)) => {
             metrics.backpressure_stalls_total.inc();
-            message
+            sender.send(batch).is_ok()
         }
-        Err(TrySendError::Disconnected(_)) => {
-            worker.sender = None;
-            worker.lost = size;
-            return Err(worker_gone(index));
-        }
+        Err(TrySendError::Disconnected(_)) => false,
     };
-    if sender.send(message).is_err() {
+    if !sent {
+        metrics.queue_depth.sub(1);
         worker.sender = None;
-        worker.lost = size;
+        worker.lost = events;
         return Err(worker_gone(index));
     }
     batch_span.end();
-    metrics.events_total.add(size);
-    metrics.queue_depth.add(1);
+    metrics.events_total.add(events);
     Ok(())
 }
 
@@ -709,7 +728,7 @@ fn run_worker<S, O>(
     mode: SessionMode,
     sinks: SinkFactory<S>,
     observers: ObserverFactory<O>,
-    receiver: Receiver<FleetMsg>,
+    receiver: Receiver<Vec<Item>>,
     registry: Arc<Registry>,
     metrics: FleetMetrics,
 ) -> Result<Vec<StreamOutcome<S, O>>, CoreError>
@@ -723,55 +742,54 @@ where
     // discarded events.
     let mut dead: HashMap<u32, usize> = HashMap::new();
 
-    for msg in receiver {
-        match msg {
-            FleetMsg::Batch(batch) => {
-                metrics.queue_depth.sub(1);
-                for (stream, event) in batch {
-                    let id = stream.as_u32();
-                    if let Some(&index) = dead.get(&id) {
-                        done[index].discarded += 1;
-                        continue;
-                    }
-                    let entry = match live.entry(id) {
-                        Entry::Occupied(entry) => entry.into_mut(),
-                        Entry::Vacant(slot) => {
-                            // Construction errors are configuration-level
-                            // and deterministic: fail the whole worker
-                            // rather than silently failing every stream
-                            // one by one.
-                            let session = build_session(&mode)?
-                                .with_metrics(Arc::clone(&registry))
-                                .with_sink(sinks(stream))
-                                .with_observer(observers(stream));
-                            metrics.streams_open.add(1);
-                            slot.insert((session, 0))
-                        }
-                    };
-                    entry.1 += 1;
-                    if let Err(err) = entry.0.push(event) {
-                        let (session, events) = live.remove(&id).expect("present");
-                        let (sink, observer) = session.abort();
+    for batch in receiver {
+        metrics.queue_depth.sub(1);
+        for item in batch {
+            let (stream, event) = match item {
+                Item::Event(stream, event) => (stream, event),
+                Item::Close(stream) => {
+                    if let Some((session, events)) = live.remove(&stream.as_u32()) {
                         metrics.streams_open.sub(1);
-                        let index = done.len();
-                        done.push(StreamOutcome {
-                            stream,
-                            events,
-                            discarded: 0,
-                            report: None,
-                            error: Some(err.to_string()),
-                            sink: Some(sink),
-                            observer: Some(observer),
-                        });
-                        dead.insert(id, index);
+                        done.push(finish_stream(stream, events, session));
                     }
+                    continue;
                 }
+            };
+            let id = stream.as_u32();
+            if let Some(&index) = dead.get(&id) {
+                done[index].discarded += 1;
+                continue;
             }
-            FleetMsg::Close(stream) => {
-                if let Some((session, events)) = live.remove(&stream.as_u32()) {
-                    metrics.streams_open.sub(1);
-                    done.push(finish_stream(stream, events, session));
+            let entry = match live.entry(id) {
+                Entry::Occupied(entry) => entry.into_mut(),
+                Entry::Vacant(slot) => {
+                    // Construction errors are configuration-level and
+                    // deterministic: fail the whole worker rather than
+                    // silently failing every stream one by one.
+                    let session = build_session(&mode)?
+                        .with_metrics(Arc::clone(&registry))
+                        .with_sink(sinks(stream))
+                        .with_observer(observers(stream));
+                    metrics.streams_open.add(1);
+                    slot.insert((session, 0))
                 }
+            };
+            entry.1 += 1;
+            if let Err(err) = entry.0.push(event) {
+                let (session, events) = live.remove(&id).expect("present");
+                let (sink, observer) = session.abort();
+                metrics.streams_open.sub(1);
+                let index = done.len();
+                done.push(StreamOutcome {
+                    stream,
+                    events,
+                    discarded: 0,
+                    report: None,
+                    error: Some(err.to_string()),
+                    sink: Some(sink),
+                    observer: Some(observer),
+                });
+                dead.insert(id, index);
             }
         }
     }
@@ -1175,6 +1193,101 @@ mod tests {
             Some(outcome.events_routed)
         );
         assert!(snapshot.histogram("core_fleet_batch_ns").unwrap().count > 0);
+    }
+
+    #[test]
+    fn a_churning_fleet_sends_one_message_per_full_batch() {
+        // The churn shape: many short streams, each closed after its last
+        // event. Closes ride in the batches, so the router sends a batch
+        // only when one fills, plus one partial batch per worker at finish.
+        const STREAMS: u32 = 1_000;
+        const EVENTS: u64 = 20;
+        const WORKERS: usize = 2;
+        const BATCH: usize = 4_096;
+        let mut learner = ReductionSession::new(test_config()).unwrap();
+        for i in 0..30_000u64 {
+            learner.push(steady_event(i)).unwrap();
+        }
+        let model = learner.model().expect("learning finished").clone();
+        let registry = Registry::new();
+        let mut fleet = FleetReducer::from_model(model, WORKERS)
+            .unwrap()
+            .with_batch_size(BATCH)
+            .with_metrics(Arc::clone(&registry));
+        for device in 0..STREAMS {
+            for i in 0..EVENTS {
+                fleet.push(StreamId::new(device), steady_event(i)).unwrap();
+            }
+            fleet.close_stream(StreamId::new(device)).unwrap();
+        }
+        let outcome = fleet.finish().unwrap();
+        assert_eq!(outcome.streams.len(), STREAMS as usize);
+        assert_eq!(outcome.events_routed, u64::from(STREAMS) * EVENTS);
+
+        let snapshot = registry.snapshot();
+        let items = u64::from(STREAMS) * (EVENTS + 1);
+        let most = items.div_ceil(BATCH as u64) + WORKERS as u64;
+        let sent = snapshot.histogram("core_fleet_batch_ns").unwrap().count;
+        assert!(
+            sent <= most,
+            "{sent} messages for {items} items, at most {most}"
+        );
+        // Close items are not events.
+        assert_eq!(
+            snapshot.counter("core_fleet_events_total"),
+            Some(outcome.events_routed)
+        );
+    }
+
+    /// Reads the fleet's queue depth from the worker thread at every
+    /// window decision and keeps the lowest value it saw.
+    struct DepthProbe {
+        registry: Arc<Registry>,
+        lowest: Arc<std::sync::atomic::AtomicI64>,
+    }
+
+    impl DecisionObserver for DepthProbe {
+        fn on_decision(&mut self, _decision: &crate::WindowDecision) {
+            let depth = self.registry.snapshot().gauge("core_fleet_queue_depth");
+            let depth = depth.expect("the gauge is registered");
+            self.lowest
+                .fetch_min(depth, std::sync::atomic::Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn the_queue_depth_never_reads_negative_on_the_worker() {
+        let registry = Registry::new();
+        let lowest = Arc::new(std::sync::atomic::AtomicI64::new(i64::MAX));
+        let probe_registry = Arc::clone(&registry);
+        let probe_lowest = Arc::clone(&lowest);
+        let mut fleet = FleetReducer::new(test_config(), 2)
+            .unwrap()
+            .with_batch_size(1)
+            .with_metrics(Arc::clone(&registry))
+            .with_observers(move |_| DepthProbe {
+                registry: Arc::clone(&probe_registry),
+                lowest: Arc::clone(&probe_lowest),
+            });
+        for i in 0..20_000u64 {
+            for device in 0..4u32 {
+                fleet.push(StreamId::new(device), steady_event(i)).unwrap();
+            }
+        }
+        let outcome = fleet.finish().unwrap();
+        assert_eq!(outcome.failed_streams, 0);
+        let lowest = lowest.load(std::sync::atomic::Ordering::SeqCst);
+        assert!(lowest < i64::MAX, "the probe ran");
+        assert!(lowest >= 0, "queue depth read {lowest}");
+        assert_eq!(registry.snapshot().gauge("core_fleet_queue_depth"), Some(0));
+    }
+
+    #[test]
+    fn a_batch_item_is_no_larger_than_a_routed_event() {
+        assert_eq!(
+            std::mem::size_of::<Item>(),
+            std::mem::size_of::<(StreamId, TraceEvent)>()
+        );
     }
 
     #[test]
