@@ -534,3 +534,80 @@ fn a_table_that_does_not_pay_for_its_section_leaves_the_segment_v3() {
     assert_eq!(reader.lane_payload_bytes(0).unwrap(), payloads);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// FNV-1a over every `.seg` and `.idx` file of `dir`, name and bytes, in
+/// name order.
+fn store_fingerprint(dir: &std::path::Path) -> u64 {
+    dir_contents(dir)
+        .into_iter()
+        .filter(|(name, _)| name.ends_with(".seg") || name.ends_with(".idx"))
+        .flat_map(|(name, bytes)| {
+            let mut file = name.into_bytes();
+            file.extend((bytes.len() as u64).to_le_bytes());
+            file.extend(bytes);
+            file
+        })
+        .fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// The bytes a recompressing pass writes are pinned: a minute of a seeded
+/// `mm-sim` playback recorded as 40 ms windows, but for five 1 s ones,
+/// 64 windows a segment, then one `with_recompress(DeltaVarint)` pass
+/// that merges them. The short windows repeat a few shapes, so templates
+/// are admitted and most frames are templated rows; on the long ones
+/// `EDV`'s columns win. A change to how a pass codes its frames that
+/// moves any byte of any `.seg` or `.idx` fails here, not only in the
+/// benchmark's store hash.
+#[test]
+fn a_recompressing_pass_writes_the_pinned_bytes() {
+    use endurance_store::CodecId;
+    use mm_sim::{Scenario, Simulation};
+
+    let scenario = Scenario::reference(std::time::Duration::from_secs(60), 42).unwrap();
+    let registry = scenario.registry().unwrap();
+    let events: Vec<TraceEvent> = Simulation::new(&scenario, &registry).unwrap().collect();
+    let dir = temp_dir(11_000_000);
+    let config = StoreConfig::default().with_segment_max_windows(64);
+    let mut writer = LaneWriter::create(&dir, 0, config).unwrap();
+    let (mut id, mut start_ns, mut from) = (0u64, 0u64, 0usize);
+    while from < events.len() {
+        let long = (20_000_000_000..25_000_000_000).contains(&start_ns);
+        let end_ns = start_ns + if long { 1_000_000_000 } else { 40_000_000 };
+        let to = from
+            + events[from..]
+                .iter()
+                .take_while(|event| event.timestamp.as_nanos() < end_ns)
+                .count();
+        let window = &events[from..to];
+        let mut encoded = Vec::new();
+        BinaryEncoder::new().encode(window, &mut encoded).unwrap();
+        let meta = RecordMeta {
+            window_id: WindowId::new(id),
+            start: Timestamp::from_nanos(start_ns),
+            end: Timestamp::from_nanos(end_ns),
+        };
+        writer.record_window(&meta, window, &encoded).unwrap();
+        (id, start_ns, from) = (id + 1, end_ns, to);
+    }
+    writer.close().unwrap();
+
+    let policy = MaintenancePolicy::merge_below(u64::MAX / 4).with_recompress(CodecId::DeltaVarint);
+    let report = Compactor::new(&dir, policy).compact().unwrap();
+    let frames = report.frames_by_codec();
+    assert!(
+        frames[usize::from(CodecId::DeltaVarint.as_u8())] > 0,
+        "{report}"
+    );
+    assert!(
+        frames[usize::from(CodecId::Templated.as_u8())] > 0,
+        "{report}"
+    );
+    assert_eq!(
+        store_fingerprint(&dir),
+        7_813_972_356_121_517_067,
+        "{report}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

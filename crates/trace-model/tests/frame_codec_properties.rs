@@ -10,8 +10,8 @@
 use proptest::prelude::*;
 
 use trace_model::codec::{
-    BinaryDecoder, BinaryEncoder, CodecId, FrameCodec, FrameContext, PackedCodec, SegmentCoder,
-    TemplateTable, TraceDecoder, TraceEncoder,
+    BinaryDecoder, BinaryEncoder, CodecId, DeltaVarintCodec, FrameCodec, FrameContext, PackedCodec,
+    SegmentCoder, TemplateTable, TraceDecoder, TraceEncoder,
 };
 use trace_model::{EventTypeId, Severity, Timestamp, TraceEvent};
 
@@ -155,6 +155,333 @@ fn shape_mixes() -> impl Strategy<Value = Vec<(Vec<TraceEvent>, u64)>> {
                 })
                 .collect()
         })
+}
+
+/// Strategy producing the long windows of one segment, where `EDV`'s
+/// columns beat the packed rows: up to three shapes of 60 to 300 events
+/// of one to three types on a millisecond cadence, each payload column
+/// climbing by one a row; a window keeps its shape's payloads (a template
+/// covers it) or shifts them all (only `EDV` codes it small).
+fn long_window_mixes() -> impl Strategy<Value = Vec<(Vec<TraceEvent>, u64)>> {
+    let shape = (1u16..4, 60usize..300, 0u32..1_000_000);
+    let window = (0usize..3, any::<u64>(), 0u64..4_000_000_000, any::<bool>());
+    (
+        prop::collection::vec(shape, 1..4),
+        prop::collection::vec(window, 1..24),
+    )
+        .prop_map(|(shapes, windows)| {
+            windows
+                .into_iter()
+                .map(|(pick, seed, start_ns, shifted)| {
+                    let (types, rows, base) = shapes[pick % shapes.len()];
+                    let base = if shifted {
+                        base ^ (seed as u32 >> 8)
+                    } else {
+                        base
+                    };
+                    let mut ns = start_ns + seed % 3_000;
+                    let events = (0..rows)
+                        .map(|row| {
+                            ns += 1_000_000 + (seed >> (row % 48)) % 700;
+                            let ty = row as u16 % types;
+                            TraceEvent::new(
+                                Timestamp::from_nanos(ns),
+                                EventTypeId::new(ty * 5 + 1),
+                                base + (row as u32 / u32::from(types)),
+                            )
+                        })
+                        .collect();
+                    (events, start_ns)
+                })
+                .collect()
+        })
+}
+
+/// LEB128, written out again so that the model below shares no code with
+/// the coder it checks.
+fn leb(mut value: u64, out: &mut Vec<u8>) {
+    while value >= 0x80 {
+        out.push(value as u8 | 0x80);
+        value >>= 7;
+    }
+    out.push(value as u8);
+}
+
+fn leb_len(value: u64) -> usize {
+    let mut bytes = Vec::new();
+    leb(value, &mut bytes);
+    bytes.len()
+}
+
+/// `(event type << 2) | severity`, a packed row's tag.
+fn tag(event: &TraceEvent) -> u32 {
+    (u32::from(event.event_type.as_u16()) << 2) | u32::from(event.severity.as_u8())
+}
+
+/// What a naive [`SegmentCoder`] stores for the windows of one segment:
+/// the template table, and per window its block with the table kept and
+/// without it. It decodes every payload with [`BinaryDecoder`], codes it
+/// whole under every candidate, and keeps the smallest of `EDV` (whose
+/// block is offered only when it is smaller than the payload, so it is
+/// never cut short by the rows), packed rows and the payload, a tie going
+/// to the payload, then the rows. Every window not stored as its payload
+/// joins the group of its tag sequence, groups numbered in the order they
+/// are first seen, and the first window of a group is its template. A
+/// window's templated block is `varint id`, its exception list against the
+/// template (`varint E`, then per row whose payload differs, the gap from
+/// the row after the previous exception and the payload) and the packed
+/// rows' time column; it is offered where, with the group's number in
+/// place of the id, it is smaller than the window's block. A group's
+/// template is admitted when its windows save more bytes than its rows
+/// cost in the table, and ids number the admitted groups in order.
+#[allow(clippy::type_complexity)]
+fn naive_segment(
+    windows: &[(Vec<TraceEvent>, u64)],
+) -> (TemplateTable, Vec<((CodecId, Vec<u8>), (CodecId, Vec<u8>))>) {
+    struct Group {
+        tags: Vec<u32>,
+        first: Vec<TraceEvent>,
+        saved: usize,
+    }
+    let mut groups: Vec<Group> = Vec::new();
+    // Per window: its block without the table, and its group and
+    // templated body (the id left out) where that body was offered.
+    let mut coded: Vec<((CodecId, Vec<u8>), Option<(usize, Vec<u8>)>)> = Vec::new();
+    for (events, start_ns) in windows {
+        let mut payload = Vec::new();
+        BinaryEncoder::new().encode(events, &mut payload).unwrap();
+        let decoded = BinaryDecoder::new().decode(&payload).unwrap();
+        let context = FrameContext::framed(*start_ns, decoded.len() as u32);
+        let mut plain = (CodecId::Identity, payload.clone());
+        let mut packed = Vec::new();
+        if PackedCodec::new()
+            .compress_framed(context, &payload, &mut packed)
+            .unwrap()
+            && packed.len() < plain.1.len()
+        {
+            plain = (CodecId::Packed, packed);
+        }
+        let mut edv = Vec::new();
+        if DeltaVarintCodec::new()
+            .compress(&payload, &mut edv)
+            .unwrap()
+            && edv.len() < plain.1.len()
+        {
+            plain = (CodecId::DeltaVarint, edv);
+        }
+        if plain.0 == CodecId::Identity {
+            coded.push((plain, None));
+            continue;
+        }
+        let tags: Vec<u32> = decoded.iter().map(tag).collect();
+        let group = match groups.iter().position(|group| group.tags == tags) {
+            Some(group) => group,
+            None => {
+                groups.push(Group {
+                    tags,
+                    first: decoded.clone(),
+                    saved: 0,
+                });
+                groups.len() - 1
+            }
+        };
+        let template = &groups[group].first;
+        let mut exceptions = Vec::new();
+        let mut next = 0;
+        for (at, (row, event)) in template.iter().zip(&decoded).enumerate() {
+            if row.payload != event.payload {
+                exceptions.push((at - next, event.payload));
+                next = at + 1;
+            }
+        }
+        let mut body = Vec::new();
+        leb(exceptions.len() as u64, &mut body);
+        for (gap, payload) in exceptions {
+            leb(gap as u64, &mut body);
+            leb(u64::from(payload), &mut body);
+        }
+        let mut previous = *start_ns;
+        for (at, event) in decoded.iter().enumerate() {
+            let ns = event.timestamp.as_nanos();
+            if at == 0 {
+                let difference = ns.wrapping_sub(*start_ns) as i64;
+                leb(((difference << 1) ^ (difference >> 63)) as u64, &mut body);
+            } else {
+                leb(ns - previous, &mut body);
+            }
+            previous = ns;
+        }
+        let size = leb_len(group as u64) + body.len();
+        if size < plain.1.len() {
+            groups[group].saved += plain.1.len() - size;
+            coded.push((plain, Some((group, body))));
+        } else {
+            coded.push((plain, None));
+        }
+    }
+    let mut table = TemplateTable::default();
+    let mut ids = Vec::new();
+    for group in &groups {
+        let cost = leb_len(group.first.len() as u64)
+            + group
+                .first
+                .iter()
+                .map(|event| leb_len(u64::from(tag(event))) + leb_len(u64::from(event.payload)))
+                .sum::<usize>();
+        if group.saved > cost {
+            ids.push(Some(table.len()));
+            table.push(&group.first);
+        } else {
+            ids.push(None);
+        }
+    }
+    let blocks = coded
+        .into_iter()
+        .map(|(plain, templated)| {
+            let kept = match templated {
+                Some((group, body)) if ids[group].is_some() => {
+                    let mut block = Vec::new();
+                    leb(ids[group].unwrap() as u64, &mut block);
+                    block.extend(body);
+                    (CodecId::Templated, block)
+                }
+                _ => plain.clone(),
+            };
+            (kept, plain)
+        })
+        .collect();
+    (table, blocks)
+}
+
+/// Runs `windows` through a [`SegmentCoder`] and holds its table and every
+/// block, with the table and without it, to [`naive_segment`]'s. Returns
+/// how many windows' blocks without the table were `EDV`.
+fn check_against_the_naive_model(windows: &[(Vec<TraceEvent>, u64)]) -> usize {
+    let mut coder = SegmentCoder::new();
+    let frames: Vec<usize> = windows
+        .iter()
+        .map(|(events, start_ns)| {
+            let mut payload = Vec::new();
+            BinaryEncoder::new().encode(events, &mut payload).unwrap();
+            coder.push(
+                FrameContext::framed(*start_ns, events.len() as u32),
+                &payload,
+            )
+        })
+        .collect();
+    coder.finish();
+    let (table, blocks) = naive_segment(windows);
+    assert_eq!(coder.table(), &table);
+    let mut edv = 0;
+    for (frame, (kept, plain)) in frames.into_iter().zip(&blocks) {
+        let (codec, block) = coder.block(frame, true);
+        assert_eq!(
+            (codec, block),
+            (kept.0, &kept.1[..]),
+            "frame {frame}, table kept"
+        );
+        let (codec, block) = coder.block(frame, false);
+        assert_eq!(
+            (codec, block),
+            (plain.0, &plain.1[..]),
+            "frame {frame}, no table"
+        );
+        edv += usize::from(codec == CodecId::DeltaVarint);
+    }
+    edv
+}
+
+/// `windows` 40 ms windows of one shape of `rows` rows, their times `gap`
+/// ns apart and their payloads one byte wide or two; `odd` says which
+/// windows have payloads of their own: 0 none, 1 every other one, 2 all
+/// but the first, 3 every other one in its first row only.
+fn edge_segment(
+    rows: u64,
+    wide: bool,
+    windows: u64,
+    odd: u64,
+    gap: u64,
+) -> Vec<(Vec<TraceEvent>, u64)> {
+    (0..windows)
+        .map(|window| {
+            let start_ns = window * 40_000_000;
+            let events = (0..rows)
+                .map(|row| {
+                    let own = match odd {
+                        1 => window % 2 == 1,
+                        2 => window > 0,
+                        3 => window % 2 == 1 && row == 0,
+                        _ => false,
+                    };
+                    let payload =
+                        if wide { 300 } else { 5 } + row + if own { 1 + window } else { 0 };
+                    TraceEvent::new(
+                        Timestamp::from_nanos(start_ns + 1 + row * gap),
+                        EventTypeId::new(row as u16 % 3),
+                        payload as u32,
+                    )
+                })
+                .collect();
+            (events, start_ns)
+        })
+        .collect()
+}
+
+/// Where a coder can be off by one, a proptest seldom looks: a window
+/// whose templated block is exactly as long as its chooser block, a
+/// template whose windows save exactly what it costs. This sweep walks
+/// small segments across those edges — one to four rows, one- and
+/// two-byte payloads and times, one to eight windows of a shape, with and
+/// without exceptions, one of them exactly as long as the two columns it
+/// spares — and holds each to the naive model.
+#[test]
+fn segment_coder_matches_a_naive_model_on_the_edges() {
+    for rows in 1..=4 {
+        for wide in [false, true] {
+            for windows in 1..=8 {
+                for odd in 0..4 {
+                    for gap in [900, 200_000] {
+                        check_against_the_naive_model(&edge_segment(rows, wide, windows, odd, gap));
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn the_naive_model_sees_edv_and_templates_in_a_long_window_mix() {
+    // Two shapes of 120 rows: twelve windows that keep the first shape's
+    // payloads (templated), four that shift them (`EDV`), two of another
+    // shape.
+    let window = |types: u16, base: u32, start_ns: u64| {
+        let events = (0..120u64)
+            .map(|row| {
+                let ns = start_ns + 1_000 + row * 1_000_000 + (row * 7_919) % 600;
+                let ty = row as u16 % types;
+                TraceEvent::new(
+                    Timestamp::from_nanos(ns),
+                    EventTypeId::new(ty * 5 + 1),
+                    base + row as u32 / u32::from(types),
+                )
+            })
+            .collect::<Vec<_>>();
+        (events, start_ns)
+    };
+    let mut windows = Vec::new();
+    for at in 0..18u64 {
+        let start_ns = at * 1_000_000_000;
+        windows.push(match at {
+            0..=11 => window(2, 500, start_ns),
+            12..=15 => window(2, 70_000 + at as u32 * 13, start_ns),
+            _ => window(3, 9, start_ns),
+        });
+    }
+    let edv = check_against_the_naive_model(&windows);
+    assert!(edv >= 4, "{edv} EDV blocks");
+    let (table, blocks) = naive_segment(&windows);
+    assert!(!table.is_empty());
+    assert!(blocks.iter().any(|(kept, _)| kept.0 == CodecId::Templated));
 }
 
 fn check_round_trip(codec: &mut dyn FrameCodec, events: &[TraceEvent]) {
@@ -422,6 +749,20 @@ proptest! {
         }
         // Every admitted template is some templated frame's.
         prop_assert!(table.len() <= templated_frames);
+    }
+
+    /// A [`SegmentCoder`] stores what [`naive_segment`] does: the same
+    /// table, and every frame's block with the table and without it, over
+    /// any mix of window shapes...
+    #[test]
+    fn segment_coder_matches_a_naive_model_over_shape_mixes(windows in shape_mixes()) {
+        check_against_the_naive_model(&windows);
+    }
+
+    /// ...and over long windows, where `EDV` wins.
+    #[test]
+    fn segment_coder_matches_a_naive_model_over_long_windows(windows in long_window_mixes()) {
+        check_against_the_naive_model(&windows);
     }
 
     #[test]
