@@ -1211,6 +1211,12 @@ impl RunCoder {
                 (Some((codec, recompressed)), block)
             }
         };
+        // The segment is weighed by its blocks' sizes: a block the coder
+        // has not written is written only if the segment keeps it.
+        let len_of = |block: &RunBlock, templated: bool| match *block {
+            RunBlock::Carried(ref range) => range.len(),
+            RunBlock::Coded { frame, .. } => coder.block_len(frame, templated),
+        };
         table.clear();
         let mut templated = false;
         if !coder.table().is_empty() {
@@ -1221,14 +1227,14 @@ impl RunCoder {
             // closer call weighs every frame, with the table and without.
             let saved: usize = frames
                 .iter()
-                .map(|(_, block)| block_of(block, false).1.len() - block_of(block, true).1.len())
+                .map(|(_, block)| len_of(block, false) - len_of(block, true))
                 .sum();
             templated = saved as u64 > table_section_len(table) || {
                 let (mut with, mut without) = (table_section_len(table), 0);
                 let mut prev = FramePrev::default();
                 for (entry, block) in frames.iter() {
-                    with += frame_len(prev, entry, block_of(block, true).1.len());
-                    without += frame_len(prev, entry, block_of(block, false).1.len());
+                    with += frame_len(prev, entry, len_of(block, true));
+                    without += frame_len(prev, entry, len_of(block, false));
                     prev = FramePrev::after(entry);
                 }
                 with < without

@@ -191,6 +191,16 @@ impl TraceDecoder for BinaryDecoder {
 /// as decoding, re-encoding and comparing bytes, without the re-encode.
 /// What `false` leaves in `out` is unspecified.
 pub(crate) fn decode_canonical(bytes: &[u8], out: &mut Vec<TraceEvent>) -> bool {
+    decode_canonical_with(bytes, out, |_| {})
+}
+
+/// [`decode_canonical`], handing `each` every event as it is decoded: the
+/// one pass a caller that codes the events anew folds its own work into.
+pub(crate) fn decode_canonical_with(
+    bytes: &[u8],
+    out: &mut Vec<TraceEvent>,
+    mut each: impl FnMut(&TraceEvent),
+) -> bool {
     out.clear();
     if bytes.len() < MAGIC.len() + 1 || &bytes[..4] != MAGIC || bytes[4] != VERSION {
         return false;
@@ -224,14 +234,14 @@ pub(crate) fn decode_canonical(bytes: &[u8], out: &mut Vec<TraceEvent>) -> bool 
         };
         at += 1;
         previous = timestamp;
-        out.push(
-            TraceEvent::new(
-                Timestamp::from_nanos(timestamp),
-                EventTypeId::new(ty),
-                payload,
-            )
-            .with_severity(severity),
-        );
+        let event = TraceEvent::new(
+            Timestamp::from_nanos(timestamp),
+            EventTypeId::new(ty),
+            payload,
+        )
+        .with_severity(severity);
+        each(&event);
+        out.push(event);
     }
     at == bytes.len()
 }

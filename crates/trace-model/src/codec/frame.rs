@@ -35,10 +35,11 @@
 //! Which block a frame is stored as is chosen in one place,
 //! [`BlockChooser`], the only code that knows both the `EDV` and the
 //! packed layout: the smallest of the `EDV` block, the packed rows and
-//! the payload itself, with `EDV`'s column search skipped whenever the
-//! bytes ahead of its columns already lose to the rows. A segment's
-//! [`super::SegmentCoder`] runs it on every frame and weighs the templated
-//! block beside its choice.
+//! the payload itself. One pass over the payload sizes them all, and
+//! `EDV`'s encoder runs only where the bytes ahead of its columns
+//! ([`DeltaVarintCodec`]'s size floor) do not already lose to the rows. A
+//! segment's [`super::SegmentCoder`] runs it on every frame and weighs the
+//! templated block beside its choice.
 //!
 //! Every codec is *lossless at the byte level*: decompressing a stored
 //! block reproduces the original payload byte for byte, so replay of a
@@ -77,7 +78,7 @@
 
 use std::fmt;
 
-use super::binary::{decode_canonical, header_len};
+use super::binary::{decode_canonical, decode_canonical_with, header_len};
 use super::template::{TemplateTable, TemplatedCodec};
 use super::varint::{unzigzag, zigzag};
 use super::{
@@ -506,7 +507,7 @@ fn edv_error(offset: usize, reason: impl Into<String>) -> TraceError {
 pub struct DeltaVarintCodec {
     events: Vec<TraceEvent>,
     /// Distinct `(type, severity)` pairs of the window, in first-seen order.
-    dict: Vec<(u16, u8)>,
+    dict: Vec<(u16, Severity)>,
     /// Distinct types, in first-seen (dictionary) order.
     types: Vec<u16>,
     /// Per dictionary entry, the index of its type within `types` — the
@@ -541,7 +542,7 @@ impl DeltaVarintCodec {
             column.clear();
         }
         for ev in events {
-            let key = (ev.event_type.as_u16(), ev.severity.as_u8());
+            let key = (ev.event_type.as_u16(), ev.severity);
             // Windows hold a few pairs: scanning them beats hashing every
             // event's (docs/PERFORMANCE.md).
             let token = match self.dict.iter().position(|&entry| entry == key) {
@@ -583,18 +584,19 @@ impl DeltaVarintCodec {
     /// unchanged, so the selected pair (and therefore the block bytes)
     /// are identical to what the materialising encoder produced.
     fn encode_column(vals: &[u32], out: &mut Vec<u8>) {
-        let mut best: Option<(u8, usize)> = None; // (scheme, lag) of the smallest
-        let mut best_len = usize::MAX;
-        for lag in 1..=EDV_MAX_LAG.min(vals.len().max(1)) {
-            for scheme in [EDV_SCHEME_PLAIN, EDV_SCHEME_RLE] {
-                let len = Self::measure_column_as(vals, scheme, lag);
-                if len < best_len {
-                    best_len = len;
-                    best = Some((scheme, lag));
+        // Plain at lag 1 is the first pair tried, and no size reaches
+        // `usize::MAX`: it is what the search starts from and what it
+        // keeps unless a later pair is strictly smaller.
+        let (scheme, lag, best_len) = (1..=EDV_MAX_LAG.min(vals.len().max(1)))
+            .flat_map(|lag| [(EDV_SCHEME_PLAIN, lag), (EDV_SCHEME_RLE, lag)])
+            .map(|(scheme, lag)| (scheme, lag, Self::measure_column_as(vals, scheme, lag)))
+            .fold((EDV_SCHEME_PLAIN, 1, usize::MAX), |best, pair| {
+                if pair.2 < best.2 {
+                    pair
+                } else {
+                    best
                 }
-            }
-        }
-        let (scheme, lag) = best.expect("lag 1 is always tried");
+            });
         out.push(scheme);
         out.push(lag as u8);
         out.reserve(best_len);
@@ -679,14 +681,14 @@ impl DeltaVarintCodec {
         self.ts.clear();
         self.ts.reserve(count);
         self.ts.push(first_ts);
+        let mut previous = first_ts;
         for _ in 1..count {
             let (delta, next) = decode_u64(block, offset)?;
             offset = next;
-            let prev = *self.ts.last().expect("non-empty");
-            let t = prev
+            previous = previous
                 .checked_add(delta)
                 .ok_or_else(|| edv_error(offset, "timestamp overflow"))?;
-            self.ts.push(t);
+            self.ts.push(previous);
         }
 
         // Dictionary.
@@ -707,12 +709,8 @@ impl DeltaVarintCodec {
                 .get(offset)
                 .ok_or_else(|| edv_error(offset, "truncated severity"))?;
             offset += 1;
-            if Severity::from_u8(sev).is_none() {
-                return Err(edv_error(
-                    offset - 1,
-                    format!("invalid severity byte {sev}"),
-                ));
-            }
+            let sev = Severity::from_u8(sev)
+                .ok_or_else(|| edv_error(offset - 1, format!("invalid severity byte {sev}")))?;
             self.dict.push((ty, sev));
             let type_at = match self.types.iter().position(|&t| t == ty) {
                 Some(at) => at,
@@ -849,7 +847,7 @@ impl DeltaVarintCodec {
                     EventTypeId::new(ty),
                     payload,
                 )
-                .with_severity(Severity::from_u8(sev).expect("validated above")),
+                .with_severity(sev),
             );
         }
         Ok(&self.events)
@@ -959,7 +957,7 @@ impl DeltaVarintCodec {
         encode_u64(self.dict.len() as u64, out);
         for &(ty, sev) in &self.dict {
             encode_u64(u64::from(ty), out);
-            out.push(sev);
+            out.push(sev.as_u8());
         }
 
         // Tokens.
@@ -993,6 +991,39 @@ impl DeltaVarintCodec {
             return false;
         }
         true
+    }
+
+    /// A floor under the size of the `EDV` block of a window, from what a
+    /// pass over its events learns without building a column: its `count`
+    /// events, its first timestamp `first_ns`, the `deltas` bytes the
+    /// varints of the later timestamps' deltas take, and its dictionary.
+    /// That is every byte ahead of the payload columns and three for each
+    /// column, the size at which [`DeltaVarintCodec::encode_events`] stops
+    /// before its column search; exact but for the tokens of a dictionary
+    /// past 16 entries, counted at a byte each. `usize::MAX` past 255
+    /// entries, which `EDV` refuses.
+    fn size_floor(count: usize, first_ns: u64, deltas: usize, dictionary: &Dictionary) -> usize {
+        if count == 0 {
+            return varint_len(0);
+        }
+        let entries = dictionary.entries;
+        if entries > EDV_MAX_DICT {
+            return usize::MAX;
+        }
+        // Per entry its type's varint and a severity byte.
+        let dictionary_bytes = dictionary.type_bytes + entries;
+        let tokens = match entries {
+            1 => 0,
+            2..=16 => count.div_ceil(2),
+            _ => count,
+        };
+        varint_len(count as u64)
+            + varint_len(first_ns)
+            + deltas
+            + varint_len(entries as u64)
+            + dictionary_bytes
+            + tokens
+            + 3 * dictionary.types()
     }
 }
 
@@ -1064,7 +1095,7 @@ impl FrameCodec for LzBlockCodec {
 /// re-encodes the rows' events into the payload bit for bit.
 #[derive(Debug, Default)]
 pub struct PackedCodec {
-    events: Vec<TraceEvent>,
+    rows: RowScan,
 }
 
 impl PackedCodec {
@@ -1085,17 +1116,13 @@ impl FrameCodec for PackedCodec {
         payload: &[u8],
         out: &mut Vec<u8>,
     ) -> Result<bool, TraceError> {
-        if !decode_canonical(payload, &mut self.events)
-            || context.check_events(self.events.len()).is_err()
-        {
+        let Some(packed) = self.rows.scan(context.start_ns, payload) else {
+            return Ok(false);
+        };
+        if context.check_events(self.rows.events.len()).is_err() || packed >= payload.len() {
             return Ok(false);
         }
-        let start = out.len();
-        put_rows(&self.events, context.start_ns, out);
-        if out.len() - start >= payload.len() {
-            out.truncate(start);
-            return Ok(false);
-        }
+        self.rows.put_rows(out);
         Ok(true)
     }
 
@@ -1106,9 +1133,10 @@ impl FrameCodec for PackedCodec {
         raw_len: usize,
         out: &mut Vec<u8>,
     ) -> Result<(), TraceError> {
-        self.events.clear();
-        parse_packed(context, block, raw_len, &mut self.events)?;
-        BinaryEncoder::new().encode(&self.events, out)
+        let events = &mut self.rows.events;
+        events.clear();
+        parse_packed(context, block, raw_len, events)?;
+        BinaryEncoder::new().encode(events, out)
     }
 
     fn decode_events_framed(
@@ -1159,26 +1187,19 @@ fn row_time(at: usize, ns: u64, previous: u64, start_ns: u64) -> u64 {
     }
 }
 
-/// Appends the packed rows of `events`, coded against the window start
-/// `start_ns`, to `out`.
-fn put_rows(events: &[TraceEvent], start_ns: u64, out: &mut Vec<u8>) {
-    let mut previous = start_ns;
-    for (at, event) in events.iter().enumerate() {
-        let ns = event.timestamp.as_nanos();
-        encode_u64(row_time(at, ns, previous, start_ns), out);
-        encode_u64(u64::from(tag_of(event)), out);
-        encode_u64(u64::from(event.payload), out);
-        previous = ns;
-    }
-}
-
-/// Appends the time column of the packed rows of `events` alone.
-pub(super) fn put_times(events: &[TraceEvent], start_ns: u64, out: &mut Vec<u8>) {
-    let mut previous = start_ns;
-    for (at, event) in events.iter().enumerate() {
-        let ns = event.timestamp.as_nanos();
-        encode_u64(row_time(at, ns, previous, start_ns), out);
-        previous = ns;
+/// Appends packed rows to `out`: per `(tag, payload)` of `rows`, the next
+/// varint of the time column `times`, then the tag and the payload. The
+/// rows end with `rows` or with `times`, whichever runs out first.
+pub(super) fn put_rows(times: &[u8], rows: impl Iterator<Item = (u32, u32)>, out: &mut Vec<u8>) {
+    let mut at = 0;
+    for (tag, payload) in rows {
+        let time = at;
+        if take_minimal_u64(times, &mut at).is_none() {
+            return;
+        }
+        out.extend_from_slice(&times[time..at]);
+        encode_u64(u64::from(tag), out);
+        encode_u64(u64::from(payload), out);
     }
 }
 
@@ -1292,6 +1313,62 @@ fn push_rows(
     Ok(events_len)
 }
 
+/// What a window's `EDV` dictionary — its distinct `(type, severity)`
+/// pairs, which are its distinct packed tags — holds: its entries, their
+/// types' varint bytes, and its distinct types. A tag below 256, every tag
+/// of most windows, is looked up in a bit set, its type (below 64) in
+/// another.
+#[derive(Debug, Default)]
+struct Dictionary {
+    entries: usize,
+    type_bytes: usize,
+    small_tags: [u64; 4],
+    small_types: u64,
+    /// The distinct tags from 256 on, no more of them than `EDV` takes.
+    large_tags: Vec<u32>,
+    large_types: usize,
+}
+
+impl Dictionary {
+    fn clear(&mut self) {
+        (self.entries, self.type_bytes) = (0, 0);
+        (self.small_tags, self.small_types) = ([0; 4], 0);
+        self.large_tags.clear();
+        self.large_types = 0;
+    }
+
+    /// Counts `tag` in, unless it is in already.
+    #[inline]
+    fn insert(&mut self, tag: u32) {
+        let ty = tag >> 2;
+        if let Some(word) = self.small_tags.get_mut(tag as usize / 64) {
+            let bit = 1 << (tag % 64);
+            if *word & bit != 0 {
+                return;
+            }
+            *word |= bit;
+            self.small_types |= 1 << ty;
+        } else {
+            if self.large_tags.contains(&tag) {
+                return;
+            }
+            if self.large_tags.iter().all(|&seen| seen >> 2 != ty) {
+                self.large_types += 1;
+            }
+            if self.large_tags.len() < EDV_MAX_DICT {
+                self.large_tags.push(tag);
+            }
+        }
+        self.entries += 1;
+        self.type_bytes += varint_len(u64::from(ty));
+    }
+
+    /// Distinct types among the entries.
+    fn types(&self) -> usize {
+        self.small_types.count_ones() as usize + self.large_types
+    }
+}
+
 /// Chooses, and writes, the stored block of every frame a recompression
 /// pass re-encodes — the one place that knows both the `EDV` and the
 /// packed layout, so the one place that can compare them.
@@ -1321,10 +1398,9 @@ fn push_rows(
 /// ```
 #[derive(Debug, Default)]
 pub struct BlockChooser {
-    /// The canonical decode of the payload at hand.
-    events: Vec<TraceEvent>,
+    /// The one pass over the payload at hand.
+    rows: RowScan,
     edv: DeltaVarintCodec,
-    edv_block: Vec<u8>,
 }
 
 impl BlockChooser {
@@ -1334,10 +1410,16 @@ impl BlockChooser {
         BlockChooser::default()
     }
 
-    /// The canonical decode of the payload [`BlockChooser::choose`] last
-    /// stored under another codec than identity.
+    /// The canonical decode of the payload the chooser last stored under
+    /// another codec than identity.
     pub(super) fn events(&self) -> &[TraceEvent] {
-        &self.events
+        &self.rows.events
+    }
+
+    /// The time column of the packed rows of [`BlockChooser::events`]:
+    /// the templated block's, byte for byte.
+    pub(super) fn times(&self) -> &[u8] {
+        &self.rows.times
     }
 
     /// Stores `payload`, the payload of the frame `context` describes, as
@@ -1348,34 +1430,118 @@ impl BlockChooser {
     /// `payload` and leaves `out` as it was. A payload that is not
     /// canonical `ETRC`, or whose event count is not the frame's, is
     /// stored as it is.
-    ///
-    /// The rows are written first; their size is the limit `EDV`'s
-    /// encoder must beat, so its column search runs only on the windows
-    /// it may win.
     pub fn choose(&mut self, context: FrameContext, payload: &[u8], out: &mut Vec<u8>) -> CodecId {
-        if !decode_canonical(payload, &mut self.events)
-            || context.check_events(self.events.len()).is_err()
-        {
-            return CodecId::Identity;
+        let (codec, _) = self.size_blocks(context, payload, out);
+        if codec == CodecId::Packed {
+            self.put_rows(out);
         }
-        let start = out.len();
-        put_rows(&self.events, context.start_ns, out);
-        let packed = out.len() - start;
-        self.edv_block.clear();
+        codec
+    }
+
+    /// [`BlockChooser::choose`], but for the packed rows, which are sized
+    /// and left unwritten — [`BlockChooser::put_rows`] writes them — and
+    /// the size of the block chosen returned with its codec.
+    ///
+    /// One pass decodes the payload and sizes its rows, the limit `EDV`
+    /// must beat; the same pass learns what
+    /// [`DeltaVarintCodec::size_floor`] sizes `EDV`'s block from, so
+    /// `EDV`'s encoder runs only on the windows it may win, and only a
+    /// block it wins with is written.
+    pub(super) fn size_blocks(
+        &mut self,
+        context: FrameContext,
+        payload: &[u8],
+        out: &mut Vec<u8>,
+    ) -> (CodecId, usize) {
+        let Some(packed) = self
+            .rows
+            .scan(context.start_ns, payload)
+            .filter(|_| context.check_events(self.rows.events.len()).is_ok())
+        else {
+            return (CodecId::Identity, payload.len());
+        };
         let limit = packed.min(payload.len());
-        if self
-            .edv
-            .encode_events(&self.events, limit, &mut self.edv_block)
-        {
-            out.truncate(start);
-            out.extend_from_slice(&self.edv_block);
-            return CodecId::DeltaVarint;
+        if self.rows.edv_floor(context.start_ns) < limit {
+            let start = out.len();
+            if self.edv.encode_events(&self.rows.events, limit, out) {
+                return (CodecId::DeltaVarint, out.len() - start);
+            }
         }
         if packed < payload.len() {
-            return CodecId::Packed;
+            return (CodecId::Packed, packed);
         }
-        out.truncate(start);
-        CodecId::Identity
+        (CodecId::Identity, payload.len())
+    }
+
+    /// Appends the packed rows of the payload [`BlockChooser::size_blocks`] sized
+    /// last.
+    pub(super) fn put_rows(&self, out: &mut Vec<u8>) {
+        self.rows.put_rows(out);
+    }
+}
+
+/// One pass over a canonical `ETRC` payload: decodes its events, and
+/// gathers on the way what sizes each block of the window — its packed
+/// rows, their time column (the templated block's too) and its `EDV`
+/// dictionary — without writing any but the time column.
+#[derive(Debug, Default)]
+struct RowScan {
+    /// The canonical decode of the payload scanned last.
+    events: Vec<TraceEvent>,
+    /// The time column of its packed rows.
+    times: Vec<u8>,
+    /// Its distinct tags.
+    dictionary: Dictionary,
+}
+
+impl RowScan {
+    /// Decodes `payload`, when it is canonical `ETRC`, and writes the time
+    /// column of its packed rows, coded against the window start
+    /// `start_ns`. Returns the size of its packed rows; `None` when it is
+    /// not canonical, which leaves the scan unspecified.
+    fn scan(&mut self, start_ns: u64, payload: &[u8]) -> Option<usize> {
+        let RowScan {
+            events,
+            times,
+            dictionary,
+        } = self;
+        times.clear();
+        dictionary.clear();
+        let (mut at, mut previous, mut columns) = (0, start_ns, 0);
+        let canonical = decode_canonical_with(payload, events, |event| {
+            let ns = event.timestamp.as_nanos();
+            let tag = tag_of(event);
+            encode_u64(row_time(at, ns, previous, start_ns), times);
+            columns += varint_len(u64::from(tag)) + varint_len(u64::from(event.payload));
+            dictionary.insert(tag);
+            (at, previous) = (at + 1, ns);
+        });
+        canonical.then_some(times.len() + columns)
+    }
+
+    /// Appends the packed rows of the window scanned last.
+    fn put_rows(&self, out: &mut Vec<u8>) {
+        let rows = self
+            .events
+            .iter()
+            .map(|event| (tag_of(event), event.payload));
+        put_rows(&self.times, rows, out);
+    }
+
+    /// [`DeltaVarintCodec::size_floor`] of the window scanned last, whose
+    /// later timestamps' deltas are its time column but the first row's.
+    fn edv_floor(&self, start_ns: u64) -> usize {
+        let first_ns = self
+            .events
+            .first()
+            .map_or(0, |event| event.timestamp.as_nanos());
+        let first_row = varint_len(row_time(0, first_ns, start_ns, start_ns));
+        DeltaVarintCodec::size_floor(
+            self.events.len(),
+            first_ns,
+            self.times.len().saturating_sub(first_row),
+            &self.dictionary,
+        )
     }
 }
 
@@ -1656,6 +1822,29 @@ mod tests {
             }
         }
 
+        /// `EDV`'s size floor, which its encoder runs only under, is the
+        /// block's own size where every payload column holds one value
+        /// below 64 — scheme, lag and one zigzag varint byte, three bytes a
+        /// column — whatever the dictionary's size, nibble tokens or varint
+        /// ones.
+        #[test]
+        fn the_edv_floor_is_the_block_where_every_column_takes_three_bytes() {
+            for types in [1u64, 2, 16, 17, 127] {
+                let events: Vec<TraceEvent> = (0..types)
+                    .map(|i| {
+                        let severity = Severity::from_u8((i % 4) as u8).unwrap();
+                        ev(1_000 + i * 7, (i * 3) as u16, (i % 64) as u32, severity)
+                    })
+                    .collect();
+                let payload = payload_of(&events);
+                let mut scan = RowScan::default();
+                assert!(scan.scan(999_000, &payload).is_some());
+                let mut block = Vec::new();
+                assert!(DeltaVarintCodec::new().encode_events(&events, usize::MAX, &mut block));
+                assert_eq!(scan.edv_floor(999_000), block.len(), "{types} types");
+            }
+        }
+
         /// A window and its start: `count` events on a `step` cadence with
         /// up to `jitter` ns of noise, cycling through `types` types (a few,
         /// or — past 255 `(type, severity)` pairs — more than `EDV` takes),
@@ -1697,6 +1886,23 @@ mod tests {
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(400))]
+
+            /// The size floor never passes the `EDV` block it stands for,
+            /// and the one pass sizes the packed rows it would write.
+            #[test]
+            fn the_one_pass_sizes_what_it_would_write(window in window()) {
+                let (events, start_ns) = window;
+                let payload = payload_of(&events);
+                let mut scan = RowScan::default();
+                let packed = scan.scan(start_ns, &payload);
+                let mut rows = Vec::new();
+                scan.put_rows(&mut rows);
+                prop_assert_eq!(packed, Some(rows.len()));
+                let mut edv = Vec::new();
+                if DeltaVarintCodec::new().encode_events(&events, usize::MAX, &mut edv) {
+                    prop_assert!(scan.edv_floor(start_ns) <= edv.len());
+                }
+            }
 
             /// The chooser stores the smallest of the candidates, exactly
             /// — the limit `EDV`'s encoder stops at never loses a smaller

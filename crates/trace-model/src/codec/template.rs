@@ -11,9 +11,11 @@
 //! which shapes earn a template and which block each frame gets.
 
 use std::collections::HashMap;
+use std::ops::Range;
+use std::sync::OnceLock;
 
 use super::binary::header_len;
-use super::frame::{put_times, tag_of, tag_severity};
+use super::frame::{put_rows, tag_of, tag_severity};
 use super::varint::unzigzag;
 use super::{
     encode_u64, take_minimal_u64, varint_len, BinaryEncoder, BlockChooser, CodecId, FrameCodec,
@@ -198,25 +200,24 @@ fn take(bytes: &[u8], at: &mut usize, what: &str) -> Result<u64, TraceError> {
     })
 }
 
-/// Whether `events` carry the tags of `rows`, row for row.
-fn has_shape(rows: &[(u32, u32)], events: &[TraceEvent]) -> bool {
-    rows.len() == events.len()
-        && rows
-            .iter()
-            .zip(events)
-            .all(|(&(tag, _), event)| tag == tag_of(event))
-}
-
-/// Appends the exception list of `events` against `template`, whose tags
-/// they share: `varint E`, then `(varint gap, varint payload)` for every
-/// row whose payload differs, in ascending position, the gap counted from
-/// the row after the previous exception.
-fn put_exceptions(template: &[(u32, u32)], events: &[TraceEvent], out: &mut Vec<u8>) {
+/// Appends the exception list of `events` against `template` when they
+/// carry its tags, row for row: `varint E`, then `(varint gap, varint
+/// payload)` for every row whose payload differs, in ascending position,
+/// the gap counted from the row after the previous exception. Returns
+/// whether they do; when not, `out` is left as it was.
+fn put_exceptions(template: &[(u32, u32)], events: &[TraceEvent], out: &mut Vec<u8>) -> bool {
+    if template.len() != events.len() {
+        return false;
+    }
     // One byte holds any count below 128; a longer one is moved in after.
     let count_at = out.len();
     out.push(0);
     let (mut count, mut next) = (0u64, 0);
-    for (at, (&(_, payload), event)) in template.iter().zip(events).enumerate() {
+    for (at, (&(tag, payload), event)) in template.iter().zip(events).enumerate() {
+        if tag != tag_of(event) {
+            out.truncate(count_at);
+            return false;
+        }
         if payload != event.payload {
             encode_u64((at - next) as u64, out);
             encode_u64(u64::from(event.payload), out);
@@ -230,6 +231,7 @@ fn put_exceptions(template: &[(u32, u32)], events: &[TraceEvent], out: &mut Vec<
         encode_u64(count, &mut varint);
         out.splice(count_at..=count_at, varint);
     }
+    true
 }
 
 /// FNV-1a over the tag sequence of `events`: one word to look a shape up
@@ -466,17 +468,22 @@ fn push_templated(
 /// Chooses the stored block of every frame a rewrite codes anew, and the
 /// template table of the segment they land in.
 ///
-/// Two passes. [`SegmentCoder::push`] stores each frame as
-/// [`BlockChooser`] does — the smallest of `EDV`, packed rows and the
-/// payload, decoding the payload once — and, from the same decode, groups
-/// the window with every other of its exact tag sequence and codes its
-/// templated block against the first window of that group. A group's
+/// Two passes. [`SegmentCoder::push`] decodes each payload once, and that
+/// one pass sizes every block the frame may be stored as: `EDV`, packed
+/// rows and the payload, as [`BlockChooser`] weighs them, and — grouping
+/// the window with every other of its exact tag sequence — its templated
+/// block against the first window of that group, whose time column the
+/// pass has written. Only what may be kept is written: the `EDV` block
+/// where it wins, the templated block where it is the smaller, and the
+/// packed rows where no templated block stands for them. A group's
 /// template is worth its bytes in the table only when its windows save
 /// more than that: [`SegmentCoder::finish`] admits exactly those.
 /// [`SegmentCoder::block`] then hands out each frame's block: templated
 /// wherever that is the smaller, for a segment that keeps the table, or
-/// as the chooser stored it, for one that does not. The store writes
-/// whichever segment comes out smaller.
+/// as the chooser chose it, for one that does not — packed rows that a
+/// templated block stood for written from it then. The store weighs both
+/// by [`SegmentCoder::block_len`] and writes whichever segment comes out
+/// smaller.
 ///
 /// ```rust
 /// use trace_model::codec::{BinaryEncoder, CodecId, FrameContext, SegmentCoder, TraceEncoder};
@@ -531,8 +538,9 @@ pub struct SegmentCoder {
     /// [`NO_GROUP`] for a group whose template was not admitted.
     ids: Vec<u32>,
     frames: Vec<Coded>,
-    /// Per frame, the chooser's block, then — when the templated block is
-    /// the smaller — a slot for the template id and the templated body.
+    /// Per frame, the chooser's block — unless it is packed rows that a
+    /// templated block stands for — and, when the templated block is the
+    /// smaller, a slot for the template id and the templated body.
     bytes: Vec<u8>,
     /// What [`SegmentCoder::finish`] admitted.
     table: TemplateTable,
@@ -541,20 +549,23 @@ pub struct SegmentCoder {
 /// The group of a frame that has no templated block.
 const NO_GROUP: u32 = u32::MAX;
 
-/// One frame of a [`SegmentCoder`]: the chooser's block, under `codec`, at
-/// `start..plain_end` of the coder's bytes, and the templated block of a
-/// frame of `group` at `templated` — the id slot, `varint_len(group)`
-/// bytes, and the body. `templated` is empty where no body is written: a
-/// frame without a templated block, and a group's first window stored as
-/// packed rows until [`SegmentCoder::finish`] admits its template and
-/// copies the body out of its rows.
-#[derive(Debug, Clone)]
+/// One frame of a [`SegmentCoder`]: the chooser's block, under `codec`,
+/// `plain_len` bytes at `plain` of the coder's bytes, and the templated
+/// block of a frame of `group` at `templated` — the id slot,
+/// `varint_len(group)` bytes, and the body. `templated` is empty where no
+/// body is written: a frame without a templated block, and a group's
+/// first window stored as packed rows until [`SegmentCoder::finish`]
+/// admits its template and copies the body out of its rows. `plain` is
+/// `None` where the block is packed rows and the body is written: the
+/// rows are written from the body, into `rows`, when they are asked for.
+#[derive(Debug)]
 struct Coded {
     codec: CodecId,
     group: u32,
-    start: usize,
-    plain_end: usize,
-    templated: std::ops::Range<usize>,
+    plain: Option<Range<usize>>,
+    plain_len: usize,
+    templated: Range<usize>,
+    rows: OnceLock<Vec<u8>>,
 }
 
 impl SegmentCoder {
@@ -582,82 +593,86 @@ impl SegmentCoder {
     /// frame is coded for the segment this coder builds.
     pub fn push(&mut self, context: FrameContext<'_>, payload: &[u8]) -> usize {
         let start = self.bytes.len();
-        let codec = self.chooser.choose(context, payload, &mut self.bytes);
+        let (codec, plain_len) = self.chooser.size_blocks(context, payload, &mut self.bytes);
         if codec == CodecId::Identity {
             // Not canonical `ETRC`, or not the frame's count: no shape.
             self.bytes.extend_from_slice(payload);
         }
-        let plain_end = self.bytes.len();
+        let written = self.bytes.len();
         let group = if codec == CodecId::Identity {
             NO_GROUP
         } else {
-            self.shape(context.start_ns, codec, plain_end - start)
+            self.shape(codec, plain_len)
+        };
+        let templated = written..self.bytes.len();
+        // Packed rows are written where no templated body stands for them.
+        let plain = if codec != CodecId::Packed {
+            Some(start..written)
+        } else if templated.is_empty() {
+            let from = self.bytes.len();
+            self.chooser.put_rows(&mut self.bytes);
+            Some(from..self.bytes.len())
+        } else {
+            None
         };
         self.frames.push(Coded {
             codec,
             group,
-            start,
-            plain_end,
-            templated: plain_end..self.bytes.len(),
+            plain,
+            plain_len,
+            templated,
+            rows: OnceLock::new(),
         });
         self.frames.len() - 1
     }
 
-    /// Groups the window the chooser just decoded, whose block is the
-    /// last `plain` bytes, stored under `codec`, by its tags, and appends
+    /// Groups the window the chooser just decoded, whose block is `plain`
+    /// bytes, stored under `codec`, by its tags, and appends
     /// the id slot and body of its templated block. Returns the group, or
     /// [`NO_GROUP`] — and appends nothing — unless that block is the
     /// smaller.
     ///
-    /// A window that opens a group is sized, not written, when it is
-    /// stored as packed rows: it is its own template, so it has no
-    /// exception, and its rows less their tag and payload columns are its
-    /// time column. That is every window of a shape seen once, whose
-    /// template never pays for itself.
-    fn shape(&mut self, start_ns: u64, codec: CodecId, plain: usize) -> u32 {
-        let events = self.chooser.events();
-        let is_group = |group: u32| {
-            self.shapes
-                .rows(group as usize)
-                .is_some_and(|rows| has_shape(rows, events))
-        };
-        let (hash, found) = if is_group(self.last) {
-            (0, Some(self.last))
+    /// The window is matched against a group's template and its
+    /// exceptions written in one loop, first against the group of the
+    /// window pushed last; its time column is the chooser's. A window that
+    /// opens a group is sized, not written, when it is stored as packed
+    /// rows: it is its own template, so it has no exception, and
+    /// [`SegmentCoder::finish`] copies its time column out of its rows if
+    /// the template is admitted. That is every window of a shape seen
+    /// once, whose template never pays for itself.
+    fn shape(&mut self, codec: CodecId, plain: usize) -> u32 {
+        let start = self.bytes.len();
+        let (group, opens) = if self.put_slot_and_exceptions(self.last) {
+            (self.last, false)
         } else {
-            let hash = shape_hash(events);
-            (hash, self.groups.get(&hash).copied())
-        };
-        let (group, opens) = match found {
-            Some(group) if is_group(group) => (group, false),
-            _ => {
-                // (A colliding shape gets a group of its own, unindexed.)
-                let group = self.shapes.len() as u32;
-                if found.is_none() {
-                    self.groups.insert(hash, group);
+            let hash = shape_hash(self.chooser.events());
+            match self.groups.get(&hash).copied() {
+                Some(group) if self.put_slot_and_exceptions(group) => (group, false),
+                found => {
+                    // (A colliding shape gets a group of its own, unindexed.)
+                    let group = self.shapes.len() as u32;
+                    if found.is_none() {
+                        self.groups.insert(hash, group);
+                    }
+                    self.shapes.push(self.chooser.events());
+                    self.saved.push(0);
+                    (group, true)
                 }
-                self.shapes.push(events);
-                self.saved.push(0);
-                (group, true)
             }
         };
         self.last = group;
-        let Some(template) = self.shapes.rows(group as usize) else {
-            return NO_GROUP;
-        };
         // A group's number bounds the id it gets — ids count the admitted
         // groups only — so its varint is room enough for the id.
-        let (slot, start) = (varint_len(u64::from(group)), self.bytes.len());
+        let slot = varint_len(u64::from(group));
+        let times = self.chooser.times();
         let templated = if opens && codec == CodecId::Packed {
-            let columns: usize = template
-                .iter()
-                .map(|&(tag, payload)| varint_len(u64::from(tag)) + varint_len(u64::from(payload)))
-                .sum();
             // The slot, `E = 0` and the time column.
-            slot + 1 + plain - columns
+            slot + 1 + times.len()
         } else {
-            self.bytes.resize(start + slot, 0);
-            put_exceptions(template, events, &mut self.bytes);
-            put_times(events, start_ns, &mut self.bytes);
+            if opens {
+                self.bytes.resize(start + slot + 1, 0);
+            }
+            self.bytes.extend_from_slice(times);
             self.bytes.len() - start
         };
         if templated >= plain {
@@ -666,6 +681,23 @@ impl SegmentCoder {
         }
         self.saved[group as usize] += plain - templated;
         group
+    }
+
+    /// Appends the id slot of `group` and the exception list of the window
+    /// the chooser just decoded against the group's template, when the
+    /// window has the template's tags. Returns whether it does; when not,
+    /// nothing is appended.
+    fn put_slot_and_exceptions(&mut self, group: u32) -> bool {
+        let Some(template) = self.shapes.rows(group as usize) else {
+            return false;
+        };
+        let start = self.bytes.len();
+        self.bytes.resize(start + varint_len(u64::from(group)), 0);
+        if put_exceptions(template, self.chooser.events(), &mut self.bytes) {
+            return true;
+        }
+        self.bytes.truncate(start);
+        false
     }
 
     /// Pass 2: admits the template of every group whose windows save more
@@ -700,19 +732,19 @@ impl SegmentCoder {
                 continue;
             }
             let slot = varint_len(u64::from(frame.group));
-            if frame.templated.is_empty() {
+            if let (true, Some(plain)) = (frame.templated.is_empty(), &frame.plain) {
                 // The slot, `E = 0`, and the time varint of every row.
                 let from = self.bytes.len();
                 self.bytes.resize(from + slot + 1, 0);
                 let rows = self.shapes.rows(frame.group as usize).map_or(0, <[_]>::len);
-                let mut at = frame.start;
+                let mut at = plain.start;
                 for _ in 0..rows {
                     let time = at;
-                    take_minimal_u64(&self.bytes[..frame.plain_end], &mut at);
+                    take_minimal_u64(&self.bytes[..plain.end], &mut at);
                     self.bytes.extend_from_within(time..at);
                     // The tag and the payload.
-                    take_minimal_u64(&self.bytes[..frame.plain_end], &mut at);
-                    take_minimal_u64(&self.bytes[..frame.plain_end], &mut at);
+                    take_minimal_u64(&self.bytes[..plain.end], &mut at);
+                    take_minimal_u64(&self.bytes[..plain.end], &mut at);
                 }
                 frame.templated = from..self.bytes.len();
             }
@@ -743,17 +775,60 @@ impl SegmentCoder {
     /// block when `templated` — the segment keeps the table — and the
     /// frame has one, which is then the smaller; otherwise the smallest
     /// of `EDV`, packed rows and the payload. Identity's block is the
-    /// payload.
+    /// payload. Packed rows that a templated block stands for are written
+    /// from it the first time they are asked for.
     ///
     /// # Panics
     ///
     /// When `frame` is not a number [`SegmentCoder::push`] returned.
     pub fn block(&self, frame: usize, templated: bool) -> (CodecId, &[u8]) {
         let coded = &self.frames[frame];
-        match self.templated_start(coded) {
-            Some(from) if templated => (CodecId::Templated, &self.bytes[from..coded.templated.end]),
-            _ => (coded.codec, &self.bytes[coded.start..coded.plain_end]),
+        match (self.templated_start(coded), &coded.plain) {
+            (Some(from), _) if templated => {
+                (CodecId::Templated, &self.bytes[from..coded.templated.end])
+            }
+            (_, Some(plain)) => (coded.codec, &self.bytes[plain.clone()]),
+            (_, None) => (coded.codec, coded.rows.get_or_init(|| self.rows_of(coded))),
         }
+    }
+
+    /// The length of [`SegmentCoder::block`]`(frame, templated)`, without
+    /// writing a block that is not written yet.
+    ///
+    /// # Panics
+    ///
+    /// When `frame` is not a number [`SegmentCoder::push`] returned.
+    pub fn block_len(&self, frame: usize, templated: bool) -> usize {
+        let coded = &self.frames[frame];
+        match self.templated_start(coded) {
+            Some(from) if templated => coded.templated.end - from,
+            _ => coded.plain_len,
+        }
+    }
+
+    /// The packed rows of `frame`, whose templated body is written and
+    /// whose rows are not: its template's rows, the body's exceptions in
+    /// place of their payloads, behind the body's time column.
+    fn rows_of(&self, frame: &Coded) -> Vec<u8> {
+        let template = self.shapes.rows(frame.group as usize).unwrap_or_default();
+        let slot = varint_len(u64::from(frame.group));
+        let body = &self.bytes[frame.templated.start + slot..frame.templated.end];
+        let (mut at, mut next) = (0, 0);
+        let listed = take_minimal_u64(body, &mut at).unwrap_or(0);
+        let exceptions: Vec<(usize, u32)> = (0..listed)
+            .map_while(|_| take_exception(body, &mut at, &mut next, template.len()).ok())
+            .collect();
+        let mut exceptions = exceptions.into_iter().peekable();
+        let rows = template
+            .iter()
+            .enumerate()
+            .map(|(position, &(tag, payload))| {
+                let exception = exceptions.next_if(|&(listed, _)| listed == position);
+                (tag, exception.map_or(payload, |(_, payload)| payload))
+            });
+        let mut out = Vec::with_capacity(frame.plain_len);
+        put_rows(&body[at..], rows, &mut out);
+        out
     }
 }
 

@@ -21,9 +21,10 @@ pub fn encode_u64(mut value: u64, out: &mut Vec<u8>) {
 #[inline]
 pub fn varint_len(value: u64) -> usize {
     // Bits in the value (at least one, so zero still costs a byte),
-    // seven payload bits per varint byte.
+    // seven payload bits per varint byte: `(9 * bits + 64) / 64` is
+    // `ceil(bits / 7)` for every `bits` from 1 to 64, without a division.
     let bits = 64 - (value | 1).leading_zeros() as usize;
-    bits.div_ceil(7)
+    (9 * bits + 64) / 64
 }
 
 /// Decodes an LEB128 varint starting at `offset`, returning the value and
@@ -74,7 +75,9 @@ pub fn take_minimal_u64(bytes: &[u8], at: &mut usize) -> Option<u64> {
     // The longer ones — a timestamp delta, most often — in place, without
     // the error values of `decode_u64`: a tenth byte holds one bit.
     let mut value = u64::from(first & 0x7f);
-    for (index, &byte) in rest.iter().enumerate().take(10).skip(1) {
+    let mut index = 1;
+    while index < 10 {
+        let byte = *rest.get(index)?;
         let bits = u64::from(byte & 0x7f);
         if index == 9 && bits > 1 {
             return None;
@@ -84,6 +87,7 @@ pub fn take_minimal_u64(bytes: &[u8], at: &mut usize) -> Option<u64> {
             *at += index + 1;
             return (byte != 0).then_some(value);
         }
+        index += 1;
     }
     None
 }
