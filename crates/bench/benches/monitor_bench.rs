@@ -10,8 +10,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 
 use endurance_core::{DriftGateConfig, MonitorConfig, OnlineMonitor, ReferenceModel};
 use mm_sim::{Scenario, Simulation};
-use trace_model::window::{TimeWindower, Windower};
-use trace_model::{Timestamp, Window};
+use trace_model::{Timestamp, Window, WindowAssembler};
 
 struct Fixture {
     reference: Vec<Window>,
@@ -31,10 +30,10 @@ fn fixture() -> Fixture {
     let events: Vec<_> = Simulation::new(&scenario, &registry)
         .expect("simulation")
         .collect();
-    let windower = TimeWindower::new(Duration::from_millis(40)).expect("windower");
     let reference_end = Timestamp::from(scenario.reference_duration);
-    let (reference, monitored) = windower
-        .windows(events.into_iter())
+    let (reference, monitored) = WindowAssembler::for_time(Duration::from_millis(40))
+        .expect("window length")
+        .windows(events)
         .partition(|w: &Window| w.end <= reference_end);
     Fixture {
         reference,

@@ -7,8 +7,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 
 use endurance_core::WindowPmf;
 use mm_sim::{Scenario, Simulation};
-use trace_model::window::{CountWindower, TimeWindower, Windower};
-use trace_model::TraceEvent;
+use trace_model::{TraceEvent, WindowAssembler};
 
 fn simulated_events(seconds: u64) -> Vec<TraceEvent> {
     let scenario = Scenario::reference(Duration::from_secs(seconds), 3).expect("scenario");
@@ -23,28 +22,22 @@ fn bench_windowing(c: &mut Criterion) {
     let mut group = c.benchmark_group("windowing");
     group.throughput(Throughput::Elements(events.len() as u64));
     group.bench_function("time_40ms", |bench| {
-        let windower = TimeWindower::new(Duration::from_millis(40)).unwrap();
-        bench.iter(|| {
-            windower
-                .windows(black_box(events.clone()).into_iter())
-                .count()
-        })
+        let assembler = WindowAssembler::for_time(Duration::from_millis(40)).unwrap();
+        bench.iter(|| assembler.clone().windows(black_box(events.clone())).count())
     });
     group.bench_function("count_512", |bench| {
-        let windower = CountWindower::new(512).unwrap();
-        bench.iter(|| {
-            windower
-                .windows(black_box(events.clone()).into_iter())
-                .count()
-        })
+        let assembler = WindowAssembler::for_count(512).unwrap();
+        bench.iter(|| assembler.clone().windows(black_box(events.clone())).count())
     });
     group.finish();
 }
 
 fn bench_pmf(c: &mut Criterion) {
     let events = simulated_events(10);
-    let windower = TimeWindower::new(Duration::from_millis(40)).unwrap();
-    let windows: Vec<_> = windower.windows(events.into_iter()).collect();
+    let windows: Vec<_> = WindowAssembler::for_time(Duration::from_millis(40))
+        .unwrap()
+        .windows(events)
+        .collect();
     let mut group = c.benchmark_group("pmf");
     group.throughput(Throughput::Elements(windows.len() as u64));
     group.bench_function("from_window_dim14", |bench| {

@@ -19,8 +19,7 @@ use endurance_core::{
 };
 use endurance_eval::format_bytes;
 use mm_sim::{Scenario, Simulation};
-use trace_model::window::{TimeWindower, Windower};
-use trace_model::{Timestamp, TraceEvent, Window};
+use trace_model::{Timestamp, TraceEvent, Window, WindowAssembler};
 
 fn main() -> Result<(), Box<dyn Error>> {
     let seconds: u64 = std::env::args()
@@ -40,11 +39,11 @@ fn main() -> Result<(), Box<dyn Error>> {
         scenario.name
     );
     let events: Vec<TraceEvent> = Simulation::new(&scenario, &registry)?.collect();
-    let windower = TimeWindower::new(Duration::from_millis(40))?;
     let reference_end = Timestamp::from(scenario.reference_duration);
-    let (reference, monitored): (Vec<Window>, Vec<Window>) = windower
-        .windows(events.into_iter())
-        .partition(|w| w.end <= reference_end);
+    let (reference, monitored): (Vec<Window>, Vec<Window>) =
+        WindowAssembler::for_time(Duration::from_millis(40))?
+            .windows(events)
+            .partition(|w| w.end <= reference_end);
 
     // 1. Period detection on the per-window decode activity.
     let decode_id = registry

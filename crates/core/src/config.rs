@@ -109,6 +109,11 @@ impl MonitorConfig {
                     "time window duration must be non-zero".into(),
                 ))
             }
+            WindowStrategy::Time(d) if u64::try_from(d.as_nanos()).is_err() => {
+                return Err(CoreError::InvalidConfig(format!(
+                    "time window duration must be under 2^64 ns, got {d:?}"
+                )))
+            }
             WindowStrategy::Count(0) => {
                 return Err(CoreError::InvalidConfig(
                     "count window size must be at least 1".into(),
@@ -291,6 +296,17 @@ mod tests {
             .window(WindowStrategy::Time(Duration::ZERO))
             .build()
             .is_err());
+        for past_a_timestamp in [
+            Duration::from_nanos(u64::MAX) + Duration::from_nanos(1),
+            Duration::MAX,
+        ] {
+            let mut config = MonitorConfig::paper_defaults(4).unwrap();
+            config.window = WindowStrategy::Time(past_a_timestamp);
+            assert!(matches!(
+                config.validate(),
+                Err(CoreError::InvalidConfig(_))
+            ));
+        }
         assert!(MonitorConfig::builder()
             .dimensions(4)
             .merge_weight(0.0)

@@ -247,7 +247,7 @@ impl ReductionSession<MemorySink, NullObserver> {
         config.validate()?;
         let reference_end = Timestamp::from(config.reference_duration);
         Ok(ReductionSession {
-            assembler: Self::assembler_for(&config),
+            assembler: Self::assembler_for(&config)?,
             state: PhaseState::Learning {
                 reference: Vec::new(),
             },
@@ -294,7 +294,7 @@ impl ReductionSession<MemorySink, NullObserver> {
         let mut monitor = OnlineMonitor::new(model);
         monitor.set_alpha(config.alpha);
         Ok(ReductionSession {
-            assembler: Self::assembler_for(&config),
+            assembler: Self::assembler_for(&config)?,
             state: PhaseState::Monitoring {
                 monitor: Box::new(monitor),
                 reference_count,
@@ -313,15 +313,11 @@ impl ReductionSession<MemorySink, NullObserver> {
 }
 
 impl<S: EventSink, O: DecisionObserver> ReductionSession<S, O> {
-    fn assembler_for(config: &MonitorConfig) -> WindowAssembler {
-        match config.window {
-            WindowStrategy::Time(duration) => {
-                WindowAssembler::for_time(duration).expect("validated by MonitorConfig")
-            }
-            WindowStrategy::Count(size) => {
-                WindowAssembler::for_count(size).expect("validated by MonitorConfig")
-            }
-        }
+    fn assembler_for(config: &MonitorConfig) -> Result<WindowAssembler, CoreError> {
+        Ok(match config.window {
+            WindowStrategy::Time(duration) => WindowAssembler::for_time(duration)?,
+            WindowStrategy::Count(size) => WindowAssembler::for_count(size)?,
+        })
     }
 
     /// Replaces the event sink, keeping every other setting.

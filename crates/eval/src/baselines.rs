@@ -11,9 +11,8 @@
 use serde::{Deserialize, Serialize};
 
 use lof_anomaly::{l1_normalize, RateThresholdDetector, ZScoreDetector};
-use mm_sim::{simulate_to_vec, Scenario};
-use trace_model::window::{TimeWindower, Windower};
-use trace_model::{Timestamp, Window};
+use mm_sim::{Scenario, Simulation};
+use trace_model::{Timestamp, TraceEvent, Window, WindowAssembler};
 
 use crate::{ConfusionMatrix, DelayCalibration, EvalError, GroundTruth, WindowLabel};
 
@@ -101,13 +100,14 @@ pub fn run_baselines(
     for kind in kinds {
         validate(kind)?;
     }
-    let (_registry, events, _summary) = simulate_to_vec(scenario)?;
+    let registry = scenario.registry()?;
+    let events: Vec<TraceEvent> = Simulation::new(scenario, &registry)?.collect();
     let delays = DelayCalibration::from_events(&scenario.perturbations, &events)
         .unwrap_or_else(DelayCalibration::zero);
     let truth = GroundTruth::from_schedule(&scenario.perturbations, delays);
 
-    let windower = TimeWindower::new(scenario.frame_period)?;
-    let dimensions = scenario.registry()?.len();
+    let windows = WindowAssembler::for_time(scenario.frame_period)?.windows(events);
+    let dimensions = registry.len();
     let reference_end = Timestamp::from(scenario.reference_duration);
 
     // Single streaming pass, in the spirit of the push-based session API:
@@ -124,7 +124,7 @@ pub fn run_baselines(
     let mut total_bytes = 0u64;
     let mut monitored_index = 0usize;
 
-    for window in windower.windows(events.into_iter()) {
+    for window in windows {
         if window.end <= reference_end {
             reference_counts.push(window.len() as f64);
             let counts: Vec<f64> = window

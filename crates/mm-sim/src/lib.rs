@@ -18,6 +18,10 @@
 //! * after the perturbation ends the impact persists for another delay Δe
 //!   until the buffer refills.
 //!
+//! The event stream is the simulator's one output: what a run did —
+//! frames decoded and rendered, underruns, starved audio chunks — is
+//! counted from its events, exactly as the monitor sees it.
+//!
 //! ## Quick example
 //!
 //! ```rust
@@ -52,7 +56,6 @@ mod scenario;
 mod scheduler;
 mod sim;
 mod tracegen;
-mod workload;
 
 pub use element::{ElementSpec, MediaKind};
 pub use error::SimError;
@@ -69,4 +72,3 @@ pub use scenario::{Scenario, ScenarioBuilder};
 pub use scheduler::CpuModel;
 pub use sim::EventQueue;
 pub use tracegen::{qos_event_names, Simulation};
-pub use workload::{simulate_to_vec, WorkloadSummary};

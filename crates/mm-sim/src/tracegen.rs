@@ -75,11 +75,6 @@ pub struct Simulation {
     next_frame_number: u64,
     in_flight: Option<InFlightFrame>,
     pending: VecDeque<TraceEvent>,
-    // Counters.
-    decoded_frames: u64,
-    presented_frames: u64,
-    underrun_ticks: u64,
-    starved_chunks: u64,
 }
 
 impl Simulation {
@@ -132,36 +127,7 @@ impl Simulation {
             next_frame_number: 0,
             in_flight: None,
             pending: VecDeque::new(),
-            decoded_frames: 0,
-            presented_frames: 0,
-            underrun_ticks: 0,
-            starved_chunks: 0,
         })
-    }
-
-    /// Number of frames fully decoded so far.
-    pub fn decoded_frames(&self) -> u64 {
-        self.decoded_frames
-    }
-
-    /// Number of frames presented on time so far.
-    pub fn presented_frames(&self) -> u64 {
-        self.presented_frames
-    }
-
-    /// Number of ticks on which the video sink underran so far.
-    pub fn underrun_ticks(&self) -> u64 {
-        self.underrun_ticks
-    }
-
-    /// Number of audio chunks that missed their deadline so far.
-    pub fn starved_chunks(&self) -> u64 {
-        self.starved_chunks
-    }
-
-    /// Simulated time at the start of the next tick.
-    pub fn current_time(&self) -> Timestamp {
-        Timestamp::from_nanos(self.tick_index * self.frame_period.as_nanos() as u64)
     }
 
     fn frame_size_for(&mut self, kind: FrameKind) -> u32 {
@@ -201,7 +167,6 @@ impl Simulation {
                     self.pending.push_back(TraceEvent::new(at, *ty, chunk));
                 } else {
                     wall_left = 0.0;
-                    self.starved_chunks += 1;
                     self.pending.push_back(
                         TraceEvent::new(tick_last, self.qos_audio_starved, chunk)
                             .with_severity(Severity::Error),
@@ -262,7 +227,6 @@ impl Simulation {
                 if flight.stage == self.video_stages.len() {
                     let pushed = self.buffer.push_frame();
                     debug_assert!(pushed, "decode-ahead only starts frames when room exists");
-                    self.decoded_frames += 1;
                     self.in_flight = None;
                 } else {
                     flight.remaining_cpu = self.video_stages[flight.stage]
@@ -286,7 +250,6 @@ impl Simulation {
         match self.buffer.tick_present() {
             PresentOutcome::Prebuffering => {}
             PresentOutcome::Presented => {
-                self.presented_frames += 1;
                 if self.buffer.occupancy() < self.resume_threshold {
                     self.pending.push_back(
                         TraceEvent::new(tick_last, self.qos_late, self.buffer.occupancy() as u32)
@@ -295,7 +258,6 @@ impl Simulation {
                 }
             }
             PresentOutcome::Resumed => {
-                self.presented_frames += 1;
                 self.pending.push_back(TraceEvent::new(
                     tick_last,
                     self.qos_resume,
@@ -303,7 +265,6 @@ impl Simulation {
                 ));
             }
             PresentOutcome::Underrun => {
-                self.underrun_ticks += 1;
                 self.pending.push_back(
                     TraceEvent::new(tick_last, self.qos_underrun, self.buffer.occupancy() as u32)
                         .with_severity(Severity::Error),
@@ -335,33 +296,37 @@ impl Iterator for Simulation {
 mod tests {
     use super::*;
     use crate::{PerturbationInterval, PerturbationSchedule};
-    use trace_model::TraceStats;
 
-    fn run(scenario: &Scenario) -> (EventTypeRegistry, Vec<TraceEvent>, TraceStats) {
+    fn run(scenario: &Scenario) -> (EventTypeRegistry, Vec<TraceEvent>) {
         let registry = scenario.registry().unwrap();
         let events: Vec<_> = Simulation::new(scenario, &registry).unwrap().collect();
-        let stats = TraceStats::from_events(&events);
-        (registry, events, stats)
+        (registry, events)
+    }
+
+    /// Events of the type registered as `name`.
+    fn count_of(registry: &EventTypeRegistry, events: &[TraceEvent], name: &str) -> u64 {
+        let id = registry.id_of(name).unwrap();
+        events.iter().filter(|ev| ev.event_type == id).count() as u64
+    }
+
+    fn error_count(events: &[TraceEvent]) -> usize {
+        events.iter().filter(|ev| ev.is_error()).count()
     }
 
     #[test]
     fn clean_run_is_regular_and_error_free() {
         let scenario = Scenario::reference(Duration::from_secs(20), 1).unwrap();
-        let (registry, events, stats) = run(&scenario);
-        assert!(
-            stats.total_events() > 5_000,
-            "20 s should emit thousands of events"
-        );
+        let (registry, events) = run(&scenario);
+        assert!(events.len() > 5_000, "20 s should emit thousands of events");
         assert_eq!(
-            stats.error_events(),
+            error_count(&events),
             0,
             "clean run must not report QoS errors"
         );
         // Timestamps are non-decreasing.
         assert!(events.windows(2).all(|w| w[0].timestamp <= w[1].timestamp));
         // Roughly one presented frame per tick once playback started.
-        let decode_id = registry.id_of("video.decode").unwrap();
-        let decodes = stats.events_of_type(decode_id);
+        let decodes = count_of(&registry, &events, "video.decode");
         let ticks = scenario.tick_count();
         assert!(decodes >= ticks - 30 && decodes <= ticks + 30);
     }
@@ -369,11 +334,11 @@ mod tests {
     #[test]
     fn simulation_is_deterministic_for_a_seed() {
         let scenario = Scenario::reference(Duration::from_secs(5), 42).unwrap();
-        let (_, a, _) = run(&scenario);
-        let (_, b, _) = run(&scenario);
+        let (_, a) = run(&scenario);
+        let (_, b) = run(&scenario);
         assert_eq!(a, b);
         let scenario_other = Scenario::reference(Duration::from_secs(5), 43).unwrap();
-        let (_, c, _) = run(&scenario_other);
+        let (_, c) = run(&scenario_other);
         assert_ne!(a, c);
     }
 
@@ -394,9 +359,9 @@ mod tests {
             .seed(7)
             .build()
             .unwrap();
-        let (_, events, stats) = run(&scenario);
+        let (_, events) = run(&scenario);
         assert!(
-            stats.error_events() > 0,
+            error_count(&events) > 0,
             "perturbation must cause QoS errors"
         );
 
@@ -436,7 +401,7 @@ mod tests {
             .seed(3)
             .build()
             .unwrap();
-        let (registry, events, _) = run(&scenario);
+        let (registry, events) = run(&scenario);
         let decode_id = registry.id_of("video.decode").unwrap();
         let in_range = |ev: &TraceEvent, lo: u64, hi: u64| {
             ev.timestamp >= Timestamp::from_secs(lo) && ev.timestamp < Timestamp::from_secs(hi)
@@ -456,22 +421,38 @@ mod tests {
     }
 
     #[test]
-    fn counters_are_consistent_with_the_event_stream() {
+    fn a_clean_run_renders_at_most_what_it_decodes() {
         let scenario = Scenario::reference(Duration::from_secs(10), 5).unwrap();
-        let registry = scenario.registry().unwrap();
-        let mut sim = Simulation::new(&scenario, &registry).unwrap();
-        let events: Vec<_> = sim.by_ref().collect();
-        let underrun_id = registry.id_of("qos.video.underrun").unwrap();
-        let underruns = events
-            .iter()
-            .filter(|ev| ev.event_type == underrun_id)
-            .count();
-        assert_eq!(sim.underrun_ticks(), underruns as u64);
-        assert!(sim.decoded_frames() > 0);
-        assert!(sim.presented_frames() > 0);
-        assert!(sim.presented_frames() <= sim.decoded_frames());
-        assert_eq!(sim.starved_chunks(), 0);
-        assert_eq!(sim.current_time(), Timestamp::from(scenario.duration));
+        let (registry, events) = run(&scenario);
+        // A frame's last stage (the sink) follows its first (the decoder).
+        let decoded = count_of(&registry, &events, "video.decode");
+        let rendered = count_of(&registry, &events, "video.sink.render");
+        assert!(rendered > 0);
+        assert!(rendered <= decoded);
+        for qos in ["qos.video.underrun", "qos.audio.starved"] {
+            assert_eq!(count_of(&registry, &events, qos), 0, "{qos}");
+        }
+        let last = events.last().unwrap().timestamp;
+        assert!(last < Timestamp::from(scenario.duration));
+        assert!(last >= Timestamp::from(scenario.duration - scenario.frame_period));
+    }
+
+    #[test]
+    fn a_short_clean_run_decodes_every_tick() {
+        let scenario = Scenario::reference(Duration::from_secs(8), 11).unwrap();
+        let (registry, events) = run(&scenario);
+        assert!(registry.len() > 10);
+        assert_eq!(error_count(&events), 0);
+        assert!(count_of(&registry, &events, "video.sink.render") > 150);
+    }
+
+    #[test]
+    fn an_endurance_run_underruns() {
+        let scenario = Scenario::scaled_endurance(Duration::from_secs(520), 2).unwrap();
+        let (registry, events) = run(&scenario);
+        let underruns = count_of(&registry, &events, "qos.video.underrun");
+        assert!(underruns > 0);
+        assert!(error_count(&events) as u64 >= underruns);
     }
 
     #[test]

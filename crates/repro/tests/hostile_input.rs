@@ -220,3 +220,20 @@ fn resealed_around_no_model_is_refused(fixture: &[u8]) {
         ));
     }
 }
+
+#[test]
+fn a_resealed_window_past_2_pow_64_ns_is_a_typed_error_from_verify() {
+    // The monitor configuration reaches the window assembler from the
+    // artifact's bytes: a window of 2^64 ns (the first length a timestamp
+    // cannot hold), sealed as the crate seals, must be refused, not cut.
+    let mut artifact = ReproArtifact::from_bytes(GOLDEN).unwrap();
+    artifact.monitor.window = endurance_core::WindowStrategy::Time(
+        std::time::Duration::from_nanos(u64::MAX) + std::time::Duration::from_nanos(1),
+    );
+    artifact.seal();
+    let resealed = ReproArtifact::from_bytes(&artifact.to_bytes().unwrap()).unwrap();
+    match resealed.verify() {
+        Err(ReproError::Core(endurance_core::CoreError::InvalidConfig(_))) => {}
+        other => panic!("a 2^64 ns window was not refused: {other:?}"),
+    }
+}

@@ -1,7 +1,9 @@
 //! # trace-model
 //!
 //! Event model, trace streams, window segmentation and compact codecs for
-//! embedded execution traces.
+//! embedded execution traces. A trace is seen only as windows: one
+//! engine, [`WindowAssembler`], cuts every consumer's windows, pushed one
+//! event at a time or pulled through [`WindowAssembler::windows`].
 //!
 //! This crate is the substrate shared by the whole workspace: the
 //! multimedia-pipeline simulator ([`mm-sim`]) produces [`TraceEvent`]s, the
@@ -16,7 +18,7 @@
 //!
 //! ```rust
 //! use trace_model::{EventTypeRegistry, TraceEvent, Timestamp, Severity};
-//! use trace_model::window::{CountWindower, Windower};
+//! use trace_model::WindowAssembler;
 //!
 //! # fn main() -> Result<(), trace_model::TraceError> {
 //! let mut registry = EventTypeRegistry::new();
@@ -30,7 +32,7 @@
 //!     })
 //!     .collect();
 //!
-//! let windows: Vec<_> = CountWindower::new(25)?.windows(events.into_iter()).collect();
+//! let windows: Vec<_> = WindowAssembler::for_count(25)?.windows(events).collect();
 //! assert_eq!(windows.len(), 4);
 //! assert!(windows.iter().all(|w| w.len() == 25));
 //! # Ok(())
@@ -49,7 +51,6 @@ mod error;
 mod event;
 pub mod live;
 mod registry;
-mod stats;
 pub mod stream;
 mod timestamp;
 pub mod window;
@@ -58,7 +59,6 @@ pub use error::TraceError;
 pub use event::{EventTypeId, Severity, TraceEvent};
 pub use live::{CommitWatermark, SubscriptionStats};
 pub use registry::{EventTypeInfo, EventTypeRegistry};
-pub use stats::TraceStats;
 pub use stream::{
     CountingSink, EventSink, EventSource, InterleavedStreams, MemorySink, MemorySource, RecordMeta,
     StreamId,

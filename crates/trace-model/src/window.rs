@@ -2,12 +2,18 @@
 //!
 //! The tracing hardware delivers events in buffers of `N` consecutive
 //! events; the paper's monitor uses such a buffer (or a fixed time slice,
-//! 40 ms in the experiments) as its elementary processing unit. Two
-//! [`Windower`] implementations are provided:
+//! 40 ms in the experiments) as its elementary processing unit.
+//! [`WindowAssembler`] is the one windowing engine, in either form:
 //!
-//! * [`CountWindower`] — fixed number of events per window,
-//! * [`TimeWindower`] — fixed trace-time duration per window.
+//! * [`WindowAssembler::for_count`] — fixed number of events per window,
+//! * [`WindowAssembler::for_time`] — fixed trace-time length per window,
+//!
+//! fed one event at a time ([`WindowAssembler::push`]) or wrapped around a
+//! whole event iterator ([`WindowAssembler::windows`]).
 
+use std::collections::VecDeque;
+use std::convert::Infallible;
+use std::iter::Fuse;
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
@@ -55,8 +61,10 @@ pub struct Window {
     pub id: WindowId,
     /// Timestamp at which the window starts (inclusive).
     pub start: Timestamp,
-    /// Timestamp at which the window ends (exclusive); for count-based
-    /// windows this is the timestamp of the last event plus one nanosecond.
+    /// Timestamp at which the window ends (exclusive, except that a window
+    /// ending at [`Timestamp::MAX`] holds the events at it); for
+    /// count-based windows this is the timestamp of the last event plus
+    /// one nanosecond.
     pub end: Timestamp,
     /// The events that fall inside the window, in timestamp order.
     pub events: Vec<TraceEvent>,
@@ -91,7 +99,9 @@ impl Window {
     /// The midpoint of the window, used when matching windows against
     /// ground-truth intervals.
     pub fn midpoint(&self) -> Timestamp {
-        Timestamp::from_nanos((self.start.as_nanos() + self.end.as_nanos()) / 2)
+        // The mean of two `u64`s fits a `u64`; their sum may not.
+        let sum = u128::from(self.start.as_nanos()) + u128::from(self.end.as_nanos());
+        Timestamp::from_nanos((sum / 2) as u64)
     }
 
     /// Counts occurrences of each event type, producing a dense vector of
@@ -156,111 +166,24 @@ impl Window {
     }
 }
 
-/// Splits a stream of events into [`Window`]s.
-pub trait Windower {
-    /// Wraps an event iterator into a window iterator.
-    fn windows<I>(&self, events: I) -> WindowIter<I>
-    where
-        I: Iterator<Item = TraceEvent>;
-}
-
-/// Strategy used by [`WindowIter`] to decide window boundaries.
+/// Where [`WindowAssembler`] closes a window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Boundary {
+    /// After this many events.
     Count(usize),
-    Time(Duration),
-}
-
-/// Windower producing windows of a fixed number of events.
-///
-/// This matches the "windows of `N` consecutive events" delivered by the
-/// tracing hardware buffers described in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CountWindower {
-    size: usize,
-}
-
-impl CountWindower {
-    /// Creates a windower emitting windows of exactly `size` events (the
-    /// final window of a trace may be shorter).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::InvalidWindowConfig`] if `size` is zero.
-    pub fn new(size: usize) -> Result<Self, TraceError> {
-        if size == 0 {
-            return Err(TraceError::InvalidWindowConfig(
-                "count window size must be at least 1".into(),
-            ));
-        }
-        Ok(CountWindower { size })
-    }
-
-    /// The configured number of events per window.
-    pub fn size(&self) -> usize {
-        self.size
-    }
-}
-
-impl Windower for CountWindower {
-    fn windows<I>(&self, events: I) -> WindowIter<I>
-    where
-        I: Iterator<Item = TraceEvent>,
-    {
-        WindowIter::new(events, Boundary::Count(self.size))
-    }
-}
-
-/// Windower producing windows of a fixed trace-time duration (the paper's
-/// experiments use 40 ms).
-///
-/// Empty time slices produce empty windows so that window indexes remain
-/// aligned with wall-clock time; the monitor treats empty windows as
-/// "no activity" rather than skipping them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TimeWindower {
-    duration: Duration,
-}
-
-impl TimeWindower {
-    /// Creates a windower emitting windows covering `duration` of trace
-    /// time each.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::InvalidWindowConfig`] if `duration` is zero.
-    pub fn new(duration: Duration) -> Result<Self, TraceError> {
-        if duration.is_zero() {
-            return Err(TraceError::InvalidWindowConfig(
-                "time window duration must be non-zero".into(),
-            ));
-        }
-        Ok(TimeWindower { duration })
-    }
-
-    /// The configured window duration.
-    pub fn duration(&self) -> Duration {
-        self.duration
-    }
-}
-
-impl Windower for TimeWindower {
-    fn windows<I>(&self, events: I) -> WindowIter<I>
-    where
-        I: Iterator<Item = TraceEvent>,
-    {
-        WindowIter::new(events, Boundary::Time(self.duration))
-    }
+    /// At the end of a slot this many nanoseconds long.
+    Time(u64),
 }
 
 /// Incremental, push-based window assembly: feed events one at a time,
 /// closed windows are handed to a callback as soon as their boundary is
 /// reached.
 ///
-/// This is the engine behind both the pull-based [`WindowIter`] and the
-/// streaming `ReductionSession` in `endurance-core`: there is exactly one
-/// windowing implementation, so pushing a stream event-by-event yields the
-/// same window sequence as iterating it in one batch.
+/// This is the engine behind both the pull-based [`WindowIter`]
+/// ([`WindowAssembler::windows`]) and the streaming `ReductionSession` in
+/// `endurance-core`: there is exactly one windowing implementation, so
+/// pushing a stream event-by-event yields the same window sequence as
+/// iterating it in one batch.
 ///
 /// Memory is bounded by the current (open) window: closed windows are moved
 /// out immediately.
@@ -307,21 +230,50 @@ impl WindowAssembler {
     ///
     /// Returns [`TraceError::InvalidWindowConfig`] if `size` is zero.
     pub fn for_count(size: usize) -> Result<Self, TraceError> {
-        CountWindower::new(size)?;
+        if size == 0 {
+            return Err(TraceError::InvalidWindowConfig(
+                "count window size must be at least 1".into(),
+            ));
+        }
         Ok(WindowAssembler::new(Boundary::Count(size)))
     }
 
     /// Creates an assembler emitting windows covering `duration` of trace
     /// time each, aligned down to a multiple of `duration` from the first
     /// event. Gaps in the stream produce empty windows so window indexes
-    /// stay aligned with trace time.
+    /// stay aligned with trace time; empty windows mean "no activity",
+    /// not a skipped slot.
     ///
     /// # Errors
     ///
-    /// Returns [`TraceError::InvalidWindowConfig`] if `duration` is zero.
+    /// Returns [`TraceError::InvalidWindowConfig`] if `duration` is zero
+    /// or does not fit a [`Timestamp`] (2^64 ns, about 584 years, or
+    /// more).
     pub fn for_time(duration: Duration) -> Result<Self, TraceError> {
-        TimeWindower::new(duration)?;
-        Ok(WindowAssembler::new(Boundary::Time(duration)))
+        match u64::try_from(duration.as_nanos()) {
+            Ok(0) => Err(TraceError::InvalidWindowConfig(
+                "time window duration must be non-zero".into(),
+            )),
+            Ok(nanos) => Ok(WindowAssembler::new(Boundary::Time(nanos))),
+            Err(_) => Err(TraceError::InvalidWindowConfig(format!(
+                "time window duration must be under 2^64 ns, got {duration:?}"
+            ))),
+        }
+    }
+
+    /// Wraps an event iterator into the iterator of its windows, the
+    /// trailing partial window included: the pull form of
+    /// [`WindowAssembler::push`] and [`WindowAssembler::finish`], yielding
+    /// exactly the windows they would emit.
+    pub fn windows<I>(self, events: I) -> WindowIter<I::IntoIter>
+    where
+        I: IntoIterator<Item = TraceEvent>,
+    {
+        WindowIter {
+            events: events.into_iter().fuse(),
+            assembler: self,
+            ready: VecDeque::new(),
+        }
     }
 
     fn new(boundary: Boundary) -> Self {
@@ -396,21 +348,22 @@ impl WindowAssembler {
                 }
                 Ok(())
             }
-            Boundary::Time(duration) => {
+            Boundary::Time(length) => {
+                let at = event.timestamp.as_nanos();
                 if !self.started {
-                    let dur_nanos = duration.as_nanos() as u64;
-                    let aligned = (event.timestamp.as_nanos() / dur_nanos) * dur_nanos;
-                    self.window_start = Timestamp::from_nanos(aligned);
+                    self.window_start = Timestamp::from_nanos(at / length * length);
                     self.started = true;
                 }
                 // Close every window (possibly empty gap windows) that ends
                 // at or before this event. On emit failure keep closing —
                 // the remaining gap windows are empty (the buffer drained
                 // into the first close) — so the event below still lands
-                // in its correct slot.
+                // in its correct slot. Measured from the window's start, a
+                // slot whose end would pass `Timestamp::MAX` never ends: it
+                // holds every later event (docs/SCENARIOS.md §6).
                 let mut failure: Option<E> = None;
-                while event.timestamp >= self.window_start.saturating_add(duration) {
-                    let window = self.close_time_window(duration);
+                while at.saturating_sub(self.window_start.as_nanos()) >= length {
+                    let window = self.close_time_window(length);
                     if failure.is_none() {
                         if let Err(error) = emit(window) {
                             failure = Some(error);
@@ -436,7 +389,7 @@ impl WindowAssembler {
         }
         let window = match self.boundary {
             Boundary::Count(_) => self.close_count_window(),
-            Boundary::Time(duration) => self.close_time_window(duration),
+            Boundary::Time(length) => self.close_time_window(length),
         };
         Some(window)
     }
@@ -466,20 +419,20 @@ impl WindowAssembler {
             .unwrap_or(Timestamp::ZERO);
         let end = buf
             .last()
-            .map(|ev| Timestamp::from_nanos(ev.timestamp.as_nanos() + 1))
+            .map(|ev| Timestamp::from_nanos(ev.timestamp.as_nanos().saturating_add(1)))
             .unwrap_or(start);
         let id = self.next_id;
         self.next_id = id.next();
         Window::new(id, start, end, buf)
     }
 
-    fn close_time_window(&mut self, duration: Duration) -> Window {
+    fn close_time_window(&mut self, length: u64) -> Window {
         let mut buf = std::mem::replace(&mut self.buf, std::mem::take(&mut self.spare));
         if !Self::is_ordered(&buf) {
             buf.sort_by_key(|ev| ev.timestamp);
         }
         let start = self.window_start;
-        let end = start.saturating_add(duration);
+        let end = Timestamp::from_nanos(start.as_nanos().saturating_add(length));
         self.window_start = end;
         let id = self.next_id;
         self.next_id = id.next();
@@ -487,32 +440,15 @@ impl WindowAssembler {
     }
 }
 
-/// Iterator over windows produced by a [`Windower`].
-///
-/// A thin pull adapter over [`WindowAssembler`]; both paths share one
-/// windowing implementation.
+/// Iterator over the windows of an event iterator, made by
+/// [`WindowAssembler::windows`].
 #[derive(Debug)]
 pub struct WindowIter<I> {
-    events: I,
+    events: Fuse<I>,
     assembler: WindowAssembler,
     /// Windows closed by the last push but not yet yielded (time gaps can
     /// close several windows per event).
-    ready: std::collections::VecDeque<Window>,
-    exhausted: bool,
-}
-
-impl<I> WindowIter<I>
-where
-    I: Iterator<Item = TraceEvent>,
-{
-    fn new(events: I, boundary: Boundary) -> Self {
-        WindowIter {
-            events,
-            assembler: WindowAssembler::new(boundary),
-            ready: std::collections::VecDeque::new(),
-            exhausted: false,
-        }
-    }
+    ready: VecDeque<Window>,
 }
 
 impl<I> Iterator for WindowIter<I>
@@ -522,32 +458,20 @@ where
     type Item = Window;
 
     fn next(&mut self) -> Option<Window> {
-        loop {
-            if let Some(window) = self.ready.pop_front() {
-                return Some(window);
-            }
-            if self.exhausted {
-                return None;
-            }
-            match self.events.next() {
-                Some(event) => {
-                    let ready = &mut self.ready;
-                    self.assembler
-                        .push::<std::convert::Infallible>(event, &mut |window| {
-                            ready.push_back(window);
-                            Ok(())
-                        })
-                        .expect("queueing a window cannot fail");
-                }
-                None => {
-                    self.exhausted = true;
-                    if let Some(window) = self.assembler.finish() {
-                        return Some(window);
-                    }
-                    return None;
-                }
+        while self.ready.is_empty() {
+            let Some(event) = self.events.next() else {
+                return self.assembler.finish();
+            };
+            let ready = &mut self.ready;
+            let pushed = self.assembler.push::<Infallible>(event, &mut |window| {
+                ready.push_back(window);
+                Ok(())
+            });
+            if let Err(never) = pushed {
+                match never {}
             }
         }
+        self.ready.pop_front()
     }
 }
 
@@ -560,29 +484,109 @@ mod tests {
         TraceEvent::new(Timestamp::from_millis(ms), EventTypeId::new(ty), 0)
     }
 
-    #[test]
-    fn count_windower_rejects_zero() {
-        assert!(CountWindower::new(0).is_err());
-        assert_eq!(CountWindower::new(5).unwrap().size(), 5);
+    fn time_windows(millis: u64, events: Vec<TraceEvent>) -> Vec<Window> {
+        WindowAssembler::for_time(Duration::from_millis(millis))
+            .unwrap()
+            .windows(events)
+            .collect()
     }
 
     #[test]
-    fn time_windower_rejects_zero() {
-        assert!(TimeWindower::new(Duration::ZERO).is_err());
+    fn a_count_window_needs_an_event() {
+        assert!(matches!(
+            WindowAssembler::for_count(0),
+            Err(TraceError::InvalidWindowConfig(_))
+        ));
+        assert!(WindowAssembler::for_count(5).is_ok());
+    }
+
+    #[test]
+    fn a_time_window_is_longer_than_zero_and_shorter_than_2_pow_64_ns() {
+        let refused = [
+            Duration::ZERO,
+            Duration::from_nanos(u64::MAX) + Duration::from_nanos(1),
+            Duration::MAX,
+        ];
+        for duration in refused {
+            assert!(
+                matches!(
+                    WindowAssembler::for_time(duration),
+                    Err(TraceError::InvalidWindowConfig(_))
+                ),
+                "{duration:?}"
+            );
+        }
+        // The longest length there is: one slot up to the end of time,
+        // which then holds the events at `Timestamp::MAX` too.
+        let at = |nanos| TraceEvent::new(Timestamp::from_nanos(nanos), EventTypeId::new(0), 0);
+        let windows: Vec<_> = WindowAssembler::for_time(Duration::from_nanos(u64::MAX))
+            .unwrap()
+            .windows([at(7), at(u64::MAX), at(u64::MAX)])
+            .collect();
+        assert_eq!(windows.len(), 2);
         assert_eq!(
-            TimeWindower::new(Duration::from_millis(40))
-                .unwrap()
-                .duration(),
-            Duration::from_millis(40)
+            (windows[0].start, windows[0].end),
+            (Timestamp::ZERO, Timestamp::MAX)
         );
+        assert_eq!(windows[0].len(), 1);
+        assert_eq!(
+            (windows[1].start, windows[1].end),
+            (Timestamp::MAX, Timestamp::MAX)
+        );
+        assert_eq!(windows[1].len(), 2);
+    }
+
+    #[test]
+    fn the_last_time_slot_holds_every_later_event() {
+        // 10 ns slots: `u64::MAX` ends in 5, so the last whole slot is
+        // [MAX - 15, MAX - 5) and the one after it would end past MAX.
+        let mut assembler = WindowAssembler::for_time(Duration::from_nanos(10)).unwrap();
+        let mut closed = Vec::new();
+        for back in [25, 12, 2, 0, 0, 1] {
+            let event = TraceEvent::new(
+                Timestamp::from_nanos(u64::MAX - back),
+                EventTypeId::new(0),
+                back as u32,
+            );
+            assembler
+                .push(event, &mut |window| {
+                    // A slot that never ends would close forever here.
+                    assert!(closed.len() < 2, "a window closed past the end of time");
+                    closed.push(window);
+                    Ok::<(), Infallible>(())
+                })
+                .unwrap();
+        }
+        let ranges: Vec<_> = closed.iter().map(|w| (w.start, w.end, w.len())).collect();
+        let at = |back| Timestamp::from_nanos(u64::MAX - back);
+        assert_eq!(ranges, vec![(at(25), at(15), 1), (at(15), at(5), 1)]);
+        let last = assembler.finish().unwrap();
+        assert_eq!((last.start, last.end), (at(5), Timestamp::MAX));
+        assert_eq!(last.midpoint(), at(3));
+        let payloads: Vec<_> = last.events.iter().map(|ev| ev.payload).collect();
+        assert_eq!(payloads, vec![2, 1, 0, 0]);
+    }
+
+    #[test]
+    fn a_count_window_at_the_end_of_time_ends_there() {
+        let events = vec![
+            ev_at(1, 0),
+            TraceEvent::new(Timestamp::MAX, EventTypeId::new(0), 0),
+        ];
+        let windows: Vec<_> = WindowAssembler::for_count(2)
+            .unwrap()
+            .windows(events)
+            .collect();
+        assert_eq!(windows.len(), 1);
+        assert_eq!(windows[0].end, Timestamp::MAX);
     }
 
     #[test]
     fn count_windows_have_exact_size_except_last() {
         let events: Vec<_> = (0..23).map(|i| ev_at(i, 0)).collect();
-        let windows: Vec<_> = CountWindower::new(10)
+        let windows: Vec<_> = WindowAssembler::for_count(10)
             .unwrap()
-            .windows(events.into_iter())
+            .windows(events)
             .collect();
         assert_eq!(windows.len(), 3);
         assert_eq!(windows[0].len(), 10);
@@ -594,7 +598,7 @@ mod tests {
 
     #[test]
     fn count_windows_on_empty_stream_is_empty() {
-        let windows: Vec<_> = CountWindower::new(4)
+        let windows: Vec<_> = WindowAssembler::for_count(4)
             .unwrap()
             .windows(std::iter::empty())
             .collect();
@@ -605,10 +609,7 @@ mod tests {
     fn time_windows_partition_by_duration() {
         // Events every 10ms for 100ms; 40ms windows -> windows of 4 events.
         let events: Vec<_> = (0..10).map(|i| ev_at(i * 10, 0)).collect();
-        let windows: Vec<_> = TimeWindower::new(Duration::from_millis(40))
-            .unwrap()
-            .windows(events.into_iter())
-            .collect();
+        let windows = time_windows(40, events);
         assert_eq!(windows.len(), 3);
         assert_eq!(windows[0].len(), 4); // 0,10,20,30
         assert_eq!(windows[1].len(), 4); // 40,50,60,70
@@ -621,10 +622,7 @@ mod tests {
     fn time_windows_emit_empty_gap_windows() {
         // Events at 0ms and 100ms; 40ms windows -> window 1 is empty.
         let events = vec![ev_at(0, 0), ev_at(100, 0)];
-        let windows: Vec<_> = TimeWindower::new(Duration::from_millis(40))
-            .unwrap()
-            .windows(events.into_iter())
-            .collect();
+        let windows = time_windows(40, events);
         assert_eq!(windows.len(), 3);
         assert_eq!(windows[0].len(), 1);
         assert!(windows[1].is_empty());
@@ -635,10 +633,7 @@ mod tests {
     fn time_windows_align_to_first_event() {
         // First event at 85ms with 40ms windows -> first window starts at 80ms.
         let events = vec![ev_at(85, 0), ev_at(90, 0), ev_at(125, 0)];
-        let windows: Vec<_> = TimeWindower::new(Duration::from_millis(40))
-            .unwrap()
-            .windows(events.into_iter())
-            .collect();
+        let windows = time_windows(40, events);
         assert_eq!(windows[0].start, Timestamp::from_millis(80));
         assert_eq!(windows[0].len(), 2);
         assert_eq!(windows[1].len(), 1);
@@ -725,17 +720,14 @@ mod tests {
         let events: Vec<_> = (0..250).map(|i| ev_at(i * 3, (i % 5) as u16)).collect();
         let total = events.len();
         for windower_size in [1usize, 7, 50, 251] {
-            let windows: Vec<_> = CountWindower::new(windower_size)
+            let windows: Vec<_> = WindowAssembler::for_count(windower_size)
                 .unwrap()
-                .windows(events.clone().into_iter())
+                .windows(events.clone())
                 .collect();
             let covered: usize = windows.iter().map(Window::len).sum();
             assert_eq!(covered, total);
         }
-        let windows: Vec<_> = TimeWindower::new(Duration::from_millis(40))
-            .unwrap()
-            .windows(events.clone().into_iter())
-            .collect();
+        let windows = time_windows(40, events.clone());
         let covered: usize = windows.iter().map(Window::len).sum();
         assert_eq!(covered, total);
     }

@@ -1,12 +1,11 @@
-//! Property-based tests for the trace model: codecs round-trip, windowers
-//! partition streams, statistics are consistent.
+//! Property-based tests for the trace model: codecs round-trip and window
+//! assembly partitions streams.
 
 use proptest::prelude::*;
 use std::time::Duration;
 
 use trace_model::codec::{BinaryDecoder, BinaryEncoder, TraceDecoder, TraceEncoder};
-use trace_model::window::{CountWindower, TimeWindower, Windower};
-use trace_model::{EventTypeId, Severity, Timestamp, TraceEvent, TraceStats};
+use trace_model::{EventTypeId, Severity, Timestamp, TraceEvent, WindowAssembler};
 
 /// Strategy producing a timestamp-ordered vector of arbitrary events.
 fn ordered_events(max_len: usize) -> impl Strategy<Value = Vec<TraceEvent>> {
@@ -42,9 +41,9 @@ proptest! {
         events in ordered_events(400),
         size in 1usize..50,
     ) {
-        let windows: Vec<_> = CountWindower::new(size)
+        let windows: Vec<_> = WindowAssembler::for_count(size)
             .unwrap()
-            .windows(events.clone().into_iter())
+            .windows(events.clone())
             .collect();
         let reassembled: Vec<TraceEvent> =
             windows.iter().flat_map(|w| w.events.iter().copied()).collect();
@@ -65,9 +64,9 @@ proptest! {
         millis in 1u64..100,
     ) {
         let duration = Duration::from_millis(millis);
-        let windows: Vec<_> = TimeWindower::new(duration)
+        let windows: Vec<_> = WindowAssembler::for_time(duration)
             .unwrap()
-            .windows(events.clone().into_iter())
+            .windows(events.clone())
             .collect();
         let reassembled: Vec<TraceEvent> =
             windows.iter().flat_map(|w| w.events.iter().copied()).collect();
@@ -84,39 +83,5 @@ proptest! {
                 prop_assert!(ev.timestamp < w.end);
             }
         }
-    }
-
-    #[test]
-    fn stats_totals_match_event_count(events in ordered_events(300)) {
-        let stats = TraceStats::from_events(&events);
-        prop_assert_eq!(stats.total_events(), events.len() as u64);
-        let per_type_sum: u64 = stats.type_histogram().map(|(_, c)| c).sum();
-        prop_assert_eq!(per_type_sum, events.len() as u64);
-        let per_sev_sum: u64 = Severity::ALL
-            .iter()
-            .map(|s| stats.events_at_severity(*s))
-            .sum();
-        prop_assert_eq!(per_sev_sum, events.len() as u64);
-    }
-
-    #[test]
-    fn stats_merge_is_equivalent_to_concatenation(
-        first in ordered_events(150),
-        second in ordered_events(150),
-    ) {
-        // Shift the second batch after the first so concatenation stays ordered.
-        let offset = first.last().map(|ev| ev.timestamp.as_nanos() + 1).unwrap_or(0);
-        let second: Vec<TraceEvent> = second
-            .into_iter()
-            .map(|ev| TraceEvent {
-                timestamp: Timestamp::from_nanos(ev.timestamp.as_nanos() + offset),
-                ..ev
-            })
-            .collect();
-        let mut merged = TraceStats::from_events(&first);
-        merged.merge(&TraceStats::from_events(&second));
-        let concatenated: Vec<TraceEvent> =
-            first.iter().copied().chain(second.iter().copied()).collect();
-        prop_assert_eq!(merged, TraceStats::from_events(&concatenated));
     }
 }

@@ -11,7 +11,11 @@
 //! * window assignment is a deterministic function of the arrival
 //!   sequence — replaying the same sequence yields identical windows;
 //! * emitted window contents are sorted by timestamp (stably, so
-//!   duplicates keep arrival order) regardless of arrival order.
+//!   duplicates keep arrival order) regardless of arrival order;
+//! * the end of time is a timestamp like any other: a window whose end
+//!   would pass `Timestamp::MAX` ends there and holds the events at it;
+//! * pulling windows through `WindowAssembler::windows` yields exactly
+//!   what pushing the events and finishing emits.
 
 use proptest::prelude::*;
 use std::time::Duration;
@@ -22,22 +26,36 @@ use trace_model::{EventTypeId, Severity, Timestamp, TraceEvent};
 /// Strategy producing an *arbitrarily ordered* event sequence: timestamps
 /// are unconstrained (so the stream reorders and regresses freely) and
 /// each generated event is repeated 1–3 times back to back (so exact
-/// duplicates occur).
+/// duplicates occur). A sequence lies either in the first 50 ms of trace
+/// time or in the last 100 ms before `u64::MAX` ns — two of the longest
+/// windows the tests cut — so the slot that would end past the end of
+/// time is exercised too; a quarter of those sit at `u64::MAX` itself.
 fn disordered_events(max_len: usize) -> impl Strategy<Value = Vec<TraceEvent>> {
-    prop::collection::vec(
-        (0u64..50_000_000, 0u16..32, any::<u32>(), 0u8..4, 1usize..4),
-        0..max_len,
+    (
+        any::<bool>(),
+        prop::collection::vec(
+            (0u64..50_000_000, 0u16..32, any::<u32>(), 0u8..4, 1usize..4),
+            0..max_len,
+        ),
     )
-    .prop_map(|raw| {
-        raw.into_iter()
-            .flat_map(|(ts, ty, payload, sev, repeat)| {
-                let event =
-                    TraceEvent::new(Timestamp::from_nanos(ts), EventTypeId::new(ty), payload)
-                        .with_severity(Severity::from_u8(sev).expect("severity in range"));
-                std::iter::repeat(event).take(repeat)
-            })
-            .collect()
-    })
+        .prop_map(|(at_the_end, raw)| {
+            raw.into_iter()
+                .flat_map(move |(ts, ty, payload, sev, repeat)| {
+                    let nanos = match (at_the_end, payload % 4) {
+                        (false, _) => ts,
+                        (true, 0) => u64::MAX,
+                        (true, _) => u64::MAX - 2 * ts,
+                    };
+                    let event = TraceEvent::new(
+                        Timestamp::from_nanos(nanos),
+                        EventTypeId::new(ty),
+                        payload,
+                    )
+                    .with_severity(Severity::from_u8(sev).expect("severity in range"));
+                    std::iter::repeat(event).take(repeat)
+                })
+                .collect()
+        })
 }
 
 /// Drives `events` through an assembler, collecting every emitted window
@@ -77,7 +95,12 @@ proptest! {
             prop_assert_eq!(w.id.index(), i as u64);
             prop_assert!(w.events.windows(2).all(|p| p[0].timestamp <= p[1].timestamp));
             prop_assert!(w.events.iter().all(|ev| ev.timestamp >= w.start));
-            prop_assert!(w.events.iter().all(|ev| ev.timestamp < w.end));
+            // The end is exclusive, except that a window ending at the
+            // end of time holds the events at it.
+            prop_assert!(w
+                .events
+                .iter()
+                .all(|ev| ev.timestamp < w.end || w.end == Timestamp::MAX));
         }
         // All but the trailing window hold exactly `size` events: window
         // *assignment* follows arrival order, not timestamp order.
@@ -123,6 +146,22 @@ proptest! {
         let first = assemble(WindowAssembler::for_time(duration).unwrap(), &events);
         let second = assemble(WindowAssembler::for_time(duration).unwrap(), &events);
         prop_assert_eq!(first, second);
+    }
+
+    #[test]
+    fn pulling_windows_is_pushing_and_finishing(
+        events in disordered_events(200),
+        size in 1usize..40,
+        millis in 1u64..50,
+    ) {
+        let assemblers = [
+            WindowAssembler::for_count(size).unwrap(),
+            WindowAssembler::for_time(Duration::from_millis(millis)).unwrap(),
+        ];
+        for assembler in assemblers {
+            let pulled: Vec<_> = assembler.clone().windows(events.clone()).collect();
+            prop_assert_eq!(pulled, assemble(assembler, &events));
+        }
     }
 
     #[test]

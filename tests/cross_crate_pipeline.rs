@@ -10,8 +10,7 @@ use endurance_core::{
 use endurance_eval::{DelayCalibration, Experiment};
 use mm_sim::{PerturbationSchedule, Scenario, Simulation};
 use trace_model::codec::{BinaryDecoder, BinaryEncoder, TraceDecoder, TraceEncoder};
-use trace_model::window::{TimeWindower, Windower};
-use trace_model::{Timestamp, Window};
+use trace_model::{Timestamp, Window, WindowAssembler};
 
 fn fast_endurance(seed: u64) -> Scenario {
     let reference = Duration::from_secs(40);
@@ -84,8 +83,10 @@ fn curated_reference_model_can_be_saved_and_reused() {
     let events: Vec<_> = Simulation::new(&reference_scenario, &registry)
         .expect("simulation")
         .collect();
-    let windower = TimeWindower::new(Duration::from_millis(40)).expect("windower");
-    let windows: Vec<Window> = windower.windows(events.into_iter()).collect();
+    let windows: Vec<Window> = WindowAssembler::for_time(Duration::from_millis(40))
+        .expect("window length")
+        .windows(events)
+        .collect();
     let model = ReferenceModel::learn_from_windows(&windows, &config).expect("learn");
 
     // ... persist it to JSON (the curated database) ...
@@ -124,11 +125,12 @@ fn periodic_suppressor_shrinks_the_recorded_set_further() {
     let events: Vec<_> = Simulation::new(&scenario, &registry)
         .expect("simulation")
         .collect();
-    let windower = TimeWindower::new(Duration::from_millis(40)).expect("windower");
     let reference_end = Timestamp::from(scenario.reference_duration);
-    let (reference, monitored): (Vec<Window>, Vec<Window>) = windower
-        .windows(events.into_iter())
-        .partition(|w| w.end <= reference_end);
+    let (reference, monitored): (Vec<Window>, Vec<Window>) =
+        WindowAssembler::for_time(Duration::from_millis(40))
+            .expect("window length")
+            .windows(events)
+            .partition(|w| w.end <= reference_end);
 
     let model = ReferenceModel::learn_from_windows(&reference, &config).expect("learn");
     let mut monitor = OnlineMonitor::new(model);

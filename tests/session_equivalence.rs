@@ -11,8 +11,9 @@ use endurance_core::{
     WindowStrategy,
 };
 use mm_sim::{PerturbationSchedule, Scenario, Simulation};
-use trace_model::window::{TimeWindower, Windower};
-use trace_model::{EventSink, MemorySource, Timestamp, TraceError, TraceEvent, Window};
+use trace_model::{
+    EventSink, MemorySource, Timestamp, TraceError, TraceEvent, Window, WindowAssembler,
+};
 
 /// A sink that keeps the recorded events and the exact encoded bytes the
 /// recorder handed down: what would land on storage.
@@ -170,10 +171,10 @@ fn curated_model_session_matches_batch_reducer() {
     // Learn a model from a dedicated clean reference run.
     let (reference_events, dims) = endurance_events(104);
     let config = monitor_config(dims, WindowStrategy::Time(Duration::from_millis(40)));
-    let windower = TimeWindower::new(Duration::from_millis(40)).expect("windower");
     let reference_end = Timestamp::from_secs(40);
-    let windows: Vec<Window> = windower
-        .windows(reference_events.into_iter())
+    let windows: Vec<Window> = WindowAssembler::for_time(Duration::from_millis(40))
+        .expect("window length")
+        .windows(reference_events)
         .filter(|w| w.end <= reference_end)
         .collect();
     let model = ReferenceModel::learn_from_windows(&windows, &config).expect("learn");
