@@ -5,6 +5,7 @@ use std::time::Duration;
 use serde::{Deserialize, Serialize};
 
 use lof_anomaly::DistanceKind;
+use trace_model::{TraceError, WindowAssembler};
 
 use crate::CoreError;
 
@@ -16,6 +17,22 @@ pub enum WindowStrategy {
     /// Fixed number of events per window, mirroring the tracing-hardware
     /// buffer size.
     Count(usize),
+}
+
+impl WindowStrategy {
+    /// The assembler that cuts a trace into this strategy's windows.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceError::InvalidWindowConfig`] where
+    /// [`WindowAssembler::for_count`] or [`WindowAssembler::for_time`]
+    /// refuses the size: zero events, 0 ns, or 2^64 ns or more.
+    pub fn assembler(&self) -> Result<WindowAssembler, TraceError> {
+        match *self {
+            WindowStrategy::Time(duration) => WindowAssembler::for_time(duration),
+            WindowStrategy::Count(size) => WindowAssembler::for_count(size),
+        }
+    }
 }
 
 impl Default for WindowStrategy {
@@ -258,6 +275,40 @@ impl MonitorConfigBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_strategy_builds_the_assembler_its_constructor_does() {
+        let past_2_pow_64_ns = Duration::from_nanos(u64::MAX) + Duration::from_nanos(1);
+        for duration in [
+            Duration::from_millis(40),
+            Duration::from_nanos(1),
+            Duration::ZERO,
+            past_2_pow_64_ns,
+        ] {
+            assert_eq!(
+                format!("{:?}", WindowStrategy::Time(duration).assembler()),
+                format!("{:?}", WindowAssembler::for_time(duration)),
+                "{duration:?}"
+            );
+        }
+        for size in [1, 64, 0] {
+            assert_eq!(
+                format!("{:?}", WindowStrategy::Count(size).assembler()),
+                format!("{:?}", WindowAssembler::for_count(size)),
+                "{size}"
+            );
+        }
+        for refused in [
+            WindowStrategy::Count(0),
+            WindowStrategy::Time(Duration::ZERO),
+            WindowStrategy::Time(past_2_pow_64_ns),
+        ] {
+            assert!(
+                matches!(refused.assembler(), Err(TraceError::InvalidWindowConfig(_))),
+                "{refused:?}"
+            );
+        }
+    }
 
     #[test]
     fn paper_defaults_match_the_publication() {

@@ -30,7 +30,7 @@ use trace_model::{
 
 use crate::{
     CoreError, MonitorConfig, OnlineMonitor, PmfScratch, ReductionReport, ReferenceModel,
-    TraceRecorder, WindowDecision, WindowStrategy,
+    TraceRecorder, WindowDecision,
 };
 
 /// Push-path timing is sampled one-in-N so the steady-state cost of an
@@ -247,7 +247,7 @@ impl ReductionSession<MemorySink, NullObserver> {
         config.validate()?;
         let reference_end = Timestamp::from(config.reference_duration);
         Ok(ReductionSession {
-            assembler: Self::assembler_for(&config)?,
+            assembler: config.window.assembler()?,
             state: PhaseState::Learning {
                 reference: Vec::new(),
             },
@@ -294,7 +294,7 @@ impl ReductionSession<MemorySink, NullObserver> {
         let mut monitor = OnlineMonitor::new(model);
         monitor.set_alpha(config.alpha);
         Ok(ReductionSession {
-            assembler: Self::assembler_for(&config)?,
+            assembler: config.window.assembler()?,
             state: PhaseState::Monitoring {
                 monitor: Box::new(monitor),
                 reference_count,
@@ -313,13 +313,6 @@ impl ReductionSession<MemorySink, NullObserver> {
 }
 
 impl<S: EventSink, O: DecisionObserver> ReductionSession<S, O> {
-    fn assembler_for(config: &MonitorConfig) -> Result<WindowAssembler, CoreError> {
-        Ok(match config.window {
-            WindowStrategy::Time(duration) => WindowAssembler::for_time(duration)?,
-            WindowStrategy::Count(size) => WindowAssembler::for_count(size)?,
-        })
-    }
-
     /// Replaces the event sink, keeping every other setting.
     ///
     /// # Panics
@@ -761,6 +754,7 @@ pub fn rerun_with_model(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WindowStrategy;
     use std::time::Duration;
     use trace_model::{CountingSink, EventTypeId};
 

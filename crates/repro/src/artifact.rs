@@ -18,7 +18,7 @@ use endurance_core::{
     WindowStrategy, WindowVerdict,
 };
 use trace_model::codec::{BinaryDecoder, BinaryEncoder, TraceDecoder, TraceEncoder};
-use trace_model::{TraceEvent, Window, WindowAssembler};
+use trace_model::{TraceEvent, Window};
 
 use crate::error::ReproError;
 
@@ -160,15 +160,6 @@ pub(crate) fn matches_target(decision: &WindowDecision, target_start_ns: u64) ->
     start == target_start_ns || (start <= target_start_ns && target_start_ns < end)
 }
 
-/// Builds an assembler for the oracle's window strategy.
-fn assembler_for(strategy: &WindowStrategy) -> Result<WindowAssembler, ReproError> {
-    let assembler = match strategy {
-        WindowStrategy::Time(duration) => WindowAssembler::for_time(*duration)?,
-        WindowStrategy::Count(size) => WindowAssembler::for_count(*size)?,
-    };
-    Ok(assembler)
-}
-
 /// Re-cuts an event sequence into artifact windows under the oracle's
 /// window strategy, encoding each non-empty window with the canonical
 /// binary codec (empty gap windows are not stored; they re-emerge from
@@ -193,7 +184,7 @@ pub(crate) fn windows_from_events(
         Ok(())
     }
 
-    let mut assembler = assembler_for(strategy)?;
+    let mut assembler = strategy.assembler()?;
     let mut out = Vec::new();
     for &event in events {
         assembler.push(event, &mut |window| push_window(&mut out, window))?;

@@ -9,6 +9,13 @@
 //! differs from the template's, and the time column of the packed rows
 //! (`docs/FORMAT.md` §3.4). [`SegmentCoder`] is where a rewrite decides
 //! which shapes earn a template and which block each frame gets.
+//!
+//! A table holds each template row once, as the event it decodes to
+//! stamped [`Timestamp::ZERO`], so that a templated block decodes as a
+//! copy of its template: the template's events are copied into the
+//! output, one pass over the time column writes their timestamps, and
+//! the exceptions are patched in. The block's raw length is checked once,
+//! from the template's `ETRC` size, the time column's and the exceptions'.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -23,15 +30,20 @@ use super::{
 };
 use crate::{EventTypeId, Timestamp, TraceError, TraceEvent};
 
-/// The template table of a format-v4 segment: the `(tag, payload)` rows
-/// of every window shape its templated frames refer to, by id.
+/// The template table of a format-v4 segment: the rows of every window
+/// shape its templated frames refer to, by id.
 ///
-/// A tag is `(event type << 2) | severity`, as in packed rows. The table
-/// of a v1–v3 segment, and of a frame outside any segment, is empty.
+/// A row is held as the event it decodes to, stamped [`Timestamp::ZERO`]:
+/// its type, severity and payload. A templated block then decodes as a
+/// copy of its template's events, one pass over its time column writing
+/// their timestamps, and its exceptions patched in. On disk a row is a
+/// tag, `(event type << 2) | severity` as in packed rows, and a payload.
+/// The table of a v1–v3 segment, and of a frame outside any segment, is
+/// empty.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TemplateTable {
     /// Every template's rows, back to back.
-    rows: Vec<(u32, u32)>,
+    rows: Vec<TraceEvent>,
     /// Where each template's rows end in `rows`.
     ends: Vec<usize>,
     /// Per template, the `ETRC` bytes its rows' types, payloads and
@@ -58,9 +70,9 @@ impl TemplateTable {
         self.ends.is_empty()
     }
 
-    /// The `(tag, payload)` rows of template `id`; `None` past the end of
-    /// the table.
-    pub fn rows(&self, id: usize) -> Option<&[(u32, u32)]> {
+    /// The rows of template `id`, as events stamped
+    /// [`Timestamp::ZERO`]; `None` past the end of the table.
+    pub fn rows(&self, id: usize) -> Option<&[TraceEvent]> {
         let end = *self.ends.get(id)?;
         let start = id.checked_sub(1).map_or(0, |before| self.ends[before]);
         Some(&self.rows[start..end])
@@ -70,8 +82,10 @@ impl TemplateTable {
     /// severities and payloads, in order. Timestamps are no part of a
     /// shape.
     pub fn push(&mut self, events: &[TraceEvent]) {
-        self.rows
-            .extend(events.iter().map(|event| (tag_of(event), event.payload)));
+        self.rows.extend(events.iter().map(|event| TraceEvent {
+            timestamp: Timestamp::ZERO,
+            ..*event
+        }));
         self.end_template();
     }
 
@@ -82,18 +96,15 @@ impl TemplateTable {
         self.etrc.clear();
     }
 
-    fn push_rows(&mut self, rows: &[(u32, u32)]) {
-        self.rows.extend_from_slice(rows);
-        self.end_template();
-    }
-
     /// Closes the template whose rows were pushed last.
     fn end_template(&mut self) {
         let start = self.ends.last().copied().unwrap_or(0);
         let etrc = self.rows[start..]
             .iter()
-            .map(|&(tag, payload)| {
-                varint_len(u64::from(tag >> 2)) + varint_len(u64::from(payload)) + 1
+            .map(|row| {
+                varint_len(u64::from(row.event_type.as_u16()))
+                    + varint_len(u64::from(row.payload))
+                    + 1
             })
             .sum();
         self.ends.push(self.rows.len());
@@ -108,9 +119,9 @@ impl TemplateTable {
         let mut start = 0;
         for &end in &self.ends {
             encode_u64((end - start) as u64, out);
-            for &(tag, payload) in &self.rows[start..end] {
-                encode_u64(u64::from(tag), out);
-                encode_u64(u64::from(payload), out);
+            for row in &self.rows[start..end] {
+                encode_u64(u64::from(tag_of(row)), out);
+                encode_u64(u64::from(row.payload), out);
             }
             start = end;
         }
@@ -157,13 +168,16 @@ impl TemplateTable {
                 let (Ok(tag), Ok(payload)) = (u32::try_from(tag), u32::try_from(payload)) else {
                     return Err(table_error(row, "tag or payload out of range"));
                 };
-                if tag >> 2 > u32::from(u16::MAX) {
+                let Ok(event_type) = u16::try_from(tag >> 2) else {
                     return Err(table_error(
                         row,
                         format!("tag {tag} names a type past 16 bits"),
                     ));
-                }
-                table.rows.push((tag, payload));
+                };
+                table.rows.push(
+                    TraceEvent::new(Timestamp::ZERO, EventTypeId::new(event_type), payload)
+                        .with_severity(tag_severity(u64::from(tag))),
+                );
             }
             table.end_template();
         }
@@ -192,12 +206,17 @@ fn templated_error(offset: usize, reason: impl Into<String>) -> TraceError {
 }
 
 /// The minimal varint at `*at`, or an error naming `what`.
+#[inline]
 fn take(bytes: &[u8], at: &mut usize, what: &str) -> Result<u64, TraceError> {
-    let start = *at;
-    take_minimal_u64(bytes, at).ok_or_else(|| TraceError::Decode {
-        offset: start,
+    take_minimal_u64(bytes, at).ok_or_else(|| varint_error(*at, what))
+}
+
+#[cold]
+fn varint_error(offset: usize, what: &str) -> TraceError {
+    TraceError::Decode {
+        offset,
         reason: format!("{what}: truncated or non-minimal varint"),
-    })
+    }
 }
 
 /// Appends the exception list of `events` against `template` when they
@@ -205,7 +224,7 @@ fn take(bytes: &[u8], at: &mut usize, what: &str) -> Result<u64, TraceError> {
 /// payload)` for every row whose payload differs, in ascending position,
 /// the gap counted from the row after the previous exception. Returns
 /// whether they do; when not, `out` is left as it was.
-fn put_exceptions(template: &[(u32, u32)], events: &[TraceEvent], out: &mut Vec<u8>) -> bool {
+fn put_exceptions(template: &[TraceEvent], events: &[TraceEvent], out: &mut Vec<u8>) -> bool {
     if template.len() != events.len() {
         return false;
     }
@@ -213,12 +232,12 @@ fn put_exceptions(template: &[(u32, u32)], events: &[TraceEvent], out: &mut Vec<
     let count_at = out.len();
     out.push(0);
     let (mut count, mut next) = (0u64, 0);
-    for (at, (&(tag, payload), event)) in template.iter().zip(events).enumerate() {
-        if tag != tag_of(event) {
+    for (at, (row, event)) in template.iter().zip(events).enumerate() {
+        if tag_of(row) != tag_of(event) {
             out.truncate(count_at);
             return false;
         }
-        if payload != event.payload {
+        if row.payload != event.payload {
             encode_u64((at - next) as u64, out);
             encode_u64(u64::from(event.payload), out);
             (count, next) = (count + 1, at + 1);
@@ -346,11 +365,19 @@ fn take_exception(
     Ok((position, payload))
 }
 
-/// [`parse_templated`] without the clean-up on error. The template's rows
-/// are what is reserved for, and only once the block holds a time byte
-/// for each of them. The exception list is read twice — checked whole to
-/// find the time column, then taken row by row — so nothing is allocated
-/// for it.
+/// [`parse_templated`] without the clean-up on error.
+///
+/// The block decodes in three steps: the template's events are copied
+/// into `out`, one pass over the time column writes their timestamps, and
+/// the exceptions are patched in. The exception list is read twice —
+/// checked whole to find the time column, then applied — so nothing is
+/// allocated for it, and the template's rows are reserved for only once
+/// the block holds a time byte for each of them.
+///
+/// The raw length is checked once for the block: the template's `ETRC`
+/// bytes, plus the time column's — whose varints are the `ETRC` deltas,
+/// but the first row's, which `ETRC` spells as the absolute timestamp —
+/// plus what each exception's payload varint takes over the template's.
 fn push_templated(
     context: FrameContext<'_>,
     block: &[u8],
@@ -380,74 +407,47 @@ fn push_templated(
             format!("{listed} exceptions to {} rows", template.len()),
         ));
     }
-    let (mut exception_at, mut next) = (at, 0usize);
+    let exceptions = at;
+    // The bytes the exceptions' payloads take in `ETRC`, and the bytes
+    // the template's payloads they replace take.
+    let (mut next, mut patched, mut replaced) = (0usize, 0, 0);
     for _ in 0..listed {
-        take_exception(block, &mut at, &mut next, template.len())?;
+        let (position, payload) = take_exception(block, &mut at, &mut next, template.len())?;
+        patched += varint_len(u64::from(payload));
+        replaced += varint_len(u64::from(template[position].payload));
     }
+    let time_column = at;
     // Every row's time takes a byte at the least.
-    if block.len() - at < template.len() {
+    if block.len() - time_column < template.len() {
         return Err(templated_error(
-            at,
+            time_column,
             format!(
                 "{} time bytes for {} rows",
-                block.len() - at,
+                block.len() - time_column,
                 template.len()
             ),
         ));
     }
-    out.reserve(template.len());
-    // The rows' `ETRC` bytes but their timestamps', which are the time
-    // column's own — but the first, which `ETRC` spells absolute.
-    let (mut previous, mut events_len) = (None::<u64>, etrc);
-    let (mut left, mut next) = (listed, 0usize);
-    let mut take_next = |left: &mut u64| -> Result<Option<(usize, u32)>, TraceError> {
-        if *left == 0 {
-            return Ok(None);
-        }
-        *left -= 1;
-        take_exception(block, &mut exception_at, &mut next, template.len()).map(Some)
-    };
-    let mut pending = take_next(&mut left)?;
-    for (position, &(tag, payload)) in template.iter().enumerate() {
-        let row = at;
+    // 1. The template's events.
+    let first = out.len();
+    out.extend_from_slice(template);
+    let events = &mut out[first..];
+    // 2. The time column: the first row's zigzagged difference from the
+    // window start, every other row's delta from the row before. The
+    // first row's varint is not an `ETRC` byte; the absolute timestamp
+    // `ETRC` spells in its place is.
+    let (mut first_row, mut absolute) = (0, 0);
+    if let Some((head, tail)) = events.split_first_mut() {
         let Some(time) = take_minimal_u64(block, &mut at) else {
             return Err(templated_error(
-                row,
+                time_column,
                 "time: truncated or non-minimal varint",
             ));
         };
-        // The `ETRC` delta: the absolute timestamp on the first row.
-        let ns = match previous {
-            None => {
-                let ns = context.start_ns.wrapping_add(unzigzag(time) as u64);
-                events_len += varint_len(ns);
-                ns
-            }
-            Some(previous) => {
-                events_len += at - row;
-                previous
-                    .checked_add(time)
-                    .ok_or_else(|| templated_error(row, "timestamp overflow"))?
-            }
-        };
-        let payload = match pending {
-            Some((listed_at, exception)) if listed_at == position => {
-                pending = take_next(&mut left)?;
-                events_len =
-                    events_len + varint_len(u64::from(exception)) - varint_len(u64::from(payload));
-                exception
-            }
-            _ => payload,
-        };
-        out.push(
-            TraceEvent::new(
-                Timestamp::from_nanos(ns),
-                EventTypeId::new((tag >> 2) as u16),
-                payload,
-            )
-            .with_severity(tag_severity(u64::from(tag))),
-        );
-        previous = Some(ns);
+        let ns = context.start_ns.wrapping_add(unzigzag(time) as u64);
+        (first_row, absolute) = (at - time_column, varint_len(ns));
+        head.timestamp = Timestamp::from_nanos(ns);
+        at = stamp_deltas(block, at, ns, tail)?;
     }
     if at != block.len() {
         return Err(templated_error(
@@ -455,14 +455,55 @@ fn push_templated(
             format!("{} trailing bytes", block.len() - at),
         ));
     }
-    let restores = header_len(template.len()) + events_len;
+    // (`replaced` is a part of `etrc`, and `first_row` of the time
+    // column's bytes, so nothing underflows.)
+    let restores =
+        header_len(template.len()) + etrc + (block.len() - time_column) + absolute + patched
+            - first_row
+            - replaced;
     if restores != raw_len {
         return Err(templated_error(
             0,
             format!("block restores {restores} bytes but the frame says {raw_len}"),
         ));
     }
+    // 3. The exceptions, checked above.
+    let (mut at, mut next) = (exceptions, 0usize);
+    for _ in 0..listed {
+        let (position, payload) = take_exception(block, &mut at, &mut next, template.len())?;
+        events[position].payload = payload;
+    }
     Ok(template.len())
+}
+
+/// Stamps `events` with the time column of `block` from `at`: each the
+/// timestamp before, `ns` for the first, plus its delta. Returns where
+/// the column's last varint ends.
+///
+/// A function of its own, so that the row loop keeps its few values in
+/// registers across the varint reader's fallback call.
+#[inline(never)]
+fn stamp_deltas(
+    block: &[u8],
+    mut at: usize,
+    mut ns: u64,
+    events: &mut [TraceEvent],
+) -> Result<usize, TraceError> {
+    for event in events {
+        let row = at;
+        let Some(delta) = take_minimal_u64(block, &mut at) else {
+            return Err(templated_error(
+                row,
+                "time: truncated or non-minimal varint",
+            ));
+        };
+        let Some(later) = ns.checked_add(delta) else {
+            return Err(templated_error(row, "timestamp overflow"));
+        };
+        ns = later;
+        event.timestamp = Timestamp::from_nanos(ns);
+    }
+    Ok(at)
 }
 
 /// Chooses the stored block of every frame a rewrite codes anew, and the
@@ -712,13 +753,13 @@ impl SegmentCoder {
             let cost = varint_len(rows.len() as u64)
                 + rows
                     .iter()
-                    .map(|&(tag, payload)| {
-                        varint_len(u64::from(tag)) + varint_len(u64::from(payload))
+                    .map(|row| {
+                        varint_len(u64::from(tag_of(row))) + varint_len(u64::from(row.payload))
                     })
                     .sum::<usize>();
             if saved > cost {
                 self.ids.push(self.table.len() as u32);
-                self.table.push_rows(rows);
+                self.table.push(rows);
             } else {
                 self.ids.push(NO_GROUP);
             }
@@ -819,13 +860,13 @@ impl SegmentCoder {
             .map_while(|_| take_exception(body, &mut at, &mut next, template.len()).ok())
             .collect();
         let mut exceptions = exceptions.into_iter().peekable();
-        let rows = template
-            .iter()
-            .enumerate()
-            .map(|(position, &(tag, payload))| {
-                let exception = exceptions.next_if(|&(listed, _)| listed == position);
-                (tag, exception.map_or(payload, |(_, payload)| payload))
-            });
+        let rows = template.iter().enumerate().map(|(position, row)| {
+            let exception = exceptions.next_if(|&(listed, _)| listed == position);
+            (
+                tag_of(row),
+                exception.map_or(row.payload, |(_, payload)| payload),
+            )
+        });
         let mut out = Vec::with_capacity(frame.plain_len);
         put_rows(&body[at..], rows, &mut out);
         out
@@ -941,8 +982,8 @@ mod tests {
         assert_eq!(coder.table().len(), 1);
         // The template is the first window's: its fifth row is the odd one.
         let template = coder.table().rows(0).unwrap();
-        assert_eq!(template[4], (2 << 2 | 1, 9_000));
-        assert_eq!(template[3], (1 << 2 | 1, 103));
+        assert_eq!(template[4], event(0, 2, 9_000));
+        assert_eq!(template[3], event(0, 1, 103));
         let mut decoder = TemplatedCodec::new();
         for (window, (&frame, payload)) in frames.iter().zip(&payloads).enumerate() {
             let (codec, block) = coder.block(frame, true);

@@ -60,34 +60,77 @@ pub(crate) fn decode_u64(bytes: &[u8], offset: usize) -> Result<(u64, usize), Tr
 }
 
 /// Reads the varint at `*at`, advancing past it, when it is the shortest
-/// encoding of its value (its last byte is not a zero continuation); the
-/// one-byte case, most fields of most events, without a call. `None` when
-/// the bytes run out, the varint runs past 10 bytes or overflows a `u64`,
-/// or it is not minimal.
-#[inline]
+/// encoding of its value (its last byte is not a zero continuation).
+/// `None`, and `*at` left as it was, when the bytes run out, the varint
+/// runs past 10 bytes or overflows a `u64`, or it is not minimal.
+///
+/// A varint of up to four bytes — every field of most events, and a
+/// timestamp delta below 2²⁸ ns — is read from one 4-byte window behind
+/// one bounds check, without a loop, so that a row loop calling this
+/// inlines it whole. Longer varints and the last three bytes of a buffer
+/// take the byte-at-a-time loop.
+#[inline(always)]
 pub fn take_minimal_u64(bytes: &[u8], at: &mut usize) -> Option<u64> {
-    let rest = bytes.get(*at..)?;
-    let first = *rest.first()?;
-    if first < 0x80 {
-        *at += 1;
-        return Some(u64::from(first));
-    }
-    // The longer ones — a timestamp delta, most often — in place, without
-    // the error values of `decode_u64`: a tenth byte holds one bit.
-    let mut value = u64::from(first & 0x7f);
-    let mut index = 1;
-    while index < 10 {
-        let byte = *rest.get(index)?;
+    // The cursor goes in and comes out by value, so that a caller's stays
+    // in a register across the fallback's call.
+    let window = bytes.get(*at..).and_then(|rest| rest.get(..4));
+    let (value, next) = match window.and_then(|window| <[u8; 4]>::try_from(window).ok()) {
+        Some(window) => match read_window(u32::from_le_bytes(window)) {
+            Some((value, len)) => (value?, *at + len),
+            None => read_bytewise(bytes, *at)?,
+        },
+        None => read_bytewise(bytes, *at)?,
+    };
+    *at = next;
+    Some(value)
+}
+
+/// The varint that opens the little-endian 4-byte `window`, when it ends
+/// inside it: its value — `None` when it is not minimal — and its length.
+/// `None` when all four bytes continue.
+///
+/// The length is found by branches, not by arithmetic on the bytes, so
+/// that a row loop predicts where the next varint starts instead of
+/// waiting for this one's bytes.
+#[inline(always)]
+fn read_window(window: u32) -> Option<(Option<u64>, usize)> {
+    let len = if window & 0x80 == 0 {
+        return Some((Some(u64::from(window & 0x7f)), 1));
+    } else if window & 0x8000 == 0 {
+        2
+    } else if window & 0x0080_0000 == 0 {
+        3
+    } else if window & 0x8000_0000 == 0 {
+        4
+    } else {
+        return None;
+    };
+    let kept = window & (u32::MAX >> (32 - 8 * len));
+    let value = (kept & 0x7f)
+        | (kept >> 1 & 0x3f80)
+        | (kept >> 2 & 0x001f_c000)
+        | (kept >> 3 & 0x0fe0_0000);
+    // Not minimal when the last byte is zero: the value fits a byte less.
+    let minimal = value >> (7 * (len - 1)) != 0;
+    Some((minimal.then_some(u64::from(value)), len as usize))
+}
+
+/// [`take_minimal_u64`] a byte at a time, from `at`: varints past four
+/// bytes, and the last three bytes of a buffer. The value and the offset
+/// past it. A tenth byte holds one bit.
+#[inline(never)]
+fn read_bytewise(bytes: &[u8], at: usize) -> Option<(u64, usize)> {
+    let rest = bytes.get(at..)?;
+    let mut value = 0u64;
+    for (index, &byte) in rest.iter().enumerate().take(10) {
         let bits = u64::from(byte & 0x7f);
         if index == 9 && bits > 1 {
             return None;
         }
         value |= bits << (7 * index);
         if byte < 0x80 {
-            *at += index + 1;
-            return (byte != 0).then_some(value);
+            return (index == 0 || byte != 0).then_some((value, at + index + 1));
         }
-        index += 1;
     }
     None
 }
@@ -216,6 +259,117 @@ mod tests {
         assert_eq!(take(&overflow), None, "65 bits");
         assert_eq!(take(&[0xFF; 16]), None, "endless");
         assert_eq!(take(&[]), None);
+    }
+
+    /// [`take_minimal_u64`] as FORMAT.md words it, a byte at a time: the
+    /// value and the offset past it, or `None` for a varint that is
+    /// truncated, runs past 10 bytes, overflows a `u64` or is not minimal.
+    fn reference(bytes: &[u8], at: usize) -> Option<(u64, usize)> {
+        let (mut value, mut index) = (0u64, 0);
+        loop {
+            let byte = *bytes.get(at + index)?;
+            let bits = u64::from(byte & 0x7f);
+            // The tenth byte holds bit 63 alone.
+            if index == 9 && bits > 1 {
+                return None;
+            }
+            value |= bits << (7 * index);
+            index += 1;
+            if byte < 0x80 {
+                return (index == 1 || byte != 0).then_some((value, at + index));
+            }
+            if index == 10 {
+                return None;
+            }
+        }
+    }
+
+    /// Holds [`take_minimal_u64`] at `at` of `bytes` to [`reference`]:
+    /// the same value and advance, or the same `None` with the cursor
+    /// where it was.
+    fn matches_reference(bytes: &[u8], at: usize) {
+        let mut cursor = at;
+        let taken = take_minimal_u64(bytes, &mut cursor);
+        let expected = reference(bytes, at);
+        if taken.map(|value| (value, cursor)) != expected || (taken.is_none() && cursor != at) {
+            panic!("{bytes:02x?} at {at}: {taken:?} to {cursor}, the reference reads {expected:?}");
+        }
+    }
+
+    /// Every input of one to three bytes, followed by `trailer`, held to
+    /// the reference.
+    fn sweep_up_to_three_bytes(trailer: &[u8]) {
+        let mut bytes = [0u8; 6];
+        for len in 1..=3 {
+            bytes[len..len + trailer.len()].copy_from_slice(trailer);
+            for input in 0..1u32 << (8 * len) {
+                bytes[..len].copy_from_slice(&input.to_le_bytes()[..len]);
+                matches_reference(&bytes[..len + trailer.len()], 0);
+            }
+        }
+    }
+
+    #[test]
+    fn every_varint_of_up_to_three_bytes_at_the_end_of_a_buffer_reads_as_the_reference_does() {
+        sweep_up_to_three_bytes(&[]);
+    }
+
+    #[test]
+    fn every_varint_of_up_to_three_bytes_ahead_of_more_reads_as_the_reference_does() {
+        // Where the 4-byte window reads it.
+        sweep_up_to_three_bytes(&[0x81, 0x01, 0x00]);
+    }
+
+    #[test]
+    fn every_power_of_two_boundary_reads_as_the_reference_does() {
+        let trailers: [&[u8]; 5] = [&[], &[0x00], &[0x80, 0x80], &[0x7f; 3], &[0xff; 12]];
+        for shift in 0..64 {
+            let power = 1u64 << shift;
+            for value in [power - 1, power, power + 1, u64::MAX] {
+                let mut encoded = Vec::new();
+                encode_u64(value, &mut encoded);
+                // Minimal, cut short, and padded with a zero continuation.
+                let mut padded = encoded.clone();
+                *padded.last_mut().unwrap() |= 0x80;
+                padded.push(0);
+                for varint in [&encoded[..], &encoded[..encoded.len() - 1], &padded] {
+                    for trailer in trailers {
+                        let mut bytes = varint.to_vec();
+                        bytes.extend_from_slice(trailer);
+                        matches_reference(&bytes, 0);
+                        // Behind a byte the cursor skips.
+                        bytes.insert(0, 0x80);
+                        matches_reference(&bytes, 1);
+                    }
+                }
+            }
+        }
+    }
+
+    mod generated {
+        use super::matches_reference;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+            #[test]
+            fn any_varint_of_four_to_twelve_bytes_reads_as_the_reference_does(
+                bytes in prop::collection::vec(any::<u8>(), 4..13),
+                high in prop::collection::vec(any::<bool>(), 12),
+                at in 0usize..4,
+            ) {
+                // Continuation bits set at random, so that long varints,
+                // ones that end in a zero byte and ones that run off the end
+                // all come up.
+                let bytes: Vec<u8> = bytes
+                    .iter()
+                    .zip(&high)
+                    .map(|(&byte, &high)| if high { byte | 0x80 } else { byte & 0x7f })
+                    .collect();
+                matches_reference(&bytes, at.min(bytes.len()));
+            }
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 
 use trace_model::codec::{
     BinaryDecoder, BinaryEncoder, CodecId, DeltaVarintCodec, FrameCodec, FrameContext, PackedCodec,
-    SegmentCoder, TemplateTable, TraceDecoder, TraceEncoder,
+    SegmentCoder, TemplateTable, TemplatedCodec, TraceDecoder, TraceEncoder,
 };
 use trace_model::{EventTypeId, Severity, Timestamp, TraceEvent};
 
@@ -427,6 +427,185 @@ fn edge_segment(
         .collect()
 }
 
+/// A minimal LEB128 varint read a byte at a time, as FORMAT.md §3
+/// words it: `None` when it is truncated, runs past 10 bytes, overflows
+/// a `u64` or ends in a zero byte after the first.
+fn take_leb(bytes: &[u8], at: &mut usize) -> Option<u64> {
+    let mut value = 0u128;
+    for index in 0..10 {
+        let byte = *bytes.get(*at + index)?;
+        // A byte below 0x80 is the last; above, it carries 0x80 on top.
+        let low = if byte >= 0x80 { byte - 0x80 } else { byte };
+        value |= u128::from(low) << (7 * index);
+        if byte < 0x80 {
+            if index > 0 && byte == 0 {
+                return None;
+            }
+            *at += index + 1;
+            return u64::try_from(value).ok();
+        }
+    }
+    None
+}
+
+/// A templated block decoded from `docs/FORMAT.md` §3.4 alone, sharing no
+/// code with [`TemplatedCodec`]: the template `varint id` names in
+/// `table`, the exception list applied to a copy of its payloads, then
+/// its rows turned into events one at a time from the time column (the
+/// first against `start_ns`, zigzagged, the rest as deltas). `None` for
+/// an id past the table, a count other than `events` claims, an exception
+/// past the rows, a payload past 32 bits, a varint that is not minimal,
+/// an overflowing timestamp or a byte after the time column. The raw
+/// length is [`naive_templated`]'s to check.
+fn naive_events(
+    table: &TemplateTable,
+    start_ns: u64,
+    events: Option<u32>,
+    block: &[u8],
+) -> Option<Vec<TraceEvent>> {
+    let mut at = 0;
+    let template = table.rows(usize::try_from(take_leb(block, &mut at)?).ok()?)?;
+    if events.is_some_and(|claimed| claimed as usize != template.len()) {
+        return None;
+    }
+    let mut payloads: Vec<u32> = template.iter().map(|row| row.payload).collect();
+    // Positions strictly ascend below the row count, so a count past it
+    // fails by the row count's exception at the latest.
+    let (listed, mut next) = (take_leb(block, &mut at)?, 0u64);
+    for _ in 0..listed {
+        let position = next.checked_add(take_leb(block, &mut at)?)?;
+        let payload = u32::try_from(take_leb(block, &mut at)?).ok()?;
+        *payloads.get_mut(usize::try_from(position).ok()?)? = payload;
+        next = position + 1;
+    }
+    let mut decoded = Vec::new();
+    let mut previous = 0u64;
+    for (row, (template_row, &payload)) in template.iter().zip(&payloads).enumerate() {
+        let time = take_leb(block, &mut at)?;
+        let ns = if row == 0 {
+            let difference = ((time >> 1) as i64) ^ -((time & 1) as i64);
+            start_ns.wrapping_add(difference as u64)
+        } else {
+            previous.checked_add(time)?
+        };
+        decoded.push(
+            TraceEvent::new(Timestamp::from_nanos(ns), template_row.event_type, payload)
+                .with_severity(template_row.severity),
+        );
+        previous = ns;
+    }
+    (at == block.len()).then_some(decoded)
+}
+
+fn etrc(events: &[TraceEvent]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    BinaryEncoder::new().encode(events, &mut bytes).unwrap();
+    bytes
+}
+
+/// [`naive_events`] held to the frame's raw length: the events' `ETRC`
+/// encoding must be `raw_len` bytes.
+fn naive_templated(
+    context: FrameContext<'_>,
+    block: &[u8],
+    raw_len: usize,
+) -> Option<Vec<TraceEvent>> {
+    naive_events(context.templates, context.start_ns, context.events, block)
+        .filter(|events| etrc(events).len() == raw_len)
+}
+
+/// The raw length under which [`naive_templated`] decodes `block`.
+fn naive_raw_len(context: FrameContext<'_>, block: &[u8]) -> Option<usize> {
+    naive_events(context.templates, context.start_ns, context.events, block)
+        .map(|events| etrc(&events).len())
+}
+
+/// Holds [`TemplatedCodec`] on `block` to [`naive_templated`], through
+/// `decode_events_framed` and `decompress_framed`, each into a buffer
+/// that already holds something: both succeed exactly where the reference
+/// does, append its events and their `ETRC` bytes, and on an error leave
+/// the buffer as it was.
+fn check_against_the_naive_decoder(context: FrameContext<'_>, block: &[u8], raw_len: usize) {
+    let expected = naive_templated(context, block, raw_len);
+    let mut codec = TemplatedCodec::new();
+    let before = TraceEvent::new(Timestamp::from_nanos(7), EventTypeId::new(9), 11);
+    let (mut scratch, mut events) = (Vec::new(), vec![before]);
+    let decoded = codec.decode_events_framed(context, block, raw_len, &mut scratch, &mut events);
+    let mut restored = b"held".to_vec();
+    let decompressed = codec.decompress_framed(context, block, raw_len, &mut restored);
+    match &expected {
+        Some(expected) => {
+            assert_eq!(decoded.ok(), Some(expected.len()), "{block:02x?}");
+            assert_eq!(&events[1..], &expected[..], "{block:02x?}");
+            assert!(decompressed.is_ok(), "{block:02x?}");
+            assert_eq!(&restored[..4], b"held");
+            assert_eq!(restored[4..], etrc(expected), "{block:02x?}");
+        }
+        None => {
+            assert!(decoded.is_err(), "{block:02x?}: {events:?}");
+            assert_eq!(events, [before], "{block:02x?}");
+            assert!(decompressed.is_err(), "{block:02x?}");
+            assert_eq!(restored, b"held", "{block:02x?}");
+        }
+    }
+}
+
+#[test]
+fn templated_decode_matches_a_naive_reference_on_a_zero_row_template_and_an_early_first_row() {
+    let mut table = TemplateTable::default();
+    table.push(&[]);
+    table.push(&[
+        TraceEvent::new(Timestamp::from_nanos(0), EventTypeId::new(3), 300),
+        TraceEvent::new(Timestamp::from_nanos(0), EventTypeId::new(u16::MAX), 0)
+            .with_severity(Severity::Error),
+    ]);
+    let start_ns = 1_000_000;
+    // Template 0: no rows, no exception, no time column — a block of the
+    // six `ETRC` header bytes of an empty batch.
+    for (events, block) in [
+        (0, &[0u8, 0][..]),
+        (1, &[0, 0]),
+        (0, &[0, 0, 0]),
+        (0, &[0, 1, 0, 5]),
+    ] {
+        let context = FrameContext::framed(start_ns, events).with_templates(&table);
+        for raw_len in [5, 6, 7] {
+            check_against_the_naive_decoder(context, block, raw_len);
+        }
+    }
+    assert_eq!(
+        naive_raw_len(
+            FrameContext::framed(start_ns, 0).with_templates(&table),
+            &[0, 0]
+        ),
+        Some(6)
+    );
+    // Template 1: its first row 3 ns before the window start (zigzag 5),
+    // the second 1 ns after it, with and without an exception on it; and
+    // a first row before time's start, which wraps.
+    let blocks: [&[u8]; 5] = [
+        &[1, 0, 5, 4],
+        &[1, 1, 1, 0x80, 0x01, 5, 4],
+        &[1, 1, 2, 7, 5, 4],
+        &[1, 0, 0xFF, 0xFF, 0x03, 0],
+        &[1, 0, 5, 0x80, 0x00],
+    ];
+    for block in blocks {
+        for start_ns in [start_ns, 0, u64::MAX] {
+            let context = FrameContext::framed(start_ns, 2).with_templates(&table);
+            let raw_len = naive_raw_len(context, block).unwrap_or(40);
+            for raw_len in [raw_len - 1, raw_len, raw_len + 1] {
+                check_against_the_naive_decoder(context, block, raw_len);
+            }
+        }
+    }
+    // The header's 6 bytes, then 3 + 1 + 2 + 1 and 1 + 3 + 1 + 1.
+    let context = FrameContext::framed(start_ns, 2).with_templates(&table);
+    assert_eq!(naive_raw_len(context, &[1, 0, 5, 4]), Some(19));
+    let early = naive_templated(context, &[1, 0, 5, 4], 19).unwrap();
+    assert_eq!(early[0].timestamp.as_nanos(), start_ns - 3);
+}
+
 /// Where a coder can be off by one, a proptest seldom looks: a window
 /// whose templated block is exactly as long as its chooser block, a
 /// template whose windows save exactly what it costs. This sweep walks
@@ -751,6 +930,40 @@ proptest! {
         prop_assert!(table.len() <= templated_frames);
     }
 
+    /// Every block a [`SegmentCoder`] writes, templated or not, read as a
+    /// templated block of the coder's table: the codec decodes it exactly
+    /// where [`naive_templated`] does — every templated one to its
+    /// window's events — under the frame's count and raw length, and
+    /// under a count or raw length one off.
+    #[test]
+    fn templated_decode_matches_a_naive_reference_over_coded_segments(windows in shape_mixes()) {
+        let mut coder = SegmentCoder::new();
+        let mut frames = Vec::new();
+        for (events, start_ns) in &windows {
+            let payload = etrc(events);
+            let context = FrameContext::framed(*start_ns, events.len() as u32);
+            frames.push((coder.push(context, &payload), context, payload.len(), events));
+        }
+        coder.finish();
+        for (frame, context, raw_len, events) in frames {
+            let (codec, block) = coder.block(frame, true);
+            let in_segment = context.with_templates(coder.table());
+            if codec == CodecId::Templated {
+                prop_assert_eq!(naive_templated(in_segment, block, raw_len).as_ref(), Some(events));
+            }
+            let count = events.len() as u32;
+            for (count, raw_len) in [
+                (count, raw_len),
+                (count, raw_len + 1),
+                (count, raw_len - 1),
+                (count ^ 1, raw_len),
+            ] {
+                let context = FrameContext::framed(context.start_ns, count).with_templates(coder.table());
+                check_against_the_naive_decoder(context, block, raw_len);
+            }
+        }
+    }
+
     /// A [`SegmentCoder`] stores what [`naive_segment`] does: the same
     /// table, and every frame's block with the table and without it, over
     /// any mix of window shapes...
@@ -790,5 +1003,110 @@ proptest! {
                 Ok(()) => prop_assert_eq!(restored.len(), payload.len()),
             }
         }
+    }
+}
+
+proptest! {
+    // About one case in ten decodes; the rest are refused, each at its
+    // own fault.
+    #![proptest_config(ProptestConfig::with_cases(1_000))]
+
+    /// A templated block of any template of any table — mostly well
+    /// formed, with exceptions in and past the rows, payloads past 32
+    /// bits, times that overflow or are not minimal, a time column a row
+    /// short or long, a byte flipped, bytes trailing, or bytes of no
+    /// structure at all — under a frame claiming the template's count or
+    /// another, or no frame, and the raw length the rows restore, one off
+    /// it, or any: the codec decodes it exactly where [`naive_templated`]
+    /// does, to its events and bytes, and otherwise leaves its output
+    /// untouched.
+    #[test]
+    fn templated_decode_matches_a_naive_reference(
+        table in arbitrary_table(),
+        id in any::<u64>(),
+        exceptions in prop::collection::vec((0u8..10, any::<u32>(), 0u8..10), 0..4),
+        listed in 0u8..10,
+        scale in 0u8..3,
+        times in prop::collection::vec(any::<u64>(), 14usize),
+        bad_time in (0u8..12, any::<usize>()),
+        damage in 0u8..12,
+        noise in prop::collection::vec(any::<u8>(), 0..32),
+        start in (0u8..3, any::<u64>()),
+        claim in (0u8..10, any::<u32>()),
+        raw in (0u8..10, any::<u32>()),
+    ) {
+        // Mostly a template of the table; now and then the id past it.
+        let id = id % (table.len() as u64 + 1);
+        let rows = table.rows(id as usize).map_or(0, <[_]>::len);
+        let mut block = Vec::new();
+        leb(id, &mut block);
+        leb(
+            match listed {
+                0 => exceptions.len() as u64 + 1,
+                1 => (exceptions.len() as u64).saturating_sub(1),
+                2 => 1 << 40,
+                _ => exceptions.len() as u64,
+            },
+            &mut block,
+        );
+        for &(gap, payload, wide) in &exceptions {
+            leb(
+                match gap {
+                    0..=7 => u64::from(gap % 3),
+                    8 => rows as u64,
+                    _ => 1 << 35,
+                },
+                &mut block,
+            );
+            leb(u64::from(payload) | if wide == 0 { 1 << 32 } else { 0 }, &mut block);
+        }
+        let time_count = match bad_time.0 {
+            0 => rows + 1,
+            1 => rows.saturating_sub(1),
+            _ => rows,
+        };
+        for (row, &value) in times.iter().cycle().take(time_count).enumerate() {
+            let value = [value % 128, value % 3_000_000, (1 << 40) + value % 1_000][usize::from(scale)];
+            match bad_time.0 {
+                // A delta that overflows.
+                2 if row == bad_time.1 % rows.max(1) => leb(u64::MAX - value % 4, &mut block),
+                // Not minimal: a zero continuation byte.
+                3 if row == bad_time.1 % rows.max(1) => {
+                    leb(value, &mut block);
+                    *block.last_mut().unwrap() |= 0x80;
+                    block.push(0);
+                }
+                _ => leb(value, &mut block),
+            }
+        }
+        match damage {
+            0 if !block.is_empty() => {
+                let at = noise.len() % block.len();
+                block[at] ^= noise.first().copied().unwrap_or(0x40) | 1;
+            }
+            1 => block.extend(noise.iter().take(2)),
+            2 => block = noise.clone(),
+            _ => {}
+        }
+        let start_ns = match start.0 {
+            0 => start.1,
+            1 => start.1 % 4_000_000_000,
+            _ => u64::MAX - start.1 % 1_000_000,
+        };
+        let events = match claim.0 {
+            0 => None,
+            1 => Some(claim.1),
+            2 => Some(rows as u32 ^ 1),
+            _ => Some(rows as u32),
+        };
+        let context = FrameContext { start_ns, events, templates: &table };
+        let restores = naive_raw_len(context, &block);
+        let raw_len = match (raw.0, restores) {
+            (0, Some(restores)) => restores + 1,
+            (1, Some(restores)) => restores - 1,
+            (2, _) => raw.1 as usize,
+            (_, restores) => restores.unwrap_or(raw.1 as usize),
+        };
+        check_against_the_naive_decoder(context, &block, raw_len);
     }
 }
