@@ -80,8 +80,25 @@ pub fn kl_divergence(p: &[f64], q: &[f64]) -> f64 {
 /// The paper calls its similarity measure the "Kullback-Leibler distance";
 /// using the symmetrised form makes the drift gate insensitive to the
 /// argument order.
+///
+/// One pass over both pmfs: each total and each smoothed bin is computed
+/// once and feeds both directions, whose terms are summed in two
+/// accumulators in [`kl_divergence`]'s order, so the result is
+/// bit-identical to calling it twice. The drift gate calls this once per
+/// monitored window.
 pub fn symmetric_kl(p: &[f64], q: &[f64]) -> f64 {
-    (kl_divergence(p, q) + kl_divergence(q, p)) / 2.0
+    debug_assert_eq!(p.len(), q.len());
+    let p_total: f64 = p.iter().map(|x| x.max(0.0) + PMF_EPSILON).sum();
+    let q_total: f64 = q.iter().map(|x| x.max(0.0) + PMF_EPSILON).sum();
+    // `-0.0` is the empty `f64` sum `kl_divergence` starts from.
+    let (mut pq, mut qp) = (-0.0f64, -0.0f64);
+    for (x, y) in p.iter().zip(q) {
+        let pi = (x.max(0.0) + PMF_EPSILON) / p_total;
+        let qi = (y.max(0.0) + PMF_EPSILON) / q_total;
+        pq += if pi > 0.0 { pi * (pi / qi).ln() } else { 0.0 };
+        qp += if qi > 0.0 { qi * (qi / pi).ln() } else { 0.0 };
+    }
+    (pq.max(0.0) + qp.max(0.0)) / 2.0
 }
 
 /// Jensen–Shannon divergence, a bounded (by `ln 2`) smoothed alternative to
@@ -173,6 +190,7 @@ impl From<DistanceKind> for Distance {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const TOL: f64 = 1e-9;
 
@@ -247,6 +265,35 @@ mod tests {
         let q = [9.0, 1.0];
         // Same underlying distribution -> divergence ~ 0.
         assert!(symmetric_kl(&p, &q) < 1e-6);
+    }
+
+    /// A pmf bin of kind `kind % 7` — zero, negative zero, negative,
+    /// tiny (`1e-300`, `f64::MIN_POSITIVE`), a probability or an
+    /// unnormalised count — from a uniform `u` in `[0, 1)`.
+    fn bin(kind: u64, u: f64) -> f64 {
+        match kind % 7 {
+            0 => 0.0,
+            1 => -0.0,
+            2 => -1e3 * u,
+            3 => 1e-300,
+            4 => f64::MIN_POSITIVE,
+            5 => u,
+            _ => 1e6 * u,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+        #[test]
+        fn symmetric_kl_is_bit_identical_to_both_directions(
+            bins in prop::collection::vec((0u64..7, 0.0f64..1.0, 0u64..7, 0.0f64..1.0), 1..33)
+        ) {
+            let p: Vec<f64> = bins.iter().map(|&(kind, u, _, _)| bin(kind, u)).collect();
+            let q: Vec<f64> = bins.iter().map(|&(_, _, kind, u)| bin(kind, u)).collect();
+            let spec = (kl_divergence(&p, &q) + kl_divergence(&q, &p)) / 2.0;
+            prop_assert_eq!(symmetric_kl(&p, &q).to_bits(), spec.to_bits(), "{:?} {:?}", p, q);
+        }
     }
 
     #[test]

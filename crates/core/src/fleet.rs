@@ -7,6 +7,8 @@
 //! stream id and batched onto bounded channels (a full channel blocks the
 //! router: backpressure, not unbounded buffering); each worker
 //! demultiplexes its batches into lazily created per-stream sessions.
+//! A worker reads its batch as runs of consecutive events of one
+//! stream, and looks the stream's session up once per run.
 //! Streams appear on their first event (late join), are finalised by
 //! [`close_stream`](FleetReducer::close_stream) (leave), and a session
 //! error aborts only that stream: its outcome records the error and
@@ -79,6 +81,7 @@ impl SessionMode {
 /// channel and keeps push order; `Close` finalises its stream's session
 /// at its position in the batch. `Severity`'s niche keeps an item as
 /// small as a bare `(StreamId, TraceEvent)`.
+#[derive(Clone, Copy)]
 enum Item {
     Event(StreamId, TraceEvent),
     Close(StreamId),
@@ -168,7 +171,9 @@ pub struct FleetOutcome<S = CountingSink, O = NullObserver> {
     pub streams: Vec<StreamOutcome<S, O>>,
     /// Number of worker threads that ran.
     pub workers: usize,
-    /// Events accepted across all streams (excludes post-failure discards).
+    /// Events handed to workers across all streams, the ones a failed
+    /// stream discarded included; only the events of a batch lost with a
+    /// worker that was already gone are left out.
     pub events_routed: u64,
     /// Number of streams whose session ended in an error.
     pub failed_streams: usize,
@@ -194,9 +199,6 @@ impl<S, O> FleetOutcome<S, O> {
 struct WorkerHandle<S: EventSink, O: DecisionObserver> {
     sender: Option<SyncSender<Vec<Item>>>,
     pending: Vec<Item>,
-    /// Events in the last batch we failed to deliver, for retraction from
-    /// the routed-event count.
-    lost: u64,
     handle: JoinHandle<Result<Vec<StreamOutcome<S, O>>, CoreError>>,
 }
 
@@ -410,7 +412,8 @@ where
         self
     }
 
-    /// Events accepted so far across all streams.
+    /// Events handed to workers so far across all streams (see
+    /// [`FleetOutcome::events_routed`]).
     pub fn events_routed(&self) -> u64 {
         self.events_routed
     }
@@ -454,8 +457,9 @@ where
     /// and out of line every push would be a call.
     #[inline(always)]
     fn enqueue(&mut self, item: Item) -> Result<(), CoreError> {
-        self.start()?;
-        let batch_size = self.batch_size;
+        if matches!(self.state, FleetState::Idle) {
+            self.start()?;
+        }
         let FleetState::Running(workers) = &mut self.state else {
             unreachable!("start() always leaves the engine running");
         };
@@ -468,11 +472,10 @@ where
             self.events_routed += 1;
         }
         worker.pending.push(item);
-        if worker.pending.len() >= batch_size {
-            if let Err(err) = flush(worker, index, &self.metrics) {
-                self.events_routed -= worker.lost;
-                worker.lost = 0;
-                return Err(err);
+        if worker.pending.len() >= self.batch_size {
+            if let Err(lost) = flush(worker, &self.metrics, self.batch_size) {
+                self.events_routed -= lost;
+                return Err(worker_gone(index));
             }
         }
         Ok(())
@@ -509,10 +512,9 @@ where
         // Close every channel first so all workers wind down in parallel,
         // then join. A failed flush here means the worker is already gone;
         // its join result carries the panic.
-        for (index, worker) in handles.iter_mut().enumerate() {
-            if flush(worker, index, &self.metrics).is_err() {
-                self.events_routed -= worker.lost;
-                worker.lost = 0;
+        for worker in &mut handles {
+            if let Err(lost) = flush(worker, &self.metrics, 0) {
+                self.events_routed -= lost;
             }
             worker.sender = None;
         }
@@ -554,10 +556,9 @@ where
         })
     }
 
+    /// Spawns the workers; called by the first push or close only.
+    #[cold]
     fn start(&mut self) -> Result<(), CoreError> {
-        if matches!(self.state, FleetState::Running(_)) {
-            return Ok(());
-        }
         let mut handles = Vec::with_capacity(self.workers);
         for index in 0..self.workers {
             let (sender, receiver) = sync_channel(self.queue_depth);
@@ -588,7 +589,6 @@ where
             handles.push(WorkerHandle {
                 sender: Some(sender),
                 pending: Vec::with_capacity(self.batch_size),
-                lost: 0,
                 handle,
             });
         }
@@ -645,26 +645,28 @@ fn worker_gone(index: usize) -> CoreError {
     }
 }
 
-/// Sends the worker's pending batch: the one place the router sends on a
-/// channel. On failure the sender is dropped and `worker.lost` records how
-/// many routed events the batch carried so the caller can retract them.
+/// Sends the worker's pending batch, leaving an empty one of `capacity`
+/// behind: the one place the router sends on a channel. On failure the
+/// sender is dropped and the error carries how many routed events the
+/// batch took with it, so the caller can retract them.
 fn flush<S: EventSink, O: DecisionObserver>(
     worker: &mut WorkerHandle<S, O>,
-    index: usize,
     metrics: &FleetMetrics,
-) -> Result<(), CoreError> {
+    capacity: usize,
+) -> Result<(), u64> {
     if worker.pending.is_empty() {
         return Ok(());
     }
-    let batch = std::mem::take(&mut worker.pending);
-    let events = batch
+    let events = worker
+        .pending
         .iter()
         .filter(|item| matches!(item, Item::Event(..)))
         .count() as u64;
     let Some(sender) = worker.sender.as_ref() else {
-        worker.lost = events;
-        return Err(worker_gone(index));
+        worker.pending.clear();
+        return Err(events);
     };
+    let batch = std::mem::replace(&mut worker.pending, Vec::with_capacity(capacity));
     let batch_span = metrics.batch_ns.span();
     // In flight from before the send: the worker may receive the batch
     // and count it out before this thread runs again.
@@ -682,8 +684,7 @@ fn flush<S: EventSink, O: DecisionObserver>(
     if !sent {
         metrics.queue_depth.sub(1);
         worker.sender = None;
-        worker.lost = events;
-        return Err(worker_gone(index));
+        return Err(events);
     }
     batch_span.end();
     metrics.events_total.add(events);
@@ -724,6 +725,18 @@ fn finish_stream<S: EventSink, O: DecisionObserver>(
     }
 }
 
+/// Takes the next item off `items` if it is an event of `stream`.
+#[inline(always)]
+fn take_event(items: &mut &[Item], stream: StreamId) -> Option<TraceEvent> {
+    match items.split_first() {
+        Some((&Item::Event(next, event), rest)) if next == stream => {
+            *items = rest;
+            Some(event)
+        }
+        _ => None,
+    }
+}
+
 fn run_worker<S, O>(
     mode: SessionMode,
     sinks: SinkFactory<S>,
@@ -744,8 +757,10 @@ where
 
     for batch in receiver {
         metrics.queue_depth.sub(1);
-        for item in batch {
-            let (stream, event) = match item {
+        let mut items = batch.as_slice();
+        while let Some((&item, rest)) = items.split_first() {
+            items = rest;
+            let (stream, first) = match item {
                 Item::Event(stream, event) => (stream, event),
                 Item::Close(stream) => {
                     if let Some((session, events)) = live.remove(&stream.as_u32()) {
@@ -755,12 +770,18 @@ where
                     continue;
                 }
             };
+            // A run: this event and every event of the same stream right
+            // behind it. The session is looked up once for all of them.
             let id = stream.as_u32();
             if let Some(&index) = dead.get(&id) {
-                done[index].discarded += 1;
+                let mut discarded = 1;
+                while take_event(&mut items, stream).is_some() {
+                    discarded += 1;
+                }
+                done[index].discarded += discarded;
                 continue;
             }
-            let entry = match live.entry(id) {
+            let (session, events) = match live.entry(id) {
                 Entry::Occupied(entry) => entry.into_mut(),
                 Entry::Vacant(slot) => {
                     // Construction errors are configuration-level and
@@ -774,12 +795,25 @@ where
                     slot.insert((session, 0))
                 }
             };
-            entry.1 += 1;
-            if let Err(err) = entry.0.push(event) {
+            // The failing event counts as accepted; the rest of the run is
+            // discarded through `dead`, like every later event of the
+            // stream.
+            let mut event = first;
+            let failure = loop {
+                *events += 1;
+                if let Err(err) = session.push(event) {
+                    break Some(err);
+                }
+                match take_event(&mut items, stream) {
+                    Some(next) => event = next,
+                    None => break None,
+                }
+            };
+            if let Some(err) = failure {
                 let (session, events) = live.remove(&id).expect("present");
                 let (sink, observer) = session.abort();
                 metrics.streams_open.sub(1);
-                let index = done.len();
+                dead.insert(id, done.len());
                 done.push(StreamOutcome {
                     stream,
                     events,
@@ -789,7 +823,6 @@ where
                     sink: Some(sink),
                     observer: Some(observer),
                 });
-                dead.insert(id, index);
             }
         }
     }
@@ -893,9 +926,14 @@ mod tests {
         assert!(!bad_outcome.is_ok());
         assert!(bad_outcome.report.is_none());
         assert!(bad_outcome.error.is_some());
-        // Events after the failure were counted as discarded, not lost.
+        // Events after the failure were counted as discarded, not lost,
+        // and routed all the same.
         assert_eq!(bad_outcome.events + bad_outcome.discarded, 20_000);
         assert!(bad_outcome.discarded > 0);
+        assert_eq!(
+            outcome.events_routed,
+            good_outcome.events + bad_outcome.events + bad_outcome.discarded
+        );
         // The aborted stream still hands back its sink.
         assert!(bad_outcome.sink.is_some());
     }
@@ -1204,13 +1242,8 @@ mod tests {
         const EVENTS: u64 = 20;
         const WORKERS: usize = 2;
         const BATCH: usize = 4_096;
-        let mut learner = ReductionSession::new(test_config()).unwrap();
-        for i in 0..30_000u64 {
-            learner.push(steady_event(i)).unwrap();
-        }
-        let model = learner.model().expect("learning finished").clone();
         let registry = Registry::new();
-        let mut fleet = FleetReducer::from_model(model, WORKERS)
+        let mut fleet = FleetReducer::from_model(steady_model(), WORKERS)
             .unwrap()
             .with_batch_size(BATCH)
             .with_metrics(Arc::clone(&registry));
@@ -1237,6 +1270,133 @@ mod tests {
             snapshot.counter("core_fleet_events_total"),
             Some(outcome.events_routed)
         );
+    }
+
+    /// A model learned from 3 s of `steady_event`s.
+    fn steady_model() -> ReferenceModel {
+        let mut learner = ReductionSession::new(test_config()).unwrap();
+        for i in 0..30_000u64 {
+            learner.push(steady_event(i)).unwrap();
+        }
+        learner.model().expect("learning finished").clone()
+    }
+
+    type Recorded = FleetOutcome<MemorySink, Vec<crate::WindowDecision>>;
+
+    /// Runs `items` through a fleet scoring against `model`, pushing
+    /// events and closing streams in their order.
+    fn run_items(model: &ReferenceModel, items: &[Item], workers: usize, batch: usize) -> Recorded {
+        let mut fleet = FleetReducer::from_model(model.clone(), workers)
+            .unwrap()
+            .with_batch_size(batch)
+            .with_sinks(|_| MemorySink::new())
+            .with_observers(|_| Vec::new());
+        for item in items {
+            match *item {
+                Item::Event(stream, event) => fleet.push(stream, event),
+                Item::Close(stream) => fleet.close_stream(stream),
+            }
+            .unwrap();
+        }
+        fleet.finish().unwrap()
+    }
+
+    /// `count` repetitions of `pattern`, whose entries are a stream id and
+    /// whether to close that stream rather than push to it; each stream's
+    /// events are numbered on its own clock.
+    fn scripted(pattern: &[(u32, bool)], count: usize) -> Vec<Item> {
+        let mut clocks = HashMap::new();
+        let mut items = Vec::new();
+        for _ in 0..count {
+            for &(id, close) in pattern {
+                let stream = StreamId::new(id);
+                if close {
+                    items.push(Item::Close(stream));
+                } else {
+                    let clock = clocks.entry(id).or_insert(0u64);
+                    items.push(Item::Event(stream, steady_event(*clock)));
+                    *clock += 1;
+                }
+            }
+        }
+        items
+    }
+
+    const A: u32 = 3;
+    const B: u32 = 8;
+
+    #[test]
+    fn a_run_ends_at_a_close_of_its_stream() {
+        let model = steady_model();
+        let items = scripted(&[(A, false), (A, false), (A, true), (A, false)], 1);
+        let outcome = run_items(&model, &items, 1, DEFAULT_BATCH_SIZE);
+        let sessions: Vec<(StreamId, u64, bool)> = outcome
+            .streams
+            .iter()
+            .map(|s| (s.stream, s.events, s.is_ok()))
+            .collect();
+        let a = StreamId::new(A);
+        assert_eq!(sessions, vec![(a, 2, true), (a, 1, true)]);
+    }
+
+    #[test]
+    fn a_run_cut_by_a_failing_sink_discards_its_rest() {
+        // Stream A: one run of 100 000 events, a B event, then a run of 10
+        // more A events, all in one batch. A's sink fails on its third
+        // record, deep inside the first run.
+        let faulty = || FaultySink {
+            events: 0,
+            records_left: 2,
+            armed: true,
+            panics: false,
+        };
+        let (a, b) = (StreamId::new(A), StreamId::new(B));
+        let run: Vec<TraceEvent> = tagged_stream(1, Duration::from_secs(20))
+            .map(|(_, event)| event)
+            .collect();
+        let last = run[run.len() - 1];
+        let tail = 10;
+        let mut pushes: Vec<(StreamId, TraceEvent)> = run.iter().map(|&e| (a, e)).collect();
+        pushes.push((b, last));
+        pushes.extend(std::iter::repeat((a, last)).take(tail));
+
+        let mut fleet = FleetReducer::new(recording_config(), 1)
+            .unwrap()
+            .with_batch_size(1 << 17)
+            .with_sinks(move |stream| FaultySink {
+                armed: stream == a,
+                ..faulty()
+            })
+            .with_observers(|_| Vec::new());
+        for &(stream, event) in &pushes {
+            fleet.push(stream, event).unwrap();
+        }
+        let outcome = fleet.finish().unwrap();
+        let a_outcome = outcome.stream(a).unwrap();
+
+        // The same run through a standalone session: the push that fails
+        // is the last one the stream accepts.
+        let mut serial = ReductionSession::new(recording_config())
+            .unwrap()
+            .with_sink(faulty())
+            .with_observer(Vec::new());
+        let failed_at = run
+            .iter()
+            .position(|&event| serial.push(event).is_err())
+            .expect("the sink fails inside the run");
+        let (sink, decisions) = serial.abort();
+
+        let error = a_outcome.error.as_deref().unwrap();
+        assert!(error.contains("sink storage failed"), "{error}");
+        let accepted = failed_at as u64 + 1;
+        assert_eq!(a_outcome.events, accepted, "the failing event is counted");
+        let discarded = run.len() as u64 - accepted + tail as u64;
+        assert_eq!(a_outcome.discarded, discarded, "conserved");
+        // Nothing after the failure reached a session.
+        assert_eq!(a_outcome.observer.as_ref(), Some(&decisions));
+        let recorded = a_outcome.sink.as_ref().unwrap().recorded_events();
+        assert_eq!(recorded, sink.recorded_events());
+        assert_eq!(outcome.events_routed, pushes.len() as u64);
     }
 
     /// Reads the fleet's queue depth from the worker thread at every

@@ -271,14 +271,30 @@ const SCHEDULE_IDS: u32 = 8;
 /// mid-stream (or at its close) and later closes of it are no-ops.
 const FAILING_STREAM: u32 = 5;
 
-/// Three pushes to one close.
+/// Three pushes to one close. A push is a few events (so short runs of
+/// two ids interleave inside one batch), a few hundred, or a long run of
+/// one id that can span whole batches of any size.
 fn step() -> impl Strategy<Value = Step> {
-    (0u8..4, 0..SCHEDULE_IDS, 1usize..600).prop_map(|(kind, stream, events)| match kind {
-        0 => Step::Close { stream },
-        _ => Step::Push {
+    (0u8..4, 0..SCHEDULE_IDS, 0usize..60_000).prop_map(|(kind, stream, n)| {
+        let events = match kind {
+            0 => return Step::Close { stream },
+            1 => 1 + n % 3,
+            2 => 1 + n % 600,
+            _ => n.max(5_000),
+        };
+        Step::Push {
             stream: stream % SCHEDULE_STREAMS,
             events,
-        },
+        }
+    })
+}
+
+/// Three in four batch sizes up to 64, so batches cut runs, and one in
+/// four up to 65 536, so a batch holds many runs of every length.
+fn schedule_batch_size() -> impl Strategy<Value = usize> {
+    (0u8..4, 0usize..65_536).prop_map(|(kind, n)| match kind {
+        0 => 1 + n,
+        _ => 1 + n % 64,
     })
 }
 
@@ -406,7 +422,7 @@ proptest! {
         steps in prop::collection::vec(step(), 1..48),
         ticks in prop::collection::vec(150u64..450, SCHEDULE_STREAMS as usize),
         workers in 1usize..4,
-        batch_size in 1usize..65,
+        batch_size in schedule_batch_size(),
     ) {
         let sources: Vec<Vec<TraceEvent>> = ticks
             .iter()
