@@ -21,6 +21,8 @@ use std::time::{Duration, Instant};
 
 use trace_model::CommitWatermark;
 
+use crate::pack::PackedSegment;
+
 /// Shared commit-watermark channel of one lane (see the module docs).
 ///
 /// Cheap to clone; all clones observe the same state. The publishing
@@ -34,6 +36,9 @@ pub struct CommitLog {
 #[derive(Debug)]
 struct Shared {
     lane: u32,
+    /// The lane's segment in the newest pack holding it, which a follower
+    /// reads from the pack: fixed when the writer recovered the lane.
+    packed: Option<PackedSegment>,
     state: Mutex<State>,
     advanced: Condvar,
 }
@@ -113,11 +118,13 @@ impl CommitView {
 }
 
 impl CommitLog {
-    /// Creates an empty log for `lane` (version 0, nothing committed).
-    pub(crate) fn new(lane: u32) -> Self {
+    /// Creates an empty log for `lane`, whose segment `packed` (if any)
+    /// lies in a pack (version 0, nothing committed).
+    pub(crate) fn new(lane: u32, packed: Option<PackedSegment>) -> Self {
         CommitLog {
             shared: Arc::new(Shared {
                 lane,
+                packed,
                 state: Mutex::new(State {
                     watermark: CommitWatermark::empty(lane),
                     sealed: Arc::new([]),
@@ -133,6 +140,11 @@ impl CommitLog {
     /// The lane this log describes.
     pub fn lane(&self) -> u32 {
         self.shared.lane
+    }
+
+    /// The lane's segment in a pack, if it has one.
+    pub(crate) fn packed(&self) -> Option<&PackedSegment> {
+        self.shared.packed.as_ref()
     }
 
     fn update(&self, apply: impl FnOnce(&mut State)) {
@@ -218,7 +230,7 @@ mod tests {
 
     #[test]
     fn views_observe_publishes_and_seals() {
-        let log = CommitLog::new(3);
+        let log = CommitLog::new(3, None);
         assert_eq!(log.view().version, 0);
         log.publish(CommitWatermark {
             lane: 3,
@@ -237,7 +249,7 @@ mod tests {
 
     #[test]
     fn next_segment_skips_empty_and_orders_sealed_before_live() {
-        let log = CommitLog::new(0);
+        let log = CommitLog::new(0, None);
         log.seal(0, 0); // recovered-empty segment: no committed bytes
         log.seal(1, 50);
         log.publish(CommitWatermark {
@@ -254,7 +266,7 @@ mod tests {
 
     #[test]
     fn wait_newer_returns_immediately_on_newer_version_and_blocks_otherwise() {
-        let log = CommitLog::new(0);
+        let log = CommitLog::new(0, None);
         log.seal(0, 40);
         let view = log.wait_newer(0, Duration::from_secs(5));
         assert_eq!(view.version, 1);
@@ -266,7 +278,7 @@ mod tests {
 
     #[test]
     fn views_share_the_sealed_list() {
-        let log = CommitLog::new(0);
+        let log = CommitLog::new(0, None);
         log.seal(0, 40);
         let (first, second) = (log.view(), log.view());
         assert!(Arc::ptr_eq(&first.sealed, &second.sealed));
@@ -287,7 +299,7 @@ mod tests {
     fn no_update_is_slept_through(wake: impl Fn(&CommitLog, u64) + Sync) {
         use std::sync::atomic::{AtomicU64, Ordering};
         const UPDATES: u64 = 50_000;
-        let log = CommitLog::new(0);
+        let log = CommitLog::new(0, None);
         let seen = [AtomicU64::new(0), AtomicU64::new(0)];
         std::thread::scope(|scope| {
             let waiters = [&seen[0], &seen[1]].map(|seen| {
@@ -353,7 +365,7 @@ mod tests {
 
     #[test]
     fn close_wakes_waiters() {
-        let log = CommitLog::new(0);
+        let log = CommitLog::new(0, None);
         let waiter = {
             let log = log.clone();
             std::thread::spawn(move || log.wait_newer(0, Duration::from_secs(30)))

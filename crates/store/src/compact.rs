@@ -24,6 +24,16 @@
 //!   CRC scanner when the sidecar disagrees.
 //! * **Torn tails** — committed-but-torn bytes left by a crash are
 //!   truncated, so a compacted store reopens clean.
+//! * **Packs** — a pass that rewrites two or more lanes into a single
+//!   segment each writes them, in ascending lane order and greedily up to
+//!   [`MaintenancePolicy::max_merged_bytes`], into one pack file
+//!   (`docs/FORMAT.md` §2.4) with one pack index, instead of a segment
+//!   file and a sidecar per lane. The pack's rename commits it; the
+//!   packed lanes' own files are deleted after it, and a crash between
+//!   the two leaves files that the pack supersedes and every reader
+//!   ignores. A lane whose packed segment a later pass rewrites is
+//!   rewritten into a newer pack, which supersedes its entry in the older
+//!   one; a pack none of whose entries is its lane's newest is deleted.
 //!
 //! The [`Compactor`] is the one thing that rewrites a lane, and it runs
 //! on lanes no writer holds: a live lane is append-only, so whatever a
@@ -42,11 +52,16 @@ use endurance_obs::{Counter, Gauge, Histogram, Registry};
 use crate::crc32::crc32;
 use crate::index::{LaneIndex, SegmentMeta, SidecarKind, WindowEntry};
 use crate::map::codec_mut;
-use crate::reader::{load_lane, truncate_torn};
+use crate::pack::{
+    dead_packs, pack_len, read_segment, write_pack, write_pack_index, Pack, PackMember,
+    PackedSegment, PACK_HEADER_LEN,
+};
+use crate::reader::{load_lane, scan_lane, truncate_torn};
 use crate::segment::{
-    encode_frame, envelope_and_stored_bytes, frame_len, list_store_dir, manifest_file_name,
-    put_table_section, segment_file_name, segment_header, table_section_len, write_sidecar,
-    FramePrev, LaneFiles, SegmentHead, SEGMENT_VERSION_V1, SEGMENT_VERSION_V3, SEGMENT_VERSION_V4,
+    encode_frame, envelope_and_stored_bytes, frame_len, legacy_sidecar_file_name, list_store_dir,
+    manifest_file_name, pack_file_name, pack_index_file_name, put_table_section, segment_file_name,
+    segment_header, sidecar_file_name, table_section_len, write_sidecar, FramePrev, LaneFiles,
+    SegmentHead, StoreListing, SEGMENT_VERSION_V1, SEGMENT_VERSION_V3, SEGMENT_VERSION_V4,
 };
 use trace_model::codec::{CodecId, FrameCodec, FrameContext, SegmentCoder};
 use trace_model::TraceError;
@@ -64,8 +79,10 @@ pub struct MaintenancePolicy {
     pub retention_ns: Option<u64>,
     /// Upper bound on a consolidated segment: a run of small segments is
     /// merged in chunks whose summed committed bytes stay at or under
-    /// this, which also bounds the pass's memory (the chunk is buffered
-    /// while its journal entry is prepared). Segments at or above
+    /// this, which also bounds the pass's memory: the chunk is buffered
+    /// while its journal entry is prepared, and no worker takes another
+    /// lane while the runs coded ahead of a slower lane, waiting for it to
+    /// be packed in lane order, hold more than this. Segments at or above
     /// `min(small_segment_bytes, max_merged_bytes)` are never merge
     /// candidates, so repeated passes converge instead of rewriting the
     /// whole lane each time.
@@ -259,6 +276,12 @@ impl LaneCompaction {
 pub struct CompactionReport {
     /// Per-lane outcomes, ascending by lane.
     pub lanes: Vec<LaneCompaction>,
+    /// Pack files the pass wrote.
+    #[serde(default)]
+    pub packs_written: u64,
+    /// Lanes whose rewritten segment the pass wrote into a pack.
+    #[serde(default)]
+    pub lanes_packed: u64,
 }
 
 impl CompactionReport {
@@ -345,11 +368,13 @@ impl std::fmt::Display for CompactionReport {
         };
         writeln!(
             f,
-            "compaction report: {} lane(s), {} run(s) merged, {} window(s) dropped, \
-             {} window(s) recompressed{by_codec}, {} byte(s) reclaimed, {} byte(s) grown, \
-             envelope {} -> {} byte(s), compression {:.2}x",
+            "compaction report: {} lane(s), {} run(s) merged, {} lane(s) packed into {} \
+             pack(s), {} window(s) dropped, {} window(s) recompressed{by_codec}, {} byte(s) \
+             reclaimed, {} byte(s) grown, envelope {} -> {} byte(s), compression {:.2}x",
             self.lanes.len(),
             self.merged_runs(),
+            self.lanes_packed,
+            self.packs_written,
             self.windows_dropped(),
             self.recompressed_windows(),
             self.reclaimed_bytes(),
@@ -420,6 +445,11 @@ struct CompactorMetrics {
     /// recompression target, by the codec they were stored under, indexed
     /// by codec id.
     frames: Vec<Counter>,
+    /// `store_compaction_packs_written_total` — pack files written.
+    packs_written: Counter,
+    /// `store_compaction_lanes_packed_total` — lane segments written into
+    /// them.
+    lanes_packed: Counter,
     /// `store_compaction_pass_ns` — wall time of each pass.
     pass_ns: Histogram,
     /// `store_compaction_lane_pass_ns` — wall time of each per-lane job
@@ -445,6 +475,8 @@ impl CompactorMetrics {
                         .counter_with("store_compaction_frames_total", &[("codec", codec.name())])
                 })
                 .collect(),
+            packs_written: registry.counter("store_compaction_packs_written_total"),
+            lanes_packed: registry.counter("store_compaction_lanes_packed_total"),
             pass_ns: registry.histogram("store_compaction_pass_ns"),
             lane_pass_ns: registry.histogram("store_compaction_lane_pass_ns"),
             parallel_lanes: registry.gauge("store_compaction_parallel_lanes"),
@@ -463,6 +495,8 @@ impl CompactorMetrics {
         if !report.is_noop() {
             self.passes.inc();
         }
+        self.packs_written.add(report.packs_written);
+        self.lanes_packed.add(report.lanes_packed);
         for lane in report.lanes.iter().filter(|lane| !lane.is_noop()) {
             self.reclaimed.add(lane.reclaimed_bytes());
             self.grown.add(lane.grown_bytes());
@@ -475,9 +509,23 @@ impl CompactorMetrics {
     }
 }
 
-/// What one lane job of a pass produced: the lane's report, or `None`
-/// for a lane with nothing to compact.
-type LaneOutcome = Result<Option<LaneCompaction>, TraceError>;
+/// What one lane job of a pass produced, or `None` for a lane with
+/// nothing to compact.
+type LaneOutcome = Result<Option<LaneJob>, TraceError>;
+
+/// One lane's compaction, as its job leaves it.
+#[derive(Debug)]
+enum LaneJob {
+    /// Done. `repair` names a pack whose index did not give this lane's
+    /// rows: the pass writes that index anew.
+    Done {
+        report: LaneCompaction,
+        repair: Option<u32>,
+    },
+    /// Done but for the lane's rewritten run, coded but not written: it
+    /// may go into a pack, which the pass's packer decides.
+    Deferred(Deferred),
+}
 
 impl Compactor {
     /// A compactor over the store directory `dir` with `policy`.
@@ -545,7 +593,24 @@ impl Compactor {
         let pass_span = self.metrics.pass_ns.span();
         // The pass's one listing: every lane job works from the files it
         // saw, so a lane's cost does not grow with its neighbours' files.
-        let work: Vec<(u32, LaneFiles)> = list_store_dir(&self.dir, only)?.into_iter().collect();
+        let listing = list_store_dir(&self.dir, only)?;
+        let report = self.pass_over(listing, only);
+        pass_span.end();
+        let report = report?;
+        self.metrics.record(&report);
+        Ok(report)
+    }
+
+    /// The pass over the files `listing` saw.
+    fn pass_over(
+        &self,
+        listing: StoreListing,
+        only: Option<u32>,
+    ) -> Result<CompactionReport, TraceError> {
+        for name in &listing.pack_leftovers {
+            remove_if_present(&self.dir.join(name))?;
+        }
+        let work: Vec<(u32, LaneFiles)> = listing.lanes.into_iter().collect();
         let workers = self.worker_count(work.len());
         if only.is_none() {
             self.metrics.parallel_lanes.set(workers as i64);
@@ -554,49 +619,73 @@ impl Compactor {
         // One worker loop: a shared cursor hands lanes to whichever worker
         // is free, so one slow (large) lane never serialises the rest
         // behind it. The caller's thread is worker 0, so a pass of one
-        // worker spawns nothing.
+        // worker spawns nothing. Each finished lane goes to the packer in
+        // ascending lane order whatever worker ran it, so which lanes
+        // share a pack depends on the lanes and their sizes alone. While
+        // the runs that finished ahead of a slower lane fill a pack, no
+        // worker takes another lane: they wait in memory until it arrives.
+        let first_pack = listing.last_pack.map_or(0, |last| last.saturating_add(1));
+        let packer = std::sync::Mutex::new(Packer::new(&self.dir, &self.policy, first_pack));
+        let arrived = std::sync::Condvar::new();
         let next = std::sync::atomic::AtomicUsize::new(0);
         let worker = || {
+            let _wake = WakeOnPanic(&packer, &arrived);
             let mut coder = RunCoder::default();
-            let mut outcomes = Vec::new();
-            while let Some((lane, files)) =
-                work.get(next.fetch_add(1, std::sync::atomic::Ordering::SeqCst))
-            {
-                outcomes.push((*lane, self.compact_lane_job(*lane, files, &mut coder)));
-            }
-            outcomes
-        };
-        let mut outcomes = std::thread::scope(|scope| {
-            let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(worker)).collect();
-            let mut outcomes = worker();
-            for helper in helpers {
-                outcomes.extend(
-                    helper
-                        .join()
-                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            loop {
+                drop(
+                    arrived
+                        .wait_while(lock(&packer), |packer| packer.is_full())
+                        .unwrap_or_else(std::sync::PoisonError::into_inner),
                 );
+                let at = next.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                let Some((lane, files)) = work.get(at) else {
+                    break;
+                };
+                let outcome = self.compact_lane_job(*lane, files, &mut coder);
+                lock(&packer).arrive(at, *lane, outcome);
+                arrived.notify_all();
             }
-            outcomes
+        };
+        std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(worker)).collect();
+            worker();
+            for helper in helpers {
+                helper
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            }
         });
+        let mut packer = packer
+            .into_inner()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        packer.flush();
 
         // Successes in ascending lane order; the lowest failing lane's
         // error surfaces after every lane ran.
-        outcomes.sort_unstable_by_key(|(lane, _)| *lane);
-        let mut report = CompactionReport::default();
+        packer.outcomes.sort_unstable_by_key(|(lane, _)| *lane);
+        let mut report = CompactionReport {
+            packs_written: packer.written.len() as u64,
+            lanes_packed: packer
+                .written
+                .iter()
+                .map(|(_, lanes)| lanes.len() as u64)
+                .sum(),
+            ..CompactionReport::default()
+        };
         let mut first_error: Option<TraceError> = None;
-        for (_, outcome) in outcomes {
+        for (_, outcome) in packer.outcomes {
             match outcome {
-                Ok(lane_report) => report.lanes.extend(lane_report),
+                Ok(lane_report) => report.lanes.push(lane_report),
                 Err(error) => {
                     first_error.get_or_insert(error);
                 }
             }
         }
-        pass_span.end();
+        let tidied = tidy_packs(&self.dir, &listing.packs, &packer.written, &packer.repair);
         if let Some(error) = first_error {
             return Err(error);
         }
-        self.metrics.record(&report);
+        tidied?;
         Ok(report)
     }
 
@@ -618,15 +707,16 @@ impl Compactor {
     /// listing saw, then the compaction pass — timed as a
     /// `store_compaction_lane_pass_ns` sample. This is the unit of work
     /// the parallel pass distributes, on the worker's `coder`. A lane the
-    /// listing saw no segment of (only a journal or temp files outlived
-    /// its segments) is recovered and yields no report.
+    /// listing saw no segment of (only a journal, temp files or files a
+    /// pack superseded outlived its segments) is recovered and yields no
+    /// report.
     fn compact_lane_job(&self, lane: u32, files: &LaneFiles, coder: &mut RunCoder) -> LaneOutcome {
         let lane_span = self.metrics.lane_pass_ns.span();
         let seqs = recover_interrupted_merge(&self.dir, lane, files)?;
-        let outcome = if files.seqs.is_empty() {
-            Ok(None)
-        } else {
+        let outcome = if files.has_segments() {
             self.compact_lane_seqs(lane, &seqs, files, coder).map(Some)
+        } else {
+            Ok(None)
         };
         lane_span.end();
         outcome
@@ -638,44 +728,382 @@ impl Compactor {
         seqs: &[u32],
         files: &LaneFiles,
         coder: &mut RunCoder,
-    ) -> Result<LaneCompaction, TraceError> {
+    ) -> Result<LaneJob, TraceError> {
+        let packed = files.packed_segment();
+        let done = |report| LaneJob::Done {
+            report,
+            repair: None,
+        };
         if !self.policy.is_enabled() {
             // A disabled policy is a true no-op: report the lane's state
             // without truncating tails or rewriting the sidecar, so the
             // store can be inspected exactly as the crash left it.
-            let loaded = load_lane(&self.dir, lane, seqs)?;
+            let loaded = load_lane(&self.dir, lane, seqs, files.packed.as_ref())?;
             let bytes: u64 = loaded
                 .index
                 .segments
                 .iter()
                 .map(|segment| segment.committed_bytes)
                 .sum();
-            return Ok(LaneCompaction {
+            return Ok(done(LaneCompaction {
                 lane,
                 segments_before: loaded.index.segments.len(),
                 segments_after: loaded.index.segments.len(),
                 bytes_before: bytes,
                 bytes_after: bytes,
                 ..LaneCompaction::default()
-            });
+            }));
         }
         // Every file ends on a frame boundary before any merge.
-        let loaded = load_lane(&self.dir, lane, seqs)?;
+        let loaded = load_lane(&self.dir, lane, seqs, files.packed.as_ref())?;
         let torn_truncated = truncate_torn(&self.dir, &loaded.torn)?;
-        let (index, lane_report) =
-            compact_lane_index(&self.dir, loaded.index, &self.policy, torn_truncated, coder)?;
+        let (index, report, deferred) = compact_lane_index(
+            &self.dir,
+            loaded.index,
+            &self.policy,
+            torn_truncated,
+            coder,
+            packed,
+        )?;
+        if let Some(run) = deferred {
+            return Ok(LaneJob::Deferred(Deferred {
+                run,
+                index,
+                report,
+                legacy_sidecar: files.legacy_sidecar,
+                sidecar: files.sidecar,
+            }));
+        }
+        if let Some(packed) =
+            packed.filter(|packed| index.segments.len() == 1 && index.segments[0].seq == packed.seq)
+        {
+            // The pack index stands for the sidecar of a lane whose one
+            // segment is packed: a sidecar left beside it is superseded.
+            remove_lane_sidecars(&self.dir, lane, files.sidecar, files.legacy_sidecar)?;
+            let rows_trusted = loaded.sidecar == Ok(SidecarKind::Pack) || !seqs.is_empty();
+            return Ok(LaneJob::Done {
+                report,
+                repair: (!rows_trusted).then_some(packed.pack),
+            });
+        }
         // A trusted `.idx` of a lane the pass left as it found it (no
         // segment written or deleted, no tail truncated, no journal
         // finished) still describes the lane: leave its bytes alone.
         let untouched = loaded.sidecar == Ok(SidecarKind::Binary)
             && !files.journal
             && !files.legacy_sidecar
-            && lane_report.is_noop();
+            && report.is_noop();
         if !untouched {
             write_sidecar(&self.dir, &index, files.legacy_sidecar)?;
         }
-        Ok(lane_report)
+        Ok(done(report))
     }
+}
+
+/// Locks the pass's packer. A worker that panicked holding it poisons it,
+/// and its panic is raised again when the pass joins it, so no report is
+/// ever built from what it left: the others need not stop first.
+fn lock<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// Lets the workers of a pass waiting on a job that a panicking one held
+/// go on: that job never arrives, and the panic is raised again when the
+/// pass joins its worker.
+struct WakeOnPanic<'a, 'p>(&'a std::sync::Mutex<Packer<'p>>, &'a std::sync::Condvar);
+
+impl Drop for WakeOnPanic<'_, '_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            lock(self.0).stalled = true;
+            self.1.notify_all();
+        }
+    }
+}
+
+/// Removes `path` unless it is already gone.
+fn remove_if_present(path: &Path) -> Result<(), TraceError> {
+    match std::fs::remove_file(path) {
+        Err(error) if error.kind() != std::io::ErrorKind::NotFound => Err(error.into()),
+        _ => Ok(()),
+    }
+}
+
+/// Removes the sidecars of `lane` a listing saw — its `.idx` and its
+/// `legacy` `.idx.json` — whose index a pack index now holds.
+fn remove_lane_sidecars(dir: &Path, lane: u32, idx: bool, legacy: bool) -> Result<(), TraceError> {
+    if idx {
+        remove_if_present(&dir.join(sidecar_file_name(lane)))?;
+    }
+    if legacy {
+        remove_if_present(&dir.join(legacy_sidecar_file_name(lane)))?;
+    }
+    Ok(())
+}
+
+/// A lane's rewritten run, coded but not yet written, and what the lane
+/// needs once it is.
+#[derive(Debug)]
+struct Deferred {
+    run: DeferredRun,
+    /// The lane's index after the pass, the run's segment numbered after
+    /// its first source.
+    index: LaneIndex,
+    report: LaneCompaction,
+    legacy_sidecar: bool,
+    sidecar: bool,
+}
+
+/// A coded run that [`compact_lane_index`] left to the pass's packer.
+#[derive(Debug)]
+struct DeferredRun {
+    /// The run's segment as a file of its own would hold it, numbered
+    /// after the run's first source.
+    segment: Vec<u8>,
+    /// The sources' sequence numbers, ascending.
+    seqs: Vec<u32>,
+    /// Whether a source is the lane's packed segment, which only a newer
+    /// pack can supersede.
+    must_pack: bool,
+}
+
+impl Deferred {
+    fn lane(&self) -> u32 {
+        self.index.lane
+    }
+
+    /// The run's first and last source: the number of its segment on its
+    /// own, and as a pack entry (which supersedes every file numbered up
+    /// to it).
+    fn seqs(&self) -> (u32, u32) {
+        let seqs = &self.run.seqs;
+        (seqs[0], seqs[seqs.len() - 1])
+    }
+
+    fn member(&self) -> PackMember<'_> {
+        PackMember {
+            lane: self.lane(),
+            seq: self.seqs().1,
+            segment: &self.run.segment,
+        }
+    }
+}
+
+/// Gathers the runs lane jobs leave it, in ascending lane order, into
+/// packs of at most `max_merged_bytes`, and writes each pack — or a run
+/// that ends up alone in one, unless it must be packed, as a segment file
+/// of its own.
+#[derive(Debug)]
+struct Packer<'a> {
+    dir: &'a Path,
+    max_bytes: u64,
+    next_pack: u32,
+    /// Jobs that finished ahead of a lower lane, by position in the pass,
+    /// and the bytes of the runs they hold.
+    waiting: std::collections::BTreeMap<usize, (u32, LaneOutcome)>,
+    waiting_bytes: u64,
+    /// Whether a worker panicked: the job it held never arrives.
+    stalled: bool,
+    /// Position of the next job to take.
+    next: usize,
+    /// The pack being gathered.
+    group: Vec<Deferred>,
+    group_bytes: u64,
+    /// Every lane's outcome, once final.
+    outcomes: Vec<(u32, Result<LaneCompaction, TraceError>)>,
+    /// Packs written, with their lanes.
+    written: Vec<(u32, Vec<u32>)>,
+    /// Packs whose index the pass writes anew.
+    repair: std::collections::BTreeSet<u32>,
+}
+
+impl<'a> Packer<'a> {
+    fn new(dir: &'a Path, policy: &MaintenancePolicy, first_pack: u32) -> Self {
+        Packer {
+            dir,
+            max_bytes: policy.max_merged_bytes,
+            next_pack: first_pack,
+            waiting: std::collections::BTreeMap::new(),
+            waiting_bytes: 0,
+            stalled: false,
+            next: 0,
+            group: Vec::new(),
+            group_bytes: PACK_HEADER_LEN,
+            outcomes: Vec::new(),
+            written: Vec::new(),
+            repair: std::collections::BTreeSet::new(),
+        }
+    }
+
+    /// Takes the outcome of the job at position `at` of the pass, and
+    /// every waiting one it was the last gap in front of.
+    fn arrive(&mut self, at: usize, lane: u32, outcome: LaneOutcome) {
+        self.waiting_bytes += run_bytes(&outcome);
+        self.waiting.insert(at, (lane, outcome));
+        while let Some((lane, outcome)) = self.waiting.remove(&self.next) {
+            self.next += 1;
+            self.waiting_bytes -= run_bytes(&outcome);
+            match outcome {
+                Ok(Some(LaneJob::Done { report, repair })) => {
+                    self.repair.extend(repair);
+                    self.outcomes.push((lane, Ok(report)));
+                }
+                Ok(Some(LaneJob::Deferred(deferred))) => self.gather(deferred),
+                Ok(None) => {}
+                Err(error) => self.outcomes.push((lane, Err(error))),
+            }
+        }
+    }
+
+    /// Whether the runs waiting for a slower lane hold more than a pack:
+    /// no worker takes another lane until it arrives.
+    fn is_full(&self) -> bool {
+        !self.stalled && self.waiting_bytes > self.max_bytes
+    }
+
+    fn gather(&mut self, deferred: Deferred) {
+        let bytes = deferred.member().entry_len();
+        if !self.group.is_empty() && self.group_bytes + bytes > self.max_bytes {
+            self.flush();
+        }
+        self.group_bytes += bytes;
+        self.group.push(deferred);
+    }
+
+    /// Writes the runs gathered so far: a pack of them, or the one run as
+    /// a segment file of its own.
+    fn flush(&mut self) {
+        let group = std::mem::take(&mut self.group);
+        self.group_bytes = PACK_HEADER_LEN;
+        let Some(first) = group.first() else {
+            return;
+        };
+        let written = if group.len() == 1 && !first.run.must_pack {
+            write_alone(self.dir, first)
+        } else {
+            let pack = self.next_pack;
+            self.next_pack = self.next_pack.saturating_add(1);
+            write_packed(self.dir, pack, &group, &mut self.written)
+        };
+        match written {
+            Ok(()) => {
+                for deferred in group {
+                    self.outcomes.push((deferred.lane(), Ok(deferred.report)));
+                }
+            }
+            Err(error) => self.outcomes.push((first.lane(), Err(error))),
+        }
+    }
+}
+
+/// Bytes of the coded run a lane job's outcome holds.
+fn run_bytes(outcome: &LaneOutcome) -> u64 {
+    match outcome {
+        Ok(Some(LaneJob::Deferred(deferred))) => deferred.run.segment.len() as u64,
+        _ => 0,
+    }
+}
+
+/// Writes a deferred run as a segment file of its own, as a pass that
+/// packs nothing does, and then the lane's sidecar.
+fn write_alone(dir: &Path, deferred: &Deferred) -> Result<(), TraceError> {
+    let seqs = &deferred.run.seqs;
+    commit_run(
+        dir,
+        deferred.lane(),
+        seqs[0],
+        &seqs[1..],
+        &deferred.run.segment,
+    )?;
+    write_sidecar(dir, &deferred.index, deferred.legacy_sidecar)
+}
+
+/// Writes pack `pack` of `group`'s runs (`docs/FORMAT.md` §5.3): the pack
+/// (temp file, fsync, rename — the commit, after which it joins `written`),
+/// then, lane by lane, the deletion of the run's own source files and the
+/// lane's sidecar — written anew for a lane with segments past the packed
+/// one, deleted for one without — and last the pack index. A pack that
+/// failed before its commit is not in `written`, so it supersedes nothing
+/// the pass's tidying could delete.
+fn write_packed(
+    dir: &Path,
+    pack: u32,
+    group: &[Deferred],
+    written: &mut Vec<(u32, Vec<u32>)>,
+) -> Result<(), TraceError> {
+    let members: Vec<PackMember> = group.iter().map(Deferred::member).collect();
+    let entries = write_pack(dir, pack, &members)?;
+    written.push((pack, group.iter().map(Deferred::lane).collect()));
+    let mut indexes = Vec::with_capacity(group.len());
+    for (deferred, entry) in group.iter().zip(&entries) {
+        let (first, last) = deferred.seqs();
+        // Numbered as a pack entry: the run's last source.
+        let mut index = deferred.index.clone();
+        for meta in index.segments.iter_mut().filter(|meta| meta.seq == first) {
+            meta.seq = last;
+        }
+        for row in index.windows.iter_mut().filter(|row| row.segment == first) {
+            row.segment = last;
+        }
+        for &seq in &deferred.run.seqs {
+            // The lane's packed source is no file of its own.
+            remove_if_present(&dir.join(segment_file_name(deferred.lane(), seq)))?;
+        }
+        if index.segments.iter().any(|meta| meta.seq != last) {
+            write_sidecar(dir, &index, deferred.legacy_sidecar)?;
+        } else {
+            remove_lane_sidecars(
+                dir,
+                deferred.lane(),
+                deferred.sidecar,
+                deferred.legacy_sidecar,
+            )?;
+        }
+        let rows = index.windows.partition_point(|row| row.segment == last);
+        index.windows.truncate(rows);
+        indexes.push((*entry, index.windows));
+    }
+    let lanes: Vec<(PackedSegment, &[WindowEntry])> = indexes
+        .iter()
+        .map(|(entry, rows)| (*entry, rows.as_slice()))
+        .collect();
+    write_pack_index(dir, pack, pack_len(&members), &lanes)
+}
+
+/// After a pass: writes anew the index of every pack still in use that a
+/// reader could not trust (declined, or named in `repair`), then deletes
+/// every pack that `written` left with no entry its lane reads.
+fn tidy_packs(
+    dir: &Path,
+    packs: &[Pack],
+    written: &[(u32, Vec<u32>)],
+    repair: &std::collections::BTreeSet<u32>,
+) -> Result<(), TraceError> {
+    let dead = dead_packs(packs, written);
+    for pack in packs.iter().filter(|pack| !dead.contains(&pack.id)) {
+        if pack.index.is_ok() && !repair.contains(&pack.id) {
+            continue;
+        }
+        let mut lanes = Vec::with_capacity(pack.entries.len());
+        for entry in &pack.entries {
+            let segment = &entry.segment;
+            let packed = Some(segment).filter(|segment| !segment.is_empty());
+            let (index, _) = scan_lane(dir, segment.lane, &[], packed)?;
+            lanes.push((*segment, index.windows));
+        }
+        let lanes: Vec<(PackedSegment, &[WindowEntry])> = lanes
+            .iter()
+            .map(|(segment, rows)| (*segment, rows.as_slice()))
+            .collect();
+        write_pack_index(dir, pack.id, pack.len, &lanes)?;
+    }
+    for pack in dead {
+        remove_if_present(&dir.join(pack_file_name(pack)))?;
+        remove_if_present(&dir.join(pack_index_file_name(pack)))?;
+    }
+    Ok(())
 }
 
 /// Crash journal of one multi-file segment merge.
@@ -709,6 +1137,15 @@ const MANIFEST_SCHEMA: u32 = 1;
 /// Fewest adjacent small segments worth a merge rewrite: one file has
 /// nothing to merge with.
 const MIN_MERGE_RUN: usize = 2;
+
+/// The most bytes a run's sources may hold for the pass to pack it, unless
+/// it must (it holds the lane's packed segment); a larger run is rewritten
+/// into a segment file of its own. A lane's own files cost a cold open two
+/// small reads and a `stat`, about what reading 64 KiB of segment costs,
+/// so a larger lane gains little from sharing a file, while a rewrite of a
+/// packed lane leaves its old entry dead in the older pack until every
+/// lane of it has moved on.
+const PACK_MEMBER_MAX_BYTES: u64 = 64 << 10;
 
 /// What a lane's journal file holds.
 enum Journal {
@@ -767,8 +1204,9 @@ pub(crate) fn segments_replaced_by_pending_merge(dir: &Path, lane: u32) -> Vec<u
 
 /// Writer/compactor-side recovery over the files the caller's listing
 /// saw: finishes (or rolls back) a merge that a crash interrupted, sweeps
-/// the lane's stray temp files, and returns the lane's segments as
-/// recovery left them, ascending.
+/// the lane's stray temp files, deletes the own segment files a committed
+/// pack superseded, and returns the lane's own segments as recovery left
+/// them, ascending.
 pub(crate) fn recover_interrupted_merge(
     dir: &Path,
     lane: u32,
@@ -799,6 +1237,9 @@ pub(crate) fn recover_interrupted_merge(
     for temp in &files.temps {
         std::fs::remove_file(dir.join(temp))?;
     }
+    for &seq in &files.superseded {
+        remove_if_present(&dir.join(segment_file_name(lane, seq)))?;
+    }
     Ok(seqs)
 }
 
@@ -818,9 +1259,20 @@ struct SegmentPlan {
     candidate: bool,
 }
 
+/// One segment of a lane after a pass: kept as it is, or the segment a
+/// run of adjacent candidates is rewritten into.
+enum Chunk {
+    Keep(usize),
+    Rewrite(std::ops::Range<usize>),
+}
+
 /// Core of the pass: applies `policy` (enabled — [`Compactor`] answers a
-/// disabled one itself) to `index`'s segments on disk and returns the
-/// rewritten index plus the report entry.
+/// disabled one itself) to `index`'s segments on disk — `packed` lying in
+/// a pack — and returns the rewritten index, the report entry, and the
+/// one run it coded but left to the pass's packer: a run holding the
+/// packed segment, which only a newer pack supersedes, or the run that
+/// becomes the lane's only segment, in format v3 or v4, which may share a
+/// pack with other lanes'.
 ///
 /// `torn_bytes_truncated` is whatever the caller already reclaimed from
 /// torn tails, folded into the report; `coder` codes the runs.
@@ -830,7 +1282,8 @@ fn compact_lane_index(
     policy: &MaintenancePolicy,
     torn_bytes_truncated: u64,
     coder: &mut RunCoder,
-) -> Result<(LaneIndex, LaneCompaction), TraceError> {
+    packed: Option<&PackedSegment>,
+) -> Result<(LaneIndex, LaneCompaction, Option<DeferredRun>), TraceError> {
     let lane = index.lane;
     let bytes_before: u64 = index.segments.iter().map(|s| s.committed_bytes).sum();
     let mut report = LaneCompaction {
@@ -846,7 +1299,7 @@ fn compact_lane_index(
     (report.envelope_bytes_before, report.stored_bytes) = envelope_and_stored_bytes(&index);
     report.envelope_bytes_after = report.envelope_bytes_before;
     if index.segments.is_empty() {
-        return Ok((index, report));
+        return Ok((index, report, None));
     }
 
     // Retention horizon: relative to the newest recorded window, in trace
@@ -916,14 +1369,11 @@ fn compact_lane_index(
     // both the consolidated file and the pass's memory); a chunk is
     // rewritten when it must be (drops) or when merging at least
     // `MIN_MERGE_RUN` files.
-    let mut new_segments: Vec<SegmentMeta> = Vec::new();
-    let mut new_windows: Vec<WindowEntry> = Vec::new();
+    let mut chunks = Vec::new();
     let mut start = 0usize;
     while start < plans.len() {
         if !plans[start].candidate {
-            // Untouched segment: entries carry over verbatim.
-            new_segments.push(plans[start].meta);
-            new_windows.extend(plans[start].windows.iter().map(|&w| index.windows[w]));
+            chunks.push(Chunk::Keep(start));
             start += 1;
             continue;
         }
@@ -942,12 +1392,85 @@ fn compact_lane_index(
         let run = &plans[start..end];
         let must_rewrite =
             run.iter().any(|plan| plan.rewrite || plan.recompress) || run.len() >= MIN_MERGE_RUN;
-        if !must_rewrite {
-            for plan in run {
-                new_segments.push(plan.meta);
-                new_windows.extend(plan.windows.iter().map(|&w| index.windows[w]));
+        if must_rewrite {
+            chunks.push(Chunk::Rewrite(start..end));
+        } else {
+            chunks.extend((start..end).map(Chunk::Keep));
+        }
+        start = end;
+    }
+    let holds_packed = |run: &[SegmentPlan]| {
+        packed.is_some_and(|packed| run.iter().any(|plan| plan.meta.seq == packed.seq))
+    };
+    let segments_left = chunks
+        .iter()
+        .filter(|chunk| match chunk {
+            Chunk::Keep(_) => true,
+            Chunk::Rewrite(run) => plans[run.clone()]
+                .iter()
+                .any(|plan| !plan.windows.is_empty()),
+        })
+        .count();
+
+    let mut new_segments: Vec<SegmentMeta> = Vec::new();
+    let mut new_windows: Vec<WindowEntry> = Vec::new();
+    let mut deferred = None;
+    for chunk in chunks {
+        let run = match chunk {
+            Chunk::Keep(at) => {
+                // Untouched segment: entries carry over verbatim.
+                new_segments.push(plans[at].meta);
+                new_windows.extend(plans[at].windows.iter().map(|&w| index.windows[w]));
+                continue;
             }
-            start = end;
+            Chunk::Rewrite(run) => &plans[run],
+        };
+        report.merged_runs += usize::from(run.len() > 1);
+        let all_v1 = run
+            .iter()
+            .all(|plan| plan.meta.version == SEGMENT_VERSION_V1 && !plan.recompress);
+        // One run at most is left to the packer. The packed segment is the
+        // lane's first, so a run holding it comes first; the lane's only
+        // surviving segment goes to it too unless that run took the turn or
+        // its sources hold more than `PACK_MEMBER_MAX_BYTES`. A run that
+        // keeps nothing and holds no packed segment is deleted by
+        // `rewrite_run`.
+        let must_pack = holds_packed(run);
+        let survives = run.iter().any(|plan| !plan.windows.is_empty());
+        let small = run
+            .iter()
+            .map(|plan| plan.meta.committed_bytes)
+            .sum::<u64>()
+            <= PACK_MEMBER_MAX_BYTES;
+        if must_pack || (deferred.is_none() && survives && segments_left == 1 && !all_v1 && small) {
+            debug_assert!(deferred.is_none(), "lane {lane} defers two runs");
+            let target_seq = run[0].meta.seq;
+            let (version, segment, entries) = coder.code(
+                dir,
+                lane,
+                target_seq,
+                run,
+                &index.windows,
+                policy.recompress,
+                &mut report.frames_by_codec,
+                packed,
+            )?;
+            report.segments_rewritten += 1;
+            // A run that keeps no window is left out of the index: its
+            // pack entry only supersedes what it replaced.
+            if !entries.is_empty() {
+                new_segments.push(SegmentMeta {
+                    seq: target_seq,
+                    committed_bytes: segment.len() as u64,
+                    version,
+                });
+                new_windows.extend(entries);
+            }
+            deferred = Some(DeferredRun {
+                segment,
+                seqs: run.iter().map(|plan| plan.meta.seq).collect(),
+                must_pack,
+            });
             continue;
         }
         let consolidated = rewrite_run(
@@ -959,13 +1482,11 @@ fn compact_lane_index(
             &mut report.frames_by_codec,
             coder,
         )?;
-        report.merged_runs += usize::from(run.len() > 1);
         report.segments_rewritten += usize::from(consolidated.is_some());
         if let Some((meta, entries)) = consolidated {
             new_segments.push(meta);
             new_windows.extend(entries);
         }
-        start = end;
     }
 
     let mut rebuilt = LaneIndex::new(lane);
@@ -975,7 +1496,7 @@ fn compact_lane_index(
     report.bytes_after = rebuilt.segments.iter().map(|s| s.committed_bytes).sum();
     report.payload_bytes = rebuilt.total_payload_bytes();
     (report.envelope_bytes_after, report.stored_bytes) = envelope_and_stored_bytes(&rebuilt);
-    Ok((rebuilt, report))
+    Ok((rebuilt, report, deferred))
 }
 
 /// Rewrites one run of adjacent segments into a single consolidated
@@ -1023,19 +1544,40 @@ fn rewrite_run(
         windows,
         recompress,
         frames_by_codec,
+        None,
     )?;
+    let replaced_seqs: Vec<u32> = run[1..].iter().map(|plan| plan.meta.seq).collect();
+    commit_run(dir, lane, target_seq, &replaced_seqs, &merged)?;
+    Ok(Some((
+        SegmentMeta {
+            seq: target_seq,
+            committed_bytes: merged.len() as u64,
+            version: out_version,
+        },
+        entries,
+    )))
+}
 
+/// Puts the segment `merged` in place as segment `target_seq` of `lane`,
+/// replacing it and the segments `replaced_seqs`: a temp file, fsynced and
+/// renamed over the target. Multi-file merges are journalled first.
+fn commit_run(
+    dir: &Path,
+    lane: u32,
+    target_seq: u32,
+    replaced_seqs: &[u32],
+    merged: &[u8],
+) -> Result<(), TraceError> {
     // Journal multi-file merges; a single-file rewrite is already atomic
     // via the rename below.
-    let replaced_seqs: Vec<u32> = run[1..].iter().map(|plan| plan.meta.seq).collect();
     if !replaced_seqs.is_empty() {
         let manifest = CompactionManifest {
             schema: MANIFEST_SCHEMA,
             lane,
             target_seq,
             target_bytes: merged.len() as u64,
-            target_crc: crc32(&merged),
-            replaced_seqs: replaced_seqs.clone(),
+            target_crc: crc32(merged),
+            replaced_seqs: replaced_seqs.to_vec(),
         };
         let json = serde_json::to_string(&manifest)
             .map_err(|error| std::io::Error::other(error.to_string()))?;
@@ -1059,7 +1601,7 @@ fn rewrite_run(
         .write(true)
         .truncate(true)
         .open(&tmp)?;
-    out.write_all(&merged)?;
+    out.write_all(merged)?;
     out.sync_all()?;
     drop(out);
     // Cutover: the consolidated file replaces the run's first segment,
@@ -1067,20 +1609,13 @@ fn rewrite_run(
     // entry. A reader or recovery pass at any intermediate step sees
     // either the old or the new layout of the run, never both.
     std::fs::rename(&tmp, &target)?;
-    for &seq in &replaced_seqs {
+    for &seq in replaced_seqs {
         std::fs::remove_file(dir.join(segment_file_name(lane, seq)))?;
     }
     if !replaced_seqs.is_empty() {
         std::fs::remove_file(dir.join(manifest_file_name(lane)))?;
     }
-    Ok(Some((
-        SegmentMeta {
-            seq: target_seq,
-            committed_bytes: merged.len() as u64,
-            version: out_version,
-        },
-        entries,
-    )))
+    Ok(())
 }
 
 /// Where the block of a frame [`RunCoder::code`] writes comes from.
@@ -1140,6 +1675,7 @@ impl RunCoder {
         windows: &[WindowEntry],
         recompress: Option<CodecId>,
         frames_by_codec: &mut [u64; CodecId::ALL.len()],
+        packed: Option<&PackedSegment>,
     ) -> Result<(u8, Vec<u8>, Vec<WindowEntry>), TraceError> {
         let RunCoder {
             coder,
@@ -1155,8 +1691,7 @@ impl RunCoder {
         frames.clear();
         let total: u64 = run.iter().map(|plan| plan.meta.committed_bytes).sum();
         for plan in run.iter().filter(|plan| !plan.windows.is_empty()) {
-            let path = dir.join(segment_file_name(lane, plan.meta.seq));
-            let source = std::fs::read(&path)?;
+            let (path, source) = read_segment(dir, lane, plan.meta.seq, packed)?;
             let head = SegmentHead::parse(&source, &path, lane, plan.meta.seq)?;
             // Any target but `Identity` stores the smallest block there is.
             let target = recompress.filter(|_| plan.recompress);
@@ -1460,6 +1995,56 @@ mod tests {
         let after = StoreReader::open(&dir).unwrap();
         assert!(after.recovery().clean, "compaction leaves a clean store");
         assert_eq!(after.lane_windows(0).unwrap().len(), 4);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_pack_that_fails_before_its_commit_supersedes_nothing() {
+        let dir = temp_dir("pack-fails");
+        for lane in 0..3 {
+            write_lane_run(&dir, lane, 6, 2, true);
+        }
+        let packing =
+            MaintenancePolicy::merge_below(u64::MAX).with_recompress(CodecId::DeltaVarint);
+        let report = Compactor::new(&dir, packing).compact().unwrap();
+        assert_eq!(
+            (report.packs_written, report.lanes_packed),
+            (1, 3),
+            "{report}"
+        );
+        let replay = |dir: &std::path::Path| {
+            let reader = StoreReader::open(dir).unwrap();
+            assert!(reader.recovery().clean, "{:?}", reader.recovery());
+            (0..3)
+                .map(|lane| reader.lane_events(lane).unwrap())
+                .collect::<Vec<_>>()
+        };
+        let before = replay(&dir);
+
+        // Retention rewrites every lane of pack 0 into pack 1, whose temp
+        // file cannot be created: a directory took its name after the pass
+        // listed the store. Pack 0 stays the only copy of every lane.
+        let retention = MaintenancePolicy::disabled().with_retention_ns(160_000_000);
+        let compactor = Compactor::new(&dir, retention);
+        let listing = list_store_dir(&dir, None).unwrap();
+        let blocker = dir.join(format!("{}.compact.tmp", pack_file_name(1)));
+        std::fs::create_dir(&blocker).unwrap();
+        assert!(compactor.pass_over(listing, None).is_err());
+        std::fs::remove_dir(&blocker).unwrap();
+        assert!(dir.join(pack_file_name(0)).exists());
+        assert!(dir.join(pack_index_file_name(0)).exists());
+        assert_eq!(replay(&dir), before);
+
+        let report = compactor.compact().unwrap();
+        assert_eq!((report.packs_written, report.windows_dropped()), (1, 3 * 2));
+        let listing = list_store_dir(&dir, None).unwrap();
+        let packs: Vec<u32> = listing.packs.iter().map(|pack| pack.id).collect();
+        assert_eq!(packs, [1]);
+        assert!(listing.pack_leftovers.is_empty());
+        for (lane, files) in &listing.lanes {
+            let own = !files.seqs.is_empty() || !files.superseded.is_empty() || files.sidecar;
+            assert!(!own, "lane {lane} kept a file of its own: {files:?}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

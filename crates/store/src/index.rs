@@ -200,17 +200,47 @@ pub enum FallbackReason {
     BadChecksum,
     /// An intact sidecar of a schema this build does not know.
     UnknownSchema,
-    /// The sidecar describes another lane.
+    /// The sidecar describes another lane (a pack index: another pack).
     LaneMismatch,
     /// The segment list is not exactly the on-disk sequence numbers.
     SegmentListMismatch,
     /// A segment file's length differs from its `committed_bytes`: frames
-    /// were appended (or torn) after the sidecar was written.
+    /// were appended (or torn) after the sidecar was written. (A pack
+    /// index: the pack is not as long as the index says.)
     LengthMismatch,
     /// A window row names an unlisted segment, starts inside the segment
     /// header, overlaps the row before it, is shorter than a frame's meta
     /// block or ends past `committed_bytes`.
     RowOutOfBounds,
+}
+
+impl FallbackReason {
+    /// Every reason, in the order a reader checks them (and declares
+    /// them).
+    pub const ALL: [FallbackReason; 8] = [
+        FallbackReason::Missing,
+        FallbackReason::Unreadable,
+        FallbackReason::BadChecksum,
+        FallbackReason::UnknownSchema,
+        FallbackReason::LaneMismatch,
+        FallbackReason::SegmentListMismatch,
+        FallbackReason::LengthMismatch,
+        FallbackReason::RowOutOfBounds,
+    ];
+
+    /// The reason's name, as metric labels spell it.
+    pub fn name(self) -> &'static str {
+        match self {
+            FallbackReason::Missing => "missing",
+            FallbackReason::Unreadable => "unreadable",
+            FallbackReason::BadChecksum => "bad_checksum",
+            FallbackReason::UnknownSchema => "unknown_schema",
+            FallbackReason::LaneMismatch => "lane_mismatch",
+            FallbackReason::SegmentListMismatch => "segment_list_mismatch",
+            FallbackReason::LengthMismatch => "length_mismatch",
+            FallbackReason::RowOutOfBounds => "row_out_of_bounds",
+        }
+    }
 }
 
 /// One lane whose sidecar a reader declined.
@@ -229,6 +259,8 @@ pub(crate) enum SidecarKind {
     Binary,
     /// `laneLLLL.idx.json`, read only because no `.idx` was present.
     LegacyJson,
+    /// The rows of the lane's entry in the index of the pack holding it.
+    Pack,
 }
 
 /// What opening a store (or resuming a lane writer) found on disk.
@@ -269,7 +301,7 @@ impl RecoveryReport {
         self.events += index.total_events();
         self.torn_tails.extend_from_slice(torn);
         match sidecar {
-            Ok(SidecarKind::Binary) => {}
+            Ok(SidecarKind::Binary | SidecarKind::Pack) => {}
             Ok(SidecarKind::LegacyJson) => self.legacy_sidecars.push(index.lane),
             Err(reason) => {
                 self.clean = false;

@@ -215,13 +215,15 @@ impl LaneWriter {
         files: LaneFiles,
     ) -> Result<Self, TraceError> {
         // Finish (or roll back) a merge a crashed maintenance pass left
-        // half-done, so the scan below sees one consistent layout.
+        // half-done, and delete what a committed pack superseded, so the
+        // scan below sees one consistent layout.
         let existing = crate::compact::recover_interrupted_merge(&dir, lane, &files)?;
-        let (index, torn_tails) = scan_lane(&dir, lane, &existing)?;
+        let packed = files.packed_segment().copied();
+        let (index, torn_tails) = scan_lane(&dir, lane, &existing, packed.as_ref())?;
         truncate_torn(&dir, &torn_tails)?;
         // A resume is a recovery even without torn tails: the sidecar may
         // predate the crash, so it is rebuilt from the scan.
-        let resumed = !existing.is_empty();
+        let resumed = !existing.is_empty() || files.packed.is_some();
         let recovery = RecoveryReport {
             lanes: usize::from(resumed),
             clean: !resumed,
@@ -230,7 +232,14 @@ impl LaneWriter {
             torn_tails,
             ..RecoveryReport::default()
         };
-        let next_seq = existing.last().map_or(0, |seq| seq + 1);
+        // Numbering goes on past the lane's own files and past the packed
+        // segment, which stands for every file numbered up to it.
+        let last_seq = files.packed.as_ref().map(|packed| packed.segment.seq);
+        let next_seq = existing
+            .last()
+            .copied()
+            .max(last_seq)
+            .map_or(0, |seq| seq + 1);
         let bytes_on_disk = index.segments.iter().map(|meta| meta.committed_bytes).sum();
         // Synthetic ids continue past every recovered id, so meta-less
         // records appended after a resume never collide with (and shadow)
@@ -248,7 +257,7 @@ impl LaneWriter {
         // append: every recovered segment is final (writing resumes in a
         // fresh one), so followers may read each to exactly its scanned
         // committed length — torn tails are already truncated above.
-        let commit = CommitLog::new(lane);
+        let commit = CommitLog::new(lane, packed);
         for meta in &index.segments {
             commit.seal(meta.seq, meta.committed_bytes);
         }
@@ -334,31 +343,35 @@ impl LaneWriter {
         self.dir.join(segment_file_name(self.lane, self.seq))
     }
 
-    /// Opens the next segment file and writes its header.
+    /// The current segment file, opening the next one and writing its
+    /// header when none is open.
     fn open_segment(&mut self) -> Result<&mut File, TraceError> {
-        if self.file.is_none() {
-            let path = self.current_segment_path();
-            // `create_new` is what refuses a lane made behind the write
-            // handle (`docs/FORMAT.md` §1); name the file that was there.
-            let mut file = OpenOptions::new()
-                .create_new(true)
-                .write(true)
-                .open(&path)
-                .map_err(|error| {
-                    std::io::Error::new(error.kind(), format!("{}: {error}", path.display()))
-                })?;
-            file.write_all(&segment_header(self.lane, self.seq, SEGMENT_VERSION_V1))?;
-            self.segment_bytes = SEGMENT_HEADER_LEN;
-            self.segment_windows = 0;
-            self.bytes_on_disk += SEGMENT_HEADER_LEN;
-            self.index.segments.push(SegmentMeta {
-                seq: self.seq,
-                committed_bytes: SEGMENT_HEADER_LEN,
-                version: SEGMENT_VERSION_V1,
-            });
-            self.file = Some(file);
-        }
-        Ok(self.file.as_mut().expect("just opened"))
+        let file = match self.file.take() {
+            Some(file) => file,
+            None => {
+                let path = self.current_segment_path();
+                // `create_new` is what refuses a lane made behind the write
+                // handle (`docs/FORMAT.md` §1); name the file that was there.
+                let mut file = OpenOptions::new()
+                    .create_new(true)
+                    .write(true)
+                    .open(&path)
+                    .map_err(|error| {
+                        std::io::Error::new(error.kind(), format!("{}: {error}", path.display()))
+                    })?;
+                file.write_all(&segment_header(self.lane, self.seq, SEGMENT_VERSION_V1))?;
+                self.segment_bytes = SEGMENT_HEADER_LEN;
+                self.segment_windows = 0;
+                self.bytes_on_disk += SEGMENT_HEADER_LEN;
+                self.index.segments.push(SegmentMeta {
+                    seq: self.seq,
+                    committed_bytes: SEGMENT_HEADER_LEN,
+                    version: SEGMENT_VERSION_V1,
+                });
+                file
+            }
+        };
+        Ok(self.file.insert(file))
     }
 
     /// Closes the current segment (flushing it durably) and advances the
@@ -452,11 +465,10 @@ impl LaneWriter {
         self.events_recorded += events.len();
         self.metrics.frames_written.inc();
         self.metrics.bytes_written.add(frame_len);
-        self.index
-            .segments
-            .last_mut()
-            .expect("open_segment pushed a segment meta")
-            .committed_bytes = self.segment_bytes;
+        // `open_segment` pushed the meta of the segment just written to.
+        if let Some(meta) = self.index.segments.last_mut() {
+            meta.committed_bytes = self.segment_bytes;
+        }
         self.index.windows.push(entry);
         // The frame is fully on disk (one write_all): commit it to live
         // followers. A failed append publishes nothing, so followers

@@ -101,6 +101,7 @@ mod crc32;
 mod index;
 mod lane;
 mod map;
+mod pack;
 mod reader;
 mod segment;
 mod snapshot;
@@ -244,7 +245,7 @@ mod tests {
         }
         writer.close().unwrap();
         // 5 windows at 2 per segment -> 3 segments.
-        let files = crate::segment::list_store_dir(&dir, None).unwrap();
+        let files = crate::segment::list_store_dir(&dir, None).unwrap().lanes;
         assert_eq!(files[&1].seqs, [0, 1, 2]);
         assert!(dir.join("lane0001-000002.seg").exists());
 
@@ -411,7 +412,7 @@ mod tests {
     fn no_damage_to_a_sidecar_survives_reopen() {
         let dir = temp_dir("idx-damage");
         write_two_segment_lane(&dir, 0);
-        let intact = reader::load_lane(&dir, 0, &[0, 1]).unwrap();
+        let intact = reader::load_lane(&dir, 0, &[0, 1], None).unwrap();
         assert_eq!(intact.sidecar, Ok(index::SidecarKind::Binary));
         let path = dir.join("lane0000.idx");
         let bytes = std::fs::read(&path).unwrap();
@@ -436,7 +437,7 @@ mod tests {
             .filter(|overwritten| *overwritten != bytes);
         for damaged in truncations.chain(flips).chain(runs) {
             std::fs::write(&path, &damaged).unwrap();
-            let loaded = reader::load_lane(&dir, 0, &[0, 1]).unwrap();
+            let loaded = reader::load_lane(&dir, 0, &[0, 1], None).unwrap();
             assert!(loaded.sidecar.is_err(), "{} bytes trusted", damaged.len());
             assert_eq!(loaded.index, intact.index);
             assert!(loaded.torn.is_empty());
@@ -455,7 +456,7 @@ mod tests {
         let last_segment_bytes = std::fs::read(&last_segment).unwrap();
         let extra_segment = dir.join("lane0000-000002.seg");
 
-        let mut shifted = reader::load_lane(&dir, 0, &[0, 1]).unwrap().index;
+        let mut shifted = reader::load_lane(&dir, 0, &[0, 1], None).unwrap().index;
         shifted.windows[4].offset += 1;
         let mut flipped = intact.clone();
         flipped[30] ^= 0x10;

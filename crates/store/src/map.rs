@@ -17,7 +17,12 @@
 //! frame's one-time CRC validation) instead of re-reading segment files
 //! per consumer. A format-v4 segment's template table is parsed once,
 //! when its buffer loads, and handed to the codec of every templated
-//! frame in it.
+//! frame in it. A packed segment is a byte range of its pack: the cache
+//! holds the pack open and reads each packed lane's segment, in one read
+//! of its range, into a buffer of its own — no file to open or `stat` per
+//! lane, no copy of the pack beside the segments, and a point query finds
+//! the bytes beside the memo of the segment they belong to, as it does a
+//! segment file's.
 //!
 //! A `SegmentMap` is one lane's decode front over the cache: the frame
 //! codecs, a scratch buffer and a pin on the buffer it read last.
@@ -39,7 +44,8 @@ use endurance_obs::{Counter, Registry};
 use trace_model::codec::{BinaryDecoder, CodecId, FrameCodec, TraceDecoder};
 use trace_model::{TraceError, TraceEvent};
 
-use crate::index::WindowEntry;
+use crate::index::{FallbackReason, WindowEntry};
+use crate::pack::{packed_as, OpenPack, PackedSegment};
 use crate::segment::{frame_end, segment_file_name, Frame, SegmentHead};
 
 /// Segment buffers each shard of a [`SegmentCache`] keeps resident.
@@ -52,7 +58,12 @@ const RESIDENT_SEGMENTS: usize = 4;
 /// segments contend on different mutexes.
 const CACHE_SHARDS: usize = 8;
 
-/// One loaded segment: its full file contents, its head (format version
+/// Packs a [`SegmentCache`] holds open to read packed segments from.
+const OPEN_PACKS: usize = 2;
+
+/// One loaded segment: its full contents — its file's, or, for a packed
+/// segment, the header its pack entry stands for and its body — its head
+/// (format version
 /// and, in v4, template table), and which frame offsets have already
 /// been CRC-validated. Shared immutably via `Arc`; the validation memo is
 /// a bitset of one bit per byte offset of the segment, so concurrent
@@ -75,7 +86,17 @@ impl SegmentData {
     fn load(dir: &Path, lane: u32, seq: u32, crc_validations: Counter) -> Result<Self, TraceError> {
         let path = dir.join(segment_file_name(lane, seq));
         let bytes = std::fs::read(&path)?;
-        let head = SegmentHead::parse(&bytes, &path, lane, seq)?;
+        Self::of(bytes, &path, lane, seq, crc_validations)
+    }
+
+    fn of(
+        bytes: Vec<u8>,
+        path: &Path,
+        lane: u32,
+        seq: u32,
+        crc_validations: Counter,
+    ) -> Result<Self, TraceError> {
+        let head = SegmentHead::parse(&bytes, path, lane, seq)?;
         let validated = (0..bytes.len().div_ceil(64))
             .map(|_| AtomicU64::new(0))
             .collect();
@@ -133,16 +154,22 @@ impl SegmentData {
 pub struct SegmentCache {
     pub(crate) dir: PathBuf,
     shards: Vec<Mutex<CacheShard>>,
+    /// Open packs, oldest-opened first.
+    packs: Mutex<Vec<(u32, Arc<OpenPack>)>>,
     metrics: CacheMetrics,
 }
 
 /// Registry handles for the cache: lookup hits/misses plus the CRC
-/// validations performed by the buffers it loads.
+/// validations performed by the buffers it loads, and the pack indexes
+/// its readers declined.
 #[derive(Debug, Clone)]
 struct CacheMetrics {
     hits: Counter,
     misses: Counter,
     crc_validations: Counter,
+    /// `store_pack_index_fallbacks_total{reason}`, indexed by
+    /// [`FallbackReason`] (in [`FallbackReason::ALL`] order).
+    pack_index_fallbacks: Vec<Counter>,
 }
 
 impl CacheMetrics {
@@ -151,6 +178,15 @@ impl CacheMetrics {
             hits: registry.counter("store_segcache_hits_total"),
             misses: registry.counter("store_segcache_misses_total"),
             crc_validations: registry.counter("store_crc_validations_total"),
+            pack_index_fallbacks: FallbackReason::ALL
+                .iter()
+                .map(|reason| {
+                    registry.counter_with(
+                        "store_pack_index_fallbacks_total",
+                        &[("reason", reason.name())],
+                    )
+                })
+                .collect(),
         }
     }
 
@@ -159,8 +195,12 @@ impl CacheMetrics {
     }
 }
 
+/// What a cached buffer is: segment `seq` of `lane`, in its own file or
+/// in the numbered pack.
+type CacheKey = (u32, u32, Option<u32>);
+
 /// One shard's resident buffers, oldest-loaded first.
-type CacheShard = Vec<(u64, Arc<SegmentData>)>;
+type CacheShard = Vec<(CacheKey, Arc<SegmentData>)>;
 
 impl SegmentCache {
     /// An empty cache over the store directory `dir` with the default
@@ -169,26 +209,32 @@ impl SegmentCache {
         SegmentCache {
             dir: dir.as_ref().to_path_buf(),
             shards: (0..CACHE_SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
+            packs: Mutex::new(Vec::new()),
             metrics: CacheMetrics::disabled(),
         }
     }
 
     /// Publishes the cache's lookup and CRC-validation counters into
     /// `registry` (`store_segcache_hits_total`,
-    /// `store_segcache_misses_total`, `store_crc_validations_total`).
-    /// Call before the cache is shared; a stale-buffer re-read counts as
-    /// a miss, since it pays the same disk read a cold miss would.
+    /// `store_segcache_misses_total`, `store_crc_validations_total`), and
+    /// the pack indexes the readers opened over it declined
+    /// (`store_pack_index_fallbacks_total{reason}`). Call before the cache
+    /// is shared; a stale-buffer re-read counts as a miss, since it pays
+    /// the same disk read a cold miss would, and so does a packed
+    /// segment's read from its pack.
     pub fn with_metrics(mut self, registry: &Registry) -> Self {
         self.metrics = CacheMetrics::from_registry(registry);
         self
     }
 
-    fn key(lane: u32, seq: u32) -> u64 {
-        (u64::from(lane) << 32) | u64::from(seq)
+    /// Counts a pack index a reader over this cache declined.
+    pub(crate) fn count_pack_index_fallback(&self, reason: FallbackReason) {
+        self.metrics.pack_index_fallbacks[reason as usize].inc();
     }
 
-    fn shard(&self, key: u64) -> &Mutex<Vec<(u64, Arc<SegmentData>)>> {
+    fn shard(&self, (lane, seq, _): CacheKey) -> &Mutex<CacheShard> {
         // Spread consecutive segments of one lane across shards.
+        let key = (u64::from(lane) << 32) | u64::from(seq);
         let mixed = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         &self.shards[(mixed >> 32) as usize % self.shards.len()]
     }
@@ -197,15 +243,21 @@ impl SegmentCache {
     /// file on a miss — and *re*-reading it when the cached copy ends
     /// before the frame does (an actively-appended segment legitimately
     /// grows after it was first cached; a fresh read observes the newer
-    /// frames).
-    fn get_covering(&self, lane: u32, entry: &WindowEntry) -> Result<Arc<SegmentData>, TraceError> {
-        let seq = entry.segment;
-        let key = Self::key(lane, seq);
+    /// frames). The lane's `packed` segment is read from its pack, which
+    /// never grows.
+    fn get_covering(
+        &self,
+        lane: u32,
+        entry: &WindowEntry,
+        packed: Option<&PackedSegment>,
+    ) -> Result<Arc<SegmentData>, TraceError> {
+        let packed = packed_as(packed, entry.segment);
+        let key = (lane, entry.segment, packed.map(|packed| packed.pack));
         let shard = self.shard(key);
         {
             let resident = shard.lock().expect("segment cache poisoned");
             if let Some((_, data)) = resident.iter().find(|(k, _)| *k == key) {
-                if data.covers(entry) {
+                if packed.is_some() || data.covers(entry) {
                     self.metrics.hits.inc();
                     return Ok(Arc::clone(data));
                 }
@@ -214,13 +266,18 @@ impl SegmentCache {
         // Load outside the lock: a slow disk read must not serialize
         // unrelated segments in the same shard. A racing double-load is
         // benign (last insert wins; both copies are valid snapshots).
+        let crc_validations = self.metrics.crc_validations.clone();
         self.metrics.misses.inc();
-        let data = Arc::new(SegmentData::load(
-            &self.dir,
-            lane,
-            seq,
-            self.metrics.crc_validations.clone(),
-        )?);
+        let data = Arc::new(match packed {
+            Some(packed) => {
+                // A buffer of its own, like a segment file's, which a
+                // point query finds beside its memo.
+                let path = packed.path(&self.dir);
+                let bytes = packed.read_from(&*self.pack(packed.pack, &path)?, &path)?;
+                SegmentData::of(bytes, &path, lane, entry.segment, crc_validations)?
+            }
+            None => SegmentData::load(&self.dir, lane, entry.segment, crc_validations)?,
+        });
         let mut resident = shard.lock().expect("segment cache poisoned");
         resident.retain(|(k, _)| *k != key);
         while resident.len() >= RESIDENT_SEGMENTS {
@@ -228,6 +285,28 @@ impl SegmentCache {
         }
         resident.push((key, Arc::clone(&data)));
         Ok(data)
+    }
+
+    /// Pack `pack` at `path`, held open: opened and its header checked on
+    /// the first read from it.
+    fn pack(&self, pack: u32, path: &Path) -> Result<Arc<OpenPack>, TraceError> {
+        // A list of `Arc`s is whole whoever panicked holding it.
+        let packs = || {
+            self.packs
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+        };
+        if let Some((_, open)) = packs().iter().find(|(id, _)| *id == pack) {
+            return Ok(Arc::clone(open));
+        }
+        let open = Arc::new(OpenPack::open(path, pack)?);
+        let mut held = packs();
+        held.retain(|(id, _)| *id != pack);
+        while held.len() >= OPEN_PACKS {
+            held.remove(0);
+        }
+        held.push((pack, Arc::clone(&open)));
+        Ok(open)
     }
 }
 
@@ -249,6 +328,8 @@ impl SegmentCache {
 pub(crate) struct SegmentMap {
     cache: Arc<SegmentCache>,
     lane: u32,
+    /// The lane's segment in the newest pack holding it.
+    packed: Option<PackedSegment>,
     /// The buffer read last and its segment number.
     pinned: Option<(u32, Arc<SegmentData>)>,
     /// Frame codecs, created lazily per id as compressed frames appear.
@@ -258,12 +339,18 @@ pub(crate) struct SegmentMap {
 }
 
 impl SegmentMap {
-    /// A front over `lane` whose segment buffers come from the shared
-    /// `cache`. Nothing is read until a frame is touched.
-    pub(crate) fn shared(cache: Arc<SegmentCache>, lane: u32) -> Self {
+    /// A front over `lane`, whose segment `packed` (if any) lies in a
+    /// pack, and whose segment buffers come from the shared `cache`.
+    /// Nothing is read until a frame is touched.
+    pub(crate) fn shared(
+        cache: Arc<SegmentCache>,
+        lane: u32,
+        packed: Option<PackedSegment>,
+    ) -> Self {
         SegmentMap {
             cache,
             lane,
+            packed,
             pinned: None,
             codecs: Vec::new(),
             payload_scratch: Vec::new(),
@@ -277,11 +364,12 @@ impl SegmentMap {
         pinned: &'m mut Option<(u32, Arc<SegmentData>)>,
         cache: &SegmentCache,
         lane: u32,
+        packed: Option<&PackedSegment>,
         entry: &WindowEntry,
     ) -> Result<&'m SegmentData, TraceError> {
         let data = match pinned.take() {
             Some((seq, data)) if seq == entry.segment && data.covers(entry) => data,
-            _ => cache.get_covering(lane, entry)?,
+            _ => cache.get_covering(lane, entry, packed)?,
         };
         Ok(&pinned.insert((entry.segment, data)).1)
     }
@@ -298,7 +386,13 @@ impl SegmentMap {
     /// file, length mismatch, CRC mismatch), and block decode errors for
     /// compressed frames.
     pub(crate) fn payload(&mut self, entry: &WindowEntry) -> Result<&[u8], TraceError> {
-        let segment = Self::pin(&mut self.pinned, &self.cache, self.lane, entry)?;
+        let segment = Self::pin(
+            &mut self.pinned,
+            &self.cache,
+            self.lane,
+            self.packed.as_ref(),
+            entry,
+        )?;
         let frame = segment.frame(self.lane, entry)?;
         let context = segment.head.context(&frame, entry.start_ns);
         let block = &segment.bytes[frame.block];
@@ -331,7 +425,13 @@ impl SegmentMap {
         entry: &WindowEntry,
         out: &mut Vec<TraceEvent>,
     ) -> Result<usize, TraceError> {
-        let segment = Self::pin(&mut self.pinned, &self.cache, self.lane, entry)?;
+        let segment = Self::pin(
+            &mut self.pinned,
+            &self.cache,
+            self.lane,
+            self.packed.as_ref(),
+            entry,
+        )?;
         let frame = segment.frame(self.lane, entry)?;
         let context = segment.head.context(&frame, entry.start_ns);
         let block = &segment.bytes[frame.block];
@@ -353,11 +453,14 @@ impl SegmentMap {
 
 /// The instance for `id` among a reader's codecs, created on first use.
 pub(crate) fn codec_mut(codecs: &mut Vec<Box<dyn FrameCodec>>, id: CodecId) -> &mut dyn FrameCodec {
-    if let Some(at) = codecs.iter().position(|codec| codec.id() == id) {
-        return codecs[at].as_mut();
-    }
-    codecs.push(id.new_codec());
-    codecs.last_mut().expect("just pushed").as_mut()
+    let at = match codecs.iter().position(|codec| codec.id() == id) {
+        Some(at) => at,
+        None => {
+            codecs.push(id.new_codec());
+            codecs.len() - 1
+        }
+    };
+    codecs[at].as_mut()
 }
 
 #[cfg(test)]
@@ -406,7 +509,7 @@ mod tests {
 
     /// A front over lane 0 of `dir` through a cache of its own.
     fn front(dir: &std::path::Path) -> SegmentMap {
-        SegmentMap::shared(Arc::new(SegmentCache::new(dir)), 0)
+        SegmentMap::shared(Arc::new(SegmentCache::new(dir)), 0, None)
     }
 
     #[test]
@@ -477,7 +580,7 @@ mod tests {
                 let (cache, entries, payloads) = (Arc::clone(&cache), &entries, &payloads);
                 let start = &start;
                 scope.spawn(move || {
-                    let mut map = SegmentMap::shared(cache, 0);
+                    let mut map = SegmentMap::shared(cache, 0, None);
                     start.wait();
                     // Each reader walks the lane from another frame on.
                     for at in (0..entries.len()).map(|at| (at + reader * 5) % entries.len()) {
@@ -499,7 +602,7 @@ mod tests {
         assert!((23..=23 * 4).contains(&checked), "{checked}");
         // Touched again, a good frame is not checked again; the bad one
         // is, and fails again.
-        let mut map = SegmentMap::shared(Arc::clone(&cache), 0);
+        let mut map = SegmentMap::shared(Arc::clone(&cache), 0, None);
         for (at, entry) in entries.iter().enumerate() {
             assert_eq!(map.payload(entry).is_err(), at == 5);
         }
@@ -541,7 +644,7 @@ mod tests {
         let registry = Registry::new();
         let cache = Arc::new(SegmentCache::new(&dir).with_metrics(&registry));
         let counter = |name| registry.snapshot().counter(name).unwrap_or(0);
-        let mut first = SegmentMap::shared(Arc::clone(&cache), 0);
+        let mut first = SegmentMap::shared(Arc::clone(&cache), 0, None);
         for (entry, expected) in entries.iter().zip(&payloads) {
             assert_eq!(first.payload(entry).unwrap(), expected.as_slice());
         }
@@ -552,7 +655,7 @@ mod tests {
         // nothing again: the buffers (and their validation memos) are
         // the same Arcs.
         let hits = counter("store_segcache_hits_total");
-        let mut second = SegmentMap::shared(Arc::clone(&cache), 0);
+        let mut second = SegmentMap::shared(Arc::clone(&cache), 0, None);
         for (entry, expected) in entries.iter().zip(&payloads) {
             assert_eq!(second.payload(entry).unwrap(), expected.as_slice());
         }
@@ -583,7 +686,7 @@ mod tests {
 
         // Cache the segment while only the first frame exists...
         let cache = Arc::new(SegmentCache::new(&dir));
-        let mut map = SegmentMap::shared(Arc::clone(&cache), 0);
+        let mut map = SegmentMap::shared(Arc::clone(&cache), 0, None);
         let first = crate::index::WindowEntry {
             window_id: 0,
             start_ns: 0,

@@ -15,6 +15,7 @@ use crate::index::{
     SIDECAR_SCHEMA_V1, SIDECAR_SCHEMA_V2,
 };
 use crate::map::{SegmentCache, SegmentMap};
+use crate::pack::{read_segment, PackedLane, PackedSegment};
 use crate::segment::{
     decode_sidecar, frame_end, legacy_sidecar_file_name, list_store_dir, scan_segment,
     segment_file_name, sidecar_file_name, SEGMENT_HEADER_LEN,
@@ -87,13 +88,21 @@ pub struct StoreReader {
     cache: Arc<SegmentCache>,
 }
 
-/// One lane's deferred state: its segment files, and the lane once
-/// loaded (errors are kept as rendered strings so later touches resurface
-/// them).
+/// One lane's deferred state: its own segment files, its entry in the
+/// newest pack that holds it, and the lane once loaded (errors are kept
+/// as rendered strings so later touches resurface them).
 #[derive(Debug)]
 struct LaneSlot {
     seqs: Vec<u32>,
+    packed: Option<PackedLane>,
     state: OnceLock<Result<ReadLane, String>>,
+}
+
+impl LaneSlot {
+    /// The lane's packed segment, when it holds windows.
+    fn packed_segment(&self) -> Option<&PackedSegment> {
+        self.packed.as_ref().and_then(PackedLane::with_frames)
+    }
 }
 
 /// A lane index plus what loading it found.
@@ -186,9 +195,16 @@ impl StoreReader {
                 ),
             )));
         }
-        let lanes = list_store_dir(&dir, None)?
+        let listing = list_store_dir(&dir, None)?;
+        for pack in &listing.packs {
+            if let Err(reason) = pack.index {
+                cache.count_pack_index_fallback(reason);
+            }
+        }
+        let lanes = listing
+            .lanes
             .into_iter()
-            .filter(|(_, files)| !files.seqs.is_empty())
+            .filter(|(_, files)| files.has_segments())
             .map(|(lane, files)| {
                 let mut seqs = files.seqs;
                 if files.journal {
@@ -203,6 +219,7 @@ impl StoreReader {
                     lane,
                     LaneSlot {
                         seqs,
+                        packed: files.packed,
                         state: OnceLock::new(),
                     },
                 )
@@ -312,11 +329,19 @@ impl StoreReader {
             reason: format!("store has no lane {lane}"),
         })?;
         let state = slot.state.get_or_init(|| {
-            let loaded = load_lane(&self.dir, lane, &slot.seqs).map_err(|e| e.to_string())?;
+            let loaded = load_lane(&self.dir, lane, &slot.seqs, slot.packed.as_ref())
+                .map_err(|e| e.to_string())?;
+            if let (Some(packed), Err(reason)) = (&slot.packed, loaded.sidecar) {
+                // The pack's own fallback was counted when it was listed.
+                if packed.index.is_ok() && slot.seqs.is_empty() {
+                    self.cache.count_pack_index_fallback(reason);
+                }
+            }
+            let packed = slot.packed_segment().copied();
             Ok(ReadLane {
                 loaded,
                 by_id: OnceLock::new(),
-                front: Mutex::new(SegmentMap::shared(Arc::clone(&self.cache), lane)),
+                front: Mutex::new(SegmentMap::shared(Arc::clone(&self.cache), lane, packed)),
             })
         });
         state.as_ref().map_err(|message| TraceError::Decode {
@@ -511,8 +536,13 @@ impl StoreReader {
     /// [`LaneReplay::error`] after draining.
     pub fn replay_lane(&self, lane: u32) -> Result<LaneReplay<'_>, TraceError> {
         let read = self.lane(lane)?;
+        let packed = self
+            .lanes
+            .get(&lane)
+            .and_then(LaneSlot::packed_segment)
+            .copied();
         Ok(LaneReplay {
-            map: SegmentMap::shared(Arc::clone(&self.cache), lane),
+            map: SegmentMap::shared(Arc::clone(&self.cache), lane, packed),
             entries: read.windows().iter(),
             buffered: std::collections::VecDeque::new(),
             scratch: Vec::new(),
@@ -571,10 +601,17 @@ pub(crate) fn claimed_events(events: u64) -> usize {
     events.min(1 << 20) as usize
 }
 
-/// Loads one lane's index, preferring the sidecar, falling back to the
-/// scanner.
-pub(crate) fn load_lane(dir: &Path, lane: u32, seqs: &[u32]) -> Result<LoadedLane, TraceError> {
-    let declined = match try_sidecar(dir, lane, seqs) {
+/// Loads one lane's index — from its own segments `seqs` and its entry
+/// `packed` in the newest pack holding it — preferring the sidecar (the
+/// pack index's rows, for a lane that has no segment of its own past its
+/// packed one), falling back to the scanner.
+pub(crate) fn load_lane(
+    dir: &Path,
+    lane: u32,
+    seqs: &[u32],
+    packed: Option<&PackedLane>,
+) -> Result<LoadedLane, TraceError> {
+    let declined = match try_index(dir, lane, seqs, packed) {
         Ok((index, kind)) => {
             return Ok(LoadedLane {
                 index,
@@ -584,7 +621,7 @@ pub(crate) fn load_lane(dir: &Path, lane: u32, seqs: &[u32]) -> Result<LoadedLan
         }
         Err(reason) => reason,
     };
-    let (index, torn) = scan_lane(dir, lane, seqs)?;
+    let (index, torn) = scan_lane(dir, lane, seqs, packed.and_then(PackedLane::with_frames))?;
     Ok(LoadedLane {
         index,
         torn,
@@ -593,19 +630,44 @@ pub(crate) fn load_lane(dir: &Path, lane: u32, seqs: &[u32]) -> Result<LoadedLan
 }
 
 /// The scanner half of [`load_lane`], and all of a resuming writer's
-/// load: the intact frames of segments `seqs` of `lane` and the torn
-/// tails behind them (a segment torn inside its header is left out).
+/// load: the intact frames of the lane's `packed` segment and of its own
+/// segments `seqs`, and the torn tails behind them (a segment torn inside
+/// its header is left out).
+///
+/// # Errors
+///
+/// As [`scan_segment`], and [`TraceError::Decode`] for a packed segment
+/// whose frames stop short of its end: a pack is written whole, so that
+/// is corruption, not a torn write.
 pub(crate) fn scan_lane(
     dir: &Path,
     lane: u32,
     seqs: &[u32],
+    packed: Option<&PackedSegment>,
 ) -> Result<(LaneIndex, Vec<TornTail>), TraceError> {
     let mut index = LaneIndex::new(lane);
     let mut torn = Vec::new();
-    for &seq in seqs {
-        let path = dir.join(segment_file_name(lane, seq));
-        let scanned = scan_segment(&path, lane, seq)?;
-        torn.extend(scanned.torn);
+    for seq in packed
+        .map(|packed| packed.seq)
+        .into_iter()
+        .chain(seqs.iter().copied())
+    {
+        let (path, bytes) = read_segment(dir, lane, seq, packed)?;
+        let scanned = scan_segment(&bytes, &path, lane, seq)?;
+        match scanned.torn {
+            Some(tail) if packed.is_some_and(|packed| packed.seq == seq) => {
+                return Err(TraceError::Decode {
+                    offset: tail.offset as usize,
+                    reason: format!(
+                        "{}: lane {lane} segment {seq}: no intact frame at offset {} of a \
+                         packed segment",
+                        path.display(),
+                        tail.offset
+                    ),
+                })
+            }
+            tail => torn.extend(tail),
+        }
         if scanned.committed_bytes > 0 {
             index.segments.push(scanned.meta);
             index.windows.extend(scanned.entries);
@@ -634,16 +696,49 @@ pub(crate) fn truncate_torn(dir: &Path, torn: &[TornTail]) -> Result<u64, TraceE
     Ok(dropped)
 }
 
+/// The lane index a reader can take without scanning: for a lane whose
+/// only segment is packed, its rows in the pack index (trusted when the
+/// pack index was, and when they decode and lie inside the segment), or
+/// else a sidecar a resumed writer left; otherwise its sidecar, per
+/// [`try_sidecar`].
+fn try_index(
+    dir: &Path,
+    lane: u32,
+    seqs: &[u32],
+    packed: Option<&PackedLane>,
+) -> Result<(LaneIndex, SidecarKind), FallbackReason> {
+    let segment = packed.and_then(PackedLane::with_frames);
+    let (Some(packed), Some(segment), true) = (packed, segment, seqs.is_empty()) else {
+        return try_sidecar(dir, lane, seqs, segment);
+    };
+    let from_pack = || {
+        packed.index?;
+        let rows = packed.rows.as_ref().ok_or(FallbackReason::Missing)?;
+        let mut index = LaneIndex::new(lane);
+        index.segments.push(segment.meta());
+        index.windows = rows.decode().ok_or(FallbackReason::Unreadable)?;
+        if !rows_lie_inside_their_segments(&index) {
+            return Err(FallbackReason::RowOutOfBounds);
+        }
+        Ok((index, SidecarKind::Pack))
+    };
+    // A writer that resumed the lane since may have left a sidecar of it,
+    // which names the packed segment; the pack index's reason is the
+    // lane's when neither is trusted.
+    from_pack().or_else(|reason| try_sidecar(dir, lane, seqs, Some(segment)).map_err(|_| reason))
+}
+
 /// Loads and validates a lane sidecar per `docs/FORMAT.md` §4: intact,
 /// of schema 4 or (read only) 3, of the right lane, naming exactly the
-/// on-disk segments with exactly their file lengths, every row inside its
-/// segment. The legacy JSON sidecar is consulted only when the lane has
-/// no `.idx` at all — a damaged `.idx` goes to the scanner, not to an
-/// older cache.
+/// lane's segments — its `packed` one, then its own files — with exactly
+/// their lengths, every row inside its segment. The legacy JSON sidecar is
+/// consulted only when the lane has no `.idx` at all — a damaged `.idx`
+/// goes to the scanner, not to an older cache.
 fn try_sidecar(
     dir: &Path,
     lane: u32,
     seqs: &[u32],
+    packed: Option<&PackedSegment>,
 ) -> Result<(LaneIndex, SidecarKind), FallbackReason> {
     let (index, kind) = match std::fs::read(dir.join(sidecar_file_name(lane))) {
         Ok(bytes) => (decode_sidecar(&bytes)?, SidecarKind::Binary),
@@ -655,17 +750,21 @@ fn try_sidecar(
     if index.lane != lane {
         return Err(FallbackReason::LaneMismatch);
     }
-    if !index
-        .segments
-        .iter()
-        .map(|meta| meta.seq)
-        .eq(seqs.iter().copied())
-    {
+    let on_disk = packed
+        .map(|packed| packed.seq)
+        .into_iter()
+        .chain(seqs.iter().copied());
+    if !index.segments.iter().map(|meta| meta.seq).eq(on_disk) {
         return Err(FallbackReason::SegmentListMismatch);
     }
     for meta in &index.segments {
-        let path = dir.join(segment_file_name(lane, meta.seq));
-        if std::fs::metadata(&path).map(|file| file.len()).ok() != Some(meta.committed_bytes) {
+        let len = match packed.filter(|packed| packed.seq == meta.seq) {
+            Some(packed) => Some(packed.committed_bytes()),
+            None => std::fs::metadata(dir.join(segment_file_name(lane, meta.seq)))
+                .map(|file| file.len())
+                .ok(),
+        };
+        if len != Some(meta.committed_bytes) {
             return Err(FallbackReason::LengthMismatch);
         }
     }

@@ -63,6 +63,7 @@ use crate::index::{
     FallbackReason, LaneIndex, SegmentMeta, TornTail, WindowEntry, SIDECAR_SCHEMA,
     SIDECAR_SCHEMA_V3,
 };
+use crate::pack::{load_pack, Pack, PackedLane, PackedSegment};
 
 /// Magic bytes opening every segment file.
 pub(crate) const SEGMENT_MAGIC: &[u8; 4] = b"ESEG";
@@ -159,6 +160,17 @@ pub(crate) fn manifest_file_name(lane: u32) -> String {
     format!("lane{lane:04}.compact.json")
 }
 
+/// File name of pack `pack` (`docs/FORMAT.md` §1): zero-padded to 6
+/// digits like a segment sequence number.
+pub(crate) fn pack_file_name(pack: u32) -> String {
+    format!("pack{pack:06}.seg")
+}
+
+/// File name of the index of pack `pack`.
+pub(crate) fn pack_index_file_name(pack: u32) -> String {
+    format!("pack{pack:06}.idx")
+}
+
 /// What a store directory entry is, per `docs/FORMAT.md` §1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum StoreFile {
@@ -194,6 +206,30 @@ pub(crate) fn classify_file_name(name: &str) -> Option<(u32, StoreFile)> {
     Some((lane, file))
 }
 
+/// What a pack's directory entry is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PackFile {
+    /// `packPPPPPP.seg`.
+    Data,
+    /// `packPPPPPP.idx`.
+    Index,
+    /// `packPPPPPP.seg.compact.tmp` or `packPPPPPP.idx.tmp`.
+    Temp,
+}
+
+/// [`classify_file_name`] for the names of packs, which belong to no lane:
+/// the pack number and what the entry is, or `None`.
+pub(crate) fn classify_pack_name(name: &str) -> Option<(u32, PackFile)> {
+    let (pack, rest) = split_padded(name.strip_prefix("pack")?, 6)?;
+    let file = match rest {
+        ".seg" => PackFile::Data,
+        ".idx" => PackFile::Index,
+        ".seg.compact.tmp" | ".idx.tmp" => PackFile::Temp,
+        _ => return None,
+    };
+    Some((pack, file))
+}
+
 /// Splits a leading number off `text`, accepting it only as
 /// `{:0width$}` prints it — zero-padded to `width`, wider only without a
 /// leading zero — so that every classified name is one the store writes
@@ -210,54 +246,134 @@ fn split_padded(text: &str, width: usize) -> Option<(u32, &str)> {
 /// The files of one lane that a directory listing saw.
 #[derive(Debug, Default)]
 pub(crate) struct LaneFiles {
-    /// Segment sequence numbers, ascending.
+    /// Sequence numbers of the lane's own segment files, ascending — past
+    /// its packed segment's, when it has one.
     pub seqs: Vec<u32>,
     /// Whether the merge journal is present.
     pub journal: bool,
     /// Whether a legacy JSON sidecar is present (for the lane's next
     /// sidecar write to remove).
     pub legacy_sidecar: bool,
+    /// Whether `laneLLLL.idx` is present.
+    pub sidecar: bool,
     /// Names of the lane's in-flight temp files.
     pub temps: Vec<String>,
+    /// The lane's segment in the newest pack that holds it.
+    pub packed: Option<PackedLane>,
+    /// Own segment files that pack entry superseded: a crash left them
+    /// behind after the pack was committed (`docs/FORMAT.md` §5.3).
+    pub superseded: Vec<u32>,
+}
+
+impl LaneFiles {
+    /// The packed segment of the lane, when it holds windows: an empty
+    /// one only stands in front of what it superseded.
+    pub(crate) fn packed_segment(&self) -> Option<&PackedSegment> {
+        self.packed.as_ref().and_then(PackedLane::with_frames)
+    }
+
+    /// Whether the lane has a segment a reader replays.
+    pub(crate) fn has_segments(&self) -> bool {
+        !self.seqs.is_empty() || self.packed_segment().is_some()
+    }
+}
+
+/// What one listing of a store directory found.
+#[derive(Debug, Default)]
+pub(crate) struct StoreListing {
+    /// Lanes by id (only the lane asked for, when one was).
+    pub lanes: BTreeMap<u32, LaneFiles>,
+    /// Every pack, ascending by number, whatever lane was asked for.
+    pub packs: Vec<Pack>,
+    /// Pack temp files and indexes of packs that are gone.
+    pub pack_leftovers: Vec<String>,
+    /// The highest pack number a listed name uses.
+    pub last_pack: Option<u32>,
 }
 
 /// Lists a store directory, once, by lane (only the lane `only` when
 /// given). Every store operation takes one listing when it starts and
-/// works from it.
+/// works from it. Packs are loaded whole — each one's index, or a scan of
+/// the pack when its index cannot be trusted — since any of them can hold
+/// a lane: each lane is given the entry of the newest pack that holds it,
+/// and its own segment files up to that entry's sequence number are set
+/// apart as superseded.
+///
+/// # Errors
+///
+/// [`TraceError::Io`] when the directory cannot be listed or a pack
+/// read, and [`TraceError::Decode`] for a pack whose index is declined
+/// and whose bytes do not scan (`docs/FORMAT.md` §2.4).
 pub(crate) fn list_store_dir(
     dir: &std::path::Path,
     only: Option<u32>,
-) -> std::io::Result<BTreeMap<u32, LaneFiles>> {
-    let mut lanes: BTreeMap<u32, LaneFiles> = BTreeMap::new();
+) -> Result<StoreListing, TraceError> {
+    let mut listing = StoreListing::default();
+    let mut packs: BTreeMap<u32, (bool, bool)> = BTreeMap::new();
     for entry in std::fs::read_dir(dir)? {
         let name = entry?.file_name();
         let Some(name) = name.to_str() else { continue };
+        if let Some((pack, file)) = classify_pack_name(name) {
+            listing.last_pack = listing.last_pack.max(Some(pack));
+            let (data, index) = packs.entry(pack).or_default();
+            match file {
+                PackFile::Data => *data = true,
+                PackFile::Index => *index = true,
+                PackFile::Temp => listing.pack_leftovers.push(name.to_owned()),
+            }
+            continue;
+        }
         let Some((lane, file)) = classify_file_name(name) else {
             continue;
         };
         if only.is_some_and(|only| only != lane) {
             continue;
         }
-        let files = lanes.entry(lane).or_default();
+        let files = listing.lanes.entry(lane).or_default();
         match file {
             StoreFile::Segment(seq) => files.seqs.push(seq),
             StoreFile::Journal => files.journal = true,
             StoreFile::LegacySidecar => files.legacy_sidecar = true,
             StoreFile::Temp => files.temps.push(name.to_owned()),
-            // Opened by name when the lane's index is loaded.
-            StoreFile::Sidecar => {}
+            StoreFile::Sidecar => files.sidecar = true,
         }
     }
-    for files in lanes.values_mut() {
-        files.seqs.sort_unstable();
+    for (pack, (data, index)) in packs {
+        if data {
+            listing.packs.push(load_pack(dir, pack, index)?);
+        } else if index {
+            listing.pack_leftovers.push(pack_index_file_name(pack));
+        }
     }
-    Ok(lanes)
+    // The newest pack holding a lane is the one that counts.
+    let mut newest: BTreeMap<u32, PackedLane> = BTreeMap::new();
+    for pack in &listing.packs {
+        for entry in &pack.entries {
+            newest.insert(entry.segment.lane, PackedLane::of(pack, entry));
+        }
+    }
+    for (lane, packed) in newest {
+        if only.is_some_and(|only| only != lane) {
+            continue;
+        }
+        let files = listing.lanes.entry(lane).or_default();
+        files.packed = Some(packed);
+    }
+    for files in listing.lanes.values_mut() {
+        files.seqs.sort_unstable();
+        if let Some(packed) = &files.packed {
+            let live = files.seqs.partition_point(|&seq| seq <= packed.segment.seq);
+            files.superseded = files.seqs.drain(..live).collect();
+        }
+    }
+    Ok(listing)
 }
 
 /// One lane's files out of a listing of the whole directory (empty when
 /// the lane has none).
-pub(crate) fn list_lane(dir: &std::path::Path, lane: u32) -> std::io::Result<LaneFiles> {
+pub(crate) fn list_lane(dir: &std::path::Path, lane: u32) -> Result<LaneFiles, TraceError> {
     Ok(list_store_dir(dir, Some(lane))?
+        .lanes
         .remove(&lane)
         .unwrap_or_default())
 }
@@ -913,16 +1029,7 @@ pub(crate) fn encode_sidecar(index: &LaneIndex) -> Vec<u8> {
         out.extend_from_slice(&meta.committed_bytes.to_le_bytes());
         out.push(meta.version);
     }
-    let mut prev = RowPrev::default();
-    for entry in &index.windows {
-        put_meta_v3(&mut out, prev.frame.deltas(entry), entry.codec);
-        let segment = entry.segment.wrapping_sub(prev.segment);
-        let offset = entry.offset.wrapping_sub(prev.offset_base(entry.segment));
-        for field in [u64::from(segment), offset, u64::from(entry.len)] {
-            encode_u64(field, &mut out);
-        }
-        prev = RowPrev::after(entry);
-    }
+    encode_rows(&index.windows, &mut out);
     let crc = crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
     out
@@ -943,7 +1050,7 @@ pub(crate) fn decode_sidecar(bytes: &[u8]) -> Result<LaneIndex, FallbackReason> 
     }
     let lane = read_u32(sealed, 8);
     let index = match read_u32(sealed, 4) {
-        SIDECAR_SCHEMA => decode_rows(sealed, lane),
+        SIDECAR_SCHEMA => decode_schema_4(sealed, lane),
         SIDECAR_SCHEMA_V3 => decode_fixed_width(sealed, lane),
         _ => return Err(FallbackReason::UnknownSchema),
     };
@@ -951,10 +1058,9 @@ pub(crate) fn decode_sidecar(bytes: &[u8]) -> Result<LaneIndex, FallbackReason> 
 }
 
 /// The segment and window tables of a schema-4 sidecar, sealed bytes
-/// only; `None` unless `W` rows of minimal varints fill exactly the bytes
-/// after the segment records. `W` is held to one row per
-/// [`WINDOW_ROW_MIN_LEN`] bytes before anything is reserved.
-fn decode_rows(sealed: &[u8], lane: u32) -> Option<LaneIndex> {
+/// only; `None` unless `W` rows fill exactly the bytes after the segment
+/// records ([`decode_rows`]).
+fn decode_schema_4(sealed: &[u8], lane: u32) -> Option<LaneIndex> {
     let mut at = SIDECAR_FIXED_LEN;
     let segment_count = take_minimal_u64(sealed, &mut at)?;
     let window_count = take_minimal_u64(sealed, &mut at)?;
@@ -963,22 +1069,44 @@ fn decode_rows(sealed: &[u8], lane: u32) -> Option<LaneIndex> {
         .checked_mul(SEGMENT_RECORD_LEN)?;
     let rest = &sealed[at..];
     let (records, rows) = (rest.get(..records)?, rest.get(records..)?);
-    if window_count > (rows.len() / WINDOW_ROW_MIN_LEN) as u64 {
+    Some(LaneIndex {
+        schema: SIDECAR_SCHEMA,
+        lane,
+        segments: segment_records(records),
+        windows: decode_rows(rows, window_count)?,
+    })
+}
+
+/// Appends the schema-4 rows of `windows` to `out`, the first coded
+/// against zeros: the rows of a sidecar, and of one lane in a pack index.
+pub(crate) fn encode_rows(windows: &[WindowEntry], out: &mut Vec<u8>) {
+    let mut prev = RowPrev::default();
+    for entry in windows {
+        put_meta_v3(out, prev.frame.deltas(entry), entry.codec);
+        let segment = entry.segment.wrapping_sub(prev.segment);
+        let offset = entry.offset.wrapping_sub(prev.offset_base(entry.segment));
+        for field in [u64::from(segment), offset, u64::from(entry.len)] {
+            encode_u64(field, out);
+        }
+        prev = RowPrev::after(entry);
+    }
+}
+
+/// The inverse of [`encode_rows`]: `None` unless `count` rows of minimal
+/// varints fill exactly `rows`. The count is held to one row per
+/// [`WINDOW_ROW_MIN_LEN`] bytes before anything is reserved.
+pub(crate) fn decode_rows(rows: &[u8], count: u64) -> Option<Vec<WindowEntry>> {
+    if count > (rows.len() / WINDOW_ROW_MIN_LEN) as u64 {
         return None;
     }
-    let mut windows = Vec::with_capacity(window_count as usize);
+    let mut windows = Vec::with_capacity(count as usize);
     let (mut at, mut prev) = (0, RowPrev::default());
-    for _ in 0..window_count {
+    for _ in 0..count {
         let entry = prev.resolve(take_row(rows, &mut at)?);
         prev = RowPrev::after(&entry);
         windows.push(entry);
     }
-    (at == rows.len()).then(|| LaneIndex {
-        schema: SIDECAR_SCHEMA,
-        lane,
-        segments: segment_records(records),
-        windows,
-    })
+    (at == rows.len()).then_some(windows)
 }
 
 /// The tables of a schema-3 sidecar (read only): `None` unless the file is
@@ -1067,7 +1195,8 @@ pub(crate) struct ScannedSegment {
     pub meta: SegmentMeta,
 }
 
-/// Scans one segment file, validating the header and every frame.
+/// Scans the bytes of one segment file, validating the header and every
+/// frame.
 ///
 /// Returns the intact prefix (every complete, CRC-valid frame) and, when
 /// the file ends mid-frame or with a corrupt frame, the torn tail to
@@ -1077,18 +1206,17 @@ pub(crate) struct ScannedSegment {
 ///
 /// # Errors
 ///
-/// Returns [`TraceError::Io`] when the file cannot be read and
-/// [`TraceError::Decode`] when the header is present but wrong (bad
+/// Returns [`TraceError::Decode`] when the header is present but wrong (bad
 /// magic, unknown version, or lane/sequence mismatch), or when a
 /// CRC-valid v2 or v3 frame names a codec this build does not know — all of
 /// that is cross-file or cross-version corruption, not a torn write, and
 /// recovery must not silently discard it.
 pub(crate) fn scan_segment(
+    bytes: &[u8],
     path: &std::path::Path,
     lane: u32,
     seq: u32,
 ) -> Result<ScannedSegment, TraceError> {
-    let bytes = std::fs::read(path)?;
     let file_len = bytes.len() as u64;
     let torn_at = |offset: u64| TornTail {
         lane,
@@ -1108,14 +1236,14 @@ pub(crate) fn scan_segment(
             },
         });
     }
-    let head = SegmentHead::parse(&bytes, path, lane, seq)?;
+    let head = SegmentHead::parse(bytes, path, lane, seq)?;
     let version = head.version;
     let mut entries = Vec::new();
     let mut offset = head.frames_start;
     let mut prev = FramePrev::default();
     let mut torn = None;
     while offset < file_len {
-        match read_frame(version, &bytes, offset, true)? {
+        match read_frame(version, bytes, offset, true)? {
             FrameRead::Frame(frame) => {
                 let entry = frame.entry(seq, offset, prev);
                 prev = FramePrev::after(&entry);
@@ -1262,7 +1390,7 @@ mod tests {
         ] {
             std::fs::write(dir.join(name), b"").unwrap();
         }
-        let lanes = list_store_dir(&dir, None).unwrap();
+        let lanes = list_store_dir(&dir, None).unwrap().lanes;
         assert_eq!(
             lanes.keys().copied().collect::<Vec<_>>(),
             [7, 9, 1234, 12345]
@@ -1280,10 +1408,10 @@ mod tests {
         assert_eq!(lanes[&7].temps, ["lane0007.compact.json.compact.tmp"]);
 
         // One lane's listing holds that lane's files and no neighbour's.
-        let only = list_store_dir(&dir, Some(1234)).unwrap();
+        let only = list_store_dir(&dir, Some(1234)).unwrap().lanes;
         assert_eq!(only.keys().copied().collect::<Vec<_>>(), [1234]);
         assert_eq!(only[&1234].seqs, lanes[&1234].seqs);
-        assert!(list_store_dir(&dir, Some(1)).unwrap().is_empty());
+        assert!(list_store_dir(&dir, Some(1)).unwrap().lanes.is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -21,6 +21,7 @@ use trace_model::{TraceError, TraceEvent};
 use crate::commit::{CommitLog, CommitView};
 use crate::index::WindowEntry;
 use crate::map::codec_mut;
+use crate::pack::packed_as;
 use crate::reader::claimed_events;
 use crate::segment::{
     read_frame, segment_file_name, FramePrev, FrameRead, SegmentHead, SEGMENT_HEADER_LEN,
@@ -294,32 +295,53 @@ impl Tailer {
     /// already covers it — and parses the segment's head once, moving a
     /// cursor at the header's end past a v4 segment's template table.
     /// Bytes past `bound` (an in-flight frame, crash garbage) are never
-    /// buffered: a later bound that covers them reads them then.
+    /// buffered: a later bound that covers them reads them then. A
+    /// segment the lane's writer recovered from a pack is read from its
+    /// byte range there, behind the header its pack entry stands for.
     fn fill_to(&mut self, seq: u32, bound: u64) -> Result<(), TraceError> {
         let have = self.buf.len();
         if (have as u64) < bound {
-            if self.file.is_none() {
-                let mut file = File::open(self.segment_path(seq))?;
-                file.seek(SeekFrom::Start(have as u64))?;
-                self.file = Some(file);
-            }
-            let file = self.file.as_mut().expect("opened above");
+            let packed = packed_as(self.log.packed(), seq).copied();
             self.buf.resize(bound as usize, 0);
-            if let Err(error) = file.read_exact(&mut self.buf[have..]) {
-                // The file position is unspecified after a failed
-                // `read_exact`; a retry reopens and seeks.
-                self.buf.truncate(have);
-                self.file = None;
-                return Err(match error.kind() {
-                    std::io::ErrorKind::UnexpectedEof => TraceError::Decode {
-                        offset: have,
-                        reason: format!(
-                            "lane {} segment {seq} is shorter than its committed bound of {bound} bytes",
-                            self.lane
-                        ),
-                    },
-                    _ => error.into(),
-                });
+            let mut from = have;
+            if let Some(packed) = &packed {
+                // Bytes 0..13 are the entry's header, not the pack's.
+                let header = packed.header();
+                let upto = header.len().min(self.buf.len());
+                if from < upto {
+                    self.buf[from..upto].copy_from_slice(&header[from..upto]);
+                    from = upto;
+                }
+            }
+            let opened = match self.file.take() {
+                Some(file) => Ok(file),
+                None => File::open(self.segment_path(seq)).and_then(|mut file| {
+                    let at = packed.map_or(0, |packed| packed.base()) + from as u64;
+                    file.seek(SeekFrom::Start(at))?;
+                    Ok(file)
+                }),
+            };
+            let read = opened.and_then(|mut file| {
+                file.read_exact(&mut self.buf[from..])?;
+                Ok(file)
+            });
+            match read {
+                Ok(file) => self.file = Some(file),
+                Err(error) => {
+                    // The file position is unspecified after a failed
+                    // `read_exact`; a retry reopens and seeks.
+                    self.buf.truncate(have);
+                    return Err(match error.kind() {
+                        std::io::ErrorKind::UnexpectedEof => TraceError::Decode {
+                            offset: have,
+                            reason: format!(
+                                "lane {} segment {seq} is shorter than its committed bound of {bound} bytes",
+                                self.lane
+                            ),
+                        },
+                        _ => error.into(),
+                    });
+                }
             }
         }
         debug_assert!(self.buf.len() as u64 <= bound);
@@ -331,8 +353,12 @@ impl Tailer {
         Ok(())
     }
 
+    /// The file segment `seq` is read from: its own, or its pack.
     fn segment_path(&self, seq: u32) -> PathBuf {
-        self.dir.join(segment_file_name(self.lane, seq))
+        match packed_as(self.log.packed(), seq) {
+            Some(packed) => packed.path(&self.dir),
+            None => self.dir.join(segment_file_name(self.lane, seq)),
+        }
     }
 
     /// Reads, verifies and decodes the frame at the cursor (which the

@@ -80,7 +80,7 @@ impl StoreWriter {
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, TraceError> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
-        let seen = list_store_dir(&dir, None)?.into_keys().collect();
+        let seen = list_store_dir(&dir, None)?.lanes.into_keys().collect();
         let listings = Counter::detached();
         listings.inc();
         Ok(StoreWriter {

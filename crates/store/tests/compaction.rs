@@ -4,7 +4,7 @@
 //! of every surviving window, answer `windows_in_range` identically for
 //! the retained set, and leave a store that reopens clean and compacts to
 //! a fixed point — template tables and templated frames of format-v4
-//! segments included.
+//! segments included, and lanes packed into one file.
 
 mod common;
 
@@ -609,5 +609,400 @@ fn a_recompressing_pass_writes_the_pinned_bytes() {
         7_813_972_356_121_517_067,
         "{report}"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every answer a reader gives about `lanes` of `dir`, whatever files
+/// hold them: events, payloads, each window by id with its neighbours,
+/// and a time range, through a reader and through its snapshot.
+fn answers(dir: &std::path::Path, lanes: &[u32]) -> Vec<String> {
+    let reader = StoreReader::open(dir).unwrap();
+    assert!(reader.recovery().clean, "{:?}", reader.recovery());
+    let snapshot = reader.snapshot();
+    let mut answers = Vec::new();
+    for &lane in lanes {
+        let ids: Vec<u64> = reader
+            .lane_windows(lane)
+            .unwrap()
+            .iter()
+            .map(|entry| entry.window_id)
+            .collect();
+        answers.push(format!("{lane}: {:?}", reader.lane_events(lane).unwrap()));
+        answers.push(format!(
+            "{lane}: {:?}",
+            snapshot.lane_payload_bytes(lane).unwrap()
+        ));
+        for id in ids {
+            let id = WindowId::new(id);
+            let around: Vec<Vec<u8>> = snapshot
+                .windows_around(lane, id, 1)
+                .unwrap()
+                .into_iter()
+                .map(|(_, payload)| payload)
+                .collect();
+            answers.push(format!(
+                "{lane}/{id:?}: {:?} {:?} {around:?}",
+                reader.window_events(lane, id).unwrap(),
+                snapshot.window_payload(lane, id).unwrap(),
+            ));
+        }
+        let range = snapshot.windows_in_range(
+            lane,
+            Timestamp::from_millis(60),
+            Timestamp::from_millis(170),
+        );
+        answers.push(format!("{lane}: {:?}", range.unwrap()));
+    }
+    answers
+}
+
+fn file_names(dir: &std::path::Path) -> Vec<String> {
+    dir_contents(dir).into_keys().collect()
+}
+
+/// A packed lane keeps everything but its files: it answers every query
+/// as before; a writer resumes it numbering after its packed segment and
+/// a follower of that writer reads the packed windows first; a later pass
+/// that rewrites a packed segment (a resumed lane's merge, retention)
+/// writes it into a newer pack, and a pack whose every lane moved on is
+/// deleted.
+#[test]
+fn a_packed_lane_resumes_is_followed_takes_retention_and_answers_the_same() {
+    use endurance_store::{CodecId, Snapshot, TailStep, Tailer};
+    let dir = temp_dir(9_200_000);
+    let lanes = [0u32, 1, 2];
+    let config = StoreConfig::default().with_segment_max_windows(2);
+    let record = |writer: &mut LaneWriter, id: u64| {
+        let events: Vec<TraceEvent> = (0..4 + id % 3)
+            .map(|i| {
+                TraceEvent::new(
+                    Timestamp::from_micros(id * 40_000 + i * 900),
+                    EventTypeId::new((i % 2) as u16),
+                    (id * 7 + i) as u32,
+                )
+            })
+            .collect();
+        let mut encoded = Vec::new();
+        BinaryEncoder::new().encode(&events, &mut encoded).unwrap();
+        let meta = RecordMeta {
+            window_id: WindowId::new(id),
+            start: Timestamp::from_millis(id * 40),
+            end: Timestamp::from_millis((id + 1) * 40),
+        };
+        writer.record_window(&meta, &events, &encoded).unwrap();
+    };
+    for lane in lanes {
+        let mut writer = LaneWriter::create(&dir, lane, config).unwrap();
+        for id in 0..6 {
+            record(&mut writer, id);
+        }
+        writer.close().unwrap();
+    }
+    let before = answers(&dir, &lanes);
+
+    let policy = MaintenancePolicy::merge_below(u64::MAX / 4).with_recompress(CodecId::DeltaVarint);
+    let report = Compactor::new(&dir, policy).compact().unwrap();
+    assert_eq!(
+        (report.packs_written, report.lanes_packed),
+        (1, 3),
+        "{report}"
+    );
+    assert_eq!(file_names(&dir), ["pack000000.idx", "pack000000.seg"]);
+    assert_eq!(answers(&dir, &lanes), before);
+
+    // Lane 1 resumes after its packed segment (sequence 2, the last of
+    // the three it replaced), followed from the start.
+    let mut writer = LaneWriter::create(&dir, 1, config).unwrap();
+    assert_eq!(writer.recovery().windows, 6);
+    let mut tailer = Tailer::follow(&dir, writer.commit_log());
+    for id in 6..8 {
+        record(&mut writer, id);
+    }
+    writer.close().unwrap();
+    assert!(dir.join("lane0001-000003.seg").exists());
+    let mut followed = Vec::new();
+    loop {
+        match tailer.next(std::time::Duration::from_secs(10)).unwrap() {
+            TailStep::Window(window) => followed.extend(window.payload),
+            TailStep::Closed => break,
+            TailStep::TimedOut => panic!("the writer is gone; the tail must close"),
+        }
+    }
+    let snapshot = Snapshot::open(&dir).unwrap();
+    assert_eq!(followed, snapshot.lane_payload_bytes(1).unwrap());
+    assert_eq!(snapshot.lane_windows(1).unwrap().len(), 8);
+    let resumed = answers(&dir, &lanes);
+    assert_eq!(resumed[..2], before[..2], "lane 0 untouched");
+
+    // The resumed lane's packed segment and its new one merge into a
+    // newer pack, numbered after its last source; the first pack still
+    // holds lanes 0 and 2.
+    let report = Compactor::new(&dir, policy).compact().unwrap();
+    assert_eq!(
+        (report.packs_written, report.lanes_packed),
+        (1, 1),
+        "{report}"
+    );
+    assert_eq!(
+        file_names(&dir),
+        [
+            "pack000000.idx",
+            "pack000000.seg",
+            "pack000001.idx",
+            "pack000001.seg"
+        ]
+    );
+    assert_eq!(answers(&dir, &lanes), resumed);
+    let reader = StoreReader::open(&dir).unwrap();
+    let segments: Vec<u32> = reader
+        .lane_windows(1)
+        .unwrap()
+        .iter()
+        .map(|e| e.segment)
+        .collect();
+    assert_eq!(segments, [3; 8]);
+    drop(reader);
+
+    // Retention rewrites lanes 0 and 2 into a third pack, which leaves
+    // the first one dead: it goes.
+    let retention = MaintenancePolicy::disabled().with_retention_ns(160_000_000);
+    let report = Compactor::new(&dir, retention).compact().unwrap();
+    assert_eq!(
+        (report.packs_written, report.lanes_packed),
+        (1, 3),
+        "{report}"
+    );
+    assert_eq!(report.windows_dropped(), 2 + 4 + 2);
+    assert_eq!(
+        file_names(&dir),
+        ["pack000002.idx", "pack000002.seg"],
+        "lane 1 lost windows too, so the second pack is dead as well"
+    );
+    let reader = StoreReader::open(&dir).unwrap();
+    for (lane, kept) in [(0, 2..6), (1, 4..8), (2, 2..6)] {
+        let ids: Vec<u64> = reader
+            .lane_windows(lane)
+            .unwrap()
+            .iter()
+            .map(|e| e.window_id)
+            .collect();
+        assert_eq!(ids, kept.collect::<Vec<_>>(), "lane {lane}");
+    }
+    drop(reader);
+    assert!(Compactor::new(&dir, retention).compact().unwrap().is_noop());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Records window `id` of 300 events whose values vary too much for any
+/// codec to shrink them far, so a segment's size follows its windows.
+fn record_heavy(writer: &mut LaneWriter, id: u64) {
+    let events: Vec<TraceEvent> = (0..300u64)
+        .map(|i| {
+            TraceEvent::new(
+                Timestamp::from_micros(id * 40_000 + i * 100),
+                EventTypeId::new((i % 7) as u16),
+                ((id * 300 + i).wrapping_mul(2_654_435_761) >> 5) as u32,
+            )
+        })
+        .collect();
+    let mut encoded = Vec::new();
+    BinaryEncoder::new().encode(&events, &mut encoded).unwrap();
+    let meta = RecordMeta {
+        window_id: WindowId::new(id),
+        start: Timestamp::from_millis(id * 40),
+        end: Timestamp::from_millis((id + 1) * 40),
+    };
+    writer.record_window(&meta, &events, &encoded).unwrap();
+}
+
+fn segment_bytes(dir: &std::path::Path, lane: u32, seq: u32) -> u64 {
+    std::fs::metadata(dir.join(format!("lane{lane:04}-{seq:06}.seg")))
+        .unwrap()
+        .len()
+}
+
+/// Each window of `lane` by id, with its events.
+fn lane_windows(dir: &std::path::Path, lane: u32) -> Vec<(u64, Vec<TraceEvent>)> {
+    let reader = StoreReader::open(dir).unwrap();
+    assert!(reader.recovery().clean, "{:?}", reader.recovery());
+    let ids: Vec<u64> = reader
+        .lane_windows(lane)
+        .unwrap()
+        .iter()
+        .map(|entry| entry.window_id)
+        .collect();
+    ids.into_iter()
+        .map(|id| {
+            (
+                id,
+                reader
+                    .window_events(lane, WindowId::new(id))
+                    .unwrap()
+                    .unwrap(),
+            )
+        })
+        .collect()
+}
+
+/// A lane longer than `max_merged_bytes` whose first chunk retention
+/// empties: the chunk's files are deleted and the surviving chunk becomes
+/// the lane's one segment, alone in a one-lane pass or in a pack with
+/// another lane's. When the emptied chunk is a packed segment, the lane
+/// moves to a newer pack whose entry holds nothing, and the segments it
+/// resumed with survive in a file of their own. A second pass changes
+/// nothing each time.
+#[test]
+fn retention_that_empties_a_split_off_chunk_deletes_it() {
+    let write = |dir: &std::path::Path, lane: u32, ids: std::ops::Range<u64>, per_segment| {
+        let config = StoreConfig::default().with_segment_max_windows(per_segment);
+        let mut writer = LaneWriter::create(dir, lane, config).unwrap();
+        for id in ids {
+            record_heavy(&mut writer, id);
+        }
+        writer.close().unwrap();
+    };
+    // Windows end at 40..320 ms; 160 ms of retention empties segments 0
+    // and 1 (windows 0..4) and keeps segments 2 and 3 whole.
+    let policy = |dir: &std::path::Path, lane: u32| {
+        let sizes: Vec<u64> = (0..4).map(|seq| segment_bytes(dir, lane, seq)).collect();
+        let cap = (sizes[0] + sizes[1]).max(sizes[2] + sizes[3]);
+        assert!(
+            cap >= 4096 && sizes[0] + sizes[1] + sizes[2] > cap,
+            "{sizes:?}"
+        );
+        MaintenancePolicy::merge_below(u64::MAX)
+            .with_max_merged_bytes(cap)
+            .with_recompress(CodecId::DeltaVarint)
+            .with_retention_ns(160_000_000)
+    };
+    use endurance_store::CodecId;
+
+    // One lane, one pass: the surviving run is a file of its own.
+    let dir = temp_dir(9_300_000);
+    write(&dir, 0, 0..8, 2);
+    let before = lane_windows(&dir, 0);
+    let lane_policy = policy(&dir, 0);
+    let report = Compactor::new(&dir, lane_policy).compact_lane(0).unwrap();
+    assert_eq!(report.windows_dropped, 4, "{report:?}");
+    assert_eq!(file_names(&dir), ["lane0000-000002.seg", "lane0000.idx"]);
+    assert_eq!(lane_windows(&dir, 0), before[4..]);
+    assert!(Compactor::new(&dir, lane_policy)
+        .compact()
+        .unwrap()
+        .is_noop());
+    std::fs::remove_dir_all(&dir).ok();
+
+    // With a short lane 1 (windows 6 and 7, one a segment, which merge)
+    // the surviving run shares a pack.
+    let dir = temp_dir(9_300_001);
+    write(&dir, 0, 0..8, 2);
+    write(&dir, 1, 6..8, 1);
+    let before = [lane_windows(&dir, 0), lane_windows(&dir, 1)];
+    let packed_policy = policy(&dir, 0);
+    let report = Compactor::new(&dir, packed_policy).compact().unwrap();
+    assert_eq!(
+        (report.packs_written, report.lanes_packed),
+        (1, 2),
+        "{report}"
+    );
+    assert_eq!(file_names(&dir), ["pack000000.idx", "pack000000.seg"]);
+    assert_eq!(lane_windows(&dir, 0), before[0][4..]);
+    assert_eq!(lane_windows(&dir, 1), before[1]);
+    assert!(Compactor::new(&dir, packed_policy)
+        .compact()
+        .unwrap()
+        .is_noop());
+
+    // Lane 0 resumes with one-window segments 4 and 5 (windows 8 and 9,
+    // ending at 360 and 400 ms); 80 ms of retention empties its packed
+    // segment, which a cap of the two new segments splits off them.
+    write(&dir, 0, 8..10, 1);
+    let resumed = lane_windows(&dir, 0);
+    let cap = segment_bytes(&dir, 0, 4) + segment_bytes(&dir, 0, 5);
+    assert!(cap >= 4096, "{cap}");
+    let resumed_policy = MaintenancePolicy::merge_below(u64::MAX)
+        .with_max_merged_bytes(cap)
+        .with_recompress(CodecId::DeltaVarint)
+        .with_retention_ns(80_000_000);
+    let report = Compactor::new(&dir, resumed_policy)
+        .compact_lane(0)
+        .unwrap();
+    assert_eq!(report.windows_dropped, 4, "{report:?}");
+    assert_eq!(
+        file_names(&dir),
+        [
+            "lane0000-000004.seg",
+            "lane0000.idx",
+            "pack000000.idx",
+            "pack000000.seg",
+            "pack000001.idx",
+            "pack000001.seg"
+        ]
+    );
+    assert_eq!(lane_windows(&dir, 0), resumed[4..]);
+    assert_eq!(lane_windows(&dir, 1), before[1]);
+    assert!(Compactor::new(&dir, resumed_policy)
+        .compact_lane(0)
+        .unwrap()
+        .is_noop());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A run past the packed-member bound (64 KiB) is written as a segment
+/// file of its own, between lanes that share a pack, and answers as
+/// before; a second pass changes no file.
+#[test]
+fn a_run_past_the_pack_member_bound_keeps_a_file_of_its_own() {
+    use endurance_store::CodecId;
+    let dir = temp_dir(9_400_000);
+    let lanes = [0u32, 1, 2];
+    let config = StoreConfig::default().with_segment_max_windows(2);
+    for lane in lanes {
+        let mut writer = LaneWriter::create(&dir, lane, config).unwrap();
+        for id in 0..if lane == 1 { 60 } else { 6 } {
+            if lane == 1 {
+                record_heavy(&mut writer, id);
+            } else {
+                let events = vec![TraceEvent::new(
+                    Timestamp::from_millis(id * 40),
+                    EventTypeId::new(1),
+                    id as u32,
+                )];
+                let mut encoded = Vec::new();
+                BinaryEncoder::new().encode(&events, &mut encoded).unwrap();
+                let meta = RecordMeta {
+                    window_id: WindowId::new(id),
+                    start: Timestamp::from_millis(id * 40),
+                    end: Timestamp::from_millis((id + 1) * 40),
+                };
+                writer.record_window(&meta, &events, &encoded).unwrap();
+            }
+        }
+        writer.close().unwrap();
+    }
+    let before = answers(&dir, &lanes);
+
+    let policy = MaintenancePolicy::merge_below(u64::MAX / 4).with_recompress(CodecId::DeltaVarint);
+    let report = Compactor::new(&dir, policy).compact().unwrap();
+    assert_eq!(
+        (report.packs_written, report.lanes_packed),
+        (1, 2),
+        "{report}"
+    );
+    assert_eq!(
+        file_names(&dir),
+        [
+            "lane0001-000000.seg",
+            "lane0001.idx",
+            "pack000000.idx",
+            "pack000000.seg"
+        ]
+    );
+    assert!(segment_bytes(&dir, 1, 0) > 64 << 10);
+    assert_eq!(answers(&dir, &lanes), before);
+
+    let files = dir_contents(&dir);
+    Compactor::new(&dir, policy).compact().unwrap();
+    assert_eq!(dir_contents(&dir), files);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,11 +1,14 @@
 //! Crash-recovery property: truncating a segment file at *any* byte must
 //! leave reopen with exactly the complete frames before the cut, and the
 //! cut itself reported as a torn tail — never an error, never garbage
-//! events.
+//! events. And a crash at any step of a pack commit loses no window and
+//! repeats none.
 
 use proptest::prelude::*;
 
-use endurance_store::{LaneWriter, StoreConfig, StoreReader};
+use endurance_store::{
+    CodecId, Compactor, LaneWriter, MaintenancePolicy, StoreConfig, StoreReader,
+};
 use trace_model::codec::{BinaryEncoder, TraceEncoder};
 use trace_model::{
     EventSink, EventTypeId, RecordMeta, Timestamp, TraceError, TraceEvent, WindowId,
@@ -213,4 +216,149 @@ fn a_window_past_the_frame_limit_is_refused_and_the_writer_goes_on() {
     assert_eq!(resumed.windows_written(), 2);
     drop(resumed);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Records `windows` windows into each of `lanes`, two a segment, and
+/// closes them: lanes a maintenance pass packs, each from two or more
+/// files.
+fn write_closed_lanes(dir: &std::path::Path, lanes: &[u32], windows: u64) {
+    let config = StoreConfig::default().with_segment_max_windows(2);
+    for &lane in lanes {
+        let mut writer = LaneWriter::create(dir, lane, config).unwrap();
+        for id in 0..windows {
+            let events: Vec<TraceEvent> = (0..6 + u64::from(lane % 7))
+                .map(|i| {
+                    TraceEvent::new(
+                        Timestamp::from_micros(id * 40_000 + i * 700),
+                        EventTypeId::new((i % 3) as u16),
+                        lane * 100 + i as u32,
+                    )
+                })
+                .collect();
+            let mut encoded = Vec::new();
+            BinaryEncoder::new().encode(&events, &mut encoded).unwrap();
+            let meta = RecordMeta {
+                window_id: WindowId::new(id),
+                start: Timestamp::from_millis(id * 40),
+                end: Timestamp::from_millis((id + 1) * 40),
+            };
+            writer.record_window(&meta, &events, &encoded).unwrap();
+        }
+        writer.close().unwrap();
+    }
+}
+
+/// Every lane's events, through a cold (non-mutating) reader.
+fn replay_all(dir: &std::path::Path) -> Vec<(u32, Vec<TraceEvent>)> {
+    let reader = StoreReader::open(dir).unwrap();
+    reader
+        .lane_ids()
+        .into_iter()
+        .map(|lane| (lane, reader.lane_events(lane).unwrap()))
+        .collect()
+}
+
+fn copy_dir(from: &std::path::Path, to: &std::path::Path) {
+    let _ = std::fs::remove_dir_all(to);
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), to.join(entry.file_name())).unwrap();
+    }
+}
+
+/// A crash at every step of a pack commit (FORMAT.md §5.3): with the
+/// pack still a temp file; renamed, each file it replaced still there;
+/// after each deletion of a replaced lane file, in the order a pass
+/// deletes them; with every one gone but the pack index not written. At
+/// every step a cold reader replays every lane exactly — no window lost,
+/// none twice — and once a recovering participant has run, the store
+/// reopens clean: a maintenance pass, or a writer resuming each lane.
+#[test]
+fn a_crash_at_every_step_of_a_pack_commit_loses_and_repeats_nothing() {
+    let lanes = [0u32, 3, 12345];
+    let before = temp_dir(u64::MAX - 1);
+    write_closed_lanes(&before, &lanes, 5);
+    let expected = replay_all(&before);
+    let policy = MaintenancePolicy::merge_below(u64::MAX / 4).with_recompress(CodecId::DeltaVarint);
+
+    // The pack a complete pass commits.
+    let done = temp_dir(u64::MAX - 2);
+    copy_dir(&before, &done);
+    let report = Compactor::new(&done, policy).compact().unwrap();
+    assert_eq!((report.packs_written, report.lanes_packed), (1, 3));
+    let pack = std::fs::read(done.join("pack000000.seg")).unwrap();
+    let mut names: Vec<String> = std::fs::read_dir(&done)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    assert_eq!(names, ["pack000000.idx", "pack000000.seg"]);
+    assert_eq!(replay_all(&done), expected);
+    assert!(StoreReader::open(&done).unwrap().recovery().clean);
+
+    // The lane files the pass deletes, in its order: each lane's
+    // segments, then its sidecar.
+    let mut replaced = Vec::new();
+    for lane in lanes {
+        for seq in 0..3 {
+            replaced.push(format!("lane{lane:04}-{seq:06}.seg"));
+        }
+        replaced.push(format!("lane{lane:04}.idx"));
+    }
+    let mut stages = vec![("temp written", 0, true)];
+    stages.extend((0..=replaced.len()).map(|deleted| ("renamed", deleted, false)));
+
+    let staged = temp_dir(u64::MAX - 3);
+    for (step, deleted, temp) in stages {
+        let what = format!("{step}, {deleted} replaced file(s) deleted");
+        for recover in ["pass", "writers"] {
+            copy_dir(&before, &staged);
+            let name = if temp {
+                "pack000000.seg.compact.tmp"
+            } else {
+                "pack000000.seg"
+            };
+            std::fs::write(staged.join(name), &pack).unwrap();
+            for file in &replaced[..deleted] {
+                std::fs::remove_file(staged.join(file)).unwrap();
+            }
+            assert_eq!(replay_all(&staged), expected, "{what}: a cold reader");
+
+            match recover {
+                "pass" => {
+                    Compactor::new(&staged, policy).compact().unwrap();
+                }
+                _ => {
+                    for lane in lanes {
+                        let writer = LaneWriter::create(&staged, lane, StoreConfig::default());
+                        let writer = writer.unwrap();
+                        assert_eq!(writer.recovery().windows, 5, "{what}: lane {lane}");
+                        writer.close().unwrap();
+                    }
+                }
+            }
+            let reader = StoreReader::open(&staged).unwrap();
+            assert!(
+                reader.recovery().clean,
+                "{what}, recovered by {recover}: {:?}",
+                reader.recovery()
+            );
+            drop(reader);
+            assert_eq!(
+                replay_all(&staged),
+                expected,
+                "{what}, recovered by {recover}"
+            );
+            // Nothing the pack superseded is left once a pass has run.
+            if recover == "pass" && !temp {
+                for file in &replaced {
+                    assert!(!staged.join(file).exists(), "{what}: {file} left behind");
+                }
+            }
+        }
+    }
+    for dir in [&before, &done, &staged] {
+        std::fs::remove_dir_all(dir).ok();
+    }
 }

@@ -1014,3 +1014,181 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
     }
 }
+
+/// Two lanes packed by one pass, as `pack000000.seg` and its index:
+/// [`golden_packed_windows`] (lane 0) and [`golden_v4_windows`] (lane 1),
+/// each recorded whole and recompressed. The pack header (`EPAK`, version
+/// 1, pack 0, the CRC of the entry headers), then each entry header —
+/// lane, seq, version, body length — and body, which is the golden v3 and
+/// v4 segment past its 13-byte header, byte for byte.
+const GOLDEN_PACK: &str = "\
+     4550414b01000000000421ac69000003da022681c1e3da900380c0b2cd3b80e8\
+     9226050326b717010580897a050680897a090780897a010880897a0509712eaa\
+     08a502000012038501f80a0103e5a386010503e5a386010903e5a386010d03e5\
+     a386011103e5a386011503e5a386010104e5a386010504e5a386010904e5a386\
+     010d04e5a386011104e5a386011504e5a386010105e5a386010505f19f860109\
+     05e5a386010d05e5a386011105e5a386011505065ef6443e0200000003068c01\
+     cddac5840200002801a0022880bcf59f1ec1843dc1843dbe843dc1843dc1843d\
+     be843dc1843dc1843dbe843dc1843dc1843dbe843dc1843dc1843dbe843dc184\
+     3dc1843dbe843dc1843dc1843dbe843dc1843dc1843dbe843dc1843dc1843dbe\
+     843dc1843dc1843dbe843dc1843dc1843dbe843dc1843dc1843dbe843dc1843d\
+     c1843dbe843d0104010101d00f010227170e45493702000003031d14ffff0fff\
+     ffffff0f000000009601ac020100049b0223a7e3a544020601e80705e90709ea\
+     0701eb0705ec0709ed07050d000dc80111900311d80415a00626032ec425d804\
+     80e08bb45980e892260604370000a0068b9bee028b9bee028b9bee028b9bee02\
+     8b9bee021a260f446a02000005042e0100ea068b9bee028b9bee028b9bee028b\
+     9bee021e4a4929a70200000604370000b4078b9bee028b9bee028b9bee028b9b\
+     ee028b9bee021a7b4fe9c802000005042e0100fe078b9bee028b9bee028b9bee\
+     028b9bee02220062e5dc020000060438000104f0a204c8088b9bee028b9bee02\
+     8b9bee028b9bee028b9bee021ab706ff7202000005042e010092098b9bee028b\
+     9bee028b9bee028b9bee021cfe81f71e020000040323dc091d288b9bee022129\
+     8b9bee02252a8b9bee021d2b";
+
+/// The index of [`GOLDEN_PACK`]: `EPIX`, schema 1, pack 0, the pack's
+/// length, two entry records and each lane's schema-4 rows.
+const GOLDEN_PACK_IDX: &str = "\
+     4550495801000000000000008c0200000000000002000003da0205380100049b\
+     020747900380c0b2cd3b80e89226050326000d26020000120385010005710200\
+     000003060005060200002801a00200058c0102000003031d000617d80480e08b\
+     b45980e8922606043700352602000005042e00051a02000006043700051e0200\
+     0005042e00051a02000006043800052202000005042e00051a02000004032300\
+     051c00c0d049";
+
+#[test]
+fn golden_pack_pins_the_layout() {
+    let lanes = [(0u32, golden_packed_windows()), (1, golden_v4_windows())];
+
+    // Encoder: one recompressing pass over the two recorded lanes writes
+    // the golden pack and index, and nothing else.
+    let dir = temp_dir("golden-pack-write");
+    for (lane, windows) in &lanes {
+        let mut writer = LaneWriter::create(&dir, *lane, StoreConfig::default()).unwrap();
+        for window in windows {
+            window.record(&mut writer);
+        }
+        writer.close().unwrap();
+    }
+    let policy = MaintenancePolicy::merge_below(u64::MAX / 4).with_recompress(CodecId::DeltaVarint);
+    let report = Compactor::new(&dir, policy).compact().unwrap();
+    assert_eq!(
+        (report.packs_written, report.lanes_packed),
+        (1, 2),
+        "{report}"
+    );
+    let names: Vec<String> = dir_contents(&dir).into_keys().collect();
+    assert_eq!(names, ["pack000000.idx", "pack000000.seg"]);
+    for (name, golden) in [
+        ("pack000000.seg", GOLDEN_PACK),
+        ("pack000000.idx", GOLDEN_PACK_IDX),
+    ] {
+        let written = hex_of(&dir, name);
+        assert!(
+            written == golden,
+            "{name} drifted from the golden bytes:\n{written}"
+        );
+    }
+    // A second pass finds nothing to do.
+    assert!(Compactor::new(&dir, policy).compact().unwrap().is_noop());
+    std::fs::remove_dir_all(&dir).ok();
+
+    // The layout, field by field: the bodies are the golden segments'.
+    let pack = unhex(GOLDEN_PACK);
+    assert_eq!(&pack[..9], b"EPAK\x01\x00\x00\x00\x00");
+    let (v3, v4) = (unhex(GOLDEN_PACKED_V3_SEG), unhex(GOLDEN_V4_SEG));
+    let mut headers = Vec::new();
+    let mut expected = pack[..13].to_vec();
+    for (lane, version, segment) in [(0u8, 3u8, &v3), (1, 4, &v4)] {
+        let body = &segment[13..];
+        let mut header = vec![lane, 0, version];
+        trace_model::codec::varint::encode_u64(body.len() as u64, &mut header);
+        headers.extend_from_slice(&header);
+        expected.extend_from_slice(&header);
+        expected.extend_from_slice(body);
+    }
+    assert_eq!(pack, expected);
+    assert_eq!(pack[9..13], crc32(&headers).to_le_bytes());
+
+    // Decoder: the pack alone (its lanes scanned), then with its index
+    // (trusted), replays both lanes; a writer resuming lane 1 recovers
+    // it from the pack and a follower of that writer reads it there.
+    let dir = temp_dir("golden-pack-read");
+    std::fs::write(dir.join("pack000000.seg"), &pack).unwrap();
+    let scanned: Vec<Vec<endurance_store::WindowEntry>> = {
+        let reader = StoreReader::open(&dir).unwrap();
+        assert_eq!(reader.lane_ids(), [0, 1]);
+        let fallbacks: Vec<FallbackReason> = reader
+            .recovery()
+            .sidecar_fallbacks
+            .iter()
+            .map(|fallback| fallback.reason)
+            .collect();
+        assert_eq!(fallbacks, [FallbackReason::Missing; 2]);
+        lanes
+            .iter()
+            .map(|(lane, windows)| {
+                assert_lane_matches(&reader, *lane, windows);
+                reader.lane_windows(*lane).unwrap().to_vec()
+            })
+            .collect()
+    };
+    std::fs::write(dir.join("pack000000.idx"), unhex(GOLDEN_PACK_IDX)).unwrap();
+    let reader = StoreReader::open(&dir).unwrap();
+    assert!(reader.recovery().clean, "{:?}", reader.recovery());
+    for ((lane, windows), rows) in lanes.iter().zip(&scanned) {
+        assert_eq!(reader.lane_windows(*lane).unwrap(), rows.as_slice());
+        assert_lane_matches(&reader, *lane, windows);
+    }
+    // Offsets are the golden segments' own.
+    assert_eq!(rows_offsets(&scanned[1]), rows_offsets(&golden_rows(&v4)));
+    drop(reader);
+    let writer = LaneWriter::create(&dir, 1, StoreConfig::default()).unwrap();
+    assert_eq!(writer.recovery().windows, 7);
+    let mut tailer = Tailer::follow(&dir, writer.commit_log());
+    writer.close().unwrap();
+    let mut followed = Vec::new();
+    loop {
+        match tailer.next(std::time::Duration::from_secs(10)).unwrap() {
+            TailStep::Window(window) => followed.push(window),
+            TailStep::Closed => break,
+            TailStep::TimedOut => panic!("the writer is gone; the tail must close"),
+        }
+    }
+    assert_eq!(
+        followed.iter().map(|w| w.entry).collect::<Vec<_>>(),
+        scanned[1]
+    );
+    for (got, window) in followed.iter().zip(&lanes[1].1) {
+        assert_eq!(got.payload, window.payload, "window {}", window.id);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Lane `lane` of `reader` holds `windows`, payload for payload.
+fn assert_lane_matches(reader: &StoreReader, lane: u32, windows: &[Window]) {
+    let rows = reader.lane_windows(lane).unwrap();
+    assert_eq!(
+        rows.iter().map(common::entry_fields).collect::<Vec<_>>(),
+        windows.iter().map(Window::fields).collect::<Vec<_>>()
+    );
+    let payloads: Vec<u8> = windows.iter().flat_map(|w| w.payload.clone()).collect();
+    assert_eq!(reader.lane_payload_bytes(lane).unwrap(), payloads);
+    let events: Vec<TraceEvent> = windows.iter().flat_map(|w| w.events.clone()).collect();
+    assert_eq!(reader.lane_events(lane).unwrap(), events);
+}
+
+/// The rows a reader finds in `segment`, as lane 0's one segment.
+fn golden_rows(segment: &[u8]) -> Vec<endurance_store::WindowEntry> {
+    let dir = temp_dir("golden-pack-rows");
+    std::fs::write(dir.join("lane0000-000000.seg"), segment).unwrap();
+    let rows = StoreReader::open(&dir)
+        .unwrap()
+        .lane_windows(0)
+        .unwrap()
+        .to_vec();
+    std::fs::remove_dir_all(&dir).ok();
+    rows
+}
+
+fn rows_offsets(rows: &[endurance_store::WindowEntry]) -> Vec<(u64, u32)> {
+    rows.iter().map(|row| (row.offset, row.len)).collect()
+}

@@ -585,3 +585,202 @@ fn a_crc_valid_frame_claiming_4g_events_is_a_typed_error() {
         std::fs::remove_dir_all(&dir).ok();
     }
 }
+
+/// Two closed lanes packed by one pass — `windows()` as a v3 segment,
+/// `golden_v4_windows()` as a v4 one — and what a reader makes of them.
+struct PristinePack {
+    lanes: Vec<(u32, Vec<Window>)>,
+    pack: Vec<u8>,
+    index: Vec<u8>,
+    rows: Vec<Vec<WindowEntry>>,
+    dir: std::path::PathBuf,
+}
+
+const PACK: &str = "pack000000.seg";
+const PACK_INDEX: &str = "pack000000.idx";
+
+impl PristinePack {
+    fn build() -> Self {
+        let dir = temp_dir("pack");
+        let lanes = vec![(0, windows()), (1, golden_v4_windows())];
+        for (lane, windows) in &lanes {
+            let mut writer = LaneWriter::create(&dir, *lane, StoreConfig::default()).unwrap();
+            for window in windows {
+                window.record(&mut writer);
+            }
+            writer.close().unwrap();
+        }
+        let policy =
+            MaintenancePolicy::merge_below(u64::MAX / 4).with_recompress(CodecId::DeltaVarint);
+        let report = Compactor::new(&dir, policy).compact().unwrap();
+        assert_eq!((report.packs_written, report.lanes_packed), (1, 2));
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        assert_eq!(names, [PACK_INDEX, PACK]);
+        let reader = StoreReader::open(&dir).unwrap();
+        assert!(reader.recovery().clean);
+        let rows = lanes
+            .iter()
+            .map(|(lane, _)| reader.lane_windows(*lane).unwrap().to_vec())
+            .collect();
+        PristinePack {
+            pack: std::fs::read(dir.join(PACK)).unwrap(),
+            index: std::fs::read(dir.join(PACK_INDEX)).unwrap(),
+            lanes,
+            rows,
+            dir,
+        }
+    }
+
+    /// Reads `pack` and `index` (none: no index) in place of the pristine
+    /// files: the store fails to open with a typed error, or lists both
+    /// lanes and answers every query with what was written or a typed
+    /// error. Returns whether every lane replayed.
+    fn read(&self, pack: &[u8], index: Option<&[u8]>, what: &str) -> bool {
+        std::fs::write(self.dir.join(PACK), pack).unwrap();
+        match index {
+            Some(index) => std::fs::write(self.dir.join(PACK_INDEX), index).unwrap(),
+            None => {
+                let _ = std::fs::remove_file(self.dir.join(PACK_INDEX));
+            }
+        }
+        let reader = match StoreReader::open(&self.dir) {
+            Ok(reader) => reader,
+            Err(TraceError::Decode { .. } | TraceError::Io(_)) => return false,
+            Err(other) => panic!("{what}: untyped {other:?}"),
+        };
+        let lanes: Vec<u32> = self.lanes.iter().map(|(lane, _)| *lane).collect();
+        assert_eq!(reader.lane_ids(), lanes, "{what}: the lanes of the pack");
+        let snapshot = reader.snapshot();
+        let mut whole = true;
+        for ((lane, windows), rows) in self.lanes.iter().zip(&self.rows) {
+            match reader.lane_windows(*lane) {
+                Ok(listed) => assert_eq!(listed, rows.as_slice(), "{what}: lane {lane}"),
+                Err(TraceError::Decode { .. } | TraceError::Io(_)) => {
+                    whole = false;
+                    continue;
+                }
+                Err(other) => panic!("{what}: {other:?}"),
+            }
+            for window in windows {
+                let id = WindowId::new(window.id);
+                for read in [
+                    reader.window_payload(*lane, id),
+                    snapshot.window_payload(*lane, id),
+                ] {
+                    match read {
+                        Ok(Some(payload)) => assert_eq!(payload, window.payload, "{what}"),
+                        Ok(None) => panic!("{what}: window {} vanished", window.id),
+                        Err(TraceError::Decode { .. } | TraceError::Io(_)) => whole = false,
+                        Err(other) => panic!("{what}: {other:?}"),
+                    }
+                }
+            }
+            let events: Vec<TraceEvent> = windows.iter().flat_map(|w| w.events.clone()).collect();
+            match reader.lane_events(*lane) {
+                Ok(replayed) => assert_eq!(replayed, events, "{what}: lane {lane}"),
+                Err(TraceError::Decode { .. } | TraceError::Io(_)) => whole = false,
+                Err(other) => panic!("{what}: {other:?}"),
+            }
+        }
+        whole
+    }
+
+    /// A pass over the damaged pack that drops each lane's oldest window,
+    /// so that it rewrites every packed segment: it fails typed, or what
+    /// it leaves replays as exactly the windows kept.
+    fn compact(&self, pack: &[u8], what: &str) {
+        std::fs::write(self.dir.join(PACK), pack).unwrap();
+        std::fs::write(self.dir.join(PACK_INDEX), &self.index).unwrap();
+        let span = |windows: &[Window]| {
+            let newest = windows.iter().map(|w| w.end_ns).max().unwrap();
+            newest - windows.iter().map(|w| w.end_ns).min().unwrap()
+        };
+        let retention = self
+            .lanes
+            .iter()
+            .map(|(_, windows)| span(windows))
+            .min()
+            .unwrap();
+        let policy = MaintenancePolicy::disabled().with_retention_ns(retention);
+        match Compactor::new(&self.dir, policy).compact() {
+            Err(TraceError::Decode { .. } | TraceError::Io(_)) => {}
+            Err(other) => panic!("{what} compacted: {other:?}"),
+            Ok(_) => {
+                let reader = StoreReader::open(&self.dir).unwrap();
+                for (lane, windows) in &self.lanes {
+                    let newest = windows.iter().map(|w| w.end_ns).max().unwrap();
+                    let kept: Vec<TraceEvent> = windows
+                        .iter()
+                        .filter(|w| w.end_ns > newest - retention)
+                        .flat_map(|w| w.events.clone())
+                        .collect();
+                    match reader.lane_events(*lane) {
+                        Ok(replayed) => assert_eq!(replayed, kept, "{what} compacted: {lane}"),
+                        Err(TraceError::Decode { .. } | TraceError::Io(_)) => {}
+                        Err(other) => panic!("{what} compacted: {other:?}"),
+                    }
+                }
+            }
+        }
+        for entry in std::fs::read_dir(&self.dir).unwrap() {
+            std::fs::remove_file(entry.unwrap().path()).unwrap();
+        }
+    }
+}
+
+/// Every truncation, bit flip and `0xFF` run of a pack (with its index
+/// in place and without) and of its index (the pack intact): a pack is
+/// written whole, so a damaged byte of it is a typed error — at open when
+/// it breaks the pack's structure and there is no index to go by, when a
+/// lane is read otherwise — and never a lane that is not there, a window
+/// that differs or a panic; a damaged index costs a scan of the pack and
+/// nothing else.
+#[test]
+fn no_byte_of_a_pack_can_make_a_reader_lie() {
+    let pristine = PristinePack::build();
+    let (pack, index) = (&pristine.pack, &pristine.index);
+    assert!(pristine.read(pack, Some(index), "intact"));
+    assert!(pristine.read(pack, None, "intact, no index"));
+    // Every bit of the index; two bits of each pack byte, which a
+    // header's fields, a varint and a CRC field all still see. The first
+    // flip of each byte is compacted too.
+    let damage = |bytes: &[u8], bits: &[usize]| -> Vec<(String, Vec<u8>, bool)> {
+        let mut damaged = Vec::new();
+        for cut in 0..bytes.len() {
+            damaged.push((format!("cut at {cut}"), bytes[..cut].to_vec(), false));
+        }
+        for at in 0..bytes.len() {
+            for (nth, bit) in bits.iter().map(|bit| (at + bit) % 8).enumerate() {
+                let mut flipped = bytes.to_vec();
+                flipped[at] ^= 1 << bit;
+                damaged.push((format!("bit {bit} of byte {at} flipped"), flipped, nth == 0));
+            }
+            for run in [1, 2, 5, 10] {
+                let mut smeared = bytes.to_vec();
+                smeared[at..(at + run).min(bytes.len())].fill(0xFF);
+                if smeared != bytes {
+                    damaged.push((format!("{run} x 0xFF at {at}"), smeared, false));
+                }
+            }
+        }
+        damaged
+    };
+    for (what, damaged, compact) in damage(pack, &[0, 4]) {
+        pristine.read(&damaged, Some(index), &format!("pack: {what}"));
+        pristine.read(&damaged, None, &format!("pack, no index: {what}"));
+        if compact {
+            pristine.compact(&damaged, &format!("pack: {what}"));
+        }
+    }
+    for (what, damaged, _) in damage(index, &[0, 1, 2, 3, 4, 5, 6, 7]) {
+        assert!(
+            pristine.read(pack, Some(&damaged), &format!("index: {what}")),
+            "index: {what}: a declined index costs a scan, not a window"
+        );
+    }
+    std::fs::remove_dir_all(&pristine.dir).ok();
+}

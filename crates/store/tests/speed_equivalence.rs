@@ -13,6 +13,8 @@
 //!   whose lane ids share name prefixes and which holds every kind of
 //!   crash leftover: all three work from one directory listing and must
 //!   agree on what each lane owns.
+//! * `parallel_compaction_equivalence_while_a_slow_lane_holds_workers_back`
+//!   — the same again while a slow lane holds the other workers back.
 //! * `store_writer_equivalence` — any sequence of creates, records,
 //!   closes, crashes and crash leftovers run through one long-lived
 //!   [`StoreWriter`] leaves the directory, every `RecoveryReport` and
@@ -204,6 +206,109 @@ proptest! {
 
 /// The journal of a merge of `replaced` into segment 0 of `lane`, as the
 /// compactor writes it (FORMAT.md §5.3 step 1).
+/// Lane 0 is long and slow; the runs of the short lanes behind it soon
+/// hold more than a pack of 4 KiB while they wait for it, so the other
+/// workers stop taking lanes until it arrives — and still pack as one
+/// worker does, byte for byte.
+#[test]
+fn parallel_compaction_equivalence_while_a_slow_lane_holds_workers_back() {
+    let dirs = [1usize, 4].map(|workers| {
+        let dir = temp_dir(&format!("held-back-{workers}"));
+        write_lanes(&dir, [0], 400, 2, true);
+        write_lanes(&dir, 1..41, 6, 2, true);
+        let policy = MaintenancePolicy::merge_below(u64::MAX)
+            .with_recompress(CodecId::DeltaVarint)
+            .with_max_merged_bytes(4 * 1024)
+            .with_compact_workers(workers);
+        let report = Compactor::new(&dir, policy).compact().unwrap();
+        assert!(report.packs_written > 1, "{report}");
+        dir
+    });
+    assert!(
+        dir_contents(&dirs[0]) == dir_contents(&dirs[1]),
+        "1 worker and 4 leave other files"
+    );
+    for dir in dirs {
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// Holds a `compact_lane` loop's files in `looped` to the pack a pass over
+/// the same store left in `packed`: each lane's entry body is the lane's
+/// segment file past its 13-byte header, byte for byte; its pack index
+/// rows are the lane's `.idx` rows, numbered after the entry's sequence
+/// (the run's last source) instead of the file's (its first); and every
+/// other file is the same in both.
+fn assert_loop_wrote_the_pack(packed: &std::path::Path, looped: &std::path::Path, lanes: &[u32]) {
+    use trace_model::codec::varint::take_minimal_u64;
+    let pack = std::fs::read(packed.join("pack000000.seg")).unwrap();
+    let mut entries = BTreeMap::new();
+    let mut at = 13;
+    while at < pack.len() {
+        let lane = take_minimal_u64(&pack, &mut at).unwrap() as u32;
+        let seq = take_minimal_u64(&pack, &mut at).unwrap() as u32;
+        let version = pack[at];
+        at += 1;
+        let len = take_minimal_u64(&pack, &mut at).unwrap() as usize;
+        let body = &pack[at..at + len];
+        at += len;
+        entries.insert(lane, (seq, version, body));
+    }
+    assert_eq!(entries.keys().copied().collect::<Vec<_>>(), lanes);
+
+    let packed_reader = StoreReader::open(packed).unwrap();
+    let looped_reader = StoreReader::open(looped).unwrap();
+    assert!(
+        looped_reader.recovery().clean,
+        "{:?}",
+        looped_reader.recovery()
+    );
+    let mut lane_files = BTreeSet::new();
+    for &lane in lanes {
+        let files = segment_files(looped, lane);
+        let [(first, version, path)] = files.as_slice() else {
+            panic!("lane {lane} left {files:?}");
+        };
+        let (seq, packed_version, body) = entries[&lane];
+        let segment = std::fs::read(path).unwrap();
+        assert_eq!(*version, packed_version, "lane {lane}");
+        assert!(
+            segment[13..] == *body,
+            "lane {lane}: the pack's body is not the loop's segment"
+        );
+        let renumbered: Vec<_> = looped_reader
+            .lane_windows(lane)
+            .unwrap()
+            .iter()
+            .map(|row| {
+                assert_eq!(row.segment, *first, "lane {lane}");
+                endurance_store::WindowEntry {
+                    segment: seq,
+                    ..*row
+                }
+            })
+            .collect();
+        assert_eq!(
+            packed_reader.lane_windows(lane).unwrap(),
+            renumbered,
+            "lane {lane}"
+        );
+        lane_files.insert(path.file_name().unwrap().to_string_lossy().into_owned());
+        lane_files.insert(format!("lane{lane:04}.idx"));
+    }
+    let others = |dir, skip: &dyn Fn(&String) -> bool| {
+        dir_contents(dir)
+            .into_iter()
+            .filter(|(name, _)| !skip(name))
+            .collect::<BTreeMap<_, _>>()
+    };
+    assert!(
+        others(looped, &|name| lane_files.contains(name))
+            == others(packed, &|name| name.starts_with("pack")),
+        "the files a pack does not replace differ between a pass and a loop"
+    );
+}
+
 fn journal_json(lane: u32, target: &[u8], replaced: &[u32]) -> String {
     format!(
         "{{\"schema\":1,\"lane\":{lane},\"target_seq\":0,\"target_bytes\":{},\
@@ -336,20 +441,34 @@ fn parallel_compaction_equivalence_over_many_lanes_with_crash_leftovers() {
     );
     assert!(serial.recompressed_windows() > 0);
 
+    // Two workers leave the files one does, byte for byte: one pack of
+    // every lane and its index. A `compact_lane` loop compacts one lane a
+    // pass, so it packs nothing and leaves each lane a segment file and a
+    // sidecar — with the same reports (above), the same segment bytes and
+    // rows and the same replay (below).
     let contents = dirs.each_ref().map(|dir| dir_contents(dir));
-    for (other, what) in [(1, "2 workers"), (2, "a compact_lane loop")] {
-        assert_eq!(
-            contents[0].keys().collect::<Vec<_>>(),
-            contents[other].keys().collect::<Vec<_>>(),
-            "files left by 1 worker vs {what}"
+    assert_eq!(
+        contents[0].keys().collect::<Vec<_>>(),
+        contents[1].keys().collect::<Vec<_>>(),
+        "files left by 1 worker vs 2 workers"
+    );
+    for (name, bytes) in &contents[0] {
+        assert!(
+            bytes == &contents[1][name],
+            "{name} differs between 1 worker and 2 workers"
         );
-        for (name, bytes) in &contents[0] {
-            assert!(
-                bytes == &contents[other][name],
-                "{name} differs between 1 worker and {what}"
-            );
-        }
     }
+    let packs = |contents: &BTreeMap<String, Vec<u8>>| {
+        contents
+            .keys()
+            .filter(|name| name.starts_with("pack"))
+            .cloned()
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(packs(&contents[0]), ["pack000000.idx", "pack000000.seg"]);
+    assert!(packs(&contents[2]).is_empty());
+    assert_loop_wrote_the_pack(&dirs[0], &dirs[2], &lanes);
+    assert_eq!(replay(&dirs[2]), expected_replay);
     for (name, bytes) in &untouched {
         assert_eq!(
             &std::fs::read(dirs[0].join(name)).unwrap(),
