@@ -41,7 +41,6 @@
 //! followers saw it for as long as that writer lives (`docs/FORMAT.md`
 //! §6). Close (or lose) the writer, run the pass, resume.
 
-use std::fs::OpenOptions;
 use std::io::Write;
 use std::path::Path;
 
@@ -51,19 +50,20 @@ use endurance_obs::{Counter, Gauge, Histogram, Registry};
 
 use crate::crc32::crc32;
 use crate::index::{LaneIndex, SegmentMeta, SidecarKind, WindowEntry};
-use crate::map::codec_mut;
+use crate::map::FrameDecoder;
 use crate::pack::{
     dead_packs, pack_len, read_segment, write_pack, write_pack_index, Pack, PackMember,
     PackedSegment, PACK_HEADER_LEN,
 };
 use crate::reader::{load_lane, scan_lane, truncate_torn};
 use crate::segment::{
-    encode_frame, envelope_and_stored_bytes, frame_len, legacy_sidecar_file_name, list_store_dir,
-    manifest_file_name, pack_file_name, pack_index_file_name, put_table_section, segment_file_name,
-    segment_header, sidecar_file_name, table_section_len, write_sidecar, FramePrev, LaneFiles,
-    SegmentHead, StoreListing, SEGMENT_VERSION_V1, SEGMENT_VERSION_V3, SEGMENT_VERSION_V4,
+    commit_file, encode_frame, envelope_and_stored_bytes, frame_len, legacy_sidecar_file_name,
+    list_store_dir, manifest_file_name, pack_file_name, pack_index_file_name, put_table_section,
+    remove_if_present, segment_file_name, segment_header, sidecar_file_name, table_section_len,
+    write_sidecar, Durability, FramePrev, LaneFiles, SegmentHead, StoreListing, SEGMENT_VERSION_V1,
+    SEGMENT_VERSION_V3, SEGMENT_VERSION_V4,
 };
-use trace_model::codec::{CodecId, FrameCodec, FrameContext, SegmentCoder};
+use trace_model::codec::{CodecId, FrameContext, SegmentCoder};
 use trace_model::TraceError;
 
 /// When (and how aggressively) a store lane is compacted.
@@ -823,14 +823,6 @@ impl Drop for WakeOnPanic<'_, '_> {
     }
 }
 
-/// Removes `path` unless it is already gone.
-fn remove_if_present(path: &Path) -> Result<(), TraceError> {
-    match std::fs::remove_file(path) {
-        Err(error) if error.kind() != std::io::ErrorKind::NotFound => Err(error.into()),
-        _ => Ok(()),
-    }
-}
-
 /// Removes the sidecars of `lane` a listing saw — its `.idx` and its
 /// `legacy` `.idx.json` — whose index a pack index now holds.
 fn remove_lane_sidecars(dir: &Path, lane: u32, idx: bool, legacy: bool) -> Result<(), TraceError> {
@@ -1182,9 +1174,8 @@ fn read_journal(dir: &Path, lane: u32) -> std::io::Result<Journal> {
 
 /// Whether the manifest's consolidated segment was renamed into place.
 fn manifest_committed(dir: &Path, manifest: &CompactionManifest) -> bool {
-    let path = dir.join(segment_file_name(manifest.lane, manifest.target_seq));
-    match std::fs::read(&path) {
-        Ok(bytes) => {
+    match read_segment(dir, manifest.lane, manifest.target_seq, None, None) {
+        Ok((_, bytes)) => {
             bytes.len() as u64 == manifest.target_bytes && crc32(&bytes) == manifest.target_crc
         }
         Err(_) => false,
@@ -1219,10 +1210,7 @@ pub(crate) fn recover_interrupted_merge(
             if manifest_committed(dir, manifest) {
                 // The consolidated segment landed: finish the deletions.
                 for &seq in &manifest.replaced_seqs {
-                    let path = dir.join(segment_file_name(lane, seq));
-                    if path.exists() {
-                        std::fs::remove_file(&path)?;
-                    }
+                    remove_if_present(&dir.join(segment_file_name(lane, seq)))?;
                 }
             }
         }
@@ -1583,32 +1571,21 @@ fn commit_run(
             .map_err(|error| std::io::Error::other(error.to_string()))?;
         // Synced before the rename, like the segment it describes: after
         // power loss the journal must not be the one torn file.
-        let manifest_tmp = dir.join(format!("{}.compact.tmp", manifest_file_name(lane)));
-        let mut journal = std::fs::File::create(&manifest_tmp)?;
-        journal.write_all(json.as_bytes())?;
-        journal.sync_all()?;
-        drop(journal);
-        std::fs::rename(&manifest_tmp, dir.join(manifest_file_name(lane)))?;
+        commit_file(dir, &manifest_file_name(lane), Durability::Synced, |file| {
+            file.write_all(json.as_bytes())
+        })?;
     }
 
-    let target = dir.join(segment_file_name(lane, target_seq));
-    let tmp = dir.join(format!(
-        "{}.compact.tmp",
-        segment_file_name(lane, target_seq)
-    ));
-    let mut out = OpenOptions::new()
-        .create(true)
-        .write(true)
-        .truncate(true)
-        .open(&tmp)?;
-    out.write_all(merged)?;
-    out.sync_all()?;
-    drop(out);
     // Cutover: the consolidated file replaces the run's first segment,
     // then the now-duplicated later files disappear, then the journal
     // entry. A reader or recovery pass at any intermediate step sees
     // either the old or the new layout of the run, never both.
-    std::fs::rename(&tmp, &target)?;
+    commit_file(
+        dir,
+        &segment_file_name(lane, target_seq),
+        Durability::Synced,
+        |file| file.write_all(merged),
+    )?;
     for &seq in replaced_seqs {
         std::fs::remove_file(dir.join(segment_file_name(lane, seq)))?;
     }
@@ -1641,9 +1618,8 @@ struct RunCoder {
     carried: Vec<u8>,
     /// The run's frames: rows, and where each one's block comes from.
     frames: Vec<(WindowEntry, RunBlock)>,
-    /// A templated block's payload, decoded against its own table.
-    payload: Vec<u8>,
-    codecs: Vec<Box<dyn FrameCodec>>,
+    /// Decodes a templated block against its own table.
+    decoder: FrameDecoder,
     table: Vec<u8>,
     frame: Vec<u8>,
 }
@@ -1681,8 +1657,7 @@ impl RunCoder {
             coder,
             carried,
             frames,
-            payload,
-            codecs,
+            decoder,
             table,
             frame: scratch,
         } = self;
@@ -1691,7 +1666,7 @@ impl RunCoder {
         frames.clear();
         let total: u64 = run.iter().map(|plan| plan.meta.committed_bytes).sum();
         for plan in run.iter().filter(|plan| !plan.windows.is_empty()) {
-            let (path, source) = read_segment(dir, lane, plan.meta.seq, packed)?;
+            let (path, source) = read_segment(dir, lane, plan.meta.seq, packed, None)?;
             let head = SegmentHead::parse(&source, &path, lane, plan.meta.seq)?;
             // Any target but `Identity` stores the smallest block there is.
             let target = recompress.filter(|_| plan.recompress);
@@ -1703,14 +1678,7 @@ impl RunCoder {
                 entry.raw_len = frame.raw_len;
                 let block = &source[frame.block.clone()];
                 let recode = if frame.codec == CodecId::Templated {
-                    payload.clear();
-                    codec_mut(codecs, frame.codec).decompress_framed(
-                        head.context(&frame, entry.start_ns),
-                        block,
-                        frame.raw_len as usize,
-                        payload,
-                    )?;
-                    Some(payload.as_slice())
+                    Some(decoder.payload(&head, &source, &frame, entry.start_ns)?)
                 } else {
                     target
                         .filter(|target| *target != CodecId::Identity)

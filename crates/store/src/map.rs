@@ -24,29 +24,28 @@
 //! the bytes beside the memo of the segment they belong to, as it does a
 //! segment file's.
 //!
-//! A `SegmentMap` is one lane's decode front over the cache: the frame
-//! codecs, a scratch buffer and a pin on the buffer it read last.
-//! Compressed frames (format-v2/v3/v4 segments with a non-identity
-//! codec) are decoded through the frame's [`FrameCodec`], told the
-//! window's start and event count (a packed block stores neither), into
-//! that scratch, so `SegmentMap::payload` returns either a zero-copy
-//! slice into the segment buffer (v1 and identity frames) or a slice
-//! into the scratch — callers cannot tell the difference. The replay
-//! fast path, `SegmentMap::decode_events_into`, skips the intermediate
-//! payload entirely for codecs that decode events directly, and holds
-//! every frame to the event count its meta claims.
+//! A `SegmentMap` is one lane's decode front over the cache: a pin on the
+//! buffer it read last and a `FrameDecoder`, the store's one, which the
+//! `Tailer` and the compactor's run coder hold too. An identity frame's
+//! payload is a zero-copy slice of the segment buffer; any other block is
+//! decoded through the frame's [`FrameCodec`], told the window's start
+//! and event count (a packed block stores neither), into the decoder's
+//! scratch — callers cannot tell the difference. The replay fast path,
+//! `FrameDecoder::decode_events_into`, skips the intermediate payload
+//! entirely for codecs that decode events directly, and holds every frame
+//! to the event count its meta claims.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use endurance_obs::{Counter, Registry};
 use trace_model::codec::{BinaryDecoder, CodecId, FrameCodec, TraceDecoder};
 use trace_model::{TraceError, TraceEvent};
 
 use crate::index::{FallbackReason, WindowEntry};
-use crate::pack::{packed_as, OpenPack, PackedSegment};
-use crate::segment::{frame_end, segment_file_name, Frame, SegmentHead};
+use crate::pack::{packed_as, read_segment, OpenPack, PackedSegment};
+use crate::segment::{frame_end, Frame, SegmentHead};
 
 /// Segment buffers each shard of a [`SegmentCache`] keeps resident.
 ///
@@ -81,33 +80,6 @@ struct SegmentData {
 }
 
 impl SegmentData {
-    /// Reads the whole segment file and validates its header and, in v4,
-    /// its template table.
-    fn load(dir: &Path, lane: u32, seq: u32, crc_validations: Counter) -> Result<Self, TraceError> {
-        let path = dir.join(segment_file_name(lane, seq));
-        let bytes = std::fs::read(&path)?;
-        Self::of(bytes, &path, lane, seq, crc_validations)
-    }
-
-    fn of(
-        bytes: Vec<u8>,
-        path: &Path,
-        lane: u32,
-        seq: u32,
-        crc_validations: Counter,
-    ) -> Result<Self, TraceError> {
-        let head = SegmentHead::parse(&bytes, path, lane, seq)?;
-        let validated = (0..bytes.len().div_ceil(64))
-            .map(|_| AtomicU64::new(0))
-            .collect();
-        Ok(SegmentData {
-            bytes,
-            head,
-            validated,
-            crc_validations,
-        })
-    }
-
     /// Whether the buffer holds the whole frame `entry` describes (a row
     /// no frame can match is not worth a reload: reading it reports it).
     fn covers(&self, entry: &WindowEntry) -> bool {
@@ -243,8 +215,8 @@ impl SegmentCache {
     /// file on a miss — and *re*-reading it when the cached copy ends
     /// before the frame does (an actively-appended segment legitimately
     /// grows after it was first cached; a fresh read observes the newer
-    /// frames). The lane's `packed` segment is read from its pack, which
-    /// never grows.
+    /// frames). The lane's `packed` segment is read from its pack, held
+    /// open, and never grows.
     fn get_covering(
         &self,
         lane: u32,
@@ -253,32 +225,34 @@ impl SegmentCache {
     ) -> Result<Arc<SegmentData>, TraceError> {
         let packed = packed_as(packed, entry.segment);
         let key = (lane, entry.segment, packed.map(|packed| packed.pack));
-        let shard = self.shard(key);
-        {
-            let resident = shard.lock().expect("segment cache poisoned");
-            if let Some((_, data)) = resident.iter().find(|(k, _)| *k == key) {
-                if packed.is_some() || data.covers(entry) {
-                    self.metrics.hits.inc();
-                    return Ok(Arc::clone(data));
-                }
+        // A list of `Arc`s is whole whoever panicked holding it.
+        let shard = || {
+            self.shard(key)
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+        };
+        if let Some((_, data)) = shard().iter().find(|(k, _)| *k == key) {
+            if packed.is_some() || data.covers(entry) {
+                self.metrics.hits.inc();
+                return Ok(Arc::clone(data));
             }
         }
         // Load outside the lock: a slow disk read must not serialize
         // unrelated segments in the same shard. A racing double-load is
         // benign (last insert wins; both copies are valid snapshots).
-        let crc_validations = self.metrics.crc_validations.clone();
         self.metrics.misses.inc();
-        let data = Arc::new(match packed {
-            Some(packed) => {
-                // A buffer of its own, like a segment file's, which a
-                // point query finds beside its memo.
-                let path = packed.path(&self.dir);
-                let bytes = packed.read_from(&*self.pack(packed.pack, &path)?, &path)?;
-                SegmentData::of(bytes, &path, lane, entry.segment, crc_validations)?
-            }
-            None => SegmentData::load(&self.dir, lane, entry.segment, crc_validations)?,
+        let pack = packed.map(|packed| self.pack(packed)).transpose()?;
+        let (path, bytes) = read_segment(&self.dir, lane, entry.segment, packed, pack.as_deref())?;
+        let head = SegmentHead::parse(&bytes, &path, lane, entry.segment)?;
+        let data = Arc::new(SegmentData {
+            validated: (0..bytes.len().div_ceil(64))
+                .map(|_| AtomicU64::new(0))
+                .collect(),
+            bytes,
+            head,
+            crc_validations: self.metrics.crc_validations.clone(),
         });
-        let mut resident = shard.lock().expect("segment cache poisoned");
+        let mut resident = shard();
         resident.retain(|(k, _)| *k != key);
         while resident.len() >= RESIDENT_SEGMENTS {
             resident.remove(0);
@@ -287,39 +261,33 @@ impl SegmentCache {
         Ok(data)
     }
 
-    /// Pack `pack` at `path`, held open: opened and its header checked on
-    /// the first read from it.
-    fn pack(&self, pack: u32, path: &Path) -> Result<Arc<OpenPack>, TraceError> {
-        // A list of `Arc`s is whole whoever panicked holding it.
-        let packs = || {
-            self.packs
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-        };
-        if let Some((_, open)) = packs().iter().find(|(id, _)| *id == pack) {
+    /// The pack holding `packed`, held open: opened and its header
+    /// checked on the first read from it.
+    fn pack(&self, packed: &PackedSegment) -> Result<Arc<OpenPack>, TraceError> {
+        let packs = || self.packs.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((_, open)) = packs().iter().find(|(id, _)| *id == packed.pack) {
             return Ok(Arc::clone(open));
         }
-        let open = Arc::new(OpenPack::open(path, pack)?);
+        let open = Arc::new(OpenPack::open(&packed.path(&self.dir), packed.pack)?);
         let mut held = packs();
-        held.retain(|(id, _)| *id != pack);
+        held.retain(|(id, _)| *id != packed.pack);
         while held.len() >= OPEN_PACKS {
             held.remove(0);
         }
-        held.push((pack, Arc::clone(&open)));
+        held.push((packed.pack, Arc::clone(&open)));
         Ok(open)
     }
 }
 
-/// The decode front of one lane: frame codecs, a scratch buffer and a
-/// pin on the segment buffer it read last, over a shared
-/// [`SegmentCache`].
+/// The decode front of one lane: a frame decoder and a pin on the
+/// segment buffer it read last, over a shared [`SegmentCache`].
 ///
 /// Frames are addressed by the [`WindowEntry`] rows of the lane index
 /// (see [`crate::StoreReader::lane_windows`]); [`SegmentMap::payload`]
 /// returns the window's original payload bytes — zero-copy for
-/// uncompressed frames, decoded into the scratch buffer for compressed
-/// ones. Consecutive frames of one segment reuse the pinned buffer;
-/// any other segment comes from the cache, which bounds residency.
+/// uncompressed frames, decoded into the decoder's scratch buffer for
+/// compressed ones. Consecutive frames of one segment reuse the pinned
+/// buffer; any other segment comes from the cache, which bounds residency.
 ///
 /// The map validates lazily but *completely*: a frame's length and CRC
 /// are checked the first time it is touched, and a mismatch surfaces as
@@ -332,10 +300,7 @@ pub(crate) struct SegmentMap {
     packed: Option<PackedSegment>,
     /// The buffer read last and its segment number.
     pinned: Option<(u32, Arc<SegmentData>)>,
-    /// Frame codecs, created lazily per id as compressed frames appear.
-    codecs: Vec<Box<dyn FrameCodec>>,
-    /// Decompressed-payload scratch, reused across frames.
-    payload_scratch: Vec<u8>,
+    decoder: FrameDecoder,
 }
 
 impl SegmentMap {
@@ -352,32 +317,30 @@ impl SegmentMap {
             lane,
             packed,
             pinned: None,
-            codecs: Vec::new(),
-            payload_scratch: Vec::new(),
+            decoder: FrameDecoder::default(),
         }
     }
 
-    /// Pins the buffer of `entry`'s segment: the pinned one when it is
+    /// The buffer of `entry`'s segment, pinned — the pinned one when it is
     /// that segment and holds the whole frame (an actively-appended
-    /// segment grows between touches), else the cache's.
-    fn pin<'m>(
-        pinned: &'m mut Option<(u32, Arc<SegmentData>)>,
-        cache: &SegmentCache,
-        lane: u32,
-        packed: Option<&PackedSegment>,
+    /// segment grows between touches), else the cache's — its frame, its
+    /// length and CRC checked on its first touch, and the decoder.
+    fn frame(
+        &mut self,
         entry: &WindowEntry,
-    ) -> Result<&'m SegmentData, TraceError> {
-        let data = match pinned.take() {
+    ) -> Result<(&SegmentData, Frame, &mut FrameDecoder), TraceError> {
+        let data = match self.pinned.take() {
             Some((seq, data)) if seq == entry.segment && data.covers(entry) => data,
-            _ => cache.get_covering(lane, entry, packed)?,
+            _ => self
+                .cache
+                .get_covering(self.lane, entry, self.packed.as_ref())?,
         };
-        Ok(&pinned.insert((entry.segment, data)).1)
+        let segment = &self.pinned.insert((entry.segment, data)).1;
+        Ok((segment, segment.frame(self.lane, entry)?, &mut self.decoder))
     }
 
     /// The original payload of one indexed window (the exact bytes the
-    /// recorder handed to the sink): zero-copy for uncompressed frames,
-    /// decoded into the map's scratch buffer for compressed ones. Length
-    /// and CRC are validated on the first touch of the frame.
+    /// recorder handed to the sink), through [`FrameDecoder::payload`].
     ///
     /// # Errors
     ///
@@ -386,34 +349,13 @@ impl SegmentMap {
     /// file, length mismatch, CRC mismatch), and block decode errors for
     /// compressed frames.
     pub(crate) fn payload(&mut self, entry: &WindowEntry) -> Result<&[u8], TraceError> {
-        let segment = Self::pin(
-            &mut self.pinned,
-            &self.cache,
-            self.lane,
-            self.packed.as_ref(),
-            entry,
-        )?;
-        let frame = segment.frame(self.lane, entry)?;
-        let context = segment.head.context(&frame, entry.start_ns);
-        let block = &segment.bytes[frame.block];
-        if frame.codec == CodecId::Identity {
-            return Ok(block);
-        }
-        self.payload_scratch.clear();
-        codec_mut(&mut self.codecs, frame.codec).decompress_framed(
-            context,
-            block,
-            frame.raw_len as usize,
-            &mut self.payload_scratch,
-        )?;
-        Ok(&self.payload_scratch)
+        let (segment, frame, decoder) = self.frame(entry)?;
+        decoder.payload(&segment.head, &segment.bytes, &frame, entry.start_ns)
     }
 
     /// Decodes the events of one indexed window straight into `out`,
-    /// returning how many were appended — the replay fast path.
-    /// Uncompressed frames decode zero-copy from the segment buffer;
-    /// structured codecs decode events directly from the stored block
-    /// without materialising the payload.
+    /// returning how many were appended — the replay fast path, through
+    /// [`FrameDecoder::decode_events_into`].
     ///
     /// # Errors
     ///
@@ -425,42 +367,92 @@ impl SegmentMap {
         entry: &WindowEntry,
         out: &mut Vec<TraceEvent>,
     ) -> Result<usize, TraceError> {
-        let segment = Self::pin(
-            &mut self.pinned,
-            &self.cache,
-            self.lane,
-            self.packed.as_ref(),
-            entry,
-        )?;
-        let frame = segment.frame(self.lane, entry)?;
-        let context = segment.head.context(&frame, entry.start_ns);
-        let block = &segment.bytes[frame.block];
+        let (segment, frame, decoder) = self.frame(entry)?;
+        decoder.decode_events_into(&segment.head, &segment.bytes, &frame, entry.start_ns, out)
+    }
+}
+
+/// The one frame decoder of the store — the reader's decode front, the
+/// `Tailer` and the compactor's run coder each hold one: a codec of each
+/// id, created on its first frame, and a payload scratch buffer reused
+/// across frames. An identity frame's block is its payload, read in
+/// place; any other block is decoded through its codec, told the
+/// window's start, the event count the frame claims and its segment's
+/// template table (a packed or templated block stores none of them).
+#[derive(Debug, Default)]
+pub(crate) struct FrameDecoder {
+    codecs: [Option<Box<dyn FrameCodec>>; CodecId::ALL.len()],
+    scratch: Vec<u8>,
+}
+
+impl FrameDecoder {
+    /// The payload of `frame`, read from the segment `bytes` whose head is
+    /// `head`, of the window that starts at `start_ns`: a slice of
+    /// `bytes` for an identity frame, else decoded into the scratch.
+    ///
+    /// # Errors
+    ///
+    /// Block decode errors for compressed frames.
+    pub(crate) fn payload<'a>(
+        &'a mut self,
+        head: &SegmentHead,
+        bytes: &'a [u8],
+        frame: &Frame,
+        start_ns: u64,
+    ) -> Result<&'a [u8], TraceError> {
+        let block = &bytes[frame.block.clone()];
+        if frame.codec == CodecId::Identity {
+            return Ok(block);
+        }
+        self.scratch.clear();
+        self.codecs[usize::from(frame.codec.as_u8())]
+            .get_or_insert_with(|| frame.codec.new_codec())
+            .decompress_framed(
+                head.context(frame, start_ns),
+                block,
+                frame.raw_len as usize,
+                &mut self.scratch,
+            )?;
+        Ok(&self.scratch)
+    }
+
+    /// Decodes the events of `frame` (as [`FrameDecoder::payload`] finds
+    /// it) straight into `out`, returning how many were appended:
+    /// structured codecs decode events from the stored block without
+    /// materialising the payload, and every frame is held to the event
+    /// count its meta claims.
+    ///
+    /// # Errors
+    ///
+    /// As [`FrameDecoder::payload`], plus payload decode errors, and
+    /// [`TraceError::Decode`] for a frame whose block holds another number
+    /// of events than its meta claims.
+    pub(crate) fn decode_events_into(
+        &mut self,
+        head: &SegmentHead,
+        bytes: &[u8],
+        frame: &Frame,
+        start_ns: u64,
+        out: &mut Vec<TraceEvent>,
+    ) -> Result<usize, TraceError> {
+        let context = head.context(frame, start_ns);
+        let block = &bytes[frame.block.clone()];
         let decoded = if frame.codec == CodecId::Identity {
             BinaryDecoder::new().decode_into(block, out)?
         } else {
-            codec_mut(&mut self.codecs, frame.codec).decode_events_framed(
-                context,
-                block,
-                frame.raw_len as usize,
-                &mut self.payload_scratch,
-                out,
-            )?
+            self.codecs[usize::from(frame.codec.as_u8())]
+                .get_or_insert_with(|| frame.codec.new_codec())
+                .decode_events_framed(
+                    context,
+                    block,
+                    frame.raw_len as usize,
+                    &mut self.scratch,
+                    out,
+                )?
         };
         context.check_events(decoded)?;
         Ok(decoded)
     }
-}
-
-/// The instance for `id` among a reader's codecs, created on first use.
-pub(crate) fn codec_mut(codecs: &mut Vec<Box<dyn FrameCodec>>, id: CodecId) -> &mut dyn FrameCodec {
-    let at = match codecs.iter().position(|codec| codec.id() == id) {
-        Some(at) => at,
-        None => {
-            codecs.push(id.new_codec());
-            codecs.len() - 1
-        }
-    };
-    codecs[at].as_mut()
 }
 
 #[cfg(test)]

@@ -16,12 +16,12 @@
 //! that header plus the body: its frames keep their offsets, so a lane's
 //! index rows are the same whether its segment is a file of its own or a
 //! byte range of a pack, and every reader gets at either through
-//! [`read_segment`] or a [`PackedSegment`]. One pack index
+//! [`read_segment`], the store's one whole-segment read. One pack index
 //! (`packPPPPPP.idx`, §4) stands in for the packed lanes' sidecars; like
 //! a sidecar it is a cache, checked against the pack's length, and a
 //! declined one costs a scan of the pack, not a window.
 
-use std::fs::{File, OpenOptions};
+use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -33,8 +33,8 @@ use trace_model::TraceError;
 use crate::crc32::crc32;
 use crate::index::{FallbackReason, SegmentMeta, WindowEntry};
 use crate::segment::{
-    decode_rows, encode_rows, pack_file_name, pack_index_file_name, read_u32, segment_header,
-    SEGMENT_HEADER_LEN, SEGMENT_VERSION_V3, SEGMENT_VERSION_V4,
+    commit_file, decode_rows, encode_rows, pack_file_name, pack_index_file_name, read_u32,
+    segment_header, Durability, SEGMENT_HEADER_LEN, SEGMENT_VERSION_V3, SEGMENT_VERSION_V4,
 };
 
 /// Magic bytes opening every pack.
@@ -95,22 +95,9 @@ impl PackedSegment {
         self.body_len == 0
     }
 
-    /// Offset in the pack of the segment's byte 0: where the header the
-    /// entry replaced would start, so segment offset `o` past the header
-    /// is pack offset `base + o`.
-    pub(crate) fn base(&self) -> u64 {
-        self.body - SEGMENT_HEADER_LEN
-    }
-
     /// The pack's path in the store `dir`.
     pub(crate) fn path(&self, dir: &Path) -> PathBuf {
         dir.join(pack_file_name(self.pack))
-    }
-
-    /// The first 13 bytes of the segment the entry stands for: the header
-    /// a segment file of its own would open with.
-    pub(crate) fn header(&self) -> [u8; SEGMENT_HEADER_LEN as usize] {
-        segment_header(self.lane, self.seq, self.version)
     }
 
     /// The segment as the bytes of a segment file of its own — the header
@@ -164,7 +151,7 @@ impl PackedSegment {
             return Err(disagrees());
         }
         bytes.drain(..start - header_len);
-        bytes[..header_len].copy_from_slice(&self.header());
+        bytes[..header_len].copy_from_slice(&segment_header(self.lane, self.seq, self.version));
         Ok(bytes)
     }
 }
@@ -216,22 +203,29 @@ pub(crate) fn packed_as(packed: Option<&PackedSegment>, seq: u32) -> Option<&Pac
 
 /// Reads segment `seq` of `lane` whole — from its own file, or from the
 /// pack when `packed` is that segment, as the bytes a file of its own
-/// would hold — and the path to name in an error.
+/// would hold — and the path to name in an error: the one whole-segment
+/// read of the store. A packed segment is read from `pack`, that pack held
+/// open, or else from the pack opened for this read.
 ///
 /// # Errors
 ///
 /// [`TraceError::Io`] when the file cannot be read, and
-/// [`TraceError::Decode`] for a pack shorter than the entry.
+/// [`TraceError::Decode`] for a bad pack header or an entry the pack does
+/// not hold as `packed` says.
 pub(crate) fn read_segment(
     dir: &Path,
     lane: u32,
     seq: u32,
     packed: Option<&PackedSegment>,
+    pack: Option<&OpenPack>,
 ) -> Result<(PathBuf, Vec<u8>), TraceError> {
     match packed_as(packed, seq) {
         Some(packed) => {
             let path = packed.path(dir);
-            let bytes = packed.read_from(&OpenPack::open(&path, packed.pack)?, &path)?;
+            let bytes = match pack {
+                Some(pack) => packed.read_from(pack, &path)?,
+                None => packed.read_from(&OpenPack::open(&path, packed.pack)?, &path)?,
+            };
             Ok((path, bytes))
         }
         None => {
@@ -369,9 +363,9 @@ impl PackMember<'_> {
     }
 }
 
-/// Writes pack `pack` of `members`, in ascending lane order, to a temp
-/// file, fsyncs it and renames it into place — the commit, synced with the
-/// directory — and returns where each member's segment now lies.
+/// Writes pack `pack` of `members`, in ascending lane order, through
+/// [`commit_file`] — its rename the commit, synced with the directory —
+/// and returns where each member's segment now lies.
 ///
 /// # Errors
 ///
@@ -415,29 +409,19 @@ pub(crate) fn write_pack(
     header.extend_from_slice(&pack.to_le_bytes());
     header.extend_from_slice(&crc32(&headers).to_le_bytes());
 
-    let name = pack_file_name(pack);
-    let tmp = dir.join(format!("{name}.compact.tmp"));
-    let mut out = std::io::BufWriter::new(
-        OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&tmp)?,
-    );
-    out.write_all(&header)?;
-    let mut start = 0;
-    for (member, end) in members.iter().zip(header_ends) {
-        out.write_all(&headers[start..end])?;
-        out.write_all(member.body())?;
-        start = end;
-    }
-    let file = out.into_inner().map_err(|error| error.into_error())?;
-    file.sync_all()?;
-    drop(file);
-    std::fs::rename(&tmp, dir.join(name))?;
     // The rename is the commit, and the packed lanes' files are deleted
     // next: it must reach the disk before any of those deletions does.
-    File::open(dir)?.sync_all()?;
+    commit_file(dir, &pack_file_name(pack), Durability::Committed, |file| {
+        let mut out = std::io::BufWriter::new(file);
+        out.write_all(&header)?;
+        let mut start = 0;
+        for (member, end) in members.iter().zip(header_ends) {
+            out.write_all(&headers[start..end])?;
+            out.write_all(member.body())?;
+            start = end;
+        }
+        out.flush()
+    })?;
     Ok(entries)
 }
 
@@ -670,7 +654,8 @@ fn decode_entries(
     (at == sealed).then_some(entries)
 }
 
-/// Atomically writes the index of pack `pack` (temp file + rename).
+/// Atomically writes the index of pack `pack`, a cache (temp file +
+/// rename, not synced).
 ///
 /// # Errors
 ///
@@ -681,11 +666,13 @@ pub(crate) fn write_pack_index(
     pack_len: u64,
     lanes: &[(PackedSegment, &[WindowEntry])],
 ) -> Result<(), TraceError> {
-    let name = pack_index_file_name(pack);
-    let tmp = dir.join(format!("{name}.tmp"));
-    std::fs::write(&tmp, encode_pack_index(pack, pack_len, lanes))?;
-    std::fs::rename(&tmp, dir.join(name))?;
-    Ok(())
+    let bytes = encode_pack_index(pack, pack_len, lanes);
+    commit_file(
+        dir,
+        &pack_index_file_name(pack),
+        Durability::Cache,
+        |file| file.write_all(&bytes),
+    )
 }
 
 /// Numbers of the packs none of whose entries is the newest of its lane
@@ -760,7 +747,8 @@ mod tests {
         let pack = OpenPack::open(&path, 3).unwrap();
         for (segment, expected) in scanned.iter().zip(&segments) {
             assert_eq!(segment.read_from(&pack, &path).unwrap(), *expected);
-            let (_, read) = read_segment(&dir, segment.lane, segment.seq, Some(segment)).unwrap();
+            let (_, read) =
+                read_segment(&dir, segment.lane, segment.seq, Some(segment), None).unwrap();
             assert_eq!(read, *expected);
         }
         // An entry the pack does not hold where the index says it does.

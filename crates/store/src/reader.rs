@@ -652,7 +652,7 @@ pub(crate) fn scan_lane(
         .into_iter()
         .chain(seqs.iter().copied())
     {
-        let (path, bytes) = read_segment(dir, lane, seq, packed)?;
+        let (path, bytes) = read_segment(dir, lane, seq, packed, None)?;
         let scanned = scan_segment(&bytes, &path, lane, seq)?;
         match scanned.torn {
             Some(tail) if packed.is_some_and(|packed| packed.seq == seq) => {

@@ -51,6 +51,8 @@
 //! *stored* bytes, so scanning never needs to run a codec.
 
 use std::collections::BTreeMap;
+use std::fs::File;
+use std::io::Write;
 use std::ops::Range;
 use std::path::Path;
 
@@ -1164,22 +1166,74 @@ fn segment_records(records: &[u8]) -> Vec<SegmentMeta> {
 /// caller's listing saw the lane's `.idx.json` — that file is removed
 /// once the `.idx` is in place, so a lane converges to one sidecar.
 pub(crate) fn write_sidecar(
-    dir: &std::path::Path,
+    dir: &Path,
     index: &LaneIndex,
     remove_legacy: bool,
 ) -> Result<(), TraceError> {
+    let bytes = encode_sidecar(index);
     let name = sidecar_file_name(index.lane);
-    let tmp = dir.join(format!("{name}.tmp"));
-    std::fs::write(&tmp, encode_sidecar(index))?;
-    std::fs::rename(&tmp, dir.join(name))?;
+    commit_file(dir, &name, Durability::Cache, |file| file.write_all(&bytes))?;
     if remove_legacy {
-        match std::fs::remove_file(dir.join(legacy_sidecar_file_name(index.lane))) {
-            // Already gone (a cache is always safe to delete by hand).
-            Err(error) if error.kind() != std::io::ErrorKind::NotFound => return Err(error.into()),
-            _ => {}
-        }
+        // Already gone is fine: a cache is always safe to delete by hand.
+        remove_if_present(&dir.join(legacy_sidecar_file_name(index.lane)))?;
     }
     Ok(())
+}
+
+/// How durable [`commit_file`] makes a file, and the temp name it is
+/// written under (`docs/FORMAT.md` §1).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Durability {
+    /// A cache a reader checks and may decline — a sidecar, a pack index:
+    /// not synced, written as `{name}.tmp`.
+    Cache,
+    /// Synced before its rename — a merge journal, a merged segment —
+    /// and written as `{name}.compact.tmp`.
+    Synced,
+    /// [`Durability::Synced`], and the directory synced after the rename:
+    /// a pack, whose rename commits it and must reach the disk before any
+    /// deletion it allows does.
+    Committed,
+}
+
+/// Puts the file `name` of `dir` in place whole: a temp file that `fill`
+/// writes, synced as `durability` says, renamed over `name` — the one way
+/// the store writes a file it does not append to.
+///
+/// # Errors
+///
+/// [`TraceError::Io`] on filesystem failures; the file `name` is then as
+/// it was, and the temp file may be left behind (recovery sweeps it).
+pub(crate) fn commit_file(
+    dir: &Path,
+    name: &str,
+    durability: Durability,
+    fill: impl FnOnce(&mut File) -> std::io::Result<()>,
+) -> Result<(), TraceError> {
+    let suffix = match durability {
+        Durability::Cache => "tmp",
+        Durability::Synced | Durability::Committed => "compact.tmp",
+    };
+    let tmp = dir.join(format!("{name}.{suffix}"));
+    let mut file = File::create(&tmp)?;
+    fill(&mut file)?;
+    if durability != Durability::Cache {
+        file.sync_all()?;
+    }
+    drop(file);
+    std::fs::rename(&tmp, dir.join(name))?;
+    if durability == Durability::Committed {
+        File::open(dir)?.sync_all()?;
+    }
+    Ok(())
+}
+
+/// Removes `path` unless it is already gone.
+pub(crate) fn remove_if_present(path: &Path) -> Result<(), TraceError> {
+    match std::fs::remove_file(path) {
+        Err(error) if error.kind() != std::io::ErrorKind::NotFound => Err(error.into()),
+        _ => Ok(()),
+    }
 }
 
 /// What the recovery scanner found in one segment file.

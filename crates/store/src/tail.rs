@@ -15,13 +15,13 @@ use std::io::{Read, Seek, SeekFrom};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use trace_model::codec::{BinaryDecoder, CodecId, FrameCodec, FrameContext, TraceDecoder};
+use trace_model::codec::{BinaryDecoder, FrameContext, TraceDecoder};
 use trace_model::{TraceError, TraceEvent};
 
 use crate::commit::{CommitLog, CommitView};
 use crate::index::WindowEntry;
-use crate::map::codec_mut;
-use crate::pack::packed_as;
+use crate::map::FrameDecoder;
+use crate::pack::{packed_as, read_segment};
 use crate::reader::claimed_events;
 use crate::segment::{
     read_frame, segment_file_name, FramePrev, FrameRead, SegmentHead, SEGMENT_HEADER_LEN,
@@ -77,8 +77,9 @@ pub enum TailStep {
 /// a [`CommitView`] already in hand, [`Tailer::poll`].
 ///
 /// A tailer is a cursor, not an activity: it does nothing between calls,
-/// opens each segment file once, read-only, and reads exactly up to the
-/// committed bound, never a byte past it. It never coordinates with the
+/// opens each of the lane's own segment files once, read-only, and reads
+/// exactly up to the committed bound, never a byte past it; a packed
+/// segment, sealed whole, it reads whole once. It never coordinates with the
 /// writer beyond the commit log, and the log wakes a tailer only while
 /// one is blocked waiting for it — so tailers ride along without slowing
 /// appends they are not waiting on (`benchmark/`'s `storm`, four
@@ -100,7 +101,7 @@ pub struct Tailer {
     seq: Option<u32>,
     /// Byte offset of the next unread frame within that segment.
     offset: u64,
-    /// The current segment's file, opened on the first fill after
+    /// The current segment's own file, opened on the first fill after
     /// [`Tailer::enter`] and left positioned at `buf.len()`.
     file: Option<File>,
     /// Locally buffered prefix of the current segment file: exactly the
@@ -114,7 +115,7 @@ pub struct Tailer {
     /// [`Tailer::rebind`] — the cursor does not move.
     prev: FramePrev,
     delivered: u64,
-    codecs: Vec<Box<dyn FrameCodec>>,
+    decoder: FrameDecoder,
 }
 
 impl Tailer {
@@ -133,7 +134,7 @@ impl Tailer {
             head: None,
             prev: FramePrev::default(),
             delivered: 0,
-            codecs: Vec::new(),
+            decoder: FrameDecoder::default(),
         }
     }
 
@@ -296,69 +297,62 @@ impl Tailer {
     /// cursor at the header's end past a v4 segment's template table.
     /// Bytes past `bound` (an in-flight frame, crash garbage) are never
     /// buffered: a later bound that covers them reads them then. A
-    /// segment the lane's writer recovered from a pack is read from its
-    /// byte range there, behind the header its pack entry stands for.
+    /// segment the lane's writer recovered from a pack is sealed at its
+    /// whole length and never grows: it is read whole, once, through
+    /// [`read_segment`], as every other reader reads it.
     fn fill_to(&mut self, seq: u32, bound: u64) -> Result<(), TraceError> {
         let have = self.buf.len();
+        let packed = packed_as(self.log.packed(), seq);
         if (have as u64) < bound {
-            let packed = packed_as(self.log.packed(), seq).copied();
-            self.buf.resize(bound as usize, 0);
-            let mut from = have;
-            if let Some(packed) = &packed {
-                // Bytes 0..13 are the entry's header, not the pack's.
-                let header = packed.header();
-                let upto = header.len().min(self.buf.len());
-                if from < upto {
-                    self.buf[from..upto].copy_from_slice(&header[from..upto]);
-                    from = upto;
-                }
-            }
-            let opened = match self.file.take() {
-                Some(file) => Ok(file),
-                None => File::open(self.segment_path(seq)).and_then(|mut file| {
-                    let at = packed.map_or(0, |packed| packed.base()) + from as u64;
-                    file.seek(SeekFrom::Start(at))?;
-                    Ok(file)
-                }),
-            };
-            let read = opened.and_then(|mut file| {
-                file.read_exact(&mut self.buf[from..])?;
-                Ok(file)
-            });
-            match read {
-                Ok(file) => self.file = Some(file),
-                Err(error) => {
-                    // The file position is unspecified after a failed
-                    // `read_exact`; a retry reopens and seeks.
-                    self.buf.truncate(have);
-                    return Err(match error.kind() {
-                        std::io::ErrorKind::UnexpectedEof => TraceError::Decode {
-                            offset: have,
-                            reason: format!(
-                                "lane {} segment {seq} is shorter than its committed bound of {bound} bytes",
-                                self.lane
-                            ),
+            if let Some(packed) = packed {
+                // Sealed at its whole length, `13 + B`: the bound.
+                self.buf = read_segment(&self.dir, self.lane, seq, Some(packed), None)?.1;
+            } else {
+                self.buf.resize(bound as usize, 0);
+                let opened = match self.file.take() {
+                    Some(file) => Ok(file),
+                    None => File::open(self.dir.join(segment_file_name(self.lane, seq))).and_then(
+                        |mut file| {
+                            file.seek(SeekFrom::Start(have as u64))?;
+                            Ok(file)
                         },
-                        _ => error.into(),
-                    });
+                    ),
+                };
+                let read = opened.and_then(|mut file| {
+                    file.read_exact(&mut self.buf[have..])?;
+                    Ok(file)
+                });
+                match read {
+                    Ok(file) => self.file = Some(file),
+                    Err(error) => {
+                        // The file position is unspecified after a failed
+                        // `read_exact`; a retry reopens and seeks.
+                        self.buf.truncate(have);
+                        return Err(match error.kind() {
+                            std::io::ErrorKind::UnexpectedEof => TraceError::Decode {
+                                offset: have,
+                                reason: format!(
+                                    "lane {} segment {seq} is shorter than its committed bound of {bound} bytes",
+                                    self.lane
+                                ),
+                            },
+                            _ => error.into(),
+                        });
+                    }
                 }
             }
         }
         debug_assert!(self.buf.len() as u64 <= bound);
         if self.head.is_none() {
-            let head = SegmentHead::parse(&self.buf, &self.segment_path(seq), self.lane, seq)?;
+            let path = match packed {
+                Some(packed) => packed.path(&self.dir),
+                None => self.dir.join(segment_file_name(self.lane, seq)),
+            };
+            let head = SegmentHead::parse(&self.buf, &path, self.lane, seq)?;
             self.offset = self.offset.max(head.frames_start);
             self.head = Some(head);
         }
         Ok(())
-    }
-
-    /// The file segment `seq` is read from: its own, or its pack.
-    fn segment_path(&self, seq: u32) -> PathBuf {
-        match packed_as(self.log.packed(), seq) {
-            Some(packed) => packed.path(&self.dir),
-            None => self.dir.join(segment_file_name(self.lane, seq)),
-        }
     }
 
     /// Reads, verifies and decodes the frame at the cursor (which the
@@ -383,22 +377,11 @@ impl Tailer {
                 )))
             }
         };
-        let (entry, codec) = (frame.entry(seq, offset, self.prev), frame.codec);
-        let context = head.context(&frame, entry.start_ns);
-        let block = &self.buf[frame.block];
-        let payload = if codec == CodecId::Identity {
-            block.to_vec()
-        } else {
-            // A claim, not yet the block's word: reserve as a decoder would.
-            let mut payload = Vec::with_capacity((entry.raw_len as usize).min(1 << 20));
-            codec_mut(&mut self.codecs, codec).decompress_framed(
-                context,
-                block,
-                entry.raw_len as usize,
-                &mut payload,
-            )?;
-            payload
-        };
+        let entry = frame.entry(seq, offset, self.prev);
+        let payload = self
+            .decoder
+            .payload(head, &self.buf, &frame, entry.start_ns)?
+            .to_vec();
         self.offset = frame.body.end as u64;
         self.prev = FramePrev::after(&entry);
         Ok(TailWindow { entry, payload })
@@ -408,7 +391,7 @@ impl Tailer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Compactor, LaneWriter, MaintenancePolicy, Snapshot, StoreConfig};
+    use crate::{CodecId, Compactor, LaneWriter, MaintenancePolicy, Snapshot, StoreConfig};
     use trace_model::codec::{BinaryEncoder, TraceEncoder};
     use trace_model::{EventSink, EventTypeId, RecordMeta, Timestamp, TraceEvent, WindowId};
 

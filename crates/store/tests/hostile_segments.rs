@@ -689,6 +689,58 @@ impl PristinePack {
         whole
     }
 
+    /// A writer resumed on each lane of the damaged pack and closed, and a
+    /// follower of it from the start: the resume fails typed, or the
+    /// follower delivers the lane's windows — each one exactly as written —
+    /// until it either closes after the last or stops at a typed error.
+    /// Returns whether every lane was followed to its close.
+    fn follow(&self, pack: &[u8], what: &str) -> bool {
+        std::fs::write(self.dir.join(PACK), pack).unwrap();
+        std::fs::write(self.dir.join(PACK_INDEX), &self.index).unwrap();
+        let mut whole = true;
+        for ((lane, windows), rows) in self.lanes.iter().zip(&self.rows) {
+            let what = format!("{what} followed: lane {lane}");
+            let writer = match LaneWriter::create(&self.dir, *lane, StoreConfig::default()) {
+                Ok(writer) => writer,
+                Err(TraceError::Decode { .. } | TraceError::Io(_)) => {
+                    whole = false;
+                    continue;
+                }
+                Err(other) => panic!("{what}: {other:?}"),
+            };
+            let mut tailer = Tailer::follow(&self.dir, writer.commit_log());
+            match writer.close() {
+                Ok(()) | Err(TraceError::Io(_)) => {}
+                Err(other) => panic!("{what}: close: {other:?}"),
+            }
+            let mut delivered = 0;
+            loop {
+                match tailer.next(std::time::Duration::from_secs(10)) {
+                    Ok(TailStep::Window(window)) => {
+                        assert!(delivered < windows.len(), "{what}: a window too many");
+                        assert_eq!(window.entry, rows[delivered], "{what}");
+                        assert_eq!(window.payload, windows[delivered].payload, "{what}");
+                        delivered += 1;
+                    }
+                    Ok(TailStep::Closed) => {
+                        assert_eq!(delivered, windows.len(), "{what}: closed early");
+                        break;
+                    }
+                    Ok(TailStep::TimedOut) => panic!("{what}: timed out behind a closed writer"),
+                    Err(TraceError::Decode { .. } | TraceError::Io(_)) => {
+                        whole = false;
+                        break;
+                    }
+                    Err(other) => panic!("{what}: {other:?}"),
+                }
+            }
+        }
+        for entry in std::fs::read_dir(&self.dir).unwrap() {
+            std::fs::remove_file(entry.unwrap().path()).unwrap();
+        }
+        whole
+    }
+
     /// A pass over the damaged pack that drops each lane's oldest window,
     /// so that it rewrites every packed segment: it fails typed, or what
     /// it leaves replays as exactly the windows kept.
@@ -737,17 +789,20 @@ impl PristinePack {
 /// written whole, so a damaged byte of it is a typed error — at open when
 /// it breaks the pack's structure and there is no index to go by, when a
 /// lane is read otherwise — and never a lane that is not there, a window
-/// that differs or a panic; a damaged index costs a scan of the pack and
-/// nothing else.
+/// that differs or a panic, whether the lane is read cold, compacted or
+/// followed behind a resumed writer; a damaged index costs a scan of the
+/// pack and nothing else.
 #[test]
 fn no_byte_of_a_pack_can_make_a_reader_lie() {
     let pristine = PristinePack::build();
     let (pack, index) = (&pristine.pack, &pristine.index);
     assert!(pristine.read(pack, Some(index), "intact"));
     assert!(pristine.read(pack, None, "intact, no index"));
+    assert!(pristine.follow(pack, "intact"));
     // Every bit of the index; two bits of each pack byte, which a
     // header's fields, a varint and a CRC field all still see. The first
-    // flip of each byte is compacted too.
+    // flip of each byte is compacted, and followed behind resumed writers,
+    // too.
     let damage = |bytes: &[u8], bits: &[usize]| -> Vec<(String, Vec<u8>, bool)> {
         let mut damaged = Vec::new();
         for cut in 0..bytes.len() {
@@ -774,6 +829,7 @@ fn no_byte_of_a_pack_can_make_a_reader_lie() {
         pristine.read(&damaged, None, &format!("pack, no index: {what}"));
         if compact {
             pristine.compact(&damaged, &format!("pack: {what}"));
+            pristine.follow(&damaged, &format!("pack: {what}"));
         }
     }
     for (what, damaged, _) in damage(index, &[0, 1, 2, 3, 4, 5, 6, 7]) {
