@@ -148,42 +148,20 @@ pub enum DistanceKind {
     JensenShannon,
 }
 
-/// A distance function selected by [`DistanceKind`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct Distance {
-    kind: DistanceKind,
-}
-
-impl Distance {
-    /// Creates a distance of the given kind.
-    pub fn new(kind: DistanceKind) -> Self {
-        Distance { kind }
-    }
-
-    /// The kind of this distance.
-    pub fn kind(&self) -> DistanceKind {
-        self.kind
-    }
-
+impl DistanceKind {
     /// Evaluates the distance between two equal-length vectors.
     ///
     /// # Panics
     ///
     /// Panics in debug builds if the slices have different lengths.
-    pub fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        match self.kind {
+    pub fn eval(self, a: &[f64], b: &[f64]) -> f64 {
+        match self {
             DistanceKind::Euclidean => euclidean(a, b),
             DistanceKind::Manhattan => manhattan(a, b),
             DistanceKind::Chebyshev => chebyshev(a, b),
             DistanceKind::Hellinger => hellinger(a, b),
             DistanceKind::JensenShannon => jensen_shannon(a, b).max(0.0).sqrt(),
         }
-    }
-}
-
-impl From<DistanceKind> for Distance {
-    fn from(kind: DistanceKind) -> Self {
-        Distance::new(kind)
     }
 }
 
@@ -307,16 +285,10 @@ mod tests {
             DistanceKind::Hellinger,
             DistanceKind::JensenShannon,
         ] {
-            let d = Distance::new(kind);
-            assert_eq!(d.kind(), kind);
-            let value = d.eval(&a, &b);
+            let value = kind.eval(&a, &b);
             assert!(value > 0.0, "{kind:?} should separate distinct points");
-            assert!(d.eval(&a, &a) < 1e-6);
+            assert!(kind.eval(&a, &a) < 1e-6);
         }
-        assert_eq!(Distance::default().kind(), DistanceKind::Euclidean);
-        assert_eq!(
-            Distance::from(DistanceKind::Manhattan).kind(),
-            DistanceKind::Manhattan
-        );
+        assert_eq!(DistanceKind::default(), DistanceKind::Euclidean);
     }
 }

@@ -3,11 +3,12 @@
 //! There is one index and one path. Reference models learned from
 //! periodic multimedia traces repeat the same pmf bit-for-bit — a
 //! 3 000-window reference typically holds about a dozen distinct points —
-//! so [`NeighborIndex`] groups the training points by their bit pattern,
-//! stores each distinct row once in a flat row-major buffer, and
-//! evaluates the distance once per *distinct* row. The result is exact
-//! for every [`Distance`]: a query returns the first `k` points in
-//! `(distance, index)` order, which is the normative tie order.
+//! so [`NeighborIndex`] is its distinct rows: each bit pattern once in a
+//! flat row-major buffer, with the ascending list of the training points
+//! equal to it, and nothing else per point. A query evaluates the
+//! distance once per row and expands rows into points through the member
+//! lists. The result is exact for every [`DistanceKind`]: a query returns
+//! the first `k` points in `(distance, index)` order, the normative one.
 //!
 //! With all-distinct points the search degrades to a linear scan over
 //! contiguous memory; in the dimensionalities this workspace produces
@@ -17,13 +18,15 @@
 use std::collections::HashMap;
 
 use crate::error::check_finite;
-use crate::{AnomalyError, Distance};
+use crate::{AnomalyError, DistanceKind};
 
 /// One neighbour returned by a k-nearest-neighbour query.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Neighbor {
     /// Index of the neighbour in the training set the index was built from.
     pub index: usize,
+    /// The distinct row the neighbour is a member of.
+    pub row: usize,
     /// Distance from the query point to this neighbour.
     pub distance: f64,
 }
@@ -33,19 +36,19 @@ pub struct Neighbor {
 #[derive(Debug, Clone, PartialEq)]
 pub struct NeighborIndex {
     dimensions: usize,
-    distance: Distance,
+    distance: DistanceKind,
     /// Distinct rows, row-major: row `r` is
     /// `rows[r * dimensions..(r + 1) * dimensions]`.
     rows: Vec<f64>,
     /// Ascending training-set indices of the points equal to each row.
     members: Vec<Vec<usize>>,
-    /// The distinct row of each training point.
-    row_of: Vec<usize>,
+    /// Number of indexed points.
+    len: usize,
 }
 
-/// Whether the `(distance, first member)` of one row sorts before that
-/// of another: the order of the rows' first points in the result.
-fn closer(a: (f64, usize), b: (f64, usize)) -> bool {
+/// Whether the `(distance, first member, row)` of one row sorts before
+/// that of another: the order of the rows' first points in the result.
+fn closer(a: (f64, usize, usize), b: (f64, usize, usize)) -> bool {
     a.0 < b.0 || (a.0 == b.0 && a.1 < b.1)
 }
 
@@ -59,7 +62,7 @@ impl NeighborIndex {
     /// zero-dimensional, [`AnomalyError::DimensionMismatch`] if the points
     /// do not all share one dimensionality, and
     /// [`AnomalyError::NonFiniteValue`] if any component is NaN/infinite.
-    pub fn new(points: &[Vec<f64>], distance: Distance) -> Result<Self, AnomalyError> {
+    pub fn new(points: &[Vec<f64>], distance: DistanceKind) -> Result<Self, AnomalyError> {
         let first = points
             .first()
             .ok_or_else(|| AnomalyError::InvalidTrainingSet("no points supplied".into()))?;
@@ -74,7 +77,7 @@ impl NeighborIndex {
             distance,
             rows: Vec::new(),
             members: Vec::new(),
-            row_of: Vec::with_capacity(points.len()),
+            len: points.len(),
         };
         let mut row_ids: HashMap<Box<[u64]>, usize> = HashMap::new();
         let mut bits = Vec::with_capacity(dimensions);
@@ -93,7 +96,6 @@ impl NeighborIndex {
                 }
             };
             index.members[row].push(i);
-            index.row_of.push(row);
         }
         Ok(index)
     }
@@ -110,12 +112,12 @@ impl NeighborIndex {
 
     /// Number of indexed points.
     pub fn len(&self) -> usize {
-        self.row_of.len()
+        self.len
     }
 
     /// Whether the index contains no points (never true once built).
     pub fn is_empty(&self) -> bool {
-        self.row_of.is_empty()
+        self.len == 0
     }
 
     /// Number of distinct rows the points collapsed to.
@@ -128,19 +130,24 @@ impl NeighborIndex {
         self.dimensions
     }
 
-    /// The training point `index`, bit-for-bit as it was supplied.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= self.len()`.
-    pub fn point(&self, index: usize) -> &[f64] {
-        let start = self.row_of[index] * self.dimensions;
-        &self.rows[start..start + self.dimensions]
+    /// The distinct rows in first-seen order, each with the ascending
+    /// training-set indices of its members.
+    pub(crate) fn rows(&self) -> impl ExactSizeIterator<Item = (&[f64], &[usize])> + '_ {
+        self.rows
+            .chunks_exact(self.dimensions)
+            .zip(self.members.iter().map(Vec::as_slice))
     }
 
-    /// The training points in insertion order.
+    /// The training points in insertion order, bit-for-bit as they were
+    /// supplied.
     pub fn points(&self) -> impl ExactSizeIterator<Item = &[f64]> + '_ {
-        (0..self.len()).map(|index| self.point(index))
+        let mut points = vec![&[][..]; self.len()];
+        for (coords, members) in self.rows() {
+            for &member in members {
+                points[member] = coords;
+            }
+        }
+        points.into_iter()
     }
 
     /// Returns the `k` nearest indexed points to `query`: exactly the
@@ -176,16 +183,16 @@ impl NeighborIndex {
                 .filter(move |&member| Some(member) != exclude)
         };
 
-        // The best `k` rows, each as (distance, first available member).
-        // Every row sorting before the row of a result point owns a point
-        // that sorts before that point, so the first `k` points lie in
-        // these.
-        let mut best: Vec<(f64, usize)> = Vec::with_capacity(k.min(self.distinct_len()) + 1);
+        // The best `k` rows, each as (distance, first available member,
+        // row). Every row sorting before the row of a result point owns a
+        // point that sorts before that point, so the first `k` points lie
+        // in these.
+        let mut best: Vec<(f64, usize, usize)> = Vec::with_capacity(k.min(self.distinct_len()) + 1);
         for (row, coords) in self.rows.chunks_exact(self.dimensions).enumerate() {
             let Some(first) = available(row).next() else {
                 continue;
             };
-            let key = (self.distance.eval(query, coords), first);
+            let key = (self.distance.eval(query, coords), first, row);
             if best.len() == k && !closer(key, best[k - 1]) {
                 continue;
             }
@@ -194,22 +201,22 @@ impl NeighborIndex {
             best.truncate(k);
         }
 
-        // Expand rows into points, closest first; rows at one distance
-        // interleave by point index.
+        // Expand rows into points through their member lists, closest
+        // first; rows at one distance interleave by point index.
         let mut neighbors = Vec::with_capacity(k.min(self.len()));
         let mut rest = best.as_slice();
-        while let Some(&(distance, _)) = rest.first() {
+        while let Some(&(distance, _, _)) = rest.first() {
             if neighbors.len() == k {
                 break;
             }
             let tied = 1 + rest[1..].iter().take_while(|b| b.0 == distance).count();
             let start = neighbors.len();
-            for &(distance, first) in &rest[..tied] {
-                neighbors.extend(
-                    available(self.row_of[first])
-                        .take(k - start)
-                        .map(|index| Neighbor { index, distance }),
-                );
+            for &(distance, _, row) in &rest[..tied] {
+                neighbors.extend(available(row).take(k - start).map(|index| Neighbor {
+                    index,
+                    row,
+                    distance,
+                }));
             }
             if tied > 1 {
                 neighbors[start..].sort_unstable_by_key(|neighbor| neighbor.index);
@@ -224,10 +231,9 @@ impl NeighborIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DistanceKind;
 
     fn index_of(points: &[Vec<f64>]) -> NeighborIndex {
-        NeighborIndex::new(points, Distance::default()).unwrap()
+        NeighborIndex::new(points, DistanceKind::default()).unwrap()
     }
 
     fn indices(neighbors: &[Neighbor]) -> Vec<usize> {
@@ -236,7 +242,7 @@ mod tests {
 
     #[test]
     fn unusable_training_sets_are_rejected() {
-        let distance = Distance::default();
+        let distance = DistanceKind::default();
         assert!(matches!(
             NeighborIndex::new(&[], distance),
             Err(AnomalyError::InvalidTrainingSet(_))
@@ -303,6 +309,8 @@ mod tests {
 
         let neighbors = index.k_nearest(&[0.1, 0.0], 4, None).unwrap();
         assert_eq!(indices(&neighbors), vec![0, 2, 5, 1]);
+        let rows: Vec<usize> = neighbors.iter().map(|n| n.row).collect();
+        assert_eq!(rows, vec![0, 0, 0, 1]);
         // Excluding one member keeps the rest of its row.
         let neighbors = index.k_nearest(&points[2], 3, Some(2)).unwrap();
         assert_eq!(indices(&neighbors), vec![0, 5, 1]);
@@ -334,13 +342,15 @@ mod tests {
         assert_eq!(index.distinct_len(), 2);
         let neighbors = index.k_nearest(&[0.0], 2, None).unwrap();
         assert_eq!(indices(&neighbors), vec![0, 1]);
-        assert_eq!(index.point(1)[0].to_bits(), (-0.0f64).to_bits());
+        assert_eq!(neighbors[1].row, 1);
+        let points: Vec<&[f64]> = index.points().collect();
+        assert_eq!(points[1][0].to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]
     fn works_with_pmf_distances() {
         let points = vec![vec![0.9, 0.1], vec![0.5, 0.5], vec![0.1, 0.9]];
-        let index = NeighborIndex::new(&points, Distance::new(DistanceKind::Hellinger)).unwrap();
+        let index = NeighborIndex::new(&points, DistanceKind::Hellinger).unwrap();
         let neighbors = index.k_nearest(&[0.85, 0.15], 1, None).unwrap();
         assert_eq!(neighbors[0].index, 0);
     }

@@ -43,7 +43,7 @@ mod zscore;
 
 pub use distance::{
     chebyshev, euclidean, hellinger, jensen_shannon, kl_divergence, manhattan, symmetric_kl,
-    Distance, DistanceKind,
+    DistanceKind,
 };
 pub use error::AnomalyError;
 pub use knn::{Neighbor, NeighborIndex};

@@ -10,11 +10,17 @@
 //! * `LOF ≫ 1` — the query is in a sparser region than its neighbours,
 //!   i.e. it is likely an outlier. The paper flags a window when
 //!   `LOF ≥ α` with `α > 1` chosen by the user (1.2 in the experiments).
+//!
+//! The model is the [`NeighborIndex`]'s distinct rows and member lists,
+//! with one k-distance and one lrd per row: every copy of a row has the
+//! same ones (excluding a copy reorders only its distance-0 neighbours,
+//! which are its row's other copies and `±0.0` twin rows). A query still
+//! takes its neighbours point by point, so cut and sums are the textbook's.
 
 use serde::{Deserialize, Serialize};
 
 use crate::knn::{Neighbor, NeighborIndex};
-use crate::{AnomalyError, Distance, DistanceKind};
+use crate::{AnomalyError, DistanceKind};
 
 /// Configuration of a [`LofModel`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -73,9 +79,9 @@ impl LofScore {
 
 /// A fitted Local Outlier Factor model.
 ///
-/// Fitting pre-computes, for every reference point, its `k`-distance and
-/// local reachability density (lrd); scoring a query then needs only one
-/// k-nearest-neighbour search plus `O(k)` arithmetic.
+/// Fitting pre-computes, for every distinct reference row, its
+/// `k`-distance and local reachability density (lrd); scoring a query
+/// then needs only one k-nearest-neighbour search plus `O(k)` arithmetic.
 ///
 /// The reference points live once, inside the index, collapsed to their
 /// distinct rows; two models are equal when they were fitted from the
@@ -84,9 +90,9 @@ impl LofScore {
 pub struct LofModel {
     index: NeighborIndex,
     config: LofConfig,
-    /// k-distance of each reference point.
+    /// k-distance of each distinct row.
     k_distances: Vec<f64>,
-    /// Local reachability density of each reference point.
+    /// Local reachability density of each distinct row.
     lrds: Vec<f64>,
 }
 
@@ -111,11 +117,13 @@ impl LofModel {
                 points.len()
             )));
         }
-        let index = NeighborIndex::new(&points, Distance::new(config.distance))?;
+        let index = NeighborIndex::new(&points, config.distance)?;
 
-        // Pass 1: neighbourhoods and k-distances of every reference point.
-        let neighborhoods = (0..index.len())
-            .map(|i| index.k_nearest(index.point(i), config.k, Some(i)))
+        // Pass 1: neighbourhoods and k-distances of every row, each
+        // queried as its first member.
+        let neighborhoods = index
+            .rows()
+            .map(|(coords, members)| index.k_nearest(coords, config.k, Some(members[0])))
             .collect::<Result<Vec<_>, _>>()?;
         let k_distances: Vec<f64> = neighborhoods
             .iter()
@@ -137,12 +145,9 @@ impl LofModel {
     }
 
     fn lrd_from(neighbors: &[Neighbor], k_distances: &[f64]) -> f64 {
-        if neighbors.is_empty() {
-            return f64::INFINITY;
-        }
         let sum_reach: f64 = neighbors
             .iter()
-            .map(|nb| nb.distance.max(k_distances[nb.index]))
+            .map(|nb| nb.distance.max(k_distances[nb.row]))
             .sum();
         if sum_reach <= 0.0 {
             // All neighbours coincide with the point: maximal density.
@@ -161,10 +166,7 @@ impl LofModel {
     pub const MAX_SCORE: f64 = 1e9;
 
     fn lof_from(&self, neighbors: &[Neighbor], lrd_query: f64) -> f64 {
-        if neighbors.is_empty() {
-            return 1.0;
-        }
-        if lrd_query.is_infinite() {
+        if neighbors.is_empty() || lrd_query.is_infinite() {
             // The query coincides with a dense clump of reference points:
             // by convention it is maximally "inlier".
             return 1.0;
@@ -172,7 +174,7 @@ impl LofModel {
         let sum_ratio: f64 = neighbors
             .iter()
             .map(|nb| {
-                let lrd_nb = self.lrds[nb.index];
+                let lrd_nb = self.lrds[nb.row];
                 if lrd_nb.is_infinite() {
                     // Neighbour infinitely dense, query not: strong outlier
                     // signal; contribute the cap to keep scores finite.
@@ -210,7 +212,12 @@ impl LofModel {
     /// A query beside such a point scores [`Self::MAX_SCORE`], so a
     /// reference set made mostly of them flags almost everything off it.
     pub fn infinite_lrd_points(&self) -> usize {
-        self.lrds.iter().filter(|lrd| lrd.is_infinite()).count()
+        self.lrds
+            .iter()
+            .zip(self.index.rows())
+            .filter(|(lrd, _)| lrd.is_infinite())
+            .map(|(_, (_, members))| members.len())
+            .sum()
     }
 
     /// Dimensionality of the reference points.
@@ -264,14 +271,17 @@ impl LofModel {
     /// Propagates index query errors (which cannot occur for points that
     /// were accepted at fit time).
     pub fn reference_scores(&self) -> Result<Vec<f64>, AnomalyError> {
-        (0..self.len())
-            .map(|i| {
-                let neighbors =
-                    self.index
-                        .k_nearest(self.index.point(i), self.config.k, Some(i))?;
-                Ok(self.lof_from(&neighbors, self.lrds[i]))
-            })
-            .collect()
+        let mut scores = vec![0.0; self.len()];
+        for ((coords, members), &lrd) in self.index.rows().zip(&self.lrds) {
+            let neighbors = self
+                .index
+                .k_nearest(coords, self.config.k, Some(members[0]))?;
+            let score = self.lof_from(&neighbors, lrd);
+            for &member in members {
+                scores[member] = score;
+            }
+        }
+        Ok(scores)
     }
 }
 
@@ -352,6 +362,28 @@ mod tests {
         assert!(away.is_finite());
         assert!(away > 1.0);
         assert!(away <= LofModel::MAX_SCORE);
+    }
+
+    #[test]
+    fn the_model_holds_one_k_distance_and_one_lrd_per_distinct_row() {
+        // Rows a = {0, 2, 4, 6, ...}, b = {1, 5, 9, ...}, c = {3, 7, 11, ...}.
+        let (a, b, c) = (vec![0.0, 0.0], vec![1.0, 0.0], vec![0.0, 3.0]);
+        let points: Vec<Vec<f64>> = (0..24)
+            .map(|i| match i % 4 {
+                0 | 2 => a.clone(),
+                1 => b.clone(),
+                _ => c.clone(),
+            })
+            .collect();
+        let model = LofModel::fit(points, LofConfig::new(7).unwrap()).unwrap();
+        assert_eq!((model.len(), model.distinct_points()), (24, 3));
+        assert_eq!(model.k_distances.len(), model.distinct_points());
+        assert_eq!(model.lrds.len(), model.distinct_points());
+        // Row a has 11 other copies, so its lrd is infinite; b and c have 5.
+        assert_eq!(model.infinite_lrd_points(), 12);
+        let scores = model.reference_scores().unwrap();
+        assert_eq!(scores.len(), 24);
+        assert!((0..24).all(|i| scores[i].to_bits() == scores[i % 4].to_bits()));
     }
 
     #[test]

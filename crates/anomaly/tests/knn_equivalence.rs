@@ -17,7 +17,7 @@ use std::collections::HashSet;
 
 use proptest::prelude::*;
 
-use lof_anomaly::{Distance, DistanceKind, LofConfig, LofModel, NeighborIndex};
+use lof_anomaly::{DistanceKind, LofConfig, LofModel, NeighborIndex};
 
 const KINDS: [DistanceKind; 5] = [
     DistanceKind::Euclidean,
@@ -30,7 +30,7 @@ const KINDS: [DistanceKind; 5] = [
 /// All distances, sorted by `(distance, index)`, first `k`.
 fn naive_k_nearest(
     points: &[Vec<f64>],
-    distance: Distance,
+    distance: DistanceKind,
     query: &[f64],
     k: usize,
     exclude: Option<usize>,
@@ -53,14 +53,14 @@ fn naive_k_nearest(
 /// Textbook LOF (Breunig et al. 2000) over the naive neighbourhoods.
 struct TextbookLof<'a> {
     points: &'a [Vec<f64>],
-    distance: Distance,
+    distance: DistanceKind,
     k: usize,
     k_distance: Vec<f64>,
     lrd: Vec<f64>,
 }
 
 impl<'a> TextbookLof<'a> {
-    fn fit(points: &'a [Vec<f64>], distance: Distance, k: usize) -> Self {
+    fn fit(points: &'a [Vec<f64>], distance: DistanceKind, k: usize) -> Self {
         let mut model = TextbookLof {
             points,
             distance,
@@ -120,15 +120,14 @@ impl<'a> TextbookLof<'a> {
 
 fn check_knn(points: &[Vec<f64>], query: &[f64], k: usize, exclude: Option<usize>) {
     for kind in KINDS {
-        let distance = Distance::new(kind);
-        let index = NeighborIndex::new(points, distance).unwrap();
+        let index = NeighborIndex::new(points, kind).unwrap();
         let got: Vec<(usize, u64)> = index
             .k_nearest(query, k, exclude)
             .unwrap()
             .iter()
             .map(|n| (n.index, n.distance.to_bits()))
             .collect();
-        let want: Vec<(usize, u64)> = naive_k_nearest(points, distance, query, k, exclude)
+        let want: Vec<(usize, u64)> = naive_k_nearest(points, kind, query, k, exclude)
             .iter()
             .map(|&(index, d)| (index, d.to_bits()))
             .collect();
@@ -147,7 +146,7 @@ fn check_lof(points: &[Vec<f64>], k: usize, queries: &[Vec<f64>]) {
     for kind in KINDS {
         let config = LofConfig::new(k).unwrap().with_distance(kind);
         let model = LofModel::fit(points.to_vec(), config).unwrap();
-        let textbook = TextbookLof::fit(points, Distance::new(kind), k);
+        let textbook = TextbookLof::fit(points, kind, k);
         assert_eq!(model.len(), points.len());
         assert_eq!(model.distinct_points(), distinct.len());
         assert!(model.reference_points().zip(points).all(|(a, b)| a
@@ -296,4 +295,38 @@ fn paper_shaped_duplicated_model_matches_the_textbook() {
     let mut off_model = behaviours[3].clone();
     off_model[0] += 0.01;
     check_lof(&points, 20, &[behaviours[0].clone(), off_model]);
+}
+
+/// The tie rule at query time, pinned. From the origin, rows `L` =
+/// {0, 3} and `R` = {1, 2, 4} both lie at distance 1, so with `k = 3` the
+/// k-th neighbour falls inside their tie: the neighbourhood is points 0,
+/// 1, 2 — one copy of `L`, two of `R` — not "`L`'s copies, then `R`'s".
+/// `L` and `R` have different k-distances (2 and 0.5) and lrds, so
+/// weighting each row's value by a count of its copies gives another
+/// reachability sum and another LOF. `Z+` = (0, 5) and `Z-` = (-0, 5) are
+/// a signed-zero twin pair: different rows at distance 0 from each other.
+#[test]
+fn rows_tied_at_the_kth_distance_interleave_their_members() {
+    let (l, r, a, b) = (
+        vec![-1.0, 0.0],
+        vec![1.0, 0.0],
+        vec![-1.5, 0.0],
+        vec![1.5, 0.0],
+    );
+    let (z_pos, z_neg) = (vec![0.0, 5.0], vec![-0.0, 5.0]);
+    let points = vec![
+        l.clone(),
+        r.clone(),
+        r.clone(),
+        l,
+        r,
+        z_pos.clone(),
+        z_neg,
+        a,
+        b,
+        z_pos,
+    ];
+    let origin = vec![0.0, 0.0];
+    check_knn(&points, &origin, 3, None);
+    check_lof(&points, 3, &[origin, vec![-0.0, 4.0], vec![0.5, 0.5]]);
 }

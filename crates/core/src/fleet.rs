@@ -45,7 +45,7 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 
 use endurance_obs::{Counter, Gauge, Histogram, Registry};
-use trace_model::{CountingSink, EventSink, StreamId, TraceEvent};
+use trace_model::{fnv1a, CountingSink, EventSink, StreamId, TraceEvent};
 
 use crate::config::MonitorConfig;
 use crate::error::CoreError;
@@ -617,12 +617,7 @@ pub fn shard_of(stream: StreamId, shards: usize) -> StreamId {
 /// Stable stream→worker routing: FNV-1a over the stream id, so a
 /// stream's events always land on the same worker in order.
 fn route(stream: StreamId, workers: usize) -> usize {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in stream.as_u32().to_le_bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (hash % workers as u64) as usize
+    (fnv1a(&stream.as_u32().to_le_bytes()) % workers as u64) as usize
 }
 
 /// Renders a worker's panic payload, preserving `panic!` string messages

@@ -6,7 +6,7 @@ use std::sync::{Arc, OnceLock};
 use serde::{Deserialize, Serialize, Value};
 
 use lof_anomaly::{LofConfig, LofModel};
-use trace_model::Window;
+use trace_model::{fnv1a, Window};
 
 use crate::{CoreError, MonitorConfig, WindowPmf};
 
@@ -333,13 +333,6 @@ impl Serialize for EmbeddedModel {
     fn to_value(&self) -> Value {
         self.json.to_value()
     }
-}
-
-/// 64-bit FNV-1a, the workspace's standard non-cryptographic hash.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |state, &byte| {
-        (state ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
 }
 
 fn fit_lof(points: Vec<Vec<f64>>, config: &MonitorConfig) -> Result<Arc<LofModel>, CoreError> {

@@ -421,11 +421,6 @@ impl<S: EventSink, O: DecisionObserver> ReductionSession<S, O> {
         &self.observer
     }
 
-    /// Mutable access to the decision observer.
-    pub fn observer_mut(&mut self) -> &mut O {
-        &mut self.observer
-    }
-
     /// Total events pushed so far.
     pub fn events_pushed(&self) -> u64 {
         self.events_pushed

@@ -21,7 +21,7 @@ use std::time::Duration;
 use endurance_obs::{Counter, Gauge, Registry};
 use serde::{Deserialize, Serialize};
 
-use trace_model::{EventTypeRegistry, StreamId, Timestamp, TraceEvent};
+use trace_model::{EventTypeRegistry, Fnv1a, StreamId, Timestamp, TraceEvent};
 
 use crate::{
     DeliveryStats, ElementSpec, EventQueue, FaultKind, FaultPlan, FaultRecord, FleetTruth,
@@ -323,45 +323,30 @@ pub enum FleetEvent {
 
 /// Incremental FNV-1a hash over a delivery stream, used by the CI
 /// determinism gate: two same-seed fleet runs must produce equal hashes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TraceHasher {
-    state: u64,
+    hash: Fnv1a,
 }
 
 impl TraceHasher {
     /// Creates a hasher at the FNV-1a offset basis.
     pub fn new() -> Self {
-        TraceHasher {
-            state: 0xcbf2_9ce4_8422_2325,
-        }
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.state ^= u64::from(byte);
-            self.state = self.state.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        TraceHasher::default()
     }
 
     /// Folds one delivery into the hash (every field of the event plus
     /// the stream id).
     pub fn update(&mut self, stream: StreamId, event: &TraceEvent) {
-        self.write(&stream.as_u32().to_le_bytes());
-        self.write(&event.timestamp.as_nanos().to_le_bytes());
-        self.write(&event.event_type.as_u16().to_le_bytes());
-        self.write(&event.payload.to_le_bytes());
-        self.write(&[event.severity.as_u8()]);
+        self.hash.write(&stream.as_u32().to_le_bytes());
+        self.hash.write(&event.timestamp.as_nanos().to_le_bytes());
+        self.hash.write(&event.event_type.as_u16().to_le_bytes());
+        self.hash.write(&event.payload.to_le_bytes());
+        self.hash.write(&[event.severity.as_u8()]);
     }
 
     /// The current hash value.
     pub fn finish(&self) -> u64 {
-        self.state
-    }
-}
-
-impl Default for TraceHasher {
-    fn default() -> Self {
-        TraceHasher::new()
+        self.hash.finish()
     }
 }
 

@@ -1,7 +1,6 @@
 //! Prometheus-style plain-text rendering of a [`MetricsSnapshot`].
 
 use std::fmt::Write as _;
-use std::io;
 
 use crate::snapshot::{HistogramSnapshot, MetricSample, MetricValue, MetricsSnapshot};
 
@@ -24,15 +23,6 @@ impl TextExposition {
             Self::render_sample(&mut out, sample);
         }
         out
-    }
-
-    /// Renders `snapshot` into any [`io::Write`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the writer's I/O error.
-    pub fn write_to(snapshot: &MetricsSnapshot, writer: &mut impl io::Write) -> io::Result<()> {
-        writer.write_all(Self::render(snapshot).as_bytes())
     }
 
     fn render_sample(out: &mut String, sample: &MetricSample) {

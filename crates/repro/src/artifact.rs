@@ -18,7 +18,7 @@ use endurance_core::{
     WindowStrategy, WindowVerdict,
 };
 use trace_model::codec::{BinaryDecoder, BinaryEncoder, TraceDecoder, TraceEncoder};
-use trace_model::{TraceEvent, Window};
+use trace_model::{Fnv1a, TraceEvent, Window};
 
 use crate::error::ReproError;
 
@@ -95,10 +95,10 @@ pub struct ReproArtifact {
     pub content_hash: u64,
 }
 
-/// FNV-1a, the workspace's standard non-cryptographic hash (same
-/// constants as the trace hasher and the fleet/shard routers).
+/// The content hash's FNV-1a ([`Fnv1a`]) and the writes of the fields it
+/// folds.
 pub(crate) struct Fnv64 {
-    state: u64,
+    hash: Fnv1a,
     /// Bytes folded so far: the cost the sealing tests count.
     #[cfg(test)]
     folded: usize,
@@ -107,7 +107,7 @@ pub(crate) struct Fnv64 {
 impl Fnv64 {
     pub(crate) fn new() -> Self {
         Fnv64 {
-            state: 0xcbf2_9ce4_8422_2325,
+            hash: Fnv1a::new(),
             #[cfg(test)]
             folded: 0,
         }
@@ -118,10 +118,7 @@ impl Fnv64 {
         {
             self.folded += bytes.len();
         }
-        for &byte in bytes {
-            self.state ^= u64::from(byte);
-            self.state = self.state.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.hash.write(bytes);
     }
 
     pub(crate) fn write_u8(&mut self, value: u8) {
@@ -137,7 +134,7 @@ impl Fnv64 {
     }
 
     pub(crate) fn finish(&self) -> u64 {
-        self.state
+        self.hash.finish()
     }
 }
 

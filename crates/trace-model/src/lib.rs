@@ -49,6 +49,7 @@
 pub mod codec;
 mod error;
 mod event;
+mod fnv;
 pub mod live;
 mod registry;
 pub mod stream;
@@ -57,6 +58,7 @@ pub mod window;
 
 pub use error::TraceError;
 pub use event::{EventTypeId, Severity, TraceEvent};
+pub use fnv::{fnv1a, Fnv1a};
 pub use live::{CommitWatermark, SubscriptionStats};
 pub use registry::{EventTypeInfo, EventTypeRegistry};
 pub use stream::{

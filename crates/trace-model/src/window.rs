@@ -305,11 +305,6 @@ impl WindowAssembler {
         self.buf.len()
     }
 
-    /// Id of the next window that will be emitted.
-    pub fn next_window_id(&self) -> WindowId {
-        self.next_id
-    }
-
     /// Pushes one event, invoking `emit` for every window this closes
     /// (several when a time gap produces empty windows). `emit` may fail;
     /// the first error is propagated and the event is still consumed —
