@@ -60,7 +60,7 @@ mod hub;
 mod subscription;
 
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use endurance_obs::Registry;
 use endurance_store::{
@@ -195,7 +195,13 @@ impl ServeHandle {
 
     /// The directory's write handle, opened on first use.
     fn store_writer(&self) -> Result<Arc<StoreWriter>, TraceError> {
-        let mut store = self.inner.store.lock().expect("no panic holds this lock");
+        // The write handle is set once, whole: a panic cannot leave it
+        // half made.
+        let mut store = self
+            .inner
+            .store
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         if let Some(store) = store.as_ref() {
             return Ok(Arc::clone(store));
         }
@@ -219,7 +225,7 @@ impl ServeHandle {
     ///
     /// Returns [`TraceError::Io`] when the directory cannot be listed.
     pub fn snapshot(&self) -> Result<Snapshot, TraceError> {
-        let mut cached = self.inner.snapshot.lock().expect("snapshot cache poisoned");
+        let mut cached = self.cached_snapshot();
         if let Some(snapshot) = cached.as_ref() {
             return Ok(snapshot.clone());
         }
@@ -236,8 +242,18 @@ impl ServeHandle {
     /// Same conditions as [`ServeHandle::snapshot`].
     pub fn refresh(&self) -> Result<Snapshot, TraceError> {
         let fresh = self.capture()?;
-        *self.inner.snapshot.lock().expect("snapshot cache poisoned") = Some(fresh.clone());
+        *self.cached_snapshot() = Some(fresh.clone());
         Ok(fresh)
+    }
+
+    /// Locks the snapshot cache. A panic while it was held (in a
+    /// snapshot's capture) left the snapshot before it, or none, which is
+    /// still one to serve.
+    fn cached_snapshot(&self) -> MutexGuard<'_, Option<Snapshot>> {
+        self.inner
+            .snapshot
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     fn capture(&self) -> Result<Snapshot, TraceError> {

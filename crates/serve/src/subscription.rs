@@ -182,10 +182,26 @@ impl Subscription {
     /// I/O or decode error with its offset, or the refusal to follow a
     /// successor writer into a lane that was rewritten between the two
     /// ([`Tailer::rebind`]). The failure is sticky: every later call
-    /// returns its rendering as a [`TraceError::Decode`].
+    /// returns its rendering as a [`TraceError::Decode`]. A `recv` that
+    /// panicked is such a failure: it left the cursor wherever it stopped.
     pub fn recv(&self, timeout: Duration) -> Result<SubscriptionStep, TraceError> {
         let deadline = Instant::now() + timeout;
-        let mut cursor = self.cursor.lock().expect("a recv panicked");
+        let mut cursor = match self.cursor.lock() {
+            Ok(cursor) => cursor,
+            Err(poisoned) => {
+                let mut cursor = poisoned.into_inner();
+                if cursor.error.is_none() {
+                    cursor.error = Some(format!(
+                        "lane {}: a recv of this subscription panicked",
+                        self.lane
+                    ));
+                    if !self.ended.swap(true, Ordering::SeqCst) {
+                        self.metrics.ended(self.lane, "error");
+                    }
+                }
+                cursor
+            }
+        };
         if let Some(message) = &cursor.error {
             return Err(TraceError::Decode {
                 offset: 0,
@@ -217,18 +233,20 @@ impl Subscription {
         cursor: &mut Cursor,
         deadline: Instant,
     ) -> Result<SubscriptionStep, TraceError> {
-        if cursor.follow.is_none() {
-            let wait = deadline.saturating_duration_since(Instant::now());
-            let Some(registration) = self.hub.wait_newer(self.lane, None, wait) else {
-                return Ok(SubscriptionStep::TimedOut);
-            };
-            cursor.follow = Some(Follow {
-                tailer: Tailer::follow(&self.dir, registration.log.clone()),
-                registration,
-                closed_at: None,
-            });
-        }
-        let follow = cursor.follow.as_mut().expect("bound above");
+        let follow = match cursor.follow {
+            Some(ref mut follow) => follow,
+            None => {
+                let wait = deadline.saturating_duration_since(Instant::now());
+                let Some(registration) = self.hub.wait_newer(self.lane, None, wait) else {
+                    return Ok(SubscriptionStep::TimedOut);
+                };
+                cursor.follow.insert(Follow {
+                    tailer: Tailer::follow(&self.dir, registration.log.clone()),
+                    registration,
+                    closed_at: None,
+                })
+            }
+        };
         let mut view = follow.registration.log.view();
         loop {
             let bound_to = Some(follow.registration.generation);
@@ -310,5 +328,44 @@ impl Subscription {
             behind,
             ended: self.ended.load(Ordering::SeqCst),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_recv_that_panicked_ends_the_subscription_with_a_typed_error() {
+        let registry = Registry::new();
+        let subscription = Subscription::new(
+            std::env::temp_dir(),
+            Arc::new(Hub::default()),
+            3,
+            SubscribeOptions::default(),
+            &registry,
+        );
+        std::thread::scope(|scope| {
+            let recv = scope.spawn(|| {
+                let _cursor = subscription.cursor.lock();
+                panic!("a recv panics holding the cursor");
+            });
+            assert!(recv.join().is_err());
+        });
+        // Sticky, like any failure, and the end counted once.
+        for _ in 0..2 {
+            match subscription.recv(Duration::ZERO) {
+                Err(TraceError::Decode { reason, .. }) => {
+                    assert!(reason.contains("panicked"), "{reason}")
+                }
+                other => panic!("{other:?}"),
+            }
+        }
+        assert!(subscription.stats().ended);
+        let ended = registry.counter_with(
+            "serve_subscription_ended_total",
+            &[("lane", "3"), ("cause", "error")],
+        );
+        assert_eq!(ended.get(), 1);
     }
 }

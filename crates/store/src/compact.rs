@@ -42,7 +42,8 @@
 //! §6). Close (or lose) the writer, run the pass, resume.
 
 use std::io::Write;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
 
@@ -52,16 +53,16 @@ use crate::crc32::crc32;
 use crate::index::{LaneIndex, SegmentMeta, SidecarKind, WindowEntry};
 use crate::map::FrameDecoder;
 use crate::pack::{
-    dead_packs, pack_len, read_segment, write_pack, write_pack_index, Pack, PackMember,
-    PackedSegment, PACK_HEADER_LEN,
+    dead_packs, newest_packs, pack_len, read_segment, read_small_segment, write_pack,
+    write_pack_index, Pack, PackMember, PackedSegment, PACK_HEADER_LEN,
 };
 use crate::reader::{load_lane, scan_lane, truncate_torn};
 use crate::segment::{
     commit_file, encode_frame, envelope_and_stored_bytes, frame_len, legacy_sidecar_file_name,
     list_store_dir, manifest_file_name, pack_file_name, pack_index_file_name, put_table_section,
-    remove_if_present, segment_file_name, segment_header, sidecar_file_name, table_section_len,
-    write_sidecar, Durability, FramePrev, LaneFiles, SegmentHead, StoreListing, SEGMENT_VERSION_V1,
-    SEGMENT_VERSION_V3, SEGMENT_VERSION_V4,
+    remove_if_present, scan_segment, segment_file_name, segment_header, sidecar_file_name,
+    table_section_len, write_sidecar, Durability, FramePrev, LaneFiles, SegmentHead, StoreListing,
+    SEGMENT_HEADER_LEN, SEGMENT_VERSION_V1, SEGMENT_VERSION_V3, SEGMENT_VERSION_V4,
 };
 use trace_model::codec::{CodecId, FrameContext, SegmentCoder};
 use trace_model::TraceError;
@@ -282,6 +283,16 @@ pub struct CompactionReport {
     /// Lanes whose rewritten segment the pass wrote into a pack.
     #[serde(default)]
     pub lanes_packed: u64,
+    /// Lanes the pass read once: a small format-v1 lane that a
+    /// recompressing pass rewrites is read whole and indexed by a scan,
+    /// its sidecar never read (`docs/FORMAT.md` §5).
+    #[serde(default)]
+    pub lanes_read_once: u64,
+    /// Bytes of the pack entries the pass left superseded in packs it kept:
+    /// a lane rewritten out of a pack leaves its old entry there until
+    /// every lane of that pack has moved on and the pack is deleted.
+    #[serde(default)]
+    pub pack_dead_bytes: u64,
 }
 
 impl CompactionReport {
@@ -368,13 +379,16 @@ impl std::fmt::Display for CompactionReport {
         };
         writeln!(
             f,
-            "compaction report: {} lane(s), {} run(s) merged, {} lane(s) packed into {} \
-             pack(s), {} window(s) dropped, {} window(s) recompressed{by_codec}, {} byte(s) \
-             reclaimed, {} byte(s) grown, envelope {} -> {} byte(s), compression {:.2}x",
+            "compaction report: {} lane(s), {} read once, {} run(s) merged, {} lane(s) packed \
+             into {} pack(s), {} dead pack byte(s), {} window(s) dropped, {} window(s) \
+             recompressed{by_codec}, {} byte(s) reclaimed, {} byte(s) grown, envelope {} -> {} \
+             byte(s), compression {:.2}x",
             self.lanes.len(),
+            self.lanes_read_once,
             self.merged_runs(),
             self.lanes_packed,
             self.packs_written,
+            self.pack_dead_bytes,
             self.windows_dropped(),
             self.recompressed_windows(),
             self.reclaimed_bytes(),
@@ -450,6 +464,12 @@ struct CompactorMetrics {
     /// `store_compaction_lanes_packed_total` — lane segments written into
     /// them.
     lanes_packed: Counter,
+    /// `store_compaction_lanes_read_once_total` — small v1 lanes read
+    /// whole and scanned, their sidecar unread.
+    lanes_read_once: Counter,
+    /// `store_pack_dead_bytes` — superseded pack entry bytes the last pass
+    /// left in the packs it kept.
+    pack_dead_bytes: Gauge,
     /// `store_compaction_pass_ns` — wall time of each pass.
     pass_ns: Histogram,
     /// `store_compaction_lane_pass_ns` — wall time of each per-lane job
@@ -477,6 +497,8 @@ impl CompactorMetrics {
                 .collect(),
             packs_written: registry.counter("store_compaction_packs_written_total"),
             lanes_packed: registry.counter("store_compaction_lanes_packed_total"),
+            lanes_read_once: registry.counter("store_compaction_lanes_read_once_total"),
+            pack_dead_bytes: registry.gauge("store_pack_dead_bytes"),
             pass_ns: registry.histogram("store_compaction_pass_ns"),
             lane_pass_ns: registry.histogram("store_compaction_lane_pass_ns"),
             parallel_lanes: registry.gauge("store_compaction_parallel_lanes"),
@@ -497,6 +519,8 @@ impl CompactorMetrics {
         }
         self.packs_written.add(report.packs_written);
         self.lanes_packed.add(report.lanes_packed);
+        self.lanes_read_once.add(report.lanes_read_once);
+        self.pack_dead_bytes.set(report.pack_dead_bytes as i64);
         for lane in report.lanes.iter().filter(|lane| !lane.is_noop()) {
             self.reclaimed.add(lane.reclaimed_bytes());
             self.grown.add(lane.grown_bytes());
@@ -628,6 +652,7 @@ impl Compactor {
         let packer = std::sync::Mutex::new(Packer::new(&self.dir, &self.policy, first_pack));
         let arrived = std::sync::Condvar::new();
         let next = std::sync::atomic::AtomicUsize::new(0);
+        let read_once = AtomicU64::new(0);
         let worker = || {
             let _wake = WakeOnPanic(&packer, &arrived);
             let mut coder = RunCoder::default();
@@ -637,11 +662,11 @@ impl Compactor {
                         .wait_while(lock(&packer), |packer| packer.is_full())
                         .unwrap_or_else(std::sync::PoisonError::into_inner),
                 );
-                let at = next.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                let at = next.fetch_add(1, Ordering::SeqCst);
                 let Some((lane, files)) = work.get(at) else {
                     break;
                 };
-                let outcome = self.compact_lane_job(*lane, files, &mut coder);
+                let outcome = self.compact_lane_job(*lane, files, &mut coder, &read_once);
                 lock(&packer).arrive(at, *lane, outcome);
                 arrived.notify_all();
             }
@@ -670,6 +695,7 @@ impl Compactor {
                 .iter()
                 .map(|(_, lanes)| lanes.len() as u64)
                 .sum(),
+            lanes_read_once: read_once.into_inner(),
             ..CompactionReport::default()
         };
         let mut first_error: Option<TraceError> = None;
@@ -685,7 +711,7 @@ impl Compactor {
         if let Some(error) = first_error {
             return Err(error);
         }
-        tidied?;
+        report.pack_dead_bytes = tidied?;
         Ok(report)
     }
 
@@ -706,15 +732,22 @@ impl Compactor {
     /// One lane's complete job — crash recovery over the files the
     /// listing saw, then the compaction pass — timed as a
     /// `store_compaction_lane_pass_ns` sample. This is the unit of work
-    /// the parallel pass distributes, on the worker's `coder`. A lane the
-    /// listing saw no segment of (only a journal, temp files or files a
-    /// pack superseded outlived its segments) is recovered and yields no
-    /// report.
-    fn compact_lane_job(&self, lane: u32, files: &LaneFiles, coder: &mut RunCoder) -> LaneOutcome {
+    /// the parallel pass distributes, on the worker's `coder`; a lane it
+    /// reads once is counted into `read_once`. A lane the listing saw no
+    /// segment of (only a journal, temp files or files a pack superseded
+    /// outlived its segments) is recovered and yields no report.
+    fn compact_lane_job(
+        &self,
+        lane: u32,
+        files: &LaneFiles,
+        coder: &mut RunCoder,
+        read_once: &AtomicU64,
+    ) -> LaneOutcome {
         let lane_span = self.metrics.lane_pass_ns.span();
         let seqs = recover_interrupted_merge(&self.dir, lane, files)?;
         let outcome = if files.has_segments() {
-            self.compact_lane_seqs(lane, &seqs, files, coder).map(Some)
+            self.compact_lane_seqs(lane, &seqs, files, coder, read_once)
+                .map(Some)
         } else {
             Ok(None)
         };
@@ -728,6 +761,7 @@ impl Compactor {
         seqs: &[u32],
         files: &LaneFiles,
         coder: &mut RunCoder,
+        read_once: &AtomicU64,
     ) -> Result<LaneJob, TraceError> {
         let packed = files.packed_segment();
         let done = |report| LaneJob::Done {
@@ -754,16 +788,32 @@ impl Compactor {
                 ..LaneCompaction::default()
             }));
         }
-        // Every file ends on a frame boundary before any merge.
-        let loaded = load_lane(&self.dir, lane, seqs, files.packed.as_ref())?;
-        let torn_truncated = truncate_torn(&self.dir, &loaded.torn)?;
+        // Every file ends on a frame boundary before any merge. A small v1
+        // lane is read once: the scan that indexes it checks each frame,
+        // and the run coder codes the same bytes. Any other lane is loaded
+        // from its sidecar, or scanned when that is declined.
+        let (index, sidecar, torn_truncated, once) =
+            match read_small_v1_lane(&self.dir, lane, seqs, files, &self.policy)? {
+                Some((index, torn_truncated, segment)) => {
+                    read_once.fetch_add(1, Ordering::SeqCst);
+                    (index, None, torn_truncated, Some(segment))
+                }
+                None => {
+                    let loaded = load_lane(&self.dir, lane, seqs, files.packed.as_ref())?;
+                    let torn_truncated = truncate_torn(&self.dir, &loaded.torn)?;
+                    (loaded.index, Some(loaded.sidecar), torn_truncated, None)
+                }
+            };
+        let sources = once
+            .as_ref()
+            .map_or(Sources::Store(packed), Sources::Scanned);
         let (index, report, deferred) = compact_lane_index(
             &self.dir,
-            loaded.index,
+            index,
             &self.policy,
             torn_truncated,
             coder,
-            packed,
+            sources,
         )?;
         if let Some(run) = deferred {
             return Ok(LaneJob::Deferred(Deferred {
@@ -780,7 +830,7 @@ impl Compactor {
             // The pack index stands for the sidecar of a lane whose one
             // segment is packed: a sidecar left beside it is superseded.
             remove_lane_sidecars(&self.dir, lane, files.sidecar, files.legacy_sidecar)?;
-            let rows_trusted = loaded.sidecar == Ok(SidecarKind::Pack) || !seqs.is_empty();
+            let rows_trusted = sidecar == Some(Ok(SidecarKind::Pack)) || !seqs.is_empty();
             return Ok(LaneJob::Done {
                 report,
                 repair: (!rows_trusted).then_some(packed.pack),
@@ -789,7 +839,7 @@ impl Compactor {
         // A trusted `.idx` of a lane the pass left as it found it (no
         // segment written or deleted, no tail truncated, no journal
         // finished) still describes the lane: leave its bytes alone.
-        let untouched = loaded.sidecar == Ok(SidecarKind::Binary)
+        let untouched = sidecar == Some(Ok(SidecarKind::Binary))
             && !files.journal
             && !files.legacy_sidecar
             && report.is_noop();
@@ -833,6 +883,88 @@ fn remove_lane_sidecars(dir: &Path, lane: u32, idx: bool, legacy: bool) -> Resul
         remove_if_present(&dir.join(legacy_sidecar_file_name(lane)))?;
     }
     Ok(())
+}
+
+/// The one segment of a lane, as [`read_small_v1_lane`] read it.
+#[derive(Debug)]
+struct ReadOnce {
+    path: PathBuf,
+    seq: u32,
+    /// The segment's intact prefix, every frame of which passed its CRC
+    /// check in the scan that indexed it.
+    bytes: Vec<u8>,
+}
+
+/// Where [`RunCoder::code`] reads a run's segments from.
+#[derive(Debug, Clone, Copy)]
+enum Sources<'a> {
+    /// The store: each segment from its own file, or from its pack when it
+    /// is the lane's packed one, every frame CRC-checked as it is coded.
+    Store(Option<&'a PackedSegment>),
+    /// The lane's one segment, already read and scanned.
+    Scanned(&'a ReadOnce),
+}
+
+impl Sources<'_> {
+    /// The lane's packed segment, when it holds windows.
+    fn packed(&self) -> Option<&PackedSegment> {
+        match *self {
+            Sources::Store(packed) => packed,
+            Sources::Scanned(_) => None,
+        }
+    }
+}
+
+/// Reads a small v1 lane that a recompressing pass rewrites in one read,
+/// and indexes it by a scan of those bytes, which makes the one CRC check
+/// of each frame: after recovery the lane holds one own segment file
+/// (`seqs`), the listing saw no pack entry, journal or superseded file of
+/// it (`files`), the opened file is at most `PACK_MEMBER_MAX_BYTES` long
+/// and its header says format v1. Its sidecar is neither read nor
+/// `stat`'ed. A torn tail is truncated, as the scan of a lane whose
+/// sidecar was declined truncates it, when the listing saw no sidecar;
+/// beside one the lane is left to [`load_lane`]. Returns the index, the
+/// bytes truncated and the segment, or `None` for any other lane.
+///
+/// # Errors
+///
+/// [`TraceError::Io`] when the file cannot be read or truncated, and as
+/// [`scan_segment`].
+fn read_small_v1_lane(
+    dir: &Path,
+    lane: u32,
+    seqs: &[u32],
+    files: &LaneFiles,
+    policy: &MaintenancePolicy,
+) -> Result<Option<(LaneIndex, u64, ReadOnce)>, TraceError> {
+    let &[seq] = seqs else {
+        return Ok(None);
+    };
+    if policy.recompress.is_none()
+        || files.packed.is_some()
+        || files.journal
+        || !files.superseded.is_empty()
+    {
+        return Ok(None);
+    }
+    let Some((path, mut bytes)) = read_small_segment(dir, lane, seq, PACK_MEMBER_MAX_BYTES)? else {
+        return Ok(None);
+    };
+    if bytes.len() < SEGMENT_HEADER_LEN as usize || bytes[4] != SEGMENT_VERSION_V1 {
+        return Ok(None);
+    }
+    let scanned = scan_segment(&bytes, &path, lane, seq)?;
+    if scanned.torn.is_some() && (files.sidecar || files.legacy_sidecar) {
+        // A sidecar that vouches for the bytes past the intact prefix
+        // makes them corrupt, not torn: `load_lane` tells which.
+        return Ok(None);
+    }
+    let torn_truncated = truncate_torn(dir, scanned.torn.as_slice())?;
+    bytes.truncate(scanned.committed_bytes as usize);
+    let mut index = LaneIndex::new(lane);
+    index.segments.push(scanned.meta);
+    index.windows = scanned.entries;
+    Ok(Some((index, torn_truncated, ReadOnce { path, seq, bytes })))
 }
 
 /// A lane's rewritten run, coded but not yet written, and what the lane
@@ -1066,15 +1198,24 @@ fn write_packed(
 
 /// After a pass: writes anew the index of every pack still in use that a
 /// reader could not trust (declined, or named in `repair`), then deletes
-/// every pack that `written` left with no entry its lane reads.
+/// every pack that `written` left with no entry its lane reads. Returns
+/// the bytes of the entries no lane reads in the packs kept.
 fn tidy_packs(
     dir: &Path,
     packs: &[Pack],
     written: &[(u32, Vec<u32>)],
     repair: &std::collections::BTreeSet<u32>,
-) -> Result<(), TraceError> {
-    let dead = dead_packs(packs, written);
+) -> Result<u64, TraceError> {
+    let newest = newest_packs(packs, written);
+    let dead = dead_packs(packs, &newest);
+    let mut dead_bytes = 0;
     for pack in packs.iter().filter(|pack| !dead.contains(&pack.id)) {
+        dead_bytes += pack
+            .entries
+            .iter()
+            .filter(|entry| newest.get(&entry.segment.lane) != Some(&pack.id))
+            .map(|entry| entry.segment.entry_len())
+            .sum::<u64>();
         if pack.index.is_ok() && !repair.contains(&pack.id) {
             continue;
         }
@@ -1095,7 +1236,7 @@ fn tidy_packs(
         remove_if_present(&dir.join(pack_file_name(pack)))?;
         remove_if_present(&dir.join(pack_index_file_name(pack)))?;
     }
-    Ok(())
+    Ok(dead_bytes)
 }
 
 /// Crash journal of one multi-file segment merge.
@@ -1255,12 +1396,12 @@ enum Chunk {
 }
 
 /// Core of the pass: applies `policy` (enabled — [`Compactor`] answers a
-/// disabled one itself) to `index`'s segments on disk — `packed` lying in
-/// a pack — and returns the rewritten index, the report entry, and the
-/// one run it coded but left to the pass's packer: a run holding the
-/// packed segment, which only a newer pack supersedes, or the run that
-/// becomes the lane's only segment, in format v3 or v4, which may share a
-/// pack with other lanes'.
+/// disabled one itself) to `index`'s segments, read from `sources` — the
+/// lane's packed one lying in a pack — and returns the rewritten index,
+/// the report entry, and the one run it coded but left to the pass's
+/// packer: a run holding the packed segment, which only a newer pack
+/// supersedes, or the run that becomes the lane's only segment, in format
+/// v3 or v4, which may share a pack with other lanes'.
 ///
 /// `torn_bytes_truncated` is whatever the caller already reclaimed from
 /// torn tails, folded into the report; `coder` codes the runs.
@@ -1270,9 +1411,10 @@ fn compact_lane_index(
     policy: &MaintenancePolicy,
     torn_bytes_truncated: u64,
     coder: &mut RunCoder,
-    packed: Option<&PackedSegment>,
+    sources: Sources<'_>,
 ) -> Result<(LaneIndex, LaneCompaction, Option<DeferredRun>), TraceError> {
     let lane = index.lane;
+    let packed = sources.packed();
     let bytes_before: u64 = index.segments.iter().map(|s| s.committed_bytes).sum();
     let mut report = LaneCompaction {
         lane,
@@ -1436,12 +1578,12 @@ fn compact_lane_index(
             let (version, segment, entries) = coder.code(
                 dir,
                 lane,
+                sources,
                 target_seq,
                 run,
                 &index.windows,
                 policy.recompress,
                 &mut report.frames_by_codec,
-                packed,
             )?;
             report.segments_rewritten += 1;
             // A run that keeps no window is left out of the index: its
@@ -1527,12 +1669,12 @@ fn rewrite_run(
     let (out_version, merged, entries) = coder.code(
         dir,
         lane,
+        Sources::Store(None),
         target_seq,
         run,
         windows,
         recompress,
         frames_by_codec,
-        None,
     )?;
     let replaced_seqs: Vec<u32> = run[1..].iter().map(|plan| plan.meta.seq).collect();
     commit_run(dir, lane, target_seq, &replaced_seqs, &merged)?;
@@ -1640,18 +1782,19 @@ impl RunCoder {
     /// blocks a merge or retention rewrite codes anew are not, so a pass
     /// without a target counts none. The segment is v4, its table ahead
     /// of the frames, when it comes out smaller so; otherwise v3, without
-    /// templates.
+    /// templates. Segments are read from `sources` in the store `dir`; the
+    /// frames of a segment already scanned are not CRC-checked again.
     #[allow(clippy::too_many_arguments)]
     fn code(
         &mut self,
         dir: &Path,
         lane: u32,
+        sources: Sources<'_>,
         target_seq: u32,
         run: &[SegmentPlan],
         windows: &[WindowEntry],
         recompress: Option<CodecId>,
         frames_by_codec: &mut [u64; CodecId::ALL.len()],
-        packed: Option<&PackedSegment>,
     ) -> Result<(u8, Vec<u8>, Vec<WindowEntry>), TraceError> {
         let RunCoder {
             coder,
@@ -1666,19 +1809,29 @@ impl RunCoder {
         frames.clear();
         let total: u64 = run.iter().map(|plan| plan.meta.committed_bytes).sum();
         for plan in run.iter().filter(|plan| !plan.windows.is_empty()) {
-            let (path, source) = read_segment(dir, lane, plan.meta.seq, packed, None)?;
-            let head = SegmentHead::parse(&source, &path, lane, plan.meta.seq)?;
+            let read;
+            let (path, source, verify_crc) = match sources {
+                Sources::Store(packed) => {
+                    read = read_segment(dir, lane, plan.meta.seq, packed, None)?;
+                    (read.0.as_path(), read.1.as_slice(), true)
+                }
+                Sources::Scanned(segment) => {
+                    debug_assert_eq!(segment.seq, plan.meta.seq);
+                    (segment.path.as_path(), segment.bytes.as_slice(), false)
+                }
+            };
+            let head = SegmentHead::parse(source, path, lane, plan.meta.seq)?;
             // Any target but `Identity` stores the smallest block there is.
             let target = recompress.filter(|_| plan.recompress);
             for &position in &plan.windows {
                 let mut entry = windows[position];
-                let frame = head.frame(&source, lane, &entry, true)?;
+                let frame = head.frame(source, lane, &entry, verify_crc)?;
                 // Codec and raw length are the file's.
                 entry.codec = frame.codec.as_u8();
                 entry.raw_len = frame.raw_len;
                 let block = &source[frame.block.clone()];
                 let recode = if frame.codec == CodecId::Templated {
-                    Some(decoder.payload(&head, &source, &frame, entry.start_ns)?)
+                    Some(decoder.payload(&head, source, &frame, entry.start_ns)?)
                 } else {
                     target
                         .filter(|target| *target != CodecId::Identity)

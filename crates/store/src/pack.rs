@@ -16,16 +16,20 @@
 //! that header plus the body: its frames keep their offsets, so a lane's
 //! index rows are the same whether its segment is a file of its own or a
 //! byte range of a pack, and every reader gets at either through
-//! [`read_segment`], the store's one whole-segment read. One pack index
+//! [`read_segment`], the store's one whole-segment read — or, for the
+//! small own file of a lane a compaction pass reads once, through the
+//! bounded [`read_small_segment`] beside it. One pack index
 //! (`packPPPPPP.idx`, §4) stands in for the packed lanes' sidecars; like
 //! a sidecar it is a cache, checked against the pack's length, and a
 //! declined one costs a scan of the pack, not a window.
 
+use std::collections::BTreeMap;
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Write};
 use std::ops::Range;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 use trace_model::codec::varint::{encode_u64, take_minimal_u64, varint_len};
 use trace_model::TraceError;
@@ -87,6 +91,11 @@ impl PackedSegment {
             committed_bytes: self.committed_bytes(),
             version: self.version,
         }
+    }
+
+    /// Bytes the entry takes in its pack: its header and its body.
+    pub(crate) fn entry_len(&self) -> u64 {
+        self.body - self.entry + self.body_len
     }
 
     /// Whether the entry holds no frame: it only stands in front of the
@@ -160,8 +169,7 @@ impl PackedSegment {
 /// length taken once, however many of its lanes are read.
 #[derive(Debug)]
 pub(crate) struct OpenPack {
-    /// A read seeks first, so one read at a time.
-    file: Mutex<File>,
+    file: File,
     len: u64,
 }
 
@@ -178,19 +186,14 @@ impl OpenPack {
         let mut header = Vec::with_capacity(PACK_HEADER_LEN as usize);
         (&mut file).take(PACK_HEADER_LEN).read_to_end(&mut header)?;
         check_pack_header(&header, path, pack)?;
-        Ok(OpenPack {
-            file: Mutex::new(file),
-            len,
-        })
+        Ok(OpenPack { file, len })
     }
 
-    /// Fills `buf` from offset `at` of the pack.
+    /// Fills `buf` from offset `at` of the pack: one positioned read, which
+    /// moves no file position, so readers of one pack never wait on each
+    /// other.
     fn read_at(&self, at: u64, buf: &mut [u8]) -> std::io::Result<()> {
-        // A read that panicked leaves only the position, which the next
-        // read seeks anew.
-        let mut file = self.file.lock().unwrap_or_else(PoisonError::into_inner);
-        file.seek(SeekFrom::Start(at))?;
-        file.read_exact(buf)
+        self.file.read_exact_at(buf, at)
     }
 }
 
@@ -204,7 +207,7 @@ pub(crate) fn packed_as(packed: Option<&PackedSegment>, seq: u32) -> Option<&Pac
 /// Reads segment `seq` of `lane` whole — from its own file, or from the
 /// pack when `packed` is that segment, as the bytes a file of its own
 /// would hold — and the path to name in an error: the one whole-segment
-/// read of the store. A packed segment is read from `pack`, that pack held
+/// read of the store, but for [`read_small_segment`]. A packed segment is read from `pack`, that pack held
 /// open, or else from the pack opened for this read.
 ///
 /// # Errors
@@ -234,6 +237,30 @@ pub(crate) fn read_segment(
             Ok((path, bytes))
         }
     }
+}
+
+/// Reads the own segment file `seq` of `lane` whole, as [`read_segment`]
+/// does, when it is at most `max_bytes` long: one open, one `fstat` of the
+/// open file, one read. `None` for a longer file, which is not read.
+///
+/// # Errors
+///
+/// [`TraceError::Io`] when the file cannot be opened or read.
+pub(crate) fn read_small_segment(
+    dir: &Path,
+    lane: u32,
+    seq: u32,
+    max_bytes: u64,
+) -> Result<Option<(PathBuf, Vec<u8>)>, TraceError> {
+    let path = dir.join(crate::segment::segment_file_name(lane, seq));
+    let file = File::open(&path)?;
+    let len = file.metadata()?.len();
+    if len > max_bytes {
+        return Ok(None);
+    }
+    let mut bytes = Vec::with_capacity(len as usize);
+    file.take(len).read_to_end(&mut bytes)?;
+    Ok(Some((path, bytes)))
 }
 
 /// Bytes of the entry header of `lane`'s segment `seq` around a body of
@@ -675,11 +702,10 @@ pub(crate) fn write_pack_index(
     )
 }
 
-/// Numbers of the packs none of whose entries is the newest of its lane
-/// among `packs` and the packs `written` (ascending lanes each) since
-/// they were listed: nothing reads them any more.
-pub(crate) fn dead_packs(packs: &[Pack], written: &[(u32, Vec<u32>)]) -> Vec<u32> {
-    let mut newest = std::collections::BTreeMap::new();
+/// Each lane's newest pack among `packs` and the packs `written`
+/// (ascending lanes each) since they were listed: the one its lane reads.
+pub(crate) fn newest_packs(packs: &[Pack], written: &[(u32, Vec<u32>)]) -> BTreeMap<u32, u32> {
+    let mut newest = BTreeMap::new();
     for pack in packs {
         for entry in &pack.entries {
             newest.insert(entry.segment.lane, pack.id);
@@ -690,6 +716,12 @@ pub(crate) fn dead_packs(packs: &[Pack], written: &[(u32, Vec<u32>)]) -> Vec<u32
             newest.insert(lane, *pack);
         }
     }
+    newest
+}
+
+/// Numbers of the packs none of whose entries is in the pack its lane
+/// reads, as [`newest_packs`] gives it: nothing reads them any more.
+pub(crate) fn dead_packs(packs: &[Pack], newest: &BTreeMap<u32, u32>) -> Vec<u32> {
     packs
         .iter()
         .filter(|pack| {

@@ -1,10 +1,11 @@
-//! Shared by `format_compat`, `speed_equivalence` and `hostile_segments`:
-//! windows with arbitrary frame meta, payloads of an exact encoded
-//! length, the only v2 *writer* left anywhere — a fixture builder that
-//! lays the frames of FORMAT.md §2.2 out by hand, as the builds that
-//! wrote v2 did — lanes compressed the one way a lane is, and the
-//! checked-in bytes of a v2 store and a v3 segment that earlier builds
-//! wrote, `LZB` frames included, which nothing writes any more.
+//! Shared by `format_compat`, `speed_equivalence`, `hostile_segments` and
+//! `compaction`: windows with arbitrary frame meta, payloads of an exact
+//! encoded length, the only v2 *writer* left anywhere — a fixture builder
+//! that lays the frames of FORMAT.md §2.2 out by hand, as the builds that
+//! wrote v2 did — schema-3 sidecars laid out the same way, lanes
+//! compressed the one way a lane is, and the checked-in bytes of a v2
+//! store and a v3 segment that earlier builds wrote, `LZB` frames
+//! included, which nothing writes any more.
 
 #![allow(dead_code)] // each test file uses its own part
 
@@ -201,6 +202,35 @@ pub fn write_compressed_lane(
             Compactor::new(dir, policy).compact_lane(lane).unwrap();
         }
     }
+}
+
+/// A schema-3 `lane0000.idx` (FORMAT.md §4) of `segments` — `(seq,
+/// committed bytes, version)` — and `rows`.
+pub fn schema_3_sidecar(segments: &[(u32, u64, u8)], rows: &[WindowEntry]) -> Vec<u8> {
+    let mut out = b"EIDX".to_vec();
+    for field in [3, 0, segments.len() as u32] {
+        out.extend_from_slice(&field.to_le_bytes());
+    }
+    out.extend_from_slice(&(rows.len() as u64).to_le_bytes());
+    for &(seq, committed_bytes, version) in segments {
+        out.extend_from_slice(&seq.to_le_bytes());
+        out.extend_from_slice(&committed_bytes.to_le_bytes());
+        out.push(version);
+    }
+    for row in rows {
+        for field in [row.window_id, row.start_ns, row.end_ns] {
+            out.extend_from_slice(&field.to_le_bytes());
+        }
+        for field in [row.events, row.segment] {
+            out.extend_from_slice(&field.to_le_bytes());
+        }
+        out.extend_from_slice(&row.offset.to_le_bytes());
+        out.extend_from_slice(&row.len.to_le_bytes());
+        out.push(row.codec);
+        out.extend_from_slice(&row.raw_len.to_le_bytes());
+    }
+    out.extend_from_slice(&crc32(&out).to_le_bytes());
+    out
 }
 
 /// Every file of a store directory, by name.

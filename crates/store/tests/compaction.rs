@@ -10,8 +10,10 @@ mod common;
 
 use proptest::prelude::*;
 
-use common::dir_contents;
-use endurance_store::{Compactor, LaneWriter, MaintenancePolicy, StoreConfig, StoreReader};
+use common::{dir_contents, schema_3_sidecar};
+use endurance_store::{
+    Compactor, LaneWriter, MaintenancePolicy, StoreConfig, StoreReader, WindowEntry,
+};
 use trace_model::codec::{BinaryEncoder, TraceEncoder};
 use trace_model::{EventSink, EventTypeId, RecordMeta, Timestamp, TraceEvent, WindowId};
 
@@ -669,32 +671,13 @@ fn file_names(dir: &std::path::Path) -> Vec<String> {
 #[test]
 fn a_packed_lane_resumes_is_followed_takes_retention_and_answers_the_same() {
     use endurance_store::{CodecId, Snapshot, TailStep, Tailer};
-    let dir = temp_dir(9_200_000);
+    let dir = temp_dir(9_250_000);
     let lanes = [0u32, 1, 2];
     let config = StoreConfig::default().with_segment_max_windows(2);
-    let record = |writer: &mut LaneWriter, id: u64| {
-        let events: Vec<TraceEvent> = (0..4 + id % 3)
-            .map(|i| {
-                TraceEvent::new(
-                    Timestamp::from_micros(id * 40_000 + i * 900),
-                    EventTypeId::new((i % 2) as u16),
-                    (id * 7 + i) as u32,
-                )
-            })
-            .collect();
-        let mut encoded = Vec::new();
-        BinaryEncoder::new().encode(&events, &mut encoded).unwrap();
-        let meta = RecordMeta {
-            window_id: WindowId::new(id),
-            start: Timestamp::from_millis(id * 40),
-            end: Timestamp::from_millis((id + 1) * 40),
-        };
-        writer.record_window(&meta, &events, &encoded).unwrap();
-    };
     for lane in lanes {
         let mut writer = LaneWriter::create(&dir, lane, config).unwrap();
         for id in 0..6 {
-            record(&mut writer, id);
+            record_small(&mut writer, id);
         }
         writer.close().unwrap();
     }
@@ -707,6 +690,7 @@ fn a_packed_lane_resumes_is_followed_takes_retention_and_answers_the_same() {
         (1, 3),
         "{report}"
     );
+    assert_eq!(report.pack_dead_bytes, 0, "{report}");
     assert_eq!(file_names(&dir), ["pack000000.idx", "pack000000.seg"]);
     assert_eq!(answers(&dir, &lanes), before);
 
@@ -716,7 +700,7 @@ fn a_packed_lane_resumes_is_followed_takes_retention_and_answers_the_same() {
     assert_eq!(writer.recovery().windows, 6);
     let mut tailer = Tailer::follow(&dir, writer.commit_log());
     for id in 6..8 {
-        record(&mut writer, id);
+        record_small(&mut writer, id);
     }
     writer.close().unwrap();
     assert!(dir.join("lane0001-000003.seg").exists());
@@ -736,13 +720,21 @@ fn a_packed_lane_resumes_is_followed_takes_retention_and_answers_the_same() {
 
     // The resumed lane's packed segment and its new one merge into a
     // newer pack, numbered after its last source; the first pack still
-    // holds lanes 0 and 2.
-    let report = Compactor::new(&dir, policy).compact().unwrap();
+    // holds lanes 0 and 2, and lane 1's entry there, dead.
+    let registry = endurance_obs::Registry::new();
+    let report = Compactor::new(&dir, policy)
+        .with_metrics(&registry)
+        .compact()
+        .unwrap();
     assert_eq!(
         (report.packs_written, report.lanes_packed),
         (1, 1),
         "{report}"
     );
+    // The entry: a 5-byte header and the 207 bytes of the segment's body.
+    assert_eq!(report.pack_dead_bytes, 212, "{report}");
+    let gauge = registry.gauge("store_pack_dead_bytes");
+    assert_eq!(gauge.get(), 212);
     assert_eq!(
         file_names(&dir),
         [
@@ -766,12 +758,17 @@ fn a_packed_lane_resumes_is_followed_takes_retention_and_answers_the_same() {
     // Retention rewrites lanes 0 and 2 into a third pack, which leaves
     // the first one dead: it goes.
     let retention = MaintenancePolicy::disabled().with_retention_ns(160_000_000);
-    let report = Compactor::new(&dir, retention).compact().unwrap();
+    let report = Compactor::new(&dir, retention)
+        .with_metrics(&registry)
+        .compact()
+        .unwrap();
     assert_eq!(
         (report.packs_written, report.lanes_packed),
         (1, 3),
         "{report}"
     );
+    assert_eq!(report.pack_dead_bytes, 0, "{report}");
+    assert_eq!(gauge.get(), 0);
     assert_eq!(report.windows_dropped(), 2 + 4 + 2);
     assert_eq!(
         file_names(&dir),
@@ -791,6 +788,28 @@ fn a_packed_lane_resumes_is_followed_takes_retention_and_answers_the_same() {
     drop(reader);
     assert!(Compactor::new(&dir, retention).compact().unwrap().is_noop());
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Records window `id` of four to six events: a lane of a few of them is a
+/// few hundred bytes, far under the pack member bound.
+fn record_small(writer: &mut LaneWriter, id: u64) {
+    let events: Vec<TraceEvent> = (0..4 + id % 3)
+        .map(|i| {
+            TraceEvent::new(
+                Timestamp::from_micros(id * 40_000 + i * 900),
+                EventTypeId::new((i % 2) as u16),
+                (id * 7 + i) as u32,
+            )
+        })
+        .collect();
+    let mut encoded = Vec::new();
+    BinaryEncoder::new().encode(&events, &mut encoded).unwrap();
+    let meta = RecordMeta {
+        window_id: WindowId::new(id),
+        start: Timestamp::from_millis(id * 40),
+        end: Timestamp::from_millis((id + 1) * 40),
+    };
+    writer.record_window(&meta, &events, &encoded).unwrap();
 }
 
 /// Records window `id` of 300 events whose values vary too much for any
@@ -878,7 +897,7 @@ fn retention_that_empties_a_split_off_chunk_deletes_it() {
     use endurance_store::CodecId;
 
     // One lane, one pass: the surviving run is a file of its own.
-    let dir = temp_dir(9_300_000);
+    let dir = temp_dir(9_350_000);
     write(&dir, 0, 0..8, 2);
     let before = lane_windows(&dir, 0);
     let lane_policy = policy(&dir, 0);
@@ -1004,5 +1023,154 @@ fn a_run_past_the_pack_member_bound_keeps_a_file_of_its_own() {
     let files = dir_contents(&dir);
     Compactor::new(&dir, policy).compact().unwrap();
     assert_eq!(dir_contents(&dir), files);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Writes lanes `lanes` of six small windows each in one segment, closed.
+fn write_small_lanes(dir: &std::path::Path, lanes: std::ops::Range<u32>) {
+    for lane in lanes {
+        let mut writer = LaneWriter::create(dir, lane, StoreConfig::default()).unwrap();
+        for id in 0..6 {
+            record_small(&mut writer, id);
+        }
+        writer.close().unwrap();
+    }
+}
+
+/// The pass that rewrites every v1 lane: merged, recompressed.
+fn recompressing() -> MaintenancePolicy {
+    MaintenancePolicy::merge_below(u64::MAX / 4)
+        .with_recompress(endurance_store::CodecId::DeltaVarint)
+}
+
+/// A small v1 lane is read once: the pass indexes it by a scan of its one
+/// segment and never reads its sidecar. So a CRC-valid `.idx` that lies —
+/// every window id shifted by one, every length kept — and that a reader
+/// trusts is not what the pass packs: the ids the frames carry are.
+#[test]
+fn a_small_lane_whose_sidecar_lies_packs_the_ids_its_frames_carry() {
+    let dir = temp_dir(9_500_000);
+    write_small_lanes(&dir, 0..2);
+    let truth = lane_windows(&dir, 0);
+    let rows = StoreReader::open(&dir)
+        .unwrap()
+        .lane_windows(0)
+        .unwrap()
+        .to_vec();
+    let lie: Vec<WindowEntry> = rows
+        .iter()
+        .map(|row| WindowEntry {
+            window_id: row.window_id + 1,
+            ..*row
+        })
+        .collect();
+    let segment = std::fs::read(dir.join("lane0000-000000.seg")).unwrap();
+    let idx = schema_3_sidecar(&[(0, segment.len() as u64, segment[4])], &lie);
+    std::fs::write(dir.join("lane0000.idx"), idx).unwrap();
+    let reader = StoreReader::open(&dir).unwrap();
+    assert!(reader.recovery().clean, "{:?}", reader.recovery());
+    let ids: Vec<u64> = reader
+        .lane_windows(0)
+        .unwrap()
+        .iter()
+        .map(|row| row.window_id)
+        .collect();
+    assert_eq!(ids, (1..7).collect::<Vec<_>>(), "a reader trusts the lie");
+    drop(reader);
+
+    let report = Compactor::new(&dir, recompressing()).compact().unwrap();
+    assert_eq!(
+        (report.lanes_read_once, report.lanes_packed),
+        (2, 2),
+        "{report}"
+    );
+    assert_eq!(file_names(&dir), ["pack000000.idx", "pack000000.seg"]);
+    assert_eq!(lane_windows(&dir, 0), truth);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A small lane torn mid-frame whose writer died before any sidecar was
+/// written is read once too: truncated at its last whole frame and packed
+/// beside an intact twin, byte for byte as the load path packs it.
+#[test]
+fn a_torn_small_lane_without_a_sidecar_is_truncated_and_packed_as_before() {
+    let dir = temp_dir(9_500_001);
+    write_small_lanes(&dir, 1..2);
+    let mut writer = LaneWriter::create(&dir, 0, StoreConfig::default()).unwrap();
+    for id in 0..6 {
+        record_small(&mut writer, id);
+    }
+    drop(writer);
+    let _ = std::fs::remove_file(dir.join("lane0000.idx"));
+    let path = dir.join("lane0000-000000.seg");
+    let mut segment = std::fs::read(&path).unwrap();
+    let torn = segment[13..24].to_vec();
+    segment.extend_from_slice(&torn);
+    std::fs::write(&path, segment).unwrap();
+
+    let report = Compactor::new(&dir, recompressing()).compact().unwrap();
+    assert_eq!(
+        (report.lanes_read_once, report.lanes_packed),
+        (2, 2),
+        "{report}"
+    );
+    assert_eq!(report.lanes[0].torn_bytes_truncated, torn.len() as u64);
+    assert_eq!(file_names(&dir), ["pack000000.idx", "pack000000.seg"]);
+    assert_eq!(lane_windows(&dir, 0), lane_windows(&dir, 1));
+    assert_eq!(
+        store_fingerprint(&dir),
+        18_298_871_698_107_636_101,
+        "{report}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `lanes_read_once` (`store_compaction_lanes_read_once_total`) counts the
+/// small one-segment v1 lanes a recompressing pass reads once and nothing
+/// else: not a lane of one segment over 64 KiB, not a lane of two small
+/// segments, not a lane of a pass that does not recompress.
+#[test]
+fn lanes_read_once_counts_the_small_one_segment_v1_lanes() {
+    let build = |dir: &std::path::Path| {
+        write_small_lanes(dir, 0..1);
+        let mut writer = LaneWriter::create(dir, 1, StoreConfig::default()).unwrap();
+        for id in 0..60 {
+            record_heavy(&mut writer, id);
+        }
+        writer.close().unwrap();
+        let config = StoreConfig::default().with_segment_max_windows(3);
+        let mut writer = LaneWriter::create(dir, 2, config).unwrap();
+        for id in 0..6 {
+            record_small(&mut writer, id);
+        }
+        writer.close().unwrap();
+        assert!(segment_bytes(dir, 1, 0) > 64 << 10);
+        assert!(dir.join("lane0002-000001.seg").exists());
+    };
+    let counted = |dir: &std::path::Path, policy: MaintenancePolicy| {
+        let registry = endurance_obs::Registry::new();
+        let report = Compactor::new(dir, policy)
+            .with_metrics(&registry)
+            .compact()
+            .unwrap();
+        let counter = registry.counter("store_compaction_lanes_read_once_total");
+        assert_eq!(counter.get(), report.lanes_read_once, "{report}");
+        report.lanes_read_once
+    };
+
+    let dir = temp_dir(9_500_002);
+    build(&dir);
+    let before = answers(&dir, &[0, 1, 2]);
+    assert_eq!(counted(&dir, recompressing()), 1);
+    assert_eq!(answers(&dir, &[0, 1, 2]), before);
+    std::fs::remove_dir_all(&dir).ok();
+
+    let dir = temp_dir(9_500_003);
+    build(&dir);
+    assert_eq!(
+        counted(&dir, MaintenancePolicy::merge_below(u64::MAX / 4)),
+        0
+    );
+    assert_eq!(answers(&dir, &[0, 1, 2]), before);
     std::fs::remove_dir_all(&dir).ok();
 }

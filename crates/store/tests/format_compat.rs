@@ -17,8 +17,8 @@ use proptest::prelude::*;
 
 use common::{
     dir_contents, golden_packed_windows, golden_v3_windows, golden_v4_windows, parent_v2_windows,
-    segment_files, unhex, window_events, write_compressed_lane, write_v2_segment, Window,
-    GOLDEN_PACKED_V3_SEG, GOLDEN_V3_SEG, GOLDEN_V4_SEG, PARENT_V2_STORE,
+    schema_3_sidecar, segment_files, unhex, window_events, write_compressed_lane, write_v2_segment,
+    Window, GOLDEN_PACKED_V3_SEG, GOLDEN_V3_SEG, GOLDEN_V4_SEG, PARENT_V2_STORE,
 };
 
 use endurance_store::{
@@ -620,35 +620,6 @@ fn golden_schema_3_sidecar_is_trusted_and_the_next_close_writes_schema_4() {
     assert_eq!(std::fs::read(dir.join("lane0000.idx")).unwrap(), golden);
     assert_close_writes_the_golden_sidecar(&dir);
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// A schema-3 `lane0000.idx` (FORMAT.md §4) of `segments` — `(seq,
-/// committed bytes, version)` — and `rows`.
-fn schema_3_sidecar(segments: &[(u32, u64, u8)], rows: &[endurance_store::WindowEntry]) -> Vec<u8> {
-    let mut out = b"EIDX".to_vec();
-    for field in [3, 0, segments.len() as u32] {
-        out.extend_from_slice(&field.to_le_bytes());
-    }
-    out.extend_from_slice(&(rows.len() as u64).to_le_bytes());
-    for &(seq, committed_bytes, version) in segments {
-        out.extend_from_slice(&seq.to_le_bytes());
-        out.extend_from_slice(&committed_bytes.to_le_bytes());
-        out.push(version);
-    }
-    for row in rows {
-        for field in [row.window_id, row.start_ns, row.end_ns] {
-            out.extend_from_slice(&field.to_le_bytes());
-        }
-        for field in [row.events, row.segment] {
-            out.extend_from_slice(&field.to_le_bytes());
-        }
-        out.extend_from_slice(&row.offset.to_le_bytes());
-        out.extend_from_slice(&row.len.to_le_bytes());
-        out.push(row.codec);
-        out.extend_from_slice(&row.raw_len.to_le_bytes());
-    }
-    out.extend_from_slice(&crc32(&out).to_le_bytes());
-    out
 }
 
 fn recorded_as(windows: &[Window]) -> Vec<(u64, Vec<TraceEvent>, Vec<u8>)> {

@@ -8,9 +8,13 @@
 //! (bit for bit) and every verdict unchanged. `mm-sim` timestamps are
 //! nanosecond-distinct, so the traces are floored to 1 ms first; the
 //! window length is a whole number of milliseconds, so each group lies in
-//! one window.
+//! one window. The relation holds past the session too: a churning fleet
+//! reduced into one store lane per stream, compacted and replayed cold
+//! decides the same and stores, window by window, the same events at each
+//! timestamp.
 
-use std::sync::OnceLock;
+use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use proptest::prelude::*;
@@ -18,10 +22,16 @@ use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
 use endurance_core::{
-    MonitorConfig, ReductionSession, ReferenceModel, WindowDecision, WindowStrategy,
+    FleetReducer, MonitorConfig, ReductionSession, ReferenceModel, WindowDecision, WindowStrategy,
 };
-use mm_sim::{PerturbationSchedule, Scenario, Simulation};
-use trace_model::{EventSink, Timestamp, TraceError, TraceEvent, Window, WindowAssembler};
+use endurance_eval::ChurnExperiment;
+use endurance_store::{
+    CodecId, Compactor, LaneWriter, MaintenancePolicy, StoreConfig, StoreReader, StoreWriter,
+};
+use mm_sim::{FleetEvent, FleetScenario, FleetSim, PerturbationSchedule, Scenario, Simulation};
+use trace_model::{
+    EventSink, StreamId, Timestamp, TraceError, TraceEvent, Window, WindowAssembler, WindowId,
+};
 
 const WINDOW: Duration = Duration::from_millis(40);
 const REFERENCE: Duration = Duration::from_secs(20);
@@ -102,8 +112,7 @@ fn windows_of(events: &[TraceEvent]) -> Vec<Window> {
 
 /// Shuffles every run of equal timestamps; returns the trace and how many
 /// runs came out in another order.
-fn permute_groups(events: &[TraceEvent], seed: u64) -> (Vec<TraceEvent>, usize) {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+fn permute_groups(events: &[TraceEvent], rng: &mut ChaCha8Rng) -> (Vec<TraceEvent>, usize) {
     let mut permuted = events.to_vec();
     let mut changed = 0;
     let mut start = 0;
@@ -176,7 +185,8 @@ proptest! {
         shuffle_seed in any::<u64>(),
     ) {
         let (events, _) = floored_trace(trace_seed, Duration::from_secs(40), true);
-        let (permuted, changed) = permute_groups(&events, shuffle_seed);
+        let (permuted, changed) =
+            permute_groups(&events, &mut ChaCha8Rng::seed_from_u64(shuffle_seed));
         eprintln!("trace seed {trace_seed}: {changed} same-timestamp groups permuted");
         prop_assert!(changed > 1_000, "only {} groups permuted", changed);
 
@@ -198,5 +208,178 @@ proptest! {
         for (a, b) in sink.windows.iter().zip(&permuted_sink.windows) {
             prop_assert_eq!(multiset(a), multiset(b));
         }
+    }
+}
+
+/// The fleet model: the churn device template's curated reference, learned
+/// once.
+fn fleet_model() -> &'static ReferenceModel {
+    static MODEL: OnceLock<ReferenceModel> = OnceLock::new();
+    MODEL.get_or_init(|| {
+        ChurnExperiment::churn_demo(1, 7)
+            .expect("valid experiment")
+            .learn_reference()
+            .expect("learn")
+    })
+}
+
+/// A churning fleet's trace of seed `seed`, every timestamp floored to
+/// 1 ms: deliveries and stream closes in delivery order.
+fn floored_fleet(devices: u32, seed: u64) -> Vec<FleetEvent> {
+    let scenario = FleetScenario::churn_demo(devices, seed).expect("valid scenario");
+    FleetSim::new(&scenario)
+        .expect("valid sim")
+        .map(|fleet_event| match fleet_event {
+            FleetEvent::Delivery(stream, mut event) => {
+                let millis = event.timestamp.as_nanos() / 1_000_000;
+                event.timestamp = Timestamp::from_nanos(millis * 1_000_000);
+                FleetEvent::Delivery(stream, event)
+            }
+            closed => closed,
+        })
+        .collect()
+}
+
+/// `fleet` with every stream's runs of equal timestamps shuffled, each
+/// delivery kept in its place in the interleaving; and how many runs came
+/// out in another order.
+fn permute_fleet(fleet: &[FleetEvent], seed: u64) -> (Vec<FleetEvent>, usize) {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut streams: BTreeMap<StreamId, Vec<TraceEvent>> = BTreeMap::new();
+    for fleet_event in fleet {
+        if let FleetEvent::Delivery(stream, event) = fleet_event {
+            streams.entry(*stream).or_default().push(*event);
+        }
+    }
+    let mut changed = 0;
+    let mut permuted: BTreeMap<StreamId, std::vec::IntoIter<TraceEvent>> = BTreeMap::new();
+    for (stream, events) in streams {
+        let (events, groups) = permute_groups(&events, &mut rng);
+        changed += groups;
+        permuted.insert(stream, events.into_iter());
+    }
+    let fleet = fleet
+        .iter()
+        .map(|&fleet_event| match fleet_event {
+            FleetEvent::Delivery(stream, _) => {
+                let next = permuted.get_mut(&stream).and_then(Iterator::next);
+                FleetEvent::Delivery(stream, next.expect("one event per delivery"))
+            }
+            closed => closed,
+        })
+        .collect();
+    (fleet, changed)
+}
+
+/// A window as a cold reader replays it: id, bounds and its events as a
+/// multiset.
+type StoredWindow = (u64, u64, u64, Vec<(u64, u16, u32, u8)>);
+
+/// Reduces `fleet` into one lane per stream of a fresh store in `dir`,
+/// closes the lanes, compacts the store (every lane small and one segment:
+/// each is read once) and replays it cold. Returns every stream's
+/// decisions and every lane's windows.
+fn run_through_the_store(
+    fleet: &[FleetEvent],
+    dir: &std::path::Path,
+) -> (
+    BTreeMap<u32, Vec<WindowDecision>>,
+    BTreeMap<u32, Vec<StoredWindow>>,
+) {
+    let _ = std::fs::remove_dir_all(dir);
+    let lanes = Arc::new(StoreWriter::open(dir).expect("store"));
+    let mut reducer = FleetReducer::from_model(fleet_model().clone(), 2)
+        .expect("fleet")
+        .with_sinks(move |stream: StreamId| {
+            lanes
+                .lane(stream.as_u32(), StoreConfig::default())
+                .expect("a lane per stream")
+        })
+        .with_observers(|_| Vec::<WindowDecision>::new());
+    for fleet_event in fleet {
+        match fleet_event {
+            FleetEvent::Delivery(stream, event) => reducer.push(*stream, *event).expect("push"),
+            FleetEvent::StreamClosed(stream) => reducer.close_stream(*stream).expect("close"),
+        }
+    }
+    let outcome = reducer.finish().expect("finish");
+    let mut decisions = BTreeMap::new();
+    for stream in outcome.streams {
+        assert!(stream.is_ok(), "{:?}", stream.error);
+        let writer: LaneWriter = stream.sink.expect("sink");
+        writer.close().expect("close the lane");
+        let lane = stream.stream.as_u32();
+        let first = decisions.insert(lane, stream.observer.expect("observer"));
+        assert!(first.is_none(), "stream {lane} was reopened");
+    }
+
+    let policy = MaintenancePolicy::merge_below(u64::MAX / 4).with_recompress(CodecId::DeltaVarint);
+    let report = Compactor::new(dir, policy).compact().expect("compact");
+    assert!(!report.lanes.is_empty(), "{report}");
+    assert_eq!(
+        report.lanes_read_once as usize,
+        report.lanes.len(),
+        "{report}"
+    );
+
+    let reader = StoreReader::open(dir).expect("reopen");
+    assert!(reader.recovery().clean, "{:?}", reader.recovery());
+    let mut stored = BTreeMap::new();
+    for lane in reader.lane_ids() {
+        let entries = reader.lane_windows(lane).expect("lane index").to_vec();
+        let windows = entries
+            .iter()
+            .map(|entry| {
+                let events = reader
+                    .window_events(lane, WindowId::new(entry.window_id))
+                    .expect("replay")
+                    .expect("a listed window");
+                (
+                    entry.window_id,
+                    entry.start_ns,
+                    entry.end_ns,
+                    multiset(&events),
+                )
+            })
+            .collect();
+        stored.insert(lane, windows);
+    }
+    std::fs::remove_dir_all(dir).ok();
+    (decisions, stored)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    #[test]
+    fn order_within_a_timestamp_changes_nothing_the_store_keeps(
+        fleet_seed in 0u64..1_000_000,
+        shuffle_seed in any::<u64>(),
+    ) {
+        let fleet = floored_fleet(60, fleet_seed);
+        let (permuted, changed) = permute_fleet(&fleet, shuffle_seed);
+        eprintln!("fleet seed {fleet_seed}: {changed} same-timestamp groups permuted");
+        prop_assert!(changed > 1_000, "only {} groups permuted", changed);
+
+        let dir = std::env::temp_dir().join(format!(
+            "endurance-metamorphic-{}-{fleet_seed}",
+            std::process::id()
+        ));
+        let (decisions, stored) = run_through_the_store(&fleet, &dir.join("ordered"));
+        let (permuted_decisions, permuted_stored) =
+            run_through_the_store(&permuted, &dir.join("permuted"));
+        std::fs::remove_dir_all(&dir).ok();
+
+        prop_assert!(decisions.values().flatten().any(|d| d.lof.is_some()), "no window reached LOF");
+        prop_assert!(stored.values().any(|lane| !lane.is_empty()), "nothing was recorded");
+        prop_assert_eq!(decisions.len(), permuted_decisions.len());
+        for ((lane, a), (permuted_lane, b)) in decisions.iter().zip(&permuted_decisions) {
+            prop_assert_eq!(lane, permuted_lane);
+            prop_assert_eq!(a.len(), b.len());
+            for (a, b) in a.iter().zip(b) {
+                prop_assert_eq!(decision_bits(a), decision_bits(b));
+            }
+        }
+        prop_assert_eq!(stored, permuted_stored);
     }
 }
