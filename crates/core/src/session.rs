@@ -24,9 +24,7 @@
 use std::sync::Arc;
 
 use endurance_obs::{Counter, Gauge, Histogram, Registry};
-use trace_model::{
-    EventSink, EventSource, MemorySink, Timestamp, TraceEvent, Window, WindowAssembler,
-};
+use trace_model::{EventSink, EventSource, MemorySink, TraceEvent, Window, WindowAssembler};
 
 use crate::{
     CoreError, MonitorConfig, OnlineMonitor, PmfScratch, ReductionReport, ReferenceModel,
@@ -211,7 +209,6 @@ pub struct ReductionSession<S: EventSink = MemorySink, O: DecisionObserver = Nul
     state: PhaseState,
     recorder: TraceRecorder<S>,
     observer: O,
-    reference_end: Timestamp,
     events_pushed: u64,
     /// High-water mark of the assembler's open-window buffer, proving the
     /// bounded-memory claim in tests.
@@ -245,7 +242,6 @@ impl ReductionSession<MemorySink, NullObserver> {
     /// invalid.
     pub fn new(config: MonitorConfig) -> Result<Self, CoreError> {
         config.validate()?;
-        let reference_end = Timestamp::from(config.reference_duration);
         Ok(ReductionSession {
             assembler: config.window.assembler()?,
             state: PhaseState::Learning {
@@ -253,7 +249,6 @@ impl ReductionSession<MemorySink, NullObserver> {
             },
             recorder: TraceRecorder::new(MemorySink::new()),
             observer: NullObserver,
-            reference_end,
             events_pushed: 0,
             peak_buffered_events: 0,
             scratch: PmfScratch::new(),
@@ -301,7 +296,6 @@ impl ReductionSession<MemorySink, NullObserver> {
             },
             recorder: TraceRecorder::new(MemorySink::new()),
             observer: NullObserver,
-            reference_end: Timestamp::ZERO,
             events_pushed: 0,
             peak_buffered_events: 0,
             scratch: PmfScratch::new(),
@@ -330,7 +324,6 @@ impl<S: EventSink, O: DecisionObserver> ReductionSession<S, O> {
             state: self.state,
             recorder: TraceRecorder::new(sink),
             observer: self.observer,
-            reference_end: self.reference_end,
             events_pushed: 0,
             peak_buffered_events: 0,
             scratch: self.scratch,
@@ -356,7 +349,6 @@ impl<S: EventSink, O: DecisionObserver> ReductionSession<S, O> {
             state: self.state,
             recorder: self.recorder,
             observer,
-            reference_end: self.reference_end,
             events_pushed: 0,
             peak_buffered_events: 0,
             scratch: self.scratch,
@@ -474,7 +466,6 @@ impl<S: EventSink, O: DecisionObserver> ReductionSession<S, O> {
             state,
             recorder,
             observer,
-            reference_end,
             scratch,
             recycled,
             metrics,
@@ -482,15 +473,7 @@ impl<S: EventSink, O: DecisionObserver> ReductionSession<S, O> {
         } = self;
         assembler.push(event, &mut |window| {
             Self::handle_window(
-                config,
-                state,
-                recorder,
-                observer,
-                scratch,
-                recycled,
-                metrics,
-                *reference_end,
-                window,
+                config, state, recorder, observer, scratch, recycled, metrics, window,
             )
         })?;
         // Hand the spent buffer back outside the emit closure (the
@@ -557,22 +540,13 @@ impl<S: EventSink, O: DecisionObserver> ReductionSession<S, O> {
                 state,
                 recorder,
                 observer,
-                reference_end,
                 scratch,
                 recycled,
                 metrics,
                 ..
             } = self;
             Self::handle_window(
-                config,
-                state,
-                recorder,
-                observer,
-                scratch,
-                recycled,
-                metrics,
-                *reference_end,
-                window,
+                config, state, recorder, observer, scratch, recycled, metrics, window,
             )?;
             if self.recycled.capacity() > 0 {
                 self.assembler.recycle(std::mem::take(&mut self.recycled));
@@ -662,13 +636,15 @@ impl<S: EventSink, O: DecisionObserver> ReductionSession<S, O> {
         scratch: &mut PmfScratch,
         recycled: &mut Vec<TraceEvent>,
         metrics: &SessionMetrics,
-        reference_end: Timestamp,
         window: Window,
     ) -> Result<(), CoreError> {
         let _close_span = metrics.window_close_ns.span();
         metrics.events_total.add(window.len() as u64);
         if let PhaseState::Learning { reference } = state {
-            if window.end <= reference_end {
+            // The horizon lies `reference_duration` past the start of the
+            // stream's first window, whenever the stream starts.
+            let first = reference.first().map_or(window.start, |first| first.start);
+            if window.end <= first.saturating_add(config.reference_duration) {
                 reference.push(window);
                 return Ok(());
             }
@@ -749,9 +725,9 @@ pub fn rerun_with_model(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::WindowStrategy;
+    use crate::{EmbeddedModel, WindowStrategy};
     use std::time::Duration;
-    use trace_model::{CountingSink, EventTypeId};
+    use trace_model::{CountingSink, EventTypeId, Timestamp};
 
     fn steady_stream(total: Duration) -> impl Iterator<Item = TraceEvent> {
         let tick_nanos = 200_000u64; // 5 kHz
@@ -788,6 +764,31 @@ mod tests {
         let outcome = session.finish().unwrap();
         assert!(outcome.report.monitored_windows > 0);
         assert!(outcome.report.reference_windows > 0);
+    }
+
+    /// The reference horizon is `reference_duration` past the stream's
+    /// first window, not past time zero: a stream that starts late —
+    /// a late joiner of a fleet, timestamped from its join — learns the
+    /// model it would have learned starting at zero. (Anchored at zero, a
+    /// stream starting past the horizon fitted no window at all and failed
+    /// with `InvalidReference`.)
+    #[test]
+    fn a_stream_that_starts_late_learns_what_it_learns_starting_at_zero() {
+        let learned = |offset: Duration| {
+            let mut session = ReductionSession::new(config()).unwrap();
+            for mut event in steady_stream(Duration::from_secs(5)) {
+                event.timestamp = event.timestamp.saturating_add(offset);
+                session.push(event).unwrap();
+            }
+            let model = session.model().expect("the session learned");
+            EmbeddedModel::embed(model).unwrap().digest()
+        };
+        let at_zero = learned(Duration::ZERO);
+        // Two seconds of reference, then 40 ms slots: the stream starts
+        // just past the horizon, and far past it, always on a slot start.
+        for offset in [Duration::from_millis(2_040), Duration::from_secs(3_600)] {
+            assert_eq!(learned(offset), at_zero, "{offset:?}");
+        }
     }
 
     #[test]

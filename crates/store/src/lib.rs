@@ -121,7 +121,7 @@ pub use snapshot::Snapshot;
 pub use tail::{TailStep, TailWindow, Tailer};
 pub use writer::StoreWriter;
 // Re-exported so a recompression target does not force a trace-model import.
-pub use trace_model::codec::{CodecId, FrameCodec};
+pub use trace_model::codec::CodecId;
 
 #[cfg(test)]
 mod tests {

@@ -28,19 +28,19 @@
 //! buffer it read last and a `FrameDecoder`, the store's one, which the
 //! `Tailer` and the compactor's run coder hold too. An identity frame's
 //! payload is a zero-copy slice of the segment buffer; any other block is
-//! decoded through the frame's [`FrameCodec`], told the window's start
-//! and event count (a packed block stores neither), into the decoder's
-//! scratch — callers cannot tell the difference. The replay fast path,
-//! `FrameDecoder::decode_events_into`, skips the intermediate payload
-//! entirely for codecs that decode events directly, and holds every frame
-//! to the event count its meta claims.
+//! restored by the decoder's one [`BlockCodec`], told the frame's codec
+//! id, the window's start and event count (a packed block stores
+//! neither), into the decoder's scratch — callers cannot tell the
+//! difference. The replay fast path, `FrameDecoder::decode_events_into`,
+//! decodes events straight from the block, and the codec holds every
+//! frame to the event count its meta claims.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use endurance_obs::{Counter, Registry};
-use trace_model::codec::{BinaryDecoder, CodecId, FrameCodec, TraceDecoder};
+use trace_model::codec::{BlockCodec, CodecId};
 use trace_model::{TraceError, TraceEvent};
 
 use crate::index::{FallbackReason, WindowEntry};
@@ -373,22 +373,24 @@ impl SegmentMap {
 }
 
 /// The one frame decoder of the store — the reader's decode front, the
-/// `Tailer` and the compactor's run coder each hold one: a codec of each
-/// id, created on its first frame, and a payload scratch buffer reused
-/// across frames. An identity frame's block is its payload, read in
-/// place; any other block is decoded through its codec, told the
-/// window's start, the event count the frame claims and its segment's
-/// template table (a packed or templated block stores none of them).
+/// `Tailer` and the compactor's run coder each hold one: one
+/// [`BlockCodec`], which decodes a block of any codec id, and a payload
+/// scratch buffer reused across frames. An identity frame's block is its
+/// payload, read in place; any other block is restored by the codec, told
+/// the frame's id, the window's start, the event count the frame claims
+/// and its segment's template table (a packed or templated block stores
+/// none of them).
 #[derive(Debug, Default)]
 pub(crate) struct FrameDecoder {
-    codecs: [Option<Box<dyn FrameCodec>>; CodecId::ALL.len()],
+    codec: BlockCodec,
     scratch: Vec<u8>,
 }
 
 impl FrameDecoder {
     /// The payload of `frame`, read from the segment `bytes` whose head is
     /// `head`, of the window that starts at `start_ns`: a slice of
-    /// `bytes` for an identity frame, else decoded into the scratch.
+    /// `bytes` for an identity frame (whose length the segment's parse
+    /// held to its raw length), else restored into the scratch.
     ///
     /// # Errors
     ///
@@ -405,22 +407,21 @@ impl FrameDecoder {
             return Ok(block);
         }
         self.scratch.clear();
-        self.codecs[usize::from(frame.codec.as_u8())]
-            .get_or_insert_with(|| frame.codec.new_codec())
-            .decompress_framed(
-                head.context(frame, start_ns),
-                block,
-                frame.raw_len as usize,
-                &mut self.scratch,
-            )?;
+        self.codec.restore_block(
+            frame.codec,
+            head.context(frame, start_ns),
+            block,
+            frame.raw_len as usize,
+            &mut self.scratch,
+        )?;
         Ok(&self.scratch)
     }
 
     /// Decodes the events of `frame` (as [`FrameDecoder::payload`] finds
-    /// it) straight into `out`, returning how many were appended:
-    /// structured codecs decode events from the stored block without
-    /// materialising the payload, and every frame is held to the event
-    /// count its meta claims.
+    /// it) straight into `out`, returning how many were appended: the
+    /// codec decodes events from the stored block without materialising
+    /// the payload, and holds every frame to the event count its meta
+    /// claims.
     ///
     /// # Errors
     ///
@@ -435,23 +436,14 @@ impl FrameDecoder {
         start_ns: u64,
         out: &mut Vec<TraceEvent>,
     ) -> Result<usize, TraceError> {
-        let context = head.context(frame, start_ns);
-        let block = &bytes[frame.block.clone()];
-        let decoded = if frame.codec == CodecId::Identity {
-            BinaryDecoder::new().decode_into(block, out)?
-        } else {
-            self.codecs[usize::from(frame.codec.as_u8())]
-                .get_or_insert_with(|| frame.codec.new_codec())
-                .decode_events_framed(
-                    context,
-                    block,
-                    frame.raw_len as usize,
-                    &mut self.scratch,
-                    out,
-                )?
-        };
-        context.check_events(decoded)?;
-        Ok(decoded)
+        self.codec.decode_block(
+            frame.codec,
+            head.context(frame, start_ns),
+            &bytes[frame.block.clone()],
+            frame.raw_len as usize,
+            &mut self.scratch,
+            out,
+        )
     }
 }
 

@@ -12,7 +12,7 @@
 use endurance_store::{
     crc32, CodecId, Compactor, LaneWriter, MaintenancePolicy, StoreConfig, WindowEntry,
 };
-use trace_model::codec::{BinaryEncoder, FrameContext, TraceEncoder};
+use trace_model::codec::{BinaryEncoder, TraceEncoder};
 use trace_model::{EventSink, EventTypeId, RecordMeta, Severity, Timestamp, TraceEvent, WindowId};
 
 /// One recorded window: what the recorder hands the sink.
@@ -114,16 +114,15 @@ pub fn events_encoding_to(len: usize, first_ns: u64) -> Vec<TraceEvent> {
     }
 }
 
-/// The stored block of `window`'s payload under `codec`, made for the
-/// window's frame, and the codec it ended up under — identity when the
-/// codec refuses, as every writer does it.
+/// The stored block of `window`'s payload under `codec`'s context-free
+/// compress (the `EDV` block v2 builds wrote), and the codec it ended up
+/// under — identity when the codec refuses, as every writer does it.
 pub fn stored_block(window: &Window, codec: CodecId) -> (CodecId, Vec<u8>) {
-    let context = FrameContext::framed(window.start_ns, window.events.len() as u32);
     let mut block = Vec::new();
     if codec != CodecId::Identity
         && codec
             .new_codec()
-            .compress_framed(context, &window.payload, &mut block)
+            .compress(&window.payload, &mut block)
             .unwrap()
     {
         (codec, block)

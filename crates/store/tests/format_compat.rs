@@ -25,7 +25,7 @@ use endurance_store::{
     crc32, CodecId, Compactor, FallbackReason, LaneWriter, MaintenancePolicy, SidecarFallback,
     StoreConfig, StoreReader, TailStep, Tailer,
 };
-use trace_model::codec::{BinaryEncoder, DeltaVarintCodec, FrameCodec, TraceEncoder};
+use trace_model::codec::{BinaryEncoder, TraceEncoder};
 use trace_model::{EventSink, RecordMeta, Timestamp, TraceEvent, WindowId};
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -788,7 +788,8 @@ fn golden_v3_segment_pins_the_layout() {
     // pinned by `golden_packed_v3_segment_pins_the_layout`.
     for (at, meta) in [(2, 6), (3, 7)] {
         let mut edv = Vec::new();
-        assert!(DeltaVarintCodec::new()
+        assert!(CodecId::DeltaVarint
+            .new_codec()
             .compress(&windows[at].payload, &mut edv)
             .unwrap());
         assert_eq!(rows[at].len as usize, meta + edv.len(), "frame {at}");

@@ -1,54 +1,52 @@
-//! Pluggable per-frame compression codecs for stored trace payloads.
+//! The block codec: how a frame's payload (the recorder's encoded bytes)
+//! is stored as a smaller block, and read back.
 //!
 //! The durable store frames every recorded window as `[meta | payload]`,
 //! where the payload is the recorder's encoded bytes (the compact `ETRC`
-//! block of [`super::BinaryEncoder`]). A [`FrameCodec`] transforms that
-//! payload into a smaller stored *block* and back. A lane's writer stores
-//! payloads verbatim; the store's compaction pass is what compresses
-//! them, through one of these:
+//! block of [`super::BinaryEncoder`]). A lane's writer stores payloads
+//! verbatim; the store's compaction pass is what compresses them, into
+//! one of five block formats, each named by the [`CodecId`] its frame
+//! stores:
 //!
-//! * [`IdentityCodec`] (id 0) — stores the payload verbatim; the stored
-//!   block *is* the payload.
-//! * [`DeltaVarintCodec`] (id 1) — re-encodes canonical `ETRC` payloads
-//!   into a columnar delta + LEB128-varint layout (the `EDV` block
-//!   format) that exploits the monotone structure of trace events:
+//! * [`CodecId::Identity`] (id 0) — the stored block *is* the payload.
+//! * [`CodecId::DeltaVarint`] (id 1) — canonical `ETRC` payloads
+//!   re-encoded into a columnar delta + LEB128-varint layout (the `EDV`
+//!   block format) that exploits the monotone structure of trace events:
 //!   timestamp deltas, a `(type, severity)` dictionary with nibble-packed
 //!   tokens, and per-type lag-`k` payload delta columns with optional
-//!   run-length encoding. Non-`ETRC` (or non-canonical) payloads are
-//!   refused, not mangled — the caller falls back to identity for that
-//!   frame.
-//! * [`LzBlockCodec`] (id 2) — read-only: it decodes the LZ77 blocks
-//!   (the vendored [`lzb`] crate's format) of stores written by earlier
-//!   builds and refuses every payload it is asked to compress, so nothing
-//!   writes one any more. The id is never reused.
-//! * [`PackedCodec`] (id 3) — one varint row per event of a canonical
+//!   run-length encoding.
+//! * [`CodecId::LzBlock`] (id 2) — read-only: the LZ77 blocks (the
+//!   vendored [`lzb`] crate's format) of stores written by earlier builds.
+//!   Nothing writes one any more, and the id is never reused.
+//! * [`CodecId::Packed`] (id 3) — one varint row per event of a canonical
 //!   `ETRC` payload, `(timestamp delta, type << 2 | severity, payload)`,
 //!   and nothing else: the window start the first timestamp is coded
 //!   against and the event count come from the frame's meta, handed over
 //!   as a [`FrameContext`]. The block for short windows, where `EDV`'s
 //!   dictionary and column headers cost what they save.
-//! * [`TemplatedCodec`] (id 4) — a window as the template of its shape in
-//!   its segment's [`TemplateTable`], which the context carries, plus the
-//!   rows whose payload differs and the packed rows' time column
+//! * [`CodecId::Templated`] (id 4) — a window as the template of its shape
+//!   in its segment's [`TemplateTable`], which the context carries, plus
+//!   the rows whose payload differs and the packed rows' time column
 //!   ([`super::template`]).
 //!
-//! Which block a frame is stored as is chosen in one place,
-//! [`BlockChooser`], the only code that knows both the `EDV` and the
-//! packed layout: the smallest of the `EDV` block, the packed rows and
-//! the payload itself. One pass over the payload sizes them all, and
-//! `EDV`'s encoder runs only where the bytes ahead of its columns
-//! ([`DeltaVarintCodec`]'s size floor) do not already lose to the rows. A
-//! segment's [`super::SegmentCoder`] runs it on every frame and weighs the
-//! templated block beside its choice.
+//! The set is closed, so one concrete [`BlockCodec`] reads them all: each
+//! of its operations is one `match` on the frame's id. Which block a frame
+//! is stored as is chosen in one place, [`BlockChooser`], the only code
+//! that knows both the `EDV` and the packed layout: the smallest of the
+//! `EDV` block, the packed rows and the payload itself. One pass over the
+//! payload sizes them all, and `EDV`'s encoder runs only where the bytes
+//! ahead of its columns (its size floor) do not already lose to the rows.
+//! A segment's [`super::SegmentCoder`] runs it on every frame and weighs
+//! the templated block beside its choice.
 //!
-//! Every codec is *lossless at the byte level*: decompressing a stored
-//! block reproduces the original payload byte for byte, so replay of a
+//! Every block is *lossless at the byte level*: restoring a stored block
+//! reproduces the original payload byte for byte, so replay of a
 //! compressed store is indistinguishable from replay of an uncompressed
 //! one. `docs/FORMAT.md` in the repository root is the normative
-//! specification of the `EDV`, `LZB` and packed block layouts.
+//! specification of the `EDV`, `LZB`, packed and templated block layouts.
 //!
 //! ```rust
-//! use trace_model::codec::{BinaryEncoder, TraceEncoder, DeltaVarintCodec, FrameCodec};
+//! use trace_model::codec::{BinaryEncoder, CodecId, TraceEncoder};
 //! use trace_model::{TraceEvent, Timestamp, EventTypeId};
 //!
 //! # fn main() -> Result<(), trace_model::TraceError> {
@@ -58,7 +56,7 @@
 //! let mut payload = Vec::new();
 //! BinaryEncoder::new().encode(&events, &mut payload)?;
 //!
-//! let mut codec = DeltaVarintCodec::new();
+//! let mut codec = CodecId::DeltaVarint.new_codec();
 //! let mut block = Vec::new();
 //! assert!(codec.compress(&payload, &mut block)?);
 //! assert!(block.len() < payload.len());
@@ -79,7 +77,7 @@
 use std::fmt;
 
 use super::binary::{decode_canonical, decode_canonical_with, header_len};
-use super::template::{TemplateTable, TemplatedCodec};
+use super::template::{decode_templated, TemplateTable};
 use super::varint::{unzigzag, zigzag};
 use super::{
     decode_u64, encode_u64, take_minimal_u64, varint_len, BinaryDecoder, BinaryEncoder,
@@ -87,7 +85,8 @@ use super::{
 };
 use crate::{EventTypeId, Severity, Timestamp, TraceError, TraceEvent};
 
-/// Identifier of a frame codec, stored in every format-v2 and -v3 frame.
+/// Identifier of a block format, stored in every frame of a format-v2,
+/// -v3 and -v4 segment.
 ///
 /// The numeric values are part of the on-disk format (see
 /// `docs/FORMAT.md`) and must never be reused for a different algorithm.
@@ -159,14 +158,13 @@ impl CodecId {
         }
     }
 
-    /// Creates a fresh codec instance implementing this id.
-    pub fn new_codec(self) -> Box<dyn FrameCodec> {
-        match self {
-            CodecId::Identity => Box::new(IdentityCodec::new()),
-            CodecId::DeltaVarint => Box::new(DeltaVarintCodec::new()),
-            CodecId::LzBlock => Box::new(LzBlockCodec::new()),
-            CodecId::Packed => Box::new(PackedCodec::new()),
-            CodecId::Templated => Box::new(TemplatedCodec::new()),
+    /// A block codec whose context-free methods ([`BlockCodec::compress`],
+    /// [`BlockCodec::decompress`], [`BlockCodec::decode_events`]) code
+    /// under this id.
+    pub fn new_codec(self) -> BlockCodec {
+        BlockCodec {
+            id: self,
+            scratch: BlockChooser::default(),
         }
     }
 }
@@ -174,14 +172,13 @@ impl CodecId {
 /// The table of every frame outside a format-v4 segment.
 const NO_TEMPLATES: &TemplateTable = &TemplateTable::EMPTY;
 
-/// What a frame's meta, and its segment, tell its codec about the window
+/// What a frame's meta, and its segment, tell the codec about the window
 /// a block holds.
 ///
-/// [`PackedCodec`] and [`TemplatedCodec`] read it: their first row is
-/// coded against `start_ns`, and their rows are held to `events`, so
-/// neither is stored a second time inside the block; a templated block
-/// names its window's shape in `templates`. Identity, `EDV` and `LZB`
-/// blocks are self-contained and ignore it.
+/// Packed and templated blocks code their first row against `start_ns`
+/// and store no event count, and a templated block names its window's
+/// shape in `templates`. Every block of every id is held to `events`, the
+/// count the frame claims.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameContext<'a> {
     /// The window's start, in nanoseconds of trace time.
@@ -196,7 +193,7 @@ pub struct FrameContext<'a> {
 
 impl FrameContext<'static> {
     /// The context of no frame: base 0, no count to check and no
-    /// templates. The context-free [`FrameCodec`] methods run under it.
+    /// templates. The context-free [`BlockCodec`] methods run under it.
     pub const DETACHED: FrameContext<'static> = FrameContext {
         start_ns: 0,
         events: None,
@@ -249,188 +246,204 @@ impl fmt::Display for CodecId {
     }
 }
 
-/// A pluggable transformation between a frame's payload (the recorder's
-/// encoded bytes) and its stored block.
+/// The block codec: decodes and restores a block of any [`CodecId`], and
+/// compresses a payload outside any frame.
 ///
-/// Implementations may keep internal scratch state across calls (they are
-/// `&mut self` precisely so hot write/replay loops reuse buffers), but a
-/// call's outcome must depend only on its arguments.
+/// One value reads every frame of a segment, whatever its id: the framed
+/// operations, [`BlockCodec::decode_block`] and
+/// [`BlockCodec::restore_block`], take the id the frame names, and each is
+/// one `match` on it. A decode is all or nothing — on any error, `out` is
+/// left as it was — and holds the block to the frame's claimed event
+/// count and raw length, for every id. The codec keeps scratch buffers
+/// across calls (its methods are `&mut self` so that hot replay loops
+/// reuse them), but a call's outcome depends only on its arguments.
 ///
-/// Every operation takes the [`FrameContext`] of the frame the block
-/// belongs to (`*_framed`); the context-free `compress`, `decompress` and
-/// `decode_events` run the same operation under
-/// [`FrameContext::DETACHED`], for blocks that live outside a frame.
-pub trait FrameCodec: fmt::Debug + Send {
-    /// The id stamped into frames this codec produces.
-    fn id(&self) -> CodecId;
+/// The context-free methods, [`BlockCodec::compress`],
+/// [`BlockCodec::decompress`] and [`BlockCodec::decode_events`], code under
+/// the id the codec was made for ([`CodecId::new_codec`]) and
+/// [`FrameContext::DETACHED`], for blocks that live outside a frame. The
+/// frames a store writes get their blocks from [`BlockChooser`] and
+/// [`super::SegmentCoder`], never from `compress`.
+#[derive(Debug, Default)]
+pub struct BlockCodec {
+    /// The id of the context-free methods.
+    id: CodecId,
+    /// The chooser's buffers: its one pass over a payload, whose events
+    /// are what a structured block restores its payload from, and
+    /// `EDV`'s columns.
+    scratch: BlockChooser,
+}
 
-    /// Compresses `payload`, the payload of the frame `context` describes,
-    /// appending the stored block to `out`.
-    ///
-    /// Returns `Ok(false)` — with `out` unchanged — when the codec cannot
-    /// usefully represent this payload (it is not in the structure the
-    /// codec exploits, or the compressed form would not be smaller). The
-    /// caller then stores the frame under [`CodecId::Identity`] instead.
-    /// A `true` return guarantees [`FrameCodec::decompress_framed`] under
-    /// the same context reproduces `payload` exactly, and — for every
-    /// codec except [`IdentityCodec`], whose block *is* the payload — that
-    /// `out` grew by *fewer* bytes than `payload.len()`.
-    ///
-    /// A block is valid only under the context it was made with: a packed
-    /// block made detached (or for another frame) codes its first
-    /// timestamp against another start, and stored in a frame it decodes
-    /// to shifted events. Nothing in the block records its context; the
-    /// packed decoders refuse rows that do not restore the frame's count
-    /// and raw length, which catches such a block unless the shift leaves
-    /// the first timestamp's varint the same length.
+impl BlockCodec {
+    /// The id the context-free methods code under.
+    pub fn id(&self) -> CodecId {
+        self.id
+    }
+
+    /// Appends the events of the stored `block` of the frame `context`
+    /// describes, under the frame's `codec`, to `out` and returns how many:
+    /// the replay fast path, which reads events straight from the block
+    /// and builds no payload but an `LZB` one, in `scratch`.
     ///
     /// # Errors
     ///
-    /// Returns [`TraceError`] only for internal failures; an unsuitable
-    /// payload is the `Ok(false)` case, not an error.
-    fn compress_framed(
+    /// [`TraceError::Decode`] — with `out` as it was — when the block is
+    /// malformed, does not hold the events the context claims, or holds
+    /// events whose `ETRC` payload is not `raw_len` bytes long.
+    pub fn decode_block(
         &mut self,
-        context: FrameContext,
-        payload: &[u8],
-        out: &mut Vec<u8>,
-    ) -> Result<bool, TraceError>;
-
-    /// Decompresses a stored `block` of the frame `context` describes back
-    /// into the original payload, appending exactly `raw_len` bytes to
-    /// `out`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Decode`] when the block is malformed, does
-    /// not decompress to exactly `raw_len` bytes, or (packed) does not
-    /// hold the events the context claims.
-    fn decompress_framed(
-        &mut self,
-        context: FrameContext,
-        block: &[u8],
-        raw_len: usize,
-        out: &mut Vec<u8>,
-    ) -> Result<(), TraceError>;
-
-    /// Decodes the events of a stored block straight into `out`,
-    /// returning how many were appended — the replay fast path.
-    ///
-    /// The default implementation decompresses into `scratch` and decodes
-    /// the restored `ETRC` payload with [`BinaryDecoder::decode_into`];
-    /// structured codecs override it to skip the intermediate payload
-    /// entirely. Both `scratch` and `out` are caller-owned so replay
-    /// loops stay allocation-free across frames.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FrameCodec::decompress_framed`], plus payload
-    /// decode errors when the restored payload is not an `ETRC` block.
-    fn decode_events_framed(
-        &mut self,
-        context: FrameContext,
+        codec: CodecId,
+        context: FrameContext<'_>,
         block: &[u8],
         raw_len: usize,
         scratch: &mut Vec<u8>,
         out: &mut Vec<TraceEvent>,
     ) -> Result<usize, TraceError> {
-        scratch.clear();
-        self.decompress_framed(context, block, raw_len, scratch)?;
-        BinaryDecoder::new().decode_into(scratch, out)
+        let first = out.len();
+        let decoded = match codec {
+            CodecId::Identity => {
+                identity_length(block, raw_len).and_then(|()| decode_payload(context, block, out))
+            }
+            CodecId::DeltaVarint => self.scratch.edv.parse(context, block, raw_len, out),
+            CodecId::LzBlock => {
+                scratch.clear();
+                lzb_restore(block, raw_len, scratch)
+                    .and_then(|()| decode_payload(context, scratch, out))
+            }
+            CodecId::Packed => parse_packed(context, block, raw_len, out),
+            CodecId::Templated => decode_templated(context, block, raw_len, out),
+        };
+        if decoded.is_err() {
+            out.truncate(first);
+        }
+        decoded
     }
 
-    /// [`FrameCodec::compress_framed`] outside any frame.
+    /// Restores the payload of the stored `block` of the frame `context`
+    /// describes, under the frame's `codec`, appending exactly `raw_len`
+    /// bytes to `out`.
+    ///
+    /// An identity or `LZB` block is restored without decoding its events,
+    /// so only its length is checked; every other block is decoded as
+    /// [`BlockCodec::decode_block`] decodes it, and its events are encoded
+    /// again.
     ///
     /// # Errors
     ///
-    /// As [`FrameCodec::compress_framed`].
-    fn compress(&mut self, payload: &[u8], out: &mut Vec<u8>) -> Result<bool, TraceError> {
-        self.compress_framed(FrameContext::DETACHED, payload, out)
+    /// [`TraceError::Decode`] — with `out` as it was — when the block is
+    /// malformed or does not restore exactly `raw_len` bytes, and (`EDV`,
+    /// packed, templated) does not hold the events the context claims.
+    pub fn restore_block(
+        &mut self,
+        codec: CodecId,
+        context: FrameContext<'_>,
+        block: &[u8],
+        raw_len: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), TraceError> {
+        let start = out.len();
+        let BlockChooser { rows, edv } = &mut self.scratch;
+        let events = &mut rows.events;
+        events.clear();
+        // A structured block's events are held to `raw_len` as they are
+        // decoded, so they encode to exactly that many bytes.
+        let restored = match codec {
+            CodecId::Identity => {
+                identity_length(block, raw_len).map(|()| out.extend_from_slice(block))
+            }
+            CodecId::DeltaVarint => edv
+                .parse(context, block, raw_len, events)
+                .and_then(|_| BinaryEncoder::new().encode(events, out)),
+            CodecId::LzBlock => lzb_restore(block, raw_len, out),
+            CodecId::Packed => parse_packed(context, block, raw_len, events)
+                .and_then(|_| BinaryEncoder::new().encode(events, out)),
+            CodecId::Templated => decode_templated(context, block, raw_len, events)
+                .and_then(|_| BinaryEncoder::new().encode(events, out)),
+        };
+        if restored.is_err() {
+            out.truncate(start);
+        }
+        restored
     }
 
-    /// [`FrameCodec::decompress_framed`] outside any frame.
+    /// Compresses `payload` outside any frame into a block of the codec's
+    /// id, appended to `out`: the `EDV` block of a canonical `ETRC`
+    /// payload, the payload itself for identity, and packed rows coded
+    /// against a window start of 0.
+    ///
+    /// Returns `Ok(false)` — with `out` unchanged — when the id cannot
+    /// usefully represent this payload: it is not canonical `ETRC`, its
+    /// block would not be smaller (identity's aside), or the id is `LZB`
+    /// or templated, which nothing writes this way. A `true` return
+    /// guarantees that [`BlockCodec::decompress`] reproduces `payload`
+    /// exactly.
     ///
     /// # Errors
     ///
-    /// As [`FrameCodec::decompress_framed`].
-    fn decompress(
+    /// None: an unsuitable payload is the `Ok(false)` case.
+    pub fn compress(&mut self, payload: &[u8], out: &mut Vec<u8>) -> Result<bool, TraceError> {
+        let BlockChooser { rows, edv } = &mut self.scratch;
+        Ok(match self.id {
+            CodecId::Identity => {
+                out.extend_from_slice(payload);
+                true
+            }
+            // Only canonical ETRC payloads are re-encoded: a payload with,
+            // say, overlong varints decodes fine but would not survive the
+            // round trip — refuse it instead of corrupting it.
+            CodecId::DeltaVarint => {
+                decode_canonical(payload, &mut rows.events)
+                    && edv.encode_events(&rows.events, payload.len(), out)
+            }
+            CodecId::Packed => {
+                let smaller = rows
+                    .scan(0, payload)
+                    .is_some_and(|rows| rows < payload.len());
+                if smaller {
+                    rows.put_rows(out);
+                }
+                smaller
+            }
+            CodecId::LzBlock | CodecId::Templated => false,
+        })
+    }
+
+    /// [`BlockCodec::restore_block`] of a block of the codec's id outside
+    /// any frame.
+    ///
+    /// # Errors
+    ///
+    /// As [`BlockCodec::restore_block`].
+    pub fn decompress(
         &mut self,
         block: &[u8],
         raw_len: usize,
         out: &mut Vec<u8>,
     ) -> Result<(), TraceError> {
-        self.decompress_framed(FrameContext::DETACHED, block, raw_len, out)
+        self.restore_block(self.id, FrameContext::DETACHED, block, raw_len, out)
     }
 
-    /// [`FrameCodec::decode_events_framed`] outside any frame.
+    /// [`BlockCodec::decode_block`] of a block of the codec's id outside
+    /// any frame.
     ///
     /// # Errors
     ///
-    /// As [`FrameCodec::decode_events_framed`].
-    fn decode_events(
+    /// As [`BlockCodec::decode_block`].
+    pub fn decode_events(
         &mut self,
         block: &[u8],
         raw_len: usize,
         scratch: &mut Vec<u8>,
         out: &mut Vec<TraceEvent>,
     ) -> Result<usize, TraceError> {
-        self.decode_events_framed(FrameContext::DETACHED, block, raw_len, scratch, out)
-    }
-}
-
-/// The identity codec: the stored block is the payload, byte for byte.
-///
-/// Frames stored under this codec in a format-v2 or -v3 segment are exactly as
-/// replayable as format-v1 frames; it also serves as the per-frame
-/// fallback when a configured codec refuses a payload.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct IdentityCodec {
-    _private: (),
-}
-
-impl IdentityCodec {
-    /// Creates an identity codec.
-    pub fn new() -> Self {
-        IdentityCodec::default()
-    }
-}
-
-impl FrameCodec for IdentityCodec {
-    fn id(&self) -> CodecId {
-        CodecId::Identity
-    }
-
-    fn compress_framed(
-        &mut self,
-        _context: FrameContext,
-        payload: &[u8],
-        out: &mut Vec<u8>,
-    ) -> Result<bool, TraceError> {
-        out.extend_from_slice(payload);
-        Ok(true)
-    }
-
-    fn decompress_framed(
-        &mut self,
-        _context: FrameContext,
-        block: &[u8],
-        raw_len: usize,
-        out: &mut Vec<u8>,
-    ) -> Result<(), TraceError> {
-        identity_length(block, raw_len)?;
-        out.extend_from_slice(block);
-        Ok(())
-    }
-
-    fn decode_events_framed(
-        &mut self,
-        _context: FrameContext,
-        block: &[u8],
-        raw_len: usize,
-        _scratch: &mut Vec<u8>,
-        out: &mut Vec<TraceEvent>,
-    ) -> Result<usize, TraceError> {
-        identity_length(block, raw_len)?;
-        BinaryDecoder::new().decode_into(block, out)
+        self.decode_block(
+            self.id,
+            FrameContext::DETACHED,
+            block,
+            raw_len,
+            scratch,
+            out,
+        )
     }
 }
 
@@ -445,6 +458,27 @@ fn identity_length(block: &[u8], raw_len: usize) -> Result<(), TraceError> {
             "identity block is {} bytes but the frame says {raw_len}",
             block.len()
         ),
+    })
+}
+
+/// Appends the events of the `ETRC` payload `bytes` to `out`, held to the
+/// count the frame claims.
+fn decode_payload(
+    context: FrameContext<'_>,
+    bytes: &[u8],
+    out: &mut Vec<TraceEvent>,
+) -> Result<usize, TraceError> {
+    let decoded = BinaryDecoder::new().decode_into(bytes, out)?;
+    context.check_events(decoded)?;
+    Ok(decoded)
+}
+
+/// Restores the payload of an `LZB` block, appending `raw_len` bytes to
+/// `out` (the vendored [`lzb`] decoder).
+fn lzb_restore(block: &[u8], raw_len: usize, out: &mut Vec<u8>) -> Result<(), TraceError> {
+    lzb::decompress(block, raw_len, out).map_err(|error| TraceError::Decode {
+        offset: 0,
+        reason: format!("LZB block: {error}"),
     })
 }
 
@@ -476,15 +510,16 @@ fn edv_error(offset: usize, reason: impl Into<String>) -> TraceError {
     }
 }
 
-/// The delta + varint frame codec (`EDV` block format, id 1).
+/// The `EDV` block layout (id 1): its encoder, its decoder, and the
+/// buffers both reuse across frames.
 ///
 /// Only *canonical* `ETRC` payloads — byte sequences that
 /// [`BinaryEncoder`] would itself produce for some event batch — are
-/// compressed; anything else is refused so the caller stores the frame
-/// verbatim. That restriction is what lets the codec round-trip payloads
-/// byte for byte while actually re-encoding them: the stored block holds
-/// the *events*, in a columnar layout, and decompression re-encodes them
-/// through the canonical encoder.
+/// encoded; anything else is stored verbatim. That restriction is what
+/// lets the block round-trip payloads byte for byte while actually
+/// re-encoding them: the stored block holds the *events*, in a columnar
+/// layout, and restoring it re-encodes them through the canonical
+/// encoder.
 ///
 /// The block layout (normative spec in `docs/FORMAT.md`):
 ///
@@ -504,8 +539,7 @@ fn edv_error(offset: usize, reason: impl Into<String>) -> TraceError {
 ///         RLE:   (zigzag delta varint, run varint) pairs
 /// ```
 #[derive(Debug, Default)]
-pub struct DeltaVarintCodec {
-    events: Vec<TraceEvent>,
+struct DeltaVarintCodec {
     /// Distinct `(type, severity)` pairs of the window, in first-seen order.
     dict: Vec<(u16, Severity)>,
     /// Distinct types, in first-seen (dictionary) order.
@@ -525,12 +559,6 @@ pub struct DeltaVarintCodec {
 }
 
 impl DeltaVarintCodec {
-    /// Creates a delta + varint codec (scratch buffers grow on use and
-    /// are reused across frames).
-    pub fn new() -> Self {
-        DeltaVarintCodec::default()
-    }
-
     /// Splits `events` into dictionary, tokens and per-type columns.
     /// Returns `false` when the dictionary would overflow.
     fn build_columns(&mut self, events: &[TraceEvent]) -> bool {
@@ -651,13 +679,23 @@ impl DeltaVarintCodec {
         }
     }
 
-    /// Parses an `EDV` block into `out`, appending the decoded events.
-    fn parse(&mut self, block: &[u8], raw_len: usize) -> Result<&[TraceEvent], TraceError> {
-        self.events.clear();
+    /// Parses the `EDV` block of the frame `context` describes, appending
+    /// its events to `out`, and returns how many; on an error, some may
+    /// have been appended. The block's count is held to the frame's before
+    /// anything is decoded, and its events to `raw_len`, the length of
+    /// their `ETRC` payload.
+    fn parse(
+        &mut self,
+        context: FrameContext<'_>,
+        block: &[u8],
+        raw_len: usize,
+        out: &mut Vec<TraceEvent>,
+    ) -> Result<usize, TraceError> {
         let mut offset = 0usize;
         let (count, next) = decode_u64(block, offset)?;
         offset = next;
         let count = usize::try_from(count).map_err(|_| edv_error(offset, "event count"))?;
+        context.check_events(count)?;
         // A canonical ETRC event costs at least 4 payload bytes, and every
         // event at least one timestamp byte of this block, so the count
         // can exceed neither the raw length (which may claim 4 GiB) nor
@@ -672,7 +710,7 @@ impl DeltaVarintCodec {
             if offset != block.len() {
                 return Err(edv_error(offset, "trailing bytes after empty batch"));
             }
-            return Ok(&self.events);
+            return restores(header_len(0), raw_len).map(|()| 0);
         }
 
         // Timestamps.
@@ -832,87 +870,43 @@ impl DeltaVarintCodec {
             ));
         }
 
-        // Assemble events in recording order.
+        // Assemble events in recording order, summing the bytes each takes
+        // in `ETRC`: its timestamp's delta (the first one absolute), its
+        // type, its payload and a severity byte.
         self.cursors.clear();
         self.cursors.resize(self.types.len(), 0);
-        self.events.reserve(count);
+        out.reserve(count);
+        let (mut etrc, mut previous) = (header_len(count), 0);
         for (i, &token) in self.tokens.iter().enumerate() {
             let (ty, sev) = self.dict[usize::from(token)];
             let at = self.type_of_token[usize::from(token)];
             let payload = self.columns[at][self.cursors[at]];
             self.cursors[at] += 1;
-            self.events.push(
-                TraceEvent::new(
-                    Timestamp::from_nanos(self.ts[i]),
-                    EventTypeId::new(ty),
-                    payload,
-                )
-                .with_severity(sev),
+            let ns = self.ts[i];
+            etrc += varint_len(ns - previous)
+                + varint_len(u64::from(ty))
+                + varint_len(u64::from(payload))
+                + 1;
+            previous = ns;
+            out.push(
+                TraceEvent::new(Timestamp::from_nanos(ns), EventTypeId::new(ty), payload)
+                    .with_severity(sev),
             );
         }
-        Ok(&self.events)
+        restores(etrc, raw_len).map(|()| count)
     }
 }
 
-impl FrameCodec for DeltaVarintCodec {
-    fn id(&self) -> CodecId {
-        CodecId::DeltaVarint
+/// Holds a block whose events take `etrc` bytes as an `ETRC` payload to
+/// the frame's raw length.
+fn restores(etrc: usize, raw_len: usize) -> Result<(), TraceError> {
+    if etrc == raw_len {
+        return Ok(());
     }
-
-    fn compress_framed(
-        &mut self,
-        _context: FrameContext,
-        payload: &[u8],
-        out: &mut Vec<u8>,
-    ) -> Result<bool, TraceError> {
-        // Only canonical ETRC payloads are re-encoded: a payload with,
-        // say, overlong varints decodes fine but would not survive the
-        // round trip — refuse it instead of corrupting it.
-        let mut events = std::mem::take(&mut self.events);
-        let compressed = decode_canonical(payload, &mut events)
-            && self.encode_events(&events, payload.len(), out);
-        self.events = events;
-        Ok(compressed)
-    }
-
-    fn decompress_framed(
-        &mut self,
-        _context: FrameContext,
-        block: &[u8],
-        raw_len: usize,
-        out: &mut Vec<u8>,
-    ) -> Result<(), TraceError> {
-        self.parse(block, raw_len)?;
-        let events = std::mem::take(&mut self.events);
-        let start = out.len();
-        let result = BinaryEncoder::new().encode(&events, out);
-        self.events = events;
-        result?;
-        if out.len() - start != raw_len {
-            return Err(edv_error(
-                0,
-                format!(
-                    "block restores {} bytes but the frame says {raw_len}",
-                    out.len() - start
-                ),
-            ));
-        }
-        Ok(())
-    }
-
-    fn decode_events_framed(
-        &mut self,
-        _context: FrameContext,
-        block: &[u8],
-        raw_len: usize,
-        _scratch: &mut Vec<u8>,
-        out: &mut Vec<TraceEvent>,
-    ) -> Result<usize, TraceError> {
-        let events = self.parse(block, raw_len)?;
-        let appended = events.len();
-        out.extend_from_slice(events);
-        Ok(appended)
-    }
+    Err(edv_error(
+        0,
+        format!("block restores {etrc} bytes but the frame says {raw_len}"),
+    ))
 }
 
 impl DeltaVarintCodec {
@@ -1027,129 +1021,23 @@ impl DeltaVarintCodec {
     }
 }
 
-/// The LZ77 block codec (id 2), backed by the vendored [`lzb`] decoder.
-///
-/// Decode-only: it replays the `LZB` frames of stores written by earlier
-/// builds, and [`FrameCodec::compress_framed`] refuses every payload, so
-/// nothing writes an `LZB` block.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LzBlockCodec {
-    _private: (),
-}
-
-impl LzBlockCodec {
-    /// Creates an LZ block codec.
-    pub fn new() -> Self {
-        LzBlockCodec::default()
-    }
-}
-
-impl FrameCodec for LzBlockCodec {
-    fn id(&self) -> CodecId {
-        CodecId::LzBlock
-    }
-
-    fn compress_framed(
-        &mut self,
-        _context: FrameContext,
-        _payload: &[u8],
-        _out: &mut Vec<u8>,
-    ) -> Result<bool, TraceError> {
-        Ok(false)
-    }
-
-    fn decompress_framed(
-        &mut self,
-        _context: FrameContext,
-        block: &[u8],
-        raw_len: usize,
-        out: &mut Vec<u8>,
-    ) -> Result<(), TraceError> {
-        lzb::decompress(block, raw_len, out).map_err(|error| TraceError::Decode {
-            offset: 0,
-            reason: format!("LZB block: {error}"),
-        })
-    }
-}
-
-/// The packed row codec (id 3): the events of a canonical `ETRC` payload
-/// as varint rows, and nothing else.
-///
-/// The block layout (normative spec in `docs/FORMAT.md` §3.3):
-///
-/// ```text
-/// per event, in order, until the block ends:
-///   varint  time: zigzag(timestamp − window start) on the first row,
-///           timestamp − the previous row's on every other (≥ 0)
-///   varint  (event type << 2) | severity
-///   varint  payload
-/// ```
-///
-/// Of the `ETRC` block it replaces, the magic, the version, the event
-/// count and an absolute first timestamp are what the frame's meta
-/// already says — the window start and the count arrive as the
-/// [`FrameContext`], and a framed decode holds the rows to that count —
-/// and the severity byte folds into the type varint. Like
-/// [`DeltaVarintCodec`] it takes only canonical `ETRC` payloads (and,
-/// framed, only one whose event count is the frame's), so decompression
-/// re-encodes the rows' events into the payload bit for bit.
-#[derive(Debug, Default)]
-pub struct PackedCodec {
-    rows: RowScan,
-}
-
-impl PackedCodec {
-    /// Creates a packed row codec.
-    pub fn new() -> Self {
-        PackedCodec::default()
-    }
-}
-
-impl FrameCodec for PackedCodec {
-    fn id(&self) -> CodecId {
-        CodecId::Packed
-    }
-
-    fn compress_framed(
-        &mut self,
-        context: FrameContext,
-        payload: &[u8],
-        out: &mut Vec<u8>,
-    ) -> Result<bool, TraceError> {
-        let Some(packed) = self.rows.scan(context.start_ns, payload) else {
-            return Ok(false);
-        };
-        if context.check_events(self.rows.events.len()).is_err() || packed >= payload.len() {
-            return Ok(false);
-        }
-        self.rows.put_rows(out);
-        Ok(true)
-    }
-
-    fn decompress_framed(
-        &mut self,
-        context: FrameContext,
-        block: &[u8],
-        raw_len: usize,
-        out: &mut Vec<u8>,
-    ) -> Result<(), TraceError> {
-        let events = &mut self.rows.events;
-        events.clear();
-        parse_packed(context, block, raw_len, events)?;
-        BinaryEncoder::new().encode(events, out)
-    }
-
-    fn decode_events_framed(
-        &mut self,
-        context: FrameContext,
-        block: &[u8],
-        raw_len: usize,
-        _scratch: &mut Vec<u8>,
-        out: &mut Vec<TraceEvent>,
-    ) -> Result<usize, TraceError> {
-        parse_packed(context, block, raw_len, out)
-    }
-}
+// The packed rows (id 3): the events of a canonical `ETRC` payload as
+// varint rows, and nothing else. The block layout (normative spec in
+// `docs/FORMAT.md` §3.3):
+//
+//   per event, in order, until the block ends:
+//     varint  time: zigzag(timestamp − window start) on the first row,
+//             timestamp − the previous row's on every other (≥ 0)
+//     varint  (event type << 2) | severity
+//     varint  payload
+//
+// Of the `ETRC` block it replaces, the magic, the version, the event
+// count and an absolute first timestamp are what the frame's meta already
+// says — the window start and the count arrive as the `FrameContext`, and
+// a framed decode holds the rows to that count — and the severity byte
+// folds into the type varint. Only canonical `ETRC` payloads are stored
+// as rows, so restoring them re-encodes the rows' events into the payload
+// bit for bit.
 
 fn packed_error(offset: usize, reason: impl Into<String>) -> TraceError {
     TraceError::Decode {
@@ -1203,10 +1091,10 @@ pub(super) fn put_rows(times: &[u8], rows: impl Iterator<Item = (u32, u32)>, out
     }
 }
 
-/// Appends the events of the packed `block` to `out` and returns how many:
-/// all of them, or — on any error, the frame's claimed count included —
-/// none. A row is at least three bytes, so this reserves for no more rows
-/// than the block can hold, and framed, for no more than the frame
+/// Appends the events of the packed `block` to `out` and returns how many;
+/// on an error — the frame's claimed count included — some may have been
+/// appended. A row is at least three bytes, so this reserves for no more
+/// rows than the block can hold, and framed, for no more than the frame
 /// claims: a row past the claim is an error before it is pushed.
 ///
 /// The events must also encode to a payload of `raw_len` bytes, what the
@@ -1232,22 +1120,17 @@ fn parse_packed(
     };
     let first = out.len();
     out.reserve(rows.min(1 << 20));
-    let parsed = push_rows(context.start_ns, block, rows, out).and_then(|events_len| {
-        let decoded = out.len() - first;
-        context.check_events(decoded)?;
-        let restores = header_len(decoded) + events_len;
-        if restores != raw_len {
-            return Err(packed_error(
-                0,
-                format!("block restores {restores} bytes but the frame says {raw_len}"),
-            ));
-        }
-        Ok(decoded)
-    });
-    if parsed.is_err() {
-        out.truncate(first);
+    let events_len = push_rows(context.start_ns, block, rows, out)?;
+    let decoded = out.len() - first;
+    context.check_events(decoded)?;
+    let restores = header_len(decoded) + events_len;
+    if restores != raw_len {
+        return Err(packed_error(
+            0,
+            format!("block restores {restores} bytes but the frame says {raw_len}"),
+        ));
     }
-    parsed
+    Ok(decoded)
 }
 
 /// Pushes the rows of `block`, at most `limit` of them, onto `out`, and
@@ -1374,7 +1257,7 @@ impl Dictionary {
 /// packed layout, so the one place that can compare them.
 ///
 /// ```rust
-/// use trace_model::codec::{BinaryEncoder, BlockChooser, CodecId, FrameContext, TraceEncoder};
+/// use trace_model::codec::{BinaryEncoder, BlockChooser, BlockCodec, CodecId, FrameContext, TraceEncoder};
 /// use trace_model::{EventTypeId, Timestamp, TraceEvent};
 ///
 /// # fn main() -> Result<(), trace_model::TraceError> {
@@ -1391,7 +1274,7 @@ impl Dictionary {
 /// assert!(block.len() < payload.len());
 ///
 /// let (mut scratch, mut replayed) = (Vec::new(), Vec::new());
-/// stored.new_codec().decode_events_framed(context, &block, payload.len(), &mut scratch, &mut replayed)?;
+/// BlockCodec::default().decode_block(stored, context, &block, payload.len(), &mut scratch, &mut replayed)?;
 /// assert_eq!(replayed, events);
 /// # Ok(())
 /// # }
@@ -1577,7 +1460,7 @@ mod tests {
         payload
     }
 
-    fn assert_round_trip(codec: &mut dyn FrameCodec, events: &[TraceEvent]) {
+    fn assert_round_trip(codec: &mut BlockCodec, events: &[TraceEvent]) {
         let payload = payload_of(events);
         let mut block = Vec::new();
         let compressed = codec.compress(&payload, &mut block).unwrap();
@@ -1622,19 +1505,24 @@ mod tests {
         ];
         let payload = payload_of(&events);
         let context = FrameContext::framed(1_000_000, 2);
-        let mut codec = PackedCodec::new();
         let mut block = Vec::new();
-        assert!(codec
-            .compress_framed(context, &payload, &mut block)
-            .unwrap());
+        let stored = BlockChooser::new().choose(context, &payload, &mut block);
+        assert_eq!(stored, CodecId::Packed);
         // zigzag(-2000) = 3999; 5 << 2 | 2 = 22; 300; 40 << 2 | 1 = 161.
         assert_eq!(
             block,
             [0x9f, 0x1f, 22, 7, 0xac, 0x02, 0xa1, 0x01, 0xac, 0x02]
         );
+        let mut codec = CodecId::Packed.new_codec();
         let mut restored = Vec::new();
         codec
-            .decompress_framed(context, &block, payload.len(), &mut restored)
+            .restore_block(
+                CodecId::Packed,
+                context,
+                &block,
+                payload.len(),
+                &mut restored,
+            )
             .unwrap();
         assert_eq!(restored, payload);
 
@@ -1644,7 +1532,14 @@ mod tests {
         for claimed in [0, 1, 3, u32::MAX] {
             let wrong = FrameContext::framed(1_000_000, claimed);
             assert!(codec
-                .decode_events_framed(wrong, &block, payload.len(), &mut scratch, &mut out)
+                .decode_block(
+                    CodecId::Packed,
+                    wrong,
+                    &block,
+                    payload.len(),
+                    &mut scratch,
+                    &mut out
+                )
                 .is_err());
             assert!(out.is_empty());
         }
@@ -1655,18 +1550,19 @@ mod tests {
             .decode_events(&block, payload.len(), &mut scratch, &mut out)
             .is_err());
         assert!(out.is_empty());
-        // A framed compress refuses a payload of another count.
+        // The chooser stores a payload of another count as it is.
         let mut refused = Vec::new();
         let three = FrameContext::framed(1_000_000, 3);
-        assert!(!codec
-            .compress_framed(three, &payload, &mut refused)
-            .unwrap());
+        assert_eq!(
+            BlockChooser::new().choose(three, &payload, &mut refused),
+            CodecId::Identity
+        );
         assert!(refused.is_empty());
     }
 
     #[test]
     fn packed_handles_edge_batches() {
-        let mut codec = PackedCodec::new();
+        let mut codec = CodecId::Packed.new_codec();
         assert_round_trip(&mut codec, &[]);
         assert_round_trip(&mut codec, &[ev(5, 9, 1234, Severity::Error)]);
         assert_round_trip(
@@ -1682,7 +1578,7 @@ mod tests {
 
     #[test]
     fn identity_round_trips_any_bytes() {
-        let mut codec = IdentityCodec::new();
+        let mut codec = CodecId::Identity.new_codec();
         for payload in [b"".as_slice(), b"abc", &[0xFFu8; 300]] {
             let mut block = Vec::new();
             assert!(codec.compress(payload, &mut block).unwrap());
@@ -1701,7 +1597,7 @@ mod tests {
     fn delta_varint_compresses_periodic_streams_and_round_trips() {
         let events = periodic_events(500);
         let payload = payload_of(&events);
-        let mut codec = DeltaVarintCodec::new();
+        let mut codec = CodecId::DeltaVarint.new_codec();
         let mut block = Vec::new();
         assert!(codec.compress(&payload, &mut block).unwrap());
         assert!(
@@ -1715,7 +1611,7 @@ mod tests {
 
     #[test]
     fn delta_varint_handles_edge_batches() {
-        let mut codec = DeltaVarintCodec::new();
+        let mut codec = CodecId::DeltaVarint.new_codec();
         assert_round_trip(&mut codec, &[]);
         assert_round_trip(&mut codec, &[ev(5, 9, 1234, Severity::Error)]);
         // Same timestamp repeated, payload extremes, every severity.
@@ -1735,7 +1631,7 @@ mod tests {
 
     #[test]
     fn delta_varint_refuses_non_canonical_payloads() {
-        let mut codec = DeltaVarintCodec::new();
+        let mut codec = CodecId::DeltaVarint.new_codec();
         let mut block = Vec::new();
         // Not an ETRC payload at all.
         assert!(!codec.compress(b"definitely not ETRC", &mut block).unwrap());
@@ -1754,7 +1650,7 @@ mod tests {
     fn delta_varint_rejects_corrupt_blocks() {
         let events = periodic_events(300);
         let payload = payload_of(&events);
-        let mut codec = DeltaVarintCodec::new();
+        let mut codec = CodecId::DeltaVarint.new_codec();
         let mut block = Vec::new();
         assert!(codec.compress(&payload, &mut block).unwrap());
         // Truncations at every byte must error, never panic or mis-decode.
@@ -1776,7 +1672,7 @@ mod tests {
 
     #[test]
     fn lz_block_decodes_blocks_and_compresses_nothing() {
-        let mut codec = LzBlockCodec::new();
+        let mut codec = CodecId::LzBlock.new_codec();
         let payload = payload_of(&periodic_events(500));
         let mut block = Vec::new();
         assert!(!codec.compress(&payload, &mut block).unwrap());
@@ -1840,7 +1736,7 @@ mod tests {
                 let mut scan = RowScan::default();
                 assert!(scan.scan(999_000, &payload).is_some());
                 let mut block = Vec::new();
-                assert!(DeltaVarintCodec::new().encode_events(&events, usize::MAX, &mut block));
+                assert!(DeltaVarintCodec::default().encode_events(&events, usize::MAX, &mut block));
                 assert_eq!(scan.edv_floor(999_000), block.len(), "{types} types");
             }
         }
@@ -1899,7 +1795,7 @@ mod tests {
                 scan.put_rows(&mut rows);
                 prop_assert_eq!(packed, Some(rows.len()));
                 let mut edv = Vec::new();
-                if DeltaVarintCodec::new().encode_events(&events, usize::MAX, &mut edv) {
+                if DeltaVarintCodec::default().encode_events(&events, usize::MAX, &mut edv) {
                     prop_assert!(scan.edv_floor(start_ns) <= edv.len());
                 }
             }
@@ -1916,14 +1812,14 @@ mod tests {
                 // `EDV`'s block with no limit to stop at: `None` past 255
                 // `(type, severity)` pairs.
                 let mut edv = Vec::new();
-                let edv = DeltaVarintCodec::new()
+                let edv = DeltaVarintCodec::default()
                     .encode_events(&events, usize::MAX, &mut edv)
                     .then_some(edv);
+                let mut scan = RowScan::default();
+                prop_assert!(scan.scan(start_ns, &payload).is_some());
                 let mut packed = Vec::new();
-                let packed_taken = PackedCodec::new()
-                    .compress_framed(context, &payload, &mut packed)
-                    .unwrap();
-                prop_assert!(packed_taken, "canonical payloads always pack smaller");
+                scan.put_rows(&mut packed);
+                prop_assert!(packed.len() < payload.len(), "canonical payloads always pack smaller");
 
                 let mut chooser = BlockChooser::new();
                 let mut block = vec![0xEE];
@@ -1939,13 +1835,13 @@ mod tests {
                 prop_assert_eq!(size, smallest, "over {} events", events.len());
                 prop_assert_eq!(stored == CodecId::DeltaVarint, edv.as_ref().is_some_and(|edv| edv.len() < packed.len()));
                 if stored != CodecId::Identity {
-                    let mut codec = stored.new_codec();
+                    let mut codec = BlockCodec::default();
                     let mut restored = Vec::new();
-                    codec.decompress_framed(context, block, payload.len(), &mut restored).unwrap();
+                    codec.restore_block(stored, context, block, payload.len(), &mut restored).unwrap();
                     prop_assert_eq!(&restored, &payload);
                     let (mut scratch, mut replayed) = (Vec::new(), Vec::new());
                     codec
-                        .decode_events_framed(context, block, payload.len(), &mut scratch, &mut replayed)
+                        .decode_block(stored, context, block, payload.len(), &mut scratch, &mut replayed)
                         .unwrap();
                     prop_assert_eq!(&replayed, &events);
                 }
@@ -1954,7 +1850,7 @@ mod tests {
                 // past the block keeps it, byte for byte; the block's own
                 // size is refused, leaving `out` as it was.
                 if let Some(edv) = edv {
-                    let mut codec = DeltaVarintCodec::new();
+                    let mut codec = DeltaVarintCodec::default();
                     let mut out = vec![0xEE];
                     prop_assert!(codec.encode_events(&events, edv.len() + 1, &mut out));
                     prop_assert_eq!(&out[1..], &edv[..]);

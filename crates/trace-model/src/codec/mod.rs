@@ -6,14 +6,14 @@
 //! trace would actually occupy on the storage device). It is lossless for
 //! the [`TraceEvent`] fields it carries and round-trips exactly.
 //!
-//! On top of it, the [`frame`] module defines *frame* codecs
-//! ([`FrameCodec`]): pluggable transformations between an encoded
-//! payload and the (smaller) block a durable store actually writes —
-//! identity, a columnar delta+varint re-encoding, an LZ77 block decoder,
+//! On top of it, the [`frame`] module defines the five *block* formats
+//! a durable store may keep a frame's payload as — the payload itself, a
+//! columnar delta+varint re-encoding, LZ77 blocks of earlier builds,
 //! packed varint rows coded against the frame's meta, and rows coded
-//! against a template of their segment — [`BlockChooser`], which picks the
-//! smallest, and [`SegmentCoder`], which builds a segment's template
-//! table around it. Every varint of every layout is read and written by
+//! against a template of their segment — and the one [`BlockCodec`] that
+//! reads them all, one `match` on the frame's [`CodecId`];
+//! [`BlockChooser`], which picks the smallest block to write, and
+//! [`SegmentCoder`], which builds a segment's template table around it. Every varint of every layout is read and written by
 //! [`varint`]. See `docs/FORMAT.md` at the repository root for the
 //! normative block formats.
 
@@ -23,11 +23,8 @@ pub mod template;
 pub mod varint;
 
 pub use binary::{BinaryDecoder, BinaryEncoder};
-pub use frame::{
-    BlockChooser, CodecId, DeltaVarintCodec, FrameCodec, FrameContext, IdentityCodec, LzBlockCodec,
-    PackedCodec,
-};
-pub use template::{SegmentCoder, TemplateTable, TemplatedCodec};
+pub use frame::{BlockChooser, BlockCodec, CodecId, FrameContext};
+pub use template::{SegmentCoder, TemplateTable};
 pub(crate) use varint::{decode_u64, encode_u64, take_minimal_u64, varint_len};
 
 use crate::{TraceError, TraceEvent};

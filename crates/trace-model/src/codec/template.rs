@@ -24,10 +24,7 @@ use std::sync::OnceLock;
 use super::binary::header_len;
 use super::frame::{put_rows, tag_of, tag_severity};
 use super::varint::unzigzag;
-use super::{
-    encode_u64, take_minimal_u64, varint_len, BinaryEncoder, BlockChooser, CodecId, FrameCodec,
-    FrameContext, TraceEncoder,
-};
+use super::{encode_u64, take_minimal_u64, varint_len, BlockChooser, CodecId, FrameContext};
 use crate::{EventTypeId, Timestamp, TraceError, TraceEvent};
 
 /// The template table of a format-v4 segment: the rows of every window
@@ -262,83 +259,6 @@ fn shape_hash(events: &[TraceEvent]) -> u64 {
     })
 }
 
-/// The templated block codec (id 4): a window as the template of its
-/// shape in its segment's [`TemplateTable`], the rows whose payload
-/// differs from the template's, and the time column of
-/// [`super::PackedCodec`]'s rows (`docs/FORMAT.md` §3.4).
-///
-/// The table arrives with the [`FrameContext`]. Outside a format-v4
-/// segment it is empty and every block is a decode error. Like packed
-/// rows, a block is held to its frame's event count — the template's row
-/// count — and raw length. [`SegmentCoder`], which builds the table, is
-/// what writes templated blocks; this codec is their decoder, and its
-/// compressor refuses every payload.
-#[derive(Debug, Default)]
-pub struct TemplatedCodec {
-    events: Vec<TraceEvent>,
-}
-
-impl TemplatedCodec {
-    /// Creates a templated block codec.
-    pub fn new() -> Self {
-        TemplatedCodec::default()
-    }
-}
-
-impl FrameCodec for TemplatedCodec {
-    fn id(&self) -> CodecId {
-        CodecId::Templated
-    }
-
-    fn compress_framed(
-        &mut self,
-        _context: FrameContext<'_>,
-        _payload: &[u8],
-        _out: &mut Vec<u8>,
-    ) -> Result<bool, TraceError> {
-        Ok(false)
-    }
-
-    fn decompress_framed(
-        &mut self,
-        context: FrameContext<'_>,
-        block: &[u8],
-        raw_len: usize,
-        out: &mut Vec<u8>,
-    ) -> Result<(), TraceError> {
-        self.events.clear();
-        parse_templated(context, block, raw_len, &mut self.events)?;
-        BinaryEncoder::new().encode(&self.events, out)
-    }
-
-    fn decode_events_framed(
-        &mut self,
-        context: FrameContext<'_>,
-        block: &[u8],
-        raw_len: usize,
-        _scratch: &mut Vec<u8>,
-        out: &mut Vec<TraceEvent>,
-    ) -> Result<usize, TraceError> {
-        parse_templated(context, block, raw_len, out)
-    }
-}
-
-/// Appends the events of the templated `block` to `out` and returns how
-/// many: all of them, or — on any error — none.
-fn parse_templated(
-    context: FrameContext<'_>,
-    block: &[u8],
-    raw_len: usize,
-    out: &mut Vec<TraceEvent>,
-) -> Result<usize, TraceError> {
-    let first = out.len();
-    let parsed = push_templated(context, block, raw_len, out);
-    if parsed.is_err() {
-        out.truncate(first);
-    }
-    parsed
-}
-
 /// The exception at `*at` of a block whose template has `rows` rows, the
 /// row after the previous exception being `*next`: its position and
 /// payload, both cursors moved past it.
@@ -365,7 +285,15 @@ fn take_exception(
     Ok((position, payload))
 }
 
-/// [`parse_templated`] without the clean-up on error.
+/// Appends the events of the templated `block` of the frame `context`
+/// describes to `out`, and returns how many; on an error, some may have
+/// been appended.
+///
+/// The template comes from the context's table: outside a format-v4
+/// segment the table is empty and every block is an error. Like packed
+/// rows, a block is held to its frame's event count — the template's row
+/// count — and raw length. [`SegmentCoder`], which builds the table, is
+/// what writes templated blocks.
 ///
 /// The block decodes in three steps: the template's events are copied
 /// into `out`, one pass over the time column writes their timestamps, and
@@ -378,7 +306,7 @@ fn take_exception(
 /// bytes, plus the time column's — whose varints are the `ETRC` deltas,
 /// but the first row's, which `ETRC` spells as the absolute timestamp —
 /// plus what each exception's payload varint takes over the template's.
-fn push_templated(
+pub(super) fn decode_templated(
     context: FrameContext<'_>,
     block: &[u8],
     raw_len: usize,
@@ -527,7 +455,7 @@ fn stamp_deltas(
 /// smaller.
 ///
 /// ```rust
-/// use trace_model::codec::{BinaryEncoder, CodecId, FrameContext, SegmentCoder, TraceEncoder};
+/// use trace_model::codec::{BinaryEncoder, BlockCodec, CodecId, FrameContext, SegmentCoder, TraceEncoder};
 /// use trace_model::{EventTypeId, Timestamp, TraceEvent};
 ///
 /// # fn main() -> Result<(), trace_model::TraceError> {
@@ -549,15 +477,14 @@ fn stamp_deltas(
 /// }
 /// coder.finish();
 /// assert_eq!(coder.table().len(), 1);
+/// let mut decoder = BlockCodec::default();
 /// for (frame, context, payload, events) in &frames {
 ///     let (codec, block) = coder.block(*frame, true);
 ///     assert_eq!(codec, CodecId::Templated);
 ///     assert!(block.len() < coder.block(*frame, false).1.len());
 ///     let context = context.with_templates(coder.table());
 ///     let (mut scratch, mut replayed) = (Vec::new(), Vec::new());
-///     codec
-///         .new_codec()
-///         .decode_events_framed(context, block, payload.len(), &mut scratch, &mut replayed)?;
+///     decoder.decode_block(codec, context, block, payload.len(), &mut scratch, &mut replayed)?;
 ///     assert_eq!(&replayed, events);
 /// }
 /// # Ok(())
@@ -876,6 +803,7 @@ impl SegmentCoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{BinaryEncoder, BlockCodec, TraceEncoder};
 
     fn event(ns: u64, ty: u16, payload: u32) -> TraceEvent {
         TraceEvent::new(Timestamp::from_nanos(ns), EventTypeId::new(ty), payload)
@@ -984,7 +912,7 @@ mod tests {
         let template = coder.table().rows(0).unwrap();
         assert_eq!(template[4], event(0, 2, 9_000));
         assert_eq!(template[3], event(0, 1, 103));
-        let mut decoder = TemplatedCodec::new();
+        let mut decoder = BlockCodec::default();
         for (window, (&frame, payload)) in frames.iter().zip(&payloads).enumerate() {
             let (codec, block) = coder.block(frame, true);
             assert_eq!(codec, CodecId::Templated);
@@ -1004,17 +932,35 @@ mod tests {
                 FrameContext::framed(window as u64 * 40_000_000, 6).with_templates(coder.table());
             let mut restored = Vec::new();
             decoder
-                .decompress_framed(context, block, payload.len(), &mut restored)
+                .restore_block(
+                    CodecId::Templated,
+                    context,
+                    block,
+                    payload.len(),
+                    &mut restored,
+                )
                 .unwrap();
             assert_eq!(&restored, payload);
             // Held to the frame's count and raw length, like packed rows.
             let other =
                 FrameContext::framed(window as u64 * 40_000_000, 5).with_templates(coder.table());
             assert!(decoder
-                .decompress_framed(other, block, payload.len(), &mut restored)
+                .restore_block(
+                    CodecId::Templated,
+                    other,
+                    block,
+                    payload.len(),
+                    &mut restored
+                )
                 .is_err());
             assert!(decoder
-                .decompress_framed(context, block, payload.len() + 1, &mut restored)
+                .restore_block(
+                    CodecId::Templated,
+                    context,
+                    block,
+                    payload.len() + 1,
+                    &mut restored
+                )
                 .is_err());
         }
     }
@@ -1058,8 +1004,14 @@ mod tests {
             let context =
                 FrameContext::framed(window as u64 * 40_000_000, 40).with_templates(coder.table());
             let mut restored = Vec::new();
-            TemplatedCodec::new()
-                .decompress_framed(context, block, payload.len(), &mut restored)
+            BlockCodec::default()
+                .restore_block(
+                    CodecId::Templated,
+                    context,
+                    block,
+                    payload.len(),
+                    &mut restored,
+                )
                 .unwrap();
             assert_eq!(&restored, payload);
         }
@@ -1092,8 +1044,9 @@ mod tests {
         let (codec, block) = coder.block(frames[1], true);
         assert_eq!(codec, CodecId::Templated);
         let mut out = Vec::new();
-        let error = TemplatedCodec::new()
-            .decompress_framed(
+        let error = BlockCodec::default()
+            .restore_block(
+                CodecId::Templated,
                 FrameContext::framed(40_000_000, 3),
                 block,
                 payloads[1].len(),
@@ -1104,10 +1057,10 @@ mod tests {
             error.to_string().contains("not among the segment's 0"),
             "{error}"
         );
-        // Its compressor refuses: templated blocks are the coder's.
-        let table_context = FrameContext::framed(0, 3).with_templates(coder.table());
-        assert!(!TemplatedCodec::new()
-            .compress_framed(table_context, &payloads[0], &mut out)
+        // A detached compress refuses: templated blocks are the coder's.
+        assert!(!CodecId::Templated
+            .new_codec()
+            .compress(&payloads[0], &mut out)
             .unwrap());
     }
 }

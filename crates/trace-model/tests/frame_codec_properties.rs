@@ -10,8 +10,8 @@
 use proptest::prelude::*;
 
 use trace_model::codec::{
-    BinaryDecoder, BinaryEncoder, CodecId, DeltaVarintCodec, FrameCodec, FrameContext, PackedCodec,
-    SegmentCoder, TemplateTable, TemplatedCodec, TraceDecoder, TraceEncoder,
+    BinaryDecoder, BinaryEncoder, BlockChooser, BlockCodec, CodecId, FrameContext, SegmentCoder,
+    TemplateTable, TraceDecoder, TraceEncoder,
 };
 use trace_model::{EventTypeId, Severity, Timestamp, TraceEvent};
 
@@ -218,6 +218,32 @@ fn tag(event: &TraceEvent) -> u32 {
     (u32::from(event.event_type.as_u16()) << 2) | u32::from(event.severity.as_u8())
 }
 
+/// The time column entry of row `at` of `events` (FORMAT.md §3.3): the
+/// first row's difference from the window start `start_ns`, zigzagged, and
+/// every other row's delta from the row before.
+fn naive_time(events: &[TraceEvent], at: usize, start_ns: u64, out: &mut Vec<u8>) {
+    let ns = events[at].timestamp.as_nanos();
+    match at.checked_sub(1) {
+        None => {
+            let difference = ns.wrapping_sub(start_ns) as i64;
+            leb(((difference << 1) ^ (difference >> 63)) as u64, out);
+        }
+        Some(before) => leb(ns - events[before].timestamp.as_nanos(), out),
+    }
+}
+
+/// The packed rows of `events` in a window that starts at `start_ns`, as
+/// FORMAT.md §3.3 words them: per event its time, its tag and its payload.
+fn naive_rows(events: &[TraceEvent], start_ns: u64) -> Vec<u8> {
+    let mut rows = Vec::new();
+    for (at, event) in events.iter().enumerate() {
+        naive_time(events, at, start_ns, &mut rows);
+        leb(u64::from(tag(event)), &mut rows);
+        leb(u64::from(event.payload), &mut rows);
+    }
+    rows
+}
+
 /// What a naive [`SegmentCoder`] stores for the windows of one segment:
 /// the template table, and per window its block with the table kept and
 /// without it. It decodes every payload with [`BinaryDecoder`], codes it
@@ -251,18 +277,14 @@ fn naive_segment(
         let mut payload = Vec::new();
         BinaryEncoder::new().encode(events, &mut payload).unwrap();
         let decoded = BinaryDecoder::new().decode(&payload).unwrap();
-        let context = FrameContext::framed(*start_ns, decoded.len() as u32);
         let mut plain = (CodecId::Identity, payload.clone());
-        let mut packed = Vec::new();
-        if PackedCodec::new()
-            .compress_framed(context, &payload, &mut packed)
-            .unwrap()
-            && packed.len() < plain.1.len()
-        {
+        let packed = naive_rows(&decoded, *start_ns);
+        if packed.len() < plain.1.len() {
             plain = (CodecId::Packed, packed);
         }
         let mut edv = Vec::new();
-        if DeltaVarintCodec::new()
+        if CodecId::DeltaVarint
+            .new_codec()
             .compress(&payload, &mut edv)
             .unwrap()
             && edv.len() < plain.1.len()
@@ -300,16 +322,8 @@ fn naive_segment(
             leb(gap as u64, &mut body);
             leb(u64::from(payload), &mut body);
         }
-        let mut previous = *start_ns;
-        for (at, event) in decoded.iter().enumerate() {
-            let ns = event.timestamp.as_nanos();
-            if at == 0 {
-                let difference = ns.wrapping_sub(*start_ns) as i64;
-                leb(((difference << 1) ^ (difference >> 63)) as u64, &mut body);
-            } else {
-                leb(ns - previous, &mut body);
-            }
-            previous = ns;
+        for at in 0..decoded.len() {
+            naive_time(&decoded, at, *start_ns, &mut body);
         }
         let size = leb_len(group as u64) + body.len();
         if size < plain.1.len() {
@@ -449,7 +463,7 @@ fn take_leb(bytes: &[u8], at: &mut usize) -> Option<u64> {
 }
 
 /// A templated block decoded from `docs/FORMAT.md` §3.4 alone, sharing no
-/// code with [`TemplatedCodec`]: the template `varint id` names in
+/// code with [`BlockCodec`]: the template `varint id` names in
 /// `table`, the exception list applied to a copy of its payloads, then
 /// its rows turned into events one at a time from the time column (the
 /// first against `start_ns`, zigzagged, the rest as deltas). `None` for
@@ -520,19 +534,27 @@ fn naive_raw_len(context: FrameContext<'_>, block: &[u8]) -> Option<usize> {
         .map(|events| etrc(&events).len())
 }
 
-/// Holds [`TemplatedCodec`] on `block` to [`naive_templated`], through
-/// `decode_events_framed` and `decompress_framed`, each into a buffer
+/// Holds [`BlockCodec`] on the templated `block` to [`naive_templated`],
+/// through `decode_block` and `restore_block`, each into a buffer
 /// that already holds something: both succeed exactly where the reference
 /// does, append its events and their `ETRC` bytes, and on an error leave
 /// the buffer as it was.
 fn check_against_the_naive_decoder(context: FrameContext<'_>, block: &[u8], raw_len: usize) {
     let expected = naive_templated(context, block, raw_len);
-    let mut codec = TemplatedCodec::new();
+    let mut codec = BlockCodec::default();
     let before = TraceEvent::new(Timestamp::from_nanos(7), EventTypeId::new(9), 11);
     let (mut scratch, mut events) = (Vec::new(), vec![before]);
-    let decoded = codec.decode_events_framed(context, block, raw_len, &mut scratch, &mut events);
+    let templated = CodecId::Templated;
+    let decoded = codec.decode_block(
+        templated,
+        context,
+        block,
+        raw_len,
+        &mut scratch,
+        &mut events,
+    );
     let mut restored = b"held".to_vec();
-    let decompressed = codec.decompress_framed(context, block, raw_len, &mut restored);
+    let decompressed = codec.restore_block(templated, context, block, raw_len, &mut restored);
     match &expected {
         Some(expected) => {
             assert_eq!(decoded.ok(), Some(expected.len()), "{block:02x?}");
@@ -546,6 +568,111 @@ fn check_against_the_naive_decoder(context: FrameContext<'_>, block: &[u8], raw_
             assert_eq!(events, [before], "{block:02x?}");
             assert!(decompressed.is_err(), "{block:02x?}");
             assert_eq!(restored, b"held", "{block:02x?}");
+        }
+    }
+}
+
+/// The `LZB` block an earlier build stored for the seventh frame of the
+/// store's golden v3 segment (`GOLDEN_V3_SEG` in
+/// `crates/store/tests/common/mod.rs`): window 46, 14 events, a payload of
+/// 106 bytes. Nothing writes `LZB` any more, so these bytes stand in for
+/// a writer.
+const GOLDEN_LZB_BLOCK: &str = "f10545545243010ec2dab0ed0602f82301dda54c03f907002100fa070021\
+                                01fb07002102fc07002103fd07002100fe07002101ff070030028024070021\
+                                038107002100820700210183070021028407004003852401";
+
+fn unhex(hex: &str) -> Vec<u8> {
+    let digits: Vec<u8> = hex.bytes().filter(u8::is_ascii_hexdigit).collect();
+    digits
+        .chunks(2)
+        .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+        .collect()
+}
+
+/// One decoder, one block of each codec id for one window: each decodes
+/// to the window's events and restores its payload under the frame's
+/// claimed count and raw length, and under any other count or raw length
+/// a decode is an error that appends nothing — every id held to both
+/// inside the codec, not by its caller.
+#[test]
+fn one_decoder_holds_every_id_to_the_frames_count_and_raw_length() {
+    // The golden `LZB` frame's window, as the store's fixture builder
+    // makes it.
+    let start_ns = 46 * 40_000_000;
+    let events: Vec<TraceEvent> = (0..14u64)
+        .map(|i| {
+            TraceEvent::new(
+                Timestamp::from_nanos(start_ns + i * 1_250_000 + (46 * 7 + i * 13) % 1_000),
+                EventTypeId::new(((46 + i) % 4) as u16),
+                (4_600 + i) as u32,
+            )
+        })
+        .collect();
+    let payload = etrc(&events);
+    assert_eq!(payload.len(), 106);
+
+    let mut edv = Vec::new();
+    assert!(CodecId::DeltaVarint
+        .new_codec()
+        .compress(&payload, &mut edv)
+        .unwrap());
+    // Template 0 is the window's shape; no exception, then the time column.
+    let mut table = TemplateTable::default();
+    table.push(&events);
+    let mut templated = vec![0, 0];
+    for at in 0..events.len() {
+        naive_time(&events, at, start_ns, &mut templated);
+    }
+    let blocks = [
+        (CodecId::Identity, payload.clone()),
+        (CodecId::DeltaVarint, edv),
+        (CodecId::LzBlock, unhex(GOLDEN_LZB_BLOCK)),
+        (CodecId::Packed, naive_rows(&events, start_ns)),
+        (CodecId::Templated, templated),
+    ];
+
+    let mut decoder = BlockCodec::default();
+    let before = TraceEvent::new(Timestamp::from_nanos(7), EventTypeId::new(9), 11);
+    let frame = |count| FrameContext::framed(start_ns, count).with_templates(&table);
+    for (codec, block) in &blocks {
+        let (mut scratch, mut out) = (Vec::new(), vec![before]);
+        let decoded = decoder.decode_block(*codec, frame(14), block, 106, &mut scratch, &mut out);
+        assert_eq!(decoded.ok(), Some(14), "{codec}");
+        assert_eq!(out[1..], events[..], "{codec}");
+        let mut restored = b"held".to_vec();
+        decoder
+            .restore_block(*codec, frame(14), block, 106, &mut restored)
+            .unwrap();
+        assert_eq!(restored[4..], payload[..], "{codec}");
+
+        for (count, raw_len) in [
+            (0, 106),
+            (13, 106),
+            (15, 106),
+            (u32::MAX, 106),
+            (14, 105),
+            (14, 107),
+        ] {
+            let mut out = vec![before];
+            let decoded =
+                decoder.decode_block(*codec, frame(count), block, raw_len, &mut scratch, &mut out);
+            assert!(decoded.is_err(), "{codec}: {count} events, {raw_len} bytes");
+            assert_eq!(out, [before], "{codec}: {count} events, {raw_len} bytes");
+            // A restore holds the raw length too, and — but for the two
+            // ids whose payload is restored without decoding its events —
+            // the count.
+            let mut restored = b"held".to_vec();
+            let restore =
+                decoder.restore_block(*codec, frame(count), block, raw_len, &mut restored);
+            let unchecked = count != 14 && [CodecId::Identity, CodecId::LzBlock].contains(codec);
+            assert_eq!(
+                restore.is_ok(),
+                unchecked,
+                "{codec}: {count} events, {raw_len} bytes"
+            );
+            if !unchecked {
+                assert_eq!(restored, b"held", "{codec}");
+            }
         }
     }
 }
@@ -663,7 +790,7 @@ fn the_naive_model_sees_edv_and_templates_in_a_long_window_mix() {
     assert!(blocks.iter().any(|(kept, _)| kept.0 == CodecId::Templated));
 }
 
-fn check_round_trip(codec: &mut dyn FrameCodec, events: &[TraceEvent]) {
+fn check_round_trip(codec: &mut BlockCodec, events: &[TraceEvent]) {
     let mut payload = Vec::new();
     BinaryEncoder::new().encode(events, &mut payload).unwrap();
     let mut block = Vec::new();
@@ -702,7 +829,7 @@ proptest! {
     fn every_codec_round_trips_arbitrary_event_streams(events in ordered_events(300)) {
         for id in CodecId::ALL {
             let mut codec = id.new_codec();
-            check_round_trip(codec.as_mut(), &events);
+            check_round_trip(&mut codec, &events);
         }
     }
 
@@ -710,7 +837,7 @@ proptest! {
     fn every_codec_round_trips_periodic_streams(events in periodic_events(400)) {
         for id in CodecId::ALL {
             let mut codec = id.new_codec();
-            check_round_trip(codec.as_mut(), &events);
+            check_round_trip(&mut codec, &events);
         }
     }
 
@@ -736,7 +863,7 @@ proptest! {
         // between windows.
         let mut codec = CodecId::DeltaVarint.new_codec();
         for events in [&first, &second, &third, &first] {
-            check_round_trip(codec.as_mut(), events);
+            check_round_trip(&mut codec, events);
         }
     }
 
@@ -799,26 +926,28 @@ proptest! {
         });
         // A templated block names a template of the segment's table.
         let templated = framed.with_templates(&table);
+        let mut codec = BlockCodec::default();
         for id in CodecId::ALL {
-            let mut codec = id.new_codec();
             for context in [FrameContext::DETACHED, framed, templated] {
                 let mut restored = Vec::new();
-                if codec.decompress_framed(context, &block, raw_len, &mut restored).is_ok() {
+                if codec.restore_block(id, context, &block, raw_len, &mut restored).is_ok() {
                     prop_assert_eq!(restored.len(), raw_len);
                 }
                 let (mut scratch, mut events) = (Vec::new(), Vec::new());
                 let decoded =
-                    codec.decode_events_framed(context, &block, raw_len, &mut scratch, &mut events);
+                    codec.decode_block(id, context, &block, raw_len, &mut scratch, &mut events);
                 if id == CodecId::Packed || id == CodecId::Templated {
                     // Three bytes a packed row at the least, and a time
                     // byte a templated one.
                     let rows = if id == CodecId::Packed { block.len() / 3 } else { block.len() };
                     prop_assert!(events.capacity() <= rows.max(4));
-                    match (decoded, context.events) {
-                        (Ok(rows), Some(claimed)) => prop_assert_eq!(rows, claimed as usize),
-                        (Err(_), _) => prop_assert!(events.is_empty()),
-                        _ => {}
-                    }
+                }
+                // Every id holds a frame to its count, and a decode that
+                // fails appends nothing.
+                match (decoded, context.events) {
+                    (Ok(rows), Some(claimed)) => prop_assert_eq!(rows, claimed as usize),
+                    (Err(_), _) => prop_assert!(events.is_empty()),
+                    _ => {}
                 }
             }
         }
@@ -836,41 +965,43 @@ proptest! {
         let mut payload = Vec::new();
         BinaryEncoder::new().encode(&events, &mut payload).unwrap();
         let framed = FrameContext::framed(start_ns, events.len() as u32);
-        let mut codec = PackedCodec::new();
-        for context in [FrameContext::DETACHED, framed] {
-            let mut block = Vec::new();
-            prop_assert!(codec.compress_framed(context, &payload, &mut block).unwrap());
+        let mut codec = CodecId::Packed.new_codec();
+        // The context-free compress codes the rows against a start of 0.
+        let mut detached = Vec::new();
+        prop_assert!(codec.compress(&payload, &mut detached).unwrap());
+        prop_assert_eq!(&detached, &naive_rows(&events, 0));
+        let packed = CodecId::Packed;
+        for (context, block) in [
+            (FrameContext::DETACHED, detached),
+            (framed, naive_rows(&events, start_ns)),
+        ] {
             prop_assert!(block.len() < payload.len());
             let mut restored = Vec::new();
-            codec.decompress_framed(context, &block, payload.len(), &mut restored).unwrap();
+            codec.restore_block(packed, context, &block, payload.len(), &mut restored).unwrap();
             prop_assert_eq!(&restored, &payload);
             let (mut scratch, mut decoded) = (Vec::new(), Vec::new());
             let rows = codec
-                .decode_events_framed(context, &block, payload.len(), &mut scratch, &mut decoded)
+                .decode_block(packed, context, &block, payload.len(), &mut scratch, &mut decoded)
                 .unwrap();
             prop_assert_eq!(rows, events.len());
             prop_assert_eq!(&decoded, &events);
             // Rows that restore another raw length are refused, by the
-            // replay fast path as by a decompress.
+            // replay fast path as by a restore.
             decoded.clear();
             prop_assert!(codec
-                .decode_events_framed(context, &block, payload.len() + 1, &mut scratch, &mut decoded)
+                .decode_block(packed, context, &block, payload.len() + 1, &mut scratch, &mut decoded)
                 .is_err());
             prop_assert!(decoded.is_empty());
             let other = FrameContext::framed(start_ns, events.len() as u32 ^ 1);
             prop_assert!(codec
-                .decode_events_framed(other, &block, payload.len(), &mut scratch, &mut decoded)
+                .decode_block(packed, other, &block, payload.len(), &mut scratch, &mut decoded)
                 .is_err());
-            prop_assert!(codec.decompress_framed(other, &block, payload.len(), &mut restored).is_err());
+            prop_assert!(codec.restore_block(packed, other, &block, payload.len(), &mut restored).is_err());
+            // The chooser stores a payload of another count as it is.
             let mut refused = Vec::new();
-            prop_assert!(!codec.compress_framed(other, &payload, &mut refused).unwrap());
+            prop_assert_eq!(BlockChooser::new().choose(other, &payload, &mut refused), CodecId::Identity);
             prop_assert!(refused.is_empty());
         }
-        // The context-free methods are the detached context's.
-        let (mut detached, mut block) = (Vec::new(), Vec::new());
-        codec.compress_framed(FrameContext::DETACHED, &payload, &mut detached).unwrap();
-        codec.compress(&payload, &mut block).unwrap();
-        prop_assert_eq!(block, detached);
     }
 
     /// Any mix of window shapes in one segment: each frame's templated
@@ -894,22 +1025,22 @@ proptest! {
         table.encode(&mut encoded);
         prop_assert_eq!(&TemplateTable::parse(&encoded).unwrap(), table);
         let mut templated_frames = 0;
+        let mut decoder = BlockCodec::default();
         for (frame, context, payload, events) in &frames {
             let (plain_codec, plain) = coder.block(*frame, false);
             prop_assert_ne!(plain_codec, CodecId::Templated);
-            let mut packed = Vec::new();
-            prop_assert!(PackedCodec::new().compress_framed(*context, payload, &mut packed).unwrap());
+            let packed = naive_rows(events, context.start_ns);
+            prop_assert!(packed.len() < payload.len());
             prop_assert!(plain.len() <= packed.len());
             let (codec, block) = coder.block(*frame, true);
             let in_segment = context.with_templates(table);
             for (codec, block) in [(codec, block), (CodecId::Packed, &packed[..])] {
-                let mut decoder = codec.new_codec();
                 let mut restored = Vec::new();
-                decoder.decompress_framed(in_segment, block, payload.len(), &mut restored).unwrap();
+                decoder.restore_block(codec, in_segment, block, payload.len(), &mut restored).unwrap();
                 prop_assert_eq!(&restored, payload);
                 let (mut scratch, mut decoded) = (Vec::new(), Vec::new());
                 decoder
-                    .decode_events_framed(in_segment, block, payload.len(), &mut scratch, &mut decoded)
+                    .decode_block(codec, in_segment, block, payload.len(), &mut scratch, &mut decoded)
                     .unwrap();
                 prop_assert_eq!(&decoded, *events);
             }
@@ -918,9 +1049,8 @@ proptest! {
                 prop_assert!(block.len() < plain.len());
                 // Outside the segment the block names nothing.
                 let mut restored = Vec::new();
-                prop_assert!(codec
-                    .new_codec()
-                    .decompress_framed(*context, block, payload.len(), &mut restored)
+                prop_assert!(decoder
+                    .restore_block(codec, *context, block, payload.len(), &mut restored)
                     .is_err());
             } else {
                 prop_assert_eq!((codec, block), (plain_codec, plain));

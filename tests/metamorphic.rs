@@ -12,6 +12,18 @@
 //! reduced into one store lane per stream, compacted and replayed cold
 //! decides the same and stores, window by window, the same events at each
 //! timestamp.
+//!
+//! **Time shift.** Windows are slots of `L` from time zero and a window's
+//! feature is its pmf, so shifting every timestamp by a whole number of
+//! windows `c · L` shifts every window by the same and changes no pmf:
+//! every decision is the same (scores by bits, bounds shifted), the same
+//! window ids come back, and a replay returns the original events,
+//! shifted. A learning session learns the same model, since its reference
+//! horizon starts with its first window; and a churning fleet reduced
+//! into the store, compacted and replayed cold keeps it, up to a few
+//! windows short of `Timestamp::MAX`, where a packed or templated block's
+//! first row is still its small difference from the window start and an
+//! `EDV` block's absolute timestamps take ten bytes.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
@@ -22,7 +34,8 @@ use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
 use endurance_core::{
-    FleetReducer, MonitorConfig, ReductionSession, ReferenceModel, WindowDecision, WindowStrategy,
+    EmbeddedModel, FleetReducer, MonitorConfig, ReductionSession, ReferenceModel, WindowDecision,
+    WindowStrategy,
 };
 use endurance_eval::ChurnExperiment;
 use endurance_store::{
@@ -381,5 +394,161 @@ proptest! {
             }
         }
         prop_assert_eq!(stored, permuted_stored);
+    }
+}
+
+/// `decision` as it reads `shift` ns earlier.
+fn shifted_back(mut decision: WindowDecision, shift: u64) -> WindowDecision {
+    decision.start = Timestamp::from_nanos(decision.start.as_nanos() - shift);
+    decision.end = Timestamp::from_nanos(decision.end.as_nanos() - shift);
+    decision
+}
+
+/// A shift by whole windows of a trace whose last event is at `last_ns`:
+/// `c` windows, or — `short_of_the_end` is `Some(k)` — the most that keeps
+/// the last event `k` windows short of [`Timestamp::MAX`].
+fn window_shift(last_ns: u64, c: u64, short_of_the_end: Option<u64>) -> u64 {
+    let window = WINDOW.as_nanos() as u64;
+    match short_of_the_end {
+        Some(k) => ((u64::MAX - last_ns) / window - k) * window,
+        None => c * window,
+    }
+}
+
+/// `events` `shift` ns later.
+fn shift_events(events: &[TraceEvent], shift: u64) -> Vec<TraceEvent> {
+    events
+        .iter()
+        .map(|&event| TraceEvent {
+            timestamp: Timestamp::from_nanos(event.timestamp.as_nanos() + shift),
+            ..event
+        })
+        .collect()
+}
+
+/// A learning session over `events`: the digest of the model it learned,
+/// its decisions and the windows it recorded.
+fn learn_and_run(
+    events: &[TraceEvent],
+    dimensions: usize,
+) -> (u64, Vec<WindowDecision>, WindowSink) {
+    let config = MonitorConfig::builder()
+        .dimensions(dimensions)
+        .window(WindowStrategy::Time(WINDOW))
+        .reference_duration(REFERENCE)
+        .build()
+        .expect("valid monitor config");
+    let mut session = ReductionSession::new(config)
+        .expect("session")
+        .with_sink(WindowSink::default())
+        .with_observer(Vec::new());
+    session.push_batch(events).expect("push");
+    let model = session.model().expect("the session learned");
+    let digest = EmbeddedModel::embed(model).expect("embed").digest();
+    let outcome = session.finish().expect("finish");
+    (digest, outcome.observer, outcome.sink)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// A learning session over a trace shifted by `c` windows — always past
+    /// its 20 s reference horizon, or up to a few windows short of the end
+    /// of time — learns the same model, decides the same (scores by bits,
+    /// bounds shifted) and records the same windows, shifted.
+    #[test]
+    fn a_time_shift_changes_no_decision_of_a_learning_session(
+        trace_seed in 0u64..1_000_000,
+        c in 1_000u64..1_000_000_000,
+        short_of_the_end in prop::option::of(1u64..4),
+    ) {
+        let (events, dimensions) = floored_trace(trace_seed, Duration::from_secs(40), true);
+        let last = events.last().expect("an event").timestamp.as_nanos();
+        let shift = window_shift(last, c, short_of_the_end);
+        eprintln!("trace seed {trace_seed}: shifted {shift} ns");
+        let (digest, decisions, sink) = learn_and_run(&events, dimensions);
+        let (shifted_digest, shifted_decisions, shifted_sink) =
+            learn_and_run(&shift_events(&events, shift), dimensions);
+
+        prop_assert_eq!(digest, shifted_digest);
+        prop_assert!(decisions.iter().any(|d| d.lof.is_some()), "no window reached LOF");
+        prop_assert_eq!(decisions.len(), shifted_decisions.len());
+        for (a, b) in decisions.iter().zip(&shifted_decisions) {
+            prop_assert_eq!(decision_bits(a), decision_bits(&shifted_back(*b, shift)));
+        }
+        prop_assert!(!sink.windows.is_empty(), "nothing was recorded");
+        let expected: Vec<Vec<TraceEvent>> =
+            sink.windows.iter().map(|window| shift_events(window, shift)).collect();
+        prop_assert_eq!(expected, shifted_sink.windows);
+    }
+
+    /// A churning fleet shifted by `c` windows — or to a few windows short
+    /// of the end of time, where every timestamp an `EDV` block or a
+    /// payload stores takes ten bytes — through the store: the same
+    /// decisions (bounds shifted), the same window ids, and a cold replay
+    /// of every window's events, shifted.
+    #[test]
+    fn a_time_shift_changes_nothing_the_store_keeps_but_the_times(
+        fleet_seed in 0u64..1_000_000,
+        c in 1u64..1_000_000_000,
+        short_of_the_end in prop::option::of(1u64..4),
+    ) {
+        let fleet = floored_fleet(60, fleet_seed);
+        let last = fleet
+            .iter()
+            .filter_map(|fleet_event| match fleet_event {
+                FleetEvent::Delivery(_, event) => Some(event.timestamp.as_nanos()),
+                FleetEvent::StreamClosed(_) => None,
+            })
+            .max()
+            .expect("a delivery");
+        let shift = window_shift(last, c, short_of_the_end);
+        eprintln!("fleet seed {fleet_seed}: shifted {shift} ns");
+        let shifted: Vec<FleetEvent> = fleet
+            .iter()
+            .map(|&fleet_event| match fleet_event {
+                FleetEvent::Delivery(stream, event) => {
+                    FleetEvent::Delivery(stream, shift_events(&[event], shift)[0])
+                }
+                closed => closed,
+            })
+            .collect();
+
+        let dir = std::env::temp_dir().join(format!(
+            "endurance-metamorphic-shift-{}-{fleet_seed}",
+            std::process::id()
+        ));
+        let (decisions, stored) = run_through_the_store(&fleet, &dir.join("original"));
+        let (shifted_decisions, shifted_stored) =
+            run_through_the_store(&shifted, &dir.join("shifted"));
+        std::fs::remove_dir_all(&dir).ok();
+
+        prop_assert!(decisions.values().flatten().any(|d| d.lof.is_some()), "no window reached LOF");
+        prop_assert!(stored.values().any(|lane| !lane.is_empty()), "nothing was recorded");
+        prop_assert_eq!(decisions.len(), shifted_decisions.len());
+        for ((lane, a), (shifted_lane, b)) in decisions.iter().zip(&shifted_decisions) {
+            prop_assert_eq!(lane, shifted_lane);
+            prop_assert_eq!(a.len(), b.len());
+            for (a, b) in a.iter().zip(b) {
+                prop_assert_eq!(decision_bits(a), decision_bits(&shifted_back(*b, shift)));
+            }
+        }
+        let expected: BTreeMap<u32, Vec<StoredWindow>> = stored
+            .into_iter()
+            .map(|(lane, windows)| {
+                let windows = windows
+                    .into_iter()
+                    .map(|(id, start_ns, end_ns, events)| {
+                        let events = events
+                            .into_iter()
+                            .map(|(ns, ty, payload, severity)| (ns + shift, ty, payload, severity))
+                            .collect();
+                        (id, start_ns + shift, end_ns + shift, events)
+                    })
+                    .collect();
+                (lane, windows)
+            })
+            .collect();
+        prop_assert_eq!(expected, shifted_stored);
     }
 }
